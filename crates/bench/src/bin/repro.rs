@@ -90,15 +90,13 @@ fn usage() -> ExitCode {
                               cycles; exports timeseries.json/.csv and Perfetto\n\
                               counter tracks. Applies to the degraded run with\n\
                               --faults, otherwise to an instrumented clean run\n\
-                              (quantum engine at --threads > 1, bit-identical\n\
-                              artifacts at any thread count)\n\
+                              (bit-identical artifacts at any thread count)\n\
          --flight N           keep an N-event flight-recorder ring on the\n\
                               measured (degraded or clean) run; exports\n\
                               flight.json, and a simulator fault dumps it as\n\
                               crashdump.json\n\
-         --threads N          drive every simulation on N host threads via\n\
-                              the phased-tick parallel engine (default 1 =\n\
-                              sequential); results are bit-identical at any\n\
+         --threads N          shard every simulation over N host threads\n\
+                              (default 1); results are bit-identical at any\n\
                               thread count\n\
          --checkpoint-dir DIR snapshot the degraded run into DIR as atomic\n\
                               ckpt-<cycle>.json files with bounded retention;\n\
@@ -687,9 +685,9 @@ fn main() -> ExitCode {
         }
     };
     // Every cluster below is built through `SimParams::default()`, so one
-    // process-wide knob switches all of them to the parallel engine. The
-    // engines are bit-identical, so no artifact depends on this — which
-    // is exactly what CI's parallel-vs-sequential diff checks.
+    // process-wide knob sets the worker count of all of them. Results are
+    // bit-identical at every count, so no artifact depends on this —
+    // which is exactly what CI's 4-thread-vs-1-thread diff checks.
     mempool_sim::set_default_threads(opts.threads);
     if opts.threads > 1 {
         eprintln!("driving simulations with {} host threads", opts.threads);
@@ -915,10 +913,8 @@ fn main() -> ExitCode {
     }
 
     // `--timeseries`/`--flight` without `--faults` instrument a *clean*
-    // compute phase. The clean run carries no fault plan, so at
-    // `--threads > 1` it dispatches to the quantum engine — the
-    // shard-local observation lanes record it at full parallel speed and
-    // the artifacts stay bit-identical to a sequential run.
+    // compute phase; the engine's shard-local observation lanes keep the
+    // artifacts bit-identical at any `--threads`.
     let observed = if opts.faults.is_none() && (opts.timeseries.is_some() || opts.flight.is_some())
     {
         eprintln!("measuring instrumented clean run ...");
@@ -1014,7 +1010,7 @@ fn write_summary_artifacts(
     if !obs.flight.is_empty() {
         art.write_json("flight.json", &obs.flight.to_json())?;
     }
-    // The quantum engine's host-side self-profile: per-worker busy vs
+    // The engine's host-side self-profile: per-worker busy vs
     // lockstep-wait time, boundary durations, mailbox volume, and the
     // embedded Perfetto counter-track document. Wall-clock content, so CI
     // byte-diffs skip it (like BENCH_repro.json).
@@ -1038,14 +1034,8 @@ fn write_summary_artifacts(
             Json::Arr(opts.targets.iter().map(Json::str).collect()),
         ),
         ("measured", Json::Bool(opts.measure)),
-        // Which engine the run's simulations dispatch(ed) to, and why —
-        // the explicit record of what used to be a silent fast-path
-        // downgrade. String-valued so the numeric regression comparator
-        // ignores engine differences between artifact legs.
-        (
-            "engine",
-            mempool_sim::planned_engine(opts.threads, opts.faults.is_some()).to_json(),
-        ),
+        // String-valued, so the numeric regression comparator skips it.
+        ("engine", mempool_sim::ENGINE.to_json()),
         ("model", model_json(model)),
         ("cycles_per_mac", Json::Float(model.cycles_per_mac)),
         ("matmul_cycles_at_16B_per_cycle", Json::Arr(cycles)),

@@ -28,7 +28,7 @@ pub const BASELINE_WATCHDOG: u64 = 2_000_000;
 /// degraded run under the fixed `(seed, rate)` fault plan, so two runs of
 /// the same code produce identical documents there. The `perf` section
 /// carries the host-throughput probe (wall-clock simulated cycles per
-/// second of the sequential and parallel engines) — a real measurement
+/// second at one and at several host threads) — a real measurement
 /// that varies run to run; the comparator's lenient `cycles_per_second` /
 /// `parallel_speedup` rules keep it gated without tripping on scheduler
 /// noise.
@@ -106,7 +106,7 @@ pub fn bench_summary() -> mempool_obs::Json {
 /// thread count, so the elapsed window is long enough to be meaningful.
 const PROBE_REPS: u32 = 2;
 
-/// Thread counts the probe times. `1` is the sequential reference; the
+/// Thread counts the probe times. `1` is the one-worker reference; the
 /// last entry is the headline parallel leg (matching the CI tier-1
 /// `--threads 4` job) whose ratio against `1` is `parallel_speedup`.
 const PROBE_THREAD_COUNTS: [usize; 3] = [1, 2, 4];
@@ -176,9 +176,8 @@ fn throughput_probe() -> mempool_obs::Json {
         for _ in 0..PROBE_REPS {
             let mut cluster = Cluster::new(cfg.clone(), params);
             // The instrumented legs carry the full observability stack
-            // (spans, metrics, epoch sampling, flight ring + trace) —
-            // clean runs stay quantum-eligible, so this prices the
-            // shard-local observation lanes, not an engine downgrade.
+            // (spans, metrics, epoch sampling, flight ring + trace), so
+            // this prices the shard-local observation lanes.
             let obs = instrumented.then(Obs::new);
             if let Some(obs) = &obs {
                 cluster.attach_obs(obs, "probe");

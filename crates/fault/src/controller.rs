@@ -9,7 +9,7 @@
 use mempool_arch::{BankId, BankLocation, TileId};
 use mempool_obs::FlightRecorder;
 
-use crate::ecc::{EccOutcome, EccState};
+use crate::ecc::EccState;
 use crate::plan::{DeadLinkPolicy, FaultEvent, FaultPlan};
 use crate::report::{FaultReport, RemappedBank};
 
@@ -40,6 +40,70 @@ pub enum TimedFault {
         /// Global core index.
         core: u32,
     },
+}
+
+/// A fault outcome the engine observed on one access. Worker threads log
+/// these as plain data; the (thread-confined) controller counts them via
+/// [`FaultTally`] and mirrors them into the flight ring via
+/// [`FaultController::emit`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FaultNote {
+    /// The access was retried through `tile`'s degraded link.
+    Retry {
+        /// Destination tile whose link is degraded.
+        tile: TileId,
+        /// Extra cycles the retry cost.
+        extra: u32,
+    },
+    /// The request from `core` was dropped by `tile`'s dead link.
+    BlackHole {
+        /// Destination tile whose link is open.
+        tile: TileId,
+        /// Global index of the issuing core.
+        core: u32,
+    },
+    /// SEC-DED corrected (and scrubbed) a single-bit error at `loc`.
+    Corrected {
+        /// Word the error was in.
+        loc: BankLocation,
+    },
+    /// SEC-DED detected an uncorrectable multi-bit error at `loc`.
+    Uncorrectable {
+        /// Word the error is in.
+        loc: BankLocation,
+        /// The accumulated error mask.
+        mask: u32,
+    },
+}
+
+/// The report counters [`FaultNote`]s add up to, kept apart from the
+/// controller (one per engine lane) and folded in with
+/// [`FaultController::absorb`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct FaultTally {
+    /// Accesses retried through degraded links.
+    pub retried_accesses: u64,
+    /// Extra cycles those retries cost.
+    pub retry_cycles: u64,
+    /// Requests dropped by dead links.
+    pub blackholed_requests: u64,
+    /// Single-bit errors corrected.
+    pub ecc_corrected: u64,
+}
+
+impl FaultTally {
+    /// Counts one outcome.
+    pub fn count(&mut self, note: FaultNote) {
+        match note {
+            FaultNote::Retry { extra, .. } => {
+                self.retried_accesses += 1;
+                self.retry_cycles += u64::from(extra);
+            }
+            FaultNote::BlackHole { .. } => self.blackholed_requests += 1,
+            FaultNote::Corrected { .. } => self.ecc_corrected += 1,
+            FaultNote::Uncorrectable { .. } => {}
+        }
+    }
 }
 
 /// Runtime fault state: link health, the timed-event queue, ECC state,
@@ -121,7 +185,7 @@ impl FaultController {
         self.flight = Some(flight);
     }
 
-    fn emit(&self, cycle: u64, category: &str, core: Option<u32>, message: String) {
+    fn emit_event(&self, cycle: u64, category: &str, core: Option<u32>, message: String) {
         if let Some(flight) = &self.flight {
             flight.record(cycle, category, core, message);
         }
@@ -130,14 +194,6 @@ impl FaultController {
     /// The stuck banks the cluster must remap before the run starts.
     pub fn stuck_banks(&self) -> &[(TileId, BankId)] {
         &self.stuck
-    }
-
-    /// Health of a tile's F2F link.
-    pub fn link_state(&self, tile: TileId) -> LinkState {
-        self.links
-            .get(tile.index())
-            .copied()
-            .unwrap_or(LinkState::Healthy)
     }
 
     /// What happens to accesses through dead links.
@@ -153,7 +209,7 @@ impl FaultController {
                 break;
             }
             match fault {
-                TimedFault::Flip { loc, mask } => self.emit(
+                TimedFault::Flip { loc, mask } => self.emit_event(
                     cycle,
                     "fault",
                     None,
@@ -163,7 +219,7 @@ impl FaultController {
                     ),
                 ),
                 TimedFault::Hang { core } => {
-                    self.emit(cycle, "fault", Some(core), format!("core {core} hung"));
+                    self.emit_event(cycle, "fault", Some(core), format!("core {core} hung"));
                 }
             }
             due.push(fault);
@@ -175,37 +231,6 @@ impl FaultController {
     /// Records an applied flip in the ECC state.
     pub fn note_flip(&mut self, loc: BankLocation, mask: u32) {
         self.ecc.note_flip(loc, mask);
-    }
-
-    /// ECC check on a read of `stored` at `loc`; corrections are counted.
-    /// Non-clean outcomes are mirrored to the flight ring at `cycle`.
-    pub fn ecc_read(&mut self, cycle: u64, loc: BankLocation, stored: u32) -> EccOutcome {
-        let outcome = self.ecc.on_read(loc, stored);
-        match outcome {
-            EccOutcome::Corrected { .. } => {
-                self.report.ecc_corrected += 1;
-                self.emit(
-                    cycle,
-                    "ecc",
-                    None,
-                    format!(
-                        "corrected single-bit flip at tile {} bank {} word {}",
-                        loc.tile.0, loc.bank.0, loc.word
-                    ),
-                );
-            }
-            EccOutcome::Uncorrectable { mask } => self.emit(
-                cycle,
-                "ecc",
-                None,
-                format!(
-                    "uncorrectable mask {mask:#x} at tile {} bank {} word {}",
-                    loc.tile.0, loc.bank.0, loc.word
-                ),
-            ),
-            EccOutcome::Clean => {}
-        }
-        outcome
     }
 
     /// Pending error mask on a word, without consuming it.
@@ -226,7 +251,7 @@ impl FaultController {
 
     /// Records a spare-bank substitution.
     pub fn record_remap(&mut self, tile: TileId, from: BankId, to: BankId) {
-        self.emit(
+        self.emit_event(
             0,
             "fault",
             None,
@@ -242,32 +267,46 @@ impl FaultController {
         });
     }
 
-    /// Records one retried access through `tile`'s degraded link at
-    /// `cycle`, costing `extra` cycles.
-    pub fn record_retry(&mut self, cycle: u64, tile: TileId, extra: u64) {
-        self.emit(
-            cycle,
-            "fault",
-            None,
-            format!(
-                "retry through degraded link of tile {} (+{extra} cycles)",
-                tile.0
+    /// Mirrors one observed outcome into the flight ring at `cycle`
+    /// (nothing is counted — see [`Self::absorb`]).
+    pub fn emit(&self, cycle: u64, note: FaultNote) {
+        let at = |loc: BankLocation| {
+            format!("tile {} bank {} word {}", loc.tile.0, loc.bank.0, loc.word)
+        };
+        let (category, core, message) = match note {
+            FaultNote::Retry { tile, extra } => (
+                "fault",
+                None,
+                format!(
+                    "retry through degraded link of tile {} (+{extra} cycles)",
+                    tile.0
+                ),
             ),
-        );
-        self.report.retried_accesses += 1;
-        self.report.retry_cycles += extra;
+            FaultNote::BlackHole { tile, core } => (
+                "fault",
+                Some(core),
+                format!("request black-holed by dead link of tile {}", tile.0),
+            ),
+            FaultNote::Corrected { loc } => (
+                "ecc",
+                None,
+                format!("corrected single-bit flip at {}", at(loc)),
+            ),
+            FaultNote::Uncorrectable { loc, mask } => (
+                "ecc",
+                None,
+                format!("uncorrectable mask {mask:#x} at {}", at(loc)),
+            ),
+        };
+        self.emit_event(cycle, category, core, message);
     }
 
-    /// Records a request from `core` dropped by `tile`'s dead link at
-    /// `cycle`.
-    pub fn record_blackhole(&mut self, cycle: u64, tile: TileId, core: u32) {
-        self.emit(
-            cycle,
-            "fault",
-            Some(core),
-            format!("request black-holed by dead link of tile {}", tile.0),
-        );
-        self.report.blackholed_requests += 1;
+    /// Folds a lane's outcome counts into the report.
+    pub fn absorb(&mut self, tally: FaultTally) {
+        self.report.retried_accesses += tally.retried_accesses;
+        self.report.retry_cycles += tally.retry_cycles;
+        self.report.blackholed_requests += tally.blackholed_requests;
+        self.report.ecc_corrected += tally.ecc_corrected;
     }
 
     /// Snapshot of the report, including currently latent ECC errors.
@@ -277,7 +316,8 @@ impl FaultController {
         report
     }
 
-    /// Checkpoint accessor: link health per tile.
+    /// Health of every tile's F2F link, by tile index (static for the
+    /// whole plan).
     pub fn links(&self) -> &[LinkState] {
         &self.links
     }
@@ -323,6 +363,7 @@ impl FaultController {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ecc::EccOutcome;
     use mempool_arch::GlobalCoreId;
 
     fn loc(tile: u32, bank: u32, word: u32) -> BankLocation {
@@ -364,10 +405,15 @@ mod tests {
     #[test]
     fn compiles_static_state_and_counts() {
         let ctrl = FaultController::new(&plan_with_everything(), 4);
-        assert_eq!(ctrl.link_state(TileId(0)), LinkState::Healthy);
-        assert_eq!(ctrl.link_state(TileId(1)), LinkState::Degraded(6));
-        assert_eq!(ctrl.link_state(TileId(2)), LinkState::Dead);
-        assert_eq!(ctrl.link_state(TileId(99)), LinkState::Healthy);
+        assert_eq!(
+            ctrl.links(),
+            [
+                LinkState::Healthy,
+                LinkState::Degraded(6),
+                LinkState::Dead,
+                LinkState::Healthy
+            ]
+        );
         assert_eq!(ctrl.stuck_banks(), &[(TileId(0), BankId(3))]);
         let report = ctrl.report();
         assert_eq!(report.total_injected(), 6);
@@ -398,23 +444,35 @@ mod tests {
             extra_latency: 3,
         });
         let ctrl = FaultController::new(&plan, 1);
-        assert_eq!(ctrl.link_state(TileId(0)), LinkState::Dead);
+        assert_eq!(ctrl.links(), [LinkState::Dead]);
     }
 
     #[test]
     fn report_tracks_runtime_counters_and_latent_errors() {
         let mut ctrl = FaultController::new(&FaultPlan::new(7), 1);
-        ctrl.record_retry(10, TileId(0), 5);
-        ctrl.record_retry(11, TileId(0), 5);
-        ctrl.record_blackhole(12, TileId(0), 0);
+        let retry = FaultNote::Retry {
+            tile: TileId(0),
+            extra: 5,
+        };
+        let mut tally = FaultTally::default();
+        tally.count(retry);
+        tally.count(retry);
+        tally.count(FaultNote::BlackHole {
+            tile: TileId(0),
+            core: 0,
+        });
         ctrl.record_remap(TileId(0), BankId(1), BankId(4));
         ctrl.note_flip(loc(0, 0, 0), 1);
         ctrl.note_flip(loc(0, 0, 1), 1);
-        // Reading one corrects it; the other stays latent.
-        assert!(matches!(
-            ctrl.ecc_read(13, loc(0, 0, 0), 1),
+        // Reading one corrects it (the reader scrubs the mask); the other
+        // stays latent.
+        assert_eq!(
+            ctrl.ecc_state().check(loc(0, 0, 0), 1),
             EccOutcome::Corrected { value: 0 }
-        ));
+        );
+        tally.count(FaultNote::Corrected { loc: loc(0, 0, 0) });
+        ctrl.ecc_clear(loc(0, 0, 0));
+        ctrl.absorb(tally);
         let report = ctrl.report();
         assert_eq!(report.retried_accesses, 2);
         assert_eq!(report.retry_cycles, 10);
@@ -430,11 +488,21 @@ mod tests {
         let mut ctrl = FaultController::new(&plan_with_everything(), 4);
         ctrl.attach_flight(flight.clone());
         ctrl.take_due(100);
-        ctrl.record_retry(101, TileId(1), 6);
-        ctrl.record_blackhole(102, TileId(2), 9);
-        ctrl.note_flip(loc(0, 0, 7), 1);
-        let _ = ctrl.ecc_read(103, loc(0, 0, 7), 1);
-        let _ = ctrl.ecc_read(104, loc(0, 0, 7), 0); // clean: no event
+        ctrl.emit(
+            101,
+            FaultNote::Retry {
+                tile: TileId(1),
+                extra: 6,
+            },
+        );
+        ctrl.emit(
+            102,
+            FaultNote::BlackHole {
+                tile: TileId(2),
+                core: 9,
+            },
+        );
+        ctrl.emit(103, FaultNote::Corrected { loc: loc(0, 0, 7) });
 
         let events = flight.events();
         // 3 timed faults + retry + blackhole + 1 ECC correction.
@@ -449,6 +517,8 @@ mod tests {
             .find(|e| e.message.contains("hung"))
             .expect("hang event");
         assert_eq!(hang.core, Some(3));
+        // Emission never counts.
+        assert_eq!(ctrl.report().retried_accesses, 0);
     }
 
     #[test]
@@ -456,6 +526,12 @@ mod tests {
         let mut ctrl = FaultController::new(&plan_with_everything(), 4);
         // No flight attached: emission is a no-op, not a panic.
         ctrl.take_due(100);
-        ctrl.record_retry(1, TileId(0), 2);
+        ctrl.emit(
+            1,
+            FaultNote::Retry {
+                tile: TileId(0),
+                extra: 2,
+            },
+        );
     }
 }

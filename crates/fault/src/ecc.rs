@@ -56,20 +56,28 @@ impl EccState {
     }
 
     /// Decides the outcome of reading `stored` (the possibly-corrupted
-    /// word in storage) at `loc`. A corrected read clears the mask; the
+    /// word in storage) at `loc` without consuming the mask — the form
+    /// engine workers use against shared state, logging what they
+    /// cleared.
+    pub fn check(&self, loc: BankLocation, stored: u32) -> EccOutcome {
+        match self.pending.get(&loc).copied() {
+            None => EccOutcome::Clean,
+            Some(mask) if mask.count_ones() == 1 => EccOutcome::Corrected {
+                value: stored ^ mask,
+            },
+            Some(mask) => EccOutcome::Uncorrectable { mask },
+        }
+    }
+
+    /// [`Self::check`], with a corrected read clearing the mask; the
     /// caller is responsible for scrubbing storage with the returned
     /// value.
     pub fn on_read(&mut self, loc: BankLocation, stored: u32) -> EccOutcome {
-        match self.pending.get(&loc).copied() {
-            None => EccOutcome::Clean,
-            Some(mask) if mask.count_ones() == 1 => {
-                self.pending.remove(&loc);
-                EccOutcome::Corrected {
-                    value: stored ^ mask,
-                }
-            }
-            Some(mask) => EccOutcome::Uncorrectable { mask },
+        let outcome = self.check(loc, stored);
+        if matches!(outcome, EccOutcome::Corrected { .. }) {
+            self.pending.remove(&loc);
         }
+        outcome
     }
 
     /// The pending mask on a word, if any, without consuming it (used by

@@ -34,7 +34,7 @@ pub mod report;
 pub mod rng;
 pub mod watchdog;
 
-pub use controller::{FaultController, LinkState, TimedFault};
+pub use controller::{FaultController, FaultNote, FaultTally, LinkState, TimedFault};
 pub use ecc::{EccOutcome, EccState};
 pub use plan::{DeadLinkPolicy, FaultConfig, FaultEvent, FaultPlan};
 pub use report::{FaultReport, RemappedBank};

@@ -219,7 +219,7 @@ impl BlockedGemv {
             )?;
             let start = cluster.cycle();
             cluster.resume_all(0)?;
-            cluster.run(u64::MAX / 2)?;
+            cluster.run(u64::MAX)?;
             compute += cluster.cycle() - start;
             memory += cluster.dma_tile(
                 ext_y + block as u64 * rows as u64 * 4,

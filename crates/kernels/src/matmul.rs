@@ -534,7 +534,7 @@ impl BlockedMatmul {
                     )?;
                     let start = cluster.cycle();
                     cluster.resume_all(0)?;
-                    cluster.run(u64::MAX / 2)?;
+                    cluster.run(u64::MAX)?;
                     cycles.compute += cluster.cycle() - start;
                 }
                 cycles.memory += cluster.dma_tile(
@@ -706,7 +706,7 @@ impl DoubleBufferedMatmul {
                     cluster.load_program(programs[cur].clone());
                     cluster.preload_icaches();
                     cluster.resume_all(0)?;
-                    cluster.run(u64::MAX / 2)?;
+                    cluster.run(u64::MAX)?;
                     cycles.compute += cluster.cycle() - start;
                     if let Some(done) = prefetch_done {
                         let wait_start = cluster.cycle();

@@ -128,15 +128,13 @@ pub struct DegradedObs {
 }
 
 /// An instrumented *clean* run: the compute phase with the full
-/// observability stack attached but no fault plan, so at `--threads > 1`
-/// it dispatches to the quantum engine (instrumentation no longer forces
-/// the sequential step path). This is the run behind `repro
-/// --timeseries/--flight` without `--faults`.
+/// observability stack attached but no fault plan. This is the run behind
+/// `repro --timeseries/--flight` without `--faults`.
 #[derive(Debug, Clone)]
 pub struct ObservedRun {
     /// Cycles the instrumented phase took.
     pub cycles: u64,
-    /// Which engine the run dispatched to, and why.
+    /// The engine record of the run.
     pub engine: mempool_sim::EngineSelection,
     /// Exact cycle attribution of the instrumented run.
     pub attribution: AttributionReport,
@@ -165,10 +163,9 @@ impl ObservedRun {
 /// Runs one *clean* compute phase with observability attached: spans and
 /// metrics into the shared [`Obs`], plus optional time-series sampling
 /// and a flight-recorder ring (which implies instruction tracing, as in
-/// the degraded path). Without a fault plan the run is quantum-eligible,
-/// so with multiple default threads the shard-local observation lanes
-/// carry the instrumentation at full parallel speed — and the artifacts
-/// are bit-identical to a sequential run.
+/// the degraded path). The engine's shard-local observation lanes carry
+/// the instrumentation, so the artifacts are bit-identical at every
+/// default thread count.
 ///
 /// # Errors
 ///
@@ -454,10 +451,7 @@ mod tests {
         };
         let run = observed_compute_run(&hooks).unwrap();
         assert!(run.cycles > 0);
-        // Unit tests run at the sequential default, so the recorded
-        // choice is the step engine with the single-worker reason.
-        assert_eq!(run.engine.engine, "step");
-        assert!(run.engine.reason.contains("single effective worker"));
+        assert_eq!(run.engine, mempool_sim::ENGINE);
         assert!(!hooks.obs.series.is_empty(), "sampling must produce tracks");
         assert!(!hooks.obs.flight.is_empty(), "mem events must land");
         // Attribution stays exact under instrumentation.
@@ -467,7 +461,7 @@ mod tests {
         let json = run.to_json();
         assert_eq!(
             json.get("engine").and_then(|e| e.get("name")),
-            Some(&Json::str("step"))
+            Some(&Json::str("quantum"))
         );
     }
 

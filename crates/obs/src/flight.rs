@@ -132,6 +132,13 @@ impl FlightRecorder {
         });
     }
 
+    /// Counts `n` events a bounded feeder discarded on the ring's behalf:
+    /// events that, recorded, would have been evicted again before anyone
+    /// could read them.
+    pub fn add_dropped(&self, n: u64) {
+        self.inner.borrow_mut().dropped += n;
+    }
+
     /// Number of events currently held.
     pub fn len(&self) -> usize {
         self.inner.borrow().ring.len()

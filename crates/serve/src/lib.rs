@@ -25,7 +25,7 @@
 //! design-space exploration as a batch of cached service requests.
 //!
 //! Served artifacts are byte-identical to the documents one-shot `repro`
-//! writes for the same config, and — because the phased-tick engine is
+//! writes for the same config, and — because the simulation engine is
 //! bit-identical at any host-thread count — results are shareable across
 //! `--threads` settings.
 

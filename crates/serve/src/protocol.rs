@@ -29,7 +29,7 @@ use mempool_obs::Json;
 use mempool_phys::Flow;
 use mempool_sim::SimParams;
 
-/// Default host-thread count for request execution (sequential engine).
+/// Default host-thread count for request execution.
 pub const DEFAULT_THREADS: usize = 1;
 
 /// The workload-model constants a request may override. Defaults mirror
@@ -169,7 +169,7 @@ pub struct ExperimentRequest {
     /// Workload-model constants.
     pub model: ModelConfig,
     /// Host threads driving any cycle-accurate simulation. Excluded from
-    /// the cache key: the phased-tick engine is bit-identical at any
+    /// the cache key: the simulation engine is bit-identical at any
     /// thread count, so results are shareable across `threads` settings.
     pub threads: usize,
 }

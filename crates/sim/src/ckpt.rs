@@ -10,15 +10,15 @@
 //!
 //! The contract is strict **bit-exactness**: [`Cluster::restore`] followed
 //! by [`Cluster::run`] produces a [`crate::ClusterStats::digest`] equal to
-//! the unbroken run's, at any `threads` count — the phased-tick engine is
+//! the unbroken run's, at any `threads` count — the engine is
 //! bit-identical across host-thread counts and a checkpoint carries no
 //! host-side state.
 //!
 //! Deliberately **excluded** (and why it is sound to do so):
 //!
-//! * engine scratch buffers and the per-tick link snapshot — drained empty
-//!   / rebuilt at every tick boundary, so they are always empty between
-//!   `step()` calls;
+//! * the engine arena (mailboxes, worker lanes, boundary scratch) —
+//!   flushed into the real queues and recorders at every quantum
+//!   boundary, so it is always empty between `step()`/`run()` calls;
 //! * observability attachments (metrics, spans, time-series contents,
 //!   flight ring, instruction trace) — measurement, not simulated state;
 //!   callers re-attach and re-arm them after restoring (the sampler's

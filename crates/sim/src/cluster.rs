@@ -2,7 +2,8 @@
 //!
 //! One [`Cluster`] owns every core, SPM bank, instruction cache, and the
 //! off-chip port, and advances them in lock-step cycles. Each cycle has
-//! three phases (see [`crate::engine`] for the full tick anatomy):
+//! three phases (DESIGN.md § "Execution engine" has the full tick
+//! anatomy):
 //!
 //! 1. **bank service** — every bank serves at most one request whose
 //!    network arrival lies strictly in the past (round-robin via FIFO order
@@ -12,11 +13,10 @@
 //! 3. **issue** — every non-halted core consumes pipeline bubbles, checks
 //!    its I$, and issues at most one instruction through the scoreboard.
 //!
-//! Delivery and issue are tile-local, which is what the phased-tick
-//! engine exploits: with [`SimParams::threads`]` > 1`, [`Cluster::run`]
-//! advances tiles on a host-thread pool between two deterministic
-//! sequential phases, producing bit-identical results to the sequential
-//! engine at any thread count.
+//! All three are tile-local, which is what the engine exploits: with
+//! [`SimParams::threads`]` > 1`, [`Cluster::run`] shards the tiles over
+//! that many host threads, producing bit-identical results at any thread
+//! count.
 //!
 //! The phase split realizes the paper's zero-load latencies exactly: a
 //! tile-local load issued in cycle `c` is usable in cycle `c+1`, a
@@ -34,13 +34,13 @@ use mempool_isa::{Program, Reg};
 use mempool_obs::{chrome_trace_with_counters, Counter, FlightRecorder, Json, Obs, TrackId};
 
 use crate::core::Core;
-use crate::engine::{self, LinkSnapshot, SampleInputs, TileScratch};
+use crate::engine;
 use crate::icache::ICache;
 use crate::memory::{MemoryError, Storage};
 use crate::offchip::OffchipPort;
 use crate::params::SimParams;
 use crate::stats::{BankStats, ClusterStats};
-use crate::trace::Trace;
+use crate::trace::{Trace, TraceEntry};
 
 /// Error raised by the simulator.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -196,8 +196,8 @@ pub(crate) struct Response {
 
 /// Observability attachment: shared handle plus the tracks and counters
 /// this cluster records into (see [`Cluster::attach_obs`]). `Rc`-based
-/// and therefore confined to the main thread — the engine only touches it
-/// from the sequential phases.
+/// and therefore confined to the calling thread — the engine only touches
+/// it at quantum boundaries, replaying what its workers logged.
 #[derive(Debug)]
 pub(crate) struct ClusterObs {
     pub(crate) obs: Obs,
@@ -231,6 +231,21 @@ impl ClusterObs {
         self.dma_bytes.add(bytes);
         self.dma_transfers.inc();
     }
+}
+
+/// Everything the time-series sampler reads at a window boundary, in one
+/// snapshot (totals, not deltas — the sampler holds the baselines).
+#[derive(Debug, Default)]
+pub(crate) struct SampleInputs {
+    pub retired_per_tile: Vec<u64>,
+    pub local_accesses: u64,
+    pub remote_accesses: u64,
+    pub conflicts: u64,
+    pub offchip_bytes: u64,
+    pub spm_touches: u64,
+    pub outstanding: u64,
+    pub backlog: u64,
+    pub peak_bytes_per_cycle: f64,
 }
 
 /// Per-epoch sampling state for the cycle-sampled time-series
@@ -298,13 +313,8 @@ pub struct Cluster {
     /// Whether cluster events mirror into the obs flight ring
     /// (armed by [`Cluster::enable_flight`]).
     pub(crate) flight_enabled: bool,
-    /// Per-tile deferred-side-effect buffers for the phased-tick engine
-    /// (drained empty at the end of every tick).
-    pub(crate) scratches: Vec<TileScratch>,
-    /// Per-tick F2F link-health snapshot for the engine's local phase.
-    pub(crate) links: LinkSnapshot,
-    /// Preallocated buffers for the quantum engine's hot path (mailboxes,
-    /// worker lanes, boundary scratch), reused across ticks and runs.
+    /// Preallocated buffers for the engine's hot path (mailboxes, worker
+    /// lanes, boundary scratch), reused across ticks and runs.
     pub(crate) quantum: engine::QuantumArena,
     /// When set, [`Cluster::run`] skips the host-parallelism clamp and
     /// spawns exactly [`Cluster::threads`] workers even on a host with
@@ -349,18 +359,16 @@ impl Cluster {
             watchdog: None,
             sampler: None,
             flight_enabled: false,
-            scratches: (0..num_tiles).map(|_| TileScratch::default()).collect(),
-            links: LinkSnapshot::default(),
             quantum: engine::QuantumArena::default(),
             oversubscribe: false,
         }
     }
 
-    /// Sets the number of host threads the phased-tick engine uses for
-    /// subsequent [`Cluster::run`] calls. `1` (or `0`, clamped) selects
-    /// the sequential engine; any value is also capped at the tile count
-    /// since a tile is the unit of parallelism. Never changes simulated
-    /// behavior — results are bit-identical at every thread count.
+    /// Sets the number of host threads subsequent [`Cluster::run`] calls
+    /// shard the tiles over. `0` is clamped to `1`; any value is also
+    /// capped at the tile count since a tile is the unit of parallelism.
+    /// Never changes simulated behavior — results are bit-identical at
+    /// every thread count.
     pub fn set_threads(&mut self, threads: usize) {
         self.params.threads = threads.max(1);
     }
@@ -380,10 +388,11 @@ impl Cluster {
     /// thrash, and results are bit-identical at every worker count, so the
     /// clamp is invisible except in wall-clock time.
     pub fn effective_workers(&self) -> usize {
-        if self.oversubscribe {
-            self.threads()
+        let threads = self.threads();
+        if self.oversubscribe || threads == 1 {
+            threads
         } else {
-            self.threads().min(engine::host_parallelism())
+            threads.min(engine::host_parallelism())
         }
     }
 
@@ -442,8 +451,8 @@ impl Cluster {
     }
 
     /// Enables per-epoch time-series sampling: every `window` cycles (the
-    /// first full epoch ends `window` cycles from now), [`Cluster::step`]
-    /// pushes one sample per series into the attached [`Obs`]'s
+    /// first full epoch ends `window` cycles from now), the engine pushes
+    /// one sample per series into the attached [`Obs`]'s
     /// [`mempool_obs::TimeSeries`]:
     ///
     /// * `ipc/tile{t}` — instructions retired per cycle, per tile;
@@ -459,7 +468,7 @@ impl Cluster {
     /// * `spm_touch_rate` — SPM words read or written per cycle (includes
     ///   DMA word traffic).
     ///
-    /// Epochs only close inside `step()`; clock jumps (synchronous DMA,
+    /// Epochs only close inside `step()`/`run()`; clock jumps (synchronous DMA,
     /// [`Cluster::advance_to`]) fold into the next sample, whose rates are
     /// computed over the true elapsed cycles. A zero `window` is clamped
     /// to 1.
@@ -518,30 +527,84 @@ impl Cluster {
         self.obs.as_ref().map(|hooks| hooks.obs.flight.clone())
     }
 
-    /// Collects the time-series sampling snapshot at `now` (see
-    /// [`engine::collect_samples`]).
+    /// Collects the time-series sampling snapshot at `now`.
     pub(crate) fn sample_inputs(&self, now: u64) -> SampleInputs {
-        engine::collect_samples(
-            self.cores.iter(),
-            self.config.cores_per_tile() as usize,
-            self.config.num_tiles() as usize,
-            &self.banks,
-            &self.storage,
-            &self.offchip,
-            now,
-        )
+        let cores_per_tile = self.config.cores_per_tile() as usize;
+        let mut inputs = SampleInputs {
+            retired_per_tile: vec![0u64; self.config.num_tiles() as usize],
+            ..SampleInputs::default()
+        };
+        for (i, core) in self.cores.iter().enumerate() {
+            inputs.retired_per_tile[i / cores_per_tile] += core.stats.retired;
+            inputs.local_accesses += core.stats.accesses[AccessClass::TileLocal as usize];
+            inputs.remote_accesses += core.stats.accesses[AccessClass::GroupLocal as usize]
+                + core.stats.accesses[AccessClass::Remote as usize];
+            inputs.outstanding += u64::from(core.outstanding());
+        }
+        inputs.conflicts = self.banks.iter().map(|b| b.stats.conflicts).sum();
+        inputs.offchip_bytes = self.offchip.total_bytes();
+        inputs.spm_touches = self.storage.spm_word_touches();
+        inputs.backlog = self.offchip.backlog(now);
+        inputs.peak_bytes_per_cycle = self.offchip.bytes_per_cycle() as f64;
+        inputs
     }
 
     /// Pushes one sample per series for the window ending at `now`, with
-    /// deltas read against `sampler`'s baselines. The baselines are left
-    /// untouched — the engine re-baselines at epoch boundaries, while
-    /// [`Self::crash_dump`] uses this directly to flush a partial epoch
-    /// (zero-length windows are dropped, not clamped).
-    pub(crate) fn push_samples(&self, sampler: &Sampler, now: u64) {
+    /// deltas of `inputs` read against `sampler`'s baselines. The
+    /// baselines are left untouched — the engine re-baselines at epoch
+    /// boundaries, while [`Self::crash_dump`] uses this directly to flush
+    /// a partial epoch. Zero-length windows (a flush at the exact epoch
+    /// start) are dropped rather than clamped — a clamped denominator of
+    /// 1 would spike every rate.
+    pub(crate) fn push_samples(&self, sampler: &Sampler, now: u64, inputs: &SampleInputs) {
         let Some(hooks) = self.obs.as_ref() else {
             return;
         };
-        engine::push_samples(hooks, sampler, now, &self.sample_inputs(now));
+        if now <= sampler.epoch_start {
+            return;
+        }
+        let series = &hooks.obs.series;
+        let elapsed = (now - sampler.epoch_start) as f64;
+        for (t, (&total, &baseline)) in inputs
+            .retired_per_tile
+            .iter()
+            .zip(sampler.retired_per_tile.iter())
+            .enumerate()
+        {
+            series.push(
+                &format!("ipc/tile{t}"),
+                now,
+                (total - baseline) as f64 / elapsed,
+            );
+        }
+        series.push(
+            "l1_local_rate",
+            now,
+            (inputs.local_accesses - sampler.local_accesses) as f64 / elapsed,
+        );
+        series.push(
+            "l1_remote_rate",
+            now,
+            (inputs.remote_accesses - sampler.remote_accesses) as f64 / elapsed,
+        );
+        series.push(
+            "bank_conflict_rate",
+            now,
+            (inputs.conflicts - sampler.conflicts) as f64 / elapsed,
+        );
+        series.push(
+            "offchip_occupancy",
+            now,
+            (inputs.offchip_bytes - sampler.offchip_bytes) as f64
+                / (elapsed * inputs.peak_bytes_per_cycle),
+        );
+        series.push("offchip_backlog", now, inputs.backlog as f64);
+        series.push("outstanding", now, inputs.outstanding as f64);
+        series.push(
+            "spm_touch_rate",
+            now,
+            (inputs.spm_touches - sampler.spm_touches) as f64 / elapsed,
+        );
     }
 
     /// The cluster configuration.
@@ -654,7 +717,7 @@ impl Cluster {
 
     /// Arms the forward-progress watchdog: if no core retires an
     /// instruction and no memory response is delivered for `threshold`
-    /// consecutive cycles, [`Cluster::step`] raises [`SimError::Deadlock`]
+    /// consecutive cycles, the engine raises [`SimError::Deadlock`]
     /// with a per-core diagnostic snapshot.
     pub fn set_watchdog(&mut self, threshold: u64) {
         self.watchdog = Some(Watchdog::new(threshold, self.cycle));
@@ -669,7 +732,29 @@ impl Cluster {
     /// diagnostics). When instruction tracing is enabled, each snapshot
     /// carries the core's last few retired instructions.
     pub fn core_diagnostics(&self) -> Vec<CoreDiagnostic> {
-        engine::core_diagnostics_from(self.cores.iter(), self.trace.as_ref())
+        let recent = |core: usize| {
+            let Some(trace) = &self.trace else {
+                return Vec::new();
+            };
+            let lines: Vec<String> = trace
+                .for_core(GlobalCoreId::new(core as u32))
+                .map(TraceEntry::to_string)
+                .collect();
+            lines[lines.len().saturating_sub(DIAGNOSTIC_RECENT_WINDOW)..].to_vec()
+        };
+        self.cores
+            .iter()
+            .enumerate()
+            .map(|(i, core)| CoreDiagnostic {
+                core: i as u32,
+                pc: core.pc,
+                halted: core.halted(),
+                hung: core.hung(),
+                outstanding: core.outstanding(),
+                retired: core.stats.retired,
+                recent: recent(i),
+            })
+            .collect()
     }
 
     /// Watchdog hook for clock jumps outside `step()` (DMA, resume): the
@@ -993,9 +1078,9 @@ impl Cluster {
         }
     }
 
-    /// Advances the cluster by one cycle (always on the sequential
-    /// engine; [`Cluster::run`] is the entry point for the parallel one —
-    /// both produce bit-identical results).
+    /// Advances the cluster by one cycle: a one-tick round of the same
+    /// engine [`Cluster::run`] drives, on one shard whatever
+    /// [`SimParams::threads`] says.
     ///
     /// # Errors
     ///
@@ -1004,26 +1089,16 @@ impl Cluster {
     /// watchdog-detected deadlock.
     #[must_use = "a step can fail with a SimError that must not be ignored"]
     pub fn step(&mut self) -> Result<(), SimError> {
-        let (mut ms, mut ph, mut cells) = engine::split(self);
-        let mut views: Vec<&mut engine::TileCell<'_>> = cells.iter_mut().collect();
-        engine::pre_tick(&mut ms, &mut ph, &mut views)?;
-        {
-            let ctx = engine::local_ctx(&ms, &ph);
-            for cell in views.iter_mut() {
-                engine::local_tile(&ctx, cell);
-            }
-        }
-        engine::commit_tick(&mut ms, &mut ph, &mut views)
+        engine::step(self)
     }
 
     /// Runs until every core halts, returning the cycle count at that
     /// point.
     ///
-    /// With [`SimParams::threads`]` > 1` (see [`Cluster::set_threads`])
-    /// the run advances tile-local state on a host-thread pool with a
-    /// sequential, deterministically ordered commit barrier per cycle —
-    /// bit-identical to the sequential engine in every observable way
-    /// (stats, time-series, fault reports, errors).
+    /// The tiles are sharded over [`Cluster::effective_workers`] host
+    /// threads that advance in lockstep quanta; every worker count —
+    /// instrumented, fault-injected or bare — is bit-identical in every
+    /// observable way (stats, time-series, fault reports, errors).
     ///
     /// # Errors
     ///
@@ -1031,61 +1106,30 @@ impl Cluster {
     /// any fault raised while stepping.
     #[must_use = "a run can fail with a SimError that must not be ignored"]
     pub fn run(&mut self, max_cycles: u64) -> Result<u64, SimError> {
-        let threads = self.effective_workers();
-        if threads > 1 && self.quantum_eligible() {
-            // Multi-worker run, instrumented or not: the arena-backed
-            // quantum engine, bit-identical to `step` at any worker
-            // count. Observability (counters, time series, flight ring,
-            // tracing, watchdog) rides the shard-local observation lanes
-            // and merges deterministically at quantum stops. With one
-            // effective worker the plain sequential loop below is the
-            // faster engine (no mailbox/lockstep bookkeeping), so the
-            // quantum path is reserved for real parallelism.
-            return engine::run_quantum(self, max_cycles, threads);
-        }
-        if threads > 1 {
-            return engine::run_parallel(self, max_cycles, threads);
-        }
-        let deadline = self.cycle + max_cycles;
-        while !self.quiescent() {
-            if self.cycle >= deadline {
-                return Err(SimError::Timeout { cycles: max_cycles });
-            }
-            self.step()?;
-        }
-        Ok(self.cycle)
+        engine::run_quantum(self, max_cycles, self.effective_workers())
     }
 
-    /// Whether a multi-worker [`Cluster::run`] may take the quantum
-    /// engine. Fault plans (timed faults, ECC, link state) and spare-bank
-    /// remaps hook the per-tick sequential phases the quantum engine
-    /// batches away, so they fall back to the phased-tick engine; every
-    /// observability facility rides the quantum engine's shard-local
-    /// observation lanes.
-    fn quantum_eligible(&self) -> bool {
-        self.faults.is_none() && self.storage.spares_per_tile() == 0
-    }
-
-    /// Which engine [`Cluster::run`] will dispatch to right now, plus the
-    /// reason — the explicit record of what used to be a silent
-    /// fast-path downgrade. Written into `BENCH_repro.json` and
-    /// `crashdump.json` (string-valued, so engine differences between a
-    /// sequential and a parallel leg never trip the numeric comparator).
+    /// The engine record written into `BENCH_repro.json`, `observed.json`
+    /// and `crashdump.json`: there is one engine, so this is [`ENGINE`]
+    /// for every cluster.
     pub fn engine_selection(&self) -> EngineSelection {
-        select_engine(
-            self.effective_workers(),
-            self.faults.is_some(),
-            self.storage.spares_per_tile() > 0,
-        )
+        ENGINE
     }
 
-    /// Total reserved capacity (entries) across the quantum engine's
-    /// preallocated buffers. Exposed for the arena-invariant tests, which
-    /// assert the footprint stops growing once a workload reaches steady
-    /// state.
+    /// Total reserved capacity (entries) across the engine's preallocated
+    /// buffers. Exposed for the arena-invariant tests, which assert the
+    /// footprint stops growing once a workload reaches steady state.
     #[doc(hidden)]
     pub fn engine_arena_footprint(&self) -> u64 {
         self.quantum.footprint()
+    }
+
+    /// The cross-tile mailboxes' share of
+    /// [`Cluster::engine_arena_footprint`]: zero as long as every round ran
+    /// on one worker.
+    #[doc(hidden)]
+    pub fn engine_mailbox_footprint(&self) -> u64 {
+        self.quantum.mailbox_footprint()
     }
 
     /// Collects a snapshot of all statistics.
@@ -1176,7 +1220,7 @@ impl Cluster {
         // final counter values. A zero-length window (crash exactly at an
         // epoch boundary) is dropped by `push_samples` itself.
         if let Some(sampler) = &self.sampler {
-            self.push_samples(sampler, self.cycle);
+            self.push_samples(sampler, self.cycle, &self.sample_inputs(self.cycle));
         }
 
         let (metrics, timeseries, chrome) = match &self.obs {
@@ -1228,22 +1272,19 @@ impl Cluster {
     }
 }
 
-/// Which execution engine a run dispatches to, with the reason — see
-/// [`Cluster::engine_selection`] and [`planned_engine`]. Both fields are
-/// short stable strings meant for artifacts and logs.
+/// The execution-engine record carried by artifacts — see
+/// [`Cluster::engine_selection`]. Both fields are short stable strings.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EngineSelection {
-    /// `"quantum"` (lockstep shard quanta) or `"step"` (per-tick phased
-    /// commit, sequential or thread-pooled).
+    /// Engine name.
     pub engine: &'static str,
-    /// Why that engine was (or will be) chosen.
+    /// What that engine is.
     pub reason: &'static str,
 }
 
 impl EngineSelection {
     /// `{"name": ..., "reason": ...}` — string-valued on purpose, so the
-    /// regression comparator (which diffs numeric leaves only) ignores
-    /// engine differences between artifact legs.
+    /// regression comparator (which diffs numeric leaves only) skips it.
     pub fn to_json(&self) -> Json {
         Json::obj([
             ("name", Json::str(self.engine)),
@@ -1252,46 +1293,15 @@ impl EngineSelection {
     }
 }
 
-/// The engine-dispatch decision as a pure function of its inputs.
-pub(crate) fn select_engine(workers: usize, faulted: bool, spares: bool) -> EngineSelection {
-    if workers <= 1 {
-        EngineSelection {
-            engine: "step",
-            reason: "single effective worker: the sequential step loop is the faster engine",
-        }
-    } else if faulted {
-        EngineSelection {
-            engine: "step",
-            reason: "fault plan injected: fault/ECC/link hooks run in the per-tick phases",
-        }
-    } else if spares {
-        EngineSelection {
-            engine: "step",
-            reason: "spare-bank remaps active: bank indirection resolves in the per-tick phases",
-        }
-    } else {
-        EngineSelection {
-            engine: "quantum",
-            reason:
-                "parallel run: tile shards in lockstep quanta with shard-local observation lanes",
-        }
-    }
-}
-
-/// The engine a run configured with `threads` host threads (and a fault
-/// plan or not) will dispatch to on this host — [`Cluster::engine_selection`]
-/// without needing a constructed cluster, for artifact writers that
-/// record the choice up front. Applies the same host-parallelism clamp
-/// as [`Cluster::effective_workers`]; assumes no spare banks and at
-/// least `threads` tiles.
-pub fn planned_engine(threads: usize, faulted: bool) -> EngineSelection {
-    let workers = threads.max(1).min(engine::host_parallelism());
-    select_engine(workers, faulted, false)
-}
+/// The one execution engine every run uses, at every thread count.
+pub const ENGINE: EngineSelection = EngineSelection {
+    engine: "quantum",
+    reason: "tile shards in lockstep quanta with shard-local observation lanes",
+};
 
 /// How many of a core's most recent retired instructions a
 /// [`CoreDiagnostic`] carries (when tracing is enabled).
-pub(crate) const DIAGNOSTIC_RECENT_WINDOW: usize = 8;
+const DIAGNOSTIC_RECENT_WINDOW: usize = 8;
 
 /// Splits a zero-load latency into request and response halves around the
 /// single bank-service cycle.

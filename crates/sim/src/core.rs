@@ -116,6 +116,15 @@ impl Core {
         self.bubble += cycles;
     }
 
+    /// Charges `cycles` of pipeline stall for an ECC-corrected response
+    /// (a halted core has no pipeline to stall).
+    pub(crate) fn stall_ecc(&mut self, cycles: u32) {
+        if !self.halted {
+            self.bubble += cycles;
+            self.stats.stall_ecc += cycles as u64;
+        }
+    }
+
     /// Checks whether `instr` can issue under the scoreboard, given the
     /// outstanding-transaction limit.
     #[inline]

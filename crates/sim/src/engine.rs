@@ -1,59 +1,51 @@
-//! The phased-tick execution engine.
+//! The execution engine: one tick kernel, one driver.
 //!
-//! One simulated cycle is split into three phases:
+//! A simulated cycle is the same three steps on every tile — bank service
+//! ([`serve_phase`]), response delivery and issue ([`local_phase`]), and
+//! routing of what the tile sent to other tiles ([`route`]) — and
+//! [`run_quantum`] is the only loop that drives them; [`step`] is one tick
+//! of it on one shard. DESIGN.md § "Execution engine" is the reference for
+//! tick phases, shard ownership, mailbox order, quantum caps and error
+//! ordering; the comments here cover what the code alone does not show.
 //!
-//! 1. **pre phase** (sequential) — timed faults are applied, every bank
-//!    serves at most one request, and the per-tick link-health snapshot is
-//!    refreshed;
-//! 2. **local phase** (parallelizable) — each tile independently delivers
-//!    its cores' due responses and issues at most one instruction per
-//!    core. The phase is *shared-nothing*: a tile mutates only its own
-//!    cores, I$, response queues, and scratch buffer, and reads only
-//!    immutable context (config, topology, program, the address map, and
-//!    the link snapshot). Every cross-tile side effect — bank pushes,
-//!    off-chip transactions, trace entries, fault/observability events —
-//!    is deferred into the tile's [`TileScratch`];
-//! 3. **commit phase** (sequential) — scratch buffers are drained in
-//!    tile-index order, which reproduces the sequential engine's global
-//!    core order exactly, then the watchdog, clock, and time-series
-//!    sampling advance.
-//!
-//! Because the local phase is shared-nothing and the commit drain order is
-//! fixed, running tiles on `N` host threads is bit-identical to running
-//! them on one: same stats, same artifacts, same errors. The parallel
-//! driver ([`run_parallel`]) amortizes thread startup across the whole run
-//! with one [`std::thread::scope`] and two barriers per tick; the
-//! per-tile [`Mutex`]es are uncontended by construction (a tile is touched
-//! by exactly one thread per phase) and exist only to prove exclusive
-//! access to the borrow checker under `#![forbid(unsafe_code)]`.
-//!
-//! Observability ([`ClusterObs`]), fault bookkeeping
-//! ([`FaultController`]), and tracing are `Rc`-based and never cross a
-//! thread boundary: they are only touched from the sequential phases.
-//!
-//! Error semantics: a core that faults during the local phase stops
-//! issuing for the rest of its *tile's* phase; other tiles complete the
-//! cycle. The commit drains every scratch and then reports the faulting
-//! core with the lowest global index — deterministic at every thread
-//! count.
+//! * **Static tile→thread ownership.** Tiles are split into contiguous
+//!   per-worker shard ranges ([`TileShard`]): a worker owns its tiles'
+//!   cores, I$, response queues, *banks*, and SPM words (main and spare)
+//!   outright, so both phases run with plain `&mut` indexing.
+//! * **Mailboxes only between workers.** With several workers, cross-tile
+//!   traffic (bank pushes and responses) flows through per-tile inboxes
+//!   double-buffered by tick parity; the receiver applies entries sorted
+//!   by source tile, so every bank queue evolves bit-identically at every
+//!   worker count. One worker owns every tile and delivers straight into
+//!   the destination queue, in the order the sorted inbox would have.
+//! * **Amortized synchronization.** Workers run in per-tick lockstep via
+//!   padded atomic progress counters (spin-then-yield, no futexes) and
+//!   meet the calling thread only at *quantum* boundaries, where
+//!   everything thread-confined happens in canonical `(tick, tile)` order:
+//!   off-chip accesses resolve, observation lanes replay into the `Rc`
+//!   based recorders, fault outcomes reach the [`FaultController`], the
+//!   watchdog and sampler advance, and quiescence / errors are settled.
+//!   Whatever must happen at an exact cycle (a timed fault, a sample, a
+//!   watchdog expiry, an off-chip response) caps the quantum there.
 
-use std::ops::Range;
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Barrier, Mutex, RwLock};
+use std::sync::Mutex;
 use std::time::Instant;
 
 use mempool_arch::{
-    AddressMap, ClusterConfig, GlobalCoreId, LatencyModel, MemoryRegion, TileId, Topology,
+    AddressMap, BankLocation, ClusterConfig, GlobalCoreId, LatencyModel, MemoryRegion, TileId,
+    Topology,
 };
 use mempool_fault::{
-    CoreDiagnostic, DeadLinkPolicy, EccOutcome, FaultController, LinkState, TimedFault, Watchdog,
+    DeadLinkPolicy, EccOutcome, EccState, FaultController, FaultNote, FaultTally, LinkState,
+    TimedFault,
 };
 use mempool_isa::exec::{self, Issue, MemAccessKind, MemWidth};
 use mempool_isa::Program;
 
 use crate::cluster::{
-    latency_split, mem_probe_addr, sign_adjust, Bank, Cluster, ClusterObs, PendingAccess, Response,
-    Sampler, SimError, DIAGNOSTIC_RECENT_WINDOW,
+    latency_split, mem_probe_addr, sign_adjust, Bank, Cluster, PendingAccess, Response, SimError,
 };
 use crate::core::{Core, Stall};
 use crate::icache::ICache;
@@ -63,7 +55,7 @@ use crate::params::SimParams;
 use crate::trace::{Trace, TraceEntry};
 
 /// A deferred off-chip (external-memory) access issued in the local phase
-/// and resolved at commit, in issue order.
+/// and resolved at the quantum boundary, in issue order.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct ExternalIntent {
     /// Global id of the issuing core.
@@ -75,1082 +67,6 @@ pub(crate) struct ExternalIntent {
     /// Access width.
     pub width: MemWidth,
 }
-
-/// A deferred fault-bookkeeping event from the local phase, replayed at
-/// commit in issue order so the flight-ring sequence matches the
-/// sequential engine.
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum FaultNote {
-    /// An access retried through a degraded F2F link.
-    Retry {
-        /// Destination tile whose link is degraded.
-        tile: TileId,
-        /// Extra cycles charged by the retry.
-        extra: u32,
-    },
-    /// An access black-holed by a dead F2F link.
-    BlackHole {
-        /// Destination tile whose link is open.
-        tile: TileId,
-        /// Global id of the issuing core.
-        core: u32,
-    },
-}
-
-/// Per-tile scratch buffer: every side effect the local phase may not
-/// apply directly, drained (in tile-index order) by [`commit_tick`].
-#[derive(Debug, Default)]
-pub(crate) struct TileScratch {
-    /// Deferred bank-queue pushes as `(global bank index, access)`.
-    pub bank_pushes: Vec<(usize, PendingAccess)>,
-    /// Deferred off-chip accesses.
-    pub externals: Vec<ExternalIntent>,
-    /// Deferred instruction-trace entries.
-    pub trace: Vec<TraceEntry>,
-    /// Deferred fault/flight events, in issue order.
-    pub fault_events: Vec<FaultNote>,
-    /// Global core ids that executed `wfi` this cycle (obs span begins).
-    pub halts: Vec<usize>,
-    /// I$ misses this cycle (observability counter delta).
-    pub icache_misses: u64,
-    /// First error this tile hit, with the faulting core's global id.
-    pub error: Option<(u32, SimError)>,
-    /// Whether any response was delivered to this tile's cores.
-    pub delivered: bool,
-    /// Whether any of this tile's cores retired an instruction.
-    pub retired: bool,
-}
-
-/// Per-tick snapshot of F2F link health, refreshed in the pre phase so
-/// the local phase can consult link state without touching the
-/// (`Rc`-based, thread-confined) [`FaultController`].
-#[derive(Debug, Default)]
-pub(crate) struct LinkSnapshot {
-    active: bool,
-    policy: DeadLinkPolicy,
-    states: Vec<LinkState>,
-}
-
-impl LinkSnapshot {
-    /// Re-captures link states from the controller (if any).
-    pub(crate) fn refresh(&mut self, faults: Option<&FaultController>, num_tiles: u32) {
-        self.states.clear();
-        match faults {
-            Some(faults) => {
-                self.active = true;
-                self.policy = faults.dead_link_policy();
-                self.states
-                    .extend((0..num_tiles).map(|t| faults.link_state(TileId(t))));
-            }
-            None => self.active = false,
-        }
-    }
-
-    fn state(&self, tile: TileId) -> LinkState {
-        if !self.active {
-            return LinkState::Healthy;
-        }
-        self.states
-            .get(tile.index())
-            .copied()
-            .unwrap_or(LinkState::Healthy)
-    }
-
-    fn policy(&self) -> DeadLinkPolicy {
-        self.policy
-    }
-}
-
-/// The mutable state one tile owns exclusively during the local phase.
-#[derive(Debug)]
-pub(crate) struct TileCell<'a> {
-    /// Tile index.
-    pub tile: u32,
-    /// This tile's cores (contiguous global-id slice).
-    pub cores: &'a mut [Core],
-    /// This tile's instruction cache.
-    pub icache: &'a mut ICache,
-    /// Per-core in-flight response queues for this tile's cores.
-    pub responses: &'a mut [Vec<Response>],
-    /// This tile's deferred-side-effect buffer.
-    pub scratch: &'a mut TileScratch,
-}
-
-/// State shared read-only with the local phase: the storage (for address
-/// decode only — no data is read or written outside the sequential
-/// phases), the link snapshot, and the tick's cycle number. In parallel
-/// mode this lives behind the run's [`RwLock`].
-#[derive(Debug)]
-pub(crate) struct PhaseShared<'a> {
-    /// Backing storage; the local phase only calls its pure `decode`.
-    pub storage: &'a mut Storage,
-    /// Per-tick link-health snapshot.
-    pub links: &'a mut LinkSnapshot,
-    /// The cycle this tick simulates.
-    pub now: u64,
-}
-
-/// Everything only the sequential phases touch.
-#[derive(Debug)]
-pub(crate) struct MainState<'a> {
-    pub config: &'a ClusterConfig,
-    pub topo: &'a Topology,
-    pub params: &'a SimParams,
-    pub program: &'a Program,
-    pub banks: &'a mut Vec<Bank>,
-    pub offchip: &'a mut OffchipPort,
-    pub trace: &'a mut Option<Trace>,
-    pub obs: &'a Option<ClusterObs>,
-    pub faults: &'a mut Option<FaultController>,
-    pub watchdog: &'a mut Option<Watchdog>,
-    pub sampler: &'a mut Option<Sampler>,
-    pub flight_enabled: bool,
-    pub cycle: &'a mut u64,
-}
-
-/// Read-only context every tile's local phase runs against.
-#[derive(Debug)]
-pub(crate) struct LocalCtx<'a> {
-    pub config: &'a ClusterConfig,
-    pub topo: &'a Topology,
-    pub params: &'a SimParams,
-    pub program: &'a Program,
-    pub storage: &'a Storage,
-    pub links: &'a LinkSnapshot,
-    pub trace_on: bool,
-    pub now: u64,
-}
-
-/// Borrows a cluster apart into the three phase views.
-pub(crate) fn split(c: &mut Cluster) -> (MainState<'_>, PhaseShared<'_>, Vec<TileCell<'_>>) {
-    let Cluster {
-        config,
-        topo,
-        params,
-        storage,
-        program,
-        cores,
-        icaches,
-        banks,
-        responses,
-        offchip,
-        cycle,
-        trace,
-        obs,
-        faults,
-        watchdog,
-        sampler,
-        flight_enabled,
-        scratches,
-        links,
-        ..
-    } = c;
-    let cpt = config.cores_per_tile() as usize;
-    let cells = cores
-        .chunks_mut(cpt)
-        .zip(responses.chunks_mut(cpt))
-        .zip(icaches.iter_mut().zip(scratches.iter_mut()))
-        .enumerate()
-        .map(|(tile, ((cores, responses), (icache, scratch)))| TileCell {
-            tile: tile as u32,
-            cores,
-            icache,
-            responses,
-            scratch,
-        })
-        .collect();
-    let now = *cycle;
-    (
-        MainState {
-            config,
-            topo,
-            params,
-            program,
-            banks,
-            offchip,
-            trace,
-            obs,
-            faults,
-            watchdog,
-            sampler,
-            flight_enabled: *flight_enabled,
-            cycle,
-        },
-        PhaseShared {
-            storage,
-            links,
-            now,
-        },
-        cells,
-    )
-}
-
-/// Builds the local-phase context from the main/shared views.
-pub(crate) fn local_ctx<'b>(ms: &'b MainState<'_>, ph: &'b PhaseShared<'_>) -> LocalCtx<'b> {
-    LocalCtx {
-        config: ms.config,
-        topo: ms.topo,
-        params: ms.params,
-        program: ms.program,
-        storage: &*ph.storage,
-        links: &*ph.links,
-        trace_on: ms.trace.is_some(),
-        now: ph.now,
-    }
-}
-
-/// Whether the cluster is fully quiescent (see [`Cluster::quiescent`]),
-/// computed over the phase views.
-pub(crate) fn tick_quiescent(banks: &[Bank], cells: &[&mut TileCell<'_>]) -> bool {
-    cells.iter().all(|cell| cell.cores.iter().all(Core::halted))
-        && banks.iter().all(|b| b.queue.is_empty())
-        && cells
-            .iter()
-            .all(|cell| cell.responses.iter().all(Vec::is_empty))
-        && cells
-            .iter()
-            .all(|cell| cell.cores.iter().all(|c| c.outstanding() == 0))
-}
-
-/// The sequential pre phase: timed faults, bank service, the no-program
-/// check, and the link-snapshot refresh.
-pub(crate) fn pre_tick(
-    ms: &mut MainState<'_>,
-    ph: &mut PhaseShared<'_>,
-    cells: &mut [&mut TileCell<'_>],
-) -> Result<(), SimError> {
-    ph.now = *ms.cycle;
-    apply_due_faults(ms, ph, cells)?;
-    serve_banks(ms, ph, cells)?;
-    if ms.program.is_empty() {
-        return Err(SimError::NoProgram);
-    }
-    ph.links.refresh(ms.faults.as_ref(), ms.config.num_tiles());
-    Ok(())
-}
-
-/// Applies timed faults due at the current cycle: bit flips corrupt the
-/// stored word (and arm the ECC mask), hangs latch cores up.
-fn apply_due_faults(
-    ms: &mut MainState<'_>,
-    ph: &mut PhaseShared<'_>,
-    cells: &mut [&mut TileCell<'_>],
-) -> Result<(), SimError> {
-    let due = match ms.faults.as_mut() {
-        Some(faults) => faults.take_due(*ms.cycle),
-        None => return Ok(()),
-    };
-    let cpt = ms.config.cores_per_tile() as usize;
-    for fault in due {
-        match fault {
-            TimedFault::Flip { loc, mask } => {
-                // A flip aimed outside the geometry (or at a remapped
-                // word's logical home) still lands: the storage layer
-                // resolves through the remap, so the spare takes it.
-                if let Ok(word) = ph.storage.read_loc(loc) {
-                    ph.storage.write_loc(loc, word ^ mask)?;
-                    if let Some(faults) = ms.faults.as_mut() {
-                        faults.note_flip(loc, mask);
-                    }
-                }
-            }
-            TimedFault::Hang { core } => {
-                let (tile, local) = (core as usize / cpt, core as usize % cpt);
-                if let Some(core) = cells
-                    .get_mut(tile)
-                    .and_then(|cell| cell.cores.get_mut(local))
-                {
-                    core.hang();
-                }
-            }
-        }
-    }
-    Ok(())
-}
-
-/// The sequential bank-service phase: every bank serves at most one
-/// request whose network arrival lies strictly in the past (earliest
-/// arrival wins, FIFO among ties), counting conflict cycles.
-fn serve_banks(
-    ms: &mut MainState<'_>,
-    ph: &mut PhaseShared<'_>,
-    cells: &mut [&mut TileCell<'_>],
-) -> Result<(), SimError> {
-    let now = *ms.cycle;
-    let flight = if ms.flight_enabled {
-        ms.obs.as_ref().map(|hooks| hooks.obs.flight.clone())
-    } else {
-        None
-    };
-    let cpt = ms.config.cores_per_tile() as usize;
-    for bank in ms.banks.iter_mut() {
-        bank.stats.max_queue_depth = bank.stats.max_queue_depth.max(bank.queue.len() as u64);
-        let mut best: Option<usize> = None;
-        let mut contenders = 0;
-        for (i, access) in bank.queue.iter().enumerate() {
-            if access.arrival < now {
-                contenders += 1;
-                let better = match best {
-                    None => true,
-                    Some(b) => access.arrival < bank.queue[b].arrival,
-                };
-                if better {
-                    best = Some(i);
-                }
-            }
-        }
-        let Some(index) = best else { continue };
-        if contenders > 1 {
-            bank.stats.conflicts += (contenders - 1) as u64;
-            if let Some(hooks) = ms.obs {
-                hooks.bank_conflicts.add((contenders - 1) as u64);
-            }
-        }
-        let access = bank.queue.swap_remove(index);
-        bank.stats.served += 1;
-        if let Some(flight) = &flight {
-            let kind = match access.kind {
-                MemAccessKind::Load { .. } => "load",
-                MemAccessKind::Store { .. } => "store",
-                MemAccessKind::Amo { .. } => "amo",
-            };
-            flight.record(
-                now,
-                "mem",
-                Some(access.core),
-                format!(
-                    "{kind} served at tile {} bank {} word {}",
-                    access.loc.tile.0, access.loc.bank.0, access.loc.word
-                ),
-            );
-        }
-        let mut old_word = ph.storage.read_loc(access.loc)?;
-        // SEC-DED check on every access that observes the stored word
-        // (a full-word store overwrites it without reading).
-        let reads_word = !matches!(
-            access.kind,
-            MemAccessKind::Store {
-                width: MemWidth::Word,
-                ..
-            }
-        );
-        let mut extra_resp = 0u32;
-        if reads_word {
-            if let Some(faults) = ms.faults.as_mut() {
-                match faults.ecc_read(now, access.loc, old_word) {
-                    EccOutcome::Clean => {}
-                    EccOutcome::Corrected { value } => {
-                        // Correct the returned word and scrub storage.
-                        old_word = value;
-                        ph.storage.write_loc(access.loc, value)?;
-                        extra_resp = ms.params.ecc_correction_penalty;
-                        let (tile, local) =
-                            (access.core as usize / cpt, access.core as usize % cpt);
-                        let core = &mut cells[tile].cores[local];
-                        if !core.halted() {
-                            core.insert_bubble(extra_resp);
-                            core.stats.stall_ecc += extra_resp as u64;
-                        }
-                        if let Some(hooks) = ms.obs {
-                            hooks.ecc_corrected.inc();
-                        }
-                    }
-                    EccOutcome::Uncorrectable { mask } => {
-                        return Err(SimError::EccUncorrectable {
-                            loc: access.loc,
-                            mask,
-                        });
-                    }
-                }
-            }
-        }
-        let shift = (access.addr & 3) * 8;
-        let response_value = match access.kind {
-            MemAccessKind::Load { width, .. } => match width {
-                MemWidth::Byte => (old_word >> shift) & 0xff,
-                MemWidth::Half => (old_word >> shift) & 0xffff,
-                MemWidth::Word => old_word,
-            },
-            MemAccessKind::Store { width, value } => {
-                let new = match width {
-                    MemWidth::Byte => (old_word & !(0xff << shift)) | ((value & 0xff) << shift),
-                    MemWidth::Half => (old_word & !(0xffff << shift)) | ((value & 0xffff) << shift),
-                    MemWidth::Word => value,
-                };
-                ph.storage.write_loc(access.loc, new)?;
-                0
-            }
-            MemAccessKind::Amo { op, value, .. } => {
-                ph.storage
-                    .write_loc(access.loc, op.apply(old_word, value))?;
-                old_word
-            }
-        };
-        // Any write leaves a freshly encoded (error-free) word behind.
-        if matches!(
-            access.kind,
-            MemAccessKind::Store { .. } | MemAccessKind::Amo { .. }
-        ) {
-            if let Some(faults) = ms.faults.as_mut() {
-                faults.ecc_clear(access.loc);
-            }
-        }
-        let reg = access.kind.response_reg();
-        let raw = sign_adjust(access.kind, response_value);
-        let (tile, local) = (access.core as usize / cpt, access.core as usize % cpt);
-        cells[tile].responses[local].push(Response {
-            due: now + (access.resp_latency + extra_resp) as u64,
-            reg,
-            value: raw,
-        });
-    }
-    Ok(())
-}
-
-/// The local phase for one tile: deliver due responses to this tile's
-/// cores, then issue at most one instruction per core, deferring every
-/// cross-tile side effect into the tile's scratch.
-pub(crate) fn local_tile(ctx: &LocalCtx<'_>, cell: &mut TileCell<'_>) {
-    let now = ctx.now;
-    // Response delivery (forward progress).
-    for (core, responses) in cell.cores.iter_mut().zip(cell.responses.iter_mut()) {
-        let mut i = 0;
-        while i < responses.len() {
-            if responses[i].due <= now {
-                let r = responses.swap_remove(i);
-                core.complete(r.reg, r.value);
-                cell.scratch.delivered = true;
-            } else {
-                i += 1;
-            }
-        }
-    }
-    // Issue.
-    let tile = TileId(cell.tile);
-    let base = cell.tile as usize * cell.cores.len();
-    // Remote-port arbitration: accesses leaving the tile go through its
-    // limited remote request ports (4 in MemPool); a tile whose ports are
-    // taken this cycle stalls further remote issues. Purely tile-local
-    // state, so each tile tracks its own grants.
-    let mut remote_issued = 0u32;
-    'issue: for local in 0..cell.cores.len() {
-        let index = base + local;
-        let core_id = GlobalCoreId::new(index as u32);
-        let core = &mut cell.cores[local];
-        if core.hung() {
-            // Latched up by an injected fault: burns cycles forever.
-            core.stats.halted_cycles += 1;
-            continue;
-        }
-        if core.halted() {
-            core.stats.halted_cycles += 1;
-            continue;
-        }
-        if core.consume_bubble() {
-            continue;
-        }
-        let pc = core.pc;
-        if !cell.icache.access(pc) {
-            let penalty = ctx.params.icache_miss_penalty;
-            core.insert_bubble(penalty);
-            core.stats.stall_icache += penalty as u64;
-            core.stats.icache_misses += 1;
-            cell.scratch.icache_misses += 1;
-            continue;
-        }
-        let Some(instr) = ctx.program.fetch(pc) else {
-            cell.scratch.error = Some((index as u32, SimError::PcOutOfRange { core: core_id, pc }));
-            break 'issue;
-        };
-        match core.check_issue(instr, ctx.params.max_outstanding) {
-            Err(Stall::Scoreboard) => {
-                core.stats.stall_scoreboard += 1;
-                continue;
-            }
-            Err(Stall::Structural) => {
-                core.stats.stall_structural += 1;
-                continue;
-            }
-            Ok(()) => {}
-        }
-        if let Some(addr) = mem_probe_addr(instr, &core.regs) {
-            if let MemoryRegion::Spm(loc) = ctx.storage.map().locate(addr & !3) {
-                if loc.tile != tile {
-                    if remote_issued >= ctx.config.remote_ports_per_tile() {
-                        core.stats.stall_structural += 1;
-                        continue;
-                    }
-                    remote_issued += 1;
-                }
-            }
-        }
-        core.stats.retired += 1;
-        cell.scratch.retired = true;
-        if ctx.trace_on {
-            cell.scratch.trace.push(TraceEntry {
-                cycle: now,
-                core: core_id,
-                pc,
-                instr,
-            });
-        }
-        match exec::issue(instr, pc, &mut core.regs, index as u32) {
-            Issue::Next { pc: next } => {
-                if next != pc.wrapping_add(4) && ctx.params.taken_branch_penalty > 0 {
-                    core.insert_bubble(ctx.params.taken_branch_penalty);
-                    core.stats.stall_branch += ctx.params.taken_branch_penalty as u64;
-                }
-                core.pc = next;
-            }
-            Issue::Halt => {
-                core.halt();
-                cell.scratch.halts.push(index);
-            }
-            Issue::Mem { req, next_pc } => {
-                core.pc = next_pc;
-                let width = match req.kind {
-                    MemAccessKind::Load { width, .. } | MemAccessKind::Store { width, .. } => width,
-                    MemAccessKind::Amo { .. } => MemWidth::Word,
-                };
-                let region = match ctx.storage.decode(req.addr, width) {
-                    Ok(region) => region,
-                    Err(e) => {
-                        cell.scratch.error = Some((index as u32, e.into()));
-                        break 'issue;
-                    }
-                };
-                match region {
-                    MemoryRegion::Spm(loc) => {
-                        // The destination tile's F2F via carries every
-                        // access to that tile's banks on the memory die.
-                        let mut extra_req = 0u32;
-                        match ctx.links.state(loc.tile) {
-                            LinkState::Healthy => {}
-                            LinkState::Degraded(extra) => {
-                                cell.scratch.fault_events.push(FaultNote::Retry {
-                                    tile: loc.tile,
-                                    extra,
-                                });
-                                core.insert_bubble(extra);
-                                core.stats.stall_fault_retry += extra as u64;
-                                extra_req = extra;
-                            }
-                            LinkState::Dead => match ctx.links.policy() {
-                                DeadLinkPolicy::Error => {
-                                    cell.scratch.error =
-                                        Some((index as u32, SimError::LinkDead { tile: loc.tile }));
-                                    break 'issue;
-                                }
-                                DeadLinkPolicy::BlackHole => {
-                                    // The request vanishes into the open
-                                    // via; the scoreboard entry is pinned
-                                    // forever.
-                                    cell.scratch.fault_events.push(FaultNote::BlackHole {
-                                        tile: loc.tile,
-                                        core: index as u32,
-                                    });
-                                    core.mark_pending(req.kind.response_reg());
-                                    continue;
-                                }
-                            },
-                        }
-                        let class = LatencyModel::classify(ctx.config, tile, loc.tile);
-                        core.stats
-                            .record_access(class, ctx.topo.route(tile, loc.tile).network);
-                        core.mark_pending(req.kind.response_reg());
-                        let (req_lat, resp_lat) = latency_split(&ctx.params.latency, class);
-                        let bank = loc.global_bank(ctx.config);
-                        cell.scratch.bank_pushes.push((
-                            bank.index(),
-                            PendingAccess {
-                                arrival: now + (req_lat + extra_req) as u64,
-                                core: index as u32,
-                                loc,
-                                kind: req.kind,
-                                resp_latency: resp_lat,
-                                addr: req.addr,
-                            },
-                        ));
-                    }
-                    MemoryRegion::External(_) => {
-                        // Word-granular access over the off-chip port,
-                        // serialized (and data-resolved) at commit.
-                        core.mark_pending(req.kind.response_reg());
-                        cell.scratch.externals.push(ExternalIntent {
-                            core: index as u32,
-                            addr: req.addr,
-                            kind: req.kind,
-                            width,
-                        });
-                    }
-                    MemoryRegion::Unmapped => unreachable!("decode rejects unmapped"),
-                }
-            }
-        }
-    }
-}
-
-/// Resolves one deferred off-chip access: books the port, moves the data,
-/// and queues the response.
-fn resolve_external(
-    ms: &mut MainState<'_>,
-    ph: &mut PhaseShared<'_>,
-    now: u64,
-    intent: &ExternalIntent,
-    responses: &mut Vec<Response>,
-) -> Result<(), SimError> {
-    let done = ms.offchip.schedule(now, intent.width.bytes() as u64);
-    let value = match intent.kind {
-        MemAccessKind::Load { .. } => ph.storage.read(intent.addr, intent.width)?,
-        MemAccessKind::Store { value, .. } => {
-            ph.storage.write(intent.addr, intent.width, value)?;
-            0
-        }
-        MemAccessKind::Amo { op, value, .. } => {
-            let old = ph.storage.read(intent.addr, MemWidth::Word)?;
-            ph.storage
-                .write(intent.addr, MemWidth::Word, op.apply(old, value))?;
-            old
-        }
-    };
-    responses.push(Response {
-        due: done,
-        reg: intent.kind.response_reg(),
-        value: sign_adjust(intent.kind, value),
-    });
-    Ok(())
-}
-
-/// The sequential commit phase: drains every tile's scratch in tile-index
-/// order (trace, bank pushes, off-chip accesses, fault/obs events), then
-/// reports the first error by global core order, runs the watchdog,
-/// advances the clock, and closes a sampling epoch if one is due.
-pub(crate) fn commit_tick(
-    ms: &mut MainState<'_>,
-    ph: &mut PhaseShared<'_>,
-    cells: &mut [&mut TileCell<'_>],
-) -> Result<(), SimError> {
-    let now = *ms.cycle;
-    let mut delivered = false;
-    let mut retired = false;
-    let mut first_error: Option<SimError> = None;
-    for cell in cells.iter_mut() {
-        delivered |= std::mem::take(&mut cell.scratch.delivered);
-        retired |= std::mem::take(&mut cell.scratch.retired);
-        for entry in cell.scratch.trace.drain(..) {
-            if let Some(trace) = ms.trace.as_mut() {
-                trace.record(entry);
-            }
-        }
-        for (bank, access) in cell.scratch.bank_pushes.drain(..) {
-            ms.banks[bank].queue.push(access);
-        }
-        let base = cell.tile as usize * cell.cores.len();
-        let mut tile_error: Option<SimError> = None;
-        for intent in cell.scratch.externals.drain(..) {
-            let local = intent.core as usize - base;
-            if let Err(e) = resolve_external(ms, ph, now, &intent, &mut cell.responses[local]) {
-                // Off-chip intents precede any issue-time error of this
-                // tile in global core order, so the first one wins.
-                if tile_error.is_none() {
-                    tile_error = Some(e);
-                }
-            }
-        }
-        if let Some((_, e)) = cell.scratch.error.take() {
-            if tile_error.is_none() {
-                tile_error = Some(e);
-            }
-        }
-        if first_error.is_none() {
-            first_error = tile_error;
-        }
-        for note in cell.scratch.fault_events.drain(..) {
-            match note {
-                FaultNote::Retry { tile, extra } => {
-                    if let Some(faults) = ms.faults.as_mut() {
-                        faults.record_retry(now, tile, extra as u64);
-                    }
-                    if let Some(hooks) = ms.obs {
-                        hooks.fault_retries.inc();
-                    }
-                }
-                FaultNote::BlackHole { tile, core } => {
-                    if let Some(faults) = ms.faults.as_mut() {
-                        faults.record_blackhole(now, tile, core);
-                    }
-                }
-            }
-        }
-        if cell.scratch.icache_misses > 0 {
-            if let Some(hooks) = ms.obs {
-                hooks.icache_misses.add(cell.scratch.icache_misses);
-            }
-            cell.scratch.icache_misses = 0;
-        }
-        for index in cell.scratch.halts.drain(..) {
-            if let Some(hooks) = ms.obs {
-                hooks.obs.spans.begin(hooks.core_tracks[index], "wfi", now);
-            }
-        }
-    }
-    if let Some(err) = first_error {
-        return Err(err);
-    }
-    let mut deadlock = None;
-    if let Some(watchdog) = ms.watchdog.as_mut() {
-        if delivered || retired {
-            watchdog.note_progress(now);
-        } else if watchdog.expired(now) {
-            deadlock = Some(watchdog.stalled_for(now));
-        }
-    }
-    if let Some(stalled_for) = deadlock {
-        if ms.flight_enabled {
-            if let Some(hooks) = ms.obs {
-                hooks.obs.flight.record(
-                    now,
-                    "watchdog",
-                    None,
-                    format!("expired: no forward progress for {stalled_for} cycles"),
-                );
-            }
-        }
-        return Err(SimError::Deadlock {
-            stalled_for,
-            diagnostics: core_diagnostics_from(
-                cells.iter().flat_map(|cell| cell.cores.iter()),
-                ms.trace.as_ref(),
-            ),
-        });
-    }
-    *ms.cycle += 1;
-    ph.now = *ms.cycle;
-    if ms
-        .sampler
-        .as_ref()
-        .is_some_and(|sampler| *ms.cycle >= sampler.next_at)
-    {
-        sample_epoch(ms, ph, cells);
-    }
-    Ok(())
-}
-
-/// Per-core liveness snapshots (deadlock diagnostics) built from an
-/// iterator of cores in global order.
-pub(crate) fn core_diagnostics_from<'a>(
-    cores: impl Iterator<Item = &'a Core>,
-    trace: Option<&Trace>,
-) -> Vec<CoreDiagnostic> {
-    cores
-        .enumerate()
-        .map(|(i, core)| {
-            let recent = trace
-                .map(|trace| {
-                    let lines: Vec<String> = trace
-                        .for_core(GlobalCoreId::new(i as u32))
-                        .map(TraceEntry::to_string)
-                        .collect();
-                    let keep = lines.len().saturating_sub(DIAGNOSTIC_RECENT_WINDOW);
-                    lines[keep..].to_vec()
-                })
-                .unwrap_or_default();
-            CoreDiagnostic {
-                core: i as u32,
-                pc: core.pc,
-                halted: core.halted(),
-                hung: core.hung(),
-                outstanding: core.outstanding(),
-                retired: core.stats.retired,
-                recent,
-            }
-        })
-        .collect()
-}
-
-/// Everything the time-series sampler reads at a window boundary, in one
-/// snapshot (totals, not deltas — the sampler holds the baselines).
-#[derive(Debug, Default)]
-pub(crate) struct SampleInputs {
-    pub retired_per_tile: Vec<u64>,
-    pub local_accesses: u64,
-    pub remote_accesses: u64,
-    pub conflicts: u64,
-    pub offchip_bytes: u64,
-    pub spm_touches: u64,
-    pub outstanding: u64,
-    pub backlog: u64,
-    pub peak_bytes_per_cycle: f64,
-}
-
-/// Collects a sampling snapshot from phase views (cores must come in
-/// global order).
-pub(crate) fn collect_samples<'a>(
-    cores: impl Iterator<Item = &'a Core>,
-    cores_per_tile: usize,
-    num_tiles: usize,
-    banks: &[Bank],
-    storage: &Storage,
-    offchip: &OffchipPort,
-    now: u64,
-) -> SampleInputs {
-    use mempool_arch::AccessClass;
-    let mut inputs = SampleInputs {
-        retired_per_tile: vec![0u64; num_tiles],
-        ..SampleInputs::default()
-    };
-    for (i, core) in cores.enumerate() {
-        inputs.retired_per_tile[i / cores_per_tile] += core.stats.retired;
-        inputs.local_accesses += core.stats.accesses[AccessClass::TileLocal as usize];
-        inputs.remote_accesses += core.stats.accesses[AccessClass::GroupLocal as usize]
-            + core.stats.accesses[AccessClass::Remote as usize];
-        inputs.outstanding += u64::from(core.outstanding());
-    }
-    inputs.conflicts = banks.iter().map(|b| b.stats.conflicts).sum();
-    inputs.offchip_bytes = offchip.total_bytes();
-    inputs.spm_touches = storage.spm_word_touches();
-    inputs.backlog = offchip.backlog(now);
-    inputs.peak_bytes_per_cycle = offchip.bytes_per_cycle() as f64;
-    inputs
-}
-
-/// Pushes one sample per series for the window ending at `now`, with
-/// deltas read against `sampler`'s baselines. Zero-length windows (a
-/// flush at the exact epoch start) are dropped rather than clamped — a
-/// clamped denominator of 1 would spike every rate.
-pub(crate) fn push_samples(hooks: &ClusterObs, sampler: &Sampler, now: u64, inputs: &SampleInputs) {
-    if now <= sampler.epoch_start {
-        return;
-    }
-    let series = &hooks.obs.series;
-    let elapsed = (now - sampler.epoch_start) as f64;
-    for (t, (&total, &baseline)) in inputs
-        .retired_per_tile
-        .iter()
-        .zip(sampler.retired_per_tile.iter())
-        .enumerate()
-    {
-        series.push(
-            &format!("ipc/tile{t}"),
-            now,
-            (total - baseline) as f64 / elapsed,
-        );
-    }
-    series.push(
-        "l1_local_rate",
-        now,
-        (inputs.local_accesses - sampler.local_accesses) as f64 / elapsed,
-    );
-    series.push(
-        "l1_remote_rate",
-        now,
-        (inputs.remote_accesses - sampler.remote_accesses) as f64 / elapsed,
-    );
-    series.push(
-        "bank_conflict_rate",
-        now,
-        (inputs.conflicts - sampler.conflicts) as f64 / elapsed,
-    );
-    series.push(
-        "offchip_occupancy",
-        now,
-        (inputs.offchip_bytes - sampler.offchip_bytes) as f64
-            / (elapsed * inputs.peak_bytes_per_cycle),
-    );
-    series.push("offchip_backlog", now, inputs.backlog as f64);
-    series.push("outstanding", now, inputs.outstanding as f64);
-    series.push(
-        "spm_touch_rate",
-        now,
-        (inputs.spm_touches - sampler.spm_touches) as f64 / elapsed,
-    );
-}
-
-/// Closes the current sampling epoch: pushes one sample per series and
-/// re-baselines the counters.
-fn sample_epoch(ms: &mut MainState<'_>, ph: &mut PhaseShared<'_>, cells: &[&mut TileCell<'_>]) {
-    let Some(sampler) = ms.sampler.as_mut() else {
-        return;
-    };
-    let now = *ms.cycle;
-    let inputs = collect_samples(
-        cells.iter().flat_map(|cell| cell.cores.iter()),
-        ms.config.cores_per_tile() as usize,
-        ms.config.num_tiles() as usize,
-        ms.banks,
-        ph.storage,
-        ms.offchip,
-        now,
-    );
-    if let Some(hooks) = ms.obs {
-        push_samples(hooks, sampler, now, &inputs);
-    }
-    sampler.rebaseline(inputs, now);
-}
-
-/// Runs the cluster on `threads` host threads until every core halts.
-///
-/// One `thread::scope` covers the whole run. Each tick, the main thread
-/// runs the sequential pre phase under the write side of the phase lock,
-/// releases the workers through the `start` barrier, joins them in
-/// advancing its own contiguous tile range, meets them at the `finish`
-/// barrier, and commits. Workers only ever hold the read side of the
-/// phase lock plus their own tiles' mutexes, so every lock acquisition is
-/// uncontended — the protocol, not the locks, provides exclusion.
-pub(crate) fn run_parallel(
-    cluster: &mut Cluster,
-    max_cycles: u64,
-    threads: usize,
-) -> Result<u64, SimError> {
-    let deadline = cluster.cycle + max_cycles;
-    let (mut ms, ph, mut cells_vec) = split(cluster);
-    // Copies of the immutable context, shareable with the workers.
-    let (config, topo, params, program) = (ms.config, ms.topo, ms.params, ms.program);
-    let trace_on = ms.trace.is_some();
-    let num_tiles = cells_vec.len();
-    let cells: Vec<Mutex<&mut TileCell<'_>>> = cells_vec.iter_mut().map(Mutex::new).collect();
-    let shared = RwLock::new(ph);
-    let stop = AtomicBool::new(false);
-    let start = Barrier::new(threads);
-    let finish = Barrier::new(threads);
-    // Contiguous tile ranges, one per thread; range 0 belongs to the main
-    // thread.
-    let chunk = num_tiles / threads;
-    let rem = num_tiles % threads;
-    let mut ranges: Vec<Range<usize>> = Vec::with_capacity(threads);
-    let mut next = 0usize;
-    for w in 0..threads {
-        let len = chunk + usize::from(w < rem);
-        ranges.push(next..next + len);
-        next += len;
-    }
-    std::thread::scope(|scope| {
-        for range in ranges.iter().skip(1) {
-            let (cells, shared, start, finish, stop) = (&cells, &shared, &start, &finish, &stop);
-            scope.spawn(move || loop {
-                start.wait();
-                if stop.load(Ordering::Acquire) {
-                    return;
-                }
-                {
-                    let ph = shared.read().expect("phase lock");
-                    let ctx = LocalCtx {
-                        config,
-                        topo,
-                        params,
-                        program,
-                        storage: &*ph.storage,
-                        links: &*ph.links,
-                        trace_on,
-                        now: ph.now,
-                    };
-                    for tile in range.clone() {
-                        let mut cell = cells[tile].lock().expect("tile lock");
-                        local_tile(&ctx, &mut cell);
-                    }
-                }
-                finish.wait();
-            });
-        }
-        let my_range = ranges[0].clone();
-        let result = loop {
-            // Sequential window: quiescence/deadline checks + pre phase.
-            {
-                let mut ph = shared.write().expect("phase lock");
-                let mut guards: Vec<_> = cells
-                    .iter()
-                    .map(|cell| cell.lock().expect("tile lock"))
-                    .collect();
-                let mut views: Vec<&mut TileCell<'_>> =
-                    guards.iter_mut().map(|guard| &mut ***guard).collect();
-                if tick_quiescent(ms.banks, &views) {
-                    break Ok(*ms.cycle);
-                }
-                if *ms.cycle >= deadline {
-                    break Err(SimError::Timeout { cycles: max_cycles });
-                }
-                if let Err(e) = pre_tick(&mut ms, &mut ph, &mut views) {
-                    break Err(e);
-                }
-            }
-            // Local phase: all threads, disjoint tile ranges.
-            start.wait();
-            {
-                let ph = shared.read().expect("phase lock");
-                let ctx = LocalCtx {
-                    config,
-                    topo,
-                    params,
-                    program,
-                    storage: &*ph.storage,
-                    links: &*ph.links,
-                    trace_on,
-                    now: ph.now,
-                };
-                for tile in my_range.clone() {
-                    let mut cell = cells[tile].lock().expect("tile lock");
-                    local_tile(&ctx, &mut cell);
-                }
-            }
-            finish.wait();
-            // Sequential window: commit.
-            {
-                let mut ph = shared.write().expect("phase lock");
-                let mut guards: Vec<_> = cells
-                    .iter()
-                    .map(|cell| cell.lock().expect("tile lock"))
-                    .collect();
-                let mut views: Vec<&mut TileCell<'_>> =
-                    guards.iter_mut().map(|guard| &mut ***guard).collect();
-                if let Err(e) = commit_tick(&mut ms, &mut ph, &mut views) {
-                    break Err(e);
-                }
-            }
-        };
-        // Release the workers for their shutdown check.
-        stop.store(true, Ordering::Release);
-        start.wait();
-        result
-    })
-}
-
-// ---------------------------------------------------------------------------
-// The quantum engine: arena-backed, tile-sharded fast path.
-// ---------------------------------------------------------------------------
-//
-// `run_parallel` above synchronizes three times per simulated cycle through
-// futex-backed barriers and funnels every bank service through the main
-// thread, which is why the first parallel engine was *slower* than the
-// sequential one. The quantum engine removes both costs for uninstrumented
-// runs (no fault controller, watchdog, trace, flight ring, observability, or
-// sampler attached — [`Cluster::run`] checks eligibility):
-//
-// * **Static tile→thread ownership.** Tiles are split into contiguous,
-//   per-worker shards ([`TileShard`]): a worker owns its tiles' cores, I$,
-//   response queues, *banks*, and SPM words outright, so both the bank
-//   service and the local phase run inside the worker with plain `&mut`
-//   indexing — no per-tile mutex handoff, no sequential serve.
-// * **Arena-backed mailboxes.** All cross-tile traffic (bank pushes and
-//   responses) flows through preallocated per-tile inboxes double-buffered
-//   by tick parity, reused across ticks and quanta ([`QuantumArena`]). A
-//   sender tags entries with its source tile and the receiver applies them
-//   sorted by that tag, which reproduces the sequential commit's
-//   tile-index drain order exactly — the bank-queue contents evolve
-//   bit-identically at every worker count.
-// * **Amortized synchronization.** Workers run in per-tick lockstep via
-//   padded atomic progress counters (spin-then-yield, no futexes) and only
-//   meet the main thread at *quantum* boundaries every `QUANTUM_TICKS`
-//   cycles, where deferred off-chip accesses are resolved in canonical
-//   `(tick, tile)` order, the touch counters merge, and quiescence /
-//   timeout / errors are settled. An off-chip access issued mid-quantum
-//   shortens the quantum (`fetch_min` on the shared stop tick) so its
-//   response is always enqueued before the cycle it is due.
-//
-// Determinism contract: because requests enter every bank queue in the
-// sequential engine's order, responses are delivered by due-cycle (never
-// by queue position), and boundary work happens in `(tick, tile)` order,
-// the quantum engine is bit-identical to `Cluster::step` at any worker
-// count — `tests/engine_equivalence.rs` holds the proof obligations.
 
 /// Ticks per quantum when nothing shortens it: large enough to amortize
 /// per-quantum thread spawn and boundary work down to noise, small enough
@@ -1167,22 +83,42 @@ pub(crate) fn host_parallelism() -> usize {
         .unwrap_or(1)
 }
 
-/// A cache-line-padded progress counter, one per worker, holding
-/// `completed_tick + 1` with release/acquire ordering.
+/// A cache-line-padded progress counter, one per worker, counting
+/// half-ticks with release/acquire ordering: `2 * (t + 1)` once tick `t`
+/// is complete, `2 * t + 1` at the mid-tick gate rounds with latent ECC
+/// masks add after bank service.
 #[derive(Debug, Default)]
 #[repr(align(64))]
 pub(crate) struct PaddedCounter(AtomicU64);
 
 /// Cross-tile traffic addressed to one tile, double-buffered by tick
 /// parity. Entries are `(source tile, local index, payload)`; the
-/// receiver applies them sorted by source tile, reproducing the
-/// sequential engine's commit drain order.
+/// receiver applies them sorted by source tile — the order a single
+/// worker sweeping tiles in ascending order produces.
 #[derive(Debug, Default)]
 pub(crate) struct Inbox {
     /// Bank-queue pushes: `(src tile, bank index within dest tile, access)`.
     pushes: Vec<(u32, u32, PendingAccess)>,
     /// Responses: `(src tile, core index within dest tile, response)`.
     responses: Vec<(u32, u32, Response)>,
+    /// ECC correction stalls for this tile's cores, `(core index within
+    /// dest tile, cycles)`: sent and consumed inside one tick (see
+    /// `quantum_worker`), in the slot that tick has already drained.
+    stalls: Vec<(u32, u32)>,
+}
+
+impl Inbox {
+    /// Applies and clears the inbox, in source-tile order.
+    fn drain_into(&mut self, banks: &mut [Bank], responses: &mut [Vec<Response>]) {
+        self.pushes.sort_by_key(|&(src, _, _)| src);
+        for (_, bank, access) in self.pushes.drain(..) {
+            banks[bank as usize].queue.push(access);
+        }
+        self.responses.sort_by_key(|&(src, _, _)| src);
+        for (_, core, response) in self.responses.drain(..) {
+            responses[core as usize].push(response);
+        }
+    }
 }
 
 /// One inbox plus its lock-free "worth locking?" flag. Senders set the
@@ -1194,31 +130,100 @@ pub(crate) struct InboxSlot {
     data: Mutex<Inbox>,
 }
 
-/// A bank access served on the quantum path, recorded for flight-ring
-/// replay at the boundary. Tagged `(tick, tile)` so the merge across
-/// lanes can restore the sequential engine's global bank-sweep order.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct MemEvent {
-    tick: u64,
-    core: u32,
-    tile: u32,
-    bank: u32,
-    word: u32,
-    kind: &'static str,
+/// Where in a tick something happened, in the order a tick gets there:
+/// every tile's bank service, then per tile (ascending) off-chip
+/// resolution before issue. Errors and flight events are ordered by
+/// `(tick, past bank service?, tile, phase)`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum Phase {
+    Serve,
+    Offchip,
+    Issue,
 }
 
+/// When and where something happened: `(tick, tile, phase)`.
+type At = (u64, u32, Phase);
+
+/// The ordering key of something that happened at `at`.
+fn tick_key((tick, tile, phase): At) -> (u64, bool, u32, Phase) {
+    (tick, phase != Phase::Serve, tile, phase)
+}
+
+/// What a lane logs for the flight ring.
+#[derive(Debug, Clone, Copy)]
+enum FlightNote {
+    /// A bank access was served.
+    Mem {
+        core: u32,
+        loc: BankLocation,
+        kind: &'static str,
+    },
+    /// A fault outcome (retry, black hole, ECC), worded by the controller.
+    Fault(FaultNote),
+}
+
+/// A flight-ring event recorded on a lane, replayed at the boundary.
+#[derive(Debug, Clone, Copy)]
+struct LaneEvent {
+    at: At,
+    note: FlightNote,
+}
+
+/// The newest `cap` entries of a stream plus a count of the older ones:
+/// all a lane can contribute to a ring of capacity `cap`. An entry that is
+/// not among its own lane's last `cap` is not among the merged stream's
+/// last `cap` either, so ring contents and `dropped` totals come out as if
+/// every entry had been recorded.
+#[derive(Debug)]
+struct Tail<T> {
+    kept: VecDeque<T>,
+    dropped: u64,
+}
+
+impl<T> Default for Tail<T> {
+    fn default() -> Self {
+        Tail {
+            kept: VecDeque::new(),
+            dropped: 0,
+        }
+    }
+}
+
+impl<T> Tail<T> {
+    #[inline]
+    fn push(&mut self, cap: usize, entry: T) {
+        if self.kept.len() >= cap {
+            self.kept.pop_front();
+            self.dropped += 1;
+        }
+        self.kept.push_back(entry);
+    }
+
+    /// Moves the kept entries onto `merge`; returns how many older ones
+    /// were counted instead.
+    fn drain_into(&mut self, merge: &mut Vec<T>) -> u64 {
+        merge.extend(self.kept.drain(..));
+        std::mem::take(&mut self.dropped)
+    }
+}
+
+/// Traffic leaving a tile: `(dest tile, src tile, index within dest, payload)`.
+type Outbound<T> = (u32, u32, u32, T);
+
 /// Per-worker scratch, preallocated and reused across ticks and quanta.
-/// The instrumentation vectors are this worker's private *observation
+/// The instrumentation buffers are this worker's private *observation
 /// lane*: the hot path appends to them with no locks and (in steady
 /// state) no allocations, and the boundary drains them in deterministic
 /// source-tile order.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub(crate) struct WorkerLane {
-    /// Outgoing bank pushes, one buffer per destination tile
-    /// (`(src tile, bank local, access)`), drained into inboxes each tick.
-    push_out: Vec<Vec<(u32, u32, PendingAccess)>>,
-    /// Outgoing responses, one buffer per destination tile.
-    resp_out: Vec<Vec<(u32, u32, Response)>>,
+    /// Bank pushes issued this tick, in (tile, core) order.
+    push_out: Vec<Outbound<PendingAccess>>,
+    /// Cross-tile responses produced this tick, in (tile, bank) order.
+    resp_out: Vec<Outbound<Response>>,
+    /// ECC correction stalls charged by this tick's bank service:
+    /// `(global core, cycles)`.
+    stalls: Vec<(u32, u32)>,
     /// Off-chip intents issued this quantum: `(tick, tile, intent)`, in
     /// issue order (ticks ascending, tiles ascending within a tick).
     externals: Vec<(u64, u32, ExternalIntent)>,
@@ -1226,17 +231,18 @@ pub(crate) struct WorkerLane {
     /// into the shared counter at the boundary).
     touches: u64,
     /// Cycle since which every owned tile has been continuously inert
-    /// (halted cores, empty queues, nothing outstanding); `u64::MAX`
-    /// while any tile is active. Drives exact quiescence rollback.
+    /// (halted cores, empty queues, nothing outstanding) this quantum;
+    /// `u64::MAX` while any tile is active. Drives exact quiescence
+    /// rollback.
     inert_since: u64,
-    /// First `(tick, tile, error)` this worker hit, by sweep order.
-    error: Option<(u64, u32, SimError)>,
-    /// Served bank accesses this quantum (flight `mem` events), in
-    /// (tick, tile, bank) order. Only fed when flight recording is on.
-    mem_events: Vec<MemEvent>,
+    /// First error this worker hit, by sweep order.
+    error: Option<(At, SimError)>,
+    /// Flight-ring events this quantum (served accesses, fault outcomes),
+    /// in (tick, phase, tile) order. Only fed when flight recording is on.
+    events: Tail<LaneEvent>,
     /// Retired instructions this quantum, in (tick, tile, core) order.
     /// Only fed when tracing is on.
-    trace_out: Vec<TraceEntry>,
+    trace_out: Tail<TraceEntry>,
     /// `(tick, global core)` pairs that executed `wfi` this quantum
     /// (obs span begins). Only fed when an obs handle is attached.
     halts: Vec<(u64, u32)>,
@@ -1246,6 +252,13 @@ pub(crate) struct WorkerLane {
     /// Ticks at which this lane's shards made forward progress, strictly
     /// ascending. Only fed when a watchdog is armed.
     progress_ticks: Vec<u64>,
+    /// Fault outcomes counted this quantum (folded into the report at the
+    /// boundary).
+    faults: FaultTally,
+    /// Words whose latent ECC mask this lane consumed this quantum (a
+    /// corrected read or any write); the shared [`EccState`] still lists
+    /// them until the boundary clears it.
+    ecc_cleared: Vec<BankLocation>,
     /// Self-profiling: nanoseconds this worker spent inside the lockstep
     /// gate waiting on peers this quantum.
     prof_wait_ns: u64,
@@ -1259,24 +272,26 @@ pub(crate) struct WorkerLane {
 }
 
 impl WorkerLane {
-    fn new(num_tiles: usize) -> Self {
-        WorkerLane {
-            push_out: (0..num_tiles).map(|_| Vec::new()).collect(),
-            resp_out: (0..num_tiles).map(|_| Vec::new()).collect(),
-            externals: Vec::new(),
-            touches: 0,
-            inert_since: u64::MAX,
-            error: None,
-            mem_events: Vec::new(),
-            trace_out: Vec::new(),
-            halts: Vec::new(),
-            progress: false,
-            progress_ticks: Vec::new(),
-            prof_wait_ns: 0,
-            prof_total_ns: 0,
-            prof_pushes: 0,
-            prof_responses: 0,
+    /// Records this lane's first error and ends the quantum with the
+    /// current tick.
+    fn fail(&mut self, stop_at: &AtomicU64, at: At, error: SimError) {
+        if self.error.is_none() {
+            self.error = Some((at, error));
+            stop_at.fetch_min(at.0 + 1, Ordering::AcqRel);
         }
+    }
+
+    /// Logs a flight-ring event, if flight recording is on.
+    fn log(&mut self, ctx: &WorkerCtx<'_>, at: At, note: FlightNote) {
+        if ctx.flight_cap > 0 {
+            self.events.push(ctx.flight_cap, LaneEvent { at, note });
+        }
+    }
+
+    /// Counts a fault outcome and logs it.
+    fn fault(&mut self, ctx: &WorkerCtx<'_>, at: At, note: FaultNote) {
+        self.faults.count(note);
+        self.log(ctx, at, FlightNote::Fault(note));
     }
 
     /// Drains this quantum's self-profiling tallies as
@@ -1293,25 +308,26 @@ impl WorkerLane {
     }
 }
 
-/// All quantum-engine buffers, owned by the cluster so capacity survives
-/// across ticks, quanta, and whole runs (the slab/arena the hot path
-/// reuses instead of allocating).
+/// All engine buffers, owned by the cluster so capacity survives across
+/// ticks, quanta, and whole runs (the slab/arena the hot path reuses
+/// instead of allocating).
 #[derive(Debug, Default)]
 pub(crate) struct QuantumArena {
-    /// Per-tile mailboxes, double-buffered by tick parity.
+    /// Per-tile mailboxes, double-buffered by tick parity. Stays empty
+    /// until a round runs on more than one worker.
     inboxes: Vec<[InboxSlot; 2]>,
     /// Per-worker progress counters (index = worker lane).
     progress: Vec<PaddedCounter>,
     /// Per-worker scratch lanes. Sized to the largest worker count seen;
-    /// a run uses the first `workers` lanes.
+    /// a round uses the first `workers` lanes.
     lanes: Vec<WorkerLane>,
     /// Boundary scratch: the merged off-chip intent log.
     ext_merge: Vec<(u64, u32, ExternalIntent)>,
-    /// Boundary scratch: merged trace entries, sorted into sequential
-    /// retire order before replay.
+    /// Boundary scratch: merged trace entries, sorted into retire order
+    /// before replay.
     trace_merge: Vec<TraceEntry>,
-    /// Boundary scratch: merged flight `mem` events.
-    mem_merge: Vec<MemEvent>,
+    /// Boundary scratch: merged flight events.
+    event_merge: Vec<LaneEvent>,
     /// Boundary scratch: merged `wfi` span begins.
     halt_merge: Vec<(u64, u32)>,
     /// Boundary scratch: merged forward-progress ticks (watchdog replay).
@@ -1325,55 +341,61 @@ impl QuantumArena {
     /// Grows (never shrinks) the arena for a cluster of `num_tiles` tiles
     /// run on `workers` worker lanes.
     fn ensure(&mut self, num_tiles: usize, workers: usize) {
-        while self.inboxes.len() < num_tiles {
-            self.inboxes.push(Default::default());
+        if workers > 1 {
+            self.inboxes.resize_with(num_tiles, Default::default);
         }
-        while self.progress.len() < workers {
-            self.progress.push(PaddedCounter::default());
+        if self.lanes.len() < workers {
+            self.progress.resize_with(workers, Default::default);
+            self.lanes.resize_with(workers, Default::default);
         }
-        while self.lanes.len() < workers {
-            self.lanes.push(WorkerLane::new(num_tiles));
-        }
+    }
+
+    /// Reserved capacity (entries) of the cross-tile mailboxes.
+    pub(crate) fn mailbox_footprint(&self) -> u64 {
+        self.inboxes
+            .iter()
+            .flatten()
+            .map(|slot| {
+                let inbox = slot.data.lock().expect("inbox lock");
+                (inbox.pushes.capacity() + inbox.responses.capacity() + inbox.stalls.capacity())
+                    as u64
+            })
+            .sum()
     }
 
     /// Total reserved capacity (entries) across every arena buffer —
     /// the steady-state invariant tests assert this stops growing after
     /// warmup.
     pub(crate) fn footprint(&self) -> u64 {
-        let inbox: usize = self
-            .inboxes
-            .iter()
-            .flat_map(|pair| pair.iter())
-            .map(|slot| {
-                let inbox = slot.data.lock().expect("inbox lock");
-                inbox.pushes.capacity() + inbox.responses.capacity()
-            })
-            .sum();
         let lanes: usize = self
             .lanes
             .iter()
             .map(|lane| {
-                lane.externals.capacity()
-                    + lane.push_out.iter().map(Vec::capacity).sum::<usize>()
-                    + lane.resp_out.iter().map(Vec::capacity).sum::<usize>()
-                    + lane.mem_events.capacity()
-                    + lane.trace_out.capacity()
+                lane.push_out.capacity()
+                    + lane.resp_out.capacity()
+                    + lane.stalls.capacity()
+                    + lane.externals.capacity()
+                    + lane.events.kept.capacity()
+                    + lane.trace_out.kept.capacity()
                     + lane.halts.capacity()
                     + lane.progress_ticks.capacity()
+                    + lane.ecc_cleared.capacity()
             })
             .sum();
         let merge = self.ext_merge.capacity()
             + self.trace_merge.capacity()
-            + self.mem_merge.capacity()
+            + self.event_merge.capacity()
             + self.halt_merge.capacity()
             + self.progress_merge.capacity();
-        (inbox + lanes + merge) as u64
+        self.mailbox_footprint() + (lanes + merge) as u64
     }
 }
 
-/// Immutable context shared by every quantum worker.
+/// Immutable context shared by every worker of a round. Fault state is
+/// plain data here: the controller itself holds an `Rc` flight handle and
+/// never leaves the calling thread.
 #[derive(Debug)]
-struct BareCtx<'a> {
+struct WorkerCtx<'a> {
     config: &'a ClusterConfig,
     topo: &'a Topology,
     params: &'a SimParams,
@@ -1382,24 +404,36 @@ struct BareCtx<'a> {
     cores_per_tile: usize,
     banks_per_tile: usize,
     bank_words: usize,
-    num_tiles: usize,
     /// Ticks an issued off-chip access holds the quantum open for:
     /// `max(1, offchip_latency)` keeps every boundary ahead of the
     /// earliest possible response due-cycle.
     ext_hold: u64,
+    /// F2F link health per tile — static for a whole plan; empty without
+    /// one.
+    links: &'a [LinkState],
+    dead_links: DeadLinkPolicy,
+    /// The latent SEC-DED masks, `None` while no word holds one (flips
+    /// land only at boundaries, so the set can only shrink in a round).
+    ecc: Option<&'a EccState>,
     /// Whether an obs handle is attached (record `wfi` span begins).
     obs_on: bool,
-    /// Whether flight recording is on (record served-access events).
-    flight_on: bool,
-    /// Whether instruction tracing is on (record retires).
-    trace_on: bool,
+    /// Capacity of the flight ring the lanes feed; `0` when recording is
+    /// off.
+    flight_cap: usize,
+    /// Capacity of the instruction trace the lanes feed; `0` when off.
+    trace_cap: usize,
     /// Whether a watchdog is armed (record forward-progress ticks).
     watch: bool,
+    /// Spins before a waiting worker yields its CPU. On a host with a CPU
+    /// per worker a peer is at most ~a tick of work away, so spin
+    /// generously; an oversubscribed host (forced by tests) must yield
+    /// immediately or the waited-on peer never gets scheduled.
+    spin_budget: u32,
 }
 
 /// The state one worker owns exclusively for one tile: cores, response
-/// queues, I$, banks, and the tile's SPM words (identity-resolved — the
-/// eligibility check rules out spare-bank remaps).
+/// queues, I$, banks, and the tile's SPM words — its slice of the main
+/// array and of the spare banks remapped banks resolve to.
 #[derive(Debug)]
 struct TileShard<'a> {
     tile: u32,
@@ -1408,6 +442,7 @@ struct TileShard<'a> {
     icache: &'a mut ICache,
     banks: &'a mut [Bank],
     spm: &'a mut [u32],
+    spare: &'a mut [u32],
 }
 
 impl TileShard<'_> {
@@ -1423,13 +458,19 @@ impl TileShard<'_> {
     }
 }
 
-/// Serves every bank of one tile for tick `now`: earliest arrival
-/// strictly in the past wins, FIFO among ties — the exact discipline of
-/// [`serve_banks`], minus the fault/ECC arms that cannot trigger on the
-/// quantum path. Flight `mem` events go to the lane's observation
-/// buffer, tagged with their tick, and are replayed into the shared ring
-/// in sequential order at the boundary.
-fn serve_tile_bare(ctx: &BareCtx<'_>, shard: &mut TileShard<'_>, lane: &mut WorkerLane, now: u64) {
+/// The bank-service phase of one tile for tick `now`: every bank serves at
+/// most one request whose network arrival lies strictly in the past
+/// (earliest arrival wins, FIFO among ties), counting conflict cycles.
+/// Flight events go to the lane's observation buffer, tagged with their
+/// tick, and are replayed into the shared ring at the boundary.
+fn serve_phase(
+    ctx: &WorkerCtx<'_>,
+    shard: &mut TileShard<'_>,
+    lane: &mut WorkerLane,
+    stop_at: &AtomicU64,
+    now: u64,
+) {
+    let at = (now, shard.tile, Phase::Serve);
     for bank in shard.banks.iter_mut() {
         bank.stats.max_queue_depth = bank.stats.max_queue_depth.max(bank.queue.len() as u64);
         let mut best: Option<usize> = None;
@@ -1452,24 +493,62 @@ fn serve_tile_bare(ctx: &BareCtx<'_>, shard: &mut TileShard<'_>, lane: &mut Work
         }
         let access = bank.queue.swap_remove(index);
         bank.stats.served += 1;
-        debug_assert_eq!(access.loc.tile.0, shard.tile, "banks are tile-owned");
-        if ctx.flight_on {
-            lane.mem_events.push(MemEvent {
-                tick: now,
-                core: access.core,
-                tile: access.loc.tile.0,
-                bank: access.loc.bank.0,
-                word: access.loc.word,
-                kind: match access.kind {
-                    MemAccessKind::Load { .. } => "load",
-                    MemAccessKind::Store { .. } => "store",
-                    MemAccessKind::Amo { .. } => "amo",
-                },
-            });
-        }
-        let word = access.loc.bank.index() * ctx.bank_words + access.loc.word as usize;
-        let old_word = shard.spm[word];
+        let loc = access.loc;
+        debug_assert_eq!(loc.tile.0, shard.tile, "banks are tile-owned");
+        let kind = match access.kind {
+            MemAccessKind::Load { .. } => "load",
+            MemAccessKind::Store { .. } => "store",
+            MemAccessKind::Amo { .. } => "amo",
+        };
+        let core = access.core;
+        lane.log(ctx, at, FlightNote::Mem { core, loc, kind });
+        // Spare-bank indirection: a remapped bank keeps its queue but its
+        // words live in the tile's spare array.
+        let physical = ctx.map.resolve(loc).bank.index();
+        let word = match physical.checked_sub(ctx.banks_per_tile) {
+            None => &mut shard.spm[physical * ctx.bank_words + loc.word as usize],
+            Some(slot) => &mut shard.spare[slot * ctx.bank_words + loc.word as usize],
+        };
+        let mut old_word = *word;
         lane.touches += 1;
+        let mut extra_resp = 0u32;
+        let latent = ctx
+            .ecc
+            .filter(|ecc| ecc.pending_mask(loc).is_some() && !lane.ecc_cleared.contains(&loc));
+        if let Some(ecc) = latent {
+            // SEC-DED check on every access that observes the stored word
+            // (a full-word store overwrites it without reading).
+            let reads_word = !matches!(
+                access.kind,
+                MemAccessKind::Store {
+                    width: MemWidth::Word,
+                    ..
+                }
+            );
+            match ecc.check(loc, old_word) {
+                EccOutcome::Corrected { value } if reads_word => {
+                    // Correct the returned word and scrub storage.
+                    old_word = value;
+                    *word = value;
+                    lane.touches += 1;
+                    extra_resp = ctx.params.ecc_correction_penalty;
+                    lane.stalls.push((access.core, extra_resp));
+                    lane.fault(ctx, at, FaultNote::Corrected { loc });
+                    lane.ecc_cleared.push(loc);
+                }
+                EccOutcome::Uncorrectable { mask } if reads_word => {
+                    lane.fault(ctx, at, FaultNote::Uncorrectable { loc, mask });
+                    lane.fail(stop_at, at, SimError::EccUncorrectable { loc, mask });
+                    return;
+                }
+                // Any write leaves a freshly encoded (error-free) word
+                // behind.
+                _ if !matches!(access.kind, MemAccessKind::Load { .. }) => {
+                    lane.ecc_cleared.push(loc);
+                }
+                _ => {}
+            }
+        }
         let shift = (access.addr & 3) * 8;
         let response_value = match access.kind {
             MemAccessKind::Load { width, .. } => match width {
@@ -1478,46 +557,45 @@ fn serve_tile_bare(ctx: &BareCtx<'_>, shard: &mut TileShard<'_>, lane: &mut Work
                 MemWidth::Word => old_word,
             },
             MemAccessKind::Store { width, value } => {
-                let new = match width {
+                *word = match width {
                     MemWidth::Byte => (old_word & !(0xff << shift)) | ((value & 0xff) << shift),
                     MemWidth::Half => (old_word & !(0xffff << shift)) | ((value & 0xffff) << shift),
                     MemWidth::Word => value,
                 };
-                shard.spm[word] = new;
                 lane.touches += 1;
                 0
             }
             MemAccessKind::Amo { op, value, .. } => {
-                shard.spm[word] = op.apply(old_word, value);
+                *word = op.apply(old_word, value);
                 lane.touches += 1;
                 old_word
             }
         };
         let response = Response {
-            due: now + access.resp_latency as u64,
+            due: now + (access.resp_latency + extra_resp) as u64,
             reg: access.kind.response_reg(),
             value: sign_adjust(access.kind, response_value),
         };
         let dest_tile = access.core as usize / ctx.cores_per_tile;
-        let dest_local = (access.core as usize % ctx.cores_per_tile) as u32;
+        let dest_local = access.core as usize % ctx.cores_per_tile;
         if dest_tile == shard.tile as usize {
-            shard.responses[dest_local as usize].push(response);
+            shard.responses[dest_local].push(response);
         } else {
-            lane.resp_out[dest_tile].push((shard.tile, dest_local, response));
+            lane.resp_out
+                .push((dest_tile as u32, shard.tile, dest_local as u32, response));
         }
     }
 }
 
-/// The local phase of one tile for tick `now` on the quantum path:
-/// deliver due responses, then issue at most one instruction per core —
-/// the logic of [`local_tile`] minus the fault-link arms that cannot
-/// trigger here. Bank pushes are routed per destination tile (the
-/// canonical order the inboxes restore); off-chip intents land in the
-/// lane's tick-tagged log and shorten the quantum via `stop_at`; trace
-/// entries, `wfi` span begins, and forward-progress marks land in the
-/// lane's observation buffers for deterministic boundary replay.
-fn local_tile_bare(
-    ctx: &BareCtx<'_>,
+/// The local phase of one tile for tick `now`: deliver due responses to
+/// this tile's cores, then issue at most one instruction per core. Bank
+/// pushes (same-tile ones included — queue order is source-tile order) go
+/// to the lane's outbound buffer; off-chip intents land in the lane's
+/// tick-tagged log and shorten the quantum via `stop_at`; trace entries,
+/// `wfi` span begins, fault outcomes and forward-progress marks land in
+/// the lane's observation buffers for deterministic boundary replay.
+fn local_phase(
+    ctx: &WorkerCtx<'_>,
     shard: &mut TileShard<'_>,
     lane: &mut WorkerLane,
     stop_at: &AtomicU64,
@@ -1535,18 +613,19 @@ fn local_tile_bare(
             }
         }
     }
+    let at = (now, shard.tile, Phase::Issue);
     let tile = TileId(shard.tile);
     let base = shard.tile as usize * ctx.cores_per_tile;
+    // Remote-port arbitration: accesses leaving the tile go through its
+    // limited remote request ports (4 in MemPool); a tile whose ports are
+    // taken this cycle stalls further remote issues.
     let mut remote_issued = 0u32;
     'issue: for local in 0..shard.cores.len() {
         let index = base + local;
         let core_id = GlobalCoreId::new(index as u32);
         let core = &mut shard.cores[local];
-        if core.hung() {
-            core.stats.halted_cycles += 1;
-            continue;
-        }
-        if core.halted() {
+        // A core latched up by an injected fault burns cycles forever.
+        if core.hung() || core.halted() {
             core.stats.halted_cycles += 1;
             continue;
         }
@@ -1562,14 +641,8 @@ fn local_tile_bare(
             continue;
         }
         let Some(instr) = ctx.program.fetch(pc) else {
-            if lane.error.is_none() {
-                lane.error = Some((
-                    now,
-                    shard.tile,
-                    SimError::PcOutOfRange { core: core_id, pc },
-                ));
-                stop_at.fetch_min(now + 1, Ordering::AcqRel);
-            }
+            let error = SimError::PcOutOfRange { core: core_id, pc };
+            lane.fail(stop_at, at, error);
             break 'issue;
         };
         match core.check_issue(instr, ctx.params.max_outstanding) {
@@ -1596,13 +669,16 @@ fn local_tile_bare(
         }
         core.stats.retired += 1;
         lane.progress = true;
-        if ctx.trace_on {
-            lane.trace_out.push(TraceEntry {
-                cycle: now,
-                core: core_id,
-                pc,
-                instr,
-            });
+        if ctx.trace_cap > 0 {
+            lane.trace_out.push(
+                ctx.trace_cap,
+                TraceEntry {
+                    cycle: now,
+                    core: core_id,
+                    pc,
+                    instr,
+                },
+            );
         }
         match exec::issue(instr, pc, &mut core.regs, index as u32) {
             Issue::Next { pc: next } => {
@@ -1627,28 +703,58 @@ fn local_tile_bare(
                 let region = match decode_region(ctx.map, req.addr, width) {
                     Ok(region) => region,
                     Err(e) => {
-                        if lane.error.is_none() {
-                            lane.error = Some((now, shard.tile, e.into()));
-                            stop_at.fetch_min(now + 1, Ordering::AcqRel);
-                        }
+                        lane.fail(stop_at, at, e.into());
                         break 'issue;
                     }
                 };
                 match region {
                     MemoryRegion::Spm(loc) => {
+                        // The destination tile's F2F via carries every
+                        // access to that tile's banks on the memory die.
+                        let mut extra_req = 0u32;
+                        match ctx.links.get(loc.tile.index()).copied().unwrap_or_default() {
+                            LinkState::Healthy => {}
+                            LinkState::Degraded(extra) => {
+                                let note = FaultNote::Retry {
+                                    tile: loc.tile,
+                                    extra,
+                                };
+                                lane.fault(ctx, at, note);
+                                core.insert_bubble(extra);
+                                core.stats.stall_fault_retry += extra as u64;
+                                extra_req = extra;
+                            }
+                            LinkState::Dead => match ctx.dead_links {
+                                DeadLinkPolicy::Error => {
+                                    let error = SimError::LinkDead { tile: loc.tile };
+                                    lane.fail(stop_at, at, error);
+                                    break 'issue;
+                                }
+                                DeadLinkPolicy::BlackHole => {
+                                    // The request vanishes into the open
+                                    // via; the scoreboard entry is pinned
+                                    // forever.
+                                    let note = FaultNote::BlackHole {
+                                        tile: loc.tile,
+                                        core: index as u32,
+                                    };
+                                    lane.fault(ctx, at, note);
+                                    core.mark_pending(req.kind.response_reg());
+                                    continue;
+                                }
+                            },
+                        }
                         let class = LatencyModel::classify(ctx.config, tile, loc.tile);
                         core.stats
                             .record_access(class, ctx.topo.route(tile, loc.tile).network);
                         core.mark_pending(req.kind.response_reg());
                         let (req_lat, resp_lat) = latency_split(&ctx.params.latency, class);
-                        let bank = loc.global_bank(ctx.config);
-                        let dest_tile = bank.index() / ctx.banks_per_tile;
-                        let bank_local = (bank.index() % ctx.banks_per_tile) as u32;
-                        lane.push_out[dest_tile].push((
+                        lane.push_out.push((
+                            loc.tile.0,
                             shard.tile,
-                            bank_local,
+                            loc.bank.0,
                             PendingAccess {
-                                arrival: now + req_lat as u64,
+                                arrival: now + (req_lat + extra_req) as u64,
                                 core: index as u32,
                                 loc,
                                 kind: req.kind,
@@ -1658,6 +764,8 @@ fn local_tile_bare(
                         ));
                     }
                     MemoryRegion::External(_) => {
+                        // Word-granular access over the off-chip port,
+                        // serialized (and data-resolved) at the boundary.
                         core.mark_pending(req.kind.response_reg());
                         lane.externals.push((
                             now,
@@ -1678,91 +786,160 @@ fn local_tile_bare(
     }
 }
 
+/// Hands tick `t`'s outbound traffic to its destination tiles. One worker
+/// (no mailboxes) owns every tile and pushes straight into the
+/// destination queue: the lane buffers are in source-tile order already,
+/// and `arrival`/`due` keep an entry from being served before tick
+/// `t + 1` either way. Several workers publish into the `t + 1` inboxes.
+fn route(lane: &mut WorkerLane, shards: &mut [TileShard<'_>], inboxes: &[[InboxSlot; 2]], t: u64) {
+    if inboxes.is_empty() {
+        for (dest, _, bank, access) in lane.push_out.drain(..) {
+            shards[dest as usize].banks[bank as usize]
+                .queue
+                .push(access);
+        }
+        for (dest, _, core, response) in lane.resp_out.drain(..) {
+            shards[dest as usize].responses[core as usize].push(response);
+        }
+        return;
+    }
+    let parity = ((t + 1) & 1) as usize;
+    lane.prof_pushes += lane.push_out.len() as u64;
+    publish(&mut lane.push_out, inboxes, parity, |inbox| {
+        &mut inbox.pushes
+    });
+    lane.prof_responses += lane.resp_out.len() as u64;
+    publish(&mut lane.resp_out, inboxes, parity, |inbox| {
+        &mut inbox.responses
+    });
+}
+
+/// Moves `out` into the `list` of each entry's destination inbox, taking
+/// each inbox lock once (the stable sort keeps a source's entries in
+/// order).
+fn publish<T>(
+    out: &mut Vec<Outbound<T>>,
+    inboxes: &[[InboxSlot; 2]],
+    parity: usize,
+    list: impl Fn(&mut Inbox) -> &mut Vec<(u32, u32, T)>,
+) {
+    out.sort_by_key(|&(dest, ..)| dest);
+    let mut entries = out.drain(..).peekable();
+    while let Some((dest, src, index, payload)) = entries.next() {
+        let slot = &inboxes[dest as usize][parity];
+        let mut inbox = slot.data.lock().expect("inbox lock");
+        let list = list(&mut inbox);
+        list.push((src, index, payload));
+        while let Some((_, src, index, payload)) = entries.next_if(|e| e.0 == dest) {
+            list.push((src, index, payload));
+        }
+        slot.nonempty.store(true, Ordering::Release);
+    }
+}
+
+/// Waits until every peer's progress counter has reached `goal`, charging
+/// the time to the lane's self-profile.
+fn await_peers(
+    ctx: &WorkerCtx<'_>,
+    progress: &[PaddedCounter],
+    me: usize,
+    goal: u64,
+    lane: &mut WorkerLane,
+) {
+    for (w, counter) in progress.iter().enumerate() {
+        if w == me || counter.0.load(Ordering::Acquire) >= goal {
+            continue;
+        }
+        // The clock only starts once a wait actually begins, so the
+        // in-lockstep fast path stays timer-free.
+        let wait_start = Instant::now();
+        let mut spins = 0u32;
+        while counter.0.load(Ordering::Acquire) < goal {
+            spins += 1;
+            if spins < ctx.spin_budget {
+                std::hint::spin_loop();
+            } else {
+                std::thread::yield_now();
+            }
+        }
+        lane.prof_wait_ns += wait_start.elapsed().as_nanos() as u64;
+    }
+}
+
 /// One worker's quantum: lockstepped ticks from `start` until the shared
-/// stop tick, over its owned shards.
+/// stop tick, over its owned shards. `inboxes` is empty when this worker
+/// is the only one.
 #[allow(clippy::too_many_arguments)]
 fn quantum_worker(
-    ctx: &BareCtx<'_>,
+    ctx: &WorkerCtx<'_>,
     progress: &[PaddedCounter],
     stop_at: &AtomicU64,
     inboxes: &[[InboxSlot; 2]],
     shards: &mut [TileShard<'_>],
     lane: &mut WorkerLane,
     me: usize,
-    workers: usize,
     start: u64,
 ) {
-    // Re-establish the inert watermark: boundary work (flushes, off-chip
-    // responses) may have woken a tile since the last tick this lane ran.
-    if lane.inert_since != u64::MAX && !shards.iter().all(TileShard::inert) {
-        lane.inert_since = u64::MAX;
-    }
-    // On a host with a CPU per worker a peer is at most ~a tick of work
-    // away, so spin generously before ceding the core; an oversubscribed
-    // host (forced by tests) must yield immediately or the waited-on peer
-    // never gets scheduled.
-    let spin_budget: u32 = if workers > host_parallelism() {
-        0
-    } else {
-        4096
-    };
+    lane.inert_since = u64::MAX;
     let lane_start = Instant::now();
     let mut t = start;
     loop {
         // Lockstep: proceed once every peer has finished tick `t - 1`.
         // A peer publishes *after* its sends and stop-tick updates, so
         // passing this gate also makes those visible.
-        if workers > 1 {
-            for (w, counter) in progress.iter().take(workers).enumerate() {
-                if w == me {
-                    continue;
-                }
-                if counter.0.load(Ordering::Acquire) >= t {
-                    continue;
-                }
-                // Self-profiling: the clock only starts once a wait
-                // actually begins, so the in-lockstep fast path stays
-                // timer-free.
-                let wait_start = Instant::now();
-                let mut spins = 0u32;
-                while counter.0.load(Ordering::Acquire) < t {
-                    spins += 1;
-                    if spins < spin_budget {
-                        std::hint::spin_loop();
-                    } else {
-                        std::thread::yield_now();
-                    }
-                }
-                lane.prof_wait_ns += wait_start.elapsed().as_nanos() as u64;
-            }
-        }
+        await_peers(ctx, progress, me, 2 * t, lane);
         if t >= stop_at.load(Ordering::Acquire) {
             break;
         }
         // Apply last tick's cross-tile traffic in canonical source order.
-        for shard in shards.iter_mut() {
-            let slot = &inboxes[shard.tile as usize][(t & 1) as usize];
-            if slot.nonempty.swap(false, Ordering::AcqRel) {
-                let mut inbox = slot.data.lock().expect("inbox lock");
-                inbox.pushes.sort_by_key(|&(src, _, _)| src);
-                for &(_, bank, access) in inbox.pushes.iter() {
-                    shard.banks[bank as usize].queue.push(access);
+        if !inboxes.is_empty() {
+            for shard in shards.iter_mut() {
+                let slot = &inboxes[shard.tile as usize][(t & 1) as usize];
+                if slot.nonempty.swap(false, Ordering::AcqRel) {
+                    let mut inbox = slot.data.lock().expect("inbox lock");
+                    inbox.drain_into(shard.banks, shard.responses);
                 }
-                inbox.pushes.clear();
-                inbox.responses.sort_by_key(|&(src, _, _)| src);
-                for &(_, core, response) in inbox.responses.iter() {
-                    shard.responses[core as usize].push(response);
-                }
-                inbox.responses.clear();
             }
         }
         // Serve own banks, then run the local phase, tile-ascending.
         for shard in shards.iter_mut() {
-            serve_tile_bare(ctx, shard, lane, t);
+            serve_phase(ctx, shard, lane, stop_at, t);
+        }
+        // A corrected read stalls the requesting core from this very tick
+        // on, whichever tile it sits on. While masks are latent the tick
+        // therefore has a second gate: stalls for other workers' cores
+        // travel through the (already drained) inbox of this tick and
+        // are applied once every peer has finished its bank service.
+        if ctx.ecc.is_some() {
+            let first = shards[0].tile as usize;
+            for (core, cycles) in lane.stalls.drain(..) {
+                let tile = core as usize / ctx.cores_per_tile;
+                let local = core as usize % ctx.cores_per_tile;
+                match tile.checked_sub(first).and_then(|i| shards.get_mut(i)) {
+                    Some(shard) => shard.cores[local].stall_ecc(cycles),
+                    None => inboxes[tile][(t & 1) as usize]
+                        .data
+                        .lock()
+                        .expect("inbox lock")
+                        .stalls
+                        .push((local as u32, cycles)),
+                }
+            }
+            if !inboxes.is_empty() {
+                progress[me].0.store(2 * t + 1, Ordering::Release);
+                await_peers(ctx, progress, me, 2 * t + 1, lane);
+                for shard in shards.iter_mut() {
+                    let slot = &inboxes[shard.tile as usize][(t & 1) as usize];
+                    let mut inbox = slot.data.lock().expect("inbox lock");
+                    for (local, cycles) in inbox.stalls.drain(..) {
+                        shard.cores[local as usize].stall_ecc(cycles);
+                    }
+                }
+            }
         }
         let mut all_inert = true;
         for shard in shards.iter_mut() {
-            local_tile_bare(ctx, shard, lane, stop_at, t);
+            local_phase(ctx, shard, lane, stop_at, t);
             all_inert &= shard.inert();
         }
         // Record forward progress for the watchdog replay (the flag is
@@ -1772,41 +949,21 @@ fn quantum_worker(
         if ctx.watch && progressed {
             lane.progress_ticks.push(t);
         }
-        // Route this tick's outbound traffic into the `t + 1` inboxes.
-        for (dest, dest_slots) in inboxes.iter().enumerate().take(ctx.num_tiles) {
-            if lane.push_out[dest].is_empty() && lane.resp_out[dest].is_empty() {
-                continue;
-            }
-            lane.prof_pushes += lane.push_out[dest].len() as u64;
-            lane.prof_responses += lane.resp_out[dest].len() as u64;
-            let slot = &dest_slots[((t + 1) & 1) as usize];
-            {
-                let mut inbox = slot.data.lock().expect("inbox lock");
-                inbox.pushes.extend_from_slice(&lane.push_out[dest]);
-                inbox.responses.extend_from_slice(&lane.resp_out[dest]);
-            }
-            slot.nonempty.store(true, Ordering::Release);
-            lane.push_out[dest].clear();
-            lane.resp_out[dest].clear();
-        }
-        if all_inert {
-            if lane.inert_since == u64::MAX {
-                lane.inert_since = t + 1;
-            }
-        } else {
+        route(lane, shards, inboxes, t);
+        if !all_inert {
             lane.inert_since = u64::MAX;
+        } else if lane.inert_since == u64::MAX {
+            lane.inert_since = t + 1;
         }
-        if workers > 1 {
-            progress[me].0.store(t + 1, Ordering::Release);
-        }
+        progress[me].0.store(2 * (t + 1), Ordering::Release);
         t += 1;
     }
     lane.prof_total_ns += lane_start.elapsed().as_nanos() as u64;
 }
 
-/// Resolves one deferred off-chip access at the quantum boundary —
-/// [`resolve_external`] against the reassembled cluster.
-fn resolve_external_bare(
+/// Resolves one deferred off-chip access: books the port, moves the data,
+/// and queues the response.
+fn resolve_external(
     storage: &mut Storage,
     offchip: &mut OffchipPort,
     tick: u64,
@@ -1834,19 +991,14 @@ fn resolve_external_bare(
     Ok(())
 }
 
-/// Runs one quantum: shards the cluster, drives the workers, then does
-/// the boundary work (inbox flush, off-chip resolution, error selection,
-/// touch merge, quiescence rollback). Returns `Ok(true)` when the
-/// cluster went quiescent.
-fn quantum_round(cluster: &mut Cluster, target: u64, threads: usize) -> Result<bool, SimError> {
+/// Runs one quantum of at most `target - cycle` ticks on `workers`
+/// workers: shards the cluster, drives the workers, then does the
+/// boundary work. Returns `Ok(true)` when the cluster went quiescent.
+fn quantum_round(cluster: &mut Cluster, target: u64, workers: usize) -> Result<bool, SimError> {
     let start = cluster.cycle;
     let num_tiles = cluster.config.num_tiles() as usize;
-    let workers = threads.clamp(1, num_tiles);
     cluster.quantum.ensure(num_tiles, workers);
     let obs_on = cluster.obs.is_some();
-    let flight_on = obs_on && cluster.flight_enabled;
-    let trace_on = cluster.trace.is_some();
-    let watch = cluster.watchdog.is_some();
     // Observability counters are published as quantum-granular deltas of
     // the per-bank / per-core totals the shards already maintain, so the
     // hot path needs no extra bookkeeping for them.
@@ -1874,13 +1026,20 @@ fn quantum_round(cluster: &mut Cluster, target: u64, threads: usize) -> Result<b
             banks,
             responses,
             quantum,
+            faults,
+            obs,
+            trace,
+            watchdog,
+            flight_enabled,
             ..
         } = &mut *cluster;
+        let faults = faults.as_ref();
         let cpt = config.cores_per_tile() as usize;
         let bpt = config.banks_per_tile() as usize;
         let bank_words = config.bank_words() as usize;
-        let (spm, map) = storage.split_spm();
-        let ctx = BareCtx {
+        let spares_per_tile = storage.spares_per_tile() as usize;
+        let (spm, spare, map) = storage.split_banks();
+        let ctx = WorkerCtx {
             config,
             topo,
             params,
@@ -1889,13 +1048,28 @@ fn quantum_round(cluster: &mut Cluster, target: u64, threads: usize) -> Result<b
             cores_per_tile: cpt,
             banks_per_tile: bpt,
             bank_words,
-            num_tiles,
             ext_hold: (params.offchip_latency as u64).max(1),
+            links: faults.map_or(&[][..], FaultController::links),
+            dead_links: faults
+                .map(FaultController::dead_link_policy)
+                .unwrap_or_default(),
+            ecc: faults
+                .filter(|faults| faults.has_pending_errors())
+                .map(FaultController::ecc_state),
             obs_on,
-            flight_on,
-            trace_on,
-            watch,
+            flight_cap: match obs {
+                Some(hooks) if *flight_enabled => hooks.obs.flight.capacity(),
+                _ => 0,
+            },
+            trace_cap: trace.as_ref().map_or(0, Trace::capacity),
+            watch: watchdog.is_some(),
+            spin_budget: if workers > 1 && workers > host_parallelism() {
+                0
+            } else {
+                4096
+            },
         };
+        let mut spare_chunks = spare.chunks_mut((spares_per_tile * bank_words).max(1));
         let mut shards: Vec<TileShard<'_>> = cores
             .chunks_mut(cpt)
             .zip(responses.chunks_mut(cpt))
@@ -1911,6 +1085,7 @@ fn quantum_round(cluster: &mut Cluster, target: u64, threads: usize) -> Result<b
                     icache,
                     banks,
                     spm,
+                    spare: spare_chunks.next().unwrap_or_default(),
                 },
             )
             .collect();
@@ -1920,38 +1095,32 @@ fn quantum_round(cluster: &mut Cluster, target: u64, threads: usize) -> Result<b
             lanes,
             ..
         } = quantum;
-        for counter in progress.iter().take(workers) {
-            counter.0.store(start, Ordering::Relaxed);
+        let progress = &progress[..workers];
+        for counter in progress {
+            counter.0.store(2 * start, Ordering::Relaxed);
         }
-        // Contiguous shard ranges, one per worker (same split as
-        // `run_parallel`); lane 0 runs on the calling thread.
+        let inboxes: &[[InboxSlot; 2]] = if workers > 1 { inboxes } else { &[] };
+        // Contiguous shard ranges, one per worker; lane 0 runs on the
+        // calling thread.
         let chunk = num_tiles / workers;
         let rem = num_tiles % workers;
-        let (ctx, progress, inboxes, stop_at) = (&ctx, &progress[..], &inboxes[..], &stop_at);
+        let (ctx, stop_at) = (&ctx, &stop_at);
         std::thread::scope(|scope| {
             let mut rest = shards.as_mut_slice();
-            let mut lanes_iter = lanes.iter_mut();
             let mut lane_zero = None;
-            for w in 0..workers {
-                let len = chunk + usize::from(w < rem);
-                let (mine, tail) = rest.split_at_mut(len);
+            for (w, lane) in lanes.iter_mut().take(workers).enumerate() {
+                let (mine, tail) = rest.split_at_mut(chunk + usize::from(w < rem));
                 rest = tail;
-                let lane = lanes_iter.next().expect("lane per worker");
                 if w == 0 {
                     lane_zero = Some((mine, lane));
                 } else {
                     scope.spawn(move || {
-                        quantum_worker(
-                            ctx, progress, stop_at, inboxes, mine, lane, w, workers, start,
-                        );
+                        quantum_worker(ctx, progress, stop_at, inboxes, mine, lane, w, start);
                     });
                 }
             }
-            // The calling thread is worker 0.
             let (mine, lane) = lane_zero.expect("worker 0");
-            quantum_worker(
-                ctx, progress, stop_at, inboxes, mine, lane, 0, workers, start,
-            );
+            quantum_worker(ctx, progress, stop_at, inboxes, mine, lane, 0, start);
         });
     }
     let round_ns = round_start.elapsed().as_nanos() as u64;
@@ -1975,8 +1144,8 @@ fn quantum_round(cluster: &mut Cluster, target: u64, threads: usize) -> Result<b
 }
 
 /// The boundary work after every worker has stopped at `reached`:
-/// mailbox flush, observation-lane merges (trace, flight, spans,
-/// counters — all replayed in the sequential engine's drain order),
+/// mailbox flush, observation-lane and fault-outcome replay (trace,
+/// flight, spans, counters, report — all in `(tick, tile)` order),
 /// off-chip resolution, error selection, watchdog replay, quiescence
 /// rollback, and time-series epoch close.
 fn quantum_boundary(
@@ -1987,17 +1156,15 @@ fn quantum_boundary(
 ) -> Result<bool, SimError> {
     let bpt = cluster.config.banks_per_tile() as usize;
     let cpt = cluster.config.cores_per_tile() as usize;
-    // The winning error, keyed `(tick, tile, phase)` with off-chip
-    // resolution (phase 0) preceding issue errors (phase 1) within a
-    // tile — the sequential commit's drain order.
-    let mut winner: Option<(u64, u32, u32, SimError)> = None;
-    let mut note = |tick: u64, tile: u32, phase: u32, error: SimError| {
-        let better = match &winner {
-            None => true,
-            Some((t, ti, p, _)) => (tick, tile, phase) < (*t, *ti, *p),
-        };
-        if better {
-            winner = Some((tick, tile, phase, error));
+    // The winning error: the first one a tick-by-tick, tile-by-tile sweep
+    // would have hit (see `Phase`).
+    let mut winner: Option<(At, SimError)> = None;
+    let mut note = |at: At, error: SimError| {
+        if winner
+            .as_ref()
+            .is_none_or(|(best, _)| tick_key(at) < tick_key(*best))
+        {
+            winner = Some((at, error));
         }
     };
     {
@@ -2009,7 +1176,7 @@ fn quantum_boundary(
             quantum,
             trace,
             obs,
-            flight_enabled,
+            faults,
             ..
         } = &mut *cluster;
         // Flush undelivered mailbox traffic (sent on the final tick) into
@@ -2018,107 +1185,109 @@ fn quantum_boundary(
         for (tile, pair) in quantum.inboxes.iter_mut().enumerate() {
             for slot in pair.iter_mut() {
                 slot.nonempty.store(false, Ordering::Relaxed);
-                let inbox = slot.data.get_mut().expect("inbox lock");
-                inbox.pushes.sort_by_key(|&(src, _, _)| src);
-                for &(_, bank, access) in inbox.pushes.iter() {
-                    banks[tile * bpt + bank as usize].queue.push(access);
-                }
-                inbox.pushes.clear();
-                inbox.responses.sort_by_key(|&(src, _, _)| src);
-                for &(_, core, response) in inbox.responses.iter() {
-                    responses[tile * cpt + core as usize].push(response);
-                }
-                inbox.responses.clear();
+                slot.data.get_mut().expect("inbox lock").drain_into(
+                    &mut banks[tile * bpt..][..bpt],
+                    &mut responses[tile * cpt..][..cpt],
+                );
             }
         }
-        // Resolve deferred off-chip accesses in (tick, tile) order — the
-        // order the sequential commit would have resolved them — and
-        // merge the per-worker touch counts and observation lanes.
+        // Merge the per-worker logs, counts and observation lanes.
         let mut ext = std::mem::take(&mut quantum.ext_merge);
-        ext.clear();
         let mut trace_merge = std::mem::take(&mut quantum.trace_merge);
-        let mut mem_merge = std::mem::take(&mut quantum.mem_merge);
+        let mut event_merge = std::mem::take(&mut quantum.event_merge);
         let mut halt_merge = std::mem::take(&mut quantum.halt_merge);
         let mut progress_merge = std::mem::take(&mut quantum.progress_merge);
+        let (mut trace_dropped, mut events_dropped) = (0, 0);
         for lane in quantum.lanes.iter_mut().take(workers) {
-            ext.extend_from_slice(&lane.externals);
-            lane.externals.clear();
-            storage.add_touches(lane.touches);
-            lane.touches = 0;
-            trace_merge.append(&mut lane.trace_out);
-            mem_merge.append(&mut lane.mem_events);
+            ext.append(&mut lane.externals);
+            storage.add_touches(std::mem::take(&mut lane.touches));
+            trace_dropped += lane.trace_out.drain_into(&mut trace_merge);
+            events_dropped += lane.events.drain_into(&mut event_merge);
             halt_merge.append(&mut lane.halts);
             progress_merge.append(&mut lane.progress_ticks);
-            if let Some((tick, tile, error)) = lane.error.take() {
-                note(tick, tile, 1, error);
+            if let Some((at, error)) = lane.error.take() {
+                note(at, error);
+            }
+            let tally = std::mem::take(&mut lane.faults);
+            if let Some(faults) = faults.as_mut() {
+                faults.absorb(tally);
+                for loc in lane.ecc_cleared.drain(..) {
+                    faults.ecc_clear(loc);
+                }
+            }
+            if let Some(hooks) = obs.as_ref() {
+                hooks.fault_retries.add(tally.retried_accesses);
+                hooks.ecc_corrected.add(tally.ecc_corrected);
             }
         }
+        // Resolve deferred off-chip accesses in (tick, tile) order.
         ext.sort_by_key(|&(tick, tile, _)| (tick, tile));
         for (tick, tile, intent) in ext.iter() {
-            if let Err(e) = resolve_external_bare(
+            if let Err(e) = resolve_external(
                 storage,
                 offchip,
                 *tick,
                 intent,
                 &mut responses[intent.core as usize],
             ) {
-                note(*tick, *tile, 0, e);
+                note((*tick, *tile, Phase::Offchip), e);
             }
         }
         quantum.ext_merged_last = ext.len() as u64;
         ext.clear();
         quantum.ext_merge = ext;
-        // Replay the observation lanes in the sequential commit's drain
-        // order. Lanes own disjoint contiguous tile ranges and record
-        // tick-ascending, so a stable sort on (tick, tile-encoding key)
-        // reconstructs the global order exactly; within one (tick, tile)
-        // a single lane's intra-tile order (cores / banks ascending) is
-        // preserved. An error tick drains fully before the error is
-        // reported, exactly like `commit_tick`.
+        // Replay the observation lanes. Lanes own disjoint contiguous
+        // tile ranges and record tick-ascending, so a stable sort on the
+        // tick key reconstructs the global order exactly; within one
+        // (tick, tile) a single lane's intra-tile order (cores / banks
+        // ascending) is preserved. An error tick replays fully before
+        // the error is reported.
         trace_merge.sort_by_key(|e| (e.cycle, e.core.index()));
         if let Some(trace) = trace.as_mut() {
-            for &entry in trace_merge.iter() {
+            trace.add_dropped(trace_dropped);
+            for entry in trace_merge.drain(..) {
                 trace.record(entry);
             }
         }
-        trace_merge.clear();
         quantum.trace_merge = trace_merge;
-        mem_merge.sort_by_key(|e| (e.tick, e.tile));
-        if *flight_enabled {
-            if let Some(hooks) = obs.as_ref() {
-                for e in mem_merge.iter() {
-                    hooks.obs.flight.record(
-                        e.tick,
+        event_merge.sort_by_key(|e| tick_key(e.at));
+        if let Some(hooks) = obs.as_ref() {
+            hooks.obs.flight.add_dropped(events_dropped);
+            for e in event_merge.drain(..) {
+                match e.note {
+                    FlightNote::Mem { core, loc, kind } => hooks.obs.flight.record(
+                        e.at.0,
                         "mem",
-                        Some(e.core),
+                        Some(core),
                         format!(
-                            "{} served at tile {} bank {} word {}",
-                            e.kind, e.tile, e.bank, e.word
+                            "{kind} served at tile {} bank {} word {}",
+                            loc.tile.0, loc.bank.0, loc.word
                         ),
-                    );
+                    ),
+                    FlightNote::Fault(note) => {
+                        if let Some(faults) = faults.as_ref() {
+                            faults.emit(e.at.0, note);
+                        }
+                    }
                 }
             }
-        }
-        mem_merge.clear();
-        quantum.mem_merge = mem_merge;
-        halt_merge.sort_by_key(|&(tick, core)| (tick, core));
-        if let Some(hooks) = obs.as_ref() {
-            for &(tick, core) in halt_merge.iter() {
+            halt_merge.sort_unstable();
+            for (tick, core) in halt_merge.drain(..) {
                 hooks
                     .obs
                     .spans
                     .begin(hooks.core_tracks[core as usize], "wfi", tick);
             }
         }
-        halt_merge.clear();
+        quantum.event_merge = event_merge;
         quantum.halt_merge = halt_merge;
         progress_merge.sort_unstable();
         progress_merge.dedup();
         quantum.progress_merge = progress_merge;
     }
-    // Quantum-granular counter deltas (identical totals to the
-    // sequential per-tick adds; an error tick's contribution is already
-    // in the per-bank / per-core stats, so the delta covers it too).
+    // Quantum-granular counter deltas (an error tick's contribution is
+    // already in the per-bank / per-core stats, so the delta covers it
+    // too).
     if let Some((conflicts0, icache0)) = counter_base {
         if let Some(hooks) = &cluster.obs {
             let conflicts1 = cluster.banks.iter().map(|b| b.stats.conflicts).sum::<u64>();
@@ -2131,10 +1300,10 @@ fn quantum_boundary(
             hooks.icache_misses.add(icache1 - icache0);
         }
     }
-    if let Some((tick, _, _, error)) = winner {
-        // The sequential engine reports an error with the clock still on
-        // the tick that raised it, and notes watchdog progress only for
-        // the fully committed ticks before it.
+    if let Some(((tick, ..), error)) = winner {
+        // An error is reported with the clock still on the tick that
+        // raised it, and watchdog progress noted only for the ticks
+        // before it.
         if let Some(wd) = cluster.watchdog.as_mut() {
             if let Some(&lp) = cluster
                 .quantum
@@ -2154,10 +1323,10 @@ fn quantum_boundary(
     let mut quiescent = false;
     if cluster.quiescent() {
         // The workers overshot the first quiescent cycle by up to a
-        // quantum of trivial all-halted ticks; roll those back so the
-        // result is bit-identical to the sequential engine, which stops
-        // the moment quiescence holds. Inert ticks record no progress
-        // and no events, so the observation lanes need no rollback.
+        // quantum of trivial all-halted ticks; roll those back so a run
+        // stops the moment quiescence holds. Inert ticks record no
+        // progress and no events, so the observation lanes need no
+        // rollback.
         quiescent = true;
         let t_q = cluster.quantum.lanes[..workers]
             .iter()
@@ -2173,10 +1342,10 @@ fn quantum_boundary(
         }
     }
     // Watchdog replay. `run_quantum` caps the quantum target at
-    // `last_progress + threshold + 1`, so for every committed tick
-    // before the final one the no-progress window is provably below the
-    // threshold — a deadlock can only fire at the quantum's last tick,
-    // where the reassembled state equals the sequential engine's.
+    // `last_progress + threshold + 1`, so for every tick before the final
+    // one the no-progress window is provably below the threshold — a
+    // deadlock can only fire at the quantum's last tick, where the
+    // reassembled state is exact.
     let mut deadlock = None;
     if let Some(wd) = cluster.watchdog.as_mut() {
         let lp = cluster.quantum.progress_merge.last().copied();
@@ -2192,9 +1361,9 @@ fn quantum_boundary(
         }
     }
     if let Some(stalled_for) = deadlock {
-        // Identical to `commit_tick`: the clock stays on the expiring
-        // tick, the flight ring gets the expiry event after that tick's
-        // mem events, and diagnostics see the replayed trace.
+        // The clock stays on the expiring tick, the flight ring gets the
+        // expiry event after that tick's other events, and diagnostics
+        // see the replayed trace.
         let last = reached - 1;
         cluster.cycle = last;
         if cluster.flight_enabled {
@@ -2209,14 +1378,13 @@ fn quantum_boundary(
         }
         return Err(SimError::Deadlock {
             stalled_for,
-            diagnostics: core_diagnostics_from(cluster.cores.iter(), cluster.trace.as_ref()),
+            diagnostics: cluster.core_diagnostics(),
         });
     }
     // Close a sampling epoch if one came due. `run_quantum` also caps the
     // quantum target at `sampler.next_at`, so the boundary lands exactly
-    // on the cycle the sequential engine would have sampled at, with
-    // identical reassembled state (externals resolved, mailboxes
-    // flushed).
+    // on the sampling cycle, with fully reassembled state (externals
+    // resolved, mailboxes flushed).
     if cluster
         .sampler
         .as_ref()
@@ -2225,7 +1393,7 @@ fn quantum_boundary(
         let now = cluster.cycle;
         let inputs = cluster.sample_inputs(now);
         if let Some(sampler) = &cluster.sampler {
-            cluster.push_samples(sampler, now);
+            cluster.push_samples(sampler, now, &inputs);
         }
         if let Some(sampler) = cluster.sampler.as_mut() {
             sampler.rebaseline(inputs, now);
@@ -2234,16 +1402,52 @@ fn quantum_boundary(
     Ok(quiescent)
 }
 
-/// Runs a cluster on the quantum engine at any worker count (1 included
-/// — the lockstep degenerates to a plain loop), with results
-/// bit-identical to [`Cluster::step`]. Instrumentation (obs counters,
-/// time series, flight ring, tracing, watchdog) rides the shard-local
-/// observation lanes; only fault plans and spare-bank remaps are
-/// ineligible (see `Cluster::quantum_eligible`).
+/// Applies the timed faults due at the current cycle: bit flips corrupt
+/// the stored word (and arm the ECC mask), hangs latch cores up. Runs
+/// between quanta — the plan is known up front, so [`run_quantum`] ends a
+/// quantum on the cycle the next fault is due.
+fn apply_due_faults(cluster: &mut Cluster) -> Result<(), SimError> {
+    let Some(faults) = cluster.faults.as_mut() else {
+        return Ok(());
+    };
+    for fault in faults.take_due(cluster.cycle) {
+        match fault {
+            TimedFault::Flip { loc, mask } => {
+                // A flip aimed at a remapped word's logical home still
+                // lands: the storage layer resolves through the remap, so
+                // the spare takes it. One outside the geometry is inert.
+                if let Ok(word) = cluster.storage.read_loc(loc) {
+                    cluster.storage.write_loc(loc, word ^ mask)?;
+                    faults.note_flip(loc, mask);
+                }
+            }
+            TimedFault::Hang { core } => {
+                if let Some(core) = cluster.cores.get_mut(core as usize) {
+                    core.hang();
+                }
+            }
+        }
+    }
+    Ok(())
+}
+
+/// Advances the cluster by exactly one cycle: a one-tick quantum on one
+/// shard.
+pub(crate) fn step(cluster: &mut Cluster) -> Result<(), SimError> {
+    apply_due_faults(cluster)?;
+    if cluster.program.is_empty() {
+        return Err(SimError::NoProgram);
+    }
+    quantum_round(cluster, cluster.cycle + 1, 1).map(drop)
+}
+
+/// Runs the cluster until every core halts, on `workers` workers (1
+/// included — the lockstep and mailboxes degenerate to a plain loop),
+/// with results bit-identical at every worker count.
 pub(crate) fn run_quantum(
     cluster: &mut Cluster,
     max_cycles: u64,
-    threads: usize,
+    workers: usize,
 ) -> Result<u64, SimError> {
     let deadline = cluster.cycle.saturating_add(max_cycles);
     loop {
@@ -2253,25 +1457,34 @@ pub(crate) fn run_quantum(
         if cluster.cycle >= deadline {
             return Err(SimError::Timeout { cycles: max_cycles });
         }
+        apply_due_faults(cluster)?;
         if cluster.program.is_empty() {
             return Err(SimError::NoProgram);
         }
         let mut target = deadline.min(cluster.cycle + QUANTUM_TICKS);
         if let Some(sampler) = &cluster.sampler {
             // Stop exactly on the sampling cycle: the boundary then
-            // closes the epoch against the same state the sequential
-            // engine's commit would have sampled.
+            // closes the epoch against exact state.
             target = target.min(sampler.next_at.max(cluster.cycle + 1));
         }
         if let Some(wd) = &cluster.watchdog {
             // Stop one past the earliest possible expiry tick: any
             // progress inside the quantum pushes expiry further out, so
             // a deadlock is confined to the quantum's final tick (where
-            // boundary state equals sequential state).
+            // boundary state is exact).
             let expiry = wd.last_progress().saturating_add(wd.threshold());
             target = target.min(expiry.max(cluster.cycle).saturating_add(1));
         }
-        if quantum_round(cluster, target, threads)? {
+        if let Some(&(due, _)) = cluster
+            .faults
+            .as_ref()
+            .and_then(|faults| faults.remaining_timed().first())
+        {
+            // Stop on the cycle the next timed fault is due (everything
+            // due by now was just applied, so `due > cycle`).
+            target = target.min(due);
+        }
+        if quantum_round(cluster, target, workers)? {
             return Ok(cluster.cycle);
         }
     }

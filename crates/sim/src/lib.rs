@@ -65,7 +65,7 @@ pub mod stats;
 pub mod trace;
 
 pub use ckpt::{run_with_checkpoints, CheckpointError, Checkpointer, CHECKPOINT_SCHEMA};
-pub use cluster::{planned_engine, Cluster, EngineSelection, SimError};
+pub use cluster::{Cluster, EngineSelection, SimError, ENGINE};
 pub use offchip::OffchipPort;
 pub use params::{default_threads, set_default_threads, SimParams, ENGINE_VERSION};
 pub use profile::{

@@ -272,10 +272,9 @@ pub struct Storage {
     external: ExternalMem,
     /// SPM words read or written so far (core accesses and DMA word
     /// traffic alike) — the time-series sampler reads this per epoch.
-    /// Atomic (not `Cell`) so `&Storage` is `Sync` and the phased-tick
-    /// engine can share read-only storage views across host threads; all
-    /// mutating accesses stay confined to the sequential barrier phase, so
-    /// the count remains deterministic.
+    /// Atomic (not `Cell`) so `&Storage` stays `Sync`; engine workers
+    /// count their shards' touches locally and fold them in at the
+    /// quantum boundary ([`Self::add_touches`]), an order-independent sum.
     touches: AtomicU64,
 }
 
@@ -302,8 +301,8 @@ enum Slot {
 }
 
 /// Address decode against a bare map: alignment check plus region
-/// lookup. Shared by [`Storage::decode`] and the quantum engine's
-/// shard-local issue path (which holds the map but not the storage).
+/// lookup. Shared by [`Storage::decode`] and the engine's shard-local
+/// issue path (which holds the map but not the storage).
 #[inline]
 pub(crate) fn decode_region(
     map: &AddressMap,
@@ -539,17 +538,13 @@ impl Storage {
         self.external.snapshot()
     }
 
-    /// Splits the storage into the flat main SPM array and the address
-    /// map, for the quantum engine's per-tile shards. Only callable when
-    /// no spare banks are provisioned (i.e. bank locations resolve by
-    /// identity), which [`Cluster::run`](crate::Cluster::run) checks
-    /// before picking that engine.
-    pub(crate) fn split_spm(&mut self) -> (&mut [u32], &AddressMap) {
-        debug_assert_eq!(
-            self.spares_per_tile, 0,
-            "quantum shards require identity bank resolution"
-        );
-        (&mut self.spm, &self.map)
+    /// Splits the storage into the flat main SPM array, the flat spare
+    /// array (`spares_per_tile` banks per tile, tile-major; empty when
+    /// none are provisioned) and the address map, for the engine's
+    /// per-tile shards: a worker owns its tiles' words in both arrays and
+    /// resolves each access through the shared, read-only remap table.
+    pub(crate) fn split_banks(&mut self) -> (&mut [u32], &mut [u32], &AddressMap) {
+        (&mut self.spm, &mut self.spare, &self.map)
     }
 
     /// Folds a worker's locally accumulated SPM touch count into the

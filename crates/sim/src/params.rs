@@ -8,9 +8,9 @@ use mempool_arch::LatencyModel;
 /// cache key (`mempool-serve`): bump it whenever a change alters simulated
 /// timing or artifact contents, so stale cached results are invalidated
 /// instead of replayed. The host-thread count is deliberately *not* part of
-/// the version — the phased-tick engine is bit-identical at any thread
-/// count, so results are shareable across `--threads` settings.
-pub const ENGINE_VERSION: &str = "mempool-sim/v1-phased-tick";
+/// the version — the engine is bit-identical at any thread count, so
+/// results are shareable across `--threads` settings.
+pub const ENGINE_VERSION: &str = "mempool-sim/v2-quantum";
 
 /// Process-wide default for [`SimParams::threads`], consulted by
 /// [`SimParams::default`]. `repro --threads N` sets this once at startup so
@@ -73,11 +73,10 @@ pub struct SimParams {
     /// a single-bit error on a bank read — only observable in
     /// fault-injection runs.
     pub ecc_correction_penalty: u32,
-    /// Host threads driving the phased-tick engine. `1` (the default) runs
-    /// the purely sequential engine; `N > 1` advances tile-local state on
-    /// `N` host threads with a deterministic commit barrier, producing
-    /// bit-identical results. Purely a host-side knob: it never changes
-    /// simulated timing.
+    /// Host threads the engine shards the tiles over. `1` (the default)
+    /// keeps every tile on the calling thread; `N > 1` advances `N` shard
+    /// ranges in lockstep, producing bit-identical results. Purely a
+    /// host-side knob: it never changes simulated timing.
     pub threads: usize,
 }
 
@@ -94,8 +93,8 @@ impl SimParams {
     /// A 64-bit FNV-1a digest over every *timing-relevant* field in a
     /// fixed canonical order, seeded with [`ENGINE_VERSION`]. Two
     /// parameter sets that simulate identically hash identically — in
-    /// particular [`SimParams::threads`] is excluded, because the
-    /// phased-tick engine is bit-identical at any host-thread count. The
+    /// particular [`SimParams::threads`] is excluded, because the engine
+    /// is bit-identical at any host-thread count. The
     /// experiment service uses this digest as part of its
     /// content-addressed cache key, so semantically equal configs (however
     /// they were spelled or defaulted) dedupe, and an engine-version bump

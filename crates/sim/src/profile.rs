@@ -1,9 +1,10 @@
-//! Host-side self-profiling for the quantum engine.
+//! Host-side self-profiling for the execution engine.
 //!
-//! Every quantum round reports how the host spent its wall-clock time —
-//! per-worker busy vs. lockstep-wait nanoseconds, quantum-stop
-//! (boundary) durations, mailbox traffic volume, and external-merge
-//! counts — into one process-wide accumulator. The data is strictly
+//! Every quantum round of every run (one-worker runs included) reports
+//! how the host spent its wall-clock time — per-worker busy vs.
+//! lockstep-wait nanoseconds, quantum-stop (boundary) durations, mailbox
+//! traffic volume, and external-merge counts — into one process-wide
+//! accumulator. The data is strictly
 //! host-side: it never feeds back into simulated state, so instrumented
 //! runs stay bit-identical at every worker count while the profile
 //! explains where the speedup went.
@@ -19,8 +20,11 @@ use mempool_obs::{chrome_trace_with_counters, Json, Obs};
 
 /// Per-quantum counter samples retained for the embedded Perfetto
 /// counter tracks; beyond this, totals keep accumulating and
-/// [`EngineProfile::samples_dropped`] counts the overflow.
-pub const MAX_PROFILE_SAMPLES: usize = 4096;
+/// [`EngineProfile::samples_dropped`] counts the overflow. Every round of
+/// every run lands here (a `step()`-driven cluster contributes one per
+/// tick), so the cap is what bounds the profile's memory: 512 samples are
+/// 28 KiB, where 4096 showed up as +0.3 MiB of peak RSS on short runs.
+pub const MAX_PROFILE_SAMPLES: usize = 512;
 
 /// One worker lane's accumulated host-time profile.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
@@ -59,7 +63,7 @@ pub struct QuantumSample {
 pub struct EngineProfile {
     /// Quantum rounds driven since the last reset.
     pub quanta: u64,
-    /// Simulated ticks executed on the quantum engine.
+    /// Simulated ticks executed.
     pub ticks: u64,
     /// Total wall nanoseconds spent inside worker scopes.
     pub round_ns: u64,

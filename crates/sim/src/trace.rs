@@ -65,6 +65,18 @@ impl Trace {
         self.ring.push_back(entry);
     }
 
+    /// The ring capacity.
+    pub fn capacity(&self) -> usize {
+        self.capacity
+    }
+
+    /// Counts `n` entries a bounded feeder discarded on the ring's behalf:
+    /// entries that, recorded, would have been evicted again before anyone
+    /// could read them.
+    pub(crate) fn add_dropped(&mut self, n: u64) {
+        self.dropped += n;
+    }
+
     /// The retained entries, oldest first.
     pub fn entries(&self) -> impl Iterator<Item = &TraceEntry> {
         self.ring.iter()

@@ -1,14 +1,16 @@
-//! Arena/slab invariants of the quantum engine's hot path.
+//! Arena/slab invariants of the engine's hot path.
 //!
 //! The engine's cross-tile mailboxes, per-worker lanes, and boundary
 //! scratch live in a preallocated arena owned by the cluster
 //! (`Cluster::engine_arena_footprint` sums their reserved capacities).
-//! These tests pin the two properties that make the hot path
-//! allocation-free in steady state:
+//! These tests pin the properties that keep the hot path allocation-free
+//! in steady state and small on one worker:
 //!
 //! * buffers are *reused* across ticks and quanta — the arena footprint
 //!   stops growing once a homogeneous workload has warmed it up;
-//! * capacity never shrinks mid-run (slots are recycled, not freed).
+//! * capacity never shrinks mid-run (slots are recycled, not freed);
+//! * one worker needs no mailboxes, and an observation lane holds no more
+//!   than the rings it feeds can keep.
 
 use mempool_arch::ClusterConfig;
 use mempool_isa::instr::{AluOp, AmoOp, BranchOp, Instr, LoadOp, StoreOp};
@@ -74,8 +76,8 @@ fn bare_cluster(threads: usize, trips: u32) -> Cluster {
         ..SimParams::default()
     };
     let mut cluster = Cluster::new(cfg, params);
-    // Really spawn the workers even on a single-CPU host so the quantum
-    // engine (and its arena) is exercised.
+    // Really spawn the workers even on a single-CPU host so the
+    // mailboxes and lockstep are exercised.
     cluster.force_oversubscribe();
     cluster.load_program(traffic_program(trips));
     cluster.preload_icaches();
@@ -99,7 +101,7 @@ fn arena_reaches_a_steady_footprint_and_stops_growing() {
     // sync) of the homogeneous traffic loop.
     assert!(!advance(&mut cluster, 5_000), "workload outlives warmup");
     let warm = cluster.engine_arena_footprint();
-    assert!(warm > 0, "the quantum engine must have reserved buffers");
+    assert!(warm > 0, "the engine must have reserved buffers");
     // Steady state: every further slice reuses the warmed-up arena.
     for slice in 0..8 {
         assert!(!advance(&mut cluster, 2_000), "workload outlives slices");
@@ -159,4 +161,39 @@ fn arena_is_reused_across_whole_runs() {
             "identical reruns must reuse the warmed-up arena"
         );
     }
+}
+
+#[test]
+fn one_worker_allocates_no_mailboxes_and_ring_bounded_lanes() {
+    // A full instrumented run on one worker: 16 cores retire and 16 banks
+    // serve on most of ~100 k ticks, i.e. about a thousand trace entries
+    // and flight events per quantum for rings that keep 64 of each.
+    const RING: usize = 64;
+    let mut cluster = bare_cluster(1, 20_000);
+    let obs = Obs::new();
+    cluster.attach_obs(&obs, "arena");
+    cluster.enable_timeseries(256);
+    cluster.enable_flight(RING);
+    cluster.enable_trace(RING);
+    cluster.set_watchdog(1_000_000);
+    assert!(advance(&mut cluster, 10_000_000), "run completes");
+    assert!(obs.flight.dropped() > 0 && cluster.trace().unwrap().dropped() > 0);
+    assert_eq!(
+        cluster.engine_mailbox_footprint(),
+        0,
+        "one worker delivers directly: no inboxes"
+    );
+    // Everything else, with Vec growth doubling: per ring a lane buffer
+    // and a merge buffer of at most 2 * RING entries each; the watchdog's
+    // progress ticks, at most one per tick of a quantum the 256-cycle
+    // sampling window caps; per-tick scratch that 16 cores and 16 banks
+    // bound. Unbounded lanes would hold ~4 000 entries per quantum here.
+    const WINDOW: usize = 256;
+    let bound = (4 * 2 * RING + 2 * 2 * WINDOW + 256) as u64;
+    assert!(
+        cluster.engine_arena_footprint() <= bound,
+        "lane and merge buffers must be bounded by the rings they feed: {} > {bound}",
+        cluster.engine_arena_footprint()
+    );
+    cluster.detach_obs();
 }

@@ -1,16 +1,17 @@
-//! Cross-engine equivalence: the phased-tick parallel engine must be
-//! **bit-identical** to the sequential engine at every thread count.
+//! Shard-count determinism: the engine must be **bit-identical** at
+//! every thread count, and to the stored results of the step kernel it
+//! replaced.
 //!
 //! `SimParams::threads` is a pure host-side knob — it chooses how many
-//! host threads advance tile-local state between the deterministic
-//! commit barriers, and nothing else. These tests pin that contract:
-//! every kernel in the characterization zoo, a seed-42 fault-injected
-//! degraded run, the sampled time series, the cycle-attribution report,
-//! the pinned benchmark summary, and even the exact `SimError` raised by
-//! a watchdog-detected deadlock must not change when the engine goes
-//! parallel.
+//! host threads the tiles are sharded over, and nothing else. These tests
+//! pin that contract: every kernel in the characterization zoo, a seed-42
+//! fault-injected degraded run, the sampled time series, the
+//! cycle-attribution report, the pinned benchmark summary, and even the
+//! exact `SimError` raised by a watchdog-detected deadlock must not
+//! change with the worker count. The `PINNED_*` tables further down hold
+//! what the deleted per-tick step kernel produced for the same scenarios.
 
-use mempool_arch::{ClusterConfig, TileId};
+use mempool_arch::{BankId, ClusterConfig, MemoryRegion, TileId};
 use mempool_fault::{DeadLinkPolicy, FaultConfig, FaultEvent, FaultPlan};
 use mempool_isa::Program;
 use mempool_kernels::axpy::Axpy;
@@ -21,7 +22,7 @@ use mempool_kernels::Kernel;
 use mempool_obs::{chrome_trace_with_counters, Json, Obs};
 use mempool_sim::{Cluster, ClusterStats, SimError, SimParams};
 
-/// Thread counts exercised against the sequential reference. Eight
+/// Thread counts exercised against the one-thread reference. Eight
 /// threads oversubscribes the four-tile clusters below (the engine clamps
 /// to one thread per tile), which is itself worth covering.
 const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
@@ -66,8 +67,8 @@ struct Observed {
 /// Runs `kernel` once at the given thread count, with optional fault
 /// injection, and captures every comparable output — the full
 /// observability stack is on (spans, metrics, time series, flight ring,
-/// instruction trace), so clean multi-thread legs exercise the quantum
-/// engine's shard-local observation lanes.
+/// instruction trace), so multi-thread legs exercise the engine's
+/// shard-local observation lanes.
 fn observe(
     kernel: &dyn Kernel,
     threads: usize,
@@ -161,40 +162,44 @@ fn seed42_fault_injected_run_is_bit_identical_at_every_thread_count() {
     }
 }
 
+/// Core 0 waits forever on a load swallowed by a black-holing dead link;
+/// returns the watchdog's error and the cycle it fired on.
+fn deadlock_on_a_black_holed_load(threads: usize) -> (SimError, u64) {
+    let cfg = zoo_config();
+    let remote = {
+        let probe = Cluster::new(cfg.clone(), params(1));
+        probe.storage().map().seq_addr(TileId(1), 0)
+    };
+    let mut cluster = Cluster::new(cfg, params(threads));
+    cluster.force_oversubscribe();
+    let mut plan = FaultPlan::new(5).with_dead_link_policy(DeadLinkPolicy::BlackHole);
+    plan.push(FaultEvent::LinkDead { tile: TileId(1) });
+    cluster.inject_faults(&plan).unwrap();
+    cluster.set_watchdog(64);
+    cluster.load_program(
+        Program::assemble(&format!(
+            r#"
+                csrr t1, mhartid
+                bnez t1, done
+                li   t0, {remote}
+                lw   a0, 0(t0)
+                add  a1, a0, a0
+            done:
+                wfi
+            "#
+        ))
+        .unwrap(),
+    );
+    cluster.preload_icaches();
+    let err = cluster.run(100_000).unwrap_err();
+    (err, cluster.cycle())
+}
+
 #[test]
 fn watchdog_deadlock_raises_the_identical_error_at_every_thread_count() {
-    // Core 0 waits forever on a load swallowed by a black-holing dead
-    // link; the watchdog must fire on the same cycle with the same
-    // per-core diagnostics regardless of engine.
-    let run_once = |threads: usize| -> SimError {
-        let cfg = zoo_config();
-        let remote = {
-            let probe = Cluster::new(cfg.clone(), params(1));
-            probe.storage().map().seq_addr(TileId(1), 0)
-        };
-        let mut cluster = Cluster::new(cfg, params(threads));
-        let mut plan = FaultPlan::new(5).with_dead_link_policy(DeadLinkPolicy::BlackHole);
-        plan.push(FaultEvent::LinkDead { tile: TileId(1) });
-        cluster.inject_faults(&plan).unwrap();
-        cluster.set_watchdog(64);
-        cluster.load_program(
-            Program::assemble(&format!(
-                r#"
-                    csrr t1, mhartid
-                    bnez t1, done
-                    li   t0, {remote}
-                    lw   a0, 0(t0)
-                    add  a1, a0, a0
-                done:
-                    wfi
-                "#
-            ))
-            .unwrap(),
-        );
-        cluster.preload_icaches();
-        cluster.run(100_000).unwrap_err()
-    };
-    let reference = run_once(1);
+    // The watchdog must fire on the same cycle with the same per-core
+    // diagnostics regardless of the worker count.
+    let (reference, _) = deadlock_on_a_black_holed_load(1);
     let SimError::Deadlock { diagnostics, .. } = &reference else {
         panic!("expected a deadlock, got {reference}");
     };
@@ -203,7 +208,7 @@ fn watchdog_deadlock_raises_the_identical_error_at_every_thread_count() {
     for threads in THREAD_COUNTS {
         assert_eq!(
             reference,
-            run_once(threads),
+            deadlock_on_a_black_holed_load(threads).0,
             "deadlock error diverged at {threads} threads"
         );
     }
@@ -243,15 +248,13 @@ fn bench_summary_is_bit_identical_across_engines() {
 }
 
 // ---------------------------------------------------------------------
-// Quantum-engine equivalence: *bare* runs (no obs/faults/trace) dispatch
-// to the arena-backed quantum engine whenever more than one effective
-// worker is available. Its contract is the same as the phased-tick
-// engine's, proven against the sequential step-loop reference: same
-// cycles, same stats digest, same errors — at any worker count, through
-// timeouts, and with cross-tile, contended-AMO, and off-chip traffic in
-// flight at quantum boundaries. `force_oversubscribe` makes the runs
-// spawn real worker threads even on single-CPU CI hosts (the engine
-// otherwise clamps workers to the host's parallelism).
+// Worker-count equivalence on *bare* runs (no obs/faults/trace), against
+// the one-worker reference (one shard, no mailboxes): same cycles, same
+// stats digest, same errors — at any worker count, through timeouts, and
+// with cross-tile, contended-AMO, and off-chip traffic in flight at
+// quantum boundaries. `force_oversubscribe` makes the runs spawn real
+// worker threads even on single-CPU CI hosts (the engine otherwise
+// clamps workers to the host's parallelism).
 // ---------------------------------------------------------------------
 
 use mempool_isa::instr::{AluOp, AmoOp, BranchOp, Instr, LoadOp, StoreOp, CSR_MHARTID};
@@ -371,8 +374,7 @@ fn bare(threads: usize, program: &Program) -> Cluster {
 fn quantum_engine_matches_the_step_loop_bit_exactly() {
     for external in [false, true] {
         let program = quantum_traffic(40, external);
-        // Reference: the sequential step loop (threads = 1 dispatches to
-        // it directly).
+        // Reference: one worker owning every tile.
         let mut reference = bare(1, &program);
         let ref_cycles = reference.run(1_000_000).expect("reference completes");
         let ref_digest = reference.stats().digest();
@@ -428,7 +430,7 @@ fn quantum_timeout_lands_on_the_exact_cycle_and_resumes_bit_exactly() {
 fn quantum_errors_match_the_step_loop() {
     // No Wfi: every core runs off the end of the program, and the engine
     // must report the same PcOutOfRange error at the same cycle with the
-    // same stats as the sequential loop.
+    // same stats at every worker count.
     let program = Program::new(vec![
         Instr::OpImm {
             op: AluOp::Add,
@@ -471,12 +473,11 @@ fn quantum_reports_no_program_like_the_step_loop() {
 }
 
 // ---------------------------------------------------------------------
-// Instrumented quantum runs: observability no longer forces the step
-// engine. A fully instrumented cluster (spans, metrics, time series,
-// flight ring, instruction trace, watchdog) still dispatches to the
-// quantum engine, and every serialized artifact is byte-identical to the
-// sequential reference — the shard-local observation lanes merge in
-// source-tile order at quantum stops.
+// Instrumented runs: for a fully instrumented cluster (spans, metrics,
+// time series, flight ring, instruction trace, watchdog) every serialized
+// artifact is byte-identical to the one-worker reference — the
+// shard-local observation lanes merge in source-tile order at quantum
+// stops.
 // ---------------------------------------------------------------------
 
 /// One fully instrumented run on the quantum traffic program, returning
@@ -490,16 +491,7 @@ fn observe_instrumented(threads: usize, program: &Program) -> Observed {
     cluster.enable_flight(128);
     cluster.enable_trace(128);
     cluster.set_watchdog(100_000);
-    let selection = cluster.engine_selection();
-    if threads > 1 {
-        assert_eq!(
-            selection.engine, "quantum",
-            "instrumentation must not force the step engine: {}",
-            selection.reason
-        );
-    } else {
-        assert_eq!(selection.engine, "step");
-    }
+    assert_eq!(cluster.engine_selection().engine, "quantum");
     cluster.load_program(program.clone());
     cluster.preload_icaches();
     let cycles = cluster.run(1_000_000).expect("instrumented run completes");
@@ -542,34 +534,42 @@ fn instrumented_quantum_runs_produce_byte_identical_artifacts() {
 }
 
 #[test]
-fn fault_plan_runs_record_the_step_fallback_with_its_reason() {
-    // Fault machinery stays on the per-tick step engine; since PR 10 the
-    // downgrade is recorded, not silent.
+fn fault_plans_and_spare_remaps_run_sharded() {
+    // The seed-42 plan degrades links, remaps stuck banks onto spares and
+    // lands bit flips mid-run. None of that narrows the worker count: the
+    // cross-tile mailboxes only exist once a round really ran on several
+    // workers, and the outcome is the one-worker outcome.
     let fault_cfg = FaultConfig::new(FAULT_SEED, 1e-4).with_horizon(50_000);
     let plan = FaultPlan::generate(&fault_cfg, &zoo_config());
-    let mut cluster = Cluster::new(zoo_config(), params(4));
-    cluster.force_oversubscribe();
-    cluster.inject_faults(&plan).unwrap();
-    let selection = cluster.engine_selection();
-    assert_eq!(selection.engine, "step");
+    let run = |threads: usize| {
+        let mut cluster = forced(zoo_config(), threads);
+        cluster.inject_faults(&plan).unwrap();
+        assert_eq!(cluster.engine_selection().engine, "quantum");
+        ComputePhase::new(32).run(&mut cluster, 10_000_000).unwrap();
+        cluster
+    };
+    let reference = run(1);
+    assert_eq!(reference.engine_mailbox_footprint(), 0);
+    let report = reference.fault_report().expect("a plan was injected");
+    assert!(!report.remapped.is_empty(), "the plan must remap a bank");
+    assert!(report.ecc_corrected > 0, "the plan must exercise ECC");
+    let sharded = run(4);
+    assert_eq!(sharded.effective_workers(), 4);
     assert!(
-        selection.reason.contains("fault plan"),
-        "the reason must name the fault plan: {}",
-        selection.reason
+        sharded.engine_mailbox_footprint() > 0,
+        "a faulted run must use its workers"
     );
-    let planned = mempool_sim::planned_engine(4, true);
-    assert_eq!(planned.engine, "step");
-    assert_eq!(mempool_sim::planned_engine(1, false).engine, "step");
+    assert_eq!(sharded.stats().digest(), reference.stats().digest());
+    assert_eq!(sharded.fault_report(), reference.fault_report());
 }
 
 #[test]
 fn watchdog_deadlock_on_the_quantum_engine_is_bit_identical() {
     // Core 0 issues an off-chip load whose response takes far longer than
     // the watchdog threshold, then stalls using the result: a genuine
-    // forward-progress deadlock on the quantum path (no fault plan, so
-    // the run is quantum-eligible). The flight recorder must trip
-    // mid-quantum with the identical watchdog event, error, and stop
-    // cycle at every worker count.
+    // forward-progress deadlock with no fault plan involved. The flight
+    // recorder must trip mid-quantum with the identical watchdog event,
+    // error, and stop cycle at every worker count.
     let program = Program::new(vec![
         Instr::Csrrs {
             rd: Reg::new(1),
@@ -613,10 +613,7 @@ fn watchdog_deadlock_on_the_quantum_engine_is_bit_identical() {
         cluster.enable_flight(64);
         cluster.enable_trace(64);
         cluster.set_watchdog(100);
-        assert_eq!(
-            cluster.engine_selection().engine,
-            if threads > 1 { "quantum" } else { "step" }
-        );
+        assert_eq!(cluster.engine_selection().engine, "quantum");
         cluster.load_program(program.clone());
         cluster.preload_icaches();
         let err = cluster.run(100_000).expect_err("the watchdog must fire");
@@ -641,5 +638,211 @@ fn watchdog_deadlock_on_the_quantum_engine_is_bit_identical() {
             flight, ref_flight,
             "flight ring diverged at {workers} workers"
         );
+    }
+}
+
+// ---------------------------------------------------------------------
+// Stored reference values. The per-tick step kernel these were recorded
+// on (commit 0af2bcc, the last one that had it) is deleted; it stays on
+// as the numbers below, which every worker count must still reproduce.
+// ---------------------------------------------------------------------
+
+/// A cluster whose `threads` workers are really spawned.
+fn forced(cfg: ClusterConfig, threads: usize) -> Cluster {
+    let mut cluster = Cluster::new(cfg, params(threads));
+    cluster.force_oversubscribe();
+    cluster
+}
+
+fn one_line(text: &str) -> String {
+    text.split_whitespace().collect::<Vec<_>>().join(" ")
+}
+
+/// Every core outside tile 1 reads one word of tile 1 a dozen times, so
+/// each reader is remote; run under bit flips on that word (plus one on a
+/// word nobody reads, which stays latent) and optionally a dead link.
+fn remote_readers(
+    threads: usize,
+    flips: &[(u64, u32)],
+    dead: bool,
+) -> (Cluster, Result<u64, SimError>) {
+    let mut cluster = forced(zoo_config(), threads);
+    let word = cluster.storage().map().seq_addr(TileId(1), 0);
+    let unread = cluster.storage().map().seq_addr(TileId(2), 1);
+    let loc_of = |addr| match cluster.storage().map().locate(addr) {
+        MemoryRegion::Spm(loc) => loc,
+        other => panic!("{addr:#x} is not SPM: {other:?}"),
+    };
+    let mut plan = FaultPlan::new(9);
+    for &(cycle, mask) in flips {
+        plan.push(FaultEvent::TransientFlip {
+            cycle,
+            loc: loc_of(word),
+            mask,
+        });
+    }
+    plan.push(FaultEvent::TransientFlip {
+        cycle: 25,
+        loc: loc_of(unread),
+        mask: 2,
+    });
+    if dead {
+        plan.push(FaultEvent::LinkDead { tile: TileId(1) });
+    }
+    cluster.write_spm_word(word, 0x1234).unwrap();
+    cluster.inject_faults(&plan).unwrap();
+    cluster.load_program(
+        Program::assemble(&format!(
+            r#"
+                csrr t1, mhartid
+                srli t2, t1, 2
+                li   t3, 1
+                beq  t2, t3, done
+                li   t0, {word}
+                li   t4, 12
+            loop:
+                lw   a0, 0(t0)
+                add  a1, a1, a0
+                addi t4, t4, -1
+                bnez t4, loop
+                slli t5, t1, 2
+                sw   a1, 64(t5)
+            done:
+                wfi
+            "#
+        ))
+        .unwrap(),
+    );
+    cluster.preload_icaches();
+    let result = cluster.run(100_000);
+    (cluster, result)
+}
+
+/// `(scenario, final cycle, stats digest, SPM word touches, fault report)`
+/// of runs that complete.
+const PINNED_RUNS: [(&str, u64, u64, u64, &str); 9] = [
+    ("axpy", 552, 0x69965ad63d5d27c7, 9216, ""),
+    ("dotprod", 581, 0x9b9ebb5975fd6c27, 6179, ""),
+    ("matmul", 9004, 0xc8a3e2b21cb7d6d9, 59392, ""),
+    ("transpose", 1753, 0x3625892ff818ab4b, 32768, ""),
+    ("seed42", 31413, 0xaa8d5c36b147d302, 59473, "{ \"seed\": 42, \"injected\": { \"links_degraded\": 2, \"links_dead\": 0, \"stuck_banks\": 4, \"transient_flips\": 52, \"core_hangs\": 0, \"total\": 58 }, \"remapped_banks\": [ { \"tile\": 0, \"from_bank\": 4, \"to_bank\": 16 }, { \"tile\": 1, \"from_bank\": 9, \"to_bank\": 16 }, { \"tile\": 2, \"from_bank\": 6, \"to_bank\": 16 }, { \"tile\": 3, \"from_bank\": 1, \"to_bank\": 16 } ], \"retried_accesses\": 25600, \"retry_cycles\": 371200, \"ecc_corrected\": 3, \"ecc_pending\": 36, \"blackholed_requests\": 0 }"),
+    ("traffic", 1610, 0x1ab60ab8bb42639a, 6400, ""),
+    ("traffic_external", 79369, 0x2bc06391d2a0b25c, 6400, ""),
+    ("stuck_banks", 1753, 0x3625892ff818ab4b, 32768, "{ \"seed\": 7, \"injected\": { \"links_degraded\": 0, \"links_dead\": 0, \"stuck_banks\": 2, \"transient_flips\": 0, \"core_hangs\": 0, \"total\": 2 }, \"remapped_banks\": [ { \"tile\": 1, \"from_bank\": 3, \"to_bank\": 16 }, { \"tile\": 2, \"from_bank\": 0, \"to_bank\": 16 } ], \"retried_accesses\": 0, \"retry_cycles\": 0, \"ecc_corrected\": 0, \"ecc_pending\": 0, \"blackholed_requests\": 0 }"),
+    ("ecc_flips", 159, 0xf7209770f545ce60, 178, "{ \"seed\": 9, \"injected\": { \"links_degraded\": 0, \"links_dead\": 0, \"stuck_banks\": 0, \"transient_flips\": 3, \"core_hangs\": 0, \"total\": 3 }, \"remapped_banks\": [], \"retried_accesses\": 0, \"retry_cycles\": 0, \"ecc_corrected\": 2, \"ecc_pending\": 1, \"blackholed_requests\": 0 }"),
+];
+
+/// `(scenario, cycle the clock stopped on, error text)` of runs that fail.
+/// State *after* `ecc_uncorrectable` is not pinned: the step kernel
+/// abandoned the tick mid-sweep, the engine finishes it on the other
+/// tiles (DESIGN.md § "Execution engine").
+const PINNED_ERRORS: [(&str, u64, &str); 3] = [
+    ("watchdog_deadlock", 67, "deadlock: no forward progress for 64 cycles core 0: waiting-on-memory pc=0x00000010 outstanding=1 retired=4 core 1: halted pc=0x00000014 outstanding=0 retired=3 core 2: halted pc=0x00000014 outstanding=0 retired=3 core 3: halted pc=0x00000014 outstanding=0 retired=3 core 4: halted pc=0x00000014 outstanding=0 retired=3 core 5: halted pc=0x00000014 outstanding=0 retired=3 core 6: halted pc=0x00000014 outstanding=0 retired=3 core 7: halted pc=0x00000014 outstanding=0 retired=3 core 8: halted pc=0x00000014 outstanding=0 retired=3 core 9: halted pc=0x00000014 outstanding=0 retired=3 core 10: halted pc=0x00000014 outstanding=0 retired=3 core 11: halted pc=0x00000014 outstanding=0 retired=3 core 12: halted pc=0x00000014 outstanding=0 retired=3 core 13: halted pc=0x00000014 outstanding=0 retired=3 core 14: halted pc=0x00000014 outstanding=0 retired=3 core 15: halted pc=0x00000014 outstanding=0 retired=3"),
+    ("ecc_uncorrectable", 8, "uncorrectable multi-bit error at T1:b0[0] (mask 0x00100200)"),
+    ("link_dead", 6, "access through dead F2F link of tile T1"),
+];
+
+/// Runs the named `PINNED_RUNS` scenario to completion.
+fn pinned_run(name: &str, threads: usize) -> Cluster {
+    let zoo_run = |kernel: &dyn Kernel, plan: Option<FaultPlan>| {
+        let mut cluster = forced(zoo_config(), threads);
+        if let Some(plan) = plan {
+            cluster.inject_faults(&plan).unwrap();
+            cluster.set_watchdog(2_000_000);
+        }
+        kernel.run(&mut cluster, 10_000_000).unwrap();
+        cluster
+    };
+    let traffic = |external| {
+        let mut cluster = bare(threads, &quantum_traffic(40, external));
+        cluster.run(1_000_000).unwrap();
+        cluster
+    };
+    match name {
+        "axpy" => zoo_run(&Axpy::new(1024, 3), None),
+        "dotprod" => zoo_run(&DotProduct::new(1024), None),
+        "matmul" => zoo_run(&ComputePhase::new(32), None),
+        "transpose" => zoo_run(&Transpose::new(64), None),
+        "seed42" => {
+            let fault_cfg = FaultConfig::new(FAULT_SEED, 1e-4).with_horizon(50_000);
+            let plan = FaultPlan::generate(&fault_cfg, &zoo_config());
+            zoo_run(&ComputePhase::new(32), Some(plan))
+        }
+        "traffic" => traffic(false),
+        "traffic_external" => traffic(true),
+        "stuck_banks" => {
+            let mut plan = FaultPlan::new(7);
+            for (tile, bank) in [(1, 3), (2, 0)] {
+                plan.push(FaultEvent::StuckBank {
+                    tile: TileId(tile),
+                    bank: BankId(bank),
+                });
+            }
+            zoo_run(&Transpose::new(64), Some(plan))
+        }
+        "ecc_flips" => {
+            let (cluster, result) = remote_readers(threads, &[(0, 1 << 9), (40, 1 << 3)], false);
+            result.unwrap();
+            cluster
+        }
+        other => panic!("unknown pinned run {other}"),
+    }
+}
+
+#[test]
+fn stored_step_kernel_results_are_reproduced_at_every_thread_count() {
+    for threads in THREAD_COUNTS {
+        for (name, cycle, digest, touches, report) in PINNED_RUNS {
+            let cluster = pinned_run(name, threads);
+            let got_report = cluster
+                .fault_report()
+                .map(|r| one_line(&r.to_json().to_pretty()))
+                .unwrap_or_default();
+            assert_eq!(
+                (
+                    cluster.cycle(),
+                    cluster.stats().digest(),
+                    cluster.storage().spm_word_touches(),
+                    got_report.as_str(),
+                ),
+                (cycle, digest, touches, report),
+                "{name} at {threads} threads"
+            );
+        }
+        for (name, cycle, message) in PINNED_ERRORS {
+            let (err, stopped_at) = match name {
+                "watchdog_deadlock" => deadlock_on_a_black_holed_load(threads),
+                "ecc_uncorrectable" => {
+                    let (cluster, result) =
+                        remote_readers(threads, &[(0, 1 << 9), (0, 1 << 20)], false);
+                    (result.unwrap_err(), cluster.cycle())
+                }
+                "link_dead" => {
+                    let (cluster, result) = remote_readers(threads, &[], true);
+                    (result.unwrap_err(), cluster.cycle())
+                }
+                other => panic!("unknown pinned error {other}"),
+            };
+            assert_eq!(
+                (stopped_at, one_line(&err.to_string()).as_str()),
+                (cycle, message),
+                "{name} at {threads} threads"
+            );
+        }
+    }
+}
+
+#[test]
+fn an_unbounded_budget_on_a_resumed_cluster_does_not_overflow() {
+    // The step loop computed `cycle + max_cycles` unchecked: past cycle 0
+    // `run(u64::MAX)` panicked in debug builds and timed out at once in
+    // release builds.
+    for threads in [1, 2] {
+        let mut cluster = bare(threads, &quantum_traffic(4, false));
+        let first = cluster.run(u64::MAX).expect("first phase completes");
+        assert!(first > 0);
+        cluster.resume_all(0).unwrap();
+        let second = cluster.run(u64::MAX).expect("resumed phase completes");
+        assert!(second > first, "{threads} threads");
     }
 }
