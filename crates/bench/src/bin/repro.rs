@@ -71,7 +71,6 @@ fn usage() -> ExitCode {
          \x20            [all|table1|table2|fig6|fig7|fig8|fig9|ablations|area|claims|cluster|dse|layout]...\n\
          \x20      repro diff BASELINE.json CANDIDATE.json\n\
          \x20      repro check --baseline PATH [--bless]\n\
-         \x20      repro perf\n\
          \x20      repro serve [--listen HOST:PORT] [--workers N] [--max-queue N]\n\
          \x20                  [--cache-dir DIR] [--flight N]\n\
          \x20      repro submit --connect HOST:PORT [--threads N] [--artifacts DIR]\n\
@@ -113,8 +112,6 @@ fn usage() -> ExitCode {
          check                regenerate the pinned summary and compare it to\n\
                               --baseline PATH (same exit codes); --bless\n\
                               rewrites the baseline instead\n\
-         perf                 run the sized engine-throughput probe alone and\n\
-                              fail (exit 1) if parallel_speedup < 1.0\n\
          serve                run the experiment service daemon: a bounded\n\
                               worker pool behind a newline-delimited JSON TCP\n\
                               protocol with request coalescing and a\n\
@@ -359,40 +356,6 @@ fn cmd_check(args: &[String]) -> ExitCode {
     }
 }
 
-/// `repro perf` — runs the sized engine-throughput probe alone and gates
-/// on the `parallel_speedup` hard floor: a parallel engine slower than
-/// sequential exits 1. This is the CI perf smoke step (seconds, not a
-/// full figure run).
-fn cmd_perf(args: &[String]) -> ExitCode {
-    if let Some(other) = args.first() {
-        eprintln!("repro perf: unexpected argument {other:?}");
-        return usage();
-    }
-    eprintln!("running the engine-throughput probe ...");
-    let probe = mempool_bench::perf_probe();
-    println!("{}", probe.to_pretty());
-    let speedup = probe
-        .get("parallel_speedup")
-        .and_then(|v| match v {
-            Json::Float(f) => Some(*f),
-            Json::Int(n) => Some(*n as f64),
-            _ => None,
-        })
-        .unwrap_or(f64::NAN);
-    // NaN (a malformed probe) must fail the gate, not sneak past it.
-    if speedup.is_nan() || speedup < 1.0 {
-        eprintln!(
-            "repro perf: parallel_speedup = {speedup} is below the 1.0 hard floor \
-             (the parallel engine must not be slower than sequential)"
-        );
-        return ExitCode::from(EXIT_REGRESSION);
-    }
-    eprintln!("perf gate passed: parallel_speedup = {speedup:.2}");
-    ExitCode::SUCCESS
-}
-
-/// `repro serve ...` — runs the experiment-service daemon until a client
-/// sends a shutdown request, then prints the final stats document.
 fn parse_serve_args(argv: &[String]) -> Result<(String, mempool_serve::ServiceConfig), String> {
     let mut listen = "127.0.0.1:7070".to_string();
     let mut config = mempool_serve::ServiceConfig::default();
@@ -425,6 +388,8 @@ fn parse_serve_args(argv: &[String]) -> Result<(String, mempool_serve::ServiceCo
     Ok((listen, config))
 }
 
+/// `repro serve ...` — runs the experiment-service daemon until a client
+/// sends a shutdown request, then prints the final stats document.
 fn cmd_serve(argv: &[String]) -> ExitCode {
     use mempool_serve::TcpServer;
 
@@ -496,8 +461,6 @@ fn parse_submit_item(token: &str) -> Result<SubmitItem, String> {
     Ok(SubmitItem::Experiment(kind))
 }
 
-/// `repro submit --connect HOST:PORT TARGET...` — issues requests to a
-/// running daemon and prints each artifact.
 /// Parsed `repro submit` command line.
 struct SubmitOptions {
     connect: String,
@@ -544,6 +507,8 @@ fn parse_submit_args(argv: &[String]) -> Result<SubmitOptions, String> {
     })
 }
 
+/// `repro submit --connect HOST:PORT TARGET...` — issues requests to a
+/// running daemon and prints each artifact.
 fn cmd_submit(argv: &[String]) -> ExitCode {
     use mempool_serve::{dse, ExperimentRequest, RetryPolicy, TcpClient};
 
@@ -642,15 +607,6 @@ fn cmd_submit(argv: &[String]) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-fn model_json(model: &PhaseModel) -> Json {
-    Json::obj([
-        ("m", Json::Int(model.m as i64)),
-        ("num_cores", Json::Int(model.num_cores as i64)),
-        ("cycles_per_mac", Json::Float(model.cycles_per_mac)),
-        ("phase_overhead", Json::Float(model.phase_overhead)),
-    ])
-}
-
 /// Runs the design-space exploration as a batch client of an in-process
 /// `mempool-serve` worker pool: all eight design points are submitted
 /// concurrently, computed (or served from cache) by the pool, and
@@ -666,13 +622,29 @@ fn dse_via_service(model: &PhaseModel) -> Result<String, String> {
     Ok(space.to_text())
 }
 
+/// A simulator fault leaves a flight-recorder dump behind; make it land
+/// somewhere inspectable even without `--artifacts` (then: the working
+/// directory).
+fn write_crash_dump(artifacts: Option<&mut ArtifactDir>, dump: &Json) {
+    let written = match artifacts {
+        Some(art) => art.write_json("crashdump.json", dump),
+        None => {
+            let path = std::path::PathBuf::from("crashdump.json");
+            std::fs::write(&path, dump.to_pretty()).map(|()| path)
+        }
+    };
+    match written {
+        Ok(path) => eprintln!("repro: crash dump written to {}", path.display()),
+        Err(e) => eprintln!("repro: writing crashdump.json: {e}"),
+    }
+}
+
 fn main() -> ExitCode {
     let wall_start = Instant::now();
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
         Some("diff") => return cmd_diff(&args[1..]),
         Some("check") => return cmd_check(&args[1..]),
-        Some("perf") => return cmd_perf(&args[1..]),
         Some("serve") => return cmd_serve(&args[1..]),
         Some("submit") => return cmd_submit(&args[1..]),
         _ => {}
@@ -860,23 +832,8 @@ fn main() -> ExitCode {
                 }
                 Err(failure) => {
                     eprintln!("repro: degraded run failed: {failure}");
-                    // A simulator fault leaves a flight-recorder dump
-                    // behind; make it land somewhere inspectable even
-                    // without --artifacts.
                     if let Some(dump) = &failure.crash_dump {
-                        let written = match artifacts.as_mut() {
-                            Some(art) => art.write_json("crashdump.json", dump),
-                            None => {
-                                let path = std::path::PathBuf::from("crashdump.json");
-                                std::fs::write(&path, dump.to_pretty()).map(|()| path)
-                            }
-                        };
-                        match written {
-                            Ok(path) => {
-                                eprintln!("repro: crash dump written to {}", path.display())
-                            }
-                            Err(e) => eprintln!("repro: writing crashdump.json: {e}"),
-                        }
+                        write_crash_dump(artifacts.as_mut(), dump);
                     }
                     // When checkpointing was on, park the newest surviving
                     // snapshot next to the dump and say how to resume.
@@ -938,17 +895,7 @@ fn main() -> ExitCode {
             Err(failure) => {
                 eprintln!("repro: instrumented clean run failed: {failure}");
                 if let Some(dump) = &failure.crash_dump {
-                    let written = match artifacts.as_mut() {
-                        Some(art) => art.write_json("crashdump.json", dump),
-                        None => {
-                            let path = std::path::PathBuf::from("crashdump.json");
-                            std::fs::write(&path, dump.to_pretty()).map(|()| path)
-                        }
-                    };
-                    match written {
-                        Ok(path) => eprintln!("repro: crash dump written to {}", path.display()),
-                        Err(e) => eprintln!("repro: writing crashdump.json: {e}"),
-                    }
+                    write_crash_dump(artifacts.as_mut(), dump);
                 }
                 return ExitCode::FAILURE;
             }
@@ -1016,17 +963,6 @@ fn write_summary_artifacts(
     // byte-diffs skip it (like BENCH_repro.json).
     art.write_json("perf_profile.json", &mempool_sim::engine_profile_json())?;
 
-    // Cycle counts of the modeled matmul at the Section VI-B bandwidth,
-    // one per SPM capacity.
-    let cycles = SpmCapacity::ALL
-        .iter()
-        .map(|&cap| {
-            Json::obj([
-                ("capacity", Json::str(cap.to_string())),
-                ("total_cycles", Json::Float(model.total_cycles(cap, 16))),
-            ])
-        })
-        .collect();
     let mut pairs = vec![
         ("bench", Json::str("repro")),
         (
@@ -1036,9 +972,12 @@ fn write_summary_artifacts(
         ("measured", Json::Bool(opts.measure)),
         // String-valued, so the numeric regression comparator skips it.
         ("engine", mempool_sim::ENGINE.to_json()),
-        ("model", model_json(model)),
+        ("model", mempool_serve::ModelConfig::from(*model).to_json()),
         ("cycles_per_mac", Json::Float(model.cycles_per_mac)),
-        ("matmul_cycles_at_16B_per_cycle", Json::Arr(cycles)),
+        (
+            "matmul_cycles_at_16B_per_cycle",
+            mempool_bench::matmul_cycles_at_16b(model),
+        ),
         ("span_count", Json::Int(obs.spans.len() as i64)),
     ];
     // Degraded-vs-clean cycle delta for the headline Figure 6 point, so a

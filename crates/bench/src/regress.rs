@@ -71,29 +71,6 @@ const RULES: &[Rule] = &[
     ignore("wall_clock"),
     ignore("artifacts"),
     ignore("timestamp"),
-    // How many workers the probe's parallel leg really ran is a host
-    // property (CPU count), not a result — a 2-CPU runner and a 16-CPU
-    // workstation must both pass against the same baseline.
-    ignore("parallel_workers"),
-    // Host-throughput metrics (simulated cycles per wall-clock second and
-    // the parallel-engine speedup) are real measurements, so they are
-    // gated — but against scheduler noise on shared CI runners, only a
-    // drastic collapse should trip the gate. These must precede the strict
-    // "speedup"/"cycle" substring rules below.
-    rule("cycles_per_second", Direction::LowerIsWorse, 0.60),
-    rule("parallel_speedup", Direction::LowerIsWorse, 0.75),
-    // The instrumentation cost ratio (bare vs instrumented cycles/sec) is
-    // a quotient of two wall-clock measurements, so it is doubly noisy;
-    // only a drastic blow-up (observability suddenly costing multiples of
-    // the bare run) should fail. Must precede the strict "overhead" rule.
-    rule("obs_overhead", Direction::HigherIsWorse, 0.60),
-    // Service-throughput metrics from the serve probe. Configs served per
-    // wall-clock second is a host measurement and gets the same lenient
-    // collapse-only gate; the cache hit rate of the probe's deterministic
-    // request mix is pinned by construction, so any drop means the
-    // coalescing or cache path broke (a higher rate is never penalized).
-    rule("configs_per_second", Direction::LowerIsWorse, 0.60),
-    rule("cache_hit_rate", Direction::LowerIsWorse, 0.001),
     rule("speedup", Direction::LowerIsWorse, 0.02),
     rule("throughput", Direction::LowerIsWorse, 0.02),
     rule("utilization", Direction::LowerIsWorse, 0.02),
@@ -109,21 +86,6 @@ fn policy_for(path: &str) -> &'static Rule {
         .iter()
         .find(|r| path.contains(r.needle))
         .expect("the catch-all rule matches every path")
-}
-
-/// Absolute floors enforced on the *candidate* regardless of what the
-/// baseline says, matched by substring against the dotted path. A
-/// parallel engine slower than sequential must never ship silently again
-/// (it did once, as `parallel_speedup: 0.098`): once any thread count
-/// above one is probed, a speedup below 1.0 is a hard failure even if
-/// the blessed baseline also carried one.
-const FLOORS: &[(&str, f64)] = &[("parallel_speedup", 1.0)];
-
-fn floor_for(path: &str) -> Option<f64> {
-    FLOORS
-        .iter()
-        .find(|(needle, _)| path.contains(needle))
-        .map(|&(_, floor)| floor)
 }
 
 /// One compared metric whose change exceeded its tolerance.
@@ -307,25 +269,12 @@ pub fn compare(baseline: &Json, candidate: &Json) -> Comparison {
             None => result.within += 1,
         }
     }
-    for (path, value) in &cand {
+    for (path, _) in &cand {
         if policy_for(path).ignore {
             continue;
         }
         if !base.iter().any(|(p, _)| p == path) {
             result.added.push(path.clone());
-        }
-        // Baseline-independent hard floors: report the shortfall as a
-        // regression against the floor itself (tolerance 0).
-        if let Some(floor) = floor_for(path) {
-            if value.is_finite() && *value < floor {
-                result.regressions.push(Delta {
-                    path: format!("{path} (hard floor)"),
-                    baseline: floor,
-                    candidate: *value,
-                    relative: (*value - floor) / floor.abs().max(ABS_EPSILON),
-                    tolerance: 0.0,
-                });
-            }
         }
     }
     result
@@ -448,99 +397,6 @@ mod tests {
         // Ignored paths stay ignored even when non-finite.
         let cmp = compare(&base, &doc(100, 2.0, f64::NAN));
         assert!(!cmp.is_regression());
-    }
-
-    #[test]
-    fn host_throughput_rules_are_lenient_and_direction_correct() {
-        let perf = |cps: f64, speedup: f64| {
-            Json::obj([(
-                "perf",
-                Json::obj([
-                    ("cycles_per_second_threads4", Json::Float(cps)),
-                    ("parallel_speedup", Json::Float(speedup)),
-                ]),
-            )])
-        };
-        let base = perf(1e6, 2.0);
-        // Moderate slowdowns are scheduler noise, not regressions; a
-        // collapse below the lenient tolerance fails.
-        assert!(!compare(&base, &perf(0.5e6, 1.8)).is_regression());
-        assert!(compare(&base, &perf(0.2e6, 1.8)).is_regression());
-        assert!(compare(&base, &perf(0.9e6, 0.4)).is_regression());
-        // Getting faster is never a regression — the lenient LowerIsWorse
-        // rules must shadow the strict HigherIsWorse "cycle" rule.
-        assert!(!compare(&base, &perf(5e6, 3.0)).is_regression());
-    }
-
-    #[test]
-    fn obs_overhead_is_lenient_but_instrumented_speedup_keeps_the_floor() {
-        let perf = |overhead: f64, instr_speedup: f64| {
-            Json::obj([(
-                "perf",
-                Json::obj([
-                    ("obs_overhead", Json::Float(overhead)),
-                    ("instrumented_parallel_speedup", Json::Float(instr_speedup)),
-                ]),
-            )])
-        };
-        let base = perf(1.1, 2.0);
-        // Noise-scale growth of the instrumentation cost must not trip the
-        // strict "overhead" rule — the lenient obs_overhead rule shadows it.
-        assert!(!compare(&base, &perf(1.5, 2.0)).is_regression());
-        // A drastic blow-up still fails.
-        assert!(compare(&base, &perf(3.0, 2.0)).is_regression());
-        // The instrumented speedup shares parallel_speedup's hard floor.
-        let cmp = compare(&base, &perf(1.1, 0.8));
-        assert!(cmp.is_regression());
-        assert!(cmp
-            .regressions
-            .iter()
-            .any(|d| d.path.contains("instrumented_parallel_speedup")
-                && d.path.contains("hard floor")));
-    }
-
-    #[test]
-    fn parallel_speedup_has_a_baseline_independent_hard_floor() {
-        let perf = |speedup: f64| {
-            Json::obj([(
-                "perf",
-                Json::obj([("parallel_speedup", Json::Float(speedup))]),
-            )])
-        };
-        // A candidate below 1.0 fails even when the blessed baseline was
-        // also below 1.0 (the lenient relative rule alone would pass it).
-        let bad_base = perf(0.9);
-        let cmp = compare(&bad_base, &perf(0.95));
-        assert!(cmp.is_regression());
-        assert!(
-            cmp.regressions
-                .iter()
-                .any(|d| d.path.contains("hard floor")),
-            "the shortfall must be reported against the floor: {cmp:?}"
-        );
-        // At or above the floor the absolute gate is silent.
-        assert!(!compare(&bad_base, &perf(1.0)).is_regression());
-        assert!(!compare(&perf(2.0), &perf(1.2)).is_regression());
-    }
-
-    #[test]
-    fn serve_probe_rules_gate_hit_rate_drops_but_tolerate_host_noise() {
-        let perf = |cps: f64, rate: f64| {
-            Json::obj([(
-                "serve",
-                Json::obj([
-                    ("configs_per_second", Json::Float(cps)),
-                    ("cache_hit_rate", Json::Float(rate)),
-                ]),
-            )])
-        };
-        let base = perf(100.0, 0.8);
-        // Host throughput only trips on a collapse beyond the lenient gate.
-        assert!(!compare(&base, &perf(50.0, 0.8)).is_regression());
-        assert!(compare(&base, &perf(30.0, 0.8)).is_regression());
-        // The hit rate is pinned: any drop fails, a gain never does.
-        assert!(compare(&base, &perf(100.0, 0.7)).is_regression());
-        assert!(!compare(&base, &perf(100.0, 0.9)).is_regression());
     }
 
     #[test]

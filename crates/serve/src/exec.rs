@@ -26,7 +26,7 @@ use crate::protocol::{ExperimentKind, ExperimentRequest};
 use crate::service::Runner;
 
 /// Problem size and cluster shape of the `kernel` request's probe
-/// simulation (matches the bench throughput probe).
+/// simulation.
 const KERNEL_TILES: u32 = 4;
 const KERNEL_CORES_PER_TILE: u32 = 4;
 const KERNEL_BANKS_PER_TILE: u32 = 16;

@@ -214,36 +214,36 @@ fn watchdog_deadlock_raises_the_identical_error_at_every_thread_count() {
     }
 }
 
-/// Removes the `perf` section (live wall-clock throughput, never
-/// identical between two runs) from a benchmark summary.
-fn strip_perf(doc: &Json) -> Json {
-    match doc {
-        Json::Obj(pairs) => Json::Obj(
-            pairs
-                .iter()
-                .filter(|(key, _)| key != "perf")
-                .cloned()
-                .collect(),
-        ),
-        other => other.clone(),
-    }
-}
-
 #[test]
 fn bench_summary_is_bit_identical_across_engines() {
     // `bench_summary()` builds its clusters through `SimParams::default`,
     // which reads the process-wide default thread count — the same path
-    // `repro --threads N` uses. Every other test in this binary sets
-    // `SimParams::threads` explicitly, so flipping the global here is
-    // safe even under the parallel test runner.
+    // `repro --threads N` uses. Every other test in this binary either
+    // sets `SimParams::threads` explicitly or (the baseline test below)
+    // computes this same thread-count-independent summary, so flipping
+    // the global here is safe even under the parallel test runner.
     mempool_sim::set_default_threads(1);
-    let sequential = strip_perf(&mempool_bench::bench_summary()).to_pretty();
+    let sequential = mempool_bench::bench_summary().to_pretty();
     mempool_sim::set_default_threads(4);
-    let parallel = strip_perf(&mempool_bench::bench_summary()).to_pretty();
+    let parallel = mempool_bench::bench_summary().to_pretty();
     mempool_sim::set_default_threads(1);
     assert_eq!(
         sequential, parallel,
         "the pinned summary must not depend on the engine"
+    );
+}
+
+#[test]
+fn committed_baseline_matches_the_pinned_summary() {
+    // The comparison `repro check --baseline BENCH_baseline.json` makes,
+    // so drift of the pinned degraded run fails tier-1 and not only CI.
+    let baseline = Json::parse(include_str!("../BENCH_baseline.json"))
+        .expect("the committed baseline is valid JSON");
+    let cmp = mempool_bench::regress::compare(&baseline, &mempool_bench::bench_summary());
+    assert!(
+        !cmp.is_regression(),
+        "BENCH_baseline.json drifted from bench_summary():\n{}",
+        cmp.to_text()
     );
 }
 
