@@ -16,13 +16,11 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::config::ClusterConfig;
 use crate::ids::{BankId, GlobalBankId, TileId};
 
 /// Physical location of one 32-bit word inside the SPM.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct BankLocation {
     /// Tile holding the bank.
     pub tile: TileId,

@@ -3,8 +3,6 @@
 use std::fmt;
 use std::str::FromStr;
 
-use serde::{Deserialize, Serialize};
-
 /// Total shared-L1 SPM capacity of the MemPool cluster.
 ///
 /// The paper explores four capacities: 1, 2, 4, and 8 MiB, each implemented
@@ -21,9 +19,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(SpmCapacity::MiB1.scale_factor(), 1);
 /// assert_eq!(SpmCapacity::MiB8.scale_factor(), 8);
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub enum SpmCapacity {
     /// 1 MiB of shared-L1 SPM (the MemPool baseline).
     #[default]

@@ -2,8 +2,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::capacity::SpmCapacity;
 use crate::ids::{GlobalBankId, GlobalCoreId, TileId};
 
@@ -35,7 +33,7 @@ use crate::ids::{GlobalBankId, GlobalCoreId, TileId};
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct ClusterConfig {
     groups: u32,
     tiles_per_group: u32,

@@ -23,8 +23,6 @@ macro_rules! id_newtype {
             Ord,
             Hash,
             Default,
-            serde::Serialize,
-            serde::Deserialize,
         )]
         pub struct $name(pub u32);
 

@@ -5,13 +5,11 @@
 //! bounded zero-load latency — one cycle inside the tile, three cycles
 //! within the group, five cycles across groups (Section II of the paper).
 
-use serde::{Deserialize, Serialize};
-
 use crate::config::ClusterConfig;
 use crate::ids::TileId;
 
 /// Zero-load distance class of an SPM access.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum AccessClass {
     /// Access to a bank in the requesting core's own tile (1 cycle).
     TileLocal,
@@ -47,7 +45,7 @@ impl AccessClass {
 /// assert_eq!(lat.cycles(AccessClass::GroupLocal), 3);
 /// assert_eq!(lat.cycles(AccessClass::Remote), 5);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct LatencyModel {
     /// Cycles for a tile-local access.
     pub tile_local: u32,

@@ -8,14 +8,12 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::config::ClusterConfig;
 use crate::ids::{GroupId, TileId};
 use crate::latency::AccessClass;
 
 /// One of the four butterfly networks instantiated in every group.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum GroupNetwork {
     /// Intra-group traffic.
     Local,

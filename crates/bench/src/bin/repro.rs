@@ -17,8 +17,12 @@
 //! snapshot, a Perfetto-loadable `trace.json` of the measurement phase
 //! spans, a `perf_profile.json` engine self-profile (per-worker busy vs
 //! lockstep-wait time, quantum-boundary durations, mailbox volume), and a
-//! `BENCH_repro.json` summary (cycle counts, cycles/MAC, engine choice,
-//! wall-clock).
+//! `BENCH_repro.json` summary (cycle counts, cycles/MAC, engine record).
+//! Every artifact except `perf_profile.json` is deterministic: two runs of
+//! the same command, at any `--threads`, are `cmp`-identical.
+//!
+//! `repro check --baseline PATH` regenerates the pinned summary and fails
+//! (exit 1) unless it equals the committed baseline leaf for leaf.
 //!
 //! With `--faults SEED[:RATE]`, a degraded run is measured on top of the
 //! selected targets: the deterministic fault plan generated from the seed
@@ -30,7 +34,6 @@
 //! raw `fault_report.json`.
 
 use std::process::ExitCode;
-use std::time::Instant;
 
 use mempool::experiments::{
     ablations, Claims, ClusterLevel, Evaluation, Fig6, Fig7, Fig8, Fig9, Resilience, Table1, Table2,
@@ -58,8 +61,8 @@ const KNOWN_TARGETS: [&str; 13] = [
     "layout",
 ];
 
-/// Exit code for a detected regression (`diff` / `check`); usage and I/O
-/// errors exit 2 to stay distinguishable in CI.
+/// Exit code for a summary that differs from its baseline (`check`); usage
+/// and I/O errors exit 2 to stay distinguishable in CI.
 const EXIT_REGRESSION: u8 = 1;
 const EXIT_ERROR: u8 = 2;
 
@@ -69,7 +72,6 @@ fn usage() -> ExitCode {
          \x20            [--timeseries WINDOW] [--flight N] [--threads N]\n\
          \x20            [--checkpoint-dir DIR] [--checkpoint-every N] [--resume PATH]\n\
          \x20            [all|table1|table2|fig6|fig7|fig8|fig9|ablations|area|claims|cluster|dse|layout]...\n\
-         \x20      repro diff BASELINE.json CANDIDATE.json\n\
          \x20      repro check --baseline PATH [--bless]\n\
          \x20      repro serve [--listen HOST:PORT] [--workers N] [--max-queue N]\n\
          \x20                  [--cache-dir DIR] [--flight N]\n\
@@ -107,11 +109,11 @@ fn usage() -> ExitCode {
                               and finish it; the resumed artifacts are\n\
                               bit-identical to an uninterrupted run\n\
          \n\
-         diff                 compare two benchmark artifacts metric-by-metric;\n\
-                              exit 1 on regression, 2 on usage/parse errors\n\
-         check                regenerate the pinned summary and compare it to\n\
-                              --baseline PATH (same exit codes); --bless\n\
-                              rewrites the baseline instead\n\
+         check                regenerate the pinned summary and require it to\n\
+                              equal --baseline PATH leaf for leaf; exit 1 and\n\
+                              name every differing leaf otherwise, 2 on\n\
+                              usage/parse errors; --bless rewrites the baseline\n\
+                              instead (compare any two artifacts with cmp)\n\
          serve                run the experiment service daemon: a bounded\n\
                               worker pool behind a newline-delimited JSON TCP\n\
                               protocol with request coalescing and a\n\
@@ -272,28 +274,6 @@ fn load_json(path: &str) -> Result<Json, String> {
     Json::parse(&text).map_err(|e| format!("{path}: invalid JSON: {e}"))
 }
 
-/// `repro diff BASELINE.json CANDIDATE.json` — compares two artifacts.
-fn cmd_diff(args: &[String]) -> ExitCode {
-    let [baseline_path, candidate_path] = args else {
-        eprintln!("repro diff: expected exactly two artifact paths");
-        return usage();
-    };
-    let (baseline, candidate) = match (load_json(baseline_path), load_json(candidate_path)) {
-        (Ok(b), Ok(c)) => (b, c),
-        (Err(e), _) | (_, Err(e)) => {
-            eprintln!("repro diff: {e}");
-            return ExitCode::from(EXIT_ERROR);
-        }
-    };
-    let cmp = regress::compare(&baseline, &candidate);
-    print!("{}", cmp.to_text());
-    if cmp.is_regression() {
-        ExitCode::from(EXIT_REGRESSION)
-    } else {
-        ExitCode::SUCCESS
-    }
-}
-
 /// `repro check --baseline PATH [--bless]` — regenerates the pinned
 /// summary and gates it against (or rewrites) the committed baseline.
 fn cmd_check(args: &[String]) -> ExitCode {
@@ -342,17 +322,20 @@ fn cmd_check(args: &[String]) -> ExitCode {
             return ExitCode::from(EXIT_ERROR);
         }
     };
-    let cmp = regress::compare(&baseline, &current);
-    print!("{}", cmp.to_text());
-    if cmp.is_regression() {
+    let differences = regress::diff(&baseline, &current);
+    for line in &differences {
+        println!("DIFFERS  {line}");
+    }
+    if differences.is_empty() {
+        println!("check passed: the summary equals {baseline_path}");
+        ExitCode::SUCCESS
+    } else {
         eprintln!(
-            "repro check: regression against {baseline_path} \
-             (bless intentional changes with --bless)"
+            "repro check: {} leaf(s) differ from {baseline_path} \
+             (bless intentional changes with --bless)",
+            differences.len()
         );
         ExitCode::from(EXIT_REGRESSION)
-    } else {
-        println!("check passed against {baseline_path}");
-        ExitCode::SUCCESS
     }
 }
 
@@ -640,10 +623,8 @@ fn write_crash_dump(artifacts: Option<&mut ArtifactDir>, dump: &Json) {
 }
 
 fn main() -> ExitCode {
-    let wall_start = Instant::now();
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
-        Some("diff") => return cmd_diff(&args[1..]),
         Some("check") => return cmd_check(&args[1..]),
         Some("serve") => return cmd_serve(&args[1..]),
         Some("submit") => return cmd_submit(&args[1..]),
@@ -912,7 +893,6 @@ fn main() -> ExitCode {
             &opts,
             resilience.as_ref(),
             observed.as_ref(),
-            wall_start,
         ) {
             eprintln!("repro: writing artifacts: {e}");
             return ExitCode::FAILURE;
@@ -927,8 +907,8 @@ fn main() -> ExitCode {
 }
 
 /// Writes the run-wide artifacts: the metrics snapshot (JSON + CSV), the
-/// Perfetto trace of all recorded spans, and the `BENCH_repro.json`
-/// summary tying cycle counts, cycles/MAC, and wall-clock together.
+/// Perfetto trace of all recorded spans, the engine self-profile, and the
+/// `BENCH_repro.json` summary of cycle counts and cycles/MAC.
 fn write_summary_artifacts(
     art: &mut ArtifactDir,
     obs: &Obs,
@@ -936,7 +916,6 @@ fn write_summary_artifacts(
     opts: &Options,
     resilience: Option<&Resilience>,
     observed: Option<&ObservedRun>,
-    wall_start: Instant,
 ) -> std::io::Result<()> {
     let snapshot = obs.metrics.snapshot();
     art.write_json("metrics.json", &snapshot.to_json())?;
@@ -959,8 +938,8 @@ fn write_summary_artifacts(
     }
     // The engine's host-side self-profile: per-worker busy vs
     // lockstep-wait time, boundary durations, mailbox volume, and the
-    // embedded Perfetto counter-track document. Wall-clock content, so CI
-    // byte-diffs skip it (like BENCH_repro.json).
+    // embedded Perfetto counter-track document. The one artifact with
+    // host-time content, so CI byte-diffs skip it.
     art.write_json("perf_profile.json", &mempool_sim::engine_profile_json())?;
 
     let mut pairs = vec![
@@ -970,7 +949,6 @@ fn write_summary_artifacts(
             Json::Arr(opts.targets.iter().map(Json::str).collect()),
         ),
         ("measured", Json::Bool(opts.measure)),
-        // String-valued, so the numeric regression comparator skips it.
         ("engine", mempool_sim::ENGINE.to_json()),
         ("model", mempool_serve::ModelConfig::from(*model).to_json()),
         ("cycles_per_mac", Json::Float(model.cycles_per_mac)),
@@ -980,26 +958,10 @@ fn write_summary_artifacts(
         ),
         ("span_count", Json::Int(obs.spans.len() as i64)),
     ];
-    // Degraded-vs-clean cycle delta for the headline Figure 6 point, so a
-    // fault-injected run's cost is recorded alongside the clean numbers.
+    // The degraded run next to the clean numbers: the same eleven leaves
+    // `BENCH_baseline.json` pins for the baseline seed.
     if let Some(r) = resilience {
-        let run = r.run();
-        pairs.push((
-            "resilience",
-            Json::obj([
-                ("seed", Json::Int(run.seed as i64)),
-                ("rate", Json::Float(run.rate)),
-                ("clean_phase_cycles", Json::Int(run.clean_cycles as i64)),
-                (
-                    "degraded_phase_cycles",
-                    Json::Int(run.degraded_cycles as i64),
-                ),
-                ("phase_delta_cycles", Json::Int(run.delta_cycles())),
-                ("clean_fig6_speedup", Json::Float(r.clean_speedup())),
-                ("degraded_fig6_speedup", Json::Float(r.degraded_speedup())),
-                ("fig6_delta_cycles", Json::Float(r.fig6_delta_cycles())),
-            ]),
-        ));
+        pairs.push(("resilience", r.summary_json()));
     }
     // The instrumented clean run's cycle count and engine record: both
     // must be identical across `--threads` settings (the equivalence the
@@ -1013,10 +975,6 @@ fn write_summary_artifacts(
             ]),
         ));
     }
-    pairs.push((
-        "wall_clock_seconds",
-        Json::Float(wall_start.elapsed().as_secs_f64()),
-    ));
     pairs.push((
         "artifacts",
         Json::Arr(art.written().iter().map(Json::str).collect()),
@@ -1038,6 +996,14 @@ mod tests {
     fn faults_flag_parses_seed_and_rate() {
         let opts = parse_args(&argv(&["fig6", "--faults", "42:1e-6"])).unwrap();
         assert_eq!(opts.faults, Some((42, 1e-6)));
+    }
+
+    #[test]
+    fn the_removed_diff_subcommand_is_a_usage_error() {
+        let err = parse_args(&argv(&["diff", "a.json", "b.json"])).unwrap_err();
+        assert_eq!(err, "unknown target: diff");
+        let err = parse_args(&argv(&["diff"])).unwrap_err();
+        assert_eq!(err, "unknown target: diff");
     }
 
     #[test]

@@ -61,7 +61,6 @@ pub fn bench_summary() -> mempool_obs::Json {
         Some(BASELINE_WATCHDOG),
     )
     .expect("the pinned-seed degraded run must complete");
-    let run = resilience.run();
     Json::obj([
         ("schema", Json::str("mempool-bench-summary/v2")),
         ("cycles_per_mac", Json::Float(model.cycles_per_mac)),
@@ -70,37 +69,7 @@ pub fn bench_summary() -> mempool_obs::Json {
             "matmul_cycles_at_16B_per_cycle",
             matmul_cycles_at_16b(&model),
         ),
-        (
-            "resilience",
-            Json::obj([
-                ("seed", Json::Int(run.seed as i64)),
-                ("rate", Json::Float(run.rate)),
-                ("clean_phase_cycles", Json::Int(run.clean_cycles as i64)),
-                (
-                    "degraded_phase_cycles",
-                    Json::Int(run.degraded_cycles as i64),
-                ),
-                ("overhead", Json::Float(run.overhead())),
-                ("injected_events", Json::Int(run.events as i64)),
-                (
-                    "retried_accesses",
-                    Json::Int(run.report.retried_accesses as i64),
-                ),
-                ("ecc_corrected", Json::Int(run.report.ecc_corrected as i64)),
-                (
-                    "remapped_banks",
-                    Json::Int(run.report.remapped.len() as i64),
-                ),
-                (
-                    "clean_fig6_speedup",
-                    Json::Float(resilience.clean_speedup()),
-                ),
-                (
-                    "degraded_fig6_speedup",
-                    Json::Float(resilience.degraded_speedup()),
-                ),
-            ]),
-        ),
+        ("resilience", resilience.summary_json()),
     ])
 }
 
@@ -137,9 +106,8 @@ mod tests {
             doc.get("schema").and_then(Json::as_str),
             Some("mempool-bench-summary/v2")
         );
-        let cmp = super::regress::compare(&a, &b);
-        assert!(!cmp.is_regression());
-        assert_eq!(cmp.regressions.len() + cmp.missing.len(), 0);
+        assert_eq!(a, b);
+        assert_eq!(doc, a, "the summary survives its own text form");
     }
 
     #[test]

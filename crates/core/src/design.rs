@@ -2,14 +2,12 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use mempool_arch::{ClusterConfig, SpmCapacity};
 use mempool_phys::{Flow, GroupImplementation, TileImplementation};
 
 /// One of the eight MemPool configurations the paper implements:
 /// a flow (2D or 3D) paired with an SPM capacity.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct DesignPoint {
     /// Implementation flow.
     pub flow: Flow,

@@ -175,6 +175,37 @@ impl Resilience {
             ("measurement", self.run.to_json()),
         ])
     }
+
+    /// The eleven-leaf digest of the degraded run that `BENCH_baseline.json`
+    /// pins and `BENCH_repro.json` records under `resilience`.
+    pub fn summary_json(&self) -> Json {
+        let run = &self.run;
+        Json::obj([
+            ("seed", Json::Int(run.seed as i64)),
+            ("rate", Json::Float(run.rate)),
+            ("clean_phase_cycles", Json::Int(run.clean_cycles as i64)),
+            (
+                "degraded_phase_cycles",
+                Json::Int(run.degraded_cycles as i64),
+            ),
+            ("overhead", Json::Float(run.overhead())),
+            ("injected_events", Json::Int(run.events as i64)),
+            (
+                "retried_accesses",
+                Json::Int(run.report.retried_accesses as i64),
+            ),
+            ("ecc_corrected", Json::Int(run.report.ecc_corrected as i64)),
+            (
+                "remapped_banks",
+                Json::Int(run.report.remapped.len() as i64),
+            ),
+            ("clean_fig6_speedup", Json::Float(self.clean_speedup())),
+            (
+                "degraded_fig6_speedup",
+                Json::Float(self.degraded_speedup()),
+            ),
+        ])
+    }
 }
 
 #[cfg(test)]
@@ -190,6 +221,10 @@ mod tests {
         let text = r.to_text();
         assert!(text.contains("speedup vs reference"));
         assert!(text.contains("remapped"));
+        let Json::Obj(summary) = r.summary_json() else {
+            panic!("the summary is an object");
+        };
+        assert_eq!(summary.len(), 11, "the keys BENCH_baseline.json pins");
         let json = r.to_json();
         assert!(json.get("fig6_delta_cycles").is_some());
         assert_eq!(

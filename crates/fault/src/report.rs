@@ -3,7 +3,7 @@
 
 use std::fmt;
 
-use mempool_obs::Json;
+use mempool_obs::{Json, JsonError};
 
 /// One spare-bank substitution performed by the remap policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -102,43 +102,33 @@ impl FaultReport {
     ///
     /// # Errors
     ///
-    /// Returns a description of the first missing or mistyped field.
-    pub fn from_json(doc: &Json) -> Result<Self, String> {
-        fn u64_field(doc: &Json, key: &str) -> Result<u64, String> {
-            doc.get(key)
-                .and_then(Json::as_int)
-                .and_then(|v| u64::try_from(v).ok())
-                .ok_or_else(|| format!("fault report: missing or invalid '{key}'"))
-        }
-        let injected = doc
-            .get("injected")
-            .ok_or_else(|| "fault report: missing 'injected'".to_string())?;
+    /// Returns a [`JsonError`] naming the first missing or mistyped field.
+    pub fn from_json(doc: &Json) -> Result<Self, JsonError> {
+        let injected = doc.field("injected")?;
         let remapped = doc
-            .get("remapped_banks")
-            .and_then(Json::as_arr)
-            .ok_or_else(|| "fault report: missing 'remapped_banks'".to_string())?
+            .arr_field("remapped_banks")?
             .iter()
             .map(|entry| {
                 Ok(RemappedBank {
-                    tile: u64_field(entry, "tile")? as u32,
-                    from_bank: u64_field(entry, "from_bank")? as u32,
-                    to_bank: u64_field(entry, "to_bank")? as u32,
+                    tile: entry.u32_field("tile")?,
+                    from_bank: entry.u32_field("from_bank")?,
+                    to_bank: entry.u32_field("to_bank")?,
                 })
             })
-            .collect::<Result<Vec<_>, String>>()?;
+            .collect::<Result<Vec<_>, JsonError>>()?;
         Ok(FaultReport {
-            seed: u64_field(doc, "seed")?,
-            links_degraded: u64_field(injected, "links_degraded")?,
-            links_dead: u64_field(injected, "links_dead")?,
-            stuck_banks: u64_field(injected, "stuck_banks")?,
-            transient_flips: u64_field(injected, "transient_flips")?,
-            core_hangs: u64_field(injected, "core_hangs")?,
+            seed: doc.u64_field("seed")?,
+            links_degraded: injected.u64_field("links_degraded")?,
+            links_dead: injected.u64_field("links_dead")?,
+            stuck_banks: injected.u64_field("stuck_banks")?,
+            transient_flips: injected.u64_field("transient_flips")?,
+            core_hangs: injected.u64_field("core_hangs")?,
             remapped,
-            retried_accesses: u64_field(doc, "retried_accesses")?,
-            retry_cycles: u64_field(doc, "retry_cycles")?,
-            ecc_corrected: u64_field(doc, "ecc_corrected")?,
-            ecc_pending: u64_field(doc, "ecc_pending")?,
-            blackholed_requests: u64_field(doc, "blackholed_requests")?,
+            retried_accesses: doc.u64_field("retried_accesses")?,
+            retry_cycles: doc.u64_field("retry_cycles")?,
+            ecc_corrected: doc.u64_field("ecc_corrected")?,
+            ecc_pending: doc.u64_field("ecc_pending")?,
+            blackholed_requests: doc.u64_field("blackholed_requests")?,
         })
     }
 }

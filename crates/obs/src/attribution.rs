@@ -27,12 +27,10 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::json::Json;
 
 /// Cycle buckets of one core (or an aggregate of cores).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CycleBuckets {
     /// Cycles an instruction issued.
     pub issue: u64,
@@ -137,7 +135,7 @@ pub struct BankConflictInput {
 }
 
 /// Per-tile aggregate of the report.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TileBreakdown {
     /// Tile index.
     pub tile: u32,
@@ -150,7 +148,7 @@ pub struct TileBreakdown {
 }
 
 /// Bank-conflict heatmap: one row per tile, one cell per bank.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ConflictHeatmap {
     /// Banks per tile (row width).
     pub banks_per_tile: u32,
@@ -191,7 +189,7 @@ impl ConflictHeatmap {
 }
 
 /// The full attribution report.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AttributionReport {
     /// Total simulated cycles every core is accounted against.
     pub cycles: u64,

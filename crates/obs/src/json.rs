@@ -1,10 +1,10 @@
 //! A minimal, self-contained JSON document model.
 //!
-//! The build environment resolves `serde` to a no-op vendored stub (see
-//! `vendor/README.md`), so deriving `Serialize` produces no actual
-//! serializer. The observability subsystem needs *real* machine-readable
-//! artifacts — `metrics.json`, Chrome traces, `BENCH_repro.json` — so this
-//! module provides a small JSON value type with an emitter and a parser.
+//! The build environment has no registry access (see `vendor/README.md`),
+//! so the workspace carries no serialization dependency. The observability
+//! subsystem needs *real* machine-readable artifacts — `metrics.json`,
+//! Chrome traces, `BENCH_repro.json` — so this module provides a small
+//! JSON value type with an emitter, a parser and typed field accessors.
 //! Object key order is preserved (insertion order), which keeps emitted
 //! artifacts stable and diffable across runs.
 //!
@@ -13,6 +13,12 @@
 //! exactly through [`Json::to_string`] and [`Json::parse`].
 
 use std::fmt;
+
+/// Deepest array/object nesting [`Json::parse`] accepts. The parser
+/// recurses once per level, so hostile input (`[[[[...`) must hit a typed
+/// error long before it can exhaust the stack; real artifacts nest less
+/// than ten levels.
+pub const MAX_DEPTH: usize = 128;
 
 /// A JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -85,6 +91,101 @@ impl Json {
         }
     }
 
+    /// The value as a boolean, if it is one.
+    pub fn as_bool(&self) -> Option<bool> {
+        match self {
+            Json::Bool(b) => Some(*b),
+            _ => None,
+        }
+    }
+
+    /// The value as a non-negative integer; `what` names it in the error.
+    ///
+    /// # Errors
+    ///
+    /// This and every `try_*`/`*_field` accessor below return a shape
+    /// [`JsonError`] (offset 0) naming the offending value or field.
+    pub fn try_u64(&self, what: &str) -> Result<u64, JsonError> {
+        self.as_int()
+            .and_then(|v| u64::try_from(v).ok())
+            .ok_or_else(|| JsonError::shape(format!("{what} must be a non-negative integer")))
+    }
+
+    /// The value as a `u32`.
+    pub fn try_u32(&self, what: &str) -> Result<u32, JsonError> {
+        u32::try_from(self.try_u64(what)?)
+            .map_err(|_| JsonError::shape(format!("{what} exceeds u32")))
+    }
+
+    /// The value as a finite number.
+    pub fn try_f64(&self, what: &str) -> Result<f64, JsonError> {
+        self.as_f64()
+            .filter(|v| v.is_finite())
+            .ok_or_else(|| JsonError::shape(format!("{what} must be a finite number")))
+    }
+
+    /// The value as a boolean.
+    pub fn try_bool(&self, what: &str) -> Result<bool, JsonError> {
+        self.as_bool()
+            .ok_or_else(|| JsonError::shape(format!("{what} must be a boolean")))
+    }
+
+    /// The value as a string slice.
+    pub fn try_str(&self, what: &str) -> Result<&str, JsonError> {
+        self.as_str()
+            .ok_or_else(|| JsonError::shape(format!("{what} must be a string")))
+    }
+
+    /// The value as an array slice.
+    pub fn try_arr(&self, what: &str) -> Result<&[Json], JsonError> {
+        self.as_arr()
+            .ok_or_else(|| JsonError::shape(format!("{what} must be an array")))
+    }
+
+    /// The member `key` of an object.
+    pub fn field(&self, key: &str) -> Result<&Json, JsonError> {
+        self.get(key)
+            .ok_or_else(|| JsonError::shape(format!("missing field `{key}`")))
+    }
+
+    /// The member `key` as a non-negative integer.
+    pub fn u64_field(&self, key: &str) -> Result<u64, JsonError> {
+        self.field(key)?.try_u64(key)
+    }
+
+    /// The member `key` as a `u32`.
+    pub fn u32_field(&self, key: &str) -> Result<u32, JsonError> {
+        self.field(key)?.try_u32(key)
+    }
+
+    /// The member `key` as a finite number.
+    pub fn f64_field(&self, key: &str) -> Result<f64, JsonError> {
+        self.field(key)?.try_f64(key)
+    }
+
+    /// The member `key` as a boolean.
+    pub fn bool_field(&self, key: &str) -> Result<bool, JsonError> {
+        self.field(key)?.try_bool(key)
+    }
+
+    /// The member `key` as a string slice.
+    pub fn str_field(&self, key: &str) -> Result<&str, JsonError> {
+        self.field(key)?.try_str(key)
+    }
+
+    /// The member `key` as an array slice.
+    pub fn arr_field(&self, key: &str) -> Result<&[Json], JsonError> {
+        self.field(key)?.try_arr(key)
+    }
+
+    /// The member `key` as an array of non-negative integers.
+    pub fn u64s_field(&self, key: &str) -> Result<Vec<u64>, JsonError> {
+        self.arr_field(key)?
+            .iter()
+            .map(|v| v.try_u64(key))
+            .collect()
+    }
+
     /// Serializes with two-space indentation and a trailing newline —
     /// the format every artifact file uses.
     pub fn to_pretty(&self) -> String {
@@ -128,11 +229,13 @@ impl Json {
     ///
     /// # Errors
     ///
-    /// Returns a [`JsonError`] describing the first syntax error.
+    /// Returns a [`JsonError`] describing the first syntax error, or the
+    /// first array/object nested deeper than [`MAX_DEPTH`].
     pub fn parse(text: &str) -> Result<Json, JsonError> {
         let mut p = Parser {
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let value = p.value()?;
@@ -213,13 +316,24 @@ fn write_escaped(out: &mut String, s: &str) {
     out.push('"');
 }
 
-/// A JSON syntax error with a byte offset.
+/// A JSON syntax error with a byte offset, or a shape error (a missing or
+/// mistyped field of a parsed document) at offset 0.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JsonError {
     /// Byte offset of the error in the input.
     pub offset: usize,
     /// What went wrong.
     pub message: String,
+}
+
+impl JsonError {
+    /// A shape error: the document parsed but does not look as expected.
+    pub fn shape(message: impl Into<String>) -> Self {
+        JsonError {
+            offset: 0,
+            message: message.into(),
+        }
+    }
 }
 
 impl fmt::Display for JsonError {
@@ -233,6 +347,8 @@ impl std::error::Error for JsonError {}
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open around `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -277,8 +393,19 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[' | b'{') if self.depth == MAX_DEPTH => {
+                Err(self.err(&format!("nesting deeper than {MAX_DEPTH} levels")))
+            }
+            Some(open @ (b'[' | b'{')) => {
+                self.depth += 1;
+                let value = if open == b'[' {
+                    self.array()
+                } else {
+                    self.object()
+                };
+                self.depth -= 1;
+                value
+            }
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             _ => Err(self.err("expected a value")),
         }
@@ -473,6 +600,66 @@ mod tests {
         for text in ["", "{", "[1,", "\"abc", "01x", "{\"a\" 1}", "[1] tail"] {
             assert!(Json::parse(text).is_err(), "{text:?} should fail");
         }
+    }
+
+    #[test]
+    fn nesting_is_bounded_by_a_typed_error() {
+        // A 256 KiB stack — a quarter of the smallest default a server
+        // thread gets — so unbounded recursion aborts instead of passing
+        // by luck.
+        let checks = || {
+            let nested = |depth: usize| "[".repeat(depth) + &"]".repeat(depth);
+            assert!(Json::parse(&nested(MAX_DEPTH)).is_ok());
+            let objects = "{\"a\":".repeat(MAX_DEPTH) + "1" + &"}".repeat(MAX_DEPTH);
+            assert!(Json::parse(&objects).is_ok());
+            let err = Json::parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+            assert_eq!(err.offset, MAX_DEPTH);
+            assert!(err.message.contains("nesting deeper than"), "{err}");
+            assert!(Json::parse(&"[".repeat(200_000)).is_err());
+            assert!(Json::parse(&"{\"a\":".repeat(200_000)).is_err());
+            // Siblings do not accumulate depth.
+            let wide = format!("[{}]", vec![nested(MAX_DEPTH - 1); 64].join(","));
+            assert!(Json::parse(&wide).is_ok());
+        };
+        let thread = std::thread::Builder::new().stack_size(256 * 1024);
+        thread.spawn(checks).unwrap().join().unwrap();
+    }
+
+    #[test]
+    fn typed_accessors_name_the_offending_field() {
+        let doc =
+            Json::parse(r#"{"n": 7, "neg": -1, "big": 4294967296, "x": 1.5, "a": [1]}"#).unwrap();
+        assert_eq!(doc.u32_field("n"), Ok(7));
+        assert_eq!(doc.f64_field("n"), Ok(7.0));
+        assert_eq!(doc.u64s_field("a"), Ok(vec![1]));
+        let message = |e: JsonError| e.message;
+        for (err, needle) in [
+            (
+                doc.u64_field("gone").map_err(message),
+                "missing field `gone`",
+            ),
+            (
+                doc.u64_field("neg").map_err(message),
+                "neg must be a non-negative integer",
+            ),
+            (
+                doc.u64_field("x").map_err(message),
+                "x must be a non-negative integer",
+            ),
+            (
+                doc.u32_field("big").map(u64::from).map_err(message),
+                "big exceeds u32",
+            ),
+        ] {
+            assert_eq!(err, Err(needle.to_string()));
+        }
+        let nan = Json::Float(f64::NAN).try_f64("rate").unwrap_err();
+        assert_eq!(
+            (nan.offset, nan.message.as_str()),
+            (0, "rate must be a finite number")
+        );
+        assert!(doc.str_field("n").is_err() && doc.bool_field("n").is_err());
+        assert!(doc.arr_field("n").is_err() && Json::Int(1).field("k").is_err());
     }
 
     #[test]

@@ -20,8 +20,9 @@
 //!   dumped into `crashdump.json` when a run dies;
 //! * [`chrome`] — Chrome Trace Event export of span timelines, loadable in
 //!   Perfetto or `chrome://tracing`;
-//! * [`json`] — the self-contained JSON document model the exporters emit
-//!   (the vendored `serde` stub performs no real serialization);
+//! * [`json`] — the self-contained JSON document model the exporters
+//!   emit and every loader reads through (the workspace has no
+//!   serialization dependency);
 //! * [`load`] — quarantine-aware JSON file loading shared by the serve
 //!   result cache, its job journal, and the checkpoint loader;
 //! * [`artifacts`] — the artifact-directory writer used by

@@ -127,4 +127,19 @@ mod tests {
         assert!(matches!(load_json_file(&path), LoadOutcome::Missing));
         let _ = fs::remove_dir_all(&dir);
     }
+
+    #[test]
+    fn deeply_nested_files_are_quarantined_not_a_stack_overflow() {
+        let dir = temp_dir("deep");
+        let path = dir.join("deep.json");
+        fs::write(&path, "[".repeat(200_000)).unwrap();
+        match load_json_file(&path) {
+            LoadOutcome::Quarantined { renamed_to, error } => {
+                assert!(renamed_to.exists(), "corrupt bytes preserved");
+                assert!(error.contains("nesting deeper than"), "{error}");
+            }
+            other => panic!("expected quarantine, got {other:?}"),
+        }
+        let _ = fs::remove_dir_all(&dir);
+    }
 }

@@ -16,8 +16,6 @@
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
-use serde::{Deserialize, Serialize};
-
 use crate::json::{Json, JsonError};
 
 /// Label set of an instrument: ordered `(key, value)` pairs.
@@ -313,7 +311,7 @@ impl Registry {
 }
 
 /// One counter sample.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CounterSample {
     /// Instrument name.
     pub name: String,
@@ -324,7 +322,7 @@ pub struct CounterSample {
 }
 
 /// One gauge sample.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GaugeSample {
     /// Instrument name.
     pub name: String,
@@ -335,7 +333,7 @@ pub struct GaugeSample {
 }
 
 /// One histogram sample.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HistogramSample {
     /// Instrument name.
     pub name: String,
@@ -374,7 +372,7 @@ impl HistogramSample {
 }
 
 /// A frozen, serializable view of a [`Registry`].
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct MetricsSnapshot {
     /// Counter samples, sorted by `(name, labels)`.
     pub counters: Vec<CounterSample>,
@@ -400,43 +398,11 @@ fn labels_from_json(v: &Json) -> Result<Labels, JsonError> {
             .map(|(k, v)| {
                 v.as_str()
                     .map(|s| (k.clone(), s.to_string()))
-                    .ok_or_else(|| shape_err("label values must be strings"))
+                    .ok_or_else(|| JsonError::shape("label values must be strings"))
             })
             .collect(),
-        _ => Err(shape_err("labels must be an object")),
+        _ => Err(JsonError::shape("labels must be an object")),
     }
-}
-
-fn shape_err(message: &str) -> JsonError {
-    JsonError {
-        offset: 0,
-        message: message.to_string(),
-    }
-}
-
-fn field<'a>(v: &'a Json, key: &str) -> Result<&'a Json, JsonError> {
-    v.get(key)
-        .ok_or_else(|| shape_err(&format!("missing field `{key}`")))
-}
-
-fn u64_field(v: &Json, key: &str) -> Result<u64, JsonError> {
-    field(v, key)?
-        .as_int()
-        .and_then(|i| u64::try_from(i).ok())
-        .ok_or_else(|| shape_err(&format!("field `{key}` must be a non-negative integer")))
-}
-
-fn f64_field(v: &Json, key: &str) -> Result<f64, JsonError> {
-    field(v, key)?
-        .as_f64()
-        .ok_or_else(|| shape_err(&format!("field `{key}` must be a number")))
-}
-
-fn f64_vec_field(v: &Json, key: &str) -> Result<Vec<f64>, JsonError> {
-    field(v, key)?
-        .as_arr()
-        .map(|items| items.iter().filter_map(Json::as_f64).collect::<Vec<_>>())
-        .ok_or_else(|| shape_err(&format!("field `{key}` must be an array")))
 }
 
 impl MetricsSnapshot {
@@ -511,69 +477,47 @@ impl MetricsSnapshot {
     /// Returns a [`JsonError`] if the document does not have the expected
     /// shape.
     pub fn from_json(v: &Json) -> Result<Self, JsonError> {
-        let arr = |key: &str| -> Result<Vec<Json>, JsonError> {
-            field(v, key)?
-                .as_arr()
-                .map(<[Json]>::to_vec)
-                .ok_or_else(|| shape_err(&format!("field `{key}` must be an array")))
-        };
-        let counters = arr("counters")?
+        let counters = v
+            .arr_field("counters")?
             .iter()
             .map(|c| {
                 Ok(CounterSample {
-                    name: field(c, "name")?
-                        .as_str()
-                        .ok_or_else(|| shape_err("`name` must be a string"))?
-                        .to_string(),
-                    labels: labels_from_json(field(c, "labels")?)?,
-                    value: u64_field(c, "value")?,
+                    name: c.str_field("name")?.to_string(),
+                    labels: labels_from_json(c.field("labels")?)?,
+                    value: c.u64_field("value")?,
                 })
             })
             .collect::<Result<_, JsonError>>()?;
-        let gauges = arr("gauges")?
+        let gauges = v
+            .arr_field("gauges")?
             .iter()
             .map(|g| {
                 Ok(GaugeSample {
-                    name: field(g, "name")?
-                        .as_str()
-                        .ok_or_else(|| shape_err("`name` must be a string"))?
-                        .to_string(),
-                    labels: labels_from_json(field(g, "labels")?)?,
-                    value: f64_field(g, "value")?,
+                    name: g.str_field("name")?.to_string(),
+                    labels: labels_from_json(g.field("labels")?)?,
+                    value: g.f64_field("value")?,
                 })
             })
             .collect::<Result<_, JsonError>>()?;
-        let histograms = arr("histograms")?
+        let histograms = v
+            .arr_field("histograms")?
             .iter()
             .map(|h| {
-                let opt = |key: &str| -> Result<Option<f64>, JsonError> {
-                    match field(h, key)? {
-                        Json::Null => Ok(None),
-                        other => other
-                            .as_f64()
-                            .map(Some)
-                            .ok_or_else(|| shape_err(&format!("`{key}` must be a number or null"))),
-                    }
+                let opt = |key: &str| match h.field(key)? {
+                    Json::Null => Ok(None),
+                    other => other.try_f64(key).map(Some),
                 };
                 Ok(HistogramSample {
-                    name: field(h, "name")?
-                        .as_str()
-                        .ok_or_else(|| shape_err("`name` must be a string"))?
-                        .to_string(),
-                    labels: labels_from_json(field(h, "labels")?)?,
-                    bounds: f64_vec_field(h, "bounds")?,
-                    counts: field(h, "counts")?
-                        .as_arr()
-                        .ok_or_else(|| shape_err("`counts` must be an array"))?
+                    name: h.str_field("name")?.to_string(),
+                    labels: labels_from_json(h.field("labels")?)?,
+                    bounds: h
+                        .arr_field("bounds")?
                         .iter()
-                        .map(|c| {
-                            c.as_int()
-                                .and_then(|i| u64::try_from(i).ok())
-                                .ok_or_else(|| shape_err("`counts` entries must be integers"))
-                        })
+                        .map(|b| b.try_f64("bounds entry"))
                         .collect::<Result<_, JsonError>>()?,
-                    count: u64_field(h, "count")?,
-                    sum: f64_field(h, "sum")?,
+                    counts: h.u64s_field("counts")?,
+                    count: h.u64_field("count")?,
+                    sum: h.f64_field("sum")?,
                     min: opt("min")?,
                     max: opt("max")?,
                 })

@@ -164,44 +164,20 @@ impl TimeSeries {
     /// Returns a [`JsonError`] if the document does not have the expected
     /// shape.
     pub fn from_json(v: &Json) -> Result<Self, JsonError> {
-        let shape = |message: &str| JsonError {
-            offset: 0,
-            message: message.to_string(),
-        };
-        let window = v
-            .get("window")
-            .and_then(Json::as_int)
-            .and_then(|i| u64::try_from(i).ok())
-            .ok_or_else(|| shape("`window` must be a non-negative integer"))?;
+        let window = v.u64_field("window")?;
         let mut tracks = Vec::new();
-        for track in v
-            .get("series")
-            .and_then(Json::as_arr)
-            .ok_or_else(|| shape("`series` must be an array"))?
-        {
-            let name = track
-                .get("name")
-                .and_then(Json::as_str)
-                .ok_or_else(|| shape("series `name` must be a string"))?
-                .to_string();
+        for track in v.arr_field("series")? {
+            let name = track.str_field("name")?.to_string();
             let mut samples = Vec::new();
-            for pair in track
-                .get("samples")
-                .and_then(Json::as_arr)
-                .ok_or_else(|| shape("series `samples` must be an array"))?
-            {
-                let items = pair
-                    .as_arr()
-                    .filter(|a| a.len() == 2)
-                    .ok_or_else(|| shape("each sample must be a [cycle, value] pair"))?;
+            for pair in track.arr_field("samples")? {
+                let [cycle, value] = pair.try_arr("sample")? else {
+                    return Err(JsonError::shape(
+                        "each sample must be a [cycle, value] pair",
+                    ));
+                };
                 samples.push(Sample {
-                    cycle: items[0]
-                        .as_int()
-                        .and_then(|i| u64::try_from(i).ok())
-                        .ok_or_else(|| shape("sample cycle must be a non-negative integer"))?,
-                    value: items[1]
-                        .as_f64()
-                        .ok_or_else(|| shape("sample value must be a number"))?,
+                    cycle: cycle.try_u64("sample cycle")?,
+                    value: value.try_f64("sample value")?,
                 });
             }
             tracks.push(SeriesTrack { name, samples });

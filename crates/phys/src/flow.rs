@@ -3,8 +3,6 @@
 use std::fmt;
 use std::str::FromStr;
 
-use serde::{Deserialize, Serialize};
-
 /// The implementation flow: conventional 2D or Macro-3D face-to-face 3D.
 ///
 /// # Example
@@ -16,9 +14,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(Flow::ThreeD.beol_name(), "M6M6");
 /// assert_eq!(Flow::ThreeD.to_string(), "3D");
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub enum Flow {
     /// Conventional single-die flow with an eight-metal BEOL; the group
     /// level routes over the tiles on M7-M8.

@@ -10,10 +10,8 @@
 //!   length, channel routing demand, buffer counts, and critical paths are
 //!   all derived geometrically.
 
-use serde::{Deserialize, Serialize};
-
 /// Gate-equivalent counts of MemPool's building blocks.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GateInventory {
     /// One Snitch core (the paper states 60 kGE).
     pub snitch_core_ge: f64,
@@ -48,7 +46,7 @@ impl Default for GateInventory {
 }
 
 /// Logical endpoint of a group-level bus.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum NetEndpoint {
     /// A tile port, by tile index in the 4x4 grid.
     Tile(u32),
@@ -68,7 +66,7 @@ pub enum NetEndpoint {
 }
 
 /// One bus of the group netlist.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Bus {
     /// Driving endpoint.
     pub from: NetEndpoint,
@@ -79,7 +77,7 @@ pub struct Bus {
 }
 
 /// The group-level netlist: all buses of the four butterfly networks.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GroupNetlist {
     buses: Vec<Bus>,
     tiles: u32,

@@ -16,8 +16,6 @@
 //! issuing nearly every cycle, roughly 40 % of instructions touching the
 //! SPM.
 
-use serde::{Deserialize, Serialize};
-
 use crate::tech::Technology;
 use crate::tile::TileImplementation;
 
@@ -30,7 +28,7 @@ const BUFFER_GE: f64 = 2.0;
 /// paper evaluates; [`ActivityProfile::from_ipc_and_accesses`] derives a
 /// profile from simulator statistics instead, closing the loop between
 /// the cycle-accurate model and the power model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ActivityProfile {
     /// Toggle activity of logic cells (0.135 at full issue rate).
     pub cell_activity: f64,
@@ -79,7 +77,7 @@ impl Default for ActivityProfile {
 }
 
 /// Power breakdown of a group, in mW at the 1 GHz reporting clock.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PowerReport {
     /// Dynamic power of standard cells (tiles, interconnect, repeaters).
     pub cell_dynamic_mw: f64,

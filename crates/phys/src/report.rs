@@ -1,7 +1,5 @@
 //! Flat report structs mirroring the paper's Table I and Table II rows.
 
-use serde::{Deserialize, Serialize};
-
 use mempool_arch::SpmCapacity;
 
 use crate::flow::Flow;
@@ -9,7 +7,7 @@ use crate::group::GroupImplementation;
 use crate::tile::TileImplementation;
 
 /// One row of Table I (tile implementation results).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TileReport {
     /// Implementation flow.
     pub flow: Flow,
@@ -45,7 +43,7 @@ impl From<&TileImplementation> for TileReport {
 }
 
 /// One column of Table II (group implementation results), in raw units.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GroupReport {
     /// Implementation flow.
     pub flow: Flow,
@@ -123,12 +121,5 @@ mod tests {
         assert_eq!(report.f2f_bumps, None);
         assert_eq!(report.frequency_ghz, group.frequency_ghz());
         assert!(report.total_power_mw > 0.0);
-    }
-
-    #[test]
-    fn reports_are_serializable_data_structures() {
-        fn assert_serialize<T: serde::Serialize>() {}
-        assert_serialize::<TileReport>();
-        assert_serialize::<GroupReport>();
     }
 }

@@ -19,8 +19,6 @@
 //! drop of 6.2 % between the MemPool-3D 2 MiB and 1 MiB groups, despite
 //! having the same footprint ... due to the longer SRAMs' delay").
 
-use serde::{Deserialize, Serialize};
-
 /// Area model intercept in µm².
 const A0_UM2: f64 = 4838.0;
 /// Area model slope in µm² per bit.
@@ -53,7 +51,7 @@ const EROOT_PJ: f64 = 0.06;
 /// assert!(large.area_um2() < 4.0 * small.area_um2());
 /// assert!(large.access_delay_ps() > small.access_delay_ps());
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SramMacro {
     bits: u64,
 }

@@ -15,10 +15,8 @@
 //! Everything else (capacity scaling, 2D-vs-3D deltas, crossovers) emerges
 //! from geometry.
 
-use serde::{Deserialize, Serialize};
-
 /// Constants of the implementation technology.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Technology {
     /// Area of one gate equivalent (a NAND2) in µm².
     pub ge_area_um2: f64,

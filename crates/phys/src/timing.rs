@@ -12,8 +12,6 @@
 //! yielding the achieved frequency (from the worst path), the total
 //! negative slack, and the failing-endpoint count.
 
-use serde::{Deserialize, Serialize};
-
 use crate::flow::Flow;
 use crate::sram::SramMacro;
 use crate::tech::Technology;
@@ -24,7 +22,7 @@ use crate::tech::Technology;
 const ENDPOINTS_PER_ROUTE: f64 = 15.0;
 
 /// Result of the group's static timing analysis.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TimingReport {
     /// Worst path delay in ps.
     pub critical_path_ps: f64,

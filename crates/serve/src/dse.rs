@@ -12,7 +12,7 @@
 use mempool::design::DesignPoint;
 use mempool::dse::{DesignSpace, ScoredPoint};
 use mempool_kernels::matmul::PhaseModel;
-use mempool_obs::Json;
+use mempool_obs::{Json, JsonError};
 
 use crate::client::{Client, TcpClient};
 use crate::protocol::{ExperimentKind, ExperimentRequest, ModelConfig, ServeError};
@@ -32,17 +32,16 @@ fn point_request(point: DesignPoint, model: ModelConfig) -> ExperimentRequest {
 /// [`ServeError::Protocol`] when the artifact does not describe `point`
 /// or carries a malformed score vector.
 pub fn parse_scored(point: DesignPoint, artifact: &Json) -> Result<ScoredPoint, ServeError> {
-    let design = artifact.get("design").and_then(Json::as_str);
-    if design != Some(point.name().as_str()) {
+    let malformed =
+        |e: JsonError| ServeError::Protocol(format!("dse_point artifact: {}", e.message));
+    let design = artifact.str_field("design").map_err(malformed)?;
+    if design != point.name() {
         return Err(ServeError::Protocol(format!(
             "artifact describes {design:?}, expected {:?}",
             point.name()
         )));
     }
-    let scores = artifact
-        .get("scores")
-        .and_then(Json::as_arr)
-        .ok_or_else(|| ServeError::Protocol("dse_point artifact missing scores".to_string()))?;
+    let scores = artifact.arr_field("scores").map_err(malformed)?;
     if scores.len() != 4 {
         return Err(ServeError::Protocol(format!(
             "expected 4 objective scores, got {}",
@@ -51,9 +50,7 @@ pub fn parse_scored(point: DesignPoint, artifact: &Json) -> Result<ScoredPoint, 
     }
     let mut vector = [0.0f64; 4];
     for (slot, value) in vector.iter_mut().zip(scores) {
-        *slot = value.as_f64().ok_or_else(|| {
-            ServeError::Protocol(format!("non-numeric objective score: {value:?}"))
-        })?;
+        *slot = value.try_f64("objective score").map_err(malformed)?;
     }
     Ok(ScoredPoint {
         point,

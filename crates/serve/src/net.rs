@@ -15,7 +15,7 @@
 //!   service: queued jobs finish, every accepted waiter gets its
 //!   response, and [`TcpServer::run`] returns the final stats document.
 
-use std::io::{BufRead, BufReader, ErrorKind, Write};
+use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::Arc;
 use std::time::Duration;
@@ -27,6 +27,11 @@ use crate::service::{Service, ServiceConfig, Shared};
 
 /// How often an idle connection handler wakes to check for shutdown.
 const IDLE_POLL: Duration = Duration::from_millis(100);
+
+/// Longest request line (newline included) a connection may send. The
+/// largest legitimate request is a few hundred bytes; without a bound one
+/// peer that never sends a newline grows the handler's buffer forever.
+const MAX_REQUEST_BYTES: usize = 1 << 20;
 
 /// A TCP daemon wrapping a [`Service`].
 pub struct TcpServer {
@@ -106,9 +111,11 @@ fn write_line(stream: &mut TcpStream, doc: &Json) -> std::io::Result<()> {
 }
 
 /// Sequentially serves one connection. Returns (closing the connection)
-/// on EOF, an unwritable socket, or service shutdown while idle; a
-/// request already admitted always streams to completion first (shutdown
-/// drains the pool, so its terminal status is guaranteed to arrive).
+/// on EOF, an unwritable socket, a request line longer than
+/// [`MAX_REQUEST_BYTES`] (answered with a typed `bad_request` first), or
+/// service shutdown while idle; a request already admitted always streams
+/// to completion first (shutdown drains the pool, so its terminal status
+/// is guaranteed to arrive).
 fn handle_connection(shared: &Arc<Shared>, stream: TcpStream, local: SocketAddr) {
     let _ = stream.set_read_timeout(Some(IDLE_POLL));
     let mut writer = match stream.try_clone() {
@@ -116,19 +123,28 @@ fn handle_connection(shared: &Arc<Shared>, stream: TcpStream, local: SocketAddr)
         Err(_) => return,
     };
     let mut reader = BufReader::new(stream);
-    let mut line = String::new();
+    let mut line = Vec::new();
     loop {
-        match reader.read_line(&mut line) {
+        let room = (MAX_REQUEST_BYTES + 1 - line.len()) as u64;
+        match (&mut reader).take(room).read_until(b'\n', &mut line) {
             Ok(0) => return,
+            Ok(_) if line.len() > MAX_REQUEST_BYTES => {
+                let status = Status::Error(ServeError::BadRequest(format!(
+                    "request line exceeds {MAX_REQUEST_BYTES} bytes"
+                )));
+                let _ = write_line(&mut writer, &status.to_json(0));
+                return;
+            }
             Ok(_) => {
-                let keep_going = serve_line(shared, &mut writer, line.trim(), local);
+                let text = String::from_utf8_lossy(&line);
+                let keep_going = serve_line(shared, &mut writer, text.trim(), local);
                 line.clear();
                 if !keep_going {
                     return;
                 }
             }
             // Idle poll: `line` keeps any partial read, and the next
-            // read_line continues appending to it.
+            // read_until continues appending to it.
             Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
                 if shared.is_shutting_down() {
                     return;

@@ -25,9 +25,9 @@ use std::sync::Arc;
 use mempool::design::DesignPoint;
 use mempool_arch::SpmCapacity;
 use mempool_kernels::matmul::PhaseModel;
-use mempool_obs::Json;
+use mempool_obs::{Json, JsonError};
 use mempool_phys::Flow;
-use mempool_sim::SimParams;
+use mempool_sim::{fnv1a, SimParams};
 
 /// Default host-thread count for request execution.
 pub const DEFAULT_THREADS: usize = 1;
@@ -85,22 +85,25 @@ impl ModelConfig {
         ])
     }
 
-    fn from_json(doc: &Json) -> Result<Self, String> {
+    fn from_json(doc: &Json) -> Result<Self, JsonError> {
         let Json::Obj(pairs) = doc else {
-            return Err("model must be an object".to_string());
+            return Err(JsonError::shape("model must be an object"));
         };
         let mut model = ModelConfig::default();
         for (key, value) in pairs {
             match key.as_str() {
-                "m" => model.m = parse_u64(value, "model.m")?,
-                "num_cores" => model.num_cores = parse_u64(value, "model.num_cores")?,
+                "m" => model.m = value.try_u64("model.m")?,
+                "num_cores" => model.num_cores = value.try_u64("model.num_cores")?,
                 "cycles_per_mac" => {
-                    model.cycles_per_mac = parse_positive_f64(value, "model.cycles_per_mac")?;
+                    model.cycles_per_mac = value.try_f64("model.cycles_per_mac")?;
+                    if model.cycles_per_mac <= 0.0 {
+                        return Err(JsonError::shape("model.cycles_per_mac must be positive"));
+                    }
                 }
                 "phase_overhead" => {
-                    model.phase_overhead = parse_finite_f64(value, "model.phase_overhead")?;
+                    model.phase_overhead = value.try_f64("model.phase_overhead")?;
                 }
-                other => return Err(format!("model: unknown field {other:?}")),
+                other => return Err(JsonError::shape(format!("model: unknown field {other:?}"))),
             }
         }
         Ok(model)
@@ -208,8 +211,12 @@ impl ExperimentRequest {
     /// irrelevant, omitted fields take their defaults, and unknown fields
     /// are typed errors rather than silently ignored.
     pub fn from_json(doc: &Json) -> Result<Self, String> {
+        Self::parse(doc).map_err(|e| e.message)
+    }
+
+    fn parse(doc: &Json) -> Result<Self, JsonError> {
         let Json::Obj(pairs) = doc else {
-            return Err("request must be a JSON object".to_string());
+            return Err(JsonError::shape("request must be a JSON object"));
         };
         let mut kind_tag: Option<&str> = None;
         let mut model = ModelConfig::default();
@@ -223,27 +230,25 @@ impl ExperimentRequest {
                 "id" => {
                     // Transport-level correlation id; validated by the
                     // connection layer, ignored for canonicalization.
-                    parse_u64(value, "id")?;
+                    value.try_u64("id")?;
                 }
                 "kind" => {
-                    kind_tag = Some(
-                        value
-                            .as_str()
-                            .ok_or_else(|| "kind must be a string".to_string())?,
-                    );
+                    kind_tag = Some(value.try_str("kind")?);
                 }
                 "model" => model = ModelConfig::from_json(value)?,
                 "threads" => {
-                    let count = parse_u64(value, "threads")? as usize;
+                    let count = value.try_u64("threads")? as usize;
                     if count == 0 {
-                        return Err("threads must be nonzero (1 = sequential)".to_string());
+                        return Err(JsonError::shape("threads must be nonzero (1 = sequential)"));
                     }
                     threads = count;
                 }
                 "bytes_per_cycle" => {
-                    let bw = parse_u64(value, "bytes_per_cycle")?;
+                    let bw = value.try_u64("bytes_per_cycle")?;
                     if bw == 0 || bw > u64::from(u32::MAX) {
-                        return Err(format!("bytes_per_cycle out of range: {bw}"));
+                        return Err(JsonError::shape(format!(
+                            "bytes_per_cycle out of range: {bw}"
+                        )));
                     }
                     bytes_per_cycle = Some(bw as u32);
                 }
@@ -251,44 +256,48 @@ impl ExperimentRequest {
                     flow = Some(match value.as_str() {
                         Some("2D") => Flow::TwoD,
                         Some("3D") => Flow::ThreeD,
-                        _ => return Err(format!("flow must be \"2D\" or \"3D\", got {value:?}")),
+                        _ => return Err(JsonError::shape("flow must be \"2D\" or \"3D\"")),
                     });
                 }
                 "capacity_mib" => {
-                    let mib = parse_u64(value, "capacity_mib")?;
+                    let mib = value.try_u64("capacity_mib")?;
                     capacity = Some(match mib {
                         1 => SpmCapacity::MiB1,
                         2 => SpmCapacity::MiB2,
                         4 => SpmCapacity::MiB4,
                         8 => SpmCapacity::MiB8,
                         other => {
-                            return Err(format!(
+                            return Err(JsonError::shape(format!(
                                 "capacity_mib must be one of 1, 2, 4, 8; got {other}"
-                            ))
+                            )))
                         }
                     });
                 }
                 "p" => {
-                    let dim = parse_u64(value, "p")?;
+                    let dim = value.try_u64("p")?;
                     if dim == 0 || dim > u64::from(u32::MAX) {
-                        return Err(format!("p out of range: {dim}"));
+                        return Err(JsonError::shape(format!("p out of range: {dim}")));
                     }
                     p = Some(dim as u32);
                 }
-                other => return Err(format!("unknown field {other:?}")),
+                other => return Err(JsonError::shape(format!("unknown field {other:?}"))),
             }
         }
-        let tag = kind_tag.ok_or_else(|| "missing required field \"kind\"".to_string())?;
+        let tag = kind_tag.ok_or_else(|| JsonError::shape("missing required field \"kind\""))?;
         let reject_extras =
-            |wants_bw: bool, wants_point: bool, wants_p: bool| -> Result<(), String> {
+            |wants_bw: bool, wants_point: bool, wants_p: bool| -> Result<(), JsonError> {
                 if bytes_per_cycle.is_some() && !wants_bw {
-                    return Err(format!("kind {tag:?} takes no bytes_per_cycle"));
+                    return Err(JsonError::shape(format!(
+                        "kind {tag:?} takes no bytes_per_cycle"
+                    )));
                 }
                 if (flow.is_some() || capacity.is_some()) && !wants_point {
-                    return Err(format!("kind {tag:?} takes no flow/capacity_mib"));
+                    return Err(JsonError::shape(format!(
+                        "kind {tag:?} takes no flow/capacity_mib"
+                    )));
                 }
                 if p.is_some() && !wants_p {
-                    return Err(format!("kind {tag:?} takes no p"));
+                    return Err(JsonError::shape(format!("kind {tag:?} takes no p")));
                 }
                 Ok(())
             };
@@ -301,18 +310,18 @@ impl ExperimentRequest {
             "fig9" => ExperimentKind::Fig9,
             "sweep" => ExperimentKind::Sweep {
                 bytes_per_cycle: bytes_per_cycle
-                    .ok_or_else(|| "sweep requires bytes_per_cycle".to_string())?,
+                    .ok_or_else(|| JsonError::shape("sweep requires bytes_per_cycle"))?,
             },
             "dse_point" => ExperimentKind::DsePoint {
                 point: DesignPoint::new(
-                    flow.ok_or_else(|| "dse_point requires flow".to_string())?,
-                    capacity.ok_or_else(|| "dse_point requires capacity_mib".to_string())?,
+                    flow.ok_or_else(|| JsonError::shape("dse_point requires flow"))?,
+                    capacity.ok_or_else(|| JsonError::shape("dse_point requires capacity_mib"))?,
                 ),
             },
             "kernel" => ExperimentKind::Kernel {
-                p: p.ok_or_else(|| "kernel requires p".to_string())?,
+                p: p.ok_or_else(|| JsonError::shape("kernel requires p"))?,
             },
-            other => return Err(format!("unknown kind {other:?}")),
+            other => return Err(JsonError::shape(format!("unknown kind {other:?}"))),
         };
         match kind {
             ExperimentKind::Sweep { .. } => reject_extras(true, false, false)?,
@@ -338,7 +347,6 @@ impl ExperimentRequest {
     /// [`Self::cache_key`] under an explicit engine-version tag — exposed
     /// so tests can prove a version bump invalidates every key.
     pub fn cache_key_with_version(&self, version: &str) -> u64 {
-        const PRIME: u64 = 0x0000_0100_0000_01b3;
         // Seed with the full simulator parameter digest (which itself
         // mixes the engine version): a timing-parameter change is as
         // cache-invalidating as a code change.
@@ -347,12 +355,7 @@ impl ExperimentRequest {
             ..SimParams::default()
         }
         .digest_with_version(version);
-        let mut mix = |bytes: &[u8]| {
-            for &byte in bytes {
-                hash ^= u64::from(byte);
-                hash = hash.wrapping_mul(PRIME);
-            }
-        };
+        let mut mix = |bytes: &[u8]| hash = fnv1a(hash, bytes);
         mix(self.kind.tag().as_bytes());
         match self.kind {
             ExperimentKind::Sweep { bytes_per_cycle } => mix(&bytes_per_cycle.to_le_bytes()),
@@ -515,15 +518,12 @@ impl Status {
 
     /// Parses one wire line into `(id, status)`.
     pub fn from_json(doc: &Json) -> Result<(u64, Status), String> {
-        let id = doc
-            .get("id")
-            .and_then(Json::as_int)
-            .ok_or_else(|| "response missing id".to_string())? as u64;
-        let status = doc
-            .get("status")
-            .and_then(Json::as_str)
-            .ok_or_else(|| "response missing status".to_string())?;
-        let status = match status {
+        Self::parse(doc).map_err(|e| e.message)
+    }
+
+    fn parse(doc: &Json) -> Result<(u64, Status), JsonError> {
+        let id = doc.u64_field("id")?;
+        let status = match doc.str_field("status")? {
             "accepted" => Status::Accepted {
                 queue_depth: doc
                     .get("queue_depth")
@@ -531,21 +531,12 @@ impl Status {
                     .unwrap_or_default() as usize,
             },
             "started" => Status::Started,
-            "done" => {
-                let cache = doc
-                    .get("cache")
-                    .and_then(Json::as_str)
-                    .and_then(CacheOutcome::from_tag)
-                    .ok_or_else(|| "done response missing cache outcome".to_string())?;
-                let artifact = doc
-                    .get("artifact")
-                    .cloned()
-                    .ok_or_else(|| "done response missing artifact".to_string())?;
-                Status::Done {
-                    cache,
-                    artifact: Arc::new(artifact),
-                }
-            }
+            "done" => Status::Done {
+                cache: CacheOutcome::from_tag(doc.str_field("cache")?).ok_or_else(|| {
+                    JsonError::shape("done response has an unknown cache outcome")
+                })?,
+                artifact: Arc::new(doc.field("artifact")?.clone()),
+            },
             "error" => {
                 let message = doc
                     .get("message")
@@ -564,31 +555,9 @@ impl Status {
                 };
                 Status::Error(error)
             }
-            other => return Err(format!("unknown status {other:?}")),
+            other => return Err(JsonError::shape(format!("unknown status {other:?}"))),
         };
         Ok((id, status))
-    }
-}
-
-fn parse_u64(value: &Json, what: &str) -> Result<u64, String> {
-    match value.as_int() {
-        Some(v) if v >= 0 => Ok(v as u64),
-        _ => Err(format!("{what} must be an unsigned integer, got {value:?}")),
-    }
-}
-
-fn parse_finite_f64(value: &Json, what: &str) -> Result<f64, String> {
-    match value.as_f64() {
-        Some(v) if v.is_finite() => Ok(v),
-        _ => Err(format!("{what} must be a finite number, got {value:?}")),
-    }
-}
-
-fn parse_positive_f64(value: &Json, what: &str) -> Result<f64, String> {
-    match parse_finite_f64(value, what) {
-        Ok(v) if v > 0.0 => Ok(v),
-        Ok(v) => Err(format!("{what} must be positive, got {v}")),
-        Err(e) => Err(e),
     }
 }
 
@@ -732,7 +701,7 @@ mod tests {
             .contains("nonzero"));
         assert!(parse(r#"{"kind": "fig6", "threads": -1}"#)
             .unwrap_err()
-            .contains("unsigned"));
+            .contains("threads must be a non-negative integer"));
         assert!(parse(r#"{"kind": "sweep", "bytes_per_cycle": 0}"#)
             .unwrap_err()
             .contains("out of range"));

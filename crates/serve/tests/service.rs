@@ -252,22 +252,35 @@ fn tcp_round_trip_serves_byte_identical_artifacts_and_coalesced_stats() {
     let second = client2.request(&req).unwrap();
     assert_eq!(second.cache, CacheOutcome::Hit);
     assert_eq!(second.artifact.to_pretty(), first.artifact.to_pretty());
-    // Malformed requests come back as typed bad_request errors, and the
-    // connection stays usable afterwards.
+    // Malformed and hostile lines come back as typed bad_request errors
+    // and the connection stays usable: an unknown kind, then nesting that
+    // used to overflow the handler's stack and abort the whole daemon.
     {
-        use std::io::{BufRead, BufReader, Write};
+        use std::io::{BufRead, BufReader, Read, Write};
         let mut raw = std::net::TcpStream::connect(addr).unwrap();
-        raw.write_all(b"{\"id\": 9, \"kind\": \"fig66\"}\n")
-            .unwrap();
-        let mut reply = String::new();
-        BufReader::new(raw.try_clone().unwrap())
-            .read_line(&mut reply)
-            .unwrap();
-        let doc = Json::parse(reply.trim()).unwrap();
-        assert_eq!(doc.get("status").and_then(Json::as_str), Some("error"));
-        assert_eq!(doc.get("code").and_then(Json::as_str), Some("bad_request"));
-        assert_eq!(doc.get("id").and_then(Json::as_int), Some(9));
+        let mut reader = BufReader::new(raw.try_clone().unwrap());
+        let mut expect_bad_request = |raw: &mut std::net::TcpStream, line: &[u8], needle: &str| {
+            raw.write_all(line).unwrap();
+            let mut reply = String::new();
+            reader.read_line(&mut reply).unwrap();
+            let doc = Json::parse(reply.trim()).unwrap();
+            assert_eq!(doc.get("status").and_then(Json::as_str), Some("error"));
+            assert_eq!(doc.get("code").and_then(Json::as_str), Some("bad_request"));
+            let message = doc.get("message").and_then(Json::as_str).unwrap();
+            assert!(message.contains(needle), "{message}");
+            doc.get("id").and_then(Json::as_int)
+        };
+        let id = expect_bad_request(&mut raw, b"{\"id\": 9, \"kind\": \"fig66\"}\n", "fig66");
+        assert_eq!(id, Some(9));
+        let deep = "[".repeat(200_000) + "\n";
+        expect_bad_request(&mut raw, deep.as_bytes(), "nesting deeper than");
+        // One byte past the 1 MiB line bound and never a newline: answered,
+        // then closed, instead of buffered without limit.
+        let long = vec![b' '; (1 << 20) + 1];
+        expect_bad_request(&mut raw, &long, "request line exceeds");
+        assert_eq!(reader.read(&mut [0u8; 1]).unwrap(), 0, "connection closed");
     }
+    // The daemon keeps serving its other connections.
     let stats = client.stats().unwrap();
     assert_eq!(
         stats.get("schema").and_then(Json::as_str),

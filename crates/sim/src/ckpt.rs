@@ -44,7 +44,7 @@ use mempool_fault::{
 use mempool_isa::exec::{MemAccessKind, MemWidth};
 use mempool_isa::instr::AmoOp;
 use mempool_isa::{Program, Reg};
-use mempool_obs::{load_json_file, Json, LoadOutcome};
+use mempool_obs::{load_json_file, Json, JsonError, LoadOutcome};
 
 use crate::cluster::{Bank, Cluster, PendingAccess, Response, Sampler, SimError};
 use crate::params::{default_threads, SimParams, ENGINE_VERSION};
@@ -107,61 +107,18 @@ impl From<SimError> for CheckpointError {
     }
 }
 
+impl From<JsonError> for CheckpointError {
+    fn from(e: JsonError) -> Self {
+        CheckpointError::Malformed(e.message)
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Field helpers
 // ---------------------------------------------------------------------------
 
 fn bad(msg: impl Into<String>) -> CheckpointError {
     CheckpointError::Malformed(msg.into())
-}
-
-fn get<'a>(doc: &'a Json, key: &str) -> Result<&'a Json, CheckpointError> {
-    doc.get(key).ok_or_else(|| bad(format!("missing '{key}'")))
-}
-
-fn get_u64(doc: &Json, key: &str) -> Result<u64, CheckpointError> {
-    get(doc, key)?
-        .as_int()
-        .and_then(|v| u64::try_from(v).ok())
-        .ok_or_else(|| bad(format!("'{key}' is not a non-negative integer")))
-}
-
-fn get_u32(doc: &Json, key: &str) -> Result<u32, CheckpointError> {
-    u32::try_from(get_u64(doc, key)?).map_err(|_| bad(format!("'{key}' exceeds u32")))
-}
-
-fn get_bool(doc: &Json, key: &str) -> Result<bool, CheckpointError> {
-    match get(doc, key)? {
-        Json::Bool(b) => Ok(*b),
-        _ => Err(bad(format!("'{key}' is not a boolean"))),
-    }
-}
-
-fn get_str<'a>(doc: &'a Json, key: &str) -> Result<&'a str, CheckpointError> {
-    get(doc, key)?
-        .as_str()
-        .ok_or_else(|| bad(format!("'{key}' is not a string")))
-}
-
-fn get_arr<'a>(doc: &'a Json, key: &str) -> Result<&'a [Json], CheckpointError> {
-    get(doc, key)?
-        .as_arr()
-        .ok_or_else(|| bad(format!("'{key}' is not an array")))
-}
-
-fn int_u64(value: &Json, what: &str) -> Result<u64, CheckpointError> {
-    value
-        .as_int()
-        .and_then(|v| u64::try_from(v).ok())
-        .ok_or_else(|| bad(format!("{what} is not a non-negative integer")))
-}
-
-fn int_u32(value: &Json, what: &str) -> Result<u32, CheckpointError> {
-    u32::try_from(int_u64(value, what)?).map_err(|_| bad(format!("{what} exceeds u32")))
-}
-
-fn u64_arr(doc: &Json, key: &str) -> Result<Vec<u64>, CheckpointError> {
-    get_arr(doc, key)?.iter().map(|v| int_u64(v, key)).collect()
 }
 
 fn json_u64s(values: impl IntoIterator<Item = u64>) -> Json {
@@ -272,20 +229,21 @@ fn kind_to_json(kind: MemAccessKind) -> Json {
 }
 
 fn kind_from_json(doc: &Json) -> Result<MemAccessKind, CheckpointError> {
-    match get_str(doc, "op")? {
+    match doc.str_field("op")? {
         "load" => Ok(MemAccessKind::Load {
-            width: width_from_json(get(doc, "width")?, "load width")?,
-            signed: get_bool(doc, "signed")?,
-            rd: reg_from_json(get(doc, "rd")?, "load rd")?.ok_or_else(|| bad("load without rd"))?,
+            width: width_from_json(doc.field("width")?, "load width")?,
+            signed: doc.bool_field("signed")?,
+            rd: reg_from_json(doc.field("rd")?, "load rd")?
+                .ok_or_else(|| bad("load without rd"))?,
         }),
         "store" => Ok(MemAccessKind::Store {
-            width: width_from_json(get(doc, "width")?, "store width")?,
-            value: get_u32(doc, "value")?,
+            width: width_from_json(doc.field("width")?, "store width")?,
+            value: doc.u32_field("value")?,
         }),
         "amo" => Ok(MemAccessKind::Amo {
-            op: amo_from_tag(get_str(doc, "amo")?)?,
-            value: get_u32(doc, "value")?,
-            rd: reg_from_json(get(doc, "rd")?, "amo rd")?.ok_or_else(|| bad("amo without rd"))?,
+            op: amo_from_tag(doc.str_field("amo")?)?,
+            value: doc.u32_field("value")?,
+            rd: reg_from_json(doc.field("rd")?, "amo rd")?.ok_or_else(|| bad("amo without rd"))?,
         }),
         other => Err(bad(format!("unknown access op '{other}'"))),
     }
@@ -301,9 +259,9 @@ fn loc_to_json(loc: BankLocation) -> Json {
 
 fn loc_from_json(doc: &Json) -> Result<BankLocation, CheckpointError> {
     Ok(BankLocation {
-        tile: TileId(get_u32(doc, "tile")?),
-        bank: BankId(get_u32(doc, "bank")?),
-        word: get_u32(doc, "word")?,
+        tile: TileId(doc.u32_field("tile")?),
+        bank: BankId(doc.u32_field("bank")?),
+        word: doc.u32_field("word")?,
     })
 }
 
@@ -327,18 +285,18 @@ fn core_stats_to_json(stats: &CoreStats) -> Json {
 }
 
 fn core_stats_from_json(doc: &Json) -> Result<CoreStats, CheckpointError> {
-    let accesses = u64_arr(doc, "accesses")?;
-    let network = u64_arr(doc, "network_accesses")?;
+    let accesses = doc.u64s_field("accesses")?;
+    let network = doc.u64s_field("network_accesses")?;
     Ok(CoreStats {
-        retired: get_u64(doc, "retired")?,
-        stall_scoreboard: get_u64(doc, "stall_scoreboard")?,
-        stall_structural: get_u64(doc, "stall_structural")?,
-        stall_icache: get_u64(doc, "stall_icache")?,
-        icache_misses: get_u64(doc, "icache_misses")?,
-        stall_branch: get_u64(doc, "stall_branch")?,
-        stall_fault_retry: get_u64(doc, "stall_fault_retry")?,
-        stall_ecc: get_u64(doc, "stall_ecc")?,
-        halted_cycles: get_u64(doc, "halted_cycles")?,
+        retired: doc.u64_field("retired")?,
+        stall_scoreboard: doc.u64_field("stall_scoreboard")?,
+        stall_structural: doc.u64_field("stall_structural")?,
+        stall_icache: doc.u64_field("stall_icache")?,
+        icache_misses: doc.u64_field("icache_misses")?,
+        stall_branch: doc.u64_field("stall_branch")?,
+        stall_fault_retry: doc.u64_field("stall_fault_retry")?,
+        stall_ecc: doc.u64_field("stall_ecc")?,
+        halted_cycles: doc.u64_field("halted_cycles")?,
         accesses: accesses
             .try_into()
             .map_err(|_| bad("'accesses' must have 3 entries"))?,
@@ -360,9 +318,9 @@ fn link_to_json(link: LinkState) -> Json {
 }
 
 fn link_from_json(doc: &Json) -> Result<LinkState, CheckpointError> {
-    match get_str(doc, "state")? {
+    match doc.str_field("state")? {
         "healthy" => Ok(LinkState::Healthy),
-        "degraded" => Ok(LinkState::Degraded(get_u32(doc, "extra")?)),
+        "degraded" => Ok(LinkState::Degraded(doc.u32_field("extra")?)),
         "dead" => Ok(LinkState::Dead),
         other => Err(bad(format!("unknown link state '{other}'"))),
     }
@@ -384,15 +342,15 @@ fn timed_to_json(cycle: u64, fault: TimedFault) -> Json {
 }
 
 fn timed_from_json(doc: &Json) -> Result<(u64, TimedFault), CheckpointError> {
-    let cycle = get_u64(doc, "cycle")?;
-    let fault = get(doc, "fault")?;
-    let fault = match get_str(fault, "kind")? {
+    let cycle = doc.u64_field("cycle")?;
+    let fault = doc.field("fault")?;
+    let fault = match fault.str_field("kind")? {
         "flip" => TimedFault::Flip {
-            loc: loc_from_json(get(fault, "loc")?)?,
-            mask: get_u32(fault, "mask")?,
+            loc: loc_from_json(fault.field("loc")?)?,
+            mask: fault.u32_field("mask")?,
         },
         "hang" => TimedFault::Hang {
-            core: get_u32(fault, "core")?,
+            core: fault.u32_field("core")?,
         },
         other => return Err(bad(format!("unknown timed fault '{other}'"))),
     };
@@ -750,7 +708,7 @@ impl Cluster {
     /// engine version or inconsistent parameters,
     /// [`CheckpointError::Malformed`] for structural problems.
     pub fn restore(doc: &Json) -> Result<Cluster, CheckpointError> {
-        let schema = get_str(doc, "schema")?;
+        let schema = doc.str_field("schema")?;
         if schema != CHECKPOINT_SCHEMA {
             return Err(CheckpointError::Mismatch {
                 field: "schema",
@@ -758,7 +716,7 @@ impl Cluster {
                 found: schema.to_string(),
             });
         }
-        let engine = get_str(doc, "engine_version")?;
+        let engine = doc.str_field("engine_version")?;
         if engine != ENGINE_VERSION {
             return Err(CheckpointError::Mismatch {
                 field: "engine_version",
@@ -767,38 +725,38 @@ impl Cluster {
             });
         }
 
-        let cfg = get(doc, "config")?;
+        let cfg = doc.field("config")?;
         let config = ClusterConfig::builder()
-            .groups(get_u32(cfg, "groups")?)
-            .tiles_per_group(get_u32(cfg, "tiles_per_group")?)
-            .cores_per_tile(get_u32(cfg, "cores_per_tile")?)
-            .banks_per_tile(get_u32(cfg, "banks_per_tile")?)
-            .bank_words(get_u32(cfg, "bank_words")?)
-            .icache_bytes_per_tile(get_u32(cfg, "icache_bytes_per_tile")?)
-            .icache_banks_per_tile(get_u32(cfg, "icache_banks_per_tile")?)
-            .remote_ports_per_tile(get_u32(cfg, "remote_ports_per_tile")?)
+            .groups(cfg.u32_field("groups")?)
+            .tiles_per_group(cfg.u32_field("tiles_per_group")?)
+            .cores_per_tile(cfg.u32_field("cores_per_tile")?)
+            .banks_per_tile(cfg.u32_field("banks_per_tile")?)
+            .bank_words(cfg.u32_field("bank_words")?)
+            .icache_bytes_per_tile(cfg.u32_field("icache_bytes_per_tile")?)
+            .icache_banks_per_tile(cfg.u32_field("icache_banks_per_tile")?)
+            .remote_ports_per_tile(cfg.u32_field("remote_ports_per_tile")?)
             .build()
             .map_err(|e| bad(format!("invalid config: {e}")))?;
 
-        let p = get(doc, "params")?;
+        let p = doc.field("params")?;
         let params = SimParams {
             latency: LatencyModel {
-                tile_local: get_u32(p, "tile_local")?,
-                group_local: get_u32(p, "group_local")?,
-                remote: get_u32(p, "remote")?,
+                tile_local: p.u32_field("tile_local")?,
+                group_local: p.u32_field("group_local")?,
+                remote: p.u32_field("remote")?,
             },
-            max_outstanding: get_u32(p, "max_outstanding")?,
-            taken_branch_penalty: get_u32(p, "taken_branch_penalty")?,
-            icache_miss_penalty: get_u32(p, "icache_miss_penalty")?,
-            icache_line_words: get_u32(p, "icache_line_words")?,
-            icache_ways: get_u32(p, "icache_ways")?,
-            offchip_bytes_per_cycle: get_u32(p, "offchip_bytes_per_cycle")?,
-            offchip_latency: get_u32(p, "offchip_latency")?,
-            ecc_correction_penalty: get_u32(p, "ecc_correction_penalty")?,
+            max_outstanding: p.u32_field("max_outstanding")?,
+            taken_branch_penalty: p.u32_field("taken_branch_penalty")?,
+            icache_miss_penalty: p.u32_field("icache_miss_penalty")?,
+            icache_line_words: p.u32_field("icache_line_words")?,
+            icache_ways: p.u32_field("icache_ways")?,
+            offchip_bytes_per_cycle: p.u32_field("offchip_bytes_per_cycle")?,
+            offchip_latency: p.u32_field("offchip_latency")?,
+            ecc_correction_penalty: p.u32_field("ecc_correction_penalty")?,
             threads: default_threads(),
         };
         let expected_digest = format!("{:016x}", params.digest());
-        let saved_digest = get_str(doc, "params_digest")?;
+        let saved_digest = doc.str_field("params_digest")?;
         if saved_digest != expected_digest {
             return Err(CheckpointError::Mismatch {
                 field: "params_digest",
@@ -811,14 +769,15 @@ impl Cluster {
 
         // Program: set the field directly — `load_program` resets PCs,
         // which would destroy the per-core state restored next.
-        let program_words: Vec<u32> = get_arr(doc, "program")?
+        let program_words: Vec<u32> = doc
+            .arr_field("program")?
             .iter()
-            .map(|w| int_u32(w, "program word"))
+            .map(|w| w.try_u32("program word"))
             .collect::<Result<_, _>>()?;
         cluster.program =
             Program::from_words(&program_words).map_err(|e| bad(format!("bad program: {e}")))?;
 
-        let cores = get_arr(doc, "cores")?;
+        let cores = doc.arr_field("cores")?;
         if cores.len() != cluster.cores.len() {
             return Err(bad(format!(
                 "core count mismatch: saved {}, config has {}",
@@ -827,7 +786,7 @@ impl Cluster {
             )));
         }
         for (core, saved) in cluster.cores.iter_mut().zip(cores) {
-            let regs = u64_arr(saved, "regs")?;
+            let regs = saved.u64s_field("regs")?;
             if regs.len() != 32 {
                 return Err(bad("'regs' must have 32 entries"));
             }
@@ -835,18 +794,18 @@ impl Cluster {
                 let value = u32::try_from(value).map_err(|_| bad("register value exceeds u32"))?;
                 core.regs.write(Reg::new(number as u8), value);
             }
-            core.pc = get_u32(saved, "pc")?;
+            core.pc = saved.u32_field("pc")?;
             core.restore_timing(
-                get_bool(saved, "halted")?,
-                get_bool(saved, "hung")?,
-                get_u32(saved, "busy")?,
-                get_u32(saved, "outstanding")?,
-                get_u32(saved, "bubble")?,
+                saved.bool_field("halted")?,
+                saved.bool_field("hung")?,
+                saved.u32_field("busy")?,
+                saved.u32_field("outstanding")?,
+                saved.u32_field("bubble")?,
             );
-            core.stats = core_stats_from_json(get(saved, "stats")?)?;
+            core.stats = core_stats_from_json(saved.field("stats")?)?;
         }
 
-        let icaches = get_arr(doc, "icaches")?;
+        let icaches = doc.arr_field("icaches")?;
         if icaches.len() != cluster.icaches.len() {
             return Err(bad(format!(
                 "icache count mismatch: saved {}, config has {}",
@@ -855,23 +814,24 @@ impl Cluster {
             )));
         }
         for (icache, saved) in cluster.icaches.iter_mut().zip(icaches) {
-            let tags = u64_arr(saved, "tags")?
+            let tags = saved
+                .u64s_field("tags")?
                 .into_iter()
                 .map(|t| u32::try_from(t).map_err(|_| bad("icache tag exceeds u32")))
                 .collect::<Result<Vec<_>, _>>()?;
-            let stamps = u64_arr(saved, "stamps")?;
+            let stamps = saved.u64s_field("stamps")?;
             icache
                 .restore_state(
                     tags,
                     stamps,
-                    get_u64(saved, "clock")?,
-                    get_u64(saved, "hits")?,
-                    get_u64(saved, "misses")?,
+                    saved.u64_field("clock")?,
+                    saved.u64_field("hits")?,
+                    saved.u64_field("misses")?,
                 )
                 .map_err(bad)?;
         }
 
-        let banks = get_arr(doc, "banks")?;
+        let banks = doc.arr_field("banks")?;
         if banks.len() != cluster.banks.len() {
             return Err(bad(format!(
                 "bank count mismatch: saved {}, config has {}",
@@ -880,31 +840,32 @@ impl Cluster {
             )));
         }
         for (bank, saved) in cluster.banks.iter_mut().zip(banks) {
-            let queue = get_arr(saved, "queue")?
+            let queue = saved
+                .arr_field("queue")?
                 .iter()
                 .map(|req| {
                     Ok(PendingAccess {
-                        arrival: get_u64(req, "arrival")?,
-                        core: get_u32(req, "core")?,
-                        loc: loc_from_json(get(req, "loc")?)?,
-                        kind: kind_from_json(get(req, "kind")?)?,
-                        resp_latency: get_u32(req, "resp_latency")?,
-                        addr: get_u32(req, "addr")?,
+                        arrival: req.u64_field("arrival")?,
+                        core: req.u32_field("core")?,
+                        loc: loc_from_json(req.field("loc")?)?,
+                        kind: kind_from_json(req.field("kind")?)?,
+                        resp_latency: req.u32_field("resp_latency")?,
+                        addr: req.u32_field("addr")?,
                     })
                 })
                 .collect::<Result<Vec<_>, CheckpointError>>()?;
-            let stats = get(saved, "stats")?;
+            let stats = saved.field("stats")?;
             *bank = Bank {
                 queue,
                 stats: BankStats {
-                    served: get_u64(stats, "served")?,
-                    conflicts: get_u64(stats, "conflicts")?,
-                    max_queue_depth: get_u64(stats, "max_queue_depth")?,
+                    served: stats.u64_field("served")?,
+                    conflicts: stats.u64_field("conflicts")?,
+                    max_queue_depth: stats.u64_field("max_queue_depth")?,
                 },
             };
         }
 
-        let responses = get_arr(doc, "responses")?;
+        let responses = doc.arr_field("responses")?;
         if responses.len() != cluster.responses.len() {
             return Err(bad(format!(
                 "response-queue count mismatch: saved {}, config has {}",
@@ -913,43 +874,40 @@ impl Cluster {
             )));
         }
         for (queue, saved) in cluster.responses.iter_mut().zip(responses) {
-            let saved = saved
-                .as_arr()
-                .ok_or_else(|| bad("'responses' entries must be arrays"))?;
             *queue = saved
+                .try_arr("'responses' entry")?
                 .iter()
                 .map(|resp| {
                     Ok(Response {
-                        due: get_u64(resp, "due")?,
-                        reg: reg_from_json(get(resp, "reg")?, "response reg")?,
-                        value: get_u32(resp, "value")?,
+                        due: resp.u64_field("due")?,
+                        reg: reg_from_json(resp.field("reg")?, "response reg")?,
+                        value: resp.u32_field("value")?,
                     })
                 })
                 .collect::<Result<Vec<_>, CheckpointError>>()?;
         }
 
-        let offchip = get(doc, "offchip")?;
+        let offchip = doc.field("offchip")?;
         cluster.offchip.restore_state(
-            get_u64(offchip, "busy_until")?,
-            get_u64(offchip, "total_bytes")?,
-            get_u64(offchip, "total_cycles")?,
+            offchip.u64_field("busy_until")?,
+            offchip.u64_field("total_bytes")?,
+            offchip.u64_field("total_cycles")?,
         );
 
         // Storage: re-establish the remap table first (so the spare array
         // has its final size), then overwrite all contents wholesale.
-        let storage = get(doc, "storage")?;
-        let spares_per_tile = get_u32(storage, "spares_per_tile")?;
+        let storage = doc.field("storage")?;
+        let spares_per_tile = storage.u32_field("spares_per_tile")?;
         if spares_per_tile > 0 {
             cluster.storage.provision_spares(spares_per_tile);
         }
-        for entry in get_arr(storage, "remaps")? {
-            let triple = entry
-                .as_arr()
-                .filter(|t| t.len() == 3)
-                .ok_or_else(|| bad("remap entries must be [tile, from, to] triples"))?;
-            let tile = TileId(int_u32(&triple[0], "remap tile")?);
-            let from = BankId(int_u32(&triple[1], "remap from-bank")?);
-            let to = BankId(int_u32(&triple[2], "remap to-bank")?);
+        for entry in storage.arr_field("remaps")? {
+            let [tile, from, to] = entry.try_arr("remap entry")? else {
+                return Err(bad("remap entries must be [tile, from, to] triples"));
+            };
+            let tile = TileId(tile.try_u32("remap tile")?);
+            let from = BankId(from.try_u32("remap from-bank")?);
+            let to = BankId(to.try_u32("remap to-bank")?);
             let spare = cluster
                 .storage
                 .remap_bank(tile, from)
@@ -961,103 +919,109 @@ impl Cluster {
                 )));
             }
         }
-        let spm = hex_to_words(get_str(storage, "spm")?, "'spm'")?;
-        let spare = hex_to_words(get_str(storage, "spare")?, "'spare'")?;
-        let external = get_arr(storage, "external")?
+        let spm = hex_to_words(storage.str_field("spm")?, "'spm'")?;
+        let spare = hex_to_words(storage.str_field("spare")?, "'spare'")?;
+        let external = storage
+            .arr_field("external")?
             .iter()
             .map(|entry| {
-                let pair = entry
-                    .as_arr()
-                    .filter(|p| p.len() == 2)
-                    .ok_or_else(|| bad("external entries must be [offset, value] pairs"))?;
+                let [offset, value] = entry.try_arr("external entry")? else {
+                    return Err(bad("external entries must be [offset, value] pairs"));
+                };
                 Ok((
-                    int_u64(&pair[0], "external offset")?,
-                    int_u32(&pair[1], "external value")?,
+                    offset.try_u64("external offset")?,
+                    value.try_u32("external value")?,
                 ))
             })
             .collect::<Result<Vec<_>, CheckpointError>>()?;
         cluster
             .storage
-            .restore_contents(spm, spare, external, get_u64(storage, "touches")?)
+            .restore_contents(spm, spare, external, storage.u64_field("touches")?)
             .map_err(bad)?;
 
-        match get(doc, "faults")? {
+        match doc.field("faults")? {
             Json::Null => {}
             faults => {
-                let links = get_arr(faults, "links")?
+                let links = faults
+                    .arr_field("links")?
                     .iter()
                     .map(link_from_json)
                     .collect::<Result<Vec<_>, _>>()?;
-                let timed = get_arr(faults, "timed")?
+                let timed = faults
+                    .arr_field("timed")?
                     .iter()
                     .map(timed_from_json)
                     .collect::<Result<Vec<_>, _>>()?;
-                let stuck = get_arr(faults, "stuck")?
+                let stuck = faults
+                    .arr_field("stuck")?
                     .iter()
                     .map(|entry| {
-                        let pair = entry
-                            .as_arr()
-                            .filter(|p| p.len() == 2)
-                            .ok_or_else(|| bad("stuck entries must be [tile, bank] pairs"))?;
+                        let [tile, bank] = entry.try_arr("stuck entry")? else {
+                            return Err(bad("stuck entries must be [tile, bank] pairs"));
+                        };
                         Ok((
-                            TileId(int_u32(&pair[0], "stuck tile")?),
-                            BankId(int_u32(&pair[1], "stuck bank")?),
+                            TileId(tile.try_u32("stuck tile")?),
+                            BankId(bank.try_u32("stuck bank")?),
                         ))
                     })
                     .collect::<Result<Vec<_>, CheckpointError>>()?;
                 let ecc = EccState::from_entries(
-                    get_arr(faults, "ecc")?
+                    faults
+                        .arr_field("ecc")?
                         .iter()
                         .map(|entry| {
-                            Ok((loc_from_json(get(entry, "loc")?)?, get_u32(entry, "mask")?))
+                            Ok((
+                                loc_from_json(entry.field("loc")?)?,
+                                entry.u32_field("mask")?,
+                            ))
                         })
                         .collect::<Result<Vec<_>, CheckpointError>>()?,
                 );
-                let report = FaultReport::from_json(get(faults, "report")?).map_err(bad)?;
+                let report = FaultReport::from_json(faults.field("report")?)?;
                 cluster.faults = Some(FaultController::from_snapshot(
                     links,
                     timed,
                     ecc,
                     stuck,
-                    policy_from_tag(get_str(faults, "dead_link_policy")?)?,
+                    policy_from_tag(faults.str_field("dead_link_policy")?)?,
                     report,
                 ));
             }
         }
 
-        match get(doc, "watchdog")? {
+        match doc.field("watchdog")? {
             Json::Null => {}
             watchdog => {
                 // `Watchdog::new(threshold, now)` arms at `now`; feeding the
                 // saved last-progress cycle reproduces the exact stall
                 // window.
                 cluster.watchdog = Some(Watchdog::new(
-                    get_u64(watchdog, "threshold")?,
-                    get_u64(watchdog, "last_progress")?,
+                    watchdog.u64_field("threshold")?,
+                    watchdog.u64_field("last_progress")?,
                 ));
             }
         }
 
-        match get(doc, "sampler")? {
+        match doc.field("sampler")? {
             Json::Null => {}
             sampler => {
                 cluster.sampler = Some(Sampler {
-                    window: get_u64(sampler, "window")?.max(1),
-                    epoch_start: get_u64(sampler, "epoch_start")?,
-                    next_at: get_u64(sampler, "next_at")?,
-                    retired_per_tile: u64_arr(sampler, "retired_per_tile")?,
-                    local_accesses: get_u64(sampler, "local_accesses")?,
-                    remote_accesses: get_u64(sampler, "remote_accesses")?,
-                    conflicts: get_u64(sampler, "conflicts")?,
-                    offchip_bytes: get_u64(sampler, "offchip_bytes")?,
-                    spm_touches: get_u64(sampler, "spm_touches")?,
+                    window: sampler.u64_field("window")?.max(1),
+                    epoch_start: sampler.u64_field("epoch_start")?,
+                    next_at: sampler.u64_field("next_at")?,
+                    retired_per_tile: sampler.u64s_field("retired_per_tile")?,
+                    local_accesses: sampler.u64_field("local_accesses")?,
+                    remote_accesses: sampler.u64_field("remote_accesses")?,
+                    conflicts: sampler.u64_field("conflicts")?,
+                    offchip_bytes: sampler.u64_field("offchip_bytes")?,
+                    spm_touches: sampler.u64_field("spm_touches")?,
                 });
             }
         }
 
-        cluster.cycle = get_u64(doc, "cycle")?;
-        cluster.dma_bytes = get_u64(doc, "dma_bytes")?;
-        cluster.dma_cycles = get_u64(doc, "dma_cycles")?;
+        cluster.cycle = doc.u64_field("cycle")?;
+        cluster.dma_bytes = doc.u64_field("dma_bytes")?;
+        cluster.dma_cycles = doc.u64_field("dma_cycles")?;
         Ok(cluster)
     }
 

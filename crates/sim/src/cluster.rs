@@ -213,26 +213,6 @@ pub(crate) struct ClusterObs {
     pub(crate) ecc_corrected: Counter,
 }
 
-impl ClusterObs {
-    fn dma_span(&self, name: &str, start: u64, end: u64, bytes: u64, to_spm: bool) {
-        self.obs.spans.complete(
-            self.dma_track,
-            name,
-            start,
-            end,
-            vec![
-                ("bytes".to_string(), Json::Int(bytes as i64)),
-                (
-                    "direction".to_string(),
-                    Json::str(if to_spm { "to_spm" } else { "to_ext" }),
-                ),
-            ],
-        );
-        self.dma_bytes.add(bytes);
-        self.dma_transfers.inc();
-    }
-}
-
 /// Everything the time-series sampler reads at a window boundary, in one
 /// snapshot (totals, not deltas — the sampler holds the baselines).
 #[derive(Debug, Default)]
@@ -874,39 +854,9 @@ impl Cluster {
         bytes: u64,
         to_spm: bool,
     ) -> Result<u64, SimError> {
-        debug_assert_eq!(bytes % 4, 0, "dma moves whole words");
-        for i in (0..bytes).step_by(4) {
-            if to_spm {
-                let value = self.storage.read_external_word(ext_offset + i);
-                self.storage
-                    .write(spm_addr + i as u32, MemWidth::Word, value)?;
-            } else {
-                let value = self.storage.read(spm_addr + i as u32, MemWidth::Word)?;
-                self.storage.write_external_word(ext_offset + i, value);
-            }
-        }
-        if to_spm {
-            self.ecc_clear_spm_range(spm_addr, bytes);
-        }
         let start = self.cycle;
-        let done = self.offchip.schedule(self.cycle, bytes);
-        let elapsed = done - self.cycle;
-        self.cycle = done;
-        self.dma_bytes += bytes;
-        self.dma_cycles += elapsed;
-        if let Some(hooks) = &self.obs {
-            hooks.dma_span("dma", start, done, bytes, to_spm);
-        }
-        if let Some(flight) = self.flight_handle() {
-            flight.record(
-                start,
-                "dma",
-                None,
-                format!("dma {bytes} B {} over {elapsed} cycles", dma_dir(to_spm)),
-            );
-        }
-        self.note_external_progress();
-        Ok(elapsed)
+        let done = self.transfer("dma", ext_offset, 0, spm_addr, 1, bytes, to_spm, true)?;
+        Ok(done - start)
     }
 
     /// DMA-transfers a 2D tile between external memory and the SPM: `rows`
@@ -927,37 +877,18 @@ impl Cluster {
         row_bytes: u32,
         to_spm: bool,
     ) -> Result<u64, SimError> {
-        self.move_tile(
+        let start = self.cycle;
+        let done = self.transfer(
+            "dma_tile",
             ext_base,
             ext_stride_bytes,
             spm_addr,
             rows,
-            row_bytes,
+            u64::from(row_bytes),
             to_spm,
+            true,
         )?;
-        let bytes = rows as u64 * row_bytes as u64;
-        let start = self.cycle;
-        let done = self.offchip.schedule(self.cycle, bytes);
-        let elapsed = done - self.cycle;
-        self.cycle = done;
-        self.dma_bytes += bytes;
-        self.dma_cycles += elapsed;
-        if let Some(hooks) = &self.obs {
-            hooks.dma_span("dma_tile", start, done, bytes, to_spm);
-        }
-        if let Some(flight) = self.flight_handle() {
-            flight.record(
-                start,
-                "dma",
-                None,
-                format!(
-                    "dma_tile {bytes} B {} over {elapsed} cycles",
-                    dma_dir(to_spm)
-                ),
-            );
-        }
-        self.note_external_progress();
-        Ok(elapsed)
+        Ok(done - start)
     }
 
     /// Starts an *asynchronous* tile DMA: the transfer occupies the
@@ -981,35 +912,16 @@ impl Cluster {
         row_bytes: u32,
         to_spm: bool,
     ) -> Result<u64, SimError> {
-        self.move_tile(
+        self.transfer(
+            "dma_async",
             ext_base,
             ext_stride_bytes,
             spm_addr,
             rows,
-            row_bytes,
+            u64::from(row_bytes),
             to_spm,
-        )?;
-        let bytes = rows as u64 * row_bytes as u64;
-        let done = self.offchip.schedule(self.cycle, bytes);
-        self.dma_bytes += bytes;
-        if let Some(hooks) = &self.obs {
-            // The transfer occupies the port for its serialization window,
-            // which may start after `now` if the port is busy.
-            let start = done - self.offchip.transfer_cycles(bytes);
-            hooks.dma_span("dma_async", start, done, bytes, to_spm);
-        }
-        if let Some(flight) = self.flight_handle() {
-            flight.record(
-                self.cycle,
-                "dma",
-                None,
-                format!(
-                    "dma_async {bytes} B {} completing at cycle {done}",
-                    dma_dir(to_spm)
-                ),
-            );
-        }
-        Ok(done)
+            false,
+        )
     }
 
     /// Advances simulated time to at least `cycle` with the cores idle
@@ -1032,20 +944,28 @@ impl Cluster {
         }
     }
 
-    fn move_tile(
+    /// The one DMA path: moves `rows` rows of `row_bytes` bytes word by
+    /// word, books the off-chip port for one transfer of that size, and
+    /// records it (counters, `name` span, flight event). A blocking
+    /// transfer stalls the cluster until the port is done; an asynchronous
+    /// one leaves the clock alone. Returns the completion cycle.
+    #[allow(clippy::too_many_arguments)]
+    fn transfer(
         &mut self,
+        name: &'static str,
         ext_base: u64,
         ext_stride_bytes: u64,
         spm_addr: u32,
         rows: u32,
-        row_bytes: u32,
+        row_bytes: u64,
         to_spm: bool,
-    ) -> Result<(), SimError> {
-        debug_assert_eq!(row_bytes % 4, 0);
-        for r in 0..rows as u64 {
+        blocking: bool,
+    ) -> Result<u64, SimError> {
+        debug_assert_eq!(row_bytes % 4, 0, "dma moves whole words");
+        for r in 0..u64::from(rows) {
             let ext_row = ext_base + r * ext_stride_bytes;
-            let spm_row = spm_addr + r as u32 * row_bytes;
-            for i in (0..row_bytes as u64).step_by(4) {
+            let spm_row = spm_addr + (r * row_bytes) as u32;
+            for i in (0..row_bytes).step_by(4) {
                 if to_spm {
                     let value = self.storage.read_external_word(ext_row + i);
                     self.storage
@@ -1056,10 +976,48 @@ impl Cluster {
                 }
             }
             if to_spm {
-                self.ecc_clear_spm_range(spm_row, row_bytes as u64);
+                self.ecc_clear_spm_range(spm_row, row_bytes);
             }
         }
-        Ok(())
+        let bytes = u64::from(rows) * row_bytes;
+        let issued = self.cycle;
+        let done = self.offchip.schedule(issued, bytes);
+        self.dma_bytes += bytes;
+        if blocking {
+            self.dma_cycles += done - issued;
+            self.cycle = done;
+            self.note_external_progress();
+        }
+        if let Some(hooks) = &self.obs {
+            // The transfer occupies the port for its serialization window,
+            // which may start after `issued` if the port is busy; a
+            // blocking transfer's span covers the whole stall.
+            let start = if blocking {
+                issued
+            } else {
+                done - self.offchip.transfer_cycles(bytes)
+            };
+            let args = vec![
+                ("bytes".to_string(), Json::Int(bytes as i64)),
+                ("direction".to_string(), Json::str(dma_dir(to_spm))),
+            ];
+            hooks
+                .obs
+                .spans
+                .complete(hooks.dma_track, name, start, done, args);
+            hooks.dma_bytes.add(bytes);
+            hooks.dma_transfers.inc();
+        }
+        if let Some(flight) = self.flight_handle() {
+            let dir = dma_dir(to_spm);
+            let message = if blocking {
+                format!("{name} {bytes} B {dir} over {} cycles", done - issued)
+            } else {
+                format!("{name} {bytes} B {dir} completing at cycle {done}")
+            };
+            flight.record(issued, "dma", None, message);
+        }
+        Ok(done)
     }
 
     /// Clears latent ECC masks on a freshly (over)written SPM range —
@@ -1311,7 +1269,7 @@ pub(crate) fn latency_split(latency: &LatencyModel, class: AccessClass) -> (u32,
     (request, total - 1 - request)
 }
 
-/// Direction tag used in DMA flight-event messages.
+/// Direction tag of a DMA span and flight event.
 fn dma_dir(to_spm: bool) -> &'static str {
     if to_spm {
         "to_spm"

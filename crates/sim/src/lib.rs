@@ -67,7 +67,9 @@ pub mod trace;
 pub use ckpt::{run_with_checkpoints, CheckpointError, Checkpointer, CHECKPOINT_SCHEMA};
 pub use cluster::{Cluster, EngineSelection, SimError, ENGINE};
 pub use offchip::OffchipPort;
-pub use params::{default_threads, set_default_threads, SimParams, ENGINE_VERSION};
+pub use params::{
+    default_threads, fnv1a, set_default_threads, SimParams, ENGINE_VERSION, FNV_OFFSET,
+};
 pub use profile::{
     engine_profile, engine_profile_json, reset_engine_profile, EngineProfile, QuantumSample,
     WorkerProfile,

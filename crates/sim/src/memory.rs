@@ -9,6 +9,8 @@ use mempool_arch::{
 };
 use mempool_isa::exec::MemWidth;
 
+use crate::params::{fnv1a, FNV_OFFSET};
+
 /// Error raised by a storage access.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MemoryError {
@@ -68,18 +70,10 @@ pub(crate) struct ExternalMem {
 const SLOT_EMPTY: u32 = 0;
 const SLOT_TOMB: u32 = 1;
 
-/// FNV-1a over the key's little-endian bytes (same constants the digest
-/// and cache-key code vendors elsewhere in the workspace).
+/// FNV-1a over the key's little-endian bytes.
 #[inline]
 fn fnv_hash_offset(key: u64) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut hash = OFFSET;
-    for byte in key.to_le_bytes() {
-        hash ^= u64::from(byte);
-        hash = hash.wrapping_mul(PRIME);
-    }
-    hash
+    fnv1a(FNV_OFFSET, &key.to_le_bytes())
 }
 
 impl ExternalMem {

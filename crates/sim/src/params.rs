@@ -12,6 +12,20 @@ use mempool_arch::LatencyModel;
 /// results are shareable across `--threads` settings.
 pub const ENGINE_VERSION: &str = "mempool-sim/v2-quantum";
 
+/// The 64-bit FNV-1a offset basis: the `hash` a fresh digest starts from.
+pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Folds `bytes` into `hash` with 64-bit FNV-1a — the one hash behind
+/// [`SimParams::digest`], [`crate::ClusterStats::digest`], the
+/// external-memory slot index and the experiment service's cache key, so
+/// a digest started in one of them can be continued in another.
+#[inline]
+pub fn fnv1a(hash: u64, bytes: &[u8]) -> u64 {
+    bytes.iter().fold(hash, |hash, &byte| {
+        (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
 /// Process-wide default for [`SimParams::threads`], consulted by
 /// [`SimParams::default`]. `repro --threads N` sets this once at startup so
 /// every cluster constructed through default parameters inherits it.
@@ -107,16 +121,7 @@ impl SimParams {
     /// exposed so tests can prove that bumping the version changes every
     /// key.
     pub fn digest_with_version(&self, version: &str) -> u64 {
-        const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut hash = OFFSET;
-        let mut mix_bytes = |bytes: &[u8]| {
-            for &byte in bytes {
-                hash ^= u64::from(byte);
-                hash = hash.wrapping_mul(PRIME);
-            }
-        };
-        mix_bytes(version.as_bytes());
+        let mut hash = fnv1a(FNV_OFFSET, version.as_bytes());
         // Canonical field order: latency triplet first, then the
         // scoreboard/pipeline knobs, then the memory system. Appending a
         // field is a semantic change and belongs at the end (with an
@@ -134,7 +139,7 @@ impl SimParams {
             self.offchip_latency,
             self.ecc_correction_penalty,
         ] {
-            mix_bytes(&value.to_le_bytes());
+            hash = fnv1a(hash, &value.to_le_bytes());
         }
         hash
     }
@@ -166,6 +171,17 @@ mod tests {
         let p = SimParams::default();
         assert_eq!(p.latency, LatencyModel::PAPER);
         assert_eq!(p.offchip_bytes_per_cycle, 16);
+    }
+
+    #[test]
+    fn fnv1a_matches_the_published_test_vectors() {
+        assert_eq!(fnv1a(FNV_OFFSET, b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a(FNV_OFFSET, b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a(FNV_OFFSET, b"foobar"), 0x8594_4171_f739_67e8);
+        assert_eq!(
+            fnv1a(fnv1a(FNV_OFFSET, b"foo"), b"bar"),
+            0x8594_4171_f739_67e8
+        );
     }
 
     #[test]

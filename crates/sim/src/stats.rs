@@ -5,6 +5,8 @@ use std::fmt;
 use mempool_arch::{AccessClass, GroupNetwork};
 use mempool_obs::{AttributionReport, BankConflictInput, CoreCycleInput};
 
+use crate::params::{fnv1a, FNV_OFFSET};
+
 /// Per-core execution statistics.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CoreStats {
@@ -204,15 +206,8 @@ impl ClusterStats {
     /// equivalence suite uses it to compare sequential and parallel runs
     /// with one number.
     pub fn digest(&self) -> u64 {
-        const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut hash = OFFSET;
-        let mut mix = |value: u64| {
-            for byte in value.to_le_bytes() {
-                hash ^= u64::from(byte);
-                hash = hash.wrapping_mul(PRIME);
-            }
-        };
+        let mut hash = FNV_OFFSET;
+        let mut mix = |value: u64| hash = fnv1a(hash, &value.to_le_bytes());
         mix(self.cycles);
         mix(self.cores.len() as u64);
         for c in &self.cores {

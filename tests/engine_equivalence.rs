@@ -237,14 +237,17 @@ fn bench_summary_is_bit_identical_across_engines() {
 fn committed_baseline_matches_the_pinned_summary() {
     // The comparison `repro check --baseline BENCH_baseline.json` makes,
     // so drift of the pinned degraded run fails tier-1 and not only CI.
+    let summary = mempool_bench::bench_summary();
     let baseline = Json::parse(include_str!("../BENCH_baseline.json"))
         .expect("the committed baseline is valid JSON");
-    let cmp = mempool_bench::regress::compare(&baseline, &mempool_bench::bench_summary());
-    assert!(
-        !cmp.is_regression(),
+    assert_eq!(
+        baseline,
+        summary,
         "BENCH_baseline.json drifted from bench_summary():\n{}",
-        cmp.to_text()
+        mempool_bench::regress::diff(&baseline, &summary).join("\n")
     );
+    // `repro check --bless` writes exactly these bytes.
+    assert_eq!(include_str!("../BENCH_baseline.json"), summary.to_pretty());
 }
 
 // ---------------------------------------------------------------------
