@@ -1,4 +1,5 @@
-//! Regenerates the paper's tables and figures.
+//! Regenerates the paper's tables and figures: the targets are the rows of
+//! [`mempool::experiments::CATALOGUE`], printed in its order.
 //!
 //! ```text
 //! cargo run --release -p mempool-bench --bin repro -- all
@@ -23,6 +24,10 @@
 //!
 //! `repro check --baseline PATH` regenerates the pinned summary and fails
 //! (exit 1) unless it equals the committed baseline leaf for leaf.
+//! `repro serve` runs the experiment-service daemon, which serves the
+//! catalogue's JSON documents; `repro submit` asks one for them, and for
+//! `dse` as a batch of `dse_point` requests (one-shot `repro dse` explores
+//! in-process).
 //!
 //! With `--faults SEED[:RATE]`, a degraded run is measured on top of the
 //! selected targets: the deterministic fault plan generated from the seed
@@ -35,48 +40,49 @@
 
 use std::process::ExitCode;
 
-use mempool::experiments::{
-    ablations, Claims, ClusterLevel, Evaluation, Fig6, Fig7, Fig8, Fig9, Resilience, Table1, Table2,
-};
+use mempool::experiments::{catalogue, Context, Experiment, Resilience, CATALOGUE};
 use mempool_arch::SpmCapacity;
 use mempool_bench::{args, regress};
 use mempool_kernels::matmul::PhaseModel;
 use mempool_kernels::measure;
 use mempool_kernels::resilience::{observed_compute_run, DegradedObs, ObservedRun};
 use mempool_obs::{chrome_trace_with_counters, ArtifactDir, Json, Obs};
+use mempool_serve::ExperimentKind;
 
-const KNOWN_TARGETS: [&str; 13] = [
-    "all",
-    "table1",
-    "table2",
-    "fig6",
-    "fig7",
-    "fig8",
-    "fig9",
-    "ablations",
-    "area",
-    "claims",
-    "cluster",
-    "dse",
-    "layout",
-];
-
-/// Exit code for a summary that differs from its baseline (`check`); usage
-/// and I/O errors exit 2 to stay distinguishable in CI.
-const EXIT_REGRESSION: u8 = 1;
+/// Exit codes: a summary that differs from its baseline (`check`) or a run
+/// that failed exits 1; usage and I/O errors exit 2 to stay
+/// distinguishable in CI.
+const EXIT_OK: u8 = 0;
+const EXIT_FAILURE: u8 = 1;
 const EXIT_ERROR: u8 = 2;
 
-fn usage() -> ExitCode {
+/// Why a command stopped early; [`run`] prints the message behind the
+/// command's name.
+enum Failure {
+    /// A bad command line: the usage text follows the message, exit 2.
+    Usage(String),
+    /// The command could not do its job: exit with the given code.
+    Failed(u8, String),
+}
+
+/// An I/O, parse or connection failure (exit 2).
+fn error(message: String) -> Failure {
+    Failure::Failed(EXIT_ERROR, message)
+}
+
+fn usage() -> u8 {
+    let targets: Vec<&str> = CATALOGUE.iter().map(|row| row.name).collect();
+    let kinds = ExperimentKind::PARAMETERLESS.map(|(tag, _)| tag);
     eprintln!(
         "usage: repro [--measure] [--artifacts DIR] [--faults SEED[:RATE]] [--watchdog N]\n\
          \x20            [--timeseries WINDOW] [--flight N] [--threads N]\n\
          \x20            [--checkpoint-dir DIR] [--checkpoint-every N] [--resume PATH]\n\
-         \x20            [all|table1|table2|fig6|fig7|fig8|fig9|ablations|area|claims|cluster|dse|layout]...\n\
+         \x20            [all|{}]...\n\
          \x20      repro check --baseline PATH [--bless]\n\
          \x20      repro serve [--listen HOST:PORT] [--workers N] [--max-queue N]\n\
          \x20                  [--cache-dir DIR] [--flight N]\n\
-         \x20      repro submit --connect HOST:PORT [--threads N] [--artifacts DIR]\n\
-         \x20                  [table1|table2|fig6|fig7|fig8|fig9|dse|sweep:BW|kernel:P|stats|shutdown]...\n\
+         \x20      repro submit --connect HOST:PORT [--artifacts DIR]\n\
+         \x20                  [{}|dse|sweep:BW|kernel:P|stats|shutdown]...\n\
          \n\
          --measure            re-measure workload constants on the simulator\n\
          --artifacts DIR      write JSON/CSV artifacts (figure data, metrics,\n\
@@ -123,16 +129,18 @@ fn usage() -> ExitCode {
                               artifacts are byte-identical to the one-shot\n\
                               documents, `dse` runs the exploration as a batch\n\
                               of cached service requests, and stats/shutdown\n\
-                              are admin requests"
+                              are admin requests",
+        targets.join("|"),
+        kinds.join("|")
     );
-    ExitCode::from(EXIT_ERROR)
+    EXIT_ERROR
 }
 
 /// Default fault rate when `--faults SEED` omits the `:RATE` suffix.
 const DEFAULT_FAULT_RATE: f64 = 1e-6;
 
 /// Parsed command line: the targets to produce and the options.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct Options {
     targets: Vec<String>,
     measure: bool,
@@ -166,33 +174,26 @@ fn parse_faults(value: &str) -> Result<(u64, f64), String> {
 }
 
 /// Strict parser: every `--flag` must be recognized and every positional
-/// argument must be a known target — a typo aborts with the usage message
-/// instead of being silently ignored.
+/// argument must be `all` or a catalogue row — a typo aborts with the
+/// usage message instead of being silently ignored.
 fn parse_args(args: &[String]) -> Result<Options, String> {
-    let mut targets = Vec::new();
-    let mut measure = false;
-    let mut artifacts = None;
-    let mut faults = None;
-    let mut watchdog = None;
-    let mut timeseries = None;
-    let mut flight = None;
-    let mut threads = 1;
-    let mut checkpoint_dir = None;
-    let mut checkpoint_every = None;
-    let mut resume = None;
+    let mut opts = Options {
+        threads: 1,
+        ..Options::default()
+    };
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
-            "--measure" => measure = true,
+            "--measure" => opts.measure = true,
             // `args::flag_value` enforces that a following `--flag` is a
             // missing argument, not a value — otherwise `--artifacts
             // --measure` would silently drop the measure flag.
             "--artifacts" => {
-                artifacts =
+                opts.artifacts =
                     Some(args::flag_value(&mut it, "--artifacts", "a directory")?.to_string());
             }
             "--faults" => {
-                faults = Some(parse_faults(args::flag_value(
+                opts.faults = Some(parse_faults(args::flag_value(
                     &mut it,
                     "--faults",
                     "a SEED[:RATE]",
@@ -200,71 +201,59 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
             }
             "--watchdog" => {
                 let value = args::flag_value(&mut it, "--watchdog", "a cycle-count")?;
-                watchdog = Some(args::parse_u64("--watchdog", "threshold", value)?);
+                opts.watchdog = Some(args::parse_u64("--watchdog", "threshold", value)?);
             }
             "--timeseries" => {
                 let value = args::flag_value(&mut it, "--timeseries", "a cycle-window")?;
-                timeseries = Some(args::parse_nonzero_u64("--timeseries", "window", value)?);
+                opts.timeseries = Some(args::parse_nonzero_u64("--timeseries", "window", value)?);
             }
             "--flight" => {
                 let value = args::flag_value(&mut it, "--flight", "an event-count")?;
-                flight = Some(args::parse_nonzero_usize("--flight", "capacity", value)?);
+                opts.flight = Some(args::parse_nonzero_usize("--flight", "capacity", value)?);
             }
             "--threads" => {
                 let value = args::flag_value(&mut it, "--threads", "a thread-count")?;
-                threads = args::parse_nonzero_usize("--threads", "count", value)?;
+                opts.threads = args::parse_nonzero_usize("--threads", "count", value)?;
             }
             "--checkpoint-dir" => {
-                checkpoint_dir =
+                opts.checkpoint_dir =
                     Some(args::flag_value(&mut it, "--checkpoint-dir", "a directory")?.to_string());
             }
             "--checkpoint-every" => {
                 let value = args::flag_value(&mut it, "--checkpoint-every", "a cycle-count")?;
-                checkpoint_every = Some(args::parse_nonzero_u64(
+                opts.checkpoint_every = Some(args::parse_nonzero_u64(
                     "--checkpoint-every",
                     "interval",
                     value,
                 )?);
             }
             "--resume" => {
-                resume =
+                opts.resume =
                     Some(args::flag_value(&mut it, "--resume", "a checkpoint file")?.to_string());
             }
             flag if flag.starts_with("--") => {
                 return Err(format!("unknown flag: {flag}"));
             }
             target => {
-                if !KNOWN_TARGETS.contains(&target) {
+                if target != "all" && catalogue::find(target).is_none() {
                     return Err(format!("unknown target: {target}"));
                 }
-                targets.push(target.to_string());
+                opts.targets.push(target.to_string());
             }
         }
     }
-    if targets.is_empty() {
-        targets.push("all".to_string());
+    if opts.targets.is_empty() {
+        opts.targets.push("all".to_string());
     }
-    if checkpoint_every.is_some() && checkpoint_dir.is_none() {
+    if opts.checkpoint_every.is_some() && opts.checkpoint_dir.is_none() {
         return Err("--checkpoint-every requires --checkpoint-dir".to_string());
     }
-    if (checkpoint_dir.is_some() || resume.is_some()) && faults.is_none() {
+    if (opts.checkpoint_dir.is_some() || opts.resume.is_some()) && opts.faults.is_none() {
         return Err(
             "--checkpoint-dir/--resume apply to the degraded run; add --faults".to_string(),
         );
     }
-    Ok(Options {
-        targets,
-        measure,
-        artifacts,
-        faults,
-        watchdog,
-        timeseries,
-        flight,
-        threads,
-        checkpoint_dir,
-        checkpoint_every,
-        resume,
-    })
+    Ok(opts)
 }
 
 /// Reads and parses a JSON artifact, mapping both failure modes to one
@@ -276,30 +265,23 @@ fn load_json(path: &str) -> Result<Json, String> {
 
 /// `repro check --baseline PATH [--bless]` — regenerates the pinned
 /// summary and gates it against (or rewrites) the committed baseline.
-fn cmd_check(args: &[String]) -> ExitCode {
+fn cmd_check(args: &[String]) -> Result<(), Failure> {
     let mut baseline_path = None;
     let mut bless = false;
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
-            "--baseline" => match args::flag_value(&mut it, "--baseline", "a file") {
-                Ok(path) => baseline_path = Some(path.to_string()),
-                Err(msg) => {
-                    eprintln!("repro check: {msg}");
-                    return usage();
-                }
-            },
-            "--bless" => bless = true,
-            other => {
-                eprintln!("repro check: unexpected argument {other:?}");
-                return usage();
+            "--baseline" => {
+                let path =
+                    args::flag_value(&mut it, "--baseline", "a file").map_err(Failure::Usage)?;
+                baseline_path = Some(path.to_string());
             }
+            "--bless" => bless = true,
+            other => return Err(Failure::Usage(format!("unexpected argument {other:?}"))),
         }
     }
-    let Some(baseline_path) = baseline_path else {
-        eprintln!("repro check: --baseline PATH is required");
-        return usage();
-    };
+    let baseline_path =
+        baseline_path.ok_or_else(|| Failure::Usage("--baseline PATH is required".to_string()))?;
 
     eprintln!(
         "regenerating pinned summary (seed {}, rate {:.1e}) ...",
@@ -308,35 +290,25 @@ fn cmd_check(args: &[String]) -> ExitCode {
     );
     let current = mempool_bench::bench_summary();
     if bless {
-        if let Err(e) = std::fs::write(&baseline_path, current.to_pretty()) {
-            eprintln!("repro check: cannot write {baseline_path}: {e}");
-            return ExitCode::from(EXIT_ERROR);
-        }
+        std::fs::write(&baseline_path, current.to_pretty())
+            .map_err(|e| error(format!("cannot write {baseline_path}: {e}")))?;
         println!("blessed: wrote current summary to {baseline_path}");
-        return ExitCode::SUCCESS;
+        return Ok(());
     }
-    let baseline = match load_json(&baseline_path) {
-        Ok(doc) => doc,
-        Err(e) => {
-            eprintln!("repro check: {e}");
-            return ExitCode::from(EXIT_ERROR);
-        }
-    };
+    let baseline = load_json(&baseline_path).map_err(error)?;
     let differences = regress::diff(&baseline, &current);
     for line in &differences {
         println!("DIFFERS  {line}");
     }
-    if differences.is_empty() {
-        println!("check passed: the summary equals {baseline_path}");
-        ExitCode::SUCCESS
-    } else {
-        eprintln!(
-            "repro check: {} leaf(s) differ from {baseline_path} \
-             (bless intentional changes with --bless)",
+    if !differences.is_empty() {
+        let message = format!(
+            "{} leaf(s) differ from {baseline_path} (bless intentional changes with --bless)",
             differences.len()
         );
-        ExitCode::from(EXIT_REGRESSION)
+        return Err(Failure::Failed(EXIT_FAILURE, message));
     }
+    println!("check passed: the summary equals {baseline_path}");
+    Ok(())
 }
 
 fn parse_serve_args(argv: &[String]) -> Result<(String, mempool_serve::ServiceConfig), String> {
@@ -373,42 +345,21 @@ fn parse_serve_args(argv: &[String]) -> Result<(String, mempool_serve::ServiceCo
 
 /// `repro serve ...` — runs the experiment-service daemon until a client
 /// sends a shutdown request, then prints the final stats document.
-fn cmd_serve(argv: &[String]) -> ExitCode {
-    use mempool_serve::TcpServer;
-
-    let (listen, config) = match parse_serve_args(argv) {
-        Ok(parsed) => parsed,
-        Err(msg) => {
-            eprintln!("repro serve: {msg}");
-            return usage();
-        }
-    };
-    let server = match TcpServer::bind(&listen, config) {
-        Ok(server) => server,
-        Err(e) => {
-            eprintln!("repro serve: {e}");
-            return ExitCode::from(EXIT_ERROR);
-        }
-    };
-    match server.local_addr() {
-        Ok(addr) => eprintln!("repro serve: listening on {addr}"),
-        Err(e) => eprintln!("repro serve: {e}"),
-    }
-    match server.run() {
-        Ok(stats) => {
-            println!("{}", stats.to_pretty());
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("repro serve: {e}");
-            ExitCode::from(EXIT_ERROR)
-        }
-    }
+fn cmd_serve(argv: &[String]) -> Result<(), Failure> {
+    let (listen, config) = parse_serve_args(argv).map_err(Failure::Usage)?;
+    let served = mempool_serve::TcpServer::bind(&listen, config).and_then(|server| {
+        let addr = server.local_addr()?;
+        eprintln!("repro serve: listening on {addr}");
+        server.run()
+    });
+    let stats = served.map_err(|e| error(e.to_string()))?;
+    println!("{}", stats.to_pretty());
+    Ok(())
 }
 
 /// One parsed `repro submit` work item.
 enum SubmitItem {
-    Experiment(mempool_serve::ExperimentKind),
+    Experiment(ExperimentKind),
     Dse,
     Stats,
     Shutdown,
@@ -416,45 +367,37 @@ enum SubmitItem {
 
 /// Parses a submit target token (`fig6`, `sweep:16`, `kernel:32`, ...).
 fn parse_submit_item(token: &str) -> Result<SubmitItem, String> {
-    use mempool_serve::ExperimentKind;
-    let kind = match token {
-        "table1" => ExperimentKind::Table1,
-        "table2" => ExperimentKind::Table2,
-        "fig6" => ExperimentKind::Fig6,
-        "fig7" => ExperimentKind::Fig7,
-        "fig8" => ExperimentKind::Fig8,
-        "fig9" => ExperimentKind::Fig9,
-        "dse" => return Ok(SubmitItem::Dse),
-        "stats" => return Ok(SubmitItem::Stats),
-        "shutdown" => return Ok(SubmitItem::Shutdown),
-        other => match other.split_once(':') {
-            Some(("sweep", bw)) => ExperimentKind::Sweep {
-                bytes_per_cycle: args::parse_nonzero_u64("sweep", "bandwidth", bw)?
-                    .try_into()
-                    .map_err(|_| format!("sweep: bandwidth out of range: {bw}"))?,
-            },
-            Some(("kernel", p)) => ExperimentKind::Kernel {
-                p: args::parse_nonzero_u64("kernel", "dimension", p)?
-                    .try_into()
-                    .map_err(|_| format!("kernel: dimension out of range: {p}"))?,
-            },
-            _ => return Err(format!("unknown submit target: {token}")),
-        },
+    let parameter = |name: &str, what: &str, text: &str| -> Result<u32, String> {
+        args::parse_nonzero_u64(name, what, text)?
+            .try_into()
+            .map_err(|_| format!("{name}: {what} out of range: {text}"))
     };
-    Ok(SubmitItem::Experiment(kind))
+    Ok(match (token, token.split_once(':')) {
+        ("dse", _) => SubmitItem::Dse,
+        ("stats", _) => SubmitItem::Stats,
+        ("shutdown", _) => SubmitItem::Shutdown,
+        (_, Some(("sweep", bw))) => SubmitItem::Experiment(ExperimentKind::Sweep {
+            bytes_per_cycle: parameter("sweep", "bandwidth", bw)?,
+        }),
+        (_, Some(("kernel", p))) => SubmitItem::Experiment(ExperimentKind::Kernel {
+            p: parameter("kernel", "dimension", p)?,
+        }),
+        _ => SubmitItem::Experiment(
+            ExperimentKind::parameterless(token)
+                .ok_or_else(|| format!("unknown submit target: {token}"))?,
+        ),
+    })
 }
 
 /// Parsed `repro submit` command line.
 struct SubmitOptions {
     connect: String,
-    threads: usize,
     artifacts_dir: Option<String>,
     items: Vec<(String, SubmitItem)>,
 }
 
 fn parse_submit_args(argv: &[String]) -> Result<SubmitOptions, String> {
     let mut connect: Option<String> = None;
-    let mut threads = 1usize;
     let mut artifacts_dir: Option<String> = None;
     let mut items: Vec<(String, SubmitItem)> = Vec::new();
     let mut it = argv.iter();
@@ -463,10 +406,6 @@ fn parse_submit_args(argv: &[String]) -> Result<SubmitOptions, String> {
             "--connect" => {
                 let value = args::flag_value(&mut it, "--connect", "a HOST:PORT")?;
                 connect = Some(args::parse_socket_addr("--connect", value)?);
-            }
-            "--threads" => {
-                let value = args::flag_value(&mut it, "--threads", "a thread-count")?;
-                threads = args::parse_nonzero_usize("--threads", "count", value)?;
             }
             "--artifacts" => {
                 artifacts_dir =
@@ -484,7 +423,6 @@ fn parse_submit_args(argv: &[String]) -> Result<SubmitOptions, String> {
     }
     Ok(SubmitOptions {
         connect,
-        threads,
         artifacts_dir,
         items,
     })
@@ -492,117 +430,65 @@ fn parse_submit_args(argv: &[String]) -> Result<SubmitOptions, String> {
 
 /// `repro submit --connect HOST:PORT TARGET...` — issues requests to a
 /// running daemon and prints each artifact.
-fn cmd_submit(argv: &[String]) -> ExitCode {
+fn cmd_submit(argv: &[String]) -> Result<(), Failure> {
+    let opts = parse_submit_args(argv).map_err(Failure::Usage)?;
+    submit(opts).map_err(error)
+}
+
+fn submit(opts: SubmitOptions) -> Result<(), String> {
     use mempool_serve::{dse, ExperimentRequest, RetryPolicy, TcpClient};
 
-    let SubmitOptions {
-        connect,
-        threads,
-        artifacts_dir,
-        items,
-    } = match parse_submit_args(argv) {
-        Ok(opts) => opts,
-        Err(msg) => {
-            eprintln!("repro submit: {msg}");
-            return usage();
-        }
-    };
     // Bounded retries with backoff: a daemon restarting mid-sweep (crash
     // recovery, rolling restart) comes back within the retry window and
     // the submission resumes instead of failing.
-    let mut client = match TcpClient::connect_with(&connect, &RetryPolicy::default()) {
-        Ok(client) => client,
-        Err(e) => {
-            eprintln!("repro submit: cannot connect to {connect}: {e}");
-            return ExitCode::from(EXIT_ERROR);
-        }
-    };
-    let mut artifacts = match &artifacts_dir {
-        Some(dir) => match ArtifactDir::create(dir) {
-            Ok(art) => Some(art),
-            Err(e) => {
-                eprintln!("repro submit: cannot create artifact directory {dir}: {e}");
-                return ExitCode::from(EXIT_ERROR);
-            }
-        },
-        None => None,
-    };
-    for (token, item) in items {
-        let result: Result<(), String> = match item {
+    let mut client = TcpClient::connect_with(&opts.connect, &RetryPolicy::default())
+        .map_err(|e| format!("cannot connect to {}: {e}", opts.connect))?;
+    let mut artifacts = create_artifact_dir(opts.artifacts_dir.as_deref())?;
+    for (token, item) in opts.items {
+        let failed = |e: mempool_serve::ServeError| format!("{token}: {e}");
+        match item {
             SubmitItem::Experiment(kind) => {
-                let req = ExperimentRequest {
-                    threads,
-                    ..ExperimentRequest::new(kind)
-                };
-                match client.request(&req) {
-                    Ok(outcome) => {
-                        eprintln!("repro submit: {token}: {}", outcome.cache);
-                        println!("{}", outcome.artifact.to_pretty());
-                        match artifacts.as_mut() {
-                            Some(art) => art
-                                .write_json(&format!("{}.json", req.kind.tag()), &outcome.artifact)
-                                .map(|_| ())
-                                .map_err(|e| format!("writing artifact: {e}")),
-                            None => Ok(()),
-                        }
-                    }
-                    Err(e) => Err(e.to_string()),
+                let outcome = client
+                    .request(&ExperimentRequest::new(kind))
+                    .map_err(failed)?;
+                eprintln!("repro submit: {token}: {}", outcome.cache);
+                println!("{}", outcome.artifact.to_pretty());
+                if let Some(art) = artifacts.as_mut() {
+                    art.write_json(&format!("{}.json", kind.tag()), &outcome.artifact)
+                        .map_err(|e| format!("{token}: writing artifact: {e}"))?;
                 }
             }
             SubmitItem::Dse => {
-                match dse::explore_via_tcp(&mut client, &PhaseModel::with_measured_defaults()) {
-                    Ok(space) => {
-                        println!("{}", space.to_text());
-                        Ok(())
-                    }
-                    Err(e) => Err(e.to_string()),
-                }
+                let model = PhaseModel::with_measured_defaults();
+                let space = dse::explore_via(|req| client.request(req), &model).map_err(failed)?;
+                println!("{}", space.to_text());
             }
-            SubmitItem::Stats => match client.stats() {
-                Ok(stats) => {
-                    println!("{}", stats.to_pretty());
-                    Ok(())
-                }
-                Err(e) => Err(e.to_string()),
-            },
-            SubmitItem::Shutdown => match client.shutdown() {
-                Ok(()) => {
-                    eprintln!("repro submit: daemon is draining");
-                    Ok(())
-                }
-                Err(e) => Err(e.to_string()),
-            },
-        };
-        if let Err(msg) = result {
-            eprintln!("repro submit: {token}: {msg}");
-            return ExitCode::from(EXIT_ERROR);
+            SubmitItem::Stats => println!("{}", client.stats().map_err(failed)?.to_pretty()),
+            SubmitItem::Shutdown => {
+                client.shutdown().map_err(failed)?;
+                eprintln!("repro submit: daemon is draining");
+            }
         }
     }
-    if let Some(art) = &artifacts {
-        if !art.written().is_empty() {
-            eprintln!(
-                "artifacts written to {}: {}",
-                art.root().display(),
-                art.written().join(", ")
-            );
-        }
+    if let Some(art) = artifacts.filter(|art| !art.written().is_empty()) {
+        report_written(&art);
     }
-    ExitCode::SUCCESS
+    Ok(())
 }
 
-/// Runs the design-space exploration as a batch client of an in-process
-/// `mempool-serve` worker pool: all eight design points are submitted
-/// concurrently, computed (or served from cache) by the pool, and
-/// reassembled in canonical order. The result is bit-identical to the
-/// direct `DesignSpace::explore` path — the serve integration tests pin
-/// that equality — so the printed report does not change shape.
-fn dse_via_service(model: &PhaseModel) -> Result<String, String> {
-    let service = mempool_serve::Service::start(mempool_serve::ServiceConfig::default())
-        .map_err(|e| format!("starting the in-process service: {e}"))?;
-    let space =
-        mempool_serve::dse::explore_via(&service.client(), model).map_err(|e| e.to_string())?;
-    service.shutdown();
-    Ok(space.to_text())
+fn create_artifact_dir(dir: Option<&str>) -> Result<Option<ArtifactDir>, String> {
+    dir.map(|dir| {
+        ArtifactDir::create(dir).map_err(|e| format!("cannot create artifact directory {dir}: {e}"))
+    })
+    .transpose()
+}
+
+fn report_written(art: &ArtifactDir) {
+    eprintln!(
+        "artifacts written to {}: {}",
+        art.root().display(),
+        art.written().join(", ")
+    );
 }
 
 /// A simulator fault leaves a flight-recorder dump behind; make it land
@@ -624,19 +510,39 @@ fn write_crash_dump(artifacts: Option<&mut ArtifactDir>, dump: &Json) {
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match args.first().map(String::as_str) {
-        Some("check") => return cmd_check(&args[1..]),
-        Some("serve") => return cmd_serve(&args[1..]),
-        Some("submit") => return cmd_submit(&args[1..]),
-        _ => {}
-    }
-    let opts = match parse_args(&args) {
-        Ok(opts) => opts,
-        Err(msg) => {
-            eprintln!("repro: {msg}");
-            return usage();
-        }
+    ExitCode::from(run(&args))
+}
+
+/// Dispatches one command line and returns its exit code.
+fn run(args: &[String]) -> u8 {
+    let subcommand = args.split_first().map(|(name, rest)| (name.as_str(), rest));
+    let (command, result) = match subcommand {
+        Some(("check", rest)) => ("repro check", cmd_check(rest)),
+        Some(("serve", rest)) => ("repro serve", cmd_serve(rest)),
+        Some(("submit", rest)) => ("repro submit", cmd_submit(rest)),
+        _ => ("repro", cmd_repro(args)),
     };
+    match result {
+        Ok(()) => EXIT_OK,
+        Err(Failure::Usage(message)) => {
+            eprintln!("{command}: {message}");
+            usage()
+        }
+        Err(Failure::Failed(code, message)) => {
+            eprintln!("{command}: {message}");
+            code
+        }
+    }
+}
+
+fn cmd_repro(args: &[String]) -> Result<(), Failure> {
+    let opts = parse_args(args).map_err(Failure::Usage)?;
+    reproduce(&opts).map_err(|message| Failure::Failed(EXIT_FAILURE, message))
+}
+
+/// Produces the selected targets, then the optional degraded or
+/// instrumented run, then the run-wide artifacts.
+fn reproduce(opts: &Options) -> Result<(), String> {
     // Every cluster below is built through `SimParams::default()`, so one
     // process-wide knob sets the worker count of all of them. Results are
     // bit-identical at every count, so no artifact depends on this —
@@ -645,148 +551,43 @@ fn main() -> ExitCode {
     if opts.threads > 1 {
         eprintln!("driving simulations with {} host threads", opts.threads);
     }
-    let want = |name: &str| {
-        opts.targets.iter().any(|t| t == "all") || opts.targets.iter().any(|t| t == name)
-    };
-
-    let mut artifacts = match &opts.artifacts {
-        Some(dir) => match ArtifactDir::create(dir) {
-            Ok(art) => Some(art),
-            Err(e) => {
-                eprintln!("repro: cannot create artifact directory {dir}: {e}");
-                return ExitCode::FAILURE;
-            }
-        },
-        None => None,
-    };
+    let mut artifacts = create_artifact_dir(opts.artifacts.as_deref())?;
     let obs = Obs::new();
 
     let model = if opts.measure {
         eprintln!("measuring workload constants on the simulator ...");
-        match measure::measure_constants_observed(Some(&obs)) {
-            Ok(constants) => {
-                let model = constants.phase_model(SpmCapacity::MATMUL_MATRIX_DIM, 256);
-                eprintln!(
-                    "measured: {:.2} cycles/MAC, {:.0} cycles/phase overhead",
-                    model.cycles_per_mac, model.phase_overhead
-                );
-                model
-            }
-            Err(e) => {
-                eprintln!("measurement failed: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
+        let constants = measure::measure_constants_observed(Some(&obs))
+            .map_err(|e| format!("measurement failed: {e}"))?;
+        let model = constants.phase_model(SpmCapacity::MATMUL_MATRIX_DIM, 256);
+        eprintln!(
+            "measured: {:.2} cycles/MAC, {:.0} cycles/phase overhead",
+            model.cycles_per_mac, model.phase_overhead
+        );
+        model
     } else {
         PhaseModel::with_measured_defaults()
     };
 
-    let needs_eval = want("table2")
-        || want("fig7")
-        || want("fig8")
-        || want("fig9")
-        || want("claims")
-        || want("dse");
-    let eval = needs_eval.then(|| Evaluation::with_model(model));
-
-    // Each produced figure/table prints its text form and, with
+    // Each produced experiment prints its text form and, with
     // `--artifacts`, lands as a JSON document of the same numbers.
-    let mut emit = |name: &str, text: String, json: Option<Json>| -> bool {
-        println!("{text}");
-        if let (Some(art), Some(json)) = (artifacts.as_mut(), json) {
+    let mut emit = |name: &str, experiment: &dyn Experiment| -> Result<(), String> {
+        println!("{}", experiment.to_text());
+        let Some(art) = artifacts.as_mut() else {
+            return Ok(());
+        };
+        if let Some(json) = experiment.to_json() {
             let file = format!("{name}.json");
-            if let Err(e) = art.write_json(&file, &json) {
-                eprintln!("repro: writing {file}: {e}");
-                return false;
-            }
+            art.write_json(&file, &json)
+                .map_err(|e| format!("writing {file}: {e}"))?;
         }
-        true
+        Ok(())
     };
 
-    if want("table1") {
-        let t = Table1::generate();
-        if !emit("table1", t.to_text(), Some(t.to_json())) {
-            return ExitCode::FAILURE;
-        }
-    }
-    if want("table2") {
-        let t = Table2::from_evaluation(eval.as_ref().unwrap());
-        if !emit("table2", t.to_text(), Some(t.to_json())) {
-            return ExitCode::FAILURE;
-        }
-    }
-    if want("fig6") {
-        let f = Fig6::with_model(model);
-        if !emit("fig6", f.to_text(), Some(f.to_json())) {
-            return ExitCode::FAILURE;
-        }
-    }
-    if want("ablations") && !emit("ablations", ablations::full_report(), None) {
-        return ExitCode::FAILURE;
-    }
-    if want("cluster") && !emit("cluster", ClusterLevel::generate().to_text(), None) {
-        return ExitCode::FAILURE;
-    }
-    if want("layout") {
-        use mempool_phys::{viz, Flow, GroupImplementation, TileImplementation};
-        // Figure 3: memory-die floorplans.
-        for cap in [SpmCapacity::MiB1, SpmCapacity::MiB4, SpmCapacity::MiB8] {
-            let tile = TileImplementation::implement(cap, Flow::ThreeD);
-            println!("{}", viz::memory_die_floorplan(&tile, 48));
-        }
-        // Figure 4: density map of the 3D 4 MiB group.
-        let g = GroupImplementation::implement(SpmCapacity::MiB4, Flow::ThreeD);
-        println!("{}", viz::group_density_map(&g, 72));
-        // Figure 5: the 8 MiB groups to scale.
-        let g2 = GroupImplementation::implement(SpmCapacity::MiB8, Flow::TwoD);
-        let g3 = GroupImplementation::implement(SpmCapacity::MiB8, Flow::ThreeD);
-        println!("{}", viz::group_floorplan(&g2, &g3));
-    }
-    if let Some(eval) = &eval {
-        if want("fig7") {
-            let f = Fig7::from_evaluation(eval);
-            if !emit("fig7", f.to_text(), Some(f.to_json())) {
-                return ExitCode::FAILURE;
-            }
-        }
-        if want("fig8") {
-            let f = Fig8::from_evaluation(eval);
-            if !emit("fig8", f.to_text(), Some(f.to_json())) {
-                return ExitCode::FAILURE;
-            }
-        }
-        if want("fig9") {
-            let f = Fig9::from_evaluation(eval);
-            if !emit("fig9", f.to_text(), Some(f.to_json())) {
-                return ExitCode::FAILURE;
-            }
-        }
-        if want("claims") && !emit("claims", Claims::from_evaluation(eval).to_text(), None) {
-            return ExitCode::FAILURE;
-        }
-        if want("dse") {
-            // The exploration runs as a batch client of an in-process
-            // mempool-serve pool, so the one-shot CLI exercises the same
-            // submit/coalesce/cache path the daemon serves over TCP.
-            let text = match dse_via_service(&model) {
-                Ok(text) => text,
-                Err(e) => {
-                    eprintln!("repro: dse exploration through the service failed: {e}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            if !emit("dse", text, None) {
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    if want("area") {
-        use mempool_phys::{AreaReport, Flow, GroupImplementation};
-        for flow in Flow::ALL {
-            for cap in SpmCapacity::ALL {
-                let group = GroupImplementation::implement(cap, flow);
-                println!("{}", AreaReport::from_group(&group));
-            }
+    let all = opts.targets.iter().any(|t| t == "all");
+    let ctx = Context::new(model);
+    for row in &CATALOGUE {
+        if all || opts.targets.iter().any(|t| t == row.name) {
+            emit(row.name, (row.build)(&ctx).as_ref())?;
         }
     }
 
@@ -806,13 +607,10 @@ fn main() -> ExitCode {
             };
             match Resilience::with_model_observed(model, seed, rate, opts.watchdog, Some(&hooks)) {
                 Ok(r) => {
-                    if !emit("resilience", r.to_text(), Some(r.to_json())) {
-                        return ExitCode::FAILURE;
-                    }
+                    emit("resilience", &r)?;
                     Some(r)
                 }
                 Err(failure) => {
-                    eprintln!("repro: degraded run failed: {failure}");
                     if let Some(dump) = &failure.crash_dump {
                         write_crash_dump(artifacts.as_mut(), dump);
                     }
@@ -837,17 +635,15 @@ fn main() -> ExitCode {
                             ),
                         }
                     }
-                    return ExitCode::FAILURE;
+                    return Err(format!("degraded run failed: {failure}"));
                 }
             }
         }
         None => None,
     };
     if let (Some(art), Some(r)) = (artifacts.as_mut(), resilience.as_ref()) {
-        if let Err(e) = art.write_json("fault_report.json", &r.run().report.to_json()) {
-            eprintln!("repro: writing fault_report.json: {e}");
-            return ExitCode::FAILURE;
-        }
+        art.write_json("fault_report.json", &r.run().report.to_json())
+            .map_err(|e| format!("writing fault_report.json: {e}"))?;
     }
 
     // `--timeseries`/`--flight` without `--faults` instrument a *clean*
@@ -862,48 +658,35 @@ fn main() -> ExitCode {
             flight_capacity: opts.flight,
             ..DegradedObs::default()
         };
-        match observed_compute_run(&hooks) {
-            Ok(run) => {
-                println!("{}", run.to_text());
-                if let Some(art) = artifacts.as_mut() {
-                    if let Err(e) = art.write_json("observed.json", &run.to_json()) {
-                        eprintln!("repro: writing observed.json: {e}");
-                        return ExitCode::FAILURE;
-                    }
-                }
-                Some(run)
+        let run = observed_compute_run(&hooks).map_err(|failure| {
+            if let Some(dump) = &failure.crash_dump {
+                write_crash_dump(artifacts.as_mut(), dump);
             }
-            Err(failure) => {
-                eprintln!("repro: instrumented clean run failed: {failure}");
-                if let Some(dump) = &failure.crash_dump {
-                    write_crash_dump(artifacts.as_mut(), dump);
-                }
-                return ExitCode::FAILURE;
-            }
+            format!("instrumented clean run failed: {failure}")
+        })?;
+        println!("{}", run.to_text());
+        if let Some(art) = artifacts.as_mut() {
+            art.write_json("observed.json", &run.to_json())
+                .map_err(|e| format!("writing observed.json: {e}"))?;
         }
+        Some(run)
     } else {
         None
     };
 
     if let Some(art) = artifacts.as_mut() {
-        if let Err(e) = write_summary_artifacts(
+        write_summary_artifacts(
             art,
             &obs,
             &model,
-            &opts,
+            opts,
             resilience.as_ref(),
             observed.as_ref(),
-        ) {
-            eprintln!("repro: writing artifacts: {e}");
-            return ExitCode::FAILURE;
-        }
-        eprintln!(
-            "artifacts written to {}: {}",
-            art.root().display(),
-            art.written().join(", ")
-        );
+        )
+        .map_err(|e| format!("writing artifacts: {e}"))?;
+        report_written(art);
     }
-    ExitCode::SUCCESS
+    Ok(())
 }
 
 /// Writes the run-wide artifacts: the metrics snapshot (JSON + CSV), the
@@ -992,18 +775,56 @@ mod tests {
         args.iter().map(|a| a.to_string()).collect()
     }
 
+    /// The roadmap's audit as a test: one catalogue, and every front end
+    /// agrees with it.
+    #[test]
+    fn every_front_end_walks_the_one_catalogue() {
+        use mempool_serve::{ExperimentRequest, ExperimentRunner, Runner};
+
+        let names: Vec<&str> = CATALOGUE.iter().map(|row| row.name).collect();
+        let stdout_order =
+            "table1 table2 fig6 ablations cluster layout fig7 fig8 fig9 claims dse area";
+        assert_eq!(names.join(" "), stdout_order);
+
+        let ctx = Context::new(PhaseModel::with_measured_defaults());
+        let mut served = Vec::new();
+        for row in &CATALOGUE {
+            let name = row.name;
+            let experiment = (row.build)(&ctx);
+            assert!(!experiment.to_text().trim().is_empty(), "{name}");
+            // `repro` accepts the row as a target, the daemon serves its
+            // document under the same name, byte for byte.
+            assert_eq!(parse_args(&argv(&[name])).unwrap().targets, [name]);
+            let Some(json) = experiment.to_json() else {
+                continue;
+            };
+            let kind = ExperimentKind::parameterless(name)
+                .unwrap_or_else(|| panic!("{name} has JSON but no request kind"));
+            assert_eq!(kind.tag(), name);
+            let artifact = ExperimentRunner::default()
+                .run(&ExperimentRequest::new(kind))
+                .unwrap();
+            assert_eq!(artifact.to_pretty(), json.to_pretty(), "{name}");
+            served.push(name);
+        }
+        let kinds = ExperimentKind::PARAMETERLESS.map(|(tag, _)| tag);
+        assert_eq!(served, kinds, "parameterless kinds = the rows with JSON");
+
+        // `all` and nothing else joins the catalogue names: not the other
+        // request kinds, not the removed `perf` and `diff` subcommands.
+        assert!(parse_args(&argv(&["all"])).is_ok());
+        for stranger in ["sweep", "kernel", "dse_point", "stats", "perf", "diff"] {
+            let err = parse_args(&argv(&[stranger, "a.json"])).unwrap_err();
+            assert_eq!(err, format!("unknown target: {stranger}"));
+            assert_eq!(run(&argv(&[stranger])), EXIT_ERROR);
+        }
+        assert_eq!(run(&argv(&["fig6", "--frobnicate"])), EXIT_ERROR);
+    }
+
     #[test]
     fn faults_flag_parses_seed_and_rate() {
         let opts = parse_args(&argv(&["fig6", "--faults", "42:1e-6"])).unwrap();
         assert_eq!(opts.faults, Some((42, 1e-6)));
-    }
-
-    #[test]
-    fn the_removed_diff_subcommand_is_a_usage_error() {
-        let err = parse_args(&argv(&["diff", "a.json", "b.json"])).unwrap_err();
-        assert_eq!(err, "unknown target: diff");
-        let err = parse_args(&argv(&["diff"])).unwrap_err();
-        assert_eq!(err, "unknown target: diff");
     }
 
     #[test]

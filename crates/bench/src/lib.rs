@@ -54,11 +54,12 @@ pub fn bench_summary() -> mempool_obs::Json {
     use mempool_obs::Json;
 
     let model = PhaseModel::with_measured_defaults();
-    let resilience = Resilience::with_model(
+    let resilience = Resilience::with_model_observed(
         model,
         BASELINE_FAULT_SEED,
         BASELINE_FAULT_RATE,
         Some(BASELINE_WATCHDOG),
+        None,
     )
     .expect("the pinned-seed degraded run must complete");
     Json::obj([
@@ -71,26 +72,6 @@ pub fn bench_summary() -> mempool_obs::Json {
         ),
         ("resilience", resilience.summary_json()),
     ])
-}
-
-/// Renders every experiment to one report string.
-pub fn full_report() -> String {
-    use mempool::experiments::{Evaluation, Fig6, Fig7, Fig8, Fig9, Table1, Table2};
-
-    let eval = Evaluation::new();
-    let mut out = String::new();
-    out.push_str(&Table1::generate().to_text());
-    out.push('\n');
-    out.push_str(&Table2::from_evaluation(&eval).to_text());
-    out.push('\n');
-    out.push_str(&Fig6::generate().to_text());
-    out.push('\n');
-    out.push_str(&Fig7::from_evaluation(&eval).to_text());
-    out.push('\n');
-    out.push_str(&Fig8::from_evaluation(&eval).to_text());
-    out.push('\n');
-    out.push_str(&Fig9::from_evaluation(&eval).to_text());
-    out
 }
 
 #[cfg(test)]
@@ -108,15 +89,5 @@ mod tests {
         );
         assert_eq!(a, b);
         assert_eq!(doc, a, "the summary survives its own text form");
-    }
-
-    #[test]
-    fn full_report_contains_every_experiment() {
-        let report = super::full_report();
-        for needle in [
-            "Table I", "Table II", "Figure 6", "Figure 7", "Figure 8", "Figure 9",
-        ] {
-            assert!(report.contains(needle), "missing {needle}");
-        }
     }
 }

@@ -4,49 +4,25 @@ use mempool_arch::SpmCapacity;
 use mempool_obs::Json;
 use mempool_phys::Flow;
 
-use crate::design::DesignPoint;
-use crate::experiments::{Evaluation, SECTION_VI_B_BANDWIDTH};
+use crate::experiments::capacity_bars::{self, CapacityBar};
+use crate::experiments::Evaluation;
 use crate::paper;
-use crate::table::TextTable;
 
-/// One bar of Figure 7.
-#[derive(Debug, Clone, Copy)]
-pub struct Fig7Bar {
-    /// The design point.
-    pub point: DesignPoint,
-    /// Performance relative to MemPool-2D(1 MiB).
-    pub performance: f64,
-    /// Speedup of the 3D instance over its 2D counterpart (3D bars only).
-    pub gain_over_2d: Option<f64>,
-}
+const TITLE: &str = "matmul performance vs SPM capacity";
 
-/// The reproduced Figure 7.
+/// The reproduced Figure 7: performance relative to MemPool-2D(1 MiB),
+/// and the speedup of each 3D instance over its 2D counterpart.
 #[derive(Debug, Clone)]
 pub struct Fig7 {
-    bars: Vec<Fig7Bar>,
+    bars: Vec<CapacityBar>,
 }
 
 impl Fig7 {
     /// Computes the figure from an evaluation.
     pub fn from_evaluation(eval: &Evaluation) -> Self {
-        let bw = SECTION_VI_B_BANDWIDTH;
-        let bars = DesignPoint::all_capacity_major()
-            .map(|point| {
-                let performance = eval.performance(point, bw);
-                let gain_over_2d = match point.flow {
-                    Flow::TwoD => None,
-                    Flow::ThreeD => Some(
-                        performance / eval.performance(Evaluation::two_d_counterpart(point), bw),
-                    ),
-                };
-                Fig7Bar {
-                    point,
-                    performance,
-                    gain_over_2d,
-                }
-            })
-            .collect();
-        Fig7 { bars }
+        Fig7 {
+            bars: capacity_bars::bars(eval, Evaluation::performance),
+        }
     }
 
     /// Implements everything and computes the figure.
@@ -55,74 +31,35 @@ impl Fig7 {
     }
 
     /// All bars in capacity-major order.
-    pub fn bars(&self) -> &[Fig7Bar] {
+    pub fn bars(&self) -> &[CapacityBar] {
         &self.bars
     }
 
     /// Looks up one bar.
-    pub fn bar(&self, flow: Flow, capacity: SpmCapacity) -> &Fig7Bar {
-        self.bars
-            .iter()
-            .find(|b| b.point.flow == flow && b.point.capacity == capacity)
-            .expect("all eight bars exist")
+    pub fn bar(&self, flow: Flow, capacity: SpmCapacity) -> &CapacityBar {
+        capacity_bars::find(&self.bars, flow, capacity)
     }
 
     /// Renders the figure as text.
     pub fn to_text(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!(
-            "Figure 7: matmul performance vs SPM capacity ({SECTION_VI_B_BANDWIDTH} B/cycle, relative to MemPool-2D_1MiB)\n"
-        ));
-        let mut t = TextTable::new(["design", "performance", "3D vs 2D"]);
-        for bar in &self.bars {
-            t.row([
-                bar.point.name(),
-                format!("{:.3}", bar.performance),
-                bar.gain_over_2d
-                    .map_or("-".to_string(), |g| format!("+{:.1} %", (g - 1.0) * 100.0)),
-            ]);
-        }
-        out.push_str(&t.to_string());
-        out.push_str(&format!(
-            "3D vs 2D at 4 MiB: {:+.1} % (paper: {:+.1} %)\n",
-            (self
-                .bar(Flow::ThreeD, SpmCapacity::MiB4)
-                .gain_over_2d
-                .unwrap()
-                - 1.0)
-                * 100.0,
+        let heading = format!("Figure 7: {TITLE}");
+        let table = capacity_bars::table(&self.bars, &heading, "", "performance", |percent| {
+            format!("+{percent:.1} %")
+        });
+        let gain = self.bar(Flow::ThreeD, SpmCapacity::MiB4).vs_2d.unwrap();
+        format!(
+            "{table}3D vs 2D at 4 MiB: {:+.1} % (paper: {:+.1} %)\n",
+            (gain - 1.0) * 100.0,
             (paper::FIG7_3D_VS_2D_4MIB - 1.0) * 100.0
-        ));
-        out
+        )
     }
 
     /// Serializes the figure — the same bars [`Self::to_text`] prints.
     pub fn to_json(&self) -> Json {
-        let bars = self
-            .bars
-            .iter()
-            .map(|b| {
-                Json::obj([
-                    ("design", Json::str(b.point.name())),
-                    ("performance", Json::Float(b.performance)),
-                    (
-                        "gain_over_2d",
-                        b.gain_over_2d.map_or(Json::Null, Json::Float),
-                    ),
-                ])
-            })
-            .collect();
-        Json::obj([
-            ("figure", Json::str("fig7")),
-            ("title", Json::str("matmul performance vs SPM capacity")),
-            ("bytes_per_cycle", Json::Int(SECTION_VI_B_BANDWIDTH as i64)),
-            ("reference", Json::str("MemPool-2D_1MiB")),
-            ("bars", Json::Arr(bars)),
-            (
-                "paper_3d_vs_2d_4mib",
-                Json::Float(paper::FIG7_3D_VS_2D_4MIB),
-            ),
-        ])
+        let keys = ["performance", "gain_over_2d"];
+        let paper = Json::Float(paper::FIG7_3D_VS_2D_4MIB);
+        let extras = vec![("paper_3d_vs_2d_4mib", paper)];
+        capacity_bars::json(&self.bars, "fig7", TITLE, keys, extras)
     }
 }
 
@@ -138,17 +75,14 @@ mod tests {
     fn three_d_outperforms_2d_at_every_capacity() {
         let f = fig();
         for cap in SpmCapacity::ALL {
-            let gain = f.bar(Flow::ThreeD, cap).gain_over_2d.unwrap();
+            let gain = f.bar(Flow::ThreeD, cap).vs_2d.unwrap();
             assert!(gain > 1.0, "{cap}: 3D gain {gain:.3}");
         }
     }
 
     #[test]
     fn four_mib_gain_matches_paper_headline() {
-        let gain = fig()
-            .bar(Flow::ThreeD, SpmCapacity::MiB4)
-            .gain_over_2d
-            .unwrap();
+        let gain = fig().bar(Flow::ThreeD, SpmCapacity::MiB4).vs_2d.unwrap();
         assert!(
             (gain - paper::FIG7_3D_VS_2D_4MIB).abs() < 0.035,
             "4 MiB gain {gain:.3} vs paper {:.3}",
@@ -163,7 +97,7 @@ mod tests {
         let f = fig();
         let mut last = 0.0;
         for cap in SpmCapacity::ALL {
-            let perf = f.bar(Flow::ThreeD, cap).performance;
+            let perf = f.bar(Flow::ThreeD, cap).value;
             assert!(
                 perf > 0.97 * last,
                 "{cap}: 3D performance {perf:.3} dropped sharply"
@@ -172,7 +106,7 @@ mod tests {
         }
         // And the large 3D points beat the baseline by a margin in the
         // paper's ballpark (8.4 % for 8 MiB).
-        let p8 = f.bar(Flow::ThreeD, SpmCapacity::MiB8).performance;
+        let p8 = f.bar(Flow::ThreeD, SpmCapacity::MiB8).value;
         assert!(
             (1.04..1.15).contains(&p8),
             "3D 8 MiB performance {p8:.3} (paper: 1.084)"
@@ -184,7 +118,7 @@ mod tests {
         // Paper: the 2D designs gain at most ~3 % from more SPM.
         let f = fig();
         for cap in SpmCapacity::ALL {
-            let perf = f.bar(Flow::TwoD, cap).performance;
+            let perf = f.bar(Flow::TwoD, cap).value;
             assert!(
                 (0.93..1.07).contains(&perf),
                 "{cap}: 2D performance {perf:.3} should hover near 1.0"

@@ -4,49 +4,25 @@ use mempool_arch::SpmCapacity;
 use mempool_obs::Json;
 use mempool_phys::Flow;
 
-use crate::design::DesignPoint;
-use crate::experiments::{Evaluation, SECTION_VI_B_BANDWIDTH};
+use crate::experiments::capacity_bars::{self, CapacityBar};
+use crate::experiments::Evaluation;
 
-use crate::table::TextTable;
+const TITLE: &str = "energy efficiency vs SPM capacity";
 
-/// One bar of Figure 8.
-#[derive(Debug, Clone, Copy)]
-pub struct Fig8Bar {
-    /// The design point.
-    pub point: DesignPoint,
-    /// Energy efficiency relative to MemPool-2D(1 MiB). Higher is better.
-    pub efficiency: f64,
-    /// Gain of the 3D instance over its 2D counterpart (3D bars only).
-    pub gain_over_2d: Option<f64>,
-}
-
-/// The reproduced Figure 8.
+/// The reproduced Figure 8: energy efficiency relative to
+/// MemPool-2D(1 MiB), and the gain of each 3D instance over its 2D
+/// counterpart.
 #[derive(Debug, Clone)]
 pub struct Fig8 {
-    bars: Vec<Fig8Bar>,
+    bars: Vec<CapacityBar>,
 }
 
 impl Fig8 {
     /// Computes the figure from an evaluation.
     pub fn from_evaluation(eval: &Evaluation) -> Self {
-        let bw = SECTION_VI_B_BANDWIDTH;
-        let bars = DesignPoint::all_capacity_major()
-            .map(|point| {
-                let efficiency = eval.efficiency(point, bw);
-                let gain_over_2d = match point.flow {
-                    Flow::TwoD => None,
-                    Flow::ThreeD => {
-                        Some(efficiency / eval.efficiency(Evaluation::two_d_counterpart(point), bw))
-                    }
-                };
-                Fig8Bar {
-                    point,
-                    efficiency,
-                    gain_over_2d,
-                }
-            })
-            .collect();
-        Fig8 { bars }
+        Fig8 {
+            bars: capacity_bars::bars(eval, Evaluation::efficiency),
+        }
     }
 
     /// Implements everything and computes the figure.
@@ -55,65 +31,33 @@ impl Fig8 {
     }
 
     /// All bars in capacity-major order.
-    pub fn bars(&self) -> &[Fig8Bar] {
+    pub fn bars(&self) -> &[CapacityBar] {
         &self.bars
     }
 
     /// Looks up one bar.
-    pub fn bar(&self, flow: Flow, capacity: SpmCapacity) -> &Fig8Bar {
-        self.bars
-            .iter()
-            .find(|b| b.point.flow == flow && b.point.capacity == capacity)
-            .expect("all eight bars exist")
+    pub fn bar(&self, flow: Flow, capacity: SpmCapacity) -> &CapacityBar {
+        capacity_bars::find(&self.bars, flow, capacity)
     }
 
     /// Renders the figure as text.
     pub fn to_text(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!(
-            "Figure 8: energy efficiency vs SPM capacity ({SECTION_VI_B_BANDWIDTH} B/cycle, relative to MemPool-2D_1MiB; higher is better)\n"
-        ));
-        let mut t = TextTable::new(["design", "efficiency", "3D vs 2D"]);
-        for bar in &self.bars {
-            t.row([
-                bar.point.name(),
-                format!("{:.3}", bar.efficiency),
-                bar.gain_over_2d
-                    .map_or("-".to_string(), |g| format!("+{:.1} %", (g - 1.0) * 100.0)),
-            ]);
-        }
-        out.push_str(&t.to_string());
-        out.push_str(&format!(
-            "3D 1MiB vs baseline: {:+.1} % (paper: +14 %)\n3D vs 2D at 4 MiB: {:+.1} % (paper: +18.4 %)\n",
-            (self.bar(Flow::ThreeD, SpmCapacity::MiB1).efficiency - 1.0) * 100.0,
-            (self.bar(Flow::ThreeD, SpmCapacity::MiB4).gain_over_2d.unwrap() - 1.0) * 100.0,
-        ));
-        out
+        let heading = format!("Figure 8: {TITLE}");
+        let better = "; higher is better";
+        let table = capacity_bars::table(&self.bars, &heading, better, "efficiency", |percent| {
+            format!("+{percent:.1} %")
+        });
+        format!(
+            "{table}3D 1MiB vs baseline: {:+.1} % (paper: +14 %)\n3D vs 2D at 4 MiB: {:+.1} % (paper: +18.4 %)\n",
+            (self.bar(Flow::ThreeD, SpmCapacity::MiB1).value - 1.0) * 100.0,
+            (self.bar(Flow::ThreeD, SpmCapacity::MiB4).vs_2d.unwrap() - 1.0) * 100.0,
+        )
     }
 
     /// Serializes the figure — the same bars [`Self::to_text`] prints.
     pub fn to_json(&self) -> Json {
-        let bars = self
-            .bars
-            .iter()
-            .map(|b| {
-                Json::obj([
-                    ("design", Json::str(b.point.name())),
-                    ("efficiency", Json::Float(b.efficiency)),
-                    (
-                        "gain_over_2d",
-                        b.gain_over_2d.map_or(Json::Null, Json::Float),
-                    ),
-                ])
-            })
-            .collect();
-        Json::obj([
-            ("figure", Json::str("fig8")),
-            ("title", Json::str("energy efficiency vs SPM capacity")),
-            ("bytes_per_cycle", Json::Int(SECTION_VI_B_BANDWIDTH as i64)),
-            ("reference", Json::str("MemPool-2D_1MiB")),
-            ("bars", Json::Arr(bars)),
-        ])
+        let keys = ["efficiency", "gain_over_2d"];
+        capacity_bars::json(&self.bars, "fig8", TITLE, keys, Vec::new())
     }
 }
 
@@ -130,10 +74,7 @@ mod tests {
     fn three_d_is_more_efficient_at_every_capacity() {
         let f = fig();
         for cap in SpmCapacity::ALL {
-            assert!(
-                f.bar(Flow::ThreeD, cap).gain_over_2d.unwrap() > 1.0,
-                "{cap}"
-            );
+            assert!(f.bar(Flow::ThreeD, cap).vs_2d.unwrap() > 1.0, "{cap}");
         }
     }
 
@@ -144,14 +85,14 @@ mod tests {
         let f = fig();
         let mut last = f64::MAX;
         for cap in SpmCapacity::ALL {
-            let e = f.bar(Flow::TwoD, cap).efficiency;
+            let e = f.bar(Flow::TwoD, cap).value;
             assert!(
                 e < last + 0.02,
                 "{cap}: 2D efficiency {e:.3} must trend down"
             );
             last = e;
         }
-        let e8 = f.bar(Flow::TwoD, SpmCapacity::MiB8).efficiency;
+        let e8 = f.bar(Flow::TwoD, SpmCapacity::MiB8).value;
         assert!(
             (0.72..0.90).contains(&e8),
             "2D 8 MiB efficiency {e8:.3} (paper: 0.79)"
@@ -161,13 +102,13 @@ mod tests {
     #[test]
     fn headline_gains_near_paper() {
         let f = fig();
-        let g1 = f.bar(Flow::ThreeD, SpmCapacity::MiB1).efficiency;
+        let g1 = f.bar(Flow::ThreeD, SpmCapacity::MiB1).value;
         assert!(
             (g1 - paper::FIG8_3D_1MIB_VS_BASELINE).abs() < 0.06,
             "3D 1 MiB efficiency {g1:.3} vs paper {:.3}",
             paper::FIG8_3D_1MIB_VS_BASELINE
         );
-        let g4 = f.bar(Flow::ThreeD, SpmCapacity::MiB4).gain_over_2d.unwrap();
+        let g4 = f.bar(Flow::ThreeD, SpmCapacity::MiB4).vs_2d.unwrap();
         assert!(
             (g4 - paper::FIG8_3D_VS_2D_4MIB).abs() < 0.06,
             "4 MiB 3D gain {g4:.3} vs paper {:.3}",
@@ -180,7 +121,7 @@ mod tests {
         // Paper: MemPool-3D(4 MiB) runs on an energy budget smaller than
         // MemPool-2D(1 MiB) — efficiency above 1.0.
         let f = fig();
-        assert!(f.bar(Flow::ThreeD, SpmCapacity::MiB4).efficiency > 1.0);
+        assert!(f.bar(Flow::ThreeD, SpmCapacity::MiB4).value > 1.0);
     }
 
     #[test]
@@ -189,7 +130,7 @@ mod tests {
         // efficiency than the 2D baseline".
         let f = fig();
         for cap in [SpmCapacity::MiB1, SpmCapacity::MiB2, SpmCapacity::MiB4] {
-            assert!(f.bar(Flow::ThreeD, cap).efficiency > 1.0, "{cap}");
+            assert!(f.bar(Flow::ThreeD, cap).value > 1.0, "{cap}");
         }
     }
 

@@ -4,43 +4,25 @@ use mempool_arch::SpmCapacity;
 use mempool_obs::Json;
 use mempool_phys::Flow;
 
-use crate::design::DesignPoint;
-use crate::experiments::{Evaluation, SECTION_VI_B_BANDWIDTH};
+use crate::experiments::capacity_bars::{self, CapacityBar};
+use crate::experiments::Evaluation;
 use crate::paper;
-use crate::table::TextTable;
 
-/// One bar of Figure 9.
-#[derive(Debug, Clone, Copy)]
-pub struct Fig9Bar {
-    /// The design point.
-    pub point: DesignPoint,
-    /// EDP relative to MemPool-2D(1 MiB). Lower is better.
-    pub edp: f64,
-    /// EDP of the 3D instance relative to its 2D counterpart (3D only).
-    pub vs_2d: Option<f64>,
-}
+const TITLE: &str = "energy-delay product vs SPM capacity";
 
-/// The reproduced Figure 9.
+/// The reproduced Figure 9: EDP relative to MemPool-2D(1 MiB), and of
+/// each 3D instance relative to its 2D counterpart.
 #[derive(Debug, Clone)]
 pub struct Fig9 {
-    bars: Vec<Fig9Bar>,
+    bars: Vec<CapacityBar>,
 }
 
 impl Fig9 {
     /// Computes the figure from an evaluation.
     pub fn from_evaluation(eval: &Evaluation) -> Self {
-        let bw = SECTION_VI_B_BANDWIDTH;
-        let bars = DesignPoint::all_capacity_major()
-            .map(|point| {
-                let edp = eval.edp(point, bw);
-                let vs_2d = match point.flow {
-                    Flow::TwoD => None,
-                    Flow::ThreeD => Some(edp / eval.edp(Evaluation::two_d_counterpart(point), bw)),
-                };
-                Fig9Bar { point, edp, vs_2d }
-            })
-            .collect();
-        Fig9 { bars }
+        Fig9 {
+            bars: capacity_bars::bars(eval, Evaluation::edp),
+        }
     }
 
     /// Implements everything and computes the figure.
@@ -49,82 +31,47 @@ impl Fig9 {
     }
 
     /// All bars in capacity-major order.
-    pub fn bars(&self) -> &[Fig9Bar] {
+    pub fn bars(&self) -> &[CapacityBar] {
         &self.bars
     }
 
     /// Looks up one bar.
-    pub fn bar(&self, flow: Flow, capacity: SpmCapacity) -> &Fig9Bar {
-        self.bars
-            .iter()
-            .find(|b| b.point.flow == flow && b.point.capacity == capacity)
-            .expect("all eight bars exist")
+    pub fn bar(&self, flow: Flow, capacity: SpmCapacity) -> &CapacityBar {
+        capacity_bars::find(&self.bars, flow, capacity)
     }
 
     /// The design point with the lowest EDP.
-    pub fn best(&self) -> &Fig9Bar {
+    pub fn best(&self) -> &CapacityBar {
         self.bars
             .iter()
-            .min_by(|a, b| a.edp.total_cmp(&b.edp))
+            .min_by(|a, b| a.value.total_cmp(&b.value))
             .expect("bars are nonempty")
     }
 
     /// Renders the figure as text.
     pub fn to_text(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!(
-            "Figure 9: energy-delay product vs SPM capacity ({SECTION_VI_B_BANDWIDTH} B/cycle, relative to MemPool-2D_1MiB; lower is better)\n"
-        ));
-        let mut t = TextTable::new(["design", "EDP", "3D vs 2D"]);
-        for bar in &self.bars {
-            t.row([
-                bar.point.name(),
-                format!("{:.3}", bar.edp),
-                bar.vs_2d
-                    .map_or("-".to_string(), |g| format!("{:+.1} %", (g - 1.0) * 100.0)),
-            ]);
-        }
-        out.push_str(&t.to_string());
-        out.push_str(&format!(
-            "best EDP: {} at {:.3} (paper: MemPool-3D_1MiB at {:.3})\n",
+        let heading = format!("Figure 9: {TITLE}");
+        let better = "; lower is better";
+        let table = capacity_bars::table(&self.bars, &heading, better, "EDP", |percent| {
+            format!("{percent:+.1} %")
+        });
+        format!(
+            "{table}best EDP: {} at {:.3} (paper: MemPool-3D_1MiB at {:.3})\n",
             self.best().point,
-            self.best().edp,
+            self.best().value,
             paper::FIG9_3D_1MIB_VS_BASELINE
-        ));
-        out
+        )
     }
 
     /// Serializes the figure — the same bars [`Self::to_text`] prints.
     pub fn to_json(&self) -> Json {
-        let bars = self
-            .bars
-            .iter()
-            .map(|b| {
-                Json::obj([
-                    ("design", Json::str(b.point.name())),
-                    ("edp", Json::Float(b.edp)),
-                    ("vs_2d", b.vs_2d.map_or(Json::Null, Json::Float)),
-                ])
-            })
-            .collect();
-        Json::obj([
-            ("figure", Json::str("fig9")),
-            ("title", Json::str("energy-delay product vs SPM capacity")),
-            ("bytes_per_cycle", Json::Int(SECTION_VI_B_BANDWIDTH as i64)),
-            ("reference", Json::str("MemPool-2D_1MiB")),
-            ("bars", Json::Arr(bars)),
-            (
-                "best",
-                Json::obj([
-                    ("design", Json::str(self.best().point.name())),
-                    ("edp", Json::Float(self.best().edp)),
-                ]),
-            ),
-            (
-                "paper_3d_1mib_vs_baseline",
-                Json::Float(paper::FIG9_3D_1MIB_VS_BASELINE),
-            ),
-        ])
+        let best = Json::obj([
+            ("design", Json::str(self.best().point.name())),
+            ("edp", Json::Float(self.best().value)),
+        ]);
+        let paper = Json::Float(paper::FIG9_3D_1MIB_VS_BASELINE);
+        let extras = vec![("best", best), ("paper_3d_1mib_vs_baseline", paper)];
+        capacity_bars::json(&self.bars, "fig9", TITLE, ["edp", "vs_2d"], extras)
     }
 }
 
@@ -146,7 +93,7 @@ mod tests {
 
     #[test]
     fn edp_of_3d_1mib_near_paper() {
-        let edp = fig().bar(Flow::ThreeD, SpmCapacity::MiB1).edp;
+        let edp = fig().bar(Flow::ThreeD, SpmCapacity::MiB1).value;
         assert!(
             (edp - paper::FIG9_3D_1MIB_VS_BASELINE).abs() < 0.05,
             "3D 1 MiB EDP {edp:.3} vs paper {:.3}",
@@ -172,7 +119,7 @@ mod tests {
         let f = fig();
         for flow in Flow::ALL {
             assert!(
-                f.bar(flow, SpmCapacity::MiB8).edp > f.bar(flow, SpmCapacity::MiB1).edp,
+                f.bar(flow, SpmCapacity::MiB8).value > f.bar(flow, SpmCapacity::MiB1).value,
                 "{flow}: 8 MiB EDP must exceed 1 MiB"
             );
         }

@@ -3,9 +3,12 @@
 //! All experiments normalize against the `MemPool-2D_1MiB` baseline, as
 //! the paper does. [`Evaluation`] implements all eight design points once
 //! and derives the combined performance/efficiency metrics of Section VI-B
-//! from them.
+//! from them. [`catalogue::CATALOGUE`] is the index: every experiment
+//! `repro` prints and the experiment service serves is one row of it.
 
 pub mod ablations;
+mod capacity_bars;
+pub mod catalogue;
 pub mod claims;
 pub mod cluster_level;
 pub mod fig6;
@@ -16,6 +19,8 @@ pub mod resilience;
 pub mod table1;
 pub mod table2;
 
+pub use capacity_bars::CapacityBar;
+pub use catalogue::{Context, Experiment, CATALOGUE};
 pub use claims::Claims;
 pub use cluster_level::ClusterLevel;
 pub use fig6::Fig6;

@@ -13,7 +13,6 @@ use mempool_kernels::matmul::PhaseModel;
 use mempool_kernels::resilience::{
     degraded_compute_run_observed, DegradedFailure, DegradedObs, DegradedRun,
 };
-use mempool_kernels::KernelError;
 use mempool_obs::Json;
 
 use crate::table::TextTable;
@@ -40,29 +39,14 @@ pub struct Resilience {
 impl Resilience {
     /// Measures the degradation for `(seed, rate)` and propagates it with
     /// the given workload model. `watchdog`, when set, arms the
-    /// forward-progress watchdog for the degraded run.
+    /// forward-progress watchdog for the degraded run; `hooks` attach
+    /// observability to it (shared span/metric recording, time-series
+    /// sampling, flight recording, checkpoints — see [`DegradedObs`]).
     ///
     /// # Errors
     ///
     /// Propagates simulation errors (typed deadlocks, uncorrectable ECC)
-    /// and result-verification mismatches.
-    pub fn with_model(
-        model: PhaseModel,
-        seed: u64,
-        rate: f64,
-        watchdog: Option<u64>,
-    ) -> Result<Self, KernelError> {
-        Self::with_model_observed(model, seed, rate, watchdog, None)
-            .map_err(|failure| failure.error)
-    }
-
-    /// [`Self::with_model`] with observability hooks for the degraded run
-    /// (shared span/metric recording, time-series sampling, flight
-    /// recording — see [`DegradedObs`]).
-    ///
-    /// # Errors
-    ///
-    /// Same failures as [`Self::with_model`]; simulator faults additionally
+    /// and result-verification mismatches; simulator faults additionally
     /// carry a ready-to-write crash dump in the returned
     /// [`DegradedFailure`].
     pub fn with_model_observed(
@@ -85,15 +69,6 @@ impl Resilience {
             reference_cycles: model.total_cycles(SpmCapacity::MiB1, 4),
             run,
         })
-    }
-
-    /// [`Self::with_model`] with the recorded measured constants.
-    ///
-    /// # Errors
-    ///
-    /// Propagates simulation and verification errors.
-    pub fn generate(seed: u64, rate: f64, watchdog: Option<u64>) -> Result<Self, KernelError> {
-        Self::with_model(PhaseModel::with_measured_defaults(), seed, rate, watchdog)
     }
 
     /// The underlying clean-vs-degraded measurement.
@@ -212,9 +187,14 @@ impl Resilience {
 mod tests {
     use super::*;
 
+    fn measure(seed: u64, watchdog: Option<u64>) -> Resilience {
+        let model = PhaseModel::with_measured_defaults();
+        Resilience::with_model_observed(model, seed, 1e-6, watchdog, None).unwrap()
+    }
+
     #[test]
     fn degradation_propagates_into_the_figure() {
-        let r = Resilience::generate(42, 1e-6, Some(2_000_000)).unwrap();
+        let r = measure(42, Some(2_000_000));
         assert!(r.run().overhead() > 0.0);
         assert!(r.degraded_speedup() < r.clean_speedup());
         assert!(r.fig6_delta_cycles() > 0.0);
@@ -239,8 +219,7 @@ mod tests {
 
     #[test]
     fn determinism_across_generations() {
-        let a = Resilience::generate(9, 1e-6, None).unwrap();
-        let b = Resilience::generate(9, 1e-6, None).unwrap();
+        let (a, b) = (measure(9, None), measure(9, None));
         assert_eq!(a.run().degraded_cycles, b.run().degraded_cycles);
         assert_eq!(a.run().clean_cycles, b.run().clean_cycles);
     }

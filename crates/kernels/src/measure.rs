@@ -47,7 +47,9 @@ impl MeasuredConstants {
     }
 }
 
-fn measurement_cluster() -> Result<Cluster, KernelError> {
+/// The 16-core probe every measurement of the experiment pipeline runs
+/// on: one group of 4 tiles x 4 cores over 16 banks of 512 words.
+pub fn probe_cluster() -> Cluster {
     let cfg = ClusterConfig::builder()
         .groups(1)
         .tiles_per_group(4)
@@ -55,38 +57,17 @@ fn measurement_cluster() -> Result<Cluster, KernelError> {
         .banks_per_tile(16)
         .bank_words(512)
         .build()
-        .map_err(|e| KernelError::BadShape {
-            detail: e.to_string(),
-        })?;
-    Ok(Cluster::new(cfg, SimParams::default()))
+        .expect("the probe shape is a valid cluster");
+    Cluster::new(cfg, SimParams::default())
 }
 
-/// Measures the compute-phase constants by running two tile sizes and
-/// solving for the slope (cycles/MAC) and intercept (setup overhead),
-/// using the default (1x2-blocked) inner loop.
-///
-/// # Errors
-///
-/// Propagates simulation and verification errors.
-pub fn measure_compute_constants() -> Result<(f64, f64), KernelError> {
-    measure_compute_constants_with(Blocking::OneByTwo)
-}
-
-/// Measures the compute-phase constants for a specific inner-loop shape —
-/// the code-quality axis of the kernel: the staggered variant lands near
-/// the 3.2 cycles/MAC the recorded Figure 6 model uses.
-///
-/// # Errors
-///
-/// Propagates simulation and verification errors.
-pub fn measure_compute_constants_with(blocking: Blocking) -> Result<(f64, f64), KernelError> {
-    measure_compute_constants_observed(blocking, None)
-}
-
-/// [`measure_compute_constants_with`], optionally recording each
-/// measurement run into an [`Obs`] handle: per-run DMA/core spans from the
-/// simulator plus one `compute` phase span and a `measure_cycles` metric
-/// per tile size.
+/// Measures the compute-phase constants of one inner-loop shape by
+/// running two tile sizes and solving for the slope (cycles/MAC) and
+/// intercept (setup overhead). The shape is the code-quality axis of the
+/// kernel: the staggered variant lands near the 3.2 cycles/MAC the
+/// recorded Figure 6 model uses. With `obs`, each run is recorded: per-run
+/// DMA/core spans from the simulator plus one `compute` phase span and a
+/// `measure_cycles` metric per tile size.
 ///
 /// # Errors
 ///
@@ -99,7 +80,7 @@ pub fn measure_compute_constants_observed(
     let mut macs = Vec::new();
     for p in [32u32, 64] {
         let run = format!("compute-p{p}");
-        let mut cluster = measurement_cluster()?;
+        let mut cluster = probe_cluster();
         if let Some(obs) = obs {
             cluster.attach_obs(obs, &run);
         }
@@ -133,17 +114,9 @@ fn record_phase(obs: Option<&Obs>, run: &str, name: &str, end: u64, args: &[(&st
         .set(end as f64);
 }
 
-/// Measures the barrier cost at two core counts and fits a line.
-///
-/// # Errors
-///
-/// Propagates simulation errors.
-pub fn measure_barrier_constants() -> Result<(f64, f64), KernelError> {
-    measure_barrier_constants_observed(None)
-}
-
-/// [`measure_barrier_constants`], optionally recording each core-count
-/// point as a `barrier` phase span and `measure_cycles` metric.
+/// Measures the barrier cost at two core counts and fits a line. With
+/// `obs`, each core-count point is recorded as a `barrier` phase span and
+/// a `measure_cycles` metric.
 ///
 /// # Errors
 ///
@@ -218,7 +191,8 @@ mod tests {
 
     #[test]
     fn measured_cpm_matches_the_generated_inner_loop() {
-        let (cpm, overhead) = measure_compute_constants().expect("measurement failed");
+        let (cpm, overhead) = measure_compute_constants_observed(Blocking::OneByTwo, None)
+            .expect("measurement failed");
         // ~3 issue slots per MAC plus stalls; far from 1 (too optimistic)
         // and far from 6 (the un-blocked naive loop).
         assert!((2.5..4.5).contains(&cpm), "cycles/MAC {cpm:.2}");
@@ -227,9 +201,9 @@ mod tests {
 
     #[test]
     fn blocking_quality_ordering_holds_under_measurement() {
-        let (naive, _) = measure_compute_constants_with(Blocking::Naive).unwrap();
-        let (blocked, _) = measure_compute_constants_with(Blocking::OneByTwo).unwrap();
-        let (staggered, _) = measure_compute_constants_with(Blocking::Staggered).unwrap();
+        let (naive, _) = measure_compute_constants_observed(Blocking::Naive, None).unwrap();
+        let (blocked, _) = measure_compute_constants_observed(Blocking::OneByTwo, None).unwrap();
+        let (staggered, _) = measure_compute_constants_observed(Blocking::Staggered, None).unwrap();
         assert!(
             staggered < blocked && blocked < naive,
             "cycles/MAC must improve with kernel quality: {staggered:.2} < {blocked:.2} < {naive:.2}"
@@ -243,7 +217,7 @@ mod tests {
     #[test]
     fn observed_barrier_measurement_records_spans_and_metrics() {
         let obs = Obs::new();
-        let plain = measure_barrier_constants().unwrap();
+        let plain = measure_barrier_constants_observed(None).unwrap();
         let observed = measure_barrier_constants_observed(Some(&obs)).unwrap();
         assert_eq!(plain, observed, "observation must not perturb the runs");
 
@@ -276,7 +250,7 @@ mod tests {
 
     #[test]
     fn barrier_fit_is_positive_and_superlinear_in_cores() {
-        let (slope, base) = measure_barrier_constants().expect("measurement failed");
+        let (slope, base) = measure_barrier_constants_observed(None).expect("measurement failed");
         assert!(slope > 0.5, "barrier slope {slope:.2} cycles/core");
         assert!(base >= 0.0, "barrier base {base:.2}");
     }

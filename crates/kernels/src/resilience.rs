@@ -14,12 +14,12 @@
 
 use std::path::{Path, PathBuf};
 
-use mempool_arch::ClusterConfig;
 use mempool_fault::{FaultConfig, FaultPlan, FaultReport};
 use mempool_obs::{AttributionReport, Json, Obs};
-use mempool_sim::{run_with_checkpoints, CheckpointError, Checkpointer, Cluster, SimParams};
+use mempool_sim::{run_with_checkpoints, CheckpointError, Checkpointer, Cluster};
 
 use crate::matmul::ComputePhase;
+use crate::measure::probe_cluster;
 use crate::workload::{Kernel, KernelError};
 
 /// Cycle budget for one resilience phase (generous: the phase itself runs
@@ -83,21 +83,6 @@ impl DegradedRun {
             ("attribution", self.attribution.to_json()),
         ])
     }
-}
-
-/// The 16-core measurement shape used throughout the experiment pipeline.
-fn resilience_cluster() -> Result<Cluster, KernelError> {
-    let cfg = ClusterConfig::builder()
-        .groups(1)
-        .tiles_per_group(4)
-        .cores_per_tile(4)
-        .banks_per_tile(16)
-        .bank_words(512)
-        .build()
-        .map_err(|e| KernelError::BadShape {
-            detail: e.to_string(),
-        })?;
-    Ok(Cluster::new(cfg, SimParams::default()))
 }
 
 /// Observability hooks for the degraded run: an [`Obs`] bundle the
@@ -172,47 +157,13 @@ impl ObservedRun {
 /// Propagates simulation and verification errors; simulator faults carry
 /// a full crash dump, as in [`degraded_compute_run_observed`].
 pub fn observed_compute_run(hooks: &DegradedObs) -> Result<ObservedRun, Box<DegradedFailure>> {
-    let plain = |error: KernelError| {
-        Box::new(DegradedFailure {
-            error,
-            crash_dump: None,
-            last_checkpoint: None,
-        })
-    };
+    let mut cluster = probe_cluster();
     let phase = ComputePhase::new(32);
-    let mut cluster = resilience_cluster().map_err(plain)?;
-    cluster.attach_obs(&hooks.obs, "observed");
-    if let Some(window) = hooks.timeseries_window {
-        cluster.enable_timeseries(window);
-    }
-    if let Some(capacity) = hooks.flight_capacity {
-        cluster.enable_flight(capacity);
-        cluster.enable_trace(capacity);
-    }
-    let engine = cluster.engine_selection();
-    let cycles = match phase.run(&mut cluster, BUDGET) {
-        Ok(cycles) => cycles,
-        Err(error) => {
-            let crash_dump = match &error {
-                KernelError::Sim(sim) => Some(cluster.crash_dump(sim)),
-                _ => None,
-            };
-            return Err(Box::new(DegradedFailure {
-                error,
-                crash_dump,
-                last_checkpoint: None,
-            }));
-        }
-    };
-    let stats = cluster.stats();
-    let attribution = stats.attribution(
-        cluster.config().cores_per_tile(),
-        cluster.config().banks_per_tile(),
-    );
-    cluster.detach_obs();
+    let (cycles, attribution) =
+        observed_phase(&mut cluster, "observed", &phase, Some(hooks), |_| Ok(()))?;
     Ok(ObservedRun {
         cycles,
-        engine,
+        engine: cluster.engine_selection(),
         attribution,
     })
 }
@@ -239,97 +190,50 @@ impl std::fmt::Display for DegradedFailure {
     }
 }
 
-/// Runs one compute phase clean, then again under the deterministic fault
-/// plan generated from `(seed, rate)`, and returns the comparison. The
-/// timed-fault horizon is set to the clean run's length so transient flips
-/// actually land inside the degraded run; `watchdog`, when given, arms the
-/// forward-progress watchdog for the degraded run.
-///
-/// # Errors
-///
-/// Propagates simulation errors (including typed deadlock or
-/// uncorrectable-ECC faults) and result-verification mismatches.
-pub fn degraded_compute_run(
-    seed: u64,
-    rate: f64,
-    watchdog: Option<u64>,
-) -> Result<DegradedRun, KernelError> {
-    degraded_compute_run_observed(seed, rate, watchdog, None).map_err(|failure| failure.error)
+/// A failure with no cluster state worth dumping.
+fn plain(error: KernelError) -> Box<DegradedFailure> {
+    Box::new(DegradedFailure {
+        error,
+        crash_dump: None,
+        last_checkpoint: None,
+    })
 }
 
-/// [`degraded_compute_run`] with observability: when `hooks` is given, the
-/// degraded cluster records spans/metrics into the shared [`Obs`] and
-/// optionally samples time series and keeps a flight-recorder ring. On a
-/// simulator fault the returned [`DegradedFailure`] carries a full crash
-/// dump (flight events, per-core liveness, metrics, and counter-track
-/// trace) regardless of whether hooks were attached — without hooks the
-/// dump simply degrades to its obs-free sections.
-///
-/// # Errors
-///
-/// Same failures as [`degraded_compute_run`], wrapped with the dump.
-pub fn degraded_compute_run_observed(
-    seed: u64,
-    rate: f64,
-    watchdog: Option<u64>,
+/// The instrumented part of a probe run, shared by the clean and the
+/// degraded run. Arms `hooks` on `cluster` as the process `name`; on a
+/// fresh start lets `inject` add its faults and loads `phase`; runs what
+/// is left of the budget, checkpointing when the hooks ask for it; then
+/// verifies, takes the exact attribution and detaches. A simulator fault
+/// comes back with the crash dump and the newest surviving checkpoint.
+fn observed_phase(
+    cluster: &mut Cluster,
+    name: &str,
+    phase: &ComputePhase,
     hooks: Option<&DegradedObs>,
-) -> Result<DegradedRun, Box<DegradedFailure>> {
-    let plain = |error: KernelError| {
-        Box::new(DegradedFailure {
-            error,
-            crash_dump: None,
-            last_checkpoint: None,
-        })
-    };
-    let phase = ComputePhase::new(32);
-
-    let mut clean = resilience_cluster().map_err(plain)?;
-    let clean_cycles = phase.run(&mut clean, BUDGET).map_err(plain)?;
-    drop(clean);
-
-    // Resume restores everything — program, PCs, fault controller,
-    // watchdog — from the snapshot; a fresh start builds the cluster and
-    // injects the plan itself.
-    let resume = hooks.and_then(|h| h.resume.as_deref());
-    let mut degraded = match resume {
-        Some(path) => Cluster::restore_from_file(path).map_err(|e| {
-            plain(KernelError::Checkpoint {
-                detail: format!("resume from {}: {e}", path.display()),
-            })
-        })?,
-        None => resilience_cluster().map_err(plain)?,
-    };
+    inject: impl FnOnce(&mut Cluster) -> Result<(), KernelError>,
+) -> Result<(u64, AttributionReport), Box<DegradedFailure>> {
+    let resumed = hooks.is_some_and(|h| h.resume.is_some());
     if let Some(hooks) = hooks {
-        degraded.attach_obs(&hooks.obs, "degraded");
+        cluster.attach_obs(&hooks.obs, name);
         if let Some(window) = hooks.timeseries_window {
-            if resume.is_some() {
+            if resumed {
                 // Keep the restored epoch cursors; enable_timeseries
                 // would rebaseline them and break mid-epoch resumes.
-                degraded.resume_timeseries(window);
+                cluster.resume_timeseries(window);
             } else {
-                degraded.enable_timeseries(window);
+                cluster.enable_timeseries(window);
             }
         }
         if let Some(capacity) = hooks.flight_capacity {
-            degraded.enable_flight(capacity);
-            degraded.enable_trace(capacity);
+            cluster.enable_flight(capacity);
+            cluster.enable_trace(capacity);
         }
     }
-    // The plan is regenerated on resume too: injection state lives in
-    // the checkpoint, but the event count reported below does not.
-    let fault_cfg = FaultConfig::new(seed, rate).with_horizon(clean_cycles.max(1));
-    let plan = FaultPlan::generate(&fault_cfg, degraded.config());
-    if resume.is_none() {
-        degraded.inject_faults(&plan).map_err(|e| plain(e.into()))?;
-        if let Some(threshold) = watchdog {
-            degraded.set_watchdog(threshold);
-        }
-        // The fresh-start prologue of `Kernel::run`; a resumed cluster
-        // must never repeat it (load_program resets every PC).
-        let program = phase.program(&degraded).map_err(plain)?;
-        phase.setup(&mut degraded).map_err(plain)?;
-        degraded.load_program(program);
-        degraded.preload_icaches();
+    // A resumed cluster restored program, PCs, fault controller and
+    // watchdog from its snapshot.
+    if !resumed {
+        inject(cluster).map_err(plain)?;
+        phase.load(cluster).map_err(plain)?;
     }
 
     let mut checkpointer = match hooks.and_then(|h| h.checkpoint_dir.as_ref()) {
@@ -347,21 +251,21 @@ pub fn degraded_compute_run_observed(
     };
     // The phase deadline is absolute (the kernel starts at cycle zero),
     // so a resumed run only gets the budget's remainder.
-    let remaining = BUDGET.saturating_sub(degraded.cycle());
+    let remaining = BUDGET.saturating_sub(cluster.cycle());
     let run_result = match &mut checkpointer {
-        Some(ckpt) => run_with_checkpoints(&mut degraded, remaining, ckpt).map_err(|e| match e {
+        Some(ckpt) => run_with_checkpoints(cluster, remaining, ckpt).map_err(|e| match e {
             CheckpointError::Sim(sim) => KernelError::Sim(sim),
             other => KernelError::Checkpoint {
                 detail: other.to_string(),
             },
         }),
-        None => degraded.run(remaining).map_err(KernelError::Sim),
+        None => cluster.run(remaining).map_err(KernelError::Sim),
     };
-    let degraded_cycles = match run_result {
+    let cycles = match run_result {
         Ok(end) => end,
         Err(error) => {
             let crash_dump = match &error {
-                KernelError::Sim(sim) => Some(degraded.crash_dump(sim)),
+                KernelError::Sim(sim) => Some(cluster.crash_dump(sim)),
                 _ => None,
             };
             let last_checkpoint = checkpointer
@@ -374,18 +278,66 @@ pub fn degraded_compute_run_observed(
             }));
         }
     };
-    phase.verify(&degraded).map_err(plain)?;
-
-    let stats = degraded.stats();
-    let attribution = stats.attribution(
-        degraded.config().cores_per_tile(),
-        degraded.config().banks_per_tile(),
+    phase.verify(cluster).map_err(plain)?;
+    let attribution = cluster.stats().attribution(
+        cluster.config().cores_per_tile(),
+        cluster.config().banks_per_tile(),
     );
+    // Close any still-open spans so the caller's trace export is balanced.
+    cluster.detach_obs();
+    Ok((cycles, attribution))
+}
+
+/// Runs one compute phase clean, then again under the deterministic fault
+/// plan generated from `(seed, rate)`, and returns the comparison. The
+/// timed-fault horizon is set to the clean run's length so transient flips
+/// actually land inside the degraded run; `watchdog`, when given, arms the
+/// forward-progress watchdog for the degraded run.
+///
+/// When `hooks` is given, the degraded cluster records spans/metrics into
+/// the shared [`Obs`] and optionally samples time series, keeps a
+/// flight-recorder ring, checkpoints, or resumes. On a simulator fault the
+/// returned [`DegradedFailure`] carries a full crash dump (flight events,
+/// per-core liveness, metrics, and counter-track trace) regardless of
+/// whether hooks were attached — without hooks the dump simply degrades to
+/// its obs-free sections.
+///
+/// # Errors
+///
+/// Propagates simulation errors (including typed deadlock or
+/// uncorrectable-ECC faults) and result-verification mismatches.
+pub fn degraded_compute_run_observed(
+    seed: u64,
+    rate: f64,
+    watchdog: Option<u64>,
+    hooks: Option<&DegradedObs>,
+) -> Result<DegradedRun, Box<DegradedFailure>> {
+    let phase = ComputePhase::new(32);
+    let clean_cycles = phase.run(&mut probe_cluster(), BUDGET).map_err(plain)?;
+
+    let mut degraded = match hooks.and_then(|h| h.resume.as_deref()) {
+        Some(path) => Cluster::restore_from_file(path).map_err(|e| {
+            plain(KernelError::Checkpoint {
+                detail: format!("resume from {}: {e}", path.display()),
+            })
+        })?,
+        None => probe_cluster(),
+    };
+    // The plan is regenerated on resume too: injection state lives in
+    // the checkpoint, but the event count reported below does not.
+    let fault_cfg = FaultConfig::new(seed, rate).with_horizon(clean_cycles.max(1));
+    let plan = FaultPlan::generate(&fault_cfg, degraded.config());
+    let (degraded_cycles, attribution) =
+        observed_phase(&mut degraded, "degraded", &phase, hooks, |cluster| {
+            cluster.inject_faults(&plan)?;
+            if let Some(threshold) = watchdog {
+                cluster.set_watchdog(threshold);
+            }
+            Ok(())
+        })?;
     let report = degraded
         .fault_report()
         .expect("a plan was injected, so a report exists");
-    // Close any still-open spans so the caller's trace export is balanced.
-    degraded.detach_obs();
     Ok(DegradedRun {
         seed,
         rate,
@@ -403,7 +355,7 @@ mod tests {
 
     #[test]
     fn degraded_run_is_slower_but_correct_and_exactly_attributed() {
-        let run = degraded_compute_run(42, 1e-6, Some(2_000_000)).unwrap();
+        let run = degraded_compute_run_observed(42, 1e-6, Some(2_000_000), None).unwrap();
         assert!(run.events >= 2, "generation floors guarantee faults");
         assert!(
             run.degraded_cycles > run.clean_cycles,
@@ -505,7 +457,7 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
 
         // Reference: the unbroken degraded run.
-        let unbroken = degraded_compute_run(42, 1e-6, Some(2_000_000)).unwrap();
+        let unbroken = degraded_compute_run_observed(42, 1e-6, Some(2_000_000), None).unwrap();
 
         // The same run with periodic checkpoints. The artifacts must be
         // unchanged by the slicing, and snapshots must exist afterwards.
@@ -579,7 +531,7 @@ mod tests {
 
     #[test]
     fn json_summary_carries_the_comparison() {
-        let run = degraded_compute_run(7, 1e-6, None).unwrap();
+        let run = degraded_compute_run_observed(7, 1e-6, None, None).unwrap();
         let json = run.to_json();
         assert_eq!(json.get("seed").unwrap().as_int(), Some(7));
         assert!(json.get("fault_report").is_some());

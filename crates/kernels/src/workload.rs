@@ -93,17 +93,30 @@ pub trait Kernel {
     /// Returns [`KernelError::Mismatch`] describing the first wrong value.
     fn verify(&self, cluster: &Cluster) -> Result<(), KernelError>;
 
-    /// Convenience driver: setup, load, preload I$, run, verify. Returns
-    /// the cycle count.
+    /// The fresh-start prologue: generates the program, writes the
+    /// inputs, loads the program and preloads the I$ (the paper measures
+    /// with a hot instruction cache). A cluster restored from a checkpoint
+    /// must never repeat it — `load_program` resets every PC.
+    ///
+    /// # Errors
+    ///
+    /// Propagates any build or input-placement error.
+    fn load(&self, cluster: &mut Cluster) -> Result<(), KernelError> {
+        let program = self.program(cluster)?;
+        self.setup(cluster)?;
+        cluster.load_program(program);
+        cluster.preload_icaches();
+        Ok(())
+    }
+
+    /// Convenience driver: [`Self::load`], run, verify. Returns the cycle
+    /// count.
     ///
     /// # Errors
     ///
     /// Propagates any build, simulation, or verification error.
     fn run(&self, cluster: &mut Cluster, max_cycles: u64) -> Result<u64, KernelError> {
-        let program = self.program(cluster)?;
-        self.setup(cluster)?;
-        cluster.load_program(program);
-        cluster.preload_icaches();
+        self.load(cluster)?;
         let start = cluster.cycle();
         let end = cluster.run(max_cycles)?;
         self.verify(cluster)?;

@@ -23,8 +23,9 @@
 //! * [`json`] — the self-contained JSON document model the exporters
 //!   emit and every loader reads through (the workspace has no
 //!   serialization dependency);
-//! * [`load`] — quarantine-aware JSON file loading shared by the serve
-//!   result cache, its job journal, and the checkpoint loader;
+//! * [`load`] — quarantine-aware JSON file loading and the atomic
+//!   (temp file + rename) write, shared by the serve result cache, its
+//!   job journal, and the checkpoint files;
 //! * [`artifacts`] — the artifact-directory writer used by
 //!   `repro --artifacts DIR`.
 //!
@@ -69,7 +70,7 @@ pub use attribution::{
 pub use chrome::{chrome_trace, chrome_trace_with_counters};
 pub use flight::{FlightEvent, FlightRecorder, DEFAULT_FLIGHT_CAPACITY};
 pub use json::{Json, JsonError};
-pub use load::{load_json_file, quarantine_path, LoadOutcome};
+pub use load::{load_json_file, quarantine_path, write_atomic, LoadOutcome};
 pub use metrics::{Counter, Gauge, Histogram, MetricsSnapshot, Registry};
 pub use span::{ProcessId, Span, SpanRecorder, TrackId};
 pub use timeseries::{Sample, TimeSeries};

@@ -1,4 +1,5 @@
-//! Quarantine-aware JSON file loading.
+//! Quarantine-aware JSON file loading, and the atomic write that keeps
+//! quarantines rare.
 //!
 //! Artifact stores that survive process restarts — the serve result
 //! cache, its job journal, and simulator checkpoints — must never panic
@@ -10,7 +11,7 @@
 //! same bytes twice.
 
 use std::fs;
-use std::io::ErrorKind;
+use std::io::{self, ErrorKind};
 use std::path::{Path, PathBuf};
 
 use crate::json::Json;
@@ -76,6 +77,22 @@ pub fn load_json_file(path: &Path) -> LoadOutcome {
             }
         }
     }
+}
+
+/// Replaces `path` with `contents` atomically: the bytes go to a sibling
+/// `<name>.tmp-<pid>` file that is then renamed over `path`, so a reader
+/// (or a crash mid-write) sees the old file or the complete new one, never
+/// a torn one.
+///
+/// # Errors
+///
+/// Propagates the write or rename failure.
+pub fn write_atomic(path: &Path, contents: &str) -> io::Result<()> {
+    let mut name = path.file_name().unwrap_or_default().to_os_string();
+    name.push(format!(".tmp-{}", std::process::id()));
+    let tmp = path.with_file_name(name);
+    fs::write(&tmp, contents)?;
+    fs::rename(&tmp, path)
 }
 
 #[cfg(test)]

@@ -18,7 +18,7 @@ use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 
-use mempool_obs::{load_json_file, Json, LoadOutcome};
+use mempool_obs::{load_json_file, write_atomic, Json, LoadOutcome};
 
 /// A thread-safe result cache: an in-memory map, optionally backed by an
 /// on-disk directory of `cas-<key>.json` files shared across daemon
@@ -99,28 +99,18 @@ impl ResultCache {
     }
 
     /// Inserts an artifact, returning the shared handle. The disk write
-    /// is atomic (`.tmp` + rename); a persist failure degrades to
+    /// is atomic ([`write_atomic`]); a persist failure degrades to
     /// memory-only caching rather than failing the request.
     pub fn put(&self, key: u64, value: Json) -> Arc<Json> {
         let entry = Arc::new(value);
         if let Some(dir) = &self.dir {
-            let _ = Self::persist(dir, key, &entry);
+            let _ = write_atomic(&dir.join(Self::entry_name(key)), &entry.to_pretty());
         }
         self.memory
             .lock()
             .expect("cache mutex poisoned")
             .insert(key, Arc::clone(&entry));
         entry
-    }
-
-    fn persist(dir: &Path, key: u64, value: &Json) -> io::Result<()> {
-        let tmp = dir.join(format!(
-            "{}.tmp-{}",
-            Self::entry_name(key),
-            std::process::id()
-        ));
-        fs::write(&tmp, value.to_pretty())?;
-        fs::rename(&tmp, dir.join(Self::entry_name(key)))
     }
 
     /// Number of entries resident in memory.

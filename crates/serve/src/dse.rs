@@ -1,29 +1,21 @@
 //! The design-space-exploration batch client.
 //!
-//! Instead of scoring the eight design points in-process
-//! ([`DesignSpace::explore`]), the batch client issues one `dse_point`
-//! request per point through the experiment service — so a sweep shares
-//! the service's content-addressed cache and request coalescing with
-//! every other client, and a repeated exploration costs eight cache hits.
-//! [`mempool::dse::ScoredPoint::score_all`] is the single scoring path
-//! behind both, so the assembled [`DesignSpace`] is bit-identical to the
-//! in-process one.
+//! One-shot `repro dse` scores the eight design points in-process
+//! ([`DesignSpace::explore`]). The batch client behind `repro submit dse`
+//! instead issues one `dse_point` request per point through an experiment
+//! service — so a sweep shares the service's content-addressed cache and
+//! request coalescing with every other client, and a repeated exploration
+//! costs eight cache hits. [`mempool::dse::ScoredPoint::score_all`] is the
+//! single scoring path behind both, so the assembled [`DesignSpace`] is
+//! bit-identical to the in-process one.
 
 use mempool::design::DesignPoint;
 use mempool::dse::{DesignSpace, ScoredPoint};
 use mempool_kernels::matmul::PhaseModel;
 use mempool_obs::{Json, JsonError};
 
-use crate::client::{Client, TcpClient};
-use crate::protocol::{ExperimentKind, ExperimentRequest, ModelConfig, ServeError};
-
-fn point_request(point: DesignPoint, model: ModelConfig) -> ExperimentRequest {
-    ExperimentRequest {
-        kind: ExperimentKind::DsePoint { point },
-        model,
-        threads: crate::protocol::DEFAULT_THREADS,
-    }
-}
+use crate::client::Outcome;
+use crate::protocol::{ExperimentKind, ExperimentRequest, ServeError};
 
 /// Reconstructs a [`ScoredPoint`] from a `dse_point` artifact.
 ///
@@ -58,48 +50,25 @@ pub fn parse_scored(point: DesignPoint, artifact: &Json) -> Result<ScoredPoint, 
     })
 }
 
-/// Explores the full design space through an in-process service client:
-/// all eight `dse_point` requests are submitted up front (fan-out), then
-/// collected in [`DesignPoint::all`] order.
+/// Explores the full design space through an experiment service: issues
+/// the eight `dse_point` requests through `request` — one call of
+/// [`crate::Client::run`] or [`crate::TcpClient::request`] each — and
+/// assembles the answers in [`DesignPoint::all`] order.
 ///
 /// # Errors
 ///
-/// Propagates submission errors (backpressure, shutdown) and execution or
-/// artifact-shape failures.
-pub fn explore_via(client: &Client, model: &PhaseModel) -> Result<DesignSpace, ServeError> {
-    let config = ModelConfig::from(*model);
-    let pending: Vec<_> = DesignPoint::all()
-        .map(|point| {
-            client
-                .submit(point_request(point, config))
-                .map(|handle| (point, handle))
-        })
-        .collect::<Result<_, _>>()?;
-    let scored = pending
-        .into_iter()
-        .map(|(point, handle)| {
-            let outcome = handle.wait()?;
-            parse_scored(point, &outcome.artifact)
-        })
-        .collect::<Result<Vec<_>, _>>()?;
-    Ok(DesignSpace::from_scored(scored))
-}
-
-/// [`explore_via`] over TCP: issues the eight requests sequentially on
-/// one daemon connection (the daemon's cache still coalesces and reuses
-/// results across clients).
-///
-/// # Errors
-///
-/// Propagates transport, service, and artifact-shape failures.
-pub fn explore_via_tcp(
-    client: &mut TcpClient,
+/// Propagates whatever `request` fails with (transport, backpressure,
+/// shutdown, execution) and artifact-shape failures.
+pub fn explore_via(
+    mut request: impl FnMut(&ExperimentRequest) -> Result<Outcome, ServeError>,
     model: &PhaseModel,
 ) -> Result<DesignSpace, ServeError> {
-    let config = ModelConfig::from(*model);
     let scored = DesignPoint::all()
         .map(|point| {
-            let outcome = client.request(&point_request(point, config))?;
+            let outcome = request(&ExperimentRequest {
+                kind: ExperimentKind::DsePoint { point },
+                model: (*model).into(),
+            })?;
             parse_scored(point, &outcome.artifact)
         })
         .collect::<Result<Vec<_>, _>>()?;

@@ -1,6 +1,6 @@
-//! The default experiment runner: maps a canonical request onto the same
-//! code paths one-shot `repro` uses, so a served artifact is byte-identical
-//! to the CLI's output for the same config.
+//! The default experiment runner: resolves a canonical request through
+//! the same experiment catalogue one-shot `repro` walks, so a served
+//! artifact is byte-identical to the CLI's output for the same config.
 //!
 //! With a checkpoint directory configured
 //! ([`ExperimentRunner::with_checkpoints`]), cycle-accurate `kernel`
@@ -12,44 +12,35 @@
 //! artifact is byte-identical to an uninterrupted one.
 
 use std::fs;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
 use mempool::dse::{Objective, ScoredPoint};
-use mempool::experiments::{Evaluation, Fig6, Fig7, Fig8, Fig9, Table1, Table2};
-use mempool_arch::{ClusterConfig, SpmCapacity};
+use mempool::experiments::{catalogue, Context, Evaluation};
+use mempool_arch::SpmCapacity;
 use mempool_kernels::matmul::ComputePhase;
+use mempool_kernels::measure::probe_cluster;
 use mempool_kernels::Kernel;
-use mempool_obs::Json;
-use mempool_sim::{Cluster, SimError, SimParams};
+use mempool_obs::{write_atomic, Json};
+use mempool_sim::{Cluster, SimError};
 
 use crate::protocol::{ExperimentKind, ExperimentRequest};
 use crate::service::Runner;
 
-/// Problem size and cluster shape of the `kernel` request's probe
-/// simulation.
-const KERNEL_TILES: u32 = 4;
-const KERNEL_CORES_PER_TILE: u32 = 4;
-const KERNEL_BANKS_PER_TILE: u32 = 16;
-const KERNEL_BANK_WORDS: u32 = 512;
-
-/// Default checkpoint interval (simulated cycles) for served kernel runs.
-pub const DEFAULT_CHECKPOINT_EVERY: u64 = 250_000;
+/// Checkpoint interval (simulated cycles) of served kernel runs.
+const CHECKPOINT_EVERY: u64 = 250_000;
 
 /// Executes experiment requests on the reproduction pipeline.
 #[derive(Debug, Default, Clone)]
 pub struct ExperimentRunner {
     checkpoint_dir: Option<PathBuf>,
-    checkpoint_every: u64,
 }
 
 impl ExperimentRunner {
-    /// A runner that checkpoints cycle-accurate requests into `dir` every
-    /// `every` simulated cycles (clamped to at least 1) and resumes from
-    /// an existing checkpoint of the same request.
-    pub fn with_checkpoints(dir: impl Into<PathBuf>, every: u64) -> Self {
+    /// A runner that checkpoints cycle-accurate requests into `dir` and
+    /// resumes from an existing checkpoint of the same request.
+    pub fn with_checkpoints(dir: impl Into<PathBuf>) -> Self {
         ExperimentRunner {
             checkpoint_dir: Some(dir.into()),
-            checkpoint_every: every.max(1),
         }
     }
 
@@ -62,31 +53,21 @@ impl ExperimentRunner {
 impl Runner for ExperimentRunner {
     fn run(&self, req: &ExperimentRequest) -> Result<Json, String> {
         let model = req.model.to_phase_model();
-        Ok(match req.kind {
-            ExperimentKind::Table1 => Table1::generate().to_json(),
-            ExperimentKind::Table2 => {
-                Table2::from_evaluation(&Evaluation::with_model(model)).to_json()
-            }
-            ExperimentKind::Fig6 => Fig6::with_model(model).to_json(),
-            ExperimentKind::Fig7 => Fig7::from_evaluation(&Evaluation::with_model(model)).to_json(),
-            ExperimentKind::Fig8 => Fig8::from_evaluation(&Evaluation::with_model(model)).to_json(),
-            ExperimentKind::Fig9 => Fig9::from_evaluation(&Evaluation::with_model(model)).to_json(),
-            ExperimentKind::Sweep { bytes_per_cycle } => sweep_point(&model, bytes_per_cycle),
+        match req.kind {
+            ExperimentKind::Sweep { bytes_per_cycle } => Ok(sweep_point(&model, bytes_per_cycle)),
             ExperimentKind::DsePoint { point } => {
                 let eval = Evaluation::with_model(model);
-                let scored = ScoredPoint::score_all(&eval, point);
-                dse_point_json(&scored)
+                Ok(dse_point_json(&ScoredPoint::score_all(&eval, point)))
             }
             ExperimentKind::Kernel { p } => {
-                let ckpt = self.checkpoint_dir.as_ref().map(|dir| {
-                    (
-                        dir.join(Self::checkpoint_name(req.cache_key())),
-                        self.checkpoint_every.max(1),
-                    )
-                });
-                kernel_run(p, req.threads, ckpt)?
+                let name = Self::checkpoint_name(req.cache_key());
+                kernel_run(p, self.checkpoint_dir.as_ref().map(|dir| dir.join(name)))
             }
-        })
+            // Every parameterless kind is the catalogue row of its tag.
+            plain => catalogue::find(plain.tag())
+                .and_then(|row| (row.build)(&Context::new(model)).to_json())
+                .ok_or_else(|| format!("the catalogue has no {} document", plain.tag())),
+        }
     }
 }
 
@@ -142,61 +123,49 @@ pub(crate) fn dse_point_json(scored: &ScoredPoint) -> Json {
 
 /// Runs the matmul compute phase cycle-accurately on the probe cluster.
 /// The artifact carries the cycle count and the cluster-stats digest —
-/// bit-identical at any host-thread count, which is exactly why `threads`
-/// is not part of the cache key.
-fn kernel_run(p: u32, threads: usize, ckpt: Option<(PathBuf, u64)>) -> Result<Json, String> {
+/// bit-identical at any host-thread count.
+fn kernel_run(p: u32, ckpt: Option<PathBuf>) -> Result<Json, String> {
     const BUDGET: u64 = 100_000_000;
-    let config = ClusterConfig::builder()
-        .groups(1)
-        .tiles_per_group(KERNEL_TILES)
-        .cores_per_tile(KERNEL_CORES_PER_TILE)
-        .banks_per_tile(KERNEL_BANKS_PER_TILE)
-        .bank_words(KERNEL_BANK_WORDS)
-        .build()
-        .map_err(|e| format!("probe cluster config: {e}"))?;
-    let params = SimParams {
-        threads,
-        ..SimParams::default()
-    };
     let phase = ComputePhase::new(p);
+    let failed = |e: &dyn std::fmt::Display| format!("compute phase p={p}: {e}");
     // Resume from a checkpoint of this exact request if one survived a
-    // crash; a restore failure (stale engine version, quarantined corrupt
-    // file) falls back to a clean start.
-    let mut cluster = match &ckpt {
-        Some((path, _)) if path.exists() => match Cluster::restore_from_file(path) {
-            Ok(cluster) => cluster,
-            Err(_) => fresh_kernel_cluster(&phase, config, params)?,
-        },
-        _ => fresh_kernel_cluster(&phase, config, params)?,
-    };
-    let cycles = match &ckpt {
-        None => phase_budget_run(&mut cluster, BUDGET, p)?,
-        Some((path, every)) => {
-            // Run in checkpoint-sized slices; the kernel starts at cycle 0,
-            // so the budget deadline is absolute even after a resume.
-            let end = loop {
-                let remaining = BUDGET.saturating_sub(cluster.cycle());
-                if remaining == 0 {
-                    return Err(format!(
-                        "compute phase p={p}: timed out after {BUDGET} cycles"
-                    ));
-                }
-                match cluster.run(remaining.min(*every)) {
-                    Ok(end) => break end,
-                    Err(SimError::Timeout { .. }) => save_job_checkpoint(path, &cluster)?,
-                    Err(e) => {
-                        // Keep the last checkpoint for a later retry.
-                        return Err(format!("compute phase p={p}: {e}"));
-                    }
-                }
-            };
-            phase
-                .verify(&cluster)
-                .map_err(|e| format!("compute phase p={p}: {e}"))?;
-            let _ = fs::remove_file(path);
-            end
+    // crash; no checkpoint or a restore failure (stale engine version,
+    // quarantined corrupt file) is a clean start.
+    let restored = ckpt
+        .as_ref()
+        .and_then(|path| Cluster::restore_from_file(path).ok());
+    let mut cluster = match restored {
+        Some(cluster) => cluster,
+        None => {
+            let mut cluster = probe_cluster();
+            phase.load(&mut cluster).map_err(|e| failed(&e))?;
+            cluster
         }
     };
+    let cycles = match &ckpt {
+        None => cluster.run(BUDGET).map_err(|e| failed(&e))?,
+        // Run in checkpoint-sized slices; the kernel starts at cycle 0, so
+        // the budget deadline is absolute even after a resume. An error
+        // keeps the last checkpoint for a later retry.
+        Some(path) => loop {
+            let remaining = BUDGET.saturating_sub(cluster.cycle());
+            if remaining == 0 {
+                return Err(failed(&format!("timed out after {BUDGET} cycles")));
+            }
+            match cluster.run(remaining.min(CHECKPOINT_EVERY)) {
+                Ok(end) => break end,
+                Err(SimError::Timeout { .. }) => {
+                    write_atomic(path, &cluster.checkpoint().to_pretty())
+                        .map_err(|e| format!("writing checkpoint {}: {e}", path.display()))?;
+                }
+                Err(e) => return Err(failed(&e)),
+            }
+        },
+    };
+    phase.verify(&cluster).map_err(|e| failed(&e))?;
+    if let Some(path) = &ckpt {
+        let _ = fs::remove_file(path);
+    }
     let stats = cluster.stats();
     Ok(Json::obj([
         ("experiment", Json::str("kernel")),
@@ -210,48 +179,11 @@ fn kernel_run(p: u32, threads: usize, ckpt: Option<(PathBuf, u64)>) -> Result<Js
     ]))
 }
 
-/// The fresh-start prologue of [`Kernel::run`]: program, inputs, preload.
-fn fresh_kernel_cluster(
-    phase: &ComputePhase,
-    config: ClusterConfig,
-    params: SimParams,
-) -> Result<Cluster, String> {
-    let mut cluster = Cluster::new(config, params);
-    let program = phase
-        .program(&cluster)
-        .map_err(|e| format!("compute phase program: {e}"))?;
-    phase
-        .setup(&mut cluster)
-        .map_err(|e| format!("compute phase setup: {e}"))?;
-    cluster.load_program(program);
-    cluster.preload_icaches();
-    Ok(cluster)
-}
-
-/// One uninterrupted kernel run (no checkpointing), verification included.
-fn phase_budget_run(cluster: &mut Cluster, budget: u64, p: u32) -> Result<u64, String> {
-    let end = cluster
-        .run(budget)
-        .map_err(|e| format!("compute phase p={p}: {e}"))?;
-    let phase = ComputePhase::new(p);
-    phase
-        .verify(cluster)
-        .map_err(|e| format!("compute phase p={p}: {e}"))?;
-    Ok(end)
-}
-
-/// Atomic (temp + rename) single-file checkpoint overwrite.
-fn save_job_checkpoint(path: &Path, cluster: &Cluster) -> Result<(), String> {
-    let tmp = path.with_extension(format!("tmp-{}", std::process::id()));
-    fs::write(&tmp, cluster.checkpoint().to_pretty())
-        .and_then(|()| fs::rename(&tmp, path))
-        .map_err(|e| format!("writing checkpoint {}: {e}", path.display()))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::protocol::ModelConfig;
+    use mempool::experiments::Fig6;
 
     #[test]
     fn fig6_artifact_matches_the_one_shot_pipeline_exactly() {
@@ -279,23 +211,5 @@ mod tests {
                 Some(expected.speedup_vs_reference)
             );
         }
-    }
-
-    #[test]
-    fn kernel_run_is_thread_count_invariant() {
-        let sequential = ExperimentRunner::default()
-            .run(&ExperimentRequest {
-                threads: 1,
-                ..ExperimentRequest::new(ExperimentKind::Kernel { p: 16 })
-            })
-            .unwrap();
-        let parallel = ExperimentRunner::default()
-            .run(&ExperimentRequest {
-                threads: 4,
-                ..ExperimentRequest::new(ExperimentKind::Kernel { p: 16 })
-            })
-            .unwrap();
-        assert_eq!(sequential.to_pretty(), parallel.to_pretty());
-        assert!(sequential.get("cycles").and_then(Json::as_int).unwrap() > 0);
     }
 }

@@ -9,8 +9,8 @@
 //!   [`ExperimentRequest`] whose [`ExperimentRequest::cache_key`] is an
 //!   FNV-1a digest over the parsed config, seeded with the simulator's
 //!   timing parameters and [`mempool_sim::ENGINE_VERSION`]. Semantically
-//!   equal configs (field order, defaulted fields, `threads`) share one
-//!   entry; an engine bump invalidates all of them.
+//!   equal configs (field order, defaulted fields) share one entry; an
+//!   engine bump invalidates all of them.
 //! - **Request coalescing** — identical in-flight requests attach to one
 //!   computation inside a single critical section, so a config is
 //!   computed exactly once no matter how many clients race.
@@ -22,12 +22,13 @@
 //! Entry points: [`Service::start`] + [`Service::client`] in-process,
 //! [`TcpServer`]/[`TcpClient`] for the `repro serve` daemon and its
 //! newline-delimited JSON protocol, and [`dse::explore_via`] to run the
-//! design-space exploration as a batch of cached service requests.
+//! design-space exploration as a batch of cached requests over either.
 //!
 //! Served artifacts are byte-identical to the documents one-shot `repro`
-//! writes for the same config, and — because the simulation engine is
-//! bit-identical at any host-thread count — results are shareable across
-//! `--threads` settings.
+//! writes for the same config: [`ExperimentRunner`] resolves the tables
+//! and figures through the same [`mempool::experiments::CATALOGUE`] the
+//! CLI walks, and the simulation engine is bit-identical at any
+//! host-thread count, so the daemon's own thread default never shows.
 
 #![warn(missing_docs)]
 
@@ -45,6 +46,5 @@ pub use exec::ExperimentRunner;
 pub use net::TcpServer;
 pub use protocol::{
     CacheOutcome, ExperimentKind, ExperimentRequest, ModelConfig, ServeError, Status,
-    DEFAULT_THREADS,
 };
 pub use service::{Runner, ServeStats, Service, ServiceConfig};

@@ -18,6 +18,7 @@
 use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::Duration;
 
 use mempool_obs::Json;
@@ -63,11 +64,6 @@ impl TcpServer {
             .map_err(|e| ServeError::Transport(format!("local_addr: {e}")))
     }
 
-    /// The underlying service (stats, in-process clients).
-    pub fn service(&self) -> &Service {
-        &self.service
-    }
-
     /// Serves until a client sends `{"kind": "shutdown"}`, then drains
     /// gracefully and returns the final stats document.
     ///
@@ -84,6 +80,7 @@ impl TcpServer {
             }
             match stream {
                 Ok(stream) => {
+                    reap_finished(&mut handlers);
                     let shared = Arc::clone(&shared);
                     handlers.push(
                         std::thread::Builder::new()
@@ -102,6 +99,13 @@ impl TcpServer {
         }
         Ok(self.service.shutdown())
     }
+}
+
+/// Drops the handles of handlers whose connection has ended (nothing
+/// reads their result), so a long-lived daemon holds one handle per open
+/// connection, not one per connection it ever accepted.
+fn reap_finished(handlers: &mut Vec<JoinHandle<()>>) {
+    handlers.retain(|handler| !handler.is_finished());
 }
 
 fn write_line(stream: &mut TcpStream, doc: &Json) -> std::io::Result<()> {
@@ -226,4 +230,29 @@ fn serve_line(shared: &Arc<Shared>, writer: &mut TcpStream, text: &str, local: S
         .to_json(id),
     )
     .is_ok()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn finished_handlers_are_reaped_and_running_ones_kept() {
+        let mut handlers: Vec<_> = (0..8).map(|_| std::thread::spawn(|| ())).collect();
+        while !handlers.iter().all(JoinHandle::is_finished) {
+            std::thread::yield_now();
+        }
+        reap_finished(&mut handlers);
+        assert!(handlers.is_empty(), "eight finished threads leave nothing");
+
+        // A handler parked on its connection (here: a channel) is kept.
+        let (release, parked) = std::sync::mpsc::channel::<()>();
+        handlers.push(std::thread::spawn(move || {
+            let _ = parked.recv();
+        }));
+        reap_finished(&mut handlers);
+        assert_eq!(handlers.len(), 1, "a live handler keeps its handle");
+        drop(release);
+        handlers.pop().unwrap().join().unwrap();
+    }
 }

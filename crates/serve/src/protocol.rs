@@ -29,9 +29,6 @@ use mempool_obs::{Json, JsonError};
 use mempool_phys::Flow;
 use mempool_sim::{fnv1a, SimParams};
 
-/// Default host-thread count for request execution.
-pub const DEFAULT_THREADS: usize = 1;
-
 /// The workload-model constants a request may override. Defaults mirror
 /// [`PhaseModel::with_measured_defaults`], so an empty `"model"` object
 /// (or none at all) reproduces the one-shot `repro` numbers exactly.
@@ -147,19 +144,35 @@ pub enum ExperimentKind {
 }
 
 impl ExperimentKind {
+    /// The kinds that take no parameter, each with its wire tag — the one
+    /// table both directions read. Every tag names the row of
+    /// [`mempool::experiments::CATALOGUE`] that produces the artifact.
+    pub const PARAMETERLESS: [(&'static str, ExperimentKind); 6] = [
+        ("table1", ExperimentKind::Table1),
+        ("table2", ExperimentKind::Table2),
+        ("fig6", ExperimentKind::Fig6),
+        ("fig7", ExperimentKind::Fig7),
+        ("fig8", ExperimentKind::Fig8),
+        ("fig9", ExperimentKind::Fig9),
+    ];
+
     /// The wire tag (`"fig6"`, `"dse_point"`, ...).
     pub fn tag(&self) -> &'static str {
         match self {
-            ExperimentKind::Table1 => "table1",
-            ExperimentKind::Table2 => "table2",
-            ExperimentKind::Fig6 => "fig6",
-            ExperimentKind::Fig7 => "fig7",
-            ExperimentKind::Fig8 => "fig8",
-            ExperimentKind::Fig9 => "fig9",
             ExperimentKind::Sweep { .. } => "sweep",
             ExperimentKind::DsePoint { .. } => "dse_point",
             ExperimentKind::Kernel { .. } => "kernel",
+            plain => {
+                let row = Self::PARAMETERLESS.iter().find(|(_, kind)| kind == plain);
+                row.expect("every parameterless kind is in the table").0
+            }
         }
+    }
+
+    /// The parameterless kind `tag` names, if any.
+    pub fn parameterless(tag: &str) -> Option<Self> {
+        let row = Self::PARAMETERLESS.iter().find(|(name, _)| *name == tag);
+        row.map(|&(_, kind)| kind)
     }
 }
 
@@ -171,19 +184,14 @@ pub struct ExperimentRequest {
     pub kind: ExperimentKind,
     /// Workload-model constants.
     pub model: ModelConfig,
-    /// Host threads driving any cycle-accurate simulation. Excluded from
-    /// the cache key: the simulation engine is bit-identical at any
-    /// thread count, so results are shareable across `threads` settings.
-    pub threads: usize,
 }
 
 impl ExperimentRequest {
-    /// A request for `kind` with default model constants, sequential.
+    /// A request for `kind` with default model constants.
     pub fn new(kind: ExperimentKind) -> Self {
         ExperimentRequest {
             kind,
             model: ModelConfig::default(),
-            threads: DEFAULT_THREADS,
         }
     }
 
@@ -203,7 +211,6 @@ impl ExperimentRequest {
             _ => {}
         }
         pairs.push(("model", self.model.to_json()));
-        pairs.push(("threads", Json::Int(self.threads as i64)));
         Json::obj(pairs)
     }
 
@@ -220,7 +227,6 @@ impl ExperimentRequest {
         };
         let mut kind_tag: Option<&str> = None;
         let mut model = ModelConfig::default();
-        let mut threads = DEFAULT_THREADS;
         let mut bytes_per_cycle: Option<u32> = None;
         let mut flow: Option<Flow> = None;
         let mut capacity: Option<SpmCapacity> = None;
@@ -236,13 +242,6 @@ impl ExperimentRequest {
                     kind_tag = Some(value.try_str("kind")?);
                 }
                 "model" => model = ModelConfig::from_json(value)?,
-                "threads" => {
-                    let count = value.try_u64("threads")? as usize;
-                    if count == 0 {
-                        return Err(JsonError::shape("threads must be nonzero (1 = sequential)"));
-                    }
-                    threads = count;
-                }
                 "bytes_per_cycle" => {
                     let bw = value.try_u64("bytes_per_cycle")?;
                     if bw == 0 || bw > u64::from(u32::MAX) {
@@ -302,12 +301,6 @@ impl ExperimentRequest {
                 Ok(())
             };
         let kind = match tag {
-            "table1" => ExperimentKind::Table1,
-            "table2" => ExperimentKind::Table2,
-            "fig6" => ExperimentKind::Fig6,
-            "fig7" => ExperimentKind::Fig7,
-            "fig8" => ExperimentKind::Fig8,
-            "fig9" => ExperimentKind::Fig9,
             "sweep" => ExperimentKind::Sweep {
                 bytes_per_cycle: bytes_per_cycle
                     .ok_or_else(|| JsonError::shape("sweep requires bytes_per_cycle"))?,
@@ -321,7 +314,8 @@ impl ExperimentRequest {
             "kernel" => ExperimentKind::Kernel {
                 p: p.ok_or_else(|| JsonError::shape("kernel requires p"))?,
             },
-            other => return Err(JsonError::shape(format!("unknown kind {other:?}"))),
+            other => ExperimentKind::parameterless(other)
+                .ok_or_else(|| JsonError::shape(format!("unknown kind {other:?}")))?,
         };
         match kind {
             ExperimentKind::Sweep { .. } => reject_extras(true, false, false)?,
@@ -329,17 +323,12 @@ impl ExperimentRequest {
             ExperimentKind::Kernel { .. } => reject_extras(false, false, true)?,
             _ => reject_extras(false, false, false)?,
         }
-        Ok(ExperimentRequest {
-            kind,
-            model,
-            threads,
-        })
+        Ok(ExperimentRequest { kind, model })
     }
 
     /// The content-addressed cache key: an FNV-1a digest over the
     /// canonical field order, seeded with the simulator's timing
-    /// parameters and [`mempool_sim::ENGINE_VERSION`]. `threads` is
-    /// excluded (bit-identical engines share results).
+    /// parameters and [`mempool_sim::ENGINE_VERSION`].
     pub fn cache_key(&self) -> u64 {
         self.cache_key_with_version(mempool_sim::ENGINE_VERSION)
     }
@@ -349,7 +338,8 @@ impl ExperimentRequest {
     pub fn cache_key_with_version(&self, version: &str) -> u64 {
         // Seed with the full simulator parameter digest (which itself
         // mixes the engine version): a timing-parameter change is as
-        // cache-invalidating as a code change.
+        // cache-invalidating as a code change. The process-wide thread
+        // default is not one: results are bit-identical at any count.
         let mut hash = SimParams {
             threads: 1,
             ..SimParams::default()
@@ -596,11 +586,11 @@ mod tests {
         // defaulted field omitted.
         let explicit = parse(
             r#"{"kind": "fig6", "model": {"m": 326400, "num_cores": 256,
-                "cycles_per_mac": 3.2, "phase_overhead": 9500.0}, "threads": 1}"#,
+                "cycles_per_mac": 3.2, "phase_overhead": 9500.0}}"#,
         )
         .unwrap();
         let scrambled = parse(
-            r#"{"threads": 1, "model": {"phase_overhead": 9500.0, "m": 326400,
+            r#"{"model": {"phase_overhead": 9500.0, "m": 326400,
                 "cycles_per_mac": 3.2, "num_cores": 256}, "kind": "fig6"}"#,
         )
         .unwrap();
@@ -646,15 +636,6 @@ mod tests {
     }
 
     #[test]
-    fn threads_never_fragments_the_cache() {
-        // Bit-identical engines: the same experiment at any host-thread
-        // count must share one cache entry.
-        let sequential = parse(r#"{"kind": "fig6", "threads": 1}"#).unwrap();
-        let parallel = parse(r#"{"kind": "fig6", "threads": 8}"#).unwrap();
-        assert_eq!(sequential.cache_key(), parallel.cache_key());
-    }
-
-    #[test]
     fn engine_version_bump_invalidates_every_key() {
         let req = ExperimentRequest::new(ExperimentKind::Fig6);
         assert_eq!(
@@ -672,6 +653,10 @@ mod tests {
         assert!(parse(r#"{"kind": "fig6", "bogus": 1}"#)
             .unwrap_err()
             .contains("unknown field"));
+        // The removed per-request thread count is one of them.
+        assert!(parse(r#"{"kind": "fig6", "threads": 1}"#)
+            .unwrap_err()
+            .contains("unknown field \"threads\""));
         assert!(parse(r#"{"kind": "fig66"}"#)
             .unwrap_err()
             .contains("unknown kind"));
@@ -696,12 +681,6 @@ mod tests {
 
     #[test]
     fn malformed_values_are_typed_errors() {
-        assert!(parse(r#"{"kind": "fig6", "threads": 0}"#)
-            .unwrap_err()
-            .contains("nonzero"));
-        assert!(parse(r#"{"kind": "fig6", "threads": -1}"#)
-            .unwrap_err()
-            .contains("threads must be a non-negative integer"));
         assert!(parse(r#"{"kind": "sweep", "bytes_per_cycle": 0}"#)
             .unwrap_err()
             .contains("out of range"));

@@ -15,11 +15,10 @@
 //! every accepted waiter gets its response, and disk cache entries stay
 //! complete (atomic writes).
 //!
-//! The pool instruments itself with thread-safe counters (the `Rc`-based
-//! `mempool-obs` registry is single-threaded by design) and exports
-//! snapshots *through* `mempool-obs` document types: a
-//! [`mempool_obs::MetricsSnapshot`]-shaped `stats` document and a
-//! [`mempool_obs::FlightRecorder`] replay of recent service events.
+//! The pool instruments itself with thread-safe counters and reports them
+//! in one `stats` document ([`Service::stats_json`]): the counters, the
+//! per-worker pool health, and a [`mempool_obs::FlightRecorder`] replay of
+//! recent service events.
 
 use std::collections::{HashMap, VecDeque};
 use std::fs;
@@ -31,7 +30,9 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-use mempool_obs::{load_json_file, quarantine_path, FlightRecorder, Json, LoadOutcome};
+use mempool_obs::{
+    load_json_file, quarantine_path, write_atomic, FlightRecorder, Json, LoadOutcome,
+};
 
 use crate::cache::ResultCache;
 use crate::protocol::{CacheOutcome, ExperimentRequest, ServeError, Status};
@@ -202,10 +203,7 @@ impl Shared {
     /// (atomic write; failures degrade to no recovery, never an error).
     fn write_journal(&self, key: u64, req: &ExperimentRequest) {
         if let Some(path) = self.journal_path(key) {
-            let tmp = path.with_extension(format!("tmp-{}", std::process::id()));
-            if fs::write(&tmp, req.to_json().to_pretty()).is_ok() {
-                let _ = fs::rename(&tmp, &path);
-            }
+            let _ = write_atomic(&path, &req.to_json().to_pretty());
         }
     }
 
@@ -253,10 +251,7 @@ impl Service {
         // long cycle-accurate runs there, so a daemon restart resumes
         // partially-computed experiments instead of recomputing them.
         let runner: Box<dyn Runner> = match &config.cache_dir {
-            Some(dir) => Box::new(crate::exec::ExperimentRunner::with_checkpoints(
-                dir,
-                crate::exec::DEFAULT_CHECKPOINT_EVERY,
-            )),
+            Some(dir) => Box::new(crate::exec::ExperimentRunner::with_checkpoints(dir)),
             None => Box::new(crate::exec::ExperimentRunner::default()),
         };
         Self::start_with_runner(config, runner)
@@ -336,11 +331,6 @@ impl Service {
         begin_shutdown(&self.shared);
     }
 
-    /// Whether a shutdown has been requested.
-    pub fn is_shutting_down(&self) -> bool {
-        self.shared.shutdown_requested.load(Ordering::SeqCst)
-    }
-
     /// Graceful shutdown: stop admitting, drain every queued and running
     /// job (each accepted waiter still gets its response), then join the
     /// workers. Returns the final stats document.
@@ -359,19 +349,6 @@ impl Service {
     /// like the `mempool-obs` metrics/crashdump artifacts.
     pub fn stats_json(&self) -> Json {
         stats_json(&self.shared)
-    }
-
-    /// Exports the service counters and gauges into a `mempool-obs`
-    /// registry (call from one thread — the registry is `Rc`-based).
-    pub fn export_metrics(&self, registry: &mempool_obs::Registry) {
-        export_metrics(&self.shared, registry);
-    }
-
-    /// Replays the service event ring into a [`FlightRecorder`], giving
-    /// the daemon the same crash-forensics document shape as the
-    /// simulator.
-    pub fn flight_recorder(&self) -> FlightRecorder {
-        flight_recorder(&self.shared)
     }
 
     /// Raw counter access (tests, benches).
@@ -770,53 +747,8 @@ fn worker_pool_json(shared: &Shared) -> Json {
     )
 }
 
-fn export_metrics(shared: &Shared, registry: &mempool_obs::Registry) {
-    let stats = &shared.stats;
-    for (name, value) in [
-        ("serve_requests_total", &stats.requests),
-        ("serve_cache_hits_total", &stats.cache_hits),
-        ("serve_coalesced_total", &stats.coalesced),
-        ("serve_computed_total", &stats.computed),
-        ("serve_rejected_total", &stats.rejected),
-        ("serve_completed_total", &stats.completed),
-        ("serve_failed_total", &stats.failed),
-    ] {
-        registry
-            .counter(name, &[])
-            .add(value.load(Ordering::Relaxed));
-    }
-    let (queue_depth, inflight) = {
-        let state = shared.state.lock().expect("service state poisoned");
-        (state.queue.len(), state.inflight.len())
-    };
-    registry
-        .gauge("serve_queue_depth", &[])
-        .set(queue_depth as f64);
-    registry.gauge("serve_inflight", &[]).set(inflight as f64);
-    registry
-        .gauge("serve_busy_workers", &[])
-        .set(shared.busy_workers.load(Ordering::Relaxed) as f64);
-    registry
-        .gauge("serve_cache_hit_rate", &[])
-        .set(stats.cache_hit_rate());
-    // Per-worker pool health, labeled by worker index.
-    let uptime_ns = (shared.started_at.elapsed().as_nanos() as u64).max(1);
-    for (index, w) in shared.worker_stats.iter().enumerate() {
-        let worker = index.to_string();
-        let labels: &[(&str, &str)] = &[("worker", worker.as_str())];
-        registry
-            .counter("serve_worker_jobs_total", labels)
-            .add(w.jobs.load(Ordering::Relaxed));
-        let busy_ns = w.busy_ns.load(Ordering::Relaxed);
-        registry
-            .counter("serve_worker_busy_ns_total", labels)
-            .add(busy_ns);
-        registry
-            .gauge("serve_worker_utilization", labels)
-            .set((busy_ns as f64 / uptime_ns as f64).min(1.0));
-    }
-}
-
+/// Replays the service event ring into a [`FlightRecorder`], giving the
+/// stats document the same crash-forensics shape as the simulator's.
 fn flight_recorder(shared: &Shared) -> FlightRecorder {
     let flight = shared.flight.lock().expect("flight ring poisoned");
     let recorder = FlightRecorder::with_capacity(flight.capacity);

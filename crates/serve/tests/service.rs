@@ -9,7 +9,7 @@ use std::time::Duration;
 use mempool::dse::DesignSpace;
 use mempool::experiments::{Evaluation, Fig6};
 use mempool_kernels::matmul::PhaseModel;
-use mempool_obs::{Json, Registry};
+use mempool_obs::Json;
 use mempool_serve::{
     CacheOutcome, ExperimentKind, ExperimentRequest, ResultCache, ServeError, Service,
     ServiceConfig, TcpClient, TcpServer,
@@ -305,7 +305,7 @@ fn dse_through_the_service_reproduces_the_in_process_exploration() {
     .unwrap();
     let client = service.client();
     let model = PhaseModel::with_measured_defaults();
-    let via_service = mempool_serve::dse::explore_via(&client, &model).unwrap();
+    let via_service = mempool_serve::dse::explore_via(|req| client.run(*req), &model).unwrap();
     let direct = DesignSpace::explore(&Evaluation::with_model(model));
     assert_eq!(via_service.to_text(), direct.to_text());
     for (a, b) in via_service.points().iter().zip(direct.points()) {
@@ -314,7 +314,7 @@ fn dse_through_the_service_reproduces_the_in_process_exploration() {
     }
     assert_eq!(service.stats().computed.load(Ordering::SeqCst), 8);
     // A second exploration costs zero computations: eight cache hits.
-    let again = mempool_serve::dse::explore_via(&client, &model).unwrap();
+    let again = mempool_serve::dse::explore_via(|req| client.run(*req), &model).unwrap();
     assert_eq!(again.to_text(), direct.to_text());
     assert_eq!(service.stats().computed.load(Ordering::SeqCst), 8);
     assert_eq!(service.stats().cache_hits.load(Ordering::SeqCst), 8);
@@ -322,23 +322,23 @@ fn dse_through_the_service_reproduces_the_in_process_exploration() {
 }
 
 #[test]
-fn metrics_and_flight_recorder_export_through_mempool_obs() {
+fn stats_document_carries_counters_pool_health_and_flight_events() {
     let service = Service::start(ServiceConfig::default()).unwrap();
     let client = service.client();
     let req = ExperimentRequest::new(ExperimentKind::Table1);
     client.run(req).unwrap();
     client.run(req).unwrap();
-    let registry = Registry::new();
-    service.export_metrics(&registry);
-    let snapshot = registry.snapshot().to_json();
-    let text = snapshot.to_pretty();
-    assert!(text.contains("serve_requests_total"), "{text}");
-    assert!(text.contains("serve_cache_hit_rate"), "{text}");
-    // Per-worker pool health rides both exports: labeled counters in the
-    // registry and a worker_pool array in the stats document.
-    assert!(text.contains("serve_worker_jobs_total"), "{text}");
-    assert!(text.contains("serve_worker_utilization"), "{text}");
     let stats = service.stats_json();
+    let counter = |name: &str| stats.get(name).and_then(Json::as_int);
+    assert_eq!(counter("requests_total"), Some(2));
+    assert_eq!(counter("computed"), Some(1));
+    assert_eq!(counter("cache_hits"), Some(1));
+    assert_eq!(counter("completed"), Some(2));
+    assert_eq!(
+        stats.get("cache_hit_rate").and_then(Json::as_f64),
+        Some(0.5)
+    );
+    // Per-worker pool health rides the same document.
     let pool = stats.get("worker_pool").and_then(Json::as_arr).unwrap();
     assert_eq!(pool.len(), ServiceConfig::default().workers);
     let total_jobs: i64 = pool
@@ -353,7 +353,7 @@ fn metrics_and_flight_recorder_export_through_mempool_obs() {
             "utilization = {utilization} must be a clamped fraction"
         );
     }
-    let flight = service.flight_recorder().to_json();
+    let flight = stats.get("flight").unwrap();
     let events = flight.get("events").and_then(Json::as_arr).unwrap();
     assert!(!events.is_empty());
     let categories: Vec<_> = events
@@ -408,7 +408,7 @@ fn journaled_jobs_from_a_dead_daemon_are_recomputed_on_restart() {
     let outcome = service.client().run(req).unwrap();
     assert_eq!(outcome.cache, CacheOutcome::Hit);
     assert_eq!(service.stats().computed.load(Ordering::SeqCst), 1);
-    let flight = service.flight_recorder().to_json().to_pretty();
+    let flight = service.stats_json().get("flight").unwrap().to_pretty();
     assert!(flight.contains("recover"), "{flight}");
     service.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
@@ -436,7 +436,7 @@ fn corrupt_journals_and_cache_entries_are_quarantined_with_flight_events() {
     assert_eq!(outcome.cache, CacheOutcome::Miss);
     assert!(dir.join("job-00000000000000aa.json.corrupt").exists());
     assert!(!dir.join("job-00000000000000aa.json").exists());
-    let flight = service.flight_recorder().to_json().to_pretty();
+    let flight = service.stats_json().get("flight").unwrap().to_pretty();
     assert!(flight.contains("corrupt"), "{flight}");
     service.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
@@ -449,9 +449,10 @@ fn corrupt_journals_and_cache_entries_are_quarantined_with_flight_events() {
 #[test]
 fn kernel_requests_resume_from_experiment_checkpoints_bit_exactly() {
     use mempool_kernels::matmul::ComputePhase;
+    use mempool_kernels::measure::probe_cluster;
     use mempool_kernels::Kernel;
     use mempool_serve::ExperimentRunner;
-    use mempool_sim::{Cluster, SimError, SimParams};
+    use mempool_sim::SimError;
 
     let dir = std::env::temp_dir().join(format!("mempool-serve-ckpt-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
@@ -468,22 +469,10 @@ fn kernel_requests_resume_from_experiment_checkpoints_bit_exactly() {
     };
 
     // Forge the on-disk state of a daemon killed 500 cycles into the
-    // kernel: the accepted job's journal plus the runner's checkpoint
-    // (the same probe cluster shape exec uses).
-    let config = mempool_arch::ClusterConfig::builder()
-        .groups(1)
-        .tiles_per_group(4)
-        .cores_per_tile(4)
-        .banks_per_tile(16)
-        .bank_words(512)
-        .build()
-        .unwrap();
-    let phase = ComputePhase::new(16);
-    let mut cluster = Cluster::new(config, SimParams::default());
-    let program = phase.program(&cluster).unwrap();
-    phase.setup(&mut cluster).unwrap();
-    cluster.load_program(program);
-    cluster.preload_icaches();
+    // kernel: the accepted job's journal plus the runner's checkpoint of
+    // the probe cluster.
+    let mut cluster = probe_cluster();
+    ComputePhase::new(16).load(&mut cluster).unwrap();
     assert!(matches!(cluster.run(500), Err(SimError::Timeout { .. })));
     let ckpt_path = dir.join(ExperimentRunner::checkpoint_name(key));
     std::fs::write(&ckpt_path, cluster.checkpoint().to_pretty()).unwrap();

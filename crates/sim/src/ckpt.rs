@@ -44,7 +44,7 @@ use mempool_fault::{
 use mempool_isa::exec::{MemAccessKind, MemWidth};
 use mempool_isa::instr::AmoOp;
 use mempool_isa::{Program, Reg};
-use mempool_obs::{load_json_file, Json, JsonError, LoadOutcome};
+use mempool_obs::{load_json_file, write_atomic, Json, JsonError, LoadOutcome};
 
 use crate::cluster::{Bank, Cluster, PendingAccess, Response, Sampler, SimError};
 use crate::params::{default_threads, SimParams, ENGINE_VERSION};
@@ -1133,13 +1133,12 @@ impl Checkpointer {
     /// [`CheckpointError::Io`] on any filesystem failure.
     pub fn save(&mut self, cluster: &Cluster) -> Result<PathBuf, CheckpointError> {
         let path = self.dir.join(format!("ckpt-{:012}.json", cluster.cycle()));
-        let tmp = self.dir.join(format!(".tmp-ckpt-{}", std::process::id()));
-        let io_err = |p: &Path, e: std::io::Error| CheckpointError::Io {
-            path: p.display().to_string(),
-            message: e.to_string(),
-        };
-        fs::write(&tmp, cluster.checkpoint().to_pretty()).map_err(|e| io_err(&tmp, e))?;
-        fs::rename(&tmp, &path).map_err(|e| io_err(&path, e))?;
+        write_atomic(&path, &cluster.checkpoint().to_pretty()).map_err(|e| {
+            CheckpointError::Io {
+                path: path.display().to_string(),
+                message: e.to_string(),
+            }
+        })?;
         if self.written.back() != Some(&path) {
             self.written.push_back(path.clone());
         }

@@ -14,7 +14,7 @@ fn abstract_claim_performance_gain_at_4mib() {
     let fig7 = Fig7::generate();
     let gain = fig7
         .bar(Flow::ThreeD, SpmCapacity::MiB4)
-        .gain_over_2d
+        .vs_2d
         .expect("3D bar");
     assert!(
         (1.05..1.13).contains(&gain),
@@ -82,7 +82,7 @@ fn conclusion_claim_efficiency_up_to_18_percent() {
     let fig8 = Fig8::generate();
     let best = SpmCapacity::ALL
         .iter()
-        .map(|&cap| fig8.bar(Flow::ThreeD, cap).gain_over_2d.unwrap())
+        .map(|&cap| fig8.bar(Flow::ThreeD, cap).vs_2d.unwrap())
         .fold(f64::MIN, f64::max);
     assert!(
         (1.12..1.30).contains(&best),
