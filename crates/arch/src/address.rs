@@ -199,10 +199,16 @@ impl BankRemap {
 #[derive(Debug, Clone)]
 pub struct AddressMap {
     banks_per_tile: u32,
+    /// `log2(banks_per_tile)`: the builder only accepts powers of two.
+    bank_shift: u32,
     num_tiles: u32,
     bank_words: u32,
     /// Words at the bottom of each bank reserved for the sequential region.
     seq_words_per_bank: u32,
+    /// First address past the sequential region.
+    seq_end: u32,
+    /// First address past the SPM.
+    spm_end: u64,
     /// Spare-bank substitutions, present once spares are provisioned.
     remap: Option<BankRemap>,
 }
@@ -230,11 +236,22 @@ impl AddressMap {
             seq_words_per_bank <= cfg.bank_words(),
             "sequential region ({seq_words_per_bank} words/bank) exceeds bank depth"
         );
+        let banks_per_tile = cfg.banks_per_tile();
+        assert!(
+            banks_per_tile.is_power_of_two(),
+            "banks per tile ({banks_per_tile}) must be a power of two"
+        );
+        let tile_banks = banks_per_tile as u64 * cfg.num_tiles() as u64;
+        let seq_end = (seq_words_per_bank as u64 * tile_banks * 4) as u32;
+        let interleaved_words = (cfg.bank_words() - seq_words_per_bank) as u64;
         AddressMap {
-            banks_per_tile: cfg.banks_per_tile(),
+            banks_per_tile,
+            bank_shift: banks_per_tile.trailing_zeros(),
             num_tiles: cfg.num_tiles(),
             bank_words: cfg.bank_words(),
             seq_words_per_bank,
+            seq_end,
+            spm_end: seq_end as u64 + interleaved_words * tile_banks * 4,
             remap: None,
         }
     }
@@ -258,6 +275,7 @@ impl AddressMap {
     /// Resolves a logical location to the physical bank backing it,
     /// applying any spare-bank substitution. Identity when nothing is
     /// remapped.
+    #[inline]
     pub fn resolve(&self, loc: BankLocation) -> BankLocation {
         match &self.remap {
             Some(remap) => match remap.lookup(loc.tile, loc.bank) {
@@ -312,7 +330,7 @@ impl AddressMap {
     /// Base address of the interleaved region (immediately after the
     /// sequential region).
     pub fn interleaved_base(&self) -> u32 {
-        (self.seq_bytes_per_tile() * self.num_tiles as u64) as u32
+        self.seq_end
     }
 
     /// Total bytes of interleaved region.
@@ -323,21 +341,58 @@ impl AddressMap {
 
     /// First address past the SPM.
     pub fn spm_end(&self) -> u64 {
-        self.interleaved_base() as u64 + self.interleaved_bytes()
+        self.spm_end
     }
 
     /// Decodes an address. Sub-word offsets are preserved by decoding the
     /// containing word; callers needing byte lanes handle them separately.
+    ///
+    /// Both regions interleave words across a tile's banks first, and a
+    /// tile has a power-of-two number of banks, so the bank is the low bits
+    /// of the word index and one division splits what is left into tile
+    /// and word.
+    #[inline]
     pub fn locate(&self, addr: u32) -> MemoryRegion {
+        if addr >= Self::EXTERNAL_BASE {
+            return MemoryRegion::External((addr - Self::EXTERNAL_BASE) as u64);
+        }
+        let (tile, word) = if addr < self.seq_end {
+            // Sequential region: tile-major, word-interleaved across the
+            // tile's banks.
+            let rows = (addr / 4) >> self.bank_shift;
+            (
+                rows / self.seq_words_per_bank,
+                rows % self.seq_words_per_bank,
+            )
+        } else if (addr as u64) < self.spm_end {
+            // Interleaved region: word-interleaved across all banks of the
+            // cluster, above the sequential words of every bank.
+            let rows = ((addr - self.seq_end) / 4) >> self.bank_shift;
+            (
+                rows % self.num_tiles,
+                rows / self.num_tiles + self.seq_words_per_bank,
+            )
+        } else {
+            return MemoryRegion::Unmapped;
+        };
+        MemoryRegion::Spm(BankLocation {
+            tile: TileId(tile),
+            bank: BankId((addr / 4) & (self.banks_per_tile - 1)),
+            word,
+        })
+    }
+
+    /// [`Self::locate`] as its definition reads, one div/mod per level of
+    /// the hierarchy: the oracle the tests hold the fast body against.
+    #[cfg(test)]
+    fn locate_by_definition(&self, addr: u32) -> MemoryRegion {
         if addr >= Self::EXTERNAL_BASE {
             return MemoryRegion::External((addr - Self::EXTERNAL_BASE) as u64);
         }
         let addr = addr as u64;
         let word_index = addr / 4;
-        let seq_end = self.interleaved_base() as u64;
+        let seq_end = self.seq_bytes_per_tile() * self.num_tiles as u64;
         if addr < seq_end {
-            // Sequential region: tile-major, word-interleaved across the
-            // tile's banks.
             let words_per_tile = self.seq_words_per_bank as u64 * self.banks_per_tile as u64;
             let tile = (word_index / words_per_tile) as u32;
             let within = word_index % words_per_tile;
@@ -348,9 +403,7 @@ impl AddressMap {
                 bank: BankId(bank),
                 word,
             })
-        } else if addr < self.spm_end() {
-            // Interleaved region: word-interleaved across all banks of the
-            // cluster.
+        } else if addr < seq_end + self.interleaved_bytes() {
             let rel = word_index - seq_end / 4;
             let total_banks = self.banks_per_tile as u64 * self.num_tiles as u64;
             let global_bank = (rel % total_banks) as u32;
@@ -474,6 +527,50 @@ mod tests {
                 panic!();
             };
             assert_eq!(map.encode(loc).unwrap(), addr);
+        }
+    }
+
+    #[test]
+    fn locate_agrees_with_its_definition_on_every_geometry() {
+        let default = ClusterConfig::default();
+        let nine_tiles = ClusterConfig::builder()
+            .groups(1)
+            .tiles_per_group(9)
+            .build()
+            .unwrap();
+        let single = ClusterConfig::builder()
+            .groups(1)
+            .tiles_per_group(1)
+            .cores_per_tile(1)
+            .banks_per_tile(1)
+            .bank_words(1)
+            .build()
+            .unwrap();
+        let maps = [
+            AddressMap::new(&default),
+            AddressMap::new(&ClusterConfig::with_capacity(crate::SpmCapacity::MiB8)),
+            AddressMap::with_seq_words(&default, 0),
+            AddressMap::with_seq_words(&default, 3),
+            AddressMap::new(&nine_tiles),
+            AddressMap::with_seq_words(&nine_tiles, 5),
+            AddressMap::new(&single),
+            AddressMap::with_seq_words(&single, 1),
+        ];
+        for map in &maps {
+            let spm = (0..map.spm_end() as u32 + 64).step_by(4);
+            let external = [
+                AddressMap::EXTERNAL_BASE - 4,
+                AddressMap::EXTERNAL_BASE,
+                AddressMap::EXTERNAL_BASE + 4,
+                u32::MAX - 3,
+            ];
+            for addr in spm.chain(external) {
+                assert_eq!(
+                    map.locate(addr),
+                    map.locate_by_definition(addr),
+                    "{addr:#010x} under {map:?}"
+                );
+            }
         }
     }
 

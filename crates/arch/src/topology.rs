@@ -100,12 +100,28 @@ pub struct Route {
 #[derive(Debug, Clone)]
 pub struct Topology {
     config: ClusterConfig,
+    /// Group of every tile, indexed by global tile id.
+    tile_group: Vec<GroupId>,
 }
 
 impl Topology {
     /// Creates a topology helper for the given configuration.
     pub fn new(config: ClusterConfig) -> Self {
-        Topology { config }
+        let tile_group = config
+            .tiles()
+            .map(|tile| tile.split(config.tiles_per_group()).0)
+            .collect();
+        Topology { config, tile_group }
+    }
+
+    /// The group `tile` belongs to.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `tile` is outside the cluster.
+    #[inline]
+    pub fn group_of(&self, tile: TileId) -> GroupId {
+        self.tile_group[tile.index()]
     }
 
     /// The underlying configuration.
@@ -114,16 +130,20 @@ impl Topology {
     }
 
     /// Computes the route from a core in `src_tile` to a bank in `dst_tile`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if either tile is outside the cluster.
+    #[inline]
     pub fn route(&self, src_tile: TileId, dst_tile: TileId) -> Route {
-        let tpg = self.config.tiles_per_group();
-        let (src_group, _) = src_tile.split(tpg);
-        let (dst_group, _) = dst_tile.split(tpg);
         if src_tile == dst_tile {
-            Route {
+            return Route {
                 class: AccessClass::TileLocal,
                 network: None,
-            }
-        } else if src_group == dst_group {
+            };
+        }
+        let (src_group, dst_group) = (self.group_of(src_tile), self.group_of(dst_tile));
+        if src_group == dst_group {
             Route {
                 class: AccessClass::GroupLocal,
                 network: Some(GroupNetwork::Local),
@@ -208,6 +228,25 @@ mod tests {
         // Tile 0 (group 0) to tile 48 (group 3): XOR 0b11 -> northeast.
         let r = t.route(TileId(0), TileId(48));
         assert_eq!(r.network, Some(GroupNetwork::Northeast));
+    }
+
+    #[test]
+    fn table_and_route_agree_with_the_id_arithmetic_for_every_tile_pair() {
+        let t = topo();
+        let cfg = t.config().clone();
+        let tpg = cfg.tiles_per_group();
+        for src in cfg.tiles() {
+            let src_group = src.split(tpg).0;
+            assert_eq!(t.group_of(src), src_group);
+            for dst in cfg.tiles() {
+                let route = t.route(src, dst);
+                let class = crate::LatencyModel::classify(&cfg, src, dst);
+                assert_eq!(route.class, class, "{src} -> {dst}");
+                let network = (class != AccessClass::TileLocal)
+                    .then(|| GroupNetwork::for_route(src_group, dst.split(tpg).0));
+                assert_eq!(route.network, network, "{src} -> {dst}");
+            }
+        }
     }
 
     #[test]

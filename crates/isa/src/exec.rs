@@ -70,6 +70,7 @@ pub enum MemAccessKind {
 
 impl MemAccessKind {
     /// Destination register awaiting this transaction's response, if any.
+    #[inline]
     pub fn response_reg(&self) -> Option<Reg> {
         match *self {
             MemAccessKind::Load { rd, .. } | MemAccessKind::Amo { rd, .. } => Some(rd),
@@ -237,6 +238,7 @@ fn branch_taken(op: BranchOp, a: u32, b: u32) -> bool {
 /// happen here; loads, stores, and AMOs are returned as [`Issue::Mem`] for
 /// the caller's memory system to perform. `hartid` is the value returned by
 /// reading the `mhartid` CSR.
+#[inline]
 pub fn issue(instr: Instr, pc: u32, regs: &mut RegFile, hartid: u32) -> Issue {
     let next = pc.wrapping_add(4);
     match instr {

@@ -771,6 +771,7 @@ pub fn decode(word: u32) -> Result<Instr, DecodeError> {
 impl Instr {
     /// Registers read by this instruction (including `rd` for the
     /// accumulating `p.mac`). Used by timing models for scoreboard stalls.
+    #[inline]
     pub fn src_regs(self) -> [Option<Reg>; 3] {
         match self {
             Instr::Lui { .. } | Instr::Auipc { .. } | Instr::Jal { .. } => [None; 3],
@@ -794,6 +795,7 @@ impl Instr {
 
     /// Register written at *issue* time (ALU results, links, post-increment
     /// base updates). Memory responses write [`Self::response_reg`] instead.
+    #[inline]
     pub fn dst_reg(self) -> Option<Reg> {
         let rd = match self {
             Instr::Lui { rd, .. }
@@ -819,6 +821,7 @@ impl Instr {
 
     /// Register written by the *memory response*, if this instruction is a
     /// load or AMO.
+    #[inline]
     pub fn response_reg(self) -> Option<Reg> {
         let rd = match self {
             Instr::Load { rd, .. } | Instr::Amo { rd, .. } | Instr::LwPostInc { rd, .. } => {
@@ -830,6 +833,7 @@ impl Instr {
     }
 
     /// Whether this instruction accesses data memory.
+    #[inline]
     pub fn is_mem(self) -> bool {
         matches!(
             self,

@@ -63,6 +63,7 @@ impl Program {
 
     /// Fetches the instruction at byte address `pc`, if in range and
     /// aligned.
+    #[inline]
     pub fn fetch(&self, pc: u32) -> Option<Instr> {
         if !pc.is_multiple_of(4) {
             return None;

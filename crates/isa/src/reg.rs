@@ -125,11 +125,13 @@ impl RegFile {
     }
 
     /// Reads a register. Reading `x0` always yields 0.
+    #[inline]
     pub fn read(&self, reg: Reg) -> u32 {
         self.regs[reg.0 as usize]
     }
 
     /// Writes a register. Writes to `x0` are discarded.
+    #[inline]
     pub fn write(&mut self, reg: Reg, value: u32) {
         if reg.0 != 0 {
             self.regs[reg.0 as usize] = value;

@@ -47,6 +47,7 @@ use mempool_isa::{Program, Reg};
 use mempool_obs::{load_json_file, write_atomic, Json, JsonError, LoadOutcome};
 
 use crate::cluster::{Bank, Cluster, PendingAccess, Response, Sampler, SimError};
+use crate::icache::ICache;
 use crate::params::{default_threads, SimParams, ENGINE_VERSION};
 use crate::stats::{BankStats, CoreStats};
 
@@ -765,17 +766,23 @@ impl Cluster {
             });
         }
 
+        ICache::check_geometry(
+            config.icache_bytes_per_tile(),
+            params.icache_line_words,
+            params.icache_ways,
+        )
+        .map_err(|rule| bad(format!("invalid icache geometry: {rule}")))?;
+
         let mut cluster = Cluster::new(config, params);
 
-        // Program: set the field directly — `load_program` resets PCs,
-        // which would destroy the per-core state restored next.
         let program_words: Vec<u32> = doc
             .arr_field("program")?
             .iter()
             .map(|w| w.try_u32("program word"))
             .collect::<Result<_, _>>()?;
-        cluster.program =
-            Program::from_words(&program_words).map_err(|e| bad(format!("bad program: {e}")))?;
+        cluster.install_program(
+            Program::from_words(&program_words).map_err(|e| bad(format!("bad program: {e}")))?,
+        );
 
         let cores = doc.arr_field("cores")?;
         if cores.len() != cluster.cores.len() {
@@ -864,6 +871,10 @@ impl Cluster {
                 },
             };
         }
+
+        cluster
+            .quantum
+            .rebuild_live(&cluster.banks, cluster.config.banks_per_tile() as usize);
 
         let responses = doc.arr_field("responses")?;
         if responses.len() != cluster.responses.len() {
@@ -1234,6 +1245,21 @@ mod tests {
         cluster
     }
 
+    /// Replaces the value at `path` in a checkpoint document.
+    fn set(doc: &mut Json, path: &[&str], value: Json) {
+        let Json::Obj(pairs) = doc else {
+            panic!("{path:?} must lead through objects")
+        };
+        let (_, slot) = pairs
+            .iter_mut()
+            .find(|(key, _)| key == path[0])
+            .unwrap_or_else(|| panic!("no field {:?}", path[0]));
+        match &path[1..] {
+            [] => *slot = value,
+            rest => set(slot, rest, value),
+        }
+    }
+
     #[test]
     fn restore_then_run_matches_unbroken_run() {
         let mut unbroken = fresh_cluster();
@@ -1241,13 +1267,20 @@ mod tests {
         let want = unbroken.stats().digest();
 
         let mut snap = fresh_cluster();
-        // Interrupt mid-run at an arbitrary cycle.
+        // Interrupt mid-run at an arbitrary cycle, with requests waiting at
+        // the banks: the restored cluster must find them there (the
+        // engine's live-bank sets are not in the file).
         assert!(matches!(snap.run(37), Err(SimError::Timeout { .. })));
+        assert!(snap.banks.iter().any(|bank| !bank.queue.is_empty()));
         let doc = Json::parse(&snap.checkpoint().to_pretty()).unwrap();
-        let mut restored = Cluster::restore(&doc).unwrap();
-        let resumed_end = restored.run(100_000).unwrap();
-        assert_eq!(resumed_end, end);
-        assert_eq!(restored.stats().digest(), want);
+        for threads in [1, 2] {
+            let mut restored = Cluster::restore(&doc).unwrap();
+            restored.set_threads(threads);
+            restored.force_oversubscribe();
+            let resumed_end = restored.run(100_000).unwrap();
+            assert_eq!(resumed_end, end, "threads {threads}");
+            assert_eq!(restored.stats().digest(), want, "threads {threads}");
+        }
     }
 
     #[test]
@@ -1263,17 +1296,13 @@ mod tests {
 
     #[test]
     fn engine_version_mismatch_is_rejected() {
-        let cluster = fresh_cluster();
-        let doc = cluster.checkpoint();
-        let Json::Obj(mut pairs) = doc else {
-            panic!("checkpoint must be an object")
-        };
-        for (key, value) in &mut pairs {
-            if key == "engine_version" {
-                *value = Json::str("mempool-sim/v0-ancient");
-            }
-        }
-        let err = Cluster::restore(&Json::Obj(pairs)).unwrap_err();
+        let mut doc = fresh_cluster().checkpoint();
+        set(
+            &mut doc,
+            &["engine_version"],
+            Json::str("mempool-sim/v0-ancient"),
+        );
+        let err = Cluster::restore(&doc).unwrap_err();
         assert!(matches!(
             err,
             CheckpointError::Mismatch {
@@ -1281,6 +1310,44 @@ mod tests {
                 ..
             }
         ));
+    }
+
+    #[test]
+    fn impossible_icache_geometry_is_malformed_not_a_panic() {
+        let saved = fresh_cluster().checkpoint();
+        // The config section is outside `params_digest`: no lines at all,
+        // then a line count that is not a power of two.
+        for bytes in [0, 3072] {
+            let mut doc = saved.clone();
+            set(
+                &mut doc,
+                &["config", "icache_bytes_per_tile"],
+                Json::Int(bytes),
+            );
+            let err = Cluster::restore(&doc).unwrap_err();
+            assert!(
+                matches!(&err, CheckpointError::Malformed(msg) if msg.contains("icache")),
+                "{bytes} bytes: {err}"
+            );
+        }
+        // The line size is inside it, so a file that means it carries the
+        // digest to match.
+        let params = SimParams {
+            icache_line_words: 3,
+            ..SimParams::default()
+        };
+        let mut doc = saved.clone();
+        set(&mut doc, &["params", "icache_line_words"], Json::Int(3));
+        set(
+            &mut doc,
+            &["params_digest"],
+            Json::Str(format!("{:016x}", params.digest())),
+        );
+        let err = Cluster::restore(&doc).unwrap_err();
+        assert!(
+            matches!(&err, CheckpointError::Malformed(msg) if msg.contains("line words")),
+            "{err}"
+        );
     }
 
     #[test]

@@ -6,8 +6,8 @@
 //! anatomy):
 //!
 //! 1. **bank service** — every bank serves at most one request whose
-//!    network arrival lies strictly in the past (round-robin via FIFO order
-//!    among contenders, counting conflict cycles);
+//!    network arrival lies strictly in the past (earliest arrival first,
+//!    FIFO among ties, counting conflict cycles);
 //! 2. **response delivery** — completed transactions write back to their
 //!    core's register file and release scoreboard entries;
 //! 3. **issue** — every non-halted core consumes pipeline bubbles, checks
@@ -33,7 +33,7 @@ use mempool_isa::exec::{MemAccessKind, MemWidth};
 use mempool_isa::{Program, Reg};
 use mempool_obs::{chrome_trace_with_counters, Counter, FlightRecorder, Json, Obs, TrackId};
 
-use crate::core::Core;
+use crate::core::{Core, IssueRecord};
 use crate::engine;
 use crate::icache::ICache;
 use crate::memory::{MemoryError, Storage};
@@ -274,6 +274,8 @@ pub struct Cluster {
     pub(crate) params: SimParams,
     pub(crate) storage: Storage,
     pub(crate) program: Program,
+    /// One issue record per instruction of `program`, in program order.
+    pub(crate) records: Vec<IssueRecord>,
     pub(crate) cores: Vec<Core>,
     pub(crate) icaches: Vec<ICache>,
     pub(crate) banks: Vec<Bank>,
@@ -310,6 +312,9 @@ impl Cluster {
         let num_banks = config.num_banks() as usize;
         let num_tiles = config.num_tiles() as usize;
         let storage = Storage::new(&config);
+        let banks = vec![Bank::default(); num_banks];
+        let mut quantum = engine::QuantumArena::default();
+        quantum.rebuild_live(&banks, config.banks_per_tile() as usize);
         let icaches = (0..num_tiles)
             .map(|_| {
                 ICache::with_ways(
@@ -324,9 +329,10 @@ impl Cluster {
             config,
             storage,
             program: Program::default(),
+            records: Vec::new(),
             cores: (0..num_cores).map(|_| Core::new()).collect(),
             icaches,
-            banks: vec![Bank::default(); num_banks],
+            banks,
             responses: vec![Vec::new(); num_cores],
             offchip: OffchipPort::new(params.offchip_bytes_per_cycle, params.offchip_latency),
             params,
@@ -339,7 +345,7 @@ impl Cluster {
             watchdog: None,
             sampler: None,
             flight_enabled: false,
-            quantum: engine::QuantumArena::default(),
+            quantum,
             oversubscribe: false,
         }
     }
@@ -605,10 +611,21 @@ impl Cluster {
     /// Loads `program` into every core's instruction path and resets all
     /// program counters to 0.
     pub fn load_program(&mut self, program: Program) {
-        self.program = program;
+        self.install_program(program);
         for core in &mut self.cores {
             core.pc = 0;
         }
+    }
+
+    /// Installs `program` and decodes its issue records; the only place
+    /// either field is written, so the two never disagree.
+    pub(crate) fn install_program(&mut self, program: Program) {
+        self.records = program
+            .instrs()
+            .iter()
+            .map(|&instr| IssueRecord::decode(instr))
+            .collect();
+        self.program = program;
     }
 
     /// Preloads every tile's I$ with the program (hot-cache measurement

@@ -20,6 +20,34 @@ pub enum Stall {
     Structural,
 }
 
+/// What the scoreboard needs to know about an instruction, decoded once
+/// when its program is installed (see `Cluster::load_program`) instead of
+/// on every issue attempt.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct IssueRecord {
+    /// Registers whose pending response blocks the issue: sources, the
+    /// issue-time destination and the response destination, one bit per
+    /// register number (`x0` is never pending, so its bit stays clear).
+    hazards: u32,
+    is_mem: bool,
+}
+
+impl IssueRecord {
+    #[inline]
+    pub(crate) fn decode(instr: Instr) -> Self {
+        let hazards = instr
+            .src_regs()
+            .into_iter()
+            .chain([instr.dst_reg(), instr.response_reg()])
+            .flatten()
+            .fold(0u32, |mask, reg| mask | 1 << reg.number());
+        IssueRecord {
+            hazards: hazards & !1,
+            is_mem: instr.is_mem(),
+        }
+    }
+}
+
 /// Timing state of one core.
 #[derive(Debug, Clone)]
 pub struct Core {
@@ -126,31 +154,29 @@ impl Core {
     }
 
     /// Checks whether `instr` can issue under the scoreboard, given the
-    /// outstanding-transaction limit.
+    /// outstanding-transaction limit: [`Self::check_record`] on a record
+    /// decoded on the spot.
     #[inline]
     pub fn check_issue(&self, instr: Instr, max_outstanding: u32) -> Result<(), Stall> {
-        for reg in instr.src_regs().into_iter().flatten() {
-            if self.is_busy(reg) {
-                return Err(Stall::Scoreboard);
-            }
+        self.check_record(IssueRecord::decode(instr), max_outstanding)
+    }
+
+    /// The scoreboard check itself: RAW on the sources, WAW on the
+    /// issue-time and response destinations, then the outstanding limit
+    /// for memory instructions.
+    #[inline]
+    pub(crate) fn check_record(
+        &self,
+        record: IssueRecord,
+        max_outstanding: u32,
+    ) -> Result<(), Stall> {
+        if self.busy & record.hazards != 0 {
+            return Err(Stall::Scoreboard);
         }
-        // WAW on the issue-time destination or the response destination.
-        for reg in [instr.dst_reg(), instr.response_reg()]
-            .into_iter()
-            .flatten()
-        {
-            if self.is_busy(reg) {
-                return Err(Stall::Scoreboard);
-            }
-        }
-        if instr.is_mem() && self.outstanding >= max_outstanding {
+        if record.is_mem && self.outstanding >= max_outstanding {
             return Err(Stall::Structural);
         }
         Ok(())
-    }
-
-    fn is_busy(&self, reg: Reg) -> bool {
-        reg.number() != 0 && (self.busy >> reg.number()) & 1 == 1
     }
 
     /// Marks a register as awaiting a memory response.

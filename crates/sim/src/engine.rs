@@ -34,8 +34,7 @@ use std::sync::Mutex;
 use std::time::Instant;
 
 use mempool_arch::{
-    AddressMap, BankLocation, ClusterConfig, GlobalCoreId, LatencyModel, MemoryRegion, TileId,
-    Topology,
+    AddressMap, BankLocation, ClusterConfig, GlobalCoreId, MemoryRegion, TileId, Topology,
 };
 use mempool_fault::{
     DeadLinkPolicy, EccOutcome, EccState, FaultController, FaultNote, FaultTally, LinkState,
@@ -47,11 +46,12 @@ use mempool_isa::Program;
 use crate::cluster::{
     latency_split, mem_probe_addr, sign_adjust, Bank, Cluster, PendingAccess, Response, SimError,
 };
-use crate::core::{Core, Stall};
+use crate::core::{Core, IssueRecord, Stall};
 use crate::icache::ICache;
-use crate::memory::{decode_region, Storage};
+use crate::memory::{check_region, Storage};
 use crate::offchip::OffchipPort;
 use crate::params::SimParams;
+use crate::profile::{LaneTally, PHASE_SAMPLE_PERIOD};
 use crate::trace::{Trace, TraceEntry};
 
 /// A deferred off-chip (external-memory) access issued in the local phase
@@ -109,10 +109,10 @@ pub(crate) struct Inbox {
 
 impl Inbox {
     /// Applies and clears the inbox, in source-tile order.
-    fn drain_into(&mut self, banks: &mut [Bank], responses: &mut [Vec<Response>]) {
+    fn drain_into(&mut self, banks: &mut TileBanks<'_>, responses: &mut [Vec<Response>]) {
         self.pushes.sort_by_key(|&(src, _, _)| src);
         for (_, bank, access) in self.pushes.drain(..) {
-            banks[bank as usize].queue.push(access);
+            banks.push(bank as usize, access);
         }
         self.responses.sort_by_key(|&(src, _, _)| src);
         for (_, core, response) in self.responses.drain(..) {
@@ -259,16 +259,8 @@ pub(crate) struct WorkerLane {
     /// corrected read or any write); the shared [`EccState`] still lists
     /// them until the boundary clears it.
     ecc_cleared: Vec<BankLocation>,
-    /// Self-profiling: nanoseconds this worker spent inside the lockstep
-    /// gate waiting on peers this quantum.
-    prof_wait_ns: u64,
-    /// Self-profiling: total wall nanoseconds this worker ran this
-    /// quantum (busy time is `total - wait`).
-    prof_total_ns: u64,
-    /// Self-profiling: bank pushes routed through mailboxes this quantum.
-    prof_pushes: u64,
-    /// Self-profiling: responses routed through mailboxes this quantum.
-    prof_responses: u64,
+    /// Self-profiling: this worker's host-time tallies this quantum.
+    prof: LaneTally,
 }
 
 impl WorkerLane {
@@ -293,19 +285,6 @@ impl WorkerLane {
         self.faults.count(note);
         self.log(ctx, at, FlightNote::Fault(note));
     }
-
-    /// Drains this quantum's self-profiling tallies as
-    /// `(busy_ns, wait_ns, mailbox_pushes, mailbox_responses)`.
-    fn take_profile(&mut self) -> (u64, u64, u64, u64) {
-        let total = std::mem::take(&mut self.prof_total_ns);
-        let wait = std::mem::take(&mut self.prof_wait_ns);
-        (
-            total.saturating_sub(wait),
-            wait,
-            std::mem::take(&mut self.prof_pushes),
-            std::mem::take(&mut self.prof_responses),
-        )
-    }
 }
 
 /// All engine buffers, owned by the cluster so capacity survives across
@@ -321,6 +300,16 @@ pub(crate) struct QuantumArena {
     /// Per-worker scratch lanes. Sized to the largest worker count seen;
     /// a round uses the first `workers` lanes.
     lanes: Vec<WorkerLane>,
+    /// One bit per bank, set exactly while its queue holds a request, in
+    /// [`live_words`] words per tile. With `earliest`, state derived from
+    /// the bank queues ([`derive_live`]) so that bank service visits only
+    /// the banks that have work: kept current by every push
+    /// ([`TileBanks::push`]) and every service, never serialized, and
+    /// rebuilt when something other than the engine fills the queues.
+    live: Vec<u64>,
+    /// Per bank, the earliest arrival among its queued requests;
+    /// `u64::MAX` while the queue is empty.
+    earliest: Vec<u64>,
     /// Boundary scratch: the merged off-chip intent log.
     ext_merge: Vec<(u64, u32, ExternalIntent)>,
     /// Boundary scratch: merged trace entries, sorted into retire order
@@ -337,7 +326,44 @@ pub(crate) struct QuantumArena {
     ext_merged_last: u64,
 }
 
+/// Words of live bits per tile.
+fn live_words(banks_per_tile: usize) -> usize {
+    banks_per_tile.div_ceil(64)
+}
+
+/// The live bits and earliest arrivals `banks` imply, by their definition.
+fn derive_live(banks: &[Bank], banks_per_tile: usize) -> (Vec<u64>, Vec<u64>) {
+    let words = live_words(banks_per_tile);
+    let mut live = vec![0u64; banks.len() / banks_per_tile * words];
+    let earliest = banks
+        .iter()
+        .enumerate()
+        .map(|(index, bank)| {
+            if !bank.queue.is_empty() {
+                let (tile, local) = (index / banks_per_tile, index % banks_per_tile);
+                live[tile * words + local / 64] |= 1 << (local % 64);
+            }
+            bank.queue.iter().map(|access| access.arrival).min()
+        })
+        .map(|arrival| arrival.unwrap_or(u64::MAX))
+        .collect();
+    (live, earliest)
+}
+
 impl QuantumArena {
+    /// Rebuilds the live-bank sets from the queues themselves: for a new
+    /// cluster, and whenever the queues were filled from outside a round
+    /// ([`Cluster::restore`]).
+    pub(crate) fn rebuild_live(&mut self, banks: &[Bank], banks_per_tile: usize) {
+        (self.live, self.earliest) = derive_live(banks, banks_per_tile);
+    }
+
+    /// Whether the live-bank sets say what the queues say.
+    fn live_is_current(&self, banks: &[Bank], banks_per_tile: usize) -> bool {
+        let (live, earliest) = derive_live(banks, banks_per_tile);
+        self.live == live && self.earliest == earliest
+    }
+
     /// Grows (never shrinks) the arena for a cluster of `num_tiles` tiles
     /// run on `workers` worker lanes.
     fn ensure(&mut self, num_tiles: usize, workers: usize) {
@@ -387,7 +413,8 @@ impl QuantumArena {
             + self.event_merge.capacity()
             + self.halt_merge.capacity()
             + self.progress_merge.capacity();
-        self.mailbox_footprint() + (lanes + merge) as u64
+        let live = self.live.capacity() + self.earliest.capacity();
+        self.mailbox_footprint() + (lanes + merge + live) as u64
     }
 }
 
@@ -400,6 +427,8 @@ struct WorkerCtx<'a> {
     topo: &'a Topology,
     params: &'a SimParams,
     program: &'a Program,
+    /// The program's issue records, parallel to `program.instrs()`.
+    records: &'a [IssueRecord],
     map: &'a AddressMap,
     cores_per_tile: usize,
     banks_per_tile: usize,
@@ -440,7 +469,7 @@ struct TileShard<'a> {
     cores: &'a mut [Core],
     responses: &'a mut [Vec<Response>],
     icache: &'a mut ICache,
-    banks: &'a mut [Bank],
+    banks: TileBanks<'a>,
     spm: &'a mut [u32],
     spare: &'a mut [u32],
 }
@@ -454,7 +483,57 @@ impl TileShard<'_> {
             .iter()
             .all(|c| c.halted() && c.outstanding() == 0)
             && self.responses.iter().all(Vec::is_empty)
-            && self.banks.iter().all(|b| b.queue.is_empty())
+            && self.banks.live.iter().all(|&bits| bits == 0)
+    }
+}
+
+/// One tile's bank queues with its slice of the arena's live-bank sets
+/// (see [`QuantumArena::live`]). Requests enter a queue through
+/// [`Self::push`] only, and leave in [`serve_phase`] only.
+#[derive(Debug)]
+struct TileBanks<'a> {
+    banks: &'a mut [Bank],
+    live: &'a mut [u64],
+    earliest: &'a mut [u64],
+}
+
+/// Splits the cluster's banks and live-bank sets into per-tile views,
+/// tile-ascending.
+fn tile_banks<'a>(
+    banks: &'a mut [Bank],
+    live: &'a mut [u64],
+    earliest: &'a mut [u64],
+    banks_per_tile: usize,
+) -> impl Iterator<Item = TileBanks<'a>> {
+    banks
+        .chunks_mut(banks_per_tile)
+        .zip(live.chunks_mut(live_words(banks_per_tile)))
+        .zip(earliest.chunks_mut(banks_per_tile))
+        .map(|((banks, live), earliest)| TileBanks {
+            banks,
+            live,
+            earliest,
+        })
+}
+
+impl TileBanks<'_> {
+    /// The first bank at or after `from` whose queue holds a request.
+    #[inline]
+    fn next_live(&self, from: usize) -> Option<usize> {
+        let mut word = from / 64;
+        let mut bits = self.live.get(word)? & (!0 << (from % 64));
+        while bits == 0 {
+            word += 1;
+            bits = *self.live.get(word)?;
+        }
+        Some(word * 64 + bits.trailing_zeros() as usize)
+    }
+
+    #[inline]
+    fn push(&mut self, bank: usize, access: PendingAccess) {
+        self.live[bank / 64] |= 1 << (bank % 64);
+        self.earliest[bank] = self.earliest[bank].min(access.arrival);
+        self.banks[bank].queue.push(access);
     }
 }
 
@@ -471,27 +550,35 @@ fn serve_phase(
     now: u64,
 ) {
     let at = (now, shard.tile, Phase::Serve);
-    for bank in shard.banks.iter_mut() {
+    // Ascending over the banks that hold a request; the others have
+    // nothing to serve and no queue depth to record.
+    let mut next = 0;
+    while let Some(index) = shard.banks.next_live(next) {
+        next = index + 1;
+        let bank = &mut shard.banks.banks[index];
         bank.stats.max_queue_depth = bank.stats.max_queue_depth.max(bank.queue.len() as u64);
-        let mut best: Option<usize> = None;
-        let mut contenders = 0;
+        if shard.banks.earliest[index] >= now {
+            continue;
+        }
+        // The earliest arrival lies in the past, so the request that has
+        // it (the first, among ties) is the one to serve; `rest` becomes
+        // the queue's earliest arrival once it is gone.
+        let (mut best, mut first, mut rest) = (0, u64::MAX, u64::MAX);
+        let mut contenders = 0u64;
         for (i, access) in bank.queue.iter().enumerate() {
-            if access.arrival < now {
-                contenders += 1;
-                let better = match best {
-                    None => true,
-                    Some(b) => access.arrival < bank.queue[b].arrival,
-                };
-                if better {
-                    best = Some(i);
-                }
+            contenders += u64::from(access.arrival < now);
+            if access.arrival < first {
+                (best, first, rest) = (i, access.arrival, first);
+            } else {
+                rest = rest.min(access.arrival);
             }
         }
-        let Some(index) = best else { continue };
-        if contenders > 1 {
-            bank.stats.conflicts += (contenders - 1) as u64;
+        bank.stats.conflicts += contenders - 1;
+        let access = bank.queue.swap_remove(best);
+        shard.banks.earliest[index] = rest;
+        if bank.queue.is_empty() {
+            shard.banks.live[index / 64] &= !(1 << (index % 64));
         }
-        let access = bank.queue.swap_remove(index);
         bank.stats.served += 1;
         let loc = access.loc;
         debug_assert_eq!(loc.tile.0, shard.tile, "banks are tile-owned");
@@ -645,7 +732,8 @@ fn local_phase(
             lane.fail(stop_at, at, error);
             break 'issue;
         };
-        match core.check_issue(instr, ctx.params.max_outstanding) {
+        let record = ctx.records[(pc / 4) as usize];
+        match core.check_record(record, ctx.params.max_outstanding) {
             Err(Stall::Scoreboard) => {
                 core.stats.stall_scoreboard += 1;
                 continue;
@@ -656,15 +744,18 @@ fn local_phase(
             }
             Ok(()) => {}
         }
-        if let Some(addr) = mem_probe_addr(instr, &core.regs) {
-            if let MemoryRegion::Spm(loc) = ctx.map.locate(addr & !3) {
-                if loc.tile != tile {
-                    if remote_issued >= ctx.config.remote_ports_per_tile() {
-                        core.stats.stall_structural += 1;
-                        continue;
-                    }
-                    remote_issued += 1;
+        // Where a memory instruction's word lives, decoded once: port
+        // arbitration needs it before the instruction issues, the access
+        // itself after.
+        let probe = mem_probe_addr(instr, &core.regs);
+        let region = probe.map(|addr| ctx.map.locate(addr & !3));
+        if let Some(MemoryRegion::Spm(loc)) = region {
+            if loc.tile != tile {
+                if remote_issued >= ctx.config.remote_ports_per_tile() {
+                    core.stats.stall_structural += 1;
+                    continue;
                 }
+                remote_issued += 1;
             }
         }
         core.stats.retired += 1;
@@ -700,7 +791,9 @@ fn local_phase(
                     MemAccessKind::Load { width, .. } | MemAccessKind::Store { width, .. } => width,
                     MemAccessKind::Amo { .. } => MemWidth::Word,
                 };
-                let region = match decode_region(ctx.map, req.addr, width) {
+                debug_assert_eq!(probe, Some(req.addr), "the probe is the issued address");
+                let located = region.expect("a memory instruction has a probe address");
+                let region = match check_region(located, req.addr, width) {
                     Ok(region) => region,
                     Err(e) => {
                         lane.fail(stop_at, at, e.into());
@@ -744,11 +837,10 @@ fn local_phase(
                                 }
                             },
                         }
-                        let class = LatencyModel::classify(ctx.config, tile, loc.tile);
-                        core.stats
-                            .record_access(class, ctx.topo.route(tile, loc.tile).network);
+                        let route = ctx.topo.route(tile, loc.tile);
+                        core.stats.record_access(route.class, route.network);
                         core.mark_pending(req.kind.response_reg());
-                        let (req_lat, resp_lat) = latency_split(&ctx.params.latency, class);
+                        let (req_lat, resp_lat) = latency_split(&ctx.params.latency, route.class);
                         lane.push_out.push((
                             loc.tile.0,
                             shard.tile,
@@ -794,9 +886,7 @@ fn local_phase(
 fn route(lane: &mut WorkerLane, shards: &mut [TileShard<'_>], inboxes: &[[InboxSlot; 2]], t: u64) {
     if inboxes.is_empty() {
         for (dest, _, bank, access) in lane.push_out.drain(..) {
-            shards[dest as usize].banks[bank as usize]
-                .queue
-                .push(access);
+            shards[dest as usize].banks.push(bank as usize, access);
         }
         for (dest, _, core, response) in lane.resp_out.drain(..) {
             shards[dest as usize].responses[core as usize].push(response);
@@ -804,11 +894,11 @@ fn route(lane: &mut WorkerLane, shards: &mut [TileShard<'_>], inboxes: &[[InboxS
         return;
     }
     let parity = ((t + 1) & 1) as usize;
-    lane.prof_pushes += lane.push_out.len() as u64;
+    lane.prof.mailbox_pushes += lane.push_out.len() as u64;
     publish(&mut lane.push_out, inboxes, parity, |inbox| {
         &mut inbox.pushes
     });
-    lane.prof_responses += lane.resp_out.len() as u64;
+    lane.prof.mailbox_responses += lane.resp_out.len() as u64;
     publish(&mut lane.resp_out, inboxes, parity, |inbox| {
         &mut inbox.responses
     });
@@ -862,7 +952,18 @@ fn await_peers(
                 std::thread::yield_now();
             }
         }
-        lane.prof_wait_ns += wait_start.elapsed().as_nanos() as u64;
+        lane.prof.wait_ns += wait_start.elapsed().as_nanos() as u64;
+    }
+}
+
+/// On a sampled tick, adds the time since `clock` was last read to `tally`
+/// and restarts it.
+#[inline]
+fn lap(clock: &mut Option<Instant>, tally: &mut u64) {
+    if let Some(last) = clock {
+        let now = Instant::now();
+        *tally += (now - *last).as_nanos() as u64;
+        *last = now;
     }
 }
 
@@ -897,10 +998,15 @@ fn quantum_worker(
                 let slot = &inboxes[shard.tile as usize][(t & 1) as usize];
                 if slot.nonempty.swap(false, Ordering::AcqRel) {
                     let mut inbox = slot.data.lock().expect("inbox lock");
-                    inbox.drain_into(shard.banks, shard.responses);
+                    inbox.drain_into(&mut shard.banks, shard.responses);
                 }
             }
         }
+        // On a sampled tick the clock is read around each phase.
+        let mut clock = t.is_multiple_of(PHASE_SAMPLE_PERIOD).then(|| {
+            lane.prof.phase_ticks += 1;
+            Instant::now()
+        });
         // Serve own banks, then run the local phase, tile-ascending.
         for shard in shards.iter_mut() {
             serve_phase(ctx, shard, lane, stop_at, t);
@@ -937,11 +1043,13 @@ fn quantum_worker(
                 }
             }
         }
+        lap(&mut clock, &mut lane.prof.phase_ns[0]);
         let mut all_inert = true;
         for shard in shards.iter_mut() {
             local_phase(ctx, shard, lane, stop_at, t);
             all_inert &= shard.inert();
         }
+        lap(&mut clock, &mut lane.prof.phase_ns[1]);
         // Record forward progress for the watchdog replay (the flag is
         // cheap to set unconditionally; the tick log only fills when a
         // watchdog is armed).
@@ -950,6 +1058,7 @@ fn quantum_worker(
             lane.progress_ticks.push(t);
         }
         route(lane, shards, inboxes, t);
+        lap(&mut clock, &mut lane.prof.phase_ns[2]);
         if !all_inert {
             lane.inert_since = u64::MAX;
         } else if lane.inert_since == u64::MAX {
@@ -958,7 +1067,7 @@ fn quantum_worker(
         progress[me].0.store(2 * (t + 1), Ordering::Release);
         t += 1;
     }
-    lane.prof_total_ns += lane_start.elapsed().as_nanos() as u64;
+    lane.prof.total_ns += lane_start.elapsed().as_nanos() as u64;
 }
 
 /// Resolves one deferred off-chip access: books the port, moves the data,
@@ -1021,6 +1130,7 @@ fn quantum_round(cluster: &mut Cluster, target: u64, workers: usize) -> Result<b
             params,
             storage,
             program,
+            records,
             cores,
             icaches,
             banks,
@@ -1044,6 +1154,7 @@ fn quantum_round(cluster: &mut Cluster, target: u64, workers: usize) -> Result<b
             topo,
             params,
             program,
+            records,
             map,
             cores_per_tile: cpt,
             banks_per_tile: bpt,
@@ -1069,12 +1180,20 @@ fn quantum_round(cluster: &mut Cluster, target: u64, workers: usize) -> Result<b
                 4096
             },
         };
+        let QuantumArena {
+            inboxes,
+            progress,
+            lanes,
+            live,
+            earliest,
+            ..
+        } = quantum;
         let mut spare_chunks = spare.chunks_mut((spares_per_tile * bank_words).max(1));
         let mut shards: Vec<TileShard<'_>> = cores
             .chunks_mut(cpt)
             .zip(responses.chunks_mut(cpt))
             .zip(icaches.iter_mut())
-            .zip(banks.chunks_mut(bpt))
+            .zip(tile_banks(banks, live, earliest, bpt))
             .zip(spm.chunks_mut(bpt * bank_words))
             .enumerate()
             .map(
@@ -1089,12 +1208,6 @@ fn quantum_round(cluster: &mut Cluster, target: u64, workers: usize) -> Result<b
                 },
             )
             .collect();
-        let QuantumArena {
-            inboxes,
-            progress,
-            lanes,
-            ..
-        } = quantum;
         let progress = &progress[..workers];
         for counter in progress {
             counter.0.store(2 * start, Ordering::Relaxed);
@@ -1128,6 +1241,12 @@ fn quantum_round(cluster: &mut Cluster, target: u64, workers: usize) -> Result<b
     let boundary_start = Instant::now();
     let result = quantum_boundary(cluster, reached, workers, counter_base);
     let boundary_ns = boundary_start.elapsed().as_nanos() as u64;
+    debug_assert!(
+        cluster
+            .quantum
+            .live_is_current(&cluster.banks, cluster.config.banks_per_tile() as usize),
+        "a bank's live bit and earliest arrival must follow its queue"
+    );
     crate::profile::record_quantum(
         reached.saturating_sub(start),
         round_ns,
@@ -1138,7 +1257,7 @@ fn quantum_round(cluster: &mut Cluster, target: u64, workers: usize) -> Result<b
             .lanes
             .iter_mut()
             .take(workers)
-            .map(WorkerLane::take_profile),
+            .map(|lane| std::mem::take(&mut lane.prof)),
     );
     result
 }
@@ -1182,13 +1301,15 @@ fn quantum_boundary(
         // Flush undelivered mailbox traffic (sent on the final tick) into
         // the real queues, in the same canonical order a running tick
         // would apply it.
-        for (tile, pair) in quantum.inboxes.iter_mut().enumerate() {
+        let tiles = tile_banks(banks, &mut quantum.live, &mut quantum.earliest, bpt)
+            .zip(responses.chunks_mut(cpt));
+        for (pair, (mut banks, responses)) in quantum.inboxes.iter_mut().zip(tiles) {
             for slot in pair.iter_mut() {
                 slot.nonempty.store(false, Ordering::Relaxed);
-                slot.data.get_mut().expect("inbox lock").drain_into(
-                    &mut banks[tile * bpt..][..bpt],
-                    &mut responses[tile * cpt..][..cpt],
-                );
+                slot.data
+                    .get_mut()
+                    .expect("inbox lock")
+                    .drain_into(&mut banks, responses);
             }
         }
         // Merge the per-worker logs, counts and observation lanes.

@@ -41,29 +41,54 @@ impl ICache {
         Self::with_ways(capacity_bytes, line_words, 1)
     }
 
+    /// The number of lines a cache of this geometry holds, or why there is
+    /// no such cache: it must hold at least one line, line words, line
+    /// count and ways must be powers of two, and a set cannot have more
+    /// ways than there are lines.
+    pub(crate) fn check_geometry(
+        capacity_bytes: u32,
+        line_words: u32,
+        ways: u32,
+    ) -> Result<u32, String> {
+        if !line_words.is_power_of_two() {
+            return Err(format!(
+                "line words must be a power of two, got {line_words}"
+            ));
+        }
+        if !ways.is_power_of_two() {
+            return Err(format!("associativity must be a power of two, got {ways}"));
+        }
+        let lines = line_words
+            .checked_mul(4)
+            .map_or(0, |line_bytes| capacity_bytes / line_bytes);
+        if lines == 0 {
+            return Err(format!(
+                "icache must hold at least one line: {capacity_bytes} bytes, \
+                 {line_words}-word lines"
+            ));
+        }
+        if !lines.is_power_of_two() {
+            return Err(format!(
+                "icache line count must be a power of two, got {lines}"
+            ));
+        }
+        if ways > lines {
+            return Err(format!(
+                "associativity exceeds the line count: {ways} ways, {lines} lines"
+            ));
+        }
+        Ok(lines)
+    }
+
     /// Creates a cold `ways`-way set-associative cache with LRU
     /// replacement.
     ///
     /// # Panics
     ///
-    /// Panics if the geometry is degenerate or any parameter is not a
-    /// power of two.
+    /// Panics if [`Self::check_geometry`] rejects the geometry.
     pub fn with_ways(capacity_bytes: u32, line_words: u32, ways: u32) -> Self {
-        assert!(
-            line_words.is_power_of_two(),
-            "line words must be a power of two"
-        );
-        assert!(
-            ways.is_power_of_two(),
-            "associativity must be a power of two"
-        );
-        let lines = capacity_bytes / (line_words * 4);
-        assert!(lines > 0, "icache must hold at least one line");
-        assert!(
-            lines.is_power_of_two(),
-            "icache line count must be a power of two"
-        );
-        assert!(ways <= lines, "associativity exceeds the line count");
+        let lines = Self::check_geometry(capacity_bytes, line_words, ways)
+            .unwrap_or_else(|rule| panic!("{rule}"));
         let sets = (lines / ways) as usize;
         ICache {
             tags: vec![INVALID; lines as usize],

@@ -9,7 +9,7 @@
 //!   scoreboard allowing multiple outstanding loads (only a *use* of a
 //!   pending destination register stalls);
 //! * **tile crossbar and hierarchical interconnect** — every SPM bank
-//!   accepts one access per cycle (round-robin among contenders), with the
+//!   accepts one access per cycle (earliest arrival first), with the
 //!   paper's zero-load latencies of 1 / 3 / 5 cycles for tile-local,
 //!   group-local, and remote-group accesses;
 //! * **L1 instruction caches** — 2 KiB per tile, with a hot-cache preload

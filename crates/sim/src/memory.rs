@@ -294,19 +294,21 @@ enum Slot {
     Spare(usize),
 }
 
-/// Address decode against a bare map: alignment check plus region
-/// lookup. Shared by [`Storage::decode`] and the engine's shard-local
-/// issue path (which holds the map but not the storage).
+/// The checks of an address decode, given the region `addr`'s word was
+/// located in: alignment first, then mapping. Shared by
+/// [`Storage::decode`] and the engine's issue path, which has located the
+/// word already (for remote-port arbitration) by the time it knows the
+/// access width.
 #[inline]
-pub(crate) fn decode_region(
-    map: &AddressMap,
+pub(crate) fn check_region(
+    region: MemoryRegion,
     addr: u32,
     width: MemWidth,
 ) -> Result<MemoryRegion, MemoryError> {
     if !addr.is_multiple_of(width.bytes()) {
         return Err(MemoryError::Misaligned { addr });
     }
-    match map.locate(addr & !3) {
+    match region {
         MemoryRegion::Unmapped => Err(MemoryError::Unmapped { addr }),
         region => Ok(region),
     }
@@ -459,7 +461,7 @@ impl Storage {
     ///
     /// Returns an error for unmapped or misaligned addresses.
     pub fn decode(&self, addr: u32, width: MemWidth) -> Result<MemoryRegion, MemoryError> {
-        decode_region(&self.map, addr, width)
+        check_region(self.map.locate(addr & !3), addr, width)
     }
 
     /// Reads a naturally aligned value of the given width at `addr`

@@ -26,6 +26,11 @@ use mempool_obs::{chrome_trace_with_counters, Json, Obs};
 /// 28 KiB, where 4096 showed up as +0.3 MiB of peak RSS on short runs.
 pub const MAX_PROFILE_SAMPLES: usize = 512;
 
+/// Every this many ticks a worker lane times the three phases of the tick
+/// (four clock reads, about 100 ns): often enough for a stable split of a
+/// run, rare enough not to show in its wall time.
+pub const PHASE_SAMPLE_PERIOD: u64 = 64;
+
 /// One worker lane's accumulated host-time profile.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct WorkerProfile {
@@ -37,6 +42,22 @@ pub struct WorkerProfile {
     pub mailbox_pushes: u64,
     /// Responses routed through cross-tile mailboxes.
     pub mailbox_responses: u64,
+}
+
+/// What one worker lane tallied about its own host time during one
+/// quantum; [`record_quantum`] folds it into the process-wide profile.
+#[derive(Debug, Default, Clone, Copy)]
+pub(crate) struct LaneTally {
+    /// Wall nanoseconds the lane ran, lockstep waits included.
+    pub(crate) total_ns: u64,
+    /// Nanoseconds of that spent in the lockstep gate.
+    pub(crate) wait_ns: u64,
+    pub(crate) mailbox_pushes: u64,
+    pub(crate) mailbox_responses: u64,
+    /// Nanoseconds per tick phase on the sampled ticks (see
+    /// [`EngineProfile::phase_ns`]).
+    pub(crate) phase_ns: [u64; 3],
+    pub(crate) phase_ticks: u64,
 }
 
 /// One quantum's aggregate sample (sums over the workers that ran it).
@@ -71,6 +92,15 @@ pub struct EngineProfile {
     pub boundary_ns: u64,
     /// Deferred off-chip intents merged and resolved at boundaries.
     pub externals_merged: u64,
+    /// Wall nanoseconds the worker lanes spent in each phase of a tick —
+    /// `[serve, local, route]`: bank service (with the ECC stall exchange
+    /// of rounds that have one), response delivery and issue, routing —
+    /// on the ticks they sampled (every [`PHASE_SAMPLE_PERIOD`]th). A
+    /// phase's mean cost per lane and tick is its entry over
+    /// [`Self::phase_ticks_sampled`].
+    pub phase_ns: [u64; 3],
+    /// Ticks the phase timers sampled, summed over worker lanes.
+    pub phase_ticks_sampled: u64,
     /// Per-worker-lane accumulated profiles (index = lane).
     pub workers: Vec<WorkerProfile>,
     /// Per-quantum samples, capped at [`MAX_PROFILE_SAMPLES`].
@@ -124,6 +154,18 @@ impl EngineProfile {
             ("round_ns", Json::Int(self.round_ns as i64)),
             ("boundary_ns", Json::Int(self.boundary_ns as i64)),
             ("externals_merged", Json::Int(self.externals_merged as i64)),
+            (
+                "phase_ns",
+                Json::obj(
+                    ["serve", "local", "route"]
+                        .into_iter()
+                        .zip(self.phase_ns.map(|ns| Json::Int(ns as i64))),
+                ),
+            ),
+            (
+                "phase_ticks_sampled",
+                Json::Int(self.phase_ticks_sampled as i64),
+            ),
             ("workers", Json::Arr(workers)),
             ("samples_dropped", Json::Int(self.samples_dropped as i64)),
             (
@@ -139,15 +181,14 @@ fn profile() -> &'static Mutex<EngineProfile> {
     PROFILE.get_or_init(|| Mutex::new(EngineProfile::default()))
 }
 
-/// Folds one quantum round into the process-wide profile. `workers`
-/// yields `(busy_ns, wait_ns, mailbox_pushes, mailbox_responses)` per
-/// lane, lane order.
+/// Folds one quantum round into the process-wide profile. `lanes` yields
+/// each worker lane's tally, lane order.
 pub(crate) fn record_quantum(
     ticks: u64,
     round_ns: u64,
     boundary_ns: u64,
     externals: u64,
-    workers: impl Iterator<Item = (u64, u64, u64, u64)>,
+    lanes: impl Iterator<Item = LaneTally>,
 ) {
     let mut p = profile().lock().expect("engine profile lock");
     let seq = p.quanta;
@@ -159,18 +200,23 @@ pub(crate) fn record_quantum(
     let mut busy_total = 0u64;
     let mut wait_total = 0u64;
     let mut count = 0u32;
-    for (i, (busy, wait, pushes, responses)) in workers.enumerate() {
+    for (i, lane) in lanes.enumerate() {
         if p.workers.len() <= i {
             p.workers.push(WorkerProfile::default());
         }
+        let busy = lane.total_ns.saturating_sub(lane.wait_ns);
         let w = &mut p.workers[i];
         w.busy_ns += busy;
-        w.wait_ns += wait;
-        w.mailbox_pushes += pushes;
-        w.mailbox_responses += responses;
+        w.wait_ns += lane.wait_ns;
+        w.mailbox_pushes += lane.mailbox_pushes;
+        w.mailbox_responses += lane.mailbox_responses;
         busy_total += busy;
-        wait_total += wait;
+        wait_total += lane.wait_ns;
         count += 1;
+        for (total, ns) in p.phase_ns.iter_mut().zip(lane.phase_ns) {
+            *total += ns;
+        }
+        p.phase_ticks_sampled += lane.phase_ticks;
     }
     if p.samples.len() < MAX_PROFILE_SAMPLES {
         p.samples.push(QuantumSample {
@@ -213,23 +259,28 @@ mod tests {
         // Totals are process-global and other tests run quanta
         // concurrently, so assert deltas only.
         let before = engine_profile();
-        record_quantum(
-            64,
-            1_000,
-            100,
-            3,
-            vec![(800, 200, 5, 7), (900, 50, 1, 2)].into_iter(),
-        );
+        let lane = LaneTally {
+            total_ns: 1_000,
+            wait_ns: 200,
+            mailbox_pushes: 5,
+            mailbox_responses: 7,
+            phase_ns: [30, 50, 10],
+            phase_ticks: 1,
+        };
+        record_quantum(64, 1_000, 100, 3, [lane, lane].into_iter());
         let after = engine_profile();
         assert!(after.quanta > before.quanta);
         assert!(after.ticks >= before.ticks + 64);
         assert!(after.externals_merged >= before.externals_merged + 3);
         assert!(after.workers.len() >= 2);
+        assert!(after.workers[1].busy_ns >= before.workers.get(1).map_or(0, |w| w.busy_ns) + 800);
+        assert!(after.phase_ns[1] >= before.phase_ns[1] + 100);
+        assert!(after.phase_ticks_sampled >= before.phase_ticks_sampled + 2);
     }
 
     #[test]
     fn profile_json_has_schema_and_reparses() {
-        record_quantum(16, 500, 50, 0, std::iter::once((400, 100, 0, 0)));
+        record_quantum(16, 500, 50, 0, std::iter::once(LaneTally::default()));
         let doc = engine_profile_json();
         let text = doc.to_pretty();
         let parsed = Json::parse(&text).expect("profile json reparses");
@@ -238,6 +289,14 @@ mod tests {
             Some(&Json::str("mempool-perf-profile/v1"))
         );
         assert!(matches!(parsed.get("workers"), Some(Json::Arr(_))));
+        let phases = parsed.get("phase_ns").expect("phase_ns");
+        for phase in ["serve", "local", "route"] {
+            assert!(matches!(phases.get(phase), Some(Json::Int(_))), "{phase}");
+        }
+        assert!(matches!(
+            parsed.get("phase_ticks_sampled"),
+            Some(Json::Int(_))
+        ));
         assert!(matches!(parsed.get("trace"), Some(Json::Obj(_))));
     }
 }

@@ -10,7 +10,8 @@
 //!   stops growing once a homogeneous workload has warmed it up;
 //! * capacity never shrinks mid-run (slots are recycled, not freed);
 //! * one worker needs no mailboxes, and an observation lane holds no more
-//!   than the rings it feeds can keep.
+//!   than the rings it feeds can keep;
+//! * the live-bank sets are sized by the geometry, once.
 
 use mempool_arch::ClusterConfig;
 use mempool_isa::instr::{AluOp, AmoOp, BranchOp, Instr, LoadOp, StoreOp};
@@ -161,6 +162,22 @@ fn arena_is_reused_across_whole_runs() {
             "identical reruns must reuse the warmed-up arena"
         );
     }
+}
+
+#[test]
+fn live_bank_sets_are_arena_buffers_sized_by_the_geometry() {
+    // One earliest-arrival word per bank and one word of live bits per
+    // tile (4 banks each): all a cluster reserves before its first round,
+    // and exactly what a restored one reserves, however full the queues
+    // it was cut with. That the two never grow afterwards is what the
+    // steady-footprint tests above check, since the footprint counts them.
+    const LIVE_SETS: u64 = 16 + 4;
+    let mut cluster = bare_cluster(1, 50_000);
+    assert_eq!(cluster.engine_arena_footprint(), LIVE_SETS);
+    assert!(!advance(&mut cluster, 1_000), "workload outlives the cut");
+    assert!(cluster.engine_arena_footprint() > LIVE_SETS);
+    let restored = Cluster::restore(&cluster.checkpoint()).expect("restores");
+    assert_eq!(restored.engine_arena_footprint(), LIVE_SETS);
 }
 
 #[test]

@@ -5,6 +5,7 @@ use proptest::prelude::*;
 use mempool_3d::mempool_arch::{AddressMap, ClusterConfig, MemoryRegion, SpmCapacity};
 use mempool_3d::mempool_isa::instr::{AluOp, AmoOp, BranchOp, LoadOp, MulOp, StoreOp, XpulpOp};
 use mempool_3d::mempool_isa::{decode, Instr, Program, Reg};
+use mempool_3d::mempool_sim::core::{Core, Stall};
 
 fn reg_strategy() -> impl Strategy<Value = Reg> {
     (0u8..32).prop_map(Reg::new)
@@ -177,7 +178,65 @@ fn instr_strategy() -> impl Strategy<Value = Instr> {
     ]
 }
 
+/// A core whose scoreboard holds exactly the registers of `busy` (bit per
+/// register number) and `outstanding` transactions.
+fn core_with(busy: u32, outstanding: u32) -> Core {
+    let mut core = Core::new();
+    for reg in Reg::all().filter(|reg| busy >> reg.number() & 1 == 1) {
+        core.mark_pending(Some(reg));
+        // The transaction returns without a register: `reg` stays pending.
+        core.complete(None, 0);
+    }
+    for _ in 0..outstanding {
+        core.mark_pending(None);
+    }
+    core
+}
+
+/// The scoreboard check as the register lists define it.
+fn issue_by_definition(
+    instr: Instr,
+    busy: u32,
+    outstanding: u32,
+    max_outstanding: u32,
+) -> Result<(), Stall> {
+    let pending = |reg: Reg| reg != Reg::ZERO && busy >> reg.number() & 1 == 1;
+    let mut regs = instr
+        .src_regs()
+        .into_iter()
+        .chain([instr.dst_reg(), instr.response_reg()])
+        .flatten();
+    if regs.any(pending) {
+        Err(Stall::Scoreboard)
+    } else if instr.is_mem() && outstanding >= max_outstanding {
+        Err(Stall::Structural)
+    } else {
+        Ok(())
+    }
+}
+
 proptest! {
+    /// The scoreboard check (one mask per instruction, decoded when the
+    /// program is installed) stalls exactly when the instruction's register
+    /// lists say so: under a random scoreboard, and with each register
+    /// pending alone, so that no register can be missing from a mask.
+    #[test]
+    fn scoreboard_check_matches_the_register_lists(
+        instr in instr_strategy(),
+        busy in any::<u32>(),
+        outstanding in 0u32..9,
+        max_outstanding in 1u32..9,
+    ) {
+        let alone = (0..32).map(|reg| 1u32 << reg);
+        for busy in alone.chain([busy, 0]) {
+            prop_assert_eq!(
+                core_with(busy, outstanding).check_issue(instr, max_outstanding),
+                issue_by_definition(instr, busy, outstanding, max_outstanding),
+                "`{}` with pending mask {:#x}", instr, busy
+            );
+        }
+    }
+
     /// Binary round trip: decode(encode(i)) == i for every instruction.
     #[test]
     fn encode_decode_round_trip(instr in instr_strategy()) {
