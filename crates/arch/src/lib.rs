@@ -42,7 +42,6 @@ pub mod capacity;
 pub mod config;
 pub mod ids;
 pub mod latency;
-pub mod mmap;
 pub mod topology;
 
 pub use address::{AddressMap, BankLocation, BankRemap, MemoryRegion, RemapError};
@@ -50,5 +49,4 @@ pub use capacity::SpmCapacity;
 pub use config::{ClusterConfig, ClusterConfigBuilder, ConfigError};
 pub use ids::{BankId, CoreId, GlobalBankId, GlobalCoreId, GroupId, TileId, TileInGroup};
 pub use latency::{AccessClass, LatencyModel};
-pub use mmap::{MapEntry, MemoryMap};
 pub use topology::{GroupNetwork, Topology};

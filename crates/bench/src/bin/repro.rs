@@ -801,9 +801,7 @@ mod tests {
             let kind = ExperimentKind::parameterless(name)
                 .unwrap_or_else(|| panic!("{name} has JSON but no request kind"));
             assert_eq!(kind.tag(), name);
-            let artifact = ExperimentRunner::default()
-                .run(&ExperimentRequest::new(kind))
-                .unwrap();
+            let artifact = ExperimentRunner.run(&ExperimentRequest::new(kind)).unwrap();
             assert_eq!(artifact.to_pretty(), json.to_pretty(), "{name}");
             served.push(name);
         }

@@ -36,7 +36,6 @@
 
 pub mod design;
 pub mod dse;
-pub mod energy;
 pub mod experiments;
 pub mod paper;
 pub mod table;

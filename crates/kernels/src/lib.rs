@@ -21,7 +21,7 @@
 //!   [`transpose`]) exercising the same code paths, used by the examples,
 //!   plus the memory-bound [`stencil`] phase model;
 //! * central and two-level tree [`barrier`]s built from the A-extension
-//!   atomics, and workload [`characterize`]-ation;
+//!   atomics;
 //! * degraded-mode [`resilience`] runs: the same compute phase clean and
 //!   under an injected fault plan, with the slowdown attributed exactly.
 //!
@@ -43,7 +43,6 @@
 
 pub mod axpy;
 pub mod barrier;
-pub mod characterize;
 pub mod conv2d;
 pub mod dotprod;
 pub mod gemv;

@@ -52,21 +52,32 @@ pub struct ComputePhase {
 }
 
 impl ComputePhase {
+    /// The two rules every tile dimension obeys, whatever the cluster: a
+    /// positive multiple of 4 (the output blocks), at most 511 (the 12-bit
+    /// post-increment immediate). A front end holds a dimension it was
+    /// handed against them before constructing anything.
+    ///
+    /// # Errors
+    ///
+    /// [`KernelError::BadShape`] naming the rule `p` breaks.
+    pub fn check_shape(p: u32) -> Result<(), KernelError> {
+        let detail = if p == 0 || !p.is_multiple_of(4) {
+            format!("tile dimension {p} must be a positive multiple of 4")
+        } else if p > 511 {
+            format!("tile dimension {p} exceeds 511, the limit of the 12-bit post-increment")
+        } else {
+            return Ok(());
+        };
+        Err(KernelError::BadShape { detail })
+    }
+
     /// Creates a compute phase over `p x p` tiles in the default layout.
     ///
     /// # Panics
     ///
-    /// Panics if `p` is not a positive multiple of 4 or exceeds 511 (the
-    /// post-increment immediate limit).
+    /// Panics if [`Self::check_shape`] rejects `p`.
     pub fn new(p: u32) -> Self {
-        assert!(
-            p > 0 && p.is_multiple_of(4),
-            "tile dimension must be a multiple of 4"
-        );
-        assert!(
-            p <= 511,
-            "tile dimension limited by the 12-bit post-increment"
-        );
+        Self::check_shape(p).unwrap_or_else(|rule| panic!("{rule}"));
         ComputePhase {
             p,
             layout: None,

@@ -91,14 +91,6 @@ impl Json {
         }
     }
 
-    /// The value as a boolean, if it is one.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Json::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
     /// The value as a non-negative integer; `what` names it in the error.
     ///
     /// # Errors
@@ -122,12 +114,6 @@ impl Json {
         self.as_f64()
             .filter(|v| v.is_finite())
             .ok_or_else(|| JsonError::shape(format!("{what} must be a finite number")))
-    }
-
-    /// The value as a boolean.
-    pub fn try_bool(&self, what: &str) -> Result<bool, JsonError> {
-        self.as_bool()
-            .ok_or_else(|| JsonError::shape(format!("{what} must be a boolean")))
     }
 
     /// The value as a string slice.
@@ -161,11 +147,6 @@ impl Json {
     /// The member `key` as a finite number.
     pub fn f64_field(&self, key: &str) -> Result<f64, JsonError> {
         self.field(key)?.try_f64(key)
-    }
-
-    /// The member `key` as a boolean.
-    pub fn bool_field(&self, key: &str) -> Result<bool, JsonError> {
-        self.field(key)?.try_bool(key)
     }
 
     /// The member `key` as a string slice.
@@ -658,7 +639,7 @@ mod tests {
             (nan.offset, nan.message.as_str()),
             (0, "rate must be a finite number")
         );
-        assert!(doc.str_field("n").is_err() && doc.bool_field("n").is_err());
+        assert!(doc.str_field("n").is_err());
         assert!(doc.arr_field("n").is_err() && Json::Int(1).field("k").is_err());
     }
 

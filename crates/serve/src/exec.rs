@@ -2,17 +2,10 @@
 //! the same experiment catalogue one-shot `repro` walks, so a served
 //! artifact is byte-identical to the CLI's output for the same config.
 //!
-//! With a checkpoint directory configured
-//! ([`ExperimentRunner::with_checkpoints`]), cycle-accurate `kernel`
-//! requests snapshot their cluster periodically under
-//! `ckpt-<cache key>.json`. A later run of the same request — after a
-//! daemon restart, a worker panic, or a `kill -9` — restores the snapshot
-//! and finishes the remaining cycles instead of recomputing from zero.
-//! Bit-exact restore (see [`mempool_sim::ckpt`]) guarantees the resumed
-//! artifact is byte-identical to an uninterrupted one.
-
-use std::fs;
-use std::path::PathBuf;
+//! A run is never resumed: the longest request the daemon accepts (the
+//! `kernel` phase at `p = 80` on the 16-core probe) is ~120 k simulated
+//! cycles, a fraction of a second, so a job a dead daemon left in its
+//! journal is simply computed again (see [`crate::service`]).
 
 use mempool::dse::{Objective, ScoredPoint};
 use mempool::experiments::{catalogue, Context, Evaluation};
@@ -20,35 +13,14 @@ use mempool_arch::SpmCapacity;
 use mempool_kernels::matmul::ComputePhase;
 use mempool_kernels::measure::probe_cluster;
 use mempool_kernels::Kernel;
-use mempool_obs::{write_atomic, Json};
-use mempool_sim::{Cluster, SimError};
+use mempool_obs::Json;
 
 use crate::protocol::{ExperimentKind, ExperimentRequest};
 use crate::service::Runner;
 
-/// Checkpoint interval (simulated cycles) of served kernel runs.
-const CHECKPOINT_EVERY: u64 = 250_000;
-
 /// Executes experiment requests on the reproduction pipeline.
 #[derive(Debug, Default, Clone)]
-pub struct ExperimentRunner {
-    checkpoint_dir: Option<PathBuf>,
-}
-
-impl ExperimentRunner {
-    /// A runner that checkpoints cycle-accurate requests into `dir` and
-    /// resumes from an existing checkpoint of the same request.
-    pub fn with_checkpoints(dir: impl Into<PathBuf>) -> Self {
-        ExperimentRunner {
-            checkpoint_dir: Some(dir.into()),
-        }
-    }
-
-    /// The on-disk checkpoint name of a request key.
-    pub fn checkpoint_name(key: u64) -> String {
-        format!("ckpt-{key:016x}.json")
-    }
-}
+pub struct ExperimentRunner;
 
 impl Runner for ExperimentRunner {
     fn run(&self, req: &ExperimentRequest) -> Result<Json, String> {
@@ -59,10 +31,7 @@ impl Runner for ExperimentRunner {
                 let eval = Evaluation::with_model(model);
                 Ok(dse_point_json(&ScoredPoint::score_all(&eval, point)))
             }
-            ExperimentKind::Kernel { p } => {
-                let name = Self::checkpoint_name(req.cache_key());
-                kernel_run(p, self.checkpoint_dir.as_ref().map(|dir| dir.join(name)))
-            }
+            ExperimentKind::Kernel { p } => kernel_run(p),
             // Every parameterless kind is the catalogue row of its tag.
             plain => catalogue::find(plain.tag())
                 .and_then(|row| (row.build)(&Context::new(model)).to_json())
@@ -124,48 +93,17 @@ pub(crate) fn dse_point_json(scored: &ScoredPoint) -> Json {
 /// Runs the matmul compute phase cycle-accurately on the probe cluster.
 /// The artifact carries the cycle count and the cluster-stats digest —
 /// bit-identical at any host-thread count.
-fn kernel_run(p: u32, ckpt: Option<PathBuf>) -> Result<Json, String> {
+fn kernel_run(p: u32) -> Result<Json, String> {
     const BUDGET: u64 = 100_000_000;
-    let phase = ComputePhase::new(p);
     let failed = |e: &dyn std::fmt::Display| format!("compute phase p={p}: {e}");
-    // Resume from a checkpoint of this exact request if one survived a
-    // crash; no checkpoint or a restore failure (stale engine version,
-    // quarantined corrupt file) is a clean start.
-    let restored = ckpt
-        .as_ref()
-        .and_then(|path| Cluster::restore_from_file(path).ok());
-    let mut cluster = match restored {
-        Some(cluster) => cluster,
-        None => {
-            let mut cluster = probe_cluster();
-            phase.load(&mut cluster).map_err(|e| failed(&e))?;
-            cluster
-        }
-    };
-    let cycles = match &ckpt {
-        None => cluster.run(BUDGET).map_err(|e| failed(&e))?,
-        // Run in checkpoint-sized slices; the kernel starts at cycle 0, so
-        // the budget deadline is absolute even after a resume. An error
-        // keeps the last checkpoint for a later retry.
-        Some(path) => loop {
-            let remaining = BUDGET.saturating_sub(cluster.cycle());
-            if remaining == 0 {
-                return Err(failed(&format!("timed out after {BUDGET} cycles")));
-            }
-            match cluster.run(remaining.min(CHECKPOINT_EVERY)) {
-                Ok(end) => break end,
-                Err(SimError::Timeout { .. }) => {
-                    write_atomic(path, &cluster.checkpoint().to_pretty())
-                        .map_err(|e| format!("writing checkpoint {}: {e}", path.display()))?;
-                }
-                Err(e) => return Err(failed(&e)),
-            }
-        },
-    };
+    // The shape is the client's to get wrong: answer it before anything
+    // is constructed (`ComputePhase::new` would panic on it).
+    ComputePhase::check_shape(p).map_err(|e| failed(&e))?;
+    let phase = ComputePhase::new(p);
+    let mut cluster = probe_cluster();
+    phase.load(&mut cluster).map_err(|e| failed(&e))?;
+    let cycles = cluster.run(BUDGET).map_err(|e| failed(&e))?;
     phase.verify(&cluster).map_err(|e| failed(&e))?;
-    if let Some(path) = &ckpt {
-        let _ = fs::remove_file(path);
-    }
     let stats = cluster.stats();
     Ok(Json::obj([
         ("experiment", Json::str("kernel")),
@@ -187,7 +125,7 @@ mod tests {
 
     #[test]
     fn fig6_artifact_matches_the_one_shot_pipeline_exactly() {
-        let artifact = ExperimentRunner::default()
+        let artifact = ExperimentRunner
             .run(&ExperimentRequest::new(ExperimentKind::Fig6))
             .unwrap();
         let one_shot = Fig6::generate().to_json();
@@ -197,7 +135,7 @@ mod tests {
     #[test]
     fn sweep_point_matches_the_full_figure() {
         let model = ModelConfig::default().to_phase_model();
-        let artifact = ExperimentRunner::default()
+        let artifact = ExperimentRunner
             .run(&ExperimentRequest::new(ExperimentKind::Sweep {
                 bytes_per_cycle: 16,
             }))

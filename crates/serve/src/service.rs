@@ -247,14 +247,7 @@ impl Service {
     /// Propagates cache-directory creation failures as a
     /// [`ServeError::Transport`].
     pub fn start(config: ServiceConfig) -> Result<Self, ServeError> {
-        // With a persistent cache the runner also persists checkpoints of
-        // long cycle-accurate runs there, so a daemon restart resumes
-        // partially-computed experiments instead of recomputing them.
-        let runner: Box<dyn Runner> = match &config.cache_dir {
-            Some(dir) => Box::new(crate::exec::ExperimentRunner::with_checkpoints(dir)),
-            None => Box::new(crate::exec::ExperimentRunner::default()),
-        };
-        Self::start_with_runner(config, runner)
+        Self::start_with_runner(config, Box::new(crate::exec::ExperimentRunner))
     }
 
     /// Starts the worker pool with a caller-provided runner (tests).
@@ -565,7 +558,6 @@ fn worker_loop(shared: &Shared, index: u32) {
                         .send(Status::Error(ServeError::Experiment(message.clone())));
                 }
                 // Every waiter got its (error) answer; nothing to recover.
-                // Any experiment checkpoint stays for a retry to resume.
                 shared.remove_journal(key);
                 shared.record("fail", Some(index), format!("key={key:016x}: {message}"));
             }
@@ -587,9 +579,9 @@ fn journal_name(key: u64) -> String {
 /// Re-submits every journaled (accepted but never completed) job left on
 /// disk by a previous daemon run — a crashed or killed daemon finishes
 /// its accepted work after restart. The re-submitted jobs have no waiter
-/// (the original clients are gone); they simply warm the cache, resuming
-/// from any experiment checkpoint the dead run saved. Corrupt journals
-/// are quarantined and reported, never fatal.
+/// (the original clients are gone); they are computed again from the
+/// start and simply warm the cache. Corrupt journals are quarantined and
+/// reported, never fatal.
 fn recover_journaled_jobs(shared: &Arc<Shared>) {
     let Some(dir) = shared.cache.dir().map(PathBuf::from) else {
         return;

@@ -232,6 +232,36 @@ fn panicking_experiments_become_typed_errors_not_wedged_waiters() {
     assert_eq!(service.stats().failed.load(Ordering::SeqCst), 2);
 }
 
+/// A kernel dimension no compute phase can have is the client's mistake:
+/// a typed error from the default runner, answered before a cluster is
+/// built — not a panic caught at the worker's edge.
+#[test]
+fn impossible_kernel_dimensions_are_typed_errors_not_worker_panics() {
+    let service = Service::start(ServiceConfig::default()).unwrap();
+    for p in [0, 5, 512, 1000] {
+        let err = service
+            .client()
+            .run(ExperimentRequest::new(ExperimentKind::Kernel { p }))
+            .unwrap_err();
+        match err {
+            ServeError::Experiment(message) => {
+                assert!(
+                    message.contains(&format!("compute phase p={p}:")),
+                    "{message}"
+                );
+                assert!(!message.contains("panicked"), "{message}");
+            }
+            other => panic!("p={p}: expected an experiment error, got {other:?}"),
+        }
+    }
+    // The smallest dimension the probe cluster runs still does.
+    let served = service
+        .client()
+        .run(ExperimentRequest::new(ExperimentKind::Kernel { p: 16 }));
+    assert!(served.is_ok(), "{served:?}");
+    service.shutdown();
+}
+
 #[test]
 fn tcp_round_trip_serves_byte_identical_artifacts_and_coalesced_stats() {
     let server = TcpServer::bind("127.0.0.1:0", ServiceConfig::default()).unwrap();
@@ -438,77 +468,6 @@ fn corrupt_journals_and_cache_entries_are_quarantined_with_flight_events() {
     assert!(!dir.join("job-00000000000000aa.json").exists());
     let flight = service.stats_json().get("flight").unwrap().to_pretty();
     assert!(flight.contains("corrupt"), "{flight}");
-    service.shutdown();
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-/// The acceptance path end to end: a daemon killed mid-kernel leaves a
-/// job journal and a mid-run checkpoint on disk; the restarted daemon
-/// resumes the simulation from the checkpoint (not from cycle zero) and
-/// publishes an artifact byte-identical to an uninterrupted run.
-#[test]
-fn kernel_requests_resume_from_experiment_checkpoints_bit_exactly() {
-    use mempool_kernels::matmul::ComputePhase;
-    use mempool_kernels::measure::probe_cluster;
-    use mempool_kernels::Kernel;
-    use mempool_serve::ExperimentRunner;
-    use mempool_sim::SimError;
-
-    let dir = std::env::temp_dir().join(format!("mempool-serve-ckpt-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    let req = ExperimentRequest::new(ExperimentKind::Kernel { p: 16 });
-    let key = req.cache_key();
-
-    // Reference: an uninterrupted run with no persistence at all.
-    let unbroken = {
-        let service = Service::start(ServiceConfig::default()).unwrap();
-        let outcome = service.client().run(req).unwrap();
-        service.shutdown();
-        outcome.artifact
-    };
-
-    // Forge the on-disk state of a daemon killed 500 cycles into the
-    // kernel: the accepted job's journal plus the runner's checkpoint of
-    // the probe cluster.
-    let mut cluster = probe_cluster();
-    ComputePhase::new(16).load(&mut cluster).unwrap();
-    assert!(matches!(cluster.run(500), Err(SimError::Timeout { .. })));
-    let ckpt_path = dir.join(ExperimentRunner::checkpoint_name(key));
-    std::fs::write(&ckpt_path, cluster.checkpoint().to_pretty()).unwrap();
-    std::fs::write(
-        dir.join(format!("job-{key:016x}.json")),
-        req.to_json().to_pretty(),
-    )
-    .unwrap();
-
-    // Restart the daemon: journal recovery resubmits the job and the
-    // runner resumes from cycle 500 instead of recomputing.
-    let service = Service::start(ServiceConfig {
-        cache_dir: Some(dir.clone()),
-        ..ServiceConfig::default()
-    })
-    .unwrap();
-    wait_until("the recovered kernel to finish", || {
-        service.stats().computed.load(Ordering::SeqCst) == 1
-    });
-    service.quiesce();
-    let outcome = service.client().run(req).unwrap();
-    assert_eq!(
-        outcome.cache,
-        CacheOutcome::Hit,
-        "served from the resumed result"
-    );
-    assert_eq!(
-        outcome.artifact.to_pretty(),
-        unbroken.to_pretty(),
-        "resumed artifact must be byte-identical to the uninterrupted one"
-    );
-    assert!(!ckpt_path.exists(), "checkpoint retired on completion");
-    assert!(
-        !dir.join(format!("job-{key:016x}.json")).exists(),
-        "journal retired on completion"
-    );
     service.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -1,6 +1,6 @@
 //! Versioned checkpoint/restore of a running [`Cluster`].
 //!
-//! A checkpoint is a single `mempool-checkpoint/v1` JSON document (same
+//! A checkpoint is a single `mempool-checkpoint/v2` JSON document (same
 //! plumbing as `crashdump.json`) capturing *everything* that influences
 //! simulated behavior: per-core architectural and scoreboard state, the
 //! program, all SPM/spare/external memory, in-flight bank requests and
@@ -13,6 +13,30 @@
 //! the unbroken run's, at any `threads` count — the engine is
 //! bit-identical across host-thread counts and a checkpoint carries no
 //! host-side state.
+//!
+//! # Layout
+//!
+//! The header is named JSON — `schema`, `engine_version`,
+//! `params_digest`, `config` (8 fields), `params` (11 fields) — because
+//! tests and [`CheckpointError::Mismatch`] name those fields. Everything
+//! else is a **section**: one string of fixed-width hex words under a
+//! top-level key. `program`, `spm` and `spare` are memory images of
+//! 8-digit (`u32`) words; `clock`, `cores`, `icaches`, `banks`,
+//! `responses`, `offchip`, `storage`, `faults`, `watchdog` and `sampler`
+//! are the 16-digit (`u64`) words `Words::pack` produces. The fault
+//! report keeps its own JSON form under `fault_report`.
+//!
+//! Every saved record has **one** spelling: a `Words` impl whose `pack`
+//! and `unpack` walk the same field list (`words_struct!` next to each
+//! struct). [`crate::ClusterStats::digest`] hashes the words that same
+//! list packs, so a counter added to a record can miss neither the digest
+//! nor the file.
+//!
+//! [`Cluster::restore`] **decodes, checks, then builds** (its docs list
+//! the checks), so a hostile file is a typed error before anything is
+//! sized by it. A `mempool-checkpoint/v1` file is refused with
+//! [`CheckpointError::Mismatch`] on `schema`; there is no v1 reader — a
+//! snapshot protects a run of seconds and nothing keeps old ones.
 //!
 //! Deliberately **excluded** (and why it is sound to do so):
 //!
@@ -43,16 +67,16 @@ use mempool_fault::{
 };
 use mempool_isa::exec::{MemAccessKind, MemWidth};
 use mempool_isa::instr::AmoOp;
-use mempool_isa::{Program, Reg};
+use mempool_isa::{Program, Reg, RegFile};
 use mempool_obs::{load_json_file, write_atomic, Json, JsonError, LoadOutcome};
 
 use crate::cluster::{Bank, Cluster, PendingAccess, Response, Sampler, SimError};
-use crate::icache::ICache;
+use crate::core::Core;
+use crate::icache::{ICache, ICacheState};
 use crate::params::{default_threads, SimParams, ENGINE_VERSION};
-use crate::stats::{BankStats, CoreStats};
 
 /// Schema tag of the checkpoint document.
-pub const CHECKPOINT_SCHEMA: &str = "mempool-checkpoint/v1";
+pub const CHECKPOINT_SCHEMA: &str = "mempool-checkpoint/v2";
 
 /// Error raised by checkpoint save/restore.
 #[derive(Debug)]
@@ -67,11 +91,12 @@ pub enum CheckpointError {
         message: String,
     },
     /// The document is not a well-formed checkpoint (missing fields, bad
-    /// types, geometry that does not reconstruct) — includes checkpoints
-    /// quarantined by the corrupt-file policy.
+    /// types, sections that do not decode, state that does not fit the
+    /// geometry) — includes checkpoints quarantined by the corrupt-file
+    /// policy.
     Malformed(String),
     /// The checkpoint is well-formed but belongs to a different world:
-    /// another engine version or parameter set.
+    /// another schema or engine version, or another parameter set.
     Mismatch {
         /// Which field disagreed.
         field: &'static str,
@@ -114,476 +139,457 @@ impl From<JsonError> for CheckpointError {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Field helpers
-// ---------------------------------------------------------------------------
-
 fn bad(msg: impl Into<String>) -> CheckpointError {
     CheckpointError::Malformed(msg.into())
 }
 
-fn json_u64s(values: impl IntoIterator<Item = u64>) -> Json {
-    Json::Arr(values.into_iter().map(|v| Json::Int(v as i64)).collect())
+// ---------------------------------------------------------------------------
+// Words: the one spelling of every saved record
+// ---------------------------------------------------------------------------
+
+/// A record a checkpoint section carries as `u64` words. `unpack` reads
+/// back exactly what `pack` handed out, in the same order — so each impl
+/// is the one place a record's field list is written down.
+pub(crate) trait Words: Sized {
+    /// Hands this value's words to `out`, one by one (a section collects
+    /// them, the stats digest hashes them as they come).
+    fn pack(&self, out: &mut impl FnMut(u64));
+    /// Reads one value back, or says what is wrong with the words.
+    fn unpack(cur: &mut Cursor<'_>) -> Result<Self, CheckpointError>;
 }
 
-/// Packs words as fixed-width hex (8 chars per word) — ~4x denser than a
-/// JSON integer array for the SPM image, and trivially deterministic.
-fn words_to_hex(words: &[u32]) -> String {
-    use fmt::Write;
-    let mut out = String::with_capacity(words.len() * 8);
+/// The not-yet-read words of one section.
+pub(crate) struct Cursor<'a> {
+    section: &'a str,
+    words: &'a [u64],
+}
+
+impl Cursor<'_> {
+    fn bad(&self, msg: impl fmt::Display) -> CheckpointError {
+        bad(format!("section '{}': {msg}", self.section))
+    }
+
+    fn word(&mut self) -> Result<u64, CheckpointError> {
+        let (&word, rest) = self
+            .words
+            .split_first()
+            .ok_or_else(|| self.bad("ends before its last record does"))?;
+        self.words = rest;
+        Ok(word)
+    }
+}
+
+/// A type that packs into exactly one word: `$to` makes the word of
+/// `$value`, `$from` gives the value of `$word` back — or `None` when the
+/// word is none the type has.
+macro_rules! one_word {
+    ($ty:ty, $what:literal, |$value:ident| $to:expr, |$word:ident| $from:expr) => {
+        impl Words for $ty {
+            fn pack(&self, out: &mut impl FnMut(u64)) {
+                let $value = *self;
+                out($to);
+            }
+
+            fn unpack(cur: &mut Cursor<'_>) -> Result<Self, CheckpointError> {
+                let $word = cur.word()?;
+                $from.ok_or_else(|| cur.bad(format!("{:#x} is not {}", $word, $what)))
+            }
+        }
+    };
+}
+
+/// A fieldless enum as one word, each variant listed once with its word.
+macro_rules! word_enum {
+    ($ty:ident, $what:literal, { $($variant:ident = $word:literal),+ }) => {
+        one_word!(
+            $ty,
+            $what,
+            |value| match value {
+                $($ty::$variant => $word),+
+            },
+            |word| match word {
+                $($word => Some($ty::$variant),)+
+                _ => None,
+            }
+        );
+    };
+}
+
+one_word!(u64, "a word", |value| value, |word| Some(word));
+one_word!(u32, "a 32-bit value", |value| u64::from(value), |word| {
+    u32::try_from(word).ok()
+});
+one_word!(
+    bool,
+    "a flag",
+    |value| u64::from(value),
+    |word| match word {
+        0 => Some(false),
+        1 => Some(true),
+        _ => None,
+    }
+);
+one_word!(
+    Reg,
+    "a register number",
+    |value| u64::from(value.number()),
+    |word| u8::try_from(word).ok().filter(|&n| n < 32).map(Reg::new)
+);
+one_word!(TileId, "a tile id", |value| u64::from(value.0), |word| {
+    u32::try_from(word).ok().map(TileId)
+});
+one_word!(BankId, "a bank id", |value| u64::from(value.0), |word| {
+    u32::try_from(word).ok().map(BankId)
+});
+word_enum!(MemWidth, "an access width", { Byte = 1, Half = 2, Word = 4 });
+word_enum!(
+    AmoOp,
+    "an atomic operation",
+    { Add = 0, Swap = 1, And = 2, Or = 3, Xor = 4, Max = 5, Min = 6 }
+);
+word_enum!(DeadLinkPolicy, "a dead-link policy", { Error = 0, BlackHole = 1 });
+
+impl<T: Words> Words for Option<T> {
+    fn pack(&self, out: &mut impl FnMut(u64)) {
+        self.is_some().pack(out);
+        if let Some(value) = self {
+            value.pack(out);
+        }
+    }
+
+    fn unpack(cur: &mut Cursor<'_>) -> Result<Self, CheckpointError> {
+        bool::unpack(cur)?.then(|| T::unpack(cur)).transpose()
+    }
+}
+
+impl<T: Words> Words for Vec<T> {
+    fn pack(&self, out: &mut impl FnMut(u64)) {
+        (self.len() as u64).pack(out);
+        for item in self {
+            item.pack(out);
+        }
+    }
+
+    fn unpack(cur: &mut Cursor<'_>) -> Result<Self, CheckpointError> {
+        let len = cur.word()?;
+        // Every record packs at least one word, so a length the remaining
+        // words cannot back is refused before anything is allocated for
+        // it.
+        let left = cur.words.len();
+        if len > left as u64 {
+            return Err(cur.bad(format!("a length of {len} with {left} words left")));
+        }
+        let mut items = Vec::with_capacity(len as usize);
+        for _ in 0..len {
+            items.push(T::unpack(cur)?);
+        }
+        Ok(items)
+    }
+}
+
+impl<T: Words + Copy + Default, const N: usize> Words for [T; N] {
+    fn pack(&self, out: &mut impl FnMut(u64)) {
+        for item in self {
+            item.pack(out);
+        }
+    }
+
+    fn unpack(cur: &mut Cursor<'_>) -> Result<Self, CheckpointError> {
+        let mut items = [T::default(); N];
+        for slot in &mut items {
+            *slot = T::unpack(cur)?;
+        }
+        Ok(items)
+    }
+}
+
+/// Tuples pack their members in order — the form of the records that
+/// have no struct of their own (a section's parts, a tagged enum's
+/// payload).
+macro_rules! words_tuple {
+    ($($member:ident)+) => {
+        impl<$($member: Words),+> Words for ($($member,)+) {
+            #[allow(non_snake_case)]
+            fn pack(&self, out: &mut impl FnMut(u64)) {
+                let ($($member,)+) = self;
+                $($member.pack(out);)+
+            }
+
+            fn unpack(cur: &mut Cursor<'_>) -> Result<Self, CheckpointError> {
+                Ok(($($member::unpack(cur)?,)+))
+            }
+        }
+    };
+}
+
+words_tuple!(A B);
+words_tuple!(A B C);
+words_tuple!(A B C D);
+words_tuple!(A B C D E);
+
+/// Implements [`Words`] for a struct from its field list: `pack` and
+/// `unpack` walk the fields in the order written, and `unpack`'s struct
+/// literal makes a forgotten field a compile error.
+macro_rules! words_struct {
+    ($ty:ident { $($field:ident),+ $(,)? }) => {
+        impl $crate::ckpt::Words for $ty {
+            fn pack(&self, out: &mut impl FnMut(u64)) {
+                $(self.$field.pack(out);)+
+            }
+
+            fn unpack(
+                cur: &mut $crate::ckpt::Cursor<'_>,
+            ) -> Result<Self, $crate::ckpt::CheckpointError> {
+                Ok($ty {
+                    $($field: $crate::ckpt::Words::unpack(cur)?,)+
+                })
+            }
+        }
+    };
+}
+pub(crate) use words_struct;
+
+words_struct!(BankLocation { tile, bank, word });
+
+impl Words for RegFile {
+    fn pack(&self, out: &mut impl FnMut(u64)) {
+        self.snapshot().pack(out);
+    }
+
+    fn unpack(cur: &mut Cursor<'_>) -> Result<Self, CheckpointError> {
+        let values = <[u32; 32]>::unpack(cur)?;
+        let mut regs = RegFile::new();
+        for (reg, value) in Reg::all().zip(values) {
+            regs.write(reg, value);
+        }
+        Ok(regs)
+    }
+}
+
+impl Words for MemAccessKind {
+    fn pack(&self, out: &mut impl FnMut(u64)) {
+        match *self {
+            MemAccessKind::Load { width, signed, rd } => (0u64, width, signed, rd).pack(out),
+            MemAccessKind::Store { width, value } => (1u64, width, value).pack(out),
+            MemAccessKind::Amo { op, value, rd } => (2u64, op, value, rd).pack(out),
+        }
+    }
+
+    fn unpack(cur: &mut Cursor<'_>) -> Result<Self, CheckpointError> {
+        match cur.word()? {
+            0 => {
+                let (width, signed, rd) = Words::unpack(cur)?;
+                Ok(MemAccessKind::Load { width, signed, rd })
+            }
+            1 => {
+                let (width, value) = Words::unpack(cur)?;
+                Ok(MemAccessKind::Store { width, value })
+            }
+            2 => {
+                let (op, value, rd) = Words::unpack(cur)?;
+                Ok(MemAccessKind::Amo { op, value, rd })
+            }
+            tag => Err(cur.bad(format!("{tag:#x} is not an access kind"))),
+        }
+    }
+}
+
+impl Words for LinkState {
+    fn pack(&self, out: &mut impl FnMut(u64)) {
+        match *self {
+            LinkState::Healthy => 0u64.pack(out),
+            LinkState::Degraded(extra) => (1u64, extra).pack(out),
+            LinkState::Dead => 2u64.pack(out),
+        }
+    }
+
+    fn unpack(cur: &mut Cursor<'_>) -> Result<Self, CheckpointError> {
+        match cur.word()? {
+            0 => Ok(LinkState::Healthy),
+            1 => Ok(LinkState::Degraded(u32::unpack(cur)?)),
+            2 => Ok(LinkState::Dead),
+            tag => Err(cur.bad(format!("{tag:#x} is not a link state"))),
+        }
+    }
+}
+
+impl Words for TimedFault {
+    fn pack(&self, out: &mut impl FnMut(u64)) {
+        match *self {
+            TimedFault::Flip { loc, mask } => (0u64, loc, mask).pack(out),
+            TimedFault::Hang { core } => (1u64, core).pack(out),
+        }
+    }
+
+    fn unpack(cur: &mut Cursor<'_>) -> Result<Self, CheckpointError> {
+        match cur.word()? {
+            0 => {
+                let (loc, mask) = Words::unpack(cur)?;
+                Ok(TimedFault::Flip { loc, mask })
+            }
+            1 => Ok(TimedFault::Hang {
+                core: u32::unpack(cur)?,
+            }),
+            tag => Err(cur.bad(format!("{tag:#x} is not a timed fault"))),
+        }
+    }
+}
+
+/// Writes words as fixed-width hex — 8 digits per `u32` of a memory
+/// image, 16 per `u64` of a packed section — deterministic, and ~4x
+/// denser than a JSON integer array.
+fn to_hex<T: Copy + Into<u64>>(words: &[T]) -> Json {
+    let digits = 2 * size_of::<T>();
+    let mut text = Vec::with_capacity(words.len() * digits);
     for &word in words {
-        let _ = write!(out, "{word:08x}");
+        let word: u64 = word.into();
+        let nibbles = (0..digits)
+            .rev()
+            .map(|digit| (word >> (4 * digit)) as usize & 0xf);
+        text.extend(nibbles.map(|nibble| b"0123456789abcdef"[nibble]));
     }
-    out
+    Json::Str(String::from_utf8(text).expect("hex digits are ASCII"))
 }
 
-fn hex_to_words(text: &str, what: &str) -> Result<Vec<u32>, CheckpointError> {
-    if !text.len().is_multiple_of(8) || !text.is_ascii() {
-        return Err(bad(format!("{what} is not a packed hex word string")));
-    }
-    text.as_bytes()
-        .chunks(8)
-        .map(|chunk| {
-            let s = std::str::from_utf8(chunk).map_err(|_| bad(format!("{what}: bad utf8")))?;
-            u32::from_str_radix(s, 16).map_err(|_| bad(format!("{what}: bad hex word '{s}'")))
-        })
-        .collect()
+/// Reads the hex-word string at `doc[name]` back.
+fn from_hex<T: TryFrom<u64>>(doc: &Json, name: &str) -> Result<Vec<T>, CheckpointError> {
+    let digits = 2 * size_of::<T>();
+    let text = doc.str_field(name)?.as_bytes();
+    let words = text.chunks_exact(digits).map(|chunk| {
+        let word = chunk.iter().try_fold(0u64, |word, &byte| {
+            Some(word << 4 | u64::from(char::from(byte).to_digit(16)?))
+        })?;
+        T::try_from(word).ok()
+    });
+    words
+        .collect::<Option<Vec<T>>>()
+        .filter(|_| text.len().is_multiple_of(digits))
+        .ok_or_else(|| bad(format!("section '{name}': not {digits}-digit hex words")))
 }
 
-fn reg_to_json(reg: Option<Reg>) -> Json {
-    match reg {
-        Some(reg) => Json::Int(i64::from(reg.number())),
-        None => Json::Null,
-    }
+/// The packed words of `value`, as a section string.
+fn section_of<T: Words>(value: &T) -> Json {
+    let mut words = Vec::new();
+    value.pack(&mut |word| words.push(word));
+    to_hex(&words)
 }
 
-fn reg_from_json(value: &Json, what: &str) -> Result<Option<Reg>, CheckpointError> {
-    match value {
-        Json::Null => Ok(None),
-        Json::Int(n) => u8::try_from(*n)
-            .ok()
-            .filter(|&n| n < 32)
-            .map(|n| Some(Reg::new(n)))
-            .ok_or_else(|| bad(format!("{what}: register number out of range"))),
-        _ => Err(bad(format!("{what}: register is neither null nor int"))),
-    }
-}
-
-fn width_to_json(width: MemWidth) -> Json {
-    Json::Int(i64::from(width.bytes()))
-}
-
-fn width_from_json(value: &Json, what: &str) -> Result<MemWidth, CheckpointError> {
-    match value.as_int() {
-        Some(1) => Ok(MemWidth::Byte),
-        Some(2) => Ok(MemWidth::Half),
-        Some(4) => Ok(MemWidth::Word),
-        _ => Err(bad(format!("{what}: invalid access width"))),
-    }
-}
-
-fn amo_tag(op: AmoOp) -> &'static str {
-    match op {
-        AmoOp::Add => "add",
-        AmoOp::Swap => "swap",
-        AmoOp::And => "and",
-        AmoOp::Or => "or",
-        AmoOp::Xor => "xor",
-        AmoOp::Max => "max",
-        AmoOp::Min => "min",
-    }
-}
-
-fn amo_from_tag(tag: &str) -> Result<AmoOp, CheckpointError> {
-    Ok(match tag {
-        "add" => AmoOp::Add,
-        "swap" => AmoOp::Swap,
-        "and" => AmoOp::And,
-        "or" => AmoOp::Or,
-        "xor" => AmoOp::Xor,
-        "max" => AmoOp::Max,
-        "min" => AmoOp::Min,
-        other => return Err(bad(format!("unknown amo op '{other}'"))),
-    })
-}
-
-fn kind_to_json(kind: MemAccessKind) -> Json {
-    match kind {
-        MemAccessKind::Load { width, signed, rd } => Json::obj([
-            ("op", Json::str("load")),
-            ("width", width_to_json(width)),
-            ("signed", Json::Bool(signed)),
-            ("rd", reg_to_json(Some(rd))),
-        ]),
-        MemAccessKind::Store { width, value } => Json::obj([
-            ("op", Json::str("store")),
-            ("width", width_to_json(width)),
-            ("value", Json::Int(i64::from(value))),
-        ]),
-        MemAccessKind::Amo { op, value, rd } => Json::obj([
-            ("op", Json::str("amo")),
-            ("amo", Json::str(amo_tag(op))),
-            ("value", Json::Int(i64::from(value))),
-            ("rd", reg_to_json(Some(rd))),
-        ]),
-    }
-}
-
-fn kind_from_json(doc: &Json) -> Result<MemAccessKind, CheckpointError> {
-    match doc.str_field("op")? {
-        "load" => Ok(MemAccessKind::Load {
-            width: width_from_json(doc.field("width")?, "load width")?,
-            signed: doc.bool_field("signed")?,
-            rd: reg_from_json(doc.field("rd")?, "load rd")?
-                .ok_or_else(|| bad("load without rd"))?,
-        }),
-        "store" => Ok(MemAccessKind::Store {
-            width: width_from_json(doc.field("width")?, "store width")?,
-            value: doc.u32_field("value")?,
-        }),
-        "amo" => Ok(MemAccessKind::Amo {
-            op: amo_from_tag(doc.str_field("amo")?)?,
-            value: doc.u32_field("value")?,
-            rd: reg_from_json(doc.field("rd")?, "amo rd")?.ok_or_else(|| bad("amo without rd"))?,
-        }),
-        other => Err(bad(format!("unknown access op '{other}'"))),
-    }
-}
-
-fn loc_to_json(loc: BankLocation) -> Json {
-    Json::obj([
-        ("tile", Json::Int(i64::from(loc.tile.0))),
-        ("bank", Json::Int(i64::from(loc.bank.0))),
-        ("word", Json::Int(i64::from(loc.word))),
-    ])
-}
-
-fn loc_from_json(doc: &Json) -> Result<BankLocation, CheckpointError> {
-    Ok(BankLocation {
-        tile: TileId(doc.u32_field("tile")?),
-        bank: BankId(doc.u32_field("bank")?),
-        word: doc.u32_field("word")?,
-    })
-}
-
-fn core_stats_to_json(stats: &CoreStats) -> Json {
-    Json::obj([
-        ("retired", Json::Int(stats.retired as i64)),
-        ("stall_scoreboard", Json::Int(stats.stall_scoreboard as i64)),
-        ("stall_structural", Json::Int(stats.stall_structural as i64)),
-        ("stall_icache", Json::Int(stats.stall_icache as i64)),
-        ("icache_misses", Json::Int(stats.icache_misses as i64)),
-        ("stall_branch", Json::Int(stats.stall_branch as i64)),
-        (
-            "stall_fault_retry",
-            Json::Int(stats.stall_fault_retry as i64),
-        ),
-        ("stall_ecc", Json::Int(stats.stall_ecc as i64)),
-        ("halted_cycles", Json::Int(stats.halted_cycles as i64)),
-        ("accesses", json_u64s(stats.accesses)),
-        ("network_accesses", json_u64s(stats.network_accesses)),
-    ])
-}
-
-fn core_stats_from_json(doc: &Json) -> Result<CoreStats, CheckpointError> {
-    let accesses = doc.u64s_field("accesses")?;
-    let network = doc.u64s_field("network_accesses")?;
-    Ok(CoreStats {
-        retired: doc.u64_field("retired")?,
-        stall_scoreboard: doc.u64_field("stall_scoreboard")?,
-        stall_structural: doc.u64_field("stall_structural")?,
-        stall_icache: doc.u64_field("stall_icache")?,
-        icache_misses: doc.u64_field("icache_misses")?,
-        stall_branch: doc.u64_field("stall_branch")?,
-        stall_fault_retry: doc.u64_field("stall_fault_retry")?,
-        stall_ecc: doc.u64_field("stall_ecc")?,
-        halted_cycles: doc.u64_field("halted_cycles")?,
-        accesses: accesses
-            .try_into()
-            .map_err(|_| bad("'accesses' must have 3 entries"))?,
-        network_accesses: network
-            .try_into()
-            .map_err(|_| bad("'network_accesses' must have 4 entries"))?,
-    })
-}
-
-fn link_to_json(link: LinkState) -> Json {
-    match link {
-        LinkState::Healthy => Json::obj([("state", Json::str("healthy"))]),
-        LinkState::Degraded(extra) => Json::obj([
-            ("state", Json::str("degraded")),
-            ("extra", Json::Int(i64::from(extra))),
-        ]),
-        LinkState::Dead => Json::obj([("state", Json::str("dead"))]),
-    }
-}
-
-fn link_from_json(doc: &Json) -> Result<LinkState, CheckpointError> {
-    match doc.str_field("state")? {
-        "healthy" => Ok(LinkState::Healthy),
-        "degraded" => Ok(LinkState::Degraded(doc.u32_field("extra")?)),
-        "dead" => Ok(LinkState::Dead),
-        other => Err(bad(format!("unknown link state '{other}'"))),
-    }
-}
-
-fn timed_to_json(cycle: u64, fault: TimedFault) -> Json {
-    let fault = match fault {
-        TimedFault::Flip { loc, mask } => Json::obj([
-            ("kind", Json::str("flip")),
-            ("loc", loc_to_json(loc)),
-            ("mask", Json::Int(i64::from(mask))),
-        ]),
-        TimedFault::Hang { core } => Json::obj([
-            ("kind", Json::str("hang")),
-            ("core", Json::Int(i64::from(core))),
-        ]),
+/// Decodes the section `doc[name]` into a `T`, all of it: words left over
+/// are as malformed as words missing.
+fn section<T: Words>(doc: &Json, name: &str) -> Result<T, CheckpointError> {
+    let words = from_hex::<u64>(doc, name)?;
+    let mut cur = Cursor {
+        section: name,
+        words: &words,
     };
-    Json::obj([("cycle", Json::Int(cycle as i64)), ("fault", fault)])
+    let value = T::unpack(&mut cur)?;
+    match cur.words.len() {
+        0 => Ok(value),
+        extra => Err(cur.bad(format!("{extra} trailing words"))),
+    }
 }
 
-fn timed_from_json(doc: &Json) -> Result<(u64, TimedFault), CheckpointError> {
-    let cycle = doc.u64_field("cycle")?;
-    let fault = doc.field("fault")?;
-    let fault = match fault.str_field("kind")? {
-        "flip" => TimedFault::Flip {
-            loc: loc_from_json(fault.field("loc")?)?,
-            mask: fault.u32_field("mask")?,
-        },
-        "hang" => TimedFault::Hang {
-            core: fault.u32_field("core")?,
-        },
-        other => return Err(bad(format!("unknown timed fault '{other}'"))),
+/// Test hook (`tests/properties.rs`): whether a queued request and a
+/// response built from the given parts, the access kind and the timed
+/// fault each come back equal, with no word left over, from the section
+/// their words were written to.
+#[doc(hidden)]
+pub fn records_round_trip(
+    [arrival, due]: [u64; 2],
+    [core, resp_latency, addr, value]: [u32; 4],
+    loc: BankLocation,
+    kind: MemAccessKind,
+    fault: TimedFault,
+) -> bool {
+    fn round_trips<T: Words + PartialEq>(value: T) -> bool {
+        let doc = Json::obj([("record", section_of(&value))]);
+        section::<T>(&doc, "record").is_ok_and(|back| back == value)
+    }
+    let request = PendingAccess {
+        arrival,
+        core,
+        loc,
+        kind,
+        resp_latency,
+        addr,
     };
-    Ok((cycle, fault))
+    let response = Response {
+        due,
+        reg: kind.response_reg(),
+        value,
+    };
+    round_trips(request) && round_trips(response) && round_trips(kind) && round_trips(fault)
 }
 
-fn policy_tag(policy: DeadLinkPolicy) -> &'static str {
-    match policy {
-        DeadLinkPolicy::Error => "error",
-        DeadLinkPolicy::BlackHole => "black_hole",
+/// [`CheckpointError::Mismatch`] unless the header string `doc[field]` is
+/// the `expected` one.
+fn expect_field(doc: &Json, field: &'static str, expected: &str) -> Result<(), CheckpointError> {
+    let found = doc.str_field(field)?;
+    if found == expected {
+        return Ok(());
     }
+    Err(CheckpointError::Mismatch {
+        field,
+        expected: expected.to_string(),
+        found: found.to_string(),
+    })
 }
 
-fn policy_from_tag(tag: &str) -> Result<DeadLinkPolicy, CheckpointError> {
-    match tag {
-        "error" => Ok(DeadLinkPolicy::Error),
-        "black_hole" => Ok(DeadLinkPolicy::BlackHole),
-        other => Err(bad(format!("unknown dead-link policy '{other}'"))),
-    }
+/// A JSON object of named `u32` header fields.
+fn named<const N: usize>(fields: [(&'static str, u32); N]) -> Json {
+    Json::obj(fields.map(|(name, value)| (name, Json::Int(i64::from(value)))))
 }
+
+/// The `storage` section: spare banks per tile, external memory as
+/// `(word offset, value)` pairs, the SPM touch counter, and the remap
+/// table as `(tile, from, to)` triples. The SPM and spare images are
+/// sections of their own.
+type StorageParts = (u32, Vec<(u64, u32)>, u64, Vec<(TileId, BankId, BankId)>);
+
+/// The `faults` section of a fault-injection run: link health per tile,
+/// the undelivered timed events, the stuck banks, the dead-link policy
+/// and the latent ECC masks.
+type FaultParts = (
+    Vec<LinkState>,
+    Vec<(u64, TimedFault)>,
+    Vec<(TileId, BankId)>,
+    DeadLinkPolicy,
+    Vec<(BankLocation, u32)>,
+);
 
 // ---------------------------------------------------------------------------
 // Cluster::checkpoint / Cluster::restore
 // ---------------------------------------------------------------------------
 
 impl Cluster {
-    /// Serializes the full simulated state as a `mempool-checkpoint/v1`
-    /// document. See the [module docs](self) for what is (and is
-    /// deliberately not) captured.
+    /// Serializes the full simulated state as a `mempool-checkpoint/v2`
+    /// document. See the [module docs](self) for the layout and for what
+    /// is (and is deliberately not) captured.
     pub fn checkpoint(&self) -> Json {
-        let params = &self.params;
-        let cores = self
-            .cores
-            .iter()
-            .map(|core| {
-                let (halted, hung, busy, outstanding, bubble) = core.timing_snapshot();
-                Json::obj([
-                    ("regs", json_u64s(core.regs.snapshot().map(u64::from))),
-                    ("pc", Json::Int(i64::from(core.pc))),
-                    ("halted", Json::Bool(halted)),
-                    ("hung", Json::Bool(hung)),
-                    ("busy", Json::Int(i64::from(busy))),
-                    ("outstanding", Json::Int(i64::from(outstanding))),
-                    ("bubble", Json::Int(i64::from(bubble))),
-                    ("stats", core_stats_to_json(&core.stats)),
-                ])
-            })
-            .collect();
-        let icaches = self
-            .icaches
-            .iter()
-            .map(|icache| {
-                let (tags, stamps, clock, hits, misses) = icache.state_snapshot();
-                Json::obj([
-                    ("tags", json_u64s(tags.iter().map(|&t| u64::from(t)))),
-                    ("stamps", json_u64s(stamps.iter().copied())),
-                    ("clock", Json::Int(clock as i64)),
-                    ("hits", Json::Int(hits as i64)),
-                    ("misses", Json::Int(misses as i64)),
-                ])
-            })
-            .collect();
-        let banks = self
-            .banks
-            .iter()
-            .map(|bank| {
-                Json::obj([
-                    (
-                        "queue",
-                        Json::Arr(
-                            bank.queue
-                                .iter()
-                                .map(|req| {
-                                    Json::obj([
-                                        ("arrival", Json::Int(req.arrival as i64)),
-                                        ("core", Json::Int(i64::from(req.core))),
-                                        ("loc", loc_to_json(req.loc)),
-                                        ("kind", kind_to_json(req.kind)),
-                                        ("resp_latency", Json::Int(i64::from(req.resp_latency))),
-                                        ("addr", Json::Int(i64::from(req.addr))),
-                                    ])
-                                })
-                                .collect(),
-                        ),
-                    ),
-                    (
-                        "stats",
-                        Json::obj([
-                            ("served", Json::Int(bank.stats.served as i64)),
-                            ("conflicts", Json::Int(bank.stats.conflicts as i64)),
-                            (
-                                "max_queue_depth",
-                                Json::Int(bank.stats.max_queue_depth as i64),
-                            ),
-                        ]),
-                    ),
-                ])
-            })
-            .collect();
-        let responses = self
-            .responses
-            .iter()
-            .map(|per_core| {
-                Json::Arr(
-                    per_core
-                        .iter()
-                        .map(|resp| {
-                            Json::obj([
-                                ("due", Json::Int(resp.due as i64)),
-                                ("reg", reg_to_json(resp.reg)),
-                                ("value", Json::Int(i64::from(resp.value))),
-                            ])
-                        })
-                        .collect(),
-                )
-            })
-            .collect();
-        let remaps: Vec<Json> = self
-            .storage
-            .map()
-            .remap()
-            .map(|remap| {
-                remap
-                    .entries()
-                    .map(|(tile, from, to)| {
-                        Json::Arr(vec![
-                            Json::Int(i64::from(tile.0)),
-                            Json::Int(i64::from(from.0)),
-                            Json::Int(i64::from(to.0)),
-                        ])
-                    })
-                    .collect()
-            })
-            .unwrap_or_default();
-        let storage = Json::obj([
-            ("spm", Json::Str(words_to_hex(self.storage.spm_words()))),
-            ("spare", Json::Str(words_to_hex(self.storage.spare_words()))),
+        let (config, params) = (&self.config, &self.params);
+        let icaches: Vec<ICacheState> = self.icaches.iter().map(ICache::state_snapshot).collect();
+        let storage: StorageParts = (
+            self.storage.spares_per_tile(),
+            self.storage.external_entries().into_owned(),
+            self.storage.spm_word_touches(),
+            self.storage
+                .map()
+                .remap()
+                .map(|remap| remap.entries().collect())
+                .unwrap_or_default(),
+        );
+        let faults: Option<FaultParts> = self.faults.as_ref().map(|ctrl| {
             (
-                "spares_per_tile",
-                Json::Int(i64::from(self.storage.spares_per_tile())),
-            ),
-            (
-                "external",
-                Json::Arr(
-                    self.storage
-                        .external_entries()
-                        .iter()
-                        .map(|&(offset, value)| {
-                            Json::Arr(vec![Json::Int(offset as i64), Json::Int(i64::from(value))])
-                        })
-                        .collect(),
-                ),
-            ),
-            ("touches", Json::Int(self.storage.spm_word_touches() as i64)),
-            ("remaps", Json::Arr(remaps)),
-        ]);
-        let faults = match &self.faults {
-            Some(ctrl) => Json::obj([
-                (
-                    "links",
-                    Json::Arr(ctrl.links().iter().map(|&l| link_to_json(l)).collect()),
-                ),
-                (
-                    "timed",
-                    Json::Arr(
-                        ctrl.remaining_timed()
-                            .iter()
-                            .map(|&(cycle, fault)| timed_to_json(cycle, fault))
-                            .collect(),
-                    ),
-                ),
-                (
-                    "stuck",
-                    Json::Arr(
-                        ctrl.stuck_banks()
-                            .iter()
-                            .map(|&(tile, bank)| {
-                                Json::Arr(vec![
-                                    Json::Int(i64::from(tile.0)),
-                                    Json::Int(i64::from(bank.0)),
-                                ])
-                            })
-                            .collect(),
-                    ),
-                ),
-                (
-                    "dead_link_policy",
-                    Json::str(policy_tag(ctrl.dead_link_policy())),
-                ),
-                (
-                    "ecc",
-                    Json::Arr(
-                        ctrl.ecc_state()
-                            .entries()
-                            .into_iter()
-                            .map(|(loc, mask)| {
-                                Json::obj([
-                                    ("loc", loc_to_json(loc)),
-                                    ("mask", Json::Int(i64::from(mask))),
-                                ])
-                            })
-                            .collect(),
-                    ),
-                ),
-                ("report", ctrl.report().to_json()),
-            ]),
-            None => Json::Null,
-        };
-        let watchdog = match &self.watchdog {
-            Some(watchdog) => Json::obj([
-                ("threshold", Json::Int(watchdog.threshold() as i64)),
-                ("last_progress", Json::Int(watchdog.last_progress() as i64)),
-            ]),
-            None => Json::Null,
-        };
-        let sampler = match &self.sampler {
-            Some(sampler) => Json::obj([
-                ("window", Json::Int(sampler.window as i64)),
-                ("epoch_start", Json::Int(sampler.epoch_start as i64)),
-                ("next_at", Json::Int(sampler.next_at as i64)),
-                (
-                    "retired_per_tile",
-                    json_u64s(sampler.retired_per_tile.iter().copied()),
-                ),
-                ("local_accesses", Json::Int(sampler.local_accesses as i64)),
-                ("remote_accesses", Json::Int(sampler.remote_accesses as i64)),
-                ("conflicts", Json::Int(sampler.conflicts as i64)),
-                ("offchip_bytes", Json::Int(sampler.offchip_bytes as i64)),
-                ("spm_touches", Json::Int(sampler.spm_touches as i64)),
-            ]),
-            None => Json::Null,
-        };
+                ctrl.links().to_vec(),
+                ctrl.remaining_timed().to_vec(),
+                ctrl.stuck_banks().to_vec(),
+                ctrl.dead_link_policy(),
+                ctrl.ecc_state().entries(),
+            )
+        });
+        let watchdog = self
+            .watchdog
+            .map(|watchdog| (watchdog.threshold(), watchdog.last_progress()));
         Json::obj([
             ("schema", Json::str(CHECKPOINT_SCHEMA)),
             ("engine_version", Json::str(ENGINE_VERSION)),
@@ -593,104 +599,61 @@ impl Cluster {
             ),
             (
                 "config",
-                Json::obj([
-                    ("groups", Json::Int(i64::from(self.config.groups()))),
-                    (
-                        "tiles_per_group",
-                        Json::Int(i64::from(self.config.tiles_per_group())),
-                    ),
-                    (
-                        "cores_per_tile",
-                        Json::Int(i64::from(self.config.cores_per_tile())),
-                    ),
-                    (
-                        "banks_per_tile",
-                        Json::Int(i64::from(self.config.banks_per_tile())),
-                    ),
-                    ("bank_words", Json::Int(i64::from(self.config.bank_words()))),
-                    (
-                        "icache_bytes_per_tile",
-                        Json::Int(i64::from(self.config.icache_bytes_per_tile())),
-                    ),
-                    (
-                        "icache_banks_per_tile",
-                        Json::Int(i64::from(self.config.icache_banks_per_tile())),
-                    ),
-                    (
-                        "remote_ports_per_tile",
-                        Json::Int(i64::from(self.config.remote_ports_per_tile())),
-                    ),
+                named([
+                    ("groups", config.groups()),
+                    ("tiles_per_group", config.tiles_per_group()),
+                    ("cores_per_tile", config.cores_per_tile()),
+                    ("banks_per_tile", config.banks_per_tile()),
+                    ("bank_words", config.bank_words()),
+                    ("icache_bytes_per_tile", config.icache_bytes_per_tile()),
+                    ("icache_banks_per_tile", config.icache_banks_per_tile()),
+                    ("remote_ports_per_tile", config.remote_ports_per_tile()),
                 ]),
             ),
             (
                 "params",
-                Json::obj([
-                    (
-                        "tile_local",
-                        Json::Int(i64::from(params.latency.tile_local)),
-                    ),
-                    (
-                        "group_local",
-                        Json::Int(i64::from(params.latency.group_local)),
-                    ),
-                    ("remote", Json::Int(i64::from(params.latency.remote))),
-                    (
-                        "max_outstanding",
-                        Json::Int(i64::from(params.max_outstanding)),
-                    ),
-                    (
-                        "taken_branch_penalty",
-                        Json::Int(i64::from(params.taken_branch_penalty)),
-                    ),
-                    (
-                        "icache_miss_penalty",
-                        Json::Int(i64::from(params.icache_miss_penalty)),
-                    ),
-                    (
-                        "icache_line_words",
-                        Json::Int(i64::from(params.icache_line_words)),
-                    ),
-                    ("icache_ways", Json::Int(i64::from(params.icache_ways))),
-                    (
-                        "offchip_bytes_per_cycle",
-                        Json::Int(i64::from(params.offchip_bytes_per_cycle)),
-                    ),
-                    (
-                        "offchip_latency",
-                        Json::Int(i64::from(params.offchip_latency)),
-                    ),
-                    (
-                        "ecc_correction_penalty",
-                        Json::Int(i64::from(params.ecc_correction_penalty)),
-                    ),
+                named([
+                    ("tile_local", params.latency.tile_local),
+                    ("group_local", params.latency.group_local),
+                    ("remote", params.latency.remote),
+                    ("max_outstanding", params.max_outstanding),
+                    ("taken_branch_penalty", params.taken_branch_penalty),
+                    ("icache_miss_penalty", params.icache_miss_penalty),
+                    ("icache_line_words", params.icache_line_words),
+                    ("icache_ways", params.icache_ways),
+                    ("offchip_bytes_per_cycle", params.offchip_bytes_per_cycle),
+                    ("offchip_latency", params.offchip_latency),
+                    ("ecc_correction_penalty", params.ecc_correction_penalty),
                 ]),
             ),
-            ("cycle", Json::Int(self.cycle as i64)),
-            ("dma_bytes", Json::Int(self.dma_bytes as i64)),
-            ("dma_cycles", Json::Int(self.dma_cycles as i64)),
             (
-                "program",
-                json_u64s(self.program.to_words().into_iter().map(u64::from)),
+                "clock",
+                section_of(&(self.cycle, self.dma_bytes, self.dma_cycles)),
             ),
-            ("cores", Json::Arr(cores)),
-            ("icaches", Json::Arr(icaches)),
-            ("banks", Json::Arr(banks)),
-            ("responses", Json::Arr(responses)),
+            ("program", to_hex(&self.program.to_words())),
+            ("cores", section_of(&self.cores)),
+            ("icaches", section_of(&icaches)),
+            ("banks", section_of(&self.banks)),
+            ("responses", section_of(&self.responses)),
             (
                 "offchip",
-                Json::obj([
-                    ("busy_until", Json::Int(self.offchip.busy_until() as i64)),
-                    ("total_bytes", Json::Int(self.offchip.total_bytes() as i64)),
-                    (
-                        "total_cycles",
-                        Json::Int(self.offchip.total_cycles() as i64),
-                    ),
-                ]),
+                section_of(&(
+                    self.offchip.busy_until(),
+                    self.offchip.total_bytes(),
+                    self.offchip.total_cycles(),
+                )),
             ),
-            ("storage", storage),
-            ("faults", faults),
-            ("watchdog", watchdog),
-            ("sampler", sampler),
+            ("storage", section_of(&storage)),
+            ("spm", to_hex(self.storage.spm_words())),
+            ("spare", to_hex(self.storage.spare_words())),
+            ("faults", section_of(&faults)),
+            (
+                "fault_report",
+                self.fault_report()
+                    .map_or(Json::Null, |report| report.to_json()),
+            ),
+            ("watchdog", section_of(&watchdog)),
+            ("sampler", section_of(&self.sampler)),
         ])
     }
 
@@ -703,28 +666,26 @@ impl Cluster {
     /// [`Cluster::enable_flight`] as needed (the latter re-attaches the
     /// flight ring to the restored fault controller).
     ///
+    /// The document is decoded in full, then checked, and only then is
+    /// anything built from it. The checks: schema, engine version and
+    /// parameter digest; a configuration the builder accepts and an I$
+    /// geometry that constructs; a program that decodes; a clock the
+    /// engine can count on from; core, response-queue, I$ and bank counts
+    /// and the SPM and spare image lengths equal to what the geometry
+    /// gives (in checked arithmetic); every queued request waiting at the
+    /// bank its location names, for a word inside the bank, from a core
+    /// that exists and counts it among its outstanding transactions; I$
+    /// arrays of the cache's size; a remap table that replays onto the
+    /// same spares.
+    ///
     /// # Errors
     ///
-    /// [`CheckpointError::Mismatch`] for a checkpoint from a different
-    /// engine version or inconsistent parameters,
-    /// [`CheckpointError::Malformed`] for structural problems.
+    /// [`CheckpointError::Mismatch`] for a checkpoint of another schema or
+    /// engine version or with inconsistent parameters,
+    /// [`CheckpointError::Malformed`] for everything else above.
     pub fn restore(doc: &Json) -> Result<Cluster, CheckpointError> {
-        let schema = doc.str_field("schema")?;
-        if schema != CHECKPOINT_SCHEMA {
-            return Err(CheckpointError::Mismatch {
-                field: "schema",
-                expected: CHECKPOINT_SCHEMA.to_string(),
-                found: schema.to_string(),
-            });
-        }
-        let engine = doc.str_field("engine_version")?;
-        if engine != ENGINE_VERSION {
-            return Err(CheckpointError::Mismatch {
-                field: "engine_version",
-                expected: ENGINE_VERSION.to_string(),
-                found: engine.to_string(),
-            });
-        }
+        expect_field(doc, "schema", CHECKPOINT_SCHEMA)?;
+        expect_field(doc, "engine_version", ENGINE_VERSION)?;
 
         let cfg = doc.field("config")?;
         let config = ClusterConfig::builder()
@@ -756,15 +717,7 @@ impl Cluster {
             ecc_correction_penalty: p.u32_field("ecc_correction_penalty")?,
             threads: default_threads(),
         };
-        let expected_digest = format!("{:016x}", params.digest());
-        let saved_digest = doc.str_field("params_digest")?;
-        if saved_digest != expected_digest {
-            return Err(CheckpointError::Mismatch {
-                field: "params_digest",
-                expected: expected_digest,
-                found: saved_digest.to_string(),
-            });
-        }
+        expect_field(doc, "params_digest", &format!("{:016x}", params.digest()))?;
 
         ICache::check_geometry(
             config.icache_bytes_per_tile(),
@@ -773,152 +726,100 @@ impl Cluster {
         )
         .map_err(|rule| bad(format!("invalid icache geometry: {rule}")))?;
 
+        // Decode: every section becomes values before any is believed.
+        let program = Program::from_words(&from_hex::<u32>(doc, "program")?)
+            .map_err(|e| bad(format!("bad program: {e}")))?;
+        let (cycle, dma_bytes, dma_cycles): (u64, u64, u64) = section(doc, "clock")?;
+        let cores: Vec<Core> = section(doc, "cores")?;
+        let icaches: Vec<ICacheState> = section(doc, "icaches")?;
+        let banks: Vec<Bank> = section(doc, "banks")?;
+        let responses: Vec<Vec<Response>> = section(doc, "responses")?;
+        let (busy_until, total_bytes, total_cycles): (u64, u64, u64) = section(doc, "offchip")?;
+        let (spares_per_tile, external, touches, remaps): StorageParts = section(doc, "storage")?;
+        let spm = from_hex::<u32>(doc, "spm")?;
+        let spare = from_hex::<u32>(doc, "spare")?;
+        let faults = match section::<Option<FaultParts>>(doc, "faults")? {
+            Some(parts) => Some((parts, FaultReport::from_json(doc.field("fault_report")?)?)),
+            None => None,
+        };
+        let watchdog: Option<(u64, u64)> = section(doc, "watchdog")?;
+        let sampler: Option<Sampler> = section(doc, "sampler")?;
+
+        // Check: a clock the engine's `u64` half-tick counters can follow,
+        // then the values against the geometry, in the `u32` arithmetic
+        // the constructors use, before anything is sized by it.
+        if cycle > u64::MAX / 4 {
+            return Err(bad(format!("clock at cycle {cycle:#x} has no time left")));
+        }
+        let tiles = [config.groups(), config.tiles_per_group()];
+        let (banks_per_tile, bank_words) = (config.banks_per_tile(), config.bank_words());
+        let expect = |what: &str, saved: usize, per_tile: &[u32]| {
+            let expected = tiles.iter().chain(per_tile).fold(1u64, |count, &factor| {
+                count.saturating_mul(u64::from(factor))
+            });
+            if u32::try_from(saved).is_ok_and(|saved| u64::from(saved) == expected) {
+                return Ok(());
+            }
+            Err(bad(format!(
+                "{what} count mismatch: saved {saved}, config has {expected}"
+            )))
+        };
+        let per_core = [config.cores_per_tile()];
+        expect("core", cores.len(), &per_core)?;
+        expect("response-queue", responses.len(), &per_core)?;
+        expect("icache", icaches.len(), &[])?;
+        expect("bank", banks.len(), &[banks_per_tile])?;
+        expect("spm word", spm.len(), &[banks_per_tile, bank_words])?;
+        expect("spare word", spare.len(), &[spares_per_tile, bank_words])?;
+        let mut in_flight: Vec<usize> = responses.iter().map(Vec::len).collect();
+        for (index, bank) in banks.iter().enumerate() {
+            for request in &bank.queue {
+                let PendingAccess { core, loc, .. } = *request;
+                let home =
+                    u64::from(loc.tile.0) * u64::from(banks_per_tile) + u64::from(loc.bank.0);
+                let at_home =
+                    loc.bank.0 < banks_per_tile && home == index as u64 && loc.word < bank_words;
+                match in_flight.get_mut(core as usize) {
+                    Some(count) if at_home => *count += 1,
+                    _ => {
+                        return Err(bad(format!(
+                            "bank {index} queues core {core}'s request for {loc}"
+                        )))
+                    }
+                }
+            }
+        }
+        for (index, (core, in_flight)) in cores.iter().zip(in_flight).enumerate() {
+            if in_flight > core.outstanding() as usize {
+                return Err(bad(format!(
+                    "core {index} has {in_flight} transactions in flight but {} outstanding",
+                    core.outstanding()
+                )));
+            }
+        }
+
+        // Build.
         let mut cluster = Cluster::new(config, params);
-
-        let program_words: Vec<u32> = doc
-            .arr_field("program")?
-            .iter()
-            .map(|w| w.try_u32("program word"))
-            .collect::<Result<_, _>>()?;
-        cluster.install_program(
-            Program::from_words(&program_words).map_err(|e| bad(format!("bad program: {e}")))?,
-        );
-
-        let cores = doc.arr_field("cores")?;
-        if cores.len() != cluster.cores.len() {
-            return Err(bad(format!(
-                "core count mismatch: saved {}, config has {}",
-                cores.len(),
-                cluster.cores.len()
-            )));
+        cluster.install_program(program);
+        cluster.cores = cores;
+        for (icache, state) in cluster.icaches.iter_mut().zip(icaches) {
+            icache.restore_state(state).map_err(bad)?;
         }
-        for (core, saved) in cluster.cores.iter_mut().zip(cores) {
-            let regs = saved.u64s_field("regs")?;
-            if regs.len() != 32 {
-                return Err(bad("'regs' must have 32 entries"));
-            }
-            for (number, &value) in regs.iter().enumerate() {
-                let value = u32::try_from(value).map_err(|_| bad("register value exceeds u32"))?;
-                core.regs.write(Reg::new(number as u8), value);
-            }
-            core.pc = saved.u32_field("pc")?;
-            core.restore_timing(
-                saved.bool_field("halted")?,
-                saved.bool_field("hung")?,
-                saved.u32_field("busy")?,
-                saved.u32_field("outstanding")?,
-                saved.u32_field("bubble")?,
-            );
-            core.stats = core_stats_from_json(saved.field("stats")?)?;
-        }
-
-        let icaches = doc.arr_field("icaches")?;
-        if icaches.len() != cluster.icaches.len() {
-            return Err(bad(format!(
-                "icache count mismatch: saved {}, config has {}",
-                icaches.len(),
-                cluster.icaches.len()
-            )));
-        }
-        for (icache, saved) in cluster.icaches.iter_mut().zip(icaches) {
-            let tags = saved
-                .u64s_field("tags")?
-                .into_iter()
-                .map(|t| u32::try_from(t).map_err(|_| bad("icache tag exceeds u32")))
-                .collect::<Result<Vec<_>, _>>()?;
-            let stamps = saved.u64s_field("stamps")?;
-            icache
-                .restore_state(
-                    tags,
-                    stamps,
-                    saved.u64_field("clock")?,
-                    saved.u64_field("hits")?,
-                    saved.u64_field("misses")?,
-                )
-                .map_err(bad)?;
-        }
-
-        let banks = doc.arr_field("banks")?;
-        if banks.len() != cluster.banks.len() {
-            return Err(bad(format!(
-                "bank count mismatch: saved {}, config has {}",
-                banks.len(),
-                cluster.banks.len()
-            )));
-        }
-        for (bank, saved) in cluster.banks.iter_mut().zip(banks) {
-            let queue = saved
-                .arr_field("queue")?
-                .iter()
-                .map(|req| {
-                    Ok(PendingAccess {
-                        arrival: req.u64_field("arrival")?,
-                        core: req.u32_field("core")?,
-                        loc: loc_from_json(req.field("loc")?)?,
-                        kind: kind_from_json(req.field("kind")?)?,
-                        resp_latency: req.u32_field("resp_latency")?,
-                        addr: req.u32_field("addr")?,
-                    })
-                })
-                .collect::<Result<Vec<_>, CheckpointError>>()?;
-            let stats = saved.field("stats")?;
-            *bank = Bank {
-                queue,
-                stats: BankStats {
-                    served: stats.u64_field("served")?,
-                    conflicts: stats.u64_field("conflicts")?,
-                    max_queue_depth: stats.u64_field("max_queue_depth")?,
-                },
-            };
-        }
-
+        cluster.banks = banks;
         cluster
             .quantum
-            .rebuild_live(&cluster.banks, cluster.config.banks_per_tile() as usize);
-
-        let responses = doc.arr_field("responses")?;
-        if responses.len() != cluster.responses.len() {
-            return Err(bad(format!(
-                "response-queue count mismatch: saved {}, config has {}",
-                responses.len(),
-                cluster.responses.len()
-            )));
-        }
-        for (queue, saved) in cluster.responses.iter_mut().zip(responses) {
-            *queue = saved
-                .try_arr("'responses' entry")?
-                .iter()
-                .map(|resp| {
-                    Ok(Response {
-                        due: resp.u64_field("due")?,
-                        reg: reg_from_json(resp.field("reg")?, "response reg")?,
-                        value: resp.u32_field("value")?,
-                    })
-                })
-                .collect::<Result<Vec<_>, CheckpointError>>()?;
-        }
-
-        let offchip = doc.field("offchip")?;
-        cluster.offchip.restore_state(
-            offchip.u64_field("busy_until")?,
-            offchip.u64_field("total_bytes")?,
-            offchip.u64_field("total_cycles")?,
-        );
+            .rebuild_live(&cluster.banks, banks_per_tile as usize);
+        cluster.responses = responses;
+        cluster
+            .offchip
+            .restore_state(busy_until, total_bytes, total_cycles);
 
         // Storage: re-establish the remap table first (so the spare array
         // has its final size), then overwrite all contents wholesale.
-        let storage = doc.field("storage")?;
-        let spares_per_tile = storage.u32_field("spares_per_tile")?;
         if spares_per_tile > 0 {
             cluster.storage.provision_spares(spares_per_tile);
         }
-        for entry in storage.arr_field("remaps")? {
-            let [tile, from, to] = entry.try_arr("remap entry")? else {
-                return Err(bad("remap entries must be [tile, from, to] triples"));
-            };
-            let tile = TileId(tile.try_u32("remap tile")?);
-            let from = BankId(from.try_u32("remap from-bank")?);
-            let to = BankId(to.try_u32("remap to-bank")?);
+        for (tile, from, to) in remaps {
             let spare = cluster
                 .storage
                 .remap_bank(tile, from)
@@ -930,109 +831,23 @@ impl Cluster {
                 )));
             }
         }
-        let spm = hex_to_words(storage.str_field("spm")?, "'spm'")?;
-        let spare = hex_to_words(storage.str_field("spare")?, "'spare'")?;
-        let external = storage
-            .arr_field("external")?
-            .iter()
-            .map(|entry| {
-                let [offset, value] = entry.try_arr("external entry")? else {
-                    return Err(bad("external entries must be [offset, value] pairs"));
-                };
-                Ok((
-                    offset.try_u64("external offset")?,
-                    value.try_u32("external value")?,
-                ))
-            })
-            .collect::<Result<Vec<_>, CheckpointError>>()?;
         cluster
             .storage
-            .restore_contents(spm, spare, external, storage.u64_field("touches")?)
+            .restore_contents(spm, spare, external, touches)
             .map_err(bad)?;
 
-        match doc.field("faults")? {
-            Json::Null => {}
-            faults => {
-                let links = faults
-                    .arr_field("links")?
-                    .iter()
-                    .map(link_from_json)
-                    .collect::<Result<Vec<_>, _>>()?;
-                let timed = faults
-                    .arr_field("timed")?
-                    .iter()
-                    .map(timed_from_json)
-                    .collect::<Result<Vec<_>, _>>()?;
-                let stuck = faults
-                    .arr_field("stuck")?
-                    .iter()
-                    .map(|entry| {
-                        let [tile, bank] = entry.try_arr("stuck entry")? else {
-                            return Err(bad("stuck entries must be [tile, bank] pairs"));
-                        };
-                        Ok((
-                            TileId(tile.try_u32("stuck tile")?),
-                            BankId(bank.try_u32("stuck bank")?),
-                        ))
-                    })
-                    .collect::<Result<Vec<_>, CheckpointError>>()?;
-                let ecc = EccState::from_entries(
-                    faults
-                        .arr_field("ecc")?
-                        .iter()
-                        .map(|entry| {
-                            Ok((
-                                loc_from_json(entry.field("loc")?)?,
-                                entry.u32_field("mask")?,
-                            ))
-                        })
-                        .collect::<Result<Vec<_>, CheckpointError>>()?,
-                );
-                let report = FaultReport::from_json(faults.field("report")?)?;
-                cluster.faults = Some(FaultController::from_snapshot(
-                    links,
-                    timed,
-                    ecc,
-                    stuck,
-                    policy_from_tag(faults.str_field("dead_link_policy")?)?,
-                    report,
-                ));
-            }
-        }
-
-        match doc.field("watchdog")? {
-            Json::Null => {}
-            watchdog => {
-                // `Watchdog::new(threshold, now)` arms at `now`; feeding the
-                // saved last-progress cycle reproduces the exact stall
-                // window.
-                cluster.watchdog = Some(Watchdog::new(
-                    watchdog.u64_field("threshold")?,
-                    watchdog.u64_field("last_progress")?,
-                ));
-            }
-        }
-
-        match doc.field("sampler")? {
-            Json::Null => {}
-            sampler => {
-                cluster.sampler = Some(Sampler {
-                    window: sampler.u64_field("window")?.max(1),
-                    epoch_start: sampler.u64_field("epoch_start")?,
-                    next_at: sampler.u64_field("next_at")?,
-                    retired_per_tile: sampler.u64s_field("retired_per_tile")?,
-                    local_accesses: sampler.u64_field("local_accesses")?,
-                    remote_accesses: sampler.u64_field("remote_accesses")?,
-                    conflicts: sampler.u64_field("conflicts")?,
-                    offchip_bytes: sampler.u64_field("offchip_bytes")?,
-                    spm_touches: sampler.u64_field("spm_touches")?,
-                });
-            }
-        }
-
-        cluster.cycle = doc.u64_field("cycle")?;
-        cluster.dma_bytes = doc.u64_field("dma_bytes")?;
-        cluster.dma_cycles = doc.u64_field("dma_cycles")?;
+        cluster.faults = faults.map(|((links, timed, stuck, policy, ecc), report)| {
+            let ecc = EccState::from_entries(ecc);
+            FaultController::from_snapshot(links, timed, ecc, stuck, policy, report)
+        });
+        // `Watchdog::new(threshold, now)` arms at `now`; feeding the saved
+        // last-progress cycle reproduces the exact stall window.
+        cluster.watchdog =
+            watchdog.map(|(threshold, last_progress)| Watchdog::new(threshold, last_progress));
+        cluster.sampler = sampler;
+        cluster.cycle = cycle;
+        cluster.dma_bytes = dma_bytes;
+        cluster.dma_cycles = dma_cycles;
         Ok(cluster)
     }
 
@@ -1204,7 +1019,9 @@ pub fn run_with_checkpoints(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mempool_isa::Program;
+    use mempool_arch::GlobalCoreId;
+    use mempool_fault::{FaultEvent, FaultPlan, XorShift64};
+    use mempool_obs::Obs;
 
     fn small_config() -> ClusterConfig {
         ClusterConfig::builder()
@@ -1350,13 +1167,215 @@ mod tests {
         );
     }
 
+    /// A snapshot with everything a file can carry in it: requests queued
+    /// at banks, responses on their way, external memory, a fault plan
+    /// part-delivered (a degraded link, a remapped bank, a latent ECC
+    /// mask, a flip and a hang still to come), a watchdog and a sampler.
+    fn eventful_snapshot() -> Json {
+        let mut cluster = fresh_cluster();
+        cluster.attach_obs(&Obs::new(), "eventful");
+        cluster.enable_timeseries(16);
+        cluster.storage_mut().write_external_word(64, 0xfeed);
+        let far = |word| BankLocation {
+            tile: TileId(3),
+            bank: BankId(3),
+            word,
+        };
+        let mut plan = FaultPlan::new(7);
+        for event in [
+            FaultEvent::LinkDegraded {
+                tile: TileId(1),
+                extra_latency: 2,
+            },
+            FaultEvent::StuckBank {
+                tile: TileId(2),
+                bank: BankId(1),
+            },
+            FaultEvent::TransientFlip {
+                cycle: 5,
+                loc: far(63),
+                mask: 1,
+            },
+            FaultEvent::TransientFlip {
+                cycle: 90,
+                loc: far(62),
+                mask: 4,
+            },
+            FaultEvent::CoreHang {
+                cycle: 120,
+                core: GlobalCoreId(5),
+            },
+        ] {
+            plan.push(event);
+        }
+        cluster.inject_faults(&plan).unwrap();
+        cluster.set_watchdog(500);
+        assert!(matches!(cluster.run(37), Err(SimError::Timeout { .. })));
+        assert!(cluster.banks.iter().any(|bank| !bank.queue.is_empty()));
+        assert!(cluster.responses.iter().any(|queue| !queue.is_empty()));
+        let faults = cluster.faults.as_ref().unwrap();
+        assert_eq!(faults.remaining_timed().len(), 2);
+        assert_eq!(faults.ecc_state().pending_words(), 1);
+        Json::parse(&cluster.checkpoint().to_pretty()).unwrap()
+    }
+
+    /// The eventful snapshot with the first request queued at any bank
+    /// rewritten by `edit`, as `restore` answers it.
+    fn with_first_request(edit: impl FnOnce(&mut PendingAccess)) -> CheckpointError {
+        let mut doc = eventful_snapshot();
+        let mut banks: Vec<Bank> = section(&doc, "banks").unwrap();
+        let request = banks
+            .iter_mut()
+            .find_map(|bank| bank.queue.first_mut())
+            .unwrap();
+        edit(request);
+        set(&mut doc, &["banks"], section_of(&banks));
+        Cluster::restore(&doc).unwrap_err()
+    }
+
+    fn assert_malformed(err: CheckpointError, fragment: &str) {
+        assert!(
+            matches!(&err, CheckpointError::Malformed(msg) if msg.contains(fragment)),
+            "expected a malformed checkpoint naming {fragment:?}, got: {err}"
+        );
+    }
+
+    // The six regressions below restore files that used to crash the
+    // process (or worse, run): v1 indexed with these values unchecked.
+
+    #[test]
+    fn queued_request_from_a_core_that_does_not_exist_is_malformed() {
+        let err = with_first_request(|request| request.core = 100_000);
+        assert_malformed(err, "core 100000's request");
+    }
+
+    #[test]
+    fn queued_request_for_a_bank_outside_the_tile_is_malformed() {
+        let err = with_first_request(|request| request.loc.bank = BankId(9999));
+        assert_malformed(err, ":b9999[");
+    }
+
+    #[test]
+    fn queued_request_for_a_word_outside_the_bank_is_malformed() {
+        let err = with_first_request(|request| request.loc.word = 9_999_999);
+        assert_malformed(err, "[9999999]");
+    }
+
+    #[test]
+    fn queued_request_waiting_in_another_tiles_bank_is_malformed() {
+        // In range, so nothing would crash: the request would silently
+        // be served from the wrong tile's storage.
+        let err = with_first_request(|request| request.loc.tile = TileId(request.loc.tile.0 ^ 1));
+        assert_malformed(err, "queues core");
+    }
+
+    #[test]
+    fn spare_pool_the_file_cannot_back_is_malformed_not_an_abort() {
+        let mut doc = eventful_snapshot();
+        let (_, external, touches, remaps): StorageParts = section(&doc, "storage").unwrap();
+        let storage: StorageParts = (4_000_000_000, external, touches, remaps);
+        set(&mut doc, &["storage"], section_of(&storage));
+        assert_malformed(Cluster::restore(&doc).unwrap_err(), "spare word count");
+    }
+
+    #[test]
+    fn geometry_the_file_cannot_back_is_malformed_before_anything_is_built() {
+        let mut doc = eventful_snapshot();
+        set(&mut doc, &["config", "groups"], Json::Int(65_536));
+        assert_malformed(Cluster::restore(&doc).unwrap_err(), "core count mismatch");
+    }
+
+    #[test]
+    fn more_transactions_in_flight_than_outstanding_is_malformed() {
+        // A response for a core that awaits none would trip the core's
+        // own bookkeeping on delivery.
+        let mut doc = eventful_snapshot();
+        let mut cores: Vec<Core> = section(&doc, "cores").unwrap();
+        let responses: Vec<Vec<Response>> = section(&doc, "responses").unwrap();
+        let awaited = responses
+            .iter()
+            .position(|queue| !queue.is_empty())
+            .unwrap();
+        cores[awaited] = Core::new();
+        set(&mut doc, &["cores"], section_of(&cores));
+        assert_malformed(Cluster::restore(&doc).unwrap_err(), "in flight");
+    }
+
+    #[test]
+    fn a_v1_document_is_a_schema_mismatch() {
+        let mut doc = eventful_snapshot();
+        set(&mut doc, &["schema"], Json::str("mempool-checkpoint/v1"));
+        assert!(matches!(
+            Cluster::restore(&doc).unwrap_err(),
+            CheckpointError::Mismatch {
+                field: "schema",
+                ..
+            }
+        ));
+    }
+
+    /// Every section, damaged every way a file gets damaged: `restore`
+    /// answers with a typed error, or with a cluster that runs to an end
+    /// or a typed simulator error. A panic anywhere fails the test.
+    #[test]
+    fn damaged_sections_are_typed_errors_or_clusters_that_run() {
+        let saved = eventful_snapshot();
+        let mut rng = XorShift64::new(21);
+        let (mut refused, mut ran) = (0, 0);
+        for (name, digits) in [
+            ("clock", 16),
+            ("program", 8),
+            ("cores", 16),
+            ("icaches", 16),
+            ("banks", 16),
+            ("responses", 16),
+            ("offchip", 16),
+            ("storage", 16),
+            ("spm", 8),
+            ("spare", 8),
+            ("faults", 16),
+            ("watchdog", 16),
+            ("sampler", 16),
+        ] {
+            let text = saved.str_field(name).unwrap();
+            let mut damaged = vec![
+                text[..text.len() - digits].to_string(),
+                format!("{text}{}", "0".repeat(digits)),
+                "ffffffffffffffff".to_string(),
+                "not hex at all..".to_string(),
+            ];
+            for _ in 0..16 {
+                let at = rng.below(text.len() as u64) as usize;
+                let digit = u32::from_str_radix(&text[at..=at], 16).unwrap();
+                let flipped = char::from_digit(digit ^ (1 + rng.below(15) as u32), 16).unwrap();
+                damaged.push(format!("{}{flipped}{}", &text[..at], &text[at + 1..]));
+            }
+            for text in damaged {
+                let mut doc = saved.clone();
+                set(&mut doc, &[name], Json::Str(text.clone()));
+                match Cluster::restore(&doc) {
+                    Err(CheckpointError::Malformed(_) | CheckpointError::Mismatch { .. }) => {
+                        refused += 1;
+                    }
+                    Err(other) => panic!("{name} = {text:?}: {other}"),
+                    Ok(mut cluster) => {
+                        // `Ok` or a typed `SimError`: both are answers.
+                        let _ = cluster.run(20_000);
+                        ran += 1;
+                    }
+                }
+            }
+        }
+        assert!(refused > 100 && ran > 20, "{refused} refused, {ran} ran");
+    }
+
     #[test]
     fn truncated_checkpoint_file_is_quarantined_not_a_panic() {
         let dir = std::env::temp_dir().join(format!("mempool-ckpt-corrupt-{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
         fs::create_dir_all(&dir).unwrap();
         let path = dir.join("ckpt-000000000001.json");
-        fs::write(&path, "{\"schema\": \"mempool-checkpoint/v1\", trunc").unwrap();
+        fs::write(&path, "{\"schema\": \"mempool-checkpoint/v2\", trunc").unwrap();
         let err = Cluster::restore_from_file(&path).unwrap_err();
         assert!(matches!(err, CheckpointError::Malformed(_)));
         assert!(!path.exists(), "corrupt file renamed away");

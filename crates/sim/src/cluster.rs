@@ -33,6 +33,7 @@ use mempool_isa::exec::{MemAccessKind, MemWidth};
 use mempool_isa::{Program, Reg};
 use mempool_obs::{chrome_trace_with_counters, Counter, FlightRecorder, Json, Obs, TrackId};
 
+use crate::ckpt::words_struct;
 use crate::core::{Core, IssueRecord};
 use crate::engine;
 use crate::icache::ICache;
@@ -168,7 +169,7 @@ impl From<RemapError> for SimError {
 }
 
 /// A request waiting at (or traveling to) a bank.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) struct PendingAccess {
     /// Cycle the request reaches the bank; servable strictly after.
     pub(crate) arrival: u64,
@@ -180,19 +181,32 @@ pub(crate) struct PendingAccess {
     pub(crate) addr: u32,
 }
 
+words_struct!(PendingAccess {
+    arrival,
+    core,
+    loc,
+    kind,
+    resp_latency,
+    addr,
+});
+
 #[derive(Debug, Clone, Default)]
 pub(crate) struct Bank {
     pub(crate) queue: Vec<PendingAccess>,
     pub(crate) stats: BankStats,
 }
 
+words_struct!(Bank { queue, stats });
+
 /// A completed transaction traveling back to its core.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) struct Response {
     pub(crate) due: u64,
     pub(crate) reg: Option<Reg>,
     pub(crate) value: u32,
 }
+
+words_struct!(Response { due, reg, value });
 
 /// Observability attachment: shared handle plus the tracks and counters
 /// this cluster records into (see [`Cluster::attach_obs`]). `Rc`-based
@@ -248,6 +262,18 @@ pub(crate) struct Sampler {
     pub(crate) offchip_bytes: u64,
     pub(crate) spm_touches: u64,
 }
+
+words_struct!(Sampler {
+    window,
+    epoch_start,
+    next_at,
+    retired_per_tile,
+    local_accesses,
+    remote_accesses,
+    conflicts,
+    offchip_bytes,
+    spm_touches,
+});
 
 impl Sampler {
     /// Re-baselines the counters at `now`: the next epoch's deltas are

@@ -8,6 +8,7 @@
 
 use mempool_isa::{Instr, Reg, RegFile};
 
+use crate::ckpt::words_struct;
 use crate::stats::CoreStats;
 
 /// Why a core could not issue this cycle.
@@ -66,6 +67,17 @@ pub struct Core {
     /// Execution statistics.
     pub stats: CoreStats,
 }
+
+words_struct!(Core {
+    regs,
+    pc,
+    halted,
+    hung,
+    busy,
+    outstanding,
+    bubble,
+    stats,
+});
 
 impl Core {
     /// Creates a reset core starting at pc 0.
@@ -187,34 +199,6 @@ impl Core {
             }
         }
         self.outstanding += 1;
-    }
-
-    /// Snapshot of the private timing state, for checkpointing:
-    /// `(halted, hung, busy, outstanding, bubble)`.
-    pub(crate) fn timing_snapshot(&self) -> (bool, bool, u32, u32, u32) {
-        (
-            self.halted,
-            self.hung,
-            self.busy,
-            self.outstanding,
-            self.bubble,
-        )
-    }
-
-    /// Restores the private timing state from a checkpoint.
-    pub(crate) fn restore_timing(
-        &mut self,
-        halted: bool,
-        hung: bool,
-        busy: u32,
-        outstanding: u32,
-        bubble: u32,
-    ) {
-        self.halted = halted;
-        self.hung = hung;
-        self.busy = busy;
-        self.outstanding = outstanding;
-        self.bubble = bubble;
     }
 
     /// Completes a memory transaction, optionally writing `value` to `reg`.

@@ -29,6 +29,10 @@ pub struct ICache {
 
 const INVALID: u32 = u32::MAX;
 
+/// The mutable state a checkpoint keeps of a cache: tags, LRU stamps, the
+/// LRU clock, hits and misses.
+pub(crate) type ICacheState = (Vec<u32>, Vec<u64>, u64, u64, u64);
+
 impl ICache {
     /// Creates a cold direct-mapped cache with capacity for
     /// `capacity_bytes` of instructions in lines of `line_words` words.
@@ -160,22 +164,24 @@ impl ICache {
         self.stamps.fill(0);
     }
 
-    /// Snapshot of the mutable cache state, for checkpointing:
-    /// `(tags, stamps, clock, hits, misses)`. Geometry (`sets`, `ways`,
-    /// `line_words`) is rebuilt from configuration on restore.
-    pub(crate) fn state_snapshot(&self) -> (&[u32], &[u64], u64, u64, u64) {
-        (&self.tags, &self.stamps, self.clock, self.hits, self.misses)
+    /// Snapshot of the mutable cache state, for checkpointing. Geometry
+    /// (`sets`, `ways`, `line_words`) is rebuilt from configuration on
+    /// restore.
+    pub(crate) fn state_snapshot(&self) -> ICacheState {
+        (
+            self.tags.clone(),
+            self.stamps.clone(),
+            self.clock,
+            self.hits,
+            self.misses,
+        )
     }
 
     /// Restores the mutable cache state from a checkpoint. Fails (with a
     /// description) if the saved arrays do not match this cache's geometry.
     pub(crate) fn restore_state(
         &mut self,
-        tags: Vec<u32>,
-        stamps: Vec<u64>,
-        clock: u64,
-        hits: u64,
-        misses: u64,
+        (tags, stamps, clock, hits, misses): ICacheState,
     ) -> Result<(), String> {
         if tags.len() != self.tags.len() || stamps.len() != self.stamps.len() {
             return Err(format!(

@@ -5,6 +5,7 @@ use std::fmt;
 use mempool_arch::{AccessClass, GroupNetwork};
 use mempool_obs::{AttributionReport, BankConflictInput, CoreCycleInput};
 
+use crate::ckpt::{words_struct, Words};
 use crate::params::{fnv1a, FNV_OFFSET};
 
 /// Per-core execution statistics.
@@ -40,6 +41,20 @@ pub struct CoreStats {
     /// `GroupNetwork as usize` (local, north, northeast, east).
     pub network_accesses: [u64; 4],
 }
+
+words_struct!(CoreStats {
+    retired,
+    stall_scoreboard,
+    stall_structural,
+    stall_icache,
+    icache_misses,
+    stall_branch,
+    stall_fault_retry,
+    stall_ecc,
+    halted_cycles,
+    accesses,
+    network_accesses,
+});
 
 impl CoreStats {
     /// Total stall cycles of all causes.
@@ -95,6 +110,12 @@ pub struct BankStats {
     pub max_queue_depth: u64,
 }
 
+words_struct!(BankStats {
+    served,
+    conflicts,
+    max_queue_depth,
+});
+
 /// Aggregated cluster statistics.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ClusterStats {
@@ -109,6 +130,14 @@ pub struct ClusterStats {
     /// Cycles spent in DMA transfers.
     pub dma_cycles: u64,
 }
+
+words_struct!(ClusterStats {
+    cycles,
+    cores,
+    banks,
+    dma_bytes,
+    dma_cycles,
+});
 
 impl ClusterStats {
     /// Total retired instructions across all cores.
@@ -199,42 +228,17 @@ impl ClusterStats {
         AttributionReport::new(self.cycles, &cores, cores_per_tile, &banks, banks_per_tile)
     }
 
-    /// A 64-bit FNV-1a digest over every counter in the report, in a fixed
-    /// field order. Two runs with equal digests saw the same cycles, the
-    /// same per-core retirement and stall breakdowns, the same per-bank
-    /// service counts, and the same DMA totals — the cross-engine
-    /// equivalence suite uses it to compare sequential and parallel runs
-    /// with one number.
+    /// A 64-bit FNV-1a digest over every counter in the report: the words
+    /// its `Words` field lists pack (`cycles`, the cores, the banks, the
+    /// DMA totals — the words a checkpoint would carry), so a counter
+    /// added to a list is in the digest. Two runs with equal digests saw
+    /// the same cycles, the same per-core retirement and stall
+    /// breakdowns, the same per-bank service counts, and the same DMA
+    /// totals — the cross-engine equivalence suite uses it to compare
+    /// sequential and parallel runs with one number.
     pub fn digest(&self) -> u64 {
         let mut hash = FNV_OFFSET;
-        let mut mix = |value: u64| hash = fnv1a(hash, &value.to_le_bytes());
-        mix(self.cycles);
-        mix(self.cores.len() as u64);
-        for c in &self.cores {
-            mix(c.retired);
-            mix(c.stall_scoreboard);
-            mix(c.stall_structural);
-            mix(c.stall_icache);
-            mix(c.icache_misses);
-            mix(c.stall_branch);
-            mix(c.stall_fault_retry);
-            mix(c.stall_ecc);
-            mix(c.halted_cycles);
-            for a in c.accesses {
-                mix(a);
-            }
-            for n in c.network_accesses {
-                mix(n);
-            }
-        }
-        mix(self.banks.len() as u64);
-        for b in &self.banks {
-            mix(b.served);
-            mix(b.conflicts);
-            mix(b.max_queue_depth);
-        }
-        mix(self.dma_bytes);
-        mix(self.dma_cycles);
+        self.pack(&mut |word| hash = fnv1a(hash, &word.to_le_bytes()));
         hash
     }
 }

@@ -1,21 +1,17 @@
-//! The full implementation dossier of one design point: the memory map,
-//! the area report, the memory-die floorplan, the density map, and the
-//! to-scale 2D/3D comparison — everything a physical-design review of the
+//! The full implementation dossier of one design point: the area report,
+//! the memory-die floorplan, the density map, and the to-scale 2D/3D
+//! comparison — everything a physical-design review of the
 //! 4 MiB configuration would want on one page.
 //!
 //! ```text
 //! cargo run --release --example implementation_report
 //! ```
 
-use mempool_3d::mempool_arch::{ClusterConfig, MemoryMap, SpmCapacity};
+use mempool_3d::mempool_arch::SpmCapacity;
 use mempool_3d::mempool_phys::{viz, AreaReport, Flow, GroupImplementation, TileImplementation};
 
 fn main() {
     let capacity = SpmCapacity::MiB4;
-    let config = ClusterConfig::with_capacity(capacity);
-
-    println!("=== memory map ===");
-    println!("{}", MemoryMap::new(&config));
 
     println!("=== tile (3D): memory die ===");
     let tile = TileImplementation::implement(capacity, Flow::ThreeD);

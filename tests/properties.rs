@@ -2,10 +2,16 @@
 
 use proptest::prelude::*;
 
-use mempool_3d::mempool_arch::{AddressMap, ClusterConfig, MemoryRegion, SpmCapacity};
+use mempool_3d::mempool_arch::{
+    AddressMap, BankId, BankLocation, ClusterConfig, MemoryRegion, SpmCapacity, TileId,
+};
+use mempool_3d::mempool_isa::exec::{MemAccessKind, MemWidth};
 use mempool_3d::mempool_isa::instr::{AluOp, AmoOp, BranchOp, LoadOp, MulOp, StoreOp, XpulpOp};
 use mempool_3d::mempool_isa::{decode, Instr, Program, Reg};
+use mempool_3d::mempool_sim::ckpt::records_round_trip;
 use mempool_3d::mempool_sim::core::{Core, Stall};
+use mempool_3d::mempool_sim::{fnv1a, BankStats, ClusterStats, CoreStats, FNV_OFFSET};
+use mempool_fault::TimedFault;
 
 fn reg_strategy() -> impl Strategy<Value = Reg> {
     (0u8..32).prop_map(Reg::new)
@@ -178,6 +184,50 @@ fn instr_strategy() -> impl Strategy<Value = Instr> {
     ]
 }
 
+fn loc_strategy() -> impl Strategy<Value = BankLocation> {
+    (any::<u32>(), any::<u32>(), any::<u32>()).prop_map(|(tile, bank, word)| BankLocation {
+        tile: TileId(tile),
+        bank: BankId(bank),
+        word,
+    })
+}
+
+fn access_kind_strategy() -> impl Strategy<Value = MemAccessKind> {
+    let width = || {
+        prop_oneof![
+            Just(MemWidth::Byte),
+            Just(MemWidth::Half),
+            Just(MemWidth::Word)
+        ]
+    };
+    let amo = prop_oneof![
+        Just(AmoOp::Add),
+        Just(AmoOp::Swap),
+        Just(AmoOp::And),
+        Just(AmoOp::Or),
+        Just(AmoOp::Xor),
+        Just(AmoOp::Max),
+        Just(AmoOp::Min)
+    ];
+    prop_oneof![
+        (width(), any::<bool>(), reg_strategy())
+            .prop_map(|(width, signed, rd)| MemAccessKind::Load { width, signed, rd }),
+        (width(), any::<u32>()).prop_map(|(width, value)| MemAccessKind::Store { width, value }),
+        (amo, any::<u32>(), reg_strategy()).prop_map(|(op, value, rd)| MemAccessKind::Amo {
+            op,
+            value,
+            rd
+        }),
+    ]
+}
+
+fn timed_fault_strategy() -> impl Strategy<Value = TimedFault> {
+    prop_oneof![
+        (loc_strategy(), any::<u32>()).prop_map(|(loc, mask)| TimedFault::Flip { loc, mask }),
+        any::<u32>().prop_map(|core| TimedFault::Hang { core }),
+    ]
+}
+
 /// A core whose scoreboard holds exactly the registers of `busy` (bit per
 /// register number) and `outstanding` transactions.
 fn core_with(busy: u32, outstanding: u32) -> Core {
@@ -235,6 +285,24 @@ proptest! {
                 "`{}` with pending mask {:#x}", instr, busy
             );
         }
+    }
+
+    /// Checkpoint words: a queued request, a response, an access kind and
+    /// a timed fault — the records with tags, options and nesting — each
+    /// unpack from the words they packed to an equal value, and leave no
+    /// word behind.
+    #[test]
+    fn checkpoint_records_round_trip_through_their_words(
+        times in (any::<u64>(), any::<u64>()),
+        numbers in (any::<u32>(), any::<u32>(), any::<u32>(), any::<u32>()),
+        loc in loc_strategy(),
+        kind in access_kind_strategy(),
+        fault in timed_fault_strategy(),
+    ) {
+        prop_assert!(
+            records_round_trip(times.into(), numbers.into(), loc, kind, fault),
+            "a record did not come back from its words"
+        );
     }
 
     /// Binary round trip: decode(encode(i)) == i for every instruction.
@@ -313,4 +381,52 @@ proptest! {
         let again = Program::assemble(&listing).expect("listing re-assembles");
         prop_assert_eq!(again.instrs(), program.instrs());
     }
+}
+
+/// The stats digest is FNV-1a over this word order and no other: cycles,
+/// the core count, each core's counters in struct order, the bank count,
+/// each bank's counters, the DMA totals. Written out literally, so that
+/// reordering a field list fails here and not only against the pins.
+#[test]
+fn stats_digest_is_fnv1a_over_the_literal_word_list() {
+    let core = |base: u64| CoreStats {
+        retired: base,
+        stall_scoreboard: base + 1,
+        stall_structural: base + 2,
+        stall_icache: base + 3,
+        icache_misses: base + 4,
+        stall_branch: base + 5,
+        stall_fault_retry: base + 6,
+        stall_ecc: base + 7,
+        halted_cycles: base + 8,
+        accesses: [base + 9, base + 10, base + 11],
+        network_accesses: [base + 12, base + 13, base + 14, base + 15],
+    };
+    let bank = |base: u64| BankStats {
+        served: base,
+        conflicts: base + 1,
+        max_queue_depth: base + 2,
+    };
+    let stats = ClusterStats {
+        cycles: 1000,
+        cores: vec![core(100), core(200)],
+        banks: vec![bank(300), bank(400)],
+        dma_bytes: 500,
+        dma_cycles: 501,
+    };
+    #[rustfmt::skip]
+    let words: [u64; 43] = [
+        1000,
+        2,
+        100, 101, 102, 103, 104, 105, 106, 107, 108, 109, 110, 111, 112, 113, 114, 115,
+        200, 201, 202, 203, 204, 205, 206, 207, 208, 209, 210, 211, 212, 213, 214, 215,
+        2,
+        300, 301, 302,
+        400, 401, 402,
+        500, 501,
+    ];
+    let expected = words
+        .iter()
+        .fold(FNV_OFFSET, |hash, word| fnv1a(hash, &word.to_le_bytes()));
+    assert_eq!(stats.digest(), expected);
 }
