@@ -138,26 +138,11 @@ pub struct BankRemap {
 
 impl BankRemap {
     /// An empty table backed by `spares_per_tile` spare banks per tile.
-    pub fn new(spares_per_tile: u32) -> Self {
+    pub(crate) fn new(spares_per_tile: u32) -> Self {
         BankRemap {
             spares_per_tile,
             entries: Vec::new(),
         }
-    }
-
-    /// Spare banks available per tile.
-    pub fn spares_per_tile(&self) -> u32 {
-        self.spares_per_tile
-    }
-
-    /// Number of active substitutions.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether no bank is remapped.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
     }
 
     /// Active substitutions as `(tile, from, to)` triples.
@@ -167,7 +152,7 @@ impl BankRemap {
 
     /// The spare bank backing `(tile, bank)`, if that bank is remapped.
     /// Linear scan: the table holds at most a handful of entries.
-    pub fn lookup(&self, tile: TileId, bank: BankId) -> Option<BankId> {
+    pub(crate) fn lookup(&self, tile: TileId, bank: BankId) -> Option<BankId> {
         self.entries
             .iter()
             .find(|e| e.tile == tile && e.from == bank)
@@ -214,8 +199,6 @@ pub struct AddressMap {
 }
 
 impl AddressMap {
-    /// Base address of the sequential region.
-    pub const SEQ_BASE: u32 = 0x0000_0000;
     /// Base address of the external (off-chip) memory window.
     pub const EXTERNAL_BASE: u32 = 0x8000_0000;
 
@@ -231,7 +214,7 @@ impl AddressMap {
     /// # Panics
     ///
     /// Panics if `seq_words_per_bank` exceeds the bank depth.
-    pub fn with_seq_words(cfg: &ClusterConfig, seq_words_per_bank: u32) -> Self {
+    pub(crate) fn with_seq_words(cfg: &ClusterConfig, seq_words_per_bank: u32) -> Self {
         assert!(
             seq_words_per_bank <= cfg.bank_words(),
             "sequential region ({seq_words_per_bank} words/bank) exceeds bank depth"
@@ -315,11 +298,6 @@ impl AddressMap {
             to: spare,
         });
         Ok(spare)
-    }
-
-    /// Words per bank reserved for the sequential region.
-    pub fn seq_words_per_bank(&self) -> u32 {
-        self.seq_words_per_bank
     }
 
     /// Bytes of sequential region owned by each tile.
@@ -469,7 +447,7 @@ mod tests {
     #[test]
     fn default_reserves_quarter_for_sequential() {
         let (cfg, map) = map();
-        assert_eq!(map.seq_words_per_bank(), cfg.bank_words() / 4);
+        assert_eq!(map.seq_words_per_bank, cfg.bank_words() / 4);
         assert_eq!(
             map.interleaved_bytes() + map.seq_bytes_per_tile() * 64,
             cfg.spm_bytes()
@@ -488,7 +466,7 @@ mod tests {
             assert_eq!(loc.global_bank(&cfg).0, expected_bank, "word {i}");
             assert_eq!(
                 loc.word,
-                (i / total_banks) as u32 + map.seq_words_per_bank(),
+                (i / total_banks) as u32 + map.seq_words_per_bank,
                 "word {i}"
             );
         }
@@ -506,7 +484,7 @@ mod tests {
                     panic!("sequential word not in SPM");
                 };
                 assert_eq!(loc.tile, TileId(tile));
-                assert!(loc.word < map.seq_words_per_bank());
+                assert!(loc.word < map.seq_words_per_bank);
             }
         }
     }
@@ -665,7 +643,7 @@ mod tests {
         // queue/statistics consumers.
         let addr = map.encode(logical).unwrap();
         assert_eq!(map.locate(addr), MemoryRegion::Spm(logical));
-        assert_eq!(map.remap().unwrap().len(), 1);
+        assert_eq!(map.remap().unwrap().entries.len(), 1);
     }
 
     #[test]
@@ -702,10 +680,10 @@ mod tests {
         map.disable_bank(TileId(0), BankId(0)).unwrap();
         // Re-enabling with the same or smaller count keeps the entry.
         map.enable_spares(1);
-        assert_eq!(map.remap().unwrap().len(), 1);
+        assert_eq!(map.remap().unwrap().entries.len(), 1);
         // Widening allows another substitution in the same tile.
         map.enable_spares(2);
         assert!(map.disable_bank(TileId(0), BankId(1)).is_ok());
-        assert_eq!(map.remap().unwrap().len(), 2);
+        assert_eq!(map.remap().unwrap().entries.len(), 2);
     }
 }

@@ -16,8 +16,6 @@ use std::str::FromStr;
 ///
 /// assert_eq!(SpmCapacity::MiB4.bytes(), 4 * 1024 * 1024);
 /// assert_eq!(SpmCapacity::MiB4.to_string(), "4 MiB");
-/// assert_eq!(SpmCapacity::MiB1.scale_factor(), 1);
-/// assert_eq!(SpmCapacity::MiB8.scale_factor(), 8);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub enum SpmCapacity {
@@ -54,11 +52,6 @@ impl SpmCapacity {
     /// Capacity in bytes.
     pub const fn bytes(self) -> u64 {
         self.mebibytes() * 1024 * 1024
-    }
-
-    /// Capacity relative to the 1 MiB baseline.
-    pub const fn scale_factor(self) -> u64 {
-        self.mebibytes()
     }
 
     /// Matrix-multiplication tile dimension `t` that fully utilizes this

@@ -3,7 +3,7 @@
 use std::fmt;
 
 use crate::capacity::SpmCapacity;
-use crate::ids::{GlobalBankId, GlobalCoreId, TileId};
+use crate::ids::TileId;
 
 /// Complete architectural configuration of a MemPool cluster.
 ///
@@ -51,15 +51,15 @@ pub struct ClusterConfig {
 
 impl ClusterConfig {
     /// Number of groups in the default MemPool cluster.
-    pub const DEFAULT_GROUPS: u32 = 4;
+    pub(crate) const DEFAULT_GROUPS: u32 = 4;
     /// Number of tiles per group in the default MemPool cluster.
-    pub const DEFAULT_TILES_PER_GROUP: u32 = 16;
+    pub(crate) const DEFAULT_TILES_PER_GROUP: u32 = 16;
     /// Number of Snitch cores per tile.
-    pub const DEFAULT_CORES_PER_TILE: u32 = 4;
+    pub(crate) const DEFAULT_CORES_PER_TILE: u32 = 4;
     /// Number of SPM banks per tile.
-    pub const DEFAULT_BANKS_PER_TILE: u32 = 16;
+    pub(crate) const DEFAULT_BANKS_PER_TILE: u32 = 16;
     /// L1 instruction cache per tile (2 KiB).
-    pub const DEFAULT_ICACHE_BYTES: u32 = 2048;
+    pub(crate) const DEFAULT_ICACHE_BYTES: u32 = 2048;
 
     /// Returns the full-size MemPool configuration with the given total SPM
     /// capacity.
@@ -162,24 +162,9 @@ impl ClusterConfig {
         self.num_banks() as u64 * self.bank_bytes()
     }
 
-    /// SPM capacity per tile in bytes.
-    pub fn spm_bytes_per_tile(&self) -> u64 {
-        self.banks_per_tile as u64 * self.bank_bytes()
-    }
-
     /// Iterator over all global tile indices.
-    pub fn tiles(&self) -> impl Iterator<Item = TileId> {
-        (0..self.num_tiles()).map(TileId::new)
-    }
-
-    /// Iterator over all global core indices.
-    pub fn cores(&self) -> impl Iterator<Item = GlobalCoreId> {
-        (0..self.num_cores()).map(GlobalCoreId::new)
-    }
-
-    /// Iterator over all global bank indices.
-    pub fn banks(&self) -> impl Iterator<Item = GlobalBankId> {
-        (0..self.num_banks()).map(GlobalBankId::new)
+    pub(crate) fn tiles(&self) -> impl Iterator<Item = TileId> {
+        (0..self.num_tiles()).map(TileId)
     }
 }
 
@@ -204,8 +189,8 @@ impl fmt::Display for ClusterConfig {
     }
 }
 
-/// Error returned when a [`ClusterConfigBuilder`] describes an invalid
-/// cluster.
+/// Error returned when a [`ClusterConfig::builder`] chain describes an
+/// invalid cluster.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ConfigError {
     /// A structural parameter was zero.
@@ -221,6 +206,9 @@ pub enum ConfigError {
         /// Offending value.
         value: u32,
     },
+    /// The cluster has more tiles, cores or banks (the named count) than
+    /// a `u32` can index.
+    CountOverflow(&'static str),
 }
 
 impl fmt::Display for ConfigError {
@@ -238,6 +226,9 @@ impl fmt::Display for ConfigError {
                     "cluster parameter `{name}` must be a power of two, got {value}"
                 )
             }
+            ConfigError::CountOverflow(what) => {
+                write!(f, "the cluster's {what} count does not fit in 32 bits")
+            }
         }
     }
 }
@@ -254,7 +245,7 @@ pub struct ClusterConfigBuilder {
 
 impl ClusterConfigBuilder {
     /// Creates a builder initialized with the default configuration.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         ClusterConfigBuilder {
             config: ClusterConfig::default(),
         }
@@ -313,8 +304,9 @@ impl ClusterConfigBuilder {
     /// # Errors
     ///
     /// Returns [`ConfigError`] if any structural parameter is zero, if the
-    /// tile count per group is not a perfect square, or if the bank count or
-    /// bank depth is not a power of two.
+    /// tile count per group is not a perfect square, if the bank count or
+    /// bank depth is not a power of two, or if the cluster's tile, core or
+    /// bank count does not fit in a `u32`.
     pub fn build(self) -> Result<ClusterConfig, ConfigError> {
         let c = &self.config;
         for (name, value) in [
@@ -339,6 +331,16 @@ impl ClusterConfigBuilder {
         ] {
             if !value.is_power_of_two() {
                 return Err(ConfigError::NotPowerOfTwo { name, value });
+            }
+        }
+        let tiles = c.groups.checked_mul(c.tiles_per_group);
+        for (what, count) in [
+            ("tile", tiles),
+            ("core", tiles.and_then(|t| t.checked_mul(c.cores_per_tile))),
+            ("bank", tiles.and_then(|t| t.checked_mul(c.banks_per_tile))),
+        ] {
+            if count.is_none() {
+                return Err(ConfigError::CountOverflow(what));
             }
         }
         Ok(self.config)
@@ -423,15 +425,13 @@ mod tests {
     }
 
     #[test]
-    fn iterators_cover_everything_once() {
+    fn tile_iterator_covers_every_tile_once() {
         let cfg = ClusterConfig::builder()
             .groups(2)
             .tiles_per_group(4)
             .build()
             .unwrap();
         assert_eq!(cfg.tiles().count(), 8);
-        assert_eq!(cfg.cores().count(), 32);
-        assert_eq!(cfg.banks().count(), 128);
     }
 
     #[test]
@@ -439,6 +439,34 @@ mod tests {
         let s = ClusterConfig::default().to_string();
         assert!(s.contains("4g x 16t x 4c"), "{s}");
         assert!(s.contains("SPM 1024 KiB"), "{s}");
+    }
+
+    /// `num_tiles`, `num_cores` and `num_banks` are plain `u32` products:
+    /// a geometry whose counts overflow them is refused when it is built.
+    #[test]
+    fn counts_that_overflow_u32_are_a_config_error() {
+        let refusal = |builder: ClusterConfigBuilder| match builder.build() {
+            Ok(cfg) => panic!(
+                "built {} tiles, {} cores, {} banks",
+                cfg.num_tiles(),
+                cfg.num_cores(),
+                cfg.num_banks()
+            ),
+            Err(err) => err.to_string(),
+        };
+        let huge = ClusterConfig::builder()
+            .groups(65_536)
+            .tiles_per_group(65_536);
+        assert!(refusal(huge).contains("tile count"));
+        let wide = || ClusterConfig::builder().groups(256).tiles_per_group(65_536);
+        assert!(refusal(wide().cores_per_tile(256)).contains("core count"));
+        assert!(refusal(wide().cores_per_tile(1).banks_per_tile(256)).contains("bank count"));
+        let cfg = wide()
+            .cores_per_tile(1)
+            .banks_per_tile(128)
+            .build()
+            .unwrap();
+        assert_eq!(cfg.num_banks(), 1 << 31);
     }
 
     #[test]

@@ -11,7 +11,7 @@
 use std::fmt;
 
 macro_rules! id_newtype {
-    ($(#[$meta:meta])* $name:ident, $label:expr) => {
+    ($(#[$meta:meta])* $vis:vis $name:ident, $label:expr) => {
         $(#[$meta])*
         #[derive(
             Debug,
@@ -24,19 +24,7 @@ macro_rules! id_newtype {
             Hash,
             Default,
         )]
-        pub struct $name(pub u32);
-
-        impl $name {
-            /// Creates a new identifier from a raw index.
-            pub const fn new(index: u32) -> Self {
-                Self(index)
-            }
-
-            /// Returns the raw index.
-            pub const fn index(self) -> usize {
-                self.0 as usize
-            }
-        }
+        $vis struct $name(pub u32);
 
         impl fmt::Display for $name {
             fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -60,85 +48,76 @@ macro_rules! id_newtype {
 
 id_newtype!(
     /// Index of a group within the cluster (0..4 in the default configuration).
-    GroupId,
+    pub(crate) GroupId,
     "g"
 );
 id_newtype!(
     /// Index of a tile within its group (0..16 in the default configuration).
-    TileInGroup,
+    pub(crate) TileInGroup,
     "t"
 );
 id_newtype!(
     /// Cluster-global tile index (0..64 in the default configuration).
-    TileId,
+    pub TileId,
     "T"
 );
 id_newtype!(
-    /// Index of a core within its tile (0..4).
-    CoreId,
-    "c"
-);
-id_newtype!(
     /// Cluster-global core index (0..256 in the default configuration).
-    GlobalCoreId,
+    pub GlobalCoreId,
     "C"
 );
 id_newtype!(
     /// Index of an SPM bank within its tile (0..16).
-    BankId,
+    pub BankId,
     "b"
 );
 id_newtype!(
     /// Cluster-global SPM bank index (0..1024 in the default configuration).
-    GlobalBankId,
+    pub GlobalBankId,
     "B"
 );
 
 impl TileId {
+    /// Returns the raw index.
+    pub const fn index(self) -> usize {
+        self.0 as usize
+    }
+
     /// Splits a global tile index into `(group, tile-in-group)` given the
     /// number of tiles per group.
     ///
     /// Tiles are numbered group-major: tile `T17` with 16 tiles per group is
     /// tile 1 of group 1.
-    pub fn split(self, tiles_per_group: u32) -> (GroupId, TileInGroup) {
+    pub(crate) fn split(self, tiles_per_group: u32) -> (GroupId, TileInGroup) {
         (
             GroupId(self.0 / tiles_per_group),
             TileInGroup(self.0 % tiles_per_group),
         )
     }
-
-    /// Combines a `(group, tile-in-group)` pair into a global tile index.
-    pub fn combine(group: GroupId, tile: TileInGroup, tiles_per_group: u32) -> Self {
-        TileId(group.0 * tiles_per_group + tile.0)
-    }
 }
 
 impl GlobalCoreId {
-    /// Splits a global core index into `(tile, core-in-tile)`.
-    pub fn split(self, cores_per_tile: u32) -> (TileId, CoreId) {
-        (
-            TileId(self.0 / cores_per_tile),
-            CoreId(self.0 % cores_per_tile),
-        )
+    /// Creates a new identifier from a raw index.
+    pub const fn new(index: u32) -> Self {
+        Self(index)
     }
 
-    /// Combines a `(tile, core-in-tile)` pair into a global core index.
-    pub fn combine(tile: TileId, core: CoreId, cores_per_tile: u32) -> Self {
-        GlobalCoreId(tile.0 * cores_per_tile + core.0)
+    /// Returns the raw index.
+    pub const fn index(self) -> usize {
+        self.0 as usize
+    }
+}
+
+impl BankId {
+    /// Returns the raw index.
+    pub const fn index(self) -> usize {
+        self.0 as usize
     }
 }
 
 impl GlobalBankId {
-    /// Splits a global bank index into `(tile, bank-in-tile)`.
-    pub fn split(self, banks_per_tile: u32) -> (TileId, BankId) {
-        (
-            TileId(self.0 / banks_per_tile),
-            BankId(self.0 % banks_per_tile),
-        )
-    }
-
     /// Combines a `(tile, bank-in-tile)` pair into a global bank index.
-    pub fn combine(tile: TileId, bank: BankId, banks_per_tile: u32) -> Self {
+    pub(crate) fn combine(tile: TileId, bank: BankId, banks_per_tile: u32) -> Self {
         GlobalBankId(tile.0 * banks_per_tile + bank.0)
     }
 }
@@ -156,31 +135,13 @@ mod tests {
     }
 
     #[test]
-    fn tile_split_combine_round_trips() {
+    fn tile_split_is_group_major() {
         for raw in 0..64u32 {
-            let tile = TileId(raw);
-            let (g, t) = tile.split(16);
-            assert_eq!(TileId::combine(g, t, 16), tile);
+            let (g, t) = TileId(raw).split(16);
+            assert_eq!(g.0 * 16 + t.0, raw);
             assert!(g.0 < 4);
             assert!(t.0 < 16);
         }
-    }
-
-    #[test]
-    fn core_split_combine_round_trips() {
-        for raw in 0..256u32 {
-            let core = GlobalCoreId(raw);
-            let (tile, c) = core.split(4);
-            assert_eq!(GlobalCoreId::combine(tile, c, 4), core);
-        }
-    }
-
-    #[test]
-    fn bank_split_matches_group_major_numbering() {
-        let bank = GlobalBankId(16 * 5 + 7);
-        let (tile, b) = bank.split(16);
-        assert_eq!(tile, TileId(5));
-        assert_eq!(b, BankId(7));
     }
 
     #[test]

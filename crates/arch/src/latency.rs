@@ -19,15 +19,6 @@ pub enum AccessClass {
     Remote,
 }
 
-impl AccessClass {
-    /// All access classes, nearest first.
-    pub const ALL: [AccessClass; 3] = [
-        AccessClass::TileLocal,
-        AccessClass::GroupLocal,
-        AccessClass::Remote,
-    ];
-}
-
 /// Zero-load round-trip latency (request to load-data-valid) for each access
 /// class, in cycles.
 ///
@@ -140,7 +131,11 @@ mod tests {
     fn latency_is_monotone_in_distance() {
         let lat = LatencyModel::default();
         let mut prev = 0;
-        for class in AccessClass::ALL {
+        for class in [
+            AccessClass::TileLocal,
+            AccessClass::GroupLocal,
+            AccessClass::Remote,
+        ] {
             assert!(lat.cycles(class) > prev);
             prev = lat.cycles(class);
         }

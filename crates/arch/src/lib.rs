@@ -37,16 +37,16 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod address;
-pub mod capacity;
-pub mod config;
-pub mod ids;
-pub mod latency;
-pub mod topology;
+pub(crate) mod address;
+pub(crate) mod capacity;
+pub(crate) mod config;
+pub(crate) mod ids;
+pub(crate) mod latency;
+pub(crate) mod topology;
 
-pub use address::{AddressMap, BankLocation, BankRemap, MemoryRegion, RemapError};
+pub use address::{AddressMap, BankLocation, MemoryRegion, RemapError};
 pub use capacity::SpmCapacity;
-pub use config::{ClusterConfig, ClusterConfigBuilder, ConfigError};
-pub use ids::{BankId, CoreId, GlobalBankId, GlobalCoreId, GroupId, TileId, TileInGroup};
+pub use config::{ClusterConfig, ConfigError};
+pub use ids::{BankId, GlobalCoreId, TileId};
 pub use latency::{AccessClass, LatencyModel};
 pub use topology::{GroupNetwork, Topology};

@@ -29,28 +29,9 @@ pub enum GroupNetwork {
 }
 
 impl GroupNetwork {
-    /// All four group networks.
-    pub const ALL: [GroupNetwork; 4] = [
-        GroupNetwork::Local,
-        GroupNetwork::North,
-        GroupNetwork::Northeast,
-        GroupNetwork::East,
-    ];
-
-    /// The XOR distance this network covers in the 2-bit group index space
-    /// (0 for local).
-    pub const fn group_xor(self) -> u32 {
-        match self {
-            GroupNetwork::Local => 0b00,
-            GroupNetwork::East => 0b01,
-            GroupNetwork::North => 0b10,
-            GroupNetwork::Northeast => 0b11,
-        }
-    }
-
     /// Network used for traffic from `src` group to `dst` group (4-group
     /// clusters use XOR routing over the 2-bit group index).
-    pub fn for_route(src: GroupId, dst: GroupId) -> GroupNetwork {
+    pub(crate) fn for_route(src: GroupId, dst: GroupId) -> GroupNetwork {
         match (src.0 ^ dst.0) & 0b11 {
             0b00 => GroupNetwork::Local,
             0b01 => GroupNetwork::East,
@@ -99,7 +80,6 @@ pub struct Route {
 /// ```
 #[derive(Debug, Clone)]
 pub struct Topology {
-    config: ClusterConfig,
     /// Group of every tile, indexed by global tile id.
     tile_group: Vec<GroupId>,
 }
@@ -111,7 +91,7 @@ impl Topology {
             .tiles()
             .map(|tile| tile.split(config.tiles_per_group()).0)
             .collect();
-        Topology { config, tile_group }
+        Topology { tile_group }
     }
 
     /// The group `tile` belongs to.
@@ -120,13 +100,8 @@ impl Topology {
     ///
     /// Panics if `tile` is outside the cluster.
     #[inline]
-    pub fn group_of(&self, tile: TileId) -> GroupId {
+    pub(crate) fn group_of(&self, tile: TileId) -> GroupId {
         self.tile_group[tile.index()]
-    }
-
-    /// The underlying configuration.
-    pub fn config(&self) -> &ClusterConfig {
-        &self.config
     }
 
     /// Computes the route from a core in `src_tile` to a bank in `dst_tile`.
@@ -154,21 +129,6 @@ impl Topology {
                 network: Some(GroupNetwork::for_route(src_group, dst_group)),
             }
         }
-    }
-
-    /// Position of a tile in its group's square placement grid
-    /// `(row, column)`; used by the physical model's floorplanner and by
-    /// distance-dependent interconnect statistics.
-    pub fn tile_grid_position(&self, tile: TileId) -> (u32, u32) {
-        let (_, in_group) = tile.split(self.config.tiles_per_group());
-        let side = self.grid_side();
-        (in_group.0 / side, in_group.0 % side)
-    }
-
-    /// Side length of the square tile grid in each group (4 for the default
-    /// 16-tile group).
-    pub fn grid_side(&self) -> u32 {
-        (self.config.tiles_per_group() as f64).sqrt() as u32
     }
 }
 
@@ -233,7 +193,7 @@ mod tests {
     #[test]
     fn table_and_route_agree_with_the_id_arithmetic_for_every_tile_pair() {
         let t = topo();
-        let cfg = t.config().clone();
+        let cfg = ClusterConfig::default();
         let tpg = cfg.tiles_per_group();
         for src in cfg.tiles() {
             let src_group = src.split(tpg).0;
@@ -247,23 +207,6 @@ mod tests {
                 assert_eq!(route.network, network, "{src} -> {dst}");
             }
         }
-    }
-
-    #[test]
-    fn grid_positions_cover_the_square() {
-        let t = topo();
-        let mut seen = std::collections::HashSet::new();
-        for tile in 0..16u32 {
-            let pos = t.tile_grid_position(TileId(tile));
-            assert!(pos.0 < 4 && pos.1 < 4);
-            assert!(seen.insert(pos), "duplicate grid position {pos:?}");
-        }
-        assert_eq!(seen.len(), 16);
-    }
-
-    #[test]
-    fn grid_side_of_default_group_is_four() {
-        assert_eq!(topo().grid_side(), 4);
     }
 
     #[test]

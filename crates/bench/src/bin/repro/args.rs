@@ -14,7 +14,7 @@
 ///
 /// A missing value — end of arguments or a following `--flag` — is an
 /// error naming the flag and the expected `what` (e.g. `"a directory"`).
-pub fn flag_value<'a>(
+pub(crate) fn flag_value<'a>(
     it: &mut std::slice::Iter<'a, String>,
     flag: &str,
     what: &str,
@@ -30,7 +30,7 @@ pub fn flag_value<'a>(
 /// # Errors
 ///
 /// Names the flag and the offending text.
-pub fn parse_u64(flag: &str, what: &str, value: &str) -> Result<u64, String> {
+pub(crate) fn parse_u64(flag: &str, what: &str, value: &str) -> Result<u64, String> {
     value
         .parse::<u64>()
         .map_err(|_| format!("{flag}: {what} must be an unsigned integer, got {value:?}"))
@@ -41,7 +41,7 @@ pub fn parse_u64(flag: &str, what: &str, value: &str) -> Result<u64, String> {
 /// # Errors
 ///
 /// Names the flag for both the non-numeric and the zero case.
-pub fn parse_nonzero_u64(flag: &str, what: &str, value: &str) -> Result<u64, String> {
+pub(crate) fn parse_nonzero_u64(flag: &str, what: &str, value: &str) -> Result<u64, String> {
     match parse_u64(flag, what, value)? {
         0 => Err(format!("{flag}: {what} must be nonzero")),
         n => Ok(n),
@@ -53,7 +53,7 @@ pub fn parse_nonzero_u64(flag: &str, what: &str, value: &str) -> Result<u64, Str
 /// # Errors
 ///
 /// Same contract as [`parse_nonzero_u64`].
-pub fn parse_nonzero_usize(flag: &str, what: &str, value: &str) -> Result<usize, String> {
+pub(crate) fn parse_nonzero_usize(flag: &str, what: &str, value: &str) -> Result<usize, String> {
     usize::try_from(parse_nonzero_u64(flag, what, value)?)
         .map_err(|_| format!("{flag}: {what} out of range, got {value:?}"))
 }
@@ -64,7 +64,7 @@ pub fn parse_nonzero_usize(flag: &str, what: &str, value: &str) -> Result<usize,
 ///
 /// Rejects non-numeric, non-finite (`inf`, `nan`), zero, and negative
 /// values, naming the flag.
-pub fn parse_positive_f64(flag: &str, what: &str, value: &str) -> Result<f64, String> {
+pub(crate) fn parse_positive_f64(flag: &str, what: &str, value: &str) -> Result<f64, String> {
     let parsed: f64 = value
         .parse()
         .map_err(|_| format!("{flag}: {what} must be a number, got {value:?}"))?;
@@ -83,7 +83,7 @@ pub fn parse_positive_f64(flag: &str, what: &str, value: &str) -> Result<f64, St
 /// # Errors
 ///
 /// Names the flag and the malformed address.
-pub fn parse_socket_addr(flag: &str, value: &str) -> Result<String, String> {
+pub(crate) fn parse_socket_addr(flag: &str, value: &str) -> Result<String, String> {
     let Some((host, port)) = value.rsplit_once(':') else {
         return Err(format!("{flag}: address must be HOST:PORT, got {value:?}"));
     };

@@ -38,11 +38,13 @@
 //! `--artifacts`, the run additionally exports `resilience.json` and the
 //! raw `fault_report.json`.
 
+mod args;
+
 use std::process::ExitCode;
 
 use mempool::experiments::{catalogue, Context, Experiment, Resilience, CATALOGUE};
 use mempool_arch::SpmCapacity;
-use mempool_bench::{args, regress};
+use mempool_bench::regress;
 use mempool_kernels::matmul::PhaseModel;
 use mempool_kernels::measure;
 use mempool_kernels::resilience::{observed_compute_run, DegradedObs, ObservedRun};
@@ -79,8 +81,7 @@ fn usage() -> u8 {
          \x20            [--checkpoint-dir DIR] [--checkpoint-every N] [--resume PATH]\n\
          \x20            [all|{}]...\n\
          \x20      repro check --baseline PATH [--bless]\n\
-         \x20      repro serve [--listen HOST:PORT] [--workers N] [--max-queue N]\n\
-         \x20                  [--cache-dir DIR] [--flight N]\n\
+         \x20      repro serve [--listen HOST:PORT] [--workers N] [--cache-dir DIR]\n\
          \x20      repro submit --connect HOST:PORT [--artifacts DIR]\n\
          \x20                  [{}|dse|sweep:BW|kernel:P|stats|shutdown]...\n\
          \n\
@@ -325,17 +326,9 @@ fn parse_serve_args(argv: &[String]) -> Result<(String, mempool_serve::ServiceCo
                 let value = args::flag_value(&mut it, "--workers", "a worker-count")?;
                 config.workers = args::parse_nonzero_usize("--workers", "count", value)?;
             }
-            "--max-queue" => {
-                let value = args::flag_value(&mut it, "--max-queue", "a queue-bound")?;
-                config.max_queue = args::parse_nonzero_usize("--max-queue", "bound", value)?;
-            }
             "--cache-dir" => {
                 let value = args::flag_value(&mut it, "--cache-dir", "a directory")?;
                 config.cache_dir = Some(value.into());
-            }
-            "--flight" => {
-                let value = args::flag_value(&mut it, "--flight", "an event-count")?;
-                config.flight_capacity = args::parse_nonzero_usize("--flight", "capacity", value)?;
             }
             other => return Err(format!("unknown argument: {other}")),
         }
@@ -817,6 +810,26 @@ mod tests {
             assert_eq!(run(&argv(&[stranger])), EXIT_ERROR);
         }
         assert_eq!(run(&argv(&["fig6", "--frobnicate"])), EXIT_ERROR);
+    }
+
+    /// `check --bless` writes the document `check` compares against: on an
+    /// unchanged tree it reproduces the committed baseline byte for byte.
+    #[test]
+    fn bless_reproduces_the_committed_baseline() {
+        let dir = std::env::temp_dir().join(format!("repro-bless-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("baseline.json");
+        let path_arg = path.to_str().unwrap();
+        assert_eq!(
+            run(&argv(&["check", "--baseline", path_arg, "--bless"])),
+            EXIT_OK
+        );
+        let committed = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_baseline.json");
+        assert_eq!(
+            std::fs::read(&path).unwrap(),
+            std::fs::read(committed).unwrap()
+        );
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

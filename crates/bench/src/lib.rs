@@ -7,7 +7,6 @@
 //! behind `repro check`. Nothing here measures host time: that is the
 //! `benchmark/` package's job (see `benchmark/README.md`).
 
-pub mod args;
 pub mod regress;
 
 /// The pinned fault seed the regression baseline is generated with.
@@ -15,7 +14,7 @@ pub const BASELINE_FAULT_SEED: u64 = 42;
 /// The pinned fault rate of the baseline degraded run.
 pub const BASELINE_FAULT_RATE: f64 = 1e-6;
 /// Watchdog threshold armed for the baseline degraded run.
-pub const BASELINE_WATCHDOG: u64 = 2_000_000;
+pub(crate) const BASELINE_WATCHDOG: u64 = 2_000_000;
 
 /// Cycle counts of the modeled matmul at the Section VI-B bandwidth
 /// (16 B/cycle), one per SPM capacity — the

@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use mempool_arch::{ClusterConfig, SpmCapacity};
+use mempool_arch::SpmCapacity;
 use mempool_phys::{Flow, GroupImplementation, TileImplementation};
 
 /// One of the eight MemPool configurations the paper implements:
@@ -28,7 +28,7 @@ impl DesignPoint {
 
     /// All eight design points, 2D first, capacities ascending — the
     /// column order of Table II is capacity-major instead; use
-    /// [`Self::all_capacity_major`] for that.
+    /// `all_capacity_major` for that.
     pub fn all() -> impl Iterator<Item = DesignPoint> {
         Flow::ALL.into_iter().flat_map(|flow| {
             SpmCapacity::ALL
@@ -39,7 +39,7 @@ impl DesignPoint {
 
     /// All eight design points in Table II's column order: for each
     /// capacity, 2D then 3D.
-    pub fn all_capacity_major() -> impl Iterator<Item = DesignPoint> {
+    pub(crate) fn all_capacity_major() -> impl Iterator<Item = DesignPoint> {
         SpmCapacity::ALL.into_iter().flat_map(|capacity| {
             Flow::ALL
                 .into_iter()
@@ -52,13 +52,8 @@ impl DesignPoint {
         format!("MemPool-{}_{}MiB", self.flow, self.capacity.mebibytes())
     }
 
-    /// The architectural configuration of this point.
-    pub fn config(&self) -> ClusterConfig {
-        ClusterConfig::with_capacity(self.capacity)
-    }
-
     /// Runs the physical tile implementation.
-    pub fn implement_tile(&self) -> TileImplementation {
+    pub(crate) fn implement_tile(&self) -> TileImplementation {
         TileImplementation::implement(self.capacity, self.flow)
     }
 
@@ -101,11 +96,5 @@ mod tests {
         assert_eq!(points[0].flow, Flow::TwoD);
         assert_eq!(points[1].flow, Flow::ThreeD);
         assert_eq!(points[0].capacity, points[1].capacity);
-    }
-
-    #[test]
-    fn config_matches_capacity() {
-        let point = DesignPoint::new(Flow::TwoD, SpmCapacity::MiB2);
-        assert_eq!(point.config().spm_bytes(), 2 << 20);
     }
 }

@@ -1,8 +1,8 @@
 //! Design-space exploration utilities on top of the eight design points.
 //!
 //! The paper's Figures 7-9 describe a performance/efficiency trade; this
-//! module makes the decision support explicit: multi-objective scoring,
-//! the Pareto frontier, and best-by-criterion selection. One of the
+//! module makes the decision support explicit: multi-objective scoring
+//! and the Pareto frontier. One of the
 //! paper's implicit results falls out as a theorem of the model: *every*
 //! Pareto-optimal design is a 3D design.
 
@@ -34,7 +34,7 @@ impl Objective {
 
     /// Score of a point under this objective, oriented so that **larger is
     /// always better**.
-    pub fn score(&self, eval: &Evaluation, point: DesignPoint) -> f64 {
+    pub(crate) fn score(&self, eval: &Evaluation, point: DesignPoint) -> f64 {
         let bw = SECTION_VI_B_BANDWIDTH;
         match self {
             Objective::Performance => eval.performance(point, bw),
@@ -67,14 +67,8 @@ impl ScoredPoint {
         ScoredPoint { point, scores }
     }
 
-    /// Whether `self` dominates `other` (at least as good everywhere,
-    /// strictly better somewhere) under all objectives.
-    pub fn dominates(&self, other: &ScoredPoint) -> bool {
-        self.dominates_on(other, &Objective::ALL)
-    }
-
     /// Dominance restricted to a set of objectives.
-    pub fn dominates_on(&self, other: &ScoredPoint, objectives: &[Objective]) -> bool {
+    pub(crate) fn dominates_on(&self, other: &ScoredPoint, objectives: &[Objective]) -> bool {
         let mut strictly = false;
         for objective in objectives {
             let index = Objective::ALL
@@ -122,19 +116,6 @@ impl DesignSpace {
         &self.points
     }
 
-    /// The best point under one objective.
-    pub fn best(&self, objective: Objective) -> DesignPoint {
-        let index = Objective::ALL
-            .iter()
-            .position(|o| *o == objective)
-            .expect("objective is in ALL");
-        self.points
-            .iter()
-            .max_by(|a, b| a.scores[index].total_cmp(&b.scores[index]))
-            .expect("design space is nonempty")
-            .point
-    }
-
     /// The Pareto-optimal points under all four objectives (including
     /// silicon cost).
     pub fn pareto_front(&self) -> Vec<DesignPoint> {
@@ -142,7 +123,7 @@ impl DesignSpace {
     }
 
     /// The Pareto-optimal points under a chosen set of objectives.
-    pub fn pareto_front_for(&self, objectives: &[Objective]) -> Vec<DesignPoint> {
+    pub(crate) fn pareto_front_for(&self, objectives: &[Objective]) -> Vec<DesignPoint> {
         self.points
             .iter()
             .filter(|candidate| {
@@ -176,7 +157,7 @@ impl DesignSpace {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mempool_arch::SpmCapacity;
+
     use mempool_phys::Flow;
 
     fn space() -> DesignSpace {
@@ -220,29 +201,24 @@ mod tests {
             .collect();
         for a in &scored {
             for b in &scored {
-                assert!(!a.dominates(b), "{} dominates {}", a.point, b.point);
+                assert!(
+                    !a.dominates_on(b, &Objective::ALL),
+                    "{} dominates {}",
+                    a.point,
+                    b.point
+                );
             }
         }
-    }
-
-    #[test]
-    fn best_by_objective_matches_figures() {
-        let s = space();
-        assert_eq!(s.best(Objective::Efficiency).capacity, SpmCapacity::MiB1);
-        assert_eq!(s.best(Objective::Efficiency).flow, Flow::ThreeD);
-        assert_eq!(s.best(Objective::Performance).flow, Flow::ThreeD);
-        // Cheapest silicon: the smallest 2D die.
-        assert_eq!(s.best(Objective::CombinedArea).capacity, SpmCapacity::MiB1);
-        assert_eq!(s.best(Objective::CombinedArea).flow, Flow::TwoD);
     }
 
     #[test]
     fn dominance_is_irreflexive_and_asymmetric() {
         let s = space();
         for a in s.points() {
-            assert!(!a.dominates(a));
+            let all = &Objective::ALL;
+            assert!(!a.dominates_on(a, all));
             for b in s.points() {
-                assert!(!(a.dominates(b) && b.dominates(a)));
+                assert!(!(a.dominates_on(b, all) && b.dominates_on(a, all)));
             }
         }
     }

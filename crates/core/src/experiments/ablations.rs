@@ -33,7 +33,7 @@ fn implement(capacity: SpmCapacity, flow: Flow, tech: Technology) -> GroupImplem
 
 /// One point of the wire-delay ablation.
 #[derive(Debug, Clone, Copy)]
-pub struct WireDelayPoint {
+pub(crate) struct WireDelayPoint {
     /// Scale applied to the nominal wire delay.
     pub scale: f64,
     /// 2D frequency in GHz.
@@ -46,16 +46,16 @@ pub struct WireDelayPoint {
 
 /// Sweep of the buffered-wire delay (ps/mm) around the calibrated value.
 #[derive(Debug, Clone)]
-pub struct WireDelaySweep {
+pub(crate) struct WireDelaySweep {
     points: Vec<WireDelayPoint>,
 }
 
 impl WireDelaySweep {
     /// Default scales: from half to double the calibrated wire delay.
-    pub const SCALES: [f64; 5] = [0.5, 0.75, 1.0, 1.5, 2.0];
+    pub(crate) const SCALES: [f64; 5] = [0.5, 0.75, 1.0, 1.5, 2.0];
 
     /// Runs the sweep at the given capacity.
-    pub fn run(capacity: SpmCapacity) -> Self {
+    pub(crate) fn run(capacity: SpmCapacity) -> Self {
         let points = Self::SCALES
             .iter()
             .map(|&scale| {
@@ -74,13 +74,8 @@ impl WireDelaySweep {
         WireDelaySweep { points }
     }
 
-    /// The sweep points, slowest wires last.
-    pub fn points(&self) -> &[WireDelayPoint] {
-        &self.points
-    }
-
     /// Renders the sweep.
-    pub fn to_text(&self) -> String {
+    pub(crate) fn to_text(&self) -> String {
         let mut t = TextTable::new(["wire delay scale", "2D [GHz]", "3D [GHz]", "3D gain"]);
         for p in &self.points {
             t.row([
@@ -96,7 +91,7 @@ impl WireDelaySweep {
 
 /// One point of the F2F-pitch ablation.
 #[derive(Debug, Clone, Copy)]
-pub struct F2fPitchPoint {
+pub(crate) struct F2fPitchPoint {
     /// Bond pitch in µm.
     pub pitch_um: f64,
     /// F2F bumps per group.
@@ -110,21 +105,21 @@ pub struct F2fPitchPoint {
 
 /// Sweep of the F2F bond pitch from hybrid bonding to µ-bumps.
 #[derive(Debug, Clone)]
-pub struct F2fPitchSweep {
+pub(crate) struct F2fPitchSweep {
     points: Vec<F2fPitchPoint>,
 }
 
 impl F2fPitchSweep {
     /// Pitches swept, in µm (1.0 is the paper's hybrid bonding; 10+ is
     /// classic µ-bump territory; 100 approaches C4).
-    pub const PITCHES: [f64; 5] = [0.5, 1.0, 2.0, 10.0, 40.0];
+    pub(crate) const PITCHES: [f64; 5] = [0.5, 1.0, 2.0, 10.0, 40.0];
 
     /// Pad area above this fraction of the footprint makes the
     /// partitioning non-viable.
-    pub const VIABILITY_LIMIT: f64 = 0.25;
+    pub(crate) const VIABILITY_LIMIT: f64 = 0.25;
 
     /// Runs the sweep at the given capacity.
-    pub fn run(capacity: SpmCapacity) -> Self {
+    pub(crate) fn run(capacity: SpmCapacity) -> Self {
         let points = Self::PITCHES
             .iter()
             .map(|&pitch_um| {
@@ -156,13 +151,8 @@ impl F2fPitchSweep {
         F2fPitchSweep { points }
     }
 
-    /// The sweep points, finest pitch first.
-    pub fn points(&self) -> &[F2fPitchPoint] {
-        &self.points
-    }
-
     /// Renders the sweep.
-    pub fn to_text(&self) -> String {
+    pub(crate) fn to_text(&self) -> String {
         let mut t = TextTable::new(["pitch [um]", "bumps/group", "pad area", "viable"]);
         for p in &self.points {
             t.row([
@@ -178,14 +168,14 @@ impl F2fPitchSweep {
 
 /// Sweep of the 8 MiB tile's logic/memory-die partitions.
 #[derive(Debug, Clone)]
-pub struct PartitionSweep {
+pub(crate) struct PartitionSweep {
     candidates: Vec<PartitionCandidate>,
     chosen: usize,
 }
 
 impl PartitionSweep {
     /// Evaluates all partitions of the given capacity's 3D tile.
-    pub fn run(capacity: SpmCapacity) -> Self {
+    pub(crate) fn run(capacity: SpmCapacity) -> Self {
         let tile = TileImplementation::implement(capacity, Flow::ThreeD);
         let candidates = tile.partition_candidates();
         let chosen = candidates
@@ -195,18 +185,8 @@ impl PartitionSweep {
         PartitionSweep { candidates, chosen }
     }
 
-    /// All evaluated candidates.
-    pub fn candidates(&self) -> &[PartitionCandidate] {
-        &self.candidates
-    }
-
-    /// Index of the partition the optimizer chose.
-    pub fn chosen(&self) -> usize {
-        self.chosen
-    }
-
     /// Renders the sweep.
-    pub fn to_text(&self) -> String {
+    pub(crate) fn to_text(&self) -> String {
         let mut t = TextTable::new(["partition", "footprint [mm2]", "mem util", "chosen"]);
         for (i, c) in self.candidates.iter().enumerate() {
             let name = if !c.partition.icache_on_logic_die {
@@ -227,7 +207,7 @@ impl PartitionSweep {
 
 /// One point of the repeater-spacing ablation.
 #[derive(Debug, Clone, Copy)]
-pub struct RepeaterPoint {
+pub(crate) struct RepeaterPoint {
     /// Repeater spacing in mm.
     pub spacing_mm: f64,
     /// Buffer count of the 2D baseline group.
@@ -238,16 +218,16 @@ pub struct RepeaterPoint {
 
 /// Sweep of the repeater spacing (the buffers-vs-delay trade).
 #[derive(Debug, Clone)]
-pub struct RepeaterSweep {
+pub(crate) struct RepeaterSweep {
     points: Vec<RepeaterPoint>,
 }
 
 impl RepeaterSweep {
     /// Spacings in mm around the calibrated 0.20 mm.
-    pub const SPACINGS: [f64; 4] = [0.10, 0.20, 0.35, 0.50];
+    pub(crate) const SPACINGS: [f64; 4] = [0.10, 0.20, 0.35, 0.50];
 
     /// Runs the sweep on the 2D baseline.
-    pub fn run() -> Self {
+    pub(crate) fn run() -> Self {
         let points = Self::SPACINGS
             .iter()
             .map(|&spacing_mm| {
@@ -268,13 +248,8 @@ impl RepeaterSweep {
         RepeaterSweep { points }
     }
 
-    /// The sweep points, densest first.
-    pub fn points(&self) -> &[RepeaterPoint] {
-        &self.points
-    }
-
     /// Renders the sweep.
-    pub fn to_text(&self) -> String {
+    pub(crate) fn to_text(&self) -> String {
         let mut t = TextTable::new(["spacing [mm]", "buffers [k]", "power [W]"]);
         for p in &self.points {
             t.row([
@@ -289,7 +264,7 @@ impl RepeaterSweep {
 
 /// One point of the instruction-cache ablation.
 #[derive(Debug, Clone, Copy)]
-pub struct IcachePoint {
+pub(crate) struct IcachePoint {
     /// Whether the I$ was preloaded (the paper's hot-cache methodology).
     pub hot: bool,
     /// Compute-phase cycles.
@@ -302,7 +277,7 @@ pub struct IcachePoint {
 /// paper's "hot instruction cache" measurement assumption matters for the
 /// compute-phase numbers feeding Figure 6.
 #[derive(Debug, Clone)]
-pub struct IcacheSweep {
+pub(crate) struct IcacheSweep {
     points: Vec<IcachePoint>,
 }
 
@@ -312,7 +287,7 @@ impl IcacheSweep {
     /// # Panics
     ///
     /// Panics if the underlying simulation fails (deterministic in tests).
-    pub fn run() -> Self {
+    pub(crate) fn run() -> Self {
         use mempool_kernels::matmul::ComputePhase;
         use mempool_kernels::Kernel;
         use mempool_sim::{Cluster, SimParams};
@@ -349,13 +324,8 @@ impl IcacheSweep {
         IcacheSweep { points }
     }
 
-    /// The two points, hot first.
-    pub fn points(&self) -> &[IcachePoint] {
-        &self.points
-    }
-
     /// Renders the sweep.
-    pub fn to_text(&self) -> String {
+    pub(crate) fn to_text(&self) -> String {
         let mut t = TextTable::new(["icache", "cycles", "miss stalls"]);
         for p in &self.points {
             t.row([
@@ -372,7 +342,7 @@ impl IcacheSweep {
 }
 
 /// Renders all ablations into one report.
-pub fn full_report() -> String {
+pub(crate) fn full_report() -> String {
     format!(
         "{}\n{}\n{}\n{}",
         WireDelaySweep::run(SpmCapacity::MiB4).to_text(),
@@ -389,7 +359,7 @@ mod tests {
     #[test]
     fn three_d_gain_grows_with_wire_dominance() {
         let sweep = WireDelaySweep::run(SpmCapacity::MiB4);
-        let gains: Vec<f64> = sweep.points().iter().map(|p| p.gain).collect();
+        let gains: Vec<f64> = sweep.points.iter().map(|p| p.gain).collect();
         for pair in gains.windows(2) {
             assert!(
                 pair[1] >= pair[0] - 1e-9,
@@ -408,7 +378,7 @@ mod tests {
         let sweep = F2fPitchSweep::run(SpmCapacity::MiB1);
         let at = |pitch: f64| {
             sweep
-                .points()
+                .points
                 .iter()
                 .find(|p| (p.pitch_um - pitch).abs() < 1e-9)
                 .unwrap()
@@ -425,7 +395,7 @@ mod tests {
     fn pad_area_grows_monotonically_with_pitch() {
         let sweep = F2fPitchSweep::run(SpmCapacity::MiB1);
         let mut last = 0.0;
-        for p in sweep.points() {
+        for p in &sweep.points {
             assert!(p.pad_area_fraction >= last);
             last = p.pad_area_fraction;
         }
@@ -434,8 +404,8 @@ mod tests {
     #[test]
     fn partitioner_choice_is_optimal_and_matches_paper() {
         let sweep = PartitionSweep::run(SpmCapacity::MiB8);
-        let chosen = &sweep.candidates()[sweep.chosen()];
-        for c in sweep.candidates() {
+        let chosen = &sweep.candidates[sweep.chosen];
+        for c in &sweep.candidates {
             assert!(
                 chosen.footprint_um2 <= c.footprint_um2 + 1e-6,
                 "chosen partition must minimize footprint"
@@ -446,7 +416,7 @@ mod tests {
         assert!(chosen.partition.icache_on_logic_die);
         assert!(chosen.partition.banks_on_logic_die >= 1);
         assert!(
-            sweep.candidates()[0].footprint_um2 > chosen.footprint_um2,
+            sweep.candidates[0].footprint_um2 > chosen.footprint_um2,
             "keeping everything on the memory die must be worse for 8 MiB"
         );
     }
@@ -454,17 +424,13 @@ mod tests {
     #[test]
     fn small_capacities_prefer_no_spill() {
         let sweep = PartitionSweep::run(SpmCapacity::MiB1);
-        assert_eq!(
-            sweep.chosen(),
-            0,
-            "1 MiB keeps everything on the memory die"
-        );
+        assert_eq!(sweep.chosen, 0, "1 MiB keeps everything on the memory die");
     }
 
     #[test]
     fn sparser_repeaters_mean_fewer_buffers_and_less_power() {
         let sweep = RepeaterSweep::run();
-        let points = sweep.points();
+        let points = &sweep.points;
         for pair in points.windows(2) {
             assert!(pair[1].buffers < pair[0].buffers);
         }
@@ -480,8 +446,8 @@ mod tests {
         // warm-up — the paper's hot-cache methodology is sound for long
         // compute phases.
         let sweep = IcacheSweep::run();
-        let hot = sweep.points()[0];
-        let cold = sweep.points()[1];
+        let hot = sweep.points[0];
+        let cold = sweep.points[1];
         assert!(hot.hot && !cold.hot);
         assert_eq!(hot.miss_stalls, 0);
         assert!(cold.miss_stalls > 0);

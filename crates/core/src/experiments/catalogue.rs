@@ -39,12 +39,12 @@ impl Context {
     }
 
     /// The workload model.
-    pub fn model(&self) -> PhaseModel {
+    pub(crate) fn model(&self) -> PhaseModel {
         self.model
     }
 
     /// All eight design points under the model (implemented once).
-    pub fn evaluation(&self) -> &Evaluation {
+    pub(crate) fn evaluation(&self) -> &Evaluation {
         self.evaluation
             .get_or_init(|| Evaluation::with_model(self.model))
     }

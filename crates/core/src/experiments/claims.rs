@@ -15,7 +15,7 @@ use crate::table::TextTable;
 
 /// One checked claim.
 #[derive(Debug, Clone)]
-pub struct Claim {
+pub(crate) struct Claim {
     /// Where the paper states it.
     pub source: &'static str,
     /// The claim, paraphrased.
@@ -30,20 +30,20 @@ pub struct Claim {
 
 impl Claim {
     /// Whether the measured value lands within the tolerance.
-    pub fn holds(&self) -> bool {
+    pub(crate) fn holds(&self) -> bool {
         (self.measured - self.paper).abs() <= self.tolerance
     }
 }
 
 /// The full scoreboard.
 #[derive(Debug, Clone)]
-pub struct Claims {
+pub(crate) struct Claims {
     claims: Vec<Claim>,
 }
 
 impl Claims {
     /// Evaluates every claim from an existing evaluation.
-    pub fn from_evaluation(eval: &Evaluation) -> Self {
+    pub(crate) fn from_evaluation(eval: &Evaluation) -> Self {
         let bw = SECTION_VI_B_BANDWIDTH;
         let point = |flow, cap| DesignPoint::new(flow, cap);
         let freq_gain = |cap| {
@@ -146,23 +146,13 @@ impl Claims {
         Claims { claims }
     }
 
-    /// Implements everything and evaluates the claims.
-    pub fn generate() -> Self {
-        Self::from_evaluation(&Evaluation::new())
-    }
-
-    /// All claims.
-    pub fn claims(&self) -> &[Claim] {
-        &self.claims
-    }
-
     /// Number of claims that hold.
-    pub fn holding(&self) -> usize {
+    pub(crate) fn holding(&self) -> usize {
         self.claims.iter().filter(|c| c.holds()).count()
     }
 
     /// Renders the scoreboard.
-    pub fn to_text(&self) -> String {
+    pub(crate) fn to_text(&self) -> String {
         let mut t = TextTable::new(["source", "claim", "paper", "ours", "holds"]);
         for c in &self.claims {
             t.row([
@@ -187,22 +177,22 @@ mod tests {
 
     #[test]
     fn at_least_nine_of_ten_claims_hold() {
-        let claims = Claims::generate();
-        let failing: Vec<&Claim> = claims.claims().iter().filter(|c| !c.holds()).collect();
+        let claims = Claims::from_evaluation(&Evaluation::new());
+        let failing: Vec<&Claim> = claims.claims.iter().filter(|c| !c.holds()).collect();
         assert!(
-            claims.holding() >= claims.claims().len() - 1,
+            claims.holding() >= claims.claims.len() - 1,
             "too many claims failed: {failing:#?}"
         );
     }
 
     #[test]
     fn scoreboard_renders_every_claim() {
-        let claims = Claims::generate();
+        let claims = Claims::from_evaluation(&Evaluation::new());
         let text = claims.to_text();
         assert!(text.contains("scoreboard"));
         assert_eq!(
             text.lines().count(),
-            claims.claims().len() + 3, // header line + table header + rule
+            claims.claims.len() + 3, // header line + table header + rule
         );
     }
 

@@ -13,7 +13,7 @@ use crate::table::TextTable;
 
 /// One row of the cluster-level projection.
 #[derive(Debug, Clone)]
-pub struct ClusterRow {
+pub(crate) struct ClusterRow {
     /// SPM capacity.
     pub capacity: SpmCapacity,
     /// 3D/2D footprint ratio at the group level.
@@ -30,13 +30,13 @@ pub struct ClusterRow {
 
 /// The cluster-level projection experiment.
 #[derive(Debug, Clone)]
-pub struct ClusterLevel {
+pub(crate) struct ClusterLevel {
     rows: Vec<ClusterRow>,
 }
 
 impl ClusterLevel {
     /// Implements all clusters and builds the comparison.
-    pub fn generate() -> Self {
+    pub(crate) fn generate() -> Self {
         let rows = SpmCapacity::ALL
             .into_iter()
             .map(|capacity| {
@@ -55,13 +55,8 @@ impl ClusterLevel {
         ClusterLevel { rows }
     }
 
-    /// The rows, capacities ascending.
-    pub fn rows(&self) -> &[ClusterRow] {
-        &self.rows
-    }
-
     /// Renders the experiment.
-    pub fn to_text(&self) -> String {
+    pub(crate) fn to_text(&self) -> String {
         let mut t = TextTable::new([
             "capacity",
             "2D [mm2]",
@@ -92,7 +87,7 @@ mod tests {
 
     #[test]
     fn cluster_ratio_is_at_least_as_favorable() {
-        for row in ClusterLevel::generate().rows() {
+        for row in &ClusterLevel::generate().rows {
             assert!(
                 row.cluster_ratio <= row.group_ratio + 1e-9,
                 "{}: cluster {:.3} vs group {:.3}",
@@ -108,7 +103,7 @@ mod tests {
     fn full_cluster_size_is_plausible() {
         // 256 cores + 1 MiB in 28 nm: tens of mm².
         let rows = ClusterLevel::generate();
-        let base = &rows.rows()[0];
+        let base = &rows.rows[0];
         assert!(
             (20.0..120.0).contains(&base.footprint_2d_mm2),
             "2D 1 MiB cluster {:.1} mm²",

@@ -13,7 +13,7 @@ use crate::paper;
 use crate::table::TextTable;
 
 /// Bandwidths the paper sweeps, in bytes per cycle.
-pub const BANDWIDTHS: [u32; 5] = [4, 8, 16, 32, 64];
+pub(crate) const BANDWIDTHS: [u32; 5] = [4, 8, 16, 32, 64];
 
 /// One data point of Figure 6.
 #[derive(Debug, Clone, Copy)]
@@ -61,16 +61,6 @@ impl Fig6 {
     /// Computes the figure with the recorded measured constants.
     pub fn generate() -> Self {
         Self::with_model(PhaseModel::with_measured_defaults())
-    }
-
-    /// All data points.
-    pub fn points(&self) -> &[Fig6Point] {
-        &self.points
-    }
-
-    /// The workload model used.
-    pub fn model(&self) -> &PhaseModel {
-        &self.model
     }
 
     /// Looks up one point.
@@ -208,7 +198,7 @@ mod tests {
     #[test]
     fn headline_speedups_near_paper() {
         let fig = Fig6::generate();
-        let m = fig.model();
+        let m = &fig.model;
         for (bw, lo, hi) in [(4u32, 1.30, 1.55), (16, 1.10, 1.25), (64, 1.04, 1.13)] {
             let s = m.speedup(SpmCapacity::MiB8, bw, SpmCapacity::MiB1, bw);
             let expected = paper::fig6_speedup_8mib_over_1mib(bw).unwrap();
@@ -222,7 +212,7 @@ mod tests {
     #[test]
     fn half_capacity_annotations_are_positive() {
         let fig = Fig6::generate();
-        for p in fig.points() {
+        for p in &fig.points {
             if let Some(s) = p.speedup_vs_half {
                 assert!(s > 1.0, "{} at {} B/c", p.capacity, p.bytes_per_cycle);
             }
@@ -241,8 +231,8 @@ mod tests {
         let fig = Fig6::generate();
         let json = fig.to_json();
         let points = json.get("points").and_then(Json::as_arr).unwrap();
-        assert_eq!(points.len(), fig.points().len());
-        for (j, p) in points.iter().zip(fig.points()) {
+        assert_eq!(points.len(), fig.points.len());
+        for (j, p) in points.iter().zip(&fig.points) {
             assert_eq!(
                 j.get("bytes_per_cycle").and_then(Json::as_int).unwrap(),
                 p.bytes_per_cycle as i64

@@ -30,11 +30,6 @@ impl Fig7 {
         Self::from_evaluation(&Evaluation::new())
     }
 
-    /// All bars in capacity-major order.
-    pub fn bars(&self) -> &[CapacityBar] {
-        &self.bars
-    }
-
     /// Looks up one bar.
     pub fn bar(&self, flow: Flow, capacity: SpmCapacity) -> &CapacityBar {
         capacity_bars::find(&self.bars, flow, capacity)

@@ -1,8 +1,6 @@
 //! Figure 9: energy-delay product versus SPM capacity (16 B/cycle).
 
-use mempool_arch::SpmCapacity;
 use mempool_obs::Json;
-use mempool_phys::Flow;
 
 use crate::experiments::capacity_bars::{self, CapacityBar};
 use crate::experiments::Evaluation;
@@ -25,23 +23,8 @@ impl Fig9 {
         }
     }
 
-    /// Implements everything and computes the figure.
-    pub fn generate() -> Self {
-        Self::from_evaluation(&Evaluation::new())
-    }
-
-    /// All bars in capacity-major order.
-    pub fn bars(&self) -> &[CapacityBar] {
-        &self.bars
-    }
-
-    /// Looks up one bar.
-    pub fn bar(&self, flow: Flow, capacity: SpmCapacity) -> &CapacityBar {
-        capacity_bars::find(&self.bars, flow, capacity)
-    }
-
     /// The design point with the lowest EDP.
-    pub fn best(&self) -> &CapacityBar {
+    pub(crate) fn best(&self) -> &CapacityBar {
         self.bars
             .iter()
             .min_by(|a, b| a.value.total_cmp(&b.value))
@@ -78,22 +61,28 @@ impl Fig9 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mempool_arch::SpmCapacity;
+    use mempool_phys::Flow;
 
     fn fig() -> Fig9 {
-        Fig9::generate()
+        Fig9::from_evaluation(&Evaluation::new())
+    }
+
+    fn bar(f: &Fig9, flow: Flow, capacity: SpmCapacity) -> &CapacityBar {
+        capacity_bars::find(&f.bars, flow, capacity)
     }
 
     #[test]
     fn three_d_has_lower_edp_at_every_capacity() {
         let f = fig();
         for cap in SpmCapacity::ALL {
-            assert!(f.bar(Flow::ThreeD, cap).vs_2d.unwrap() < 1.0, "{cap}");
+            assert!(bar(&f, Flow::ThreeD, cap).vs_2d.unwrap() < 1.0, "{cap}");
         }
     }
 
     #[test]
     fn edp_of_3d_1mib_near_paper() {
-        let edp = fig().bar(Flow::ThreeD, SpmCapacity::MiB1).value;
+        let edp = bar(&fig(), Flow::ThreeD, SpmCapacity::MiB1).value;
         assert!(
             (edp - paper::FIG9_3D_1MIB_VS_BASELINE).abs() < 0.05,
             "3D 1 MiB EDP {edp:.3} vs paper {:.3}",
@@ -119,7 +108,7 @@ mod tests {
         let f = fig();
         for flow in Flow::ALL {
             assert!(
-                f.bar(flow, SpmCapacity::MiB8).value > f.bar(flow, SpmCapacity::MiB1).value,
+                bar(&f, flow, SpmCapacity::MiB8).value > bar(&f, flow, SpmCapacity::MiB1).value,
                 "{flow}: 8 MiB EDP must exceed 1 MiB"
             );
         }

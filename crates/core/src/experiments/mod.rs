@@ -6,23 +6,22 @@
 //! from them. [`catalogue::CATALOGUE`] is the index: every experiment
 //! `repro` prints and the experiment service serves is one row of it.
 
-pub mod ablations;
+pub(crate) mod ablations;
 mod capacity_bars;
 pub mod catalogue;
-pub mod claims;
-pub mod cluster_level;
-pub mod fig6;
-pub mod fig7;
-pub mod fig8;
-pub mod fig9;
-pub mod resilience;
-pub mod table1;
-pub mod table2;
+pub(crate) mod claims;
+pub(crate) mod cluster_level;
+pub(crate) mod fig6;
+pub(crate) mod fig7;
+pub(crate) mod fig8;
+pub(crate) mod fig9;
+pub(crate) mod resilience;
+pub(crate) mod table1;
+pub(crate) mod table2;
 
-pub use capacity_bars::CapacityBar;
 pub use catalogue::{Context, Experiment, CATALOGUE};
-pub use claims::Claims;
-pub use cluster_level::ClusterLevel;
+pub(crate) use claims::Claims;
+pub(crate) use cluster_level::ClusterLevel;
 pub use fig6::Fig6;
 pub use fig7::Fig7;
 pub use fig8::Fig8;
@@ -40,7 +39,7 @@ use crate::design::DesignPoint;
 
 /// Off-chip bandwidth Section VI-B uses for the combined metrics
 /// (one DDR channel: 16 B/cycle).
-pub const SECTION_VI_B_BANDWIDTH: u32 = 16;
+pub(crate) const SECTION_VI_B_BANDWIDTH: u32 = 16;
 
 /// All eight implemented design points plus the workload model — the
 /// shared substrate of Figures 7-9 and Table II.
@@ -75,7 +74,7 @@ impl Evaluation {
     ///
     /// Panics if the point is not one of the eight (cannot happen for
     /// points built from [`Flow`] x [`SpmCapacity`]).
-    pub fn group(&self, point: DesignPoint) -> &GroupReport {
+    pub(crate) fn group(&self, point: DesignPoint) -> &GroupReport {
         &self
             .groups
             .iter()
@@ -84,23 +83,13 @@ impl Evaluation {
             .1
     }
 
-    /// The workload model in use.
-    pub fn model(&self) -> &PhaseModel {
-        &self.model
-    }
-
-    /// Iterator over all design points and their reports.
-    pub fn iter(&self) -> impl Iterator<Item = (DesignPoint, &GroupReport)> {
-        self.groups.iter().map(|(p, r)| (*p, r))
-    }
-
     /// Clock frequency normalized to the baseline.
     pub fn frequency_norm(&self, point: DesignPoint) -> f64 {
         self.group(point).frequency_ghz / self.group(DesignPoint::baseline()).frequency_ghz
     }
 
     /// Power normalized to the baseline.
-    pub fn power_norm(&self, point: DesignPoint) -> f64 {
+    pub(crate) fn power_norm(&self, point: DesignPoint) -> f64 {
         self.group(point).total_power_mw / self.group(DesignPoint::baseline()).total_power_mw
     }
 
@@ -131,7 +120,7 @@ impl Evaluation {
     }
 
     /// The 2D counterpart of a point (identity for 2D points).
-    pub fn two_d_counterpart(point: DesignPoint) -> DesignPoint {
+    pub(crate) fn two_d_counterpart(point: DesignPoint) -> DesignPoint {
         DesignPoint::new(Flow::TwoD, point.capacity)
     }
 }
@@ -149,7 +138,7 @@ mod tests {
     #[test]
     fn evaluation_holds_eight_points() {
         let eval = Evaluation::new();
-        assert_eq!(eval.iter().count(), 8);
+        assert_eq!(eval.groups.len(), 8);
         assert_eq!(eval.frequency_norm(DesignPoint::baseline()), 1.0);
         assert_eq!(eval.power_norm(DesignPoint::baseline()), 1.0);
     }

@@ -78,22 +78,22 @@ impl Resilience {
 
     /// Figure 6 speedup of the clean 8 MiB point versus the 1 MiB at
     /// 4 B/cycle reference.
-    pub fn clean_speedup(&self) -> f64 {
+    pub(crate) fn clean_speedup(&self) -> f64 {
         self.reference_cycles / self.clean_total_cycles
     }
 
     /// The same speedup with the measured degradation applied.
-    pub fn degraded_speedup(&self) -> f64 {
+    pub(crate) fn degraded_speedup(&self) -> f64 {
         self.reference_cycles / self.degraded_total_cycles
     }
 
     /// Full-problem cycle delta the faults cost at this Figure 6 point.
-    pub fn fig6_delta_cycles(&self) -> f64 {
+    pub(crate) fn fig6_delta_cycles(&self) -> f64 {
         self.degraded_total_cycles - self.clean_total_cycles
     }
 
     /// Renders the comparison as text.
-    pub fn to_text(&self) -> String {
+    pub(crate) fn to_text(&self) -> String {
         let mut out = String::new();
         out.push_str(&format!(
             "Resilience: degraded Figure 6 point ({CAPACITY} at {BANDWIDTH} B/cycle)\n\
@@ -135,7 +135,7 @@ impl Resilience {
 
     /// Serializes the experiment (the measurement, the fault report, and
     /// the scaled Figure 6 point).
-    pub fn to_json(&self) -> Json {
+    pub(crate) fn to_json(&self) -> Json {
         Json::obj([
             ("capacity", Json::str(CAPACITY.to_string())),
             ("bytes_per_cycle", Json::Int(BANDWIDTH as i64)),

@@ -108,24 +108,9 @@ impl Table2 {
         Table2 { points, rows }
     }
 
-    /// Implements all groups and builds the table.
-    pub fn generate() -> Self {
-        Self::from_evaluation(&Evaluation::new())
-    }
-
-    /// Design points in column order.
-    pub fn points(&self) -> &[DesignPoint] {
-        &self.points
-    }
-
     /// Metric rows.
     pub fn rows(&self) -> &[MetricRow] {
         &self.rows
-    }
-
-    /// Finds a metric row by name.
-    pub fn metric(&self, name: &str) -> Option<&MetricRow> {
-        self.rows.iter().find(|r| r.name == name)
     }
 
     /// Renders the table, interleaving measured and paper values.
@@ -206,11 +191,15 @@ mod tests {
     use mempool_phys::Flow;
 
     fn table() -> Table2 {
-        Table2::generate()
+        Table2::from_evaluation(&Evaluation::new())
+    }
+
+    fn metric<'a>(t: &'a Table2, name: &str) -> &'a MetricRow {
+        t.rows.iter().find(|r| r.name == name).unwrap()
     }
 
     fn col(t: &Table2, flow: Flow, cap: SpmCapacity) -> usize {
-        t.points()
+        t.points
             .iter()
             .position(|p| p.flow == flow && p.capacity == cap)
             .unwrap()
@@ -219,8 +208,8 @@ mod tests {
     #[test]
     fn frequency_row_matches_paper_within_tolerance() {
         let t = table();
-        let row = t.metric("Eff. frequency").unwrap();
-        for (i, point) in t.points().iter().enumerate() {
+        let row = metric(&t, "Eff. frequency");
+        for (i, point) in t.points.iter().enumerate() {
             let diff = (row.measured[i] - row.paper[i]).abs();
             assert!(
                 diff < 0.05,
@@ -234,8 +223,8 @@ mod tests {
     #[test]
     fn power_row_matches_paper_within_tolerance() {
         let t = table();
-        let row = t.metric("Total power").unwrap();
-        for (i, point) in t.points().iter().enumerate() {
+        let row = metric(&t, "Total power");
+        for (i, point) in t.points.iter().enumerate() {
             let rel = (row.measured[i] - row.paper[i]).abs() / row.paper[i];
             assert!(
                 rel < 0.10,
@@ -249,7 +238,7 @@ mod tests {
     #[test]
     fn headline_claims_hold() {
         let t = table();
-        let freq = t.metric("Eff. frequency").unwrap();
+        let freq = metric(&t, "Eff. frequency");
         // 3D beats 2D at every capacity.
         for cap in SpmCapacity::ALL {
             let f2 = freq.measured[col(&t, Flow::TwoD, cap)];
@@ -264,13 +253,13 @@ mod tests {
             "4 MiB 3D frequency gain {gain_4m:.3} (paper: 1.091)"
         );
         // Footprint: 3D 8 MiB smaller than 2D 1 MiB.
-        let fp = t.metric("Footprint").unwrap();
+        let fp = metric(&t, "Footprint");
         assert!(
             fp.measured[col(&t, Flow::ThreeD, SpmCapacity::MiB8)]
                 < fp.measured[col(&t, Flow::TwoD, SpmCapacity::MiB1)]
         );
         // PDP: 3D wins at every capacity.
-        let pdp = t.metric("Power-delay product").unwrap();
+        let pdp = metric(&t, "Power-delay product");
         for cap in SpmCapacity::ALL {
             assert!(
                 pdp.measured[col(&t, Flow::ThreeD, cap)] < pdp.measured[col(&t, Flow::TwoD, cap)],
@@ -282,8 +271,8 @@ mod tests {
     #[test]
     fn buffers_within_thirty_percent_of_paper() {
         let t = table();
-        let row = t.metric("#Buffers [k]").unwrap();
-        for (i, point) in t.points().iter().enumerate() {
+        let row = metric(&t, "#Buffers [k]");
+        for (i, point) in t.points.iter().enumerate() {
             let rel = (row.measured[i] - row.paper[i]).abs() / row.paper[i];
             assert!(
                 rel < 0.30,
@@ -297,8 +286,8 @@ mod tests {
     #[test]
     fn f2f_bumps_close_to_paper() {
         let t = table();
-        let row = t.metric("#F2F bumps [k]").unwrap();
-        for (i, point) in t.points().iter().enumerate() {
+        let row = metric(&t, "#F2F bumps [k]");
+        for (i, point) in t.points.iter().enumerate() {
             if point.flow == Flow::TwoD {
                 assert!(row.measured[i].is_nan());
                 continue;
@@ -326,7 +315,7 @@ mod tests {
         let t = table();
         let json = t.to_json();
         let rows = json.get("rows").and_then(Json::as_arr).unwrap();
-        assert_eq!(rows.len(), t.rows().len());
+        assert_eq!(rows.len(), t.rows.len());
         let bumps = rows
             .iter()
             .find(|r| r.get("name").and_then(Json::as_str) == Some("#F2F bumps [k]"))
@@ -339,7 +328,7 @@ mod tests {
             .iter()
             .find(|r| r.get("name").and_then(Json::as_str) == Some("Eff. frequency"))
             .unwrap();
-        let freq_row = t.metric("Eff. frequency").unwrap();
+        let freq_row = metric(&t, "Eff. frequency");
         for (cell, &v) in freq_json
             .get("measured")
             .and_then(Json::as_arr)

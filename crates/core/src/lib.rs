@@ -38,6 +38,6 @@ pub mod design;
 pub mod dse;
 pub mod experiments;
 pub mod paper;
-pub mod table;
+pub(crate) mod table;
 
 pub use design::DesignPoint;

@@ -19,7 +19,7 @@ fn cap_index(capacity: SpmCapacity) -> usize {
 }
 
 /// Table I: tile footprint normalized to MemPool-2D(1 MiB).
-pub fn tile_footprint(flow: Flow, capacity: SpmCapacity) -> f64 {
+pub(crate) fn tile_footprint(flow: Flow, capacity: SpmCapacity) -> f64 {
     let i = cap_index(capacity);
     match flow {
         Flow::TwoD => [1.000, 1.104, 1.420, 1.817][i],
@@ -42,7 +42,7 @@ pub fn tile_logic_die_utilization(flow: Flow, capacity: SpmCapacity) -> f64 {
 }
 
 /// Table II: group footprint normalized to MemPool-2D(1 MiB).
-pub fn group_footprint(flow: Flow, capacity: SpmCapacity) -> f64 {
+pub(crate) fn group_footprint(flow: Flow, capacity: SpmCapacity) -> f64 {
     let i = cap_index(capacity);
     match flow {
         Flow::TwoD => [1.000, 1.074, 1.299, 1.572][i],
@@ -51,7 +51,7 @@ pub fn group_footprint(flow: Flow, capacity: SpmCapacity) -> f64 {
 }
 
 /// Table II: combined die area normalized to MemPool-2D(1 MiB).
-pub fn group_combined_area(flow: Flow, capacity: SpmCapacity) -> f64 {
+pub(crate) fn group_combined_area(flow: Flow, capacity: SpmCapacity) -> f64 {
     let i = cap_index(capacity);
     match flow {
         Flow::TwoD => [1.000, 1.074, 1.299, 1.572][i],
@@ -60,7 +60,7 @@ pub fn group_combined_area(flow: Flow, capacity: SpmCapacity) -> f64 {
 }
 
 /// Table II: normalized wire length.
-pub fn group_wire_length(flow: Flow, capacity: SpmCapacity) -> f64 {
+pub(crate) fn group_wire_length(flow: Flow, capacity: SpmCapacity) -> f64 {
     let i = cap_index(capacity);
     match flow {
         Flow::TwoD => [1.000, 1.036, 1.131, 1.294][i],
@@ -69,7 +69,7 @@ pub fn group_wire_length(flow: Flow, capacity: SpmCapacity) -> f64 {
 }
 
 /// Table II: effective frequency normalized to MemPool-2D(1 MiB).
-pub fn group_frequency(flow: Flow, capacity: SpmCapacity) -> f64 {
+pub(crate) fn group_frequency(flow: Flow, capacity: SpmCapacity) -> f64 {
     let i = cap_index(capacity);
     match flow {
         Flow::TwoD => [1.000, 0.930, 0.875, 0.885][i],
@@ -78,7 +78,7 @@ pub fn group_frequency(flow: Flow, capacity: SpmCapacity) -> f64 {
 }
 
 /// Table II: total power normalized to MemPool-2D(1 MiB).
-pub fn group_power(flow: Flow, capacity: SpmCapacity) -> f64 {
+pub(crate) fn group_power(flow: Flow, capacity: SpmCapacity) -> f64 {
     let i = cap_index(capacity);
     match flow {
         Flow::TwoD => [1.000, 1.045, 1.129, 1.299][i],
@@ -87,7 +87,7 @@ pub fn group_power(flow: Flow, capacity: SpmCapacity) -> f64 {
 }
 
 /// Table II: power-delay product normalized to MemPool-2D(1 MiB).
-pub fn group_pdp(flow: Flow, capacity: SpmCapacity) -> f64 {
+pub(crate) fn group_pdp(flow: Flow, capacity: SpmCapacity) -> f64 {
     let i = cap_index(capacity);
     match flow {
         Flow::TwoD => [1.000, 1.129, 1.290, 1.469][i],
@@ -96,7 +96,7 @@ pub fn group_pdp(flow: Flow, capacity: SpmCapacity) -> f64 {
 }
 
 /// Table II: buffer counts (absolute).
-pub fn group_buffers(flow: Flow, capacity: SpmCapacity) -> f64 {
+pub(crate) fn group_buffers(flow: Flow, capacity: SpmCapacity) -> f64 {
     let i = cap_index(capacity);
     match flow {
         Flow::TwoD => [182_900.0, 190_300.0, 212_500.0, 217_600.0][i],
@@ -105,12 +105,12 @@ pub fn group_buffers(flow: Flow, capacity: SpmCapacity) -> f64 {
 }
 
 /// Table II: F2F bump counts (3D only; absolute).
-pub fn group_f2f_bumps(capacity: SpmCapacity) -> f64 {
+pub(crate) fn group_f2f_bumps(capacity: SpmCapacity) -> f64 {
     [78_300.0, 78_900.0, 84_400.0, 86_200.0][cap_index(capacity)]
 }
 
 /// Table II: total negative slack normalized to MemPool-2D(1 MiB).
-pub fn group_tns(flow: Flow, capacity: SpmCapacity) -> f64 {
+pub(crate) fn group_tns(flow: Flow, capacity: SpmCapacity) -> f64 {
     let i = cap_index(capacity);
     match flow {
         Flow::TwoD => [-1.000, -2.080, -5.887, -5.212][i],
@@ -119,7 +119,7 @@ pub fn group_tns(flow: Flow, capacity: SpmCapacity) -> f64 {
 }
 
 /// Table II: failing-path counts (absolute).
-pub fn group_failing_paths(flow: Flow, capacity: SpmCapacity) -> f64 {
+pub(crate) fn group_failing_paths(flow: Flow, capacity: SpmCapacity) -> f64 {
     let i = cap_index(capacity);
     match flow {
         Flow::TwoD => [1140.0, 1636.0, 4396.0, 4352.0][i],
@@ -140,7 +140,7 @@ pub fn fig6_speedup_8mib_over_1mib(bytes_per_cycle: u32) -> Option<f64> {
 
 /// Figure 7: the 3D-vs-2D performance gain at 4 MiB (the paper's headline
 /// 9.1 %).
-pub const FIG7_3D_VS_2D_4MIB: f64 = 1.091;
+pub(crate) const FIG7_3D_VS_2D_4MIB: f64 = 1.091;
 
 /// Figure 7: MemPool-3D(8 MiB) performance over the baseline (8.4 %).
 pub const FIG7_3D_8MIB_VS_BASELINE: f64 = 1.084;
@@ -156,7 +156,7 @@ pub const FIG8_3D_VS_2D_4MIB: f64 = 1.184;
 pub const FIG8_2D_8MIB_VS_BASELINE: f64 = 0.79;
 
 /// Figure 9: MemPool-3D(1 MiB) EDP relative to the baseline (-15.6 %).
-pub const FIG9_3D_1MIB_VS_BASELINE: f64 = 0.844;
+pub(crate) const FIG9_3D_1MIB_VS_BASELINE: f64 = 0.844;
 
 #[cfg(test)]
 mod tests {

@@ -3,27 +3,15 @@
 use std::fmt;
 
 /// A simple right-aligned text table.
-///
-/// # Example
-///
-/// ```
-/// use mempool::table::TextTable;
-///
-/// let mut t = TextTable::new(["design", "freq"]);
-/// t.row(["2D 1MiB".to_string(), "1.000".to_string()]);
-/// let s = t.to_string();
-/// assert!(s.contains("design"));
-/// assert!(s.contains("1.000"));
-/// ```
 #[derive(Debug, Clone)]
-pub struct TextTable {
+pub(crate) struct TextTable {
     headers: Vec<String>,
     rows: Vec<Vec<String>>,
 }
 
 impl TextTable {
     /// Creates a table with the given column headers.
-    pub fn new<const N: usize>(headers: [&str; N]) -> Self {
+    pub(crate) fn new<const N: usize>(headers: [&str; N]) -> Self {
         TextTable {
             headers: headers.iter().map(|s| s.to_string()).collect(),
             rows: Vec::new(),
@@ -35,7 +23,7 @@ impl TextTable {
     /// # Panics
     ///
     /// Panics if the arity differs from the header row.
-    pub fn row<const N: usize>(&mut self, cells: [String; N]) -> &mut Self {
+    pub(crate) fn row<const N: usize>(&mut self, cells: [String; N]) -> &mut Self {
         assert_eq!(N, self.headers.len(), "row arity mismatch");
         self.rows.push(cells.to_vec());
         self
@@ -46,20 +34,10 @@ impl TextTable {
     /// # Panics
     ///
     /// Panics if the arity differs from the header row.
-    pub fn row_vec(&mut self, cells: Vec<String>) -> &mut Self {
+    pub(crate) fn row_vec(&mut self, cells: Vec<String>) -> &mut Self {
         assert_eq!(cells.len(), self.headers.len(), "row arity mismatch");
         self.rows.push(cells);
         self
-    }
-
-    /// Number of data rows.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// Whether the table has no data rows.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
     }
 }
 
@@ -92,12 +70,6 @@ impl fmt::Display for TextTable {
     }
 }
 
-/// Formats a ratio as the paper does: `0.665 (-33 %)`.
-pub fn ratio_with_delta(value: f64, reference: f64) -> String {
-    let delta = (value / reference - 1.0) * 100.0;
-    format!("{value:.3} ({delta:+.1} %)")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -121,19 +93,5 @@ mod tests {
     fn arity_mismatch_panics() {
         let mut t = TextTable::new(["a", "b"]);
         t.row_vec(vec!["only-one".into()]);
-    }
-
-    #[test]
-    fn ratio_formatting() {
-        assert_eq!(ratio_with_delta(0.665, 1.0), "0.665 (-33.5 %)");
-        assert_eq!(ratio_with_delta(1.1, 1.0), "1.100 (+10.0 %)");
-    }
-
-    #[test]
-    fn len_and_is_empty() {
-        let mut t = TextTable::new(["x"]);
-        assert!(t.is_empty());
-        t.row(["1".into()]);
-        assert_eq!(t.len(), 1);
     }
 }

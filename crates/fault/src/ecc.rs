@@ -87,7 +87,7 @@ impl EccState {
     }
 
     /// Clears the pending mask on a word (a write replaced its contents).
-    pub fn clear(&mut self, loc: BankLocation) {
+    pub(crate) fn clear(&mut self, loc: BankLocation) {
         self.pending.remove(&loc);
     }
 

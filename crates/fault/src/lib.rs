@@ -27,17 +27,17 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod controller;
-pub mod ecc;
-pub mod plan;
-pub mod report;
-pub mod rng;
-pub mod watchdog;
+pub(crate) mod controller;
+pub(crate) mod ecc;
+pub(crate) mod plan;
+pub(crate) mod report;
+pub(crate) mod rng;
+pub(crate) mod watchdog;
 
 pub use controller::{FaultController, FaultNote, FaultTally, LinkState, TimedFault};
 pub use ecc::{EccOutcome, EccState};
 pub use plan::{DeadLinkPolicy, FaultConfig, FaultEvent, FaultPlan};
-pub use report::{FaultReport, RemappedBank};
+pub use report::FaultReport;
 pub use rng::XorShift64;
 pub use watchdog::{CoreDiagnostic, Watchdog};
 

@@ -9,7 +9,6 @@
 //! always yields the identical plan.
 
 use mempool_arch::{BankId, BankLocation, ClusterConfig, GlobalCoreId, TileId};
-use mempool_obs::Json;
 
 use crate::rng::XorShift64;
 
@@ -62,18 +61,6 @@ pub enum FaultEvent {
     },
 }
 
-impl FaultEvent {
-    fn kind(&self) -> &'static str {
-        match self {
-            FaultEvent::LinkDegraded { .. } => "link_degraded",
-            FaultEvent::LinkDead { .. } => "link_dead",
-            FaultEvent::StuckBank { .. } => "stuck_bank",
-            FaultEvent::TransientFlip { .. } => "transient_flip",
-            FaultEvent::CoreHang { .. } => "core_hang",
-        }
-    }
-}
-
 /// What happens to an access that targets a tile behind a dead F2F link.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum DeadLinkPolicy {
@@ -122,12 +109,6 @@ impl FaultConfig {
         self.horizon = horizon;
         self
     }
-
-    /// Replaces the core-hang count.
-    pub fn with_core_hangs(mut self, hangs: u32) -> Self {
-        self.core_hangs = hangs;
-        self
-    }
 }
 
 /// Estimated F2F bumps per tile (Table II reports hundreds of thousands
@@ -157,7 +138,7 @@ impl FaultPlan {
     /// The generator models the defect exposure of the 3D stack:
     ///
     /// * **F2F-via opens** — each tile's vertical bundle degrades to the
-    ///   retry path with probability `rate x` [`BUMPS_PER_TILE`] (capped);
+    ///   retry path with probability `rate x BUMPS_PER_TILE` (capped);
     ///   fully dead links are never generated (script them explicitly);
     /// * **stuck banks** — each bank is stuck with probability
     ///   `rate x bits-per-bank` (capped), at most one per tile (one spare
@@ -255,12 +236,12 @@ impl FaultPlan {
     }
 
     /// The seed the plan was built from.
-    pub fn seed(&self) -> u64 {
+    pub(crate) fn seed(&self) -> u64 {
         self.seed
     }
 
     /// All scheduled events, in insertion order.
-    pub fn events(&self) -> &[FaultEvent] {
+    pub(crate) fn events(&self) -> &[FaultEvent] {
         &self.events
     }
 
@@ -275,52 +256,9 @@ impl FaultPlan {
     }
 
     /// What happens to accesses through a dead link.
-    pub fn dead_link_policy(&self) -> DeadLinkPolicy {
+    pub(crate) fn dead_link_policy(&self) -> DeadLinkPolicy {
         self.dead_link_policy
     }
-
-    /// Serializes the plan (seed plus one object per event).
-    pub fn to_json(&self) -> Json {
-        Json::obj([
-            ("seed", Json::Int(self.seed as i64)),
-            (
-                "events",
-                Json::Arr(self.events.iter().map(event_json).collect()),
-            ),
-        ])
-    }
-}
-
-fn event_json(event: &FaultEvent) -> Json {
-    let mut fields = vec![("kind".to_string(), Json::str(event.kind()))];
-    match *event {
-        FaultEvent::LinkDegraded {
-            tile,
-            extra_latency,
-        } => {
-            fields.push(("tile".to_string(), Json::Int(tile.0 as i64)));
-            fields.push(("extra_latency".to_string(), Json::Int(extra_latency as i64)));
-        }
-        FaultEvent::LinkDead { tile } => {
-            fields.push(("tile".to_string(), Json::Int(tile.0 as i64)));
-        }
-        FaultEvent::StuckBank { tile, bank } => {
-            fields.push(("tile".to_string(), Json::Int(tile.0 as i64)));
-            fields.push(("bank".to_string(), Json::Int(bank.0 as i64)));
-        }
-        FaultEvent::TransientFlip { cycle, loc, mask } => {
-            fields.push(("cycle".to_string(), Json::Int(cycle as i64)));
-            fields.push(("tile".to_string(), Json::Int(loc.tile.0 as i64)));
-            fields.push(("bank".to_string(), Json::Int(loc.bank.0 as i64)));
-            fields.push(("word".to_string(), Json::Int(loc.word as i64)));
-            fields.push(("mask".to_string(), Json::Int(mask as i64)));
-        }
-        FaultEvent::CoreHang { cycle, core } => {
-            fields.push(("cycle".to_string(), Json::Int(cycle as i64)));
-            fields.push(("core".to_string(), Json::Int(core.0 as i64)));
-        }
-    }
-    Json::Obj(fields)
 }
 
 #[cfg(test)]
@@ -403,7 +341,10 @@ mod tests {
             .iter()
             .any(|e| matches!(e, FaultEvent::LinkDead { .. } | FaultEvent::CoreHang { .. })));
         let with_hangs = FaultPlan::generate(
-            &FaultConfig::new(3, 1e-4).with_core_hangs(2),
+            &FaultConfig {
+                core_hangs: 2,
+                ..FaultConfig::new(3, 1e-4)
+            },
             &small_cluster(),
         );
         let hangs = with_hangs
@@ -440,16 +381,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn plan_serializes_to_json() {
-        let plan = FaultPlan::generate(&FaultConfig::new(42, 1e-6), &small_cluster());
-        let json = plan.to_json();
-        assert_eq!(json.get("seed").unwrap().as_int(), Some(42));
-        assert_eq!(
-            json.get("events").unwrap().as_arr().unwrap().len(),
-            plan.len()
-        );
     }
 }

@@ -39,11 +39,6 @@ impl AssembleError {
             message: message.into(),
         }
     }
-
-    /// The 1-based line number of the offending source line.
-    pub fn line(&self) -> usize {
-        self.line
-    }
 }
 
 impl fmt::Display for AssembleError {
@@ -636,7 +631,7 @@ fn split_operands(rest: &str) -> Vec<&str> {
 /// Returns [`AssembleError`] identifying the offending line on any syntax
 /// error, unknown mnemonic, out-of-range immediate, duplicate label, or
 /// undefined label reference.
-pub fn assemble(source: &str) -> Result<Program, AssembleError> {
+pub(crate) fn assemble(source: &str) -> Result<Program, AssembleError> {
     let mut drafts: Vec<(usize, Draft)> = Vec::new();
     let mut labels: BTreeMap<String, u32> = BTreeMap::new();
 
@@ -793,14 +788,14 @@ mod tests {
     fn duplicate_labels_rejected() {
         let err = assemble("a: nop\na: nop").unwrap_err();
         assert!(err.to_string().contains("duplicate label"));
-        assert_eq!(err.line(), 2);
+        assert_eq!(err.line, 2);
     }
 
     #[test]
     fn undefined_label_rejected_with_line() {
         let err = assemble("nop\nj nowhere").unwrap_err();
         assert!(err.to_string().contains("undefined label `nowhere`"));
-        assert_eq!(err.line(), 2);
+        assert_eq!(err.line, 2);
     }
 
     #[test]
@@ -868,7 +863,7 @@ mod tests {
     #[test]
     fn unknown_mnemonic_reports_line() {
         let err = assemble("nop\nfrobnicate a0").unwrap_err();
-        assert_eq!(err.line(), 2);
+        assert_eq!(err.line, 2);
         assert!(err.to_string().contains("frobnicate"));
     }
 

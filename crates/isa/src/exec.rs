@@ -77,11 +77,6 @@ impl MemAccessKind {
             MemAccessKind::Store { .. } => None,
         }
     }
-
-    /// Whether the transaction writes memory.
-    pub fn writes_memory(&self) -> bool {
-        !matches!(self, MemAccessKind::Load { .. })
-    }
 }
 
 /// A memory transaction produced by [`issue`].
@@ -396,7 +391,7 @@ pub fn issue(instr: Instr, pc: u32, regs: &mut RegFile, hartid: u32) -> Issue {
 
 /// Applies a load's response value to the register file, handling
 /// sign-extension.
-pub fn apply_load(regs: &mut RegFile, kind: MemAccessKind, raw: u32) {
+pub(crate) fn apply_load(regs: &mut RegFile, kind: MemAccessKind, raw: u32) {
     match kind {
         MemAccessKind::Load { width, signed, rd } => {
             let value = match (width, signed) {
@@ -444,19 +439,9 @@ impl Machine {
         }
     }
 
-    /// Sets the hart id visible through `mhartid`.
-    pub fn set_hartid(&mut self, hartid: u32) {
-        self.hartid = hartid;
-    }
-
     /// The register file.
     pub fn regs(&self) -> &RegFile {
         &self.regs
-    }
-
-    /// Mutable access to the register file (for setting up arguments).
-    pub fn regs_mut(&mut self) -> &mut RegFile {
-        &mut self.regs
     }
 
     /// Reads a register by ABI name.
@@ -468,19 +453,9 @@ impl Machine {
         Ok(self.regs.read(name.parse::<Reg>()?))
     }
 
-    /// Whether the core has executed `wfi`.
-    pub fn halted(&self) -> bool {
-        self.halted
-    }
-
     /// Number of retired instructions.
     pub fn retired(&self) -> u64 {
         self.retired
-    }
-
-    /// Current program counter.
-    pub fn pc(&self) -> u32 {
-        self.pc
     }
 
     /// Reads a 32-bit word from data memory.
@@ -504,7 +479,7 @@ impl Machine {
     /// # Errors
     ///
     /// Returns an error if the address is out of bounds or misaligned.
-    pub fn write_word(&mut self, addr: u32, value: u32) -> Result<(), ExecError> {
+    pub(crate) fn write_word(&mut self, addr: u32, value: u32) -> Result<(), ExecError> {
         self.check(addr, 4)?;
         let i = addr as usize;
         self.mem[i..i + 4].copy_from_slice(&value.to_le_bytes());
@@ -559,7 +534,7 @@ impl Machine {
     ///
     /// Returns an error on out-of-bounds or misaligned accesses, or when the
     /// program counter leaves the program.
-    pub fn step(&mut self) -> Result<(), ExecError> {
+    pub(crate) fn step(&mut self) -> Result<(), ExecError> {
         if self.halted {
             return Ok(());
         }
@@ -758,7 +733,7 @@ mod tests {
     fn csrrs_reads_hartid() {
         let program = Program::assemble("csrr a0, mhartid\nwfi").unwrap();
         let mut m = Machine::new(program, 64);
-        m.set_hartid(17);
+        m.hartid = 17;
         m.run(10).unwrap();
         assert_eq!(m.reg("a0").unwrap(), 17);
     }

@@ -163,7 +163,7 @@ pub enum XpulpOp {
 
 impl XpulpOp {
     /// Applies the operation.
-    pub fn apply(self, a: u32, b: u32) -> u32 {
+    pub(crate) fn apply(self, a: u32, b: u32) -> u32 {
         match self {
             XpulpOp::Min => (a as i32).min(b as i32) as u32,
             XpulpOp::Max => (a as i32).max(b as i32) as u32,
@@ -558,13 +558,6 @@ impl Instr {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DecodeError {
     word: u32,
-}
-
-impl DecodeError {
-    /// The undecodable instruction word.
-    pub fn word(self) -> u32 {
-        self.word
-    }
 }
 
 impl fmt::Display for DecodeError {

@@ -9,8 +9,8 @@
 //!
 //! * [`Instr`] — a typed instruction representation with a binary
 //!   [`encode`](Instr::encode) / [`decode`] round trip;
-//! * [`asm`] — a small two-pass text assembler with labels and the common
-//!   pseudo-instructions (`li`, `mv`, `j`, `beqz`, ...);
+//! * [`Program::assemble`] — a small two-pass text assembler with labels
+//!   and the common pseudo-instructions (`li`, `mv`, `j`, `beqz`, ...);
 //! * [`exec`] — architectural execution semantics, split into an *issue*
 //!   step (suitable for a timing simulator with split memory transactions)
 //!   and a synchronous [`Machine`](exec::Machine) for golden-model runs;
@@ -41,13 +41,14 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod asm;
+pub(crate) mod asm;
 pub mod exec;
 pub mod instr;
-pub mod program;
-pub mod reg;
+pub(crate) mod program;
+pub(crate) mod reg;
 
 pub use asm::AssembleError;
-pub use instr::{decode, AmoOp, DecodeError, Instr};
+pub(crate) use instr::DecodeError;
+pub use instr::{decode, Instr};
 pub use program::Program;
 pub use reg::{ParseRegError, Reg, RegFile};

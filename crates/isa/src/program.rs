@@ -86,29 +86,6 @@ impl Program {
         self.instrs.iter().map(|i| i.encode()).collect()
     }
 
-    /// Serializes the program to a little-endian byte image (the format a
-    /// boot ROM or loader would consume).
-    pub fn to_bytes(&self) -> Vec<u8> {
-        self.instrs
-            .iter()
-            .flat_map(|i| i.encode().to_le_bytes())
-            .collect()
-    }
-
-    /// Decodes a program from a little-endian byte image.
-    ///
-    /// # Errors
-    ///
-    /// Returns a decode error on the first unrecognized word; images with
-    /// trailing partial words are truncated to whole instructions.
-    pub fn from_bytes(bytes: &[u8]) -> Result<Self, crate::DecodeError> {
-        let words: Vec<u32> = bytes
-            .chunks_exact(4)
-            .map(|c| u32::from_le_bytes([c[0], c[1], c[2], c[3]]))
-            .collect();
-        Self::from_words(&words)
-    }
-
     /// Decodes a program from a binary image.
     ///
     /// # Errors
@@ -168,19 +145,6 @@ mod tests {
         let words = p.to_words();
         let back = Program::from_words(&words).unwrap();
         assert_eq!(back.instrs(), p.instrs());
-    }
-
-    #[test]
-    fn byte_image_round_trip() {
-        let p = Program::assemble("li a0, 7\np.mac a1, a0, a0\nwfi").unwrap();
-        let bytes = p.to_bytes();
-        assert_eq!(bytes.len(), p.len() * 4);
-        let back = Program::from_bytes(&bytes).unwrap();
-        assert_eq!(back.instrs(), p.instrs());
-        // Trailing partial words are ignored.
-        let mut ragged = bytes.clone();
-        ragged.push(0xff);
-        assert_eq!(Program::from_bytes(&ragged).unwrap().instrs(), p.instrs());
     }
 
     #[test]

@@ -12,7 +12,7 @@ use std::str::FromStr;
 ///
 /// let a0: Reg = "a0".parse()?;
 /// assert_eq!(a0, Reg::new(10));
-/// assert_eq!(a0.abi_name(), "a0");
+/// assert_eq!(a0.to_string(), "a0");
 /// # Ok::<(), mempool_isa::ParseRegError>(())
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
@@ -29,9 +29,7 @@ impl Reg {
     /// The hardwired-zero register `x0`.
     pub const ZERO: Reg = Reg(0);
     /// Return-address register `x1`.
-    pub const RA: Reg = Reg(1);
-    /// Stack pointer `x2`.
-    pub const SP: Reg = Reg(2);
+    pub(crate) const RA: Reg = Reg(1);
 
     /// Creates a register from its number.
     ///
@@ -44,7 +42,7 @@ impl Reg {
     }
 
     /// Creates a register from the low 5 bits of an encoding field.
-    pub const fn from_bits(bits: u32) -> Self {
+    pub(crate) const fn from_bits(bits: u32) -> Self {
         Reg((bits & 0x1f) as u8)
     }
 
@@ -54,7 +52,7 @@ impl Reg {
     }
 
     /// The ABI name (`zero`, `ra`, `sp`, `a0`, ...).
-    pub fn abi_name(self) -> &'static str {
+    pub(crate) fn abi_name(self) -> &'static str {
         ABI_NAMES[self.0 as usize]
     }
 

@@ -27,11 +27,6 @@ impl Axpy {
         Axpy { n, a }
     }
 
-    /// Vector length.
-    pub fn n(&self) -> u32 {
-        self.n
-    }
-
     fn bases(&self, cluster: &Cluster) -> (u32, u32) {
         let base = cluster.storage().map().interleaved_base();
         (base, base + self.n * 4)

@@ -17,7 +17,7 @@
 ///
 /// `suffix` uniquifies the labels so multiple barriers can appear in one
 /// program.
-pub fn barrier_asm(num_cores: u32, suffix: &str) -> String {
+pub(crate) fn barrier_asm(num_cores: u32, suffix: &str) -> String {
     format!(
         r#"
             lw   t0, 0(s11)            # my generation
@@ -38,60 +38,10 @@ pub fn barrier_asm(num_cores: u32, suffix: &str) -> String {
     )
 }
 
-/// Returns assembly for a two-level tree barrier: cores first synchronize
-/// within their tile (on a counter in the tile's own sequential region,
-/// one cycle away), then one representative per tile joins a global
-/// barrier. This cuts the serialized traffic on the global bank from
-/// `num_cores` to `num_tiles` atomics and is how shared-L1 clusters keep
-/// barrier cost sub-linear in the core count.
-///
-/// The snippet clobbers `t0`-`t6` and expects:
-///
-/// * `s8` — address of this tile's local counter word (tile-local SPM);
-/// * `s9` — address of this tile's local generation word;
-/// * `s10` — address of the global counter word;
-/// * `s11` — address of the global generation word;
-/// * all four words initially 0.
-pub fn tree_barrier_asm(cores_per_tile: u32, num_tiles: u32, suffix: &str) -> String {
-    format!(
-        r#"
-            # --- level 1: tile-local barrier ---
-            lw   t0, 0(s9)             # my tile generation
-            li   t1, 1
-            amoadd.w t2, t1, (s8)
-            addi t2, t2, 1
-            li   t3, {cores_per_tile}
-            bne  t2, t3, tree_wait_l1_{suffix}
-            # last core of the tile: reset and join the global barrier
-            sw   zero, 0(s8)
-            lw   t5, 0(s11)            # global generation
-            amoadd.w t2, t1, (s10)
-            addi t2, t2, 1
-            li   t4, {num_tiles}
-            bne  t2, t4, tree_wait_l2_{suffix}
-            sw   zero, 0(s10)          # last tile: release globally
-            addi t6, t5, 1
-            sw   t6, 0(s11)
-            j    tree_release_{suffix}
-        tree_wait_l2_{suffix}:
-            lw   t6, 0(s11)
-            beq  t6, t5, tree_wait_l2_{suffix}
-        tree_release_{suffix}:
-            addi t4, t0, 1             # release my tile
-            sw   t4, 0(s9)
-            j    tree_done_{suffix}
-        tree_wait_l1_{suffix}:
-            lw   t4, 0(s9)
-            beq  t4, t0, tree_wait_l1_{suffix}
-        tree_done_{suffix}:
-        "#
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mempool_arch::{AddressMap, ClusterConfig, TileId};
+    use mempool_arch::ClusterConfig;
     use mempool_isa::Program;
     use mempool_sim::{Cluster, SimParams};
 
@@ -146,132 +96,6 @@ mod tests {
             let sum = cluster.read_spm_word(0x300 + 4 * core).unwrap();
             assert_eq!(sum, n, "core {core} saw {sum}/{n} flags");
         }
-    }
-
-    fn tree_program(cfg: &ClusterConfig, map: &AddressMap, check_flags: bool) -> String {
-        let n = cfg.num_cores();
-        let seq_bytes = map.seq_bytes_per_tile();
-        let global_counter = map.interleaved_addr(0);
-        let global_gen = map.interleaved_addr(1);
-        let flags = map.interleaved_addr(2);
-        let check = if check_flags {
-            format!(
-                r#"
-                li   s4, 0
-                li   s5, {flags}
-                li   s6, {n}
-            sum_loop:
-                lw   s7, 0(s5)
-                add  s4, s4, s7
-                addi s5, s5, 4
-                addi s6, s6, -1
-                bnez s6, sum_loop
-                li   s2, {flags}
-                csrr s0, mhartid
-                slli s1, s0, 2
-                add  s2, s2, s1
-                sw   s4, 256(s2)       # results after the flag array
-                "#
-            )
-        } else {
-            String::new()
-        };
-        let set_flag = if check_flags {
-            format!(
-                r#"
-                csrr s0, mhartid
-                slli s1, s0, 2
-                li   s2, {flags}
-                add  s2, s2, s1
-                li   s3, 1
-                sw   s3, 0(s2)
-                "#
-            )
-        } else {
-            String::new()
-        };
-        format!(
-            r#"
-                csrr t0, mhartid
-                li   t1, {cores_per_tile}
-                divu t2, t0, t1          # my tile
-                li   t3, {seq_bytes}
-                mul  t4, t2, t3
-                addi s8, t4, 16          # tile-local counter
-                addi s9, t4, 20          # tile-local generation
-                li   s10, {global_counter}
-                li   s11, {global_gen}
-                {set_flag}
-                {tree}
-                {check}
-                wfi
-            "#,
-            cores_per_tile = cfg.cores_per_tile(),
-            tree = tree_barrier_asm(cfg.cores_per_tile(), cfg.num_tiles(), "0"),
-        )
-    }
-
-    #[test]
-    fn tree_barrier_orders_all_cores() {
-        let cfg = ClusterConfig::builder()
-            .groups(1)
-            .tiles_per_group(16)
-            .cores_per_tile(4)
-            .banks_per_tile(4)
-            .bank_words(256)
-            .build()
-            .unwrap();
-        let n = cfg.num_cores();
-        let mut cluster = Cluster::new(cfg.clone(), SimParams::default());
-        let map = cluster.storage().map().clone();
-        let src = tree_program(&cfg, &map, true);
-        cluster.load_program(Program::assemble(&src).unwrap());
-        cluster.preload_icaches();
-        cluster.run(10_000_000).unwrap();
-        let results_base = map.interleaved_addr(2) + 256;
-        for core in 0..n {
-            let sum = cluster.read_spm_word(results_base + 4 * core).unwrap();
-            assert_eq!(sum, n, "core {core} saw {sum}/{n} flags");
-        }
-        // The local seq-region counters must not have leaked into tile 0's
-        // global words.
-        let _ = TileId(0);
-    }
-
-    #[test]
-    fn tree_barrier_beats_central_barrier_at_scale() {
-        let cfg = ClusterConfig::builder()
-            .groups(1)
-            .tiles_per_group(16)
-            .cores_per_tile(4)
-            .banks_per_tile(4)
-            .bank_words(256)
-            .build()
-            .unwrap();
-        let n = cfg.num_cores();
-
-        let mut central = Cluster::new(cfg.clone(), SimParams::default());
-        let map = central.storage().map().clone();
-        let central_src = format!(
-            "li s10, {}\nli s11, {}\n{}\nwfi",
-            map.interleaved_addr(0),
-            map.interleaved_addr(1),
-            barrier_asm(n, "0")
-        );
-        central.load_program(Program::assemble(&central_src).unwrap());
-        central.preload_icaches();
-        let central_cycles = central.run(10_000_000).unwrap();
-
-        let mut tree = Cluster::new(cfg.clone(), SimParams::default());
-        let tree_src = tree_program(&cfg, &map, false);
-        tree.load_program(Program::assemble(&tree_src).unwrap());
-        tree.preload_icaches();
-        let tree_cycles = tree.run(10_000_000).unwrap();
-
-        assert!(
-            tree_cycles < central_cycles,
-            "tree barrier ({tree_cycles}) must beat the central one ({central_cycles}) over {n} cores"
-        );
     }
 
     /// The barrier's cost should grow with the core count (serialized

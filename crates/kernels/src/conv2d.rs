@@ -45,7 +45,7 @@ impl Conv2d {
     }
 
     /// Output dimensions (valid padding shrinks by 2).
-    pub fn out_dims(&self) -> (u32, u32) {
+    pub(crate) fn out_dims(&self) -> (u32, u32) {
         (self.width - 2, self.height - 2)
     }
 
@@ -61,7 +61,7 @@ impl Conv2d {
     }
 
     /// Host-side reference output at `(ox, oy)`.
-    pub fn expected(&self, ox: u32, oy: u32) -> u32 {
+    pub(crate) fn expected(&self, ox: u32, oy: u32) -> u32 {
         let mut acc = 0u32;
         for ky in 0..3 {
             for kx in 0..3 {

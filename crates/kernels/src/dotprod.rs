@@ -41,7 +41,7 @@ impl DotProduct {
     }
 
     /// Host-side reference result.
-    pub fn expected(&self) -> u32 {
+    pub(crate) fn expected(&self) -> u32 {
         (0..self.n)
             .map(|i| Self::x_value(i).wrapping_mul(Self::y_value(i)))
             .fold(0u32, u32::wrapping_add)

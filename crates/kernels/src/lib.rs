@@ -20,8 +20,7 @@
 //! * smaller kernels ([`axpy`], [`dotprod`], [`conv2d`], [`gemv`],
 //!   [`transpose`]) exercising the same code paths, used by the examples,
 //!   plus the memory-bound [`stencil`] phase model;
-//! * central and two-level tree [`barrier`]s built from the A-extension
-//!   atomics;
+//! * a central barrier built from the A-extension atomics;
 //! * degraded-mode [`resilience`] runs: the same compute phase clean and
 //!   under an injected fault plan, with the slowdown attributed exactly.
 //!
@@ -42,7 +41,7 @@
 #![warn(missing_docs)]
 
 pub mod axpy;
-pub mod barrier;
+pub(crate) mod barrier;
 pub mod conv2d;
 pub mod dotprod;
 pub mod gemv;
@@ -51,6 +50,6 @@ pub mod measure;
 pub mod resilience;
 pub mod stencil;
 pub mod transpose;
-pub mod workload;
+pub(crate) mod workload;
 
 pub use workload::{Kernel, KernelError};

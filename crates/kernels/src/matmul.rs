@@ -109,17 +109,17 @@ impl ComputePhase {
     }
 
     /// Tile dimension.
-    pub fn p(&self) -> u32 {
+    pub(crate) fn p(&self) -> u32 {
         self.p
     }
 
     /// Byte size of one `p x p` word tile.
-    pub fn tile_bytes(&self) -> u32 {
+    pub(crate) fn tile_bytes(&self) -> u32 {
         self.p * self.p * 4
     }
 
     /// SPM addresses of the `A`, `B`, and `C` tiles.
-    pub fn tile_addrs(&self, cluster: &Cluster) -> (u32, u32, u32) {
+    pub(crate) fn tile_addrs(&self, cluster: &Cluster) -> (u32, u32, u32) {
         self.layout.unwrap_or_else(|| {
             let base = cluster.storage().map().interleaved_base();
             (base, base + self.tile_bytes(), base + 2 * self.tile_bytes())
@@ -460,13 +460,8 @@ impl BlockedMatmul {
         }
     }
 
-    /// Matrix dimension.
-    pub fn m(&self) -> u32 {
-        self.m
-    }
-
     /// Tile dimension.
-    pub fn t(&self) -> u32 {
+    pub(crate) fn t(&self) -> u32 {
         self.phase.p()
     }
 

@@ -72,7 +72,7 @@ pub fn probe_cluster() -> Cluster {
 /// # Errors
 ///
 /// Propagates simulation and verification errors.
-pub fn measure_compute_constants_observed(
+pub(crate) fn measure_compute_constants_observed(
     blocking: Blocking,
     obs: Option<&Obs>,
 ) -> Result<(f64, f64), KernelError> {
@@ -121,7 +121,9 @@ fn record_phase(obs: Option<&Obs>, run: &str, name: &str, end: u64, args: &[(&st
 /// # Errors
 ///
 /// Propagates simulation errors.
-pub fn measure_barrier_constants_observed(obs: Option<&Obs>) -> Result<(f64, f64), KernelError> {
+pub(crate) fn measure_barrier_constants_observed(
+    obs: Option<&Obs>,
+) -> Result<(f64, f64), KernelError> {
     let mut points = Vec::new();
     for (tiles, cores) in [(2u32 * 2, 2u32), (4 * 4, 4)] {
         let side = (tiles as f64).sqrt() as u32;

@@ -32,7 +32,7 @@ const CHECKPOINT_KEEP: usize = 3;
 
 /// Default snapshot interval (cycles) when a checkpoint directory is set
 /// but no explicit interval is.
-pub const DEFAULT_CHECKPOINT_EVERY: u64 = 10_000;
+pub(crate) const DEFAULT_CHECKPOINT_EVERY: u64 = 10_000;
 
 /// Result of a clean-vs-degraded pair of compute-phase runs.
 #[derive(Debug, Clone)]
@@ -65,7 +65,7 @@ impl DegradedRun {
     }
 
     /// Cycle delta between the degraded and clean runs.
-    pub fn delta_cycles(&self) -> i64 {
+    pub(crate) fn delta_cycles(&self) -> i64 {
         self.degraded_cycles as i64 - self.clean_cycles as i64
     }
 
@@ -102,7 +102,7 @@ pub struct DegradedObs {
     /// bounded retention; a crashed run's last good snapshot is reported
     /// through [`DegradedFailure::last_checkpoint`].
     pub checkpoint_dir: Option<PathBuf>,
-    /// Snapshot interval in cycles ([`DEFAULT_CHECKPOINT_EVERY`] when
+    /// Snapshot interval in cycles (`DEFAULT_CHECKPOINT_EVERY` when
     /// unset). Ignored without `checkpoint_dir`.
     pub checkpoint_every: Option<u64>,
     /// Resume the degraded run from this checkpoint file instead of

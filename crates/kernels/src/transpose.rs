@@ -34,11 +34,6 @@ impl Transpose {
         Transpose { n }
     }
 
-    /// Matrix dimension.
-    pub fn n(&self) -> u32 {
-        self.n
-    }
-
     fn layout(&self, cluster: &Cluster) -> (u32, u32) {
         let base = cluster.storage().map().interleaved_base();
         (base, base + self.n * self.n * 4)

@@ -67,7 +67,7 @@ impl CycleBuckets {
     }
 
     /// `(label, value)` pairs in presentation order.
-    pub fn entries(&self) -> [(&'static str, u64); 9] {
+    pub(crate) fn entries(&self) -> [(&'static str, u64); 9] {
         [
             ("issue", self.issue),
             ("scoreboard", self.scoreboard),
@@ -158,7 +158,7 @@ pub struct ConflictHeatmap {
 
 impl ConflictHeatmap {
     /// Largest cell value.
-    pub fn max(&self) -> u64 {
+    pub(crate) fn max(&self) -> u64 {
         self.rows
             .iter()
             .flat_map(|r| r.iter().copied())
@@ -167,7 +167,7 @@ impl ConflictHeatmap {
     }
 
     /// ASCII rendering: one row per tile, intensity ramp ` .:-=+*#%@`.
-    pub fn to_ascii(&self) -> String {
+    pub(crate) fn to_ascii(&self) -> String {
         const RAMP: &[u8] = b" .:-=+*#%@";
         let max = self.max();
         let mut out = String::from("bank-conflict heatmap (rows: tiles, cols: banks)\n");
@@ -294,7 +294,7 @@ impl AttributionReport {
 
     /// Cluster-wide bucket shares, normalized to 1.0 (all zeros when no
     /// cycles elapsed).
-    pub fn cluster_fractions(&self) -> Vec<(&'static str, f64)> {
+    pub(crate) fn cluster_fractions(&self) -> Vec<(&'static str, f64)> {
         let total = self.cluster.total();
         self.cluster
             .entries()

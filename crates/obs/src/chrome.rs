@@ -119,12 +119,6 @@ fn metadata(kind: &str, pid: u32, tid: u32, name: &str) -> Json {
     ])
 }
 
-/// Convenience: total span count that [`chrome_trace`] will emit `B`/`E`
-/// pairs for (metadata events excluded).
-pub fn duration_event_pairs(recorder: &SpanRecorder) -> usize {
-    recorder.len()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -20,7 +20,7 @@ use std::rc::Rc;
 use crate::json::Json;
 
 /// Default ring capacity when none is configured explicitly.
-pub const DEFAULT_FLIGHT_CAPACITY: usize = 256;
+pub(crate) const DEFAULT_FLIGHT_CAPACITY: usize = 256;
 
 /// One recorded event.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -68,14 +68,14 @@ impl Default for FlightInner {
     }
 }
 
-/// Shared bounded ring of [`FlightEvent`]s. Clones share state.
+/// Shared bounded ring of `FlightEvent`s. Clones share state.
 #[derive(Debug, Clone, Default)]
 pub struct FlightRecorder {
     inner: Rc<RefCell<FlightInner>>,
 }
 
 impl FlightRecorder {
-    /// Creates a recorder with [`DEFAULT_FLIGHT_CAPACITY`].
+    /// Creates a recorder with `DEFAULT_FLIGHT_CAPACITY` slots.
     pub fn new() -> Self {
         Self::default()
     }
@@ -140,7 +140,7 @@ impl FlightRecorder {
     }
 
     /// Number of events currently held.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.inner.borrow().ring.len()
     }
 
@@ -157,14 +157,6 @@ impl FlightRecorder {
     /// Clones out the held events, oldest first.
     pub fn events(&self) -> Vec<FlightEvent> {
         self.inner.borrow().ring.iter().cloned().collect()
-    }
-
-    /// Discards all held events (the dropped counter keeps accumulating).
-    pub fn clear(&self) {
-        let mut inner = self.inner.borrow_mut();
-        let n = inner.ring.len() as u64;
-        inner.ring.clear();
-        inner.dropped += n;
     }
 
     /// Serializes the ring:
@@ -243,15 +235,5 @@ mod tests {
             Some("watchdog")
         );
         assert!(events[1].get("core").is_none());
-    }
-
-    #[test]
-    fn clear_empties_but_counts_drops() {
-        let rec = FlightRecorder::with_capacity(8);
-        rec.record(1, "mem", None, "a");
-        rec.record(2, "mem", None, "b");
-        rec.clear();
-        assert!(rec.is_empty());
-        assert_eq!(rec.dropped(), 2);
     }
 }

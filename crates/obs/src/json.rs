@@ -10,7 +10,7 @@
 //!
 //! Numbers are kept as either `i64` or `f64`: cycle counts routinely exceed
 //! `f64`'s 2^53 integer range in long simulations, so integers round-trip
-//! exactly through [`Json::to_string`] and [`Json::parse`].
+//! exactly through the `Display` text and [`Json::parse`].
 
 use std::fmt;
 
@@ -18,7 +18,7 @@ use std::fmt;
 /// recurses once per level, so hostile input (`[[[[...`) must hit a typed
 /// error long before it can exhaust the stack; real artifacts nest less
 /// than ten levels.
-pub const MAX_DEPTH: usize = 128;
+pub(crate) const MAX_DEPTH: usize = 128;
 
 /// A JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -104,7 +104,7 @@ impl Json {
     }
 
     /// The value as a `u32`.
-    pub fn try_u32(&self, what: &str) -> Result<u32, JsonError> {
+    pub(crate) fn try_u32(&self, what: &str) -> Result<u32, JsonError> {
         u32::try_from(self.try_u64(what)?)
             .map_err(|_| JsonError::shape(format!("{what} exceeds u32")))
     }
@@ -123,7 +123,7 @@ impl Json {
     }
 
     /// The value as an array slice.
-    pub fn try_arr(&self, what: &str) -> Result<&[Json], JsonError> {
+    pub(crate) fn try_arr(&self, what: &str) -> Result<&[Json], JsonError> {
         self.as_arr()
             .ok_or_else(|| JsonError::shape(format!("{what} must be an array")))
     }
@@ -144,11 +144,6 @@ impl Json {
         self.field(key)?.try_u32(key)
     }
 
-    /// The member `key` as a finite number.
-    pub fn f64_field(&self, key: &str) -> Result<f64, JsonError> {
-        self.field(key)?.try_f64(key)
-    }
-
     /// The member `key` as a string slice.
     pub fn str_field(&self, key: &str) -> Result<&str, JsonError> {
         self.field(key)?.try_str(key)
@@ -157,14 +152,6 @@ impl Json {
     /// The member `key` as an array slice.
     pub fn arr_field(&self, key: &str) -> Result<&[Json], JsonError> {
         self.field(key)?.try_arr(key)
-    }
-
-    /// The member `key` as an array of non-negative integers.
-    pub fn u64s_field(&self, key: &str) -> Result<Vec<u64>, JsonError> {
-        self.arr_field(key)?
-            .iter()
-            .map(|v| v.try_u64(key))
-            .collect()
     }
 
     /// Serializes with two-space indentation and a trailing newline —
@@ -211,7 +198,7 @@ impl Json {
     /// # Errors
     ///
     /// Returns a [`JsonError`] describing the first syntax error, or the
-    /// first array/object nested deeper than [`MAX_DEPTH`].
+    /// first array/object nested deeper than `MAX_DEPTH`.
     pub fn parse(text: &str) -> Result<Json, JsonError> {
         let mut p = Parser {
             bytes: text.as_bytes(),
@@ -611,8 +598,6 @@ mod tests {
         let doc =
             Json::parse(r#"{"n": 7, "neg": -1, "big": 4294967296, "x": 1.5, "a": [1]}"#).unwrap();
         assert_eq!(doc.u32_field("n"), Ok(7));
-        assert_eq!(doc.f64_field("n"), Ok(7.0));
-        assert_eq!(doc.u64s_field("a"), Ok(vec![1]));
         let message = |e: JsonError| e.message;
         for (err, needle) in [
             (

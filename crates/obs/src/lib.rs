@@ -3,30 +3,29 @@
 //! Observability subsystem for the MemPool-3D reproduction: the measurement
 //! substrate every performance claim in this repository rests on.
 //!
-//! * [`metrics`] — a registry of [`Counter`]/[`Gauge`]/[`Histogram`]
-//!   instruments with static labels, frozen into a serializable
-//!   [`MetricsSnapshot`];
-//! * [`span`] — cycle-domain phase spans ([`SpanRecorder`]): nested,
+//! * metrics — a [`Registry`] of [`Counter`], gauge and histogram
+//!   instruments with static labels, frozen into a serializable snapshot;
+//! * spans — cycle-domain phase spans ([`SpanRecorder`]): nested,
 //!   per-track intervals marked against the *simulated* clock;
-//! * [`attribution`] — normalized cycle accounting
+//! * attribution — normalized cycle accounting
 //!   ([`AttributionReport`]): per core, per tile, and cluster-wide, every
 //!   bucket summing exactly to the simulated cycle count, plus a
 //!   bank-conflict heatmap;
-//! * [`timeseries`] — cycle-sampled per-epoch counter tracks
+//! * time series — cycle-sampled per-epoch counter tracks
 //!   ([`TimeSeries`]): how IPC, request rates, and occupancies evolve
 //!   *over* a run, exported as `timeseries.json`/`.csv` and as Perfetto
 //!   counter tracks;
-//! * [`flight`] — a bounded structured-event ring ([`FlightRecorder`])
-//!   dumped into `crashdump.json` when a run dies;
-//! * [`chrome`] — Chrome Trace Event export of span timelines, loadable in
-//!   Perfetto or `chrome://tracing`;
-//! * [`json`] — the self-contained JSON document model the exporters
+//! * flight recording — a bounded structured-event ring
+//!   ([`FlightRecorder`]) dumped into `crashdump.json` when a run dies;
+//! * Chrome Trace Event export of span timelines ([`chrome_trace`]),
+//!   loadable in Perfetto or `chrome://tracing`;
+//! * [`Json`] — the self-contained JSON document model the exporters
 //!   emit and every loader reads through (the workspace has no
 //!   serialization dependency);
-//! * [`load`] — quarantine-aware JSON file loading and the atomic
-//!   (temp file + rename) write, shared by the serve result cache, its
-//!   job journal, and the checkpoint files;
-//! * [`artifacts`] — the artifact-directory writer used by
+//! * quarantine-aware JSON file loading ([`load_json_file`]) and the
+//!   atomic (temp file + rename) write ([`write_atomic`]), shared by the
+//!   serve result cache, its job journal, and the checkpoint files;
+//! * [`ArtifactDir`] — the artifact-directory writer used by
 //!   `repro --artifacts DIR`.
 //!
 //! The simulator attaches an [`Obs`] handle (shared metrics registry +
@@ -36,7 +35,7 @@
 //! ## Example
 //!
 //! ```
-//! use mempool_obs::{chrome, Json, Obs};
+//! use mempool_obs::{chrome_trace, Json, Obs};
 //!
 //! let obs = Obs::new();
 //! let run = obs.spans.process("demo-run");
@@ -47,33 +46,31 @@
 //!
 //! let snapshot = obs.metrics.snapshot();
 //! assert_eq!(snapshot.counters[0].value, 4096);
-//! let trace = chrome::chrome_trace(&obs.spans);
+//! let trace = chrome_trace(&obs.spans);
 //! assert!(Json::parse(&trace.to_pretty()).is_ok());
 //! ```
 
 #![warn(missing_docs)]
 
-pub mod artifacts;
-pub mod attribution;
-pub mod chrome;
-pub mod flight;
-pub mod json;
-pub mod load;
-pub mod metrics;
-pub mod span;
-pub mod timeseries;
+pub(crate) mod artifacts;
+pub(crate) mod attribution;
+pub(crate) mod chrome;
+pub(crate) mod flight;
+pub(crate) mod json;
+pub(crate) mod load;
+pub(crate) mod metrics;
+pub(crate) mod span;
+pub(crate) mod timeseries;
 
 pub use artifacts::ArtifactDir;
-pub use attribution::{
-    AttributionReport, BankConflictInput, ConflictHeatmap, CoreCycleInput, CycleBuckets,
-};
+pub use attribution::{AttributionReport, BankConflictInput, CoreCycleInput};
 pub use chrome::{chrome_trace, chrome_trace_with_counters};
-pub use flight::{FlightEvent, FlightRecorder, DEFAULT_FLIGHT_CAPACITY};
+pub use flight::FlightRecorder;
 pub use json::{Json, JsonError};
 pub use load::{load_json_file, quarantine_path, write_atomic, LoadOutcome};
-pub use metrics::{Counter, Gauge, Histogram, MetricsSnapshot, Registry};
-pub use span::{ProcessId, Span, SpanRecorder, TrackId};
-pub use timeseries::{Sample, TimeSeries};
+pub use metrics::{Counter, Registry};
+pub use span::{SpanRecorder, TrackId};
+pub use timeseries::TimeSeries;
 
 /// The combined observability handle: a shared metrics [`Registry`], a
 /// shared [`SpanRecorder`], a shared [`TimeSeries`], and a shared

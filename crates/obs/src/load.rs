@@ -35,16 +35,6 @@ pub enum LoadOutcome {
     },
 }
 
-impl LoadOutcome {
-    /// The parsed document, if the load succeeded.
-    pub fn into_loaded(self) -> Option<Json> {
-        match self {
-            LoadOutcome::Loaded(doc) => Some(doc),
-            _ => None,
-        }
-    }
-}
-
 /// The quarantine destination for a corrupt file: the same path with
 /// `.corrupt` appended to the file name.
 pub fn quarantine_path(path: &Path) -> PathBuf {
@@ -121,7 +111,9 @@ mod tests {
         let dir = temp_dir("valid");
         let path = dir.join("ok.json");
         fs::write(&path, "{\"x\": 1}").unwrap();
-        let doc = load_json_file(&path).into_loaded().expect("parses");
+        let LoadOutcome::Loaded(doc) = load_json_file(&path) else {
+            panic!("a valid file must load");
+        };
         assert_eq!(doc.get("x").and_then(Json::as_int), Some(1));
         let _ = fs::remove_dir_all(&dir);
     }

@@ -10,16 +10,16 @@
 //! lets e.g. repeated measurement runs accumulate into one counter.
 //!
 //! [`Registry::snapshot`] freezes the registry into a [`MetricsSnapshot`] —
-//! plain data, sorted by identity, serializable to JSON ([`MetricsSnapshot::to_json`],
-//! with a [`MetricsSnapshot::from_json`] inverse) and CSV.
+//! plain data, sorted by identity, serializable to JSON
+//! ([`MetricsSnapshot::to_json`]) and CSV.
 
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
-use crate::json::{Json, JsonError};
+use crate::json::Json;
 
 /// Label set of an instrument: ordered `(key, value)` pairs.
-pub type Labels = Vec<(String, String)>;
+pub(crate) type Labels = Vec<(String, String)>;
 
 fn labels_of(pairs: &[(&str, &str)]) -> Labels {
     pairs
@@ -63,13 +63,8 @@ impl Gauge {
         self.value.set(v);
     }
 
-    /// Adds `delta` (may be negative).
-    pub fn add(&self, delta: f64) {
-        self.value.set(self.value.get() + delta);
-    }
-
     /// Current value.
-    pub fn get(&self) -> f64 {
+    pub(crate) fn get(&self) -> f64 {
         self.value.get()
     }
 }
@@ -105,64 +100,6 @@ impl Histogram {
         s.min = s.min.min(v);
         s.max = s.max.max(v);
     }
-
-    /// Number of observations.
-    pub fn count(&self) -> u64 {
-        self.state.borrow().count
-    }
-
-    /// Sum of observations.
-    pub fn sum(&self) -> f64 {
-        self.state.borrow().sum
-    }
-
-    /// Mean of observations, or 0 when empty.
-    pub fn mean(&self) -> f64 {
-        let s = self.state.borrow();
-        if s.count == 0 {
-            0.0
-        } else {
-            s.sum / s.count as f64
-        }
-    }
-
-    /// Estimates the `q`-quantile (`0.0..=1.0`) from the bucket counts.
-    ///
-    /// The estimate is the upper bound of the bucket the quantile falls
-    /// into; for the implicit `+inf` bucket the observed maximum is
-    /// returned instead. `None` when the histogram is empty.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `q` is outside `0.0..=1.0`.
-    pub fn quantile(&self, q: f64) -> Option<f64> {
-        assert!((0.0..=1.0).contains(&q), "quantile must be in 0.0..=1.0");
-        let s = self.state.borrow();
-        quantile_from_buckets(&s.bounds, &s.counts, s.count, s.max, q)
-    }
-}
-
-fn quantile_from_buckets(
-    bounds: &[f64],
-    counts: &[u64],
-    count: u64,
-    max: f64,
-    q: f64,
-) -> Option<f64> {
-    if count == 0 {
-        return None;
-    }
-    // Rank of the quantile observation, 1-based, ceil(q * count) clamped
-    // to at least 1 so q = 0 resolves to the first bucket with data.
-    let rank = ((q * count as f64).ceil() as u64).max(1);
-    let mut seen = 0u64;
-    for (i, c) in counts.iter().enumerate() {
-        seen += c;
-        if seen >= rank {
-            return Some(bounds.get(i).copied().unwrap_or(max));
-        }
-    }
-    Some(max)
 }
 
 #[derive(Debug)]
@@ -353,24 +290,6 @@ pub struct HistogramSample {
     pub max: Option<f64>,
 }
 
-impl HistogramSample {
-    /// [`Histogram::quantile`] over the frozen bucket counts.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `q` is outside `0.0..=1.0`.
-    pub fn quantile(&self, q: f64) -> Option<f64> {
-        assert!((0.0..=1.0).contains(&q), "quantile must be in 0.0..=1.0");
-        quantile_from_buckets(
-            &self.bounds,
-            &self.counts,
-            self.count,
-            self.max.unwrap_or(f64::NAN),
-            q,
-        )
-    }
-}
-
 /// A frozen, serializable view of a [`Registry`].
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct MetricsSnapshot {
@@ -389,20 +308,6 @@ fn labels_json(labels: &Labels) -> Json {
             .map(|(k, v)| (k.clone(), Json::Str(v.clone())))
             .collect(),
     )
-}
-
-fn labels_from_json(v: &Json) -> Result<Labels, JsonError> {
-    match v {
-        Json::Obj(pairs) => pairs
-            .iter()
-            .map(|(k, v)| {
-                v.as_str()
-                    .map(|s| (k.clone(), s.to_string()))
-                    .ok_or_else(|| JsonError::shape("label values must be strings"))
-            })
-            .collect(),
-        _ => Err(JsonError::shape("labels must be an object")),
-    }
 }
 
 impl MetricsSnapshot {
@@ -468,66 +373,6 @@ impl MetricsSnapshot {
                 ),
             ),
         ])
-    }
-
-    /// Reconstructs a snapshot from [`Self::to_json`] output.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`JsonError`] if the document does not have the expected
-    /// shape.
-    pub fn from_json(v: &Json) -> Result<Self, JsonError> {
-        let counters = v
-            .arr_field("counters")?
-            .iter()
-            .map(|c| {
-                Ok(CounterSample {
-                    name: c.str_field("name")?.to_string(),
-                    labels: labels_from_json(c.field("labels")?)?,
-                    value: c.u64_field("value")?,
-                })
-            })
-            .collect::<Result<_, JsonError>>()?;
-        let gauges = v
-            .arr_field("gauges")?
-            .iter()
-            .map(|g| {
-                Ok(GaugeSample {
-                    name: g.str_field("name")?.to_string(),
-                    labels: labels_from_json(g.field("labels")?)?,
-                    value: g.f64_field("value")?,
-                })
-            })
-            .collect::<Result<_, JsonError>>()?;
-        let histograms = v
-            .arr_field("histograms")?
-            .iter()
-            .map(|h| {
-                let opt = |key: &str| match h.field(key)? {
-                    Json::Null => Ok(None),
-                    other => other.try_f64(key).map(Some),
-                };
-                Ok(HistogramSample {
-                    name: h.str_field("name")?.to_string(),
-                    labels: labels_from_json(h.field("labels")?)?,
-                    bounds: h
-                        .arr_field("bounds")?
-                        .iter()
-                        .map(|b| b.try_f64("bounds entry"))
-                        .collect::<Result<_, JsonError>>()?,
-                    counts: h.u64s_field("counts")?,
-                    count: h.u64_field("count")?,
-                    sum: h.f64_field("sum")?,
-                    min: opt("min")?,
-                    max: opt("max")?,
-                })
-            })
-            .collect::<Result<_, JsonError>>()?;
-        Ok(MetricsSnapshot {
-            counters,
-            gauges,
-            histograms,
-        })
     }
 
     /// Renders the snapshot as CSV: `kind,name,labels,value,count,sum,min,max`.
@@ -600,11 +445,11 @@ mod tests {
     }
 
     #[test]
-    fn gauge_moves_both_ways() {
+    fn gauge_holds_the_last_value() {
         let reg = Registry::new();
         let g = reg.gauge("occupancy", &[]);
         g.set(4.0);
-        g.add(-1.5);
+        g.set(2.5);
         assert_eq!(g.get(), 2.5);
     }
 
@@ -615,10 +460,10 @@ mod tests {
         for v in [0.5, 5.0, 50.0, 7.0] {
             h.observe(v);
         }
-        assert_eq!(h.count(), 4);
-        assert_eq!(h.sum(), 62.5);
         let snap = reg.snapshot();
         let sample = &snap.histograms[0];
+        assert_eq!(sample.count, 4);
+        assert_eq!(sample.sum, 62.5);
         assert_eq!(sample.counts, vec![1, 2, 1]);
         assert_eq!(sample.min, Some(0.5));
         assert_eq!(sample.max, Some(50.0));
@@ -631,16 +476,13 @@ mod tests {
     }
 
     #[test]
-    fn empty_histogram_has_no_quantile_and_null_extrema() {
+    fn empty_histogram_has_null_extrema() {
         let reg = Registry::new();
-        let h = reg.histogram("empty", &[], &[1.0, 2.0]);
-        assert_eq!(h.count(), 0);
-        assert_eq!(h.mean(), 0.0);
-        assert_eq!(h.quantile(0.5), None);
+        reg.histogram("empty", &[], &[1.0, 2.0]);
         let sample = &reg.snapshot().histograms[0];
+        assert_eq!(sample.count, 0);
         assert_eq!(sample.min, None);
         assert_eq!(sample.max, None);
-        assert_eq!(sample.quantile(0.99), None);
     }
 
     #[test]
@@ -650,43 +492,7 @@ mod tests {
         h.observe(1e9);
         let sample = &reg.snapshot().histograms[0];
         assert_eq!(sample.counts, vec![0, 0, 1]);
-        // The +inf bucket has no upper bound, so the quantile estimate
-        // falls back to the observed maximum.
-        assert_eq!(h.quantile(1.0), Some(1e9));
-        assert_eq!(sample.quantile(0.5), Some(1e9));
-    }
-
-    #[test]
-    fn quantile_on_single_bucket_histogram() {
-        let reg = Registry::new();
-        let h = reg.histogram("one", &[], &[8.0]);
-        for v in [1.0, 2.0, 3.0] {
-            h.observe(v);
-        }
-        // All observations share the single finite bucket, so every
-        // quantile resolves to its upper bound.
-        assert_eq!(h.quantile(0.0), Some(8.0));
-        assert_eq!(h.quantile(0.5), Some(8.0));
-        assert_eq!(h.quantile(1.0), Some(8.0));
-    }
-
-    #[test]
-    fn quantile_walks_bucket_boundaries() {
-        let reg = Registry::new();
-        let h = reg.histogram("lat", &[], &[1.0, 10.0, 100.0]);
-        for v in [0.5, 0.6, 5.0, 50.0] {
-            h.observe(v);
-        }
-        assert_eq!(h.quantile(0.25), Some(1.0));
-        assert_eq!(h.quantile(0.5), Some(1.0));
-        assert_eq!(h.quantile(0.75), Some(10.0));
-        assert_eq!(h.quantile(1.0), Some(100.0));
-    }
-
-    #[test]
-    #[should_panic(expected = "quantile must be in 0.0..=1.0")]
-    fn out_of_range_quantile_panics() {
-        Registry::new().histogram("h", &[], &[1.0]).quantile(1.5);
+        assert_eq!(sample.max, Some(1e9));
     }
 
     #[test]
@@ -697,26 +503,6 @@ mod tests {
         let snap = reg.snapshot();
         let names: Vec<&str> = snap.counters.iter().map(|c| c.name.as_str()).collect();
         assert_eq!(names, ["aa", "zz"]);
-    }
-
-    #[test]
-    fn snapshot_json_round_trips_to_identity() {
-        let reg = Registry::new();
-        reg.counter("requests", &[("kind", "load"), ("tier", "l1")])
-            .add(7);
-        reg.counter("requests", &[("kind", "store")]).inc();
-        reg.gauge("occupancy", &[("bank", "3")]).set(0.75);
-        let h = reg.histogram("latency", &[("port", "offchip")], &[1.0, 10.0, 100.0]);
-        for v in [0.5, 5.0, 50.0, 500.0] {
-            h.observe(v);
-        }
-        // Empty histogram exercises the `min`/`max` = None (null) path.
-        reg.histogram("unused", &[], &[1.0]);
-
-        let snap = reg.snapshot();
-        let text = snap.to_json().to_pretty();
-        let back = MetricsSnapshot::from_json(&Json::parse(&text).unwrap()).unwrap();
-        assert_eq!(back, snap, "serialize -> parse -> deserialize is identity");
     }
 
     #[test]

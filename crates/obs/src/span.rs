@@ -118,7 +118,13 @@ impl SpanRecorder {
     }
 
     /// [`Self::begin`] with attributes.
-    pub fn begin_with(&self, track: TrackId, name: &str, cycle: u64, args: Vec<(String, Json)>) {
+    pub(crate) fn begin_with(
+        &self,
+        track: TrackId,
+        name: &str,
+        cycle: u64,
+        args: Vec<(String, Json)>,
+    ) {
         let mut inner = self.inner.borrow_mut();
         inner.tracks[track.0 as usize].open.push(OpenSpan {
             name: name.to_string(),

@@ -16,7 +16,7 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use crate::json::{Json, JsonError};
+use crate::json::Json;
 
 /// One sample: the cycle the epoch ended at, and the sampled value.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -112,7 +112,7 @@ impl TimeSeries {
     }
 
     /// Visits every `(series name, sample)` pair, series by series.
-    pub fn for_each(&self, mut f: impl FnMut(&str, Sample)) {
+    pub(crate) fn for_each(&self, mut f: impl FnMut(&str, Sample)) {
         for track in &self.inner.borrow().tracks {
             for &sample in &track.samples {
                 f(&track.name, sample);
@@ -157,36 +157,6 @@ impl TimeSeries {
         ])
     }
 
-    /// Reconstructs a recorder from [`Self::to_json`] output.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`JsonError`] if the document does not have the expected
-    /// shape.
-    pub fn from_json(v: &Json) -> Result<Self, JsonError> {
-        let window = v.u64_field("window")?;
-        let mut tracks = Vec::new();
-        for track in v.arr_field("series")? {
-            let name = track.str_field("name")?.to_string();
-            let mut samples = Vec::new();
-            for pair in track.arr_field("samples")? {
-                let [cycle, value] = pair.try_arr("sample")? else {
-                    return Err(JsonError::shape(
-                        "each sample must be a [cycle, value] pair",
-                    ));
-                };
-                samples.push(Sample {
-                    cycle: cycle.try_u64("sample cycle")?,
-                    value: value.try_f64("sample value")?,
-                });
-            }
-            tracks.push(SeriesTrack { name, samples });
-        }
-        let series = TimeSeries::new();
-        *series.inner.borrow_mut() = SeriesInner { window, tracks };
-        Ok(series)
-    }
-
     /// Renders all series as CSV: `cycle,series,value`, one row per sample,
     /// series in creation order.
     pub fn to_csv(&self) -> String {
@@ -225,21 +195,6 @@ mod tests {
     }
 
     #[test]
-    fn json_round_trips_to_identity() {
-        let ts = TimeSeries::new();
-        ts.set_window(512);
-        ts.push("a", 512, 1.25);
-        ts.push("a", 1024, 0.0);
-        ts.push("b", 512, -3.5);
-        let text = ts.to_json().to_pretty();
-        let back = TimeSeries::from_json(&Json::parse(&text).unwrap()).unwrap();
-        assert_eq!(back.window(), 512);
-        assert_eq!(back.names(), ts.names());
-        assert_eq!(back.samples("a"), ts.samples("a"));
-        assert_eq!(back.samples("b"), ts.samples("b"));
-    }
-
-    #[test]
     fn csv_has_header_and_one_row_per_sample() {
         let ts = TimeSeries::new();
         ts.push("x", 10, 1.5);
@@ -249,14 +204,5 @@ mod tests {
         assert_eq!(lines[0], "cycle,series,value");
         assert_eq!(lines.len(), 3);
         assert!(lines.contains(&"10,x,1.5"));
-    }
-
-    #[test]
-    fn malformed_json_is_a_shape_error() {
-        let missing = Json::obj([("series", Json::Arr(vec![]))]);
-        assert!(TimeSeries::from_json(&missing).is_err());
-        let bad_sample =
-            Json::parse(r#"{"window": 1, "series": [{"name": "a", "samples": [[1]]}]}"#).unwrap();
-        assert!(TimeSeries::from_json(&bad_sample).is_err());
     }
 }

@@ -15,7 +15,7 @@ use crate::tech::Technology;
 
 /// One line of the area report.
 #[derive(Debug, Clone, PartialEq)]
-pub struct AreaLine {
+pub(crate) struct AreaLine {
     /// Block name.
     pub name: &'static str,
     /// Area in µm².
@@ -96,32 +96,6 @@ impl AreaReport {
             total_silicon_um2: total_silicon,
         }
     }
-
-    /// The report lines.
-    pub fn lines(&self) -> &[AreaLine] {
-        &self.lines
-    }
-
-    /// Total silicon area across dies, in µm².
-    pub fn total_silicon_um2(&self) -> f64 {
-        self.total_silicon_um2
-    }
-
-    /// Area of one named block, in µm².
-    pub fn block(&self, name: &str) -> Option<f64> {
-        self.lines
-            .iter()
-            .find(|l| l.name == name)
-            .map(|l| l.area_um2)
-    }
-
-    /// SRAM share of the occupied silicon.
-    pub fn sram_fraction(&self) -> f64 {
-        let sram =
-            self.block("spm macros").unwrap_or(0.0) + self.block("icache macros").unwrap_or(0.0);
-        let white = self.block("white space").unwrap_or(0.0);
-        sram / (self.total_silicon_um2 - white)
-    }
 }
 
 impl fmt::Display for AreaReport {
@@ -155,16 +129,20 @@ mod tests {
         AreaReport::from_group(&GroupImplementation::implement(cap, flow))
     }
 
+    fn block(r: &AreaReport, name: &str) -> f64 {
+        r.lines.iter().find(|l| l.name == name).unwrap().area_um2
+    }
+
     #[test]
     fn lines_sum_to_total() {
         for cap in SpmCapacity::ALL {
             for flow in Flow::ALL {
                 let r = report(cap, flow);
-                let sum: f64 = r.lines().iter().map(|l| l.area_um2).sum();
+                let sum: f64 = r.lines.iter().map(|l| l.area_um2).sum();
                 assert!(
-                    (sum - r.total_silicon_um2()).abs() / r.total_silicon_um2() < 1e-6,
+                    (sum - r.total_silicon_um2).abs() / r.total_silicon_um2 < 1e-6,
                     "{cap} {flow}: lines sum {sum} vs total {}",
-                    r.total_silicon_um2()
+                    r.total_silicon_um2
                 );
             }
         }
@@ -174,7 +152,9 @@ mod tests {
     fn sram_fraction_grows_with_capacity() {
         let mut last = 0.0;
         for cap in SpmCapacity::ALL {
-            let frac = report(cap, Flow::TwoD).sram_fraction();
+            let r = report(cap, Flow::TwoD);
+            let sram = block(&r, "spm macros") + block(&r, "icache macros");
+            let frac = sram / (r.total_silicon_um2 - block(&r, "white space"));
             assert!(frac > last, "{cap}: {frac:.3}");
             last = frac;
         }
@@ -184,12 +164,8 @@ mod tests {
     #[test]
     fn three_d_has_more_white_space() {
         // The memory die's slack at 1 MiB shows up as white space.
-        let w2 = report(SpmCapacity::MiB1, Flow::TwoD)
-            .block("white space")
-            .unwrap();
-        let w3 = report(SpmCapacity::MiB1, Flow::ThreeD)
-            .block("white space")
-            .unwrap();
+        let w2 = block(&report(SpmCapacity::MiB1, Flow::TwoD), "white space");
+        let w3 = block(&report(SpmCapacity::MiB1, Flow::ThreeD), "white space");
         assert!(w3 > w2);
     }
 

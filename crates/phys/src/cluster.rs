@@ -6,9 +6,8 @@
 //! mirrored BEOL of the 3D flow lets the inter-group channels shrink, so
 //! "we can expect an even more favorable area ratio at the cluster level".
 //! This module makes that argument quantitative with the same machinery
-//! used for the group: channel sizing from boundary-bus demand, wire
-//! length from placed geometry, and a pipeline-depth check on the
-//! inter-group links.
+//! used for the group: channel sizing from boundary-bus demand and a
+//! pipeline-depth check on the inter-group links.
 
 use mempool_arch::{ClusterConfig, SpmCapacity};
 
@@ -18,18 +17,11 @@ use crate::netlist::{GateInventory, GroupNetlist, NetEndpoint};
 use crate::route;
 use crate::tech::Technology;
 
-/// Gate equivalents of the cluster-level glue (the paper: about five
-/// thousand cells).
-const CLUSTER_GLUE_GE: f64 = 10_000.0;
-
 /// A fully implemented MemPool cluster (2x2 groups).
 #[derive(Debug, Clone)]
 pub struct ClusterImplementation {
     group: GroupImplementation,
-    channel_um: f64,
     side_um: f64,
-    inter_group_wire_mm: f64,
-    glue_buffers: f64,
     retime_stages: u32,
 }
 
@@ -45,7 +37,7 @@ impl ClusterImplementation {
     }
 
     /// Implements a cluster for an arbitrary configuration.
-    pub fn implement_with(
+    pub(crate) fn implement_with(
         config: &ClusterConfig,
         flow: Flow,
         tech: Technology,
@@ -72,16 +64,7 @@ impl ClusterImplementation {
         let channel_um = route::channel_width_um(&tech, flow, crossing_wires, 3);
 
         let side_um = 2.0 * group.side_um() + 3.0 * channel_um;
-
-        // Point-to-point wiring between group centers (Manhattan), both
-        // directions, all six pairs.
         let pitch = group.side_um() + channel_um;
-        let pair_dists_um = [pitch, pitch, pitch, pitch, 2.0 * pitch, 2.0 * pitch];
-        let inter_group_wire_mm: f64 = pair_dists_um
-            .iter()
-            .map(|d| 2.0 * (boundary_bits / 3.0) * d / 1000.0)
-            .sum();
-        let glue_buffers = inter_group_wire_mm / tech.repeater_spacing_mm + CLUSTER_GLUE_GE / 2.0;
 
         // The longest inter-group link must be retimed into the paper's
         // 5-cycle remote latency: how many wire-pipeline stages does it
@@ -93,10 +76,7 @@ impl ClusterImplementation {
 
         ClusterImplementation {
             group,
-            channel_um,
             side_um,
-            inter_group_wire_mm,
-            glue_buffers,
             retime_stages,
         }
     }
@@ -106,46 +86,9 @@ impl ClusterImplementation {
         &self.group
     }
 
-    /// Inter-group channel width in µm.
-    pub fn channel_width_um(&self) -> f64 {
-        self.channel_um
-    }
-
-    /// Cluster side length in µm.
-    pub fn side_um(&self) -> f64 {
-        self.side_um
-    }
-
     /// Cluster footprint in µm².
     pub fn footprint_um2(&self) -> f64 {
         self.side_um * self.side_um
-    }
-
-    /// Combined silicon area over all dies in µm².
-    pub fn combined_die_area_um2(&self) -> f64 {
-        self.footprint_um2() * self.group.flow().dies() as f64
-    }
-
-    /// Cluster-level point-to-point wiring in mm.
-    pub fn inter_group_wire_mm(&self) -> f64 {
-        self.inter_group_wire_mm
-    }
-
-    /// Total wire length including the four groups, in mm.
-    pub fn wire_length_mm(&self) -> f64 {
-        4.0 * self.group.wire_length_mm() + self.inter_group_wire_mm
-    }
-
-    /// Cluster-level repeaters and glue cells.
-    pub fn glue_buffers(&self) -> f64 {
-        self.glue_buffers
-    }
-
-    /// Achieved frequency in GHz. The cluster level is fully registered
-    /// (point-to-point links with retiming), so the group's critical path
-    /// still rules.
-    pub fn frequency_ghz(&self) -> f64 {
-        self.group.frequency_ghz()
     }
 
     /// Pipeline stages the longest inter-group link needs; the paper's
@@ -153,23 +96,6 @@ impl ClusterImplementation {
     /// get one traversal cycle).
     pub fn retime_stages(&self) -> u32 {
         self.retime_stages
-    }
-
-    /// Whether the inter-group links fit the paper's 5-cycle remote
-    /// latency (at most one retiming stage each way beyond the group
-    /// crossing).
-    pub fn meets_remote_latency(&self) -> bool {
-        self.retime_stages <= 2
-    }
-
-    /// Total power in mW: four groups plus the glue wiring.
-    pub fn total_power_mw(&self) -> f64 {
-        let tech = self.group.tech();
-        let glue_wire_mw = self.inter_group_wire_mm * tech.wire_energy_fj_per_mm * 0.25 / 1000.0;
-        let glue_cell_mw =
-            (CLUSTER_GLUE_GE + self.glue_buffers * 2.0) * tech.cell_energy_fj_per_ge * 0.135
-                / 1000.0;
-        4.0 * self.group.total_power_mw() + glue_wire_mw + glue_cell_mw
     }
 }
 
@@ -185,8 +111,6 @@ mod tests {
     fn cluster_contains_four_groups_and_glue() {
         let c = cluster(SpmCapacity::MiB1, Flow::TwoD);
         assert!(c.footprint_um2() > 4.0 * c.group().footprint_um2());
-        assert!(c.total_power_mw() > 4.0 * c.group().total_power_mw());
-        assert!(c.wire_length_mm() > 4.0 * c.group().wire_length_mm());
     }
 
     #[test]
@@ -206,36 +130,16 @@ mod tests {
     }
 
     #[test]
-    fn inter_group_channels_narrower_in_3d() {
-        let ch2 = cluster(SpmCapacity::MiB1, Flow::TwoD).channel_width_um();
-        let ch3 = cluster(SpmCapacity::MiB1, Flow::ThreeD).channel_width_um();
-        assert!(ch3 < ch2, "3D cluster channels {ch3:.1} vs 2D {ch2:.1}");
-    }
-
-    #[test]
     fn remote_latency_budget_holds_for_all_designs() {
         for cap in SpmCapacity::ALL {
             for flow in Flow::ALL {
                 let c = cluster(cap, flow);
                 assert!(
-                    c.meets_remote_latency(),
+                    c.retime_stages() <= 2,
                     "{cap} {flow}: {} retime stages",
                     c.retime_stages()
                 );
             }
         }
-    }
-
-    #[test]
-    fn cluster_frequency_matches_group() {
-        let c = cluster(SpmCapacity::MiB4, Flow::ThreeD);
-        assert_eq!(c.frequency_ghz(), c.group().frequency_ghz());
-    }
-
-    #[test]
-    fn address_width_grows_inter_group_buses() {
-        let small = cluster(SpmCapacity::MiB1, Flow::TwoD);
-        let large = cluster(SpmCapacity::MiB8, Flow::TwoD);
-        assert!(large.inter_group_wire_mm() > small.inter_group_wire_mm());
     }
 }

@@ -16,7 +16,7 @@ use crate::tile::TileImplementation;
 
 /// F2F bump counts for one tile and one group.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct F2fReport {
+pub(crate) struct F2fReport {
     /// Signal bumps per tile.
     pub signal_per_tile: u64,
     /// Power/ground bumps per tile.
@@ -25,7 +25,7 @@ pub struct F2fReport {
 
 impl F2fReport {
     /// Counts the bumps of a 3D tile.
-    pub fn count(tech: &Technology, tile: &TileImplementation) -> Self {
+    pub(crate) fn count(tech: &Technology, tile: &TileImplementation) -> Self {
         let partition = tile.partition();
         let banks_on_mem = tile.num_banks() - partition.banks_on_logic_die;
         let mut signal = banks_on_mem as u64 * tile.bank_macro().signal_pins(32) as u64;
@@ -42,12 +42,12 @@ impl F2fReport {
     }
 
     /// Total bumps per tile.
-    pub fn per_tile(&self) -> u64 {
+    pub(crate) fn per_tile(&self) -> u64 {
         self.signal_per_tile + self.power_per_tile
     }
 
     /// Total bumps for a group of `tiles` tiles.
-    pub fn per_group(&self, tiles: u32) -> u64 {
+    pub(crate) fn per_group(&self, tiles: u32) -> u64 {
         self.per_tile() * tiles as u64
     }
 }

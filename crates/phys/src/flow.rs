@@ -10,8 +10,6 @@ use std::str::FromStr;
 /// ```
 /// use mempool_phys::Flow;
 ///
-/// assert_eq!(Flow::TwoD.beol_name(), "M8");
-/// assert_eq!(Flow::ThreeD.beol_name(), "M6M6");
 /// assert_eq!(Flow::ThreeD.to_string(), "3D");
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
@@ -32,7 +30,7 @@ impl Flow {
     pub const ALL: [Flow; 2] = [Flow::TwoD, Flow::ThreeD];
 
     /// Name of the BEOL stack (as in Table II).
-    pub const fn beol_name(self) -> &'static str {
+    pub(crate) const fn beol_name(self) -> &'static str {
         match self {
             Flow::TwoD => "M8",
             Flow::ThreeD => "M6M6",
@@ -46,25 +44,15 @@ impl Flow {
     /// what makes the 3D channels narrower — the paper reports 18 %.
     ///
     /// [`Technology::route_utilization`]: crate::tech::Technology::route_utilization
-    pub const fn channel_routing_layers(self) -> u32 {
+    pub(crate) const fn channel_routing_layers(self) -> u32 {
         match self {
             Flow::TwoD => 8,
             Flow::ThreeD => 12,
         }
     }
 
-    /// Metal layers available *over the tiles*: the 2D flow routes the
-    /// group on M7-M8 above the tiles; the 3D tile abstraction blocks all
-    /// twelve layers (Section III of the paper).
-    pub const fn over_tile_layers(self) -> u32 {
-        match self {
-            Flow::TwoD => 2,
-            Flow::ThreeD => 0,
-        }
-    }
-
     /// Number of dies.
-    pub const fn dies(self) -> u32 {
+    pub(crate) const fn dies(self) -> u32 {
         match self {
             Flow::TwoD => 1,
             Flow::ThreeD => 2,
@@ -114,10 +102,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn three_d_has_more_channel_layers_but_none_over_tiles() {
+    fn three_d_has_more_channel_layers() {
         assert!(Flow::ThreeD.channel_routing_layers() > Flow::TwoD.channel_routing_layers());
-        assert_eq!(Flow::ThreeD.over_tile_layers(), 0);
-        assert_eq!(Flow::TwoD.over_tile_layers(), 2);
     }
 
     #[test]

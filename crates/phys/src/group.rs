@@ -123,7 +123,6 @@ fn hpwl(a: (f64, f64), b: (f64, f64)) -> f64 {
 pub struct GroupImplementation {
     capacity: SpmCapacity,
     flow: Flow,
-    tech: Technology,
     tile: TileImplementation,
     grid: u32,
     channel_width_um: f64,
@@ -135,25 +134,6 @@ pub struct GroupImplementation {
     timing: TimingReport,
     power: PowerReport,
     f2f: Option<F2fReport>,
-    /// Tile-pair routes: `(src, dst, length_mm)`, kept for path reports.
-    routes: Vec<(u32, u32, f64)>,
-}
-
-/// One entry of the worst-paths report (`report_timing` style).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PathReport {
-    /// Source tile index.
-    pub src_tile: u32,
-    /// Destination tile index.
-    pub dst_tile: u32,
-    /// Route length in mm.
-    pub length_mm: f64,
-    /// Wire propagation delay in ps.
-    pub wire_ps: f64,
-    /// Fixed logic + switch + SRAM delay in ps.
-    pub logic_ps: f64,
-    /// Slack against the 1 GHz target in ps (negative = failing).
-    pub slack_ps: f64,
 }
 
 impl GroupImplementation {
@@ -221,7 +201,6 @@ impl GroupImplementation {
         // the local network.
         let tiles = config.tiles_per_group();
         let mut routes = Vec::with_capacity((tiles * tiles) as usize);
-        let mut route_endpoints = Vec::with_capacity((tiles * tiles) as usize);
         for src in 0..tiles {
             for dst in 0..tiles {
                 if src == dst {
@@ -247,7 +226,6 @@ impl GroupImplementation {
                     + hpwl(sw0, sw1)
                     + hpwl(sw1, geom.position(NetEndpoint::Tile(dst), radix));
                 routes.push(length_um / 1000.0);
-                route_endpoints.push((src, dst));
             }
         }
         let timing = timing::analyze(&tech, flow, &routes, tile.bank_macro());
@@ -269,14 +247,8 @@ impl GroupImplementation {
         GroupImplementation {
             capacity: tile.capacity(),
             flow,
-            tech,
             tile,
             grid,
-            routes: routes
-                .iter()
-                .zip(&route_endpoints)
-                .map(|(&len, &(s, d))| (s, d, len))
-                .collect(),
             channel_width_um: geom.channel_um,
             side_um: geom.side_um(),
             signal_wire_mm,
@@ -290,23 +262,18 @@ impl GroupImplementation {
     }
 
     /// The SPM capacity preset.
-    pub fn capacity(&self) -> SpmCapacity {
+    pub(crate) fn capacity(&self) -> SpmCapacity {
         self.capacity
     }
 
     /// The implementation flow.
-    pub fn flow(&self) -> Flow {
+    pub(crate) fn flow(&self) -> Flow {
         self.flow
     }
 
     /// The implemented tile this group instantiates 16 times.
-    pub fn tile(&self) -> &TileImplementation {
+    pub(crate) fn tile(&self) -> &TileImplementation {
         &self.tile
-    }
-
-    /// The technology used.
-    pub fn tech(&self) -> &Technology {
-        &self.tech
     }
 
     /// Group footprint in µm² (one die).
@@ -315,17 +282,17 @@ impl GroupImplementation {
     }
 
     /// Group side length in µm.
-    pub fn side_um(&self) -> f64 {
+    pub(crate) fn side_um(&self) -> f64 {
         self.side_um
     }
 
     /// Combined silicon area across dies in µm².
-    pub fn combined_die_area_um2(&self) -> f64 {
+    pub(crate) fn combined_die_area_um2(&self) -> f64 {
         self.footprint_um2() * self.flow.dies() as f64
     }
 
     /// Inter-tile channel width in µm.
-    pub fn channel_width_um(&self) -> f64 {
+    pub(crate) fn channel_width_um(&self) -> f64 {
         self.channel_width_um
     }
 
@@ -334,23 +301,18 @@ impl GroupImplementation {
         self.signal_wire_mm + self.clock_wire_mm
     }
 
-    /// Signal wire length in mm.
-    pub fn signal_wire_mm(&self) -> f64 {
-        self.signal_wire_mm
-    }
-
     /// Repeater (buffer) count.
     pub fn buffers(&self) -> f64 {
         self.buffers
     }
 
     /// Standard-cell density in the channel area.
-    pub fn density(&self) -> f64 {
+    pub(crate) fn density(&self) -> f64 {
         self.density
     }
 
     /// The timing report.
-    pub fn timing(&self) -> &TimingReport {
+    pub(crate) fn timing(&self) -> &TimingReport {
         &self.timing
     }
 
@@ -359,54 +321,14 @@ impl GroupImplementation {
         self.timing.frequency_ghz
     }
 
-    /// The power report (at the 1 GHz reporting clock).
-    pub fn power(&self) -> &PowerReport {
-        &self.power
-    }
-
     /// Total power in mW.
     pub fn total_power_mw(&self) -> f64 {
         self.power.total_mw()
     }
 
     /// Power-delay product in mW·ns (power / frequency).
-    pub fn power_delay_product(&self) -> f64 {
+    pub(crate) fn power_delay_product(&self) -> f64 {
         self.total_power_mw() / (self.frequency_ghz() * 1000.0)
-    }
-
-    /// The `n` worst timing paths, worst first — the analytic flow's
-    /// `report_timing`.
-    pub fn worst_paths(&self, n: usize) -> Vec<PathReport> {
-        let fixed = self.tech.tile_logic_delay_ps
-            + 2.0 * self.tech.switch_delay_ps
-            + self.tile.bank_macro().access_delay_ps()
-            + match self.flow {
-                Flow::TwoD => 0.0,
-                Flow::ThreeD => self.tech.f2f_path_penalty_ps,
-            };
-        let mut paths: Vec<PathReport> = self
-            .routes
-            .iter()
-            .map(|&(src_tile, dst_tile, length_mm)| {
-                let wire_ps = self.tech.wire_delay_ps_per_mm * length_mm;
-                PathReport {
-                    src_tile,
-                    dst_tile,
-                    length_mm,
-                    wire_ps,
-                    logic_ps: fixed,
-                    slack_ps: self.tech.clock_period_ps - fixed - wire_ps,
-                }
-            })
-            .collect();
-        paths.sort_by(|a, b| a.slack_ps.total_cmp(&b.slack_ps));
-        paths.truncate(n);
-        paths
-    }
-
-    /// F2F bump report (3D only).
-    pub fn f2f(&self) -> Option<&F2fReport> {
-        self.f2f.as_ref()
     }
 
     /// F2F bumps for the whole group (3D only).
@@ -575,40 +497,6 @@ mod tests {
                 assert!((0.2..=1.0).contains(&d), "{cap} {flow}: density {d:.3}");
             }
         }
-    }
-
-    #[test]
-    fn worst_paths_are_diagonal_and_consistent_with_fmax() {
-        let g = group(SpmCapacity::MiB1, Flow::TwoD);
-        let paths = g.worst_paths(4);
-        assert_eq!(paths.len(), 4);
-        // Slacks ascend (worst first).
-        for pair in paths.windows(2) {
-            assert!(pair[0].slack_ps <= pair[1].slack_ps);
-        }
-        // The worst path's delay reproduces the reported critical path.
-        let worst = &paths[0];
-        let delay = worst.wire_ps + worst.logic_ps;
-        assert!((delay - g.timing().critical_path_ps).abs() < 1e-6);
-        // And it is the longest route in the group — between far-apart
-        // tiles (the paper: "from one tile to the other diagonally
-        // opposed"; the hop through the central switches makes several
-        // corner pairs tie for the maximum).
-        let longest = g
-            .worst_paths(usize::MAX)
-            .iter()
-            .map(|p| p.length_mm)
-            .fold(f64::MIN, f64::max);
-        assert!((worst.length_mm - longest).abs() < 1e-9);
-        let (sr, sc) = (worst.src_tile / 4, worst.src_tile % 4);
-        let (dr, dc) = (worst.dst_tile / 4, worst.dst_tile % 4);
-        let manhattan = sr.abs_diff(dr) + sc.abs_diff(dc);
-        assert!(
-            manhattan >= 3,
-            "worst path T{}->T{} connects nearby tiles",
-            worst.src_tile,
-            worst.dst_tile
-        );
     }
 
     #[test]

@@ -34,26 +34,24 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod area;
-pub mod cluster;
-pub mod f2f;
-pub mod flow;
-pub mod group;
+pub(crate) mod area;
+pub(crate) mod cluster;
+pub(crate) mod f2f;
+pub(crate) mod flow;
+pub(crate) mod group;
 pub mod netlist;
-pub mod power;
+pub(crate) mod power;
 pub mod report;
-pub mod route;
-pub mod sram;
-pub mod tech;
+pub(crate) mod route;
+pub(crate) mod sram;
+pub(crate) mod tech;
 pub mod tile;
-pub mod timing;
+pub(crate) mod timing;
 pub mod viz;
 
 pub use area::AreaReport;
 pub use cluster::ClusterImplementation;
 pub use flow::Flow;
 pub use group::GroupImplementation;
-pub use report::{GroupReport, TileReport};
-pub use sram::SramMacro;
 pub use tech::Technology;
 pub use tile::TileImplementation;

@@ -34,7 +34,7 @@ impl GateInventory {
     }
 
     /// Total tile standard-cell GE (4 cores + everything else).
-    pub fn tile_logic_ge(&self, cores_per_tile: u32) -> f64 {
+    pub(crate) fn tile_logic_ge(&self, cores_per_tile: u32) -> f64 {
         self.snitch_core_ge * cores_per_tile as f64 + self.tile_other_ge
     }
 }
@@ -47,7 +47,7 @@ impl Default for GateInventory {
 
 /// Logical endpoint of a group-level bus.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum NetEndpoint {
+pub(crate) enum NetEndpoint {
     /// A tile port, by tile index in the 4x4 grid.
     Tile(u32),
     /// A butterfly switch, by (network, stage, switch) index; switches sit
@@ -67,7 +67,7 @@ pub enum NetEndpoint {
 
 /// One bus of the group netlist.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Bus {
+pub(crate) struct Bus {
     /// Driving endpoint.
     pub from: NetEndpoint,
     /// Receiving endpoint.
@@ -78,9 +78,8 @@ pub struct Bus {
 
 /// The group-level netlist: all buses of the four butterfly networks.
 #[derive(Debug, Clone, PartialEq)]
-pub struct GroupNetlist {
+pub(crate) struct GroupNetlist {
     buses: Vec<Bus>,
-    tiles: u32,
 }
 
 /// Width of a TCDM request bus: 32 address + 32 data + byte strobes +
@@ -105,7 +104,7 @@ impl GroupNetlist {
     /// # Panics
     ///
     /// Panics if `tiles` is not a nonzero perfect square.
-    pub fn build(tiles: u32, addr_bits: u32) -> Self {
+    pub(crate) fn build(tiles: u32, addr_bits: u32) -> Self {
         let side = (tiles as f64).sqrt() as u32;
         assert!(
             side > 0 && side * side == tiles,
@@ -174,22 +173,12 @@ impl GroupNetlist {
                 }
             }
         }
-        GroupNetlist { buses, tiles }
+        GroupNetlist { buses }
     }
 
     /// All buses.
-    pub fn buses(&self) -> &[Bus] {
+    pub(crate) fn buses(&self) -> &[Bus] {
         &self.buses
-    }
-
-    /// Number of tiles this netlist spans.
-    pub fn tiles(&self) -> u32 {
-        self.tiles
-    }
-
-    /// Total wire count (sum of bus widths).
-    pub fn total_wires(&self) -> u64 {
-        self.buses.iter().map(|b| b.bits as u64).sum()
     }
 }
 
@@ -214,9 +203,8 @@ mod tests {
 
     #[test]
     fn address_width_only_changes_request_buses() {
-        let narrow = GroupNetlist::build(16, 20);
-        let wide = GroupNetlist::build(16, 23);
-        let delta = wide.total_wires() - narrow.total_wires();
+        let wires = |n: GroupNetlist| n.buses.iter().map(|b| u64::from(b.bits)).sum::<u64>();
+        let delta = wires(GroupNetlist::build(16, 23)) - wires(GroupNetlist::build(16, 20));
         // Request buses: 4 networks x 16 tiles x 3 hops, plus boundary
         // buses (3 x 4), each grows by 3 bits.
         assert_eq!(delta, 3 * (4 * 16 * 3 + 3 * 4));
@@ -224,21 +212,12 @@ mod tests {
 
     #[test]
     fn scaled_down_groups_build() {
-        let n = GroupNetlist::build(4, 16);
-        assert_eq!(n.tiles(), 4);
-        assert!(!n.buses().is_empty());
+        assert!(!GroupNetlist::build(4, 16).buses().is_empty());
     }
 
     #[test]
     #[should_panic(expected = "perfect square")]
     fn non_square_tile_count_panics() {
         let _ = GroupNetlist::build(12, 20);
-    }
-
-    #[test]
-    fn total_wires_is_sum_of_bits() {
-        let n = GroupNetlist::build(4, 16);
-        let manual: u64 = n.buses().iter().map(|b| b.bits as u64).sum();
-        assert_eq!(n.total_wires(), manual);
     }
 }

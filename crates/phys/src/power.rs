@@ -25,11 +25,9 @@ const BUFFER_GE: f64 = 2.0;
 /// Workload activity factors feeding the dynamic-power terms.
 ///
 /// The reporting default models the matrix-multiplication workload the
-/// paper evaluates; [`ActivityProfile::from_ipc_and_accesses`] derives a
-/// profile from simulator statistics instead, closing the loop between
-/// the cycle-accurate model and the power model.
+/// paper evaluates.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ActivityProfile {
+pub(crate) struct ActivityProfile {
     /// Toggle activity of logic cells (0.135 at full issue rate).
     pub cell_activity: f64,
     /// Toggle activity of the group signal wiring.
@@ -42,30 +40,12 @@ pub struct ActivityProfile {
 
 impl ActivityProfile {
     /// The matmul workload the paper reports power against.
-    pub fn matmul() -> Self {
+    pub(crate) fn matmul() -> Self {
         ActivityProfile {
             cell_activity: 0.135,
             wire_activity: 0.25,
             spm_accesses_per_tile_per_cycle: 2.0,
             icache_accesses_per_tile_per_cycle: 1.0,
-        }
-    }
-
-    /// Derives a profile from measured execution: per-core IPC scales the
-    /// cell toggling linearly from the full-rate reference, and the access
-    /// rates come straight from the simulator's counters.
-    pub fn from_ipc_and_accesses(
-        ipc_per_core: f64,
-        spm_accesses_per_tile_per_cycle: f64,
-        off_tile_fraction: f64,
-    ) -> Self {
-        let reference = Self::matmul();
-        ActivityProfile {
-            cell_activity: reference.cell_activity * ipc_per_core.clamp(0.0, 1.0),
-            // Only off-tile accesses toggle the group wiring.
-            wire_activity: reference.wire_activity * off_tile_fraction.clamp(0.0, 1.0) / 0.75, // matmul's interleaved off-tile share
-            spm_accesses_per_tile_per_cycle,
-            icache_accesses_per_tile_per_cycle: ipc_per_core.clamp(0.0, 1.0),
         }
     }
 }
@@ -78,7 +58,7 @@ impl Default for ActivityProfile {
 
 /// Power breakdown of a group, in mW at the 1 GHz reporting clock.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PowerReport {
+pub(crate) struct PowerReport {
     /// Dynamic power of standard cells (tiles, interconnect, repeaters).
     pub cell_dynamic_mw: f64,
     /// Dynamic power of the group signal wiring.
@@ -91,7 +71,7 @@ pub struct PowerReport {
 
 impl PowerReport {
     /// Total power in mW.
-    pub fn total_mw(&self) -> f64 {
+    pub(crate) fn total_mw(&self) -> f64 {
         self.cell_dynamic_mw + self.wire_dynamic_mw + self.sram_mw + self.leakage_mw
     }
 
@@ -100,7 +80,7 @@ impl PowerReport {
     /// `tiles` is the number of tiles in the group, `group_interconnect_ge`
     /// the GE count of the central networks, `buffers` the repeater count,
     /// and `signal_wire_mm` the total signal wiring.
-    pub fn analyze(
+    pub(crate) fn analyze(
         tech: &Technology,
         tile: &TileImplementation,
         tiles: u32,
@@ -122,7 +102,7 @@ impl PowerReport {
     /// Computes the power report under an explicit workload activity
     /// profile (e.g. one measured on the cycle-accurate simulator).
     #[allow(clippy::too_many_arguments)]
-    pub fn analyze_with(
+    pub(crate) fn analyze_with(
         tech: &Technology,
         tile: &TileImplementation,
         tiles: u32,
@@ -216,7 +196,12 @@ mod tests {
         let tech = Technology::n28();
         let tile = TileImplementation::implement(SpmCapacity::MiB1, Flow::TwoD);
         let busy = PowerReport::analyze(&tech, &tile, 16, 450_000.0, 180_000.0, 22_000.0);
-        let idle_profile = ActivityProfile::from_ipc_and_accesses(0.4, 0.5, 0.3);
+        let idle_profile = ActivityProfile {
+            cell_activity: 0.054,
+            wire_activity: 0.1,
+            spm_accesses_per_tile_per_cycle: 0.5,
+            icache_accesses_per_tile_per_cycle: 0.4,
+        };
         let idle = PowerReport::analyze_with(
             &tech,
             &tile,
@@ -231,14 +216,6 @@ mod tests {
         assert!(idle.sram_mw < busy.sram_mw);
         // Leakage does not care about activity.
         assert!((idle.leakage_mw - busy.leakage_mw).abs() < 1e-9);
-    }
-
-    #[test]
-    fn measured_full_rate_profile_matches_the_default() {
-        let full = ActivityProfile::from_ipc_and_accesses(1.0, 2.0, 0.75);
-        let reference = ActivityProfile::matmul();
-        assert!((full.cell_activity - reference.cell_activity).abs() < 1e-9);
-        assert!((full.wire_activity - reference.wire_activity).abs() < 1e-9);
     }
 
     #[test]

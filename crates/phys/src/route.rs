@@ -12,7 +12,7 @@ use crate::flow::Flow;
 use crate::tech::Technology;
 
 /// Routing capacity of one µm of channel cross-section, in wires.
-pub fn tracks_per_um(tech: &Technology, flow: Flow) -> f64 {
+pub(crate) fn tracks_per_um(tech: &Technology, flow: Flow) -> f64 {
     flow.channel_routing_layers() as f64 * tech.tracks_per_um_per_layer * tech.route_utilization
 }
 
@@ -22,7 +22,7 @@ pub fn tracks_per_um(tech: &Technology, flow: Flow) -> f64 {
 /// single vertical or horizontal cut of the floorplan;
 /// `channels_at_cut` is how many parallel channels cross that cut
 /// (`grid + 1` for a `grid x grid` tile array).
-pub fn channel_width_um(
+pub(crate) fn channel_width_um(
     tech: &Technology,
     flow: Flow,
     worst_cut_wires: f64,
@@ -35,7 +35,7 @@ pub fn channel_width_um(
 /// Number of repeaters (buffers/inverter pairs) needed to drive the
 /// signal wiring, plus the clock-tree buffers, which scale with the group's
 /// side length.
-pub fn buffer_count(tech: &Technology, signal_wire_mm: f64, side_mm: f64) -> f64 {
+pub(crate) fn buffer_count(tech: &Technology, signal_wire_mm: f64, side_mm: f64) -> f64 {
     signal_wire_mm / tech.repeater_spacing_mm + tech.clock_buffers_per_mm_side * side_mm
 }
 

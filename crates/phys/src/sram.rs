@@ -39,20 +39,8 @@ const E0_PJ: f64 = 8.0;
 const EROOT_PJ: f64 = 0.06;
 
 /// One compiled SRAM macro.
-///
-/// # Example
-///
-/// ```
-/// use mempool_phys::SramMacro;
-///
-/// let small = SramMacro::with_capacity_bytes(1024);
-/// let large = SramMacro::with_capacity_bytes(8192);
-/// // Periphery-dominated: 8x the bits, much less than 8x the area.
-/// assert!(large.area_um2() < 4.0 * small.area_um2());
-/// assert!(large.access_delay_ps() > small.access_delay_ps());
-/// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SramMacro {
+pub(crate) struct SramMacro {
     bits: u64,
 }
 
@@ -62,7 +50,7 @@ impl SramMacro {
     /// # Panics
     ///
     /// Panics if `bits` is zero.
-    pub fn new(bits: u64) -> Self {
+    pub(crate) fn new(bits: u64) -> Self {
         assert!(bits > 0, "an SRAM macro must hold at least one bit");
         SramMacro { bits }
     }
@@ -72,39 +60,34 @@ impl SramMacro {
     /// # Panics
     ///
     /// Panics if `bytes` is zero.
-    pub fn with_capacity_bytes(bytes: u64) -> Self {
+    pub(crate) fn with_capacity_bytes(bytes: u64) -> Self {
         Self::new(bytes * 8)
     }
 
-    /// Capacity in bits.
-    pub fn bits(&self) -> u64 {
-        self.bits
-    }
-
     /// Macro area in µm².
-    pub fn area_um2(&self) -> f64 {
+    pub(crate) fn area_um2(&self) -> f64 {
         let bits = self.bits as f64;
         let surcharge = AB_LARGE_SURCHARGE * (bits - LARGE_MACRO_BITS).max(0.0);
         A0_UM2 + AB_UM2_PER_BIT * (bits + surcharge)
     }
 
     /// Macro width in µm (2:1 aspect ratio, lying on its long side).
-    pub fn width_um(&self) -> f64 {
+    pub(crate) fn width_um(&self) -> f64 {
         (2.0 * self.area_um2()).sqrt()
     }
 
     /// Macro height in µm.
-    pub fn height_um(&self) -> f64 {
+    pub(crate) fn height_um(&self) -> f64 {
         self.width_um() / 2.0
     }
 
     /// Perimeter in µm (used for halo area in the 2D flow).
-    pub fn perimeter_um(&self) -> f64 {
+    pub(crate) fn perimeter_um(&self) -> f64 {
         2.0 * (self.width_um() + self.height_um())
     }
 
     /// Access delay in ps.
-    pub fn access_delay_ps(&self) -> f64 {
+    pub(crate) fn access_delay_ps(&self) -> f64 {
         let bits = self.bits as f64;
         let step = if bits >= LARGE_MACRO_BITS {
             DSTEP_PS
@@ -115,13 +98,13 @@ impl SramMacro {
     }
 
     /// Energy per access in pJ.
-    pub fn access_energy_pj(&self) -> f64 {
+    pub(crate) fn access_energy_pj(&self) -> f64 {
         E0_PJ + EROOT_PJ * (self.bits as f64).sqrt()
     }
 
     /// Number of signal pins (data in/out, address, control) — the F2F
     /// signal bumps a memory-die macro needs.
-    pub fn signal_pins(&self, data_width_bits: u32) -> u32 {
+    pub(crate) fn signal_pins(&self, data_width_bits: u32) -> u32 {
         let words = self.bits / data_width_bits as u64;
         let addr_bits = (words as f64).log2().ceil() as u32;
         // data in + data out + address + chip select, write enable, byte

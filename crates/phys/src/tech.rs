@@ -105,7 +105,7 @@ impl Technology {
 
     /// Area in µm² occupied by `ge` gate equivalents of standard cells
     /// (cell area only, before density derating).
-    pub fn cell_area_um2(&self, ge: f64) -> f64 {
+    pub(crate) fn cell_area_um2(&self, ge: f64) -> f64 {
         ge * self.ge_area_um2
     }
 }

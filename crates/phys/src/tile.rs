@@ -27,7 +27,7 @@ pub struct Partition {
 
 impl Partition {
     /// The all-on-memory-die partition used by the smaller configurations.
-    pub const MEMORY_DIE_ONLY: Partition = Partition {
+    pub(crate) const MEMORY_DIE_ONLY: Partition = Partition {
         banks_on_logic_die: 0,
         icache_on_logic_die: false,
     };
@@ -147,7 +147,7 @@ impl TileImplementation {
     /// `k >= 2` additionally spills `k - 1` SPM banks to the logic die.
     /// This is public so that ablation studies can compare the paper's
     /// partition against the alternatives.
-    pub fn evaluate_partition(&self, k: u32) -> PartitionCandidate {
+    pub(crate) fn evaluate_partition(&self, k: u32) -> PartitionCandidate {
         let (icache_moved, banks_moved) = match k {
             0 => (false, 0),
             1 => (true, 0),
@@ -212,18 +212,13 @@ impl TileImplementation {
     }
 
     /// The SPM capacity preset of this tile's cluster.
-    pub fn capacity(&self) -> SpmCapacity {
+    pub(crate) fn capacity(&self) -> SpmCapacity {
         self.capacity
     }
 
     /// The implementation flow.
-    pub fn flow(&self) -> Flow {
+    pub(crate) fn flow(&self) -> Flow {
         self.flow
-    }
-
-    /// The technology used.
-    pub fn tech(&self) -> &Technology {
-        &self.tech
     }
 
     /// Tile footprint (silicon outline of one die) in µm².
@@ -232,58 +227,52 @@ impl TileImplementation {
     }
 
     /// Tile side length (square outline) in µm.
-    pub fn side_um(&self) -> f64 {
+    pub(crate) fn side_um(&self) -> f64 {
         self.footprint_um2.sqrt()
     }
 
-    /// Combined silicon area across dies in µm² (equals the footprint for
-    /// 2D, twice it for 3D).
-    pub fn combined_die_area_um2(&self) -> f64 {
-        self.footprint_um2 * self.flow.dies() as f64
-    }
-
     /// Achieved standard-cell density on the logic die.
-    pub fn logic_die_utilization(&self) -> f64 {
+    pub(crate) fn logic_die_utilization(&self) -> f64 {
         self.logic_die_utilization
     }
 
     /// Memory-die area utilization (3D flows only).
-    pub fn memory_die_utilization(&self) -> Option<f64> {
+    pub(crate) fn memory_die_utilization(&self) -> Option<f64> {
         self.memory_die_utilization
     }
 
-    /// The 3D partition (trivially [`Partition::MEMORY_DIE_ONLY`] for 2D).
+    /// The 3D partition (trivially `Partition::MEMORY_DIE_ONLY` for 2D).
     pub fn partition(&self) -> Partition {
         self.partition
     }
 
     /// The SPM bank macro.
-    pub fn bank_macro(&self) -> SramMacro {
+    pub(crate) fn bank_macro(&self) -> SramMacro {
         self.bank_macro
     }
 
     /// The I$ bank macro.
-    pub fn icache_macro(&self) -> SramMacro {
+    pub(crate) fn icache_macro(&self) -> SramMacro {
         self.icache_macro
     }
 
     /// Number of SPM banks in the tile.
-    pub fn num_banks(&self) -> u32 {
+    pub(crate) fn num_banks(&self) -> u32 {
         self.num_banks
     }
 
     /// Number of I$ banks in the tile.
-    pub fn num_icache_banks(&self) -> u32 {
+    pub(crate) fn num_icache_banks(&self) -> u32 {
         self.num_icache_banks
     }
 
     /// Standard-cell area of the tile logic, in µm².
-    pub fn logic_cell_area_um2(&self) -> f64 {
+    pub(crate) fn logic_cell_area_um2(&self) -> f64 {
         self.logic_cell_area_um2
     }
 
     /// Total SRAM macro area of the tile, in µm².
-    pub fn macro_area_um2(&self) -> f64 {
+    pub(crate) fn macro_area_um2(&self) -> f64 {
         self.total_macro_area()
     }
 
@@ -291,7 +280,7 @@ impl TileImplementation {
     /// register-to-register path runs through the crossbar into an SPM
     /// bank, so it shifts only mildly with bank size — the paper reports a
     /// spread of just 6 % across all eight tiles.
-    pub fn internal_fmax_ghz(&self) -> f64 {
+    pub(crate) fn internal_fmax_ghz(&self) -> f64 {
         let path_ps = 620.0 + 0.35 * self.bank_macro.access_delay_ps();
         1000.0 / path_ps
     }
@@ -343,7 +332,7 @@ mod tests {
             let f3d = tile(cap, Flow::ThreeD).footprint_um2();
             assert!(f3d < f2d, "{cap}: 3D {f3d} must beat 2D {f2d}");
             // But 3D consumes more total silicon.
-            let c3d = tile(cap, Flow::ThreeD).combined_die_area_um2();
+            let c3d = 2.0 * f3d;
             assert!(c3d > f2d, "{cap}: combined 3D area exceeds the 2D die");
         }
     }

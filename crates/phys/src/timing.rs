@@ -23,7 +23,7 @@ const ENDPOINTS_PER_ROUTE: f64 = 15.0;
 
 /// Result of the group's static timing analysis.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TimingReport {
+pub(crate) struct TimingReport {
     /// Worst path delay in ps.
     pub critical_path_ps: f64,
     /// Achieved clock frequency in GHz (1 / critical path).
@@ -43,7 +43,7 @@ pub struct TimingReport {
 /// `route_lengths_mm` holds, for every ordered tile pair, the Manhattan
 /// route length from source tile through the switches to the destination
 /// tile. `bank` is the SPM macro terminating the path.
-pub fn analyze(
+pub(crate) fn analyze(
     tech: &Technology,
     flow: Flow,
     route_lengths_mm: &[f64],

@@ -62,7 +62,7 @@ impl ResultCache {
 
     /// Looks up a key: memory first, then disk (promoting a disk hit into
     /// memory). A disk entry that fails to parse is quarantined (renamed
-    /// `.corrupt`, recorded for [`Self::drain_quarantined`]) and treated
+    /// `.corrupt`, recorded for `drain_quarantined`) and treated
     /// as a miss — the rename also guarantees the broken file is never
     /// parsed twice.
     pub fn get(&self, key: u64) -> Option<Arc<Json>> {
@@ -94,7 +94,7 @@ impl ResultCache {
 
     /// Takes the descriptions of entries quarantined since the last
     /// drain (the service forwards them to the flight recorder).
-    pub fn drain_quarantined(&self) -> Vec<String> {
+    pub(crate) fn drain_quarantined(&self) -> Vec<String> {
         std::mem::take(&mut self.quarantined.lock().expect("quarantine mutex poisoned"))
     }
 
@@ -114,17 +114,12 @@ impl ResultCache {
     }
 
     /// Number of entries resident in memory.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.memory.lock().expect("cache mutex poisoned").len()
     }
 
-    /// Whether the in-memory cache is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     /// The backing directory, if persistent.
-    pub fn dir(&self) -> Option<&Path> {
+    pub(crate) fn dir(&self) -> Option<&Path> {
         self.dir.as_deref()
     }
 }

@@ -34,7 +34,7 @@ pub struct Pending {
 
 impl Pending {
     /// The next status update (blocking). `None` once the stream ends.
-    pub fn next_status(&self) -> Option<Status> {
+    pub(crate) fn next_status(&self) -> Option<Status> {
         self.rx.recv().ok()
     }
 
@@ -124,7 +124,7 @@ impl Default for RetryPolicy {
 
 /// A TCP client for a `repro serve` daemon. Requests are issued
 /// sequentially per connection; concurrency comes from multiple
-/// connections (or the in-process [`Client`]).
+/// connections (or the in-process `Client`).
 #[derive(Debug)]
 pub struct TcpClient {
     reader: BufReader<TcpStream>,

@@ -23,7 +23,7 @@ use crate::protocol::{ExperimentKind, ExperimentRequest, ServeError};
 ///
 /// [`ServeError::Protocol`] when the artifact does not describe `point`
 /// or carries a malformed score vector.
-pub fn parse_scored(point: DesignPoint, artifact: &Json) -> Result<ScoredPoint, ServeError> {
+pub(crate) fn parse_scored(point: DesignPoint, artifact: &Json) -> Result<ScoredPoint, ServeError> {
     let malformed =
         |e: JsonError| ServeError::Protocol(format!("dse_point artifact: {}", e.message));
     let design = artifact.str_field("design").map_err(malformed)?;
@@ -52,7 +52,7 @@ pub fn parse_scored(point: DesignPoint, artifact: &Json) -> Result<ScoredPoint, 
 
 /// Explores the full design space through an experiment service: issues
 /// the eight `dse_point` requests through `request` — one call of
-/// [`crate::Client::run`] or [`crate::TcpClient::request`] each — and
+/// `Client::run` or [`crate::TcpClient::request`] each — and
 /// assembles the answers in [`DesignPoint::all`] order.
 ///
 /// # Errors

@@ -32,19 +32,20 @@
 
 #![warn(missing_docs)]
 
-pub mod cache;
-pub mod client;
+pub(crate) mod cache;
+pub(crate) mod client;
 pub mod dse;
-pub mod exec;
-pub mod net;
-pub mod protocol;
-pub mod service;
+pub(crate) mod exec;
+pub(crate) mod net;
+pub(crate) mod protocol;
+pub(crate) mod service;
 
 pub use cache::ResultCache;
-pub use client::{Client, Outcome, Pending, RetryPolicy, TcpClient};
+pub(crate) use client::Client;
+pub use client::{RetryPolicy, TcpClient};
 pub use exec::ExperimentRunner;
 pub use net::TcpServer;
 pub use protocol::{
     CacheOutcome, ExperimentKind, ExperimentRequest, ModelConfig, ServeError, Status,
 };
-pub use service::{Runner, ServeStats, Service, ServiceConfig};
+pub use service::{Runner, Service, ServiceConfig};

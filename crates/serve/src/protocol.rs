@@ -63,7 +63,7 @@ impl From<PhaseModel> for ModelConfig {
 
 impl ModelConfig {
     /// The kernel-side phase model these constants describe.
-    pub fn to_phase_model(self) -> PhaseModel {
+    pub(crate) fn to_phase_model(self) -> PhaseModel {
         PhaseModel {
             m: self.m,
             num_cores: self.num_cores,
@@ -335,7 +335,7 @@ impl ExperimentRequest {
 
     /// [`Self::cache_key`] under an explicit engine-version tag — exposed
     /// so tests can prove a version bump invalidates every key.
-    pub fn cache_key_with_version(&self, version: &str) -> u64 {
+    pub(crate) fn cache_key_with_version(&self, version: &str) -> u64 {
         // Seed with the full simulator parameter digest (which itself
         // mixes the engine version): a timing-parameter change is as
         // cache-invalidating as a code change. The process-wide thread
@@ -378,7 +378,7 @@ pub enum CacheOutcome {
 
 impl CacheOutcome {
     /// Wire spelling.
-    pub fn as_str(self) -> &'static str {
+    pub(crate) fn as_str(self) -> &'static str {
         match self {
             CacheOutcome::Hit => "hit",
             CacheOutcome::Miss => "miss",
@@ -387,7 +387,7 @@ impl CacheOutcome {
     }
 
     /// Parses the wire spelling.
-    pub fn from_tag(s: &str) -> Option<Self> {
+    pub(crate) fn from_tag(s: &str) -> Option<Self> {
         match s {
             "hit" => Some(CacheOutcome::Hit),
             "miss" => Some(CacheOutcome::Miss),
@@ -507,7 +507,7 @@ impl Status {
     }
 
     /// Parses one wire line into `(id, status)`.
-    pub fn from_json(doc: &Json) -> Result<(u64, Status), String> {
+    pub(crate) fn from_json(doc: &Json) -> Result<(u64, Status), String> {
         Self::parse(doc).map_err(|e| e.message)
     }
 

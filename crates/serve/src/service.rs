@@ -120,7 +120,7 @@ impl ServeStats {
 /// an undersized pool (all workers saturated) from a skewed one (one
 /// worker soaking up every long experiment).
 #[derive(Debug, Default)]
-pub struct WorkerStats {
+pub(crate) struct WorkerStats {
     /// Jobs this worker finished (successes and failures alike).
     pub jobs: AtomicU64,
     /// Nanoseconds spent inside experiment runs.
@@ -232,7 +232,7 @@ impl Shared {
 }
 
 /// The running service: owns the worker threads. Hand out cheap
-/// [`crate::Client`] handles with [`Service::client`]; call
+/// `Client` handles with [`Service::client`]; call
 /// [`Service::shutdown`] to drain and join.
 pub struct Service {
     shared: Arc<Shared>,

@@ -70,9 +70,10 @@ use mempool_isa::instr::AmoOp;
 use mempool_isa::{Program, Reg, RegFile};
 use mempool_obs::{load_json_file, write_atomic, Json, JsonError, LoadOutcome};
 
-use crate::cluster::{Bank, Cluster, PendingAccess, Response, Sampler, SimError};
+use crate::cluster::{Bank, Cluster, PendingAccess, Response, SampleInputs, Sampler, SimError};
 use crate::core::Core;
 use crate::icache::{ICache, ICacheState};
+use crate::offchip::OffchipPort;
 use crate::params::{default_threads, SimParams, ENGINE_VERSION};
 
 /// Schema tag of the checkpoint document.
@@ -659,7 +660,7 @@ impl Cluster {
 
     /// Rebuilds a cluster from a checkpoint document. The restored cluster
     /// runs with the process-default thread count
-    /// ([`crate::default_threads`]) — the engine is bit-identical at any
+    /// (`default_threads`) — the engine is bit-identical at any
     /// thread count, so cross-thread resume is exact. Observability is
     /// *not* restored: attach/arm it again with
     /// [`Cluster::attach_obs`]/[`Cluster::enable_timeseries`]/
@@ -674,9 +675,11 @@ impl Cluster {
     /// and the SPM and spare image lengths equal to what the geometry
     /// gives (in checked arithmetic); every queued request waiting at the
     /// bank its location names, for a word inside the bank, from a core
-    /// that exists and counts it among its outstanding transactions; I$
-    /// arrays of the cache's size; a remap table that replays onto the
-    /// same spares.
+    /// that exists and counts it among its outstanding transactions; a
+    /// nonzero off-chip bandwidth; a sampler window the clock can add and
+    /// an epoch that starts no later than the clock, with no baseline
+    /// above the restored total it is subtracted from; I$ arrays of the
+    /// cache's size; a remap table that replays onto the same spares.
     ///
     /// # Errors
     ///
@@ -725,6 +728,7 @@ impl Cluster {
             params.icache_ways,
         )
         .map_err(|rule| bad(format!("invalid icache geometry: {rule}")))?;
+        OffchipPort::check_bandwidth(params.offchip_bytes_per_cycle).map_err(bad)?;
 
         // Decode: every section becomes values before any is believed.
         let program = Program::from_words(&from_hex::<u32>(doc, "program")?)
@@ -796,6 +800,19 @@ impl Cluster {
                     core.outstanding()
                 )));
             }
+        }
+        if let Some(sampler) = &sampler {
+            let totals = SampleInputs {
+                offchip_bytes: total_bytes,
+                spm_touches: touches,
+                ..SampleInputs::totals(
+                    &cores,
+                    &banks,
+                    config.cores_per_tile() as usize,
+                    config.num_tiles() as usize,
+                )
+            };
+            sampler.check_resume(&totals, cycle).map_err(bad)?;
         }
 
         // Build.
@@ -940,7 +957,7 @@ impl Checkpointer {
     }
 
     /// The snapshot interval in cycles.
-    pub fn every(&self) -> u64 {
+    pub(crate) fn every(&self) -> u64 {
         self.every
     }
 
@@ -957,7 +974,7 @@ impl Checkpointer {
     /// # Errors
     ///
     /// [`CheckpointError::Io`] on any filesystem failure.
-    pub fn save(&mut self, cluster: &Cluster) -> Result<PathBuf, CheckpointError> {
+    pub(crate) fn save(&mut self, cluster: &Cluster) -> Result<PathBuf, CheckpointError> {
         let path = self.dir.join(format!("ckpt-{:012}.json", cluster.cycle()));
         write_atomic(&path, &cluster.checkpoint().to_pretty()).map_err(|e| {
             CheckpointError::Io {
@@ -978,7 +995,7 @@ impl Checkpointer {
 }
 
 /// Runs `cluster` to quiescence within `budget` cycles, snapshotting into
-/// `ckpt` every [`Checkpointer::every`] cycles of simulated progress.
+/// `ckpt` every `Checkpointer::every` cycles of simulated progress.
 /// Returns the final cycle, exactly like [`Cluster::run`] — the
 /// checkpointing slices never change simulated behavior, because
 /// [`Cluster::run`]'s budget is the only thing being subdivided.
@@ -1299,6 +1316,54 @@ mod tests {
         cores[awaited] = Core::new();
         set(&mut doc, &["cores"], section_of(&cores));
         assert_malformed(Cluster::restore(&doc).unwrap_err(), "in flight");
+    }
+
+    // Hostile files behind valid encodings: `restore` used to accept each
+    // of them, and the cluster it built then panicked.
+
+    #[test]
+    fn zero_offchip_bandwidth_behind_a_matching_digest_is_malformed() {
+        let params = SimParams {
+            offchip_bytes_per_cycle: 0,
+            ..SimParams::default()
+        };
+        let mut doc = eventful_snapshot();
+        set(
+            &mut doc,
+            &["params", "offchip_bytes_per_cycle"],
+            Json::Int(0),
+        );
+        set(
+            &mut doc,
+            &["params_digest"],
+            Json::Str(format!("{:016x}", params.digest())),
+        );
+        assert_malformed(Cluster::restore(&doc).unwrap_err(), "off-chip bandwidth");
+    }
+
+    /// Restores the eventful snapshot with its sampler rewritten by `edit`
+    /// and runs it past the next sampling boundary, where the engine
+    /// re-baselines the sampler.
+    fn resume_sampled(edit: impl FnOnce(&mut Sampler)) -> Result<(), CheckpointError> {
+        let mut doc = eventful_snapshot();
+        let mut sampler: Option<Sampler> = section(&doc, "sampler").unwrap();
+        edit(sampler.as_mut().unwrap());
+        set(&mut doc, &["sampler"], section_of(&sampler));
+        let _ = Cluster::restore(&doc)?.run(20_000);
+        Ok(())
+    }
+
+    #[test]
+    fn sampler_cursors_and_baselines_the_state_cannot_back_are_malformed() {
+        assert!(resume_sampled(|_| {}).is_ok());
+        let err = resume_sampled(|sampler| sampler.window = u64::MAX).unwrap_err();
+        assert_malformed(err, "sampling window");
+        let err = resume_sampled(|sampler| sampler.epoch_start = 1 << 40).unwrap_err();
+        assert_malformed(err, "after the clock");
+        let err = resume_sampled(|sampler| sampler.local_accesses = u64::MAX).unwrap_err();
+        assert_malformed(err, "exceeds the restored total");
+        let err = resume_sampled(|sampler| sampler.retired_per_tile[2] += 1_000_000).unwrap_err();
+        assert_malformed(err, "exceeds the restored total");
     }
 
     #[test]

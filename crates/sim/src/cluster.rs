@@ -71,7 +71,7 @@ pub enum SimError {
         outstanding: u32,
     },
     /// An access targeted a tile behind a dead (open) F2F link, under the
-    /// fail-fast [`DeadLinkPolicy::Error`] policy.
+    /// fail-fast [`mempool_fault::DeadLinkPolicy::Error`] policy.
     LinkDead {
         /// Tile whose vertical link is open.
         tile: TileId,
@@ -100,7 +100,7 @@ pub enum SimError {
 impl SimError {
     /// Stable, machine-readable discriminant name (used in
     /// `crashdump.json`).
-    pub fn kind(&self) -> &'static str {
+    pub(crate) fn kind(&self) -> &'static str {
         match self {
             SimError::Memory(_) => "memory",
             SimError::PcOutOfRange { .. } => "pc-out-of-range",
@@ -242,6 +242,32 @@ pub(crate) struct SampleInputs {
     pub peak_bytes_per_cycle: f64,
 }
 
+impl SampleInputs {
+    /// The per-core and per-bank totals of `cores` and `banks`, grouped
+    /// into `num_tiles` tiles of `cores_per_tile` cores; the off-chip,
+    /// SPM and backlog inputs are left for the caller.
+    pub(crate) fn totals(
+        cores: &[Core],
+        banks: &[Bank],
+        cores_per_tile: usize,
+        num_tiles: usize,
+    ) -> Self {
+        let mut inputs = SampleInputs {
+            retired_per_tile: vec![0u64; num_tiles],
+            ..SampleInputs::default()
+        };
+        for (i, core) in cores.iter().enumerate() {
+            inputs.retired_per_tile[i / cores_per_tile] += core.stats.retired;
+            inputs.local_accesses += core.stats.accesses[AccessClass::TileLocal as usize];
+            inputs.remote_accesses += core.stats.accesses[AccessClass::GroupLocal as usize]
+                + core.stats.accesses[AccessClass::Remote as usize];
+            inputs.outstanding += u64::from(core.outstanding());
+        }
+        inputs.conflicts = banks.iter().map(|b| b.stats.conflicts).sum();
+        inputs
+    }
+}
+
 /// Per-epoch sampling state for the cycle-sampled time-series
 /// (see [`Cluster::enable_timeseries`]). Holds the counter totals at the
 /// previous sample so each epoch records deltas.
@@ -288,6 +314,49 @@ impl Sampler {
         self.epoch_start = now;
         self.next_at = now + self.window;
     }
+
+    /// Why this sampler cannot go on sampling `totals` from cycle `now`,
+    /// if it cannot: its window must be one the engine's clock can add
+    /// (nonzero, and within the same quarter of the `u64` range the clock
+    /// is held to), its epoch must not start after `now`, and no baseline
+    /// may exceed the total it is subtracted from.
+    pub(crate) fn check_resume(&self, totals: &SampleInputs, now: u64) -> Result<(), String> {
+        if self.window == 0 || self.window > u64::MAX / 4 {
+            return Err(format!(
+                "sampling window of {} cycles is out of range",
+                self.window
+            ));
+        }
+        if self.epoch_start > now {
+            return Err(format!(
+                "sampler epoch starts at cycle {}, after the clock ({now})",
+                self.epoch_start
+            ));
+        }
+        if self.retired_per_tile.len() != totals.retired_per_tile.len() {
+            return Err(format!(
+                "sampler has {} tile baselines for {} tiles",
+                self.retired_per_tile.len(),
+                totals.retired_per_tile.len()
+            ));
+        }
+        let scalars = [
+            (self.local_accesses, totals.local_accesses),
+            (self.remote_accesses, totals.remote_accesses),
+            (self.conflicts, totals.conflicts),
+            (self.offchip_bytes, totals.offchip_bytes),
+            (self.spm_touches, totals.spm_touches),
+        ];
+        let mut pairs = (self.retired_per_tile.iter().copied())
+            .zip(totals.retired_per_tile.iter().copied())
+            .chain(scalars);
+        match pairs.find(|(baseline, total)| baseline > total) {
+            Some((baseline, total)) => Err(format!(
+                "sampler baseline {baseline} exceeds the restored total {total}"
+            )),
+            None => Ok(()),
+        }
+    }
 }
 
 /// Cycle-accurate model of a MemPool cluster.
@@ -325,7 +394,7 @@ pub struct Cluster {
     /// lanes, boundary scratch), reused across ticks and runs.
     pub(crate) quantum: engine::QuantumArena,
     /// When set, [`Cluster::run`] skips the host-parallelism clamp and
-    /// spawns exactly [`Cluster::threads`] workers even on a host with
+    /// spawns exactly `Cluster::threads` workers even on a host with
     /// fewer CPUs. Transient (never serialized); the equivalence tests use
     /// it so the concurrent protocol is really exercised on small hosts.
     pub(crate) oversubscribe: bool,
@@ -387,14 +456,14 @@ impl Cluster {
 
     /// The effective host-thread count for [`Cluster::run`] (after
     /// clamping to the tile count).
-    pub fn threads(&self) -> usize {
+    pub(crate) fn threads(&self) -> usize {
         self.params
             .threads
             .max(1)
             .min(self.config.num_tiles() as usize)
     }
 
-    /// The worker count [`Cluster::run`] will actually use: [`Cluster::threads`]
+    /// The worker count [`Cluster::run`] will actually use: `Cluster::threads`
     /// further clamped to the host's available parallelism. Oversubscribing
     /// a host (e.g. 4 spinning workers on 1 CPU) only adds scheduler
     /// thrash, and results are bit-identical at every worker count, so the
@@ -409,7 +478,7 @@ impl Cluster {
     }
 
     /// Disables the host-parallelism clamp of [`Cluster::effective_workers`]
-    /// so a run really spawns [`Cluster::threads`] workers. Only useful to
+    /// so a run really spawns `Cluster::threads` workers. Only useful to
     /// tests that must exercise the concurrent engine protocol on hosts
     /// with fewer CPUs than the probed thread count; never changes results
     /// (they are bit-identical at every worker count), only wall-clock.
@@ -539,21 +608,17 @@ impl Cluster {
         self.obs.as_ref().map(|hooks| hooks.obs.flight.clone())
     }
 
-    /// Collects the time-series sampling snapshot at `now`.
+    /// Collects the time-series sampling snapshot at `now`. Runs once per
+    /// sampling epoch: kept out of line so that it stays out of the
+    /// engine's tick loop, which calls it.
+    #[inline(never)]
     pub(crate) fn sample_inputs(&self, now: u64) -> SampleInputs {
-        let cores_per_tile = self.config.cores_per_tile() as usize;
-        let mut inputs = SampleInputs {
-            retired_per_tile: vec![0u64; self.config.num_tiles() as usize],
-            ..SampleInputs::default()
-        };
-        for (i, core) in self.cores.iter().enumerate() {
-            inputs.retired_per_tile[i / cores_per_tile] += core.stats.retired;
-            inputs.local_accesses += core.stats.accesses[AccessClass::TileLocal as usize];
-            inputs.remote_accesses += core.stats.accesses[AccessClass::GroupLocal as usize]
-                + core.stats.accesses[AccessClass::Remote as usize];
-            inputs.outstanding += u64::from(core.outstanding());
-        }
-        inputs.conflicts = self.banks.iter().map(|b| b.stats.conflicts).sum();
+        let mut inputs = SampleInputs::totals(
+            &self.cores,
+            &self.banks,
+            self.config.cores_per_tile() as usize,
+            self.config.num_tiles() as usize,
+        );
         inputs.offchip_bytes = self.offchip.total_bytes();
         inputs.spm_touches = self.storage.spm_word_touches();
         inputs.backlog = self.offchip.backlog(now);
@@ -622,11 +687,6 @@ impl Cluster {
     /// The cluster configuration.
     pub fn config(&self) -> &ClusterConfig {
         &self.config
-    }
-
-    /// The simulation parameters.
-    pub fn params(&self) -> &SimParams {
-        &self.params
     }
 
     /// Current cycle.
@@ -754,7 +814,7 @@ impl Cluster {
     /// Snapshot of every core's liveness state (used in deadlock
     /// diagnostics). When instruction tracing is enabled, each snapshot
     /// carries the core's last few retired instructions.
-    pub fn core_diagnostics(&self) -> Vec<CoreDiagnostic> {
+    pub(crate) fn core_diagnostics(&self) -> Vec<CoreDiagnostic> {
         let recent = |core: usize| {
             let Some(trace) = &self.trace else {
                 return Vec::new();
@@ -787,24 +847,6 @@ impl Cluster {
         if let Some(watchdog) = self.watchdog.as_mut() {
             watchdog.note_progress(now);
         }
-    }
-
-    /// Access to a core's state.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `core` is out of range.
-    pub fn core(&self, core: GlobalCoreId) -> &Core {
-        &self.cores[core.index()]
-    }
-
-    /// Sets a register of one core (for passing kernel arguments).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `core` is out of range.
-    pub fn set_reg(&mut self, core: GlobalCoreId, reg: Reg, value: u32) {
-        self.cores[core.index()].regs.write(reg, value);
     }
 
     /// Reads a register of one core.
@@ -866,7 +908,7 @@ impl Cluster {
     }
 
     /// Whether every core has halted.
-    pub fn all_halted(&self) -> bool {
+    pub(crate) fn all_halted(&self) -> bool {
         self.cores.iter().all(Core::halted)
     }
 
@@ -878,28 +920,6 @@ impl Cluster {
             && self.banks.iter().all(|b| b.queue.is_empty())
             && self.responses.iter().all(Vec::is_empty)
             && self.cores.iter().all(|c| c.outstanding() == 0)
-    }
-
-    /// Performs a DMA transfer between external memory and the SPM,
-    /// advancing simulated time by the bandwidth-limited transfer cost.
-    ///
-    /// `to_spm` selects the direction. The transfer is modeled as the
-    /// paper's idealized memory phase: data moves as whole words and the
-    /// cluster is quiescent while it runs.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if any SPM address in the range is unmapped.
-    pub fn dma(
-        &mut self,
-        ext_offset: u64,
-        spm_addr: u32,
-        bytes: u64,
-        to_spm: bool,
-    ) -> Result<u64, SimError> {
-        let start = self.cycle;
-        let done = self.transfer("dma", ext_offset, 0, spm_addr, 1, bytes, to_spm, true)?;
-        Ok(done - start)
     }
 
     /// DMA-transfers a 2D tile between external memory and the SPM: `rows`
@@ -1154,24 +1174,9 @@ impl Cluster {
         self.trace = Some(Trace::new(capacity));
     }
 
-    /// Disables tracing, returning the trace collected so far.
-    pub fn disable_trace(&mut self) -> Option<Trace> {
-        self.trace.take()
-    }
-
     /// The instruction trace, if tracing is enabled.
     pub fn trace(&self) -> Option<&Trace> {
         self.trace.as_ref()
-    }
-
-    /// The topology helper bound to this cluster's configuration.
-    pub fn topology(&self) -> &Topology {
-        &self.topo
-    }
-
-    /// The off-chip port (bandwidth, busy window, transfer totals).
-    pub fn offchip(&self) -> &OffchipPort {
-        &self.offchip
     }
 
     /// Builds the self-contained `crashdump.json` document for a run that
@@ -1608,14 +1613,14 @@ mod tests {
             cluster.storage_mut().write_external_word(i * 4, i as u32);
         }
         let bytes = 256;
-        let elapsed = cluster.dma(0, 0, bytes, true).unwrap();
+        let elapsed = cluster.dma_tile(0, 0, 0, 1, bytes as u32, true).unwrap();
         let expected = SimParams::default().offchip_latency as u64
             + bytes / SimParams::default().offchip_bytes_per_cycle as u64;
         assert_eq!(elapsed, expected);
         assert_eq!(cluster.read_spm_word(4 * 10).unwrap(), 10);
         // Round trip back out.
         cluster.write_spm_word(0, 999).unwrap();
-        cluster.dma(4096, 0, 4, false).unwrap();
+        cluster.dma_tile(4096, 0, 0, 1, 4, false).unwrap();
         assert_eq!(cluster.storage().read_external_word(4096), 999);
     }
 
@@ -1773,7 +1778,7 @@ mod tests {
         cluster.enable_trace(16);
         cluster.run(1000).unwrap();
         let trace = cluster.trace().expect("tracing enabled");
-        assert_eq!(trace.len(), 4);
+        assert_eq!(trace.entries().count(), 4);
         let pcs: Vec<u32> = trace.entries().map(|e| e.pc).collect();
         assert_eq!(pcs, vec![0, 4, 8, 12]);
         let mut cycles: Vec<u64> = trace.entries().map(|e| e.cycle).collect();
@@ -1791,10 +1796,6 @@ mod tests {
         );
         let text = trace.to_string();
         assert!(text.contains("add a2, a0, a1"));
-        // Disabling returns the buffer and stops recording.
-        let taken = cluster.disable_trace().unwrap();
-        assert_eq!(taken.len(), 4);
-        assert!(cluster.trace().is_none());
     }
 
     #[test]
@@ -1815,7 +1816,7 @@ mod tests {
         let mut serial = Cluster::new(tiny_config(), SimParams::default());
         serial.load_program(Program::assemble(busy_loop).unwrap());
         serial.preload_icaches();
-        let dma_cycles = serial.dma(0, 0, bytes, true).unwrap();
+        let dma_cycles = serial.dma_tile(0, 0, 0, 1, bytes as u32, true).unwrap();
         let serial_total = serial.run(1_000_000).unwrap();
 
         // Overlapped: the same DMA started asynchronously.
@@ -1825,7 +1826,7 @@ mod tests {
         let done = overlap.dma_tile_async(0, 64, 0, 16, 64, true).unwrap();
         assert_eq!(
             done,
-            overlap.offchip().transfer_cycles(bytes),
+            overlap.offchip.transfer_cycles(bytes),
             "async DMA on an idle port completes after the pure transfer cost"
         );
         overlap.run(1_000_000).unwrap();
@@ -1843,8 +1844,8 @@ mod tests {
             "the compute phase fully hides the transfer"
         );
         // The port's own accounting agrees with the schedule.
-        assert_eq!(overlap.offchip().total_bytes(), bytes);
-        assert_eq!(overlap.offchip().busy_until(), done);
+        assert_eq!(overlap.offchip.total_bytes(), bytes);
+        assert_eq!(overlap.offchip.busy_until(), done);
         assert_eq!(overlap.stats().dma_bytes, bytes);
     }
 
@@ -1877,20 +1878,20 @@ mod tests {
         assert!(second > first, "transfers serialize on the single port");
         assert_eq!(
             second - first,
-            cluster.offchip().transfer_cycles(bytes),
+            cluster.offchip.transfer_cycles(bytes),
             "the second transfer queues behind the first"
         );
         cluster.run(1_000_000).unwrap();
         cluster.advance_to(second);
         let total = cluster.cycle();
-        let phase_sum = compute_only + 2 * cluster.offchip().transfer_cycles(bytes);
+        let phase_sum = compute_only + 2 * cluster.offchip.transfer_cycles(bytes);
         assert!(
             total < phase_sum,
             "total {total} must be less than the sum of phases {phase_sum}"
         );
         assert_eq!(total, compute_only, "both transfers hide under compute");
-        assert_eq!(cluster.offchip().total_bytes(), 2 * bytes);
-        assert_eq!(cluster.offchip().busy_until(), second);
+        assert_eq!(cluster.offchip.total_bytes(), 2 * bytes);
+        assert_eq!(cluster.offchip.busy_until(), second);
     }
 
     #[test]
@@ -1924,7 +1925,7 @@ mod tests {
             .unwrap(),
         );
         // Cold I$: misses charged; synchronous DMA: off-chip wait.
-        cluster.dma(0, 0, 256, true).unwrap();
+        cluster.dma_tile(0, 0, 0, 1, 256, true).unwrap();
         cluster.run(1_000_000).unwrap();
         let stats = cluster.stats();
         let report = stats.attribution(cores_per_tile, banks_per_tile);
@@ -2000,13 +2001,13 @@ mod tests {
             .unwrap(),
         );
         cluster.preload_icaches();
-        let dma_elapsed = cluster.dma(0, 0, 128, true).unwrap();
+        let dma_elapsed = cluster.dma_tile(0, 0, 0, 1, 128, true).unwrap();
         cluster.run(1_000_000).unwrap();
         let stats = cluster.stats();
         cluster.detach_obs();
 
         assert_eq!(obs.spans.open_count(), 0, "detach closes wfi spans");
-        assert_eq!(obs.spans.total_cycles("dma"), dma_elapsed);
+        assert_eq!(obs.spans.total_cycles("dma_tile"), dma_elapsed);
         let wfi_spans: Vec<_> = obs
             .spans
             .spans()
@@ -2490,10 +2491,6 @@ mod tests {
             local.iter().any(|s| s.value > 0.0),
             "the load loop must show up as local L1 traffic"
         );
-        // The export shapes round-trip through the self-written parser.
-        let doc = Json::parse(&obs.series.to_json().to_pretty()).unwrap();
-        let back = mempool_obs::TimeSeries::from_json(&doc).unwrap();
-        assert_eq!(back.names(), names);
     }
 
     #[test]

@@ -166,7 +166,7 @@ impl Core {
     }
 
     /// Checks whether `instr` can issue under the scoreboard, given the
-    /// outstanding-transaction limit: [`Self::check_record`] on a record
+    /// outstanding-transaction limit: `check_record` on a record
     /// decoded on the spot.
     #[inline]
     pub fn check_issue(&self, instr: Instr, max_outstanding: u32) -> Result<(), Stall> {

@@ -89,7 +89,7 @@ impl ICache {
     ///
     /// # Panics
     ///
-    /// Panics if [`Self::check_geometry`] rejects the geometry.
+    /// Panics if `check_geometry` rejects the geometry.
     pub fn with_ways(capacity_bytes: u32, line_words: u32, ways: u32) -> Self {
         let lines = Self::check_geometry(capacity_bytes, line_words, ways)
             .unwrap_or_else(|rule| panic!("{rule}"));

@@ -53,26 +53,20 @@
 #![warn(missing_docs)]
 
 pub mod ckpt;
-pub mod cluster;
+pub(crate) mod cluster;
 pub mod core;
 pub(crate) mod engine;
 pub mod icache;
 pub mod memory;
-pub mod offchip;
-pub mod params;
-pub mod profile;
-pub mod stats;
-pub mod trace;
+pub(crate) mod offchip;
+pub(crate) mod params;
+pub(crate) mod profile;
+pub(crate) mod stats;
+pub(crate) mod trace;
 
-pub use ckpt::{run_with_checkpoints, CheckpointError, Checkpointer, CHECKPOINT_SCHEMA};
+pub use ckpt::{run_with_checkpoints, CheckpointError, Checkpointer};
 pub use cluster::{Cluster, EngineSelection, SimError, ENGINE};
 pub use offchip::OffchipPort;
-pub use params::{
-    default_threads, fnv1a, set_default_threads, SimParams, ENGINE_VERSION, FNV_OFFSET,
-};
-pub use profile::{
-    engine_profile, engine_profile_json, reset_engine_profile, EngineProfile, QuantumSample,
-    WorkerProfile,
-};
+pub use params::{fnv1a, set_default_threads, SimParams, ENGINE_VERSION, FNV_OFFSET};
+pub use profile::engine_profile_json;
 pub use stats::{BankStats, ClusterStats, CoreStats};
-pub use trace::{Trace, TraceEntry};

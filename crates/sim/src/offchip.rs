@@ -19,6 +19,15 @@ pub struct OffchipPort {
 }
 
 impl OffchipPort {
+    /// Why there is no port of this bandwidth, if there is none: a port
+    /// must move at least one byte per cycle.
+    pub(crate) fn check_bandwidth(bytes_per_cycle: u32) -> Result<(), String> {
+        if bytes_per_cycle == 0 {
+            return Err("off-chip bandwidth must be nonzero".to_string());
+        }
+        Ok(())
+    }
+
     /// Creates a port with the given bandwidth (bytes/cycle) and fixed
     /// per-transfer latency.
     ///
@@ -26,7 +35,7 @@ impl OffchipPort {
     ///
     /// Panics if `bytes_per_cycle` is zero.
     pub fn new(bytes_per_cycle: u32, latency: u32) -> Self {
-        assert!(bytes_per_cycle > 0, "off-chip bandwidth must be nonzero");
+        Self::check_bandwidth(bytes_per_cycle).unwrap_or_else(|rule| panic!("{rule}"));
         OffchipPort {
             bytes_per_cycle,
             latency,
@@ -37,12 +46,12 @@ impl OffchipPort {
     }
 
     /// Bandwidth in bytes per cycle.
-    pub fn bytes_per_cycle(&self) -> u32 {
+    pub(crate) fn bytes_per_cycle(&self) -> u32 {
         self.bytes_per_cycle
     }
 
     /// Pure cost of transferring `bytes` (latency + serialization).
-    pub fn transfer_cycles(&self, bytes: u64) -> u64 {
+    pub(crate) fn transfer_cycles(&self, bytes: u64) -> u64 {
         self.latency as u64 + bytes.div_ceil(self.bytes_per_cycle as u64)
     }
 
@@ -59,23 +68,23 @@ impl OffchipPort {
     }
 
     /// Cycle at which the port becomes idle.
-    pub fn busy_until(&self) -> u64 {
+    pub(crate) fn busy_until(&self) -> u64 {
         self.busy_until
     }
 
     /// Remaining busy window as seen from `now`: how many cycles of already
     /// scheduled transfers are still draining (0 when idle).
-    pub fn backlog(&self, now: u64) -> u64 {
+    pub(crate) fn backlog(&self, now: u64) -> u64 {
         self.busy_until.saturating_sub(now)
     }
 
     /// Total bytes transferred.
-    pub fn total_bytes(&self) -> u64 {
+    pub(crate) fn total_bytes(&self) -> u64 {
         self.total_bytes
     }
 
     /// Total cycles the port has been busy.
-    pub fn total_cycles(&self) -> u64 {
+    pub(crate) fn total_cycles(&self) -> u64 {
         self.total_cycles
     }
 

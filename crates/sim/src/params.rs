@@ -16,7 +16,7 @@ pub const ENGINE_VERSION: &str = "mempool-sim/v2-quantum";
 pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 
 /// Folds `bytes` into `hash` with 64-bit FNV-1a — the one hash behind
-/// [`SimParams::digest`], [`crate::ClusterStats::digest`], the
+/// `SimParams::digest`, [`crate::ClusterStats::digest`], the
 /// external-memory slot index and the experiment service's cache key, so
 /// a digest started in one of them can be continued in another.
 #[inline]
@@ -39,7 +39,7 @@ pub fn set_default_threads(threads: usize) {
 
 /// The process-wide default host-thread count (see
 /// [`set_default_threads`]).
-pub fn default_threads() -> usize {
+pub(crate) fn default_threads() -> usize {
     DEFAULT_THREADS.load(Ordering::Relaxed)
 }
 
@@ -113,11 +113,11 @@ impl SimParams {
     /// content-addressed cache key, so semantically equal configs (however
     /// they were spelled or defaulted) dedupe, and an engine-version bump
     /// invalidates every stale entry.
-    pub fn digest(&self) -> u64 {
+    pub(crate) fn digest(&self) -> u64 {
         self.digest_with_version(ENGINE_VERSION)
     }
 
-    /// [`SimParams::digest`] under an explicit engine-version tag —
+    /// `SimParams::digest` under an explicit engine-version tag —
     /// exposed so tests can prove that bumping the version changes every
     /// key.
     pub fn digest_with_version(&self, version: &str) -> u64 {

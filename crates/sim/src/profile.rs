@@ -11,8 +11,7 @@
 //!
 //! The accumulator is process-wide (like
 //! [`set_default_threads`](crate::set_default_threads)) because artifact
-//! writers aggregate over many short-lived clusters; use
-//! [`reset_engine_profile`] to scope a measurement.
+//! writers aggregate over many short-lived clusters.
 
 use std::sync::{Mutex, OnceLock};
 
@@ -24,16 +23,16 @@ use mempool_obs::{chrome_trace_with_counters, Json, Obs};
 /// every run lands here (a `step()`-driven cluster contributes one per
 /// tick), so the cap is what bounds the profile's memory: 512 samples are
 /// 28 KiB, where 4096 showed up as +0.3 MiB of peak RSS on short runs.
-pub const MAX_PROFILE_SAMPLES: usize = 512;
+pub(crate) const MAX_PROFILE_SAMPLES: usize = 512;
 
 /// Every this many ticks a worker lane times the three phases of the tick
 /// (four clock reads, about 100 ns): often enough for a stable split of a
 /// run, rare enough not to show in its wall time.
-pub const PHASE_SAMPLE_PERIOD: u64 = 64;
+pub(crate) const PHASE_SAMPLE_PERIOD: u64 = 64;
 
 /// One worker lane's accumulated host-time profile.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct WorkerProfile {
+pub(crate) struct WorkerProfile {
     /// Nanoseconds spent simulating (total minus lockstep wait).
     pub busy_ns: u64,
     /// Nanoseconds spent in the lockstep gate waiting on peers.
@@ -62,7 +61,7 @@ pub(crate) struct LaneTally {
 
 /// One quantum's aggregate sample (sums over the workers that ran it).
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct QuantumSample {
+pub(crate) struct QuantumSample {
     /// Zero-based quantum sequence number (the counter-track x-axis).
     pub seq: u64,
     /// Simulated ticks this quantum covered.
@@ -81,7 +80,7 @@ pub struct QuantumSample {
 
 /// The process-wide quantum-engine self-profile.
 #[derive(Debug, Default, Clone)]
-pub struct EngineProfile {
+pub(crate) struct EngineProfile {
     /// Quantum rounds driven since the last reset.
     pub quanta: u64,
     /// Simulated ticks executed.
@@ -117,7 +116,7 @@ impl EngineProfile {
     /// Perfetto next to (but deliberately separate from) the
     /// deterministic `trace.json`, which must stay byte-identical across
     /// worker counts.
-    pub fn to_json(&self) -> Json {
+    pub(crate) fn to_json(&self) -> Json {
         let workers = self
             .workers
             .iter()
@@ -234,18 +233,12 @@ pub(crate) fn record_quantum(
 }
 
 /// A snapshot of the process-wide quantum-engine self-profile.
-pub fn engine_profile() -> EngineProfile {
+pub(crate) fn engine_profile() -> EngineProfile {
     profile().lock().expect("engine profile lock").clone()
 }
 
-/// Clears the process-wide self-profile (scope a measurement to one run
-/// or probe leg).
-pub fn reset_engine_profile() {
-    *profile().lock().expect("engine profile lock") = EngineProfile::default();
-}
-
-/// [`engine_profile`] rendered as the `mempool-perf-profile/v1` JSON
-/// document (see [`EngineProfile::to_json`]).
+/// The process-wide engine profile rendered as the
+/// `mempool-perf-profile/v1` JSON document.
 pub fn engine_profile_json() -> Json {
     engine_profile().to_json()
 }

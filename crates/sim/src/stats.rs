@@ -73,20 +73,6 @@ impl CoreStats {
         self.stall_icache + self.icache_misses
     }
 
-    /// Every cycle this core was stepped, by exhaustive accounting:
-    /// issue + stalls + halted. Cycles the cluster clock advanced without
-    /// stepping cores (synchronous DMA) are not included.
-    pub fn accounted_cycles(&self) -> u64 {
-        self.retired
-            + self.stall_scoreboard
-            + self.stall_structural
-            + self.fetch_stall_cycles()
-            + self.stall_branch
-            + self.stall_fault_retry
-            + self.stall_ecc
-            + self.halted_cycles
-    }
-
     /// Records an access of the given class, traversing `network` if it
     /// leaves the tile.
     #[inline]

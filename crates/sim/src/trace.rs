@@ -12,7 +12,7 @@ use mempool_isa::Instr;
 
 /// One retired instruction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TraceEntry {
+pub(crate) struct TraceEntry {
     /// Cycle of issue.
     pub cycle: u64,
     /// Issuing core.
@@ -47,7 +47,7 @@ impl Trace {
     /// # Panics
     ///
     /// Panics if `capacity` is zero.
-    pub fn new(capacity: usize) -> Self {
+    pub(crate) fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "trace capacity must be nonzero");
         Trace {
             ring: VecDeque::with_capacity(capacity),
@@ -57,7 +57,7 @@ impl Trace {
     }
 
     /// Records an entry, evicting the oldest if full.
-    pub fn record(&mut self, entry: TraceEntry) {
+    pub(crate) fn record(&mut self, entry: TraceEntry) {
         if self.ring.len() == self.capacity {
             self.ring.pop_front();
             self.dropped += 1;
@@ -66,7 +66,7 @@ impl Trace {
     }
 
     /// The ring capacity.
-    pub fn capacity(&self) -> usize {
+    pub(crate) fn capacity(&self) -> usize {
         self.capacity
     }
 
@@ -78,23 +78,13 @@ impl Trace {
     }
 
     /// The retained entries, oldest first.
-    pub fn entries(&self) -> impl Iterator<Item = &TraceEntry> {
+    pub(crate) fn entries(&self) -> impl Iterator<Item = &TraceEntry> {
         self.ring.iter()
     }
 
     /// Entries retired by one core, oldest first.
-    pub fn for_core(&self, core: GlobalCoreId) -> impl Iterator<Item = &TraceEntry> {
+    pub(crate) fn for_core(&self, core: GlobalCoreId) -> impl Iterator<Item = &TraceEntry> {
         self.ring.iter().filter(move |e| e.core == core)
-    }
-
-    /// Number of retained entries.
-    pub fn len(&self) -> usize {
-        self.ring.len()
-    }
-
-    /// Whether the trace is empty.
-    pub fn is_empty(&self) -> bool {
-        self.ring.is_empty()
     }
 
     /// Entries evicted because the buffer was full.
@@ -135,7 +125,7 @@ mod tests {
         for c in 0..5 {
             t.record(entry(c, 0));
         }
-        assert_eq!(t.len(), 3);
+        assert_eq!(t.entries().count(), 3);
         assert_eq!(t.dropped(), 2);
         let cycles: Vec<u64> = t.entries().map(|e| e.cycle).collect();
         assert_eq!(cycles, vec![2, 3, 4]);
