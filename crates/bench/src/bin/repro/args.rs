@@ -48,7 +48,7 @@ pub(crate) fn parse_nonzero_u64(flag: &str, what: &str, value: &str) -> Result<u
     }
 }
 
-/// Parses a nonzero `usize` flag value (thread counts, capacities).
+/// Parses a nonzero `usize` flag value (worker counts, capacities).
 ///
 /// # Errors
 ///

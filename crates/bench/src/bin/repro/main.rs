@@ -16,11 +16,11 @@
 //! the text tables: one JSON document per produced figure/table
 //! (`fig6.json`, `table2.json`, ...), a `metrics.json`/`metrics.csv`
 //! snapshot, a Perfetto-loadable `trace.json` of the measurement phase
-//! spans, a `perf_profile.json` engine self-profile (per-worker busy vs
-//! lockstep-wait time, quantum-boundary durations, mailbox volume), and a
+//! spans, a `perf_profile.json` engine self-profile (ticking vs
+//! quantum-boundary time, a per-phase tick split), and a
 //! `BENCH_repro.json` summary (cycle counts, cycles/MAC, engine record).
 //! Every artifact except `perf_profile.json` is deterministic: two runs of
-//! the same command, at any `--threads`, are `cmp`-identical.
+//! the same command are `cmp`-identical.
 //!
 //! `repro check --baseline PATH` regenerates the pinned summary and fails
 //! (exit 1) unless it equals the committed baseline leaf for leaf.
@@ -77,7 +77,7 @@ fn usage() -> u8 {
     let kinds = ExperimentKind::PARAMETERLESS.map(|(tag, _)| tag);
     eprintln!(
         "usage: repro [--measure] [--artifacts DIR] [--faults SEED[:RATE]] [--watchdog N]\n\
-         \x20            [--timeseries WINDOW] [--flight N] [--threads N]\n\
+         \x20            [--timeseries WINDOW] [--flight N]\n\
          \x20            [--checkpoint-dir DIR] [--checkpoint-every N] [--resume PATH]\n\
          \x20            [all|{}]...\n\
          \x20      repro check --baseline PATH [--bless]\n\
@@ -98,14 +98,10 @@ fn usage() -> u8 {
                               cycles; exports timeseries.json/.csv and Perfetto\n\
                               counter tracks. Applies to the degraded run with\n\
                               --faults, otherwise to an instrumented clean run\n\
-                              (bit-identical artifacts at any thread count)\n\
          --flight N           keep an N-event flight-recorder ring on the\n\
                               measured (degraded or clean) run; exports\n\
                               flight.json, and a simulator fault dumps it as\n\
                               crashdump.json\n\
-         --threads N          shard every simulation over N host threads\n\
-                              (default 1); results are bit-identical at any\n\
-                              thread count\n\
          --checkpoint-dir DIR snapshot the degraded run into DIR as atomic\n\
                               ckpt-<cycle>.json files with bounded retention;\n\
                               on a simulator fault the last good snapshot is\n\
@@ -150,7 +146,6 @@ struct Options {
     watchdog: Option<u64>,
     timeseries: Option<u64>,
     flight: Option<usize>,
-    threads: usize,
     checkpoint_dir: Option<String>,
     checkpoint_every: Option<u64>,
     resume: Option<String>,
@@ -178,10 +173,7 @@ fn parse_faults(value: &str) -> Result<(u64, f64), String> {
 /// argument must be `all` or a catalogue row — a typo aborts with the
 /// usage message instead of being silently ignored.
 fn parse_args(args: &[String]) -> Result<Options, String> {
-    let mut opts = Options {
-        threads: 1,
-        ..Options::default()
-    };
+    let mut opts = Options::default();
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
@@ -211,10 +203,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
             "--flight" => {
                 let value = args::flag_value(&mut it, "--flight", "an event-count")?;
                 opts.flight = Some(args::parse_nonzero_usize("--flight", "capacity", value)?);
-            }
-            "--threads" => {
-                let value = args::flag_value(&mut it, "--threads", "a thread-count")?;
-                opts.threads = args::parse_nonzero_usize("--threads", "count", value)?;
             }
             "--checkpoint-dir" => {
                 opts.checkpoint_dir =
@@ -536,14 +524,6 @@ fn cmd_repro(args: &[String]) -> Result<(), Failure> {
 /// Produces the selected targets, then the optional degraded or
 /// instrumented run, then the run-wide artifacts.
 fn reproduce(opts: &Options) -> Result<(), String> {
-    // Every cluster below is built through `SimParams::default()`, so one
-    // process-wide knob sets the worker count of all of them. Results are
-    // bit-identical at every count, so no artifact depends on this —
-    // which is exactly what CI's 4-thread-vs-1-thread diff checks.
-    mempool_sim::set_default_threads(opts.threads);
-    if opts.threads > 1 {
-        eprintln!("driving simulations with {} host threads", opts.threads);
-    }
     let mut artifacts = create_artifact_dir(opts.artifacts.as_deref())?;
     let obs = Obs::new();
 
@@ -640,8 +620,7 @@ fn reproduce(opts: &Options) -> Result<(), String> {
     }
 
     // `--timeseries`/`--flight` without `--faults` instrument a *clean*
-    // compute phase; the engine's shard-local observation lanes keep the
-    // artifacts bit-identical at any `--threads`.
+    // compute phase.
     let observed = if opts.faults.is_none() && (opts.timeseries.is_some() || opts.flight.is_some())
     {
         eprintln!("measuring instrumented clean run ...");
@@ -712,10 +691,10 @@ fn write_summary_artifacts(
     if !obs.flight.is_empty() {
         art.write_json("flight.json", &obs.flight.to_json())?;
     }
-    // The engine's host-side self-profile: per-worker busy vs
-    // lockstep-wait time, boundary durations, mailbox volume, and the
-    // embedded Perfetto counter-track document. The one artifact with
-    // host-time content, so CI byte-diffs skip it.
+    // The engine's host-side self-profile: ticking vs boundary time, the
+    // per-phase tick split, and the embedded Perfetto counter-track
+    // document. The one artifact with host-time content, so CI byte-diffs
+    // skip it.
     art.write_json("perf_profile.json", &mempool_sim::engine_profile_json())?;
 
     let mut pairs = vec![
@@ -739,9 +718,7 @@ fn write_summary_artifacts(
     if let Some(r) = resilience {
         pairs.push(("resilience", r.summary_json()));
     }
-    // The instrumented clean run's cycle count and engine record: both
-    // must be identical across `--threads` settings (the equivalence the
-    // instrumented CI diff pins).
+    // The instrumented clean run's cycle count and engine record.
     if let Some(o) = observed {
         pairs.push((
             "observed",
@@ -867,16 +844,9 @@ mod tests {
     }
 
     #[test]
-    fn threads_flag_parses_and_rejects_zero_and_junk() {
-        assert_eq!(parse_args(&argv(&["fig6"])).unwrap().threads, 1);
-        let opts = parse_args(&argv(&["fig6", "--threads", "4"])).unwrap();
-        assert_eq!(opts.threads, 4);
-        let err = parse_args(&argv(&["--threads", "0"])).unwrap_err();
-        assert!(err.contains("count must be nonzero"), "{err}");
-        let err = parse_args(&argv(&["--threads", "many"])).unwrap_err();
-        assert!(err.contains("count must be an unsigned integer"), "{err}");
-        assert!(parse_args(&argv(&["--threads"])).is_err());
-        assert!(parse_args(&argv(&["--threads", "--measure"])).is_err());
+    fn threads_flag_is_an_unknown_flag() {
+        let err = parse_args(&argv(&["fig6", "--threads", "4"])).unwrap_err();
+        assert_eq!(err, "unknown flag: --threads");
     }
 
     #[test]

@@ -41,7 +41,7 @@ pub fn matmul_cycles_at_16b(model: &mempool_kernels::matmul::PhaseModel) -> memp
 /// (`repro check`). Every leaf is pinned: the recorded workload constants,
 /// the analytic matmul cycle counts, and a degraded run under the fixed
 /// `(seed, rate)` fault plan, so two runs of the same code produce
-/// identical documents on any host at any thread count.
+/// identical documents on any host.
 ///
 /// # Panics
 ///

@@ -42,9 +42,9 @@ pub enum TimedFault {
     },
 }
 
-/// A fault outcome the engine observed on one access. Worker threads log
-/// these as plain data; the (thread-confined) controller counts them via
-/// [`FaultTally`] and mirrors them into the flight ring via
+/// A fault outcome the engine observed on one access. The engine logs
+/// these as plain data mid-quantum; at the boundary the controller counts
+/// them via [`FaultTally`] and mirrors them into the flight ring via
 /// [`FaultController::emit`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultNote {

@@ -57,8 +57,8 @@ impl EccState {
 
     /// Decides the outcome of reading `stored` (the possibly-corrupted
     /// word in storage) at `loc` without consuming the mask — the form
-    /// engine workers use against shared state, logging what they
-    /// cleared.
+    /// the engine uses mid-quantum, logging what it cleared and clearing
+    /// it at the quantum boundary.
     pub fn check(&self, loc: BankLocation, stored: u32) -> EccOutcome {
         match self.pending.get(&loc).copied() {
             None => EccOutcome::Clean,

@@ -148,9 +148,7 @@ impl ObservedRun {
 /// Runs one *clean* compute phase with observability attached: spans and
 /// metrics into the shared [`Obs`], plus optional time-series sampling
 /// and a flight-recorder ring (which implies instruction tracing, as in
-/// the degraded path). The engine's shard-local observation lanes carry
-/// the instrumentation, so the artifacts are bit-identical at every
-/// default thread count.
+/// the degraded path).
 ///
 /// # Errors
 ///

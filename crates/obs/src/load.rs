@@ -23,14 +23,14 @@ pub enum LoadOutcome {
     Loaded(Json),
     /// The file does not exist (or is unreadable) — an ordinary miss.
     Missing,
-    /// The file existed but did not parse; it was renamed out of the way
-    /// (best effort) so it will not be retried.
+    /// The file existed but was not UTF-8 or did not parse; it was
+    /// renamed out of the way (best effort) so it will not be retried.
     Quarantined {
         /// Where the corrupt bytes were moved (`<name>.corrupt`). The
         /// rename is best-effort: if it failed the original path still
         /// holds the bytes.
         renamed_to: PathBuf,
-        /// The parse error that condemned the file.
+        /// The decode or parse error that condemned the file.
         error: String,
     },
 }
@@ -46,25 +46,23 @@ pub fn quarantine_path(path: &Path) -> PathBuf {
     path.with_file_name(name)
 }
 
-/// Loads and parses a JSON file. A missing file is a plain
-/// [`LoadOutcome::Missing`]; a present-but-unparseable file is renamed to
-/// `<name>.corrupt` and reported as [`LoadOutcome::Quarantined`] — never
-/// a panic, and never an entry that poisons every future lookup.
+/// Loads and parses a JSON file. A missing or unreadable file is a plain
+/// [`LoadOutcome::Missing`]; a present file that is not UTF-8 or does not
+/// parse is renamed to `<name>.corrupt` and reported as
+/// [`LoadOutcome::Quarantined`] — never a panic, and never an entry that
+/// poisons every future lookup.
 pub fn load_json_file(path: &Path) -> LoadOutcome {
-    let text = match fs::read_to_string(path) {
-        Ok(text) => text,
-        Err(e) if e.kind() == ErrorKind::NotFound => return LoadOutcome::Missing,
+    let parsed = match fs::read_to_string(path) {
+        Ok(text) => Json::parse(&text).map_err(|e| e.to_string()),
+        Err(e) if e.kind() == ErrorKind::InvalidData => Err(e.to_string()),
         Err(_) => return LoadOutcome::Missing,
     };
-    match Json::parse(&text) {
+    match parsed {
         Ok(doc) => LoadOutcome::Loaded(doc),
-        Err(e) => {
+        Err(error) => {
             let renamed_to = quarantine_path(path);
             let _ = fs::rename(path, &renamed_to);
-            LoadOutcome::Quarantined {
-                renamed_to,
-                error: e.to_string(),
-            }
+            LoadOutcome::Quarantined { renamed_to, error }
         }
     }
 }
@@ -134,6 +132,23 @@ mod tests {
         assert!(!path.exists(), "original renamed away");
         // The second load is a plain miss — the quarantine is permanent.
         assert!(matches!(load_json_file(&path), LoadOutcome::Missing));
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn non_utf8_files_are_quarantined_not_missing() {
+        let dir = temp_dir("utf8");
+        let path = dir.join("flipped.json");
+        fs::write(&path, b"{\"x\": \"\xff\"}").unwrap();
+        match load_json_file(&path) {
+            LoadOutcome::Quarantined { renamed_to, error } => {
+                assert_eq!(renamed_to, dir.join("flipped.json.corrupt"));
+                assert!(renamed_to.exists(), "corrupt bytes preserved");
+                assert!(error.contains("UTF-8"), "{error}");
+            }
+            other => panic!("expected quarantine, got {other:?}"),
+        }
+        assert!(!path.exists(), "original renamed away");
         let _ = fs::remove_dir_all(&dir);
     }
 

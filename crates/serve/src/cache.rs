@@ -61,10 +61,10 @@ impl ResultCache {
     }
 
     /// Looks up a key: memory first, then disk (promoting a disk hit into
-    /// memory). A disk entry that fails to parse is quarantined (renamed
-    /// `.corrupt`, recorded for `drain_quarantined`) and treated
-    /// as a miss — the rename also guarantees the broken file is never
-    /// parsed twice.
+    /// memory). A disk entry that is not UTF-8 or fails to parse is
+    /// quarantined (renamed `.corrupt`, recorded for `drain_quarantined`)
+    /// and treated as a miss — the rename also guarantees the broken file
+    /// is never parsed twice.
     pub fn get(&self, key: u64) -> Option<Arc<Json>> {
         let mut memory = self.memory.lock().expect("cache mutex poisoned");
         if let Some(hit) = memory.get(&key) {

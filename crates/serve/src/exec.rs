@@ -91,8 +91,7 @@ pub(crate) fn dse_point_json(scored: &ScoredPoint) -> Json {
 }
 
 /// Runs the matmul compute phase cycle-accurately on the probe cluster.
-/// The artifact carries the cycle count and the cluster-stats digest —
-/// bit-identical at any host-thread count.
+/// The artifact carries the cycle count and the cluster-stats digest.
 fn kernel_run(p: u32) -> Result<Json, String> {
     const BUDGET: u64 = 100_000_000;
     let failed = |e: &dyn std::fmt::Display| format!("compute phase p={p}: {e}");

@@ -27,8 +27,8 @@
 //! Served artifacts are byte-identical to the documents one-shot `repro`
 //! writes for the same config: [`ExperimentRunner`] resolves the tables
 //! and figures through the same [`mempool::experiments::CATALOGUE`] the
-//! CLI walks, and the simulation engine is bit-identical at any
-//! host-thread count, so the daemon's own thread default never shows.
+//! CLI walks, and each simulation runs on one thread, so the daemon's
+//! worker pool never shows in a result.
 
 #![warn(missing_docs)]
 

@@ -338,13 +338,8 @@ impl ExperimentRequest {
     pub(crate) fn cache_key_with_version(&self, version: &str) -> u64 {
         // Seed with the full simulator parameter digest (which itself
         // mixes the engine version): a timing-parameter change is as
-        // cache-invalidating as a code change. The process-wide thread
-        // default is not one: results are bit-identical at any count.
-        let mut hash = SimParams {
-            threads: 1,
-            ..SimParams::default()
-        }
-        .digest_with_version(version);
+        // cache-invalidating as a code change.
+        let mut hash = SimParams::default().digest_with_version(version);
         let mut mix = |bytes: &[u8]| hash = fnv1a(hash, bytes);
         mix(self.kind.tag().as_bytes());
         match self.kind {

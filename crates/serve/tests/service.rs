@@ -471,3 +471,57 @@ fn corrupt_journals_and_cache_entries_are_quarantined_with_flight_events() {
     service.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// A journal or cache entry with one byte flipped out of UTF-8 is as
+/// corrupt as one that does not parse: quarantined with a flight event,
+/// not skipped as if it were absent (and then re-read on every restart).
+#[test]
+fn non_utf8_journals_and_cache_entries_are_quarantined_with_flight_events() {
+    let dir = std::env::temp_dir().join(format!("mempool-serve-utf8-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let flipped = |doc: &Json| {
+        let mut bytes = doc.to_pretty().into_bytes();
+        let at = bytes.len() / 2;
+        bytes[at] = 0xff;
+        bytes
+    };
+    let journaled = ExperimentRequest::new(ExperimentKind::Table2);
+    let journal = format!("job-{:016x}.json", journaled.cache_key());
+    std::fs::write(dir.join(&journal), flipped(&journaled.to_json())).unwrap();
+    let req = ExperimentRequest::new(ExperimentKind::Table1);
+    let entry = ResultCache::entry_name(req.cache_key());
+    std::fs::write(dir.join(&entry), flipped(&req.to_json())).unwrap();
+
+    let service = Service::start(ServiceConfig {
+        cache_dir: Some(dir.clone()),
+        ..ServiceConfig::default()
+    })
+    .unwrap();
+    // The damaged cache entry reads as a miss: the request computes.
+    let outcome = service.client().run(req).unwrap();
+    assert_eq!(outcome.cache, CacheOutcome::Miss);
+    for name in [&journal, &entry] {
+        assert!(dir.join(format!("{name}.corrupt")).exists(), "{name}");
+    }
+    assert!(!dir.join(&journal).exists());
+    let stats = service.stats_json();
+    let events = stats.get("flight").unwrap().get("events").unwrap();
+    let corrupt: Vec<&str> = events
+        .as_arr()
+        .unwrap()
+        .iter()
+        .filter(|e| e.get("category").and_then(Json::as_str) == Some("corrupt"))
+        .filter_map(|e| e.get("message").and_then(Json::as_str))
+        .collect();
+    for name in [&journal, &entry] {
+        assert!(
+            corrupt
+                .iter()
+                .any(|message| message.contains(name.as_str())),
+            "no corrupt event names {name}: {corrupt:?}"
+        );
+    }
+    service.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}

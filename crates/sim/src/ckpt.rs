@@ -10,9 +10,7 @@
 //!
 //! The contract is strict **bit-exactness**: [`Cluster::restore`] followed
 //! by [`Cluster::run`] produces a [`crate::ClusterStats::digest`] equal to
-//! the unbroken run's, at any `threads` count — the engine is
-//! bit-identical across host-thread counts and a checkpoint carries no
-//! host-side state.
+//! the unbroken run's — a checkpoint carries no host-side state.
 //!
 //! # Layout
 //!
@@ -40,9 +38,10 @@
 //!
 //! Deliberately **excluded** (and why it is sound to do so):
 //!
-//! * the engine arena (mailboxes, worker lanes, boundary scratch) —
-//!   flushed into the real queues and recorders at every quantum
-//!   boundary, so it is always empty between `step()`/`run()` calls;
+//! * the engine arena (its lane and live-bank sets) — the lane is
+//!   replayed into the real queues and recorders at every quantum
+//!   boundary, so it is always empty between `step()`/`run()` calls, and
+//!   the live-bank sets are rebuilt from the restored queues;
 //! * observability attachments (metrics, spans, time-series contents,
 //!   flight ring, instruction trace) — measurement, not simulated state;
 //!   callers re-attach and re-arm them after restoring (the sampler's
@@ -74,7 +73,7 @@ use crate::cluster::{Bank, Cluster, PendingAccess, Response, SampleInputs, Sampl
 use crate::core::Core;
 use crate::icache::{ICache, ICacheState};
 use crate::offchip::OffchipPort;
-use crate::params::{default_threads, SimParams, ENGINE_VERSION};
+use crate::params::{SimParams, ENGINE_VERSION};
 
 /// Schema tag of the checkpoint document.
 pub const CHECKPOINT_SCHEMA: &str = "mempool-checkpoint/v2";
@@ -658,10 +657,7 @@ impl Cluster {
         ])
     }
 
-    /// Rebuilds a cluster from a checkpoint document. The restored cluster
-    /// runs with the process-default thread count
-    /// (`default_threads`) — the engine is bit-identical at any
-    /// thread count, so cross-thread resume is exact. Observability is
+    /// Rebuilds a cluster from a checkpoint document. Observability is
     /// *not* restored: attach/arm it again with
     /// [`Cluster::attach_obs`]/[`Cluster::enable_timeseries`]/
     /// [`Cluster::enable_flight`] as needed (the latter re-attaches the
@@ -718,7 +714,7 @@ impl Cluster {
             offchip_bytes_per_cycle: p.u32_field("offchip_bytes_per_cycle")?,
             offchip_latency: p.u32_field("offchip_latency")?,
             ecc_correction_penalty: p.u32_field("ecc_correction_penalty")?,
-            threads: default_threads(),
+            threads: 1,
         };
         expect_field(doc, "params_digest", &format!("{:016x}", params.digest()))?;
 
@@ -1107,14 +1103,9 @@ mod tests {
         assert!(matches!(snap.run(37), Err(SimError::Timeout { .. })));
         assert!(snap.banks.iter().any(|bank| !bank.queue.is_empty()));
         let doc = Json::parse(&snap.checkpoint().to_pretty()).unwrap();
-        for threads in [1, 2] {
-            let mut restored = Cluster::restore(&doc).unwrap();
-            restored.set_threads(threads);
-            restored.force_oversubscribe();
-            let resumed_end = restored.run(100_000).unwrap();
-            assert_eq!(resumed_end, end, "threads {threads}");
-            assert_eq!(restored.stats().digest(), want, "threads {threads}");
-        }
+        let mut restored = Cluster::restore(&doc).unwrap();
+        assert_eq!(restored.run(100_000).unwrap(), end);
+        assert_eq!(restored.stats().digest(), want);
     }
 
     #[test]

@@ -13,11 +13,6 @@
 //! 3. **issue** — every non-halted core consumes pipeline bubbles, checks
 //!    its I$, and issues at most one instruction through the scoreboard.
 //!
-//! All three are tile-local, which is what the engine exploits: with
-//! [`SimParams::threads`]` > 1`, [`Cluster::run`] shards the tiles over
-//! that many host threads, producing bit-identical results at any thread
-//! count.
-//!
 //! The phase split realizes the paper's zero-load latencies exactly: a
 //! tile-local load issued in cycle `c` is usable in cycle `c+1`, a
 //! group-local one in `c+3`, and a remote one in `c+5`.
@@ -209,9 +204,8 @@ pub(crate) struct Response {
 words_struct!(Response { due, reg, value });
 
 /// Observability attachment: shared handle plus the tracks and counters
-/// this cluster records into (see [`Cluster::attach_obs`]). `Rc`-based
-/// and therefore confined to the calling thread — the engine only touches
-/// it at quantum boundaries, replaying what its workers logged.
+/// this cluster records into (see [`Cluster::attach_obs`]). The engine
+/// only touches it at quantum boundaries, replaying what its lane logged.
 #[derive(Debug)]
 pub(crate) struct ClusterObs {
     pub(crate) obs: Obs,
@@ -390,14 +384,9 @@ pub struct Cluster {
     /// Whether cluster events mirror into the obs flight ring
     /// (armed by [`Cluster::enable_flight`]).
     pub(crate) flight_enabled: bool,
-    /// Preallocated buffers for the engine's hot path (mailboxes, worker
-    /// lanes, boundary scratch), reused across ticks and runs.
+    /// Preallocated buffers for the engine's hot path (its lane and
+    /// live-bank sets), reused across ticks and runs.
     pub(crate) quantum: engine::QuantumArena,
-    /// When set, [`Cluster::run`] skips the host-parallelism clamp and
-    /// spawns exactly `Cluster::threads` workers even on a host with
-    /// fewer CPUs. Transient (never serialized); the equivalence tests use
-    /// it so the concurrent protocol is really exercised on small hosts.
-    pub(crate) oversubscribe: bool,
 }
 
 impl Cluster {
@@ -441,50 +430,14 @@ impl Cluster {
             sampler: None,
             flight_enabled: false,
             quantum,
-            oversubscribe: false,
         }
     }
 
-    /// Sets the number of host threads subsequent [`Cluster::run`] calls
-    /// shard the tiles over. `0` is clamped to `1`; any value is also
-    /// capped at the tile count since a tile is the unit of parallelism.
-    /// Never changes simulated behavior — results are bit-identical at
-    /// every thread count.
-    pub fn set_threads(&mut self, threads: usize) {
-        self.params.threads = threads.max(1);
-    }
-
-    /// The effective host-thread count for [`Cluster::run`] (after
-    /// clamping to the tile count).
-    pub(crate) fn threads(&self) -> usize {
-        self.params
-            .threads
-            .max(1)
-            .min(self.config.num_tiles() as usize)
-    }
-
-    /// The worker count [`Cluster::run`] will actually use: `Cluster::threads`
-    /// further clamped to the host's available parallelism. Oversubscribing
-    /// a host (e.g. 4 spinning workers on 1 CPU) only adds scheduler
-    /// thrash, and results are bit-identical at every worker count, so the
-    /// clamp is invisible except in wall-clock time.
+    /// The host threads [`Cluster::run`] uses: always `1`, whatever
+    /// [`SimParams::threads`] says. Kept only because the benchmark crate
+    /// still reports it.
     pub fn effective_workers(&self) -> usize {
-        let threads = self.threads();
-        if self.oversubscribe || threads == 1 {
-            threads
-        } else {
-            threads.min(engine::host_parallelism())
-        }
-    }
-
-    /// Disables the host-parallelism clamp of [`Cluster::effective_workers`]
-    /// so a run really spawns `Cluster::threads` workers. Only useful to
-    /// tests that must exercise the concurrent engine protocol on hosts
-    /// with fewer CPUs than the probed thread count; never changes results
-    /// (they are bit-identical at every worker count), only wall-clock.
-    #[doc(hidden)]
-    pub fn force_oversubscribe(&mut self) {
-        self.oversubscribe = true;
+        1
     }
 
     /// Attaches an observability handle. The cluster records DMA transfers
@@ -1100,8 +1053,7 @@ impl Cluster {
     }
 
     /// Advances the cluster by one cycle: a one-tick round of the same
-    /// engine [`Cluster::run`] drives, on one shard whatever
-    /// [`SimParams::threads`] says.
+    /// engine [`Cluster::run`] drives.
     ///
     /// # Errors
     ///
@@ -1116,10 +1068,11 @@ impl Cluster {
     /// Runs until every core halts, returning the cycle count at that
     /// point.
     ///
-    /// The tiles are sharded over [`Cluster::effective_workers`] host
-    /// threads that advance in lockstep quanta; every worker count —
-    /// instrumented, fault-injected or bare — is bit-identical in every
-    /// observable way (stats, time-series, fault reports, errors).
+    /// The engine advances in quanta of up to 1024 cycles on the calling
+    /// thread; any split of a run into [`Cluster::step`] and
+    /// [`Cluster::run`] calls — instrumented, fault-injected or bare — is
+    /// bit-identical in every observable way (stats, time-series, fault
+    /// reports, errors).
     ///
     /// # Errors
     ///
@@ -1127,7 +1080,7 @@ impl Cluster {
     /// any fault raised while stepping.
     #[must_use = "a run can fail with a SimError that must not be ignored"]
     pub fn run(&mut self, max_cycles: u64) -> Result<u64, SimError> {
-        engine::run_quantum(self, max_cycles, self.effective_workers())
+        engine::run_quantum(self, max_cycles)
     }
 
     /// The engine record written into `BENCH_repro.json`, `observed.json`
@@ -1143,14 +1096,6 @@ impl Cluster {
     #[doc(hidden)]
     pub fn engine_arena_footprint(&self) -> u64 {
         self.quantum.footprint()
-    }
-
-    /// The cross-tile mailboxes' share of
-    /// [`Cluster::engine_arena_footprint`]: zero as long as every round ran
-    /// on one worker.
-    #[doc(hidden)]
-    pub fn engine_mailbox_footprint(&self) -> u64 {
-        self.quantum.mailbox_footprint()
     }
 
     /// Collects a snapshot of all statistics.
@@ -1299,7 +1244,7 @@ impl EngineSelection {
     }
 }
 
-/// The one execution engine every run uses, at every thread count.
+/// The one execution engine every run uses.
 pub const ENGINE: EngineSelection = EngineSelection {
     engine: "quantum",
     reason: "tile shards in lockstep quanta with shard-local observation lanes",

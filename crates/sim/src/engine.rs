@@ -1,36 +1,27 @@
-//! The execution engine: one tick kernel, one driver.
+//! The execution engine: one tick kernel, run on the calling thread.
 //!
 //! A simulated cycle is the same three steps on every tile — bank service
 //! ([`serve_phase`]), response delivery and issue ([`local_phase`]), and
-//! routing of what the tile sent to other tiles ([`route`]) — and
+//! routing of what the tiles sent to each other ([`route`]) — and
 //! [`run_quantum`] is the only loop that drives them; [`step`] is one tick
-//! of it on one shard. DESIGN.md § "Execution engine" is the reference for
-//! tick phases, shard ownership, mailbox order, quantum caps and error
-//! ordering; the comments here cover what the code alone does not show.
+//! of it. DESIGN.md § "Execution engine" is the reference for tick
+//! phases, quantum caps and error ordering; the comments here cover what
+//! the code alone does not show.
 //!
-//! * **Static tile→thread ownership.** Tiles are split into contiguous
-//!   per-worker shard ranges ([`TileShard`]): a worker owns its tiles'
-//!   cores, I$, response queues, *banks*, and SPM words (main and spare)
-//!   outright, so both phases run with plain `&mut` indexing.
-//! * **Mailboxes only between workers.** With several workers, cross-tile
-//!   traffic (bank pushes and responses) flows through per-tile inboxes
-//!   double-buffered by tick parity; the receiver applies entries sorted
-//!   by source tile, so every bank queue evolves bit-identically at every
-//!   worker count. One worker owns every tile and delivers straight into
-//!   the destination queue, in the order the sorted inbox would have.
-//! * **Amortized synchronization.** Workers run in per-tick lockstep via
-//!   padded atomic progress counters (spin-then-yield, no futexes) and
-//!   meet the calling thread only at *quantum* boundaries, where
-//!   everything thread-confined happens in canonical `(tick, tile)` order:
-//!   off-chip accesses resolve, observation lanes replay into the `Rc`
-//!   based recorders, fault outcomes reach the [`FaultController`], the
+//! * **Per-tile views.** A round splits the cluster into one
+//!   [`TileShard`] per tile — its cores, I$, response queues, *banks*, and
+//!   SPM words (main and spare) — so both phases run with plain `&mut`
+//!   indexing.
+//! * **One lane, replayed at quantum boundaries.** The ticks of a quantum
+//!   log into the engine's [`Lane`]; only at the boundary does everything
+//!   that touches the `Rc` based recorders happen, in `(tick, tile)`
+//!   order: off-chip accesses resolve, the lane replays into the
+//!   recorders, fault outcomes reach the [`FaultController`], the
 //!   watchdog and sampler advance, and quiescence / errors are settled.
 //!   Whatever must happen at an exact cycle (a timed fault, a sample, a
 //!   watchdog expiry, an off-chip response) caps the quantum there.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Mutex;
 use std::time::Instant;
 
 use mempool_arch::{
@@ -69,71 +60,14 @@ pub(crate) struct ExternalIntent {
 }
 
 /// Ticks per quantum when nothing shortens it: large enough to amortize
-/// per-quantum thread spawn and boundary work down to noise, small enough
+/// per-quantum shard setup and boundary work down to noise, small enough
 /// to keep quiescence-overshoot rollback work trivial.
 const QUANTUM_TICKS: u64 = 1024;
 
-/// The host's available parallelism (CPUs this process may use), `1` if
-/// the platform cannot tell. Worker counts are clamped to this by default:
-/// spinning lockstep workers beyond the CPU count only thrash the
-/// scheduler, and results are bit-identical at every worker count anyway.
-pub(crate) fn host_parallelism() -> usize {
-    std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1)
-}
-
-/// A cache-line-padded progress counter, one per worker, counting
-/// half-ticks with release/acquire ordering: `2 * (t + 1)` once tick `t`
-/// is complete, `2 * t + 1` at the mid-tick gate rounds with latent ECC
-/// masks add after bank service.
-#[derive(Debug, Default)]
-#[repr(align(64))]
-pub(crate) struct PaddedCounter(AtomicU64);
-
-/// Cross-tile traffic addressed to one tile, double-buffered by tick
-/// parity. Entries are `(source tile, local index, payload)`; the
-/// receiver applies them sorted by source tile — the order a single
-/// worker sweeping tiles in ascending order produces.
-#[derive(Debug, Default)]
-pub(crate) struct Inbox {
-    /// Bank-queue pushes: `(src tile, bank index within dest tile, access)`.
-    pushes: Vec<(u32, u32, PendingAccess)>,
-    /// Responses: `(src tile, core index within dest tile, response)`.
-    responses: Vec<(u32, u32, Response)>,
-    /// ECC correction stalls for this tile's cores, `(core index within
-    /// dest tile, cycles)`: sent and consumed inside one tick (see
-    /// `quantum_worker`), in the slot that tick has already drained.
-    stalls: Vec<(u32, u32)>,
-}
-
-impl Inbox {
-    /// Applies and clears the inbox, in source-tile order.
-    fn drain_into(&mut self, banks: &mut TileBanks<'_>, responses: &mut [Vec<Response>]) {
-        self.pushes.sort_by_key(|&(src, _, _)| src);
-        for (_, bank, access) in self.pushes.drain(..) {
-            banks.push(bank as usize, access);
-        }
-        self.responses.sort_by_key(|&(src, _, _)| src);
-        for (_, core, response) in self.responses.drain(..) {
-            responses[core as usize].push(response);
-        }
-    }
-}
-
-/// One inbox plus its lock-free "worth locking?" flag. Senders set the
-/// flag after publishing; a receiver that finds it clear skips the mutex
-/// entirely (idle tiles pay two atomic ops per tick, nothing more).
-#[derive(Debug, Default)]
-pub(crate) struct InboxSlot {
-    nonempty: AtomicBool,
-    data: Mutex<Inbox>,
-}
-
 /// Where in a tick something happened, in the order a tick gets there:
 /// every tile's bank service, then per tile (ascending) off-chip
-/// resolution before issue. Errors and flight events are ordered by
-/// `(tick, past bank service?, tile, phase)`.
+/// resolution before issue. Errors are ordered by `(tick, past bank
+/// service?, tile, phase)`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 enum Phase {
     Serve,
@@ -149,7 +83,7 @@ fn tick_key((tick, tile, phase): At) -> (u64, bool, u32, Phase) {
     (tick, phase != Phase::Serve, tile, phase)
 }
 
-/// What a lane logs for the flight ring.
+/// What the lane logs for the flight ring.
 #[derive(Debug, Clone, Copy)]
 enum FlightNote {
     /// A bank access was served.
@@ -162,18 +96,10 @@ enum FlightNote {
     Fault(FaultNote),
 }
 
-/// A flight-ring event recorded on a lane, replayed at the boundary.
-#[derive(Debug, Clone, Copy)]
-struct LaneEvent {
-    at: At,
-    note: FlightNote,
-}
-
 /// The newest `cap` entries of a stream plus a count of the older ones:
-/// all a lane can contribute to a ring of capacity `cap`. An entry that is
-/// not among its own lane's last `cap` is not among the merged stream's
-/// last `cap` either, so ring contents and `dropped` totals come out as if
-/// every entry had been recorded.
+/// all a ring of capacity `cap` keeps of it, so ring contents and
+/// `dropped` totals come out as if every entry had been recorded while
+/// the lane stays bounded however long the quantum.
 #[derive(Debug)]
 struct Tail<T> {
     kept: VecDeque<T>,
@@ -199,24 +125,22 @@ impl<T> Tail<T> {
         self.kept.push_back(entry);
     }
 
-    /// Moves the kept entries onto `merge`; returns how many older ones
-    /// were counted instead.
-    fn drain_into(&mut self, merge: &mut Vec<T>) -> u64 {
-        merge.extend(self.kept.drain(..));
-        std::mem::take(&mut self.dropped)
+    /// Empties the tail: how many older entries were counted instead, and
+    /// the kept ones, oldest first.
+    fn drain(&mut self) -> (u64, std::collections::vec_deque::Drain<'_, T>) {
+        (std::mem::take(&mut self.dropped), self.kept.drain(..))
     }
 }
 
-/// Traffic leaving a tile: `(dest tile, src tile, index within dest, payload)`.
-type Outbound<T> = (u32, u32, u32, T);
+/// Traffic leaving a tile: `(dest tile, index within dest, payload)`.
+type Outbound<T> = (u32, u32, T);
 
-/// Per-worker scratch, preallocated and reused across ticks and quanta.
-/// The instrumentation buffers are this worker's private *observation
-/// lane*: the hot path appends to them with no locks and (in steady
-/// state) no allocations, and the boundary drains them in deterministic
-/// source-tile order.
+/// The engine's scratch, preallocated and reused across ticks and quanta.
+/// The instrumentation buffers are its *observation lane*: the hot path
+/// appends to them in `(tick, tile)` order with (in steady state) no
+/// allocations, and the boundary replays them in that order.
 #[derive(Debug, Default)]
-pub(crate) struct WorkerLane {
+pub(crate) struct Lane {
     /// Bank pushes issued this tick, in (tile, core) order.
     push_out: Vec<Outbound<PendingAccess>>,
     /// Cross-tile responses produced this tick, in (tile, bank) order.
@@ -227,61 +151,66 @@ pub(crate) struct WorkerLane {
     /// Off-chip intents issued this quantum: `(tick, tile, intent)`, in
     /// issue order (ticks ascending, tiles ascending within a tick).
     externals: Vec<(u64, u32, ExternalIntent)>,
-    /// SPM words touched by this worker's shards this quantum (merged
-    /// into the shared counter at the boundary).
+    /// SPM words touched this quantum (folded into the storage counter at
+    /// the boundary).
     touches: u64,
-    /// Cycle since which every owned tile has been continuously inert
+    /// The tick the current quantum stops before: its target, lowered by
+    /// an error (to finish that tick) or an off-chip access (to resolve
+    /// it in time).
+    stop_at: u64,
+    /// Cycle since which every tile has been continuously inert
     /// (halted cores, empty queues, nothing outstanding) this quantum;
     /// `u64::MAX` while any tile is active. Drives exact quiescence
     /// rollback.
     inert_since: u64,
-    /// First error this worker hit, by sweep order.
+    /// First error this quantum hit, by sweep order.
     error: Option<(At, SimError)>,
     /// Flight-ring events this quantum (served accesses, fault outcomes),
-    /// in (tick, phase, tile) order. Only fed when flight recording is on.
-    events: Tail<LaneEvent>,
+    /// by tick, in (tick, phase, tile) order. Only fed when flight
+    /// recording is on.
+    events: Tail<(u64, FlightNote)>,
     /// Retired instructions this quantum, in (tick, tile, core) order.
     /// Only fed when tracing is on.
     trace_out: Tail<TraceEntry>,
     /// `(tick, global core)` pairs that executed `wfi` this quantum
     /// (obs span begins). Only fed when an obs handle is attached.
     halts: Vec<(u64, u32)>,
-    /// Per-tick scratch flag: whether this lane's shards delivered a
-    /// response or retired an instruction during the current tick.
+    /// Per-tick scratch flag: whether some tile delivered a response or
+    /// retired an instruction during the current tick.
     progress: bool,
-    /// Ticks at which this lane's shards made forward progress, strictly
+    /// Ticks at which some tile made forward progress, strictly
     /// ascending. Only fed when a watchdog is armed.
     progress_ticks: Vec<u64>,
     /// Fault outcomes counted this quantum (folded into the report at the
     /// boundary).
     faults: FaultTally,
-    /// Words whose latent ECC mask this lane consumed this quantum (a
+    /// Words whose latent ECC mask this quantum consumed (a
     /// corrected read or any write); the shared [`EccState`] still lists
     /// them until the boundary clears it.
     ecc_cleared: Vec<BankLocation>,
-    /// Self-profiling: this worker's host-time tallies this quantum.
+    /// Self-profiling: the host-time tallies of this quantum.
     prof: LaneTally,
 }
 
-impl WorkerLane {
-    /// Records this lane's first error and ends the quantum with the
+impl Lane {
+    /// Records the quantum's first error and ends the quantum with the
     /// current tick.
-    fn fail(&mut self, stop_at: &AtomicU64, at: At, error: SimError) {
+    fn fail(&mut self, at: At, error: SimError) {
         if self.error.is_none() {
             self.error = Some((at, error));
-            stop_at.fetch_min(at.0 + 1, Ordering::AcqRel);
+            self.stop_at = self.stop_at.min(at.0 + 1);
         }
     }
 
     /// Logs a flight-ring event, if flight recording is on.
-    fn log(&mut self, ctx: &WorkerCtx<'_>, at: At, note: FlightNote) {
+    fn log(&mut self, ctx: &TickCtx<'_>, at: At, note: FlightNote) {
         if ctx.flight_cap > 0 {
-            self.events.push(ctx.flight_cap, LaneEvent { at, note });
+            self.events.push(ctx.flight_cap, (at.0, note));
         }
     }
 
     /// Counts a fault outcome and logs it.
-    fn fault(&mut self, ctx: &WorkerCtx<'_>, at: At, note: FaultNote) {
+    fn fault(&mut self, ctx: &TickCtx<'_>, at: At, note: FaultNote) {
         self.faults.count(note);
         self.log(ctx, at, FlightNote::Fault(note));
     }
@@ -292,14 +221,8 @@ impl WorkerLane {
 /// instead of allocating).
 #[derive(Debug, Default)]
 pub(crate) struct QuantumArena {
-    /// Per-tile mailboxes, double-buffered by tick parity. Stays empty
-    /// until a round runs on more than one worker.
-    inboxes: Vec<[InboxSlot; 2]>,
-    /// Per-worker progress counters (index = worker lane).
-    progress: Vec<PaddedCounter>,
-    /// Per-worker scratch lanes. Sized to the largest worker count seen;
-    /// a round uses the first `workers` lanes.
-    lanes: Vec<WorkerLane>,
+    /// The tick kernel's scratch and observation lane.
+    lane: Lane,
     /// One bit per bank, set exactly while its queue holds a request, in
     /// [`live_words`] words per tile. With `earliest`, state derived from
     /// the bank queues ([`derive_live`]) so that bank service visits only
@@ -310,18 +233,7 @@ pub(crate) struct QuantumArena {
     /// Per bank, the earliest arrival among its queued requests;
     /// `u64::MAX` while the queue is empty.
     earliest: Vec<u64>,
-    /// Boundary scratch: the merged off-chip intent log.
-    ext_merge: Vec<(u64, u32, ExternalIntent)>,
-    /// Boundary scratch: merged trace entries, sorted into retire order
-    /// before replay.
-    trace_merge: Vec<TraceEntry>,
-    /// Boundary scratch: merged flight events.
-    event_merge: Vec<LaneEvent>,
-    /// Boundary scratch: merged `wfi` span begins.
-    halt_merge: Vec<(u64, u32)>,
-    /// Boundary scratch: merged forward-progress ticks (watchdog replay).
-    progress_merge: Vec<u64>,
-    /// Off-chip intents merged at the most recent boundary
+    /// Off-chip intents resolved at the most recent boundary
     /// (self-profiling).
     ext_merged_last: u64,
 }
@@ -364,65 +276,30 @@ impl QuantumArena {
         self.live == live && self.earliest == earliest
     }
 
-    /// Grows (never shrinks) the arena for a cluster of `num_tiles` tiles
-    /// run on `workers` worker lanes.
-    fn ensure(&mut self, num_tiles: usize, workers: usize) {
-        if workers > 1 {
-            self.inboxes.resize_with(num_tiles, Default::default);
-        }
-        if self.lanes.len() < workers {
-            self.progress.resize_with(workers, Default::default);
-            self.lanes.resize_with(workers, Default::default);
-        }
-    }
-
-    /// Reserved capacity (entries) of the cross-tile mailboxes.
-    pub(crate) fn mailbox_footprint(&self) -> u64 {
-        self.inboxes
-            .iter()
-            .flatten()
-            .map(|slot| {
-                let inbox = slot.data.lock().expect("inbox lock");
-                (inbox.pushes.capacity() + inbox.responses.capacity() + inbox.stalls.capacity())
-                    as u64
-            })
-            .sum()
-    }
-
     /// Total reserved capacity (entries) across every arena buffer —
     /// the steady-state invariant tests assert this stops growing after
     /// warmup.
     pub(crate) fn footprint(&self) -> u64 {
-        let lanes: usize = self
-            .lanes
-            .iter()
-            .map(|lane| {
-                lane.push_out.capacity()
-                    + lane.resp_out.capacity()
-                    + lane.stalls.capacity()
-                    + lane.externals.capacity()
-                    + lane.events.kept.capacity()
-                    + lane.trace_out.kept.capacity()
-                    + lane.halts.capacity()
-                    + lane.progress_ticks.capacity()
-                    + lane.ecc_cleared.capacity()
-            })
-            .sum();
-        let merge = self.ext_merge.capacity()
-            + self.trace_merge.capacity()
-            + self.event_merge.capacity()
-            + self.halt_merge.capacity()
-            + self.progress_merge.capacity();
+        let lane = &self.lane;
+        let lane = lane.push_out.capacity()
+            + lane.resp_out.capacity()
+            + lane.stalls.capacity()
+            + lane.externals.capacity()
+            + lane.events.kept.capacity()
+            + lane.trace_out.kept.capacity()
+            + lane.halts.capacity()
+            + lane.progress_ticks.capacity()
+            + lane.ecc_cleared.capacity();
         let live = self.live.capacity() + self.earliest.capacity();
-        self.mailbox_footprint() + (lanes + merge + live) as u64
+        (lane + live) as u64
     }
 }
 
-/// Immutable context shared by every worker of a round. Fault state is
-/// plain data here: the controller itself holds an `Rc` flight handle and
-/// never leaves the calling thread.
+/// Immutable context of one round. Fault state is plain data here: the
+/// controller itself holds an `Rc` flight handle and is only touched at
+/// the boundary.
 #[derive(Debug)]
-struct WorkerCtx<'a> {
+struct TickCtx<'a> {
     config: &'a ClusterConfig,
     topo: &'a Topology,
     params: &'a SimParams,
@@ -453,16 +330,11 @@ struct WorkerCtx<'a> {
     trace_cap: usize,
     /// Whether a watchdog is armed (record forward-progress ticks).
     watch: bool,
-    /// Spins before a waiting worker yields its CPU. On a host with a CPU
-    /// per worker a peer is at most ~a tick of work away, so spin
-    /// generously; an oversubscribed host (forced by tests) must yield
-    /// immediately or the waited-on peer never gets scheduled.
-    spin_budget: u32,
 }
 
-/// The state one worker owns exclusively for one tile: cores, response
-/// queues, I$, banks, and the tile's SPM words — its slice of the main
-/// array and of the spare banks remapped banks resolve to.
+/// One tile's state: cores, response queues, I$, banks, and the tile's
+/// SPM words — its slice of the main array and of the spare banks
+/// remapped banks resolve to.
 #[derive(Debug)]
 struct TileShard<'a> {
     tile: u32,
@@ -542,13 +414,7 @@ impl TileBanks<'_> {
 /// (earliest arrival wins, FIFO among ties), counting conflict cycles.
 /// Flight events go to the lane's observation buffer, tagged with their
 /// tick, and are replayed into the shared ring at the boundary.
-fn serve_phase(
-    ctx: &WorkerCtx<'_>,
-    shard: &mut TileShard<'_>,
-    lane: &mut WorkerLane,
-    stop_at: &AtomicU64,
-    now: u64,
-) {
+fn serve_phase(ctx: &TickCtx<'_>, shard: &mut TileShard<'_>, lane: &mut Lane, now: u64) {
     let at = (now, shard.tile, Phase::Serve);
     // Ascending over the banks that hold a request; the others have
     // nothing to serve and no queue depth to record.
@@ -625,7 +491,7 @@ fn serve_phase(
                 }
                 EccOutcome::Uncorrectable { mask } if reads_word => {
                     lane.fault(ctx, at, FaultNote::Uncorrectable { loc, mask });
-                    lane.fail(stop_at, at, SimError::EccUncorrectable { loc, mask });
+                    lane.fail(at, SimError::EccUncorrectable { loc, mask });
                     return;
                 }
                 // Any write leaves a freshly encoded (error-free) word
@@ -669,7 +535,7 @@ fn serve_phase(
             shard.responses[dest_local].push(response);
         } else {
             lane.resp_out
-                .push((dest_tile as u32, shard.tile, dest_local as u32, response));
+                .push((dest_tile as u32, dest_local as u32, response));
         }
     }
 }
@@ -678,16 +544,10 @@ fn serve_phase(
 /// this tile's cores, then issue at most one instruction per core. Bank
 /// pushes (same-tile ones included — queue order is source-tile order) go
 /// to the lane's outbound buffer; off-chip intents land in the lane's
-/// tick-tagged log and shorten the quantum via `stop_at`; trace entries,
+/// tick-tagged log and shorten the quantum via its stop tick; trace entries,
 /// `wfi` span begins, fault outcomes and forward-progress marks land in
 /// the lane's observation buffers for deterministic boundary replay.
-fn local_phase(
-    ctx: &WorkerCtx<'_>,
-    shard: &mut TileShard<'_>,
-    lane: &mut WorkerLane,
-    stop_at: &AtomicU64,
-    now: u64,
-) {
+fn local_phase(ctx: &TickCtx<'_>, shard: &mut TileShard<'_>, lane: &mut Lane, now: u64) {
     for (core, responses) in shard.cores.iter_mut().zip(shard.responses.iter_mut()) {
         let mut i = 0;
         while i < responses.len() {
@@ -729,7 +589,7 @@ fn local_phase(
         }
         let Some(instr) = ctx.program.fetch(pc) else {
             let error = SimError::PcOutOfRange { core: core_id, pc };
-            lane.fail(stop_at, at, error);
+            lane.fail(at, error);
             break 'issue;
         };
         let record = ctx.records[(pc / 4) as usize];
@@ -796,7 +656,7 @@ fn local_phase(
                 let region = match check_region(located, req.addr, width) {
                     Ok(region) => region,
                     Err(e) => {
-                        lane.fail(stop_at, at, e.into());
+                        lane.fail(at, e.into());
                         break 'issue;
                     }
                 };
@@ -820,7 +680,7 @@ fn local_phase(
                             LinkState::Dead => match ctx.dead_links {
                                 DeadLinkPolicy::Error => {
                                     let error = SimError::LinkDead { tile: loc.tile };
-                                    lane.fail(stop_at, at, error);
+                                    lane.fail(at, error);
                                     break 'issue;
                                 }
                                 DeadLinkPolicy::BlackHole => {
@@ -843,7 +703,6 @@ fn local_phase(
                         let (req_lat, resp_lat) = latency_split(&ctx.params.latency, route.class);
                         lane.push_out.push((
                             loc.tile.0,
-                            shard.tile,
                             loc.bank.0,
                             PendingAccess {
                                 arrival: now + (req_lat + extra_req) as u64,
@@ -869,7 +728,7 @@ fn local_phase(
                                 width,
                             },
                         ));
-                        stop_at.fetch_min(now + ctx.ext_hold, Ordering::AcqRel);
+                        lane.stop_at = lane.stop_at.min(now + ctx.ext_hold);
                     }
                     MemoryRegion::Unmapped => unreachable!("decode rejects unmapped"),
                 }
@@ -878,81 +737,15 @@ fn local_phase(
     }
 }
 
-/// Hands tick `t`'s outbound traffic to its destination tiles. One worker
-/// (no mailboxes) owns every tile and pushes straight into the
-/// destination queue: the lane buffers are in source-tile order already,
-/// and `arrival`/`due` keep an entry from being served before tick
-/// `t + 1` either way. Several workers publish into the `t + 1` inboxes.
-fn route(lane: &mut WorkerLane, shards: &mut [TileShard<'_>], inboxes: &[[InboxSlot; 2]], t: u64) {
-    if inboxes.is_empty() {
-        for (dest, _, bank, access) in lane.push_out.drain(..) {
-            shards[dest as usize].banks.push(bank as usize, access);
-        }
-        for (dest, _, core, response) in lane.resp_out.drain(..) {
-            shards[dest as usize].responses[core as usize].push(response);
-        }
-        return;
+/// Hands a tick's outbound traffic to its destination tiles. The lane
+/// buffers are in source-tile order already, and `arrival`/`due` keep an
+/// entry from being served before the next tick.
+fn route(lane: &mut Lane, shards: &mut [TileShard<'_>]) {
+    for (dest, bank, access) in lane.push_out.drain(..) {
+        shards[dest as usize].banks.push(bank as usize, access);
     }
-    let parity = ((t + 1) & 1) as usize;
-    lane.prof.mailbox_pushes += lane.push_out.len() as u64;
-    publish(&mut lane.push_out, inboxes, parity, |inbox| {
-        &mut inbox.pushes
-    });
-    lane.prof.mailbox_responses += lane.resp_out.len() as u64;
-    publish(&mut lane.resp_out, inboxes, parity, |inbox| {
-        &mut inbox.responses
-    });
-}
-
-/// Moves `out` into the `list` of each entry's destination inbox, taking
-/// each inbox lock once (the stable sort keeps a source's entries in
-/// order).
-fn publish<T>(
-    out: &mut Vec<Outbound<T>>,
-    inboxes: &[[InboxSlot; 2]],
-    parity: usize,
-    list: impl Fn(&mut Inbox) -> &mut Vec<(u32, u32, T)>,
-) {
-    out.sort_by_key(|&(dest, ..)| dest);
-    let mut entries = out.drain(..).peekable();
-    while let Some((dest, src, index, payload)) = entries.next() {
-        let slot = &inboxes[dest as usize][parity];
-        let mut inbox = slot.data.lock().expect("inbox lock");
-        let list = list(&mut inbox);
-        list.push((src, index, payload));
-        while let Some((_, src, index, payload)) = entries.next_if(|e| e.0 == dest) {
-            list.push((src, index, payload));
-        }
-        slot.nonempty.store(true, Ordering::Release);
-    }
-}
-
-/// Waits until every peer's progress counter has reached `goal`, charging
-/// the time to the lane's self-profile.
-fn await_peers(
-    ctx: &WorkerCtx<'_>,
-    progress: &[PaddedCounter],
-    me: usize,
-    goal: u64,
-    lane: &mut WorkerLane,
-) {
-    for (w, counter) in progress.iter().enumerate() {
-        if w == me || counter.0.load(Ordering::Acquire) >= goal {
-            continue;
-        }
-        // The clock only starts once a wait actually begins, so the
-        // in-lockstep fast path stays timer-free.
-        let wait_start = Instant::now();
-        let mut spins = 0u32;
-        while counter.0.load(Ordering::Acquire) < goal {
-            spins += 1;
-            if spins < ctx.spin_budget {
-                std::hint::spin_loop();
-            } else {
-                std::thread::yield_now();
-            }
-        }
-        lane.prof.wait_ns += wait_start.elapsed().as_nanos() as u64;
+    for (dest, core, response) in lane.resp_out.drain(..) {
+        shards[dest as usize].responses[core as usize].push(response);
     }
 }
 
@@ -967,86 +760,37 @@ fn lap(clock: &mut Option<Instant>, tally: &mut u64) {
     }
 }
 
-/// One worker's quantum: lockstepped ticks from `start` until the shared
-/// stop tick, over its owned shards. `inboxes` is empty when this worker
-/// is the only one.
-#[allow(clippy::too_many_arguments)]
-fn quantum_worker(
-    ctx: &WorkerCtx<'_>,
-    progress: &[PaddedCounter],
-    stop_at: &AtomicU64,
-    inboxes: &[[InboxSlot; 2]],
-    shards: &mut [TileShard<'_>],
-    lane: &mut WorkerLane,
-    me: usize,
-    start: u64,
-) {
+/// The ticks of one quantum, from `start` until the lane's stop tick.
+/// Kept out of line: inlined into `quantum_round`, the tick loop ran 3–6 %
+/// slower at paper scale on a 2-vCPU x86-64 host.
+#[inline(never)]
+fn run_ticks(ctx: &TickCtx<'_>, shards: &mut [TileShard<'_>], lane: &mut Lane, start: u64) {
     lane.inert_since = u64::MAX;
     let lane_start = Instant::now();
     let mut t = start;
-    loop {
-        // Lockstep: proceed once every peer has finished tick `t - 1`.
-        // A peer publishes *after* its sends and stop-tick updates, so
-        // passing this gate also makes those visible.
-        await_peers(ctx, progress, me, 2 * t, lane);
-        if t >= stop_at.load(Ordering::Acquire) {
-            break;
-        }
-        // Apply last tick's cross-tile traffic in canonical source order.
-        if !inboxes.is_empty() {
-            for shard in shards.iter_mut() {
-                let slot = &inboxes[shard.tile as usize][(t & 1) as usize];
-                if slot.nonempty.swap(false, Ordering::AcqRel) {
-                    let mut inbox = slot.data.lock().expect("inbox lock");
-                    inbox.drain_into(&mut shard.banks, shard.responses);
-                }
-            }
-        }
+    while t < lane.stop_at {
         // On a sampled tick the clock is read around each phase.
         let mut clock = t.is_multiple_of(PHASE_SAMPLE_PERIOD).then(|| {
             lane.prof.phase_ticks += 1;
             Instant::now()
         });
-        // Serve own banks, then run the local phase, tile-ascending.
+        // Serve the banks, then run the local phase, tile-ascending.
         for shard in shards.iter_mut() {
-            serve_phase(ctx, shard, lane, stop_at, t);
+            serve_phase(ctx, shard, lane, t);
         }
         // A corrected read stalls the requesting core from this very tick
-        // on, whichever tile it sits on. While masks are latent the tick
-        // therefore has a second gate: stalls for other workers' cores
-        // travel through the (already drained) inbox of this tick and
-        // are applied once every peer has finished its bank service.
-        if ctx.ecc.is_some() {
-            let first = shards[0].tile as usize;
-            for (core, cycles) in lane.stalls.drain(..) {
-                let tile = core as usize / ctx.cores_per_tile;
-                let local = core as usize % ctx.cores_per_tile;
-                match tile.checked_sub(first).and_then(|i| shards.get_mut(i)) {
-                    Some(shard) => shard.cores[local].stall_ecc(cycles),
-                    None => inboxes[tile][(t & 1) as usize]
-                        .data
-                        .lock()
-                        .expect("inbox lock")
-                        .stalls
-                        .push((local as u32, cycles)),
-                }
-            }
-            if !inboxes.is_empty() {
-                progress[me].0.store(2 * t + 1, Ordering::Release);
-                await_peers(ctx, progress, me, 2 * t + 1, lane);
-                for shard in shards.iter_mut() {
-                    let slot = &inboxes[shard.tile as usize][(t & 1) as usize];
-                    let mut inbox = slot.data.lock().expect("inbox lock");
-                    for (local, cycles) in inbox.stalls.drain(..) {
-                        shard.cores[local as usize].stall_ecc(cycles);
-                    }
-                }
-            }
+        // on, whichever tile it sits on.
+        for (core, cycles) in lane.stalls.drain(..) {
+            let (tile, local) = (
+                core as usize / ctx.cores_per_tile,
+                core as usize % ctx.cores_per_tile,
+            );
+            shards[tile].cores[local].stall_ecc(cycles);
         }
         lap(&mut clock, &mut lane.prof.phase_ns[0]);
         let mut all_inert = true;
         for shard in shards.iter_mut() {
-            local_phase(ctx, shard, lane, stop_at, t);
+            local_phase(ctx, shard, lane, t);
             all_inert &= shard.inert();
         }
         lap(&mut clock, &mut lane.prof.phase_ns[1]);
@@ -1057,14 +801,13 @@ fn quantum_worker(
         if ctx.watch && progressed {
             lane.progress_ticks.push(t);
         }
-        route(lane, shards, inboxes, t);
+        route(lane, shards);
         lap(&mut clock, &mut lane.prof.phase_ns[2]);
         if !all_inert {
             lane.inert_since = u64::MAX;
         } else if lane.inert_since == u64::MAX {
             lane.inert_since = t + 1;
         }
-        progress[me].0.store(2 * (t + 1), Ordering::Release);
         t += 1;
     }
     lane.prof.total_ns += lane_start.elapsed().as_nanos() as u64;
@@ -1100,13 +843,11 @@ fn resolve_external(
     Ok(())
 }
 
-/// Runs one quantum of at most `target - cycle` ticks on `workers`
-/// workers: shards the cluster, drives the workers, then does the
-/// boundary work. Returns `Ok(true)` when the cluster went quiescent.
-fn quantum_round(cluster: &mut Cluster, target: u64, workers: usize) -> Result<bool, SimError> {
+/// Runs one quantum of at most `target - cycle` ticks: splits the
+/// cluster into tiles, runs the ticks, then does the boundary work.
+/// Returns `Ok(true)` when the cluster went quiescent.
+fn quantum_round(cluster: &mut Cluster, target: u64) -> Result<bool, SimError> {
     let start = cluster.cycle;
-    let num_tiles = cluster.config.num_tiles() as usize;
-    cluster.quantum.ensure(num_tiles, workers);
     let obs_on = cluster.obs.is_some();
     // Observability counters are published as quantum-granular deltas of
     // the per-bank / per-core totals the shards already maintain, so the
@@ -1121,7 +862,7 @@ fn quantum_round(cluster: &mut Cluster, target: u64, workers: usize) -> Result<b
                 .sum::<u64>(),
         )
     });
-    let stop_at = AtomicU64::new(target);
+    cluster.quantum.lane.stop_at = target;
     let round_start = Instant::now();
     {
         let Cluster {
@@ -1149,7 +890,7 @@ fn quantum_round(cluster: &mut Cluster, target: u64, workers: usize) -> Result<b
         let bank_words = config.bank_words() as usize;
         let spares_per_tile = storage.spares_per_tile() as usize;
         let (spm, spare, map) = storage.split_banks();
-        let ctx = WorkerCtx {
+        let ctx = TickCtx {
             config,
             topo,
             params,
@@ -1174,16 +915,9 @@ fn quantum_round(cluster: &mut Cluster, target: u64, workers: usize) -> Result<b
             },
             trace_cap: trace.as_ref().map_or(0, Trace::capacity),
             watch: watchdog.is_some(),
-            spin_budget: if workers > 1 && workers > host_parallelism() {
-                0
-            } else {
-                4096
-            },
         };
         let QuantumArena {
-            inboxes,
-            progress,
-            lanes,
+            lane,
             live,
             earliest,
             ..
@@ -1208,38 +942,12 @@ fn quantum_round(cluster: &mut Cluster, target: u64, workers: usize) -> Result<b
                 },
             )
             .collect();
-        let progress = &progress[..workers];
-        for counter in progress {
-            counter.0.store(2 * start, Ordering::Relaxed);
-        }
-        let inboxes: &[[InboxSlot; 2]] = if workers > 1 { inboxes } else { &[] };
-        // Contiguous shard ranges, one per worker; lane 0 runs on the
-        // calling thread.
-        let chunk = num_tiles / workers;
-        let rem = num_tiles % workers;
-        let (ctx, stop_at) = (&ctx, &stop_at);
-        std::thread::scope(|scope| {
-            let mut rest = shards.as_mut_slice();
-            let mut lane_zero = None;
-            for (w, lane) in lanes.iter_mut().take(workers).enumerate() {
-                let (mine, tail) = rest.split_at_mut(chunk + usize::from(w < rem));
-                rest = tail;
-                if w == 0 {
-                    lane_zero = Some((mine, lane));
-                } else {
-                    scope.spawn(move || {
-                        quantum_worker(ctx, progress, stop_at, inboxes, mine, lane, w, start);
-                    });
-                }
-            }
-            let (mine, lane) = lane_zero.expect("worker 0");
-            quantum_worker(ctx, progress, stop_at, inboxes, mine, lane, 0, start);
-        });
+        run_ticks(&ctx, &mut shards, lane, start);
     }
     let round_ns = round_start.elapsed().as_nanos() as u64;
-    let reached = stop_at.into_inner();
+    let reached = cluster.quantum.lane.stop_at;
     let boundary_start = Instant::now();
-    let result = quantum_boundary(cluster, reached, workers, counter_base);
+    let result = quantum_boundary(cluster, reached, counter_base);
     let boundary_ns = boundary_start.elapsed().as_nanos() as u64;
     debug_assert!(
         cluster
@@ -1252,29 +960,21 @@ fn quantum_round(cluster: &mut Cluster, target: u64, workers: usize) -> Result<b
         round_ns,
         boundary_ns,
         cluster.quantum.ext_merged_last,
-        cluster
-            .quantum
-            .lanes
-            .iter_mut()
-            .take(workers)
-            .map(|lane| std::mem::take(&mut lane.prof)),
+        std::mem::take(&mut cluster.quantum.lane.prof),
     );
     result
 }
 
-/// The boundary work after every worker has stopped at `reached`:
-/// mailbox flush, observation-lane and fault-outcome replay (trace,
-/// flight, spans, counters, report — all in `(tick, tile)` order),
-/// off-chip resolution, error selection, watchdog replay, quiescence
-/// rollback, and time-series epoch close.
+/// The boundary work after the ticks stopped at `reached`: off-chip
+/// resolution, observation-lane and fault-outcome replay (trace, flight,
+/// spans, counters, report — all in `(tick, tile)` order), error
+/// selection, watchdog replay, quiescence rollback, and time-series epoch
+/// close.
 fn quantum_boundary(
     cluster: &mut Cluster,
     reached: u64,
-    workers: usize,
     counter_base: Option<(u64, u64)>,
 ) -> Result<bool, SimError> {
-    let bpt = cluster.config.banks_per_tile() as usize;
-    let cpt = cluster.config.cores_per_tile() as usize;
     // The winning error: the first one a tick-by-tick, tile-by-tile sweep
     // would have hit (see `Phase`).
     let mut winner: Option<(At, SimError)> = None;
@@ -1288,7 +988,6 @@ fn quantum_boundary(
     };
     {
         let Cluster {
-            banks,
             responses,
             storage,
             offchip,
@@ -1298,86 +997,49 @@ fn quantum_boundary(
             faults,
             ..
         } = &mut *cluster;
-        // Flush undelivered mailbox traffic (sent on the final tick) into
-        // the real queues, in the same canonical order a running tick
-        // would apply it.
-        let tiles = tile_banks(banks, &mut quantum.live, &mut quantum.earliest, bpt)
-            .zip(responses.chunks_mut(cpt));
-        for (pair, (mut banks, responses)) in quantum.inboxes.iter_mut().zip(tiles) {
-            for slot in pair.iter_mut() {
-                slot.nonempty.store(false, Ordering::Relaxed);
-                slot.data
-                    .get_mut()
-                    .expect("inbox lock")
-                    .drain_into(&mut banks, responses);
+        let lane = &mut quantum.lane;
+        storage.add_touches(std::mem::take(&mut lane.touches));
+        if let Some((at, error)) = lane.error.take() {
+            note(at, error);
+        }
+        let tally = std::mem::take(&mut lane.faults);
+        if let Some(faults) = faults.as_mut() {
+            faults.absorb(tally);
+            for loc in lane.ecc_cleared.drain(..) {
+                faults.ecc_clear(loc);
             }
         }
-        // Merge the per-worker logs, counts and observation lanes.
-        let mut ext = std::mem::take(&mut quantum.ext_merge);
-        let mut trace_merge = std::mem::take(&mut quantum.trace_merge);
-        let mut event_merge = std::mem::take(&mut quantum.event_merge);
-        let mut halt_merge = std::mem::take(&mut quantum.halt_merge);
-        let mut progress_merge = std::mem::take(&mut quantum.progress_merge);
-        let (mut trace_dropped, mut events_dropped) = (0, 0);
-        for lane in quantum.lanes.iter_mut().take(workers) {
-            ext.append(&mut lane.externals);
-            storage.add_touches(std::mem::take(&mut lane.touches));
-            trace_dropped += lane.trace_out.drain_into(&mut trace_merge);
-            events_dropped += lane.events.drain_into(&mut event_merge);
-            halt_merge.append(&mut lane.halts);
-            progress_merge.append(&mut lane.progress_ticks);
-            if let Some((at, error)) = lane.error.take() {
-                note(at, error);
-            }
-            let tally = std::mem::take(&mut lane.faults);
-            if let Some(faults) = faults.as_mut() {
-                faults.absorb(tally);
-                for loc in lane.ecc_cleared.drain(..) {
-                    faults.ecc_clear(loc);
-                }
-            }
-            if let Some(hooks) = obs.as_ref() {
-                hooks.fault_retries.add(tally.retried_accesses);
-                hooks.ecc_corrected.add(tally.ecc_corrected);
-            }
+        if let Some(hooks) = obs.as_ref() {
+            hooks.fault_retries.add(tally.retried_accesses);
+            hooks.ecc_corrected.add(tally.ecc_corrected);
         }
         // Resolve deferred off-chip accesses in (tick, tile) order.
-        ext.sort_by_key(|&(tick, tile, _)| (tick, tile));
-        for (tick, tile, intent) in ext.iter() {
+        quantum.ext_merged_last = lane.externals.len() as u64;
+        for (tick, tile, intent) in lane.externals.drain(..) {
             if let Err(e) = resolve_external(
                 storage,
                 offchip,
-                *tick,
-                intent,
+                tick,
+                &intent,
                 &mut responses[intent.core as usize],
             ) {
-                note((*tick, *tile, Phase::Offchip), e);
+                note((tick, tile, Phase::Offchip), e);
             }
         }
-        quantum.ext_merged_last = ext.len() as u64;
-        ext.clear();
-        quantum.ext_merge = ext;
-        // Replay the observation lanes. Lanes own disjoint contiguous
-        // tile ranges and record tick-ascending, so a stable sort on the
-        // tick key reconstructs the global order exactly; within one
-        // (tick, tile) a single lane's intra-tile order (cores / banks
-        // ascending) is preserved. An error tick replays fully before
-        // the error is reported.
-        trace_merge.sort_by_key(|e| (e.cycle, e.core.index()));
+        // Replay the observation lane, recorded in (tick, tile) order. An
+        // error tick replays fully before the error is reported.
+        let (trace_dropped, entries) = lane.trace_out.drain();
         if let Some(trace) = trace.as_mut() {
             trace.add_dropped(trace_dropped);
-            for entry in trace_merge.drain(..) {
-                trace.record(entry);
-            }
+            entries.for_each(|entry| trace.record(entry));
         }
-        quantum.trace_merge = trace_merge;
-        event_merge.sort_by_key(|e| tick_key(e.at));
+        let (events_dropped, events) = lane.events.drain();
         if let Some(hooks) = obs.as_ref() {
             hooks.obs.flight.add_dropped(events_dropped);
-            for e in event_merge.drain(..) {
-                match e.note {
+            for (tick, note) in events {
+                match note {
                     FlightNote::Mem { core, loc, kind } => hooks.obs.flight.record(
-                        e.at.0,
+                        tick,
                         "mem",
                         Some(core),
                         format!(
@@ -1387,24 +1049,19 @@ fn quantum_boundary(
                     ),
                     FlightNote::Fault(note) => {
                         if let Some(faults) = faults.as_ref() {
-                            faults.emit(e.at.0, note);
+                            faults.emit(tick, note);
                         }
                     }
                 }
             }
-            halt_merge.sort_unstable();
-            for (tick, core) in halt_merge.drain(..) {
+            for &(tick, core) in &lane.halts {
                 hooks
                     .obs
                     .spans
                     .begin(hooks.core_tracks[core as usize], "wfi", tick);
             }
         }
-        quantum.event_merge = event_merge;
-        quantum.halt_merge = halt_merge;
-        progress_merge.sort_unstable();
-        progress_merge.dedup();
-        quantum.progress_merge = progress_merge;
+        lane.halts.clear();
     }
     // Quantum-granular counter deltas (an error tick's contribution is
     // already in the per-bank / per-core stats, so the delta covers it
@@ -1425,35 +1082,25 @@ fn quantum_boundary(
         // An error is reported with the clock still on the tick that
         // raised it, and watchdog progress noted only for the ticks
         // before it.
+        let progress = &mut cluster.quantum.lane.progress_ticks;
         if let Some(wd) = cluster.watchdog.as_mut() {
-            if let Some(&lp) = cluster
-                .quantum
-                .progress_merge
-                .iter()
-                .take_while(|&&t| t < tick)
-                .last()
-            {
+            if let Some(&lp) = progress.iter().take_while(|&&t| t < tick).last() {
                 wd.note_progress(lp);
             }
         }
-        cluster.quantum.progress_merge.clear();
+        progress.clear();
         cluster.cycle = tick;
         return Err(error);
     }
     cluster.cycle = reached;
     let mut quiescent = false;
     if cluster.quiescent() {
-        // The workers overshot the first quiescent cycle by up to a
-        // quantum of trivial all-halted ticks; roll those back so a run
-        // stops the moment quiescence holds. Inert ticks record no
-        // progress and no events, so the observation lanes need no
-        // rollback.
+        // The ticks overshot the first quiescent cycle by up to a quantum
+        // of trivial all-halted ticks; roll those back so a run stops the
+        // moment quiescence holds. Inert ticks record no progress and no
+        // events, so the observation lane needs no rollback.
         quiescent = true;
-        let t_q = cluster.quantum.lanes[..workers]
-            .iter()
-            .map(|lane| lane.inert_since)
-            .max()
-            .unwrap_or(u64::MAX);
+        let t_q = cluster.quantum.lane.inert_since;
         if t_q < reached {
             let overshoot = reached - t_q;
             for core in &mut cluster.cores {
@@ -1469,11 +1116,12 @@ fn quantum_boundary(
     // reassembled state is exact.
     let mut deadlock = None;
     if let Some(wd) = cluster.watchdog.as_mut() {
-        let lp = cluster.quantum.progress_merge.last().copied();
+        let progress = &mut cluster.quantum.lane.progress_ticks;
+        let lp = progress.last().copied();
         if let Some(lp) = lp {
             wd.note_progress(lp);
         }
-        cluster.quantum.progress_merge.clear();
+        progress.clear();
         if !quiescent {
             let last = reached - 1;
             if lp != Some(last) && wd.expired(last) {
@@ -1504,8 +1152,7 @@ fn quantum_boundary(
     }
     // Close a sampling epoch if one came due. `run_quantum` also caps the
     // quantum target at `sampler.next_at`, so the boundary lands exactly
-    // on the sampling cycle, with fully reassembled state (externals
-    // resolved, mailboxes flushed).
+    // on the sampling cycle, with exact state (externals resolved).
     if cluster
         .sampler
         .as_ref()
@@ -1552,24 +1199,18 @@ fn apply_due_faults(cluster: &mut Cluster) -> Result<(), SimError> {
     Ok(())
 }
 
-/// Advances the cluster by exactly one cycle: a one-tick quantum on one
-/// shard.
+/// Advances the cluster by exactly one cycle: a one-tick quantum.
 pub(crate) fn step(cluster: &mut Cluster) -> Result<(), SimError> {
     apply_due_faults(cluster)?;
     if cluster.program.is_empty() {
         return Err(SimError::NoProgram);
     }
-    quantum_round(cluster, cluster.cycle + 1, 1).map(drop)
+    quantum_round(cluster, cluster.cycle + 1).map(drop)
 }
 
-/// Runs the cluster until every core halts, on `workers` workers (1
-/// included — the lockstep and mailboxes degenerate to a plain loop),
-/// with results bit-identical at every worker count.
-pub(crate) fn run_quantum(
-    cluster: &mut Cluster,
-    max_cycles: u64,
-    workers: usize,
-) -> Result<u64, SimError> {
+/// Runs the cluster until every core halts, in quanta of at most
+/// [`QUANTUM_TICKS`] ticks.
+pub(crate) fn run_quantum(cluster: &mut Cluster, max_cycles: u64) -> Result<u64, SimError> {
     let deadline = cluster.cycle.saturating_add(max_cycles);
     loop {
         if cluster.quiescent() {
@@ -1605,7 +1246,7 @@ pub(crate) fn run_quantum(
             // due by now was just applied, so `due > cycle`).
             target = target.min(due);
         }
-        if quantum_round(cluster, target, workers)? {
+        if quantum_round(cluster, target)? {
             return Ok(cluster.cycle);
         }
     }

@@ -67,6 +67,6 @@ pub(crate) mod trace;
 pub use ckpt::{run_with_checkpoints, CheckpointError, Checkpointer};
 pub use cluster::{Cluster, EngineSelection, SimError, ENGINE};
 pub use offchip::OffchipPort;
-pub use params::{fnv1a, set_default_threads, SimParams, ENGINE_VERSION, FNV_OFFSET};
+pub use params::{fnv1a, SimParams, ENGINE_VERSION, FNV_OFFSET};
 pub use profile::engine_profile_json;
 pub use stats::{BankStats, ClusterStats, CoreStats};

@@ -1,8 +1,8 @@
 //! Backing storage for the SPM banks and the external (off-chip) memory.
 
 use std::borrow::Cow;
+use std::cell::Cell;
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 use mempool_arch::{
     AddressMap, BankId, BankLocation, ClusterConfig, MemoryRegion, RemapError, TileId,
@@ -249,7 +249,7 @@ impl ExternalMem {
 ///
 /// Sub-word accesses are performed as read-modify-write on the containing
 /// word; this is safe because the owning bank serializes accesses.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Storage {
     /// Flat bank storage: `global_bank * bank_words + word`.
     spm: Vec<u32>,
@@ -266,26 +266,10 @@ pub struct Storage {
     external: ExternalMem,
     /// SPM words read or written so far (core accesses and DMA word
     /// traffic alike) — the time-series sampler reads this per epoch.
-    /// Atomic (not `Cell`) so `&Storage` stays `Sync`; engine workers
-    /// count their shards' touches locally and fold them in at the
-    /// quantum boundary ([`Self::add_touches`]), an order-independent sum.
-    touches: AtomicU64,
-}
-
-impl Clone for Storage {
-    fn clone(&self) -> Self {
-        Storage {
-            spm: self.spm.clone(),
-            bank_words: self.bank_words,
-            banks_per_tile: self.banks_per_tile,
-            map: self.map.clone(),
-            spare: self.spare.clone(),
-            spares_per_tile: self.spares_per_tile,
-            num_tiles: self.num_tiles,
-            external: self.external.clone(),
-            touches: AtomicU64::new(self.spm_word_touches()),
-        }
-    }
+    /// A `Cell` because [`Self::read_loc`] counts through `&self`; the
+    /// engine counts its touches in its lane and folds them in at the
+    /// quantum boundary ([`Self::add_touches`]).
+    touches: Cell<u64>,
 }
 
 /// Which physical array a resolved location lands in.
@@ -326,7 +310,7 @@ impl Storage {
             spares_per_tile: 0,
             num_tiles: cfg.num_tiles(),
             external: ExternalMem::new(),
-            touches: AtomicU64::new(0),
+            touches: Cell::new(0),
         }
     }
 
@@ -334,7 +318,7 @@ impl Storage {
     /// every resolved [`Self::read_loc`]/[`Self::write_loc`] — core
     /// accesses, DMA word loops, and debug reads alike.
     pub fn spm_word_touches(&self) -> u64 {
-        self.touches.load(Ordering::Relaxed)
+        self.touches.get()
     }
 
     /// The address map used to decode accesses.
@@ -427,7 +411,7 @@ impl Storage {
             Slot::Main(index) => self.spm[index],
             Slot::Spare(index) => self.spare[index],
         };
-        self.touches.fetch_add(1, Ordering::Relaxed);
+        self.touches.set(self.touches.get() + 1);
         Ok(value)
     }
 
@@ -442,7 +426,7 @@ impl Storage {
             Slot::Main(index) => self.spm[index] = value,
             Slot::Spare(index) => self.spare[index] = value,
         }
-        self.touches.fetch_add(1, Ordering::Relaxed);
+        self.touches.set(self.touches.get() + 1);
         Ok(())
     }
 
@@ -543,11 +527,9 @@ impl Storage {
         (&mut self.spm, &mut self.spare, &self.map)
     }
 
-    /// Folds a worker's locally accumulated SPM touch count into the
-    /// shared counter (order-independent sum, so the merge point does not
-    /// affect determinism).
+    /// Folds the engine's per-quantum SPM touch count into the counter.
     pub(crate) fn add_touches(&self, touches: u64) {
-        self.touches.fetch_add(touches, Ordering::Relaxed);
+        self.touches.set(self.touches.get() + touches);
     }
 
     /// Restores the mutable storage contents from a checkpoint. The remap
@@ -583,7 +565,7 @@ impl Storage {
         self.spm = spm;
         self.spare = spare;
         self.external = ExternalMem::from_pairs(external);
-        self.touches.store(touches, Ordering::Relaxed);
+        self.touches.set(touches);
         Ok(())
     }
 

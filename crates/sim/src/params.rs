@@ -1,15 +1,11 @@
 //! Simulation timing parameters.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-
 use mempool_arch::LatencyModel;
 
 /// Version tag of the simulation engine, mixed into every content-addressed
 /// cache key (`mempool-serve`): bump it whenever a change alters simulated
 /// timing or artifact contents, so stale cached results are invalidated
-/// instead of replayed. The host-thread count is deliberately *not* part of
-/// the version — the engine is bit-identical at any thread count, so
-/// results are shareable across `--threads` settings.
+/// instead of replayed.
 pub const ENGINE_VERSION: &str = "mempool-sim/v2-quantum";
 
 /// The 64-bit FNV-1a offset basis: the `hash` a fresh digest starts from.
@@ -24,23 +20,6 @@ pub fn fnv1a(hash: u64, bytes: &[u8]) -> u64 {
     bytes.iter().fold(hash, |hash, &byte| {
         (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3)
     })
-}
-
-/// Process-wide default for [`SimParams::threads`], consulted by
-/// [`SimParams::default`]. `repro --threads N` sets this once at startup so
-/// every cluster constructed through default parameters inherits it.
-static DEFAULT_THREADS: AtomicUsize = AtomicUsize::new(1);
-
-/// Sets the process-wide default host-thread count picked up by
-/// [`SimParams::default`]. Zero is clamped to 1 (sequential).
-pub fn set_default_threads(threads: usize) {
-    DEFAULT_THREADS.store(threads.max(1), Ordering::Relaxed);
-}
-
-/// The process-wide default host-thread count (see
-/// [`set_default_threads`]).
-pub(crate) fn default_threads() -> usize {
-    DEFAULT_THREADS.load(Ordering::Relaxed)
 }
 
 /// Timing parameters of the cluster simulator.
@@ -87,10 +66,9 @@ pub struct SimParams {
     /// a single-bit error on a bank read — only observable in
     /// fault-injection runs.
     pub ecc_correction_penalty: u32,
-    /// Host threads the engine shards the tiles over. `1` (the default)
-    /// keeps every tile on the calling thread; `N > 1` advances `N` shard
-    /// ranges in lockstep, producing bit-identical results. Purely a
-    /// host-side knob: it never changes simulated timing.
+    /// Ignored: every simulation runs on the calling thread. Kept only
+    /// because the benchmark crate still spells it; read nowhere and
+    /// outside [`SimParams::digest_with_version`].
     pub threads: usize,
 }
 
@@ -107,8 +85,7 @@ impl SimParams {
     /// A 64-bit FNV-1a digest over every *timing-relevant* field in a
     /// fixed canonical order, seeded with [`ENGINE_VERSION`]. Two
     /// parameter sets that simulate identically hash identically — in
-    /// particular [`SimParams::threads`] is excluded, because the engine
-    /// is bit-identical at any host-thread count. The
+    /// particular the ignored [`SimParams::threads`] is excluded. The
     /// experiment service uses this digest as part of its
     /// content-addressed cache key, so semantically equal configs (however
     /// they were spelled or defaulted) dedupe, and an engine-version bump
@@ -157,7 +134,7 @@ impl Default for SimParams {
             offchip_bytes_per_cycle: 16,
             offchip_latency: 30,
             ecc_correction_penalty: 3,
-            threads: default_threads(),
+            threads: 1,
         }
     }
 }
@@ -185,14 +162,6 @@ mod tests {
     }
 
     #[test]
-    fn default_threads_is_sequential() {
-        // NOTE: other tests in the process must not call
-        // `set_default_threads`; tests that need a thread count set
-        // `SimParams.threads` directly.
-        assert_eq!(SimParams::default().threads, 1);
-    }
-
-    #[test]
     fn digest_is_stable_across_runs_and_ignores_threads() {
         let a = SimParams::default();
         // A config spelled through a different construction path but
@@ -202,8 +171,7 @@ mod tests {
             ..SimParams::default()
         };
         assert_eq!(a.digest(), b.digest());
-        // The host-thread count never changes simulated results, so it
-        // must not fragment the cache.
+        // The ignored thread count must not fragment the cache.
         let threaded = SimParams {
             threads: 8,
             ..SimParams::default()

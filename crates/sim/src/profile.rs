@@ -1,17 +1,14 @@
 //! Host-side self-profiling for the execution engine.
 //!
-//! Every quantum round of every run (one-worker runs included) reports
-//! how the host spent its wall-clock time — per-worker busy vs.
-//! lockstep-wait nanoseconds, quantum-stop (boundary) durations, mailbox
-//! traffic volume, and external-merge counts — into one process-wide
-//! accumulator. The data is strictly
-//! host-side: it never feeds back into simulated state, so instrumented
-//! runs stay bit-identical at every worker count while the profile
-//! explains where the speedup went.
+//! Every quantum round of every run reports how the host spent its
+//! wall-clock time — ticking vs. quantum-stop (boundary) durations, a
+//! per-phase split of sampled ticks, and external-merge counts — into one
+//! process-wide accumulator. The data is strictly host-side: it never
+//! feeds back into simulated state, so instrumented runs stay
+//! bit-identical while the profile explains where the time went.
 //!
-//! The accumulator is process-wide (like
-//! [`set_default_threads`](crate::set_default_threads)) because artifact
-//! writers aggregate over many short-lived clusters.
+//! The accumulator is process-wide because artifact writers aggregate over
+//! many short-lived clusters.
 
 use std::sync::{Mutex, OnceLock};
 
@@ -25,57 +22,36 @@ use mempool_obs::{chrome_trace_with_counters, Json, Obs};
 /// 28 KiB, where 4096 showed up as +0.3 MiB of peak RSS on short runs.
 pub(crate) const MAX_PROFILE_SAMPLES: usize = 512;
 
-/// Every this many ticks a worker lane times the three phases of the tick
+/// Every this many ticks the engine times the three phases of the tick
 /// (four clock reads, about 100 ns): often enough for a stable split of a
 /// run, rare enough not to show in its wall time.
 pub(crate) const PHASE_SAMPLE_PERIOD: u64 = 64;
 
-/// One worker lane's accumulated host-time profile.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct WorkerProfile {
-    /// Nanoseconds spent simulating (total minus lockstep wait).
-    pub busy_ns: u64,
-    /// Nanoseconds spent in the lockstep gate waiting on peers.
-    pub wait_ns: u64,
-    /// Bank-queue pushes routed through cross-tile mailboxes.
-    pub mailbox_pushes: u64,
-    /// Responses routed through cross-tile mailboxes.
-    pub mailbox_responses: u64,
-}
-
-/// What one worker lane tallied about its own host time during one
-/// quantum; [`record_quantum`] folds it into the process-wide profile.
+/// What the engine tallied about its own host time during one quantum;
+/// [`record_quantum`] folds it into the process-wide profile.
 #[derive(Debug, Default, Clone, Copy)]
 pub(crate) struct LaneTally {
-    /// Wall nanoseconds the lane ran, lockstep waits included.
+    /// Wall nanoseconds the ticks ran.
     pub(crate) total_ns: u64,
-    /// Nanoseconds of that spent in the lockstep gate.
-    pub(crate) wait_ns: u64,
-    pub(crate) mailbox_pushes: u64,
-    pub(crate) mailbox_responses: u64,
     /// Nanoseconds per tick phase on the sampled ticks (see
     /// [`EngineProfile::phase_ns`]).
     pub(crate) phase_ns: [u64; 3],
     pub(crate) phase_ticks: u64,
 }
 
-/// One quantum's aggregate sample (sums over the workers that ran it).
+/// One quantum's sample.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct QuantumSample {
     /// Zero-based quantum sequence number (the counter-track x-axis).
     pub seq: u64,
     /// Simulated ticks this quantum covered.
     pub ticks: u64,
-    /// Wall nanoseconds the worker scope ran.
+    /// Wall nanoseconds the round (tile split and ticks) ran.
     pub round_ns: u64,
-    /// Wall nanoseconds the boundary (merge/resolve/sample) took.
+    /// Wall nanoseconds the boundary (resolve/replay/sample) took.
     pub boundary_ns: u64,
-    /// Summed worker busy nanoseconds.
+    /// Wall nanoseconds the ticks ran.
     pub busy_ns: u64,
-    /// Summed worker lockstep-wait nanoseconds.
-    pub wait_ns: u64,
-    /// Worker count for this quantum.
-    pub workers: u32,
 }
 
 /// The process-wide quantum-engine self-profile.
@@ -85,23 +61,22 @@ pub(crate) struct EngineProfile {
     pub quanta: u64,
     /// Simulated ticks executed.
     pub ticks: u64,
-    /// Total wall nanoseconds spent inside worker scopes.
+    /// Total wall nanoseconds spent in rounds (tile split and ticks).
     pub round_ns: u64,
+    /// Total wall nanoseconds spent ticking.
+    pub busy_ns: u64,
     /// Total wall nanoseconds spent in quantum boundaries.
     pub boundary_ns: u64,
     /// Deferred off-chip intents merged and resolved at boundaries.
     pub externals_merged: u64,
-    /// Wall nanoseconds the worker lanes spent in each phase of a tick —
-    /// `[serve, local, route]`: bank service (with the ECC stall exchange
-    /// of rounds that have one), response delivery and issue, routing —
-    /// on the ticks they sampled (every [`PHASE_SAMPLE_PERIOD`]th). A
-    /// phase's mean cost per lane and tick is its entry over
-    /// [`Self::phase_ticks_sampled`].
+    /// Wall nanoseconds spent in each phase of a tick — `[serve, local,
+    /// route]`: bank service (with the ECC stalls it charges), response
+    /// delivery and issue, routing — on the ticks sampled (every
+    /// [`PHASE_SAMPLE_PERIOD`]th). A phase's mean cost per tick is its
+    /// entry over [`Self::phase_ticks_sampled`].
     pub phase_ns: [u64; 3],
-    /// Ticks the phase timers sampled, summed over worker lanes.
+    /// Ticks the phase timers sampled.
     pub phase_ticks_sampled: u64,
-    /// Per-worker-lane accumulated profiles (index = lane).
-    pub workers: Vec<WorkerProfile>,
     /// Per-quantum samples, capped at [`MAX_PROFILE_SAMPLES`].
     pub samples: Vec<QuantumSample>,
     /// Quanta whose samples were dropped once the cap was hit.
@@ -109,48 +84,28 @@ pub(crate) struct EngineProfile {
 }
 
 impl EngineProfile {
-    /// Builds the `mempool-perf-profile/v1` document: totals, per-worker
-    /// busy/wait/mailbox breakdowns, and an embedded Chrome Trace
-    /// document whose `ph:"C"` counter tracks plot per-quantum busy,
-    /// wait, and boundary time over the quantum sequence — loadable in
-    /// Perfetto next to (but deliberately separate from) the
-    /// deterministic `trace.json`, which must stay byte-identical across
-    /// worker counts.
+    /// Builds the `mempool-perf-profile/v2` document: totals and an
+    /// embedded Chrome Trace document whose `ph:"C"` counter tracks plot
+    /// per-quantum busy and boundary time over the quantum sequence —
+    /// loadable in Perfetto next to (but deliberately separate from) the
+    /// deterministic `trace.json`, which host time must never touch.
     pub(crate) fn to_json(&self) -> Json {
-        let workers = self
-            .workers
-            .iter()
-            .enumerate()
-            .map(|(i, w)| {
-                let denom = (w.busy_ns + w.wait_ns).max(1) as f64;
-                Json::obj([
-                    ("worker", Json::Int(i as i64)),
-                    ("busy_ns", Json::Int(w.busy_ns as i64)),
-                    ("wait_ns", Json::Int(w.wait_ns as i64)),
-                    ("wait_share", Json::Float(w.wait_ns as f64 / denom)),
-                    ("mailbox_pushes", Json::Int(w.mailbox_pushes as i64)),
-                    ("mailbox_responses", Json::Int(w.mailbox_responses as i64)),
-                ])
-            })
-            .collect();
         // A private Obs: empty span recorder, counter series over the
         // quantum sequence number.
         let obs = Obs::new();
         for s in &self.samples {
             obs.series.push("engine/busy_ns", s.seq, s.busy_ns as f64);
-            obs.series.push("engine/wait_ns", s.seq, s.wait_ns as f64);
             obs.series
                 .push("engine/boundary_ns", s.seq, s.boundary_ns as f64);
             obs.series.push("engine/ticks", s.seq, s.ticks as f64);
-            obs.series
-                .push("engine/workers", s.seq, f64::from(s.workers));
         }
         Json::obj([
-            ("schema", Json::str("mempool-perf-profile/v1")),
+            ("schema", Json::str("mempool-perf-profile/v2")),
             ("time_unit", Json::str("quantum")),
             ("quanta", Json::Int(self.quanta as i64)),
             ("ticks", Json::Int(self.ticks as i64)),
             ("round_ns", Json::Int(self.round_ns as i64)),
+            ("busy_ns", Json::Int(self.busy_ns as i64)),
             ("boundary_ns", Json::Int(self.boundary_ns as i64)),
             ("externals_merged", Json::Int(self.externals_merged as i64)),
             (
@@ -165,7 +120,6 @@ impl EngineProfile {
                 "phase_ticks_sampled",
                 Json::Int(self.phase_ticks_sampled as i64),
             ),
-            ("workers", Json::Arr(workers)),
             ("samples_dropped", Json::Int(self.samples_dropped as i64)),
             (
                 "trace",
@@ -180,14 +134,13 @@ fn profile() -> &'static Mutex<EngineProfile> {
     PROFILE.get_or_init(|| Mutex::new(EngineProfile::default()))
 }
 
-/// Folds one quantum round into the process-wide profile. `lanes` yields
-/// each worker lane's tally, lane order.
+/// Folds one quantum round into the process-wide profile.
 pub(crate) fn record_quantum(
     ticks: u64,
     round_ns: u64,
     boundary_ns: u64,
     externals: u64,
-    lanes: impl Iterator<Item = LaneTally>,
+    lane: LaneTally,
 ) {
     let mut p = profile().lock().expect("engine profile lock");
     let seq = p.quanta;
@@ -196,36 +149,18 @@ pub(crate) fn record_quantum(
     p.round_ns += round_ns;
     p.boundary_ns += boundary_ns;
     p.externals_merged += externals;
-    let mut busy_total = 0u64;
-    let mut wait_total = 0u64;
-    let mut count = 0u32;
-    for (i, lane) in lanes.enumerate() {
-        if p.workers.len() <= i {
-            p.workers.push(WorkerProfile::default());
-        }
-        let busy = lane.total_ns.saturating_sub(lane.wait_ns);
-        let w = &mut p.workers[i];
-        w.busy_ns += busy;
-        w.wait_ns += lane.wait_ns;
-        w.mailbox_pushes += lane.mailbox_pushes;
-        w.mailbox_responses += lane.mailbox_responses;
-        busy_total += busy;
-        wait_total += lane.wait_ns;
-        count += 1;
-        for (total, ns) in p.phase_ns.iter_mut().zip(lane.phase_ns) {
-            *total += ns;
-        }
-        p.phase_ticks_sampled += lane.phase_ticks;
+    p.busy_ns += lane.total_ns;
+    for (total, ns) in p.phase_ns.iter_mut().zip(lane.phase_ns) {
+        *total += ns;
     }
+    p.phase_ticks_sampled += lane.phase_ticks;
     if p.samples.len() < MAX_PROFILE_SAMPLES {
         p.samples.push(QuantumSample {
             seq,
             ticks,
             round_ns,
             boundary_ns,
-            busy_ns: busy_total,
-            wait_ns: wait_total,
-            workers: count,
+            busy_ns: lane.total_ns,
         });
     } else {
         p.samples_dropped += 1;
@@ -238,7 +173,7 @@ pub(crate) fn engine_profile() -> EngineProfile {
 }
 
 /// The process-wide engine profile rendered as the
-/// `mempool-perf-profile/v1` JSON document.
+/// `mempool-perf-profile/v2` JSON document.
 pub fn engine_profile_json() -> Json {
     engine_profile().to_json()
 }
@@ -254,34 +189,30 @@ mod tests {
         let before = engine_profile();
         let lane = LaneTally {
             total_ns: 1_000,
-            wait_ns: 200,
-            mailbox_pushes: 5,
-            mailbox_responses: 7,
             phase_ns: [30, 50, 10],
             phase_ticks: 1,
         };
-        record_quantum(64, 1_000, 100, 3, [lane, lane].into_iter());
+        record_quantum(64, 1_000, 100, 3, lane);
         let after = engine_profile();
         assert!(after.quanta > before.quanta);
         assert!(after.ticks >= before.ticks + 64);
         assert!(after.externals_merged >= before.externals_merged + 3);
-        assert!(after.workers.len() >= 2);
-        assert!(after.workers[1].busy_ns >= before.workers.get(1).map_or(0, |w| w.busy_ns) + 800);
-        assert!(after.phase_ns[1] >= before.phase_ns[1] + 100);
-        assert!(after.phase_ticks_sampled >= before.phase_ticks_sampled + 2);
+        assert!(after.busy_ns >= before.busy_ns + 1_000);
+        assert!(after.phase_ns[1] >= before.phase_ns[1] + 50);
+        assert!(after.phase_ticks_sampled > before.phase_ticks_sampled);
     }
 
     #[test]
     fn profile_json_has_schema_and_reparses() {
-        record_quantum(16, 500, 50, 0, std::iter::once(LaneTally::default()));
+        record_quantum(16, 500, 50, 0, LaneTally::default());
         let doc = engine_profile_json();
         let text = doc.to_pretty();
         let parsed = Json::parse(&text).expect("profile json reparses");
         assert_eq!(
             parsed.get("schema"),
-            Some(&Json::str("mempool-perf-profile/v1"))
+            Some(&Json::str("mempool-perf-profile/v2"))
         );
-        assert!(matches!(parsed.get("workers"), Some(Json::Arr(_))));
+        assert!(matches!(parsed.get("busy_ns"), Some(Json::Int(_))));
         let phases = parsed.get("phase_ns").expect("phase_ns");
         for phase in ["serve", "local", "route"] {
             assert!(matches!(phases.get(phase), Some(Json::Int(_))), "{phase}");

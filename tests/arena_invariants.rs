@@ -1,16 +1,15 @@
 //! Arena/slab invariants of the engine's hot path.
 //!
-//! The engine's cross-tile mailboxes, per-worker lanes, and boundary
-//! scratch live in a preallocated arena owned by the cluster
-//! (`Cluster::engine_arena_footprint` sums their reserved capacities).
-//! These tests pin the properties that keep the hot path allocation-free
-//! in steady state and small on one worker:
+//! The engine's lane and live-bank sets live in a preallocated arena owned
+//! by the cluster (`Cluster::engine_arena_footprint` sums their reserved
+//! capacities). These tests pin the properties that keep the hot path
+//! allocation-free in steady state and small:
 //!
 //! * buffers are *reused* across ticks and quanta — the arena footprint
 //!   stops growing once a homogeneous workload has warmed it up;
 //! * capacity never shrinks mid-run (slots are recycled, not freed);
-//! * one worker needs no mailboxes, and an observation lane holds no more
-//!   than the rings it feeds can keep;
+//! * the observation lane holds no more than the rings it feeds can
+//!   keep;
 //! * the live-bank sets are sized by the geometry, once.
 
 use mempool_arch::ClusterConfig;
@@ -63,7 +62,7 @@ fn traffic_program(trips: u32) -> Program {
     ])
 }
 
-fn bare_cluster(threads: usize, trips: u32) -> Cluster {
+fn bare_cluster(trips: u32) -> Cluster {
     let cfg = ClusterConfig::builder()
         .groups(1)
         .tiles_per_group(4)
@@ -72,14 +71,7 @@ fn bare_cluster(threads: usize, trips: u32) -> Cluster {
         .bank_words(64)
         .build()
         .expect("valid config");
-    let params = SimParams {
-        threads,
-        ..SimParams::default()
-    };
-    let mut cluster = Cluster::new(cfg, params);
-    // Really spawn the workers even on a single-CPU host so the
-    // mailboxes and lockstep are exercised.
-    cluster.force_oversubscribe();
+    let mut cluster = Cluster::new(cfg, SimParams::default());
     cluster.load_program(traffic_program(trips));
     cluster.preload_icaches();
     cluster
@@ -97,9 +89,9 @@ fn advance(cluster: &mut Cluster, slice: u64) -> bool {
 
 #[test]
 fn arena_reaches_a_steady_footprint_and_stops_growing() {
-    let mut cluster = bare_cluster(4, 50_000);
+    let mut cluster = bare_cluster(50_000);
     // Warmup: several full quanta (the engine batches 1024 ticks per
-    // sync) of the homogeneous traffic loop.
+    // boundary) of the homogeneous traffic loop.
     assert!(!advance(&mut cluster, 5_000), "workload outlives warmup");
     let warm = cluster.engine_arena_footprint();
     assert!(warm > 0, "the engine must have reserved buffers");
@@ -117,12 +109,12 @@ fn arena_reaches_a_steady_footprint_and_stops_growing() {
 
 #[test]
 fn instrumented_arena_reaches_a_steady_footprint_too() {
-    // The shard-local observation lanes (memory events, trace entries,
-    // halts, forward-progress ticks) live in the same arena as the
-    // mailboxes. Turning the full instrumentation stack on must not
+    // The observation lane (memory events, trace entries, halts,
+    // forward-progress ticks) lives in the same arena as the routing
+    // scratch. Turning the full instrumentation stack on must not
     // reintroduce per-quantum allocations: once the homogeneous loop has
-    // warmed the lanes up, the footprint is pinned.
-    let mut cluster = bare_cluster(4, 50_000);
+    // warmed the lane up, the footprint is pinned.
+    let mut cluster = bare_cluster(50_000);
     let obs = Obs::new();
     cluster.attach_obs(&obs, "arena");
     cluster.enable_timeseries(256);
@@ -148,7 +140,7 @@ fn arena_is_reused_across_whole_runs() {
     // Back-to-back runs on the same cluster (reload between runs) must
     // not grow the arena either: capacity belongs to the cluster, not to
     // a single `run` call.
-    let mut cluster = bare_cluster(4, 2_000);
+    let mut cluster = bare_cluster(2_000);
     assert!(advance(&mut cluster, 10_000_000), "first run completes");
     let after_first = cluster.engine_arena_footprint();
     assert!(after_first > 0);
@@ -172,7 +164,7 @@ fn live_bank_sets_are_arena_buffers_sized_by_the_geometry() {
     // it was cut with. That the two never grow afterwards is what the
     // steady-footprint tests above check, since the footprint counts them.
     const LIVE_SETS: u64 = 16 + 4;
-    let mut cluster = bare_cluster(1, 50_000);
+    let mut cluster = bare_cluster(50_000);
     assert_eq!(cluster.engine_arena_footprint(), LIVE_SETS);
     assert!(!advance(&mut cluster, 1_000), "workload outlives the cut");
     assert!(cluster.engine_arena_footprint() > LIVE_SETS);
@@ -181,12 +173,12 @@ fn live_bank_sets_are_arena_buffers_sized_by_the_geometry() {
 }
 
 #[test]
-fn one_worker_allocates_no_mailboxes_and_ring_bounded_lanes() {
-    // A full instrumented run on one worker: 16 cores retire and 16 banks
-    // serve on most of ~100 k ticks, i.e. about a thousand trace entries
-    // and flight events per quantum for rings that keep 64 of each.
+fn lanes_are_ring_bounded() {
+    // A full instrumented run: 16 cores retire and 16 banks serve on most
+    // of ~100 k ticks, i.e. about a thousand trace entries and flight
+    // events per quantum for rings that keep 64 of each.
     const RING: usize = 64;
-    let mut cluster = bare_cluster(1, 20_000);
+    let mut cluster = bare_cluster(20_000);
     let obs = Obs::new();
     cluster.attach_obs(&obs, "arena");
     cluster.enable_timeseries(256);
@@ -195,21 +187,16 @@ fn one_worker_allocates_no_mailboxes_and_ring_bounded_lanes() {
     cluster.set_watchdog(1_000_000);
     assert!(advance(&mut cluster, 10_000_000), "run completes");
     assert!(obs.flight.dropped() > 0 && cluster.trace().unwrap().dropped() > 0);
-    assert_eq!(
-        cluster.engine_mailbox_footprint(),
-        0,
-        "one worker delivers directly: no inboxes"
-    );
-    // Everything else, with Vec growth doubling: per ring a lane buffer
-    // and a merge buffer of at most 2 * RING entries each; the watchdog's
-    // progress ticks, at most one per tick of a quantum the 256-cycle
-    // sampling window caps; per-tick scratch that 16 cores and 16 banks
-    // bound. Unbounded lanes would hold ~4 000 entries per quantum here.
+    // With Vec growth doubling: per ring a lane buffer of at most
+    // 2 * RING entries; the watchdog's progress ticks, at most one per
+    // tick of a quantum the 256-cycle sampling window caps; per-tick
+    // scratch that 16 cores and 16 banks bound. Unbounded lanes would
+    // hold ~4 000 entries per quantum here.
     const WINDOW: usize = 256;
-    let bound = (4 * 2 * RING + 2 * 2 * WINDOW + 256) as u64;
+    let bound = (2 * 2 * RING + 2 * WINDOW + 256) as u64;
     assert!(
         cluster.engine_arena_footprint() <= bound,
-        "lane and merge buffers must be bounded by the rings they feed: {} > {bound}",
+        "lane buffers must be bounded by the rings they feed: {} > {bound}",
         cluster.engine_arena_footprint()
     );
     cluster.detach_obs();

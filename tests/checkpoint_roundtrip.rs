@@ -3,8 +3,8 @@
 //! The contract under test (see `mempool_sim::ckpt`): snapshotting a run
 //! at *any* cycle and restoring it must be invisible — the resumed run
 //! finishes at the same cycle with a [`ClusterStats::digest`]-equal
-//! state as the unbroken run, including mid-fault-plan, mid-DMA, and
-//! across host-thread counts.
+//! state as the unbroken run, including mid-quantum, mid-fault-plan and
+//! mid-DMA.
 //!
 //! [`ClusterStats::digest`]: mempool_3d::mempool_sim::ClusterStats::digest
 
@@ -77,16 +77,8 @@ fn traffic_program(trips: u32) -> Program {
     ])
 }
 
-fn fresh(threads: usize, trips: u32) -> Cluster {
-    let params = SimParams {
-        threads,
-        ..SimParams::default()
-    };
-    let mut cluster = Cluster::new(small_config(), params);
-    // These clusters are bare, so multi-thread runs dispatch to the
-    // quantum engine; really spawn the workers even on single-CPU hosts
-    // (the engine otherwise clamps to the host's parallelism).
-    cluster.force_oversubscribe();
+fn fresh(trips: u32) -> Cluster {
+    let mut cluster = Cluster::new(small_config(), SimParams::default());
     cluster.load_program(traffic_program(trips));
     cluster.preload_icaches();
     cluster
@@ -100,10 +92,10 @@ proptest! {
         trips in 2u32..40,
         snap in 1u64..400,
     ) {
-        let mut unbroken = fresh(1, trips);
+        let mut unbroken = fresh(trips);
         let end = unbroken.run(BUDGET).expect("unbroken run finishes");
 
-        let mut broken = fresh(1, trips);
+        let mut broken = fresh(trips);
         match broken.run(snap) {
             Ok(_) | Err(SimError::Timeout { .. }) => {}
             Err(e) => panic!("unexpected sim error: {e}"),
@@ -124,46 +116,21 @@ proptest! {
         );
     }
 
-    #[test]
-    fn cross_thread_resume_is_bit_exact(
-        trips in 2u32..24,
-        snap in 1u64..300,
-        seq_to_par in any::<bool>(),
-    ) {
-        let (before, after) = if seq_to_par { (1, 8) } else { (8, 1) };
-        let mut unbroken = fresh(1, trips);
-        let end = unbroken.run(BUDGET).expect("unbroken run finishes");
-
-        let mut broken = fresh(before, trips);
-        match broken.run(snap) {
-            Ok(_) | Err(SimError::Timeout { .. }) => {}
-            Err(e) => panic!("unexpected sim error: {e}"),
-        }
-        let mut resumed = Cluster::restore(&broken.checkpoint()).expect("restore");
-        resumed.set_threads(after);
-        resumed.force_oversubscribe();
-        if !resumed.quiescent() {
-            resumed.run(BUDGET).expect("resumed run finishes");
-        }
-        prop_assert_eq!(resumed.cycle(), end);
-        prop_assert_eq!(resumed.stats().digest(), unbroken.stats().digest());
-    }
-
     /// A deadline that lands *inside* a quantum (the engine batches 1024
-    /// ticks per sync by default) must stop the cluster on the exact
-    /// cycle with committed state: snapshotting there and resuming at a
-    /// different worker count stays bit-exact, with cross-tile requests,
-    /// contended AMOs, and off-chip responses in flight at the boundary.
+    /// ticks per boundary) must stop the cluster on the exact cycle with
+    /// committed state: snapshotting there and resuming in one-tick
+    /// steps up to a second cut stays bit-exact, with cross-tile
+    /// requests and contended AMOs in flight at the boundary.
     #[test]
     fn mid_quantum_snapshot_resumes_bit_exact(
         trips in 8u32..40,
         snap in 1u64..900,
-        workers in 2usize..5,
+        steps in 1u64..200,
     ) {
-        let mut unbroken = fresh(1, trips);
+        let mut unbroken = fresh(trips);
         let end = unbroken.run(BUDGET).expect("unbroken run finishes");
 
-        let mut broken = fresh(workers, trips);
+        let mut broken = fresh(trips);
         match broken.run(snap) {
             Ok(_) | Err(SimError::Timeout { .. }) => {}
             Err(e) => panic!("unexpected sim error: {e}"),
@@ -171,8 +138,13 @@ proptest! {
         let doc = mempool_obs::Json::parse(&broken.checkpoint().to_pretty())
             .expect("checkpoint text parses");
         let mut resumed = Cluster::restore(&doc).expect("restore");
-        resumed.set_threads(workers + 1);
-        resumed.force_oversubscribe();
+        for _ in 0..steps {
+            if resumed.quiescent() {
+                break;
+            }
+            resumed.step().expect("a step of a healthy run succeeds");
+        }
+        let mut resumed = Cluster::restore(&resumed.checkpoint()).expect("restore");
         if !resumed.quiescent() {
             resumed.run(BUDGET).expect("resumed run finishes");
         }
@@ -233,7 +205,7 @@ fn mid_fault_plan_resume_is_bit_exact() {
 #[test]
 fn mid_dma_snapshot_preserves_the_offchip_port_state() {
     let run = |snapshot: bool| -> (u64, u64) {
-        let mut cluster = fresh(1, 4);
+        let mut cluster = fresh(4);
         // Seed the SPM, then book two async transfers back-to-back: the
         // second queues behind the first on the off-chip port.
         for w in 0..16u32 {

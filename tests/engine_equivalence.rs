@@ -1,15 +1,15 @@
-//! Shard-count determinism: the engine must be **bit-identical** at
-//! every thread count, and to the stored results of the step kernel it
-//! replaced.
+//! Engine determinism: the engine must reproduce the stored results of
+//! the per-tick step kernel it replaced, and where a run is cut into
+//! quanta must not show.
 //!
-//! `SimParams::threads` is a pure host-side knob — it chooses how many
-//! host threads the tiles are sharded over, and nothing else. These tests
-//! pin that contract: every kernel in the characterization zoo, a seed-42
-//! fault-injected degraded run, the sampled time series, the
-//! cycle-attribution report, the pinned benchmark summary, and even the
-//! exact `SimError` raised by a watchdog-detected deadlock must not
-//! change with the worker count. The `PINNED_*` tables further down hold
-//! what the deleted per-tick step kernel produced for the same scenarios.
+//! `Cluster::run` advances in quanta of up to 1024 cycles, `Cluster::step`
+//! in quanta of one; both replay the same lane at each boundary. These
+//! tests pin that contract: every kernel in the characterization zoo, a
+//! seed-42 fault-injected degraded run, the sampled time series, the
+//! cycle-attribution report, and even the exact `SimError` raised by a
+//! watchdog-detected deadlock must not change with the quantum length. The
+//! `PINNED_*` tables further down hold what the deleted per-tick step
+//! kernel produced for the same scenarios.
 
 use mempool_arch::{BankId, ClusterConfig, MemoryRegion, TileId};
 use mempool_fault::{DeadLinkPolicy, FaultConfig, FaultEvent, FaultPlan};
@@ -21,11 +21,6 @@ use mempool_kernels::transpose::Transpose;
 use mempool_kernels::Kernel;
 use mempool_obs::{chrome_trace_with_counters, Json, Obs};
 use mempool_sim::{Cluster, ClusterStats, SimError, SimParams};
-
-/// Thread counts exercised against the one-thread reference. Eight
-/// threads oversubscribes the four-tile clusters below (the engine clamps
-/// to one thread per tile), which is itself worth covering.
-const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
 
 /// The pinned fault seed, matching the committed baseline scenario.
 const FAULT_SEED: u64 = 42;
@@ -41,10 +36,30 @@ fn zoo_config() -> ClusterConfig {
         .unwrap()
 }
 
-fn params(threads: usize) -> SimParams {
-    SimParams {
-        threads,
-        ..SimParams::default()
+/// How a test drives a loaded cluster to the end.
+#[derive(Debug, Clone, Copy)]
+enum Drive {
+    /// `Cluster::run`: quanta of up to 1024 cycles.
+    Run,
+    /// `Cluster::step` until quiescent: one-cycle quanta.
+    Step,
+}
+
+/// Drives `cluster` until every core halts, with `Cluster::run`'s
+/// budget and error contract either way; returns the final cycle.
+fn drive(cluster: &mut Cluster, how: Drive, max_cycles: u64) -> Result<u64, SimError> {
+    match how {
+        Drive::Run => cluster.run(max_cycles),
+        Drive::Step => {
+            let deadline = cluster.cycle() + max_cycles;
+            while !cluster.quiescent() {
+                if cluster.cycle() >= deadline {
+                    return Err(SimError::Timeout { cycles: max_cycles });
+                }
+                cluster.step()?;
+            }
+            Ok(cluster.cycle())
+        }
     }
 }
 
@@ -64,20 +79,20 @@ struct Observed {
     fault_report: Option<String>,
 }
 
-/// Runs `kernel` once at the given thread count, with optional fault
+/// Runs `kernel` once, driven as `how` says, with optional fault
 /// injection, and captures every comparable output — the full
 /// observability stack is on (spans, metrics, time series, flight ring,
-/// instruction trace), so multi-thread legs exercise the engine's
-/// shard-local observation lanes.
+/// instruction trace), so the step legs replay the observation lane at
+/// every tick.
 fn observe(
     kernel: &dyn Kernel,
-    threads: usize,
+    how: Drive,
     plan: Option<&FaultPlan>,
     watchdog: Option<u64>,
 ) -> Observed {
     let cfg = zoo_config();
     let obs = Obs::new();
-    let mut cluster = Cluster::new(cfg.clone(), params(threads));
+    let mut cluster = Cluster::new(cfg.clone(), SimParams::default());
     cluster.attach_obs(&obs, "equivalence");
     cluster.enable_timeseries(256);
     cluster.enable_flight(128);
@@ -88,9 +103,17 @@ fn observe(
     if let Some(threshold) = watchdog {
         cluster.set_watchdog(threshold);
     }
-    let cycles = kernel
-        .run(&mut cluster, 10_000_000)
-        .unwrap_or_else(|e| panic!("{} at {threads} threads: {e}", kernel.name()));
+    let name = kernel.name();
+    kernel
+        .load(&mut cluster)
+        .unwrap_or_else(|e| panic!("{name}: {e}"));
+    let start = cluster.cycle();
+    let end =
+        drive(&mut cluster, how, 10_000_000).unwrap_or_else(|e| panic!("{name} ({how:?}): {e}"));
+    kernel
+        .verify(&cluster)
+        .unwrap_or_else(|e| panic!("{name} ({how:?}): {e}"));
+    let cycles = end - start;
     let stats = cluster.stats();
     let attribution = stats
         .attribution(cfg.cores_per_tile(), cfg.banks_per_tile())
@@ -121,31 +144,24 @@ fn zoo() -> Vec<Box<dyn Kernel>> {
 }
 
 #[test]
-fn every_zoo_kernel_is_bit_identical_at_every_thread_count() {
+fn every_zoo_kernel_stepped_to_the_end_equals_its_run() {
     for kernel in zoo() {
-        let reference = observe(kernel.as_ref(), 1, None, None);
-        assert!(reference.cycles > 0, "{}", kernel.name());
-        for threads in THREAD_COUNTS {
-            let candidate = observe(kernel.as_ref(), threads, None, None);
-            assert_eq!(
-                reference,
-                candidate,
-                "{} diverged at {threads} threads",
-                kernel.name()
-            );
-        }
+        let run = observe(kernel.as_ref(), Drive::Run, None, None);
+        assert!(run.cycles > 0, "{}", kernel.name());
+        let stepped = observe(kernel.as_ref(), Drive::Step, None, None);
+        assert_eq!(run, stepped, "{} diverged when stepped", kernel.name());
     }
 }
 
 #[test]
-fn seed42_fault_injected_run_is_bit_identical_at_every_thread_count() {
+fn seed42_fault_injected_run_stepped_to_the_end_equals_its_run() {
     // A rate high enough that retries, ECC corrections, and link
     // degradation all actually fire on this small cluster.
     let fault_cfg = FaultConfig::new(FAULT_SEED, 1e-4).with_horizon(50_000);
     let plan = FaultPlan::generate(&fault_cfg, &zoo_config());
     let kernel = ComputePhase::new(32);
-    let reference = observe(&kernel, 1, Some(&plan), Some(2_000_000));
-    let report = reference
+    let run = observe(&kernel, Drive::Run, Some(&plan), Some(2_000_000));
+    let report = run
         .fault_report
         .as_deref()
         .expect("a fault-injected run carries a report");
@@ -153,25 +169,32 @@ fn seed42_fault_injected_run_is_bit_identical_at_every_thread_count() {
         report.contains("\"injected\""),
         "report should summarize injections: {report}"
     );
-    for threads in THREAD_COUNTS {
-        let candidate = observe(&kernel, threads, Some(&plan), Some(2_000_000));
-        assert_eq!(
-            reference, candidate,
-            "degraded run diverged at {threads} threads"
-        );
-    }
+    let stepped = observe(&kernel, Drive::Step, Some(&plan), Some(2_000_000));
+    assert_eq!(run, stepped, "degraded run diverged when stepped");
+}
+
+#[test]
+fn fault_plans_and_spare_remaps_run_sharded() {
+    // The plan above degrades links, remaps stuck banks onto spares and
+    // lands bit flips mid-run, so the comparison above really crosses
+    // those paths: a tile's view holds its spare words, and a corrected
+    // read stalls a core on whichever tile it sits.
+    let fault_cfg = FaultConfig::new(FAULT_SEED, 1e-4).with_horizon(50_000);
+    let plan = FaultPlan::generate(&fault_cfg, &zoo_config());
+    let mut cluster = Cluster::new(zoo_config(), SimParams::default());
+    cluster.inject_faults(&plan).unwrap();
+    assert_eq!(cluster.engine_selection().engine, "quantum");
+    ComputePhase::new(32).run(&mut cluster, 10_000_000).unwrap();
+    let report = cluster.fault_report().expect("a plan was injected");
+    assert!(!report.remapped.is_empty(), "the plan must remap a bank");
+    assert!(report.ecc_corrected > 0, "the plan must exercise ECC");
 }
 
 /// Core 0 waits forever on a load swallowed by a black-holing dead link;
 /// returns the watchdog's error and the cycle it fired on.
-fn deadlock_on_a_black_holed_load(threads: usize) -> (SimError, u64) {
-    let cfg = zoo_config();
-    let remote = {
-        let probe = Cluster::new(cfg.clone(), params(1));
-        probe.storage().map().seq_addr(TileId(1), 0)
-    };
-    let mut cluster = Cluster::new(cfg, params(threads));
-    cluster.force_oversubscribe();
+fn deadlock_on_a_black_holed_load() -> (SimError, u64) {
+    let mut cluster = Cluster::new(zoo_config(), SimParams::default());
+    let remote = cluster.storage().map().seq_addr(TileId(1), 0);
     let mut plan = FaultPlan::new(5).with_dead_link_policy(DeadLinkPolicy::BlackHole);
     plan.push(FaultEvent::LinkDead { tile: TileId(1) });
     cluster.inject_faults(&plan).unwrap();
@@ -196,44 +219,6 @@ fn deadlock_on_a_black_holed_load(threads: usize) -> (SimError, u64) {
 }
 
 #[test]
-fn watchdog_deadlock_raises_the_identical_error_at_every_thread_count() {
-    // The watchdog must fire on the same cycle with the same per-core
-    // diagnostics regardless of the worker count.
-    let (reference, _) = deadlock_on_a_black_holed_load(1);
-    let SimError::Deadlock { diagnostics, .. } = &reference else {
-        panic!("expected a deadlock, got {reference}");
-    };
-    assert_eq!(diagnostics.len(), 16);
-    assert_eq!(diagnostics[0].condition(), "waiting-on-memory");
-    for threads in THREAD_COUNTS {
-        assert_eq!(
-            reference,
-            deadlock_on_a_black_holed_load(threads).0,
-            "deadlock error diverged at {threads} threads"
-        );
-    }
-}
-
-#[test]
-fn bench_summary_is_bit_identical_across_engines() {
-    // `bench_summary()` builds its clusters through `SimParams::default`,
-    // which reads the process-wide default thread count — the same path
-    // `repro --threads N` uses. Every other test in this binary either
-    // sets `SimParams::threads` explicitly or (the baseline test below)
-    // computes this same thread-count-independent summary, so flipping
-    // the global here is safe even under the parallel test runner.
-    mempool_sim::set_default_threads(1);
-    let sequential = mempool_bench::bench_summary().to_pretty();
-    mempool_sim::set_default_threads(4);
-    let parallel = mempool_bench::bench_summary().to_pretty();
-    mempool_sim::set_default_threads(1);
-    assert_eq!(
-        sequential, parallel,
-        "the pinned summary must not depend on the engine"
-    );
-}
-
-#[test]
 fn committed_baseline_matches_the_pinned_summary() {
     // The comparison `repro check --baseline BENCH_baseline.json` makes,
     // so drift of the pinned degraded run fails tier-1 and not only CI.
@@ -251,21 +236,13 @@ fn committed_baseline_matches_the_pinned_summary() {
 }
 
 // ---------------------------------------------------------------------
-// Worker-count equivalence on *bare* runs (no obs/faults/trace), against
-// the one-worker reference (one shard, no mailboxes): same cycles, same
-// stats digest, same errors — at any worker count, through timeouts, and
-// with cross-tile, contended-AMO, and off-chip traffic in flight at
-// quantum boundaries. `force_oversubscribe` makes the runs spawn real
-// worker threads even on single-CPU CI hosts (the engine otherwise
-// clamps workers to the host's parallelism).
+// Bare runs (no obs/faults/trace), run against stepped: same cycles, same
+// stats digest, same errors — through timeouts, and with cross-tile,
+// contended-AMO, and off-chip traffic in flight at quantum boundaries.
 // ---------------------------------------------------------------------
 
 use mempool_isa::instr::{AluOp, AmoOp, BranchOp, Instr, LoadOp, StoreOp, CSR_MHARTID};
 use mempool_isa::Reg;
-
-/// Worker counts for the quantum runs: an even tile split, an uneven
-/// split, and one worker per tile.
-const QUANTUM_WORKERS: [usize; 3] = [2, 3, 8];
 
 fn quantum_config() -> ClusterConfig {
     ClusterConfig::builder()
@@ -363,11 +340,9 @@ fn quantum_traffic(trips: u32, external: bool) -> Program {
     Program::new(body)
 }
 
-/// A bare cluster on `threads` workers (really spawned, even on a
-/// single-CPU host).
-fn bare(threads: usize, program: &Program) -> Cluster {
-    let mut cluster = Cluster::new(quantum_config(), params(threads));
-    cluster.force_oversubscribe();
+/// A bare cluster with `program` loaded.
+fn bare(program: &Program) -> Cluster {
+    let mut cluster = Cluster::new(quantum_config(), SimParams::default());
     cluster.load_program(program.clone());
     cluster.preload_icaches();
     cluster
@@ -377,55 +352,38 @@ fn bare(threads: usize, program: &Program) -> Cluster {
 fn quantum_engine_matches_the_step_loop_bit_exactly() {
     for external in [false, true] {
         let program = quantum_traffic(40, external);
-        // Reference: one worker owning every tile.
-        let mut reference = bare(1, &program);
-        let ref_cycles = reference.run(1_000_000).expect("reference completes");
-        let ref_digest = reference.stats().digest();
-        for workers in QUANTUM_WORKERS {
-            let mut cluster = bare(workers, &program);
-            let cycles = cluster.run(1_000_000).expect("quantum run completes");
-            assert_eq!(
-                cycles, ref_cycles,
-                "cycle count must not depend on workers ({workers}, external {external})"
-            );
-            assert_eq!(
-                cluster.stats().digest(),
-                ref_digest,
-                "stats digest must not depend on workers ({workers}, external {external})"
-            );
-            assert_eq!(cluster.stats(), reference.stats());
-        }
+        let mut run = bare(&program);
+        let cycles = drive(&mut run, Drive::Run, 1_000_000).expect("run completes");
+        let mut stepped = bare(&program);
+        let stepped_cycles = drive(&mut stepped, Drive::Step, 1_000_000).expect("steps complete");
+        assert_eq!(cycles, stepped_cycles, "external {external}");
+        assert_eq!(run.stats(), stepped.stats(), "external {external}");
     }
 }
 
 #[test]
 fn quantum_timeout_lands_on_the_exact_cycle_and_resumes_bit_exactly() {
     let program = quantum_traffic(80, true);
-    let mut ref_done = bare(1, &program);
-    let final_cycles = ref_done.run(1_000_000).expect("completes");
-    let final_digest = ref_done.stats().digest();
+    let mut done = bare(&program);
+    let final_cycles = done.run(1_000_000).expect("completes");
+    let final_digest = done.stats().digest();
     // Budgets chosen to land inside a quantum, not on its boundary.
     for budget in [1, 777] {
-        let mut reference = bare(1, &program);
-        let ref_err = reference.run(budget).expect_err("budget is too small");
-        assert_eq!(ref_err, SimError::Timeout { cycles: budget });
-        for workers in QUANTUM_WORKERS {
-            let mut cluster = bare(workers, &program);
-            let err = cluster.run(budget).expect_err("budget is too small");
-            assert_eq!(
-                err, ref_err,
-                "timeout error must match at {workers} workers"
-            );
-            assert_eq!(
-                cluster.stats().digest(),
-                reference.stats().digest(),
-                "mid-run state at the deadline must match at {workers} workers"
-            );
-            // Finishing from the timed-out state stays bit-exact.
-            let resumed = cluster.run(1_000_000).expect("resumes to completion");
-            assert_eq!(resumed, final_cycles);
-            assert_eq!(cluster.stats().digest(), final_digest);
-        }
+        let mut stepped = bare(&program);
+        let step_err = drive(&mut stepped, Drive::Step, budget).expect_err("budget is too small");
+        let mut cluster = bare(&program);
+        let err = cluster.run(budget).expect_err("budget is too small");
+        assert_eq!(err, SimError::Timeout { cycles: budget });
+        assert_eq!(err, step_err);
+        assert_eq!(
+            cluster.stats().digest(),
+            stepped.stats().digest(),
+            "mid-run state at the deadline must not depend on the quanta"
+        );
+        // Finishing from the timed-out state stays bit-exact.
+        let resumed = cluster.run(1_000_000).expect("resumes to completion");
+        assert_eq!(resumed, final_cycles);
+        assert_eq!(cluster.stats().digest(), final_digest);
     }
 }
 
@@ -433,7 +391,7 @@ fn quantum_timeout_lands_on_the_exact_cycle_and_resumes_bit_exactly() {
 fn quantum_errors_match_the_step_loop() {
     // No Wfi: every core runs off the end of the program, and the engine
     // must report the same PcOutOfRange error at the same cycle with the
-    // same stats at every worker count.
+    // same stats however the run is cut.
     let program = Program::new(vec![
         Instr::OpImm {
             op: AluOp::Add,
@@ -448,47 +406,41 @@ fn quantum_errors_match_the_step_loop() {
             offset: 128,
         },
     ]);
-    let mut reference = bare(1, &program);
-    let ref_err = reference.run(1_000_000).expect_err("runs off the program");
-    let ref_cycle = reference.cycle();
-    for workers in QUANTUM_WORKERS {
-        let mut cluster = bare(workers, &program);
-        let err = cluster.run(1_000_000).expect_err("runs off the program");
-        assert_eq!(err, ref_err, "error must match at {workers} workers");
-        assert_eq!(
-            cluster.cycle(),
-            ref_cycle,
-            "the clock must stop on the erroring cycle at {workers} workers"
-        );
-        assert_eq!(cluster.stats().digest(), reference.stats().digest());
-    }
+    let mut run = bare(&program);
+    let err = run.run(1_000_000).expect_err("runs off the program");
+    let mut stepped = bare(&program);
+    let step_err = drive(&mut stepped, Drive::Step, 1_000_000).expect_err("runs off the program");
+    assert!(matches!(err, SimError::PcOutOfRange { .. }), "{err}");
+    assert_eq!(err, step_err);
+    assert_eq!(
+        run.cycle(),
+        stepped.cycle(),
+        "the clock must stop on the erroring cycle"
+    );
+    assert_eq!(run.stats().digest(), stepped.stats().digest());
 }
 
 #[test]
 fn quantum_reports_no_program_like_the_step_loop() {
-    let mut sequential = Cluster::new(quantum_config(), params(1));
-    let mut quantum = Cluster::new(quantum_config(), params(4));
-    quantum.force_oversubscribe();
-    assert_eq!(
-        sequential.run(1000).expect_err("no program loaded"),
-        quantum.run(1000).expect_err("no program loaded"),
-    );
+    let mut run = Cluster::new(quantum_config(), SimParams::default());
+    let mut stepped = Cluster::new(quantum_config(), SimParams::default());
+    let err = run.run(1000).expect_err("no program loaded");
+    assert_eq!(err, SimError::NoProgram);
+    assert_eq!(err, stepped.step().expect_err("no program loaded"));
 }
 
 // ---------------------------------------------------------------------
 // Instrumented runs: for a fully instrumented cluster (spans, metrics,
 // time series, flight ring, instruction trace, watchdog) every serialized
-// artifact is byte-identical to the one-worker reference — the
-// shard-local observation lanes merge in source-tile order at quantum
-// stops.
+// artifact is byte-identical whether the observation lane is replayed
+// every quantum or every tick.
 // ---------------------------------------------------------------------
 
 /// One fully instrumented run on the quantum traffic program, returning
 /// the serialized artifacts.
-fn observe_instrumented(threads: usize, program: &Program) -> Observed {
+fn observe_instrumented(how: Drive, program: &Program) -> Observed {
     let obs = Obs::new();
-    let mut cluster = Cluster::new(quantum_config(), params(threads));
-    cluster.force_oversubscribe();
+    let mut cluster = Cluster::new(quantum_config(), SimParams::default());
     cluster.attach_obs(&obs, "instrumented");
     cluster.enable_timeseries(64);
     cluster.enable_flight(128);
@@ -497,7 +449,7 @@ fn observe_instrumented(threads: usize, program: &Program) -> Observed {
     assert_eq!(cluster.engine_selection().engine, "quantum");
     cluster.load_program(program.clone());
     cluster.preload_icaches();
-    let cycles = cluster.run(1_000_000).expect("instrumented run completes");
+    let cycles = drive(&mut cluster, how, 1_000_000).expect("instrumented run completes");
     let stats = cluster.stats();
     let attribution = stats.attribution(2, 4).to_json().to_pretty();
     cluster.detach_obs();
@@ -517,53 +469,21 @@ fn observe_instrumented(threads: usize, program: &Program) -> Observed {
 fn instrumented_quantum_runs_produce_byte_identical_artifacts() {
     for external in [false, true] {
         let program = quantum_traffic(40, external);
-        let reference = observe_instrumented(1, &program);
+        let run = observe_instrumented(Drive::Run, &program);
         assert!(
-            !reference.flight.contains("\"events\": []"),
+            !run.flight.contains("\"events\": []"),
             "served requests must land in the flight ring"
         );
         assert!(
-            reference.timeseries.contains("series"),
+            run.timeseries.contains("series"),
             "epoch sampling must produce tracks"
         );
-        for workers in QUANTUM_WORKERS {
-            let candidate = observe_instrumented(workers, &program);
-            assert_eq!(
-                reference, candidate,
-                "instrumented artifacts diverged at {workers} workers (external {external})"
-            );
-        }
+        let stepped = observe_instrumented(Drive::Step, &program);
+        assert_eq!(
+            run, stepped,
+            "instrumented artifacts diverged when stepped (external {external})"
+        );
     }
-}
-
-#[test]
-fn fault_plans_and_spare_remaps_run_sharded() {
-    // The seed-42 plan degrades links, remaps stuck banks onto spares and
-    // lands bit flips mid-run. None of that narrows the worker count: the
-    // cross-tile mailboxes only exist once a round really ran on several
-    // workers, and the outcome is the one-worker outcome.
-    let fault_cfg = FaultConfig::new(FAULT_SEED, 1e-4).with_horizon(50_000);
-    let plan = FaultPlan::generate(&fault_cfg, &zoo_config());
-    let run = |threads: usize| {
-        let mut cluster = forced(zoo_config(), threads);
-        cluster.inject_faults(&plan).unwrap();
-        assert_eq!(cluster.engine_selection().engine, "quantum");
-        ComputePhase::new(32).run(&mut cluster, 10_000_000).unwrap();
-        cluster
-    };
-    let reference = run(1);
-    assert_eq!(reference.engine_mailbox_footprint(), 0);
-    let report = reference.fault_report().expect("a plan was injected");
-    assert!(!report.remapped.is_empty(), "the plan must remap a bank");
-    assert!(report.ecc_corrected > 0, "the plan must exercise ECC");
-    let sharded = run(4);
-    assert_eq!(sharded.effective_workers(), 4);
-    assert!(
-        sharded.engine_mailbox_footprint() > 0,
-        "a faulted run must use its workers"
-    );
-    assert_eq!(sharded.stats().digest(), reference.stats().digest());
-    assert_eq!(sharded.fault_report(), reference.fault_report());
 }
 
 #[test]
@@ -572,7 +492,7 @@ fn watchdog_deadlock_on_the_quantum_engine_is_bit_identical() {
     // the watchdog threshold, then stalls using the result: a genuine
     // forward-progress deadlock with no fault plan involved. The flight
     // recorder must trip mid-quantum with the identical watchdog event,
-    // error, and stop cycle at every worker count.
+    // error, and stop cycle as when stepped.
     let program = Program::new(vec![
         Instr::Csrrs {
             rd: Reg::new(1),
@@ -603,14 +523,13 @@ fn watchdog_deadlock_on_the_quantum_engine_is_bit_identical() {
         },
         Instr::Wfi,
     ]);
-    let run_once = |threads: usize| -> (SimError, u64, String) {
+    let run_once = |how: Drive| -> (SimError, u64, String) {
         let obs = Obs::new();
         let slow_offchip = SimParams {
             offchip_latency: 10_000,
-            ..params(threads)
+            ..SimParams::default()
         };
         let mut cluster = Cluster::new(quantum_config(), slow_offchip);
-        cluster.force_oversubscribe();
         cluster.attach_obs(&obs, "deadlock");
         cluster.enable_timeseries(64);
         cluster.enable_flight(64);
@@ -619,42 +538,35 @@ fn watchdog_deadlock_on_the_quantum_engine_is_bit_identical() {
         assert_eq!(cluster.engine_selection().engine, "quantum");
         cluster.load_program(program.clone());
         cluster.preload_icaches();
-        let err = cluster.run(100_000).expect_err("the watchdog must fire");
+        let err = drive(&mut cluster, how, 100_000).expect_err("the watchdog must fire");
         let cycle = cluster.cycle();
         cluster.detach_obs();
         (err, cycle, obs.flight.to_json().to_pretty())
     };
-    let (ref_err, ref_cycle, ref_flight) = run_once(1);
+    let (err, cycle, flight) = run_once(Drive::Run);
     assert!(
-        matches!(ref_err, SimError::Deadlock { .. }),
-        "expected a deadlock, got {ref_err}"
+        matches!(err, SimError::Deadlock { .. }),
+        "expected a deadlock, got {err}"
     );
     assert!(
-        ref_flight.contains("watchdog"),
-        "the flight ring must carry the watchdog event: {ref_flight}"
+        flight.contains("watchdog"),
+        "the flight ring must carry the watchdog event: {flight}"
     );
-    for workers in QUANTUM_WORKERS {
-        let (err, cycle, flight) = run_once(workers);
-        assert_eq!(err, ref_err, "deadlock diverged at {workers} workers");
-        assert_eq!(cycle, ref_cycle, "stop cycle diverged at {workers} workers");
-        assert_eq!(
-            flight, ref_flight,
-            "flight ring diverged at {workers} workers"
-        );
-    }
+    let (step_err, step_cycle, step_flight) = run_once(Drive::Step);
+    assert_eq!(err, step_err, "deadlock diverged when stepped");
+    assert_eq!(cycle, step_cycle, "stop cycle diverged when stepped");
+    assert_eq!(flight, step_flight, "flight ring diverged when stepped");
 }
 
 // ---------------------------------------------------------------------
 // Stored reference values. The per-tick step kernel these were recorded
 // on (commit 0af2bcc, the last one that had it) is deleted; it stays on
-// as the numbers below, which every worker count must still reproduce.
+// as the numbers below, which the engine must still reproduce.
 // ---------------------------------------------------------------------
 
-/// A cluster whose `threads` workers are really spawned.
-fn forced(cfg: ClusterConfig, threads: usize) -> Cluster {
-    let mut cluster = Cluster::new(cfg, params(threads));
-    cluster.force_oversubscribe();
-    cluster
+/// A zoo-geometry cluster with default parameters.
+fn zoo_cluster() -> Cluster {
+    Cluster::new(zoo_config(), SimParams::default())
 }
 
 fn one_line(text: &str) -> String {
@@ -664,12 +576,8 @@ fn one_line(text: &str) -> String {
 /// Every core outside tile 1 reads one word of tile 1 a dozen times, so
 /// each reader is remote; run under bit flips on that word (plus one on a
 /// word nobody reads, which stays latent) and optionally a dead link.
-fn remote_readers(
-    threads: usize,
-    flips: &[(u64, u32)],
-    dead: bool,
-) -> (Cluster, Result<u64, SimError>) {
-    let mut cluster = forced(zoo_config(), threads);
+fn remote_readers(flips: &[(u64, u32)], dead: bool) -> (Cluster, Result<u64, SimError>) {
+    let mut cluster = zoo_cluster();
     let word = cluster.storage().map().seq_addr(TileId(1), 0);
     let unread = cluster.storage().map().seq_addr(TileId(2), 1);
     let loc_of = |addr| match cluster.storage().map().locate(addr) {
@@ -746,9 +654,9 @@ const PINNED_ERRORS: [(&str, u64, &str); 3] = [
 ];
 
 /// Runs the named `PINNED_RUNS` scenario to completion.
-fn pinned_run(name: &str, threads: usize) -> Cluster {
+fn pinned_run(name: &str) -> Cluster {
     let zoo_run = |kernel: &dyn Kernel, plan: Option<FaultPlan>| {
-        let mut cluster = forced(zoo_config(), threads);
+        let mut cluster = zoo_cluster();
         if let Some(plan) = plan {
             cluster.inject_faults(&plan).unwrap();
             cluster.set_watchdog(2_000_000);
@@ -757,7 +665,7 @@ fn pinned_run(name: &str, threads: usize) -> Cluster {
         cluster
     };
     let traffic = |external| {
-        let mut cluster = bare(threads, &quantum_traffic(40, external));
+        let mut cluster = bare(&quantum_traffic(40, external));
         cluster.run(1_000_000).unwrap();
         cluster
     };
@@ -784,7 +692,7 @@ fn pinned_run(name: &str, threads: usize) -> Cluster {
             zoo_run(&Transpose::new(64), Some(plan))
         }
         "ecc_flips" => {
-            let (cluster, result) = remote_readers(threads, &[(0, 1 << 9), (40, 1 << 3)], false);
+            let (cluster, result) = remote_readers(&[(0, 1 << 9), (40, 1 << 3)], false);
             result.unwrap();
             cluster
         }
@@ -793,45 +701,42 @@ fn pinned_run(name: &str, threads: usize) -> Cluster {
 }
 
 #[test]
-fn stored_step_kernel_results_are_reproduced_at_every_thread_count() {
-    for threads in THREAD_COUNTS {
-        for (name, cycle, digest, touches, report) in PINNED_RUNS {
-            let cluster = pinned_run(name, threads);
-            let got_report = cluster
-                .fault_report()
-                .map(|r| one_line(&r.to_json().to_pretty()))
-                .unwrap_or_default();
-            assert_eq!(
-                (
-                    cluster.cycle(),
-                    cluster.stats().digest(),
-                    cluster.storage().spm_word_touches(),
-                    got_report.as_str(),
-                ),
-                (cycle, digest, touches, report),
-                "{name} at {threads} threads"
-            );
-        }
-        for (name, cycle, message) in PINNED_ERRORS {
-            let (err, stopped_at) = match name {
-                "watchdog_deadlock" => deadlock_on_a_black_holed_load(threads),
-                "ecc_uncorrectable" => {
-                    let (cluster, result) =
-                        remote_readers(threads, &[(0, 1 << 9), (0, 1 << 20)], false);
-                    (result.unwrap_err(), cluster.cycle())
-                }
-                "link_dead" => {
-                    let (cluster, result) = remote_readers(threads, &[], true);
-                    (result.unwrap_err(), cluster.cycle())
-                }
-                other => panic!("unknown pinned error {other}"),
-            };
-            assert_eq!(
-                (stopped_at, one_line(&err.to_string()).as_str()),
-                (cycle, message),
-                "{name} at {threads} threads"
-            );
-        }
+fn stored_step_kernel_results_are_reproduced() {
+    for (name, cycle, digest, touches, report) in PINNED_RUNS {
+        let cluster = pinned_run(name);
+        let got_report = cluster
+            .fault_report()
+            .map(|r| one_line(&r.to_json().to_pretty()))
+            .unwrap_or_default();
+        assert_eq!(
+            (
+                cluster.cycle(),
+                cluster.stats().digest(),
+                cluster.storage().spm_word_touches(),
+                got_report.as_str(),
+            ),
+            (cycle, digest, touches, report),
+            "{name}"
+        );
+    }
+    for (name, cycle, message) in PINNED_ERRORS {
+        let (err, stopped_at) = match name {
+            "watchdog_deadlock" => deadlock_on_a_black_holed_load(),
+            "ecc_uncorrectable" => {
+                let (cluster, result) = remote_readers(&[(0, 1 << 9), (0, 1 << 20)], false);
+                (result.unwrap_err(), cluster.cycle())
+            }
+            "link_dead" => {
+                let (cluster, result) = remote_readers(&[], true);
+                (result.unwrap_err(), cluster.cycle())
+            }
+            other => panic!("unknown pinned error {other}"),
+        };
+        assert_eq!(
+            (stopped_at, one_line(&err.to_string()).as_str()),
+            (cycle, message),
+            "{name}"
+        );
     }
 }
 
@@ -840,12 +745,10 @@ fn an_unbounded_budget_on_a_resumed_cluster_does_not_overflow() {
     // The step loop computed `cycle + max_cycles` unchecked: past cycle 0
     // `run(u64::MAX)` panicked in debug builds and timed out at once in
     // release builds.
-    for threads in [1, 2] {
-        let mut cluster = bare(threads, &quantum_traffic(4, false));
-        let first = cluster.run(u64::MAX).expect("first phase completes");
-        assert!(first > 0);
-        cluster.resume_all(0).unwrap();
-        let second = cluster.run(u64::MAX).expect("resumed phase completes");
-        assert!(second > first, "{threads} threads");
-    }
+    let mut cluster = bare(&quantum_traffic(4, false));
+    let first = cluster.run(u64::MAX).expect("first phase completes");
+    assert!(first > 0);
+    cluster.resume_all(0).unwrap();
+    let second = cluster.run(u64::MAX).expect("resumed phase completes");
+    assert!(second > first);
 }
