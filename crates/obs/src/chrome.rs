@@ -27,11 +27,19 @@ pub fn chrome_trace(recorder: &SpanRecorder) -> Json {
 /// Each series becomes one `ph: "C"` counter named after it, placed on a
 /// synthetic "counters" process so its line charts group below the span
 /// timelines in the viewer.
+///
+/// Every array and object of the document has a capacity equal to its
+/// length (see [`Json`]).
 pub fn chrome_trace_with_counters(recorder: &SpanRecorder, series: Option<&TimeSeries>) -> Json {
     let inner = recorder.inner.borrow();
-    let mut events: Vec<(u64, u8, i64, Json)> = Vec::new();
+    let series = series.filter(|s| !s.is_empty());
+    let len = series.map_or(0, |s| 1 + s.len())
+        + inner.processes.len()
+        + inner.tracks.len()
+        + 2 * inner.spans.len();
+    let mut events: Vec<(u64, u8, i64, Json)> = Vec::with_capacity(len);
 
-    if let Some(series) = series.filter(|s| !s.is_empty()) {
+    if let Some(series) = series {
         // Counter events get sort kind 3 so at a shared timestamp they land
         // after the span transitions; their pid sits past all real
         // processes.
@@ -68,13 +76,14 @@ pub fn chrome_trace_with_counters(recorder: &SpanRecorder, series: Option<&TimeS
     for span in &inner.spans {
         let pid = inner.tracks[span.track.0 as usize].process.0;
         let tid = span.track.0;
-        let mut begin = vec![
+        let mut begin = Vec::with_capacity(if span.args.is_empty() { 5 } else { 6 });
+        begin.extend([
             ("name".to_string(), Json::Str(span.name.clone())),
             ("ph".to_string(), Json::str("B")),
             ("ts".to_string(), Json::Int(span.start as i64)),
             ("pid".to_string(), Json::Int(pid as i64)),
             ("tid".to_string(), Json::Int(tid as i64)),
-        ];
+        ]);
         if !span.args.is_empty() {
             begin.push(("args".to_string(), Json::Obj(span.args.clone())));
         }
@@ -96,11 +105,12 @@ pub fn chrome_trace_with_counters(recorder: &SpanRecorder, series: Option<&TimeS
     }
 
     events.sort_by_key(|a| (a.0, a.1, a.2));
+    // A fresh buffer: collecting in place would keep the sort tuples'
+    // larger allocation behind the events.
+    let mut trace_events = Vec::with_capacity(events.len());
+    trace_events.extend(events.into_iter().map(|(_, _, _, e)| e));
     Json::obj([
-        (
-            "traceEvents",
-            Json::Arr(events.into_iter().map(|(_, _, _, e)| e).collect()),
-        ),
+        ("traceEvents", Json::Arr(trace_events)),
         ("displayTimeUnit", Json::str("ms")),
         (
             "otherData",

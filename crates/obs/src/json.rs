@@ -11,6 +11,18 @@
 //! Numbers are kept as either `i64` or `f64`: cycle counts routinely exceed
 //! `f64`'s 2^53 integer range in long simulations, so integers round-trip
 //! exactly through the `Display` text and [`Json::parse`].
+//!
+//! A tree holds exactly its content: every array and object
+//! [`Json::parse`] returns has a capacity equal to its length (the parser
+//! gathers items on a scratch stack of its own and moves each container's
+//! into a `Vec` of its final length when it closes), and so does every one
+//! the Chrome trace builder returns. A parsed 15 k-event trace therefore
+//! costs its content, not its content plus `Vec` doubling slack.
+//!
+//! One writer renders both text forms. It appends to the caller's buffer —
+//! a `String` for [`Json::write_compact`] and [`Json::to_pretty`], the
+//! formatter itself for `Display` — with no per-key, per-string, per-number
+//! or per-line temporaries.
 
 use std::fmt;
 
@@ -158,38 +170,59 @@ impl Json {
     /// the format every artifact file uses.
     pub fn to_pretty(&self) -> String {
         let mut out = String::new();
-        self.write_pretty(&mut out, 0);
+        // Writing into a `String` cannot fail.
+        let _ = self.write(&mut out, Some(0));
         out.push('\n');
         out
     }
 
-    fn write_pretty(&self, out: &mut String, indent: usize) {
+    /// Appends the compact (single-line) form — the `Display` text — to
+    /// `out`, so a caller that frames lines can build one in its own buffer.
+    pub fn write_compact(&self, out: &mut String) {
+        let _ = self.write(out, None);
+    }
+
+    /// The one writer: appends `self` to `out`, compact when `indent` is
+    /// `None`, otherwise pretty with `self` at that nesting depth.
+    fn write<W: fmt::Write>(&self, out: &mut W, indent: Option<usize>) -> fmt::Result {
+        let inner = indent.map(|depth| depth + 1);
         match self {
-            Json::Arr(items) if !items.is_empty() => {
-                out.push('[');
+            Json::Null => out.write_str("null"),
+            Json::Bool(b) => out.write_str(if *b { "true" } else { "false" }),
+            Json::Int(v) => write!(out, "{v}"),
+            Json::Float(v) if v.is_finite() => {
+                write!(out, "{v}")?;
+                // `{}` never writes an exponent and writes a decimal point
+                // exactly when the value is not integral; add one so the
+                // value re-parses as a float.
+                if v.fract() == 0.0 {
+                    out.write_str(".0")?;
+                }
+                Ok(())
+            }
+            // JSON has no Inf/NaN; null is the conventional fallback.
+            Json::Float(_) => out.write_str("null"),
+            Json::Str(s) => write_escaped(out, s),
+            Json::Arr(items) => {
+                out.write_char('[')?;
                 for (i, item) in items.iter().enumerate() {
-                    out.push_str(if i == 0 { "\n" } else { ",\n" });
-                    out.push_str(&"  ".repeat(indent + 1));
-                    item.write_pretty(out, indent + 1);
+                    item_break(out, i, inner)?;
+                    item.write(out, inner)?;
                 }
-                out.push('\n');
-                out.push_str(&"  ".repeat(indent));
-                out.push(']');
+                close_break(out, items.is_empty(), indent)?;
+                out.write_char(']')
             }
-            Json::Obj(pairs) if !pairs.is_empty() => {
-                out.push('{');
+            Json::Obj(pairs) => {
+                out.write_char('{')?;
                 for (i, (k, v)) in pairs.iter().enumerate() {
-                    out.push_str(if i == 0 { "\n" } else { ",\n" });
-                    out.push_str(&"  ".repeat(indent + 1));
-                    write_escaped(out, k);
-                    out.push_str(": ");
-                    v.write_pretty(out, indent + 1);
+                    item_break(out, i, inner)?;
+                    write_escaped(out, k)?;
+                    out.write_str(if indent.is_some() { ": " } else { ":" })?;
+                    v.write(out, inner)?;
                 }
-                out.push('\n');
-                out.push_str(&"  ".repeat(indent));
-                out.push('}');
+                close_break(out, pairs.is_empty(), indent)?;
+                out.write_char('}')
             }
-            _ => out.push_str(&self.to_string()),
         }
     }
 
@@ -204,6 +237,8 @@ impl Json {
             bytes: text.as_bytes(),
             pos: 0,
             depth: 0,
+            items: Vec::new(),
+            members: Vec::new(),
         };
         p.skip_ws();
         let value = p.value()?;
@@ -218,70 +253,64 @@ impl Json {
 impl fmt::Display for Json {
     /// Compact (single-line) serialization.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Json::Null => f.write_str("null"),
-            Json::Bool(b) => write!(f, "{b}"),
-            Json::Int(v) => write!(f, "{v}"),
-            Json::Float(v) => {
-                if v.is_finite() {
-                    // Guarantee a distinguishing decimal point or exponent
-                    // so the value re-parses as a float.
-                    let s = format!("{v}");
-                    if s.contains(['.', 'e', 'E']) {
-                        f.write_str(&s)
-                    } else {
-                        write!(f, "{s}.0")
-                    }
-                } else {
-                    // JSON has no Inf/NaN; null is the conventional fallback.
-                    f.write_str("null")
-                }
-            }
-            Json::Str(s) => {
-                let mut out = String::new();
-                write_escaped(&mut out, s);
-                f.write_str(&out)
-            }
-            Json::Arr(items) => {
-                f.write_str("[")?;
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        f.write_str(",")?;
-                    }
-                    write!(f, "{item}")?;
-                }
-                f.write_str("]")
-            }
-            Json::Obj(pairs) => {
-                f.write_str("{")?;
-                for (i, (k, v)) in pairs.iter().enumerate() {
-                    if i > 0 {
-                        f.write_str(",")?;
-                    }
-                    let mut key = String::new();
-                    write_escaped(&mut key, k);
-                    write!(f, "{key}:{v}")?;
-                }
-                f.write_str("}")
-            }
-        }
+        self.write(f, None)
     }
 }
 
-fn write_escaped(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
+/// What precedes item `i` of a container: a comma after the first, then in
+/// the pretty form a line break and the item's indentation (`inner`).
+fn item_break<W: fmt::Write>(out: &mut W, i: usize, inner: Option<usize>) -> fmt::Result {
+    if i > 0 {
+        out.write_char(',')?;
     }
-    out.push('"');
+    match inner {
+        Some(depth) => line_break(out, depth),
+        None => Ok(()),
+    }
+}
+
+/// What precedes a container's closing bracket: in the pretty form, unless
+/// the container is empty, a line break back to its own `indent`.
+fn close_break<W: fmt::Write>(out: &mut W, empty: bool, indent: Option<usize>) -> fmt::Result {
+    match indent {
+        Some(depth) if !empty => line_break(out, depth),
+        _ => Ok(()),
+    }
+}
+
+fn line_break<W: fmt::Write>(out: &mut W, depth: usize) -> fmt::Result {
+    out.write_char('\n')?;
+    for _ in 0..depth {
+        out.write_str("  ")?;
+    }
+    Ok(())
+}
+
+/// Writes `s` quoted, copying each run of bytes that needs no escape in
+/// one piece (every escaped byte is ASCII, so runs end on char boundaries).
+fn write_escaped<W: fmt::Write>(out: &mut W, s: &str) -> fmt::Result {
+    out.write_char('"')?;
+    let mut run = 0;
+    for (i, byte) in s.bytes().enumerate() {
+        let escape = match byte {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            0..=0x1f => "",
+            _ => continue,
+        };
+        out.write_str(&s[run..i])?;
+        if escape.is_empty() {
+            write!(out, "\\u{byte:04x}")?;
+        } else {
+            out.write_str(escape)?;
+        }
+        run = i + 1;
+    }
+    out.write_str(&s[run..])?;
+    out.write_char('"')
 }
 
 /// A JSON syntax error with a byte offset, or a shape error (a missing or
@@ -317,6 +346,12 @@ struct Parser<'a> {
     pos: usize,
     /// Arrays and objects currently open around `pos`.
     depth: usize,
+    /// Items of the arrays open around `pos`, outermost first. An array
+    /// moves its own off the top into a `Vec` of their number when it
+    /// closes, so no returned array carries growth slack.
+    items: Vec<Json>,
+    /// Members of the objects open around `pos`, likewise.
+    members: Vec<(String, Json)>,
 }
 
 impl Parser<'_> {
@@ -381,21 +416,22 @@ impl Parser<'_> {
 
     fn array(&mut self) -> Result<Json, JsonError> {
         self.expect(b'[')?;
-        let mut items = Vec::new();
+        let base = self.items.len();
         self.skip_ws();
         if self.peek() == Some(b']') {
             self.pos += 1;
-            return Ok(Json::Arr(items));
+            return Ok(Json::Arr(Vec::new()));
         }
         loop {
             self.skip_ws();
-            items.push(self.value()?);
+            let item = self.value()?;
+            self.items.push(item);
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
                 Some(b']') => {
                     self.pos += 1;
-                    return Ok(Json::Arr(items));
+                    return Ok(Json::Arr(self.items.drain(base..).collect()));
                 }
                 _ => return Err(self.err("expected `,` or `]`")),
             }
@@ -404,11 +440,11 @@ impl Parser<'_> {
 
     fn object(&mut self) -> Result<Json, JsonError> {
         self.expect(b'{')?;
-        let mut pairs = Vec::new();
+        let base = self.members.len();
         self.skip_ws();
         if self.peek() == Some(b'}') {
             self.pos += 1;
-            return Ok(Json::Obj(pairs));
+            return Ok(Json::Obj(Vec::new()));
         }
         loop {
             self.skip_ws();
@@ -417,13 +453,13 @@ impl Parser<'_> {
             self.expect(b':')?;
             self.skip_ws();
             let value = self.value()?;
-            pairs.push((key, value));
+            self.members.push((key, value));
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
                 Some(b'}') => {
                     self.pos += 1;
-                    return Ok(Json::Obj(pairs));
+                    return Ok(Json::Obj(self.members.drain(base..).collect()));
                 }
                 _ => return Err(self.err("expected `,` or `}`")),
             }
@@ -522,6 +558,242 @@ impl Parser<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The first array or object in `doc` whose capacity is not its length,
+    /// named by its path (`$`, `$[3]`, `$.args`).
+    fn first_slack(doc: &Json, path: &str) -> Option<String> {
+        match doc {
+            Json::Arr(items) if items.capacity() != items.len() => Some(path.to_string()),
+            Json::Obj(pairs) if pairs.capacity() != pairs.len() => Some(path.to_string()),
+            Json::Arr(items) => items
+                .iter()
+                .enumerate()
+                .find_map(|(i, item)| first_slack(item, &format!("{path}[{i}]"))),
+            Json::Obj(pairs) => pairs
+                .iter()
+                .find_map(|(k, v)| first_slack(v, &format!("{path}.{k}"))),
+            _ => None,
+        }
+    }
+
+    /// The emitter this module had before the one writer, kept as the
+    /// byte-for-byte reference for both text forms.
+    mod oracle {
+        use super::Json;
+
+        pub(super) fn compact(v: &Json) -> String {
+            match v {
+                Json::Null => "null".to_string(),
+                Json::Bool(b) => format!("{b}"),
+                Json::Int(v) => format!("{v}"),
+                Json::Float(v) if v.is_finite() => {
+                    let s = format!("{v}");
+                    if s.contains(['.', 'e', 'E']) {
+                        s
+                    } else {
+                        format!("{s}.0")
+                    }
+                }
+                Json::Float(_) => "null".to_string(),
+                Json::Str(s) => escaped(s),
+                Json::Arr(items) => {
+                    let items: Vec<String> = items.iter().map(compact).collect();
+                    format!("[{}]", items.join(","))
+                }
+                Json::Obj(pairs) => {
+                    let pairs: Vec<String> = pairs
+                        .iter()
+                        .map(|(k, v)| format!("{}:{}", escaped(k), compact(v)))
+                        .collect();
+                    format!("{{{}}}", pairs.join(","))
+                }
+            }
+        }
+
+        pub(super) fn pretty(v: &Json) -> String {
+            let mut out = String::new();
+            write_pretty(v, &mut out, 0);
+            out.push('\n');
+            out
+        }
+
+        fn write_pretty(v: &Json, out: &mut String, indent: usize) {
+            match v {
+                Json::Arr(items) if !items.is_empty() => {
+                    out.push('[');
+                    for (i, item) in items.iter().enumerate() {
+                        out.push_str(if i == 0 { "\n" } else { ",\n" });
+                        out.push_str(&"  ".repeat(indent + 1));
+                        write_pretty(item, out, indent + 1);
+                    }
+                    out.push('\n');
+                    out.push_str(&"  ".repeat(indent));
+                    out.push(']');
+                }
+                Json::Obj(pairs) if !pairs.is_empty() => {
+                    out.push('{');
+                    for (i, (k, v)) in pairs.iter().enumerate() {
+                        out.push_str(if i == 0 { "\n" } else { ",\n" });
+                        out.push_str(&"  ".repeat(indent + 1));
+                        out.push_str(&escaped(k));
+                        out.push_str(": ");
+                        write_pretty(v, out, indent + 1);
+                    }
+                    out.push('\n');
+                    out.push_str(&"  ".repeat(indent));
+                    out.push('}');
+                }
+                _ => out.push_str(&compact(v)),
+            }
+        }
+
+        fn escaped(s: &str) -> String {
+            let mut out = String::from('"');
+            for c in s.chars() {
+                match c {
+                    '"' => out.push_str("\\\""),
+                    '\\' => out.push_str("\\\\"),
+                    '\n' => out.push_str("\\n"),
+                    '\r' => out.push_str("\\r"),
+                    '\t' => out.push_str("\\t"),
+                    c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+                    c => out.push(c),
+                }
+            }
+            out.push('"');
+            out
+        }
+    }
+
+    /// A seeded generator of JSON trees that reach every writer and parser
+    /// case: nesting, empty containers, escapes, non-ASCII text, integer
+    /// extremes and awkward floats.
+    struct TreeGen(u64);
+
+    impl TreeGen {
+        fn new(seed: u64) -> Self {
+            TreeGen(seed)
+        }
+
+        fn below(&mut self, n: usize) -> usize {
+            self.0 = self
+                .0
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            ((self.0 >> 33) % n as u64) as usize
+        }
+
+        fn pick<T: Copy>(&mut self, from: &[T]) -> T {
+            from[self.below(from.len())]
+        }
+
+        fn string(&mut self) -> String {
+            const PIECES: [&str; 16] = [
+                "a", "Zq", " ", "/", "\"", "\\", "\n", "\r", "\t", "\u{0}", "\u{8}", "\u{1f}",
+                "\u{7f}", "é", "€", "𝄞",
+            ];
+            (0..self.below(6)).map(|_| self.pick(&PIECES)).collect()
+        }
+
+        fn scalar(&mut self) -> Json {
+            const INTS: [i64; 6] = [i64::MIN, i64::MAX, 0, -1, 9_007_199_254_740_993, 42];
+            const FLOATS: [f64; 14] = [
+                0.0,
+                -0.0,
+                1.0,
+                -2.0,
+                0.1,
+                -123_456.789,
+                1e-7,
+                5e-324,
+                f64::MIN_POSITIVE,
+                1e21,
+                -1e300,
+                f64::MAX,
+                9_007_199_254_740_992.0,
+                0.333_333_333_333_333_3,
+            ];
+            match self.below(6) {
+                0 => Json::Null,
+                1 => Json::Bool(self.below(2) == 1),
+                2 => Json::Int(self.pick(&INTS)),
+                3 => Json::Float(self.pick(&FLOATS)),
+                _ => Json::Str(self.string()),
+            }
+        }
+
+        fn tree(&mut self, depth: u32) -> Json {
+            if depth == 0 || self.below(4) == 0 {
+                return self.scalar();
+            }
+            let len = self.pick(&[0, 1, 2, 5, 9, 17]);
+            if self.below(2) == 0 {
+                Json::Arr((0..len).map(|_| self.tree(depth - 1)).collect())
+            } else {
+                Json::Obj(
+                    (0..len)
+                        .map(|_| (self.string(), self.tree(depth - 1)))
+                        .collect(),
+                )
+            }
+        }
+    }
+
+    #[test]
+    fn generated_trees_round_trip_and_match_the_previous_emitter() {
+        let mut gen = TreeGen::new(0x5eed);
+        for case in 0..400 {
+            let doc = gen.tree(4);
+            let compact = doc.to_string();
+            let pretty = doc.to_pretty();
+            assert_eq!(compact, oracle::compact(&doc), "case {case}: compact bytes");
+            assert_eq!(pretty, oracle::pretty(&doc), "case {case}: pretty bytes");
+            let mut appended = String::from("prefix ");
+            doc.write_compact(&mut appended);
+            assert_eq!(appended, format!("prefix {compact}"), "case {case}");
+            assert_eq!(
+                Json::parse(&compact).unwrap(),
+                doc,
+                "case {case}: {compact}"
+            );
+            assert_eq!(Json::parse(&pretty).unwrap(), doc, "case {case}: {pretty}");
+        }
+        // Non-finite floats have no JSON spelling: both emitters write null.
+        for v in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let doc = Json::Arr(vec![Json::Float(v)]);
+            assert_eq!(doc.to_string(), oracle::compact(&doc));
+            assert_eq!(doc.to_pretty(), oracle::pretty(&doc));
+        }
+    }
+
+    #[test]
+    fn parsed_and_built_trees_hold_exactly_their_content() {
+        // Five-field B events, four-field E events, args on some spans,
+        // counter events: the shapes of a paper-scale trace.
+        let rec = crate::SpanRecorder::new();
+        let run = rec.process("run");
+        for core in 0..3 {
+            let track = rec.track(run, &format!("core{core}"));
+            rec.begin(track, "outer", 0);
+            let args = vec![("core".to_string(), Json::Int(core))];
+            rec.complete(track, "inner", 1, 4, args);
+            rec.end(track, 9);
+        }
+        let series = crate::TimeSeries::new();
+        for epoch in 1..=5 {
+            series.push("ipc", epoch * 10, 0.5);
+        }
+        let trace = crate::chrome_trace_with_counters(&rec, Some(&series));
+        assert_eq!(first_slack(&trace, "$"), None, "built trace");
+
+        let mut gen = TreeGen::new(7);
+        let mut texts = vec![trace.to_pretty(), trace.to_string()];
+        texts.extend((0..200).map(|_| gen.tree(4).to_string()));
+        for text in &texts {
+            let parsed = Json::parse(text).unwrap();
+            assert_eq!(first_slack(&parsed, "$"), None, "parsed {text}");
+        }
+    }
 
     #[test]
     fn roundtrips_scalars() {

@@ -5,7 +5,7 @@
 //! [`TcpClient`] speaks the newline-delimited JSON protocol to a
 //! `repro serve` daemon over [`std::net::TcpStream`].
 
-use std::io::{BufRead, BufReader, ErrorKind, Write};
+use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::sync::mpsc::{channel, Receiver};
 use std::sync::Arc;
@@ -15,6 +15,12 @@ use mempool_obs::Json;
 
 use crate::protocol::{CacheOutcome, ExperimentRequest, ServeError, Status};
 use crate::service::{submit, Shared};
+
+/// Longest response line (newline included) [`TcpClient`] reads. The
+/// largest catalogue artifact is a few kilobytes and a `stats` document
+/// carries at most 256 flight events; without a bound a peer that never
+/// sends a newline grows the client's buffer until the OS kills it.
+const MAX_RESPONSE_BYTES: usize = 16 << 20;
 
 /// A completed request: the artifact plus how it was satisfied.
 #[derive(Debug, Clone)]
@@ -207,7 +213,8 @@ impl TcpClient {
     }
 
     fn send_line(&mut self, doc: &Json) -> Result<(), ServeError> {
-        let mut line = doc.to_string();
+        let mut line = String::new();
+        doc.write_compact(&mut line);
         line.push('\n');
         self.writer
             .write_all(line.as_bytes())
@@ -215,20 +222,31 @@ impl TcpClient {
     }
 
     fn read_status(&mut self, expect_id: u64) -> Result<Status, ServeError> {
+        let mut line = Vec::new();
         loop {
-            let mut line = String::new();
-            let n = self.reader.read_line(&mut line).map_err(|e| {
-                if io_is_timeout(&e) {
-                    ServeError::Timeout(format!("no response within the read deadline: {e}"))
-                } else {
-                    ServeError::Transport(e.to_string())
-                }
-            })?;
+            line.clear();
+            let n = (&mut self.reader)
+                .take(MAX_RESPONSE_BYTES as u64 + 1)
+                .read_until(b'\n', &mut line)
+                .map_err(|e| {
+                    if io_is_timeout(&e) {
+                        ServeError::Timeout(format!("no response within the read deadline: {e}"))
+                    } else {
+                        ServeError::Transport(e.to_string())
+                    }
+                })?;
             if n == 0 {
                 return Err(ServeError::Transport(
                     "connection closed mid-response".to_string(),
                 ));
             }
+            if line.len() > MAX_RESPONSE_BYTES {
+                return Err(ServeError::Protocol(format!(
+                    "response line exceeds {MAX_RESPONSE_BYTES} bytes"
+                )));
+            }
+            let line = std::str::from_utf8(&line)
+                .map_err(|e| ServeError::Transport(format!("response line is not UTF-8: {e}")))?;
             if line.trim().is_empty() {
                 continue;
             }
@@ -357,6 +375,35 @@ mod tests {
         }
         drop(client);
         let _ = silent.join();
+    }
+
+    #[test]
+    fn an_endless_response_line_is_a_typed_protocol_error() {
+        // A peer that answers with one line longer than the bound and no
+        // newline, then closes: the client stops reading at the bound.
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let flood = std::thread::spawn(move || -> std::io::Result<()> {
+            let (mut stream, _) = listener.accept()?;
+            let mut reader = BufReader::new(stream.try_clone()?);
+            reader.read_line(&mut String::new())?;
+            stream.write_all(&vec![b'x'; MAX_RESPONSE_BYTES + 1])?;
+            stream.shutdown(std::net::Shutdown::Write)?;
+            // Read until the client hangs up, so no unread request bytes
+            // turn the close into a reset.
+            std::io::copy(&mut reader, &mut std::io::sink())?;
+            Ok(())
+        });
+        let mut client = TcpClient::connect(addr).unwrap();
+        let req = ExperimentRequest::new(crate::protocol::ExperimentKind::Table1);
+        match client.request(&req) {
+            Err(ServeError::Protocol(msg)) => {
+                assert!(msg.contains(&MAX_RESPONSE_BYTES.to_string()), "{msg}");
+            }
+            other => panic!("expected a protocol error naming the bound, got {other:?}"),
+        }
+        drop(client);
+        flood.join().unwrap().unwrap();
     }
 
     #[test]

@@ -109,7 +109,8 @@ fn reap_finished(handlers: &mut Vec<JoinHandle<()>>) {
 }
 
 fn write_line(stream: &mut TcpStream, doc: &Json) -> std::io::Result<()> {
-    let mut line = doc.to_string();
+    let mut line = String::new();
+    doc.write_compact(&mut line);
     line.push('\n');
     stream.write_all(line.as_bytes())
 }
