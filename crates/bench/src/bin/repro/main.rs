@@ -16,8 +16,8 @@
 //! the text tables: one JSON document per produced figure/table
 //! (`fig6.json`, `table2.json`, ...), a `metrics.json`/`metrics.csv`
 //! snapshot, a Perfetto-loadable `trace.json` of the measurement phase
-//! spans, a `perf_profile.json` engine self-profile (ticking vs
-//! quantum-boundary time, a per-phase tick split), and a
+//! spans, a `perf_profile.json` engine self-profile (host time and ticks
+//! per `run`/`step` call, a per-phase tick split), and a
 //! `BENCH_repro.json` summary (cycle counts, cycles/MAC, engine record).
 //! Every artifact except `perf_profile.json` is deterministic: two runs of
 //! the same command are `cmp`-identical.

@@ -7,7 +7,7 @@
 //! SEC-DED [`EccState`], and accumulates the [`FaultReport`].
 
 use mempool_arch::{BankId, BankLocation, TileId};
-use mempool_obs::FlightRecorder;
+use mempool_obs::{Deferred, FlightRecorder};
 
 use crate::ecc::EccState;
 use crate::plan::{DeadLinkPolicy, FaultEvent, FaultPlan};
@@ -42,10 +42,9 @@ pub enum TimedFault {
     },
 }
 
-/// A fault outcome the engine observed on one access. The engine logs
-/// these as plain data mid-quantum; at the boundary the controller counts
-/// them via [`FaultTally`] and mirrors them into the flight ring via
-/// [`FaultController::emit`].
+/// A fault outcome the engine observed on one access: counted into the
+/// report by [`FaultController::count`], and worded for the flight ring
+/// by [`FaultNote::flight_event`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultNote {
     /// The access was retried through `tile`'s degraded link.
@@ -76,33 +75,44 @@ pub enum FaultNote {
     },
 }
 
-/// The report counters [`FaultNote`]s add up to, kept apart from the
-/// controller (one per engine lane) and folded in with
-/// [`FaultController::absorb`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct FaultTally {
-    /// Accesses retried through degraded links.
-    pub retried_accesses: u64,
-    /// Extra cycles those retries cost.
-    pub retry_cycles: u64,
-    /// Requests dropped by dead links.
-    pub blackholed_requests: u64,
-    /// Single-bit errors corrected.
-    pub ecc_corrected: u64,
-}
-
-impl FaultTally {
-    /// Counts one outcome.
-    pub fn count(&mut self, note: FaultNote) {
-        match note {
-            FaultNote::Retry { extra, .. } => {
-                self.retried_accesses += 1;
-                self.retry_cycles += u64::from(extra);
-            }
-            FaultNote::BlackHole { .. } => self.blackholed_requests += 1,
-            FaultNote::Corrected { .. } => self.ecc_corrected += 1,
-            FaultNote::Uncorrectable { .. } => {}
-        }
+impl FaultNote {
+    /// The flight-ring event of this outcome: category, core, and a
+    /// message worded only when the ring is read.
+    pub fn flight_event(self) -> (&'static str, Option<u32>, Deferred) {
+        let at = |loc: BankLocation, mask| [loc.tile.0, loc.bank.0, loc.word, mask];
+        let (category, core, render, args): (_, _, fn([u32; 4]) -> String, _) = match self {
+            FaultNote::Retry { tile, extra } => (
+                "fault",
+                None,
+                |[tile, extra, ..]| {
+                    format!("retry through degraded link of tile {tile} (+{extra} cycles)")
+                },
+                [tile.0, extra, 0, 0],
+            ),
+            FaultNote::BlackHole { tile, core } => (
+                "fault",
+                Some(core),
+                |[tile, ..]| format!("request black-holed by dead link of tile {tile}"),
+                [tile.0, 0, 0, 0],
+            ),
+            FaultNote::Corrected { loc } => (
+                "ecc",
+                None,
+                |[tile, bank, word, _]| {
+                    format!("corrected single-bit flip at tile {tile} bank {bank} word {word}")
+                },
+                at(loc, 0),
+            ),
+            FaultNote::Uncorrectable { loc, mask } => (
+                "ecc",
+                None,
+                |[tile, bank, word, mask]| {
+                    format!("uncorrectable mask {mask:#x} at tile {tile} bank {bank} word {word}")
+                },
+                at(loc, mask),
+            ),
+        };
+        (category, core, Deferred { render, args })
     }
 }
 
@@ -267,46 +277,18 @@ impl FaultController {
         });
     }
 
-    /// Mirrors one observed outcome into the flight ring at `cycle`
-    /// (nothing is counted — see [`Self::absorb`]).
-    pub fn emit(&self, cycle: u64, note: FaultNote) {
-        let at = |loc: BankLocation| {
-            format!("tile {} bank {} word {}", loc.tile.0, loc.bank.0, loc.word)
-        };
-        let (category, core, message) = match note {
-            FaultNote::Retry { tile, extra } => (
-                "fault",
-                None,
-                format!(
-                    "retry through degraded link of tile {} (+{extra} cycles)",
-                    tile.0
-                ),
-            ),
-            FaultNote::BlackHole { tile, core } => (
-                "fault",
-                Some(core),
-                format!("request black-holed by dead link of tile {}", tile.0),
-            ),
-            FaultNote::Corrected { loc } => (
-                "ecc",
-                None,
-                format!("corrected single-bit flip at {}", at(loc)),
-            ),
-            FaultNote::Uncorrectable { loc, mask } => (
-                "ecc",
-                None,
-                format!("uncorrectable mask {mask:#x} at {}", at(loc)),
-            ),
-        };
-        self.emit_event(cycle, category, core, message);
-    }
-
-    /// Folds a lane's outcome counts into the report.
-    pub fn absorb(&mut self, tally: FaultTally) {
-        self.report.retried_accesses += tally.retried_accesses;
-        self.report.retry_cycles += tally.retry_cycles;
-        self.report.blackholed_requests += tally.blackholed_requests;
-        self.report.ecc_corrected += tally.ecc_corrected;
+    /// Counts one observed outcome into the report.
+    pub fn count(&mut self, note: FaultNote) {
+        let report = &mut self.report;
+        match note {
+            FaultNote::Retry { extra, .. } => {
+                report.retried_accesses += 1;
+                report.retry_cycles += u64::from(extra);
+            }
+            FaultNote::BlackHole { .. } => report.blackholed_requests += 1,
+            FaultNote::Corrected { .. } => report.ecc_corrected += 1,
+            FaultNote::Uncorrectable { .. } => {}
+        }
     }
 
     /// Snapshot of the report, including currently latent ECC errors.
@@ -454,10 +436,9 @@ mod tests {
             tile: TileId(0),
             extra: 5,
         };
-        let mut tally = FaultTally::default();
-        tally.count(retry);
-        tally.count(retry);
-        tally.count(FaultNote::BlackHole {
+        ctrl.count(retry);
+        ctrl.count(retry);
+        ctrl.count(FaultNote::BlackHole {
             tile: TileId(0),
             core: 0,
         });
@@ -470,9 +451,8 @@ mod tests {
             ctrl.ecc_state().check(loc(0, 0, 0), 1),
             EccOutcome::Corrected { value: 0 }
         );
-        tally.count(FaultNote::Corrected { loc: loc(0, 0, 0) });
+        ctrl.count(FaultNote::Corrected { loc: loc(0, 0, 0) });
         ctrl.ecc_clear(loc(0, 0, 0));
-        ctrl.absorb(tally);
         let report = ctrl.report();
         assert_eq!(report.retried_accesses, 2);
         assert_eq!(report.retry_cycles, 10);
@@ -483,55 +463,67 @@ mod tests {
     }
 
     #[test]
-    fn attached_flight_ring_mirrors_fault_activity() {
+    fn attached_flight_ring_mirrors_timed_faults_and_notes_word_outcomes() {
         let flight = FlightRecorder::new();
         let mut ctrl = FaultController::new(&plan_with_everything(), 4);
         ctrl.attach_flight(flight.clone());
         ctrl.take_due(100);
-        ctrl.emit(
-            101,
+        let notes = [
             FaultNote::Retry {
                 tile: TileId(1),
                 extra: 6,
             },
-        );
-        ctrl.emit(
-            102,
             FaultNote::BlackHole {
                 tile: TileId(2),
                 core: 9,
             },
-        );
-        ctrl.emit(103, FaultNote::Corrected { loc: loc(0, 0, 7) });
+            FaultNote::Corrected { loc: loc(0, 0, 7) },
+            FaultNote::Uncorrectable {
+                loc: loc(1, 2, 3),
+                mask: 0x30,
+            },
+        ];
+        for (cycle, note) in (101..).zip(notes) {
+            let (category, core, message) = note.flight_event();
+            flight.record_deferred(cycle, category, core, message);
+        }
 
         let events = flight.events();
-        // 3 timed faults + retry + blackhole + 1 ECC correction.
-        assert_eq!(events.len(), 6);
+        // 3 timed faults + retry + blackhole + 2 ECC outcomes.
+        assert_eq!(events.len(), 7);
         assert!(events.iter().take(5).all(|e| e.category == "fault"));
         assert_eq!(events[3].cycle, 101);
-        assert!(events[3].message.contains("degraded link of tile 1"));
+        assert_eq!(
+            events[3].message,
+            "retry through degraded link of tile 1 (+6 cycles)"
+        );
         assert_eq!(events[4].core, Some(9));
+        assert_eq!(
+            events[4].message,
+            "request black-holed by dead link of tile 2"
+        );
         assert_eq!(events[5].category, "ecc");
+        assert_eq!(
+            events[5].message,
+            "corrected single-bit flip at tile 0 bank 0 word 7"
+        );
+        assert_eq!(
+            events[6].message,
+            "uncorrectable mask 0x30 at tile 1 bank 2 word 3"
+        );
         let hang = events
             .iter()
             .find(|e| e.message.contains("hung"))
             .expect("hang event");
         assert_eq!(hang.core, Some(3));
-        // Emission never counts.
+        // Wording never counts.
         assert_eq!(ctrl.report().retried_accesses, 0);
     }
 
     #[test]
     fn detached_controller_stays_silent() {
         let mut ctrl = FaultController::new(&plan_with_everything(), 4);
-        // No flight attached: emission is a no-op, not a panic.
-        ctrl.take_due(100);
-        ctrl.emit(
-            1,
-            FaultNote::Retry {
-                tile: TileId(0),
-                extra: 2,
-            },
-        );
+        // No flight attached: delivery records nothing, and does not panic.
+        assert_eq!(ctrl.take_due(100).len(), 3);
     }
 }

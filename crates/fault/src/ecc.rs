@@ -57,8 +57,8 @@ impl EccState {
 
     /// Decides the outcome of reading `stored` (the possibly-corrupted
     /// word in storage) at `loc` without consuming the mask — the form
-    /// the engine uses mid-quantum, logging what it cleared and clearing
-    /// it at the quantum boundary.
+    /// the engine uses, which clears the mask itself once the access has
+    /// been served.
     pub fn check(&self, loc: BankLocation, stored: u32) -> EccOutcome {
         match self.pending.get(&loc).copied() {
             None => EccOutcome::Clean,

@@ -34,7 +34,7 @@ pub(crate) mod report;
 pub(crate) mod rng;
 pub(crate) mod watchdog;
 
-pub use controller::{FaultController, FaultNote, FaultTally, LinkState, TimedFault};
+pub use controller::{FaultController, FaultNote, LinkState, TimedFault};
 pub use ecc::{EccOutcome, EccState};
 pub use plan::{DeadLinkPolicy, FaultConfig, FaultEvent, FaultPlan};
 pub use report::FaultReport;

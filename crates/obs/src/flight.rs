@@ -9,15 +9,17 @@
 //! re-running under full tracing.
 //!
 //! Events carry a coarse [`category`](FlightEvent::category) (stable,
-//! machine-matchable) and a free-form human message. Like the other
-//! recorders in this crate, the handle is cheaply cloneable and all clones
-//! share state.
+//! machine-matchable) and a free-form human message. A hot-path recorder
+//! hands the message over as [`Deferred`] data instead, worded only when
+//! the ring is read. Like the other recorders in this crate, the handle
+//! is cheaply cloneable and all clones share state.
 
+use std::borrow::Cow;
 use std::cell::RefCell;
-use std::collections::VecDeque;
 use std::rc::Rc;
 
 use crate::json::Json;
+use crate::ring::Ring;
 
 /// Default ring capacity when none is configured explicitly.
 pub(crate) const DEFAULT_FLIGHT_CAPACITY: usize = 256;
@@ -51,27 +53,59 @@ impl FlightEvent {
     }
 }
 
-#[derive(Debug)]
-struct FlightInner {
-    capacity: usize,
-    ring: VecDeque<FlightEvent>,
-    dropped: u64,
+/// An event message recorded as data: `render(args)` words it, and only
+/// when the ring is read, so recording costs a ring slot and no
+/// formatting.
+#[derive(Debug, Clone, Copy)]
+pub struct Deferred {
+    /// Words the message.
+    pub render: fn([u32; 4]) -> String,
+    /// What the message says.
+    pub args: [u32; 4],
 }
 
-impl Default for FlightInner {
-    fn default() -> Self {
-        Self {
-            capacity: DEFAULT_FLIGHT_CAPACITY,
-            ring: VecDeque::new(),
-            dropped: 0,
+#[derive(Debug)]
+enum Message {
+    Text(String),
+    Deferred(Deferred),
+}
+
+/// One ring slot: an event whose category and message may still be
+/// unformatted.
+#[derive(Debug)]
+struct Slot {
+    cycle: u64,
+    category: Cow<'static, str>,
+    core: Option<u32>,
+    message: Message,
+}
+
+impl Slot {
+    fn event(&self) -> FlightEvent {
+        FlightEvent {
+            cycle: self.cycle,
+            category: self.category.to_string(),
+            core: self.core,
+            message: match &self.message {
+                Message::Text(text) => text.clone(),
+                Message::Deferred(deferred) => (deferred.render)(deferred.args),
+            },
         }
     }
 }
 
 /// Shared bounded ring of `FlightEvent`s. Clones share state.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct FlightRecorder {
-    inner: Rc<RefCell<FlightInner>>,
+    inner: Rc<RefCell<Ring<Slot>>>,
+}
+
+impl Default for FlightRecorder {
+    fn default() -> Self {
+        FlightRecorder {
+            inner: Rc::new(RefCell::new(Ring::new(DEFAULT_FLIGHT_CAPACITY))),
+        }
+    }
 }
 
 impl FlightRecorder {
@@ -97,18 +131,12 @@ impl FlightRecorder {
     ///
     /// Panics if `capacity` is zero.
     pub fn set_capacity(&self, capacity: usize) {
-        assert!(capacity > 0, "flight recorder capacity must be positive");
-        let mut inner = self.inner.borrow_mut();
-        inner.capacity = capacity;
-        while inner.ring.len() > capacity {
-            inner.ring.pop_front();
-            inner.dropped += 1;
-        }
+        self.inner.borrow_mut().set_capacity(capacity);
     }
 
     /// The configured ring capacity.
     pub fn capacity(&self) -> usize {
-        self.inner.borrow().capacity
+        self.inner.borrow().capacity()
     }
 
     /// Records an event, evicting the oldest if the ring is full.
@@ -119,29 +147,34 @@ impl FlightRecorder {
         core: Option<u32>,
         message: impl Into<String>,
     ) {
-        let mut inner = self.inner.borrow_mut();
-        if inner.ring.len() == inner.capacity {
-            inner.ring.pop_front();
-            inner.dropped += 1;
-        }
-        inner.ring.push_back(FlightEvent {
+        self.inner.borrow_mut().push(Slot {
             cycle,
-            category: category.to_string(),
+            category: Cow::Owned(category.to_string()),
             core,
-            message: message.into(),
+            message: Message::Text(message.into()),
         });
     }
 
-    /// Counts `n` events a bounded feeder discarded on the ring's behalf:
-    /// events that, recorded, would have been evicted again before anyone
-    /// could read them.
-    pub fn add_dropped(&self, n: u64) {
-        self.inner.borrow_mut().dropped += n;
+    /// [`Self::record`] with a message worded only when the ring is read.
+    #[inline]
+    pub fn record_deferred(
+        &self,
+        cycle: u64,
+        category: &'static str,
+        core: Option<u32>,
+        message: Deferred,
+    ) {
+        self.inner.borrow_mut().push(Slot {
+            cycle,
+            category: Cow::Borrowed(category),
+            core,
+            message: Message::Deferred(message),
+        });
     }
 
     /// Number of events currently held.
     pub(crate) fn len(&self) -> usize {
-        self.inner.borrow().ring.len()
+        self.inner.borrow().len()
     }
 
     /// Whether no event is held.
@@ -151,12 +184,12 @@ impl FlightRecorder {
 
     /// Events evicted so far to respect the capacity bound.
     pub fn dropped(&self) -> u64 {
-        self.inner.borrow().dropped
+        self.inner.borrow().dropped()
     }
 
     /// Clones out the held events, oldest first.
     pub fn events(&self) -> Vec<FlightEvent> {
-        self.inner.borrow().ring.iter().cloned().collect()
+        self.inner.borrow().iter().map(Slot::event).collect()
     }
 
     /// Serializes the ring:
@@ -164,11 +197,11 @@ impl FlightRecorder {
     pub fn to_json(&self) -> Json {
         let inner = self.inner.borrow();
         Json::obj([
-            ("capacity", Json::Int(inner.capacity as i64)),
-            ("dropped", Json::Int(inner.dropped as i64)),
+            ("capacity", Json::Int(inner.capacity() as i64)),
+            ("dropped", Json::Int(inner.dropped() as i64)),
             (
                 "events",
-                Json::Arr(inner.ring.iter().map(FlightEvent::to_json).collect()),
+                Json::Arr(inner.iter().map(|slot| slot.event().to_json()).collect()),
             ),
         ])
     }
@@ -198,6 +231,23 @@ mod tests {
         assert_eq!(rec.len(), 1);
         assert_eq!(rec.events()[0].category, "dma");
         assert_eq!(rec.events()[0].core, None);
+    }
+
+    #[test]
+    fn deferred_messages_are_worded_when_read() {
+        let rec = FlightRecorder::with_capacity(2);
+        let served = Deferred {
+            render: |[bank, word, ..]| format!("served bank {bank} word {word}"),
+            args: [5, 7, 0, 0],
+        };
+        rec.record_deferred(1, "mem", Some(2), served);
+        rec.record(2, "dma", None, "copy");
+        rec.record_deferred(3, "mem", None, served);
+        assert_eq!(rec.dropped(), 1);
+        let events = rec.events();
+        assert_eq!(events[0].message, "copy");
+        assert_eq!((events[1].cycle, events[1].category.as_str()), (3, "mem"));
+        assert_eq!(events[1].message, "served bank 5 word 7");
     }
 
     #[test]

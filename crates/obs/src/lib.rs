@@ -59,16 +59,18 @@ pub(crate) mod flight;
 pub(crate) mod json;
 pub(crate) mod load;
 pub(crate) mod metrics;
+pub(crate) mod ring;
 pub(crate) mod span;
 pub(crate) mod timeseries;
 
 pub use artifacts::ArtifactDir;
 pub use attribution::{AttributionReport, BankConflictInput, CoreCycleInput};
 pub use chrome::{chrome_trace, chrome_trace_with_counters};
-pub use flight::FlightRecorder;
+pub use flight::{Deferred, FlightRecorder};
 pub use json::{Json, JsonError};
 pub use load::{load_json_file, quarantine_path, write_atomic, LoadOutcome};
 pub use metrics::{Counter, Registry};
+pub use ring::Ring;
 pub use span::{SpanRecorder, TrackId};
 pub use timeseries::TimeSeries;
 

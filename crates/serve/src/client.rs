@@ -253,7 +253,11 @@ impl TcpClient {
             let doc = Json::parse(line.trim())
                 .map_err(|e| ServeError::Protocol(format!("unparseable response line: {e}")))?;
             let (id, status) = Status::from_json(&doc).map_err(ServeError::Protocol)?;
-            if id != expect_id {
+            // An error with id 0 answers the connection rather than one
+            // request (an unparseable line, or a daemon at its connection
+            // cap refusing this one with `backpressure`).
+            let to_connection = id == 0 && matches!(status, Status::Error(_));
+            if id != expect_id && !to_connection {
                 return Err(ServeError::Protocol(format!(
                     "response for id {id} while waiting on {expect_id}"
                 )));

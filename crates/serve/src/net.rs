@@ -29,6 +29,11 @@ use crate::service::{Service, ServiceConfig, Shared};
 /// How often an idle connection handler wakes to check for shutdown.
 const IDLE_POLL: Duration = Duration::from_millis(100);
 
+/// Most connection handlers alive at once. A connection accepted beyond
+/// them is answered with one `backpressure` status line and closed, so
+/// idle peers cannot exhaust the daemon's threads.
+pub const MAX_CONNECTIONS: usize = 64;
+
 /// Longest request line (newline included) a connection may send. The
 /// largest legitimate request is a few hundred bytes; without a bound one
 /// peer that never sends a newline grows the handler's buffer forever.
@@ -65,7 +70,11 @@ impl TcpServer {
     }
 
     /// Serves until a client sends `{"kind": "shutdown"}`, then drains
-    /// gracefully and returns the final stats document.
+    /// gracefully and returns the final stats document. At most
+    /// [`MAX_CONNECTIONS`] connections are served at once; one more is
+    /// refused with a `backpressure` status line, and one whose handler
+    /// thread cannot be started is closed. Either way only that connection
+    /// is lost.
     ///
     /// # Errors
     ///
@@ -79,15 +88,24 @@ impl TcpServer {
                 break;
             }
             match stream {
-                Ok(stream) => {
+                Ok(mut stream) => {
                     reap_finished(&mut handlers);
+                    if handlers.len() >= MAX_CONNECTIONS {
+                        let busy = ServeError::Backpressure {
+                            max_queue: MAX_CONNECTIONS,
+                        };
+                        let _ = write_line(&mut stream, &Status::Error(busy).to_json(0));
+                        continue;
+                    }
                     let shared = Arc::clone(&shared);
-                    handlers.push(
-                        std::thread::Builder::new()
-                            .name("mempool-serve-conn".to_string())
-                            .spawn(move || handle_connection(&shared, stream, local))
-                            .map_err(|e| ServeError::Transport(format!("spawn handler: {e}")))?,
-                    );
+                    // A failed spawn drops the closure, and the stream with
+                    // it: that connection is closed, the daemon serves on.
+                    if let Ok(handler) = std::thread::Builder::new()
+                        .name("mempool-serve-conn".to_string())
+                        .spawn(move || handle_connection(&shared, stream, local))
+                    {
+                        handlers.push(handler);
+                    }
                 }
                 // A failed accept (e.g. the peer vanished mid-handshake)
                 // only loses that one connection.

@@ -12,7 +12,7 @@ use mempool_kernels::matmul::PhaseModel;
 use mempool_obs::Json;
 use mempool_serve::{
     CacheOutcome, ExperimentKind, ExperimentRequest, ResultCache, ServeError, Service,
-    ServiceConfig, TcpClient, TcpServer,
+    ServiceConfig, TcpClient, TcpServer, MAX_CONNECTIONS,
 };
 
 /// A runner gate: holds every run until released, counting invocations.
@@ -324,6 +324,60 @@ fn tcp_round_trip_serves_byte_identical_artifacts_and_coalesced_stats() {
         Some("mempool-serve-stats/v1")
     );
     assert_eq!(final_stats.get("computed").and_then(Json::as_int), Some(1));
+}
+
+#[test]
+fn idle_connections_beyond_the_cap_get_backpressure_not_a_thread() {
+    use std::io::{BufRead, BufReader, Read};
+    let server = TcpServer::bind("127.0.0.1:0", ServiceConfig::default()).unwrap();
+    let addr = server.local_addr().unwrap();
+    let daemon = std::thread::spawn(move || server.run().unwrap());
+
+    // The cap's worth of peers that connect and never send a line.
+    let mut idle: Vec<_> = (0..MAX_CONNECTIONS)
+        .map(|_| std::net::TcpStream::connect(addr).unwrap())
+        .collect();
+    // The daemon accepts in order, so by the time it answers the next
+    // connection every idle one holds a handler: it is refused, typed.
+    let extra = std::net::TcpStream::connect(addr).unwrap();
+    extra
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let mut reader = BufReader::new(extra);
+    let mut reply = String::new();
+    reader
+        .read_line(&mut reply)
+        .expect("the connection over the cap is answered, not left hanging");
+    let doc = Json::parse(reply.trim()).unwrap();
+    assert_eq!(doc.get("status").and_then(Json::as_str), Some("error"));
+    assert_eq!(doc.get("code").and_then(Json::as_str), Some("backpressure"));
+    assert_eq!(reader.read(&mut [0u8; 1]).unwrap(), 0, "then closed");
+
+    // One idle peer leaves; its handler ends, and the next connection is
+    // served (retried while the daemon has not yet seen the handler end).
+    drop(idle.pop());
+    let mut client = None;
+    for _ in 0..500 {
+        let mut candidate = TcpClient::connect(addr).unwrap();
+        match candidate.stats() {
+            Ok(stats) => {
+                assert_eq!(
+                    stats.get("schema").and_then(Json::as_str),
+                    Some("mempool-serve-stats/v1")
+                );
+                client = Some(candidate);
+                break;
+            }
+            Err(ServeError::Backpressure { .. }) => {
+                std::thread::sleep(Duration::from_millis(20));
+            }
+            Err(e) => panic!("stats failed: {e}"),
+        }
+    }
+    let mut client = client.expect("a freed slot serves a stats request");
+    client.shutdown().unwrap();
+    daemon.join().unwrap();
+    drop(idle);
 }
 
 #[test]

@@ -38,10 +38,8 @@
 //!
 //! Deliberately **excluded** (and why it is sound to do so):
 //!
-//! * the engine arena (its lane and live-bank sets) — the lane is
-//!   replayed into the real queues and recorders at every quantum
-//!   boundary, so it is always empty between `step()`/`run()` calls, and
-//!   the live-bank sets are rebuilt from the restored queues;
+//! * the engine's live sets — derived from the bank and response queues
+//!   and rebuilt from the restored ones;
 //! * observability attachments (metrics, spans, time-series contents,
 //!   flight ring, instruction trace) — measurement, not simulated state;
 //!   callers re-attach and re-arm them after restoring (the sampler's
@@ -71,6 +69,7 @@ use mempool_obs::{load_json_file, write_atomic, Json, JsonError, LoadOutcome};
 
 use crate::cluster::{Bank, Cluster, PendingAccess, Response, SampleInputs, Sampler, SimError};
 use crate::core::Core;
+use crate::engine::LiveSets;
 use crate::icache::{ICache, ICacheState};
 use crate::offchip::OffchipPort;
 use crate::params::{SimParams, ENGINE_VERSION};
@@ -819,10 +818,8 @@ impl Cluster {
             icache.restore_state(state).map_err(bad)?;
         }
         cluster.banks = banks;
-        cluster
-            .quantum
-            .rebuild_live(&cluster.banks, banks_per_tile as usize);
         cluster.responses = responses;
+        cluster.live = LiveSets::of(&cluster.banks, &cluster.responses, banks_per_tile as usize);
         cluster
             .offchip
             .restore_state(busy_until, total_bytes, total_cycles);
@@ -1099,7 +1096,7 @@ mod tests {
         let mut snap = fresh_cluster();
         // Interrupt mid-run at an arbitrary cycle, with requests waiting at
         // the banks: the restored cluster must find them there (the
-        // engine's live-bank sets are not in the file).
+        // engine's live sets are not in the file).
         assert!(matches!(snap.run(37), Err(SimError::Timeout { .. })));
         assert!(snap.banks.iter().any(|bank| !bank.queue.is_empty()));
         let doc = Json::parse(&snap.checkpoint().to_pretty()).unwrap();

@@ -205,7 +205,7 @@ words_struct!(Response { due, reg, value });
 
 /// Observability attachment: shared handle plus the tracks and counters
 /// this cluster records into (see [`Cluster::attach_obs`]). The engine
-/// only touches it at quantum boundaries, replaying what its lane logged.
+/// records into it in place, tick by tick.
 #[derive(Debug)]
 pub(crate) struct ClusterObs {
     pub(crate) obs: Obs,
@@ -384,9 +384,9 @@ pub struct Cluster {
     /// Whether cluster events mirror into the obs flight ring
     /// (armed by [`Cluster::enable_flight`]).
     pub(crate) flight_enabled: bool,
-    /// Preallocated buffers for the engine's hot path (its lane and
-    /// live-bank sets), reused across ticks and runs.
-    pub(crate) quantum: engine::QuantumArena,
+    /// The engine's live sets, derived from `banks` and `responses` and
+    /// reused across ticks and runs.
+    pub(crate) live: engine::LiveSets,
 }
 
 impl Cluster {
@@ -397,8 +397,8 @@ impl Cluster {
         let num_tiles = config.num_tiles() as usize;
         let storage = Storage::new(&config);
         let banks = vec![Bank::default(); num_banks];
-        let mut quantum = engine::QuantumArena::default();
-        quantum.rebuild_live(&banks, config.banks_per_tile() as usize);
+        let responses = vec![Vec::new(); num_cores];
+        let live = engine::LiveSets::of(&banks, &responses, config.banks_per_tile() as usize);
         let icaches = (0..num_tiles)
             .map(|_| {
                 ICache::with_ways(
@@ -417,7 +417,7 @@ impl Cluster {
             cores: (0..num_cores).map(|_| Core::new()).collect(),
             icaches,
             banks,
-            responses: vec![Vec::new(); num_cores],
+            responses,
             offchip: OffchipPort::new(params.offchip_bytes_per_cycle, params.offchip_latency),
             params,
             cycle: 0,
@@ -429,7 +429,7 @@ impl Cluster {
             watchdog: None,
             sampler: None,
             flight_enabled: false,
-            quantum,
+            live,
         }
     }
 
@@ -473,15 +473,17 @@ impl Cluster {
 
     /// Detaches the observability handle, closing any spans this cluster
     /// left open (e.g. cores still parked at `wfi`) at the current cycle.
-    /// Time-series sampling and flight recording stop with it.
+    /// Time-series sampling and flight recording stop with it. Without a
+    /// handle this does nothing, so a restored cluster keeps the sampler
+    /// its checkpoint carried until [`Cluster::resume_timeseries`].
     pub fn detach_obs(&mut self) {
         if let Some(hooks) = self.obs.take() {
             for &track in &hooks.core_tracks {
                 while hooks.obs.spans.end(track, self.cycle).is_some() {}
             }
+            self.sampler = None;
+            self.flight_enabled = false;
         }
-        self.sampler = None;
-        self.flight_enabled = false;
     }
 
     /// Enables per-epoch time-series sampling: every `window` cycles (the
@@ -1052,8 +1054,8 @@ impl Cluster {
         }
     }
 
-    /// Advances the cluster by one cycle: a one-tick round of the same
-    /// engine [`Cluster::run`] drives.
+    /// Advances the cluster by one cycle: one tick of the loop
+    /// [`Cluster::run`] drives.
     ///
     /// # Errors
     ///
@@ -1068,11 +1070,10 @@ impl Cluster {
     /// Runs until every core halts, returning the cycle count at that
     /// point.
     ///
-    /// The engine advances in quanta of up to 1024 cycles on the calling
-    /// thread; any split of a run into [`Cluster::step`] and
-    /// [`Cluster::run`] calls — instrumented, fault-injected or bare — is
-    /// bit-identical in every observable way (stats, time-series, fault
-    /// reports, errors).
+    /// The engine ticks one cycle at a time on the calling thread; any
+    /// split of a run into [`Cluster::step`] and [`Cluster::run`] calls —
+    /// instrumented, fault-injected or bare — is bit-identical in every
+    /// observable way (stats, time-series, fault reports, errors).
     ///
     /// # Errors
     ///
@@ -1080,7 +1081,7 @@ impl Cluster {
     /// any fault raised while stepping.
     #[must_use = "a run can fail with a SimError that must not be ignored"]
     pub fn run(&mut self, max_cycles: u64) -> Result<u64, SimError> {
-        engine::run_quantum(self, max_cycles)
+        engine::run(self, max_cycles)
     }
 
     /// The engine record written into `BENCH_repro.json`, `observed.json`
@@ -1090,12 +1091,12 @@ impl Cluster {
         ENGINE
     }
 
-    /// Total reserved capacity (entries) across the engine's preallocated
-    /// buffers. Exposed for the arena-invariant tests, which assert the
-    /// footprint stops growing once a workload reaches steady state.
+    /// Total reserved capacity (entries) of the engine's live sets.
+    /// Exposed for the arena-invariant tests, which assert the footprint
+    /// stops growing once a workload reaches steady state.
     #[doc(hidden)]
     pub fn engine_arena_footprint(&self) -> u64 {
-        self.quantum.footprint()
+        self.live.footprint()
     }
 
     /// Collects a snapshot of all statistics.
@@ -1244,7 +1245,10 @@ impl EngineSelection {
     }
 }
 
-/// The one execution engine every run uses.
+/// The one execution engine every run uses. Its text is frozen: the
+/// record is written into `BENCH_repro.json`, `observed.json` and
+/// `crashdump.json`, which are compared byte for byte across commits, so
+/// it keeps naming the quantum engine the cycle loop replaced.
 pub const ENGINE: EngineSelection = EngineSelection {
     engine: "quantum",
     reason: "tile shards in lockstep quanta with shard-local observation lanes",
@@ -2624,5 +2628,160 @@ mod tests {
         );
         assert!(matches!(doc.get("metrics"), Some(Json::Null)));
         assert!(matches!(doc.get("trace"), Some(Json::Null)));
+    }
+
+    /// Two groups of four tiles of two cores: local, group-local and
+    /// remote traffic all at once.
+    fn two_group_config() -> ClusterConfig {
+        ClusterConfig::builder()
+            .groups(2)
+            .tiles_per_group(4)
+            .cores_per_tile(2)
+            .banks_per_tile(4)
+            .bank_words(128)
+            .build()
+            .unwrap()
+    }
+
+    /// An 8×8 integer matmul on 16 cores: each core computes every 16th
+    /// element of `C = A·B`, two `k` steps (four loads) in flight at once.
+    fn matmul_program(a: u32, b: u32, c: u32) -> Program {
+        Program::assemble(&format!(
+            r#"
+                csrr s0, mhartid
+                li   s1, {a}
+                li   s2, {b}
+                li   s3, {c}
+            next:
+                srli t0, s0, 3
+                andi t1, s0, 7
+                slli t0, t0, 5
+                add  t0, t0, s1
+                slli t1, t1, 2
+                add  t1, t1, s2
+                li   a0, 0
+                li   t2, 4
+            kloop:
+                lw   a1, 0(t0)
+                lw   a2, 0(t1)
+                lw   a3, 4(t0)
+                lw   a4, 32(t1)
+                mul  a5, a1, a2
+                mul  a6, a3, a4
+                add  a0, a0, a5
+                add  a0, a0, a6
+                addi t0, t0, 8
+                addi t1, t1, 64
+                addi t2, t2, -1
+                bnez t2, kloop
+                slli t3, s0, 2
+                add  t3, t3, s3
+                sw   a0, 0(t3)
+                addi s0, s0, 16
+                li   t4, 64
+                blt  s0, t4, next
+                wfi
+            "#
+        ))
+        .unwrap()
+    }
+
+    /// Every core: a contended AMO on one word, a hart-spread load/store
+    /// pair, and an off-chip load/store pair, `trips` times.
+    fn traffic_program(trips: u32) -> Program {
+        Program::assemble(&format!(
+            r#"
+                csrr t1, mhartid
+                slli t1, t1, 2
+                li   t2, 0x80000000
+                add  t2, t2, t1
+                li   t6, {trips}
+            loop:
+                amoadd.w a0, t6, (zero)
+                lw   a1, 64(t1)
+                sw   a1, 256(t1)
+                lw   a2, 0(t2)
+                sw   t6, 4(t2)
+                addi t6, t6, -1
+                bnez t6, loop
+                wfi
+            "#
+        ))
+        .unwrap()
+    }
+
+    /// Runs `program` on a fresh two-group cluster to the end, in slices
+    /// of a few cycles; between slices, with `reverse`, every core's
+    /// pending responses are put in reverse order. Returns the cluster and
+    /// what a result is made of: the final cycle, the stats digest, the
+    /// attribution report and the SPM word touches.
+    fn run_reversing(
+        program: &Program,
+        setup: impl Fn(&mut Cluster),
+        reverse: bool,
+    ) -> (Cluster, (u64, u64, String, u64)) {
+        let cfg = two_group_config();
+        let mut cluster = Cluster::new(cfg.clone(), SimParams::default());
+        setup(&mut cluster);
+        cluster.load_program(program.clone());
+        cluster.preload_icaches();
+        let mut reversed = 0;
+        loop {
+            match cluster.run(7) {
+                Ok(_) => break,
+                Err(SimError::Timeout { .. }) => {}
+                Err(e) => panic!("{e}"),
+            }
+            if reverse {
+                for pending in &mut cluster.responses {
+                    reversed += usize::from(pending.len() > 1);
+                    pending.reverse();
+                }
+            }
+        }
+        assert!(!reverse || reversed > 0, "some core had two responses due");
+        let stats = cluster.stats();
+        let attribution = stats
+            .attribution(cfg.cores_per_tile(), cfg.banks_per_tile())
+            .to_json()
+            .to_pretty();
+        let result = (
+            cluster.cycle(),
+            stats.digest(),
+            attribution,
+            cluster.storage().spm_word_touches(),
+        );
+        (cluster, result)
+    }
+
+    #[test]
+    fn the_order_of_a_cores_pending_responses_is_not_a_result() {
+        // Responses reach a core's queue in the order bank service meets
+        // them, which the checkpoint serializes. Delivery completes every
+        // due one in a tick whatever the order, and completions commute:
+        // the scoreboard lets each register wait on one response only.
+        let base = Cluster::new(two_group_config(), SimParams::default())
+            .storage()
+            .map()
+            .interleaved_base();
+        let (a, b, c) = (base, base + 256, base + 512);
+        let matmul = matmul_program(a, b, c);
+        let fill = |cluster: &mut Cluster| {
+            for i in 0..64 {
+                cluster.write_spm_word(a + 4 * i, i + 1).unwrap();
+                cluster.write_spm_word(b + 4 * i, 3 * i + 2).unwrap();
+            }
+        };
+        let (cluster, plain) = run_reversing(&matmul, fill, false);
+        for (i, j) in (0..8).flat_map(|i| (0..8).map(move |j| (i, j))) {
+            let dot: u32 = (0..8)
+                .map(|k| (8 * i + k + 1) * (3 * (8 * k + j) + 2))
+                .sum();
+            assert_eq!(cluster.read_spm_word(c + 4 * (8 * i + j)).unwrap(), dot);
+        }
+        assert_eq!(plain, run_reversing(&matmul, fill, true).1, "matmul");
+        let traffic = traffic_program(24);
+        let plain = run_reversing(&traffic, |_| {}, false).1;
+        assert_eq!(plain, run_reversing(&traffic, |_| {}, true).1, "traffic");
     }
 }

@@ -7,7 +7,8 @@ use std::fmt;
 use mempool_arch::{
     AddressMap, BankId, BankLocation, ClusterConfig, MemoryRegion, RemapError, TileId,
 };
-use mempool_isa::exec::MemWidth;
+use mempool_isa::exec::{MemAccessKind, MemWidth};
+use mempool_isa::Reg;
 
 use crate::params::{fnv1a, FNV_OFFSET};
 
@@ -267,8 +268,8 @@ pub struct Storage {
     /// SPM words read or written so far (core accesses and DMA word
     /// traffic alike) — the time-series sampler reads this per epoch.
     /// A `Cell` because [`Self::read_loc`] counts through `&self`; the
-    /// engine counts its touches in its lane and folds them in at the
-    /// quantum boundary ([`Self::add_touches`]).
+    /// engine counts a tick's touches and folds them in after the tick
+    /// ([`Self::add_touches`]).
     touches: Cell<u64>,
 }
 
@@ -295,6 +296,35 @@ pub(crate) fn check_region(
     match region {
         MemoryRegion::Unmapped => Err(MemoryError::Unmapped { addr }),
         region => Ok(region),
+    }
+}
+
+/// Performs a core's access `kind` on the stored `word`, the sub-word lane
+/// picked by byte address `addr`: a load reads its lane, a store merges
+/// its lane in, an AMO replaces the word. Returns the raw response value
+/// (the loaded lane, the old word of an AMO, 0 for a store).
+#[inline]
+pub(crate) fn access_word(kind: MemAccessKind, addr: u32, word: &mut u32) -> u32 {
+    let old = *word;
+    let shift = (addr & 3) * 8;
+    match kind {
+        MemAccessKind::Load { width, .. } => match width {
+            MemWidth::Byte => (old >> shift) & 0xff,
+            MemWidth::Half => (old >> shift) & 0xffff,
+            MemWidth::Word => old,
+        },
+        MemAccessKind::Store { width, value } => {
+            *word = match width {
+                MemWidth::Byte => (old & !(0xff << shift)) | ((value & 0xff) << shift),
+                MemWidth::Half => (old & !(0xffff << shift)) | ((value & 0xffff) << shift),
+                MemWidth::Word => value,
+            };
+            0
+        }
+        MemAccessKind::Amo { op, value, .. } => {
+            *word = op.apply(old, value);
+            old
+        }
     }
 }
 
@@ -455,17 +485,17 @@ impl Storage {
     ///
     /// Returns an error for unmapped or misaligned addresses.
     pub fn read(&self, addr: u32, width: MemWidth) -> Result<u32, MemoryError> {
-        let word = match self.decode(addr, width)? {
+        let mut word = match self.decode(addr, width)? {
             MemoryRegion::Spm(loc) => self.read_loc(loc)?,
             MemoryRegion::External(offset) => self.read_external_word(offset & !3),
             MemoryRegion::Unmapped => unreachable!(),
         };
-        let shift = (addr & 3) * 8;
-        Ok(match width {
-            MemWidth::Byte => (word >> shift) & 0xff,
-            MemWidth::Half => (word >> shift) & 0xffff,
-            MemWidth::Word => word,
-        })
+        let load = MemAccessKind::Load {
+            width,
+            signed: false,
+            rd: Reg::ZERO,
+        };
+        Ok(access_word(load, addr, &mut word))
     }
 
     /// Writes a naturally aligned value of the given width at `addr`
@@ -476,17 +506,12 @@ impl Storage {
     /// Returns an error for unmapped or misaligned addresses.
     pub fn write(&mut self, addr: u32, width: MemWidth, value: u32) -> Result<(), MemoryError> {
         let region = self.decode(addr, width)?;
-        let old = match region {
+        let mut new = match region {
             MemoryRegion::Spm(loc) => self.read_loc(loc)?,
             MemoryRegion::External(offset) => self.read_external_word(offset & !3),
             MemoryRegion::Unmapped => unreachable!(),
         };
-        let shift = (addr & 3) * 8;
-        let new = match width {
-            MemWidth::Byte => (old & !(0xff << shift)) | ((value & 0xff) << shift),
-            MemWidth::Half => (old & !(0xffff << shift)) | ((value & 0xffff) << shift),
-            MemWidth::Word => value,
-        };
+        access_word(MemAccessKind::Store { width, value }, addr, &mut new);
         match region {
             MemoryRegion::Spm(loc) => self.write_loc(loc, new)?,
             MemoryRegion::External(offset) => self.write_external_word(offset & !3, new),
@@ -518,16 +543,31 @@ impl Storage {
         self.external.snapshot()
     }
 
-    /// Splits the storage into the flat main SPM array, the flat spare
-    /// array (`spares_per_tile` banks per tile, tile-major; empty when
-    /// none are provisioned) and the address map, for the engine's
-    /// per-tile shards: a worker owns its tiles' words in both arrays and
-    /// resolves each access through the shared, read-only remap table.
-    pub(crate) fn split_banks(&mut self) -> (&mut [u32], &mut [u32], &AddressMap) {
-        (&mut self.spm, &mut self.spare, &self.map)
+    /// The stored word at a (logical) bank location, following any
+    /// spare-bank substitution: the engine's way into the arrays, for a
+    /// location the address map produced. Counts no touch.
+    pub(crate) fn word_mut(&mut self, loc: BankLocation) -> &mut u32 {
+        match self.slot(loc) {
+            Ok(Slot::Main(index)) => &mut self.spm[index],
+            Ok(Slot::Spare(index)) => &mut self.spare[index],
+            Err(e) => unreachable!("a located word lies inside the geometry: {e}"),
+        }
     }
 
-    /// Folds the engine's per-quantum SPM touch count into the counter.
+    /// Performs a core's access `kind` at byte address `addr` on the
+    /// external word at byte `offset`; returns what [`access_word`]
+    /// returns.
+    pub(crate) fn access_external(&mut self, offset: u64, addr: u32, kind: MemAccessKind) -> u32 {
+        let offset = offset & !3;
+        let mut word = self.read_external_word(offset);
+        let value = access_word(kind, addr, &mut word);
+        if !matches!(kind, MemAccessKind::Load { .. }) {
+            self.write_external_word(offset, word);
+        }
+        value
+    }
+
+    /// Folds the engine's count of SPM words touched into the counter.
     pub(crate) fn add_touches(&self, touches: u64) {
         self.touches.set(self.touches.get() + touches);
     }

@@ -4,11 +4,11 @@
 //! bounded ring buffer — the equivalent of an RTL simulator's instruction
 //! log, and the first tool to reach for when a kernel misbehaves.
 
-use std::collections::VecDeque;
 use std::fmt;
 
 use mempool_arch::GlobalCoreId;
 use mempool_isa::Instr;
+use mempool_obs::Ring;
 
 /// One retired instruction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -36,9 +36,7 @@ impl fmt::Display for TraceEntry {
 /// A bounded instruction trace.
 #[derive(Debug, Clone)]
 pub struct Trace {
-    ring: VecDeque<TraceEntry>,
-    capacity: usize,
-    dropped: u64,
+    ring: Ring<TraceEntry>,
 }
 
 impl Trace {
@@ -50,31 +48,14 @@ impl Trace {
     pub(crate) fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "trace capacity must be nonzero");
         Trace {
-            ring: VecDeque::with_capacity(capacity),
-            capacity,
-            dropped: 0,
+            ring: Ring::new(capacity),
         }
     }
 
     /// Records an entry, evicting the oldest if full.
+    #[inline]
     pub(crate) fn record(&mut self, entry: TraceEntry) {
-        if self.ring.len() == self.capacity {
-            self.ring.pop_front();
-            self.dropped += 1;
-        }
-        self.ring.push_back(entry);
-    }
-
-    /// The ring capacity.
-    pub(crate) fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Counts `n` entries a bounded feeder discarded on the ring's behalf:
-    /// entries that, recorded, would have been evicted again before anyone
-    /// could read them.
-    pub(crate) fn add_dropped(&mut self, n: u64) {
-        self.dropped += n;
+        self.ring.push(entry);
     }
 
     /// The retained entries, oldest first.
@@ -89,16 +70,16 @@ impl Trace {
 
     /// Entries evicted because the buffer was full.
     pub fn dropped(&self) -> u64 {
-        self.dropped
+        self.ring.dropped()
     }
 }
 
 impl fmt::Display for Trace {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.dropped > 0 {
-            writeln!(f, "... {} earlier entries dropped ...", self.dropped)?;
+        if self.dropped() > 0 {
+            writeln!(f, "... {} earlier entries dropped ...", self.dropped())?;
         }
-        for entry in &self.ring {
+        for entry in self.ring.iter() {
             writeln!(f, "{entry}")?;
         }
         Ok(())

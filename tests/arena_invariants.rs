@@ -1,16 +1,15 @@
 //! Arena/slab invariants of the engine's hot path.
 //!
-//! The engine's lane and live-bank sets live in a preallocated arena owned
-//! by the cluster (`Cluster::engine_arena_footprint` sums their reserved
-//! capacities). These tests pin the properties that keep the hot path
-//! allocation-free in steady state and small:
+//! The engine's live sets are buffers owned by the cluster
+//! (`Cluster::engine_arena_footprint` sums their reserved capacities).
+//! These tests pin the properties that keep the hot path allocation-free
+//! in steady state and small:
 //!
-//! * buffers are *reused* across ticks and quanta — the arena footprint
+//! * buffers are *reused* across ticks and calls — the arena footprint
 //!   stops growing once a homogeneous workload has warmed it up;
 //! * capacity never shrinks mid-run (slots are recycled, not freed);
-//! * the observation lane holds no more than the rings it feeds can
-//!   keep;
-//! * the live-bank sets are sized by the geometry, once.
+//! * the recorders an instrumented run feeds hold nothing in the arena;
+//! * the live sets are sized by the geometry, once.
 
 use mempool_arch::ClusterConfig;
 use mempool_isa::instr::{AluOp, AmoOp, BranchOp, Instr, LoadOp, StoreOp};
@@ -90,8 +89,7 @@ fn advance(cluster: &mut Cluster, slice: u64) -> bool {
 #[test]
 fn arena_reaches_a_steady_footprint_and_stops_growing() {
     let mut cluster = bare_cluster(50_000);
-    // Warmup: several full quanta (the engine batches 1024 ticks per
-    // boundary) of the homogeneous traffic loop.
+    // Warmup: several thousand ticks of the homogeneous traffic loop.
     assert!(!advance(&mut cluster, 5_000), "workload outlives warmup");
     let warm = cluster.engine_arena_footprint();
     assert!(warm > 0, "the engine must have reserved buffers");
@@ -109,11 +107,10 @@ fn arena_reaches_a_steady_footprint_and_stops_growing() {
 
 #[test]
 fn instrumented_arena_reaches_a_steady_footprint_too() {
-    // The observation lane (memory events, trace entries, halts,
-    // forward-progress ticks) lives in the same arena as the routing
-    // scratch. Turning the full instrumentation stack on must not
-    // reintroduce per-quantum allocations: once the homogeneous loop has
-    // warmed the lane up, the footprint is pinned.
+    // Memory events, trace entries, halts and forward progress go
+    // straight into their recorders. Turning the full instrumentation
+    // stack on must not grow the arena: once the homogeneous loop has
+    // warmed it up, the footprint is pinned.
     let mut cluster = bare_cluster(50_000);
     let obs = Obs::new();
     cluster.attach_obs(&obs, "arena");
@@ -123,7 +120,10 @@ fn instrumented_arena_reaches_a_steady_footprint_too() {
     cluster.set_watchdog(1_000_000);
     assert!(!advance(&mut cluster, 5_000), "workload outlives warmup");
     let warm = cluster.engine_arena_footprint();
-    assert!(warm > 0, "instrumented lanes must have reserved buffers");
+    assert!(
+        warm > 0,
+        "the instrumented engine must have reserved buffers"
+    );
     for slice in 0..8 {
         assert!(!advance(&mut cluster, 2_000), "workload outlives slices");
         assert_eq!(
@@ -158,16 +158,16 @@ fn arena_is_reused_across_whole_runs() {
 
 #[test]
 fn live_bank_sets_are_arena_buffers_sized_by_the_geometry() {
-    // One earliest-arrival word per bank and one word of live bits per
-    // tile (4 banks each): all a cluster reserves before its first round,
-    // and exactly what a restored one reserves, however full the queues
-    // it was cut with. That the two never grow afterwards is what the
-    // steady-footprint tests above check, since the footprint counts them.
-    const LIVE_SETS: u64 = 16 + 4;
+    // One earliest-arrival word per bank, one word of live bits per tile
+    // (4 banks each) and one earliest-due word per core: all a cluster
+    // reserves before its first tick, all it holds mid-run, and exactly
+    // what a restored one reserves, however full the queues it was cut
+    // with.
+    const LIVE_SETS: u64 = 16 + 4 + 16;
     let mut cluster = bare_cluster(50_000);
     assert_eq!(cluster.engine_arena_footprint(), LIVE_SETS);
     assert!(!advance(&mut cluster, 1_000), "workload outlives the cut");
-    assert!(cluster.engine_arena_footprint() > LIVE_SETS);
+    assert_eq!(cluster.engine_arena_footprint(), LIVE_SETS);
     let restored = Cluster::restore(&cluster.checkpoint()).expect("restores");
     assert_eq!(restored.engine_arena_footprint(), LIVE_SETS);
 }
@@ -175,8 +175,8 @@ fn live_bank_sets_are_arena_buffers_sized_by_the_geometry() {
 #[test]
 fn lanes_are_ring_bounded() {
     // A full instrumented run: 16 cores retire and 16 banks serve on most
-    // of ~100 k ticks, i.e. about a thousand trace entries and flight
-    // events per quantum for rings that keep 64 of each.
+    // of ~100 k ticks, for rings that keep 64 trace entries and 64 flight
+    // events.
     const RING: usize = 64;
     let mut cluster = bare_cluster(20_000);
     let obs = Obs::new();
@@ -187,16 +187,15 @@ fn lanes_are_ring_bounded() {
     cluster.set_watchdog(1_000_000);
     assert!(advance(&mut cluster, 10_000_000), "run completes");
     assert!(obs.flight.dropped() > 0 && cluster.trace().unwrap().dropped() > 0);
-    // With Vec growth doubling: per ring a lane buffer of at most
-    // 2 * RING entries; the watchdog's progress ticks, at most one per
-    // tick of a quantum the 256-cycle sampling window caps; per-tick
-    // scratch that 16 cores and 16 banks bound. Unbounded lanes would
-    // hold ~4 000 entries per quantum here.
+    // The recorders are fed in place, so nothing an instrumented run
+    // records may sit in the arena: the bound below is far above the
+    // live sets, and far below what buffering the run's entries
+    // would take.
     const WINDOW: usize = 256;
     let bound = (2 * 2 * RING + 2 * WINDOW + 256) as u64;
     assert!(
         cluster.engine_arena_footprint() <= bound,
-        "lane buffers must be bounded by the rings they feed: {} > {bound}",
+        "engine buffers must be bounded by the rings they feed: {} > {bound}",
         cluster.engine_arena_footprint()
     );
     cluster.detach_obs();

@@ -1,14 +1,14 @@
 //! Engine determinism: the engine must reproduce the stored results of
 //! the per-tick step kernel it replaced, and where a run is cut into
-//! quanta must not show.
+//! calls must not show.
 //!
-//! `Cluster::run` advances in quanta of up to 1024 cycles, `Cluster::step`
-//! in quanta of one; both replay the same lane at each boundary. These
-//! tests pin that contract: every kernel in the characterization zoo, a
-//! seed-42 fault-injected degraded run, the sampled time series, the
+//! `Cluster::run` ticks until the cluster is quiescent, `Cluster::step`
+//! ticks once; both are the same cycle loop. These tests pin that
+//! contract: every kernel in the characterization zoo, a seed-42
+//! fault-injected degraded run, the sampled time series, the
 //! cycle-attribution report, and even the exact `SimError` raised by a
-//! watchdog-detected deadlock must not change with the quantum length. The
-//! `PINNED_*` tables further down hold what the deleted per-tick step
+//! watchdog-detected deadlock must not change with how the run is cut.
+//! The `PINNED_*` tables further down hold what the deleted per-tick step
 //! kernel produced for the same scenarios.
 
 use mempool_arch::{BankId, ClusterConfig, MemoryRegion, TileId};
@@ -39,9 +39,9 @@ fn zoo_config() -> ClusterConfig {
 /// How a test drives a loaded cluster to the end.
 #[derive(Debug, Clone, Copy)]
 enum Drive {
-    /// `Cluster::run`: quanta of up to 1024 cycles.
+    /// One `Cluster::run` call.
     Run,
-    /// `Cluster::step` until quiescent: one-cycle quanta.
+    /// `Cluster::step` until quiescent: one call per cycle.
     Step,
 }
 
@@ -82,8 +82,8 @@ struct Observed {
 /// Runs `kernel` once, driven as `how` says, with optional fault
 /// injection, and captures every comparable output — the full
 /// observability stack is on (spans, metrics, time series, flight ring,
-/// instruction trace), so the step legs replay the observation lane at
-/// every tick.
+/// instruction trace), so the step legs record into all of it one call
+/// per tick.
 fn observe(
     kernel: &dyn Kernel,
     how: Drive,
@@ -238,7 +238,7 @@ fn committed_baseline_matches_the_pinned_summary() {
 // ---------------------------------------------------------------------
 // Bare runs (no obs/faults/trace), run against stepped: same cycles, same
 // stats digest, same errors — through timeouts, and with cross-tile,
-// contended-AMO, and off-chip traffic in flight at quantum boundaries.
+// contended-AMO, and off-chip traffic in flight where a call ends.
 // ---------------------------------------------------------------------
 
 use mempool_isa::instr::{AluOp, AmoOp, BranchOp, Instr, LoadOp, StoreOp, CSR_MHARTID};
@@ -367,7 +367,8 @@ fn quantum_timeout_lands_on_the_exact_cycle_and_resumes_bit_exactly() {
     let mut done = bare(&program);
     let final_cycles = done.run(1_000_000).expect("completes");
     let final_digest = done.stats().digest();
-    // Budgets chosen to land inside a quantum, not on its boundary.
+    // Budgets that end the call mid-run: after the first tick, and at an
+    // odd cycle with traffic in flight.
     for budget in [1, 777] {
         let mut stepped = bare(&program);
         let step_err = drive(&mut stepped, Drive::Step, budget).expect_err("budget is too small");
@@ -378,7 +379,7 @@ fn quantum_timeout_lands_on_the_exact_cycle_and_resumes_bit_exactly() {
         assert_eq!(
             cluster.stats().digest(),
             stepped.stats().digest(),
-            "mid-run state at the deadline must not depend on the quanta"
+            "mid-run state at the deadline must not depend on the calls"
         );
         // Finishing from the timed-out state stays bit-exact.
         let resumed = cluster.run(1_000_000).expect("resumes to completion");
@@ -432,11 +433,10 @@ fn quantum_reports_no_program_like_the_step_loop() {
 // ---------------------------------------------------------------------
 // Instrumented runs: for a fully instrumented cluster (spans, metrics,
 // time series, flight ring, instruction trace, watchdog) every serialized
-// artifact is byte-identical whether the observation lane is replayed
-// every quantum or every tick.
+// artifact is byte-identical whether the run is one call or one per tick.
 // ---------------------------------------------------------------------
 
-/// One fully instrumented run on the quantum traffic program, returning
+/// One fully instrumented run on the traffic program, returning
 /// the serialized artifacts.
 fn observe_instrumented(how: Drive, program: &Program) -> Observed {
     let obs = Obs::new();
@@ -491,7 +491,7 @@ fn watchdog_deadlock_on_the_quantum_engine_is_bit_identical() {
     // Core 0 issues an off-chip load whose response takes far longer than
     // the watchdog threshold, then stalls using the result: a genuine
     // forward-progress deadlock with no fault plan involved. The flight
-    // recorder must trip mid-quantum with the identical watchdog event,
+    // recorder must trip mid-call with the identical watchdog event,
     // error, and stop cycle as when stepped.
     let program = Program::new(vec![
         Instr::Csrrs {
@@ -556,6 +556,194 @@ fn watchdog_deadlock_on_the_quantum_engine_is_bit_identical() {
     assert_eq!(err, step_err, "deadlock diverged when stepped");
     assert_eq!(cycle, step_cycle, "stop cycle diverged when stepped");
     assert_eq!(flight, step_flight, "flight ring diverged when stepped");
+}
+
+// ---------------------------------------------------------------------
+// Everything that once had to end a quantum, due on one cycle `c`: a
+// timed flip and a core hang, the end of a sampling epoch, the watchdog's
+// no-progress window and an off-chip response. `run()`, `step()` and
+// checkpoint cuts at `c - 1`, `c` and `c + 1` must agree on all of it.
+// ---------------------------------------------------------------------
+
+/// Off-chip latency of the one-cycle scenario: the response core 0 waits
+/// for is due long after everything else stopped.
+const SLOW_OFFCHIP: u32 = 200;
+
+/// Core 0 loads an off-chip word and uses it; the other cores halt.
+fn offchip_waiter() -> Program {
+    Program::assemble(
+        r#"
+            csrr t1, mhartid
+            bnez t1, done
+            li   t0, 0x80000000
+            lw   a0, 0(t0)
+            add  a1, a0, a0
+            sw   a1, 4(t0)
+        done:
+            wfi
+        "#,
+    )
+    .unwrap()
+}
+
+fn slow_offchip() -> SimParams {
+    SimParams {
+        offchip_latency: SLOW_OFFCHIP,
+        ..SimParams::default()
+    }
+}
+
+/// Steps a bare run of the waiter: the cycle `c` core 0 retires again
+/// (its off-chip response arrived), and the last cycle before it on
+/// which anything retired.
+fn response_cycle() -> (u64, u64) {
+    let mut cluster = Cluster::new(quantum_config(), slow_offchip());
+    cluster.load_program(offchip_waiter());
+    cluster.preload_icaches();
+    let (mut last_retire, mut core0_idle) = (0, false);
+    loop {
+        let tick = cluster.cycle();
+        let before = cluster.stats();
+        cluster.step().unwrap();
+        let after = cluster.stats();
+        let core0 = after.cores[0].retired > before.cores[0].retired;
+        if core0 && core0_idle {
+            return (tick, last_retire);
+        }
+        core0_idle |= !core0;
+        if after.total_retired() > before.total_retired() {
+            last_retire = tick;
+        }
+    }
+}
+
+/// Arms the one-cycle scenario on a cluster at cycle 0, recording into
+/// `obs`: flip and hang due at `c`, the first sampling epoch ending at
+/// `c`, a watchdog whose window, counted from `last_retire`, ends at `c`.
+fn due_together(c: u64, last_retire: u64, obs: &Obs) -> Cluster {
+    let mut cluster = Cluster::new(quantum_config(), slow_offchip());
+    let mut plan = FaultPlan::new(3);
+    plan.push(FaultEvent::TransientFlip {
+        cycle: c,
+        loc: mempool_arch::BankLocation {
+            tile: TileId(5),
+            bank: BankId(1),
+            word: 3,
+        },
+        mask: 1 << 3,
+    });
+    plan.push(FaultEvent::CoreHang {
+        cycle: c,
+        core: mempool_arch::GlobalCoreId::new(0),
+    });
+    cluster.inject_faults(&plan).unwrap();
+    cluster.set_watchdog(c - last_retire);
+    cluster.attach_obs(obs, "one-cycle");
+    cluster.enable_timeseries(c);
+    cluster.enable_flight(4096);
+    cluster.load_program(offchip_waiter());
+    cluster.preload_icaches();
+    cluster
+}
+
+/// What a leg of the one-cycle scenario ends with.
+#[derive(Debug, PartialEq)]
+struct Ending {
+    error: SimError,
+    cycle: u64,
+    digest: u64,
+    fault_report: String,
+    series: Vec<(String, Vec<(u64, f64)>)>,
+    flight: Vec<(u64, String, Option<u32>, String)>,
+}
+
+/// The time series and flight events `obs` holds, appended to `series`
+/// and `flight`.
+fn collect(
+    obs: &Obs,
+    series: &mut Vec<(String, Vec<(u64, f64)>)>,
+    flight: &mut Vec<(u64, String, Option<u32>, String)>,
+) {
+    for name in obs.series.names() {
+        let samples: Vec<_> = (obs.series.samples(&name).iter())
+            .map(|s| (s.cycle, s.value))
+            .collect();
+        match series.iter_mut().find(|(known, _)| *known == name) {
+            Some((_, known)) => known.extend(samples),
+            None => series.push((name, samples)),
+        }
+    }
+    series.sort_by(|a, b| a.0.cmp(&b.0));
+    flight.extend(
+        obs.flight
+            .events()
+            .into_iter()
+            .map(|e| (e.cycle, e.category, e.core, e.message)),
+    );
+}
+
+/// The `Ending` of a cluster that stopped with `error`: `series` and
+/// `flight` hold what the recorders of its earlier legs (before a cut)
+/// saw, and `obs` what its last leg saw.
+fn ending(
+    cluster: &Cluster,
+    error: SimError,
+    obs: &Obs,
+    mut series: Vec<(String, Vec<(u64, f64)>)>,
+    mut flight: Vec<(u64, String, Option<u32>, String)>,
+) -> Ending {
+    collect(obs, &mut series, &mut flight);
+    Ending {
+        error,
+        cycle: cluster.cycle(),
+        digest: cluster.stats().digest(),
+        fault_report: cluster.fault_report().unwrap().to_json().to_pretty(),
+        series,
+        flight,
+    }
+}
+
+#[test]
+fn former_quantum_caps_due_on_one_cycle_agree_across_run_step_and_cuts() {
+    let (c, last_retire) = response_cycle();
+    assert!(
+        c > last_retire + 100,
+        "the response is due long after the rest"
+    );
+    let legs = |how: Drive| {
+        let obs = Obs::new();
+        let mut cluster = due_together(c, last_retire, &obs);
+        let error = drive(&mut cluster, how, 1_000_000).expect_err("core 0 hangs");
+        let trace = chrome_trace_with_counters(&obs.spans, Some(&obs.series)).to_pretty();
+        (ending(&cluster, error, &obs, vec![], vec![]), trace)
+    };
+    let (run, run_trace) = legs(Drive::Run);
+    // The response lands on `c` and counts as progress there, so the hung
+    // core trips the watchdog one full window later.
+    assert_eq!(run.cycle, c + (c - last_retire), "{}", run.error);
+    assert!(matches!(run.error, SimError::Deadlock { .. }));
+    assert!(run.fault_report.contains("\"ecc_pending\": 1"));
+    assert!(run.series.iter().all(|(_, s)| s[0].0 == c));
+    assert!(run.flight.iter().any(|e| e.0 == c && e.3.contains("hung")));
+    let (stepped, step_trace) = legs(Drive::Step);
+    assert_eq!(run, stepped, "stepped");
+    assert_eq!(run_trace, step_trace, "stepped");
+    for cut in [c - 1, c, c + 1] {
+        let before = Obs::new();
+        let mut cluster = due_together(c, last_retire, &before);
+        let timeout = cluster.run(cut).expect_err("the cut lands mid-run");
+        assert_eq!(timeout, SimError::Timeout { cycles: cut });
+        let (mut series, mut flight) = (vec![], vec![]);
+        collect(&before, &mut series, &mut flight);
+        let after = Obs::new();
+        let mut resumed = Cluster::restore(&cluster.checkpoint()).unwrap();
+        resumed.attach_obs(&after, "one-cycle");
+        resumed.resume_timeseries(c);
+        resumed.enable_flight(4096);
+        let error = resumed.run(1_000_000).expect_err("core 0 hangs");
+        let cut_leg = ending(&resumed, error, &after, series, flight);
+        assert_eq!(run, cut_leg, "cut at {cut}");
+    }
 }
 
 // ---------------------------------------------------------------------
