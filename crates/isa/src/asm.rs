@@ -21,7 +21,10 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::str::FromStr;
 
-use crate::instr::{AluOp, AmoOp, BranchOp, Instr, LoadOp, MulOp, StoreOp, XpulpOp, CSR_MHARTID};
+use crate::instr::{
+    named, AluOp, BranchOp, Instr, XpulpOp, ALU_IMM_OPS, ALU_OPS, AMO_OPS, BARE_OPS, BRANCH_OPS,
+    CSR_MHARTID, LOAD_OPS, MUL_OPS, STORE_OPS, XPULP_OPS,
+};
 use crate::program::Program;
 use crate::reg::Reg;
 
@@ -235,116 +238,52 @@ fn expand_li(rd: Reg, value: i64) -> Vec<Instr> {
     }
 }
 
-fn parse_line(line: &Line<'_>, mnemonic: &str, ops: &[&str]) -> Result<Vec<Draft>, AssembleError> {
-    let branch_ops = [
-        ("beq", BranchOp::Beq),
-        ("bne", BranchOp::Bne),
-        ("blt", BranchOp::Blt),
-        ("bge", BranchOp::Bge),
-        ("bltu", BranchOp::Bltu),
-        ("bgeu", BranchOp::Bgeu),
-    ];
-    let load_ops = [
-        ("lb", LoadOp::Lb),
-        ("lh", LoadOp::Lh),
-        ("lw", LoadOp::Lw),
-        ("lbu", LoadOp::Lbu),
-        ("lhu", LoadOp::Lhu),
-    ];
-    let store_ops = [
-        ("sb", StoreOp::Sb),
-        ("sh", StoreOp::Sh),
-        ("sw", StoreOp::Sw),
-    ];
-    let alu_r = [
-        ("add", AluOp::Add),
-        ("sub", AluOp::Sub),
-        ("sll", AluOp::Sll),
-        ("slt", AluOp::Slt),
-        ("sltu", AluOp::Sltu),
-        ("xor", AluOp::Xor),
-        ("srl", AluOp::Srl),
-        ("sra", AluOp::Sra),
-        ("or", AluOp::Or),
-        ("and", AluOp::And),
-    ];
-    let alu_i = [
-        ("addi", AluOp::Add),
-        ("slti", AluOp::Slt),
-        ("sltiu", AluOp::Sltu),
-        ("xori", AluOp::Xor),
-        ("ori", AluOp::Or),
-        ("andi", AluOp::And),
-        ("slli", AluOp::Sll),
-        ("srli", AluOp::Srl),
-        ("srai", AluOp::Sra),
-    ];
-    let mul_ops = [
-        ("mul", MulOp::Mul),
-        ("mulh", MulOp::Mulh),
-        ("mulhsu", MulOp::Mulhsu),
-        ("mulhu", MulOp::Mulhu),
-        ("div", MulOp::Div),
-        ("divu", MulOp::Divu),
-        ("rem", MulOp::Rem),
-        ("remu", MulOp::Remu),
-    ];
-    let xpulp_ops = [
-        ("p.min", XpulpOp::Min),
-        ("p.max", XpulpOp::Max),
-        ("p.minu", XpulpOp::MinU),
-        ("p.maxu", XpulpOp::MaxU),
-        ("p.clip", XpulpOp::Clip),
-    ];
-    let amo_ops = [
-        ("amoadd.w", AmoOp::Add),
-        ("amoswap.w", AmoOp::Swap),
-        ("amoand.w", AmoOp::And),
-        ("amoor.w", AmoOp::Or),
-        ("amoxor.w", AmoOp::Xor),
-        ("amomax.w", AmoOp::Max),
-        ("amomin.w", AmoOp::Min),
-    ];
+/// Parses `rd, rs1, rs2`.
+fn three_regs(line: &Line<'_>, ops: &[&str], mnemonic: &str) -> Result<[Reg; 3], AssembleError> {
+    let ops = expect_operands(line, ops, 3, mnemonic)?;
+    Ok([
+        parse_reg(line, ops[0])?,
+        parse_reg(line, ops[1])?,
+        parse_reg(line, ops[2])?,
+    ])
+}
 
-    if let Some((_, op)) = branch_ops.iter().find(|(name, _)| *name == mnemonic) {
+fn parse_line(line: &Line<'_>, mnemonic: &str, ops: &[&str]) -> Result<Vec<Draft>, AssembleError> {
+    let ready = |instr| Ok(vec![Draft::Ready(instr)]);
+    if let Some(op) = named(&BRANCH_OPS, mnemonic) {
         let ops = expect_operands(line, ops, 3, mnemonic)?;
         return Ok(vec![Draft::Branch {
-            op: *op,
+            op,
             rs1: parse_reg(line, ops[0])?,
             rs2: parse_reg(line, ops[1])?,
             target: parse_target(ops[2]),
         }]);
     }
-    if let Some((_, op)) = load_ops.iter().find(|(name, _)| *name == mnemonic) {
+    if let Some(op) = named(&LOAD_OPS, mnemonic) {
         let ops = expect_operands(line, ops, 2, mnemonic)?;
         let (offset, rs1) = parse_mem_operand(line, ops[1], false)?;
-        return Ok(vec![Draft::Ready(Instr::Load {
-            op: *op,
+        return ready(Instr::Load {
+            op,
             rd: parse_reg(line, ops[0])?,
             rs1,
             offset,
-        })]);
+        });
     }
-    if let Some((_, op)) = store_ops.iter().find(|(name, _)| *name == mnemonic) {
+    if let Some(op) = named(&STORE_OPS, mnemonic) {
         let ops = expect_operands(line, ops, 2, mnemonic)?;
         let (offset, rs1) = parse_mem_operand(line, ops[1], false)?;
-        return Ok(vec![Draft::Ready(Instr::Store {
-            op: *op,
+        return ready(Instr::Store {
+            op,
             rs2: parse_reg(line, ops[0])?,
             rs1,
             offset,
-        })]);
+        });
     }
-    if let Some((_, op)) = mul_ops.iter().find(|(name, _)| *name == mnemonic) {
-        let ops = expect_operands(line, ops, 3, mnemonic)?;
-        return Ok(vec![Draft::Ready(Instr::Mul {
-            op: *op,
-            rd: parse_reg(line, ops[0])?,
-            rs1: parse_reg(line, ops[1])?,
-            rs2: parse_reg(line, ops[2])?,
-        })]);
+    if let Some(op) = named(&MUL_OPS, mnemonic) {
+        let [rd, rs1, rs2] = three_regs(line, ops, mnemonic)?;
+        return ready(Instr::Mul { op, rd, rs1, rs2 });
     }
-    if let Some((_, op)) = amo_ops.iter().find(|(name, _)| *name == mnemonic) {
+    if let Some(op) = named(&AMO_OPS, mnemonic) {
         let ops = expect_operands(line, ops, 3, mnemonic)?;
         let (offset, rs1) = parse_mem_operand(line, ops[2], false)?;
         if offset != 0 {
@@ -353,67 +292,53 @@ fn parse_line(line: &Line<'_>, mnemonic: &str, ops: &[&str]) -> Result<Vec<Draft
                 "atomic operations take a bare `(reg)` address",
             ));
         }
-        return Ok(vec![Draft::Ready(Instr::Amo {
-            op: *op,
-            rd: parse_reg(line, ops[0])?,
-            rs1,
-            rs2: parse_reg(line, ops[1])?,
-        })]);
+        let (rd, rs2) = (parse_reg(line, ops[0])?, parse_reg(line, ops[1])?);
+        return ready(Instr::Amo { op, rd, rs1, rs2 });
     }
-    if let Some((_, op)) = xpulp_ops.iter().find(|(name, _)| *name == mnemonic) {
-        let ops = expect_operands(line, ops, 3, mnemonic)?;
-        return Ok(vec![Draft::Ready(Instr::Xpulp {
-            op: *op,
-            rd: parse_reg(line, ops[0])?,
-            rs1: parse_reg(line, ops[1])?,
-            rs2: parse_reg(line, ops[2])?,
-        })]);
+    if let Some(op) = named(&XPULP_OPS, mnemonic) {
+        // `p.abs` has no second source.
+        let [rd, rs1, rs2] = if op == XpulpOp::Abs {
+            let ops = expect_operands(line, ops, 2, mnemonic)?;
+            [
+                parse_reg(line, ops[0])?,
+                parse_reg(line, ops[1])?,
+                Reg::ZERO,
+            ]
+        } else {
+            three_regs(line, ops, mnemonic)?
+        };
+        return ready(Instr::Xpulp { op, rd, rs1, rs2 });
     }
-    if mnemonic == "p.abs" {
-        let ops = expect_operands(line, ops, 2, mnemonic)?;
-        return Ok(vec![Draft::Ready(Instr::Xpulp {
-            op: XpulpOp::Abs,
-            rd: parse_reg(line, ops[0])?,
-            rs1: parse_reg(line, ops[1])?,
-            rs2: Reg::ZERO,
-        })]);
-    }
-    if let Some((_, op)) = alu_i.iter().find(|(name, _)| *name == mnemonic) {
+    if let Some(op) = named(&ALU_IMM_OPS, mnemonic) {
         let ops = expect_operands(line, ops, 3, mnemonic)?;
         let imm = imm12(line, parse_imm(line, ops[2])?)?;
-        return Ok(vec![Draft::Ready(Instr::OpImm {
-            op: *op,
-            rd: parse_reg(line, ops[0])?,
-            rs1: parse_reg(line, ops[1])?,
-            imm,
-        })]);
+        let (rd, rs1) = (parse_reg(line, ops[0])?, parse_reg(line, ops[1])?);
+        return ready(Instr::OpImm { op, rd, rs1, imm });
     }
-    if let Some((_, op)) = alu_r.iter().find(|(name, _)| *name == mnemonic) {
-        let ops = expect_operands(line, ops, 3, mnemonic)?;
-        return Ok(vec![Draft::Ready(Instr::Op {
-            op: *op,
-            rd: parse_reg(line, ops[0])?,
-            rs1: parse_reg(line, ops[1])?,
-            rs2: parse_reg(line, ops[2])?,
-        })]);
+    if let Some(op) = named(&ALU_OPS, mnemonic) {
+        let [rd, rs1, rs2] = three_regs(line, ops, mnemonic)?;
+        return ready(Instr::Op { op, rd, rs1, rs2 });
+    }
+    if let Some(instr) = named(&BARE_OPS, mnemonic) {
+        return ready(instr);
     }
 
     match mnemonic {
         "lui" => {
             let ops = expect_operands(line, ops, 2, mnemonic)?;
             let value = parse_imm(line, ops[1])?;
-            Ok(vec![Draft::Ready(Instr::Lui {
+            ready(Instr::Lui {
                 rd: parse_reg(line, ops[0])?,
                 imm: ((value as u32) << 12),
-            })])
+            })
         }
         "auipc" => {
             let ops = expect_operands(line, ops, 2, mnemonic)?;
             let value = parse_imm(line, ops[1])?;
-            Ok(vec![Draft::Ready(Instr::Auipc {
+            ready(Instr::Auipc {
                 rd: parse_reg(line, ops[0])?,
                 imm: ((value as u32) << 12),
-            })])
+            })
         }
         "jal" => match ops.len() {
             1 => Ok(vec![Draft::Jal {
@@ -432,56 +357,50 @@ fn parse_line(line: &Line<'_>, mnemonic: &str, ops: &[&str]) -> Result<Vec<Draft
         "jalr" => {
             let ops = expect_operands(line, ops, 2, mnemonic)?;
             let (offset, rs1) = parse_mem_operand(line, ops[1], false)?;
-            Ok(vec![Draft::Ready(Instr::Jalr {
+            ready(Instr::Jalr {
                 rd: parse_reg(line, ops[0])?,
                 rs1,
                 offset,
-            })])
+            })
         }
         "p.mac" => {
-            let ops = expect_operands(line, ops, 3, mnemonic)?;
-            Ok(vec![Draft::Ready(Instr::Mac {
-                rd: parse_reg(line, ops[0])?,
-                rs1: parse_reg(line, ops[1])?,
-                rs2: parse_reg(line, ops[2])?,
-            })])
+            let [rd, rs1, rs2] = three_regs(line, ops, mnemonic)?;
+            ready(Instr::Mac { rd, rs1, rs2 })
         }
         "p.lw" => {
             let ops = expect_operands(line, ops, 2, mnemonic)?;
             let (offset, rs1) = parse_mem_operand(line, ops[1], true)?;
-            Ok(vec![Draft::Ready(Instr::LwPostInc {
+            ready(Instr::LwPostInc {
                 rd: parse_reg(line, ops[0])?,
                 rs1,
                 offset,
-            })])
+            })
         }
         "p.sw" => {
             let ops = expect_operands(line, ops, 2, mnemonic)?;
             let (offset, rs1) = parse_mem_operand(line, ops[1], true)?;
-            Ok(vec![Draft::Ready(Instr::SwPostInc {
+            ready(Instr::SwPostInc {
                 rs2: parse_reg(line, ops[0])?,
                 rs1,
                 offset,
-            })])
+            })
         }
         "csrrs" => {
             let ops = expect_operands(line, ops, 3, mnemonic)?;
-            Ok(vec![Draft::Ready(Instr::Csrrs {
+            ready(Instr::Csrrs {
                 rd: parse_reg(line, ops[0])?,
                 csr: parse_csr(line, ops[1])?,
                 rs1: parse_reg(line, ops[2])?,
-            })])
+            })
         }
-        "wfi" => Ok(vec![Draft::Ready(Instr::Wfi)]),
-        "fence" => Ok(vec![Draft::Ready(Instr::Fence)]),
 
         // Pseudo-instructions.
-        "nop" => Ok(vec![Draft::Ready(Instr::OpImm {
+        "nop" => ready(Instr::OpImm {
             op: AluOp::Add,
             rd: Reg::ZERO,
             rs1: Reg::ZERO,
             imm: 0,
-        })]),
+        }),
         "li" => {
             let ops = expect_operands(line, ops, 2, mnemonic)?;
             let rd = parse_reg(line, ops[0])?;
@@ -496,48 +415,48 @@ fn parse_line(line: &Line<'_>, mnemonic: &str, ops: &[&str]) -> Result<Vec<Draft
         }
         "mv" => {
             let ops = expect_operands(line, ops, 2, mnemonic)?;
-            Ok(vec![Draft::Ready(Instr::OpImm {
+            ready(Instr::OpImm {
                 op: AluOp::Add,
                 rd: parse_reg(line, ops[0])?,
                 rs1: parse_reg(line, ops[1])?,
                 imm: 0,
-            })])
+            })
         }
         "not" => {
             let ops = expect_operands(line, ops, 2, mnemonic)?;
-            Ok(vec![Draft::Ready(Instr::OpImm {
+            ready(Instr::OpImm {
                 op: AluOp::Xor,
                 rd: parse_reg(line, ops[0])?,
                 rs1: parse_reg(line, ops[1])?,
                 imm: -1,
-            })])
+            })
         }
         "neg" => {
             let ops = expect_operands(line, ops, 2, mnemonic)?;
-            Ok(vec![Draft::Ready(Instr::Op {
+            ready(Instr::Op {
                 op: AluOp::Sub,
                 rd: parse_reg(line, ops[0])?,
                 rs1: Reg::ZERO,
                 rs2: parse_reg(line, ops[1])?,
-            })])
+            })
         }
         "seqz" => {
             let ops = expect_operands(line, ops, 2, mnemonic)?;
-            Ok(vec![Draft::Ready(Instr::OpImm {
+            ready(Instr::OpImm {
                 op: AluOp::Sltu,
                 rd: parse_reg(line, ops[0])?,
                 rs1: parse_reg(line, ops[1])?,
                 imm: 1,
-            })])
+            })
         }
         "snez" => {
             let ops = expect_operands(line, ops, 2, mnemonic)?;
-            Ok(vec![Draft::Ready(Instr::Op {
+            ready(Instr::Op {
                 op: AluOp::Sltu,
                 rd: parse_reg(line, ops[0])?,
                 rs1: Reg::ZERO,
                 rs2: parse_reg(line, ops[1])?,
-            })])
+            })
         }
         "j" => {
             let ops = expect_operands(line, ops, 1, mnemonic)?;
@@ -548,17 +467,17 @@ fn parse_line(line: &Line<'_>, mnemonic: &str, ops: &[&str]) -> Result<Vec<Draft
         }
         "jr" => {
             let ops = expect_operands(line, ops, 1, mnemonic)?;
-            Ok(vec![Draft::Ready(Instr::Jalr {
+            ready(Instr::Jalr {
                 rd: Reg::ZERO,
                 rs1: parse_reg(line, ops[0])?,
                 offset: 0,
-            })])
+            })
         }
-        "ret" => Ok(vec![Draft::Ready(Instr::Jalr {
+        "ret" => ready(Instr::Jalr {
             rd: Reg::ZERO,
             rs1: Reg::RA,
             offset: 0,
-        })]),
+        }),
         "call" => {
             let ops = expect_operands(line, ops, 1, mnemonic)?;
             Ok(vec![Draft::Jal {
@@ -604,11 +523,11 @@ fn parse_line(line: &Line<'_>, mnemonic: &str, ops: &[&str]) -> Result<Vec<Draft
         }
         "csrr" => {
             let ops = expect_operands(line, ops, 2, mnemonic)?;
-            Ok(vec![Draft::Ready(Instr::Csrrs {
+            ready(Instr::Csrrs {
                 rd: parse_reg(line, ops[0])?,
                 csr: parse_csr(line, ops[1])?,
                 rs1: Reg::ZERO,
-            })])
+            })
         }
         other => Err(AssembleError::new(
             line.number,

@@ -227,6 +227,26 @@ fn branch_taken(op: BranchOp, a: u32, b: u32) -> bool {
     }
 }
 
+/// The byte address a memory instruction accesses, or `None` for any
+/// other instruction: `rs1 + offset` for loads and stores, `rs1` itself
+/// for AMOs and the post-incrementing `p.lw`/`p.sw` (their offset is the
+/// increment, applied after the access).
+///
+/// It only reads `regs`, so a timing model can arbitrate on the address
+/// before the instruction issues; [`issue`] takes its address from here.
+#[inline]
+pub fn mem_addr(instr: Instr, regs: &RegFile) -> Option<u32> {
+    match instr {
+        Instr::Load { rs1, offset, .. } | Instr::Store { rs1, offset, .. } => {
+            Some(regs.read(rs1).wrapping_add(offset as u32))
+        }
+        Instr::Amo { rs1, .. } | Instr::LwPostInc { rs1, .. } | Instr::SwPostInc { rs1, .. } => {
+            Some(regs.read(rs1))
+        }
+        _ => None,
+    }
+}
+
 /// Executes one instruction up to its memory access.
 ///
 /// Register reads, ALU work, branch resolution, and post-increment updates
@@ -236,6 +256,13 @@ fn branch_taken(op: BranchOp, a: u32, b: u32) -> bool {
 #[inline]
 pub fn issue(instr: Instr, pc: u32, regs: &mut RegFile, hartid: u32) -> Issue {
     let next = pc.wrapping_add(4);
+    let mem = |addr: Option<u32>, kind| Issue::Mem {
+        req: MemRequest {
+            addr: addr.expect("a memory instruction has an address"),
+            kind,
+        },
+        next_pc: next,
+    };
     match instr {
         Instr::Lui { rd, imm } => {
             regs.write(rd, imm);
@@ -271,13 +298,7 @@ pub fn issue(instr: Instr, pc: u32, regs: &mut RegFile, hartid: u32) -> Issue {
                 },
             }
         }
-        Instr::Load {
-            op,
-            rd,
-            rs1,
-            offset,
-        } => {
-            let addr = regs.read(rs1).wrapping_add(offset as u32);
+        Instr::Load { op, rd, .. } => {
             let (width, signed) = match op {
                 LoadOp::Lb => (MemWidth::Byte, true),
                 LoadOp::Lh => (MemWidth::Half, true),
@@ -285,36 +306,19 @@ pub fn issue(instr: Instr, pc: u32, regs: &mut RegFile, hartid: u32) -> Issue {
                 LoadOp::Lbu => (MemWidth::Byte, false),
                 LoadOp::Lhu => (MemWidth::Half, false),
             };
-            Issue::Mem {
-                req: MemRequest {
-                    addr,
-                    kind: MemAccessKind::Load { width, signed, rd },
-                },
-                next_pc: next,
-            }
+            mem(
+                mem_addr(instr, regs),
+                MemAccessKind::Load { width, signed, rd },
+            )
         }
-        Instr::Store {
-            op,
-            rs2,
-            rs1,
-            offset,
-        } => {
-            let addr = regs.read(rs1).wrapping_add(offset as u32);
+        Instr::Store { op, rs2, .. } => {
             let width = match op {
                 StoreOp::Sb => MemWidth::Byte,
                 StoreOp::Sh => MemWidth::Half,
                 StoreOp::Sw => MemWidth::Word,
             };
-            Issue::Mem {
-                req: MemRequest {
-                    addr,
-                    kind: MemAccessKind::Store {
-                        width,
-                        value: regs.read(rs2),
-                    },
-                },
-                next_pc: next,
-            }
+            let value = regs.read(rs2);
+            mem(mem_addr(instr, regs), MemAccessKind::Store { width, value })
         }
         Instr::OpImm { op, rd, rs1, imm } => {
             regs.write(rd, alu(op, regs.read(rs1), imm as u32));
@@ -328,17 +332,10 @@ pub fn issue(instr: Instr, pc: u32, regs: &mut RegFile, hartid: u32) -> Issue {
             regs.write(rd, mul(op, regs.read(rs1), regs.read(rs2)));
             Issue::Next { pc: next }
         }
-        Instr::Amo { op, rd, rs1, rs2 } => Issue::Mem {
-            req: MemRequest {
-                addr: regs.read(rs1),
-                kind: MemAccessKind::Amo {
-                    op,
-                    value: regs.read(rs2),
-                    rd,
-                },
-            },
-            next_pc: next,
-        },
+        Instr::Amo { op, rd, rs2, .. } => {
+            let value = regs.read(rs2);
+            mem(mem_addr(instr, regs), MemAccessKind::Amo { op, value, rd })
+        }
         Instr::Xpulp { op, rd, rs1, rs2 } => {
             regs.write(rd, op.apply(regs.read(rs1), regs.read(rs2)));
             Issue::Next { pc: next }
@@ -351,33 +348,24 @@ pub fn issue(instr: Instr, pc: u32, regs: &mut RegFile, hartid: u32) -> Issue {
             Issue::Next { pc: next }
         }
         Instr::LwPostInc { rd, rs1, offset } => {
-            let addr = regs.read(rs1);
-            regs.write(rs1, addr.wrapping_add(offset as u32));
-            Issue::Mem {
-                req: MemRequest {
-                    addr,
-                    kind: MemAccessKind::Load {
-                        width: MemWidth::Word,
-                        signed: false,
-                        rd,
-                    },
-                },
-                next_pc: next,
-            }
+            let addr = mem_addr(instr, regs);
+            regs.write(rs1, regs.read(rs1).wrapping_add(offset as u32));
+            let kind = MemAccessKind::Load {
+                width: MemWidth::Word,
+                signed: false,
+                rd,
+            };
+            mem(addr, kind)
         }
         Instr::SwPostInc { rs2, rs1, offset } => {
-            let addr = regs.read(rs1);
-            regs.write(rs1, addr.wrapping_add(offset as u32));
-            Issue::Mem {
-                req: MemRequest {
-                    addr,
-                    kind: MemAccessKind::Store {
-                        width: MemWidth::Word,
-                        value: regs.read(rs2),
-                    },
-                },
-                next_pc: next,
-            }
+            let addr = mem_addr(instr, regs);
+            regs.write(rs1, regs.read(rs1).wrapping_add(offset as u32));
+            // The data register is read after the increment.
+            let kind = MemAccessKind::Store {
+                width: MemWidth::Word,
+                value: regs.read(rs2),
+            };
+            mem(addr, kind)
         }
         Instr::Csrrs { rd, csr, rs1: _ } => {
             let value = if csr == CSR_MHARTID { hartid } else { 0 };

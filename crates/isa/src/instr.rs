@@ -13,6 +13,12 @@
 //! | `p.sw rs2, imm(rs1!)` | `010` | S-type |
 //! | `p.min/p.max/p.minu/p.maxu/p.abs/p.clip` | `011` | R-type (funct7 selects) |
 //!
+//! An op's mnemonic and the bits that select it live in one place: its
+//! family's op table (`BRANCH_OPS`, `LOAD_OPS`, `STORE_OPS`, `ALU_OPS`,
+//! `ALU_IMM_OPS`, `MUL_OPS`, `AMO_OPS`, `XPULP_OPS`, and `BARE_OPS` for
+//! `wfi`/`fence`). The assembler, `Display`, [`Instr::encode`] and
+//! [`decode`] all read those rows.
+//!
 //! Every instruction round-trips: `decode(instr.encode()) == instr`.
 
 use std::fmt;
@@ -373,39 +379,201 @@ const OP_SYSTEM: u32 = 0b111_0011;
 const OP_MISC_MEM: u32 = 0b000_1111;
 const OP_CUSTOM0: u32 = 0b000_1011;
 
-fn r_type(opcode: u32, funct3: u32, funct7: u32, rd: Reg, rs1: Reg, rs2: Reg) -> u32 {
-    opcode
-        | ((rd.number() as u32) << 7)
-        | (funct3 << 12)
-        | ((rs1.number() as u32) << 15)
-        | ((rs2.number() as u32) << 20)
-        | (funct7 << 25)
+/// `funct3` (bits [14:12]) in place.
+const fn f3(funct3: u32) -> u32 {
+    funct3 << 12
 }
 
-fn i_type(opcode: u32, funct3: u32, rd: Reg, rs1: Reg, imm: i32) -> u32 {
-    opcode
+/// An AMO's `funct5` (bits [31:27]) in place.
+const fn f5(funct5: u32) -> u32 {
+    funct5 << 27
+}
+
+/// `funct7` (bits [31:25]) in place.
+const fn f7(funct7: u32) -> u32 {
+    funct7 << 25
+}
+
+const FUNCT3: u32 = f3(0b111);
+const FUNCT5: u32 = f5(0b1_1111);
+const FUNCT7: u32 = f7(0b111_1111);
+
+// The bits that select a family (or a lone instruction) inside its opcode.
+const MULDIV: u32 = f7(0b000_0001);
+const AMO_W: u32 = f3(0b010);
+const P_MAC: u32 = f3(0b000);
+const P_LW: u32 = f3(0b001);
+const P_SW: u32 = f3(0b010);
+const P_SCALAR: u32 = f3(0b011);
+const CSRRS: u32 = f3(0b010);
+/// Bit 30, which selects the alternate op: `funct7` of `sub` and `sra`,
+/// immediate bit 10 of `srai`.
+const ALT: u32 = f7(0b010_0000);
+
+/// An op table: each op of a family with its mnemonic and the bits that
+/// select it inside the instruction word, already in place. The
+/// assembler, [`Instr::encode`], [`decode`] and `Display` all read these
+/// rows; nothing else spells an op.
+pub(crate) type OpTable<Op> = [(Op, &'static str, u32)];
+
+/// Conditional branches, by `funct3`.
+pub(crate) const BRANCH_OPS: [(BranchOp, &str, u32); 6] = [
+    (BranchOp::Beq, "beq", f3(0b000)),
+    (BranchOp::Bne, "bne", f3(0b001)),
+    (BranchOp::Blt, "blt", f3(0b100)),
+    (BranchOp::Bge, "bge", f3(0b101)),
+    (BranchOp::Bltu, "bltu", f3(0b110)),
+    (BranchOp::Bgeu, "bgeu", f3(0b111)),
+];
+
+/// Loads, by `funct3`.
+pub(crate) const LOAD_OPS: [(LoadOp, &str, u32); 5] = [
+    (LoadOp::Lb, "lb", f3(0b000)),
+    (LoadOp::Lh, "lh", f3(0b001)),
+    (LoadOp::Lw, "lw", f3(0b010)),
+    (LoadOp::Lbu, "lbu", f3(0b100)),
+    (LoadOp::Lhu, "lhu", f3(0b101)),
+];
+
+/// Stores, by `funct3`.
+pub(crate) const STORE_OPS: [(StoreOp, &str, u32); 3] = [
+    (StoreOp::Sb, "sb", f3(0b000)),
+    (StoreOp::Sh, "sh", f3(0b001)),
+    (StoreOp::Sw, "sw", f3(0b010)),
+];
+
+/// Register-register ALU ops, by `funct7` and `funct3`.
+pub(crate) const ALU_OPS: [(AluOp, &str, u32); 10] = [
+    (AluOp::Add, "add", f3(0b000)),
+    (AluOp::Sub, "sub", ALT | f3(0b000)),
+    (AluOp::Sll, "sll", f3(0b001)),
+    (AluOp::Slt, "slt", f3(0b010)),
+    (AluOp::Sltu, "sltu", f3(0b011)),
+    (AluOp::Xor, "xor", f3(0b100)),
+    (AluOp::Srl, "srl", f3(0b101)),
+    (AluOp::Sra, "sra", ALT | f3(0b101)),
+    (AluOp::Or, "or", f3(0b110)),
+    (AluOp::And, "and", f3(0b111)),
+];
+
+/// ALU ops with an immediate, by `funct3`. A shift's immediate bits
+/// [11:5] act as its `funct7`; only `srai` sets one (`ALT`).
+pub(crate) const ALU_IMM_OPS: [(AluOp, &str, u32); 9] = [
+    (AluOp::Add, "addi", f3(0b000)),
+    (AluOp::Slt, "slti", f3(0b010)),
+    (AluOp::Sltu, "sltiu", f3(0b011)),
+    (AluOp::Xor, "xori", f3(0b100)),
+    (AluOp::Or, "ori", f3(0b110)),
+    (AluOp::And, "andi", f3(0b111)),
+    (AluOp::Sll, "slli", f3(0b001)),
+    (AluOp::Srl, "srli", f3(0b101)),
+    (AluOp::Sra, "srai", ALT | f3(0b101)),
+];
+
+/// M-extension ops, by `funct3` (the family is `funct7 = 1` of `OP`).
+pub(crate) const MUL_OPS: [(MulOp, &str, u32); 8] = [
+    (MulOp::Mul, "mul", f3(0b000)),
+    (MulOp::Mulh, "mulh", f3(0b001)),
+    (MulOp::Mulhsu, "mulhsu", f3(0b010)),
+    (MulOp::Mulhu, "mulhu", f3(0b011)),
+    (MulOp::Div, "div", f3(0b100)),
+    (MulOp::Divu, "divu", f3(0b101)),
+    (MulOp::Rem, "rem", f3(0b110)),
+    (MulOp::Remu, "remu", f3(0b111)),
+];
+
+/// Word atomics, by `funct5` (the `aq`/`rl` bits are neither set nor
+/// decoded).
+pub(crate) const AMO_OPS: [(AmoOp, &str, u32); 7] = [
+    (AmoOp::Add, "amoadd.w", f5(0b00000)),
+    (AmoOp::Swap, "amoswap.w", f5(0b00001)),
+    (AmoOp::Xor, "amoxor.w", f5(0b00100)),
+    (AmoOp::And, "amoand.w", f5(0b01100)),
+    (AmoOp::Or, "amoor.w", f5(0b01000)),
+    (AmoOp::Min, "amomin.w", f5(0b10000)),
+    (AmoOp::Max, "amomax.w", f5(0b10100)),
+];
+
+/// `Xpulpimg` scalar ops, by `funct7` (the family is `funct3 = 011` of
+/// custom-0).
+pub(crate) const XPULP_OPS: [(XpulpOp, &str, u32); 6] = [
+    (XpulpOp::Min, "p.min", f7(0)),
+    (XpulpOp::Max, "p.max", f7(1)),
+    (XpulpOp::MinU, "p.minu", f7(2)),
+    (XpulpOp::MaxU, "p.maxu", f7(3)),
+    (XpulpOp::Abs, "p.abs", f7(4)),
+    (XpulpOp::Clip, "p.clip", f7(5)),
+];
+
+/// The instructions without operands, by their whole word. Any `fence`
+/// word decodes, the canonical one is encoded.
+pub(crate) const BARE_OPS: [(Instr, &str, u32); 2] = [
+    (Instr::Wfi, "wfi", 0x1050_0073),
+    (Instr::Fence, "fence", OP_MISC_MEM),
+];
+
+/// The mnemonic and selecting bits of `op`'s row.
+fn spell<Op: Copy + PartialEq + fmt::Debug>(table: &OpTable<Op>, op: Op) -> (&'static str, u32) {
+    match table.iter().find(|row| row.0 == op) {
+        Some(&(_, name, bits)) => (name, bits),
+        None => unreachable!("{op:?} has no row in its op table"),
+    }
+}
+
+fn name<Op: Copy + PartialEq + fmt::Debug>(table: &OpTable<Op>, op: Op) -> &'static str {
+    spell(table, op).0
+}
+
+fn bits<Op: Copy + PartialEq + fmt::Debug>(table: &OpTable<Op>, op: Op) -> u32 {
+    spell(table, op).1
+}
+
+/// The op whose row is spelled `mnemonic`.
+pub(crate) fn named<Op: Copy>(table: &OpTable<Op>, mnemonic: &str) -> Option<Op> {
+    table.iter().find(|row| row.1 == mnemonic).map(|row| row.0)
+}
+
+/// The op whose row has exactly the selecting `bits`.
+fn selected<Op: Copy>(table: &OpTable<Op>, bits: u32) -> Option<Op> {
+    table.iter().find(|row| row.2 == bits).map(|row| row.0)
+}
+
+impl AluOp {
+    /// Whether the immediate form takes a 5-bit shift amount.
+    fn is_shift(self) -> bool {
+        matches!(self, AluOp::Sll | AluOp::Srl | AluOp::Sra)
+    }
+}
+
+// The formats take the opcode with the selecting bits already ORed in.
+fn r_type(fixed: u32, rd: Reg, rs1: Reg, rs2: Reg) -> u32 {
+    fixed
         | ((rd.number() as u32) << 7)
-        | (funct3 << 12)
+        | ((rs1.number() as u32) << 15)
+        | ((rs2.number() as u32) << 20)
+}
+
+fn i_type(fixed: u32, rd: Reg, rs1: Reg, imm: i32) -> u32 {
+    fixed
+        | ((rd.number() as u32) << 7)
         | ((rs1.number() as u32) << 15)
         | (((imm as u32) & 0xfff) << 20)
 }
 
-fn s_type(opcode: u32, funct3: u32, rs1: Reg, rs2: Reg, imm: i32) -> u32 {
+fn s_type(fixed: u32, rs1: Reg, rs2: Reg, imm: i32) -> u32 {
     let imm = imm as u32;
-    opcode
+    fixed
         | ((imm & 0x1f) << 7)
-        | (funct3 << 12)
         | ((rs1.number() as u32) << 15)
         | ((rs2.number() as u32) << 20)
         | (((imm >> 5) & 0x7f) << 25)
 }
 
-fn b_type(opcode: u32, funct3: u32, rs1: Reg, rs2: Reg, offset: i32) -> u32 {
+fn b_type(fixed: u32, rs1: Reg, rs2: Reg, offset: i32) -> u32 {
     let imm = offset as u32;
-    opcode
+    fixed
         | (((imm >> 11) & 1) << 7)
         | (((imm >> 1) & 0xf) << 8)
-        | (funct3 << 12)
         | ((rs1.number() as u32) << 15)
         | ((rs2.number() as u32) << 20)
         | (((imm >> 5) & 0x3f) << 25)
@@ -436,120 +604,44 @@ impl Instr {
                 OP_AUIPC | ((rd.number() as u32) << 7) | (imm & 0xffff_f000)
             }
             Instr::Jal { rd, offset } => j_type(OP_JAL, rd, offset),
-            Instr::Jalr { rd, rs1, offset } => i_type(OP_JALR, 0b000, rd, rs1, offset),
+            Instr::Jalr { rd, rs1, offset } => i_type(OP_JALR, rd, rs1, offset),
             Instr::Branch {
                 op,
                 rs1,
                 rs2,
                 offset,
-            } => {
-                let funct3 = match op {
-                    BranchOp::Beq => 0b000,
-                    BranchOp::Bne => 0b001,
-                    BranchOp::Blt => 0b100,
-                    BranchOp::Bge => 0b101,
-                    BranchOp::Bltu => 0b110,
-                    BranchOp::Bgeu => 0b111,
-                };
-                b_type(OP_BRANCH, funct3, rs1, rs2, offset)
-            }
+            } => b_type(OP_BRANCH | bits(&BRANCH_OPS, op), rs1, rs2, offset),
             Instr::Load {
                 op,
                 rd,
                 rs1,
                 offset,
-            } => {
-                let funct3 = match op {
-                    LoadOp::Lb => 0b000,
-                    LoadOp::Lh => 0b001,
-                    LoadOp::Lw => 0b010,
-                    LoadOp::Lbu => 0b100,
-                    LoadOp::Lhu => 0b101,
-                };
-                i_type(OP_LOAD, funct3, rd, rs1, offset)
-            }
+            } => i_type(OP_LOAD | bits(&LOAD_OPS, op), rd, rs1, offset),
             Instr::Store {
                 op,
                 rs2,
                 rs1,
                 offset,
-            } => {
-                let funct3 = match op {
-                    StoreOp::Sb => 0b000,
-                    StoreOp::Sh => 0b001,
-                    StoreOp::Sw => 0b010,
-                };
-                s_type(OP_STORE, funct3, rs1, rs2, offset)
+            } => s_type(OP_STORE | bits(&STORE_OPS, op), rs1, rs2, offset),
+            Instr::OpImm { op, rd, rs1, imm } => {
+                let imm = if op.is_shift() { imm & 0x1f } else { imm };
+                i_type(OP_OP_IMM | bits(&ALU_IMM_OPS, op), rd, rs1, imm)
             }
-            Instr::OpImm { op, rd, rs1, imm } => match op {
-                AluOp::Add => i_type(OP_OP_IMM, 0b000, rd, rs1, imm),
-                AluOp::Slt => i_type(OP_OP_IMM, 0b010, rd, rs1, imm),
-                AluOp::Sltu => i_type(OP_OP_IMM, 0b011, rd, rs1, imm),
-                AluOp::Xor => i_type(OP_OP_IMM, 0b100, rd, rs1, imm),
-                AluOp::Or => i_type(OP_OP_IMM, 0b110, rd, rs1, imm),
-                AluOp::And => i_type(OP_OP_IMM, 0b111, rd, rs1, imm),
-                AluOp::Sll => i_type(OP_OP_IMM, 0b001, rd, rs1, imm & 0x1f),
-                AluOp::Srl => i_type(OP_OP_IMM, 0b101, rd, rs1, imm & 0x1f),
-                AluOp::Sra => i_type(OP_OP_IMM, 0b101, rd, rs1, (imm & 0x1f) | 0x400),
-                AluOp::Sub => unreachable!("subi does not exist; use addi with negated imm"),
-            },
-            Instr::Op { op, rd, rs1, rs2 } => {
-                let (funct3, funct7) = match op {
-                    AluOp::Add => (0b000, 0b000_0000),
-                    AluOp::Sub => (0b000, 0b010_0000),
-                    AluOp::Sll => (0b001, 0b000_0000),
-                    AluOp::Slt => (0b010, 0b000_0000),
-                    AluOp::Sltu => (0b011, 0b000_0000),
-                    AluOp::Xor => (0b100, 0b000_0000),
-                    AluOp::Srl => (0b101, 0b000_0000),
-                    AluOp::Sra => (0b101, 0b010_0000),
-                    AluOp::Or => (0b110, 0b000_0000),
-                    AluOp::And => (0b111, 0b000_0000),
-                };
-                r_type(OP_OP, funct3, funct7, rd, rs1, rs2)
-            }
+            Instr::Op { op, rd, rs1, rs2 } => r_type(OP_OP | bits(&ALU_OPS, op), rd, rs1, rs2),
             Instr::Mul { op, rd, rs1, rs2 } => {
-                let funct3 = match op {
-                    MulOp::Mul => 0b000,
-                    MulOp::Mulh => 0b001,
-                    MulOp::Mulhsu => 0b010,
-                    MulOp::Mulhu => 0b011,
-                    MulOp::Div => 0b100,
-                    MulOp::Divu => 0b101,
-                    MulOp::Rem => 0b110,
-                    MulOp::Remu => 0b111,
-                };
-                r_type(OP_OP, funct3, 0b000_0001, rd, rs1, rs2)
+                r_type(OP_OP | MULDIV | bits(&MUL_OPS, op), rd, rs1, rs2)
             }
             Instr::Amo { op, rd, rs1, rs2 } => {
-                let funct5 = match op {
-                    AmoOp::Add => 0b00000,
-                    AmoOp::Swap => 0b00001,
-                    AmoOp::Xor => 0b00100,
-                    AmoOp::And => 0b01100,
-                    AmoOp::Or => 0b01000,
-                    AmoOp::Min => 0b10000,
-                    AmoOp::Max => 0b10100,
-                };
-                r_type(OP_AMO, 0b010, funct5 << 2, rd, rs1, rs2)
+                r_type(OP_AMO | AMO_W | bits(&AMO_OPS, op), rd, rs1, rs2)
             }
-            Instr::Mac { rd, rs1, rs2 } => r_type(OP_CUSTOM0, 0b000, 0, rd, rs1, rs2),
+            Instr::Mac { rd, rs1, rs2 } => r_type(OP_CUSTOM0 | P_MAC, rd, rs1, rs2),
             Instr::Xpulp { op, rd, rs1, rs2 } => {
-                let funct7 = match op {
-                    XpulpOp::Min => 0,
-                    XpulpOp::Max => 1,
-                    XpulpOp::MinU => 2,
-                    XpulpOp::MaxU => 3,
-                    XpulpOp::Abs => 4,
-                    XpulpOp::Clip => 5,
-                };
-                r_type(OP_CUSTOM0, 0b011, funct7, rd, rs1, rs2)
+                r_type(OP_CUSTOM0 | P_SCALAR | bits(&XPULP_OPS, op), rd, rs1, rs2)
             }
-            Instr::LwPostInc { rd, rs1, offset } => i_type(OP_CUSTOM0, 0b001, rd, rs1, offset),
-            Instr::SwPostInc { rs2, rs1, offset } => s_type(OP_CUSTOM0, 0b010, rs1, rs2, offset),
-            Instr::Csrrs { rd, csr, rs1 } => i_type(OP_SYSTEM, 0b010, rd, rs1, csr as i32),
-            Instr::Wfi => 0x1050_0073,
-            Instr::Fence => i_type(OP_MISC_MEM, 0b000, Reg::ZERO, Reg::ZERO, 0),
+            Instr::LwPostInc { rd, rs1, offset } => i_type(OP_CUSTOM0 | P_LW, rd, rs1, offset),
+            Instr::SwPostInc { rs2, rs1, offset } => s_type(OP_CUSTOM0 | P_SW, rs1, rs2, offset),
+            Instr::Csrrs { rd, csr, rs1 } => i_type(OP_SYSTEM | CSRRS, rd, rs1, csr as i32),
+            Instr::Wfi | Instr::Fence => bits(&BARE_OPS, self),
         }
     }
 }
@@ -577,10 +669,9 @@ pub fn decode(word: u32) -> Result<Instr, DecodeError> {
     let err = DecodeError { word };
     let opcode = word & 0x7f;
     let rd = Reg::from_bits(word >> 7);
-    let funct3 = (word >> 12) & 0x7;
     let rs1 = Reg::from_bits(word >> 15);
     let rs2 = Reg::from_bits(word >> 20);
-    let funct7 = word >> 25;
+    let funct3 = word & FUNCT3;
     let i_imm = sign_extend(word >> 20, 12);
     let s_imm = sign_extend(((word >> 25) << 5) | ((word >> 7) & 0x1f), 12);
     let b_imm = sign_extend(
@@ -598,167 +689,94 @@ pub fn decode(word: u32) -> Result<Instr, DecodeError> {
         21,
     );
 
-    match opcode {
-        OP_LUI => Ok(Instr::Lui {
+    Ok(match opcode {
+        OP_LUI => Instr::Lui {
             rd,
             imm: word & 0xffff_f000,
-        }),
-        OP_AUIPC => Ok(Instr::Auipc {
+        },
+        OP_AUIPC => Instr::Auipc {
             rd,
             imm: word & 0xffff_f000,
-        }),
-        OP_JAL => Ok(Instr::Jal { rd, offset: j_imm }),
-        OP_JALR if funct3 == 0 => Ok(Instr::Jalr {
+        },
+        OP_JAL => Instr::Jal { rd, offset: j_imm },
+        OP_JALR if funct3 == 0 => Instr::Jalr {
             rd,
             rs1,
             offset: i_imm,
-        }),
-        OP_BRANCH => {
-            let op = match funct3 {
-                0b000 => BranchOp::Beq,
-                0b001 => BranchOp::Bne,
-                0b100 => BranchOp::Blt,
-                0b101 => BranchOp::Bge,
-                0b110 => BranchOp::Bltu,
-                0b111 => BranchOp::Bgeu,
-                _ => return Err(err),
-            };
-            Ok(Instr::Branch {
-                op,
-                rs1,
-                rs2,
-                offset: b_imm,
-            })
-        }
-        OP_LOAD => {
-            let op = match funct3 {
-                0b000 => LoadOp::Lb,
-                0b001 => LoadOp::Lh,
-                0b010 => LoadOp::Lw,
-                0b100 => LoadOp::Lbu,
-                0b101 => LoadOp::Lhu,
-                _ => return Err(err),
-            };
-            Ok(Instr::Load {
-                op,
-                rd,
-                rs1,
-                offset: i_imm,
-            })
-        }
-        OP_STORE => {
-            let op = match funct3 {
-                0b000 => StoreOp::Sb,
-                0b001 => StoreOp::Sh,
-                0b010 => StoreOp::Sw,
-                _ => return Err(err),
-            };
-            Ok(Instr::Store {
-                op,
-                rs2,
-                rs1,
-                offset: s_imm,
-            })
-        }
-        OP_OP_IMM => {
-            let (op, imm) = match funct3 {
-                0b000 => (AluOp::Add, i_imm),
-                0b010 => (AluOp::Slt, i_imm),
-                0b011 => (AluOp::Sltu, i_imm),
-                0b100 => (AluOp::Xor, i_imm),
-                0b110 => (AluOp::Or, i_imm),
-                0b111 => (AluOp::And, i_imm),
-                0b001 => (AluOp::Sll, (i_imm & 0x1f)),
-                0b101 if (i_imm >> 10) & 1 == 1 => (AluOp::Sra, i_imm & 0x1f),
-                0b101 => (AluOp::Srl, i_imm & 0x1f),
-                _ => return Err(err),
-            };
-            Ok(Instr::OpImm { op, rd, rs1, imm })
-        }
-        OP_OP if funct7 == 0b000_0001 => {
-            let op = match funct3 {
-                0b000 => MulOp::Mul,
-                0b001 => MulOp::Mulh,
-                0b010 => MulOp::Mulhsu,
-                0b011 => MulOp::Mulhu,
-                0b100 => MulOp::Div,
-                0b101 => MulOp::Divu,
-                0b110 => MulOp::Rem,
-                _ => MulOp::Remu,
-            };
-            Ok(Instr::Mul { op, rd, rs1, rs2 })
-        }
-        OP_OP => {
-            let op = match (funct3, funct7) {
-                (0b000, 0b000_0000) => AluOp::Add,
-                (0b000, 0b010_0000) => AluOp::Sub,
-                (0b001, 0b000_0000) => AluOp::Sll,
-                (0b010, 0b000_0000) => AluOp::Slt,
-                (0b011, 0b000_0000) => AluOp::Sltu,
-                (0b100, 0b000_0000) => AluOp::Xor,
-                (0b101, 0b000_0000) => AluOp::Srl,
-                (0b101, 0b010_0000) => AluOp::Sra,
-                (0b110, 0b000_0000) => AluOp::Or,
-                (0b111, 0b000_0000) => AluOp::And,
-                _ => return Err(err),
-            };
-            Ok(Instr::Op { op, rd, rs1, rs2 })
-        }
-        OP_AMO if funct3 == 0b010 => {
-            let op = match funct7 >> 2 {
-                0b00000 => AmoOp::Add,
-                0b00001 => AmoOp::Swap,
-                0b00100 => AmoOp::Xor,
-                0b01100 => AmoOp::And,
-                0b01000 => AmoOp::Or,
-                0b10000 => AmoOp::Min,
-                0b10100 => AmoOp::Max,
-                _ => return Err(err),
-            };
-            Ok(Instr::Amo { op, rd, rs1, rs2 })
-        }
-        OP_CUSTOM0 => match funct3 {
-            0b000 if funct7 == 0 => Ok(Instr::Mac { rd, rs1, rs2 }),
-            0b001 => Ok(Instr::LwPostInc {
-                rd,
-                rs1,
-                offset: i_imm,
-            }),
-            0b010 => Ok(Instr::SwPostInc {
-                rs2,
-                rs1,
-                offset: s_imm,
-            }),
-            0b011 => {
-                let op = match funct7 {
-                    0 => XpulpOp::Min,
-                    1 => XpulpOp::Max,
-                    2 => XpulpOp::MinU,
-                    3 => XpulpOp::MaxU,
-                    4 => XpulpOp::Abs,
-                    5 => XpulpOp::Clip,
-                    _ => return Err(err),
-                };
-                Ok(Instr::Xpulp { op, rd, rs1, rs2 })
-            }
-            _ => Err(err),
         },
-        OP_SYSTEM => {
-            if word == 0x1050_0073 {
-                Ok(Instr::Wfi)
-            } else if funct3 == 0b010 {
-                Ok(Instr::Csrrs {
-                    rd,
-                    csr: ((word >> 20) & 0xfff) as u16,
-                    rs1,
-                })
-            } else {
-                Err(err)
-            }
+        OP_BRANCH => Instr::Branch {
+            op: selected(&BRANCH_OPS, funct3).ok_or(err)?,
+            rs1,
+            rs2,
+            offset: b_imm,
+        },
+        OP_LOAD => Instr::Load {
+            op: selected(&LOAD_OPS, funct3).ok_or(err)?,
+            rd,
+            rs1,
+            offset: i_imm,
+        },
+        OP_STORE => Instr::Store {
+            op: selected(&STORE_OPS, funct3).ok_or(err)?,
+            rs2,
+            rs1,
+            offset: s_imm,
+        },
+        OP_OP_IMM => {
+            // Bit 30 selects `srai`; in any other row it is an immediate
+            // bit (a shift amount's other high bits are not decoded).
+            let op = selected(&ALU_IMM_OPS, word & (FUNCT3 | ALT))
+                .or_else(|| selected(&ALU_IMM_OPS, funct3))
+                .ok_or(err)?;
+            let imm = if op.is_shift() { i_imm & 0x1f } else { i_imm };
+            Instr::OpImm { op, rd, rs1, imm }
         }
-        OP_MISC_MEM if funct3 == 0 => Ok(Instr::Fence),
-        _ => Err(err),
-    }
+        OP_OP if word & FUNCT7 == MULDIV => Instr::Mul {
+            op: selected(&MUL_OPS, funct3).ok_or(err)?,
+            rd,
+            rs1,
+            rs2,
+        },
+        OP_OP => Instr::Op {
+            op: selected(&ALU_OPS, word & (FUNCT7 | FUNCT3)).ok_or(err)?,
+            rd,
+            rs1,
+            rs2,
+        },
+        OP_AMO if funct3 == AMO_W => Instr::Amo {
+            op: selected(&AMO_OPS, word & FUNCT5).ok_or(err)?,
+            rd,
+            rs1,
+            rs2,
+        },
+        OP_CUSTOM0 => match funct3 {
+            P_MAC if word & FUNCT7 == 0 => Instr::Mac { rd, rs1, rs2 },
+            P_LW => Instr::LwPostInc {
+                rd,
+                rs1,
+                offset: i_imm,
+            },
+            P_SW => Instr::SwPostInc {
+                rs2,
+                rs1,
+                offset: s_imm,
+            },
+            P_SCALAR => Instr::Xpulp {
+                op: selected(&XPULP_OPS, word & FUNCT7).ok_or(err)?,
+                rd,
+                rs1,
+                rs2,
+            },
+            _ => return Err(err),
+        },
+        OP_SYSTEM if funct3 == CSRRS => Instr::Csrrs {
+            rd,
+            csr: ((word >> 20) & 0xfff) as u16,
+            rs1,
+        },
+        OP_MISC_MEM if funct3 == 0 => Instr::Fence,
+        _ => return selected(&BARE_OPS, word).ok_or(err),
+    })
 }
 
 impl Instr {
@@ -851,121 +869,42 @@ impl fmt::Display for Instr {
                 rs1,
                 rs2,
                 offset,
-            } => {
-                let name = match op {
-                    BranchOp::Beq => "beq",
-                    BranchOp::Bne => "bne",
-                    BranchOp::Blt => "blt",
-                    BranchOp::Bge => "bge",
-                    BranchOp::Bltu => "bltu",
-                    BranchOp::Bgeu => "bgeu",
-                };
-                write!(f, "{name} {rs1}, {rs2}, {offset}")
-            }
+            } => write!(f, "{} {rs1}, {rs2}, {offset}", name(&BRANCH_OPS, op)),
             Instr::Load {
                 op,
                 rd,
                 rs1,
                 offset,
-            } => {
-                let name = match op {
-                    LoadOp::Lb => "lb",
-                    LoadOp::Lh => "lh",
-                    LoadOp::Lw => "lw",
-                    LoadOp::Lbu => "lbu",
-                    LoadOp::Lhu => "lhu",
-                };
-                write!(f, "{name} {rd}, {offset}({rs1})")
-            }
+            } => write!(f, "{} {rd}, {offset}({rs1})", name(&LOAD_OPS, op)),
             Instr::Store {
                 op,
                 rs2,
                 rs1,
                 offset,
-            } => {
-                let name = match op {
-                    StoreOp::Sb => "sb",
-                    StoreOp::Sh => "sh",
-                    StoreOp::Sw => "sw",
-                };
-                write!(f, "{name} {rs2}, {offset}({rs1})")
-            }
+            } => write!(f, "{} {rs2}, {offset}({rs1})", name(&STORE_OPS, op)),
             Instr::OpImm { op, rd, rs1, imm } => {
-                let name = match op {
-                    AluOp::Add => "addi",
-                    AluOp::Slt => "slti",
-                    AluOp::Sltu => "sltiu",
-                    AluOp::Xor => "xori",
-                    AluOp::Or => "ori",
-                    AluOp::And => "andi",
-                    AluOp::Sll => "slli",
-                    AluOp::Srl => "srli",
-                    AluOp::Sra => "srai",
-                    AluOp::Sub => unreachable!(),
-                };
-                write!(f, "{name} {rd}, {rs1}, {imm}")
+                write!(f, "{} {rd}, {rs1}, {imm}", name(&ALU_IMM_OPS, op))
             }
             Instr::Op { op, rd, rs1, rs2 } => {
-                let name = match op {
-                    AluOp::Add => "add",
-                    AluOp::Sub => "sub",
-                    AluOp::Sll => "sll",
-                    AluOp::Slt => "slt",
-                    AluOp::Sltu => "sltu",
-                    AluOp::Xor => "xor",
-                    AluOp::Srl => "srl",
-                    AluOp::Sra => "sra",
-                    AluOp::Or => "or",
-                    AluOp::And => "and",
-                };
-                write!(f, "{name} {rd}, {rs1}, {rs2}")
+                write!(f, "{} {rd}, {rs1}, {rs2}", name(&ALU_OPS, op))
             }
             Instr::Mul { op, rd, rs1, rs2 } => {
-                let name = match op {
-                    MulOp::Mul => "mul",
-                    MulOp::Mulh => "mulh",
-                    MulOp::Mulhsu => "mulhsu",
-                    MulOp::Mulhu => "mulhu",
-                    MulOp::Div => "div",
-                    MulOp::Divu => "divu",
-                    MulOp::Rem => "rem",
-                    MulOp::Remu => "remu",
-                };
-                write!(f, "{name} {rd}, {rs1}, {rs2}")
+                write!(f, "{} {rd}, {rs1}, {rs2}", name(&MUL_OPS, op))
             }
             Instr::Amo { op, rd, rs1, rs2 } => {
-                let name = match op {
-                    AmoOp::Add => "amoadd.w",
-                    AmoOp::Swap => "amoswap.w",
-                    AmoOp::And => "amoand.w",
-                    AmoOp::Or => "amoor.w",
-                    AmoOp::Xor => "amoxor.w",
-                    AmoOp::Max => "amomax.w",
-                    AmoOp::Min => "amomin.w",
-                };
-                write!(f, "{name} {rd}, {rs2}, ({rs1})")
+                write!(f, "{} {rd}, {rs2}, ({rs1})", name(&AMO_OPS, op))
             }
             Instr::Mac { rd, rs1, rs2 } => write!(f, "p.mac {rd}, {rs1}, {rs2}"),
+            Instr::Xpulp { op, rd, rs1, .. } if op == XpulpOp::Abs => {
+                write!(f, "{} {rd}, {rs1}", name(&XPULP_OPS, op))
+            }
             Instr::Xpulp { op, rd, rs1, rs2 } => {
-                let name = match op {
-                    XpulpOp::Min => "p.min",
-                    XpulpOp::Max => "p.max",
-                    XpulpOp::MinU => "p.minu",
-                    XpulpOp::MaxU => "p.maxu",
-                    XpulpOp::Abs => "p.abs",
-                    XpulpOp::Clip => "p.clip",
-                };
-                if op == XpulpOp::Abs {
-                    write!(f, "{name} {rd}, {rs1}")
-                } else {
-                    write!(f, "{name} {rd}, {rs1}, {rs2}")
-                }
+                write!(f, "{} {rd}, {rs1}, {rs2}", name(&XPULP_OPS, op))
             }
             Instr::LwPostInc { rd, rs1, offset } => write!(f, "p.lw {rd}, {offset}({rs1}!)"),
             Instr::SwPostInc { rs2, rs1, offset } => write!(f, "p.sw {rs2}, {offset}({rs1}!)"),
             Instr::Csrrs { rd, csr, rs1 } => write!(f, "csrrs {rd}, {csr:#x}, {rs1}"),
-            Instr::Wfi => f.write_str("wfi"),
-            Instr::Fence => f.write_str("fence"),
+            Instr::Wfi | Instr::Fence => f.write_str(name(&BARE_OPS, *self)),
         }
     }
 }
@@ -1187,6 +1126,78 @@ mod tests {
             rd: r(21),
             imm: 0xffff_f000,
         });
+    }
+
+    /// The mnemonics of a table's rows.
+    fn names<Op>(table: &OpTable<Op>) -> impl Iterator<Item = &'static str> + '_ {
+        table.iter().map(|row| row.1)
+    }
+
+    /// Every row of every op table, spelled as source text: assembled,
+    /// encoded, decoded and displayed, it comes back as the same text.
+    #[test]
+    fn every_op_table_row_round_trips_through_text_and_bits() {
+        let mut texts: Vec<String> = Vec::new();
+        texts.extend(names(&BRANCH_OPS).map(|n| format!("{n} a0, a1, -8")));
+        texts.extend(names(&LOAD_OPS).map(|n| format!("{n} a0, 12(sp)")));
+        texts.extend(names(&STORE_OPS).map(|n| format!("{n} a0, -4(sp)")));
+        texts.extend(names(&ALU_OPS).map(|n| format!("{n} a0, a1, a2")));
+        texts.extend(names(&ALU_IMM_OPS).map(|n| format!("{n} t0, t1, 7")));
+        texts.extend(names(&MUL_OPS).map(|n| format!("{n} s0, s1, s2")));
+        texts.extend(names(&AMO_OPS).map(|n| format!("{n} a0, a1, (a2)")));
+        texts.extend(XPULP_OPS.iter().map(|&(op, n, _)| match op {
+            XpulpOp::Abs => format!("{n} a3, a4"),
+            _ => format!("{n} a3, a4, a5"),
+        }));
+        texts.extend(names(&BARE_OPS).map(str::to_owned));
+        assert_eq!(texts.len(), 6 + 5 + 3 + 10 + 9 + 8 + 7 + 6 + 2);
+        for text in &texts {
+            let program = crate::Program::assemble(text).unwrap_or_else(|e| panic!("{text}: {e}"));
+            let [instr] = program.instrs() else {
+                panic!("`{text}` is one instruction");
+            };
+            let back = decode(instr.encode()).unwrap_or_else(|e| panic!("{text}: {e}"));
+            assert_eq!(back, *instr, "{text}");
+            assert_eq!(back.to_string(), *text);
+        }
+    }
+
+    /// Fixed-seed property over 2^20 words, half of them given one of
+    /// the implemented opcodes: whatever decodes re-encodes to a word that
+    /// decodes to the same instruction.
+    #[test]
+    fn decoded_words_re_encode_to_the_same_instruction() {
+        const OPCODES: [u32; 13] = [
+            OP_LUI,
+            OP_AUIPC,
+            OP_JAL,
+            OP_JALR,
+            OP_BRANCH,
+            OP_LOAD,
+            OP_STORE,
+            OP_OP_IMM,
+            OP_OP,
+            OP_AMO,
+            OP_SYSTEM,
+            OP_MISC_MEM,
+            OP_CUSTOM0,
+        ];
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut decoded = 0u32;
+        for i in 0..1u32 << 20 {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            let mut word = (state >> 32) as u32;
+            if i % 2 == 1 {
+                word = (word & !0x7f) | OPCODES[(state >> 16) as usize % OPCODES.len()];
+            }
+            if let Ok(instr) = decode(word) {
+                decoded += 1;
+                assert_eq!(decode(instr.encode()), Ok(instr), "{word:#010x}");
+            }
+        }
+        assert!(decoded > 1 << 18, "only {decoded} words decoded");
     }
 
     #[test]

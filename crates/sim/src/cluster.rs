@@ -6,8 +6,9 @@
 //! anatomy):
 //!
 //! 1. **bank service** — every bank serves at most one request whose
-//!    network arrival lies strictly in the past (earliest arrival first,
-//!    FIFO among ties, counting conflict cycles);
+//!    network arrival lies strictly in the past (earliest arrival first;
+//!    among ties, the lowest queue position as `swap_remove` leaves it;
+//!    counting conflict cycles);
 //! 2. **response delivery** — completed transactions write back to their
 //!    core's register file and release scoreboard entries;
 //! 3. **issue** — every non-halted core consumes pipeline bubbles, checks
@@ -843,9 +844,9 @@ impl Cluster {
     ///
     /// Returns an error for unmapped or misaligned addresses.
     pub fn write_spm_word(&mut self, addr: u32, value: u32) -> Result<(), SimError> {
-        self.storage.write(addr, MemWidth::Word, value)?;
-        if let MemoryRegion::Spm(loc) = self.storage.map().locate(addr & !3) {
-            if let Some(faults) = self.faults.as_mut() {
+        let region = self.storage.store(addr, MemWidth::Word, value)?;
+        if let (MemoryRegion::Spm(loc), Some(faults)) = (region, self.faults.as_mut()) {
+            if faults.has_pending_errors() {
                 faults.ecc_clear(loc);
             }
         }
@@ -1272,25 +1273,6 @@ fn dma_dir(to_spm: bool) -> &'static str {
         "to_spm"
     } else {
         "to_ext"
-    }
-}
-
-/// Address an instruction is about to access, computed *without* side
-/// effects (post-increments are not applied) — used for remote-port
-/// arbitration before the instruction actually issues.
-pub(crate) fn mem_probe_addr(
-    instr: mempool_isa::Instr,
-    regs: &mempool_isa::RegFile,
-) -> Option<u32> {
-    use mempool_isa::Instr;
-    match instr {
-        Instr::Load { rs1, offset, .. } | Instr::Store { rs1, offset, .. } => {
-            Some(regs.read(rs1).wrapping_add(offset as u32))
-        }
-        Instr::Amo { rs1, .. } | Instr::LwPostInc { rs1, .. } | Instr::SwPostInc { rs1, .. } => {
-            Some(regs.read(rs1))
-        }
-        _ => None,
     }
 }
 

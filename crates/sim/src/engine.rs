@@ -24,8 +24,7 @@ use mempool_isa::Program;
 use mempool_obs::{Deferred, FlightRecorder};
 
 use crate::cluster::{
-    latency_split, mem_probe_addr, sign_adjust, Bank, Cluster, ClusterObs, PendingAccess, Response,
-    SimError,
+    latency_split, sign_adjust, Bank, Cluster, ClusterObs, PendingAccess, Response, SimError,
 };
 use crate::core::{Core, IssueRecord, Stall};
 use crate::icache::ICache;
@@ -254,10 +253,11 @@ impl<'a> Tick<'a> {
     }
 
     /// Bank service of `tile`: every bank serves at most one request whose
-    /// network arrival lies strictly in the past (earliest arrival wins,
-    /// FIFO among ties), counting conflict cycles, and its response goes
-    /// straight into the requesting core's queue. An uncorrectable read
-    /// stops the tile's service for this tick.
+    /// network arrival lies strictly in the past (earliest arrival wins;
+    /// among ties, the lowest queue position as `swap_remove` leaves it,
+    /// which is not push order), counting conflict cycles, and its response
+    /// goes straight into the requesting core's queue. An uncorrectable
+    /// read stops the tile's service for this tick.
     fn serve(&mut self, tile: usize) {
         let now = self.now;
         let LiveSets {
@@ -281,8 +281,9 @@ impl<'a> Tick<'a> {
                 continue;
             }
             // The earliest arrival lies in the past, so the request that
-            // has it (the first, among ties) is the one to serve; `rest`
-            // becomes the queue's earliest arrival once it is gone.
+            // has it (the lowest queue position, among ties) is the one to
+            // serve; `rest` becomes the queue's earliest arrival once it is
+            // gone. `swap_remove` moves the last request into its slot.
             let (mut best, mut first, mut rest) = (0, u64::MAX, u64::MAX);
             let mut contenders = 0u64;
             for (i, access) in bank.queue.iter().enumerate() {
@@ -458,9 +459,9 @@ impl<'a> Tick<'a> {
             }
             // Where a memory instruction's word lives, decoded once: port
             // arbitration needs it before the instruction issues, the
-            // access itself after.
-            let probe = mem_probe_addr(instr, &core.regs);
-            let region = probe.map(|addr| self.storage.map().locate(addr & !3));
+            // access itself after (`exec::issue` takes the same address).
+            let region =
+                exec::mem_addr(instr, &core.regs).map(|addr| self.storage.map().locate(addr & !3));
             if let Some(MemoryRegion::Spm(loc)) = region {
                 if loc.tile != tile_id {
                     if remote_issued >= self.config.remote_ports_per_tile() {
@@ -505,8 +506,7 @@ impl<'a> Tick<'a> {
                 MemAccessKind::Load { width, .. } | MemAccessKind::Store { width, .. } => width,
                 MemAccessKind::Amo { .. } => MemWidth::Word,
             };
-            debug_assert_eq!(probe, Some(req.addr), "the probe is the issued address");
-            let located = region.expect("a memory instruction has a probe address");
+            let located = region.expect("a memory instruction has an address");
             let reg = req.kind.response_reg();
             match check_region(located, req.addr, width) {
                 Err(e) => {
@@ -752,4 +752,63 @@ pub(crate) fn run(cluster: &mut Cluster, max_cycles: u64) -> Result<u64, SimErro
             quiescent = tick(cluster, prof)?;
         }
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use mempool_arch::{ClusterConfig, MemoryRegion};
+    use mempool_isa::exec::{MemAccessKind, MemWidth};
+    use mempool_isa::Program;
+
+    use crate::cluster::{Cluster, PendingAccess};
+    use crate::SimParams;
+
+    /// Among requests tied at the earliest arrival a bank serves the lowest
+    /// queue position, and `swap_remove` has moved the last request into
+    /// the slot the previous serve emptied: ties are not served in push
+    /// order.
+    #[test]
+    fn ties_go_to_the_lowest_queue_position_swap_remove_leaves() {
+        let config = ClusterConfig::builder()
+            .groups(1)
+            .tiles_per_group(1)
+            .cores_per_tile(1)
+            .banks_per_tile(4)
+            .bank_words(64)
+            .build()
+            .unwrap();
+        let mut cluster = Cluster::new(config, SimParams::default());
+        cluster.load_program(Program::assemble("wfi").unwrap());
+        cluster.preload_icaches();
+        let MemoryRegion::Spm(loc) = cluster.storage().map().locate(0) else {
+            panic!("address 0 is in the SPM");
+        };
+        // X arrives first, A and C tie one cycle later; each stores its own
+        // value to the same word, so the word names the last one served.
+        let (x, a, c) = (1, 2, 3);
+        for (arrival, value) in [(0, x), (1, a), (1, c)] {
+            cluster.cores[0].mark_pending(None);
+            let access = PendingAccess {
+                arrival,
+                core: 0,
+                loc,
+                kind: MemAccessKind::Store {
+                    width: MemWidth::Word,
+                    value,
+                },
+                resp_latency: 1,
+                addr: 0,
+            };
+            let (tile, bank) = (loc.tile.index(), loc.bank.index());
+            cluster.live.push(&mut cluster.banks, tile, bank, access);
+        }
+        let mut served = Vec::new();
+        for _ in 0..4 {
+            cluster.step().unwrap();
+            served.push(cluster.read_spm_word(0).unwrap());
+        }
+        // Cycle 0 serves nothing (X arrives at 0), cycle 1 serves X, which
+        // moves C into X's slot ahead of A: C is served before A.
+        assert_eq!(served, [0, x, c, a]);
+    }
 }

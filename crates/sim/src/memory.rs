@@ -452,12 +452,17 @@ impl Storage {
     ///
     /// Returns an error if the location is outside the bank geometry.
     pub fn write_loc(&mut self, loc: BankLocation, value: u32) -> Result<(), MemoryError> {
-        match self.slot(loc)? {
-            Slot::Main(index) => self.spm[index] = value,
-            Slot::Spare(index) => self.spare[index] = value,
-        }
+        *self.slot_mut(loc)? = value;
         self.touches.set(self.touches.get() + 1);
         Ok(())
+    }
+
+    /// The stored word a (logical) location resolves to. Counts no touch.
+    fn slot_mut(&mut self, loc: BankLocation) -> Result<&mut u32, MemoryError> {
+        Ok(match self.slot(loc)? {
+            Slot::Main(index) => &mut self.spm[index],
+            Slot::Spare(index) => &mut self.spare[index],
+        })
     }
 
     /// Writes directly into the *physical* faulted bank, bypassing the
@@ -505,19 +510,33 @@ impl Storage {
     ///
     /// Returns an error for unmapped or misaligned addresses.
     pub fn write(&mut self, addr: u32, width: MemWidth, value: u32) -> Result<(), MemoryError> {
+        self.store(addr, width, value).map(drop)
+    }
+
+    /// [`Self::write`], returning the region the address decoded to. An
+    /// SPM word is located and resolved once for its read-modify-write,
+    /// which counts as the read and the write it stands for.
+    pub(crate) fn store(
+        &mut self,
+        addr: u32,
+        width: MemWidth,
+        value: u32,
+    ) -> Result<MemoryRegion, MemoryError> {
         let region = self.decode(addr, width)?;
-        let mut new = match region {
-            MemoryRegion::Spm(loc) => self.read_loc(loc)?,
-            MemoryRegion::External(offset) => self.read_external_word(offset & !3),
-            MemoryRegion::Unmapped => unreachable!(),
-        };
-        access_word(MemAccessKind::Store { width, value }, addr, &mut new);
+        let kind = MemAccessKind::Store { width, value };
         match region {
-            MemoryRegion::Spm(loc) => self.write_loc(loc, new)?,
-            MemoryRegion::External(offset) => self.write_external_word(offset & !3, new),
+            MemoryRegion::Spm(loc) => {
+                access_word(kind, addr, self.slot_mut(loc)?);
+                self.touches.set(self.touches.get() + 2);
+            }
+            MemoryRegion::External(offset) => {
+                let mut word = self.read_external_word(offset & !3);
+                access_word(kind, addr, &mut word);
+                self.write_external_word(offset & !3, word);
+            }
             MemoryRegion::Unmapped => unreachable!(),
         }
-        Ok(())
+        Ok(region)
     }
 
     /// Checkpoint accessor: the flat main SPM array.
@@ -547,9 +566,8 @@ impl Storage {
     /// spare-bank substitution: the engine's way into the arrays, for a
     /// location the address map produced. Counts no touch.
     pub(crate) fn word_mut(&mut self, loc: BankLocation) -> &mut u32 {
-        match self.slot(loc) {
-            Ok(Slot::Main(index)) => &mut self.spm[index],
-            Ok(Slot::Spare(index)) => &mut self.spare[index],
+        match self.slot_mut(loc) {
+            Ok(word) => word,
             Err(e) => unreachable!("a located word lies inside the geometry: {e}"),
         }
     }
