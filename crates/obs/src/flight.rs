@@ -192,19 +192,21 @@ impl FlightRecorder {
         self.inner.borrow().iter().map(Slot::event).collect()
     }
 
-    /// Serializes the ring:
-    /// `{"capacity": C, "dropped": D, "events": [{..}, ..]}`.
+    /// Serializes the ring (see [`flight_json`]).
     pub fn to_json(&self) -> Json {
-        let inner = self.inner.borrow();
-        Json::obj([
-            ("capacity", Json::Int(inner.capacity() as i64)),
-            ("dropped", Json::Int(inner.dropped() as i64)),
-            (
-                "events",
-                Json::Arr(inner.iter().map(|slot| slot.event().to_json()).collect()),
-            ),
-        ])
+        flight_json(&self.inner.borrow(), |slot| slot.event().to_json())
     }
+}
+
+/// Serializes a ring of events, each through `event`, as a flight-recorder
+/// document: `{"capacity": C, "dropped": D, "events": [{..}, ..]}`, oldest
+/// event first.
+pub fn flight_json<T>(ring: &Ring<T>, event: impl FnMut(&T) -> Json) -> Json {
+    Json::obj([
+        ("capacity", Json::Int(ring.capacity() as i64)),
+        ("dropped", Json::Int(ring.dropped() as i64)),
+        ("events", Json::Arr(ring.iter().map(event).collect())),
+    ])
 }
 
 #[cfg(test)]

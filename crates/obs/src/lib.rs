@@ -66,7 +66,7 @@ pub(crate) mod timeseries;
 pub use artifacts::ArtifactDir;
 pub use attribution::{AttributionReport, BankConflictInput, CoreCycleInput};
 pub use chrome::{chrome_trace, chrome_trace_with_counters};
-pub use flight::{Deferred, FlightRecorder};
+pub use flight::{flight_json, Deferred, FlightEvent, FlightRecorder};
 pub use json::{Json, JsonError};
 pub use load::{load_json_file, quarantine_path, write_atomic, LoadOutcome};
 pub use metrics::{Counter, Registry};

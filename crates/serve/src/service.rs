@@ -17,8 +17,8 @@
 //!
 //! The pool instruments itself with thread-safe counters and reports them
 //! in one `stats` document ([`Service::stats_json`]): the counters, the
-//! per-worker pool health, and a [`mempool_obs::FlightRecorder`] replay of
-//! recent service events.
+//! per-worker pool health, and the recent service events in the
+//! flight-recorder document shape ([`mempool_obs::flight_json`]).
 
 use std::collections::{HashMap, VecDeque};
 use std::fs;
@@ -31,7 +31,8 @@ use std::thread::JoinHandle;
 use std::time::Instant;
 
 use mempool_obs::{
-    load_json_file, quarantine_path, write_atomic, FlightRecorder, Json, LoadOutcome,
+    flight_json, load_json_file, quarantine_path, write_atomic, FlightEvent, Json, LoadOutcome,
+    Ring,
 };
 
 use crate::cache::ResultCache;
@@ -65,8 +66,6 @@ pub struct ServiceConfig {
     pub max_queue: usize,
     /// Optional on-disk cache directory shared across daemon runs.
     pub cache_dir: Option<PathBuf>,
-    /// Capacity of the service flight-event ring.
-    pub flight_capacity: usize,
 }
 
 impl Default for ServiceConfig {
@@ -75,7 +74,6 @@ impl Default for ServiceConfig {
             workers: 2,
             max_queue: 64,
             cache_dir: None,
-            flight_capacity: 256,
         }
     }
 }
@@ -127,23 +125,9 @@ pub(crate) struct WorkerStats {
     pub busy_ns: AtomicU64,
 }
 
-/// One recent service event (bounded ring, exported as a flight-recorder
-/// document). `seq` stands in for the cycle domain of simulator events.
-#[derive(Debug, Clone)]
-struct ServeEvent {
-    seq: u64,
-    category: &'static str,
-    worker: Option<u32>,
-    message: String,
-}
-
-#[derive(Debug, Default)]
-struct FlightRing {
-    ring: VecDeque<ServeEvent>,
-    capacity: usize,
-    next_seq: u64,
-    dropped: u64,
-}
+/// How many recent service events the stats document's `flight` ring
+/// keeps.
+const FLIGHT_CAPACITY: usize = 256;
 
 struct Waiter {
     outcome: CacheOutcome,
@@ -170,7 +154,9 @@ pub(crate) struct Shared {
     cache: ResultCache,
     runner: Box<dyn Runner>,
     stats: ServeStats,
-    flight: Mutex<FlightRing>,
+    /// Recent service events. An event's `cycle` is its sequence number,
+    /// standing in for the cycle domain of simulator events.
+    flight: Mutex<Ring<FlightEvent>>,
     busy_workers: AtomicU64,
     /// One entry per worker thread (index = worker id).
     worker_stats: Vec<WorkerStats>,
@@ -216,16 +202,12 @@ impl Shared {
 
     fn record(&self, category: &'static str, worker: Option<u32>, message: String) {
         let mut flight = self.flight.lock().expect("flight ring poisoned");
-        if flight.ring.len() == flight.capacity {
-            flight.ring.pop_front();
-            flight.dropped += 1;
-        }
-        let seq = flight.next_seq;
-        flight.next_seq += 1;
-        flight.ring.push_back(ServeEvent {
-            seq,
-            category,
-            worker,
+        // Every event pushed so far is held or was dropped.
+        let seq = flight.len() as u64 + flight.dropped();
+        flight.push(FlightEvent {
+            cycle: seq,
+            category: category.to_string(),
+            core: worker,
             message,
         });
     }
@@ -276,10 +258,7 @@ impl Service {
             cache,
             runner,
             stats: ServeStats::default(),
-            flight: Mutex::new(FlightRing {
-                capacity: config.flight_capacity.max(1),
-                ..FlightRing::default()
-            }),
+            flight: Mutex::new(Ring::new(FLIGHT_CAPACITY)),
             busy_workers: AtomicU64::new(0),
             worker_stats: (0..config.workers)
                 .map(|_| WorkerStats::default())
@@ -710,7 +689,13 @@ pub(crate) fn stats_json(shared: &Shared) -> Json {
         ),
         ("cache_entries", Json::Int(shared.cache.len() as i64)),
         ("worker_pool", worker_pool_json(shared)),
-        ("flight", flight_recorder(shared).to_json()),
+        (
+            "flight",
+            flight_json(
+                &shared.flight.lock().expect("flight ring poisoned"),
+                FlightEvent::to_json,
+            ),
+        ),
     ])
 }
 
@@ -737,20 +722,4 @@ fn worker_pool_json(shared: &Shared) -> Json {
             })
             .collect(),
     )
-}
-
-/// Replays the service event ring into a [`FlightRecorder`], giving the
-/// stats document the same crash-forensics shape as the simulator's.
-fn flight_recorder(shared: &Shared) -> FlightRecorder {
-    let flight = shared.flight.lock().expect("flight ring poisoned");
-    let recorder = FlightRecorder::with_capacity(flight.capacity);
-    for event in &flight.ring {
-        recorder.record(
-            event.seq,
-            event.category,
-            event.worker,
-            event.message.clone(),
-        );
-    }
-    recorder
 }

@@ -449,6 +449,32 @@ fn stats_document_carries_counters_pool_health_and_flight_events() {
     assert!(categories.contains(&"hit"), "{categories:?}");
 }
 
+#[test]
+fn stats_flight_ring_counts_the_events_it_evicted() {
+    let runner = |req: &ExperimentRequest| Ok(Json::obj([("kind", Json::str(req.kind.tag()))]));
+    let service = Service::start_with_runner(ServiceConfig::default(), Box::new(runner)).unwrap();
+    let client = service.client();
+    let req = ExperimentRequest::new(ExperimentKind::Table1);
+    client.run(req).unwrap();
+    for _ in 0..300 {
+        assert_eq!(client.run(req).unwrap().cache, CacheOutcome::Hit);
+    }
+    let stats = service.stats_json();
+    let flight = stats.get("flight").unwrap();
+    let field = |name: &str| flight.get(name).and_then(Json::as_int).unwrap();
+    let events = flight.get("events").and_then(Json::as_arr).unwrap();
+    assert_eq!(field("capacity"), 256);
+    assert_eq!(events.len(), 256);
+    let dropped = field("dropped");
+    assert!(dropped >= 44, "dropped = {dropped}");
+    // Events are numbered from 0 in arrival order, evicted ones included.
+    let newest = events
+        .last()
+        .and_then(|e| e.get("cycle"))
+        .and_then(Json::as_int);
+    assert_eq!(newest, Some(dropped + 255));
+}
+
 /// A journaled job left behind by a dead daemon is re-run on startup,
 /// warming the cache without any client asking again.
 #[test]

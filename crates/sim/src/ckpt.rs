@@ -569,7 +569,7 @@ impl Cluster {
         let icaches: Vec<ICacheState> = self.icaches.iter().map(ICache::state_snapshot).collect();
         let storage: StorageParts = (
             self.storage.spares_per_tile(),
-            self.storage.external_entries().into_owned(),
+            self.storage.external_entries().collect(),
             self.storage.spm_word_touches(),
             self.storage
                 .map()
@@ -1114,6 +1114,52 @@ mod tests {
         assert_eq!(restored.stats(), cluster.stats());
         assert_eq!(restored.stats().digest(), cluster.stats().digest());
         assert!(restored.quiescent());
+    }
+
+    #[test]
+    fn checkpoint_is_a_function_of_external_contents_not_write_order() {
+        const WORDS: u64 = 1_000;
+        // Every seventh word; every fifth of those ends up zero.
+        let offset = |i: u64| i * 28;
+        let value = |i: u64| match i % 5 {
+            0 => 0,
+            _ => (i as u32).wrapping_mul(0x9e37_79b9) | 1,
+        };
+        let nonzero = (0..WORDS).filter(|&i| value(i) != 0).count();
+
+        let mut ascending = Cluster::new(small_config(), SimParams::default());
+        let storage = ascending.storage_mut();
+        for i in (0..WORDS).filter(|&i| value(i) != 0) {
+            storage.write_external_word(offset(i), value(i));
+        }
+
+        let mut shuffled = Cluster::new(small_config(), SimParams::default());
+        let storage = shuffled.storage_mut();
+        for i in (0..WORDS).rev() {
+            storage.write_external_word(offset(i), i as u32 + 1);
+        }
+        // Overwrite every word with its final value, zeroing a fifth...
+        for i in (0..WORDS).rev() {
+            storage.write_external_word(offset(i), value(i));
+        }
+        // ...and zero words that were never written.
+        for i in 0..WORDS {
+            storage.write_external_word(offset(i) + 4, 0);
+        }
+
+        assert_eq!(
+            ascending.checkpoint().to_string(),
+            shuffled.checkpoint().to_string()
+        );
+        assert_eq!(ascending.storage().external_footprint_words(), nonzero);
+        assert_eq!(shuffled.storage().external_footprint_words(), nonzero);
+        let restored = Cluster::restore(&shuffled.checkpoint()).unwrap();
+        let storage = restored.storage();
+        assert_eq!(storage.external_footprint_words(), nonzero);
+        for i in 0..WORDS {
+            assert_eq!(storage.read_external_word(offset(i)), value(i), "word {i}");
+            assert_eq!(storage.read_external_word(offset(i) + 4), 0, "word {i}");
+        }
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Backing storage for the SPM banks and the external (off-chip) memory.
 
-use std::borrow::Cow;
 use std::cell::Cell;
+use std::collections::BTreeMap;
 use std::fmt;
 
 use mempool_arch::{
@@ -9,8 +9,6 @@ use mempool_arch::{
 };
 use mempool_isa::exec::{MemAccessKind, MemWidth};
 use mempool_isa::Reg;
-
-use crate::params::{fnv1a, FNV_OFFSET};
 
 /// Error raised by a storage access.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -43,208 +41,6 @@ impl fmt::Display for MemoryError {
 
 impl std::error::Error for MemoryError {}
 
-/// Sparse external memory: a dense, reusable array of `(word_offset,
-/// value)` pairs behind an open-addressing FNV-1a index.
-///
-/// This sits on the simulator's hot path twice: every external load,
-/// store, and AMO resolves through it, and every checkpoint walks it. A
-/// `HashMap<u64, u32>` pays SipHash plus pointer-chasing per probe and
-/// forces a collect-and-sort per snapshot; here lookups are one FNV hash
-/// plus a linear probe over a flat `u32` slot array, and snapshots borrow
-/// the dense array directly whenever writes have kept it offset-sorted
-/// (the common, mostly-ascending case), allocating only when an
-/// out-of-order write or a removal has perturbed the order.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct ExternalMem {
-    /// Dense storage in insertion order; the index refers into this.
-    entries: Vec<(u64, u32)>,
-    /// Open-addressing slots: [`SLOT_EMPTY`], [`SLOT_TOMB`], or dense
-    /// index + 2. Capacity is always a power of two (or zero when empty).
-    index: Vec<u32>,
-    /// Slots wasted on tombstones, triggering a rebuild when excessive.
-    tombstones: usize,
-    /// Whether `entries` is sorted by ascending offset right now, i.e.
-    /// whether a snapshot can borrow it without sorting.
-    sorted: bool,
-}
-
-const SLOT_EMPTY: u32 = 0;
-const SLOT_TOMB: u32 = 1;
-
-/// FNV-1a over the key's little-endian bytes.
-#[inline]
-fn fnv_hash_offset(key: u64) -> u64 {
-    fnv1a(FNV_OFFSET, &key.to_le_bytes())
-}
-
-impl ExternalMem {
-    pub(crate) fn new() -> Self {
-        ExternalMem {
-            entries: Vec::new(),
-            index: Vec::new(),
-            tombstones: 0,
-            sorted: true,
-        }
-    }
-
-    /// Number of words currently holding nonzero data.
-    pub(crate) fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Looks up the value stored at `key` (a word offset), zero if absent.
-    #[inline]
-    pub(crate) fn get(&self, key: u64) -> u32 {
-        if self.index.is_empty() {
-            return 0;
-        }
-        let mask = self.index.len() - 1;
-        let mut slot = fnv_hash_offset(key) as usize & mask;
-        loop {
-            match self.index[slot] {
-                SLOT_EMPTY => return 0,
-                SLOT_TOMB => {}
-                packed => {
-                    let dense = (packed - 2) as usize;
-                    if self.entries[dense].0 == key {
-                        return self.entries[dense].1;
-                    }
-                }
-            }
-            slot = (slot + 1) & mask;
-        }
-    }
-
-    /// Inserts or overwrites `key` with a nonzero `value`.
-    pub(crate) fn insert(&mut self, key: u64, value: u32) {
-        debug_assert_ne!(value, 0, "zero words are removed, not stored");
-        self.reserve_one();
-        let mask = self.index.len() - 1;
-        let mut slot = fnv_hash_offset(key) as usize & mask;
-        let mut reuse: Option<usize> = None;
-        loop {
-            match self.index[slot] {
-                SLOT_EMPTY => {
-                    if self.sorted {
-                        self.sorted = self.entries.last().is_none_or(|&(last, _)| last < key);
-                    }
-                    self.entries.push((key, value));
-                    let target = reuse.unwrap_or(slot);
-                    if reuse.is_some() {
-                        self.tombstones -= 1;
-                    }
-                    self.index[target] = (self.entries.len() - 1) as u32 + 2;
-                    return;
-                }
-                SLOT_TOMB => {
-                    if reuse.is_none() {
-                        reuse = Some(slot);
-                    }
-                }
-                packed => {
-                    let dense = (packed - 2) as usize;
-                    if self.entries[dense].0 == key {
-                        self.entries[dense].1 = value;
-                        return;
-                    }
-                }
-            }
-            slot = (slot + 1) & mask;
-        }
-    }
-
-    /// Removes `key` if present (a zero write frees the word).
-    pub(crate) fn remove(&mut self, key: u64) {
-        if self.index.is_empty() {
-            return;
-        }
-        let mask = self.index.len() - 1;
-        let mut slot = fnv_hash_offset(key) as usize & mask;
-        loop {
-            match self.index[slot] {
-                SLOT_EMPTY => return,
-                SLOT_TOMB => {}
-                packed => {
-                    let dense = (packed - 2) as usize;
-                    if self.entries[dense].0 == key {
-                        self.index[slot] = SLOT_TOMB;
-                        self.tombstones += 1;
-                        let last = self.entries.len() - 1;
-                        self.entries.swap_remove(dense);
-                        if dense != last {
-                            // Re-point the moved entry's slot at its new
-                            // dense position.
-                            let moved_key = self.entries[dense].0;
-                            let mut fix = fnv_hash_offset(moved_key) as usize & mask;
-                            loop {
-                                if self.index[fix] == last as u32 + 2 {
-                                    self.index[fix] = dense as u32 + 2;
-                                    break;
-                                }
-                                fix = (fix + 1) & mask;
-                            }
-                        }
-                        // A removal can leave any permutation behind; the
-                        // empty map is trivially sorted again.
-                        self.sorted = self.entries.len() <= 1;
-                        return;
-                    }
-                }
-            }
-            slot = (slot + 1) & mask;
-        }
-    }
-
-    /// The entries ordered by ascending offset, borrowing the dense array
-    /// when writes have kept it sorted and copying only when they have
-    /// not. Checkpointing calls this every snapshot.
-    pub(crate) fn snapshot(&self) -> Cow<'_, [(u64, u32)]> {
-        if self.sorted {
-            Cow::Borrowed(&self.entries)
-        } else {
-            let mut copy = self.entries.clone();
-            copy.sort_unstable_by_key(|&(k, _)| k);
-            Cow::Owned(copy)
-        }
-    }
-
-    /// Rebuilds from checkpointed pairs, dropping explicit zeros.
-    pub(crate) fn from_pairs(pairs: impl IntoIterator<Item = (u64, u32)>) -> Self {
-        let mut mem = ExternalMem::new();
-        for (key, value) in pairs {
-            if value != 0 {
-                mem.insert(key, value);
-            }
-        }
-        mem
-    }
-
-    /// Grows or rebuilds the slot array so one more insert always finds
-    /// an empty slot, keeping the load factor (live + tombstones) under
-    /// 3/4.
-    fn reserve_one(&mut self) {
-        let needed = self.entries.len() + self.tombstones + 1;
-        if self.index.len() >= 16 && needed * 4 <= self.index.len() * 3 {
-            return;
-        }
-        let cap = (self.entries.len() + 1)
-            .next_power_of_two()
-            .max(16)
-            .saturating_mul(2);
-        self.index.clear();
-        self.index.resize(cap, SLOT_EMPTY);
-        self.tombstones = 0;
-        let mask = cap - 1;
-        for (dense, &(key, _)) in self.entries.iter().enumerate() {
-            let mut slot = fnv_hash_offset(key) as usize & mask;
-            while self.index[slot] != SLOT_EMPTY {
-                slot = (slot + 1) & mask;
-            }
-            self.index[slot] = dense as u32 + 2;
-        }
-    }
-}
-
 /// Word-addressed storage for all SPM banks of the cluster, plus a sparse
 /// external memory.
 ///
@@ -262,9 +58,9 @@ pub struct Storage {
     spare: Vec<u32>,
     spares_per_tile: u32,
     num_tiles: u32,
-    /// Sparse external memory, keyed by word offset (open-addressing FNV
-    /// map — see [`ExternalMem`]).
-    external: ExternalMem,
+    /// Sparse external memory: the nonzero words, keyed by word offset. A
+    /// zero write removes its word, so the map holds no zeros.
+    external: BTreeMap<u64, u32>,
     /// SPM words read or written so far (core accesses and DMA word
     /// traffic alike) — the time-series sampler reads this per epoch.
     /// A `Cell` because [`Self::read_loc`] counts through `&self`; the
@@ -339,7 +135,7 @@ impl Storage {
             spare: Vec::new(),
             spares_per_tile: 0,
             num_tiles: cfg.num_tiles(),
-            external: ExternalMem::new(),
+            external: BTreeMap::new(),
             touches: Cell::new(0),
         }
     }
@@ -554,12 +350,12 @@ impl Storage {
         self.spares_per_tile
     }
 
-    /// Checkpoint accessor: external memory as `(word_offset, value)`
-    /// pairs sorted by offset, for a deterministic serialization order.
-    /// Borrows the dense storage without copying whenever external writes
-    /// have been append-ordered (the common case on the snapshot path).
-    pub(crate) fn external_entries(&self) -> Cow<'_, [(u64, u32)]> {
-        self.external.snapshot()
+    /// Checkpoint accessor: the nonzero external words as `(word_offset,
+    /// value)` pairs in ascending offset order, the map's own order.
+    pub(crate) fn external_entries(&self) -> impl Iterator<Item = (u64, u32)> + '_ {
+        self.external
+            .iter()
+            .map(|(&offset, &value)| (offset, value))
     }
 
     /// The stored word at a (logical) bank location, following any
@@ -622,7 +418,10 @@ impl Storage {
         }
         self.spm = spm;
         self.spare = spare;
-        self.external = ExternalMem::from_pairs(external);
+        self.external = external
+            .into_iter()
+            .filter(|&(_, value)| value != 0)
+            .collect();
         self.touches.set(touches);
         Ok(())
     }
@@ -630,14 +429,14 @@ impl Storage {
     /// Reads a word from external memory by byte offset (must be aligned).
     pub fn read_external_word(&self, offset: u64) -> u32 {
         debug_assert_eq!(offset % 4, 0);
-        self.external.get(offset / 4)
+        self.external.get(&(offset / 4)).copied().unwrap_or(0)
     }
 
     /// Writes a word to external memory by byte offset (must be aligned).
     pub fn write_external_word(&mut self, offset: u64, value: u32) {
         debug_assert_eq!(offset % 4, 0);
         if value == 0 {
-            self.external.remove(offset / 4);
+            self.external.remove(&(offset / 4));
         } else {
             self.external.insert(offset / 4, value);
         }

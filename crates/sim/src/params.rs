@@ -13,9 +13,9 @@ pub const ENGINE_VERSION: &str = "mempool-sim/v2-quantum";
 pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 
 /// Folds `bytes` into `hash` with 64-bit FNV-1a — the one hash behind
-/// `SimParams::digest`, [`crate::ClusterStats::digest`], the
-/// external-memory slot index and the experiment service's cache key, so
-/// a digest started in one of them can be continued in another.
+/// `SimParams::digest`, [`crate::ClusterStats::digest`] and the experiment
+/// service's cache key, so a digest started in one of them can be
+/// continued in another.
 #[inline]
 pub fn fnv1a(hash: u64, bytes: &[u8]) -> u64 {
     bytes.iter().fold(hash, |hash, &byte| {
