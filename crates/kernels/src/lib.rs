@@ -17,9 +17,8 @@
 //! * [`matmul::PhaseModel`] — the paper's analytic cycle model for the
 //!   full `M = 326400` problem, parameterized by constants *measured* on
 //!   the simulator ([`measure`]);
-//! * smaller kernels ([`axpy`], [`dotprod`], [`conv2d`], [`gemv`],
-//!   [`transpose`]) exercising the same code paths, used by the examples,
-//!   plus the memory-bound [`stencil`] phase model;
+//! * smaller kernels ([`axpy`], [`dotprod`], [`conv2d`], [`transpose`])
+//!   exercising the same code paths, used by the examples;
 //! * a central barrier built from the A-extension atomics;
 //! * degraded-mode [`resilience`] runs: the same compute phase clean and
 //!   under an injected fault plan, with the slowdown attributed exactly.
@@ -44,11 +43,9 @@ pub mod axpy;
 pub(crate) mod barrier;
 pub mod conv2d;
 pub mod dotprod;
-pub mod gemv;
 pub mod matmul;
 pub mod measure;
 pub mod resilience;
-pub mod stencil;
 pub mod transpose;
 pub(crate) mod workload;
 

@@ -116,11 +116,10 @@ proptest! {
         );
     }
 
-    /// A deadline that lands *inside* a quantum (the engine batches 1024
-    /// ticks per boundary) must stop the cluster on the exact cycle with
-    /// committed state: snapshotting there and resuming in one-tick
-    /// steps up to a second cut stays bit-exact, with cross-tile
-    /// requests and contended AMOs in flight at the boundary.
+    /// A deadline in the middle of a run must stop the cluster on the
+    /// exact cycle with committed state: snapshotting there and resuming
+    /// in one-tick steps up to a second cut stays bit-exact, with
+    /// cross-tile requests and contended AMOs in flight at the boundary.
     #[test]
     fn mid_quantum_snapshot_resumes_bit_exact(
         trips in 8u32..40,

@@ -22,19 +22,38 @@ fn cluster_16(bandwidth: u32) -> Cluster {
 
 #[test]
 fn blocked_matmul_verifies_across_bandwidths() {
-    let mm = BlockedMatmul::new(64, 32);
-    let mut totals = Vec::new();
-    for bw in [4u32, 16, 64] {
-        let mut cluster = cluster_16(bw);
-        mm.setup(&mut cluster).expect("setup");
-        let cycles = mm.run(&mut cluster).expect("run");
-        mm.verify(&cluster).expect("verify");
-        totals.push((bw, cycles.total()));
+    // The paper's "benefits on memory bound kernels are obviously larger",
+    // on its own kernel: a tile of dimension t reuses each loaded word t
+    // times, so small tiles make the blocked matmul memory-bound and the
+    // 4 -> 16 B/cycle speedup must fall as t grows.
+    let mut speedups = Vec::new();
+    for t in [16u32, 32, 64] {
+        let mm = BlockedMatmul::new(64, t);
+        let mut totals = Vec::new();
+        for bw in [4u32, 16, 64] {
+            let mut cluster = cluster_16(bw);
+            mm.setup(&mut cluster).expect("setup");
+            let cycles = mm.run(&mut cluster).expect("run");
+            mm.verify(&cluster).expect("verify");
+            totals.push((bw, cycles.total()));
+        }
+        // More bandwidth, fewer total cycles — strictly.
+        assert!(
+            totals[0].1 > totals[1].1 && totals[1].1 > totals[2].1,
+            "t={t}: {totals:?}"
+        );
+        speedups.push((t, totals[0].1 as f64 / totals[1].1 as f64));
     }
-    // More bandwidth, fewer total cycles — strictly.
+    let [(_, s16), (_, s32), (_, s64)] = speedups[..] else {
+        unreachable!()
+    };
     assert!(
-        totals[0].1 > totals[1].1 && totals[1].1 > totals[2].1,
-        "{totals:?}"
+        s16 > s32 && s32 > s64,
+        "4 -> 16 B/cycle speedup must fall as t grows: {speedups:?}"
+    );
+    assert!(
+        s16 - 1.0 >= 2.0 * (s64 - 1.0),
+        "t=16 must gain at least twice what t=64 gains: {speedups:?}"
     );
 }
 
