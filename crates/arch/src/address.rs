@@ -160,6 +160,33 @@ impl BankRemap {
     }
 }
 
+/// A divisor prepared for [`Self::div_rem`]: a shift and a mask when it is
+/// a power of two (every capacity of the paper's cluster), the division
+/// otherwise.
+#[derive(Debug, Clone, Copy)]
+struct Divisor {
+    n: u32,
+    shift: Option<u32>,
+}
+
+impl Divisor {
+    fn new(n: u32) -> Self {
+        Divisor {
+            n,
+            shift: n.is_power_of_two().then(|| n.trailing_zeros()),
+        }
+    }
+
+    /// `(x / n, x % n)`.
+    #[inline]
+    fn div_rem(self, x: u32) -> (u32, u32) {
+        match self.shift {
+            Some(shift) => (x >> shift, x & (self.n - 1)),
+            None => (x / self.n, x % self.n),
+        }
+    }
+}
+
 /// Address decoder for a MemPool cluster.
 ///
 /// # Example
@@ -187,9 +214,13 @@ pub struct AddressMap {
     /// `log2(banks_per_tile)`: the builder only accepts powers of two.
     bank_shift: u32,
     num_tiles: u32,
+    /// `num_tiles`, split the interleaved region's bank rows by.
+    tiles: Divisor,
     bank_words: u32,
     /// Words at the bottom of each bank reserved for the sequential region.
     seq_words_per_bank: u32,
+    /// `seq_words_per_bank`, split the sequential region's bank rows by.
+    seq_depth: Divisor,
     /// First address past the sequential region.
     seq_end: u32,
     /// First address past the SPM.
@@ -231,8 +262,10 @@ impl AddressMap {
             banks_per_tile,
             bank_shift: banks_per_tile.trailing_zeros(),
             num_tiles: cfg.num_tiles(),
+            tiles: Divisor::new(cfg.num_tiles()),
             bank_words: cfg.bank_words(),
             seq_words_per_bank,
+            seq_depth: Divisor::new(seq_words_per_bank),
             seq_end,
             spm_end: seq_end as u64 + interleaved_words * tile_banks * 4,
             remap: None,
@@ -327,8 +360,9 @@ impl AddressMap {
     ///
     /// Both regions interleave words across a tile's banks first, and a
     /// tile has a power-of-two number of banks, so the bank is the low bits
-    /// of the word index and one division splits what is left into tile
-    /// and word.
+    /// of the word index and one split (a shift and a mask when the tile
+    /// count or the sequential depth is a power of two, a division
+    /// otherwise) divides what is left into tile and word.
     #[inline]
     pub fn locate(&self, addr: u32) -> MemoryRegion {
         if addr >= Self::EXTERNAL_BASE {
@@ -337,19 +371,14 @@ impl AddressMap {
         let (tile, word) = if addr < self.seq_end {
             // Sequential region: tile-major, word-interleaved across the
             // tile's banks.
-            let rows = (addr / 4) >> self.bank_shift;
-            (
-                rows / self.seq_words_per_bank,
-                rows % self.seq_words_per_bank,
-            )
+            self.seq_depth.div_rem((addr / 4) >> self.bank_shift)
         } else if (addr as u64) < self.spm_end {
             // Interleaved region: word-interleaved across all banks of the
             // cluster, above the sequential words of every bank.
-            let rows = ((addr - self.seq_end) / 4) >> self.bank_shift;
-            (
-                rows % self.num_tiles,
-                rows / self.num_tiles + self.seq_words_per_bank,
-            )
+            let (row, tile) = self
+                .tiles
+                .div_rem(((addr - self.seq_end) / 4) >> self.bank_shift);
+            (tile, row + self.seq_words_per_bank)
         } else {
             return MemoryRegion::Unmapped;
         };

@@ -90,18 +90,19 @@ impl Kernel for Axpy {
 
     fn setup(&self, cluster: &mut Cluster) -> Result<(), KernelError> {
         let (x, y) = self.bases(cluster);
-        for i in 0..self.n {
-            cluster.write_spm_word(x + i * 4, Self::x_value(i))?;
-            cluster.write_spm_word(y + i * 4, Self::y_value(i))?;
-        }
+        let xs: Vec<u32> = (0..self.n).map(Self::x_value).collect();
+        let ys: Vec<u32> = (0..self.n).map(Self::y_value).collect();
+        cluster.write_spm_words(x, &xs)?;
+        cluster.write_spm_words(y, &ys)?;
         Ok(())
     }
 
     fn verify(&self, cluster: &Cluster) -> Result<(), KernelError> {
         let (_, y) = self.bases(cluster);
-        for i in 0..self.n {
+        let mut ys = vec![0; self.n as usize];
+        cluster.read_spm_words(y, &mut ys)?;
+        for (i, &got) in (0..).zip(&ys) {
             let expected = Self::y_value(i).wrapping_add(self.a.wrapping_mul(Self::x_value(i)));
-            let got = cluster.read_spm_word(y + i * 4)?;
             if got != expected {
                 return Err(KernelError::Mismatch {
                     detail: format!("y[{i}] = {got}, expected {expected}"),

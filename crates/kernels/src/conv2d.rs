@@ -175,27 +175,26 @@ impl Kernel for Conv2d {
 
     fn setup(&self, cluster: &mut Cluster) -> Result<(), KernelError> {
         let (img, wts, out) = self.layout(cluster);
+        let mut row = vec![0; self.width as usize];
         for y in 0..self.height {
-            for x in 0..self.width {
-                cluster.write_spm_word(img + (y * self.width + x) * 4, self.pixel(x, y))?;
+            for (x, pixel) in (0..).zip(&mut row) {
+                *pixel = self.pixel(x, y);
             }
+            cluster.write_spm_words(img + y * self.width * 4, &row)?;
         }
-        for (k, &w) in self.weights.iter().enumerate() {
-            cluster.write_spm_word(wts + k as u32 * 4, w)?;
-        }
+        cluster.write_spm_words(wts, &self.weights)?;
         let (out_w, out_h) = self.out_dims();
-        for i in 0..out_w * out_h {
-            cluster.write_spm_word(out + i * 4, 0)?;
-        }
+        cluster.write_spm_words(out, &vec![0; (out_w * out_h) as usize])?;
         Ok(())
     }
 
     fn verify(&self, cluster: &Cluster) -> Result<(), KernelError> {
         let (_, _, out) = self.layout(cluster);
         let (out_w, out_h) = self.out_dims();
+        let mut row = vec![0; out_w as usize];
         for oy in 0..out_h {
-            for ox in 0..out_w {
-                let got = cluster.read_spm_word(out + (oy * out_w + ox) * 4)?;
+            cluster.read_spm_words(out + oy * out_w * 4, &mut row)?;
+            for (ox, &got) in (0..).zip(&row) {
                 let expected = self.expected(ox, oy);
                 if got != expected {
                     return Err(KernelError::Mismatch {

@@ -90,10 +90,10 @@ impl Kernel for DotProduct {
 
     fn setup(&self, cluster: &mut Cluster) -> Result<(), KernelError> {
         let (x, y, acc) = self.layout(cluster);
-        for i in 0..self.n {
-            cluster.write_spm_word(x + i * 4, Self::x_value(i))?;
-            cluster.write_spm_word(y + i * 4, Self::y_value(i))?;
-        }
+        let xs: Vec<u32> = (0..self.n).map(Self::x_value).collect();
+        let ys: Vec<u32> = (0..self.n).map(Self::y_value).collect();
+        cluster.write_spm_words(x, &xs)?;
+        cluster.write_spm_words(y, &ys)?;
         cluster.write_spm_word(acc, 0)?;
         Ok(())
     }

@@ -371,13 +371,19 @@ impl Kernel for ComputePhase {
     fn setup(&self, cluster: &mut Cluster) -> Result<(), KernelError> {
         let (a, b, c) = self.tile_addrs(cluster);
         let p = self.p;
+        let mut row = vec![0; p as usize];
         for i in 0..p {
-            for j in 0..p {
-                let off = (i * p + j) * 4;
-                cluster.write_spm_word(a + off, host_a(i, j))?;
-                cluster.write_spm_word(b + off, host_b(i, j))?;
-                cluster.write_spm_word(c + off, 0)?;
+            let off = i * p * 4;
+            for (j, word) in (0..).zip(&mut row) {
+                *word = host_a(i, j);
             }
+            cluster.write_spm_words(a + off, &row)?;
+            for (j, word) in (0..).zip(&mut row) {
+                *word = host_b(i, j);
+            }
+            cluster.write_spm_words(b + off, &row)?;
+            row.fill(0);
+            cluster.write_spm_words(c + off, &row)?;
         }
         Ok(())
     }
@@ -385,19 +391,12 @@ impl Kernel for ComputePhase {
     fn verify(&self, cluster: &Cluster) -> Result<(), KernelError> {
         let (_, _, c) = self.tile_addrs(cluster);
         let p = self.p;
+        let reference = Reference::new(p);
+        let (mut expected, mut got) = (vec![0; p as usize], vec![0; p as usize]);
         for i in 0..p {
-            for j in 0..p {
-                let mut expected = 0u32;
-                for k in 0..p {
-                    expected = expected.wrapping_add(host_a(i, k).wrapping_mul(host_b(k, j)));
-                }
-                let got = cluster.read_spm_word(c + (i * p + j) * 4)?;
-                if got != expected {
-                    return Err(KernelError::Mismatch {
-                        detail: format!("C[{i}][{j}] = {got}, expected {expected}"),
-                    });
-                }
-            }
+            reference.row(i, &mut expected);
+            cluster.read_spm_words(c + i * p * 4, &mut got)?;
+            check_row(i, &got, &expected)?;
         }
         Ok(())
     }
@@ -409,8 +408,62 @@ fn host_a(i: u32, j: u32) -> u32 {
     (i * 7 + j * 3 + 1) % 17
 }
 
+/// `B`'s values, and so its rows, repeat every `B_PERIOD` rows.
+const B_PERIOD: u32 = 13;
+
 fn host_b(i: u32, j: u32) -> u32 {
-    (i * 5 + j * 11 + 2) % 13
+    (i * 5 + j * 11 + 2) % B_PERIOD
+}
+
+/// The rows of `C = A x B` for `n x n` host operands, without a
+/// `host_a`/`host_b` call per multiply: `B`'s rows repeat every
+/// [`B_PERIOD`], so `C[i][j] = sum_r (sum_{k = r mod B_PERIOD} A[i][k]) *
+/// B[r][j]`, exact in wrapping `u32` arithmetic.
+struct Reference {
+    n: u32,
+    /// `B`'s first [`B_PERIOD`] rows.
+    b_rows: Vec<Vec<u32>>,
+}
+
+impl Reference {
+    fn new(n: u32) -> Self {
+        let b_rows = (0..B_PERIOD)
+            .map(|k| (0..n).map(|j| host_b(k, j)).collect())
+            .collect();
+        Reference { n, b_rows }
+    }
+
+    /// Writes row `i` of `C` into `out` (`n` words).
+    fn row(&self, i: u32, out: &mut [u32]) {
+        let mut a_sums = [0u32; B_PERIOD as usize];
+        for k in 0..self.n {
+            let sum = &mut a_sums[(k % B_PERIOD) as usize];
+            *sum = sum.wrapping_add(host_a(i, k));
+        }
+        out.fill(0);
+        for (&a, b_row) in a_sums.iter().zip(&self.b_rows) {
+            for (c, &b) in out.iter_mut().zip(b_row) {
+                *c = c.wrapping_add(a.wrapping_mul(b));
+            }
+        }
+    }
+}
+
+/// Compares row `i` of a computed `C` with the reference row.
+///
+/// # Errors
+///
+/// Returns [`KernelError::Mismatch`] on the row's first wrong element.
+fn check_row(i: u32, got: &[u32], expected: &[u32]) -> Result<(), KernelError> {
+    match (0..)
+        .zip(got.iter().zip(expected))
+        .find(|(_, (g, e))| g != e)
+    {
+        Some((j, (got, expected))) => Err(KernelError::Mismatch {
+            detail: format!("C[{i}][{j}] = {got}, expected {expected}"),
+        }),
+        None => Ok(()),
+    }
 }
 
 /// Full blocked matmul on the simulator: `C = A x B` with `M x M`
@@ -503,6 +556,7 @@ impl BlockedMatmul {
         let t = self.t();
         let m = self.m;
         let steps = m / t;
+        let zero_tile = vec![0; (t * t) as usize];
         let (a_spm, b_spm, c_spm) = self.phase.tile_addrs(cluster);
         let row_bytes = t * 4;
         let ext_stride = m as u64 * 4;
@@ -518,9 +572,7 @@ impl BlockedMatmul {
             for out_j in 0..steps {
                 // Zero the C tile (part of the store/setup traffic; charged
                 // to the memory phase as in the paper's accounting).
-                for w in (0..t * t * 4).step_by(4) {
-                    cluster.write_spm_word(c_spm + w, 0)?;
-                }
+                cluster.write_spm_words(c_spm, &zero_tile)?;
                 for k in 0..steps {
                     cycles.memory += cluster.dma_tile(
                         tile_off(Self::EXT_A, out_i, k),
@@ -563,21 +615,15 @@ impl BlockedMatmul {
     /// Returns [`KernelError::Mismatch`] on the first wrong element.
     pub fn verify(&self, cluster: &Cluster) -> Result<(), KernelError> {
         let m = self.m;
+        let reference = Reference::new(m);
+        let (mut expected, mut got) = (vec![0; m as usize], vec![0; m as usize]);
         for i in 0..m {
-            for j in 0..m {
-                let mut expected = 0u32;
-                for k in 0..m {
-                    expected = expected.wrapping_add(host_a(i, k).wrapping_mul(host_b(k, j)));
-                }
-                let got = cluster
-                    .storage()
-                    .read_external_word(self.ext_c() + (i as u64 * m as u64 + j as u64) * 4);
-                if got != expected {
-                    return Err(KernelError::Mismatch {
-                        detail: format!("C[{i}][{j}] = {got}, expected {expected}"),
-                    });
-                }
+            reference.row(i, &mut expected);
+            let row = (self.ext_c() + u64::from(i * m) * 4..).step_by(4);
+            for (word, offset) in got.iter_mut().zip(row) {
+                *word = cluster.storage().read_external_word(offset);
             }
+            check_row(i, &got, &expected)?;
         }
         Ok(())
     }
@@ -641,6 +687,7 @@ impl DoubleBufferedMatmul {
     pub fn run(&self, cluster: &mut Cluster) -> Result<MatmulCycles, KernelError> {
         let (m, t) = (self.m, self.t);
         let steps = m / t;
+        let zero_tile = vec![0; (t * t) as usize];
         let [a0, b0, a1, b1, c_spm] = self.buffers(cluster);
         let bufs = [(a0, b0), (a1, b1)];
         let row_bytes = t * 4;
@@ -658,9 +705,7 @@ impl DoubleBufferedMatmul {
         let mut cycles = MatmulCycles::default();
         for out_i in 0..steps {
             for out_j in 0..steps {
-                for w in (0..t * t * 4).step_by(4) {
-                    cluster.write_spm_word(c_spm + w, 0)?;
-                }
+                cluster.write_spm_words(c_spm, &zero_tile)?;
                 // Exposed first fill into buffer 0.
                 let start = cluster.cycle();
                 let done = cluster.dma_tile_async(
@@ -876,6 +921,47 @@ mod tests {
         let phase = ComputePhase::new(32);
         let cycles = phase.run(&mut cluster, 10_000_000).expect("phase failed");
         assert!(cycles > 0);
+    }
+
+    #[test]
+    fn reference_rows_equal_the_triple_loop() {
+        for n in [4, 13, 26, 40, 64] {
+            let reference = Reference::new(n);
+            let mut row = vec![0; n as usize];
+            for i in 0..n {
+                reference.row(i, &mut row);
+                for (j, &got) in (0..n).zip(&row) {
+                    let want = (0..n).fold(0u32, |sum, k| {
+                        sum.wrapping_add(host_a(i, k).wrapping_mul(host_b(k, j)))
+                    });
+                    assert_eq!(got, want, "n = {n}: C[{i}][{j}]");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn verify_names_the_first_wrong_element() {
+        let mut cluster = small_cluster();
+        let phase = ComputePhase::new(16);
+        phase.setup(&mut cluster).unwrap();
+        let (_, _, c) = phase.tile_addrs(&cluster);
+        let reference = Reference::new(16);
+        let mut row = vec![0; 16];
+        for i in 0..16 {
+            reference.row(i, &mut row);
+            cluster.write_spm_words(c + i * 16 * 4, &row).unwrap();
+        }
+        phase.verify(&cluster).unwrap();
+        for (i, j) in [(9, 2), (3, 5), (3, 11)] {
+            let addr = c + (i * 16 + j) * 4;
+            let word = cluster.read_spm_word(addr).unwrap();
+            cluster.write_spm_word(addr, word + 1).unwrap();
+        }
+        let Err(KernelError::Mismatch { detail }) = phase.verify(&cluster) else {
+            panic!("a corrupted C must not verify");
+        };
+        assert!(detail.starts_with("C[3][5] = "), "{detail}");
     }
 
     #[test]

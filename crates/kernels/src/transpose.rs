@@ -93,21 +93,25 @@ impl Kernel for Transpose {
     fn setup(&self, cluster: &mut Cluster) -> Result<(), KernelError> {
         let (input, output) = self.layout(cluster);
         let n = self.n;
+        let mut row = vec![0; n as usize];
         for i in 0..n {
-            for j in 0..n {
-                cluster.write_spm_word(input + (i * n + j) * 4, self.value(i, j))?;
-                cluster.write_spm_word(output + (i * n + j) * 4, 0)?;
+            for (j, word) in (0..).zip(&mut row) {
+                *word = self.value(i, j);
             }
+            cluster.write_spm_words(input + i * n * 4, &row)?;
         }
+        cluster.write_spm_words(output, &vec![0; (n * n) as usize])?;
         Ok(())
     }
 
     fn verify(&self, cluster: &Cluster) -> Result<(), KernelError> {
         let (_, output) = self.layout(cluster);
         let n = self.n;
+        let mut out = vec![0; (n * n) as usize];
+        cluster.read_spm_words(output, &mut out)?;
         for i in 0..n {
             for j in 0..n {
-                let got = cluster.read_spm_word(output + (j * n + i) * 4)?;
+                let got = out[(j * n + i) as usize];
                 let expected = self.value(i, j);
                 if got != expected {
                     return Err(KernelError::Mismatch {

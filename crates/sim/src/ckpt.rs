@@ -19,10 +19,12 @@
 //! tests and [`CheckpointError::Mismatch`] name those fields. Everything
 //! else is a **section**: one string of fixed-width hex words under a
 //! top-level key. `program`, `spm` and `spare` are memory images of
-//! 8-digit (`u32`) words; `clock`, `cores`, `icaches`, `banks`,
-//! `responses`, `offchip`, `storage`, `faults`, `watchdog` and `sampler`
-//! are the 16-digit (`u64`) words `Words::pack` produces. The fault
-//! report keeps its own JSON form under `fault_report`.
+//! 8-digit (`u32`) words — `spm` bank-major (`global_bank * bank_words +
+//! word`), transposed from and to the address order `Storage` keeps;
+//! `clock`, `cores`, `icaches`, `banks`, `responses`, `offchip`,
+//! `storage`, `faults`, `watchdog` and `sampler` are the 16-digit
+//! (`u64`) words `Words::pack` produces. The fault report keeps its own
+//! JSON form under `fault_report`.
 //!
 //! Every saved record has **one** spelling: a `Words` impl whose `pack`
 //! and `unpack` walk the same field list (`words_struct!` next to each
@@ -643,7 +645,7 @@ impl Cluster {
                 )),
             ),
             ("storage", section_of(&storage)),
-            ("spm", to_hex(self.storage.spm_words())),
+            ("spm", to_hex(&self.storage.spm_bank_major())),
             ("spare", to_hex(self.storage.spare_words())),
             ("faults", section_of(&faults)),
             (
@@ -843,7 +845,7 @@ impl Cluster {
         }
         cluster
             .storage
-            .restore_contents(spm, spare, external, touches)
+            .restore_contents(&spm, spare, external, touches)
             .map_err(bad)?;
 
         cluster.faults = faults.map(|((links, timed, stuck, policy, ecc), report)| {
@@ -1159,6 +1161,58 @@ mod tests {
         for i in 0..WORDS {
             assert_eq!(storage.read_external_word(offset(i)), value(i), "word {i}");
             assert_eq!(storage.read_external_word(offset(i) + 4), 0, "word {i}");
+        }
+    }
+
+    #[test]
+    fn spm_section_is_bank_major_whatever_the_storage_order() {
+        let config = small_config();
+        let (banks_per_tile, depth) = (config.banks_per_tile(), config.bank_words());
+        let loc = |tile, bank, word| BankLocation {
+            tile: TileId(tile),
+            bank: BankId(bank),
+            word,
+        };
+        // Words below a quarter of the bank depth are sequential-region
+        // words, the rest interleaved.
+        let places = [
+            loc(0, 0, 0),
+            loc(0, 3, 5),
+            loc(1, 2, 15),
+            loc(3, 1, 2),
+            loc(1, 0, 16),
+            loc(2, 1, 40),
+            loc(3, 3, depth - 1),
+            loc(0, 2, depth - 1),
+        ];
+        let value = |loc: BankLocation| 0xc0de_0000 | loc.tile.0 << 12 | loc.bank.0 << 8 | loc.word;
+        let mut cluster = Cluster::new(config.clone(), SimParams::default());
+        let seq_end = cluster.storage().map().interleaved_base();
+        let addrs = places.map(|loc| cluster.storage().map().encode(loc).unwrap());
+        assert!(addrs.iter().any(|&addr| addr < seq_end));
+        assert!(addrs.iter().any(|&addr| addr >= seq_end));
+        for loc in places {
+            cluster.storage_mut().write_loc(loc, value(loc)).unwrap();
+        }
+
+        let doc = cluster.checkpoint();
+        let spm = from_hex::<u32>(&doc, "spm").unwrap();
+        assert_eq!(spm.len(), (config.num_banks() * depth) as usize);
+        for loc in places {
+            let at = (loc.tile.0 * banks_per_tile + loc.bank.0) * depth + loc.word;
+            assert_eq!(spm[at as usize], value(loc), "{loc} at hex word {at}");
+        }
+        assert_eq!(spm.iter().filter(|&&word| word != 0).count(), places.len());
+
+        let restored = Cluster::restore(&doc).unwrap();
+        for tile in 0..config.num_tiles() {
+            for bank in 0..banks_per_tile {
+                for word in 0..depth {
+                    let at = loc(tile, bank, word);
+                    let want = if places.contains(&at) { value(at) } else { 0 };
+                    assert_eq!(restored.storage().read_loc(at).unwrap(), want, "{at}");
+                }
+            }
         }
     }
 

@@ -814,42 +814,84 @@ impl Cluster {
         self.cores[core.index()].regs.read(reg)
     }
 
-    /// Reads an SPM or external word directly (no timing). Latent
-    /// single-bit errors are corrected on the fly (without scrubbing —
-    /// debug reads leave the stored word untouched).
+    /// Reads an SPM or external word directly (no timing): the one-word
+    /// [`Self::read_spm_words`].
     ///
     /// # Errors
     ///
     /// Returns an error for unmapped or misaligned addresses, or an
     /// uncorrectable multi-bit error under fault injection.
+    #[inline]
     pub fn read_spm_word(&self, addr: u32) -> Result<u32, SimError> {
-        let word = self.storage.read(addr, MemWidth::Word)?;
-        if let Some(faults) = &self.faults {
-            if let MemoryRegion::Spm(loc) = self.storage.map().locate(addr & !3) {
-                if let Some(mask) = faults.pending_mask(loc) {
-                    if mask.count_ones() == 1 {
-                        return Ok(word ^ mask);
-                    }
-                    return Err(SimError::EccUncorrectable { loc, mask });
-                }
-            }
-        }
-        Ok(word)
+        let mut word = [0];
+        self.read_spm_words(addr, &mut word)?;
+        Ok(word[0])
     }
 
-    /// Writes an SPM or external word directly (no timing), clearing any
-    /// latent ECC error on the overwritten word.
+    /// Writes an SPM or external word directly (no timing): the one-word
+    /// [`Self::write_spm_words`].
     ///
     /// # Errors
     ///
     /// Returns an error for unmapped or misaligned addresses.
+    #[inline]
     pub fn write_spm_word(&mut self, addr: u32, value: u32) -> Result<(), SimError> {
-        let region = self.storage.store(addr, MemWidth::Word, value)?;
-        if let (MemoryRegion::Spm(loc), Some(faults)) = (region, self.faults.as_mut()) {
-            if faults.has_pending_errors() {
-                faults.ecc_clear(loc);
-            }
+        self.write_spm_words(addr, &[value])
+    }
+
+    /// Reads the consecutive SPM or external words from `addr` on into
+    /// `out` directly (no timing), one SPM word touch each. Latent
+    /// single-bit errors are corrected on the fly (without scrubbing —
+    /// debug reads leave the stored words untouched). The read ends at
+    /// the first uncorrectable word, as a word-by-word loop would.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first error a word-by-word loop would meet: a
+    /// misaligned `addr`, an unmapped word, or an uncorrectable multi-bit
+    /// error under fault injection.
+    #[inline]
+    pub fn read_spm_words(&self, addr: u32, out: &mut [u32]) -> Result<(), SimError> {
+        let Some(faults) = self.faults.as_ref().filter(|f| f.has_pending_errors()) else {
+            return Ok(self.storage.read_words(addr, out)?);
+        };
+        // `(index, location, mask)` of the first `len` words' latent errors.
+        let latent = |len: usize| {
+            let words = (u64::from(addr)..1 << 32).step_by(4).take(len);
+            words
+                .enumerate()
+                .filter_map(|(i, word)| match self.storage.map().locate(word as u32) {
+                    MemoryRegion::Spm(loc) => faults.pending_mask(loc).map(|mask| (i, loc, mask)),
+                    _ => None,
+                })
+        };
+        let uncorrectable = latent(out.len()).find(|&(.., mask)| mask.count_ones() != 1);
+        let len = uncorrectable.map_or(out.len(), |(i, ..)| i + 1);
+        self.storage.read_words(addr, &mut out[..len])?;
+        for (i, _, mask) in latent(len) {
+            out[i] ^= mask;
         }
+        match uncorrectable {
+            Some((_, loc, mask)) => Err(SimError::EccUncorrectable { loc, mask }),
+            None => Ok(()),
+        }
+    }
+
+    /// Writes `values` to the consecutive SPM or external words from
+    /// `addr` on directly (no timing), two SPM word touches each (a
+    /// store's read-modify-write), clearing any latent ECC error on the
+    /// overwritten words. A bad range writes nothing.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first error a word-by-word loop would meet: a
+    /// misaligned `addr` or an unmapped word.
+    // Always inlined, with the storage write it wraps: a one-word write
+    // then costs no more calls than the store it is.
+    #[inline(always)]
+    pub fn write_spm_words(&mut self, addr: u32, values: &[u32]) -> Result<(), SimError> {
+        self.storage.write_words(addr, values)?;
+        self.ecc_clear_spm_range(addr, 4 * values.len() as u64);
         Ok(())
     }
 
@@ -981,21 +1023,21 @@ impl Cluster {
         blocking: bool,
     ) -> Result<u64, SimError> {
         debug_assert_eq!(row_bytes % 4, 0, "dma moves whole words");
+        let mut row = vec![0; (row_bytes / 4) as usize];
         for r in 0..u64::from(rows) {
-            let ext_row = ext_base + r * ext_stride_bytes;
+            let ext_row = (ext_base + r * ext_stride_bytes..).step_by(4);
             let spm_row = spm_addr + (r * row_bytes) as u32;
-            for i in (0..row_bytes).step_by(4) {
-                if to_spm {
-                    let value = self.storage.read_external_word(ext_row + i);
-                    self.storage
-                        .write(spm_row + i as u32, MemWidth::Word, value)?;
-                } else {
-                    let value = self.storage.read(spm_row + i as u32, MemWidth::Word)?;
-                    self.storage.write_external_word(ext_row + i, value);
-                }
-            }
             if to_spm {
-                self.ecc_clear_spm_range(spm_row, row_bytes);
+                for (word, offset) in row.iter_mut().zip(ext_row) {
+                    *word = self.storage.read_external_word(offset);
+                }
+                self.write_spm_words(spm_row, &row)?;
+            } else {
+                // The port moves raw words: no ECC check on the way out.
+                self.storage.read_words(spm_row, &mut row)?;
+                for (&word, offset) in row.iter().zip(ext_row) {
+                    self.storage.write_external_word(offset, word);
+                }
             }
         }
         let bytes = u64::from(rows) * row_bytes;
@@ -1041,6 +1083,7 @@ impl Cluster {
 
     /// Clears latent ECC masks on a freshly (over)written SPM range —
     /// bulk writes leave error-free words behind, exactly like stores.
+    #[inline(always)]
     fn ecc_clear_spm_range(&mut self, spm_addr: u32, bytes: u64) {
         let latent = self.faults.as_ref().is_some_and(|f| f.has_pending_errors());
         if !latent {
@@ -2765,5 +2808,200 @@ mod tests {
         let traffic = traffic_program(24);
         let plain = run_reversing(&traffic, |_| {}, false).1;
         assert_eq!(plain, run_reversing(&traffic, |_| {}, true).1, "traffic");
+    }
+
+    // ----- the host's slice path for SPM words -----
+
+    use mempool_arch::AddressMap;
+
+    /// Fault scenarios the slice path must agree with the per-word calls
+    /// under.
+    #[derive(Debug, Clone, Copy)]
+    enum HostIoFaults {
+        None,
+        RemappedBank,
+        PendingEcc,
+    }
+
+    /// A 4-tile cluster whose every SPM word and first external words hold
+    /// distinct data, with `faults` on top: nothing, a remapped bank, or
+    /// pending single- and double-bit ECC errors in both regions.
+    fn host_io_fixture(faults: HostIoFaults) -> Cluster {
+        let config = ClusterConfig::builder()
+            .groups(1)
+            .tiles_per_group(4)
+            .cores_per_tile(1)
+            .banks_per_tile(4)
+            .bank_words(64)
+            .build()
+            .unwrap();
+        let mut cluster = Cluster::new(config, SimParams::default());
+        let spm_end = cluster.storage().map().spm_end() as u32;
+        for addr in (0..spm_end).step_by(4) {
+            cluster.write_spm_word(addr, addr ^ 0x5a5a_0000).unwrap();
+        }
+        for offset in (0..1024).step_by(4) {
+            let addr = AddressMap::EXTERNAL_BASE + offset;
+            cluster.write_spm_word(addr, offset | 0xe000_0000).unwrap();
+        }
+        let map = cluster.storage().map().clone();
+        let seq_end = map.interleaved_base();
+        let mut plan = FaultPlan::new(3);
+        match faults {
+            HostIoFaults::None => return cluster,
+            HostIoFaults::RemappedBank => plan.push(FaultEvent::StuckBank {
+                tile: TileId(1),
+                bank: BankId(2),
+            }),
+            HostIoFaults::PendingEcc => {
+                let flips = [
+                    (16, 1 << 4),
+                    (seq_end - 8, 0b11),
+                    (seq_end + 12, 1),
+                    (seq_end + 40, 0x300),
+                    (spm_end - 64, 1 << 31),
+                    (spm_end - 20, 0b101),
+                ];
+                for (addr, mask) in flips {
+                    let MemoryRegion::Spm(loc) = map.locate(addr) else {
+                        unreachable!("{addr:#x} lies in the SPM");
+                    };
+                    plan.push(FaultEvent::TransientFlip {
+                        cycle: 0,
+                        loc,
+                        mask,
+                    });
+                }
+            }
+        }
+        cluster.inject_faults(&plan).unwrap();
+        // One tick lands the flips.
+        cluster.load_program(Program::assemble("wfi").unwrap());
+        cluster.step().unwrap();
+        cluster
+    }
+
+    /// Everything a host access can change: memory, touches, ECC masks.
+    fn host_state(cluster: &Cluster) -> String {
+        cluster.checkpoint().to_string()
+    }
+
+    /// The oracle: storage's own word access plus the ECC step, one word
+    /// at a time, as the per-word calls behaved before the slice path.
+    fn write_word_by_word(
+        cluster: &mut Cluster,
+        addr: u32,
+        values: &[u32],
+    ) -> Result<(), SimError> {
+        for (addr, &value) in (addr..).step_by(4).zip(values) {
+            cluster.storage.write(addr, MemWidth::Word, value)?;
+            let loc = cluster.storage.map().locate(addr);
+            if let (MemoryRegion::Spm(loc), Some(faults)) = (loc, cluster.faults.as_mut()) {
+                faults.ecc_clear(loc);
+            }
+        }
+        Ok(())
+    }
+
+    /// [`write_word_by_word`]'s read side, pushing each word read.
+    fn read_word_by_word(
+        cluster: &Cluster,
+        addr: u32,
+        len: usize,
+        read: &mut Vec<u32>,
+    ) -> Result<(), SimError> {
+        for addr in (addr..).step_by(4).take(len) {
+            let word = cluster.storage.read(addr, MemWidth::Word)?;
+            let loc = cluster.storage.map().locate(addr);
+            let pending = match (loc, &cluster.faults) {
+                (MemoryRegion::Spm(loc), Some(faults)) => {
+                    faults.pending_mask(loc).map(|mask| (loc, mask))
+                }
+                _ => None,
+            };
+            match pending {
+                Some((loc, mask)) if mask.count_ones() != 1 => {
+                    return Err(SimError::EccUncorrectable { loc, mask })
+                }
+                Some((_, mask)) => read.push(word ^ mask),
+                None => read.push(word),
+            }
+        }
+        Ok(())
+    }
+
+    #[test]
+    fn slice_path_equals_the_per_word_loop() {
+        let mut rng = mempool_fault::XorShift64::new(0x51ce);
+        for faults in [
+            HostIoFaults::None,
+            HostIoFaults::RemappedBank,
+            HostIoFaults::PendingEcc,
+        ] {
+            let untouched = host_state(&host_io_fixture(faults));
+            let map = host_io_fixture(faults).storage().map().clone();
+            let anchors = [
+                0,
+                map.interleaved_base(),
+                map.spm_end() as u32,
+                AddressMap::EXTERNAL_BASE,
+            ];
+            for case in 0..120 {
+                // Up to 64 words either side of a region boundary, one
+                // start in eight misaligned, up to 96 words long.
+                let anchor = i64::from(anchors[rng.below(4) as usize]);
+                let start = (anchor + 4 * (rng.below(128) as i64 - 64)).max(0) as u32;
+                let misalign = if rng.below(8) == 0 {
+                    1 + rng.below(3)
+                } else {
+                    0
+                };
+                let addr = start + misalign as u32;
+                let len = rng.below(97) as usize;
+                let at = |i: usize| addr + 4 * i as u32;
+                let what = format!("{faults:?} case {case}: {len} words at {addr:#x}");
+
+                let values: Vec<u32> = (0..len).map(|_| rng.next_u64() as u32).collect();
+                let mut oracle = host_io_fixture(faults);
+                let want = write_word_by_word(&mut oracle, addr, &values);
+                let mut looped = host_io_fixture(faults);
+                let got = (0..len).try_for_each(|i| looped.write_spm_word(at(i), values[i]));
+                assert_eq!(got, want, "{what}");
+                assert_eq!(host_state(&looped), host_state(&oracle), "write {what}");
+                let mut sliced = host_io_fixture(faults);
+                assert_eq!(sliced.write_spm_words(addr, &values), want, "{what}");
+                // A bad range writes nothing.
+                let expected = if want.is_ok() {
+                    host_state(&oracle)
+                } else {
+                    untouched.clone()
+                };
+                assert_eq!(host_state(&sliced), expected, "write {what}");
+
+                let oracle = host_io_fixture(faults);
+                let mut read = Vec::new();
+                let want = read_word_by_word(&oracle, addr, len, &mut read);
+                let looped = host_io_fixture(faults);
+                let mut looped_read = Vec::new();
+                let got = (0..len).try_for_each(|i| {
+                    looped_read.push(looped.read_spm_word(at(i))?);
+                    Ok(())
+                });
+                assert_eq!((got, &looped_read), (want.clone(), &read), "{what}");
+                assert_eq!(host_state(&looped), host_state(&oracle), "read {what}");
+                let sliced = host_io_fixture(faults);
+                let mut out = vec![0; len];
+                assert_eq!(sliced.read_spm_words(addr, &mut out), want, "{what}");
+                match want {
+                    // A bad range reads nothing.
+                    Err(SimError::Memory(_)) => assert_eq!(host_state(&sliced), untouched),
+                    // The read ends where the loop's does.
+                    _ => {
+                        assert_eq!(out[..read.len()], read, "{what}");
+                        assert_eq!(host_state(&sliced), host_state(&oracle), "read {what}");
+                    }
+                }
+            }
+        }
     }
 }

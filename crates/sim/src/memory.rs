@@ -1,4 +1,12 @@
 //! Backing storage for the SPM banks and the external (off-chip) memory.
+//!
+//! The SPM is stored in the cluster's own address order: word `w` of every
+//! bank before word `w + 1` of any, global banks in order within a word
+//! (`word * num_banks + global_bank`). The interleaved region is then one
+//! contiguous slice, and a tile's sequential words come in runs of
+//! `banks_per_tile`, so the host's slice path
+//! ([`crate::Cluster::write_spm_words`],
+//! [`crate::Cluster::read_spm_words`]) moves them with `copy_from_slice`.
 
 use std::cell::Cell;
 use std::collections::BTreeMap;
@@ -48,10 +56,12 @@ impl std::error::Error for MemoryError {}
 /// word; this is safe because the owning bank serializes accesses.
 #[derive(Debug, Clone)]
 pub struct Storage {
-    /// Flat bank storage: `global_bank * bank_words + word`.
+    /// Flat bank storage in address order: `word * num_banks +
+    /// global_bank` (see the module docs).
     spm: Vec<u32>,
     bank_words: u32,
     banks_per_tile: u32,
+    num_banks: u32,
     map: AddressMap,
     /// Spare-bank storage, `(tile * spares_per_tile + slot) * bank_words +
     /// word`, allocated on demand by [`Self::provision_spares`].
@@ -73,6 +83,17 @@ pub struct Storage {
 enum Slot {
     Main(usize),
     Spare(usize),
+}
+
+/// Where a run of consecutive words of a host slice access lives.
+enum Target {
+    /// Contiguous words of the main SPM array from this index on.
+    Main(usize),
+    /// Consecutive banks of one tile row from this location on, some of
+    /// them remapped: resolved word by word.
+    Resolved(BankLocation),
+    /// Consecutive external words from this byte offset on.
+    External(u64),
 }
 
 /// The checks of an address decode, given the region `addr`'s word was
@@ -131,6 +152,7 @@ impl Storage {
             spm: vec![0; (cfg.num_banks() * cfg.bank_words()) as usize],
             bank_words: cfg.bank_words(),
             banks_per_tile: cfg.banks_per_tile(),
+            num_banks: cfg.num_banks(),
             map: AddressMap::new(cfg),
             spare: Vec::new(),
             spares_per_tile: 0,
@@ -189,20 +211,37 @@ impl Storage {
     /// already remapped, or the tile's spares are exhausted.
     pub fn remap_bank(&mut self, tile: TileId, bank: BankId) -> Result<BankId, RemapError> {
         let spare = self.map.disable_bank(tile, bank)?;
-        let main_base = (tile.0 as usize * self.banks_per_tile as usize + bank.index())
-            * self.bank_words as usize;
+        let global_bank = self.global_bank(tile, bank.0);
         let slot = (spare.0 - self.banks_per_tile) as usize;
-        let spare_base =
-            (tile.0 as usize * self.spares_per_tile as usize + slot) * self.bank_words as usize;
-        let (words, main, sp) = (self.bank_words as usize, main_base, spare_base);
-        self.spare[sp..sp + words].copy_from_slice(&self.spm[main..main + words]);
+        let words = self.bank_words as usize;
+        let base = (tile.index() * self.spares_per_tile as usize + slot) * words;
+        let column = self.spm[global_bank..]
+            .iter()
+            .step_by(self.num_banks as usize);
+        for (saved, &word) in self.spare[base..base + words].iter_mut().zip(column) {
+            *saved = word;
+        }
         Ok(spare)
+    }
+
+    /// Index of `bank` of `tile` among all the cluster's banks: the bank's
+    /// column in the main array.
+    fn global_bank(&self, tile: TileId, bank: u32) -> usize {
+        tile.index() * self.banks_per_tile as usize + bank as usize
+    }
+
+    /// Index in the main array of a location that names a main bank.
+    fn main_index(&self, loc: BankLocation) -> usize {
+        loc.word as usize * self.num_banks as usize + self.global_bank(loc.tile, loc.bank.0)
     }
 
     /// Resolves a logical location through the remap table to the physical
     /// array index backing it.
     fn slot(&self, loc: BankLocation) -> Result<Slot, MemoryError> {
-        if loc.word >= self.bank_words || loc.bank.0 >= self.banks_per_tile {
+        if loc.word >= self.bank_words
+            || loc.bank.0 >= self.banks_per_tile
+            || loc.tile.0 >= self.num_tiles
+        {
             return Err(MemoryError::BadLocation);
         }
         let resolved = self.map.resolve(loc);
@@ -217,13 +256,7 @@ impl Storage {
             }
             return Ok(Slot::Spare(index));
         }
-        let global_bank =
-            resolved.tile.0 as usize * self.banks_per_tile as usize + resolved.bank.index();
-        let index = global_bank * self.bank_words as usize + loc.word as usize;
-        if index >= self.spm.len() {
-            return Err(MemoryError::BadLocation);
-        }
-        Ok(Slot::Main(index))
+        Ok(Slot::Main(self.main_index(resolved)))
     }
 
     /// Reads the word at a (logical) bank location, following any
@@ -266,8 +299,8 @@ impl Storage {
     /// array (a remapped read must not see this).
     #[cfg(test)]
     pub(crate) fn write_physical(&mut self, loc: BankLocation, value: u32) {
-        let global_bank = loc.tile.0 as usize * self.banks_per_tile as usize + loc.bank.index();
-        self.spm[global_bank * self.bank_words as usize + loc.word as usize] = value;
+        let index = self.main_index(loc);
+        self.spm[index] = value;
     }
 
     /// Decodes an address, checking alignment for the given width.
@@ -300,44 +333,175 @@ impl Storage {
     }
 
     /// Writes a naturally aligned value of the given width at `addr`
-    /// (SPM or external).
+    /// (SPM or external). An SPM word is located and resolved once for
+    /// its read-modify-write, which counts as the read and the write it
+    /// stands for.
     ///
     /// # Errors
     ///
     /// Returns an error for unmapped or misaligned addresses.
     pub fn write(&mut self, addr: u32, width: MemWidth, value: u32) -> Result<(), MemoryError> {
-        self.store(addr, width, value).map(drop)
-    }
-
-    /// [`Self::write`], returning the region the address decoded to. An
-    /// SPM word is located and resolved once for its read-modify-write,
-    /// which counts as the read and the write it stands for.
-    pub(crate) fn store(
-        &mut self,
-        addr: u32,
-        width: MemWidth,
-        value: u32,
-    ) -> Result<MemoryRegion, MemoryError> {
-        let region = self.decode(addr, width)?;
         let kind = MemAccessKind::Store { width, value };
-        match region {
+        match self.decode(addr, width)? {
             MemoryRegion::Spm(loc) => {
                 access_word(kind, addr, self.slot_mut(loc)?);
                 self.touches.set(self.touches.get() + 2);
             }
             MemoryRegion::External(offset) => {
-                let mut word = self.read_external_word(offset & !3);
-                access_word(kind, addr, &mut word);
-                self.write_external_word(offset & !3, word);
+                self.access_external(offset, addr, kind);
             }
             MemoryRegion::Unmapped => unreachable!(),
         }
-        Ok(region)
+        Ok(())
     }
 
-    /// Checkpoint accessor: the flat main SPM array.
-    pub(crate) fn spm_words(&self) -> &[u32] {
-        &self.spm
+    /// The first error a word-by-word loop over the `len` words from
+    /// `addr` on would meet: a misaligned start, else the first word in
+    /// the hole between the SPM and external memory. A range running past
+    /// the top of the 32-bit space is unmapped at the address it would
+    /// wrap to.
+    #[inline]
+    fn check_words(&self, addr: u32, len: usize) -> Result<(), MemoryError> {
+        if len == 0 {
+            return Ok(());
+        }
+        if !addr.is_multiple_of(4) {
+            return Err(MemoryError::Misaligned { addr });
+        }
+        let end = u64::from(addr) + 4 * len as u64;
+        let hole = u64::from(addr).max(self.map.spm_end());
+        if hole < end.min(u64::from(AddressMap::EXTERNAL_BASE)) {
+            return Err(MemoryError::Unmapped { addr: hole as u32 });
+        }
+        if end > 1 << 32 {
+            return Err(MemoryError::Unmapped { addr: 0 });
+        }
+        Ok(())
+    }
+
+    /// The longest run of at most `max` words from the mapped word `addr`
+    /// on that one copy can move: the rest of the interleaved region while
+    /// no bank is remapped, else the rest of the word's tile row. Always
+    /// inlined, so that a one-word access pays no call for it.
+    #[inline(always)]
+    fn run(&self, addr: u32, max: usize) -> (Target, usize) {
+        let loc = match self.map.locate(addr) {
+            MemoryRegion::Spm(loc) => loc,
+            MemoryRegion::External(offset) => return (Target::External(offset), max),
+            MemoryRegion::Unmapped => unreachable!("a checked range maps every word"),
+        };
+        let remapped_tiles = || {
+            let entries = self.map.remap().into_iter().flat_map(|r| r.entries());
+            entries.map(|(tile, ..)| tile)
+        };
+        let len = if remapped_tiles().next().is_none() && addr >= self.map.interleaved_base() {
+            ((self.map.spm_end() - u64::from(addr)) / 4) as usize
+        } else {
+            (self.banks_per_tile - loc.bank.0) as usize
+        };
+        let target = if remapped_tiles().any(|tile| tile == loc.tile) {
+            Target::Resolved(loc)
+        } else {
+            Target::Main(self.main_index(loc))
+        };
+        (target, len.min(max))
+    }
+
+    /// Writes `values` to the consecutive words from `addr` on (SPM or
+    /// external), as [`Self::write`] would word by word — remapped banks
+    /// followed, two touches per SPM word — except that a bad range writes
+    /// nothing.
+    ///
+    /// # Errors
+    ///
+    /// The first error the word-by-word loop would meet: a misaligned
+    /// `addr`, or the first unmapped word.
+    #[inline(always)]
+    pub(crate) fn write_words(&mut self, addr: u32, values: &[u32]) -> Result<(), MemoryError> {
+        self.check_words(addr, values.len())?;
+        let (mut done, mut spm_words) = (0, 0);
+        while done < values.len() {
+            let (target, len) = self.run(addr + 4 * done as u32, values.len() - done);
+            let src = &values[done..done + len];
+            match target {
+                // One word is a store, not a `memcpy` call.
+                Target::Main(index) => match src {
+                    [value] => self.spm[index] = *value,
+                    _ => self.spm[index..index + len].copy_from_slice(src),
+                },
+                Target::Resolved(loc) => {
+                    for (bank, &value) in (loc.bank.0..).zip(src) {
+                        *self.word_mut(BankLocation {
+                            bank: BankId(bank),
+                            ..loc
+                        }) = value;
+                    }
+                }
+                Target::External(offset) => {
+                    for (at, &value) in (offset..).step_by(4).zip(src) {
+                        self.write_external_word(at, value);
+                    }
+                }
+            }
+            if !matches!(target, Target::External(_)) {
+                spm_words += len as u64;
+            }
+            done += len;
+        }
+        self.add_touches(2 * spm_words);
+        Ok(())
+    }
+
+    /// Reads the consecutive words from `addr` on (SPM or external) into
+    /// `out`, as [`Self::read`] would word by word: remapped banks
+    /// followed, one touch per SPM word.
+    ///
+    /// # Errors
+    ///
+    /// The first error the word-by-word loop would meet, with nothing
+    /// read: a misaligned `addr`, or the first unmapped word.
+    #[inline]
+    pub(crate) fn read_words(&self, addr: u32, out: &mut [u32]) -> Result<(), MemoryError> {
+        self.check_words(addr, out.len())?;
+        let (mut done, mut spm_words) = (0, 0);
+        while done < out.len() {
+            let (target, len) = self.run(addr + 4 * done as u32, out.len() - done);
+            let dst = &mut out[done..done + len];
+            match target {
+                Target::Main(index) => match dst {
+                    [value] => *value = self.spm[index],
+                    _ => dst.copy_from_slice(&self.spm[index..index + len]),
+                },
+                Target::Resolved(loc) => {
+                    for (bank, value) in (loc.bank.0..).zip(dst) {
+                        *value = self.word(BankLocation {
+                            bank: BankId(bank),
+                            ..loc
+                        });
+                    }
+                }
+                Target::External(offset) => {
+                    for (at, value) in (offset..).step_by(4).zip(dst) {
+                        *value = self.read_external_word(at);
+                    }
+                }
+            }
+            if !matches!(target, Target::External(_)) {
+                spm_words += len as u64;
+            }
+            done += len;
+        }
+        self.add_touches(spm_words);
+        Ok(())
+    }
+
+    /// Checkpoint accessor: the main SPM array in bank-major order
+    /// (`global_bank * bank_words + word`), the order checkpoint files
+    /// keep.
+    pub(crate) fn spm_bank_major(&self) -> Vec<u32> {
+        let mut saved = vec![0; self.spm.len()];
+        transpose(&self.spm, self.bank_words as usize, &mut saved);
+        saved
     }
 
     /// Checkpoint accessor: the flat spare-bank array.
@@ -368,6 +532,15 @@ impl Storage {
         }
     }
 
+    /// [`Self::word_mut`]'s value.
+    fn word(&self, loc: BankLocation) -> u32 {
+        match self.slot(loc) {
+            Ok(Slot::Main(index)) => self.spm[index],
+            Ok(Slot::Spare(index)) => self.spare[index],
+            Err(e) => unreachable!("a located word lies inside the geometry: {e}"),
+        }
+    }
+
     /// Performs a core's access `kind` at byte address `addr` on the
     /// external word at byte `offset`; returns what [`access_word`]
     /// returns.
@@ -386,8 +559,9 @@ impl Storage {
         self.touches.set(self.touches.get() + touches);
     }
 
-    /// Restores the mutable storage contents from a checkpoint. The remap
-    /// table must already have been re-established (via
+    /// Restores the mutable storage contents from a checkpoint, `spm` in
+    /// the bank-major order of [`Self::spm_bank_major`]. The remap table
+    /// must already have been re-established (via
     /// [`Self::provision_spares`] / [`Self::remap_bank`]) so the spare
     /// array has its final size; contents are then overwritten wholesale.
     ///
@@ -397,7 +571,7 @@ impl Storage {
     /// storage's geometry.
     pub(crate) fn restore_contents(
         &mut self,
-        spm: Vec<u32>,
+        spm: &[u32],
         spare: Vec<u32>,
         external: Vec<(u64, u32)>,
         touches: u64,
@@ -416,7 +590,7 @@ impl Storage {
                 self.spare.len()
             ));
         }
-        self.spm = spm;
+        transpose(spm, self.num_banks as usize, &mut self.spm);
         self.spare = spare;
         self.external = external
             .into_iter()
@@ -445,6 +619,24 @@ impl Storage {
     /// Number of words of external memory currently holding nonzero data.
     pub fn external_footprint_words(&self) -> usize {
         self.external.len()
+    }
+}
+
+/// Writes the transpose of the row-major matrix `from`, `rows` rows of
+/// `from.len() / rows` words, into `to`: one band of a cache line's worth
+/// of rows at a time, so that every line written is written whole.
+fn transpose(from: &[u32], rows: usize, to: &mut [u32]) {
+    const BAND: usize = 16;
+    let cols = from.len() / rows;
+    for first in (0..rows).step_by(BAND) {
+        let band = BAND.min(rows - first);
+        let block = &from[first * cols..(first + band) * cols];
+        for col in 0..cols {
+            let column = block[col..].iter().step_by(cols);
+            for (slot, &word) in to[col * rows + first..][..band].iter_mut().zip(column) {
+                *slot = word;
+            }
+        }
     }
 }
 
