@@ -1,20 +1,14 @@
 //! Blocked matrix multiplication: codegen, orchestration, and the analytic
 //! phase model of Section VI-A.
 
+use std::fmt::{self, Write};
+
 use mempool_arch::SpmCapacity;
 use mempool_isa::Program;
-use mempool_sim::Cluster;
+use mempool_sim::{Cluster, SimError};
 
 use crate::workload::{Kernel, KernelError};
 
-/// One compute phase: all cores cooperatively compute
-/// `C += A x B` on three `p x p` word tiles resident in the SPM's
-/// interleaved region (`A`, then `B`, then `C`, densely packed).
-///
-/// The generated inner loop follows MemPool's hand-optimized kernels:
-/// post-incrementing loads walk a row of `A` and two columns of `B`,
-/// feeding `p.mac` accumulators for a 1x2 output block, with the k-loop
-/// unrolled twice — about 3 issue slots per multiply-accumulate.
 /// Inner-loop code-generation strategy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Blocking {
@@ -39,9 +33,49 @@ pub enum Blocking {
     Staggered,
 }
 
-/// One compute phase over three `p x p` word tiles resident in the SPM
-/// (see the module docs); the inner-loop shape is selected by
-/// [`Blocking`].
+/// The loop shape a [`Blocking`] stands for.
+struct Shape {
+    /// Output columns per block: the `B` columns walked side by side.
+    width: u32,
+    /// Copies of the k-loop body per k-loop iteration.
+    unroll: u32,
+    /// Whether each core starts at its own column and wraps around.
+    rotate: bool,
+}
+
+impl Blocking {
+    fn shape(self) -> Shape {
+        let (width, unroll, rotate) = match self {
+            Blocking::Naive => (1, 1, false),
+            Blocking::OneByTwo => (2, 2, false),
+            Blocking::OneByFour => (4, 1, false),
+            Blocking::Staggered => (4, 1, true),
+        };
+        Shape {
+            width,
+            unroll,
+            rotate,
+        }
+    }
+}
+
+/// Registers of output column `c` of a block: its `B` pointer, the `B`
+/// value it loads, and its accumulator.
+const B_PTRS: [&str; 4] = ["s1", "s2", "s9", "s11"];
+const B_VALS: [&str; 4] = ["a5", "a6", "a7", "s10"];
+const ACCS: [&str; 4] = ["a0", "a1", "a2", "a3"];
+
+/// One compute phase: all cores cooperatively compute
+/// `C += A x B` on three `p x p` word tiles resident in the SPM's
+/// interleaved region (`A`, then `B`, then `C`, densely packed, unless
+/// [`Self::with_layout`] places them).
+///
+/// The generated inner loop follows MemPool's hand-optimized kernels:
+/// post-incrementing loads walk a row of `A` and the columns of `B` of a
+/// 1xw output block, feeding one `p.mac` accumulator per column. The
+/// [`Blocking`] picks the block width, the k-loop unroll and the column
+/// rotation; the default 1x2 block with the k-loop unrolled twice costs
+/// about 3 issue slots per multiply-accumulate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ComputePhase {
     p: u32,
@@ -131,7 +165,8 @@ impl ComputePhase {
         (self.p as u64).pow(3)
     }
 
-    /// Generates the per-core program text.
+    /// Generates the per-core program text: each core takes
+    /// `p / cores` rows of `C` and walks them one 1xw block at a time.
     fn source(&self, cluster: &Cluster) -> Result<String, KernelError> {
         let cores = cluster.config().num_cores();
         let p = self.p;
@@ -140,222 +175,94 @@ impl ComputePhase {
                 detail: format!("tile dimension {p} must be a multiple of {cores} cores"),
             });
         }
-        let rows_per_core = p / cores;
+        let shape = self.blocking.shape();
+        if shape.rotate && !p.is_power_of_two() {
+            return Err(KernelError::BadShape {
+                detail: format!("staggered blocking needs a power-of-two tile, got {p}"),
+            });
+        }
+        let mut text = String::new();
+        self.emit(&mut text, cluster, &shape)
+            .expect("writing to a String cannot fail");
+        Ok(text)
+    }
+
+    /// Writes the program of one [`Shape`] into `out`.
+    fn emit(&self, out: &mut String, cluster: &Cluster, shape: &Shape) -> fmt::Result {
+        let Shape {
+            width,
+            unroll,
+            rotate,
+        } = *shape;
+        let (p, p4) = (self.p, self.p * 4);
         let (a, b, c) = self.tile_addrs(cluster);
-        let p4 = p * 4;
-        if self.blocking == Blocking::OneByFour {
-            if !p.is_multiple_of(4) {
-                return Err(KernelError::BadShape {
-                    detail: format!("tile dimension {p} must be a multiple of 4"),
-                });
+        let cols = ..width as usize;
+        writeln!(out, "csrr t0, mhartid")?;
+        writeln!(out, "li   t1, {}", p / cluster.config().num_cores())?;
+        writeln!(out, "mul  t2, t0, t1  # i = first row")?;
+        writeln!(out, "add  t3, t2, t1  # end row")?;
+        writeln!(out, "li   s3, {p4}")?;
+        writeln!(out, "li   s4, {a}")?;
+        writeln!(out, "li   s5, {b}")?;
+        writeln!(out, "li   s6, {c}")?;
+        writeln!(out, "li   t6, {p}")?;
+        if rotate {
+            // j0 = hartid * w mod p: each core starts at its own block.
+            writeln!(out, "slli t5, t0, {}", width.trailing_zeros())?;
+            writeln!(out, "andi t5, t5, {}", p - 1)?;
+        }
+        writeln!(out, "i_loop:")?;
+        if rotate {
+            // t0 counts the row's blocks down; the hart id is spent.
+            writeln!(out, "li   t0, {}", p / width)?;
+        } else {
+            writeln!(out, "li   t5, 0  # j")?;
+        }
+        writeln!(out, "j_loop:")?;
+        writeln!(out, "mul  s7, t2, s3  # i * p * 4")?;
+        writeln!(out, "add  s0, s7, s4  # a_ptr")?;
+        writeln!(out, "slli a7, t5, 2")?;
+        writeln!(out, "add  s1, a7, s5  # b_ptr (column j)")?;
+        for (ptr, off) in B_PTRS[cols].iter().zip((0..).step_by(4)).skip(1) {
+            writeln!(out, "addi {ptr}, s1, {off}")?;
+        }
+        // The C offset borrows a B pointer the 1x1 and 1x2 blocks leave free.
+        let c_off = if width <= 2 { "s9" } else { "s8" };
+        writeln!(out, "add  a7, s7, s6")?;
+        writeln!(out, "slli {c_off}, t5, 2")?;
+        writeln!(out, "add  s8, a7, {c_off}  # c_ptr")?;
+        for (acc, off) in ACCS[cols].iter().zip((0..).step_by(4)) {
+            writeln!(out, "lw   {acc}, {off}(s8)")?;
+        }
+        writeln!(out, "li   t4, {}", p / unroll)?;
+        writeln!(out, "k_loop:")?;
+        for _ in 0..unroll {
+            writeln!(out, "p.lw a4, 4(s0!)")?;
+            for (val, ptr) in B_VALS[cols].iter().zip(&B_PTRS) {
+                writeln!(out, "p.lw {val}, {p4}({ptr}!)")?;
             }
-            return Ok(format!(
-                r#"
-                    csrr t0, mhartid
-                    li   t1, {rows_per_core}
-                    mul  t2, t0, t1            # i = first row
-                    add  t3, t2, t1            # end row
-                    li   s3, {p4}
-                    li   s4, {a}
-                    li   s5, {b}
-                    li   s6, {c}
-                    li   t6, {p}
-                i_loop:
-                    li   t5, 0                 # j
-                j_loop:
-                    mul  s7, t2, s3            # i * p * 4
-                    add  s0, s7, s4            # a_ptr
-                    slli a7, t5, 2
-                    add  s1, a7, s5            # b_ptr columns j..j+3
-                    addi s2, s1, 4
-                    addi s9, s1, 8
-                    addi s11, s1, 12
-                    add  a7, s7, s6
-                    slli s8, t5, 2
-                    add  s8, a7, s8            # c_ptr
-                    lw   a0, 0(s8)
-                    lw   a1, 4(s8)
-                    lw   a2, 8(s8)
-                    lw   a3, 12(s8)
-                    li   t4, {p}
-                k_loop:
-                    p.lw a4, 4(s0!)
-                    p.lw a5, {p4}(s1!)
-                    p.lw a6, {p4}(s2!)
-                    p.lw a7, {p4}(s9!)
-                    p.lw s10, {p4}(s11!)
-                    p.mac a0, a4, a5
-                    p.mac a1, a4, a6
-                    p.mac a2, a4, a7
-                    p.mac a3, a4, s10
-                    addi t4, t4, -1
-                    bnez t4, k_loop
-                    sw   a0, 0(s8)
-                    sw   a1, 4(s8)
-                    sw   a2, 8(s8)
-                    sw   a3, 12(s8)
-                    addi t5, t5, 4
-                    blt  t5, t6, j_loop
-                    addi t2, t2, 1
-                    blt  t2, t3, i_loop
-                    wfi
-                "#,
-            ));
-        }
-        if self.blocking == Blocking::Staggered {
-            if !p.is_power_of_two() {
-                return Err(KernelError::BadShape {
-                    detail: format!("staggered blocking needs a power-of-two tile, got {p}"),
-                });
+            for (acc, val) in ACCS[cols].iter().zip(&B_VALS) {
+                writeln!(out, "p.mac {acc}, a4, {val}")?;
             }
-            return Ok(format!(
-                r#"
-                    csrr t0, mhartid
-                    li   t1, {rows_per_core}
-                    mul  t2, t0, t1            # i = first row
-                    add  t3, t2, t1            # end row
-                    li   s3, {p4}
-                    li   s4, {a}
-                    li   s5, {b}
-                    li   s6, {c}
-                    li   t6, {p}
-                    slli t5, t0, 2             # j0 = (hartid * 4) mod p
-                    andi t5, t5, {p_mask}
-                i_loop:
-                    li   t0, {j_iters}         # hartid no longer needed
-                j_loop:
-                    mul  s7, t2, s3            # i * p * 4
-                    add  s0, s7, s4            # a_ptr
-                    slli a7, t5, 2
-                    add  s1, a7, s5            # b_ptr columns j..j+3
-                    addi s2, s1, 4
-                    addi s9, s1, 8
-                    addi s11, s1, 12
-                    add  a7, s7, s6
-                    slli s8, t5, 2
-                    add  s8, a7, s8            # c_ptr
-                    lw   a0, 0(s8)
-                    lw   a1, 4(s8)
-                    lw   a2, 8(s8)
-                    lw   a3, 12(s8)
-                    li   t4, {p}
-                k_loop:
-                    p.lw a4, 4(s0!)
-                    p.lw a5, {p4}(s1!)
-                    p.lw a6, {p4}(s2!)
-                    p.lw a7, {p4}(s9!)
-                    p.lw s10, {p4}(s11!)
-                    p.mac a0, a4, a5
-                    p.mac a1, a4, a6
-                    p.mac a2, a4, a7
-                    p.mac a3, a4, s10
-                    addi t4, t4, -1
-                    bnez t4, k_loop
-                    sw   a0, 0(s8)
-                    sw   a1, 4(s8)
-                    sw   a2, 8(s8)
-                    sw   a3, 12(s8)
-                    addi t5, t5, 4
-                    blt  t5, t6, no_wrap
-                    li   t5, 0
-                no_wrap:
-                    addi t0, t0, -1
-                    bnez t0, j_loop
-                    addi t2, t2, 1
-                    blt  t2, t3, i_loop
-                    wfi
-                "#,
-                p_mask = p - 1,
-                j_iters = p / 4,
-            ));
         }
-        if self.blocking == Blocking::Naive {
-            return Ok(format!(
-                r#"
-                    csrr t0, mhartid
-                    li   t1, {rows_per_core}
-                    mul  t2, t0, t1            # i = first row
-                    add  t3, t2, t1            # end row
-                    li   s3, {p4}
-                    li   s4, {a}
-                    li   s5, {b}
-                    li   s6, {c}
-                    li   t6, {p}
-                i_loop:
-                    li   t5, 0                 # j
-                j_loop:
-                    mul  s7, t2, s3
-                    add  s0, s7, s4            # a_ptr
-                    slli a7, t5, 2
-                    add  s1, a7, s5            # b_ptr
-                    add  a7, s7, s6
-                    slli s9, t5, 2
-                    add  s8, a7, s9            # c_ptr
-                    lw   a0, 0(s8)
-                    li   t4, {p}
-                k_loop:
-                    p.lw a4, 4(s0!)
-                    p.lw a5, {p4}(s1!)
-                    p.mac a0, a4, a5
-                    addi t4, t4, -1
-                    bnez t4, k_loop
-                    sw   a0, 0(s8)
-                    addi t5, t5, 1
-                    blt  t5, t6, j_loop
-                    addi t2, t2, 1
-                    blt  t2, t3, i_loop
-                    wfi
-                "#,
-            ));
+        writeln!(out, "addi t4, t4, -1")?;
+        writeln!(out, "bnez t4, k_loop")?;
+        for (acc, off) in ACCS[cols].iter().zip((0..).step_by(4)) {
+            writeln!(out, "sw   {acc}, {off}(s8)")?;
         }
-        Ok(format!(
-            r#"
-                csrr t0, mhartid
-                li   t1, {rows_per_core}
-                mul  t2, t0, t1            # i = first row
-                add  t3, t2, t1            # end row
-                li   s3, {p4}
-                li   s4, {a}
-                li   s5, {b}
-                li   s6, {c}
-                li   t6, {p}
-            i_loop:
-                li   t5, 0                 # j
-            j_loop:
-                mul  s7, t2, s3            # i * p * 4
-                add  s0, s7, s4            # a_ptr
-                slli a7, t5, 2
-                add  s1, a7, s5            # b_ptr (column j)
-                addi s2, s1, 4             # b_ptr (column j+1)
-                add  a7, s7, s6
-                slli s9, t5, 2
-                add  s8, a7, s9            # c_ptr
-                lw   a0, 0(s8)             # acc0 = C[i][j]
-                lw   a1, 4(s8)             # acc1 = C[i][j+1]
-                li   t4, {half_p}          # k-loop, unrolled by 2
-            k_loop:
-                p.lw a4, 4(s0!)
-                p.lw a5, {p4}(s1!)
-                p.lw a6, {p4}(s2!)
-                p.mac a0, a4, a5
-                p.mac a1, a4, a6
-                p.lw a4, 4(s0!)
-                p.lw a5, {p4}(s1!)
-                p.lw a6, {p4}(s2!)
-                p.mac a0, a4, a5
-                p.mac a1, a4, a6
-                addi t4, t4, -1
-                bnez t4, k_loop
-                sw   a0, 0(s8)
-                sw   a1, 4(s8)
-                addi t5, t5, 2
-                blt  t5, t6, j_loop
-                addi t2, t2, 1
-                blt  t2, t3, i_loop
-                wfi
-            "#,
-            half_p = p / 2,
-        ))
+        writeln!(out, "addi t5, t5, {width}")?;
+        if rotate {
+            writeln!(out, "blt  t5, t6, no_wrap")?;
+            writeln!(out, "li   t5, 0")?;
+            writeln!(out, "no_wrap:")?;
+            writeln!(out, "addi t0, t0, -1")?;
+            writeln!(out, "bnez t0, j_loop")?;
+        } else {
+            writeln!(out, "blt  t5, t6, j_loop")?;
+        }
+        writeln!(out, "addi t2, t2, 1")?;
+        writeln!(out, "blt  t2, t3, i_loop")?;
+        writeln!(out, "wfi")
     }
 }
 
@@ -476,6 +383,10 @@ pub struct BlockedMatmul {
     phase: ComputePhase,
 }
 
+/// A tile DMA of the cluster: [`Cluster::dma_tile`] (returns the cycles it
+/// took) or [`Cluster::dma_tile_async`] (returns the cycle it completes).
+type TileDma = fn(&mut Cluster, u64, u64, u32, u32, u32, bool) -> Result<u64, SimError>;
+
 /// Cycle breakdown of a [`BlockedMatmul`] run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct MatmulCycles {
@@ -547,62 +458,58 @@ impl BlockedMatmul {
         Ok(())
     }
 
+    /// External-memory byte offset of tile `(ti, tj)` of the `m x m`
+    /// matrix at `base`.
+    fn tile_off(&self, base: u64, ti: u32, tj: u32) -> u64 {
+        let (m, t) = (u64::from(self.m), u64::from(self.t()));
+        base + (u64::from(ti) * t * m + u64::from(tj) * t) * 4
+    }
+
+    /// Moves tile `(ti, tj)` of the matrix at `base` between external
+    /// memory and the packed SPM tile at `spm` with `dma`, returning what
+    /// it returns.
+    fn dma(
+        &self,
+        cluster: &mut Cluster,
+        dma: TileDma,
+        (base, ti, tj): (u64, u32, u32),
+        spm: u32,
+        to_spm: bool,
+    ) -> Result<u64, KernelError> {
+        let (ext, stride, t) = (self.tile_off(base, ti, tj), u64::from(self.m) * 4, self.t());
+        Ok(dma(cluster, ext, stride, spm, t, t * 4, to_spm)?)
+    }
+
     /// Runs the full blocked computation, returning the cycle breakdown.
     ///
     /// # Errors
     ///
     /// Propagates codegen, simulation, and DMA errors.
     pub fn run(&self, cluster: &mut Cluster) -> Result<MatmulCycles, KernelError> {
-        let t = self.t();
-        let m = self.m;
-        let steps = m / t;
-        let zero_tile = vec![0; (t * t) as usize];
+        let steps = self.m / self.t();
+        let zero_tile = vec![0; (self.t() * self.t()) as usize];
         let (a_spm, b_spm, c_spm) = self.phase.tile_addrs(cluster);
-        let row_bytes = t * 4;
-        let ext_stride = m as u64 * 4;
         let program = self.phase.program(cluster)?;
         cluster.load_program(program);
         cluster.preload_icaches();
 
         let mut cycles = MatmulCycles::default();
-        let tile_off = |base: u64, ti: u32, tj: u32| {
-            base + (ti as u64 * t as u64 * m as u64 + tj as u64 * t as u64) * 4
-        };
         for out_i in 0..steps {
             for out_j in 0..steps {
                 // Zero the C tile (part of the store/setup traffic; charged
                 // to the memory phase as in the paper's accounting).
                 cluster.write_spm_words(c_spm, &zero_tile)?;
                 for k in 0..steps {
-                    cycles.memory += cluster.dma_tile(
-                        tile_off(Self::EXT_A, out_i, k),
-                        ext_stride,
-                        a_spm,
-                        t,
-                        row_bytes,
-                        true,
-                    )?;
-                    cycles.memory += cluster.dma_tile(
-                        tile_off(self.ext_b(), k, out_j),
-                        ext_stride,
-                        b_spm,
-                        t,
-                        row_bytes,
-                        true,
-                    )?;
+                    let (a_tile, b_tile) = ((Self::EXT_A, out_i, k), (self.ext_b(), k, out_j));
+                    cycles.memory += self.dma(cluster, Cluster::dma_tile, a_tile, a_spm, true)?;
+                    cycles.memory += self.dma(cluster, Cluster::dma_tile, b_tile, b_spm, true)?;
                     let start = cluster.cycle();
                     cluster.resume_all(0)?;
                     cluster.run(u64::MAX)?;
                     cycles.compute += cluster.cycle() - start;
                 }
-                cycles.memory += cluster.dma_tile(
-                    tile_off(self.ext_c(), out_i, out_j),
-                    ext_stride,
-                    c_spm,
-                    t,
-                    row_bytes,
-                    false,
-                )?;
+                let c_tile = (self.ext_c(), out_i, out_j);
+                cycles.memory += self.dma(cluster, Cluster::dma_tile, c_tile, c_spm, false)?;
             }
         }
         Ok(cycles)
@@ -638,8 +545,8 @@ impl BlockedMatmul {
 /// SPM layout (interleaved region): `A0 B0 A1 B1 C`, five tiles.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DoubleBufferedMatmul {
-    m: u32,
-    t: u32,
+    /// The operands, tiling and external layout; only the schedule differs.
+    inner: BlockedMatmul,
 }
 
 impl DoubleBufferedMatmul {
@@ -647,26 +554,11 @@ impl DoubleBufferedMatmul {
     ///
     /// # Panics
     ///
-    /// Panics if `t` does not divide `m`.
+    /// Panics under the same conditions as [`BlockedMatmul::new`].
     pub fn new(m: u32, t: u32) -> Self {
-        assert!(
-            m.is_multiple_of(t),
-            "tile dimension must divide the matrix dimension"
-        );
-        let _ = ComputePhase::new(t); // validate t
-        DoubleBufferedMatmul { m, t }
-    }
-
-    fn buffers(&self, cluster: &Cluster) -> [u32; 5] {
-        let base = cluster.storage().map().interleaved_base();
-        let tile = self.t * self.t * 4;
-        [
-            base,
-            base + tile,
-            base + 2 * tile,
-            base + 3 * tile,
-            base + 4 * tile,
-        ]
+        DoubleBufferedMatmul {
+            inner: BlockedMatmul::new(m, t),
+        }
     }
 
     /// Writes the input matrices into external memory (same layout as
@@ -676,7 +568,22 @@ impl DoubleBufferedMatmul {
     ///
     /// Propagates storage errors.
     pub fn setup(&self, cluster: &mut Cluster) -> Result<(), KernelError> {
-        BlockedMatmul::new(self.m, self.t).setup(cluster)
+        self.inner.setup(cluster)
+    }
+
+    /// Starts the DMA of step `k`'s input pair, `A`'s tile `(out_i, k)` and
+    /// `B`'s tile `(k, out_j)`, into the SPM buffers `(a_spm, b_spm)`;
+    /// returns the cycle both have landed.
+    fn fetch_inputs(
+        &self,
+        cluster: &mut Cluster,
+        (out_i, out_j, k): (u32, u32, u32),
+        (a_spm, b_spm): (u32, u32),
+    ) -> Result<u64, KernelError> {
+        let (mm, dma) = (&self.inner, Cluster::dma_tile_async);
+        let a_done = mm.dma(cluster, dma, (BlockedMatmul::EXT_A, out_i, k), a_spm, true)?;
+        let b_done = mm.dma(cluster, dma, (mm.ext_b(), k, out_j), b_spm, true)?;
+        Ok(a_done.max(b_done))
     }
 
     /// Runs the double-buffered computation.
@@ -685,22 +592,18 @@ impl DoubleBufferedMatmul {
     ///
     /// Propagates codegen, simulation, and DMA errors.
     pub fn run(&self, cluster: &mut Cluster) -> Result<MatmulCycles, KernelError> {
-        let (m, t) = (self.m, self.t);
-        let steps = m / t;
-        let zero_tile = vec![0; (t * t) as usize];
-        let [a0, b0, a1, b1, c_spm] = self.buffers(cluster);
-        let bufs = [(a0, b0), (a1, b1)];
-        let row_bytes = t * 4;
-        let ext_stride = m as u64 * 4;
-        let ext_b = BlockedMatmul::EXT_A + (m as u64 * m as u64 * 4);
-        let ext_c = ext_b + (m as u64 * m as u64 * 4);
-        let programs = [
-            ComputePhase::with_layout(t, a0, b0, c_spm).program(cluster)?,
-            ComputePhase::with_layout(t, a1, b1, c_spm).program(cluster)?,
-        ];
-        let tile_off = |base: u64, ti: u32, tj: u32| {
-            base + (ti as u64 * t as u64 * m as u64 + tj as u64 * t as u64) * 4
+        let mm = &self.inner;
+        let steps = mm.m / mm.t();
+        let zero_tile = vec![0; (mm.t() * mm.t()) as usize];
+        let base = cluster.storage().map().interleaved_base();
+        let tile = mm.phase.tile_bytes();
+        let bufs = [(base, base + tile), (base + 2 * tile, base + 3 * tile)];
+        let c_spm = base + 4 * tile;
+        let program = |(a, b)| {
+            let layout = Some((a, b, c_spm));
+            ComputePhase { layout, ..mm.phase }.program(cluster)
         };
+        let programs = [program(bufs[0])?, program(bufs[1])?];
 
         let mut cycles = MatmulCycles::default();
         for out_i in 0..steps {
@@ -708,22 +611,7 @@ impl DoubleBufferedMatmul {
                 cluster.write_spm_words(c_spm, &zero_tile)?;
                 // Exposed first fill into buffer 0.
                 let start = cluster.cycle();
-                let done = cluster.dma_tile_async(
-                    tile_off(BlockedMatmul::EXT_A, out_i, 0),
-                    ext_stride,
-                    bufs[0].0,
-                    t,
-                    row_bytes,
-                    true,
-                )?;
-                let done = done.max(cluster.dma_tile_async(
-                    tile_off(ext_b, 0, out_j),
-                    ext_stride,
-                    bufs[0].1,
-                    t,
-                    row_bytes,
-                    true,
-                )?);
+                let done = self.fetch_inputs(cluster, (out_i, out_j, 0), bufs[0])?;
                 cluster.advance_to(done);
                 cycles.memory += cluster.cycle() - start;
 
@@ -732,24 +620,7 @@ impl DoubleBufferedMatmul {
                     // Prefetch the next pair into the other buffer while
                     // computing on this one.
                     let prefetch_done = if k + 1 < steps {
-                        let nxt = bufs[1 - cur];
-                        let d1 = cluster.dma_tile_async(
-                            tile_off(BlockedMatmul::EXT_A, out_i, k + 1),
-                            ext_stride,
-                            nxt.0,
-                            t,
-                            row_bytes,
-                            true,
-                        )?;
-                        let d2 = cluster.dma_tile_async(
-                            tile_off(ext_b, k + 1, out_j),
-                            ext_stride,
-                            nxt.1,
-                            t,
-                            row_bytes,
-                            true,
-                        )?;
-                        Some(d1.max(d2))
+                        Some(self.fetch_inputs(cluster, (out_i, out_j, k + 1), bufs[1 - cur])?)
                     } else {
                         None
                     };
@@ -766,14 +637,8 @@ impl DoubleBufferedMatmul {
                     }
                 }
                 let start = cluster.cycle();
-                let done = cluster.dma_tile_async(
-                    tile_off(ext_c, out_i, out_j),
-                    ext_stride,
-                    c_spm,
-                    t,
-                    row_bytes,
-                    false,
-                )?;
+                let c_tile = (mm.ext_c(), out_i, out_j);
+                let done = mm.dma(cluster, Cluster::dma_tile_async, c_tile, c_spm, false)?;
                 cluster.advance_to(done);
                 cycles.memory += cluster.cycle() - start;
             }
@@ -787,7 +652,7 @@ impl DoubleBufferedMatmul {
     ///
     /// Returns [`KernelError::Mismatch`] on the first wrong element.
     pub fn verify(&self, cluster: &Cluster) -> Result<(), KernelError> {
-        BlockedMatmul::new(self.m, self.t).verify(cluster)
+        self.inner.verify(cluster)
     }
 }
 
@@ -900,7 +765,7 @@ impl Default for PhaseModel {
 mod tests {
     use super::*;
     use mempool_arch::ClusterConfig;
-    use mempool_sim::{Cluster, SimParams};
+    use mempool_sim::{fnv1a, Cluster, SimParams, FNV_OFFSET};
 
     fn small_cluster() -> Cluster {
         // 16 cores, enough SPM for three 32x32 tiles (12 KiB + slack).
@@ -999,6 +864,51 @@ mod tests {
             .with_blocking(Blocking::Staggered)
             .run(&mut c, 10_000_000)
             .expect("staggered phase");
+    }
+
+    #[test]
+    fn every_blocking_assembles_to_its_pinned_words() {
+        // FNV-1a over each program's little-endian instruction words: a
+        // changed instruction, register or immediate shows here even when
+        // no cycle count or product moves.
+        let pinned = [
+            (
+                Blocking::Naive,
+                0x5118_c8a5_e7c4_0f30,
+                0xf232_373d_badd_8c64,
+            ),
+            (
+                Blocking::OneByTwo,
+                0xd0e1_9357_f770_8a49,
+                0x437f_286c_ee33_8118,
+            ),
+            (
+                Blocking::OneByFour,
+                0x8b7e_76cb_33ac_6a4a,
+                0x2c28_dfa6_beb8_3676,
+            ),
+            (
+                Blocking::Staggered,
+                0x9009_db58_3d76_b1c8,
+                0xff7e_c398_aeaf_7db6,
+            ),
+        ];
+        let probe = crate::measure::probe_cluster();
+        let paper = Cluster::new(ClusterConfig::default(), SimParams::default());
+        assert_eq!(paper.config().num_cores(), 256);
+        for (blocking, at_probe, at_paper) in pinned {
+            for (cluster, p, want) in [(&probe, 32, at_probe), (&paper, 256, at_paper)] {
+                let program = ComputePhase::new(p)
+                    .with_blocking(blocking)
+                    .program(cluster)
+                    .unwrap();
+                let digest = program
+                    .to_words()
+                    .iter()
+                    .fold(FNV_OFFSET, |hash, word| fnv1a(hash, &word.to_le_bytes()));
+                assert_eq!(digest, want, "{blocking:?} at p = {p}: {digest:#018x}");
+            }
+        }
     }
 
     #[test]

@@ -928,7 +928,9 @@ impl Cluster {
     ///
     /// # Errors
     ///
-    /// Returns an error if any SPM address in the range is unmapped.
+    /// Returns an error if any SPM address in the range is unmapped, or
+    /// [`SimError::EccUncorrectable`] if a word leaving the SPM holds a
+    /// multi-bit error.
     pub fn dma_tile(
         &mut self,
         ext_base: u64,
@@ -963,7 +965,9 @@ impl Cluster {
     ///
     /// # Errors
     ///
-    /// Returns an error if any SPM address in the range is unmapped.
+    /// Returns an error if any SPM address in the range is unmapped, or
+    /// [`SimError::EccUncorrectable`] if a word leaving the SPM holds a
+    /// multi-bit error.
     pub fn dma_tile_async(
         &mut self,
         ext_base: u64,
@@ -1005,9 +1009,10 @@ impl Cluster {
         }
     }
 
-    /// The one DMA path: moves `rows` rows of `row_bytes` bytes word by
-    /// word, books the off-chip port for one transfer of that size, and
-    /// records it (counters, `name` span, flight event). A blocking
+    /// The one DMA path: moves `rows` rows of `row_bytes` bytes through the
+    /// host's SPM slice path (so a word leaves the SPM SEC-DED corrected,
+    /// like a host read), books the off-chip port for one transfer of that
+    /// size, and records it (counters, `name` span, flight event). A blocking
     /// transfer stalls the cluster until the port is done; an asynchronous
     /// one leaves the clock alone. Returns the completion cycle.
     #[allow(clippy::too_many_arguments)]
@@ -1033,8 +1038,7 @@ impl Cluster {
                 }
                 self.write_spm_words(spm_row, &row)?;
             } else {
-                // The port moves raw words: no ECC check on the way out.
-                self.storage.read_words(spm_row, &mut row)?;
+                self.read_spm_words(spm_row, &mut row)?;
                 for (&word, offset) in row.iter().zip(ext_row) {
                     self.storage.write_external_word(offset, word);
                 }
@@ -2149,6 +2153,63 @@ mod tests {
             SimError::EccUncorrectable {
                 loc,
                 mask: (1 << 3) | (1 << 19),
+            }
+        );
+    }
+
+    #[test]
+    fn dma_out_of_the_spm_corrects_like_a_host_read() {
+        // A 4x4 C tile whose row 1 holds a single-bit flip and row 3 a
+        // double-bit one, written back to external memory.
+        let flipped = |flips: &[(u32, u32)]| {
+            let mut cluster = Cluster::new(tiny_config(), SimParams::default());
+            let base = cluster.storage().map().interleaved_base();
+            let tile: Vec<u32> = (0..16).map(|i| 0xc000 + i).collect();
+            cluster.write_spm_words(base, &tile).unwrap();
+            let mut plan = FaultPlan::new(5);
+            for &(word, mask) in flips {
+                let MemoryRegion::Spm(loc) = cluster.storage().map().locate(base + 4 * word) else {
+                    panic!("the C tile lies in the SPM");
+                };
+                plan.push(FaultEvent::TransientFlip {
+                    cycle: 0,
+                    loc,
+                    mask,
+                });
+            }
+            cluster.inject_faults(&plan).unwrap();
+            // One tick lands the flips.
+            cluster.load_program(Program::assemble("wfi").unwrap());
+            cluster.step().unwrap();
+            (cluster, base)
+        };
+        let out =
+            |cluster: &mut Cluster, base, rows| cluster.dma_tile(0, 64, base, rows, 16, false);
+        let (mut clean, base) = flipped(&[]);
+        let clean_cycles = out(&mut clean, base, 2).unwrap();
+
+        let (single, double) = ((5, 1 << 9), (14, (1 << 2) | (1 << 30)));
+        let (mut cluster, base) = flipped(&[single, double]);
+        // Rows 0 and 1: the flipped word arrives corrected, with no scrub
+        // and no penalty, exactly like a host read.
+        assert_eq!(out(&mut cluster, base, 2).unwrap(), clean_cycles);
+        let storage = cluster.storage();
+        let row1: Vec<u32> = (64..80)
+            .step_by(4)
+            .map(|at| storage.read_external_word(at))
+            .collect();
+        assert_eq!(row1, [0xc004, 0xc005, 0xc006, 0xc007]);
+        let report = cluster.fault_report().unwrap();
+        assert_eq!((report.ecc_corrected, report.ecc_pending), (0, 2));
+        // The whole tile meets the double-bit word: a typed error.
+        let MemoryRegion::Spm(loc) = cluster.storage().map().locate(base + 4 * double.0) else {
+            panic!("the C tile lies in the SPM");
+        };
+        assert_eq!(
+            out(&mut cluster, base, 4).unwrap_err(),
+            SimError::EccUncorrectable {
+                loc,
+                mask: double.1
             }
         );
     }
