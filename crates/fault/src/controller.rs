@@ -7,7 +7,7 @@
 //! SEC-DED [`EccState`], and accumulates the [`FaultReport`].
 
 use mempool_arch::{BankId, BankLocation, TileId};
-use mempool_obs::{Deferred, FlightRecorder};
+use mempool_obs::Deferred;
 
 use crate::ecc::EccState;
 use crate::plan::{DeadLinkPolicy, FaultEvent, FaultPlan};
@@ -40,6 +40,28 @@ pub enum TimedFault {
         /// Global core index.
         core: u32,
     },
+}
+
+impl TimedFault {
+    /// The flight-ring event of this fault's delivery: category, core,
+    /// and a message worded only when the ring is read.
+    pub fn flight_event(self) -> (&'static str, Option<u32>, Deferred) {
+        let (core, render, args): (_, fn([u32; 4]) -> String, _) = match self {
+            TimedFault::Flip { loc, mask } => (
+                None,
+                |[mask, tile, bank, word]| {
+                    format!("transient flip mask {mask:#x} at tile {tile} bank {bank} word {word}")
+                },
+                [mask, loc.tile.0, loc.bank.0, loc.word],
+            ),
+            TimedFault::Hang { core } => (
+                Some(core),
+                |[core, ..]| format!("core {core} hung"),
+                [core, 0, 0, 0],
+            ),
+        };
+        ("fault", core, Deferred { render, args })
+    }
 }
 
 /// A fault outcome the engine observed on one access: counted into the
@@ -128,7 +150,6 @@ pub struct FaultController {
     stuck: Vec<(TileId, BankId)>,
     dead_link_policy: DeadLinkPolicy,
     report: FaultReport,
-    flight: Option<FlightRecorder>,
 }
 
 impl FaultController {
@@ -185,19 +206,6 @@ impl FaultController {
             stuck,
             dead_link_policy: plan.dead_link_policy(),
             report,
-            flight: None,
-        }
-    }
-
-    /// Mirrors fault activity (timed-fault delivery, ECC outcomes, retries,
-    /// black holes, remaps) into a shared flight-event ring.
-    pub fn attach_flight(&mut self, flight: FlightRecorder) {
-        self.flight = Some(flight);
-    }
-
-    fn emit_event(&self, cycle: u64, category: &str, core: Option<u32>, message: String) {
-        if let Some(flight) = &self.flight {
-            flight.record(cycle, category, core, message);
         }
     }
 
@@ -217,20 +225,6 @@ impl FaultController {
         while let Some(&(at, fault)) = self.timed.get(self.cursor) {
             if at > cycle {
                 break;
-            }
-            match fault {
-                TimedFault::Flip { loc, mask } => self.emit_event(
-                    cycle,
-                    "fault",
-                    None,
-                    format!(
-                        "transient flip mask {mask:#x} at tile {} bank {} word {}",
-                        loc.tile.0, loc.bank.0, loc.word
-                    ),
-                ),
-                TimedFault::Hang { core } => {
-                    self.emit_event(cycle, "fault", Some(core), format!("core {core} hung"));
-                }
             }
             due.push(fault);
             self.cursor += 1;
@@ -259,22 +253,15 @@ impl FaultController {
         self.ecc.clear(loc);
     }
 
-    /// Records a spare-bank substitution.
-    pub fn record_remap(&mut self, tile: TileId, from: BankId, to: BankId) {
-        self.emit_event(
-            0,
-            "fault",
-            None,
-            format!(
-                "stuck bank {} on tile {} remapped to spare {}",
-                from.0, tile.0, to.0
-            ),
-        );
-        self.report.remapped.push(RemappedBank {
+    /// Records a spare-bank substitution and returns it.
+    pub fn record_remap(&mut self, tile: TileId, from: BankId, to: BankId) -> RemappedBank {
+        let remap = RemappedBank {
             tile: tile.0,
             from_bank: from.0,
             to_bank: to.0,
-        });
+        };
+        self.report.remapped.push(remap);
+        remap
     }
 
     /// Counts one observed outcome into the report.
@@ -318,9 +305,7 @@ impl FaultController {
     }
 
     /// Rebuilds a controller from checkpointed parts: remaining timed
-    /// events become the whole queue (cursor 0), and no flight ring is
-    /// attached (the cluster re-attaches one when flight recording is
-    /// re-enabled).
+    /// events become the whole queue (cursor 0).
     pub fn from_snapshot(
         links: Vec<LinkState>,
         remaining_timed: Vec<(u64, TimedFault)>,
@@ -337,7 +322,6 @@ impl FaultController {
             stuck,
             dead_link_policy,
             report,
-            flight: None,
         }
     }
 }
@@ -463,11 +447,17 @@ mod tests {
     }
 
     #[test]
-    fn attached_flight_ring_mirrors_timed_faults_and_notes_word_outcomes() {
-        let flight = FlightRecorder::new();
+    fn flight_events_word_timed_faults_remaps_and_outcomes() {
+        let flight = mempool_obs::FlightRecorder::new();
         let mut ctrl = FaultController::new(&plan_with_everything(), 4);
-        ctrl.attach_flight(flight.clone());
-        ctrl.take_due(100);
+        for fault in ctrl.take_due(100) {
+            let (category, core, message) = fault.flight_event();
+            flight.record_deferred(100, category, core, message);
+        }
+        let (category, core, message) = ctrl
+            .record_remap(TileId(0), BankId(3), BankId(16))
+            .flight_event();
+        flight.record_deferred(0, category, core, message);
         let notes = [
             FaultNote::Retry {
                 tile: TileId(1),
@@ -488,42 +478,25 @@ mod tests {
             flight.record_deferred(cycle, category, core, message);
         }
 
-        let events = flight.events();
-        // 3 timed faults + retry + blackhole + 2 ECC outcomes.
-        assert_eq!(events.len(), 7);
-        assert!(events.iter().take(5).all(|e| e.category == "fault"));
-        assert_eq!(events[3].cycle, 101);
-        assert_eq!(
-            events[3].message,
-            "retry through degraded link of tile 1 (+6 cycles)"
-        );
-        assert_eq!(events[4].core, Some(9));
-        assert_eq!(
-            events[4].message,
-            "request black-holed by dead link of tile 2"
-        );
-        assert_eq!(events[5].category, "ecc");
-        assert_eq!(
-            events[5].message,
-            "corrected single-bit flip at tile 0 bank 0 word 7"
-        );
-        assert_eq!(
-            events[6].message,
-            "uncorrectable mask 0x30 at tile 1 bank 2 word 3"
-        );
-        let hang = events
+        let events: Vec<String> = flight
+            .events()
             .iter()
-            .find(|e| e.message.contains("hung"))
-            .expect("hang event");
-        assert_eq!(hang.core, Some(3));
+            .map(|e| format!("{} {} {:?} {}", e.cycle, e.category, e.core, e.message))
+            .collect();
+        assert_eq!(
+            events,
+            [
+                "100 fault None transient flip mask 0x2 at tile 0 bank 1 word 2",
+                "100 fault None transient flip mask 0x1 at tile 0 bank 0 word 7",
+                "100 fault Some(3) core 3 hung",
+                "0 fault None stuck bank 3 on tile 0 remapped to spare 16",
+                "101 fault None retry through degraded link of tile 1 (+6 cycles)",
+                "102 fault Some(9) request black-holed by dead link of tile 2",
+                "103 ecc None corrected single-bit flip at tile 0 bank 0 word 7",
+                "104 ecc None uncorrectable mask 0x30 at tile 1 bank 2 word 3",
+            ]
+        );
         // Wording never counts.
         assert_eq!(ctrl.report().retried_accesses, 0);
-    }
-
-    #[test]
-    fn detached_controller_stays_silent() {
-        let mut ctrl = FaultController::new(&plan_with_everything(), 4);
-        // No flight attached: delivery records nothing, and does not panic.
-        assert_eq!(ctrl.take_due(100).len(), 3);
     }
 }

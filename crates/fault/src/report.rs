@@ -3,7 +3,7 @@
 
 use std::fmt;
 
-use mempool_obs::{Json, JsonError};
+use mempool_obs::{Deferred, Json, JsonError};
 
 /// One spare-bank substitution performed by the remap policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -14,6 +14,20 @@ pub struct RemappedBank {
     pub from_bank: u32,
     /// The spare bank now backing it.
     pub to_bank: u32,
+}
+
+impl RemappedBank {
+    /// The flight-ring event of this substitution: category, core, and a
+    /// message worded only when the ring is read.
+    pub fn flight_event(self) -> (&'static str, Option<u32>, Deferred) {
+        let message = Deferred {
+            render: |[from, tile, to, _]| {
+                format!("stuck bank {from} on tile {tile} remapped to spare {to}")
+            },
+            args: [self.from_bank, self.tile, self.to_bank, 0],
+        };
+        ("fault", None, message)
+    }
 }
 
 /// Summary of a fault-injected run, exported as an artifact by `repro`.

@@ -214,13 +214,7 @@ fn observed_phase(
     if let Some(hooks) = hooks {
         cluster.attach_obs(&hooks.obs, name);
         if let Some(window) = hooks.timeseries_window {
-            if resumed {
-                // Keep the restored epoch cursors; enable_timeseries
-                // would rebaseline them and break mid-epoch resumes.
-                cluster.resume_timeseries(window);
-            } else {
-                cluster.enable_timeseries(window);
-            }
+            cluster.enable_timeseries(window);
         }
         if let Some(capacity) = hooks.flight_capacity {
             cluster.enable_flight(capacity);

@@ -103,28 +103,6 @@ impl CycleBuckets {
     }
 }
 
-/// Accounted cycles of one core, as fed to the report builder. The
-/// `offchip` share is derived by the builder, not supplied.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CoreCycleInput {
-    /// Cycles an instruction issued.
-    pub issue: u64,
-    /// Scoreboard stall cycles.
-    pub scoreboard: u64,
-    /// Structural stall cycles.
-    pub structural: u64,
-    /// Instruction-fetch stall cycles.
-    pub icache: u64,
-    /// Taken-branch bubble cycles.
-    pub branch: u64,
-    /// Retry cycles through degraded F2F links (fault injection).
-    pub fault_retry: u64,
-    /// SEC-DED correction penalty cycles (fault injection).
-    pub ecc: u64,
-    /// Cycles parked at `wfi`.
-    pub halted: u64,
-}
-
 /// Conflict statistics of one bank.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BankConflictInput {
@@ -205,8 +183,9 @@ pub struct AttributionReport {
 
 impl AttributionReport {
     /// Builds the report. Each core's `offchip` bucket is derived as
-    /// `cycles - (all supplied buckets)`: the cycles the cluster clock
-    /// advanced without stepping the cores, i.e. synchronous DMA time.
+    /// `cycles - (all other buckets)`: the cycles the cluster clock
+    /// advanced without stepping the cores, i.e. synchronous DMA time. A
+    /// supplied `offchip` value is ignored.
     ///
     /// # Panics
     ///
@@ -215,7 +194,7 @@ impl AttributionReport {
     /// multiples of the per-tile figures.
     pub fn new(
         cycles: u64,
-        cores: &[CoreCycleInput],
+        cores: &[CycleBuckets],
         cores_per_tile: u32,
         banks: &[BankConflictInput],
         banks_per_tile: u32,
@@ -227,28 +206,14 @@ impl AttributionReport {
             .iter()
             .enumerate()
             .map(|(i, c)| {
-                let stepped = c.issue
-                    + c.scoreboard
-                    + c.structural
-                    + c.icache
-                    + c.branch
-                    + c.fault_retry
-                    + c.ecc
-                    + c.halted;
+                let stepped = CycleBuckets { offchip: 0, ..*c }.total();
                 assert!(
                     stepped <= cycles,
                     "core {i}: accounted {stepped} cycles out of {cycles}"
                 );
                 CycleBuckets {
-                    issue: c.issue,
-                    scoreboard: c.scoreboard,
-                    structural: c.structural,
-                    icache: c.icache,
-                    branch: c.branch,
-                    fault_retry: c.fault_retry,
-                    ecc: c.ecc,
-                    halted: c.halted,
                     offchip: cycles - stepped,
+                    ..*c
                 }
             })
             .collect();
@@ -406,7 +371,7 @@ mod tests {
 
     fn sample() -> AttributionReport {
         let cores = [
-            CoreCycleInput {
+            CycleBuckets {
                 issue: 50,
                 scoreboard: 10,
                 structural: 5,
@@ -415,10 +380,13 @@ mod tests {
                 fault_retry: 3,
                 ecc: 2,
                 halted: 5,
+                offchip: 0,
             },
-            CoreCycleInput {
+            // A supplied `offchip` is ignored: the builder derives it.
+            CycleBuckets {
                 issue: 20,
                 halted: 75,
+                offchip: 40,
                 ..Default::default()
             },
         ];
@@ -465,7 +433,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "accounted")]
     fn overaccounted_core_panics() {
-        let cores = [CoreCycleInput {
+        let cores = [CycleBuckets {
             issue: 200,
             ..Default::default()
         }];

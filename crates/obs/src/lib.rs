@@ -64,7 +64,7 @@ pub(crate) mod span;
 pub(crate) mod timeseries;
 
 pub use artifacts::ArtifactDir;
-pub use attribution::{AttributionReport, BankConflictInput, CoreCycleInput};
+pub use attribution::{AttributionReport, BankConflictInput, CycleBuckets};
 pub use chrome::{chrome_trace, chrome_trace_with_counters};
 pub use flight::{flight_json, Deferred, FlightEvent, FlightRecorder};
 pub use json::{Json, JsonError};

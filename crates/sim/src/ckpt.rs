@@ -45,7 +45,8 @@
 //! * observability attachments (metrics, spans, time-series contents,
 //!   flight ring, instruction trace) — measurement, not simulated state;
 //!   callers re-attach and re-arm them after restoring (the sampler's
-//!   epoch cursors *are* saved so re-armed series stay aligned);
+//!   epoch cursors *are* saved, and [`Cluster::enable_timeseries`] keeps
+//!   them, so re-armed series stay aligned);
 //! * the topology helper — a pure function of the configuration.
 //!
 //! [`Checkpointer`] adds the operational side: periodic atomic
@@ -60,7 +61,7 @@ use std::fmt;
 use std::fs;
 use std::path::{Path, PathBuf};
 
-use mempool_arch::{BankId, BankLocation, ClusterConfig, LatencyModel, TileId};
+use mempool_arch::{BankId, BankLocation, ClusterConfig, TileId};
 use mempool_fault::{
     DeadLinkPolicy, EccState, FaultController, FaultReport, LinkState, TimedFault, Watchdog,
 };
@@ -69,7 +70,7 @@ use mempool_isa::instr::AmoOp;
 use mempool_isa::{Program, Reg, RegFile};
 use mempool_obs::{load_json_file, write_atomic, Json, JsonError, LoadOutcome};
 
-use crate::cluster::{Bank, Cluster, PendingAccess, Response, SampleInputs, Sampler, SimError};
+use crate::cluster::{Bank, Cluster, PendingAccess, Response, Sampler, SimError, Totals};
 use crate::core::Core;
 use crate::engine::LiveSets;
 use crate::icache::{ICache, ICacheState};
@@ -613,19 +614,11 @@ impl Cluster {
             ),
             (
                 "params",
-                named([
-                    ("tile_local", params.latency.tile_local),
-                    ("group_local", params.latency.group_local),
-                    ("remote", params.latency.remote),
-                    ("max_outstanding", params.max_outstanding),
-                    ("taken_branch_penalty", params.taken_branch_penalty),
-                    ("icache_miss_penalty", params.icache_miss_penalty),
-                    ("icache_line_words", params.icache_line_words),
-                    ("icache_ways", params.icache_ways),
-                    ("offchip_bytes_per_cycle", params.offchip_bytes_per_cycle),
-                    ("offchip_latency", params.offchip_latency),
-                    ("ecc_correction_penalty", params.ecc_correction_penalty),
-                ]),
+                named(
+                    { *params }
+                        .timing_fields_mut()
+                        .map(|(name, value)| (name, *value)),
+                ),
             ),
             (
                 "clock",
@@ -661,8 +654,8 @@ impl Cluster {
     /// Rebuilds a cluster from a checkpoint document. Observability is
     /// *not* restored: attach/arm it again with
     /// [`Cluster::attach_obs`]/[`Cluster::enable_timeseries`]/
-    /// [`Cluster::enable_flight`] as needed (the latter re-attaches the
-    /// flight ring to the restored fault controller).
+    /// [`Cluster::enable_flight`] as needed (the second re-arms the
+    /// sampler the checkpoint carried, on its saved epoch).
     ///
     /// The document is decoded in full, then checked, and only then is
     /// anything built from it. The checks: schema, engine version and
@@ -701,22 +694,10 @@ impl Cluster {
             .map_err(|e| bad(format!("invalid config: {e}")))?;
 
         let p = doc.field("params")?;
-        let params = SimParams {
-            latency: LatencyModel {
-                tile_local: p.u32_field("tile_local")?,
-                group_local: p.u32_field("group_local")?,
-                remote: p.u32_field("remote")?,
-            },
-            max_outstanding: p.u32_field("max_outstanding")?,
-            taken_branch_penalty: p.u32_field("taken_branch_penalty")?,
-            icache_miss_penalty: p.u32_field("icache_miss_penalty")?,
-            icache_line_words: p.u32_field("icache_line_words")?,
-            icache_ways: p.u32_field("icache_ways")?,
-            offchip_bytes_per_cycle: p.u32_field("offchip_bytes_per_cycle")?,
-            offchip_latency: p.u32_field("offchip_latency")?,
-            ecc_correction_penalty: p.u32_field("ecc_correction_penalty")?,
-            threads: 1,
-        };
+        let mut params = SimParams::default();
+        for (name, value) in params.timing_fields_mut() {
+            *value = p.u32_field(name)?;
+        }
         expect_field(doc, "params_digest", &format!("{:016x}", params.digest()))?;
 
         ICache::check_geometry(
@@ -799,16 +780,14 @@ impl Cluster {
             }
         }
         if let Some(sampler) = &sampler {
-            let totals = SampleInputs {
-                offchip_bytes: total_bytes,
-                spm_touches: touches,
-                ..SampleInputs::totals(
-                    &cores,
-                    &banks,
-                    config.cores_per_tile() as usize,
-                    config.num_tiles() as usize,
-                )
-            };
+            let totals = Totals::of(
+                &cores,
+                &banks,
+                config.cores_per_tile() as usize,
+                config.num_tiles() as usize,
+                total_bytes,
+                touches,
+            );
             sampler.check_resume(&totals, cycle).map_err(bad)?;
         }
 
@@ -884,32 +863,6 @@ impl Cluster {
                     renamed_to.display()
                 )))
             }
-        }
-    }
-
-    /// Re-arms time-series sampling on a restored cluster without
-    /// discarding the checkpointed epoch cursors.
-    /// [`Cluster::enable_timeseries`] always rebuilds the sampler
-    /// rebaselined at the current cycle — correct for a fresh run, but on
-    /// a resume it would tear up the mid-epoch state the checkpoint
-    /// carried. This instead keeps the restored sampler and only aligns
-    /// the attached [`mempool_obs::TimeSeries`] sink's window with it;
-    /// when the checkpoint carried no sampler, it falls back to
-    /// [`Cluster::enable_timeseries`] with `window`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no observability handle is attached.
-    pub fn resume_timeseries(&mut self, window: u64) {
-        match &self.sampler {
-            Some(sampler) => {
-                let hooks = self
-                    .obs
-                    .as_ref()
-                    .expect("attach_obs before resume_timeseries");
-                hooks.obs.series.set_window(sampler.window);
-            }
-            None => self.enable_timeseries(window),
         }
     }
 }
@@ -1448,9 +1401,10 @@ mod tests {
         assert_malformed(err, "sampling window");
         let err = resume_sampled(|sampler| sampler.epoch_start = 1 << 40).unwrap_err();
         assert_malformed(err, "after the clock");
-        let err = resume_sampled(|sampler| sampler.local_accesses = u64::MAX).unwrap_err();
+        let err = resume_sampled(|sampler| sampler.baseline.local_accesses = u64::MAX).unwrap_err();
         assert_malformed(err, "exceeds the restored total");
-        let err = resume_sampled(|sampler| sampler.retired_per_tile[2] += 1_000_000).unwrap_err();
+        let err = resume_sampled(|sampler| sampler.baseline.retired_per_tile[2] += 1_000_000)
+            .unwrap_err();
         assert_malformed(err, "exceeds the restored total");
     }
 

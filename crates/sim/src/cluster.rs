@@ -29,7 +29,7 @@ use mempool_isa::exec::{MemAccessKind, MemWidth};
 use mempool_isa::{Program, Reg};
 use mempool_obs::{chrome_trace_with_counters, Counter, FlightRecorder, Json, Obs, TrackId};
 
-use crate::ckpt::words_struct;
+use crate::ckpt::{words_struct, Words};
 use crate::core::{Core, IssueRecord};
 use crate::engine;
 use crate::icache::ICache;
@@ -220,46 +220,56 @@ pub(crate) struct ClusterObs {
     pub(crate) icache_misses: Counter,
     pub(crate) fault_retries: Counter,
     pub(crate) ecc_corrected: Counter,
+    /// The flight ring cluster events are recorded into, armed by
+    /// [`Cluster::enable_flight`].
+    pub(crate) flight: Option<FlightRecorder>,
 }
 
-/// Everything the time-series sampler reads at a window boundary, in one
-/// snapshot (totals, not deltas — the sampler holds the baselines).
+/// The counter totals the time-series sampler reads deltas of.
 #[derive(Debug, Default)]
-pub(crate) struct SampleInputs {
-    pub retired_per_tile: Vec<u64>,
-    pub local_accesses: u64,
-    pub remote_accesses: u64,
-    pub conflicts: u64,
-    pub offchip_bytes: u64,
-    pub spm_touches: u64,
-    pub outstanding: u64,
-    pub backlog: u64,
-    pub peak_bytes_per_cycle: f64,
+pub(crate) struct Totals {
+    pub(crate) retired_per_tile: Vec<u64>,
+    pub(crate) local_accesses: u64,
+    pub(crate) remote_accesses: u64,
+    pub(crate) conflicts: u64,
+    pub(crate) offchip_bytes: u64,
+    pub(crate) spm_touches: u64,
 }
 
-impl SampleInputs {
-    /// The per-core and per-bank totals of `cores` and `banks`, grouped
-    /// into `num_tiles` tiles of `cores_per_tile` cores; the off-chip,
-    /// SPM and backlog inputs are left for the caller.
-    pub(crate) fn totals(
+words_struct!(Totals {
+    retired_per_tile,
+    local_accesses,
+    remote_accesses,
+    conflicts,
+    offchip_bytes,
+    spm_touches,
+});
+
+impl Totals {
+    /// The totals of `cores` and `banks`, grouped into `num_tiles` tiles
+    /// of `cores_per_tile` cores, beside the off-chip port's and the SPM's.
+    pub(crate) fn of(
         cores: &[Core],
         banks: &[Bank],
         cores_per_tile: usize,
         num_tiles: usize,
+        offchip_bytes: u64,
+        spm_touches: u64,
     ) -> Self {
-        let mut inputs = SampleInputs {
+        let mut totals = Totals {
             retired_per_tile: vec![0u64; num_tiles],
-            ..SampleInputs::default()
+            conflicts: banks.iter().map(|b| b.stats.conflicts).sum(),
+            offchip_bytes,
+            spm_touches,
+            ..Totals::default()
         };
         for (i, core) in cores.iter().enumerate() {
-            inputs.retired_per_tile[i / cores_per_tile] += core.stats.retired;
-            inputs.local_accesses += core.stats.accesses[AccessClass::TileLocal as usize];
-            inputs.remote_accesses += core.stats.accesses[AccessClass::GroupLocal as usize]
+            totals.retired_per_tile[i / cores_per_tile] += core.stats.retired;
+            totals.local_accesses += core.stats.accesses[AccessClass::TileLocal as usize];
+            totals.remote_accesses += core.stats.accesses[AccessClass::GroupLocal as usize]
                 + core.stats.accesses[AccessClass::Remote as usize];
-            inputs.outstanding += u64::from(core.outstanding());
         }
-        inputs.conflicts = banks.iter().map(|b| b.stats.conflicts).sum();
-        inputs
+        totals
     }
 }
 
@@ -276,36 +286,22 @@ pub(crate) struct Sampler {
     pub(crate) epoch_start: u64,
     /// First cycle at (or after) which to take the next sample.
     pub(crate) next_at: u64,
-    pub(crate) retired_per_tile: Vec<u64>,
-    pub(crate) local_accesses: u64,
-    pub(crate) remote_accesses: u64,
-    pub(crate) conflicts: u64,
-    pub(crate) offchip_bytes: u64,
-    pub(crate) spm_touches: u64,
+    /// The totals at `epoch_start`.
+    pub(crate) baseline: Totals,
 }
 
 words_struct!(Sampler {
     window,
     epoch_start,
     next_at,
-    retired_per_tile,
-    local_accesses,
-    remote_accesses,
-    conflicts,
-    offchip_bytes,
-    spm_touches,
+    baseline,
 });
 
 impl Sampler {
     /// Re-baselines the counters at `now`: the next epoch's deltas are
-    /// read against `inputs` and close no earlier than `now + window`.
-    pub(crate) fn rebaseline(&mut self, inputs: SampleInputs, now: u64) {
-        self.retired_per_tile = inputs.retired_per_tile;
-        self.local_accesses = inputs.local_accesses;
-        self.remote_accesses = inputs.remote_accesses;
-        self.conflicts = inputs.conflicts;
-        self.offchip_bytes = inputs.offchip_bytes;
-        self.spm_touches = inputs.spm_touches;
+    /// read against `totals` and close no earlier than `now + window`.
+    pub(crate) fn rebaseline(&mut self, totals: Totals, now: u64) {
+        self.baseline = totals;
         self.epoch_start = now;
         self.next_at = now + self.window;
     }
@@ -315,7 +311,7 @@ impl Sampler {
     /// (nonzero, and within the same quarter of the `u64` range the clock
     /// is held to), its epoch must not start after `now`, and no baseline
     /// may exceed the total it is subtracted from.
-    pub(crate) fn check_resume(&self, totals: &SampleInputs, now: u64) -> Result<(), String> {
+    pub(crate) fn check_resume(&self, totals: &Totals, now: u64) -> Result<(), String> {
         if self.window == 0 || self.window > u64::MAX / 4 {
             return Err(format!(
                 "sampling window of {} cycles is out of range",
@@ -328,24 +324,25 @@ impl Sampler {
                 self.epoch_start
             ));
         }
-        if self.retired_per_tile.len() != totals.retired_per_tile.len() {
+        let saved = self.baseline.retired_per_tile.len();
+        if saved != totals.retired_per_tile.len() {
             return Err(format!(
-                "sampler has {} tile baselines for {} tiles",
-                self.retired_per_tile.len(),
+                "sampler has {saved} tile baselines for {} tiles",
                 totals.retired_per_tile.len()
             ));
         }
-        let scalars = [
-            (self.local_accesses, totals.local_accesses),
-            (self.remote_accesses, totals.remote_accesses),
-            (self.conflicts, totals.conflicts),
-            (self.offchip_bytes, totals.offchip_bytes),
-            (self.spm_touches, totals.spm_touches),
-        ];
-        let mut pairs = (self.retired_per_tile.iter().copied())
-            .zip(totals.retired_per_tile.iter().copied())
-            .chain(scalars);
-        match pairs.find(|(baseline, total)| baseline > total) {
+        // Counter by counter, in the order `Totals` packs them.
+        let words = |totals: &Totals| {
+            let mut words = Vec::new();
+            totals.pack(&mut |word| words.push(word));
+            words
+        };
+        let (baseline, totals) = (words(&self.baseline), words(totals));
+        match baseline
+            .into_iter()
+            .zip(totals)
+            .find(|(baseline, total)| baseline > total)
+        {
             Some((baseline, total)) => Err(format!(
                 "sampler baseline {baseline} exceeds the restored total {total}"
             )),
@@ -382,9 +379,6 @@ pub struct Cluster {
     pub(crate) watchdog: Option<Watchdog>,
     /// Per-epoch sampling state, armed by [`Cluster::enable_timeseries`].
     pub(crate) sampler: Option<Sampler>,
-    /// Whether cluster events mirror into the obs flight ring
-    /// (armed by [`Cluster::enable_flight`]).
-    pub(crate) flight_enabled: bool,
     /// The engine's live sets, derived from `banks` and `responses` and
     /// reused across ticks and runs.
     pub(crate) live: engine::LiveSets,
@@ -429,7 +423,6 @@ impl Cluster {
             faults: None,
             watchdog: None,
             sampler: None,
-            flight_enabled: false,
             live,
         }
     }
@@ -468,6 +461,7 @@ impl Cluster {
             icache_misses: obs.metrics.counter("sim_icache_misses_total", &labels),
             fault_retries: obs.metrics.counter("sim_fault_retries_total", &labels),
             ecc_corrected: obs.metrics.counter("sim_ecc_corrected_total", &labels),
+            flight: None,
             obs: obs.clone(),
         });
     }
@@ -476,14 +470,13 @@ impl Cluster {
     /// left open (e.g. cores still parked at `wfi`) at the current cycle.
     /// Time-series sampling and flight recording stop with it. Without a
     /// handle this does nothing, so a restored cluster keeps the sampler
-    /// its checkpoint carried until [`Cluster::resume_timeseries`].
+    /// its checkpoint carried for [`Cluster::enable_timeseries`] to re-arm.
     pub fn detach_obs(&mut self) {
         if let Some(hooks) = self.obs.take() {
             for &track in &hooks.core_tracks {
                 while hooks.obs.spans.end(track, self.cycle).is_some() {}
             }
             self.sampler = None;
-            self.flight_enabled = false;
         }
     }
 
@@ -510,6 +503,11 @@ impl Cluster {
     /// computed over the true elapsed cycles. A zero `window` is clamped
     /// to 1.
     ///
+    /// A sampler that is already armed keeps its epoch and its window:
+    /// [`Cluster::detach_obs`] drops the sampler, so that can only be one
+    /// a checkpoint carried, and a resumed run then samples on the
+    /// epochs the unbroken run would have.
+    ///
     /// # Panics
     ///
     /// Panics if no observability handle is attached.
@@ -518,22 +516,18 @@ impl Cluster {
             .obs
             .as_ref()
             .expect("attach_obs before enable_timeseries");
+        if let Some(sampler) = &self.sampler {
+            hooks.obs.series.set_window(sampler.window);
+            return;
+        }
         hooks.obs.series.set_window(window);
         let window = hooks.obs.series.window();
-        let inputs = self.sample_inputs(self.cycle);
-        let mut sampler = Sampler {
+        self.sampler = Some(Sampler {
             window,
             epoch_start: self.cycle,
             next_at: self.cycle + window,
-            retired_per_tile: Vec::new(),
-            local_accesses: 0,
-            remote_accesses: 0,
-            conflicts: 0,
-            offchip_bytes: 0,
-            spm_touches: 0,
-        };
-        sampler.rebaseline(inputs, self.cycle);
-        self.sampler = Some(sampler);
+            baseline: self.totals(),
+        });
     }
 
     /// Enables flight recording: cluster events (memory transactions, DMA
@@ -547,97 +541,74 @@ impl Cluster {
     ///
     /// Panics if no observability handle is attached or `capacity` is zero.
     pub fn enable_flight(&mut self, capacity: usize) {
-        let hooks = self.obs.as_ref().expect("attach_obs before enable_flight");
+        let hooks = self.obs.as_mut().expect("attach_obs before enable_flight");
         hooks.obs.flight.set_capacity(capacity);
-        self.flight_enabled = true;
-        let flight = hooks.obs.flight.clone();
-        if let Some(faults) = self.faults.as_mut() {
-            faults.attach_flight(flight);
-        }
+        hooks.flight = Some(hooks.obs.flight.clone());
     }
 
-    /// The flight ring to record into, when flight recording is on.
-    fn flight_handle(&self) -> Option<FlightRecorder> {
-        if !self.flight_enabled {
-            return None;
-        }
-        self.obs.as_ref().map(|hooks| hooks.obs.flight.clone())
+    /// The flight ring to record into, while flight recording is on.
+    pub(crate) fn flight(&self) -> Option<&FlightRecorder> {
+        self.obs.as_ref()?.flight.as_ref()
     }
 
-    /// Collects the time-series sampling snapshot at `now`. Runs once per
-    /// sampling epoch: kept out of line so that it stays out of the
-    /// engine's tick loop, which calls it.
-    #[inline(never)]
-    pub(crate) fn sample_inputs(&self, now: u64) -> SampleInputs {
-        let mut inputs = SampleInputs::totals(
+    /// The counter totals the sampler reads deltas of.
+    fn totals(&self) -> Totals {
+        Totals::of(
             &self.cores,
             &self.banks,
             self.config.cores_per_tile() as usize,
             self.config.num_tiles() as usize,
-        );
-        inputs.offchip_bytes = self.offchip.total_bytes();
-        inputs.spm_touches = self.storage.spm_word_touches();
-        inputs.backlog = self.offchip.backlog(now);
-        inputs.peak_bytes_per_cycle = self.offchip.bytes_per_cycle() as f64;
-        inputs
+            self.offchip.total_bytes(),
+            self.storage.spm_word_touches(),
+        )
     }
 
-    /// Pushes one sample per series for the window ending at `now`, with
-    /// deltas of `inputs` read against `sampler`'s baselines. The
-    /// baselines are left untouched — the engine re-baselines at epoch
-    /// boundaries, while [`Self::crash_dump`] uses this directly to flush
-    /// a partial epoch. Zero-length windows (a flush at the exact epoch
-    /// start) are dropped rather than clamped — a clamped denominator of
-    /// 1 would spike every rate.
-    pub(crate) fn push_samples(&self, sampler: &Sampler, now: u64, inputs: &SampleInputs) {
+    /// Closes `sampler`'s epoch at `now`: pushes one sample per series,
+    /// with the deltas of the totals at `now` read against the epoch's
+    /// baseline, and returns those totals. The sampler is left untouched
+    /// — the engine re-baselines it on the returned totals, while
+    /// [`Self::crash_dump`] flushes a partial epoch. Zero-length windows
+    /// (a flush at the exact epoch start) are dropped rather than clamped
+    /// — a clamped denominator of 1 would spike every rate. Runs once per
+    /// sampling epoch: kept out of line so that it stays out of the
+    /// engine's tick loop, which calls it.
+    #[inline(never)]
+    pub(crate) fn close_epoch(&self, sampler: &Sampler, now: u64) -> Totals {
+        let totals = self.totals();
         let Some(hooks) = self.obs.as_ref() else {
-            return;
+            return totals;
         };
         if now <= sampler.epoch_start {
-            return;
+            return totals;
         }
-        let series = &hooks.obs.series;
+        let (baseline, series) = (&sampler.baseline, &hooks.obs.series);
         let elapsed = (now - sampler.epoch_start) as f64;
-        for (t, (&total, &baseline)) in inputs
+        let rate = |total: u64, baseline: u64| (total - baseline) as f64 / elapsed;
+        let tiles = totals
             .retired_per_tile
             .iter()
-            .zip(sampler.retired_per_tile.iter())
-            .enumerate()
-        {
-            series.push(
-                &format!("ipc/tile{t}"),
-                now,
-                (total - baseline) as f64 / elapsed,
-            );
+            .zip(&baseline.retired_per_tile);
+        for (t, (&total, &baseline)) in tiles.enumerate() {
+            series.push(&format!("ipc/tile{t}"), now, rate(total, baseline));
         }
-        series.push(
-            "l1_local_rate",
-            now,
-            (inputs.local_accesses - sampler.local_accesses) as f64 / elapsed,
-        );
-        series.push(
-            "l1_remote_rate",
-            now,
-            (inputs.remote_accesses - sampler.remote_accesses) as f64 / elapsed,
-        );
-        series.push(
-            "bank_conflict_rate",
-            now,
-            (inputs.conflicts - sampler.conflicts) as f64 / elapsed,
-        );
+        let local = rate(totals.local_accesses, baseline.local_accesses);
+        series.push("l1_local_rate", now, local);
+        let remote = rate(totals.remote_accesses, baseline.remote_accesses);
+        series.push("l1_remote_rate", now, remote);
+        let conflicts = rate(totals.conflicts, baseline.conflicts);
+        series.push("bank_conflict_rate", now, conflicts);
         series.push(
             "offchip_occupancy",
             now,
-            (inputs.offchip_bytes - sampler.offchip_bytes) as f64
-                / (elapsed * inputs.peak_bytes_per_cycle),
+            (totals.offchip_bytes - baseline.offchip_bytes) as f64
+                / (elapsed * self.offchip.bytes_per_cycle() as f64),
         );
-        series.push("offchip_backlog", now, inputs.backlog as f64);
-        series.push("outstanding", now, inputs.outstanding as f64);
-        series.push(
-            "spm_touch_rate",
-            now,
-            (inputs.spm_touches - sampler.spm_touches) as f64 / elapsed,
-        );
+        let outstanding: u64 = self.cores.iter().map(|c| u64::from(c.outstanding())).sum();
+        series.push("offchip_backlog", now, self.offchip.backlog(now) as f64);
+        series.push("outstanding", now, outstanding as f64);
+        let touches = rate(totals.spm_touches, baseline.spm_touches);
+        series.push("spm_touch_rate", now, touches);
+        totals
     }
 
     /// The cluster configuration.
@@ -728,9 +699,6 @@ impl Cluster {
     /// physical bank).
     pub fn inject_faults(&mut self, plan: &FaultPlan) -> Result<(), SimError> {
         let mut ctrl = FaultController::new(plan, self.config.num_tiles());
-        if let Some(flight) = self.flight_handle() {
-            ctrl.attach_flight(flight);
-        }
         let num_tiles = self.config.num_tiles();
         let mut per_tile = vec![0u32; num_tiles as usize];
         for &(tile, _) in ctrl.stuck_banks() {
@@ -747,7 +715,11 @@ impl Cluster {
                     continue;
                 }
                 let spare = self.storage.remap_bank(tile, bank)?;
-                ctrl.record_remap(tile, bank, spare);
+                let remap = ctrl.record_remap(tile, bank, spare);
+                if let Some(flight) = self.flight() {
+                    let (category, core, message) = remap.flight_event();
+                    flight.record_deferred(0, category, core, message);
+                }
             }
         }
         self.faults = Some(ctrl);
@@ -1073,7 +1045,7 @@ impl Cluster {
             hooks.dma_bytes.add(bytes);
             hooks.dma_transfers.inc();
         }
-        if let Some(flight) = self.flight_handle() {
+        if let Some(flight) = self.flight() {
             let dir = dma_dir(to_spm);
             let message = if blocking {
                 format!("{name} {bytes} B {dir} over {} cycles", done - issued)
@@ -1218,9 +1190,9 @@ impl Cluster {
         // Flush the in-flight sampling epoch so a crash landing between
         // window boundaries (or before the first one) still exports its
         // final counter values. A zero-length window (crash exactly at an
-        // epoch boundary) is dropped by `push_samples` itself.
+        // epoch boundary) is dropped by `close_epoch` itself.
         if let Some(sampler) = &self.sampler {
-            self.push_samples(sampler, self.cycle, &self.sample_inputs(self.cycle));
+            self.close_epoch(sampler, self.cycle);
         }
 
         let (metrics, timeseries, chrome) = match &self.obs {
@@ -2698,6 +2670,134 @@ mod tests {
         assert!(trace_events
             .iter()
             .any(|e| e.get("ph").and_then(Json::as_str) == Some("C")));
+    }
+
+    /// Four tiles of two cores, so that core 5 exists and tile 1 is
+    /// remote from core 0.
+    fn eight_core_config() -> ClusterConfig {
+        ClusterConfig::builder()
+            .groups(1)
+            .tiles_per_group(4)
+            .cores_per_tile(2)
+            .banks_per_tile(4)
+            .bank_words(64)
+            .build()
+            .unwrap()
+    }
+
+    /// The fault and ECC events of a flight ring, one line each: cycle,
+    /// category, core and message.
+    fn fault_events(obs: &mempool_obs::Obs) -> Vec<String> {
+        let events = obs.flight.events().into_iter();
+        events
+            .filter(|e| e.category != "mem")
+            .map(|e| format!("{} {} {:?} {}", e.cycle, e.category, e.core, e.message))
+            .collect()
+    }
+
+    #[test]
+    fn the_flight_ring_words_every_kind_of_fault_event() {
+        let cfg = eight_core_config();
+        let mut cluster = Cluster::new(cfg, SimParams::default());
+        let remote = cluster.storage().map().seq_addr(TileId(1), 0);
+        let MemoryRegion::Spm(loc) = cluster.storage().map().locate(0) else {
+            panic!("address 0 must be SPM");
+        };
+        let obs = mempool_obs::Obs::new();
+        cluster.attach_obs(&obs, "fault-events");
+        cluster.enable_flight(1024);
+        let mut plan = FaultPlan::new(8);
+        plan.push(FaultEvent::StuckBank {
+            tile: TileId(0),
+            bank: BankId(1),
+        });
+        plan.push(FaultEvent::LinkDegraded {
+            tile: TileId(1),
+            extra_latency: 3,
+        });
+        plan.push(FaultEvent::TransientFlip {
+            cycle: 5,
+            loc,
+            mask: 1 << 7,
+        });
+        plan.push(FaultEvent::CoreHang {
+            cycle: 9,
+            core: GlobalCoreId::new(5),
+        });
+        cluster.inject_faults(&plan).unwrap();
+        // Core 0 waits for the flip, reads the flipped word, then reads
+        // through tile 1's degraded link.
+        cluster.load_program(
+            Program::assemble(&format!(
+                r#"
+                    csrr t1, mhartid
+                    bnez t1, done
+                    li   t2, 20
+                spin:
+                    addi t2, t2, -1
+                    bnez t2, spin
+                    lw   a0, 0(zero)
+                    li   t0, {remote}
+                    lw   a1, 0(t0)
+                    add  a2, a0, a1
+                done:
+                    wfi
+                "#
+            ))
+            .unwrap(),
+        );
+        cluster.preload_icaches();
+        cluster.run(10_000).unwrap();
+        assert_eq!(
+            fault_events(&obs),
+            [
+                "0 fault None stuck bank 1 on tile 0 remapped to spare 4",
+                "5 fault None transient flip mask 0x80 at tile 0 bank 0 word 0",
+                "9 fault Some(5) core 5 hung",
+                "63 ecc None corrected single-bit flip at tile 0 bank 0 word 0",
+                "67 fault None retry through degraded link of tile 1 (+3 cycles)",
+            ]
+        );
+    }
+
+    #[test]
+    fn a_detached_flight_ring_records_no_later_fault() {
+        let mut cluster = Cluster::new(eight_core_config(), SimParams::default());
+        let obs = mempool_obs::Obs::new();
+        cluster.attach_obs(&obs, "detached");
+        cluster.enable_flight(1024);
+        let mut plan = FaultPlan::new(9);
+        plan.push(FaultEvent::TransientFlip {
+            cycle: 40,
+            loc: BankLocation {
+                tile: TileId(2),
+                bank: BankId(3),
+                word: 7,
+            },
+            mask: 1,
+        });
+        plan.push(FaultEvent::CoreHang {
+            cycle: 40,
+            core: GlobalCoreId::new(5),
+        });
+        cluster.inject_faults(&plan).unwrap();
+        cluster.load_program(
+            Program::assemble("li t2, 60\nspin:\naddi t2, t2, -1\nbnez t2, spin\nwfi").unwrap(),
+        );
+        cluster.preload_icaches();
+        for _ in 0..30 {
+            cluster.step().unwrap();
+        }
+        cluster.detach_obs();
+        let before = obs.flight.events();
+        let error = cluster.run(10_000).unwrap_err();
+        assert_eq!(error, SimError::Timeout { cycles: 10_000 });
+        assert_eq!(
+            obs.flight.events(),
+            before,
+            "the detached ring gained events"
+        );
+        assert_eq!(cluster.fault_report().unwrap().transient_flips, 1);
     }
 
     #[test]

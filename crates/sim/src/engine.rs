@@ -21,7 +21,7 @@ use mempool_fault::{
 };
 use mempool_isa::exec::{self, Issue, MemAccessKind, MemWidth};
 use mempool_isa::Program;
-use mempool_obs::{Deferred, FlightRecorder};
+use mempool_obs::Deferred;
 
 use crate::cluster::{
     latency_split, sign_adjust, Bank, Cluster, ClusterObs, PendingAccess, Response, SimError,
@@ -145,26 +145,26 @@ fn inert(cores: &[Core], responses: &[Vec<Response>], live: &LiveSets, tile: usi
         && live.words(tile).iter().all(|&bits| bits == 0)
 }
 
-/// Counts a fault outcome into the controller and the obs counters, and
-/// records it in the flight ring when flight recording is on.
+/// Counts a fault outcome into the controller's report, and into the obs
+/// counters and flight ring when they are attached.
 fn note_fault(
     faults: Option<&mut FaultController>,
     obs: Option<&ClusterObs>,
-    flight: Option<&FlightRecorder>,
     now: u64,
     note: FaultNote,
 ) {
     if let Some(faults) = faults {
         faults.count(note);
     }
-    if let Some(hooks) = obs {
-        match note {
-            FaultNote::Retry { .. } => hooks.fault_retries.inc(),
-            FaultNote::Corrected { .. } => hooks.ecc_corrected.inc(),
-            FaultNote::BlackHole { .. } | FaultNote::Uncorrectable { .. } => {}
-        }
+    let Some(hooks) = obs else {
+        return;
+    };
+    match note {
+        FaultNote::Retry { .. } => hooks.fault_retries.inc(),
+        FaultNote::Corrected { .. } => hooks.ecc_corrected.inc(),
+        FaultNote::BlackHole { .. } | FaultNote::Uncorrectable { .. } => {}
     }
-    if let Some(flight) = flight {
+    if let Some(flight) = &hooks.flight {
         let (category, core, message) = note.flight_event();
         flight.record_deferred(now, category, core, message);
     }
@@ -190,8 +190,6 @@ struct Tick<'a> {
     faults: Option<&'a mut FaultController>,
     trace: Option<&'a mut Trace>,
     obs: Option<&'a ClusterObs>,
-    /// The flight ring, while flight recording is on.
-    flight: Option<&'a FlightRecorder>,
     cores_per_tile: usize,
     /// The tick's first error, in sweep order.
     error: Option<SimError>,
@@ -220,7 +218,6 @@ impl<'a> Tick<'a> {
             trace,
             obs,
             faults,
-            flight_enabled,
             live,
             ..
         } = cluster;
@@ -242,9 +239,6 @@ impl<'a> Tick<'a> {
             live,
             faults: faults.as_mut(),
             trace: trace.as_mut(),
-            flight: obs
-                .filter(|_| *flight_enabled)
-                .map(|hooks| &hooks.obs.flight),
             obs,
             error: None,
             progress: false,
@@ -306,7 +300,7 @@ impl<'a> Tick<'a> {
             }
             let (loc, kind) = (access.loc, access.kind);
             debug_assert_eq!(loc.tile.index(), tile, "banks are tile-owned");
-            if let Some(flight) = self.flight {
+            if let Some(flight) = self.obs.and_then(|hooks| hooks.flight.as_ref()) {
                 let message = Deferred {
                     render: |[kind, tile, bank, word]| {
                         let kind = ["load", "store", "amo"][kind as usize];
@@ -352,11 +346,11 @@ impl<'a> Tick<'a> {
                         self.cores[access.core as usize].stall_ecc(extra_resp);
                         faults.ecc_clear(loc);
                         let note = FaultNote::Corrected { loc };
-                        note_fault(Some(faults), self.obs, self.flight, now, note);
+                        note_fault(Some(faults), self.obs, now, note);
                     }
                     EccOutcome::Uncorrectable { mask } if reads_word => {
                         let note = FaultNote::Uncorrectable { loc, mask };
-                        note_fault(Some(faults), self.obs, self.flight, now, note);
+                        note_fault(Some(faults), self.obs, now, note);
                         self.error
                             .get_or_insert(SimError::EccUncorrectable { loc, mask });
                         return;
@@ -529,7 +523,7 @@ impl<'a> Tick<'a> {
                                 extra,
                             };
                             let faults = self.faults.as_deref_mut();
-                            note_fault(faults, self.obs, self.flight, now, note);
+                            note_fault(faults, self.obs, now, note);
                             core.insert_bubble(extra);
                             core.stats.stall_fault_retry += extra as u64;
                             extra_req = extra;
@@ -548,7 +542,7 @@ impl<'a> Tick<'a> {
                                     core: index as u32,
                                 };
                                 let faults = self.faults.as_deref_mut();
-                                note_fault(faults, self.obs, self.flight, now, note);
+                                note_fault(faults, self.obs, now, note);
                                 core.mark_pending(reg);
                                 continue;
                             }
@@ -601,12 +595,18 @@ fn lap(clock: &mut Option<Instant>, tally: &mut u64) {
 }
 
 /// Applies the timed faults due at the current cycle: bit flips corrupt
-/// the stored word (and arm the ECC mask), hangs latch cores up.
+/// the stored word (and arm the ECC mask), hangs latch cores up. Each is
+/// recorded in the flight ring while flight recording is on.
 fn apply_due_faults(cluster: &mut Cluster) -> Result<(), SimError> {
     let Some(faults) = cluster.faults.as_mut() else {
         return Ok(());
     };
+    let flight = cluster.obs.as_ref().and_then(|hooks| hooks.flight.as_ref());
     for fault in faults.take_due(cluster.cycle) {
+        if let Some(flight) = flight {
+            let (category, core, message) = fault.flight_event();
+            flight.record_deferred(cluster.cycle, category, core, message);
+        }
         match fault {
             TimedFault::Flip { loc, mask } => {
                 // A flip aimed at a remapped word's logical home still
@@ -631,8 +631,8 @@ fn apply_due_faults(cluster: &mut Cluster) -> Result<(), SimError> {
 /// after `stalled_for` cycles: the flight ring gets the expiry after that
 /// tick's other events.
 fn deadlock(cluster: &Cluster, stalled_for: u64) -> SimError {
-    if let (true, Some(hooks)) = (cluster.flight_enabled, &cluster.obs) {
-        hooks.obs.flight.record(
+    if let Some(flight) = cluster.flight() {
+        flight.record(
             cluster.cycle,
             "watchdog",
             None,
@@ -692,10 +692,9 @@ fn tick(cluster: &mut Cluster, prof: &mut CallTally) -> Result<bool, SimError> {
     cluster.cycle = now + 1;
     if let Some(sampler) = &cluster.sampler {
         if cluster.cycle >= sampler.next_at {
-            let inputs = cluster.sample_inputs(cluster.cycle);
-            cluster.push_samples(sampler, cluster.cycle, &inputs);
+            let totals = cluster.close_epoch(sampler, cluster.cycle);
             if let Some(sampler) = cluster.sampler.as_mut() {
-                sampler.rebaseline(inputs, cluster.cycle);
+                sampler.rebaseline(totals, cluster.cycle);
             }
         }
     }

@@ -100,26 +100,32 @@ impl SimParams {
     /// key.
     pub fn digest_with_version(&self, version: &str) -> u64 {
         let mut hash = fnv1a(FNV_OFFSET, version.as_bytes());
-        // Canonical field order: latency triplet first, then the
-        // scoreboard/pipeline knobs, then the memory system. Appending a
-        // field is a semantic change and belongs at the end (with an
-        // ENGINE_VERSION bump if it alters existing behavior).
-        for value in [
-            self.latency.tile_local,
-            self.latency.group_local,
-            self.latency.remote,
-            self.max_outstanding,
-            self.taken_branch_penalty,
-            self.icache_miss_penalty,
-            self.icache_line_words,
-            self.icache_ways,
-            self.offchip_bytes_per_cycle,
-            self.offchip_latency,
-            self.ecc_correction_penalty,
-        ] {
+        for (_, value) in { *self }.timing_fields_mut() {
             hash = fnv1a(hash, &value.to_le_bytes());
         }
         hash
+    }
+
+    /// Every timing-relevant field, named as the checkpoint header names
+    /// it, in the canonical order of [`SimParams::digest_with_version`]
+    /// and the header: latency triplet first, then the scoreboard/pipeline
+    /// knobs, then the memory system. Appending a field is a semantic
+    /// change and belongs at the end (with an ENGINE_VERSION bump if it
+    /// alters existing behavior).
+    pub(crate) fn timing_fields_mut(&mut self) -> [(&'static str, &mut u32); 11] {
+        [
+            ("tile_local", &mut self.latency.tile_local),
+            ("group_local", &mut self.latency.group_local),
+            ("remote", &mut self.latency.remote),
+            ("max_outstanding", &mut self.max_outstanding),
+            ("taken_branch_penalty", &mut self.taken_branch_penalty),
+            ("icache_miss_penalty", &mut self.icache_miss_penalty),
+            ("icache_line_words", &mut self.icache_line_words),
+            ("icache_ways", &mut self.icache_ways),
+            ("offchip_bytes_per_cycle", &mut self.offchip_bytes_per_cycle),
+            ("offchip_latency", &mut self.offchip_latency),
+            ("ecc_correction_penalty", &mut self.ecc_correction_penalty),
+        ]
     }
 }
 

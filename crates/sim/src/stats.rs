@@ -3,7 +3,7 @@
 use std::fmt;
 
 use mempool_arch::{AccessClass, GroupNetwork};
-use mempool_obs::{AttributionReport, BankConflictInput, CoreCycleInput};
+use mempool_obs::{AttributionReport, BankConflictInput, CycleBuckets};
 
 use crate::ckpt::{words_struct, Words};
 use crate::params::{fnv1a, FNV_OFFSET};
@@ -189,10 +189,10 @@ impl ClusterStats {
     /// more accounted cycles than the cluster simulated) or the per-tile
     /// shape does not divide the core/bank counts.
     pub fn attribution(&self, cores_per_tile: u32, banks_per_tile: u32) -> AttributionReport {
-        let cores: Vec<CoreCycleInput> = self
+        let cores: Vec<CycleBuckets> = self
             .cores
             .iter()
-            .map(|c| CoreCycleInput {
+            .map(|c| CycleBuckets {
                 issue: c.retired,
                 scoreboard: c.stall_scoreboard,
                 structural: c.stall_structural,
@@ -201,6 +201,7 @@ impl ClusterStats {
                 fault_retry: c.stall_fault_retry,
                 ecc: c.stall_ecc,
                 halted: c.halted_cycles,
+                offchip: 0,
             })
             .collect();
         let banks: Vec<BankConflictInput> = self

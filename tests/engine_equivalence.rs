@@ -738,7 +738,7 @@ fn former_quantum_caps_due_on_one_cycle_agree_across_run_step_and_cuts() {
         let after = Obs::new();
         let mut resumed = Cluster::restore(&cluster.checkpoint()).unwrap();
         resumed.attach_obs(&after, "one-cycle");
-        resumed.resume_timeseries(c);
+        resumed.enable_timeseries(c);
         resumed.enable_flight(4096);
         let error = resumed.run(1_000_000).expect_err("core 0 hangs");
         let cut_leg = ending(&resumed, error, &after, series, flight);
