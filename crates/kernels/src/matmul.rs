@@ -5,7 +5,7 @@ use std::fmt::{self, Write};
 
 use mempool_arch::SpmCapacity;
 use mempool_isa::Program;
-use mempool_sim::{Cluster, SimError};
+use mempool_sim::Cluster;
 
 use crate::workload::{Kernel, KernelError};
 
@@ -67,8 +67,7 @@ const ACCS: [&str; 4] = ["a0", "a1", "a2", "a3"];
 
 /// One compute phase: all cores cooperatively compute
 /// `C += A x B` on three `p x p` word tiles resident in the SPM's
-/// interleaved region (`A`, then `B`, then `C`, densely packed, unless
-/// [`Self::with_layout`] places them).
+/// interleaved region (`A`, then `B`, then `C`, densely packed).
 ///
 /// The generated inner loop follows MemPool's hand-optimized kernels:
 /// post-incrementing loads walk a row of `A` and the columns of `B` of a
@@ -79,9 +78,6 @@ const ACCS: [&str; 4] = ["a0", "a1", "a2", "a3"];
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ComputePhase {
     p: u32,
-    /// Explicit `(A, B, C)` tile addresses; `None` uses the default packed
-    /// layout at the start of the interleaved region.
-    layout: Option<(u32, u32, u32)>,
     blocking: Blocking,
 }
 
@@ -105,7 +101,7 @@ impl ComputePhase {
         Err(KernelError::BadShape { detail })
     }
 
-    /// Creates a compute phase over `p x p` tiles in the default layout.
+    /// Creates a compute phase over `p x p` tiles.
     ///
     /// # Panics
     ///
@@ -114,7 +110,6 @@ impl ComputePhase {
         Self::check_shape(p).unwrap_or_else(|rule| panic!("{rule}"));
         ComputePhase {
             p,
-            layout: None,
             blocking: Blocking::OneByTwo,
         }
     }
@@ -130,18 +125,6 @@ impl ComputePhase {
         self.blocking
     }
 
-    /// Creates a compute phase reading/writing explicitly placed tiles
-    /// (used by the double-buffered orchestration).
-    ///
-    /// # Panics
-    ///
-    /// Panics under the same conditions as [`Self::new`].
-    pub fn with_layout(p: u32, a: u32, b: u32, c: u32) -> Self {
-        let mut phase = Self::new(p);
-        phase.layout = Some((a, b, c));
-        phase
-    }
-
     /// Tile dimension.
     pub(crate) fn p(&self) -> u32 {
         self.p
@@ -152,12 +135,11 @@ impl ComputePhase {
         self.p * self.p * 4
     }
 
-    /// SPM addresses of the `A`, `B`, and `C` tiles.
+    /// SPM addresses of the `A`, `B`, and `C` tiles, packed at the start
+    /// of the interleaved region.
     pub(crate) fn tile_addrs(&self, cluster: &Cluster) -> (u32, u32, u32) {
-        self.layout.unwrap_or_else(|| {
-            let base = cluster.storage().map().interleaved_base();
-            (base, base + self.tile_bytes(), base + 2 * self.tile_bytes())
-        })
+        let base = cluster.storage().map().interleaved_base();
+        (base, base + self.tile_bytes(), base + 2 * self.tile_bytes())
     }
 
     /// Total multiply-accumulates of one phase.
@@ -383,10 +365,6 @@ pub struct BlockedMatmul {
     phase: ComputePhase,
 }
 
-/// A tile DMA of the cluster: [`Cluster::dma_tile`] (returns the cycles it
-/// took) or [`Cluster::dma_tile_async`] (returns the cycle it completes).
-type TileDma = fn(&mut Cluster, u64, u64, u32, u32, u32, bool) -> Result<u64, SimError>;
-
 /// Cycle breakdown of a [`BlockedMatmul`] run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct MatmulCycles {
@@ -466,18 +444,17 @@ impl BlockedMatmul {
     }
 
     /// Moves tile `(ti, tj)` of the matrix at `base` between external
-    /// memory and the packed SPM tile at `spm` with `dma`, returning what
-    /// it returns.
+    /// memory and the packed SPM tile at `spm`, returning the cycles the
+    /// DMA took.
     fn dma(
         &self,
         cluster: &mut Cluster,
-        dma: TileDma,
         (base, ti, tj): (u64, u32, u32),
         spm: u32,
         to_spm: bool,
     ) -> Result<u64, KernelError> {
         let (ext, stride, t) = (self.tile_off(base, ti, tj), u64::from(self.m) * 4, self.t());
-        Ok(dma(cluster, ext, stride, spm, t, t * 4, to_spm)?)
+        Ok(cluster.dma_tile(ext, stride, spm, t, t * 4, to_spm)?)
     }
 
     /// Runs the full blocked computation, returning the cycle breakdown.
@@ -501,15 +478,15 @@ impl BlockedMatmul {
                 cluster.write_spm_words(c_spm, &zero_tile)?;
                 for k in 0..steps {
                     let (a_tile, b_tile) = ((Self::EXT_A, out_i, k), (self.ext_b(), k, out_j));
-                    cycles.memory += self.dma(cluster, Cluster::dma_tile, a_tile, a_spm, true)?;
-                    cycles.memory += self.dma(cluster, Cluster::dma_tile, b_tile, b_spm, true)?;
+                    cycles.memory += self.dma(cluster, a_tile, a_spm, true)?;
+                    cycles.memory += self.dma(cluster, b_tile, b_spm, true)?;
                     let start = cluster.cycle();
                     cluster.resume_all(0)?;
                     cluster.run(u64::MAX)?;
                     cycles.compute += cluster.cycle() - start;
                 }
                 let c_tile = (self.ext_c(), out_i, out_j);
-                cycles.memory += self.dma(cluster, Cluster::dma_tile, c_tile, c_spm, false)?;
+                cycles.memory += self.dma(cluster, c_tile, c_spm, false)?;
             }
         }
         Ok(cycles)
@@ -533,126 +510,6 @@ impl BlockedMatmul {
             check_row(i, &got, &expected)?;
         }
         Ok(())
-    }
-}
-
-/// A double-buffered variant of [`BlockedMatmul`]: while the cores compute
-/// on one pair of input tiles, the DMA prefetches the next pair into a
-/// second buffer — the overlap extension that
-/// [`PhaseModel::total_cycles_overlapped`] models analytically, here
-/// executed cycle-accurately.
-///
-/// SPM layout (interleaved region): `A0 B0 A1 B1 C`, five tiles.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DoubleBufferedMatmul {
-    /// The operands, tiling and external layout; only the schedule differs.
-    inner: BlockedMatmul,
-}
-
-impl DoubleBufferedMatmul {
-    /// Creates a double-buffered blocked matmul.
-    ///
-    /// # Panics
-    ///
-    /// Panics under the same conditions as [`BlockedMatmul::new`].
-    pub fn new(m: u32, t: u32) -> Self {
-        DoubleBufferedMatmul {
-            inner: BlockedMatmul::new(m, t),
-        }
-    }
-
-    /// Writes the input matrices into external memory (same layout as
-    /// [`BlockedMatmul`]).
-    ///
-    /// # Errors
-    ///
-    /// Propagates storage errors.
-    pub fn setup(&self, cluster: &mut Cluster) -> Result<(), KernelError> {
-        self.inner.setup(cluster)
-    }
-
-    /// Starts the DMA of step `k`'s input pair, `A`'s tile `(out_i, k)` and
-    /// `B`'s tile `(k, out_j)`, into the SPM buffers `(a_spm, b_spm)`;
-    /// returns the cycle both have landed.
-    fn fetch_inputs(
-        &self,
-        cluster: &mut Cluster,
-        (out_i, out_j, k): (u32, u32, u32),
-        (a_spm, b_spm): (u32, u32),
-    ) -> Result<u64, KernelError> {
-        let (mm, dma) = (&self.inner, Cluster::dma_tile_async);
-        let a_done = mm.dma(cluster, dma, (BlockedMatmul::EXT_A, out_i, k), a_spm, true)?;
-        let b_done = mm.dma(cluster, dma, (mm.ext_b(), k, out_j), b_spm, true)?;
-        Ok(a_done.max(b_done))
-    }
-
-    /// Runs the double-buffered computation.
-    ///
-    /// # Errors
-    ///
-    /// Propagates codegen, simulation, and DMA errors.
-    pub fn run(&self, cluster: &mut Cluster) -> Result<MatmulCycles, KernelError> {
-        let mm = &self.inner;
-        let steps = mm.m / mm.t();
-        let zero_tile = vec![0; (mm.t() * mm.t()) as usize];
-        let base = cluster.storage().map().interleaved_base();
-        let tile = mm.phase.tile_bytes();
-        let bufs = [(base, base + tile), (base + 2 * tile, base + 3 * tile)];
-        let c_spm = base + 4 * tile;
-        let program = |(a, b)| {
-            let layout = Some((a, b, c_spm));
-            ComputePhase { layout, ..mm.phase }.program(cluster)
-        };
-        let programs = [program(bufs[0])?, program(bufs[1])?];
-
-        let mut cycles = MatmulCycles::default();
-        for out_i in 0..steps {
-            for out_j in 0..steps {
-                cluster.write_spm_words(c_spm, &zero_tile)?;
-                // Exposed first fill into buffer 0.
-                let start = cluster.cycle();
-                let done = self.fetch_inputs(cluster, (out_i, out_j, 0), bufs[0])?;
-                cluster.advance_to(done);
-                cycles.memory += cluster.cycle() - start;
-
-                for k in 0..steps {
-                    let cur = (k % 2) as usize;
-                    // Prefetch the next pair into the other buffer while
-                    // computing on this one.
-                    let prefetch_done = if k + 1 < steps {
-                        Some(self.fetch_inputs(cluster, (out_i, out_j, k + 1), bufs[1 - cur])?)
-                    } else {
-                        None
-                    };
-                    let start = cluster.cycle();
-                    cluster.load_program(programs[cur].clone());
-                    cluster.preload_icaches();
-                    cluster.resume_all(0)?;
-                    cluster.run(u64::MAX)?;
-                    cycles.compute += cluster.cycle() - start;
-                    if let Some(done) = prefetch_done {
-                        let wait_start = cluster.cycle();
-                        cluster.advance_to(done);
-                        cycles.memory += cluster.cycle() - wait_start;
-                    }
-                }
-                let start = cluster.cycle();
-                let c_tile = (mm.ext_c(), out_i, out_j);
-                let done = mm.dma(cluster, Cluster::dma_tile_async, c_tile, c_spm, false)?;
-                cluster.advance_to(done);
-                cycles.memory += cluster.cycle() - start;
-            }
-        }
-        Ok(cycles)
-    }
-
-    /// Verifies the result (same reference as [`BlockedMatmul`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`KernelError::Mismatch`] on the first wrong element.
-    pub fn verify(&self, cluster: &Cluster) -> Result<(), KernelError> {
-        self.inner.verify(cluster)
     }
 }
 
@@ -719,25 +576,6 @@ impl PhaseModel {
         let per_tile = tiles
             * (self.memory_phase_cycles(t, bytes_per_cycle) + self.compute_phase_cycles(t))
             + self.store_cycles(t, bytes_per_cycle);
-        tiles * tiles * per_tile
-    }
-
-    /// Total cycles with **double-buffered** memory phases: the DMA for
-    /// iteration `k+1` overlaps the compute of iteration `k`, so each of
-    /// the `M/t` steps costs `max(memory, compute)` after a one-step
-    /// pipeline fill. Double buffering halves the usable tile size
-    /// (`t' = t / sqrt(2)` rounded to the core count), trading reuse for
-    /// overlap — the paper leaves this extension to future work, and this
-    /// model quantifies it.
-    pub fn total_cycles_overlapped(&self, capacity: SpmCapacity, bytes_per_cycle: u32) -> f64 {
-        // Largest t' <= t/sqrt(2) that is a multiple of the core count.
-        let t = capacity.matmul_tile_dim();
-        let reduced =
-            ((t as f64 / std::f64::consts::SQRT_2) as u64 / self.num_cores).max(1) * self.num_cores;
-        let tiles = (self.m as f64 / reduced as f64).ceil();
-        let mem = self.memory_phase_cycles(reduced, bytes_per_cycle);
-        let compute = self.compute_phase_cycles(reduced);
-        let per_tile = mem + tiles * mem.max(compute) + self.store_cycles(reduced, bytes_per_cycle);
         tiles * tiles * per_tile
     }
 
@@ -1025,59 +863,5 @@ mod tests {
     #[should_panic(expected = "must divide")]
     fn blocked_matmul_requires_divisible_tiles() {
         let _ = BlockedMatmul::new(100, 32);
-    }
-
-    #[test]
-    fn double_buffered_matmul_is_correct_and_faster_when_memory_bound() {
-        // At 4 B/cycle the memory phases dominate; overlapping them with
-        // compute must win, and the result must stay correct.
-        let cfg = small_cluster().config().clone();
-        let seq = BlockedMatmul::new(96, 32);
-        let mut c1 = Cluster::new(cfg.clone(), SimParams::default().with_offchip_bandwidth(4));
-        seq.setup(&mut c1).unwrap();
-        let sequential = seq.run(&mut c1).unwrap();
-        seq.verify(&c1).unwrap();
-
-        let dbuf = DoubleBufferedMatmul::new(96, 32);
-        let mut c2 = Cluster::new(cfg, SimParams::default().with_offchip_bandwidth(4));
-        dbuf.setup(&mut c2).unwrap();
-        let overlapped = dbuf.run(&mut c2).unwrap();
-        dbuf.verify(&c2)
-            .expect("double-buffered result must be correct");
-
-        assert!(
-            overlapped.total() < sequential.total(),
-            "overlap {o} must beat sequential {s} at 4 B/cycle",
-            o = overlapped.total(),
-            s = sequential.total()
-        );
-        // Most of the memory time is hidden: only the first fill and the
-        // output store per tile remain exposed.
-        assert!(
-            (overlapped.memory as f64) < 0.6 * sequential.memory as f64,
-            "exposed memory {o} vs sequential {s}",
-            o = overlapped.memory,
-            s = sequential.memory
-        );
-    }
-
-    #[test]
-    fn overlap_helps_most_when_memory_bound() {
-        let model = PhaseModel::with_measured_defaults();
-        // Memory-bound regime: small SPM, 4 B/cycle.
-        let gain_bound = model.total_cycles(SpmCapacity::MiB1, 4)
-            / model.total_cycles_overlapped(SpmCapacity::MiB1, 4);
-        // Compute-bound regime: large SPM, 64 B/cycle — overlap cannot pay
-        // for the reuse it sacrifices.
-        let gain_free = model.total_cycles(SpmCapacity::MiB8, 64)
-            / model.total_cycles_overlapped(SpmCapacity::MiB8, 64);
-        assert!(
-            gain_bound > 1.05,
-            "overlap must win when memory-bound (gain {gain_bound:.3})"
-        );
-        assert!(
-            gain_bound > gain_free,
-            "overlap gain must shrink in the compute-bound regime: {gain_bound:.3} vs {gain_free:.3}"
-        );
     }
 }

@@ -490,16 +490,16 @@ impl Cluster {
     ///   requests per cycle;
     /// * `bank_conflict_rate` — bank-conflict cycles per cycle;
     /// * `offchip_occupancy` — fraction of the epoch's peak off-chip
-    ///   bandwidth consumed by scheduled transfers (can exceed 1 when
-    ///   asynchronous DMA books the port ahead of time);
+    ///   bandwidth consumed by scheduled transfers (can exceed 1 when core
+    ///   accesses book the port ahead of time);
     /// * `offchip_backlog` — cycles of already scheduled off-chip work
     ///   still draining;
     /// * `outstanding` — in-flight memory transactions across all cores;
     /// * `spm_touch_rate` — SPM words read or written per cycle (includes
     ///   DMA word traffic).
     ///
-    /// Epochs only close inside `step()`/`run()`; clock jumps (synchronous DMA,
-    /// [`Cluster::advance_to`]) fold into the next sample, whose rates are
+    /// Epochs only close inside `step()`/`run()`; the clock jump of a
+    /// [`Cluster::dma_tile`] folds into the next sample, whose rates are
     /// computed over the true elapsed cycles. A zero `window` is clamped
     /// to 1.
     ///
@@ -895,14 +895,23 @@ impl Cluster {
     /// DMA-transfers a 2D tile between external memory and the SPM: `rows`
     /// rows of `row_bytes` bytes, laid out in external memory with
     /// `ext_stride_bytes` between row starts and packed contiguously in the
-    /// SPM starting at `spm_addr`. Charged as a *single* bandwidth-limited
-    /// transfer (the paper idealizes off-chip latency).
+    /// SPM starting at `spm_addr`. The rows move through the host's SPM
+    /// slice path, so a word leaves the SPM SEC-DED corrected, like a host
+    /// read. The cluster stalls for a *single* bandwidth-limited transfer
+    /// of the whole tile on the off-chip port (the paper idealizes off-chip
+    /// latency), recorded as a `dma_tile` span and flight event. Returns
+    /// the cycles the stall took.
     ///
     /// # Errors
     ///
-    /// Returns an error if any SPM address in the range is unmapped, or
-    /// [`SimError::EccUncorrectable`] if a word leaving the SPM holds a
-    /// multi-bit error.
+    /// [`MemoryError::Misaligned`] at the end of the first row if
+    /// `row_bytes` is not a whole number of words, before anything moves;
+    /// an error if any SPM address in the range is unmapped, with a row
+    /// running past the top of the 32-bit space unmapped at address 0, as
+    /// [`Self::write_spm_words`] has it; or [`SimError::EccUncorrectable`]
+    /// if a word leaving the SPM holds a multi-bit error. The failing row
+    /// moves nothing (the rows before it have moved), and a failed DMA
+    /// books no port time.
     pub fn dma_tile(
         &mut self,
         ext_base: u64,
@@ -912,98 +921,16 @@ impl Cluster {
         row_bytes: u32,
         to_spm: bool,
     ) -> Result<u64, SimError> {
-        let start = self.cycle;
-        let done = self.transfer(
-            "dma_tile",
-            ext_base,
-            ext_stride_bytes,
-            spm_addr,
-            rows,
-            u64::from(row_bytes),
-            to_spm,
-            true,
-        )?;
-        Ok(done - start)
-    }
-
-    /// Starts an *asynchronous* tile DMA: the transfer occupies the
-    /// off-chip port (serializing with other transfers) but simulated time
-    /// does **not** advance — the cores keep running, which is what makes
-    /// double-buffered kernels possible. Returns the completion cycle.
-    ///
-    /// Data movement is applied immediately; by the double-buffering
-    /// contract the program must not touch the destination buffer before
-    /// [`Self::advance_to`] the returned cycle.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if any SPM address in the range is unmapped, or
-    /// [`SimError::EccUncorrectable`] if a word leaving the SPM holds a
-    /// multi-bit error.
-    pub fn dma_tile_async(
-        &mut self,
-        ext_base: u64,
-        ext_stride_bytes: u64,
-        spm_addr: u32,
-        rows: u32,
-        row_bytes: u32,
-        to_spm: bool,
-    ) -> Result<u64, SimError> {
-        self.transfer(
-            "dma_async",
-            ext_base,
-            ext_stride_bytes,
-            spm_addr,
-            rows,
-            u64::from(row_bytes),
-            to_spm,
-            false,
-        )
-    }
-
-    /// Advances simulated time to at least `cycle` with the cores idle
-    /// (waiting on an asynchronous DMA); the waiting cycles are accounted
-    /// as DMA time.
-    pub fn advance_to(&mut self, cycle: u64) {
-        if cycle > self.cycle {
-            if let Some(hooks) = &self.obs {
-                hooks.obs.spans.complete(
-                    hooks.dma_track,
-                    "dma_wait",
-                    self.cycle,
-                    cycle,
-                    Vec::new(),
-                );
-            }
-            self.dma_cycles += cycle - self.cycle;
-            self.cycle = cycle;
-            self.note_external_progress();
+        if !row_bytes.is_multiple_of(4) {
+            let addr = spm_addr.wrapping_add(row_bytes);
+            return Err(MemoryError::Misaligned { addr }.into());
         }
-    }
-
-    /// The one DMA path: moves `rows` rows of `row_bytes` bytes through the
-    /// host's SPM slice path (so a word leaves the SPM SEC-DED corrected,
-    /// like a host read), books the off-chip port for one transfer of that
-    /// size, and records it (counters, `name` span, flight event). A blocking
-    /// transfer stalls the cluster until the port is done; an asynchronous
-    /// one leaves the clock alone. Returns the completion cycle.
-    #[allow(clippy::too_many_arguments)]
-    fn transfer(
-        &mut self,
-        name: &'static str,
-        ext_base: u64,
-        ext_stride_bytes: u64,
-        spm_addr: u32,
-        rows: u32,
-        row_bytes: u64,
-        to_spm: bool,
-        blocking: bool,
-    ) -> Result<u64, SimError> {
-        debug_assert_eq!(row_bytes % 4, 0, "dma moves whole words");
+        let row_bytes = u64::from(row_bytes);
         let mut row = vec![0; (row_bytes / 4) as usize];
         for r in 0..u64::from(rows) {
             let ext_row = (ext_base + r * ext_stride_bytes..).step_by(4);
-            let spm_row = spm_addr + (r * row_bytes) as u32;
+            let spm_row = u32::try_from(u64::from(spm_addr) + r * row_bytes)
+                .map_err(|_| MemoryError::Unmapped { addr: 0 })?;
             if to_spm {
                 for (word, offset) in row.iter_mut().zip(ext_row) {
                     *word = self.storage.read_external_word(offset);
@@ -1020,41 +947,27 @@ impl Cluster {
         let issued = self.cycle;
         let done = self.offchip.schedule(issued, bytes);
         self.dma_bytes += bytes;
-        if blocking {
-            self.dma_cycles += done - issued;
-            self.cycle = done;
-            self.note_external_progress();
-        }
+        self.dma_cycles += done - issued;
+        self.cycle = done;
+        self.note_external_progress();
+        let dir = if to_spm { "to_spm" } else { "to_ext" };
         if let Some(hooks) = &self.obs {
-            // The transfer occupies the port for its serialization window,
-            // which may start after `issued` if the port is busy; a
-            // blocking transfer's span covers the whole stall.
-            let start = if blocking {
-                issued
-            } else {
-                done - self.offchip.transfer_cycles(bytes)
-            };
             let args = vec![
                 ("bytes".to_string(), Json::Int(bytes as i64)),
-                ("direction".to_string(), Json::str(dma_dir(to_spm))),
+                ("direction".to_string(), Json::str(dir)),
             ];
             hooks
                 .obs
                 .spans
-                .complete(hooks.dma_track, name, start, done, args);
+                .complete(hooks.dma_track, "dma_tile", issued, done, args);
             hooks.dma_bytes.add(bytes);
             hooks.dma_transfers.inc();
         }
         if let Some(flight) = self.flight() {
-            let dir = dma_dir(to_spm);
-            let message = if blocking {
-                format!("{name} {bytes} B {dir} over {} cycles", done - issued)
-            } else {
-                format!("{name} {bytes} B {dir} completing at cycle {done}")
-            };
+            let message = format!("dma_tile {bytes} B {dir} over {} cycles", done - issued);
             flight.record(issued, "dma", None, message);
         }
-        Ok(done)
+        Ok(done - issued)
     }
 
     /// Clears latent ECC masks on a freshly (over)written SPM range —
@@ -1284,15 +1197,6 @@ pub(crate) fn latency_split(latency: &LatencyModel, class: AccessClass) -> (u32,
     let total = latency.cycles(class);
     let request = (total - 1) / 2;
     (request, total - 1 - request)
-}
-
-/// Direction tag of a DMA span and flight event.
-fn dma_dir(to_spm: bool) -> &'static str {
-    if to_spm {
-        "to_spm"
-    } else {
-        "to_ext"
-    }
 }
 
 /// Applies load sign-extension for sub-word loads.
@@ -1575,6 +1479,98 @@ mod tests {
     }
 
     #[test]
+    fn a_dma_records_its_bytes_cycles_span_and_flight_event() {
+        let obs = mempool_obs::Obs::new();
+        let mut cluster = Cluster::new(tiny_config(), SimParams::default());
+        cluster.attach_obs(&obs, "dma");
+        cluster.enable_flight(16);
+        for i in 0..64u32 {
+            cluster
+                .storage_mut()
+                .write_external_word(u64::from(i) * 4, i);
+        }
+        // 4 rows of 32 B at a 64 B stride in, then 2 rows of 8 B out: 30
+        // cycles of latency plus 8 and 1 at 16 B per cycle.
+        assert_eq!(cluster.dma_tile(0, 64, 0, 4, 32, true), Ok(38));
+        assert_eq!(cluster.dma_tile(4096, 16, 32, 2, 8, false), Ok(31));
+        assert_eq!(cluster.read_spm_word(32).unwrap(), 16);
+        assert_eq!(cluster.storage().read_external_word(4096 + 16), 18);
+
+        let stats = cluster.stats();
+        assert_eq!((stats.dma_bytes, stats.dma_cycles), (144, 69));
+        assert_eq!(cluster.offchip.total_bytes(), 144);
+        let spans: Vec<_> = obs
+            .spans
+            .spans()
+            .into_iter()
+            .map(|s| (s.name, s.start, s.end, s.args))
+            .collect();
+        let args = |bytes, direction| {
+            vec![
+                ("bytes".to_string(), Json::Int(bytes)),
+                ("direction".to_string(), Json::str(direction)),
+            ]
+        };
+        assert_eq!(
+            spans,
+            [
+                ("dma_tile".to_string(), 0, 38, args(128, "to_spm")),
+                ("dma_tile".to_string(), 38, 69, args(16, "to_ext")),
+            ]
+        );
+        let events: Vec<_> = obs
+            .flight
+            .events()
+            .into_iter()
+            .map(|e| (e.cycle, e.category, e.core, e.message))
+            .collect();
+        assert_eq!(
+            events,
+            [
+                (
+                    0,
+                    "dma".to_string(),
+                    None,
+                    "dma_tile 128 B to_spm over 38 cycles".to_string()
+                ),
+                (
+                    38,
+                    "dma".to_string(),
+                    None,
+                    "dma_tile 16 B to_ext over 31 cycles".to_string()
+                ),
+            ]
+        );
+    }
+
+    #[test]
+    fn a_dma_row_past_the_top_or_of_a_partial_word_moves_nothing() {
+        let mut cluster = Cluster::new(tiny_config(), SimParams::default());
+        cluster.write_spm_word(0, 7).unwrap();
+        cluster.storage_mut().write_external_word(0, 0xabc);
+        let top = Err(SimError::Memory(MemoryError::Unmapped { addr: 0 }));
+        // The second 256 B row would start at 2^32: it must not wrap to
+        // SPM word 0, in either direction.
+        assert_eq!(cluster.dma_tile(0, 256, 0xFFFF_FF00, 2, 256, true), top);
+        assert_eq!(cluster.read_spm_word(0), Ok(7));
+        assert_eq!(
+            cluster.dma_tile(0x1000, 256, 0xFFFF_FF00, 2, 256, false),
+            top
+        );
+        assert_eq!(cluster.storage().read_external_word(0x1100), 0);
+        // A row of 6 B would move one word but charge the port six bytes;
+        // the second row would start at the misaligned byte 6.
+        let partial = Err(SimError::Memory(MemoryError::Misaligned { addr: 6 }));
+        assert_eq!(cluster.dma_tile(0, 64, 0, 2, 6, true), partial);
+        assert_eq!(cluster.read_spm_word(0), Ok(7));
+        assert_eq!(cluster.dma_tile(0, 64, 0, 2, 6, false), partial);
+        assert_eq!(cluster.storage().read_external_word(0), 0xabc);
+        let stats = cluster.stats();
+        assert_eq!((stats.cycles, stats.dma_bytes, stats.dma_cycles), (0, 0, 0));
+        assert_eq!(cluster.offchip.total_bytes(), 0);
+    }
+
+    #[test]
     fn timeout_is_reported() {
         let mut cluster = Cluster::new(tiny_config(), SimParams::default());
         cluster.load_program(Program::assemble("loop: j loop").unwrap());
@@ -1746,102 +1742,6 @@ mod tests {
         );
         let text = trace.to_string();
         assert!(text.contains("add a2, a0, a1"));
-    }
-
-    #[test]
-    fn async_dma_overlaps_with_compute() {
-        // Double-buffering contract: an async tile DMA occupies the
-        // off-chip port while the cores keep computing, so the total run
-        // is shorter than the sum of the two phases.
-        let busy_loop = r#"
-            li   t1, 2000
-        loop:
-            addi t1, t1, -1
-            bnez t1, loop
-            wfi
-        "#;
-        let bytes = 64u64 * 16;
-
-        // Serial reference: DMA first (cores idle), then compute.
-        let mut serial = Cluster::new(tiny_config(), SimParams::default());
-        serial.load_program(Program::assemble(busy_loop).unwrap());
-        serial.preload_icaches();
-        let dma_cycles = serial.dma_tile(0, 0, 0, 1, bytes as u32, true).unwrap();
-        let serial_total = serial.run(1_000_000).unwrap();
-
-        // Overlapped: the same DMA started asynchronously.
-        let mut overlap = Cluster::new(tiny_config(), SimParams::default());
-        overlap.load_program(Program::assemble(busy_loop).unwrap());
-        overlap.preload_icaches();
-        let done = overlap.dma_tile_async(0, 64, 0, 16, 64, true).unwrap();
-        assert_eq!(
-            done,
-            overlap.offchip.transfer_cycles(bytes),
-            "async DMA on an idle port completes after the pure transfer cost"
-        );
-        overlap.run(1_000_000).unwrap();
-        overlap.advance_to(done);
-        let overlap_total = overlap.cycle();
-
-        assert!(dma_cycles > 0);
-        assert!(
-            overlap_total < serial_total,
-            "overlap ({overlap_total}) must beat serial ({serial_total})"
-        );
-        assert_eq!(
-            overlap_total + dma_cycles,
-            serial_total,
-            "the compute phase fully hides the transfer"
-        );
-        // The port's own accounting agrees with the schedule.
-        assert_eq!(overlap.offchip.total_bytes(), bytes);
-        assert_eq!(overlap.offchip.busy_until(), done);
-        assert_eq!(overlap.stats().dma_bytes, bytes);
-    }
-
-    #[test]
-    fn double_buffered_sequence_overlaps_both_transfers() {
-        // Two async DMAs back to back serialize on the port but still
-        // overlap compute; total cycles < sum of phases.
-        let busy_loop = r#"
-            li   t1, 4000
-        loop:
-            addi t1, t1, -1
-            bnez t1, loop
-            wfi
-        "#;
-        let bytes = 64u64 * 8;
-
-        // Compute-only reference: same program, no DMA.
-        let compute_only = {
-            let mut c = Cluster::new(tiny_config(), SimParams::default());
-            c.load_program(Program::assemble(busy_loop).unwrap());
-            c.preload_icaches();
-            c.run(1_000_000).unwrap()
-        };
-
-        let mut cluster = Cluster::new(tiny_config(), SimParams::default());
-        cluster.load_program(Program::assemble(busy_loop).unwrap());
-        cluster.preload_icaches();
-        let first = cluster.dma_tile_async(0, 64, 0, 8, 64, true).unwrap();
-        let second = cluster.dma_tile_async(512, 64, 512, 8, 64, true).unwrap();
-        assert!(second > first, "transfers serialize on the single port");
-        assert_eq!(
-            second - first,
-            cluster.offchip.transfer_cycles(bytes),
-            "the second transfer queues behind the first"
-        );
-        cluster.run(1_000_000).unwrap();
-        cluster.advance_to(second);
-        let total = cluster.cycle();
-        let phase_sum = compute_only + 2 * cluster.offchip.transfer_cycles(bytes);
-        assert!(
-            total < phase_sum,
-            "total {total} must be less than the sum of phases {phase_sum}"
-        );
-        assert_eq!(total, compute_only, "both transfers hide under compute");
-        assert_eq!(cluster.offchip.total_bytes(), 2 * bytes);
-        assert_eq!(cluster.offchip.busy_until(), second);
     }
 
     #[test]

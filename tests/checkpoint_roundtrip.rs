@@ -4,7 +4,7 @@
 //! at *any* cycle and restoring it must be invisible — the resumed run
 //! finishes at the same cycle with a [`ClusterStats::digest`]-equal
 //! state as the unbroken run, including mid-quantum, mid-fault-plan and
-//! mid-DMA.
+//! with the off-chip port booked past the clock.
 //!
 //! [`ClusterStats::digest`]: mempool_3d::mempool_sim::ClusterStats::digest
 
@@ -201,34 +201,61 @@ fn mid_fault_plan_resume_is_bit_exact() {
     );
 }
 
+/// Every core loops on loads from external memory, so each load books
+/// the one off-chip port behind the others' and the port stays busy past
+/// the clock for most of the run.
+fn offchip_loader() -> Program {
+    Program::assemble(
+        r#"
+            li   t0, 0x80000000
+            li   t1, 6
+        loop:
+            lw   a0, 0(t0)
+            add  a1, a1, a0
+            addi t1, t1, -1
+            bnez t1, loop
+            wfi
+        "#,
+    )
+    .expect("assembles")
+}
+
+/// The off-chip port's `busy_until` as a checkpoint records it: the first
+/// 16-digit hex word of its `offchip` section.
+fn checkpointed_busy_until(doc: &mempool_obs::Json) -> u64 {
+    let section = doc.str_field("offchip").expect("offchip section");
+    u64::from_str_radix(&section[..16], 16).expect("hex word")
+}
+
 #[test]
 fn mid_dma_snapshot_preserves_the_offchip_port_state() {
-    let run = |snapshot: bool| -> (u64, u64) {
-        let mut cluster = fresh(4);
-        // Seed the SPM, then book two async transfers back-to-back: the
-        // second queues behind the first on the off-chip port.
-        for w in 0..16u32 {
-            cluster.write_spm_word(w * 4, w ^ 0x5a5a).expect("mapped");
-        }
-        let first = cluster
-            .dma_tile_async(0, 64, 0, 8, 64, false)
-            .expect("dma starts");
-        let second = cluster
-            .dma_tile_async(1024, 64, 0, 8, 64, false)
-            .expect("dma starts");
-        assert!(second > first, "port serializes transfers");
-        let mut cluster = if snapshot {
-            // Snapshot while the port is still booked out.
-            Cluster::restore(&cluster.checkpoint()).expect("restore")
-        } else {
-            cluster
-        };
-        cluster.advance_to(second);
-        let end = cluster.run(BUDGET).expect("run finishes");
-        (end, cluster.stats().digest())
+    let start = || {
+        let mut cluster = Cluster::new(small_config(), SimParams::default());
+        cluster.storage_mut().write_external_word(0, 3);
+        cluster.load_program(offchip_loader());
+        cluster.preload_icaches();
+        cluster
     };
-    let (end_a, digest_a) = run(false);
-    let (end_b, digest_b) = run(true);
-    assert_eq!(end_a, end_b, "same final cycle");
-    assert_eq!(digest_a, digest_b, "busy off-chip port survives restore");
+    let mut unbroken = start();
+    let end = unbroken.run(BUDGET).expect("unbroken run finishes");
+    for cut in [40, 300, 1000, 2000] {
+        let mut broken = start();
+        match broken.run(cut) {
+            Err(SimError::Timeout { .. }) => {}
+            other => panic!("expected a timeout at cycle {cut}, got {other:?}"),
+        }
+        let doc = broken.checkpoint();
+        let busy_until = checkpointed_busy_until(&doc);
+        assert!(
+            busy_until > broken.cycle(),
+            "cut {cut}: the port must still be booked (busy until {busy_until})"
+        );
+        let mut resumed = Cluster::restore(&doc).expect("restore");
+        assert_eq!(resumed.run(BUDGET).expect("resumed run finishes"), end);
+        assert_eq!(
+            resumed.stats().digest(),
+            unbroken.stats().digest(),
+            "cut {cut}: a busy off-chip port survives restore"
+        );
+    }
 }
