@@ -40,14 +40,16 @@
 //!
 //! Deliberately **excluded** (and why it is sound to do so):
 //!
-//! * the engine's live sets — derived from the bank and response queues
-//!   and rebuilt from the restored ones;
-//! * observability attachments (metrics, spans, time-series contents,
-//!   flight ring, instruction trace) — measurement, not simulated state;
-//!   callers re-attach and re-arm them after restoring (the sampler's
-//!   epoch cursors *are* saved, and [`Cluster::enable_timeseries`] keeps
-//!   them, so re-armed series stay aligned);
-//! * the topology helper — a pure function of the configuration.
+//! * the engine's live sets, the issue records and the topology helper —
+//!   derived state, which the one machine constructor builds from the
+//!   restored queues, program and configuration;
+//! * the attachments, except the fault controller, watchdog and sampler
+//!   it carries — the obs hooks (metrics, spans, time-series contents,
+//!   flight ring) and the instruction trace are measurement, not
+//!   simulated state; callers re-attach and re-arm them after restoring
+//!   (the sampler's epoch cursors *are* saved, and
+//!   [`Cluster::enable_timeseries`] keeps them, so re-armed series stay
+//!   aligned).
 //!
 //! [`Checkpointer`] adds the operational side: periodic atomic
 //! (temp+rename) snapshot files with bounded retention, and
@@ -70,10 +72,11 @@ use mempool_isa::instr::AmoOp;
 use mempool_isa::{Program, Reg, RegFile};
 use mempool_obs::{load_json_file, write_atomic, Json, JsonError, LoadOutcome};
 
-use crate::cluster::{Bank, Cluster, PendingAccess, Response, Sampler, SimError, Totals};
+use crate::cluster::{Bank, Cluster, PendingAccess, Response, Sampler, SimError};
 use crate::core::Core;
-use crate::engine::LiveSets;
+use crate::engine::{Attachments, Machine};
 use crate::icache::{ICache, ICacheState};
+use crate::memory::Storage;
 use crate::offchip::OffchipPort;
 use crate::params::{SimParams, ENGINE_VERSION};
 
@@ -559,6 +562,18 @@ type FaultParts = (
     Vec<(BankLocation, u32)>,
 );
 
+/// The `faults` section of `ctrl`: what a restored controller is built
+/// from, beside its report.
+fn fault_parts(ctrl: &FaultController) -> FaultParts {
+    (
+        ctrl.links().to_vec(),
+        ctrl.remaining_timed().to_vec(),
+        ctrl.stuck_banks().to_vec(),
+        ctrl.dead_link_policy(),
+        ctrl.ecc_state().entries(),
+    )
+}
+
 // ---------------------------------------------------------------------------
 // Cluster::checkpoint / Cluster::restore
 // ---------------------------------------------------------------------------
@@ -568,28 +583,21 @@ impl Cluster {
     /// document. See the [module docs](self) for the layout and for what
     /// is (and is deliberately not) captured.
     pub fn checkpoint(&self) -> Json {
-        let (config, params) = (&self.config, &self.params);
-        let icaches: Vec<ICacheState> = self.icaches.iter().map(ICache::state_snapshot).collect();
+        let (m, a) = (&self.machine, &self.attach);
+        let (config, params) = (&m.config, &m.params);
+        let icaches: Vec<ICacheState> = m.icaches.iter().map(ICache::state_snapshot).collect();
         let storage: StorageParts = (
-            self.storage.spares_per_tile(),
-            self.storage.external_entries().collect(),
-            self.storage.spm_word_touches(),
-            self.storage
+            m.storage.spares_per_tile(),
+            m.storage.external_entries().collect(),
+            m.storage.spm_word_touches(),
+            m.storage
                 .map()
                 .remap()
                 .map(|remap| remap.entries().collect())
                 .unwrap_or_default(),
         );
-        let faults: Option<FaultParts> = self.faults.as_ref().map(|ctrl| {
-            (
-                ctrl.links().to_vec(),
-                ctrl.remaining_timed().to_vec(),
-                ctrl.stuck_banks().to_vec(),
-                ctrl.dead_link_policy(),
-                ctrl.ecc_state().entries(),
-            )
-        });
-        let watchdog = self
+        let faults: Option<FaultParts> = a.faults.as_ref().map(fault_parts);
+        let watchdog = a
             .watchdog
             .map(|watchdog| (watchdog.threshold(), watchdog.last_progress()));
         Json::obj([
@@ -620,26 +628,23 @@ impl Cluster {
                         .map(|(name, value)| (name, *value)),
                 ),
             ),
-            (
-                "clock",
-                section_of(&(self.cycle, self.dma_bytes, self.dma_cycles)),
-            ),
-            ("program", to_hex(&self.program.to_words())),
-            ("cores", section_of(&self.cores)),
+            ("clock", section_of(&(m.cycle, m.dma_bytes, m.dma_cycles))),
+            ("program", to_hex(&m.program.to_words())),
+            ("cores", section_of(&m.cores)),
             ("icaches", section_of(&icaches)),
-            ("banks", section_of(&self.banks)),
-            ("responses", section_of(&self.responses)),
+            ("banks", section_of(&m.banks)),
+            ("responses", section_of(&m.responses)),
             (
                 "offchip",
                 section_of(&(
-                    self.offchip.busy_until(),
-                    self.offchip.total_bytes(),
-                    self.offchip.total_cycles(),
+                    m.offchip.busy_until(),
+                    m.offchip.total_bytes(),
+                    m.offchip.total_cycles(),
                 )),
             ),
             ("storage", section_of(&storage)),
-            ("spm", to_hex(&self.storage.spm_bank_major())),
-            ("spare", to_hex(self.storage.spare_words())),
+            ("spm", to_hex(&m.storage.spm_bank_major())),
+            ("spare", to_hex(m.storage.spare_words())),
             ("faults", section_of(&faults)),
             (
                 "fault_report",
@@ -647,7 +652,7 @@ impl Cluster {
                     .map_or(Json::Null, |report| report.to_json()),
             ),
             ("watchdog", section_of(&watchdog)),
-            ("sampler", section_of(&self.sampler)),
+            ("sampler", section_of(&a.sampler)),
         ])
     }
 
@@ -666,10 +671,11 @@ impl Cluster {
     /// gives (in checked arithmetic); every queued request waiting at the
     /// bank its location names, for a word inside the bank, from a core
     /// that exists and counts it among its outstanding transactions; a
-    /// nonzero off-chip bandwidth; a sampler window the clock can add and
+    /// nonzero off-chip bandwidth; a remap table that replays onto the
+    /// same spares; I$ arrays of the cache's size; and last, against the
+    /// totals of the machine built, a sampler window the clock can add and
     /// an epoch that starts no later than the clock, with no baseline
-    /// above the restored total it is subtracted from; I$ arrays of the
-    /// cache's size; a remap table that replays onto the same spares.
+    /// above the restored total it is subtracted from.
     ///
     /// # Errors
     ///
@@ -779,40 +785,17 @@ impl Cluster {
                 )));
             }
         }
-        if let Some(sampler) = &sampler {
-            let totals = Totals::of(
-                &cores,
-                &banks,
-                config.cores_per_tile() as usize,
-                config.num_tiles() as usize,
-                total_bytes,
-                touches,
-            );
-            sampler.check_resume(&totals, cycle).map_err(bad)?;
-        }
 
-        // Build.
-        let mut cluster = Cluster::new(config, params);
-        cluster.install_program(program);
-        cluster.cores = cores;
-        for (icache, state) in cluster.icaches.iter_mut().zip(icaches) {
-            icache.restore_state(state).map_err(bad)?;
-        }
-        cluster.banks = banks;
-        cluster.responses = responses;
-        cluster.live = LiveSets::of(&cluster.banks, &cluster.responses, banks_per_tile as usize);
-        cluster
-            .offchip
-            .restore_state(busy_until, total_bytes, total_cycles);
-
-        // Storage: re-establish the remap table first (so the spare array
-        // has its final size), then overwrite all contents wholesale.
+        // Build: the storage first, its remap table replayed (so the spare
+        // array has its final size) and its contents overwritten
+        // wholesale; then the machine around it, and the mutable state of
+        // its I$s, its off-chip port and its clock.
+        let mut storage = Storage::new(&config);
         if spares_per_tile > 0 {
-            cluster.storage.provision_spares(spares_per_tile);
+            storage.provision_spares(spares_per_tile);
         }
         for (tile, from, to) in remaps {
-            let spare = cluster
-                .storage
+            let spare = storage
                 .remap_bank(tile, from)
                 .map_err(|e| bad(format!("replaying remap failed: {e}")))?;
             if spare != to {
@@ -822,24 +805,34 @@ impl Cluster {
                 )));
             }
         }
-        cluster
-            .storage
+        storage
             .restore_contents(&spm, spare, external, touches)
             .map_err(bad)?;
+        let mut machine = Machine::new(config, params, storage, program, cores, banks, responses);
+        for (icache, state) in machine.icaches.iter_mut().zip(icaches) {
+            icache.restore_state(state).map_err(bad)?;
+        }
+        let m = &mut machine;
+        m.offchip
+            .restore_state(busy_until, total_bytes, total_cycles);
+        (m.cycle, m.dma_bytes, m.dma_cycles) = (cycle, dma_bytes, dma_cycles);
+        if let Some(sampler) = &sampler {
+            sampler.check_resume(&m.totals(), cycle).map_err(bad)?;
+        }
 
-        cluster.faults = faults.map(|((links, timed, stuck, policy, ecc), report)| {
-            let ecc = EccState::from_entries(ecc);
-            FaultController::from_snapshot(links, timed, ecc, stuck, policy, report)
-        });
-        // `Watchdog::new(threshold, now)` arms at `now`; feeding the saved
-        // last-progress cycle reproduces the exact stall window.
-        cluster.watchdog =
-            watchdog.map(|(threshold, last_progress)| Watchdog::new(threshold, last_progress));
-        cluster.sampler = sampler;
-        cluster.cycle = cycle;
-        cluster.dma_bytes = dma_bytes;
-        cluster.dma_cycles = dma_cycles;
-        Ok(cluster)
+        let attach = Attachments {
+            faults: faults.map(|((links, timed, stuck, policy, ecc), report)| {
+                let ecc = EccState::from_entries(ecc);
+                FaultController::from_snapshot(links, timed, ecc, stuck, policy, report)
+            }),
+            // `Watchdog::new(threshold, now)` arms at `now`; feeding the
+            // saved last-progress cycle reproduces the exact stall window.
+            watchdog: watchdog
+                .map(|(threshold, last_progress)| Watchdog::new(threshold, last_progress)),
+            sampler,
+            ..Attachments::default()
+        };
+        Ok(Cluster { machine, attach })
     }
 
     /// Loads and restores a checkpoint file. A file that exists but does
@@ -960,7 +953,7 @@ pub fn run_with_checkpoints(
     budget: u64,
     ckpt: &mut Checkpointer,
 ) -> Result<u64, CheckpointError> {
-    let deadline = cluster.cycle() + budget;
+    let deadline = cluster.cycle().saturating_add(budget);
     loop {
         let remaining = deadline.saturating_sub(cluster.cycle());
         if remaining == 0 {
@@ -1053,7 +1046,7 @@ mod tests {
         // the banks: the restored cluster must find them there (the
         // engine's live sets are not in the file).
         assert!(matches!(snap.run(37), Err(SimError::Timeout { .. })));
-        assert!(snap.banks.iter().any(|bank| !bank.queue.is_empty()));
+        assert!(snap.machine.banks.iter().any(|bank| !bank.queue.is_empty()));
         let doc = Json::parse(&snap.checkpoint().to_pretty()).unwrap();
         let mut restored = Cluster::restore(&doc).unwrap();
         assert_eq!(restored.run(100_000).unwrap(), end);
@@ -1225,11 +1218,11 @@ mod tests {
         );
     }
 
-    /// A snapshot with everything a file can carry in it: requests queued
+    /// A cluster with everything a file can carry in it: requests queued
     /// at banks, responses on their way, external memory, a fault plan
     /// part-delivered (a degraded link, a remapped bank, a latent ECC
     /// mask, a flip and a hang still to come), a watchdog and a sampler.
-    fn eventful_snapshot() -> Json {
+    fn eventful_cluster() -> Cluster {
         let mut cluster = fresh_cluster();
         cluster.attach_obs(&Obs::new(), "eventful");
         cluster.enable_timeseries(16);
@@ -1269,12 +1262,56 @@ mod tests {
         cluster.inject_faults(&plan).unwrap();
         cluster.set_watchdog(500);
         assert!(matches!(cluster.run(37), Err(SimError::Timeout { .. })));
-        assert!(cluster.banks.iter().any(|bank| !bank.queue.is_empty()));
-        assert!(cluster.responses.iter().any(|queue| !queue.is_empty()));
-        let faults = cluster.faults.as_ref().unwrap();
+        assert!(cluster
+            .machine
+            .banks
+            .iter()
+            .any(|bank| !bank.queue.is_empty()));
+        assert!(cluster
+            .machine
+            .responses
+            .iter()
+            .any(|queue| !queue.is_empty()));
+        let faults = cluster.attach.faults.as_ref().unwrap();
         assert_eq!(faults.remaining_timed().len(), 2);
         assert_eq!(faults.ecc_state().pending_words(), 1);
-        Json::parse(&cluster.checkpoint().to_pretty()).unwrap()
+        cluster
+    }
+
+    /// The eventful cluster's checkpoint, as a file holds it.
+    fn eventful_snapshot() -> Json {
+        Json::parse(&eventful_cluster().checkpoint().to_pretty()).unwrap()
+    }
+
+    /// Cut at cycles around the flip (90) and the hang (120) still to
+    /// come, the eventful cluster restores to an equal machine — live
+    /// sets included, which no file holds — and to equal checkpointed
+    /// attachments.
+    #[test]
+    fn the_whole_machine_and_its_carried_attachments_survive_a_cut() {
+        // The fault controller as its section and report hold it: the
+        // delivered timed events are behind its cursor, not in the file.
+        let faults = |cluster: &Cluster| {
+            let faults = cluster.attach.faults.as_ref();
+            faults.map(|f| (fault_parts(f), f.report()))
+        };
+        let mut cluster = eventful_cluster();
+        for cut in [37, 38, 60, 90, 91, 120, 121, 200] {
+            while cluster.cycle() < cut {
+                cluster.step().unwrap();
+            }
+            let doc = Json::parse(&cluster.checkpoint().to_pretty()).unwrap();
+            let restored = Cluster::restore(&doc).unwrap();
+            assert!(
+                restored.machine == cluster.machine,
+                "machine at cycle {cut}"
+            );
+            assert_eq!(faults(&restored), faults(&cluster), "cycle {cut}");
+            assert_eq!(restored.attach.watchdog, cluster.attach.watchdog);
+            assert!(restored.attach.sampler == cluster.attach.sampler);
+        }
+        let faults = cluster.attach.faults.as_ref().unwrap();
+        assert!(faults.remaining_timed().is_empty());
     }
 
     /// The eventful snapshot with the first request queued at any bank
@@ -1524,6 +1561,27 @@ mod tests {
         assert_eq!(resumed.cycle(), 100);
         assert_eq!(resumed.run(100_000).unwrap(), end);
         assert_eq!(resumed.stats().digest(), unbroken.stats().digest());
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// A budget of `u64::MAX` from a clock past 0 is no budget at all: the
+    /// deadline saturates instead of wrapping below the clock.
+    #[test]
+    fn an_unbounded_budget_runs_to_the_end_from_any_cycle() {
+        let dir = std::env::temp_dir().join(format!("mempool-ckpt-max-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        let (mut plain, mut sliced) = (fresh_cluster(), fresh_cluster());
+        for _ in 0..10 {
+            plain.step().unwrap();
+            sliced.step().unwrap();
+        }
+        let end = plain.run(u64::MAX).unwrap();
+        let mut ckpt = Checkpointer::new(&dir, 100, 2).unwrap();
+        assert_eq!(
+            run_with_checkpoints(&mut sliced, u64::MAX, &mut ckpt).unwrap(),
+            end
+        );
+        assert_eq!(sliced.stats().digest(), plain.stats().digest());
         let _ = fs::remove_dir_all(&dir);
     }
 

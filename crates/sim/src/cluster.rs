@@ -22,7 +22,7 @@ use std::fmt;
 
 use mempool_arch::{
     AccessClass, BankLocation, ClusterConfig, GlobalCoreId, LatencyModel, MemoryRegion, RemapError,
-    TileId, Topology,
+    TileId,
 };
 use mempool_fault::{CoreDiagnostic, FaultController, FaultPlan, FaultReport, Watchdog};
 use mempool_isa::exec::{MemAccessKind, MemWidth};
@@ -30,11 +30,9 @@ use mempool_isa::{Program, Reg};
 use mempool_obs::{chrome_trace_with_counters, Counter, FlightRecorder, Json, Obs, TrackId};
 
 use crate::ckpt::{words_struct, Words};
-use crate::core::{Core, IssueRecord};
-use crate::engine;
-use crate::icache::ICache;
+use crate::core::Core;
+use crate::engine::{self, Attachments, Machine};
 use crate::memory::{MemoryError, Storage};
-use crate::offchip::OffchipPort;
 use crate::params::SimParams;
 use crate::stats::{BankStats, ClusterStats};
 use crate::trace::{Trace, TraceEntry};
@@ -227,6 +225,7 @@ pub(crate) struct ClusterObs {
 
 /// The counter totals the time-series sampler reads deltas of.
 #[derive(Debug, Default)]
+#[cfg_attr(test, derive(PartialEq))]
 pub(crate) struct Totals {
     pub(crate) retired_per_tile: Vec<u64>,
     pub(crate) local_accesses: u64,
@@ -245,25 +244,19 @@ words_struct!(Totals {
     spm_touches,
 });
 
-impl Totals {
-    /// The totals of `cores` and `banks`, grouped into `num_tiles` tiles
-    /// of `cores_per_tile` cores, beside the off-chip port's and the SPM's.
-    pub(crate) fn of(
-        cores: &[Core],
-        banks: &[Bank],
-        cores_per_tile: usize,
-        num_tiles: usize,
-        offchip_bytes: u64,
-        spm_touches: u64,
-    ) -> Self {
+impl Machine {
+    /// The counter totals the sampler reads deltas of: the cores' and
+    /// banks' per tile, beside the off-chip port's and the SPM's.
+    pub(crate) fn totals(&self) -> Totals {
+        let cores_per_tile = self.config.cores_per_tile() as usize;
         let mut totals = Totals {
-            retired_per_tile: vec![0u64; num_tiles],
-            conflicts: banks.iter().map(|b| b.stats.conflicts).sum(),
-            offchip_bytes,
-            spm_touches,
+            retired_per_tile: vec![0u64; self.config.num_tiles() as usize],
+            conflicts: self.banks.iter().map(|b| b.stats.conflicts).sum(),
+            offchip_bytes: self.offchip.total_bytes(),
+            spm_touches: self.storage.spm_word_touches(),
             ..Totals::default()
         };
-        for (i, core) in cores.iter().enumerate() {
+        for (i, core) in self.cores.iter().enumerate() {
             totals.retired_per_tile[i / cores_per_tile] += core.stats.retired;
             totals.local_accesses += core.stats.accesses[AccessClass::TileLocal as usize];
             totals.remote_accesses += core.stats.accesses[AccessClass::GroupLocal as usize]
@@ -271,12 +264,42 @@ impl Totals {
         }
         totals
     }
+
+    /// Snapshot of every core's liveness state (used in deadlock
+    /// diagnostics). Given the instruction trace, each snapshot carries
+    /// the core's last few retired instructions.
+    pub(crate) fn core_diagnostics(&self, trace: Option<&Trace>) -> Vec<CoreDiagnostic> {
+        let recent = |core: usize| {
+            let Some(trace) = trace else {
+                return Vec::new();
+            };
+            let lines: Vec<String> = trace
+                .for_core(GlobalCoreId::new(core as u32))
+                .map(TraceEntry::to_string)
+                .collect();
+            lines[lines.len().saturating_sub(DIAGNOSTIC_RECENT_WINDOW)..].to_vec()
+        };
+        self.cores
+            .iter()
+            .enumerate()
+            .map(|(i, core)| CoreDiagnostic {
+                core: i as u32,
+                pc: core.pc,
+                halted: core.halted(),
+                hung: core.hung(),
+                outstanding: core.outstanding(),
+                retired: core.stats.retired,
+                recent: recent(i),
+            })
+            .collect()
+    }
 }
 
 /// Per-epoch sampling state for the cycle-sampled time-series
 /// (see [`Cluster::enable_timeseries`]). Holds the counter totals at the
 /// previous sample so each epoch records deltas.
 #[derive(Debug)]
+#[cfg_attr(test, derive(PartialEq))]
 pub(crate) struct Sampler {
     pub(crate) window: u64,
     /// True start cycle of the open epoch (the previous sample, or the
@@ -351,79 +374,85 @@ impl Sampler {
     }
 }
 
-/// Cycle-accurate model of a MemPool cluster.
+impl Attachments {
+    /// Closes the sampler's epoch at `m`'s clock: pushes one sample per
+    /// series, with the deltas of the totals at the clock read against the
+    /// epoch's baseline, and returns those totals. The sampler is left
+    /// untouched — the engine re-baselines it on the returned totals, while
+    /// [`Cluster::crash_dump`] flushes a partial epoch. Without a sampler
+    /// or obs hooks nothing is pushed. Zero-length windows (a flush at the
+    /// exact epoch start) are dropped rather than clamped — a clamped
+    /// denominator of 1 would spike every rate. Runs once per sampling
+    /// epoch: kept out of line so that it stays out of the engine's tick
+    /// loop, which calls it.
+    #[inline(never)]
+    pub(crate) fn close_epoch(&self, m: &Machine) -> Totals {
+        let (totals, now) = (m.totals(), m.cycle);
+        let (Some(sampler), Some(hooks)) = (&self.sampler, &self.obs) else {
+            return totals;
+        };
+        if now <= sampler.epoch_start {
+            return totals;
+        }
+        let (baseline, series) = (&sampler.baseline, &hooks.obs.series);
+        let elapsed = (now - sampler.epoch_start) as f64;
+        let rate = |total: u64, baseline: u64| (total - baseline) as f64 / elapsed;
+        let tiles = totals
+            .retired_per_tile
+            .iter()
+            .zip(&baseline.retired_per_tile);
+        for (t, (&total, &baseline)) in tiles.enumerate() {
+            series.push(&format!("ipc/tile{t}"), now, rate(total, baseline));
+        }
+        let local = rate(totals.local_accesses, baseline.local_accesses);
+        series.push("l1_local_rate", now, local);
+        let remote = rate(totals.remote_accesses, baseline.remote_accesses);
+        series.push("l1_remote_rate", now, remote);
+        let conflicts = rate(totals.conflicts, baseline.conflicts);
+        series.push("bank_conflict_rate", now, conflicts);
+        series.push(
+            "offchip_occupancy",
+            now,
+            (totals.offchip_bytes - baseline.offchip_bytes) as f64
+                / (elapsed * m.offchip.bytes_per_cycle() as f64),
+        );
+        let outstanding: u64 = m.cores.iter().map(|c| u64::from(c.outstanding())).sum();
+        series.push("offchip_backlog", now, m.offchip.backlog(now) as f64);
+        series.push("outstanding", now, outstanding as f64);
+        let touches = rate(totals.spm_touches, baseline.spm_touches);
+        series.push("spm_touch_rate", now, touches);
+        totals
+    }
+}
+
+/// Cycle-accurate model of a MemPool cluster: the machine state the
+/// engine ticks, and what the host attaches to it (obs hooks, trace,
+/// sampler, fault controller, watchdog).
 ///
 /// See the [crate-level example](crate) for typical use.
 #[derive(Debug)]
 pub struct Cluster {
-    pub(crate) config: ClusterConfig,
-    pub(crate) topo: Topology,
-    pub(crate) params: SimParams,
-    pub(crate) storage: Storage,
-    pub(crate) program: Program,
-    /// One issue record per instruction of `program`, in program order.
-    pub(crate) records: Vec<IssueRecord>,
-    pub(crate) cores: Vec<Core>,
-    pub(crate) icaches: Vec<ICache>,
-    pub(crate) banks: Vec<Bank>,
-    pub(crate) responses: Vec<Vec<Response>>,
-    pub(crate) offchip: OffchipPort,
-    pub(crate) cycle: u64,
-    pub(crate) dma_bytes: u64,
-    pub(crate) dma_cycles: u64,
-    pub(crate) trace: Option<Trace>,
-    pub(crate) obs: Option<ClusterObs>,
-    /// Injected-fault state, present only in fault-injection runs.
-    pub(crate) faults: Option<FaultController>,
-    /// Forward-progress watchdog, armed by [`Cluster::set_watchdog`].
-    pub(crate) watchdog: Option<Watchdog>,
-    /// Per-epoch sampling state, armed by [`Cluster::enable_timeseries`].
-    pub(crate) sampler: Option<Sampler>,
-    /// The engine's live sets, derived from `banks` and `responses` and
-    /// reused across ticks and runs.
-    pub(crate) live: engine::LiveSets,
+    pub(crate) machine: Machine,
+    pub(crate) attach: Attachments,
 }
 
 impl Cluster {
     /// Creates a cluster with zeroed memory and no program.
     pub fn new(config: ClusterConfig, params: SimParams) -> Self {
-        let num_cores = config.num_cores() as usize;
-        let num_banks = config.num_banks() as usize;
-        let num_tiles = config.num_tiles() as usize;
+        let (cores, banks) = (config.num_cores() as usize, config.num_banks() as usize);
         let storage = Storage::new(&config);
-        let banks = vec![Bank::default(); num_banks];
-        let responses = vec![Vec::new(); num_cores];
-        let live = engine::LiveSets::of(&banks, &responses, config.banks_per_tile() as usize);
-        let icaches = (0..num_tiles)
-            .map(|_| {
-                ICache::with_ways(
-                    config.icache_bytes_per_tile(),
-                    params.icache_line_words,
-                    params.icache_ways,
-                )
-            })
-            .collect();
-        Cluster {
-            topo: Topology::new(config.clone()),
+        let machine = Machine::new(
             config,
-            storage,
-            program: Program::default(),
-            records: Vec::new(),
-            cores: (0..num_cores).map(|_| Core::new()).collect(),
-            icaches,
-            banks,
-            responses,
-            offchip: OffchipPort::new(params.offchip_bytes_per_cycle, params.offchip_latency),
             params,
-            cycle: 0,
-            dma_bytes: 0,
-            dma_cycles: 0,
-            trace: None,
-            obs: None,
-            faults: None,
-            watchdog: None,
-            sampler: None,
-            live,
+            storage,
+            Program::default(),
+            vec![Core::new(); cores],
+            vec![Bank::default(); banks],
+            vec![Vec::new(); cores],
+        );
+        Cluster {
+            machine,
+            attach: Attachments::default(),
         }
     }
 
@@ -446,11 +475,11 @@ impl Cluster {
         self.detach_obs();
         let process = obs.spans.process(run);
         let dma_track = obs.spans.track(process, "dma");
-        let core_tracks = (0..self.cores.len())
+        let core_tracks = (0..self.machine.cores.len())
             .map(|i| obs.spans.track(process, &format!("core{i}")))
             .collect();
         let labels = [("run", run)];
-        self.obs = Some(ClusterObs {
+        self.attach.obs = Some(ClusterObs {
             dma_track,
             core_tracks,
             dma_bytes: obs.metrics.counter("sim_dma_bytes_total", &labels),
@@ -472,11 +501,11 @@ impl Cluster {
     /// handle this does nothing, so a restored cluster keeps the sampler
     /// its checkpoint carried for [`Cluster::enable_timeseries`] to re-arm.
     pub fn detach_obs(&mut self) {
-        if let Some(hooks) = self.obs.take() {
+        if let Some(hooks) = self.attach.obs.take() {
             for &track in &hooks.core_tracks {
-                while hooks.obs.spans.end(track, self.cycle).is_some() {}
+                while hooks.obs.spans.end(track, self.machine.cycle).is_some() {}
             }
-            self.sampler = None;
+            self.attach.sampler = None;
         }
     }
 
@@ -513,20 +542,21 @@ impl Cluster {
     /// Panics if no observability handle is attached.
     pub fn enable_timeseries(&mut self, window: u64) {
         let hooks = self
+            .attach
             .obs
             .as_ref()
             .expect("attach_obs before enable_timeseries");
-        if let Some(sampler) = &self.sampler {
+        if let Some(sampler) = &self.attach.sampler {
             hooks.obs.series.set_window(sampler.window);
             return;
         }
         hooks.obs.series.set_window(window);
         let window = hooks.obs.series.window();
-        self.sampler = Some(Sampler {
+        self.attach.sampler = Some(Sampler {
             window,
-            epoch_start: self.cycle,
-            next_at: self.cycle + window,
-            baseline: self.totals(),
+            epoch_start: self.machine.cycle,
+            next_at: self.machine.cycle + window,
+            baseline: self.machine.totals(),
         });
     }
 
@@ -541,111 +571,39 @@ impl Cluster {
     ///
     /// Panics if no observability handle is attached or `capacity` is zero.
     pub fn enable_flight(&mut self, capacity: usize) {
-        let hooks = self.obs.as_mut().expect("attach_obs before enable_flight");
+        let hooks = self
+            .attach
+            .obs
+            .as_mut()
+            .expect("attach_obs before enable_flight");
         hooks.obs.flight.set_capacity(capacity);
         hooks.flight = Some(hooks.obs.flight.clone());
     }
 
-    /// The flight ring to record into, while flight recording is on.
-    pub(crate) fn flight(&self) -> Option<&FlightRecorder> {
-        self.obs.as_ref()?.flight.as_ref()
-    }
-
-    /// The counter totals the sampler reads deltas of.
-    fn totals(&self) -> Totals {
-        Totals::of(
-            &self.cores,
-            &self.banks,
-            self.config.cores_per_tile() as usize,
-            self.config.num_tiles() as usize,
-            self.offchip.total_bytes(),
-            self.storage.spm_word_touches(),
-        )
-    }
-
-    /// Closes `sampler`'s epoch at `now`: pushes one sample per series,
-    /// with the deltas of the totals at `now` read against the epoch's
-    /// baseline, and returns those totals. The sampler is left untouched
-    /// — the engine re-baselines it on the returned totals, while
-    /// [`Self::crash_dump`] flushes a partial epoch. Zero-length windows
-    /// (a flush at the exact epoch start) are dropped rather than clamped
-    /// — a clamped denominator of 1 would spike every rate. Runs once per
-    /// sampling epoch: kept out of line so that it stays out of the
-    /// engine's tick loop, which calls it.
-    #[inline(never)]
-    pub(crate) fn close_epoch(&self, sampler: &Sampler, now: u64) -> Totals {
-        let totals = self.totals();
-        let Some(hooks) = self.obs.as_ref() else {
-            return totals;
-        };
-        if now <= sampler.epoch_start {
-            return totals;
-        }
-        let (baseline, series) = (&sampler.baseline, &hooks.obs.series);
-        let elapsed = (now - sampler.epoch_start) as f64;
-        let rate = |total: u64, baseline: u64| (total - baseline) as f64 / elapsed;
-        let tiles = totals
-            .retired_per_tile
-            .iter()
-            .zip(&baseline.retired_per_tile);
-        for (t, (&total, &baseline)) in tiles.enumerate() {
-            series.push(&format!("ipc/tile{t}"), now, rate(total, baseline));
-        }
-        let local = rate(totals.local_accesses, baseline.local_accesses);
-        series.push("l1_local_rate", now, local);
-        let remote = rate(totals.remote_accesses, baseline.remote_accesses);
-        series.push("l1_remote_rate", now, remote);
-        let conflicts = rate(totals.conflicts, baseline.conflicts);
-        series.push("bank_conflict_rate", now, conflicts);
-        series.push(
-            "offchip_occupancy",
-            now,
-            (totals.offchip_bytes - baseline.offchip_bytes) as f64
-                / (elapsed * self.offchip.bytes_per_cycle() as f64),
-        );
-        let outstanding: u64 = self.cores.iter().map(|c| u64::from(c.outstanding())).sum();
-        series.push("offchip_backlog", now, self.offchip.backlog(now) as f64);
-        series.push("outstanding", now, outstanding as f64);
-        let touches = rate(totals.spm_touches, baseline.spm_touches);
-        series.push("spm_touch_rate", now, touches);
-        totals
-    }
-
     /// The cluster configuration.
     pub fn config(&self) -> &ClusterConfig {
-        &self.config
+        &self.machine.config
     }
 
     /// Current cycle.
     pub fn cycle(&self) -> u64 {
-        self.cycle
+        self.machine.cycle
     }
 
     /// Loads `program` into every core's instruction path and resets all
     /// program counters to 0.
     pub fn load_program(&mut self, program: Program) {
-        self.install_program(program);
-        for core in &mut self.cores {
+        self.machine.install_program(program);
+        for core in &mut self.machine.cores {
             core.pc = 0;
         }
-    }
-
-    /// Installs `program` and decodes its issue records; the only place
-    /// either field is written, so the two never disagree.
-    pub(crate) fn install_program(&mut self, program: Program) {
-        self.records = program
-            .instrs()
-            .iter()
-            .map(|&instr| IssueRecord::decode(instr))
-            .collect();
-        self.program = program;
     }
 
     /// Preloads every tile's I$ with the program (hot-cache measurement
     /// mode, Section VI-A).
     pub fn preload_icaches(&mut self) {
-        let words = self.program.len() as u32;
-        for icache in &mut self.icaches {
+        let words = self.machine.program.len() as u32;
+        for icache in &mut self.machine.icaches {
             icache.preload(words);
         }
     }
@@ -661,7 +619,7 @@ impl Cluster {
     /// in-flight transactions (e.g. a request black-holed by a dead F2F
     /// link) — restarting it would corrupt the scoreboard.
     pub fn resume_all(&mut self, pc: u32) -> Result<(), SimError> {
-        for (i, core) in self.cores.iter().enumerate() {
+        for (i, core) in self.machine.cores.iter().enumerate() {
             if !core.hung() && core.outstanding() > 0 {
                 return Err(SimError::ResumeWithOutstanding {
                     core: GlobalCoreId::new(i as u32),
@@ -669,14 +627,14 @@ impl Cluster {
                 });
             }
         }
-        if let Some(hooks) = &self.obs {
-            for (core, &track) in self.cores.iter().zip(&hooks.core_tracks) {
+        if let Some(hooks) = &self.attach.obs {
+            for (core, &track) in self.machine.cores.iter().zip(&hooks.core_tracks) {
                 if core.halted() {
-                    hooks.obs.spans.end(track, self.cycle);
+                    hooks.obs.spans.end(track, self.machine.cycle);
                 }
             }
         }
-        for core in &mut self.cores {
+        for core in &mut self.machine.cores {
             if !core.hung() {
                 core.reset_at(pc);
             }
@@ -698,8 +656,8 @@ impl Cluster {
     /// the plan's stuck banks (e.g. two stuck banks reported for the same
     /// physical bank).
     pub fn inject_faults(&mut self, plan: &FaultPlan) -> Result<(), SimError> {
-        let mut ctrl = FaultController::new(plan, self.config.num_tiles());
-        let num_tiles = self.config.num_tiles();
+        let mut ctrl = FaultController::new(plan, self.machine.config.num_tiles());
+        let num_tiles = self.machine.config.num_tiles();
         let mut per_tile = vec![0u32; num_tiles as usize];
         for &(tile, _) in ctrl.stuck_banks() {
             if let Some(count) = per_tile.get_mut(tile.index()) {
@@ -708,21 +666,21 @@ impl Cluster {
         }
         let spares_needed = per_tile.iter().copied().max().unwrap_or(0);
         if spares_needed > 0 {
-            self.storage.provision_spares(spares_needed);
+            self.machine.storage.provision_spares(spares_needed);
             let stuck = ctrl.stuck_banks().to_vec();
             for (tile, bank) in stuck {
                 if tile.index() >= num_tiles as usize {
                     continue;
                 }
-                let spare = self.storage.remap_bank(tile, bank)?;
+                let spare = self.machine.storage.remap_bank(tile, bank)?;
                 let remap = ctrl.record_remap(tile, bank, spare);
-                if let Some(flight) = self.flight() {
+                if let Some(flight) = self.attach.flight() {
                     let (category, core, message) = remap.flight_event();
                     flight.record_deferred(0, category, core, message);
                 }
             }
         }
-        self.faults = Some(ctrl);
+        self.attach.faults = Some(ctrl);
         Ok(())
     }
 
@@ -731,48 +689,19 @@ impl Cluster {
     /// consecutive cycles, the engine raises [`SimError::Deadlock`]
     /// with a per-core diagnostic snapshot.
     pub fn set_watchdog(&mut self, threshold: u64) {
-        self.watchdog = Some(Watchdog::new(threshold, self.cycle));
+        self.attach.watchdog = Some(Watchdog::new(threshold, self.machine.cycle));
     }
 
     /// The accumulated fault report, if a plan was injected.
     pub fn fault_report(&self) -> Option<FaultReport> {
-        self.faults.as_ref().map(FaultController::report)
-    }
-
-    /// Snapshot of every core's liveness state (used in deadlock
-    /// diagnostics). When instruction tracing is enabled, each snapshot
-    /// carries the core's last few retired instructions.
-    pub(crate) fn core_diagnostics(&self) -> Vec<CoreDiagnostic> {
-        let recent = |core: usize| {
-            let Some(trace) = &self.trace else {
-                return Vec::new();
-            };
-            let lines: Vec<String> = trace
-                .for_core(GlobalCoreId::new(core as u32))
-                .map(TraceEntry::to_string)
-                .collect();
-            lines[lines.len().saturating_sub(DIAGNOSTIC_RECENT_WINDOW)..].to_vec()
-        };
-        self.cores
-            .iter()
-            .enumerate()
-            .map(|(i, core)| CoreDiagnostic {
-                core: i as u32,
-                pc: core.pc,
-                halted: core.halted(),
-                hung: core.hung(),
-                outstanding: core.outstanding(),
-                retired: core.stats.retired,
-                recent: recent(i),
-            })
-            .collect()
+        self.attach.faults.as_ref().map(FaultController::report)
     }
 
     /// Watchdog hook for clock jumps outside `step()` (DMA, resume): the
     /// cluster made externally visible progress.
     fn note_external_progress(&mut self) {
-        let now = self.cycle;
-        if let Some(watchdog) = self.watchdog.as_mut() {
+        let now = self.machine.cycle;
+        if let Some(watchdog) = self.attach.watchdog.as_mut() {
             watchdog.note_progress(now);
         }
     }
@@ -783,7 +712,7 @@ impl Cluster {
     ///
     /// Panics if `core` is out of range.
     pub fn reg(&self, core: GlobalCoreId, reg: Reg) -> u32 {
-        self.cores[core.index()].regs.read(reg)
+        self.machine.cores[core.index()].regs.read(reg)
     }
 
     /// Reads an SPM or external word directly (no timing): the one-word
@@ -824,22 +753,23 @@ impl Cluster {
     /// error under fault injection.
     #[inline]
     pub fn read_spm_words(&self, addr: u32, out: &mut [u32]) -> Result<(), SimError> {
-        let Some(faults) = self.faults.as_ref().filter(|f| f.has_pending_errors()) else {
-            return Ok(self.storage.read_words(addr, out)?);
+        let (storage, faults) = (&self.machine.storage, self.attach.faults.as_ref());
+        let Some(faults) = faults.filter(|f| f.has_pending_errors()) else {
+            return Ok(storage.read_words(addr, out)?);
         };
         // `(index, location, mask)` of the first `len` words' latent errors.
         let latent = |len: usize| {
             let words = (u64::from(addr)..1 << 32).step_by(4).take(len);
             words
                 .enumerate()
-                .filter_map(|(i, word)| match self.storage.map().locate(word as u32) {
+                .filter_map(|(i, word)| match storage.map().locate(word as u32) {
                     MemoryRegion::Spm(loc) => faults.pending_mask(loc).map(|mask| (i, loc, mask)),
                     _ => None,
                 })
         };
         let uncorrectable = latent(out.len()).find(|&(.., mask)| mask.count_ones() != 1);
         let len = uncorrectable.map_or(out.len(), |(i, ..)| i + 1);
-        self.storage.read_words(addr, &mut out[..len])?;
+        storage.read_words(addr, &mut out[..len])?;
         for (i, _, mask) in latent(len) {
             out[i] ^= mask;
         }
@@ -862,34 +792,26 @@ impl Cluster {
     // then costs no more calls than the store it is.
     #[inline(always)]
     pub fn write_spm_words(&mut self, addr: u32, values: &[u32]) -> Result<(), SimError> {
-        self.storage.write_words(addr, values)?;
+        self.machine.storage.write_words(addr, values)?;
         self.ecc_clear_spm_range(addr, 4 * values.len() as u64);
         Ok(())
     }
 
     /// The storage backing the SPM and external memory.
     pub fn storage(&self) -> &Storage {
-        &self.storage
+        &self.machine.storage
     }
 
     /// Mutable access to the backing storage (for bulk initialization).
     pub fn storage_mut(&mut self) -> &mut Storage {
-        &mut self.storage
-    }
-
-    /// Whether every core has halted.
-    pub(crate) fn all_halted(&self) -> bool {
-        self.cores.iter().all(Core::halted)
+        &mut self.machine.storage
     }
 
     /// Whether the cluster is fully quiescent: every core halted *and*
     /// every in-flight memory transaction drained. `wfi` does not cancel
     /// outstanding transactions, so a run only ends here.
     pub fn quiescent(&self) -> bool {
-        self.all_halted()
-            && self.banks.iter().all(|b| b.queue.is_empty())
-            && self.responses.iter().all(Vec::is_empty)
-            && self.cores.iter().all(|c| c.outstanding() == 0)
+        self.machine.quiescent()
     }
 
     /// DMA-transfers a 2D tile between external memory and the SPM: `rows`
@@ -933,25 +855,25 @@ impl Cluster {
                 .map_err(|_| MemoryError::Unmapped { addr: 0 })?;
             if to_spm {
                 for (word, offset) in row.iter_mut().zip(ext_row) {
-                    *word = self.storage.read_external_word(offset);
+                    *word = self.machine.storage.read_external_word(offset);
                 }
                 self.write_spm_words(spm_row, &row)?;
             } else {
                 self.read_spm_words(spm_row, &mut row)?;
                 for (&word, offset) in row.iter().zip(ext_row) {
-                    self.storage.write_external_word(offset, word);
+                    self.machine.storage.write_external_word(offset, word);
                 }
             }
         }
         let bytes = u64::from(rows) * row_bytes;
-        let issued = self.cycle;
-        let done = self.offchip.schedule(issued, bytes);
-        self.dma_bytes += bytes;
-        self.dma_cycles += done - issued;
-        self.cycle = done;
+        let issued = self.machine.cycle;
+        let done = self.machine.offchip.schedule(issued, bytes);
+        self.machine.dma_bytes += bytes;
+        self.machine.dma_cycles += done - issued;
+        self.machine.cycle = done;
         self.note_external_progress();
         let dir = if to_spm { "to_spm" } else { "to_ext" };
-        if let Some(hooks) = &self.obs {
+        if let Some(hooks) = &self.attach.obs {
             let args = vec![
                 ("bytes".to_string(), Json::Int(bytes as i64)),
                 ("direction".to_string(), Json::str(dir)),
@@ -963,7 +885,7 @@ impl Cluster {
             hooks.dma_bytes.add(bytes);
             hooks.dma_transfers.inc();
         }
-        if let Some(flight) = self.flight() {
+        if let Some(flight) = self.attach.flight() {
             let message = format!("dma_tile {bytes} B {dir} over {} cycles", done - issued);
             flight.record(issued, "dma", None, message);
         }
@@ -974,15 +896,13 @@ impl Cluster {
     /// bulk writes leave error-free words behind, exactly like stores.
     #[inline(always)]
     fn ecc_clear_spm_range(&mut self, spm_addr: u32, bytes: u64) {
-        let latent = self.faults.as_ref().is_some_and(|f| f.has_pending_errors());
-        if !latent {
+        let faults = self.attach.faults.as_mut();
+        let Some(faults) = faults.filter(|f| f.has_pending_errors()) else {
             return;
-        }
+        };
         for i in (0..bytes).step_by(4) {
-            if let MemoryRegion::Spm(loc) = self.storage.map().locate(spm_addr + i as u32) {
-                if let Some(faults) = self.faults.as_mut() {
-                    faults.ecc_clear(loc);
-                }
+            if let MemoryRegion::Spm(loc) = self.machine.storage.map().locate(spm_addr + i as u32) {
+                faults.ecc_clear(loc);
             }
         }
     }
@@ -997,7 +917,7 @@ impl Cluster {
     /// watchdog-detected deadlock.
     #[must_use = "a step can fail with a SimError that must not be ignored"]
     pub fn step(&mut self) -> Result<(), SimError> {
-        engine::step(self)
+        engine::step(&mut self.machine, &mut self.attach)
     }
 
     /// Runs until every core halts, returning the cycle count at that
@@ -1014,7 +934,7 @@ impl Cluster {
     /// any fault raised while stepping.
     #[must_use = "a run can fail with a SimError that must not be ignored"]
     pub fn run(&mut self, max_cycles: u64) -> Result<u64, SimError> {
-        engine::run(self, max_cycles)
+        engine::run(&mut self.machine, &mut self.attach, max_cycles)
     }
 
     /// The engine record written into `BENCH_repro.json`, `observed.json`
@@ -1029,17 +949,17 @@ impl Cluster {
     /// stops growing once a workload reaches steady state.
     #[doc(hidden)]
     pub fn engine_arena_footprint(&self) -> u64 {
-        self.live.footprint()
+        self.machine.live.footprint()
     }
 
     /// Collects a snapshot of all statistics.
     pub fn stats(&self) -> ClusterStats {
         ClusterStats {
-            cycles: self.cycle,
-            cores: self.cores.iter().map(|c| c.stats).collect(),
-            banks: self.banks.iter().map(|b| b.stats).collect(),
-            dma_bytes: self.dma_bytes,
-            dma_cycles: self.dma_cycles,
+            cycles: self.machine.cycle,
+            cores: self.machine.cores.iter().map(|c| c.stats).collect(),
+            banks: self.machine.banks.iter().map(|b| b.stats).collect(),
+            dma_bytes: self.machine.dma_bytes,
+            dma_cycles: self.machine.dma_cycles,
         }
     }
 
@@ -1050,12 +970,12 @@ impl Cluster {
     ///
     /// Panics if `capacity` is zero.
     pub fn enable_trace(&mut self, capacity: usize) {
-        self.trace = Some(Trace::new(capacity));
+        self.attach.trace = Some(Trace::new(capacity));
     }
 
     /// The instruction trace, if tracing is enabled.
     pub fn trace(&self) -> Option<&Trace> {
-        self.trace.as_ref()
+        self.attach.trace.as_ref()
     }
 
     /// Builds the self-contained `crashdump.json` document for a run that
@@ -1074,13 +994,13 @@ impl Cluster {
     pub fn crash_dump(&self, err: &SimError) -> Json {
         let mut events: Vec<(u64, usize, Json)> = Vec::new();
         let mut dropped: u64 = 0;
-        if let Some(hooks) = &self.obs {
+        if let Some(hooks) = &self.attach.obs {
             for event in hooks.obs.flight.events() {
                 events.push((event.cycle, events.len(), event.to_json()));
             }
             dropped += hooks.obs.flight.dropped();
         }
-        if let Some(trace) = &self.trace {
+        if let Some(trace) = &self.attach.trace {
             for entry in trace.entries() {
                 events.push((
                     entry.cycle,
@@ -1104,13 +1024,11 @@ impl Cluster {
         // window boundaries (or before the first one) still exports its
         // final counter values. A zero-length window (crash exactly at an
         // epoch boundary) is dropped by `close_epoch` itself.
-        if let Some(sampler) = &self.sampler {
-            self.close_epoch(sampler, self.cycle);
-        }
+        self.attach.close_epoch(&self.machine);
 
-        let (metrics, timeseries, chrome) = match &self.obs {
+        let (metrics, timeseries, chrome) = match &self.attach.obs {
             Some(hooks) => {
-                hooks.obs.spans.close_all(self.cycle);
+                hooks.obs.spans.close_all(self.machine.cycle);
                 (
                     hooks.obs.metrics.snapshot().to_json(),
                     hooks.obs.series.to_json(),
@@ -1129,12 +1047,13 @@ impl Cluster {
                     ("message", Json::Str(err.to_string())),
                 ]),
             ),
-            ("cycle", Json::Int(self.cycle as i64)),
+            ("cycle", Json::Int(self.machine.cycle as i64)),
             ("engine", self.engine_selection().to_json()),
             (
                 "liveness",
                 Json::Arr(
-                    self.core_diagnostics()
+                    self.machine
+                        .core_diagnostics(self.attach.trace.as_ref())
                         .iter()
                         .map(CoreDiagnostic::to_json)
                         .collect(),
@@ -1498,7 +1417,7 @@ mod tests {
 
         let stats = cluster.stats();
         assert_eq!((stats.dma_bytes, stats.dma_cycles), (144, 69));
-        assert_eq!(cluster.offchip.total_bytes(), 144);
+        assert_eq!(cluster.machine.offchip.total_bytes(), 144);
         let spans: Vec<_> = obs
             .spans
             .spans()
@@ -1567,7 +1486,7 @@ mod tests {
         assert_eq!(cluster.storage().read_external_word(0), 0xabc);
         let stats = cluster.stats();
         assert_eq!((stats.cycles, stats.dma_bytes, stats.dma_cycles), (0, 0, 0));
-        assert_eq!(cluster.offchip.total_bytes(), 0);
+        assert_eq!(cluster.machine.offchip.total_bytes(), 0);
     }
 
     #[test]
@@ -1909,7 +1828,7 @@ mod tests {
         cluster.run(1000).unwrap();
         let phase2 = 8; // pc of `phase2` (li expands to one instruction)
         cluster.resume_all(phase2).unwrap();
-        assert!(!cluster.all_halted());
+        assert!(!cluster.machine.cores.iter().all(Core::halted));
         cluster.run(1000).unwrap();
         assert_eq!(cluster.read_spm_word(0).unwrap(), 8);
     }
@@ -2229,11 +2148,11 @@ mod tests {
         cluster.preload_icaches();
         for _ in 0..200 {
             cluster.step().unwrap();
-            if cluster.all_halted() {
+            if cluster.machine.cores.iter().all(Core::halted) {
                 break;
             }
         }
-        assert!(cluster.all_halted());
+        assert!(cluster.machine.cores.iter().all(Core::halted));
         assert!(!cluster.quiescent(), "the black-holed store never drains");
         assert_eq!(
             cluster.resume_all(0).unwrap_err(),
@@ -2819,7 +2738,7 @@ mod tests {
                 Err(e) => panic!("{e}"),
             }
             if reverse {
-                for pending in &mut cluster.responses {
+                for pending in &mut cluster.machine.responses {
                     reversed += usize::from(pending.len() > 1);
                     pending.reverse();
                 }
@@ -2955,9 +2874,9 @@ mod tests {
         values: &[u32],
     ) -> Result<(), SimError> {
         for (addr, &value) in (addr..).step_by(4).zip(values) {
-            cluster.storage.write(addr, MemWidth::Word, value)?;
-            let loc = cluster.storage.map().locate(addr);
-            if let (MemoryRegion::Spm(loc), Some(faults)) = (loc, cluster.faults.as_mut()) {
+            cluster.machine.storage.write(addr, MemWidth::Word, value)?;
+            let loc = cluster.machine.storage.map().locate(addr);
+            if let (MemoryRegion::Spm(loc), Some(faults)) = (loc, cluster.attach.faults.as_mut()) {
                 faults.ecc_clear(loc);
             }
         }
@@ -2972,9 +2891,9 @@ mod tests {
         read: &mut Vec<u32>,
     ) -> Result<(), SimError> {
         for addr in (addr..).step_by(4).take(len) {
-            let word = cluster.storage.read(addr, MemWidth::Word)?;
-            let loc = cluster.storage.map().locate(addr);
-            let pending = match (loc, &cluster.faults) {
+            let word = cluster.machine.storage.read(addr, MemWidth::Word)?;
+            let loc = cluster.machine.storage.map().locate(addr);
+            let pending = match (loc, &cluster.attach.faults) {
                 (MemoryRegion::Spm(loc), Some(faults)) => {
                     faults.pending_mask(loc).map(|mask| (loc, mask))
                 }

@@ -1,30 +1,33 @@
 //! The execution engine: one cycle loop, run on the calling thread.
 //!
-//! [`run`] ticks until every core halts and [`step`] is one tick of the
-//! same loop. A tick ([`tick`]) applies the faults due, serves every
-//! tile's banks ([`Tick::serve`]), runs every tile's local phase —
-//! response delivery, then issue ([`Tick::local`]) — checks the watchdog,
-//! advances the clock and closes a sampling epoch if one is due.
-//! Everything a tick produces goes straight to where it belongs, in the
-//! order the sweep meets it: requests into their bank queue, responses
-//! into their core's queue, off-chip accesses through the port, and trace
-//! entries, flight events, spans, counters and fault outcomes into their
-//! recorders. DESIGN.md § "Execution engine" is the reference for the tick
-//! and its error ordering; the comments here cover what the code alone
-//! does not show.
+//! A [`Cluster`](crate::Cluster) owns two things: the [`Machine`] the
+//! loop simulates and the [`Attachments`] the host arms on it. [`run`]
+//! ticks until every core halts and [`step`] is one tick of the same loop;
+//! both take `&mut Machine` and `&mut Attachments`, and a tick's view
+//! ([`Tick`]) is those two borrows. A tick ([`tick`]) applies the faults
+//! due, serves every tile's banks ([`Tick::serve`]), runs every tile's
+//! local phase — response delivery, then issue ([`Tick::local`]) — checks
+//! the watchdog, advances the clock and closes a sampling epoch if one is
+//! due. Everything a tick produces goes straight to where it belongs, in
+//! the order the sweep meets it: requests into their bank queue,
+//! responses into their core's queue, off-chip accesses through the port,
+//! and trace entries, flight events, spans, counters and fault outcomes
+//! into their recorders. DESIGN.md § "Execution engine" is the reference
+//! for the tick and its error ordering; the comments here cover what the
+//! code alone does not show.
 
 use std::time::Instant;
 
 use mempool_arch::{ClusterConfig, GlobalCoreId, MemoryRegion, TileId, Topology};
 use mempool_fault::{
-    DeadLinkPolicy, EccOutcome, FaultController, FaultNote, LinkState, TimedFault,
+    DeadLinkPolicy, EccOutcome, FaultController, FaultNote, LinkState, TimedFault, Watchdog,
 };
 use mempool_isa::exec::{self, Issue, MemAccessKind, MemWidth};
 use mempool_isa::Program;
-use mempool_obs::Deferred;
+use mempool_obs::{Deferred, FlightRecorder};
 
 use crate::cluster::{
-    latency_split, sign_adjust, Bank, Cluster, ClusterObs, PendingAccess, Response, SimError,
+    latency_split, sign_adjust, Bank, ClusterObs, PendingAccess, Response, Sampler, SimError,
 };
 use crate::core::{Core, IssueRecord, Stall};
 use crate::icache::ICache;
@@ -40,9 +43,10 @@ use crate::trace::{Trace, TraceEntry};
 /// its undelivered responses (`u64::MAX` for an empty queue). State
 /// derived from the queues so that bank service visits only the banks
 /// that have work and delivery only the cores that have a response due:
-/// kept current by every push ([`Self::push`], [`Self::respond`]), every
-/// service and every delivery, never serialized, and rebuilt
-/// ([`Self::of`]) when something other than the engine fills the queues.
+/// kept current by every push ([`Self::push`] and the two places a
+/// response is queued), every service and every delivery, never
+/// serialized, and built ([`Self::of`]) with the [`Machine`] that owns
+/// them.
 #[derive(Debug, Default, PartialEq, Eq)]
 pub(crate) struct LiveSets {
     banks_per_tile: usize,
@@ -53,8 +57,8 @@ pub(crate) struct LiveSets {
 
 impl LiveSets {
     /// The live sets `banks` and `responses` imply, by their definition:
-    /// for a new cluster, and whenever the queues were filled from outside
-    /// the engine ([`Cluster::restore`]).
+    /// for a new and for a restored machine ([`Machine::new`]), and for
+    /// the debug check after every engine call.
     pub(crate) fn of(banks: &[Bank], responses: &[Vec<Response>], banks_per_tile: usize) -> Self {
         let words = banks_per_tile.div_ceil(64);
         let mut live = vec![0u64; banks.len() / banks_per_tile * words];
@@ -114,13 +118,198 @@ impl LiveSets {
     }
 }
 
-/// Queues `response` at core `core`, given the cores' earliest dues `due`
-/// (see [`LiveSets`]): the only way into a response queue ([`Tick::local`]
-/// is the only way out).
-#[inline]
-fn respond(due: &mut [u64], responses: &mut [Vec<Response>], core: usize, response: Response) {
-    due[core] = due[core].min(response.due);
-    responses[core].push(response);
+/// The state the cycle loop simulates: everything a fault-free,
+/// unobserved run's [`ClusterStats::digest`](crate::ClusterStats::digest)
+/// and the checkpoint's machine sections depend on. The rule: a field is
+/// the machine's if such a run reads it; what the host arms is an
+/// [`Attachments`] field.
+#[derive(Debug)]
+pub(crate) struct Machine {
+    pub(crate) config: ClusterConfig,
+    pub(crate) topo: Topology,
+    pub(crate) params: SimParams,
+    pub(crate) storage: Storage,
+    pub(crate) program: Program,
+    /// One issue record per instruction of `program`, in program order.
+    pub(crate) records: Vec<IssueRecord>,
+    pub(crate) cores: Vec<Core>,
+    pub(crate) icaches: Vec<ICache>,
+    pub(crate) banks: Vec<Bank>,
+    pub(crate) responses: Vec<Vec<Response>>,
+    /// Derived from `banks` and `responses`, reused across ticks and runs.
+    pub(crate) live: LiveSets,
+    pub(crate) offchip: OffchipPort,
+    pub(crate) cycle: u64,
+    pub(crate) dma_bytes: u64,
+    pub(crate) dma_cycles: u64,
+}
+
+impl Machine {
+    /// The machine of `config` and `params` that runs `program` from
+    /// `storage`, `cores` and the queues `banks` and `responses`, with cold
+    /// I$s, an idle off-chip port and the clock at 0. The one constructor
+    /// of a new and of a restored cluster: the topology, the issue records
+    /// and the live sets are derived here, and nowhere else.
+    pub(crate) fn new(
+        config: ClusterConfig,
+        params: SimParams,
+        storage: Storage,
+        program: Program,
+        cores: Vec<Core>,
+        banks: Vec<Bank>,
+        responses: Vec<Vec<Response>>,
+    ) -> Self {
+        let (bytes, line, ways) = (
+            config.icache_bytes_per_tile(),
+            params.icache_line_words,
+            params.icache_ways,
+        );
+        let mut machine = Machine {
+            topo: Topology::new(config.clone()),
+            icaches: (0..config.num_tiles())
+                .map(|_| ICache::with_ways(bytes, line, ways))
+                .collect(),
+            live: LiveSets::of(&banks, &responses, config.banks_per_tile() as usize),
+            offchip: OffchipPort::new(params.offchip_bytes_per_cycle, params.offchip_latency),
+            config,
+            params,
+            storage,
+            program: Program::default(),
+            records: Vec::new(),
+            cores,
+            banks,
+            responses,
+            cycle: 0,
+            dma_bytes: 0,
+            dma_cycles: 0,
+        };
+        machine.install_program(program);
+        machine
+    }
+
+    /// Installs `program`'s instructions and decodes their issue records;
+    /// the only place either field is written, so the two never disagree.
+    /// The assembler's labels stay behind: no tick reads them and no
+    /// checkpoint carries them.
+    pub(crate) fn install_program(&mut self, program: Program) {
+        let instrs = program.instrs();
+        self.records = instrs.iter().map(|&i| IssueRecord::decode(i)).collect();
+        self.program = Program::new(instrs.to_vec());
+    }
+
+    /// Whether the machine is quiescent: every tile is inert.
+    pub(crate) fn quiescent(&self) -> bool {
+        (0..self.config.num_tiles() as usize).all(|tile| self.inert(tile))
+    }
+
+    /// Whether `tile` is inert — every core halted with nothing
+    /// outstanding, no response and no request queued. A bank's live bit
+    /// is clear exactly when its queue is empty, so no queue is scanned.
+    fn inert(&self, tile: usize) -> bool {
+        let cores_per_tile = self.config.cores_per_tile() as usize;
+        let cores = tile * cores_per_tile..(tile + 1) * cores_per_tile;
+        self.cores[cores.clone()]
+            .iter()
+            .all(|c| c.halted() && c.outstanding() == 0)
+            && self.responses[cores].iter().all(Vec::is_empty)
+            && self.live.words(tile).iter().all(|&bits| bits == 0)
+    }
+}
+
+/// What the host arms on a [`Machine`]: the obs hooks with their flight
+/// ring, the instruction trace, the time-series sampler, the fault
+/// controller and the watchdog. A fault-free, unobserved run has none.
+#[derive(Debug, Default)]
+pub(crate) struct Attachments {
+    /// Armed by `Cluster::attach_obs` (and its ring by `enable_flight`).
+    pub(crate) obs: Option<ClusterObs>,
+    /// Armed by `Cluster::enable_trace`.
+    pub(crate) trace: Option<Trace>,
+    /// Per-epoch sampling state, armed by `Cluster::enable_timeseries`.
+    pub(crate) sampler: Option<Sampler>,
+    /// Injected-fault state, armed by `Cluster::inject_faults`.
+    pub(crate) faults: Option<FaultController>,
+    /// Forward-progress watchdog, armed by `Cluster::set_watchdog`.
+    pub(crate) watchdog: Option<Watchdog>,
+}
+
+impl Attachments {
+    /// The flight ring to record into, while flight recording is on.
+    pub(crate) fn flight(&self) -> Option<&FlightRecorder> {
+        self.obs.as_ref()?.flight.as_ref()
+    }
+
+    /// Counts a fault outcome into the controller's report, and into the
+    /// obs counters and flight ring when they are attached.
+    fn note_fault(&mut self, now: u64, note: FaultNote) {
+        if let Some(faults) = self.faults.as_mut() {
+            faults.count(note);
+        }
+        let Some(hooks) = &self.obs else {
+            return;
+        };
+        match note {
+            FaultNote::Retry { .. } => hooks.fault_retries.inc(),
+            FaultNote::Corrected { .. } => hooks.ecc_corrected.inc(),
+            FaultNote::BlackHole { .. } | FaultNote::Uncorrectable { .. } => {}
+        }
+        if let Some(flight) = &hooks.flight {
+            let (category, core, message) = note.flight_event();
+            flight.record_deferred(now, category, core, message);
+        }
+    }
+
+    /// Applies the timed faults due at `m`'s clock: bit flips corrupt the
+    /// stored word (and arm the ECC mask), hangs latch cores up. Each is
+    /// recorded in the flight ring while flight recording is on.
+    fn apply_due_faults(&mut self, m: &mut Machine) -> Result<(), SimError> {
+        let Some(faults) = self.faults.as_mut() else {
+            return Ok(());
+        };
+        let flight = self.obs.as_ref().and_then(|hooks| hooks.flight.as_ref());
+        for fault in faults.take_due(m.cycle) {
+            if let Some(flight) = flight {
+                let (category, core, message) = fault.flight_event();
+                flight.record_deferred(m.cycle, category, core, message);
+            }
+            match fault {
+                TimedFault::Flip { loc, mask } => {
+                    // A flip aimed at a remapped word's logical home still
+                    // lands: the storage layer resolves through the remap,
+                    // so the spare takes it. One outside the geometry is
+                    // inert.
+                    if let Ok(word) = m.storage.read_loc(loc) {
+                        m.storage.write_loc(loc, word ^ mask)?;
+                        faults.note_flip(loc, mask);
+                    }
+                }
+                TimedFault::Hang { core } => {
+                    if let Some(core) = m.cores.get_mut(core as usize) {
+                        core.hang();
+                    }
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// The watchdog's error for the tick `m`'s clock is on, which expired
+    /// it after `stalled_for` cycles: the flight ring gets the expiry after
+    /// that tick's other events.
+    fn deadlock(&self, m: &Machine, stalled_for: u64) -> SimError {
+        if let Some(flight) = self.flight() {
+            flight.record(
+                m.cycle,
+                "watchdog",
+                None,
+                format!("expired: no forward progress for {stalled_for} cycles"),
+            );
+        }
+        SimError::Deadlock {
+            stalled_for,
+            diagnostics: m.core_diagnostics(self.trace.as_ref()),
+        }
+    }
 }
 
 /// The first bank at or after `from` whose live bit is set in a tile's
@@ -136,61 +325,13 @@ fn next_live(live: &[u64], from: usize) -> Option<usize> {
     Some(word * 64 + bits.trailing_zeros() as usize)
 }
 
-/// Whether a tile is inert — every core halted with nothing outstanding,
-/// no response and no request queued — given its cores and response
-/// queues: the per-tile restriction of [`Cluster::quiescent`].
-fn inert(cores: &[Core], responses: &[Vec<Response>], live: &LiveSets, tile: usize) -> bool {
-    cores.iter().all(|c| c.halted() && c.outstanding() == 0)
-        && responses.iter().all(Vec::is_empty)
-        && live.words(tile).iter().all(|&bits| bits == 0)
-}
-
-/// Counts a fault outcome into the controller's report, and into the obs
-/// counters and flight ring when they are attached.
-fn note_fault(
-    faults: Option<&mut FaultController>,
-    obs: Option<&ClusterObs>,
-    now: u64,
-    note: FaultNote,
-) {
-    if let Some(faults) = faults {
-        faults.count(note);
-    }
-    let Some(hooks) = obs else {
-        return;
-    };
-    match note {
-        FaultNote::Retry { .. } => hooks.fault_retries.inc(),
-        FaultNote::Corrected { .. } => hooks.ecc_corrected.inc(),
-        FaultNote::BlackHole { .. } | FaultNote::Uncorrectable { .. } => {}
-    }
-    if let Some(flight) = &hooks.flight {
-        let (category, core, message) = note.flight_event();
-        flight.record_deferred(now, category, core, message);
-    }
-}
-
-/// One tick's view of the cluster: every field the two phases touch,
-/// borrowed apart so that both run with plain `&mut` access.
+/// One tick's view of the cluster: the machine and its attachments, two
+/// borrows that both phases reach every field through with plain `&mut`
+/// access.
 struct Tick<'a> {
+    m: &'a mut Machine,
+    a: &'a mut Attachments,
     now: u64,
-    config: &'a ClusterConfig,
-    topo: &'a Topology,
-    params: &'a SimParams,
-    program: &'a Program,
-    /// The program's issue records, parallel to `program.instrs()`.
-    records: &'a [IssueRecord],
-    storage: &'a mut Storage,
-    offchip: &'a mut OffchipPort,
-    cores: &'a mut [Core],
-    icaches: &'a mut [ICache],
-    banks: &'a mut [Bank],
-    responses: &'a mut [Vec<Response>],
-    live: &'a mut LiveSets,
-    faults: Option<&'a mut FaultController>,
-    trace: Option<&'a mut Trace>,
-    obs: Option<&'a ClusterObs>,
-    cores_per_tile: usize,
     /// The tick's first error, in sweep order.
     error: Option<SimError>,
     /// Whether some core received a response or retired an instruction.
@@ -200,52 +341,7 @@ struct Tick<'a> {
     touches: u64,
 }
 
-impl<'a> Tick<'a> {
-    fn new(cluster: &'a mut Cluster) -> Self {
-        let Cluster {
-            config,
-            topo,
-            params,
-            storage,
-            program,
-            records,
-            cores,
-            icaches,
-            banks,
-            responses,
-            offchip,
-            cycle,
-            trace,
-            obs,
-            faults,
-            live,
-            ..
-        } = cluster;
-        let obs = obs.as_ref();
-        Tick {
-            now: *cycle,
-            cores_per_tile: config.cores_per_tile() as usize,
-            config,
-            topo,
-            params,
-            program,
-            records,
-            storage,
-            offchip,
-            cores,
-            icaches,
-            banks,
-            responses,
-            live,
-            faults: faults.as_mut(),
-            trace: trace.as_mut(),
-            obs,
-            error: None,
-            progress: false,
-            touches: 0,
-        }
-    }
-
+impl Tick<'_> {
     /// Bank service of `tile`: every bank serves at most one request whose
     /// network arrival lies strictly in the past (earliest arrival wins;
     /// among ties, the lowest queue position as `swap_remove` leaves it,
@@ -253,17 +349,17 @@ impl<'a> Tick<'a> {
     /// goes straight into the requesting core's queue. An uncorrectable
     /// read stops the tile's service for this tick.
     fn serve(&mut self, tile: usize) {
-        let now = self.now;
+        let (now, m) = (self.now, &mut *self.m);
         let LiveSets {
             banks_per_tile: bpt,
             live,
             earliest,
             due: dues,
-        } = &mut *self.live;
+        } = &mut m.live;
         let (bpt, words) = (*bpt, bpt.div_ceil(64));
         let live = &mut live[tile * words..(tile + 1) * words];
         let earliest = &mut earliest[tile * bpt..(tile + 1) * bpt];
-        let banks = &mut self.banks[tile * bpt..(tile + 1) * bpt];
+        let banks = &mut m.banks[tile * bpt..(tile + 1) * bpt];
         // Ascending over the banks that hold a request; the others have
         // nothing to serve and no queue depth to record.
         let mut next = 0;
@@ -295,12 +391,12 @@ impl<'a> Tick<'a> {
                 live[local / 64] &= !(1 << (local % 64));
             }
             bank.stats.served += 1;
-            if let (Some(hooks), true) = (self.obs, contenders > 1) {
+            if let (Some(hooks), true) = (&self.a.obs, contenders > 1) {
                 hooks.bank_conflicts.add(contenders - 1);
             }
             let (loc, kind) = (access.loc, access.kind);
             debug_assert_eq!(loc.tile.index(), tile, "banks are tile-owned");
-            if let Some(flight) = self.obs.and_then(|hooks| hooks.flight.as_ref()) {
+            if let Some(flight) = self.a.flight() {
                 let message = Deferred {
                     render: |[kind, tile, bank, word]| {
                         let kind = ["load", "store", "amo"][kind as usize];
@@ -319,13 +415,13 @@ impl<'a> Tick<'a> {
                 };
                 flight.record_deferred(now, "mem", Some(access.core), message);
             }
-            let word = self.storage.word_mut(loc);
+            let word = m.storage.word_mut(loc);
             self.touches += 1;
             let mut extra_resp = 0u32;
-            let latent = self
-                .faults
-                .as_deref_mut()
-                .filter(|faults| faults.has_pending_errors() && faults.pending_mask(loc).is_some());
+            let latent =
+                self.a.faults.as_mut().filter(|faults| {
+                    faults.has_pending_errors() && faults.pending_mask(loc).is_some()
+                });
             if let Some(faults) = latent {
                 // SEC-DED check on every access that observes the stored
                 // word (a full-word store overwrites it without reading).
@@ -342,15 +438,14 @@ impl<'a> Tick<'a> {
                         // stall the requesting core from this very tick on.
                         *word = value;
                         self.touches += 1;
-                        extra_resp = self.params.ecc_correction_penalty;
-                        self.cores[access.core as usize].stall_ecc(extra_resp);
+                        extra_resp = m.params.ecc_correction_penalty;
+                        m.cores[access.core as usize].stall_ecc(extra_resp);
                         faults.ecc_clear(loc);
-                        let note = FaultNote::Corrected { loc };
-                        note_fault(Some(faults), self.obs, now, note);
+                        self.a.note_fault(now, FaultNote::Corrected { loc });
                     }
                     EccOutcome::Uncorrectable { mask } if reads_word => {
                         let note = FaultNote::Uncorrectable { loc, mask };
-                        note_fault(Some(faults), self.obs, now, note);
+                        self.a.note_fault(now, note);
                         self.error
                             .get_or_insert(SimError::EccUncorrectable { loc, mask });
                         return;
@@ -364,16 +459,18 @@ impl<'a> Tick<'a> {
             let value = access_word(kind, access.addr, word);
             self.touches += u64::from(!matches!(kind, MemAccessKind::Load { .. }));
             let due = now + u64::from(access.resp_latency + extra_resp);
+            let core = access.core as usize;
             debug_assert!(
-                due > now || access.core as usize / self.cores_per_tile == tile,
+                due > now || core / m.config.cores_per_tile() as usize == tile,
                 "a response to another tile is due after the tick that produced it"
             );
-            let response = Response {
+            // Into the core's response queue, keeping its earliest due.
+            dues[core] = dues[core].min(due);
+            m.responses[core].push(Response {
                 due,
                 reg: kind.response_reg(),
                 value: sign_adjust(kind, value),
-            };
-            respond(dues, self.responses, access.core as usize, response);
+            });
         }
     }
 
@@ -382,14 +479,15 @@ impl<'a> Tick<'a> {
     /// core-ascending — which is the order requests enter the bank queues.
     /// Returns whether the tile is inert afterwards.
     fn local(&mut self, tile: usize) -> bool {
-        let now = self.now;
-        let base = tile * self.cores_per_tile;
-        let range = base..base + self.cores_per_tile;
-        let cores = &mut self.cores[range.clone()];
-        let icache = &mut self.icaches[tile];
+        let (now, m) = (self.now, &mut *self.m);
+        let cores_per_tile = m.config.cores_per_tile() as usize;
+        let base = tile * cores_per_tile;
+        let range = base..base + cores_per_tile;
+        let cores = &mut m.cores[range.clone()];
+        let icache = &mut m.icaches[tile];
         // Only a core with a response due has its queue swept.
-        let queues = self.responses[range.clone()].iter_mut();
-        let dues = self.live.due[range.clone()].iter_mut();
+        let queues = m.responses[range.clone()].iter_mut();
+        let dues = m.live.due[range].iter_mut();
         for ((core, responses), due) in cores.iter_mut().zip(queues).zip(dues) {
             if *due > now {
                 continue;
@@ -425,22 +523,22 @@ impl<'a> Tick<'a> {
             }
             let pc = core.pc;
             if !icache.access(pc) {
-                let penalty = self.params.icache_miss_penalty;
+                let penalty = m.params.icache_miss_penalty;
                 core.insert_bubble(penalty);
                 core.stats.stall_icache += penalty as u64;
                 core.stats.icache_misses += 1;
-                if let Some(hooks) = self.obs {
+                if let Some(hooks) = &self.a.obs {
                     hooks.icache_misses.inc();
                 }
                 continue;
             }
-            let Some(instr) = self.program.fetch(pc) else {
+            let Some(instr) = m.program.fetch(pc) else {
                 self.error
                     .get_or_insert(SimError::PcOutOfRange { core: core_id, pc });
                 break 'issue;
             };
-            let record = self.records[(pc / 4) as usize];
-            match core.check_record(record, self.params.max_outstanding) {
+            let record = m.records[(pc / 4) as usize];
+            match core.check_record(record, m.params.max_outstanding) {
                 Err(Stall::Scoreboard) => {
                     core.stats.stall_scoreboard += 1;
                     continue;
@@ -455,10 +553,10 @@ impl<'a> Tick<'a> {
             // arbitration needs it before the instruction issues, the
             // access itself after (`exec::issue` takes the same address).
             let region =
-                exec::mem_addr(instr, &core.regs).map(|addr| self.storage.map().locate(addr & !3));
+                exec::mem_addr(instr, &core.regs).map(|addr| m.storage.map().locate(addr & !3));
             if let Some(MemoryRegion::Spm(loc)) = region {
                 if loc.tile != tile_id {
-                    if remote_issued >= self.config.remote_ports_per_tile() {
+                    if remote_issued >= m.config.remote_ports_per_tile() {
                         core.stats.stall_structural += 1;
                         continue;
                     }
@@ -467,7 +565,7 @@ impl<'a> Tick<'a> {
             }
             core.stats.retired += 1;
             self.progress = true;
-            if let Some(trace) = self.trace.as_deref_mut() {
+            if let Some(trace) = self.a.trace.as_mut() {
                 trace.record(TraceEntry {
                     cycle: now,
                     core: core_id,
@@ -477,16 +575,16 @@ impl<'a> Tick<'a> {
             }
             let req = match exec::issue(instr, pc, &mut core.regs, index as u32) {
                 Issue::Next { pc: next } => {
-                    if next != pc.wrapping_add(4) && self.params.taken_branch_penalty > 0 {
-                        core.insert_bubble(self.params.taken_branch_penalty);
-                        core.stats.stall_branch += self.params.taken_branch_penalty as u64;
+                    if next != pc.wrapping_add(4) && m.params.taken_branch_penalty > 0 {
+                        core.insert_bubble(m.params.taken_branch_penalty);
+                        core.stats.stall_branch += m.params.taken_branch_penalty as u64;
                     }
                     core.pc = next;
                     continue;
                 }
                 Issue::Halt => {
                     core.halt();
-                    if let Some(hooks) = self.obs {
+                    if let Some(hooks) = &self.a.obs {
                         hooks.obs.spans.begin(hooks.core_tracks[index], "wfi", now);
                     }
                     continue;
@@ -510,10 +608,11 @@ impl<'a> Tick<'a> {
                 Ok(MemoryRegion::Spm(loc)) => {
                     // The destination tile's F2F via carries every access
                     // to that tile's banks on the memory die.
-                    let (link, policy) = self.faults.as_ref().map_or_else(Default::default, |f| {
-                        let link = f.links().get(loc.tile.index()).copied();
-                        (link.unwrap_or_default(), f.dead_link_policy())
-                    });
+                    let (link, policy) =
+                        self.a.faults.as_ref().map_or_else(Default::default, |f| {
+                            let link = f.links().get(loc.tile.index()).copied();
+                            (link.unwrap_or_default(), f.dead_link_policy())
+                        });
                     let mut extra_req = 0u32;
                     match link {
                         LinkState::Healthy => {}
@@ -522,8 +621,7 @@ impl<'a> Tick<'a> {
                                 tile: loc.tile,
                                 extra,
                             };
-                            let faults = self.faults.as_deref_mut();
-                            note_fault(faults, self.obs, now, note);
+                            self.a.note_fault(now, note);
                             core.insert_bubble(extra);
                             core.stats.stall_fault_retry += extra as u64;
                             extra_req = extra;
@@ -541,17 +639,16 @@ impl<'a> Tick<'a> {
                                     tile: loc.tile,
                                     core: index as u32,
                                 };
-                                let faults = self.faults.as_deref_mut();
-                                note_fault(faults, self.obs, now, note);
+                                self.a.note_fault(now, note);
                                 core.mark_pending(reg);
                                 continue;
                             }
                         },
                     }
-                    let route = self.topo.route(tile_id, loc.tile);
+                    let route = m.topo.route(tile_id, loc.tile);
                     core.stats.record_access(route.class, route.network);
                     core.mark_pending(reg);
-                    let (req_lat, resp_latency) = latency_split(&self.params.latency, route.class);
+                    let (req_lat, resp_latency) = latency_split(&m.params.latency, route.class);
                     let access = PendingAccess {
                         arrival: now + u64::from(req_lat + extra_req),
                         core: index as u32,
@@ -561,25 +658,26 @@ impl<'a> Tick<'a> {
                         addr: req.addr,
                     };
                     let (dest, bank) = (loc.tile.index(), loc.bank.index());
-                    self.live.push(self.banks, dest, bank, access);
+                    m.live.push(&mut m.banks, dest, bank, access);
                 }
                 Ok(MemoryRegion::External(offset)) => {
                     // Word-granular access over the off-chip port, which
                     // serializes it behind what it already carries.
                     core.mark_pending(reg);
-                    let value = self.storage.access_external(offset, req.addr, req.kind);
-                    let due = self.offchip.schedule(now, u64::from(width.bytes()));
-                    let response = Response {
+                    let value = m.storage.access_external(offset, req.addr, req.kind);
+                    let due = m.offchip.schedule(now, u64::from(width.bytes()));
+                    // Into the core's response queue, keeping its earliest due.
+                    m.live.due[index] = m.live.due[index].min(due);
+                    m.responses[index].push(Response {
                         due,
                         reg,
                         value: sign_adjust(req.kind, value),
-                    };
-                    respond(&mut self.live.due, self.responses, index, response);
+                    });
                 }
                 Ok(MemoryRegion::Unmapped) => unreachable!("decode rejects unmapped"),
             }
         }
-        inert(cores, &self.responses[range], self.live, tile)
+        m.inert(tile)
     }
 }
 
@@ -594,73 +692,28 @@ fn lap(clock: &mut Option<Instant>, tally: &mut u64) {
     }
 }
 
-/// Applies the timed faults due at the current cycle: bit flips corrupt
-/// the stored word (and arm the ECC mask), hangs latch cores up. Each is
-/// recorded in the flight ring while flight recording is on.
-fn apply_due_faults(cluster: &mut Cluster) -> Result<(), SimError> {
-    let Some(faults) = cluster.faults.as_mut() else {
-        return Ok(());
-    };
-    let flight = cluster.obs.as_ref().and_then(|hooks| hooks.flight.as_ref());
-    for fault in faults.take_due(cluster.cycle) {
-        if let Some(flight) = flight {
-            let (category, core, message) = fault.flight_event();
-            flight.record_deferred(cluster.cycle, category, core, message);
-        }
-        match fault {
-            TimedFault::Flip { loc, mask } => {
-                // A flip aimed at a remapped word's logical home still
-                // lands: the storage layer resolves through the remap, so
-                // the spare takes it. One outside the geometry is inert.
-                if let Ok(word) = cluster.storage.read_loc(loc) {
-                    cluster.storage.write_loc(loc, word ^ mask)?;
-                    faults.note_flip(loc, mask);
-                }
-            }
-            TimedFault::Hang { core } => {
-                if let Some(core) = cluster.cores.get_mut(core as usize) {
-                    core.hang();
-                }
-            }
-        }
-    }
-    Ok(())
-}
-
-/// The watchdog's error for the tick the clock is on, which expired it
-/// after `stalled_for` cycles: the flight ring gets the expiry after that
-/// tick's other events.
-fn deadlock(cluster: &Cluster, stalled_for: u64) -> SimError {
-    if let Some(flight) = cluster.flight() {
-        flight.record(
-            cluster.cycle,
-            "watchdog",
-            None,
-            format!("expired: no forward progress for {stalled_for} cycles"),
-        );
-    }
-    SimError::Deadlock {
-        stalled_for,
-        diagnostics: cluster.core_diagnostics(),
-    }
-}
-
-/// One cycle. Returns whether every tile ended it inert — the cluster is
+/// One cycle. Returns whether every tile ended it inert — the machine is
 /// quiescent. On an error the clock stays on the tick that raised it, and
 /// that tick's progress is not noted for the watchdog.
-fn tick(cluster: &mut Cluster, prof: &mut CallTally) -> Result<bool, SimError> {
-    apply_due_faults(cluster)?;
-    if cluster.program.is_empty() {
+fn tick(m: &mut Machine, a: &mut Attachments, prof: &mut CallTally) -> Result<bool, SimError> {
+    a.apply_due_faults(m)?;
+    if m.program.is_empty() {
         return Err(SimError::NoProgram);
     }
-    let now = cluster.cycle;
-    let tiles = cluster.config.num_tiles() as usize;
+    let (now, tiles) = (m.cycle, m.config.num_tiles() as usize);
     // On a sampled tick the clock is read around each phase.
     let mut clock = now.is_multiple_of(PHASE_SAMPLE_PERIOD).then(|| {
         prof.phase_ticks += 1;
         Instant::now()
     });
-    let mut sweep = Tick::new(cluster);
+    let mut sweep = Tick {
+        m,
+        a,
+        now,
+        error: None,
+        progress: false,
+        touches: 0,
+    };
     for tile in 0..tiles {
         sweep.serve(tile);
     }
@@ -672,30 +725,30 @@ fn tick(cluster: &mut Cluster, prof: &mut CallTally) -> Result<bool, SimError> {
     lap(&mut clock, &mut prof.phase_ns[1]);
     prof.ticks += 1;
     let Tick {
+        m,
+        a,
         error,
         progress,
         touches,
         ..
     } = sweep;
-    cluster.storage.add_touches(touches);
+    m.storage.add_touches(touches);
     if let Some(error) = error {
         return Err(error);
     }
-    if let Some(wd) = cluster.watchdog.as_mut() {
+    if let Some(wd) = a.watchdog.as_mut() {
         if progress {
             wd.note_progress(now);
         } else if !quiescent && wd.expired(now) {
             let stalled_for = wd.stalled_for(now);
-            return Err(deadlock(cluster, stalled_for));
+            return Err(a.deadlock(m, stalled_for));
         }
     }
-    cluster.cycle = now + 1;
-    if let Some(sampler) = &cluster.sampler {
-        if cluster.cycle >= sampler.next_at {
-            let totals = cluster.close_epoch(sampler, cluster.cycle);
-            if let Some(sampler) = cluster.sampler.as_mut() {
-                sampler.rebaseline(totals, cluster.cycle);
-            }
+    m.cycle = now + 1;
+    if a.sampler.as_ref().is_some_and(|s| m.cycle >= s.next_at) {
+        let totals = a.close_epoch(m);
+        if let Some(sampler) = a.sampler.as_mut() {
+            sampler.rebaseline(totals, m.cycle);
         }
     }
     Ok(quiescent)
@@ -704,51 +757,41 @@ fn tick(cluster: &mut Cluster, prof: &mut CallTally) -> Result<bool, SimError> {
 /// Runs `body` as one profiled call: its host time lands in the
 /// process-wide profile, and debug builds check the live sets against
 /// the queues afterwards.
-fn profiled<T>(cluster: &mut Cluster, body: impl FnOnce(&mut Cluster, &mut CallTally) -> T) -> T {
+fn profiled<T>(
+    m: &mut Machine,
+    a: &mut Attachments,
+    body: impl FnOnce(&mut Machine, &mut Attachments, &mut CallTally) -> T,
+) -> T {
     let start = Instant::now();
     let mut prof = CallTally::default();
-    let result = body(cluster, &mut prof);
+    let result = body(m, a, &mut prof);
     prof.busy_ns = start.elapsed().as_nanos() as u64;
     debug_assert!(
-        cluster.live
-            == LiveSets::of(
-                &cluster.banks,
-                &cluster.responses,
-                cluster.live.banks_per_tile
-            ),
+        m.live == LiveSets::of(&m.banks, &m.responses, m.live.banks_per_tile),
         "the live sets must follow the queues"
     );
     crate::profile::record_call(prof);
     result
 }
 
-/// Advances the cluster by exactly one cycle.
-pub(crate) fn step(cluster: &mut Cluster) -> Result<(), SimError> {
-    profiled(cluster, |cluster, prof| tick(cluster, prof).map(drop))
+/// Advances the machine by exactly one cycle.
+pub(crate) fn step(m: &mut Machine, a: &mut Attachments) -> Result<(), SimError> {
+    profiled(m, a, |m, a, prof| tick(m, a, prof).map(drop))
 }
 
-/// Ticks until the cluster is quiescent, or `max_cycles` have passed.
-pub(crate) fn run(cluster: &mut Cluster, max_cycles: u64) -> Result<u64, SimError> {
-    let deadline = cluster.cycle.saturating_add(max_cycles);
-    profiled(cluster, |cluster, prof| {
-        let cpt = cluster.config.cores_per_tile() as usize;
-        let mut quiescent = (0..cluster.config.num_tiles() as usize).all(|tile| {
-            let cores = tile * cpt..(tile + 1) * cpt;
-            inert(
-                &cluster.cores[cores.clone()],
-                &cluster.responses[cores],
-                &cluster.live,
-                tile,
-            )
-        });
+/// Ticks until the machine is quiescent, or `max_cycles` have passed.
+pub(crate) fn run(m: &mut Machine, a: &mut Attachments, max_cycles: u64) -> Result<u64, SimError> {
+    let deadline = m.cycle.saturating_add(max_cycles);
+    profiled(m, a, |m, a, prof| {
+        let mut quiescent = m.quiescent();
         loop {
             if quiescent {
-                return Ok(cluster.cycle);
+                return Ok(m.cycle);
             }
-            if cluster.cycle >= deadline {
+            if m.cycle >= deadline {
                 return Err(SimError::Timeout { cycles: max_cycles });
             }
-            quiescent = tick(cluster, prof)?;
+            quiescent = tick(m, a, prof)?;
         }
     })
 }
@@ -759,8 +802,18 @@ mod tests {
     use mempool_isa::exec::{MemAccessKind, MemWidth};
     use mempool_isa::Program;
 
+    use super::Machine;
     use crate::cluster::{Cluster, PendingAccess};
     use crate::SimParams;
+
+    /// Equality of two machines, for tests: equal Debug forms, which cover
+    /// the topology and the address map too (their types have no
+    /// `PartialEq`).
+    impl PartialEq for Machine {
+        fn eq(&self, other: &Self) -> bool {
+            format!("{self:?}") == format!("{other:?}")
+        }
+    }
 
     /// Among requests tied at the earliest arrival a bank serves the lowest
     /// queue position, and `swap_remove` has moved the last request into
@@ -786,7 +839,7 @@ mod tests {
         // value to the same word, so the word names the last one served.
         let (x, a, c) = (1, 2, 3);
         for (arrival, value) in [(0, x), (1, a), (1, c)] {
-            cluster.cores[0].mark_pending(None);
+            cluster.machine.cores[0].mark_pending(None);
             let access = PendingAccess {
                 arrival,
                 core: 0,
@@ -799,7 +852,10 @@ mod tests {
                 addr: 0,
             };
             let (tile, bank) = (loc.tile.index(), loc.bank.index());
-            cluster.live.push(&mut cluster.banks, tile, bank, access);
+            cluster
+                .machine
+                .live
+                .push(&mut cluster.machine.banks, tile, bank, access);
         }
         let mut served = Vec::new();
         for _ in 0..4 {
