@@ -13,6 +13,12 @@
 //! Addresses above [`AddressMap::EXTERNAL_BASE`] are outside the SPM and are
 //! served by the off-chip (global) memory through the cluster's DMA/bandwidth
 //! model.
+//!
+//! The map is pure geometry: a location it hands out is *logical*, and bank
+//! queues, conflict statistics and heatmaps work on logical banks. Which
+//! array backs a location — a spare bank, once a stuck bank is remapped —
+//! and what a read of it returns under SEC-DED is the simulator's storage
+//! layer's to decide.
 
 use std::fmt;
 
@@ -20,7 +26,7 @@ use crate::config::ClusterConfig;
 use crate::ids::{BankId, GlobalBankId, TileId};
 
 /// Physical location of one 32-bit word inside the SPM.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct BankLocation {
     /// Tile holding the bank.
     pub tile: TileId,
@@ -71,94 +77,6 @@ impl fmt::Display for DecodeAddressError {
 }
 
 impl std::error::Error for DecodeAddressError {}
-
-/// Error returned by the spare-bank remap policy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RemapError {
-    /// Spare banks were never provisioned on this map.
-    NotEnabled,
-    /// The bank to disable lies outside the configured geometry.
-    OutOfRange {
-        /// Tile of the offending location.
-        tile: TileId,
-        /// Bank of the offending location.
-        bank: BankId,
-    },
-    /// The bank is already remapped to a spare.
-    AlreadyRemapped {
-        /// Tile of the offending location.
-        tile: TileId,
-        /// Bank of the offending location.
-        bank: BankId,
-    },
-    /// All of the tile's spare banks are already in use.
-    SparesExhausted {
-        /// Tile that ran out of spares.
-        tile: TileId,
-    },
-}
-
-impl fmt::Display for RemapError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            RemapError::NotEnabled => write!(f, "spare banks are not provisioned"),
-            RemapError::OutOfRange { tile, bank } => {
-                write!(f, "bank {tile}:{bank} is outside the cluster geometry")
-            }
-            RemapError::AlreadyRemapped { tile, bank } => {
-                write!(f, "bank {tile}:{bank} is already remapped to a spare")
-            }
-            RemapError::SparesExhausted { tile } => {
-                write!(f, "tile {tile} has no spare banks left")
-            }
-        }
-    }
-}
-
-impl std::error::Error for RemapError {}
-
-/// One active spare-bank substitution.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct RemapEntry {
-    tile: TileId,
-    from: BankId,
-    to: BankId,
-}
-
-/// Spare-bank remap table: faulted banks are redirected to per-tile spare
-/// banks that sit *outside* the addressable geometry (spare `s` of a tile
-/// is `BankId(banks_per_tile + s)`), so the address map itself — and with
-/// it bank queues, conflict statistics, and heatmaps — keeps operating on
-/// logical bank ids. Only the storage layer resolves through this table.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct BankRemap {
-    spares_per_tile: u32,
-    entries: Vec<RemapEntry>,
-}
-
-impl BankRemap {
-    /// An empty table backed by `spares_per_tile` spare banks per tile.
-    pub(crate) fn new(spares_per_tile: u32) -> Self {
-        BankRemap {
-            spares_per_tile,
-            entries: Vec::new(),
-        }
-    }
-
-    /// Active substitutions as `(tile, from, to)` triples.
-    pub fn entries(&self) -> impl Iterator<Item = (TileId, BankId, BankId)> + '_ {
-        self.entries.iter().map(|e| (e.tile, e.from, e.to))
-    }
-
-    /// The spare bank backing `(tile, bank)`, if that bank is remapped.
-    /// Linear scan: the table holds at most a handful of entries.
-    pub(crate) fn lookup(&self, tile: TileId, bank: BankId) -> Option<BankId> {
-        self.entries
-            .iter()
-            .find(|e| e.tile == tile && e.from == bank)
-            .map(|e| e.to)
-    }
-}
 
 /// A divisor prepared for [`Self::div_rem`]: a shift and a mask when it is
 /// a power of two (every capacity of the paper's cluster), the division
@@ -225,8 +143,6 @@ pub struct AddressMap {
     seq_end: u32,
     /// First address past the SPM.
     spm_end: u64,
-    /// Spare-bank substitutions, present once spares are provisioned.
-    remap: Option<BankRemap>,
 }
 
 impl AddressMap {
@@ -268,69 +184,7 @@ impl AddressMap {
             seq_depth: Divisor::new(seq_words_per_bank),
             seq_end,
             spm_end: seq_end as u64 + interleaved_words * tile_banks * 4,
-            remap: None,
         }
-    }
-
-    /// Provisions `spares_per_tile` spare banks per tile for the remap
-    /// policy (idempotent when called with the same count; a larger count
-    /// widens the pool and keeps existing substitutions).
-    pub fn enable_spares(&mut self, spares_per_tile: u32) {
-        match &mut self.remap {
-            Some(remap) if remap.spares_per_tile >= spares_per_tile => {}
-            Some(remap) => remap.spares_per_tile = spares_per_tile,
-            None => self.remap = Some(BankRemap::new(spares_per_tile)),
-        }
-    }
-
-    /// The active remap table, if spares are provisioned.
-    pub fn remap(&self) -> Option<&BankRemap> {
-        self.remap.as_ref()
-    }
-
-    /// Resolves a logical location to the physical bank backing it,
-    /// applying any spare-bank substitution. Identity when nothing is
-    /// remapped.
-    #[inline]
-    pub fn resolve(&self, loc: BankLocation) -> BankLocation {
-        match &self.remap {
-            Some(remap) => match remap.lookup(loc.tile, loc.bank) {
-                Some(spare) => BankLocation { bank: spare, ..loc },
-                None => loc,
-            },
-            None => loc,
-        }
-    }
-
-    /// Takes a faulted bank out of service, redirecting it to the tile's
-    /// next free spare bank. Returns the spare's id (`banks_per_tile +
-    /// slot`, outside the addressable geometry).
-    ///
-    /// # Errors
-    ///
-    /// Fails if spares were never provisioned, the bank is out of range or
-    /// already remapped, or the tile's spares are exhausted.
-    pub fn disable_bank(&mut self, tile: TileId, bank: BankId) -> Result<BankId, RemapError> {
-        let banks_per_tile = self.banks_per_tile;
-        let num_tiles = self.num_tiles;
-        let remap = self.remap.as_mut().ok_or(RemapError::NotEnabled)?;
-        if tile.0 >= num_tiles || bank.0 >= banks_per_tile {
-            return Err(RemapError::OutOfRange { tile, bank });
-        }
-        if remap.lookup(tile, bank).is_some() {
-            return Err(RemapError::AlreadyRemapped { tile, bank });
-        }
-        let used = remap.entries.iter().filter(|e| e.tile == tile).count() as u32;
-        if used >= remap.spares_per_tile {
-            return Err(RemapError::SparesExhausted { tile });
-        }
-        let spare = BankId(banks_per_tile + used);
-        remap.entries.push(RemapEntry {
-            tile,
-            from: bank,
-            to: spare,
-        });
-        Ok(spare)
     }
 
     /// Bytes of sequential region owned by each tile.
@@ -631,88 +485,5 @@ mod tests {
     fn oversized_seq_region_panics() {
         let cfg = ClusterConfig::default();
         let _ = AddressMap::with_seq_words(&cfg, cfg.bank_words() + 1);
-    }
-
-    #[test]
-    fn resolve_is_identity_without_spares() {
-        let (_, map) = map();
-        let loc = BankLocation {
-            tile: TileId(3),
-            bank: BankId(7),
-            word: 11,
-        };
-        assert_eq!(map.resolve(loc), loc);
-        assert!(map.remap().is_none());
-    }
-
-    #[test]
-    fn disabled_bank_resolves_to_spare_and_locate_stays_logical() {
-        let (cfg, mut map) = map();
-        assert_eq!(
-            map.disable_bank(TileId(0), BankId(2)),
-            Err(RemapError::NotEnabled)
-        );
-        map.enable_spares(1);
-        let spare = map.disable_bank(TileId(0), BankId(2)).unwrap();
-        assert_eq!(spare, BankId(cfg.banks_per_tile()));
-
-        let logical = BankLocation {
-            tile: TileId(0),
-            bank: BankId(2),
-            word: 5,
-        };
-        assert_eq!(map.resolve(logical).bank, spare);
-        // Other banks are untouched.
-        let other = BankLocation {
-            bank: BankId(3),
-            ..logical
-        };
-        assert_eq!(map.resolve(other), other);
-        // `locate` keeps handing out logical ids: the remap is invisible to
-        // queue/statistics consumers.
-        let addr = map.encode(logical).unwrap();
-        assert_eq!(map.locate(addr), MemoryRegion::Spm(logical));
-        assert_eq!(map.remap().unwrap().entries.len(), 1);
-    }
-
-    #[test]
-    fn disable_bank_rejects_double_remap_and_exhaustion() {
-        let (_, mut map) = map();
-        map.enable_spares(1);
-        map.disable_bank(TileId(1), BankId(0)).unwrap();
-        assert_eq!(
-            map.disable_bank(TileId(1), BankId(0)),
-            Err(RemapError::AlreadyRemapped {
-                tile: TileId(1),
-                bank: BankId(0)
-            })
-        );
-        assert_eq!(
-            map.disable_bank(TileId(1), BankId(1)),
-            Err(RemapError::SparesExhausted { tile: TileId(1) })
-        );
-        // Other tiles keep their own spare budget.
-        assert!(map.disable_bank(TileId(2), BankId(1)).is_ok());
-        assert_eq!(
-            map.disable_bank(TileId(99), BankId(0)),
-            Err(RemapError::OutOfRange {
-                tile: TileId(99),
-                bank: BankId(0)
-            })
-        );
-    }
-
-    #[test]
-    fn enable_spares_is_idempotent_and_widening() {
-        let (_, mut map) = map();
-        map.enable_spares(1);
-        map.disable_bank(TileId(0), BankId(0)).unwrap();
-        // Re-enabling with the same or smaller count keeps the entry.
-        map.enable_spares(1);
-        assert_eq!(map.remap().unwrap().entries.len(), 1);
-        // Widening allows another substitution in the same tile.
-        map.enable_spares(2);
-        assert!(map.disable_bank(TileId(0), BankId(1)).is_ok());
-        assert_eq!(map.remap().unwrap().entries.len(), 2);
     }
 }

@@ -44,7 +44,7 @@ pub(crate) mod ids;
 pub(crate) mod latency;
 pub(crate) mod topology;
 
-pub use address::{AddressMap, BankLocation, MemoryRegion, RemapError};
+pub use address::{AddressMap, BankLocation, MemoryRegion};
 pub use capacity::SpmCapacity;
 pub use config::{ClusterConfig, ConfigError};
 pub use ids::{BankId, GlobalCoreId, TileId};

@@ -3,13 +3,15 @@
 //! A [`FaultController`] is compiled from a [`FaultPlan`] when faults are
 //! injected into a cluster. It splits the plan into *static* state (link
 //! health per tile, the stuck banks the cluster must remap before the run)
-//! and *timed* events (flips, hangs) delivered in cycle order, carries the
-//! SEC-DED [`EccState`], and accumulates the [`FaultReport`].
+//! and *timed* events (flips, hangs) delivered in cycle order, and
+//! accumulates the [`FaultReport`]. It holds the plan, its events and its
+//! report only: the damage a delivered fault does to stored words — a
+//! remapped bank, a flip's SEC-DED mask ([`crate::EccState`]) — is state
+//! of the storage it lands in.
 
 use mempool_arch::{BankId, BankLocation, TileId};
 use mempool_obs::Deferred;
 
-use crate::ecc::EccState;
 use crate::plan::{DeadLinkPolicy, FaultEvent, FaultPlan};
 use crate::report::{FaultReport, RemappedBank};
 
@@ -28,7 +30,7 @@ pub enum LinkState {
 /// A timed fault due for application this cycle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TimedFault {
-    /// XOR `mask` into the stored word at `loc` and record it for ECC.
+    /// XOR `mask` into the stored word at `loc` and arm its SEC-DED mask.
     Flip {
         /// Word the flip lands in.
         loc: BankLocation,
@@ -138,15 +140,14 @@ impl FaultNote {
     }
 }
 
-/// Runtime fault state: link health, the timed-event queue, ECC state,
-/// and the accumulating report.
+/// Runtime fault state: link health, the timed-event queue, and the
+/// accumulating report.
 #[derive(Debug, Clone)]
 pub struct FaultController {
     links: Vec<LinkState>,
     /// Timed events sorted by cycle; `cursor` marks the next undelivered.
     timed: Vec<(u64, TimedFault)>,
     cursor: usize,
-    ecc: EccState,
     stuck: Vec<(TileId, BankId)>,
     dead_link_policy: DeadLinkPolicy,
     report: FaultReport,
@@ -202,7 +203,6 @@ impl FaultController {
             links,
             timed,
             cursor: 0,
-            ecc: EccState::new(),
             stuck,
             dead_link_policy: plan.dead_link_policy(),
             report,
@@ -232,27 +232,6 @@ impl FaultController {
         due
     }
 
-    /// Records an applied flip in the ECC state.
-    pub fn note_flip(&mut self, loc: BankLocation, mask: u32) {
-        self.ecc.note_flip(loc, mask);
-    }
-
-    /// Pending error mask on a word, without consuming it.
-    pub fn pending_mask(&self, loc: BankLocation) -> Option<u32> {
-        self.ecc.pending_mask(loc)
-    }
-
-    /// Whether any word has a pending error mask (fast-path guard for
-    /// write-side clearing).
-    pub fn has_pending_errors(&self) -> bool {
-        self.ecc.pending_words() > 0
-    }
-
-    /// Clears the pending mask on a written word.
-    pub fn ecc_clear(&mut self, loc: BankLocation) {
-        self.ecc.clear(loc);
-    }
-
     /// Records a spare-bank substitution and returns it.
     pub fn record_remap(&mut self, tile: TileId, from: BankId, to: BankId) -> RemappedBank {
         let remap = RemappedBank {
@@ -278,11 +257,11 @@ impl FaultController {
         }
     }
 
-    /// Snapshot of the report, including currently latent ECC errors.
+    /// Snapshot of the report. Its `ecc_pending` is 0: latent ECC errors
+    /// are the storage's to count, and the cluster's fault report fills
+    /// them in.
     pub fn report(&self) -> FaultReport {
-        let mut report = self.report.clone();
-        report.ecc_pending = self.ecc.pending_words() as u64;
-        report
+        self.report.clone()
     }
 
     /// Health of every tile's F2F link, by tile index (static for the
@@ -298,18 +277,12 @@ impl FaultController {
         &self.timed[self.cursor..]
     }
 
-    /// Checkpoint accessor: the ECC state (sorted entries via
-    /// [`EccState::entries`]).
-    pub fn ecc_state(&self) -> &EccState {
-        &self.ecc
-    }
-
     /// Rebuilds a controller from checkpointed parts: remaining timed
-    /// events become the whole queue (cursor 0).
+    /// events become the whole queue (cursor 0), and the report's
+    /// `ecc_pending` is dropped, as [`Self::report`] has it.
     pub fn from_snapshot(
         links: Vec<LinkState>,
         remaining_timed: Vec<(u64, TimedFault)>,
-        ecc: EccState,
         stuck: Vec<(TileId, BankId)>,
         dead_link_policy: DeadLinkPolicy,
         report: FaultReport,
@@ -318,10 +291,12 @@ impl FaultController {
             links,
             timed: remaining_timed,
             cursor: 0,
-            ecc,
             stuck,
             dead_link_policy,
-            report,
+            report: FaultReport {
+                ecc_pending: 0,
+                ..report
+            },
         }
     }
 }
@@ -329,7 +304,6 @@ impl FaultController {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ecc::EccOutcome;
     use mempool_arch::GlobalCoreId;
 
     fn loc(tile: u32, bank: u32, word: u32) -> BankLocation {
@@ -414,7 +388,7 @@ mod tests {
     }
 
     #[test]
-    fn report_tracks_runtime_counters_and_latent_errors() {
+    fn report_tracks_runtime_counters() {
         let mut ctrl = FaultController::new(&FaultPlan::new(7), 1);
         let retry = FaultNote::Retry {
             tile: TileId(0),
@@ -427,23 +401,18 @@ mod tests {
             core: 0,
         });
         ctrl.record_remap(TileId(0), BankId(1), BankId(4));
-        ctrl.note_flip(loc(0, 0, 0), 1);
-        ctrl.note_flip(loc(0, 0, 1), 1);
-        // Reading one corrects it (the reader scrubs the mask); the other
-        // stays latent.
-        assert_eq!(
-            ctrl.ecc_state().check(loc(0, 0, 0), 1),
-            EccOutcome::Corrected { value: 0 }
-        );
         ctrl.count(FaultNote::Corrected { loc: loc(0, 0, 0) });
-        ctrl.ecc_clear(loc(0, 0, 0));
+        ctrl.count(FaultNote::Uncorrectable {
+            loc: loc(0, 0, 1),
+            mask: 3,
+        });
         let report = ctrl.report();
         assert_eq!(report.retried_accesses, 2);
         assert_eq!(report.retry_cycles, 10);
         assert_eq!(report.blackholed_requests, 1);
         assert_eq!(report.remapped.len(), 1);
         assert_eq!(report.ecc_corrected, 1);
-        assert_eq!(report.ecc_pending, 1);
+        assert_eq!(report.ecc_pending, 0, "the storage counts latent errors");
     }
 
     #[test]

@@ -1,18 +1,22 @@
 //! SEC-DED ECC model for the stacked SRAM banks.
 //!
 //! Each SPM word is modeled as protected by a single-error-correct,
-//! double-error-detect code. The simulator applies transient flips
-//! directly to storage and records the accumulated XOR error mask per
-//! word here; on the next read of the word the outcome is decided:
+//! double-error-detect code. The model keeps flip masks, not code words: a
+//! transient flip XORs the stored word and accumulates its mask here, and
+//! the next access that observes the word decides the outcome:
 //!
-//! * **single-bit mask** — corrected: the reader sees the original value,
-//!   pays a correction penalty, and the word is scrubbed (storage
-//!   rewritten, mask cleared);
+//! * **single-bit mask** — corrected: the reader sees the original value
+//!   (a core's access also pays a correction penalty and scrubs the word:
+//!   storage rewritten, mask cleared);
 //! * **multi-bit mask** — detected but uncorrectable: a typed error;
 //! * any **write** to the word clears its mask (the write replaces the
 //!   corrupted cell contents).
+//!
+//! The damage is state of the stored words, so the simulator's storage
+//! owns one [`EccState`] next to the words themselves; the fault
+//! controller only delivers the flips.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use mempool_arch::BankLocation;
 
@@ -34,10 +38,12 @@ pub enum EccOutcome {
     },
 }
 
-/// Pending error masks of all SPM words, keyed by (logical) location.
+/// Pending error masks of all SPM words, keyed by (logical) location in
+/// `(tile, bank, word)` order — so that the entries, the Debug form and a
+/// checkpoint list them in one order whatever the flips' order.
 #[derive(Debug, Clone, Default)]
 pub struct EccState {
-    pending: HashMap<BankLocation, u32>,
+    pending: BTreeMap<BankLocation, u32>,
 }
 
 impl EccState {
@@ -57,8 +63,9 @@ impl EccState {
 
     /// Decides the outcome of reading `stored` (the possibly-corrupted
     /// word in storage) at `loc` without consuming the mask — the form
-    /// the engine uses, which clears the mask itself once the access has
+    /// the storage uses, which clears the mask itself once the access has
     /// been served.
+    #[inline]
     pub fn check(&self, loc: BankLocation, stored: u32) -> EccOutcome {
         match self.pending.get(&loc).copied() {
             None => EccOutcome::Clean,
@@ -80,32 +87,21 @@ impl EccState {
         outcome
     }
 
-    /// The pending mask on a word, if any, without consuming it (used by
-    /// the simulator's zero-time debug reads).
-    pub fn pending_mask(&self, loc: BankLocation) -> Option<u32> {
-        self.pending.get(&loc).copied()
-    }
-
     /// Clears the pending mask on a word (a write replaced its contents).
-    pub(crate) fn clear(&mut self, loc: BankLocation) {
+    pub fn clear(&mut self, loc: BankLocation) {
         self.pending.remove(&loc);
     }
 
     /// Number of words with pending (not yet observed) errors.
+    #[inline]
     pub fn pending_words(&self) -> usize {
         self.pending.len()
     }
 
-    /// All pending `(location, mask)` entries sorted by location, for a
-    /// deterministic checkpoint serialization order.
-    pub fn entries(&self) -> Vec<(BankLocation, u32)> {
-        let mut entries: Vec<(BankLocation, u32)> = self
-            .pending
-            .iter()
-            .map(|(&loc, &mask)| (loc, mask))
-            .collect();
-        entries.sort_unstable_by_key(|&(loc, _)| (loc.tile.0, loc.bank.0, loc.word));
-        entries
+    /// All pending `(location, mask)` entries in location order, the
+    /// checkpoint's order.
+    pub fn entries(&self) -> impl Iterator<Item = (BankLocation, u32)> + '_ {
+        self.pending.iter().map(|(&loc, &mask)| (loc, mask))
     }
 
     /// Rebuilds the state from saved `(location, mask)` entries (zero
@@ -180,11 +176,35 @@ mod tests {
     }
 
     #[test]
+    fn entries_come_in_location_order_whatever_the_flip_order() {
+        let at = |tile, bank, word| BankLocation {
+            tile: TileId(tile),
+            bank: BankId(bank),
+            word,
+        };
+        let mut ecc = EccState::new();
+        for (loc, mask) in [(at(3, 0, 0), 1), (at(0, 2, 9), 2), (at(0, 1, 40), 4)] {
+            ecc.note_flip(loc, mask);
+        }
+        let entries: Vec<_> = ecc.entries().collect();
+        assert_eq!(
+            entries,
+            [(at(0, 1, 40), 4), (at(0, 2, 9), 2), (at(3, 0, 0), 1)]
+        );
+        assert_eq!(
+            EccState::from_entries(entries.iter().rev().copied())
+                .entries()
+                .collect::<Vec<_>>(),
+            entries
+        );
+    }
+
+    #[test]
     fn writes_clear_pending_masks() {
         let mut ecc = EccState::new();
         ecc.note_flip(loc(4), 1);
         ecc.clear(loc(4));
         assert_eq!(ecc.on_read(loc(4), 0), EccOutcome::Clean);
-        assert_eq!(ecc.pending_mask(loc(4)), None);
+        assert_eq!(ecc.pending_words(), 0);
     }
 }

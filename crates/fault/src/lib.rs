@@ -16,6 +16,8 @@
 //!   [`FaultReport`].
 //! * [`EccState`] — SEC-DED model: single-bit upsets are corrected (and
 //!   scrubbed) at a latency cost; multi-bit upsets raise a typed error.
+//!   The simulator's storage owns it, beside the words the flips corrupt:
+//!   the controller delivers faults, the storage keeps their damage.
 //! * [`Watchdog`] / [`CoreDiagnostic`] — forward-progress deadlock
 //!   detection with a per-core snapshot explaining *why* the cluster
 //!   stopped making progress.

@@ -3,10 +3,13 @@
 //! A checkpoint is a single `mempool-checkpoint/v2` JSON document (same
 //! plumbing as `crashdump.json`) capturing *everything* that influences
 //! simulated behavior: per-core architectural and scoreboard state, the
-//! program, all SPM/spare/external memory, in-flight bank requests and
-//! response queues, the off-chip port, the fault controller (link health,
-//! undelivered timed events, latent ECC masks, the accumulated report),
-//! the watchdog, and the time-series sampler's epoch cursors.
+//! program, all SPM/spare/external memory with its spare-bank remaps and
+//! latent ECC masks, in-flight bank requests and response queues, the
+//! off-chip port, the fault controller (link health, undelivered timed
+//! events, the accumulated report), the watchdog, and the time-series
+//! sampler's epoch cursors. The masks are storage state, but the file
+//! keeps them in the `faults` section, which only a fault-injection run
+//! writes and only such a run can have masks for.
 //!
 //! The contract is strict **bit-exactness**: [`Cluster::restore`] followed
 //! by [`Cluster::run`] produces a [`crate::ClusterStats::digest`] equal to
@@ -65,7 +68,7 @@ use std::path::{Path, PathBuf};
 
 use mempool_arch::{BankId, BankLocation, ClusterConfig, TileId};
 use mempool_fault::{
-    DeadLinkPolicy, EccState, FaultController, FaultReport, LinkState, TimedFault, Watchdog,
+    DeadLinkPolicy, FaultController, FaultReport, LinkState, TimedFault, Watchdog,
 };
 use mempool_isa::exec::{MemAccessKind, MemWidth};
 use mempool_isa::instr::AmoOp;
@@ -553,7 +556,7 @@ type StorageParts = (u32, Vec<(u64, u32)>, u64, Vec<(TileId, BankId, BankId)>);
 
 /// The `faults` section of a fault-injection run: link health per tile,
 /// the undelivered timed events, the stuck banks, the dead-link policy
-/// and the latent ECC masks.
+/// and the latent ECC masks (the storage's, in location order).
 type FaultParts = (
     Vec<LinkState>,
     Vec<(u64, TimedFault)>,
@@ -562,15 +565,16 @@ type FaultParts = (
     Vec<(BankLocation, u32)>,
 );
 
-/// The `faults` section of `ctrl`: what a restored controller is built
-/// from, beside its report.
-fn fault_parts(ctrl: &FaultController) -> FaultParts {
+/// The `faults` section of `ctrl` armed on `storage`: what a restored
+/// controller is built from, beside its report, and the masks restored
+/// into the storage.
+fn fault_parts(ctrl: &FaultController, storage: &Storage) -> FaultParts {
     (
         ctrl.links().to_vec(),
         ctrl.remaining_timed().to_vec(),
         ctrl.stuck_banks().to_vec(),
         ctrl.dead_link_policy(),
-        ctrl.ecc_state().entries(),
+        storage.ecc().entries().collect(),
     )
 }
 
@@ -590,13 +594,9 @@ impl Cluster {
             m.storage.spares_per_tile(),
             m.storage.external_entries().collect(),
             m.storage.spm_word_touches(),
-            m.storage
-                .map()
-                .remap()
-                .map(|remap| remap.entries().collect())
-                .unwrap_or_default(),
+            m.storage.remaps().to_vec(),
         );
-        let faults: Option<FaultParts> = a.faults.as_ref().map(fault_parts);
+        let faults = a.faults.as_ref().map(|ctrl| fault_parts(ctrl, &m.storage));
         let watchdog = a
             .watchdog
             .map(|watchdog| (watchdog.threshold(), watchdog.last_progress()));
@@ -787,13 +787,11 @@ impl Cluster {
         }
 
         // Build: the storage first, its remap table replayed (so the spare
-        // array has its final size) and its contents overwritten
-        // wholesale; then the machine around it, and the mutable state of
-        // its I$s, its off-chip port and its clock.
+        // array has its final size) and its contents and latent ECC masks
+        // overwritten wholesale; then the machine around it, and the
+        // mutable state of its I$s, its off-chip port and its clock.
         let mut storage = Storage::new(&config);
-        if spares_per_tile > 0 {
-            storage.provision_spares(spares_per_tile);
-        }
+        storage.provision_spares(spares_per_tile);
         for (tile, from, to) in remaps {
             let spare = storage
                 .remap_bank(tile, from)
@@ -805,8 +803,9 @@ impl Cluster {
                 )));
             }
         }
+        let masks = faults.as_ref().map(|((.., masks), _)| masks.clone());
         storage
-            .restore_contents(&spm, spare, external, touches)
+            .restore_contents(&spm, spare, external, touches, masks.unwrap_or_default())
             .map_err(bad)?;
         let mut machine = Machine::new(config, params, storage, program, cores, banks, responses);
         for (icache, state) in machine.icaches.iter_mut().zip(icaches) {
@@ -821,9 +820,8 @@ impl Cluster {
         }
 
         let attach = Attachments {
-            faults: faults.map(|((links, timed, stuck, policy, ecc), report)| {
-                let ecc = EccState::from_entries(ecc);
-                FaultController::from_snapshot(links, timed, ecc, stuck, policy, report)
+            faults: faults.map(|((links, timed, stuck, policy, _), report)| {
+                FaultController::from_snapshot(links, timed, stuck, policy, report)
             }),
             // `Watchdog::new(threshold, now)` arms at `now`; feeding the
             // saved last-progress cycle reproduces the exact stall window.
@@ -1137,8 +1135,8 @@ mod tests {
         let addrs = places.map(|loc| cluster.storage().map().encode(loc).unwrap());
         assert!(addrs.iter().any(|&addr| addr < seq_end));
         assert!(addrs.iter().any(|&addr| addr >= seq_end));
-        for loc in places {
-            cluster.storage_mut().write_loc(loc, value(loc)).unwrap();
+        for (loc, addr) in places.into_iter().zip(addrs) {
+            cluster.write_spm_word(addr, value(loc)).unwrap();
         }
 
         let doc = cluster.checkpoint();
@@ -1156,7 +1154,8 @@ mod tests {
                 for word in 0..depth {
                     let at = loc(tile, bank, word);
                     let want = if places.contains(&at) { value(at) } else { 0 };
-                    assert_eq!(restored.storage().read_loc(at).unwrap(), want, "{at}");
+                    let addr = restored.storage().map().encode(at).unwrap();
+                    assert_eq!(restored.read_spm_word(addr).unwrap(), want, "{at}");
                 }
             }
         }
@@ -1220,8 +1219,9 @@ mod tests {
 
     /// A cluster with everything a file can carry in it: requests queued
     /// at banks, responses on their way, external memory, a fault plan
-    /// part-delivered (a degraded link, a remapped bank, a latent ECC
-    /// mask, a flip and a hang still to come), a watchdog and a sampler.
+    /// part-delivered (a degraded link, a remapped bank, latent ECC masks
+    /// in two tiles, a flip and a hang still to come), a watchdog and a
+    /// sampler.
     fn eventful_cluster() -> Cluster {
         let mut cluster = fresh_cluster();
         cluster.attach_obs(&Obs::new(), "eventful");
@@ -1246,6 +1246,17 @@ mod tests {
                 cycle: 5,
                 loc: far(63),
                 mask: 1,
+            },
+            // A later flip at a location ordered first: the masks are
+            // listed (and compared) in location order, not flip order.
+            FaultEvent::TransientFlip {
+                cycle: 6,
+                loc: BankLocation {
+                    tile: TileId(0),
+                    bank: BankId(2),
+                    word: 61,
+                },
+                mask: 2,
             },
             FaultEvent::TransientFlip {
                 cycle: 90,
@@ -1274,7 +1285,7 @@ mod tests {
             .any(|queue| !queue.is_empty()));
         let faults = cluster.attach.faults.as_ref().unwrap();
         assert_eq!(faults.remaining_timed().len(), 2);
-        assert_eq!(faults.ecc_state().pending_words(), 1);
+        assert_eq!(cluster.storage().ecc().pending_words(), 2);
         cluster
     }
 
@@ -1293,7 +1304,7 @@ mod tests {
         // delivered timed events are behind its cursor, not in the file.
         let faults = |cluster: &Cluster| {
             let faults = cluster.attach.faults.as_ref();
-            faults.map(|f| (fault_parts(f), f.report()))
+            faults.map(|f| (fault_parts(f, cluster.storage()), f.report()))
         };
         let mut cluster = eventful_cluster();
         for cut in [37, 38, 60, 90, 91, 120, 121, 200] {

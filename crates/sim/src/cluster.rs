@@ -20,10 +20,7 @@
 
 use std::fmt;
 
-use mempool_arch::{
-    AccessClass, BankLocation, ClusterConfig, GlobalCoreId, LatencyModel, MemoryRegion, RemapError,
-    TileId,
-};
+use mempool_arch::{AccessClass, BankLocation, ClusterConfig, GlobalCoreId, LatencyModel, TileId};
 use mempool_fault::{CoreDiagnostic, FaultController, FaultPlan, FaultReport, Watchdog};
 use mempool_isa::exec::{MemAccessKind, MemWidth};
 use mempool_isa::{Program, Reg};
@@ -32,7 +29,7 @@ use mempool_obs::{chrome_trace_with_counters, Counter, FlightRecorder, Json, Obs
 use crate::ckpt::{words_struct, Words};
 use crate::core::Core;
 use crate::engine::{self, Attachments, Machine};
-use crate::memory::{MemoryError, Storage};
+use crate::memory::{MemoryError, RemapError, Storage};
 use crate::params::SimParams;
 use crate::stats::{BankStats, ClusterStats};
 use crate::trace::{Trace, TraceEntry};
@@ -151,8 +148,14 @@ impl fmt::Display for SimError {
 impl std::error::Error for SimError {}
 
 impl From<MemoryError> for SimError {
+    /// A multi-bit error the storage detected is
+    /// [`SimError::EccUncorrectable`]; every other storage error is
+    /// [`SimError::Memory`].
     fn from(e: MemoryError) -> Self {
-        SimError::Memory(e)
+        match e {
+            MemoryError::Uncorrectable { loc, mask } => SimError::EccUncorrectable { loc, mask },
+            e => SimError::Memory(e),
+        }
     }
 }
 
@@ -648,7 +651,9 @@ impl Cluster {
     /// contents migrate), link health and timed events (bit flips, core
     /// hangs) are armed for delivery as the clock reaches them.
     ///
-    /// Injecting replaces any previously injected plan.
+    /// Injecting replaces any previously injected plan, not the damage
+    /// the storage already holds: remapped banks stay remapped, and
+    /// flipped words keep their pending SEC-DED masks.
     ///
     /// # Errors
     ///
@@ -656,28 +661,26 @@ impl Cluster {
     /// the plan's stuck banks (e.g. two stuck banks reported for the same
     /// physical bank).
     pub fn inject_faults(&mut self, plan: &FaultPlan) -> Result<(), SimError> {
-        let mut ctrl = FaultController::new(plan, self.machine.config.num_tiles());
-        let num_tiles = self.machine.config.num_tiles();
-        let mut per_tile = vec![0u32; num_tiles as usize];
-        for &(tile, _) in ctrl.stuck_banks() {
+        let num_tiles = self.machine.config.num_tiles() as usize;
+        let mut ctrl = FaultController::new(plan, num_tiles as u32);
+        let stuck = ctrl.stuck_banks().to_vec();
+        let mut per_tile = vec![0u32; num_tiles];
+        for &(tile, _) in &stuck {
             if let Some(count) = per_tile.get_mut(tile.index()) {
                 *count += 1;
             }
         }
-        let spares_needed = per_tile.iter().copied().max().unwrap_or(0);
-        if spares_needed > 0 {
-            self.machine.storage.provision_spares(spares_needed);
-            let stuck = ctrl.stuck_banks().to_vec();
-            for (tile, bank) in stuck {
-                if tile.index() >= num_tiles as usize {
-                    continue;
-                }
-                let spare = self.machine.storage.remap_bank(tile, bank)?;
-                let remap = ctrl.record_remap(tile, bank, spare);
-                if let Some(flight) = self.attach.flight() {
-                    let (category, core, message) = remap.flight_event();
-                    flight.record_deferred(0, category, core, message);
-                }
+        let storage = &mut self.machine.storage;
+        storage.provision_spares(per_tile.into_iter().max().unwrap_or(0));
+        for (tile, bank) in stuck {
+            if tile.index() >= num_tiles {
+                continue;
+            }
+            let spare = storage.remap_bank(tile, bank)?;
+            let remap = ctrl.record_remap(tile, bank, spare);
+            if let Some(flight) = self.attach.flight() {
+                let (category, core, message) = remap.flight_event();
+                flight.record_deferred(0, category, core, message);
             }
         }
         self.attach.faults = Some(ctrl);
@@ -692,9 +695,12 @@ impl Cluster {
         self.attach.watchdog = Some(Watchdog::new(threshold, self.machine.cycle));
     }
 
-    /// The accumulated fault report, if a plan was injected.
+    /// The accumulated fault report, if a plan was injected, with the
+    /// latent ECC errors the storage holds.
     pub fn fault_report(&self) -> Option<FaultReport> {
-        self.attach.faults.as_ref().map(FaultController::report)
+        let mut report = self.attach.faults.as_ref()?.report();
+        report.ecc_pending = self.machine.storage.ecc().pending_words() as u64;
+        Some(report)
     }
 
     /// Watchdog hook for clock jumps outside `step()` (DMA, resume): the
@@ -753,30 +759,7 @@ impl Cluster {
     /// error under fault injection.
     #[inline]
     pub fn read_spm_words(&self, addr: u32, out: &mut [u32]) -> Result<(), SimError> {
-        let (storage, faults) = (&self.machine.storage, self.attach.faults.as_ref());
-        let Some(faults) = faults.filter(|f| f.has_pending_errors()) else {
-            return Ok(storage.read_words(addr, out)?);
-        };
-        // `(index, location, mask)` of the first `len` words' latent errors.
-        let latent = |len: usize| {
-            let words = (u64::from(addr)..1 << 32).step_by(4).take(len);
-            words
-                .enumerate()
-                .filter_map(|(i, word)| match storage.map().locate(word as u32) {
-                    MemoryRegion::Spm(loc) => faults.pending_mask(loc).map(|mask| (i, loc, mask)),
-                    _ => None,
-                })
-        };
-        let uncorrectable = latent(out.len()).find(|&(.., mask)| mask.count_ones() != 1);
-        let len = uncorrectable.map_or(out.len(), |(i, ..)| i + 1);
-        storage.read_words(addr, &mut out[..len])?;
-        for (i, _, mask) in latent(len) {
-            out[i] ^= mask;
-        }
-        match uncorrectable {
-            Some((_, loc, mask)) => Err(SimError::EccUncorrectable { loc, mask }),
-            None => Ok(()),
-        }
+        Ok(self.machine.storage.read_words(addr, out)?)
     }
 
     /// Writes `values` to the consecutive SPM or external words from
@@ -792,9 +775,7 @@ impl Cluster {
     // then costs no more calls than the store it is.
     #[inline(always)]
     pub fn write_spm_words(&mut self, addr: u32, values: &[u32]) -> Result<(), SimError> {
-        self.machine.storage.write_words(addr, values)?;
-        self.ecc_clear_spm_range(addr, 4 * values.len() as u64);
-        Ok(())
+        Ok(self.machine.storage.write_words(addr, values)?)
     }
 
     /// The storage backing the SPM and external memory.
@@ -890,21 +871,6 @@ impl Cluster {
             flight.record(issued, "dma", None, message);
         }
         Ok(done - issued)
-    }
-
-    /// Clears latent ECC masks on a freshly (over)written SPM range —
-    /// bulk writes leave error-free words behind, exactly like stores.
-    #[inline(always)]
-    fn ecc_clear_spm_range(&mut self, spm_addr: u32, bytes: u64) {
-        let faults = self.attach.faults.as_mut();
-        let Some(faults) = faults.filter(|f| f.has_pending_errors()) else {
-            return;
-        };
-        for i in (0..bytes).step_by(4) {
-            if let MemoryRegion::Spm(loc) = self.machine.storage.map().locate(spm_addr + i as u32) {
-                faults.ecc_clear(loc);
-            }
-        }
     }
 
     /// Advances the cluster by one cycle: one tick of the loop
@@ -1137,7 +1103,7 @@ pub(crate) fn sign_adjust(kind: MemAccessKind, raw: u32) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mempool_arch::SpmCapacity;
+    use mempool_arch::{MemoryRegion, SpmCapacity};
     use mempool_fault::DeadLinkPolicy;
 
     fn tiny_config() -> ClusterConfig {
@@ -1919,6 +1885,37 @@ mod tests {
         let report = cluster.fault_report().unwrap();
         assert_eq!(report.ecc_corrected, 1);
         assert_eq!(report.ecc_pending, 0, "scrubbed: no latent errors remain");
+    }
+
+    /// A flipped word's damage is the storage's: injecting another plan
+    /// replaces the controller, not the word's pending mask, so the word
+    /// still reads corrected and still counts as latent.
+    #[test]
+    fn re_injecting_a_plan_keeps_the_latent_masks() {
+        let config = ClusterConfig::builder()
+            .groups(1)
+            .tiles_per_group(4)
+            .cores_per_tile(4)
+            .build()
+            .unwrap();
+        let mut cluster = Cluster::new(config, SimParams::default());
+        let addr = cluster.storage().map().interleaved_base();
+        cluster.write_spm_word(addr, 100).unwrap();
+        let MemoryRegion::Spm(loc) = cluster.storage().map().locate(addr) else {
+            panic!("the interleaved base lies in the SPM");
+        };
+        let mut plan = FaultPlan::new(1);
+        plan.push(FaultEvent::TransientFlip {
+            cycle: 0,
+            loc,
+            mask: 1 << 3,
+        });
+        cluster.inject_faults(&plan).unwrap();
+        cluster.load_program(Program::assemble("wfi").unwrap());
+        cluster.run(10_000).unwrap();
+        cluster.inject_faults(&FaultPlan::new(2)).unwrap();
+        assert_eq!(cluster.read_spm_word(addr).unwrap(), 100);
+        assert_eq!(cluster.fault_report().unwrap().ecc_pending, 1);
     }
 
     #[test]
@@ -2866,8 +2863,9 @@ mod tests {
         cluster.checkpoint().to_string()
     }
 
-    /// The oracle: storage's own word access plus the ECC step, one word
-    /// at a time, as the per-word calls behaved before the slice path.
+    /// The oracle: storage's own word access, ECC step included, one
+    /// word at a time, as the per-word calls behaved before the slice
+    /// path.
     fn write_word_by_word(
         cluster: &mut Cluster,
         addr: u32,
@@ -2875,10 +2873,6 @@ mod tests {
     ) -> Result<(), SimError> {
         for (addr, &value) in (addr..).step_by(4).zip(values) {
             cluster.machine.storage.write(addr, MemWidth::Word, value)?;
-            let loc = cluster.machine.storage.map().locate(addr);
-            if let (MemoryRegion::Spm(loc), Some(faults)) = (loc, cluster.attach.faults.as_mut()) {
-                faults.ecc_clear(loc);
-            }
         }
         Ok(())
     }
@@ -2891,21 +2885,7 @@ mod tests {
         read: &mut Vec<u32>,
     ) -> Result<(), SimError> {
         for addr in (addr..).step_by(4).take(len) {
-            let word = cluster.machine.storage.read(addr, MemWidth::Word)?;
-            let loc = cluster.machine.storage.map().locate(addr);
-            let pending = match (loc, &cluster.attach.faults) {
-                (MemoryRegion::Spm(loc), Some(faults)) => {
-                    faults.pending_mask(loc).map(|mask| (loc, mask))
-                }
-                _ => None,
-            };
-            match pending {
-                Some((loc, mask)) if mask.count_ones() != 1 => {
-                    return Err(SimError::EccUncorrectable { loc, mask })
-                }
-                Some((_, mask)) => read.push(word ^ mask),
-                None => read.push(word),
-            }
+            read.push(cluster.machine.storage.read(addr, MemWidth::Word)?);
         }
         Ok(())
     }

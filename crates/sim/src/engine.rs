@@ -19,9 +19,7 @@
 use std::time::Instant;
 
 use mempool_arch::{ClusterConfig, GlobalCoreId, MemoryRegion, TileId, Topology};
-use mempool_fault::{
-    DeadLinkPolicy, EccOutcome, FaultController, FaultNote, LinkState, TimedFault, Watchdog,
-};
+use mempool_fault::{DeadLinkPolicy, FaultController, FaultNote, LinkState, TimedFault, Watchdog};
 use mempool_isa::exec::{self, Issue, MemAccessKind, MemWidth};
 use mempool_isa::Program;
 use mempool_obs::{Deferred, FlightRecorder};
@@ -31,7 +29,7 @@ use crate::cluster::{
 };
 use crate::core::{Core, IssueRecord, Stall};
 use crate::icache::ICache;
-use crate::memory::{access_word, check_region, Storage};
+use crate::memory::{check_region, Storage};
 use crate::offchip::OffchipPort;
 use crate::params::SimParams;
 use crate::profile::{CallTally, PHASE_SAMPLE_PERIOD};
@@ -259,12 +257,12 @@ impl Attachments {
         }
     }
 
-    /// Applies the timed faults due at `m`'s clock: bit flips corrupt the
-    /// stored word (and arm the ECC mask), hangs latch cores up. Each is
-    /// recorded in the flight ring while flight recording is on.
-    fn apply_due_faults(&mut self, m: &mut Machine) -> Result<(), SimError> {
+    /// Applies the timed faults due at `m`'s clock: bit flips land in
+    /// storage ([`Storage::flip`]), hangs latch cores up. Each is recorded
+    /// in the flight ring while flight recording is on.
+    fn apply_due_faults(&mut self, m: &mut Machine) {
         let Some(faults) = self.faults.as_mut() else {
-            return Ok(());
+            return;
         };
         let flight = self.obs.as_ref().and_then(|hooks| hooks.flight.as_ref());
         for fault in faults.take_due(m.cycle) {
@@ -273,16 +271,7 @@ impl Attachments {
                 flight.record_deferred(m.cycle, category, core, message);
             }
             match fault {
-                TimedFault::Flip { loc, mask } => {
-                    // A flip aimed at a remapped word's logical home still
-                    // lands: the storage layer resolves through the remap,
-                    // so the spare takes it. One outside the geometry is
-                    // inert.
-                    if let Ok(word) = m.storage.read_loc(loc) {
-                        m.storage.write_loc(loc, word ^ mask)?;
-                        faults.note_flip(loc, mask);
-                    }
-                }
+                TimedFault::Flip { loc, mask } => m.storage.flip(loc, mask),
                 TimedFault::Hang { core } => {
                     if let Some(core) = m.cores.get_mut(core as usize) {
                         core.hang();
@@ -290,7 +279,6 @@ impl Attachments {
                 }
             }
         }
-        Ok(())
     }
 
     /// The watchdog's error for the tick `m`'s clock is on, which expired
@@ -336,9 +324,6 @@ struct Tick<'a> {
     error: Option<SimError>,
     /// Whether some core received a response or retired an instruction.
     progress: bool,
-    /// SPM words read or written, folded into the storage's counter
-    /// after the tick.
-    touches: u64,
 }
 
 impl Tick<'_> {
@@ -346,8 +331,10 @@ impl Tick<'_> {
     /// network arrival lies strictly in the past (earliest arrival wins;
     /// among ties, the lowest queue position as `swap_remove` leaves it,
     /// which is not push order), counting conflict cycles, and its response
-    /// goes straight into the requesting core's queue. An uncorrectable
-    /// read stops the tile's service for this tick.
+    /// goes straight into the requesting core's queue. The storage decides
+    /// what the access reads ([`Storage::serve`]); a correction stalls the
+    /// core, and an uncorrectable read stops the tile's service for this
+    /// tick.
     fn serve(&mut self, tile: usize) {
         let (now, m) = (self.now, &mut *self.m);
         let LiveSets {
@@ -415,49 +402,24 @@ impl Tick<'_> {
                 };
                 flight.record_deferred(now, "mem", Some(access.core), message);
             }
-            let word = m.storage.word_mut(loc);
-            self.touches += 1;
-            let mut extra_resp = 0u32;
-            let latent =
-                self.a.faults.as_mut().filter(|faults| {
-                    faults.has_pending_errors() && faults.pending_mask(loc).is_some()
-                });
-            if let Some(faults) = latent {
-                // SEC-DED check on every access that observes the stored
-                // word (a full-word store overwrites it without reading).
-                let reads_word = !matches!(
-                    kind,
-                    MemAccessKind::Store {
-                        width: MemWidth::Word,
-                        ..
-                    }
-                );
-                match faults.ecc_state().check(loc, *word) {
-                    EccOutcome::Corrected { value } if reads_word => {
-                        // Correct the returned word, scrub storage, and
-                        // stall the requesting core from this very tick on.
-                        *word = value;
-                        self.touches += 1;
-                        extra_resp = m.params.ecc_correction_penalty;
-                        m.cores[access.core as usize].stall_ecc(extra_resp);
-                        faults.ecc_clear(loc);
-                        self.a.note_fault(now, FaultNote::Corrected { loc });
-                    }
-                    EccOutcome::Uncorrectable { mask } if reads_word => {
-                        let note = FaultNote::Uncorrectable { loc, mask };
-                        self.a.note_fault(now, note);
-                        self.error
-                            .get_or_insert(SimError::EccUncorrectable { loc, mask });
-                        return;
-                    }
-                    // Any write leaves a freshly encoded (error-free) word
-                    // behind.
-                    _ if !matches!(kind, MemAccessKind::Load { .. }) => faults.ecc_clear(loc),
-                    _ => {}
+            let (value, corrected) = match m.storage.serve(loc, access.addr, kind) {
+                Ok(served) => served,
+                Err(mask) => {
+                    self.a
+                        .note_fault(now, FaultNote::Uncorrectable { loc, mask });
+                    self.error
+                        .get_or_insert(SimError::EccUncorrectable { loc, mask });
+                    return;
                 }
+            };
+            // A corrected word stalls the requesting core from this very
+            // tick on.
+            let mut extra_resp = 0u32;
+            if corrected {
+                extra_resp = m.params.ecc_correction_penalty;
+                m.cores[access.core as usize].stall_ecc(extra_resp);
+                self.a.note_fault(now, FaultNote::Corrected { loc });
             }
-            let value = access_word(kind, access.addr, word);
-            self.touches += u64::from(!matches!(kind, MemAccessKind::Load { .. }));
             let due = now + u64::from(access.resp_latency + extra_resp);
             let core = access.core as usize;
             debug_assert!(
@@ -696,7 +658,7 @@ fn lap(clock: &mut Option<Instant>, tally: &mut u64) {
 /// quiescent. On an error the clock stays on the tick that raised it, and
 /// that tick's progress is not noted for the watchdog.
 fn tick(m: &mut Machine, a: &mut Attachments, prof: &mut CallTally) -> Result<bool, SimError> {
-    a.apply_due_faults(m)?;
+    a.apply_due_faults(m);
     if m.program.is_empty() {
         return Err(SimError::NoProgram);
     }
@@ -712,7 +674,6 @@ fn tick(m: &mut Machine, a: &mut Attachments, prof: &mut CallTally) -> Result<bo
         now,
         error: None,
         progress: false,
-        touches: 0,
     };
     for tile in 0..tiles {
         sweep.serve(tile);
@@ -729,10 +690,8 @@ fn tick(m: &mut Machine, a: &mut Attachments, prof: &mut CallTally) -> Result<bo
         a,
         error,
         progress,
-        touches,
         ..
     } = sweep;
-    m.storage.add_touches(touches);
     if let Some(error) = error {
         return Err(error);
     }

@@ -1,20 +1,27 @@
 //! Backing storage for the SPM banks and the external (off-chip) memory.
 //!
-//! The SPM is stored in the cluster's own address order: word `w` of every
-//! bank before word `w + 1` of any, global banks in order within a word
-//! (`word * num_banks + global_bank`). The interleaved region is then one
-//! contiguous slice, and a tile's sequential words come in runs of
-//! `banks_per_tile`, so the host's slice path
-//! ([`crate::Cluster::write_spm_words`],
+//! [`Storage`] is the one place that knows where a word lives and what a
+//! read of it returns. The SPM is stored in the cluster's own address
+//! order: word `w` of every bank before word `w + 1` of any, global banks
+//! in order within a word (`word * num_banks + global_bank`). The
+//! interleaved region is then one contiguous slice, and a tile's
+//! sequential words come in runs of `banks_per_tile`, so the host's slice
+//! path ([`crate::Cluster::write_spm_words`],
 //! [`crate::Cluster::read_spm_words`]) moves them with `copy_from_slice`.
+//!
+//! The memory die's damage is storage state too: a stuck bank remapped
+//! onto a spare ([`Storage::remap_bank`]) resolves through a dense spare
+//! slot per global bank, and a transient flip corrupts the stored word and
+//! arms its SEC-DED mask ([`EccState`]). What the word then reads as is
+//! decided here: a core's access corrects and scrubs it or fails, a host
+//! read corrects it on the fly, and any write clears the mask.
 
 use std::cell::Cell;
 use std::collections::BTreeMap;
 use std::fmt;
 
-use mempool_arch::{
-    AddressMap, BankId, BankLocation, ClusterConfig, MemoryRegion, RemapError, TileId,
-};
+use mempool_arch::{AddressMap, BankId, BankLocation, ClusterConfig, MemoryRegion, TileId};
+use mempool_fault::{EccOutcome, EccState};
 use mempool_isa::exec::{MemAccessKind, MemWidth};
 use mempool_isa::Reg;
 
@@ -33,6 +40,13 @@ pub enum MemoryError {
     },
     /// A bank location is outside the configured geometry.
     BadLocation,
+    /// SEC-DED detected a multi-bit, uncorrectable error in the word read.
+    Uncorrectable {
+        /// Word the error is in.
+        loc: BankLocation,
+        /// The accumulated error mask.
+        mask: u32,
+    },
 }
 
 impl fmt::Display for MemoryError {
@@ -43,11 +57,62 @@ impl fmt::Display for MemoryError {
                 write!(f, "misaligned access at {addr:#010x}")
             }
             MemoryError::BadLocation => f.write_str("bank location out of range"),
+            MemoryError::Uncorrectable { loc, mask } => {
+                write!(
+                    f,
+                    "uncorrectable multi-bit error at {loc} (mask {mask:#010x})"
+                )
+            }
         }
     }
 }
 
 impl std::error::Error for MemoryError {}
+
+/// Error returned by the spare-bank remap policy.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RemapError {
+    /// Spare banks were never provisioned on this storage.
+    NotEnabled,
+    /// The bank to disable lies outside the configured geometry.
+    OutOfRange {
+        /// Tile of the offending location.
+        tile: TileId,
+        /// Bank of the offending location.
+        bank: BankId,
+    },
+    /// The bank is already remapped to a spare.
+    AlreadyRemapped {
+        /// Tile of the offending location.
+        tile: TileId,
+        /// Bank of the offending location.
+        bank: BankId,
+    },
+    /// All of the tile's spare banks are already in use.
+    SparesExhausted {
+        /// Tile that ran out of spares.
+        tile: TileId,
+    },
+}
+
+impl fmt::Display for RemapError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            RemapError::NotEnabled => write!(f, "spare banks are not provisioned"),
+            RemapError::OutOfRange { tile, bank } => {
+                write!(f, "bank {tile}:{bank} is outside the cluster geometry")
+            }
+            RemapError::AlreadyRemapped { tile, bank } => {
+                write!(f, "bank {tile}:{bank} is already remapped to a spare")
+            }
+            RemapError::SparesExhausted { tile } => {
+                write!(f, "tile {tile} has no spare banks left")
+            }
+        }
+    }
+}
+
+impl std::error::Error for RemapError {}
 
 /// Word-addressed storage for all SPM banks of the cluster, plus a sparse
 /// external memory.
@@ -68,14 +133,24 @@ pub struct Storage {
     spare: Vec<u32>,
     spares_per_tile: u32,
     num_tiles: u32,
+    /// Per global bank, the slot of the tile's spare that backs it once
+    /// it is remapped. Spare `slot` of a tile is bank `banks_per_tile +
+    /// slot`, outside the addressable geometry, so the address map — and
+    /// with it bank queues, conflict statistics and heatmaps — keeps
+    /// working on logical bank ids.
+    spare_slot: Vec<Option<u32>>,
+    /// The substitutions as `(tile, from, to)`, in the order they were
+    /// made: the order that assigns the spare slots, which a checkpoint
+    /// replays.
+    remaps: Vec<(TileId, BankId, BankId)>,
+    /// Pending SEC-DED masks of flipped words, by logical location.
+    ecc: EccState,
     /// Sparse external memory: the nonzero words, keyed by word offset. A
     /// zero write removes its word, so the map holds no zeros.
     external: BTreeMap<u64, u32>,
     /// SPM words read or written so far (core accesses and DMA word
     /// traffic alike) — the time-series sampler reads this per epoch.
-    /// A `Cell` because [`Self::read_loc`] counts through `&self`; the
-    /// engine counts a tick's touches and folds them in after the tick
-    /// ([`Self::add_touches`]).
+    /// A `Cell` because the host's reads count through `&self`.
     touches: Cell<u64>,
 }
 
@@ -89,9 +164,8 @@ enum Slot {
 enum Target {
     /// Contiguous words of the main SPM array from this index on.
     Main(usize),
-    /// Consecutive banks of one tile row from this location on, some of
-    /// them remapped: resolved word by word.
-    Resolved(BankLocation),
+    /// The one word of a remapped bank, at this index of the spare array.
+    Spare(usize),
     /// Consecutive external words from this byte offset on.
     External(u64),
 }
@@ -121,7 +195,7 @@ pub(crate) fn check_region(
 /// its lane in, an AMO replaces the word. Returns the raw response value
 /// (the loaded lane, the old word of an AMO, 0 for a store).
 #[inline]
-pub(crate) fn access_word(kind: MemAccessKind, addr: u32, word: &mut u32) -> u32 {
+fn access_word(kind: MemAccessKind, addr: u32, word: &mut u32) -> u32 {
     let old = *word;
     let shift = (addr & 3) * 8;
     match kind {
@@ -157,14 +231,17 @@ impl Storage {
             spare: Vec::new(),
             spares_per_tile: 0,
             num_tiles: cfg.num_tiles(),
+            spare_slot: vec![None; cfg.num_banks() as usize],
+            remaps: Vec::new(),
+            ecc: EccState::new(),
             external: BTreeMap::new(),
             touches: Cell::new(0),
         }
     }
 
-    /// Total SPM words read or written so far, in program order. Counts
-    /// every resolved [`Self::read_loc`]/[`Self::write_loc`] — core
-    /// accesses, DMA word loops, and debug reads alike.
+    /// Total SPM words read or written so far, in program order: core
+    /// accesses (a scrub is one more write), flips (a read and a write),
+    /// DMA rows, and debug reads alike.
     pub fn spm_word_touches(&self) -> u64 {
         self.touches.get()
     }
@@ -174,47 +251,55 @@ impl Storage {
         &self.map
     }
 
-    /// Allocates `spares_per_tile` zeroed spare banks per tile and enables
-    /// the remap policy on the address map. Growing the pool preserves the
-    /// content of already-provisioned spares.
+    /// Allocates `spares_per_tile` zeroed spare banks per tile for the
+    /// remap policy. Growing the pool preserves the content of
+    /// already-provisioned spares and every substitution; a smaller count
+    /// changes nothing.
     pub fn provision_spares(&mut self, spares_per_tile: u32) {
-        if spares_per_tile > self.spares_per_tile {
-            let words =
-                self.num_tiles as usize * spares_per_tile as usize * self.bank_words as usize;
-            let mut grown = vec![0u32; words];
-            // Re-home existing spare content under the wider per-tile stride.
-            for tile in 0..self.num_tiles as usize {
-                for slot in 0..self.spares_per_tile as usize {
-                    let old_base =
-                        (tile * self.spares_per_tile as usize + slot) * self.bank_words as usize;
-                    let new_base =
-                        (tile * spares_per_tile as usize + slot) * self.bank_words as usize;
-                    grown[new_base..new_base + self.bank_words as usize].copy_from_slice(
-                        &self.spare[old_base..old_base + self.bank_words as usize],
-                    );
-                }
-            }
-            self.spare = grown;
-            self.spares_per_tile = spares_per_tile;
+        if spares_per_tile <= self.spares_per_tile {
+            return;
         }
-        self.map.enable_spares(spares_per_tile);
+        let old = self.spares_per_tile as usize * self.bank_words as usize;
+        let new = spares_per_tile as usize * self.bank_words as usize;
+        let mut grown = vec![0u32; self.num_tiles as usize * new];
+        // Re-home each tile's spares at the start of its wider block.
+        for tile in 0..self.num_tiles as usize {
+            grown[tile * new..][..old].copy_from_slice(&self.spare[tile * old..][..old]);
+        }
+        self.spare = grown;
+        self.spares_per_tile = spares_per_tile;
     }
 
     /// Takes a faulted bank out of service: redirects it to the tile's next
     /// free spare and copies the bank's current content over, so data
     /// loaded before the fault was discovered survives. Returns the spare's
-    /// bank id.
+    /// bank id (`banks_per_tile + slot`, outside the addressable
+    /// geometry).
     ///
     /// # Errors
     ///
     /// Fails if spares are not provisioned, the bank is out of range or
     /// already remapped, or the tile's spares are exhausted.
     pub fn remap_bank(&mut self, tile: TileId, bank: BankId) -> Result<BankId, RemapError> {
-        let spare = self.map.disable_bank(tile, bank)?;
+        if self.spares_per_tile == 0 {
+            return Err(RemapError::NotEnabled);
+        }
+        if tile.0 >= self.num_tiles || bank.0 >= self.banks_per_tile {
+            return Err(RemapError::OutOfRange { tile, bank });
+        }
         let global_bank = self.global_bank(tile, bank.0);
-        let slot = (spare.0 - self.banks_per_tile) as usize;
+        if self.spare_slot[global_bank].is_some() {
+            return Err(RemapError::AlreadyRemapped { tile, bank });
+        }
+        let slot = self.remaps.iter().filter(|&&(t, ..)| t == tile).count() as u32;
+        if slot >= self.spares_per_tile {
+            return Err(RemapError::SparesExhausted { tile });
+        }
+        let spare = BankId(self.banks_per_tile + slot);
+        self.spare_slot[global_bank] = Some(slot);
+        self.remaps.push((tile, bank, spare));
         let words = self.bank_words as usize;
-        let base = (tile.index() * self.spares_per_tile as usize + slot) * words;
+        let base = (tile.index() * self.spares_per_tile as usize + slot as usize) * words;
         let column = self.spm[global_bank..]
             .iter()
             .step_by(self.num_banks as usize);
@@ -230,13 +315,9 @@ impl Storage {
         tile.index() * self.banks_per_tile as usize + bank as usize
     }
 
-    /// Index in the main array of a location that names a main bank.
-    fn main_index(&self, loc: BankLocation) -> usize {
-        loc.word as usize * self.num_banks as usize + self.global_bank(loc.tile, loc.bank.0)
-    }
-
-    /// Resolves a logical location through the remap table to the physical
-    /// array index backing it.
+    /// The physical array index backing a logical location: its spare's
+    /// word once its bank is remapped, else its main word.
+    #[inline]
     fn slot(&self, loc: BankLocation) -> Result<Slot, MemoryError> {
         if loc.word >= self.bank_words
             || loc.bank.0 >= self.banks_per_tile
@@ -244,54 +325,76 @@ impl Storage {
         {
             return Err(MemoryError::BadLocation);
         }
-        let resolved = self.map.resolve(loc);
-        if resolved.bank.0 >= self.banks_per_tile {
-            // Redirected to a spare bank.
-            let slot = (resolved.bank.0 - self.banks_per_tile) as usize;
-            let index = (resolved.tile.0 as usize * self.spares_per_tile as usize + slot)
-                * self.bank_words as usize
-                + loc.word as usize;
-            if index >= self.spare.len() {
-                return Err(MemoryError::BadLocation);
-            }
-            return Ok(Slot::Spare(index));
-        }
-        Ok(Slot::Main(self.main_index(resolved)))
-    }
-
-    /// Reads the word at a (logical) bank location, following any
-    /// spare-bank substitution.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the location is outside the bank geometry.
-    pub fn read_loc(&self, loc: BankLocation) -> Result<u32, MemoryError> {
-        let value = match self.slot(loc)? {
-            Slot::Main(index) => self.spm[index],
-            Slot::Spare(index) => self.spare[index],
-        };
-        self.touches.set(self.touches.get() + 1);
-        Ok(value)
-    }
-
-    /// Writes the word at a (logical) bank location, following any
-    /// spare-bank substitution.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the location is outside the bank geometry.
-    pub fn write_loc(&mut self, loc: BankLocation, value: u32) -> Result<(), MemoryError> {
-        *self.slot_mut(loc)? = value;
-        self.touches.set(self.touches.get() + 1);
-        Ok(())
-    }
-
-    /// The stored word a (logical) location resolves to. Counts no touch.
-    fn slot_mut(&mut self, loc: BankLocation) -> Result<&mut u32, MemoryError> {
-        Ok(match self.slot(loc)? {
-            Slot::Main(index) => &mut self.spm[index],
-            Slot::Spare(index) => &mut self.spare[index],
+        let global_bank = self.global_bank(loc.tile, loc.bank.0);
+        Ok(match self.spare_slot[global_bank] {
+            None => Slot::Main(loc.word as usize * self.num_banks as usize + global_bank),
+            Some(slot) => Slot::Spare(
+                (loc.tile.index() * self.spares_per_tile as usize + slot as usize)
+                    * self.bank_words as usize
+                    + loc.word as usize,
+            ),
         })
+    }
+
+    /// Lands a transient flip: XORs `mask` into the word at `loc` — into
+    /// its spare when its bank is remapped — and arms the word's SEC-DED
+    /// mask, one read and one write of the word. A flip outside the
+    /// geometry is inert.
+    pub(crate) fn flip(&mut self, loc: BankLocation, mask: u32) {
+        match self.slot(loc) {
+            Ok(Slot::Main(index)) => self.spm[index] ^= mask,
+            Ok(Slot::Spare(index)) => self.spare[index] ^= mask,
+            Err(_) => return,
+        }
+        self.add_touches(2);
+        self.ecc.note_flip(loc, mask);
+    }
+
+    /// Serves a core's access `kind` at byte address `addr` on the word at
+    /// the located `loc`, as its bank does: an access that observes the
+    /// stored word (all but a full-word store) has a single-bit error
+    /// corrected and scrubbed first, and any write leaves an error-free
+    /// word behind. Returns the raw response value and whether a
+    /// correction was made, or the mask of a multi-bit error the access
+    /// observes (then doing nothing). One touch for the access, one for a
+    /// scrub and one for a write.
+    #[inline]
+    pub(crate) fn serve(
+        &mut self,
+        loc: BankLocation,
+        addr: u32,
+        kind: MemAccessKind,
+    ) -> Result<(u32, bool), u32> {
+        let word = match self.slot(loc) {
+            Ok(Slot::Main(index)) => &mut self.spm[index],
+            Ok(Slot::Spare(index)) => &mut self.spare[index],
+            Err(e) => unreachable!("a located word lies inside the geometry: {e}"),
+        };
+        let writes = !matches!(kind, MemAccessKind::Load { .. });
+        let reads_word = !matches!(
+            kind,
+            MemAccessKind::Store {
+                width: MemWidth::Word,
+                ..
+            }
+        );
+        let mut corrected = false;
+        match self.ecc.check(loc, *word) {
+            EccOutcome::Corrected { value } if reads_word => {
+                (*word, corrected) = (value, true);
+                self.ecc.clear(loc);
+            }
+            EccOutcome::Uncorrectable { mask } if reads_word => {
+                self.touches.set(self.touches.get() + 1);
+                return Err(mask);
+            }
+            EccOutcome::Clean => {}
+            _ => self.ecc.clear(loc),
+        }
+        let value = access_word(kind, addr, word);
+        let touches = 1 + u64::from(corrected) + u64::from(writes);
+        self.touches.set(self.touches.get() + touches);
+        Ok((value, corrected))
     }
 
     /// Writes directly into the *physical* faulted bank, bypassing the
@@ -299,7 +402,8 @@ impl Storage {
     /// array (a remapped read must not see this).
     #[cfg(test)]
     pub(crate) fn write_physical(&mut self, loc: BankLocation, value: u32) {
-        let index = self.main_index(loc);
+        let index =
+            loc.word as usize * self.num_banks as usize + self.global_bank(loc.tile, loc.bank.0);
         self.spm[index] = value;
     }
 
@@ -313,39 +417,44 @@ impl Storage {
     }
 
     /// Reads a naturally aligned value of the given width at `addr`
-    /// (SPM or external).
+    /// (SPM or external), as the host sees it: the containing word read
+    /// as the host's slice path reads it (a single-bit error corrected,
+    /// without a scrub), then the value's lanes.
     ///
     /// # Errors
     ///
-    /// Returns an error for unmapped or misaligned addresses.
+    /// Returns an error for unmapped or misaligned addresses, or
+    /// [`MemoryError::Uncorrectable`] for a word with a multi-bit error
+    /// (the read counts its touch).
     pub fn read(&self, addr: u32, width: MemWidth) -> Result<u32, MemoryError> {
-        let mut word = match self.decode(addr, width)? {
-            MemoryRegion::Spm(loc) => self.read_loc(loc)?,
-            MemoryRegion::External(offset) => self.read_external_word(offset & !3),
-            MemoryRegion::Unmapped => unreachable!(),
-        };
+        self.decode(addr, width)?;
+        let mut word = [0];
+        self.read_words(addr & !3, &mut word)?;
         let load = MemAccessKind::Load {
             width,
             signed: false,
             rd: Reg::ZERO,
         };
-        Ok(access_word(load, addr, &mut word))
+        Ok(access_word(load, addr, &mut word[0]))
     }
 
     /// Writes a naturally aligned value of the given width at `addr`
-    /// (SPM or external). An SPM word is located and resolved once for
-    /// its read-modify-write, which counts as the read and the write it
-    /// stands for.
+    /// (SPM or external). An SPM word is stored as a core's store is
+    /// served: located and resolved once for its
+    /// read-modify-write, which counts as the read and the write it stands
+    /// for, and left free of errors.
     ///
     /// # Errors
     ///
-    /// Returns an error for unmapped or misaligned addresses.
+    /// Returns an error for unmapped or misaligned addresses, or
+    /// [`MemoryError::Uncorrectable`] for a sub-word write into a word
+    /// with a multi-bit error.
     pub fn write(&mut self, addr: u32, width: MemWidth, value: u32) -> Result<(), MemoryError> {
         let kind = MemAccessKind::Store { width, value };
         match self.decode(addr, width)? {
             MemoryRegion::Spm(loc) => {
-                access_word(kind, addr, self.slot_mut(loc)?);
-                self.touches.set(self.touches.get() + 2);
+                self.serve(loc, addr, kind)
+                    .map_err(|mask| MemoryError::Uncorrectable { loc, mask })?;
             }
             MemoryRegion::External(offset) => {
                 self.access_external(offset, addr, kind);
@@ -380,9 +489,11 @@ impl Storage {
     }
 
     /// The longest run of at most `max` words from the mapped word `addr`
-    /// on that one copy can move: the rest of the interleaved region while
-    /// no bank is remapped, else the rest of the word's tile row. Always
-    /// inlined, so that a one-word access pays no call for it.
+    /// on that one copy can move: the one word of a remapped bank, else
+    /// the main words up to the next remapped bank, within the word's tile
+    /// row in the sequential region and the rest of the interleaved
+    /// region in it. Always inlined, so that a one-word access pays no
+    /// call for it.
     #[inline(always)]
     fn run(&self, addr: u32, max: usize) -> (Target, usize) {
         let loc = match self.map.locate(addr) {
@@ -390,27 +501,51 @@ impl Storage {
             MemoryRegion::External(offset) => return (Target::External(offset), max),
             MemoryRegion::Unmapped => unreachable!("a checked range maps every word"),
         };
-        let remapped_tiles = || {
-            let entries = self.map.remap().into_iter().flat_map(|r| r.entries());
-            entries.map(|(tile, ..)| tile)
-        };
-        let len = if remapped_tiles().next().is_none() && addr >= self.map.interleaved_base() {
+        let here = self.global_bank(loc.tile, loc.bank.0);
+        if self.spare_slot[here].is_some() {
+            let Ok(Slot::Spare(index)) = self.slot(loc) else {
+                unreachable!("a remapped bank's words live in its spare")
+            };
+            return (Target::Spare(index), 1);
+        }
+        let len = if addr >= self.map.interleaved_base() {
             ((self.map.spm_end() - u64::from(addr)) / 4) as usize
         } else {
             (self.banks_per_tile - loc.bank.0) as usize
         };
-        let target = if remapped_tiles().any(|tile| tile == loc.tile) {
-            Target::Resolved(loc)
-        } else {
-            Target::Main(self.main_index(loc))
-        };
-        (target, len.min(max))
+        // Consecutive words walk the global banks in order, the next word
+        // row after the last bank: the next remapped bank is this many
+        // words on.
+        let banks = self.num_banks as usize;
+        let next_remapped = self
+            .remaps
+            .iter()
+            .map(|&(tile, from, _)| (self.global_bank(tile, from.0) + banks - here) % banks);
+        let index = loc.word as usize * banks + here;
+        (
+            Target::Main(index),
+            next_remapped.fold(len.min(max), usize::min),
+        )
+    }
+
+    /// The pending SEC-DED masks of the `len` words from word address
+    /// `addr` on, as `(index, location, mask)` in location order.
+    fn masks_in(
+        &self,
+        addr: u32,
+        len: usize,
+    ) -> impl Iterator<Item = (usize, BankLocation, u32)> + '_ {
+        self.ecc.entries().filter_map(move |(loc, mask)| {
+            let at = self.map.encode(loc).ok()?.checked_sub(addr & !3)?;
+            let index = (at / 4) as usize;
+            (index < len).then_some((index, loc, mask))
+        })
     }
 
     /// Writes `values` to the consecutive words from `addr` on (SPM or
     /// external), as [`Self::write`] would word by word — remapped banks
-    /// followed, two touches per SPM word — except that a bad range writes
-    /// nothing.
+    /// followed, two touches per SPM word, every word left free of errors
+    /// — except that a bad range writes nothing.
     ///
     /// # Errors
     ///
@@ -429,14 +564,7 @@ impl Storage {
                     [value] => self.spm[index] = *value,
                     _ => self.spm[index..index + len].copy_from_slice(src),
                 },
-                Target::Resolved(loc) => {
-                    for (bank, &value) in (loc.bank.0..).zip(src) {
-                        *self.word_mut(BankLocation {
-                            bank: BankId(bank),
-                            ..loc
-                        }) = value;
-                    }
-                }
+                Target::Spare(index) => self.spare[index] = src[0],
                 Target::External(offset) => {
                     for (at, &value) in (offset..).step_by(4).zip(src) {
                         self.write_external_word(at, value);
@@ -449,19 +577,52 @@ impl Storage {
             done += len;
         }
         self.add_touches(2 * spm_words);
+        if self.ecc.pending_words() > 0 {
+            let written: Vec<BankLocation> = self
+                .masks_in(addr, values.len())
+                .map(|(_, loc, _)| loc)
+                .collect();
+            for loc in written {
+                self.ecc.clear(loc);
+            }
+        }
         Ok(())
     }
 
     /// Reads the consecutive words from `addr` on (SPM or external) into
     /// `out`, as [`Self::read`] would word by word: remapped banks
-    /// followed, one touch per SPM word.
+    /// followed, single-bit errors corrected without a scrub, one touch
+    /// per SPM word, and the read ending at the first word with a
+    /// multi-bit error.
     ///
     /// # Errors
     ///
-    /// The first error the word-by-word loop would meet, with nothing
-    /// read: a misaligned `addr`, or the first unmapped word.
+    /// The first error the word-by-word loop would meet: a misaligned
+    /// `addr` or an unmapped word, with nothing read, or the first
+    /// uncorrectable word, with the words up to it read.
     #[inline]
     pub(crate) fn read_words(&self, addr: u32, out: &mut [u32]) -> Result<(), MemoryError> {
+        if self.ecc.pending_words() == 0 {
+            return self.copy_words(addr, out);
+        }
+        let masks = self.masks_in(addr, out.len());
+        let uncorrectable = masks
+            .filter(|&(.., mask)| mask.count_ones() != 1)
+            .min_by_key(|&(index, ..)| index);
+        let len = uncorrectable.map_or(out.len(), |(index, ..)| index + 1);
+        self.copy_words(addr, &mut out[..len])?;
+        for (index, _, mask) in self.masks_in(addr, len) {
+            out[index] ^= mask;
+        }
+        match uncorrectable {
+            Some((_, loc, mask)) => Err(MemoryError::Uncorrectable { loc, mask }),
+            None => Ok(()),
+        }
+    }
+
+    /// [`Self::read_words`] of the stored words, as they are.
+    #[inline]
+    fn copy_words(&self, addr: u32, out: &mut [u32]) -> Result<(), MemoryError> {
         self.check_words(addr, out.len())?;
         let (mut done, mut spm_words) = (0, 0);
         while done < out.len() {
@@ -472,14 +633,7 @@ impl Storage {
                     [value] => *value = self.spm[index],
                     _ => dst.copy_from_slice(&self.spm[index..index + len]),
                 },
-                Target::Resolved(loc) => {
-                    for (bank, value) in (loc.bank.0..).zip(dst) {
-                        *value = self.word(BankLocation {
-                            bank: BankId(bank),
-                            ..loc
-                        });
-                    }
-                }
+                Target::Spare(index) => dst[0] = self.spare[index],
                 Target::External(offset) => {
                     for (at, value) in (offset..).step_by(4).zip(dst) {
                         *value = self.read_external_word(at);
@@ -514,31 +668,24 @@ impl Storage {
         self.spares_per_tile
     }
 
+    /// Checkpoint accessor: the spare-bank substitutions as `(tile, from,
+    /// to)`, in the order [`Self::remap_bank`] made them.
+    pub(crate) fn remaps(&self) -> &[(TileId, BankId, BankId)] {
+        &self.remaps
+    }
+
+    /// The pending SEC-DED masks: the words flipped and not yet corrected
+    /// or overwritten.
+    pub(crate) fn ecc(&self) -> &EccState {
+        &self.ecc
+    }
+
     /// Checkpoint accessor: the nonzero external words as `(word_offset,
     /// value)` pairs in ascending offset order, the map's own order.
     pub(crate) fn external_entries(&self) -> impl Iterator<Item = (u64, u32)> + '_ {
         self.external
             .iter()
             .map(|(&offset, &value)| (offset, value))
-    }
-
-    /// The stored word at a (logical) bank location, following any
-    /// spare-bank substitution: the engine's way into the arrays, for a
-    /// location the address map produced. Counts no touch.
-    pub(crate) fn word_mut(&mut self, loc: BankLocation) -> &mut u32 {
-        match self.slot_mut(loc) {
-            Ok(word) => word,
-            Err(e) => unreachable!("a located word lies inside the geometry: {e}"),
-        }
-    }
-
-    /// [`Self::word_mut`]'s value.
-    fn word(&self, loc: BankLocation) -> u32 {
-        match self.slot(loc) {
-            Ok(Slot::Main(index)) => self.spm[index],
-            Ok(Slot::Spare(index)) => self.spare[index],
-            Err(e) => unreachable!("a located word lies inside the geometry: {e}"),
-        }
     }
 
     /// Performs a core's access `kind` at byte address `addr` on the
@@ -554,16 +701,17 @@ impl Storage {
         value
     }
 
-    /// Folds the engine's count of SPM words touched into the counter.
-    pub(crate) fn add_touches(&self, touches: u64) {
+    /// Adds `touches` SPM word reads and writes to the counter.
+    fn add_touches(&self, touches: u64) {
         self.touches.set(self.touches.get() + touches);
     }
 
     /// Restores the mutable storage contents from a checkpoint, `spm` in
-    /// the bank-major order of [`Self::spm_bank_major`]. The remap table
-    /// must already have been re-established (via
-    /// [`Self::provision_spares`] / [`Self::remap_bank`]) so the spare
-    /// array has its final size; contents are then overwritten wholesale.
+    /// the bank-major order of [`Self::spm_bank_major`], with the pending
+    /// SEC-DED masks as `(location, mask)`. The remap table must already have been
+    /// re-established (via [`Self::provision_spares`] /
+    /// [`Self::remap_bank`]) so the spare array has its final size;
+    /// contents are then overwritten wholesale.
     ///
     /// # Errors
     ///
@@ -575,6 +723,7 @@ impl Storage {
         spare: Vec<u32>,
         external: Vec<(u64, u32)>,
         touches: u64,
+        masks: Vec<(BankLocation, u32)>,
     ) -> Result<(), String> {
         if spm.len() != self.spm.len() {
             return Err(format!(
@@ -597,6 +746,7 @@ impl Storage {
             .filter(|&(_, value)| value != 0)
             .collect();
         self.touches.set(touches);
+        self.ecc = EccState::from_entries(masks);
         Ok(())
     }
 
@@ -647,6 +797,18 @@ mod tests {
 
     fn storage() -> Storage {
         Storage::new(&ClusterConfig::default())
+    }
+
+    /// Stores `value` at `loc` through the word write.
+    fn store(s: &mut Storage, loc: BankLocation, value: u32) {
+        let addr = s.map().encode(loc).unwrap();
+        s.write(addr, MemWidth::Word, value).unwrap();
+    }
+
+    /// The word at `loc` through the word read.
+    fn load(s: &Storage, loc: BankLocation) -> u32 {
+        s.read(s.map().encode(loc).unwrap(), MemWidth::Word)
+            .unwrap()
     }
 
     #[test]
@@ -730,7 +892,7 @@ mod tests {
             bank: mempool_arch::BankId(0),
             word: 99_999,
         };
-        assert_eq!(s.read_loc(bad).unwrap_err(), MemoryError::BadLocation);
+        assert!(matches!(s.slot(bad), Err(MemoryError::BadLocation)));
     }
 
     #[test]
@@ -741,47 +903,136 @@ mod tests {
             bank: BankId(2),
             word: 9,
         };
-        s.write_loc(loc, 0xdead_beef).unwrap();
+        store(&mut s, loc, 0xdead_beef);
         s.provision_spares(1);
         let spare = s.remap_bank(TileId(1), BankId(2)).unwrap();
         assert!(spare.0 >= s.banks_per_tile);
         // Content copied at remap time survives.
-        assert_eq!(s.read_loc(loc).unwrap(), 0xdead_beef);
+        assert_eq!(load(&s, loc), 0xdead_beef);
         // Corruption in the physical faulted array is invisible after the
         // remap...
         s.write_physical(loc, 0x0bad_0bad);
-        assert_eq!(s.read_loc(loc).unwrap(), 0xdead_beef);
+        assert_eq!(load(&s, loc), 0xdead_beef);
         // ...and new writes land in (and read back from) the spare.
-        s.write_loc(loc, 7).unwrap();
-        assert_eq!(s.read_loc(loc).unwrap(), 7);
+        store(&mut s, loc, 7);
+        assert_eq!(load(&s, loc), 7);
         // Sibling banks keep their own storage.
         let sibling = BankLocation {
             bank: BankId(3),
             ..loc
         };
-        assert_eq!(s.read_loc(sibling).unwrap(), 0);
+        assert_eq!(load(&s, sibling), 0);
     }
 
     #[test]
-    fn remap_errors_surface_from_the_map() {
+    fn an_unremapped_location_resolves_to_its_main_word() {
+        let s = storage();
+        let loc = BankLocation {
+            tile: TileId(3),
+            bank: BankId(7),
+            word: 11,
+        };
+        let global_bank = 3 * s.banks_per_tile as usize + 7;
+        assert!(matches!(
+            s.slot(loc),
+            Ok(Slot::Main(index)) if index == 11 * s.num_banks as usize + global_bank
+        ));
+        assert!(s.remaps().is_empty());
+    }
+
+    #[test]
+    fn a_remapped_bank_resolves_to_its_spare_and_locate_stays_logical() {
         let mut s = storage();
         assert_eq!(
-            s.remap_bank(TileId(0), BankId(0)),
+            s.remap_bank(TileId(0), BankId(2)),
             Err(RemapError::NotEnabled)
         );
         s.provision_spares(1);
+        let spare = s.remap_bank(TileId(0), BankId(2)).unwrap();
+        assert_eq!(spare, BankId(s.banks_per_tile));
+
+        let logical = BankLocation {
+            tile: TileId(0),
+            bank: BankId(2),
+            word: 5,
+        };
+        // Slot 0 of tile 0's spares.
+        assert!(matches!(s.slot(logical), Ok(Slot::Spare(5))));
+        // Other banks are untouched.
+        let other = BankLocation {
+            bank: BankId(3),
+            ..logical
+        };
+        assert!(matches!(s.slot(other), Ok(Slot::Main(_))));
+        // `locate` keeps handing out logical ids: the remap is invisible to
+        // queue/statistics consumers.
+        let addr = s.map().encode(logical).unwrap();
+        assert_eq!(s.map().locate(addr), MemoryRegion::Spm(logical));
+        assert_eq!(s.remaps(), [(TileId(0), BankId(2), spare)]);
+    }
+
+    #[test]
+    fn remap_bank_rejects_double_remap_exhaustion_and_foreign_banks() {
+        let mut s = storage();
+        s.provision_spares(1);
+        s.remap_bank(TileId(1), BankId(0)).unwrap();
+        let errors = [
+            (
+                s.remap_bank(TileId(1), BankId(0)),
+                RemapError::AlreadyRemapped {
+                    tile: TileId(1),
+                    bank: BankId(0),
+                },
+                "bank T1:b0 is already remapped to a spare",
+            ),
+            (
+                s.remap_bank(TileId(1), BankId(1)),
+                RemapError::SparesExhausted { tile: TileId(1) },
+                "tile T1 has no spare banks left",
+            ),
+            (
+                s.remap_bank(TileId(99), BankId(0)),
+                RemapError::OutOfRange {
+                    tile: TileId(99),
+                    bank: BankId(0),
+                },
+                "bank T99:b0 is outside the cluster geometry",
+            ),
+            (
+                s.remap_bank(TileId(0), BankId(16)),
+                RemapError::OutOfRange {
+                    tile: TileId(0),
+                    bank: BankId(16),
+                },
+                "bank T0:b16 is outside the cluster geometry",
+            ),
+        ];
+        for (got, want, text) in errors {
+            assert_eq!(got, Err(want));
+            assert_eq!(want.to_string(), text);
+        }
+        assert_eq!(
+            RemapError::NotEnabled.to_string(),
+            "spare banks are not provisioned"
+        );
+        // Other tiles keep their own spare budget.
+        assert!(s.remap_bank(TileId(2), BankId(1)).is_ok());
+        assert_eq!(s.remaps().len(), 2);
+    }
+
+    #[test]
+    fn provisioning_spares_is_idempotent_and_widening() {
+        let mut s = storage();
+        s.provision_spares(1);
         s.remap_bank(TileId(0), BankId(0)).unwrap();
-        assert_eq!(
-            s.remap_bank(TileId(0), BankId(0)),
-            Err(RemapError::AlreadyRemapped {
-                tile: TileId(0),
-                bank: BankId(0)
-            })
-        );
-        assert_eq!(
-            s.remap_bank(TileId(0), BankId(1)),
-            Err(RemapError::SparesExhausted { tile: TileId(0) })
-        );
+        // Provisioning the same or a smaller count keeps the entry.
+        s.provision_spares(1);
+        s.provision_spares(0);
+        assert_eq!(s.remaps().len(), 1);
+        // Widening allows another substitution in the same tile.
+        s.provision_spares(2);
+        assert!(s.remap_bank(TileId(0), BankId(1)).is_ok());
+        assert_eq!(s.remaps().len(), 2);
     }
 
     #[test]
@@ -794,9 +1045,65 @@ mod tests {
         };
         s.provision_spares(1);
         s.remap_bank(TileId(0), BankId(0)).unwrap();
-        s.write_loc(loc, 42).unwrap();
+        store(&mut s, loc, 42);
         s.provision_spares(2);
-        assert_eq!(s.read_loc(loc).unwrap(), 42);
+        assert_eq!(load(&s, loc), 42);
         assert!(s.remap_bank(TileId(0), BankId(1)).is_ok());
+    }
+
+    /// Three remapped banks, two in tile 1 and one in tile 3, under a
+    /// 4-tile, 8-bank geometry: whole-range slice accesses equal a
+    /// word-by-word loop of the per-word calls, array for array, value
+    /// for value and touch for touch.
+    #[test]
+    fn the_slice_path_follows_remapped_banks_like_the_word_loop() {
+        let config = ClusterConfig::builder()
+            .groups(1)
+            .tiles_per_group(4)
+            .cores_per_tile(1)
+            .banks_per_tile(8)
+            .bank_words(64)
+            .build()
+            .unwrap();
+        let remapped = || {
+            let mut s = Storage::new(&config);
+            s.provision_spares(2);
+            for (tile, bank) in [(1, 2), (1, 5), (3, 0)] {
+                s.remap_bank(TileId(tile), BankId(bank)).unwrap();
+            }
+            s
+        };
+        let map = remapped().map().clone();
+        let base = map.interleaved_base();
+        let interleaved = (base, ((map.spm_end() - u64::from(base)) / 4) as usize);
+        // From bank 1 of tile 1's word row 3 into row 4: across both of
+        // the tile's remapped banks mid-row, and into the next row.
+        let sequential = (map.seq_addr(TileId(1), 3 * 8 + 1), 10);
+        for (addr, len) in [interleaved, sequential] {
+            let values: Vec<u32> = (0..len as u32)
+                .map(|i| i.wrapping_mul(0x9e37_79b9) | 1)
+                .collect();
+            let words = (addr..).step_by(4).take(len);
+
+            let mut sliced = remapped();
+            sliced.write_words(addr, &values).unwrap();
+            let mut looped = remapped();
+            for (at, &value) in words.clone().zip(&values) {
+                looped.write(at, MemWidth::Word, value).unwrap();
+            }
+            assert_eq!(sliced.spm, looped.spm, "{len} words at {addr:#x}");
+            assert_eq!(sliced.spare, looped.spare, "{len} words at {addr:#x}");
+            assert!(sliced.spare.iter().any(|&word| word != 0));
+            assert_eq!(sliced.spm_word_touches(), looped.spm_word_touches());
+
+            let mut out = vec![0; len];
+            sliced.read_words(addr, &mut out).unwrap();
+            let read: Vec<u32> = words
+                .map(|at| looped.read(at, MemWidth::Word).unwrap())
+                .collect();
+            assert_eq!(out, read, "{len} words at {addr:#x}");
+            assert_eq!(out, values);
+            assert_eq!(sliced.spm_word_touches(), looped.spm_word_touches());
+        }
     }
 }
