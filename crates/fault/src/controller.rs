@@ -13,7 +13,7 @@ use mempool_arch::{BankId, BankLocation, TileId};
 use mempool_obs::Deferred;
 
 use crate::plan::{DeadLinkPolicy, FaultEvent, FaultPlan};
-use crate::report::{FaultReport, RemappedBank};
+use crate::report::FaultReport;
 
 /// Health of one tile's F2F link to its memory die.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -232,17 +232,6 @@ impl FaultController {
         due
     }
 
-    /// Records a spare-bank substitution and returns it.
-    pub fn record_remap(&mut self, tile: TileId, from: BankId, to: BankId) -> RemappedBank {
-        let remap = RemappedBank {
-            tile: tile.0,
-            from_bank: from.0,
-            to_bank: to.0,
-        };
-        self.report.remapped.push(remap);
-        remap
-    }
-
     /// Counts one observed outcome into the report.
     pub fn count(&mut self, note: FaultNote) {
         let report = &mut self.report;
@@ -257,9 +246,9 @@ impl FaultController {
         }
     }
 
-    /// Snapshot of the report. Its `ecc_pending` is 0: latent ECC errors
-    /// are the storage's to count, and the cluster's fault report fills
-    /// them in.
+    /// Snapshot of the report. Its `remapped` is empty and its
+    /// `ecc_pending` 0: spare-bank remaps and latent ECC errors are the
+    /// storage's to hold, and the cluster's fault report fills them in.
     pub fn report(&self) -> FaultReport {
         self.report.clone()
     }
@@ -279,7 +268,8 @@ impl FaultController {
 
     /// Rebuilds a controller from checkpointed parts: remaining timed
     /// events become the whole queue (cursor 0), and the report's
-    /// `ecc_pending` is dropped, as [`Self::report`] has it.
+    /// `remapped` and `ecc_pending` are dropped, as [`Self::report`] has
+    /// them.
     pub fn from_snapshot(
         links: Vec<LinkState>,
         remaining_timed: Vec<(u64, TimedFault)>,
@@ -294,6 +284,7 @@ impl FaultController {
             stuck,
             dead_link_policy,
             report: FaultReport {
+                remapped: Vec::new(),
                 ecc_pending: 0,
                 ..report
             },
@@ -305,6 +296,8 @@ impl FaultController {
 mod tests {
     use super::*;
     use mempool_arch::GlobalCoreId;
+
+    use crate::report::RemappedBank;
 
     fn loc(tile: u32, bank: u32, word: u32) -> BankLocation {
         BankLocation {
@@ -400,7 +393,6 @@ mod tests {
             tile: TileId(0),
             core: 0,
         });
-        ctrl.record_remap(TileId(0), BankId(1), BankId(4));
         ctrl.count(FaultNote::Corrected { loc: loc(0, 0, 0) });
         ctrl.count(FaultNote::Uncorrectable {
             loc: loc(0, 0, 1),
@@ -410,8 +402,8 @@ mod tests {
         assert_eq!(report.retried_accesses, 2);
         assert_eq!(report.retry_cycles, 10);
         assert_eq!(report.blackholed_requests, 1);
-        assert_eq!(report.remapped.len(), 1);
         assert_eq!(report.ecc_corrected, 1);
+        assert!(report.remapped.is_empty(), "the storage holds remaps");
         assert_eq!(report.ecc_pending, 0, "the storage counts latent errors");
     }
 
@@ -423,9 +415,12 @@ mod tests {
             let (category, core, message) = fault.flight_event();
             flight.record_deferred(100, category, core, message);
         }
-        let (category, core, message) = ctrl
-            .record_remap(TileId(0), BankId(3), BankId(16))
-            .flight_event();
+        let remap = RemappedBank {
+            tile: 0,
+            from_bank: 3,
+            to_bank: 16,
+        };
+        let (category, core, message) = remap.flight_event();
         flight.record_deferred(0, category, core, message);
         let notes = [
             FaultNote::Retry {

@@ -39,7 +39,7 @@ pub(crate) mod watchdog;
 pub use controller::{FaultController, FaultNote, LinkState, TimedFault};
 pub use ecc::{EccOutcome, EccState};
 pub use plan::{DeadLinkPolicy, FaultConfig, FaultEvent, FaultPlan};
-pub use report::FaultReport;
+pub use report::{FaultReport, RemappedBank};
 pub use rng::XorShift64;
 pub use watchdog::{CoreDiagnostic, Watchdog};
 

@@ -45,7 +45,7 @@ pub struct FaultReport {
     pub transient_flips: u64,
     /// Injected core hangs.
     pub core_hangs: u64,
-    /// Spare-bank substitutions performed before the run.
+    /// Spare-bank substitutions the storage holds, in the order made.
     pub remapped: Vec<RemappedBank>,
     /// Accesses that went through a degraded link's retry path.
     pub retried_accesses: u64,

@@ -7,15 +7,15 @@
 //! * branch/jump targets may be labels or numeric byte offsets;
 //! * registers by ABI name (`a0`) or number (`x10`);
 //! * immediates in decimal (`-42`) or hex (`0xff`);
-//! * the common pseudo-instructions: `nop`, `li`, `mv`, `not`, `neg`,
-//!   `seqz`, `snez`, `j`, `jr`, `ret`, `call`, `beqz`, `bnez`, `bgt`,
-//!   `ble`, and `csrr` (with the `mhartid` CSR name);
+//! * the CSR name `mhartid`;
+//! * `li` and the pseudo-instructions listed in `PSEUDO_OPS`;
 //! * the `Xpulpimg` mnemonics: `p.mac`, `p.lw`/`p.sw` with `(reg!)`
 //!   post-increment operands, `p.min`/`p.max`/`p.minu`/`p.maxu`,
 //!   `p.abs`, and `p.clip`.
 //!
 //! `li` expands to one or two instructions depending on whether the value
-//! fits in a 12-bit signed immediate.
+//! fits in a 12-bit signed immediate; every other pseudo-instruction is one
+//! base instruction, spelled out by its `PSEUDO_OPS` row.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -238,6 +238,39 @@ fn expand_li(rd: Reg, value: i64) -> Vec<Instr> {
     }
 }
 
+/// The pseudo-instructions but `li`: (mnemonic, operand count, template).
+/// A template is one base instruction whose hole `{i}` takes the pseudo's
+/// `i`-th operand. No template names a pseudo-instruction.
+const PSEUDO_OPS: [(&str, usize, &str); 15] = [
+    ("nop", 0, "addi zero, zero, 0"),
+    ("mv", 2, "addi {0}, {1}, 0"),
+    ("not", 2, "xori {0}, {1}, -1"),
+    ("neg", 2, "sub {0}, zero, {1}"),
+    ("seqz", 2, "sltiu {0}, {1}, 1"),
+    ("snez", 2, "sltu {0}, zero, {1}"),
+    ("j", 1, "jal zero, {0}"),
+    ("jr", 1, "jalr zero, 0({0})"),
+    ("ret", 0, "jalr zero, 0(ra)"),
+    ("call", 1, "jal ra, {0}"),
+    ("beqz", 2, "beq {0}, zero, {1}"),
+    ("bnez", 2, "bne {0}, zero, {1}"),
+    ("bgt", 3, "blt {1}, {0}, {2}"),
+    ("ble", 3, "bge {1}, {0}, {2}"),
+    ("csrr", 2, "csrrs {0}, {1}, zero"),
+];
+
+/// Fills a `PSEUDO_OPS` template's holes with `ops`, in one pass: an
+/// operand's own text is never read as a hole.
+fn expand(template: &str, ops: &[&str]) -> String {
+    let mut pieces = template.split('{');
+    let mut text = pieces.next().unwrap_or_default().to_owned();
+    for piece in pieces {
+        text.push_str(ops[usize::from(piece.as_bytes()[0] - b'0')]);
+        text.push_str(&piece[2..]);
+    }
+    text
+}
+
 /// Parses `rd, rs1, rs2`.
 fn three_regs(line: &Line<'_>, ops: &[&str], mnemonic: &str) -> Result<[Reg; 3], AssembleError> {
     let ops = expect_operands(line, ops, 3, mnemonic)?;
@@ -250,6 +283,11 @@ fn three_regs(line: &Line<'_>, ops: &[&str], mnemonic: &str) -> Result<[Reg; 3],
 
 fn parse_line(line: &Line<'_>, mnemonic: &str, ops: &[&str]) -> Result<Vec<Draft>, AssembleError> {
     let ready = |instr| Ok(vec![Draft::Ready(instr)]);
+    if let Some(&(_, count, template)) = PSEUDO_OPS.iter().find(|row| row.0 == mnemonic) {
+        let base = expand(template, expect_operands(line, ops, count, mnemonic)?);
+        let (mnemonic, ops) = split_instruction(&base);
+        return parse_line(line, mnemonic, &ops);
+    }
     if let Some(op) = named(&BRANCH_OPS, mnemonic) {
         let ops = expect_operands(line, ops, 3, mnemonic)?;
         return Ok(vec![Draft::Branch {
@@ -320,24 +358,19 @@ fn parse_line(line: &Line<'_>, mnemonic: &str, ops: &[&str]) -> Result<Vec<Draft
         return ready(Instr::Op { op, rd, rs1, rs2 });
     }
     if let Some(instr) = named(&BARE_OPS, mnemonic) {
+        expect_operands(line, ops, 0, mnemonic)?;
         return ready(instr);
     }
 
     match mnemonic {
-        "lui" => {
+        "lui" | "auipc" => {
             let ops = expect_operands(line, ops, 2, mnemonic)?;
-            let value = parse_imm(line, ops[1])?;
-            ready(Instr::Lui {
-                rd: parse_reg(line, ops[0])?,
-                imm: ((value as u32) << 12),
-            })
-        }
-        "auipc" => {
-            let ops = expect_operands(line, ops, 2, mnemonic)?;
-            let value = parse_imm(line, ops[1])?;
-            ready(Instr::Auipc {
-                rd: parse_reg(line, ops[0])?,
-                imm: ((value as u32) << 12),
+            let imm = (parse_imm(line, ops[1])? as u32) << 12;
+            let rd = parse_reg(line, ops[0])?;
+            ready(if mnemonic == "lui" {
+                Instr::Lui { rd, imm }
+            } else {
+                Instr::Auipc { rd, imm }
             })
         }
         "jal" => match ops.len() {
@@ -394,13 +427,6 @@ fn parse_line(line: &Line<'_>, mnemonic: &str, ops: &[&str]) -> Result<Vec<Draft
             })
         }
 
-        // Pseudo-instructions.
-        "nop" => ready(Instr::OpImm {
-            op: AluOp::Add,
-            rd: Reg::ZERO,
-            rs1: Reg::ZERO,
-            imm: 0,
-        }),
         "li" => {
             let ops = expect_operands(line, ops, 2, mnemonic)?;
             let rd = parse_reg(line, ops[0])?;
@@ -413,122 +439,6 @@ fn parse_line(line: &Line<'_>, mnemonic: &str, ops: &[&str]) -> Result<Vec<Draft
             }
             Ok(expand_li(rd, value).into_iter().map(Draft::Ready).collect())
         }
-        "mv" => {
-            let ops = expect_operands(line, ops, 2, mnemonic)?;
-            ready(Instr::OpImm {
-                op: AluOp::Add,
-                rd: parse_reg(line, ops[0])?,
-                rs1: parse_reg(line, ops[1])?,
-                imm: 0,
-            })
-        }
-        "not" => {
-            let ops = expect_operands(line, ops, 2, mnemonic)?;
-            ready(Instr::OpImm {
-                op: AluOp::Xor,
-                rd: parse_reg(line, ops[0])?,
-                rs1: parse_reg(line, ops[1])?,
-                imm: -1,
-            })
-        }
-        "neg" => {
-            let ops = expect_operands(line, ops, 2, mnemonic)?;
-            ready(Instr::Op {
-                op: AluOp::Sub,
-                rd: parse_reg(line, ops[0])?,
-                rs1: Reg::ZERO,
-                rs2: parse_reg(line, ops[1])?,
-            })
-        }
-        "seqz" => {
-            let ops = expect_operands(line, ops, 2, mnemonic)?;
-            ready(Instr::OpImm {
-                op: AluOp::Sltu,
-                rd: parse_reg(line, ops[0])?,
-                rs1: parse_reg(line, ops[1])?,
-                imm: 1,
-            })
-        }
-        "snez" => {
-            let ops = expect_operands(line, ops, 2, mnemonic)?;
-            ready(Instr::Op {
-                op: AluOp::Sltu,
-                rd: parse_reg(line, ops[0])?,
-                rs1: Reg::ZERO,
-                rs2: parse_reg(line, ops[1])?,
-            })
-        }
-        "j" => {
-            let ops = expect_operands(line, ops, 1, mnemonic)?;
-            Ok(vec![Draft::Jal {
-                rd: Reg::ZERO,
-                target: parse_target(ops[0]),
-            }])
-        }
-        "jr" => {
-            let ops = expect_operands(line, ops, 1, mnemonic)?;
-            ready(Instr::Jalr {
-                rd: Reg::ZERO,
-                rs1: parse_reg(line, ops[0])?,
-                offset: 0,
-            })
-        }
-        "ret" => ready(Instr::Jalr {
-            rd: Reg::ZERO,
-            rs1: Reg::RA,
-            offset: 0,
-        }),
-        "call" => {
-            let ops = expect_operands(line, ops, 1, mnemonic)?;
-            Ok(vec![Draft::Jal {
-                rd: Reg::RA,
-                target: parse_target(ops[0]),
-            }])
-        }
-        "beqz" => {
-            let ops = expect_operands(line, ops, 2, mnemonic)?;
-            Ok(vec![Draft::Branch {
-                op: BranchOp::Beq,
-                rs1: parse_reg(line, ops[0])?,
-                rs2: Reg::ZERO,
-                target: parse_target(ops[1]),
-            }])
-        }
-        "bnez" => {
-            let ops = expect_operands(line, ops, 2, mnemonic)?;
-            Ok(vec![Draft::Branch {
-                op: BranchOp::Bne,
-                rs1: parse_reg(line, ops[0])?,
-                rs2: Reg::ZERO,
-                target: parse_target(ops[1]),
-            }])
-        }
-        "bgt" => {
-            let ops = expect_operands(line, ops, 3, mnemonic)?;
-            Ok(vec![Draft::Branch {
-                op: BranchOp::Blt,
-                rs1: parse_reg(line, ops[1])?,
-                rs2: parse_reg(line, ops[0])?,
-                target: parse_target(ops[2]),
-            }])
-        }
-        "ble" => {
-            let ops = expect_operands(line, ops, 3, mnemonic)?;
-            Ok(vec![Draft::Branch {
-                op: BranchOp::Bge,
-                rs1: parse_reg(line, ops[1])?,
-                rs2: parse_reg(line, ops[0])?,
-                target: parse_target(ops[2]),
-            }])
-        }
-        "csrr" => {
-            let ops = expect_operands(line, ops, 2, mnemonic)?;
-            ready(Instr::Csrrs {
-                rd: parse_reg(line, ops[0])?,
-                csr: parse_csr(line, ops[1])?,
-                rs1: Reg::ZERO,
-            })
-        }
         other => Err(AssembleError::new(
             line.number,
             format!("unknown mnemonic `{other}`"),
@@ -536,11 +446,11 @@ fn parse_line(line: &Line<'_>, mnemonic: &str, ops: &[&str]) -> Result<Vec<Draft
     }
 }
 
-fn split_operands(rest: &str) -> Vec<&str> {
-    rest.split(',')
-        .map(str::trim)
-        .filter(|s| !s.is_empty())
-        .collect()
+/// Splits an instruction's text into its mnemonic and its operands.
+fn split_instruction(text: &str) -> (&str, Vec<&str>) {
+    let (mnemonic, rest) = text.split_once(char::is_whitespace).unwrap_or((text, ""));
+    let operands = rest.split(',').map(str::trim).filter(|s| !s.is_empty());
+    (mnemonic, operands.collect())
 }
 
 /// Assembles a source string into a [`Program`].
@@ -588,11 +498,7 @@ pub(crate) fn assemble(source: &str) -> Result<Program, AssembleError> {
         if text.is_empty() {
             continue;
         }
-        let (mnemonic, rest) = match text.find(char::is_whitespace) {
-            Some(pos) => (&text[..pos], text[pos..].trim()),
-            None => (text, ""),
-        };
-        let operands = split_operands(rest);
+        let (mnemonic, operands) = split_instruction(text);
         for draft in parse_line(&line, mnemonic, &operands)? {
             drafts.push((number, draft));
         }
@@ -787,12 +693,6 @@ mod tests {
     }
 
     #[test]
-    fn operand_count_mismatch_reported() {
-        let err = assemble("add a0, a1").unwrap_err();
-        assert!(err.to_string().contains("expects 3 operand(s)"));
-    }
-
-    #[test]
     fn pseudo_instructions_assemble() {
         let p = assemble(
             r#"
@@ -812,6 +712,99 @@ mod tests {
         )
         .unwrap();
         assert_eq!(p.len(), 11);
+
+        // Every row against its base form written out, at pc 4 after a
+        // label at pc 0: the same `Instr`s and the same words, with label
+        // and numeric targets alike.
+        let cases = [
+            ("nop", "addi zero, zero, 0"),
+            ("mv a0, a1", "addi a0, a1, 0"),
+            ("not a2, a3", "xori a2, a3, -1"),
+            ("neg a4, a5", "sub a4, zero, a5"),
+            ("seqz a6, a7", "sltiu a6, a7, 1"),
+            ("snez t0, t1", "sltu t0, zero, t1"),
+            ("j top", "jal zero, top"),
+            ("j -8", "jal zero, -8"),
+            ("jr t2", "jalr zero, 0(t2)"),
+            ("ret", "jalr zero, 0(ra)"),
+            ("call top", "jal ra, top"),
+            ("call 16", "jal ra, 16"),
+            ("beqz s0, top", "beq s0, zero, top"),
+            ("beqz s0, 12", "beq s0, zero, 12"),
+            ("bnez s1, top", "bne s1, zero, top"),
+            ("bnez s1, -4", "bne s1, zero, -4"),
+            ("bgt a0, a1, top", "blt a1, a0, top"),
+            ("bgt a0, a1, 8", "blt a1, a0, 8"),
+            ("ble a0, a1, top", "bge a1, a0, top"),
+            ("ble a0, a1, -12", "bge a1, a0, -12"),
+            ("csrr a0, mhartid", "csrrs a0, mhartid, zero"),
+            ("csrr a0, 0x300", "csrrs a0, 0x300, zero"),
+        ];
+        for (name, ..) in PSEUDO_OPS {
+            let covered = cases
+                .iter()
+                .any(|(pseudo, _)| pseudo.split(' ').next() == Some(name));
+            assert!(covered, "`{name}` has no written-out case");
+        }
+        let assembled = |text| assemble(&format!("top: nop\n{text}")).unwrap();
+        for (pseudo, base) in cases {
+            let (got, want) = (assembled(pseudo), assembled(base));
+            assert_eq!(got.instrs(), want.instrs(), "{pseudo}");
+            assert_eq!(got.to_words(), want.to_words(), "{pseudo}");
+        }
+    }
+
+    #[test]
+    fn pseudo_templates_name_only_base_mnemonics() {
+        let real = |m| {
+            named(&BRANCH_OPS, m).is_some()
+                || named(&LOAD_OPS, m).is_some()
+                || named(&STORE_OPS, m).is_some()
+                || named(&ALU_OPS, m).is_some()
+                || named(&ALU_IMM_OPS, m).is_some()
+                || named(&MUL_OPS, m).is_some()
+                || named(&AMO_OPS, m).is_some()
+                || named(&XPULP_OPS, m).is_some()
+                || named(&BARE_OPS, m).is_some()
+        };
+        let holes = ["<0>", "<1>", "<2>"];
+        for (name, count, template) in PSEUDO_OPS {
+            assert!(!real(name), "`{name}` is a real op");
+            let base = template.split(' ').next().unwrap();
+            let pseudo = base == "li" || PSEUDO_OPS.iter().any(|row| row.0 == base);
+            assert!(!pseudo, "`{name}` expands to the pseudo `{base}`");
+            // Every hole names an operand, and every operand has a hole.
+            let text = expand(template, &holes[..count]);
+            assert!(!text.contains('{') && !text.contains('}'), "{text}");
+            assert!(
+                holes[..count].iter().all(|hole| text.contains(hole)),
+                "{text}"
+            );
+        }
+        // An operand's own text is never read as a hole.
+        assert_eq!(
+            expand("bgt {1}, {0}, {2}", &["{1}", "x", "{0}"]),
+            "bgt x, {1}, {0}"
+        );
+    }
+
+    #[test]
+    fn operand_count_mismatch_reported() {
+        for (source, message) in [
+            ("add a0, a1", "`add` expects 3 operand(s), got 2"),
+            ("nop a0", "`nop` expects 0 operand(s), got 1"),
+            ("ret a0", "`ret` expects 0 operand(s), got 1"),
+            ("wfi a0", "`wfi` expects 0 operand(s), got 1"),
+            ("fence x", "`fence` expects 0 operand(s), got 1"),
+            ("bgt a0, a1", "`bgt` expects 3 operand(s), got 2"),
+            ("mv a0", "`mv` expects 2 operand(s), got 1"),
+            ("csrr a0, mhartid, a1", "`csrr` expects 2 operand(s), got 3"),
+        ] {
+            assert_eq!(
+                assemble(source).unwrap_err().to_string(),
+                format!("line 1: {message}")
+            );
+        }
     }
 
     #[test]

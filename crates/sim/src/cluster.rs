@@ -20,8 +20,12 @@
 
 use std::fmt;
 
-use mempool_arch::{AccessClass, BankLocation, ClusterConfig, GlobalCoreId, LatencyModel, TileId};
-use mempool_fault::{CoreDiagnostic, FaultController, FaultPlan, FaultReport, Watchdog};
+use mempool_arch::{
+    AccessClass, BankId, BankLocation, ClusterConfig, GlobalCoreId, LatencyModel, TileId,
+};
+use mempool_fault::{
+    CoreDiagnostic, FaultController, FaultPlan, FaultReport, RemappedBank, Watchdog,
+};
 use mempool_isa::exec::{MemAccessKind, MemWidth};
 use mempool_isa::{Program, Reg};
 use mempool_obs::{chrome_trace_with_counters, Counter, FlightRecorder, Json, Obs, TrackId};
@@ -652,7 +656,8 @@ impl Cluster {
     /// hangs) are armed for delivery as the clock reaches them.
     ///
     /// Injecting replaces any previously injected plan, not the damage
-    /// the storage already holds: remapped banks stay remapped, and
+    /// the storage already holds: remapped banks stay remapped (a stuck
+    /// bank of the new plan that already is takes no second spare), and
     /// flipped words keep their pending SEC-DED masks.
     ///
     /// # Errors
@@ -662,24 +667,28 @@ impl Cluster {
     /// physical bank).
     pub fn inject_faults(&mut self, plan: &FaultPlan) -> Result<(), SimError> {
         let num_tiles = self.machine.config.num_tiles() as usize;
-        let mut ctrl = FaultController::new(plan, num_tiles as u32);
-        let stuck = ctrl.stuck_banks().to_vec();
-        let mut per_tile = vec![0u32; num_tiles];
-        for &(tile, _) in &stuck {
-            if let Some(count) = per_tile.get_mut(tile.index()) {
-                *count += 1;
-            }
-        }
+        let ctrl = FaultController::new(plan, num_tiles as u32);
         let storage = &mut self.machine.storage;
+        // A stuck bank the storage has already remapped is covered; the
+        // rest need a spare each, after the ones their tile already uses.
+        let covered = storage.remaps().to_vec();
+        let stuck: Vec<(TileId, BankId)> = ctrl
+            .stuck_banks()
+            .iter()
+            .copied()
+            .filter(|&(tile, bank)| {
+                tile.index() < num_tiles && !covered.iter().any(|r| (r.0, r.1) == (tile, bank))
+            })
+            .collect();
+        let mut per_tile = vec![0u32; num_tiles];
+        for tile in covered.iter().map(|r| r.0).chain(stuck.iter().map(|s| s.0)) {
+            per_tile[tile.index()] += 1;
+        }
         storage.provision_spares(per_tile.into_iter().max().unwrap_or(0));
         for (tile, bank) in stuck {
-            if tile.index() >= num_tiles {
-                continue;
-            }
             let spare = storage.remap_bank(tile, bank)?;
-            let remap = ctrl.record_remap(tile, bank, spare);
             if let Some(flight) = self.attach.flight() {
-                let (category, core, message) = remap.flight_event();
+                let (category, core, message) = remapped_bank((tile, bank, spare)).flight_event();
                 flight.record_deferred(0, category, core, message);
             }
         }
@@ -696,10 +705,17 @@ impl Cluster {
     }
 
     /// The accumulated fault report, if a plan was injected, with the
-    /// latent ECC errors the storage holds.
+    /// spare-bank remaps and latent ECC errors the storage holds.
     pub fn fault_report(&self) -> Option<FaultReport> {
         let mut report = self.attach.faults.as_ref()?.report();
-        report.ecc_pending = self.machine.storage.ecc().pending_words() as u64;
+        let storage = &self.machine.storage;
+        report.remapped = storage
+            .remaps()
+            .iter()
+            .copied()
+            .map(remapped_bank)
+            .collect();
+        report.ecc_pending = storage.ecc().pending_words() as u64;
         Some(report)
     }
 
@@ -1082,6 +1098,15 @@ pub(crate) fn latency_split(latency: &LatencyModel, class: AccessClass) -> (u32,
     let total = latency.cycles(class);
     let request = (total - 1) / 2;
     (request, total - 1 - request)
+}
+
+/// A storage remap `(tile, stuck bank, spare)` as the fault report lists it.
+fn remapped_bank((tile, from, to): (TileId, BankId, BankId)) -> RemappedBank {
+    RemappedBank {
+        tile: tile.0,
+        from_bank: from.0,
+        to_bank: to.0,
+    }
 }
 
 /// Applies load sign-extension for sub-word loads.
@@ -1852,6 +1877,49 @@ mod tests {
             report.remapped[0].to_bank >= cluster.config().banks_per_tile(),
             "the spare lives outside the addressable geometry"
         );
+    }
+
+    #[test]
+    fn reinjecting_a_plan_keeps_its_remaps_and_replaces_the_plan() {
+        let config = ClusterConfig::builder()
+            .groups(1)
+            .tiles_per_group(4)
+            .cores_per_tile(4)
+            .banks_per_tile(16)
+            .bank_words(64)
+            .build()
+            .unwrap();
+        let mut cluster = Cluster::new(config, SimParams::default());
+        let stuck = |seed, banks: &[u32]| {
+            let mut plan = FaultPlan::new(seed);
+            for &bank in banks {
+                let (tile, bank) = (TileId(0), BankId(bank));
+                plan.push(FaultEvent::StuckBank { tile, bank });
+            }
+            plan
+        };
+        let (addr, loc) = addr_in_bank(&cluster, 1);
+        cluster.inject_faults(&stuck(1, &[1])).unwrap();
+        cluster.write_spm_word(addr, 77).unwrap();
+        // The bank is already on its spare: covered, not remapped again.
+        cluster.inject_faults(&stuck(1, &[1])).unwrap();
+        cluster.storage_mut().write_physical(loc, 0xDEAD_BEEF);
+        assert_eq!(cluster.read_spm_word(addr).unwrap(), 77);
+        let report = cluster.fault_report().unwrap();
+        assert_eq!((report.stuck_banks, report.remapped.len()), (1, 1));
+
+        // A plan with one more stuck bank replaces the old one, and the
+        // tile's second spare is provisioned after the first.
+        cluster.inject_faults(&stuck(2, &[1, 2])).unwrap();
+        assert_eq!(cluster.read_spm_word(addr).unwrap(), 77);
+        let report = cluster.fault_report().unwrap();
+        assert_eq!((report.seed, report.stuck_banks), (2, 2));
+        let remapped: Vec<_> = report
+            .remapped
+            .iter()
+            .map(|r| (r.from_bank, r.to_bank))
+            .collect();
+        assert_eq!(remapped, [(1, 16), (2, 17)]);
     }
 
     #[test]
