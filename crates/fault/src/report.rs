@@ -130,8 +130,12 @@ impl FaultReport {
                 })
             })
             .collect::<Result<Vec<_>, JsonError>>()?;
+        // `to_json` writes the seed's bits as an `i64`, so a seed of 2^63
+        // or more reads negative: take the bits back the same way.
+        let seed = doc.field("seed")?.as_int();
+        let seed = seed.ok_or_else(|| JsonError::shape("seed must be an integer"))?;
         Ok(FaultReport {
-            seed: doc.u64_field("seed")?,
+            seed: seed as u64,
             links_degraded: injected.u64_field("links_degraded")?,
             links_dead: injected.u64_field("links_dead")?,
             stuck_banks: injected.u64_field("stuck_banks")?,
@@ -207,6 +211,14 @@ mod tests {
             json.get("remapped_banks").unwrap().as_arr().unwrap().len(),
             1
         );
+        // Every seed round-trips, those that read negative included.
+        for seed in [42, 1 << 63, u64::MAX] {
+            let report = FaultReport {
+                seed,
+                ..report.clone()
+            };
+            assert_eq!(FaultReport::from_json(&report.to_json()).unwrap(), report);
+        }
         let text = report.to_string();
         assert!(text.contains("seed 42"));
         assert!(text.contains("1 stuck banks"));

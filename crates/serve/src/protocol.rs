@@ -93,15 +93,31 @@ impl ModelConfig {
                 "num_cores" => model.num_cores = value.try_u64("model.num_cores")?,
                 "cycles_per_mac" => {
                     model.cycles_per_mac = value.try_f64("model.cycles_per_mac")?;
-                    if model.cycles_per_mac <= 0.0 {
-                        return Err(JsonError::shape("model.cycles_per_mac must be positive"));
-                    }
                 }
                 "phase_overhead" => {
                     model.phase_overhead = value.try_f64("model.phase_overhead")?;
                 }
                 other => return Err(JsonError::shape(format!("model: unknown field {other:?}"))),
             }
+        }
+        // The constants every artifact can be computed from: a smaller
+        // matrix than the largest tile, no cores, or a free MAC or a
+        // negative overhead yield non-finite numbers.
+        let largest_tile = SpmCapacity::MiB8.matmul_tile_dim();
+        if model.m < largest_tile {
+            let message = format!("model.m must be at least {largest_tile}");
+            return Err(JsonError::shape(message));
+        }
+        if model.num_cores == 0 {
+            return Err(JsonError::shape("model.num_cores must be positive"));
+        }
+        if model.cycles_per_mac <= 0.0 {
+            return Err(JsonError::shape("model.cycles_per_mac must be positive"));
+        }
+        if model.phase_overhead < 0.0 {
+            return Err(JsonError::shape(
+                "model.phase_overhead must not be negative",
+            ));
         }
         Ok(model)
     }
@@ -694,6 +710,18 @@ mod tests {
                 .unwrap_err()
                 .contains("positive")
         );
+        let models = [
+            (r#"{"num_cores": 0}"#, "num_cores must be positive"),
+            (r#"{"m": 1}"#, "m must be at least 800"),
+            (r#"{"m": 799}"#, "m must be at least 800"),
+            (r#"{"phase_overhead": -1.0}"#, "must not be negative"),
+        ];
+        for (model, message) in models {
+            let line = format!(r#"{{"kind": "fig6", "model": {model}}}"#);
+            assert!(parse(&line).unwrap_err().contains(message), "{model}");
+        }
+        let smallest = parse(r#"{"kind": "fig6", "model": {"m": 800, "phase_overhead": 0.0}}"#);
+        assert!(smallest.is_ok(), "{smallest:?}");
     }
 
     #[test]

@@ -536,8 +536,9 @@ impl Cluster {
     ///
     /// Epochs only close inside `step()`/`run()`; the clock jump of a
     /// [`Cluster::dma_tile`] folds into the next sample, whose rates are
-    /// computed over the true elapsed cycles. A zero `window` is clamped
-    /// to 1.
+    /// computed over the true elapsed cycles. The `window` is clamped into
+    /// `1..=u64::MAX / 4`, the windows a checkpoint restores (the clock
+    /// must be able to add one).
     ///
     /// A sampler that is already armed keeps its epoch and its window:
     /// [`Cluster::detach_obs`] drops the sampler, so that can only be one
@@ -557,8 +558,8 @@ impl Cluster {
             hooks.obs.series.set_window(sampler.window);
             return;
         }
+        let window = window.clamp(1, u64::MAX / 4);
         hooks.obs.series.set_window(window);
-        let window = hooks.obs.series.window();
         self.attach.sampler = Some(Sampler {
             window,
             epoch_start: self.machine.cycle,
@@ -663,10 +664,13 @@ impl Cluster {
     /// # Errors
     ///
     /// Returns [`SimError::Remap`] if the spare-bank policy cannot cover
-    /// the plan's stuck banks (e.g. two stuck banks reported for the same
-    /// physical bank).
+    /// the plan's stuck banks (a bank outside the geometry, or two stuck
+    /// banks reported for the same physical bank). The plan is checked
+    /// before anything is remapped: on an error the storage, its remaps and
+    /// the previous plan stay as they were.
     pub fn inject_faults(&mut self, plan: &FaultPlan) -> Result<(), SimError> {
         let num_tiles = self.machine.config.num_tiles() as usize;
+        let banks_per_tile = self.machine.config.banks_per_tile();
         let ctrl = FaultController::new(plan, num_tiles as u32);
         let storage = &mut self.machine.storage;
         // A stuck bank the storage has already remapped is covered; the
@@ -680,6 +684,16 @@ impl Cluster {
                 tile.index() < num_tiles && !covered.iter().any(|r| (r.0, r.1) == (tile, bank))
             })
             .collect();
+        // The errors `remap_bank` would meet, in its order, before it runs:
+        // provisioning below gives every tile the spares its banks take.
+        for (i, &(tile, bank)) in stuck.iter().enumerate() {
+            if bank.0 >= banks_per_tile {
+                return Err(RemapError::OutOfRange { tile, bank }.into());
+            }
+            if stuck[..i].contains(&(tile, bank)) {
+                return Err(RemapError::AlreadyRemapped { tile, bank }.into());
+            }
+        }
         let mut per_tile = vec![0u32; num_tiles];
         for tile in covered.iter().map(|r| r.0).chain(stuck.iter().map(|s| s.0)) {
             per_tile[tile.index()] += 1;
@@ -924,14 +938,6 @@ impl Cluster {
     /// for every cluster.
     pub fn engine_selection(&self) -> EngineSelection {
         ENGINE
-    }
-
-    /// Total reserved capacity (entries) of the engine's live sets.
-    /// Exposed for the arena-invariant tests, which assert the footprint
-    /// stops growing once a workload reaches steady state.
-    #[doc(hidden)]
-    pub fn engine_arena_footprint(&self) -> u64 {
-        self.machine.live.footprint()
     }
 
     /// Collects a snapshot of all statistics.
@@ -1922,6 +1928,51 @@ mod tests {
         assert_eq!(remapped, [(1, 16), (2, 17)]);
     }
 
+    /// A plan the spare-bank policy cannot cover is refused before it
+    /// remaps anything: the storage and the armed plan stay as they were.
+    #[test]
+    fn a_refused_plan_leaves_the_cluster_untouched() {
+        let config = ClusterConfig::builder()
+            .groups(1)
+            .tiles_per_group(1)
+            .cores_per_tile(1)
+            .banks_per_tile(4)
+            .bank_words(64)
+            .build()
+            .unwrap();
+        let mut cluster = Cluster::new(config, SimParams::default());
+        let stuck = |seed, banks: &[u32]| {
+            let mut plan = FaultPlan::new(seed);
+            for &bank in banks {
+                let (tile, bank) = (TileId(0), BankId(bank));
+                plan.push(FaultEvent::StuckBank { tile, bank });
+            }
+            plan
+        };
+        cluster.inject_faults(&stuck(1, &[0])).unwrap();
+        let refused = [
+            (
+                stuck(2, &[1, 1]),
+                "bank T0:b1 is already remapped to a spare",
+            ),
+            (
+                stuck(3, &[2, 9]),
+                "bank T0:b9 is outside the cluster geometry",
+            ),
+        ];
+        for (plan, message) in refused {
+            let err = cluster.inject_faults(&plan).unwrap_err();
+            assert_eq!(err.to_string(), format!("bank remap failed: {message}"));
+            let report = cluster.fault_report().unwrap();
+            assert_eq!((report.seed, report.stuck_banks), (1, 1));
+            assert_eq!(
+                cluster.storage().remaps(),
+                [(TileId(0), BankId(0), BankId(4))]
+            );
+            assert_eq!(cluster.storage().spares_per_tile(), 1);
+        }
+    }
+
     #[test]
     fn single_bit_flip_is_corrected_counted_and_charged() {
         let mut cluster = Cluster::new(tiny_config(), SimParams::default());
@@ -2517,6 +2568,21 @@ mod tests {
             .any(|e| e.get("ph").and_then(Json::as_str) == Some("C")));
         assert!(doc.get("metrics").is_some());
         assert!(doc.get("timeseries").is_some());
+    }
+
+    /// However wide the window asked for, the sampler it arms is one a
+    /// checkpoint restores, and arming it mid-run does not overflow.
+    #[test]
+    fn the_widest_sampling_window_restores() {
+        let obs = mempool_obs::Obs::new();
+        let mut cluster = Cluster::new(tiny_config(), SimParams::default());
+        cluster.load_program(Program::assemble("li a0, 1\nli a1, 2\nwfi").unwrap());
+        cluster.run(100).unwrap();
+        assert!(cluster.cycle() > 0);
+        cluster.attach_obs(&obs, "wide");
+        cluster.enable_timeseries(u64::MAX);
+        let restored = Cluster::restore(&cluster.checkpoint()).unwrap();
+        assert_eq!(restored.attach.sampler, cluster.attach.sampler);
     }
 
     #[test]

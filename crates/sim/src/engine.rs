@@ -84,12 +84,6 @@ impl LiveSets {
         }
     }
 
-    /// Total reserved capacity (entries) of the sets — what the
-    /// arena-invariant tests assert stops growing.
-    pub(crate) fn footprint(&self) -> u64 {
-        (self.live.capacity() + self.earliest.capacity() + self.due.capacity()) as u64
-    }
-
     /// `tile`'s words of live bits.
     #[inline]
     fn words(&self, tile: usize) -> &[u64] {

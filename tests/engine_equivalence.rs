@@ -1,17 +1,16 @@
-//! Engine determinism: the engine must reproduce the stored results of
-//! the per-tick step kernel it replaced, and where a run is cut into
-//! calls must not show.
-//!
-//! `Cluster::run` ticks until the cluster is quiescent, `Cluster::step`
-//! ticks once; both are the same cycle loop. These tests pin that
-//! contract: every kernel in the characterization zoo, a seed-42
-//! fault-injected degraded run, the sampled time series, the
-//! cycle-attribution report, and even the exact `SimError` raised by a
-//! watchdog-detected deadlock must not change with how the run is cut.
-//! The `PINNED_*` tables further down hold what the deleted per-tick step
-//! kernel produced for the same scenarios.
+//! One cycle loop, however a run is cut: `run(k)` slices, `step()` calls
+//! and checkpoint/restore cuts must not show. The property
+//! `every_cut_of_a_run_is_invisible` draws a shape and a schedule of cuts
+//! and checks that the run driven through them equals one uninterrupted
+//! `run()` in every observable way (`Observed`); named scenarios are fixed
+//! inputs of the same comparison. The `PINNED_*` tables further down hold
+//! what the deleted per-tick step kernel produced for the same scenarios.
 
-use mempool_arch::{BankId, ClusterConfig, MemoryRegion, TileId};
+use std::collections::BTreeMap;
+
+use proptest::prelude::*;
+
+use mempool_arch::{BankId, BankLocation, ClusterConfig, GlobalCoreId, MemoryRegion, TileId};
 use mempool_fault::{DeadLinkPolicy, FaultConfig, FaultEvent, FaultPlan};
 use mempool_isa::Program;
 use mempool_kernels::axpy::Axpy;
@@ -19,175 +18,509 @@ use mempool_kernels::dotprod::DotProduct;
 use mempool_kernels::matmul::ComputePhase;
 use mempool_kernels::transpose::Transpose;
 use mempool_kernels::Kernel;
-use mempool_obs::{chrome_trace_with_counters, Json, Obs};
+use mempool_obs::{chrome_trace_with_counters, FlightEvent, Json, Obs};
 use mempool_sim::{Cluster, ClusterStats, SimError, SimParams};
 
 /// The pinned fault seed, matching the committed baseline scenario.
 const FAULT_SEED: u64 = 42;
 
-fn zoo_config() -> ClusterConfig {
+/// Cycle budget of every uninterrupted run: far beyond any shape's end.
+const BUDGET: u64 = 10_000_000;
+
+/// Flight ring capacity: small enough that most runs overflow it.
+const FLIGHT: usize = 128;
+
+/// Generated cases of the property; a debug build simulates ~30x slower.
+const CASES: u32 = if cfg!(debug_assertions) { 16 } else { 128 };
+
+/// One group of `tiles` tiles of `cores` cores and `banks` banks each.
+fn geometry(tiles: u32, cores: u32, banks: u32, bank_words: u32) -> ClusterConfig {
     ClusterConfig::builder()
         .groups(1)
-        .tiles_per_group(4)
-        .cores_per_tile(4)
-        .banks_per_tile(16)
-        .bank_words(256)
+        .tiles_per_group(tiles)
+        .cores_per_tile(cores)
+        .banks_per_tile(banks)
+        .bank_words(bank_words)
         .build()
         .unwrap()
 }
 
-/// How a test drives a loaded cluster to the end.
-#[derive(Debug, Clone, Copy)]
-enum Drive {
-    /// One `Cluster::run` call.
-    Run,
-    /// `Cluster::step` until quiescent: one call per cycle.
-    Step,
+fn zoo_config() -> ClusterConfig {
+    geometry(4, 4, 16, 256)
 }
 
-/// Drives `cluster` until every core halts, with `Cluster::run`'s
-/// budget and error contract either way; returns the final cycle.
-fn drive(cluster: &mut Cluster, how: Drive, max_cycles: u64) -> Result<u64, SimError> {
-    match how {
-        Drive::Run => cluster.run(max_cycles),
-        Drive::Step => {
-            let deadline = cluster.cycle() + max_cycles;
-            while !cluster.quiescent() {
-                if cluster.cycle() >= deadline {
-                    return Err(SimError::Timeout { cycles: max_cycles });
+fn traffic_config() -> ClusterConfig {
+    geometry(16, 2, 4, 64)
+}
+
+fn zoo_kernel(index: usize) -> Box<dyn Kernel> {
+    match index {
+        0 => Box::new(Axpy::new(1024, 3)),
+        1 => Box::new(DotProduct::new(1024)),
+        2 => Box::new(ComputePhase::new(32)),
+        _ => Box::new(Transpose::new(64)),
+    }
+}
+
+/// Every core: a contended AMO on a shared word, a hart-spread load/store
+/// pair striding across tiles through the interleaved region, optionally
+/// an off-chip load and store, `trips` times; then halt.
+fn traffic(trips: u32, external: bool) -> Program {
+    let offchip = external.then_some("lw x12, 0(x2)\n sw x31, 4(x2)");
+    Program::assemble(&format!(
+        r#"
+            csrr x1, mhartid
+            slli x1, x1, 2
+            lui  x2, 0x80000
+            add  x2, x2, x1
+            addi x31, x0, {trips}
+        loop:
+            amoadd.w x10, x31, (x0)
+            lw   x11, 64(x1)
+            sw   x11, 256(x1)
+            {}
+            addi x31, x31, -1
+            bne  x31, x0, loop
+            wfi
+        "#,
+        offchip.unwrap_or_default()
+    ))
+    .unwrap()
+}
+
+/// A traffic-geometry cluster with `program` loaded, and an off-chip
+/// latency of `slow` cycles if given.
+fn loaded(slow: Option<u32>, program: Program) -> Cluster {
+    let mut params = SimParams::default();
+    params.offchip_latency = slow.unwrap_or(params.offchip_latency);
+    let mut cluster = Cluster::new(traffic_config(), params);
+    cluster.load_program(program);
+    cluster.preload_icaches();
+    cluster
+}
+
+/// Core 0 loads an off-chip word and uses it; the other cores halt.
+fn offchip_waiter() -> Program {
+    Program::assemble(
+        r#"
+            csrr t1, mhartid
+            bnez t1, done
+            li   t0, 0x80000000
+            lw   a0, 0(t0)
+            add  a1, a0, a0
+            sw   a1, 4(t0)
+        done:
+            wfi
+        "#,
+    )
+    .unwrap()
+}
+
+/// Off-chip latency of the one-cycle scenario's late response.
+const SLOW_OFFCHIP: u32 = 200;
+
+/// What a case runs, and how it is armed.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Shape {
+    /// A zoo kernel on the zoo geometry, optionally under the fault plan
+    /// generated from a seed (and then with the watchdog armed).
+    Zoo { kernel: usize, faults: Option<u64> },
+    /// The traffic loop on the 16x2-core geometry.
+    Traffic { trips: u32, external: bool },
+    /// Every core runs off the end of its program: `PcOutOfRange`.
+    RunsOffItsEnd,
+    /// Core 0 waits on an off-chip response far beyond the watchdog's
+    /// window: `Deadlock`.
+    Waiter,
+    /// No program loaded: `NoProgram`.
+    NoProgram,
+    /// A flip, a hang, an epoch end, a watchdog window and an off-chip
+    /// response, all due on `cycle`.
+    OneCycle { cycle: u64, last_retire: u64 },
+}
+
+impl Shape {
+    /// Arms fresh obs hooks on `cluster`, as a restored one is re-armed.
+    fn arm(self, cluster: &mut Cluster, obs: &Obs) {
+        let window = if let Shape::OneCycle { cycle, .. } = self {
+            cycle
+        } else {
+            64
+        };
+        cluster.attach_obs(obs, "cut");
+        cluster.enable_timeseries(window);
+        cluster.enable_flight(FLIGHT);
+    }
+
+    /// A new cluster at cycle 0, armed on `obs` and ready to run.
+    fn build(self, obs: &Obs, trace: bool) -> Cluster {
+        let mut cluster = match self {
+            Shape::Zoo { .. } => Cluster::new(zoo_config(), SimParams::default()),
+            Shape::Traffic { trips, external } => loaded(None, traffic(trips, external)),
+            Shape::RunsOffItsEnd => loaded(
+                None,
+                Program::assemble("addi x5, x0, 7\nlw x6, 128(x0)").unwrap(),
+            ),
+            Shape::Waiter => loaded(Some(10_000), offchip_waiter()),
+            Shape::NoProgram => Cluster::new(traffic_config(), SimParams::default()),
+            Shape::OneCycle { .. } => loaded(Some(SLOW_OFFCHIP), offchip_waiter()),
+        };
+        self.arm(&mut cluster, obs);
+        if trace {
+            cluster.enable_trace(128);
+        }
+        match self {
+            Shape::Zoo { kernel, faults } => {
+                if let Some(seed) = faults {
+                    let fault_cfg = FaultConfig::new(seed, 1e-4).with_horizon(50_000);
+                    let plan = FaultPlan::generate(&fault_cfg, &zoo_config());
+                    cluster.inject_faults(&plan).unwrap();
+                    cluster.set_watchdog(20_000);
                 }
-                cluster.step()?;
+                zoo_kernel(kernel).load(&mut cluster).unwrap();
             }
-            Ok(cluster.cycle())
+            Shape::Waiter => cluster.set_watchdog(100),
+            Shape::OneCycle { cycle, last_retire } => {
+                let (mut plan, core, mask) = (FaultPlan::new(3), GlobalCoreId::new(0), 1 << 3);
+                let loc = BankLocation {
+                    tile: TileId(5),
+                    bank: BankId(1),
+                    word: 3,
+                };
+                plan.push(FaultEvent::TransientFlip { cycle, loc, mask });
+                plan.push(FaultEvent::CoreHang { cycle, core });
+                cluster.inject_faults(&plan).unwrap();
+                cluster.set_watchdog(cycle - last_retire);
+            }
+            _ => {}
+        }
+        cluster
+    }
+
+    /// Whether `end` is how this shape must end.
+    fn ends_as_it_should(self, end: &End) -> bool {
+        match self {
+            Shape::Zoo { faults, .. } => faults.is_some() || end.is_ok(),
+            Shape::Traffic { .. } => end.is_ok(),
+            Shape::RunsOffItsEnd => matches!(end, Err(SimError::PcOutOfRange { .. })),
+            Shape::Waiter | Shape::OneCycle { .. } => matches!(end, Err(SimError::Deadlock { .. })),
+            Shape::NoProgram => end == &Err(SimError::NoProgram),
         }
     }
 }
 
-/// Everything one run observes, in directly comparable form. The string
-/// fields are the *serialized artifacts* (what `repro --artifacts` writes
-/// as timeseries.json, trace.json, and the flight events), so equality
-/// here is the byte-identity the instrumented CI diff relies on.
+/// How a cut reaches its cycle, and what happens there.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Cut {
+    /// One `run(k)` call that ends on the cut's cycle.
+    Slice,
+    /// One `step()` call per cycle up to the cut.
+    Steps,
+    /// A slice, then a checkpoint restored with fresh obs hooks.
+    Restore,
+}
+
+/// Time-series samples by track name.
+type Series = BTreeMap<String, Vec<(u64, f64)>>;
+
+/// How a run ended: its final cycle, or the error.
+type End = Result<u64, SimError>;
+
+/// One flight event, comparable.
+type Event = (u64, String, Option<u32>, String);
+
+/// Everything a run shows, gathered over all its legs.
 #[derive(Debug, PartialEq)]
 struct Observed {
-    cycles: u64,
+    end: End,
     stats: ClusterStats,
     digest: u64,
-    attribution: String,
-    timeseries: String,
-    trace: String,
-    flight: String,
+    attribution: Option<String>,
     fault_report: Option<String>,
+    touches: u64,
+    series: Series,
+    /// Events recorded over all legs, and the newest ring-full of them.
+    flight: (u64, Vec<Event>),
+    /// The Chrome trace and the instruction trace of an unrestored run.
+    traces: Option<(String, String)>,
 }
 
-/// Runs `kernel` once, driven as `how` says, with optional fault
-/// injection, and captures every comparable output — the full
-/// observability stack is on (spans, metrics, time series, flight ring,
-/// instruction trace), so the step legs record into all of it one call
-/// per tick.
-fn observe(
-    kernel: &dyn Kernel,
-    how: Drive,
-    plan: Option<&FaultPlan>,
-    watchdog: Option<u64>,
-) -> Observed {
-    let cfg = zoo_config();
+/// What the recorders of a run's legs saw, concatenated.
+#[derive(Default)]
+struct Legs {
+    series: Series,
+    recorded: u64,
+    flight: Vec<Event>,
+}
+
+impl Legs {
+    fn collect(&mut self, obs: &Obs) {
+        for name in obs.series.names() {
+            let samples = obs.series.samples(&name);
+            let samples = samples.iter().map(|s| (s.cycle, s.value));
+            self.series.entry(name).or_default().extend(samples);
+        }
+        let events = obs.flight.events();
+        self.recorded += events.len() as u64 + obs.flight.dropped();
+        let event = |e: FlightEvent| (e.cycle, e.category, e.core, e.message);
+        self.flight.extend(events.into_iter().map(event));
+    }
+
+    /// What `cluster`, ended with `end`, shows after these legs and the
+    /// last one, recorded into `obs`.
+    fn finish(mut self, shape: Shape, cluster: &mut Cluster, end: End, obs: &Obs) -> Observed {
+        self.collect(obs);
+        let newest = self.flight.len().saturating_sub(FLIGHT);
+        let stats = cluster.stats();
+        // An error leaves the clock on the tick that raised it, which the
+        // cores have already accounted: only a completed run attributes.
+        let cfg = cluster.config();
+        let attribution = end.is_ok().then(|| {
+            let report = stats.attribution(cfg.cores_per_tile(), cfg.banks_per_tile());
+            assert!(
+                report.cores.iter().all(|c| c.total() == report.cycles),
+                "{shape:?}: each core's buckets sum to the cycles"
+            );
+            report.to_json().to_pretty()
+        });
+        let instructions = cluster.trace().map(|t| t.to_string());
+        // Close still-open spans so the exported trace is balanced.
+        cluster.detach_obs();
+        let observed = Observed {
+            end,
+            digest: stats.digest(),
+            attribution,
+            fault_report: cluster.fault_report().map(|r| r.to_json().to_pretty()),
+            touches: cluster.storage().spm_word_touches(),
+            series: self.series,
+            flight: (self.recorded, self.flight.split_off(newest)),
+            traces: instructions.map(|instructions| {
+                let spans = chrome_trace_with_counters(&obs.spans, Some(&obs.series));
+                (spans.to_pretty(), instructions)
+            }),
+            stats,
+        };
+        // Last, for the reads count as SPM touches.
+        if let (Ok(_), Shape::Zoo { kernel, .. }) = (&observed.end, shape) {
+            zoo_kernel(kernel).verify(cluster).unwrap();
+        }
+        observed
+    }
+}
+
+/// Steps `cluster` until it is quiescent, with `Cluster::run`'s budget and
+/// error contract.
+fn steps(cluster: &mut Cluster, budget: u64) -> End {
+    let deadline = cluster.cycle() + budget;
+    while !cluster.quiescent() {
+        if cluster.cycle() >= deadline {
+            return Err(SimError::Timeout { cycles: budget });
+        }
+        cluster.step()?;
+    }
+    Ok(cluster.cycle())
+}
+
+/// `shape` driven by one `run()`, its instruction trace armed if `traced`
+/// (as for a schedule without a restore cut); asserts what holds of every
+/// run on its own.
+fn reference(shape: Shape, traced: bool) -> Observed {
     let obs = Obs::new();
-    let mut cluster = Cluster::new(cfg.clone(), SimParams::default());
-    cluster.attach_obs(&obs, "equivalence");
-    cluster.enable_timeseries(256);
-    cluster.enable_flight(128);
-    cluster.enable_trace(128);
-    if let Some(plan) = plan {
-        cluster.inject_faults(plan).unwrap();
+    let mut cluster = shape.build(&obs, traced);
+    let end = cluster.run(BUDGET);
+    let observed = Legs::default().finish(shape, &mut cluster, end, &obs);
+    assert!(
+        shape.ends_as_it_should(&observed.end),
+        "{shape:?} ended with {:?}",
+        observed.end
+    );
+    let report = observed.fault_report.as_deref();
+    if observed.end.is_ok() && report.is_none_or(|r| r.contains("\"blackholed_requests\": 0")) {
+        let issued: u64 = observed.stats.accesses_by_class().iter().sum();
+        let served: u64 = observed.stats.banks.iter().map(|b| b.served).sum();
+        assert_eq!(issued, served, "{shape:?}: every SPM request is served");
     }
-    if let Some(threshold) = watchdog {
-        cluster.set_watchdog(threshold);
-    }
-    let name = kernel.name();
-    kernel
-        .load(&mut cluster)
-        .unwrap_or_else(|e| panic!("{name}: {e}"));
-    let start = cluster.cycle();
-    let end =
-        drive(&mut cluster, how, 10_000_000).unwrap_or_else(|e| panic!("{name} ({how:?}): {e}"));
-    kernel
-        .verify(&cluster)
-        .unwrap_or_else(|e| panic!("{name} ({how:?}): {e}"));
-    let cycles = end - start;
-    let stats = cluster.stats();
-    let attribution = stats
-        .attribution(cfg.cores_per_tile(), cfg.banks_per_tile())
-        .to_json()
-        .to_pretty();
-    let fault_report = cluster.fault_report().map(|r| r.to_json().to_pretty());
-    // Close still-open spans so the exported trace is balanced.
-    cluster.detach_obs();
-    Observed {
-        cycles,
-        digest: stats.digest(),
-        attribution,
-        timeseries: obs.series.to_json().to_pretty(),
-        trace: chrome_trace_with_counters(&obs.spans, Some(&obs.series)).to_pretty(),
-        flight: obs.flight.to_json().to_pretty(),
-        fault_report,
-        stats,
-    }
+    observed
 }
 
-fn zoo() -> Vec<Box<dyn Kernel>> {
-    vec![
-        Box::new(Axpy::new(1024, 3)),
-        Box::new(DotProduct::new(1024)),
-        Box::new(ComputePhase::new(32)),
-        Box::new(Transpose::new(64)),
+/// Drives `shape` through `cuts` (ascending cycles), then one `run()` to
+/// the end, and compares what it shows with `expected`, its reference.
+fn check_cuts(shape: Shape, cuts: &[(u64, Cut)], expected: &Observed) -> Result<(), TestCaseError> {
+    let traced = !cuts.iter().any(|&(_, cut)| cut == Cut::Restore);
+    // Whether the reference had ended by the time a leg reaches `at`.
+    let ended_by = |at: u64| match expected.end {
+        Ok(end) => end <= at,
+        Err(_) => expected.stats.cycles < at,
+    };
+    let mut obs = Obs::new();
+    let mut cluster = shape.build(&obs, traced);
+    let mut legs = Legs::default();
+    let mut end = None;
+    for &(at, cut) in cuts {
+        let budget = at - cluster.cycle();
+        let leg = match cut {
+            Cut::Steps => steps(&mut cluster, budget),
+            Cut::Slice | Cut::Restore => cluster.run(budget),
+        };
+        if leg != Err(SimError::Timeout { cycles: budget }) {
+            prop_assert!(ended_by(at), "{cut:?} to {at} ended early: {leg:?}");
+            end = Some(leg);
+            break;
+        }
+        prop_assert!(!ended_by(at), "{cut:?} to {at} timed out");
+        prop_assert_eq!(cluster.cycle(), at, "{:?} stopped off its cycle", cut);
+        if cut == Cut::Restore {
+            legs.collect(&obs);
+            let text = cluster.checkpoint().to_pretty();
+            cluster = Cluster::restore(&Json::parse(&text).unwrap()).unwrap();
+            obs = Obs::new();
+            shape.arm(&mut cluster, &obs);
+        }
+    }
+    let end = end.unwrap_or_else(|| cluster.run(BUDGET));
+    let got = legs.finish(shape, &mut cluster, end, &obs);
+    // Field by field, so that a failure names what differs.
+    let fields: [(&str, bool); 9] = [
+        ("end", got.end == expected.end),
+        ("stats", got.stats == expected.stats),
+        ("digest", got.digest == expected.digest),
+        ("attribution", got.attribution == expected.attribution),
+        ("fault report", got.fault_report == expected.fault_report),
+        ("spm touches", got.touches == expected.touches),
+        ("time series", got.series == expected.series),
+        ("flight events", got.flight == expected.flight),
+        ("traces", got.traces == expected.traces),
+    ];
+    for (field, same) in fields {
+        prop_assert!(same, "{field} differs");
+    }
+    Ok(())
+}
+
+fn shapes() -> impl Strategy<Value = Shape> {
+    prop_oneof![
+        4 => (0usize..4, any::<bool>(), any::<u64>()).prop_map(|(kernel, faulty, seed)| {
+            Shape::Zoo { kernel, faults: faulty.then_some(seed) }
+        }),
+        2 => (1u32..81, any::<bool>()).prop_map(|(trips, external)| Shape::Traffic {
+            trips,
+            external
+        }),
+        1 => Just(Shape::RunsOffItsEnd),
+        2 => Just(Shape::Waiter),
     ]
 }
 
-#[test]
-fn every_zoo_kernel_stepped_to_the_end_equals_its_run() {
-    for kernel in zoo() {
-        let run = observe(kernel.as_ref(), Drive::Run, None, None);
-        assert!(run.cycles > 0, "{}", kernel.name());
-        let stepped = observe(kernel.as_ref(), Drive::Step, None, None);
-        assert_eq!(run, stepped, "{} diverged when stepped", kernel.name());
+/// Cuts as thousandths of the reference's length (some past its end),
+/// each with its kind.
+fn schedules() -> impl Strategy<Value = Vec<(u64, Cut)>> {
+    let kind = prop_oneof![Just(Cut::Slice), Just(Cut::Steps), Just(Cut::Restore)];
+    prop::collection::vec((0u64..1100, kind), 0..5)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(CASES))]
+
+    #[test]
+    fn every_cut_of_a_run_is_invisible(shape in shapes(), schedule in schedules()) {
+        let traced = !schedule.iter().any(|&(_, cut)| cut == Cut::Restore);
+        let expected = reference(shape, traced);
+        let mut cuts: Vec<(u64, Cut)> = schedule
+            .iter()
+            .map(|&(permille, cut)| (expected.stats.cycles * permille / 1000, cut))
+            .collect();
+        cuts.sort_by_key(|&(at, _)| at);
+        check_cuts(shape, &cuts, &expected)?;
+    }
+}
+
+/// Steps a bare run of the waiter: the cycle `c` core 0 retires again
+/// (its off-chip response arrived), and the last cycle before it on
+/// which anything retired.
+fn response_cycle() -> (u64, u64) {
+    let mut cluster = loaded(Some(SLOW_OFFCHIP), offchip_waiter());
+    let (mut last_retire, mut core0_idle) = (0, false);
+    loop {
+        let (tick, before) = (cluster.cycle(), cluster.stats());
+        cluster.step().unwrap();
+        let after = cluster.stats();
+        let core0 = after.cores[0].retired > before.cores[0].retired;
+        if core0 && core0_idle {
+            return (tick, last_retire);
+        }
+        core0_idle |= !core0;
+        if after.total_retired() > before.total_retired() {
+            last_retire = tick;
+        }
     }
 }
 
 #[test]
-fn seed42_fault_injected_run_stepped_to_the_end_equals_its_run() {
-    // A rate high enough that retries, ECC corrections, and link
-    // degradation all actually fire on this small cluster.
-    let fault_cfg = FaultConfig::new(FAULT_SEED, 1e-4).with_horizon(50_000);
-    let plan = FaultPlan::generate(&fault_cfg, &zoo_config());
-    let kernel = ComputePhase::new(32);
-    let run = observe(&kernel, Drive::Run, Some(&plan), Some(2_000_000));
-    let report = run
-        .fault_report
-        .as_deref()
-        .expect("a fault-injected run carries a report");
-    assert!(
-        report.contains("\"injected\""),
-        "report should summarize injections: {report}"
-    );
-    let stepped = observe(&kernel, Drive::Step, Some(&plan), Some(2_000_000));
-    assert_eq!(run, stepped, "degraded run diverged when stepped");
+fn named_scenarios_are_fixed_cuts() {
+    let cases = |shape: Shape, traced: bool, schedules: &[&[(u64, Cut)]]| {
+        let expected = reference(shape, traced);
+        for cuts in schedules {
+            check_cuts(shape, cuts, &expected)
+                .unwrap_or_else(|e| panic!("{shape:?} {cuts:?}: {e}"));
+        }
+        expected
+    };
+    // Every event a tick can end on, due on one cycle `c`: `run()`,
+    // `step()` and restore cuts at `c - 1`, `c` and `c + 1`.
+    let (c, last_retire) = response_cycle();
+    assert!(c > last_retire + 100, "the response comes last");
+    let one_cycle = Shape::OneCycle {
+        cycle: c,
+        last_retire,
+    };
+    cases(one_cycle, true, &[&[(BUDGET, Cut::Steps)]]);
+    let restores = [c - 1, c, c + 1].map(|at| [(at, Cut::Restore)]);
+    let run = cases(one_cycle, false, &restores.each_ref().map(|r| &r[..]));
+    // The response lands on `c` and counts as progress there, so the hung
+    // core trips the watchdog one full window later.
+    assert_eq!(run.stats.cycles, c + (c - last_retire), "{:?}", run.end);
+    assert!(run.fault_report.unwrap().contains("\"ecc_pending\": 1"));
+    assert!(run.series.values().all(|s| s[0].0 == c));
+    let hung = |e: &Event| e.0 == c && e.3.contains("hung");
+    assert!(run.flight.1.iter().any(hung));
+    // Budgets that end the call mid-run: after the first tick, and at an
+    // odd cycle with traffic in flight.
+    let (trips, external) = (40, true);
+    let offchip = Shape::Traffic { trips, external };
+    cases(offchip, true, &[&[(1, Cut::Slice)], &[(777, Cut::Slice)]]);
+    cases(Shape::NoProgram, true, &[&[(BUDGET, Cut::Steps)]]);
 }
 
 #[test]
-fn fault_plans_and_spare_remaps_run_sharded() {
-    // The plan above degrades links, remaps stuck banks onto spares and
-    // lands bit flips mid-run, so the comparison above really crosses
-    // those paths: a tile's view holds its spare words, and a corrected
-    // read stalls a core on whichever tile it sits.
-    let fault_cfg = FaultConfig::new(FAULT_SEED, 1e-4).with_horizon(50_000);
-    let plan = FaultPlan::generate(&fault_cfg, &zoo_config());
-    let mut cluster = Cluster::new(zoo_config(), SimParams::default());
-    cluster.inject_faults(&plan).unwrap();
-    assert_eq!(cluster.engine_selection().engine, "quantum");
-    ComputePhase::new(32).run(&mut cluster, 10_000_000).unwrap();
-    let report = cluster.fault_report().expect("a plan was injected");
-    assert!(!report.remapped.is_empty(), "the plan must remap a bank");
-    assert!(report.ecc_corrected > 0, "the plan must exercise ECC");
+fn committed_baseline_matches_the_pinned_summary() {
+    // The comparison `repro check --baseline BENCH_baseline.json` makes,
+    // so drift of the pinned degraded run fails tier-1 and not only CI.
+    let summary = mempool_bench::bench_summary();
+    let baseline = Json::parse(include_str!("../BENCH_baseline.json"))
+        .expect("the committed baseline is valid JSON");
+    assert_eq!(
+        baseline,
+        summary,
+        "BENCH_baseline.json drifted from bench_summary():\n{}",
+        mempool_bench::regress::diff(&baseline, &summary).join("\n")
+    );
+    // `repro check --bless` writes exactly these bytes.
+    assert_eq!(include_str!("../BENCH_baseline.json"), summary.to_pretty());
+}
+
+// ---------------------------------------------------------------------
+// Stored reference values. The per-tick step kernel these were recorded
+// on (commit 0af2bcc, the last one that had it) is deleted; it stays on
+// as the numbers below, which the engine must still reproduce.
+// ---------------------------------------------------------------------
+
+/// A zoo-geometry cluster with default parameters.
+fn zoo_cluster() -> Cluster {
+    Cluster::new(zoo_config(), SimParams::default())
+}
+
+fn one_line(text: &str) -> String {
+    text.split_whitespace().collect::<Vec<_>>().join(" ")
 }
 
 /// Core 0 waits forever on a load swallowed by a black-holing dead link;
@@ -216,549 +549,6 @@ fn deadlock_on_a_black_holed_load() -> (SimError, u64) {
     cluster.preload_icaches();
     let err = cluster.run(100_000).unwrap_err();
     (err, cluster.cycle())
-}
-
-#[test]
-fn committed_baseline_matches_the_pinned_summary() {
-    // The comparison `repro check --baseline BENCH_baseline.json` makes,
-    // so drift of the pinned degraded run fails tier-1 and not only CI.
-    let summary = mempool_bench::bench_summary();
-    let baseline = Json::parse(include_str!("../BENCH_baseline.json"))
-        .expect("the committed baseline is valid JSON");
-    assert_eq!(
-        baseline,
-        summary,
-        "BENCH_baseline.json drifted from bench_summary():\n{}",
-        mempool_bench::regress::diff(&baseline, &summary).join("\n")
-    );
-    // `repro check --bless` writes exactly these bytes.
-    assert_eq!(include_str!("../BENCH_baseline.json"), summary.to_pretty());
-}
-
-// ---------------------------------------------------------------------
-// Bare runs (no obs/faults/trace), run against stepped: same cycles, same
-// stats digest, same errors — through timeouts, and with cross-tile,
-// contended-AMO, and off-chip traffic in flight where a call ends.
-// ---------------------------------------------------------------------
-
-use mempool_isa::instr::{AluOp, AmoOp, BranchOp, Instr, LoadOp, StoreOp, CSR_MHARTID};
-use mempool_isa::Reg;
-
-fn quantum_config() -> ClusterConfig {
-    ClusterConfig::builder()
-        .groups(1)
-        .tiles_per_group(16)
-        .cores_per_tile(2)
-        .banks_per_tile(4)
-        .bank_words(64)
-        .build()
-        .unwrap()
-}
-
-/// Every core: contended AMO on a shared word, a hart-spread load/store
-/// pair striding across tiles through the interleaved region, optionally
-/// an off-chip load+store, a counted loop, then halt.
-fn quantum_traffic(trips: u32, external: bool) -> Program {
-    let mut body = vec![
-        // r1 = hartid * 4 (word stride), r2 = external base + r1.
-        Instr::Csrrs {
-            rd: Reg::new(1),
-            csr: CSR_MHARTID,
-            rs1: Reg::ZERO,
-        },
-        Instr::OpImm {
-            op: AluOp::Sll,
-            rd: Reg::new(1),
-            rs1: Reg::new(1),
-            imm: 2,
-        },
-        Instr::Lui {
-            rd: Reg::new(2),
-            imm: 0x8000_0000,
-        },
-        Instr::Op {
-            op: AluOp::Add,
-            rd: Reg::new(2),
-            rs1: Reg::new(2),
-            rs2: Reg::new(1),
-        },
-        Instr::OpImm {
-            op: AluOp::Add,
-            rd: Reg::new(31),
-            rs1: Reg::ZERO,
-            imm: trips as i32,
-        },
-        // Loop body.
-        Instr::Amo {
-            op: AmoOp::Add,
-            rd: Reg::new(10),
-            rs1: Reg::ZERO,
-            rs2: Reg::new(31),
-        },
-        Instr::Load {
-            op: LoadOp::Lw,
-            rd: Reg::new(11),
-            rs1: Reg::new(1),
-            offset: 64,
-        },
-        Instr::Store {
-            op: StoreOp::Sw,
-            rs2: Reg::new(11),
-            rs1: Reg::new(1),
-            offset: 256,
-        },
-    ];
-    if external {
-        body.push(Instr::Load {
-            op: LoadOp::Lw,
-            rd: Reg::new(12),
-            rs1: Reg::new(2),
-            offset: 0,
-        });
-        body.push(Instr::Store {
-            op: StoreOp::Sw,
-            rs2: Reg::new(31),
-            rs1: Reg::new(2),
-            offset: 4,
-        });
-    }
-    body.extend([
-        Instr::OpImm {
-            op: AluOp::Add,
-            rd: Reg::new(31),
-            rs1: Reg::new(31),
-            imm: -1,
-        },
-        Instr::Branch {
-            op: BranchOp::Bne,
-            rs1: Reg::new(31),
-            rs2: Reg::ZERO,
-            offset: if external { -24 } else { -16 },
-        },
-        Instr::Wfi,
-    ]);
-    Program::new(body)
-}
-
-/// A bare cluster with `program` loaded.
-fn bare(program: &Program) -> Cluster {
-    let mut cluster = Cluster::new(quantum_config(), SimParams::default());
-    cluster.load_program(program.clone());
-    cluster.preload_icaches();
-    cluster
-}
-
-#[test]
-fn quantum_engine_matches_the_step_loop_bit_exactly() {
-    for external in [false, true] {
-        let program = quantum_traffic(40, external);
-        let mut run = bare(&program);
-        let cycles = drive(&mut run, Drive::Run, 1_000_000).expect("run completes");
-        let mut stepped = bare(&program);
-        let stepped_cycles = drive(&mut stepped, Drive::Step, 1_000_000).expect("steps complete");
-        assert_eq!(cycles, stepped_cycles, "external {external}");
-        assert_eq!(run.stats(), stepped.stats(), "external {external}");
-    }
-}
-
-#[test]
-fn quantum_timeout_lands_on_the_exact_cycle_and_resumes_bit_exactly() {
-    let program = quantum_traffic(80, true);
-    let mut done = bare(&program);
-    let final_cycles = done.run(1_000_000).expect("completes");
-    let final_digest = done.stats().digest();
-    // Budgets that end the call mid-run: after the first tick, and at an
-    // odd cycle with traffic in flight.
-    for budget in [1, 777] {
-        let mut stepped = bare(&program);
-        let step_err = drive(&mut stepped, Drive::Step, budget).expect_err("budget is too small");
-        let mut cluster = bare(&program);
-        let err = cluster.run(budget).expect_err("budget is too small");
-        assert_eq!(err, SimError::Timeout { cycles: budget });
-        assert_eq!(err, step_err);
-        assert_eq!(
-            cluster.stats().digest(),
-            stepped.stats().digest(),
-            "mid-run state at the deadline must not depend on the calls"
-        );
-        // Finishing from the timed-out state stays bit-exact.
-        let resumed = cluster.run(1_000_000).expect("resumes to completion");
-        assert_eq!(resumed, final_cycles);
-        assert_eq!(cluster.stats().digest(), final_digest);
-    }
-}
-
-#[test]
-fn quantum_errors_match_the_step_loop() {
-    // No Wfi: every core runs off the end of the program, and the engine
-    // must report the same PcOutOfRange error at the same cycle with the
-    // same stats however the run is cut.
-    let program = Program::new(vec![
-        Instr::OpImm {
-            op: AluOp::Add,
-            rd: Reg::new(5),
-            rs1: Reg::ZERO,
-            imm: 7,
-        },
-        Instr::Load {
-            op: LoadOp::Lw,
-            rd: Reg::new(6),
-            rs1: Reg::ZERO,
-            offset: 128,
-        },
-    ]);
-    let mut run = bare(&program);
-    let err = run.run(1_000_000).expect_err("runs off the program");
-    let mut stepped = bare(&program);
-    let step_err = drive(&mut stepped, Drive::Step, 1_000_000).expect_err("runs off the program");
-    assert!(matches!(err, SimError::PcOutOfRange { .. }), "{err}");
-    assert_eq!(err, step_err);
-    assert_eq!(
-        run.cycle(),
-        stepped.cycle(),
-        "the clock must stop on the erroring cycle"
-    );
-    assert_eq!(run.stats().digest(), stepped.stats().digest());
-}
-
-#[test]
-fn quantum_reports_no_program_like_the_step_loop() {
-    let mut run = Cluster::new(quantum_config(), SimParams::default());
-    let mut stepped = Cluster::new(quantum_config(), SimParams::default());
-    let err = run.run(1000).expect_err("no program loaded");
-    assert_eq!(err, SimError::NoProgram);
-    assert_eq!(err, stepped.step().expect_err("no program loaded"));
-}
-
-// ---------------------------------------------------------------------
-// Instrumented runs: for a fully instrumented cluster (spans, metrics,
-// time series, flight ring, instruction trace, watchdog) every serialized
-// artifact is byte-identical whether the run is one call or one per tick.
-// ---------------------------------------------------------------------
-
-/// One fully instrumented run on the traffic program, returning
-/// the serialized artifacts.
-fn observe_instrumented(how: Drive, program: &Program) -> Observed {
-    let obs = Obs::new();
-    let mut cluster = Cluster::new(quantum_config(), SimParams::default());
-    cluster.attach_obs(&obs, "instrumented");
-    cluster.enable_timeseries(64);
-    cluster.enable_flight(128);
-    cluster.enable_trace(128);
-    cluster.set_watchdog(100_000);
-    assert_eq!(cluster.engine_selection().engine, "quantum");
-    cluster.load_program(program.clone());
-    cluster.preload_icaches();
-    let cycles = drive(&mut cluster, how, 1_000_000).expect("instrumented run completes");
-    let stats = cluster.stats();
-    let attribution = stats.attribution(2, 4).to_json().to_pretty();
-    cluster.detach_obs();
-    Observed {
-        cycles,
-        digest: stats.digest(),
-        attribution,
-        timeseries: obs.series.to_json().to_pretty(),
-        trace: chrome_trace_with_counters(&obs.spans, Some(&obs.series)).to_pretty(),
-        flight: obs.flight.to_json().to_pretty(),
-        fault_report: None,
-        stats,
-    }
-}
-
-#[test]
-fn instrumented_quantum_runs_produce_byte_identical_artifacts() {
-    for external in [false, true] {
-        let program = quantum_traffic(40, external);
-        let run = observe_instrumented(Drive::Run, &program);
-        assert!(
-            !run.flight.contains("\"events\": []"),
-            "served requests must land in the flight ring"
-        );
-        assert!(
-            run.timeseries.contains("series"),
-            "epoch sampling must produce tracks"
-        );
-        let stepped = observe_instrumented(Drive::Step, &program);
-        assert_eq!(
-            run, stepped,
-            "instrumented artifacts diverged when stepped (external {external})"
-        );
-    }
-}
-
-#[test]
-fn watchdog_deadlock_on_the_quantum_engine_is_bit_identical() {
-    // Core 0 issues an off-chip load whose response takes far longer than
-    // the watchdog threshold, then stalls using the result: a genuine
-    // forward-progress deadlock with no fault plan involved. The flight
-    // recorder must trip mid-call with the identical watchdog event,
-    // error, and stop cycle as when stepped.
-    let program = Program::new(vec![
-        Instr::Csrrs {
-            rd: Reg::new(1),
-            csr: CSR_MHARTID,
-            rs1: Reg::ZERO,
-        },
-        Instr::Branch {
-            op: BranchOp::Bne,
-            rs1: Reg::new(1),
-            rs2: Reg::ZERO,
-            offset: 16,
-        },
-        Instr::Lui {
-            rd: Reg::new(2),
-            imm: 0x8000_0000,
-        },
-        Instr::Load {
-            op: LoadOp::Lw,
-            rd: Reg::new(3),
-            rs1: Reg::new(2),
-            offset: 0,
-        },
-        Instr::Op {
-            op: AluOp::Add,
-            rd: Reg::new(4),
-            rs1: Reg::new(3),
-            rs2: Reg::new(3),
-        },
-        Instr::Wfi,
-    ]);
-    let run_once = |how: Drive| -> (SimError, u64, String) {
-        let obs = Obs::new();
-        let slow_offchip = SimParams {
-            offchip_latency: 10_000,
-            ..SimParams::default()
-        };
-        let mut cluster = Cluster::new(quantum_config(), slow_offchip);
-        cluster.attach_obs(&obs, "deadlock");
-        cluster.enable_timeseries(64);
-        cluster.enable_flight(64);
-        cluster.enable_trace(64);
-        cluster.set_watchdog(100);
-        assert_eq!(cluster.engine_selection().engine, "quantum");
-        cluster.load_program(program.clone());
-        cluster.preload_icaches();
-        let err = drive(&mut cluster, how, 100_000).expect_err("the watchdog must fire");
-        let cycle = cluster.cycle();
-        cluster.detach_obs();
-        (err, cycle, obs.flight.to_json().to_pretty())
-    };
-    let (err, cycle, flight) = run_once(Drive::Run);
-    assert!(
-        matches!(err, SimError::Deadlock { .. }),
-        "expected a deadlock, got {err}"
-    );
-    assert!(
-        flight.contains("watchdog"),
-        "the flight ring must carry the watchdog event: {flight}"
-    );
-    let (step_err, step_cycle, step_flight) = run_once(Drive::Step);
-    assert_eq!(err, step_err, "deadlock diverged when stepped");
-    assert_eq!(cycle, step_cycle, "stop cycle diverged when stepped");
-    assert_eq!(flight, step_flight, "flight ring diverged when stepped");
-}
-
-// ---------------------------------------------------------------------
-// Everything that once had to end a quantum, due on one cycle `c`: a
-// timed flip and a core hang, the end of a sampling epoch, the watchdog's
-// no-progress window and an off-chip response. `run()`, `step()` and
-// checkpoint cuts at `c - 1`, `c` and `c + 1` must agree on all of it.
-// ---------------------------------------------------------------------
-
-/// Off-chip latency of the one-cycle scenario: the response core 0 waits
-/// for is due long after everything else stopped.
-const SLOW_OFFCHIP: u32 = 200;
-
-/// Core 0 loads an off-chip word and uses it; the other cores halt.
-fn offchip_waiter() -> Program {
-    Program::assemble(
-        r#"
-            csrr t1, mhartid
-            bnez t1, done
-            li   t0, 0x80000000
-            lw   a0, 0(t0)
-            add  a1, a0, a0
-            sw   a1, 4(t0)
-        done:
-            wfi
-        "#,
-    )
-    .unwrap()
-}
-
-fn slow_offchip() -> SimParams {
-    SimParams {
-        offchip_latency: SLOW_OFFCHIP,
-        ..SimParams::default()
-    }
-}
-
-/// Steps a bare run of the waiter: the cycle `c` core 0 retires again
-/// (its off-chip response arrived), and the last cycle before it on
-/// which anything retired.
-fn response_cycle() -> (u64, u64) {
-    let mut cluster = Cluster::new(quantum_config(), slow_offchip());
-    cluster.load_program(offchip_waiter());
-    cluster.preload_icaches();
-    let (mut last_retire, mut core0_idle) = (0, false);
-    loop {
-        let tick = cluster.cycle();
-        let before = cluster.stats();
-        cluster.step().unwrap();
-        let after = cluster.stats();
-        let core0 = after.cores[0].retired > before.cores[0].retired;
-        if core0 && core0_idle {
-            return (tick, last_retire);
-        }
-        core0_idle |= !core0;
-        if after.total_retired() > before.total_retired() {
-            last_retire = tick;
-        }
-    }
-}
-
-/// Arms the one-cycle scenario on a cluster at cycle 0, recording into
-/// `obs`: flip and hang due at `c`, the first sampling epoch ending at
-/// `c`, a watchdog whose window, counted from `last_retire`, ends at `c`.
-fn due_together(c: u64, last_retire: u64, obs: &Obs) -> Cluster {
-    let mut cluster = Cluster::new(quantum_config(), slow_offchip());
-    let mut plan = FaultPlan::new(3);
-    plan.push(FaultEvent::TransientFlip {
-        cycle: c,
-        loc: mempool_arch::BankLocation {
-            tile: TileId(5),
-            bank: BankId(1),
-            word: 3,
-        },
-        mask: 1 << 3,
-    });
-    plan.push(FaultEvent::CoreHang {
-        cycle: c,
-        core: mempool_arch::GlobalCoreId::new(0),
-    });
-    cluster.inject_faults(&plan).unwrap();
-    cluster.set_watchdog(c - last_retire);
-    cluster.attach_obs(obs, "one-cycle");
-    cluster.enable_timeseries(c);
-    cluster.enable_flight(4096);
-    cluster.load_program(offchip_waiter());
-    cluster.preload_icaches();
-    cluster
-}
-
-/// What a leg of the one-cycle scenario ends with.
-#[derive(Debug, PartialEq)]
-struct Ending {
-    error: SimError,
-    cycle: u64,
-    digest: u64,
-    fault_report: String,
-    series: Vec<(String, Vec<(u64, f64)>)>,
-    flight: Vec<(u64, String, Option<u32>, String)>,
-}
-
-/// The time series and flight events `obs` holds, appended to `series`
-/// and `flight`.
-fn collect(
-    obs: &Obs,
-    series: &mut Vec<(String, Vec<(u64, f64)>)>,
-    flight: &mut Vec<(u64, String, Option<u32>, String)>,
-) {
-    for name in obs.series.names() {
-        let samples: Vec<_> = (obs.series.samples(&name).iter())
-            .map(|s| (s.cycle, s.value))
-            .collect();
-        match series.iter_mut().find(|(known, _)| *known == name) {
-            Some((_, known)) => known.extend(samples),
-            None => series.push((name, samples)),
-        }
-    }
-    series.sort_by(|a, b| a.0.cmp(&b.0));
-    flight.extend(
-        obs.flight
-            .events()
-            .into_iter()
-            .map(|e| (e.cycle, e.category, e.core, e.message)),
-    );
-}
-
-/// The `Ending` of a cluster that stopped with `error`: `series` and
-/// `flight` hold what the recorders of its earlier legs (before a cut)
-/// saw, and `obs` what its last leg saw.
-fn ending(
-    cluster: &Cluster,
-    error: SimError,
-    obs: &Obs,
-    mut series: Vec<(String, Vec<(u64, f64)>)>,
-    mut flight: Vec<(u64, String, Option<u32>, String)>,
-) -> Ending {
-    collect(obs, &mut series, &mut flight);
-    Ending {
-        error,
-        cycle: cluster.cycle(),
-        digest: cluster.stats().digest(),
-        fault_report: cluster.fault_report().unwrap().to_json().to_pretty(),
-        series,
-        flight,
-    }
-}
-
-#[test]
-fn former_quantum_caps_due_on_one_cycle_agree_across_run_step_and_cuts() {
-    let (c, last_retire) = response_cycle();
-    assert!(
-        c > last_retire + 100,
-        "the response is due long after the rest"
-    );
-    let legs = |how: Drive| {
-        let obs = Obs::new();
-        let mut cluster = due_together(c, last_retire, &obs);
-        let error = drive(&mut cluster, how, 1_000_000).expect_err("core 0 hangs");
-        let trace = chrome_trace_with_counters(&obs.spans, Some(&obs.series)).to_pretty();
-        (ending(&cluster, error, &obs, vec![], vec![]), trace)
-    };
-    let (run, run_trace) = legs(Drive::Run);
-    // The response lands on `c` and counts as progress there, so the hung
-    // core trips the watchdog one full window later.
-    assert_eq!(run.cycle, c + (c - last_retire), "{}", run.error);
-    assert!(matches!(run.error, SimError::Deadlock { .. }));
-    assert!(run.fault_report.contains("\"ecc_pending\": 1"));
-    assert!(run.series.iter().all(|(_, s)| s[0].0 == c));
-    assert!(run.flight.iter().any(|e| e.0 == c && e.3.contains("hung")));
-    let (stepped, step_trace) = legs(Drive::Step);
-    assert_eq!(run, stepped, "stepped");
-    assert_eq!(run_trace, step_trace, "stepped");
-    for cut in [c - 1, c, c + 1] {
-        let before = Obs::new();
-        let mut cluster = due_together(c, last_retire, &before);
-        let timeout = cluster.run(cut).expect_err("the cut lands mid-run");
-        assert_eq!(timeout, SimError::Timeout { cycles: cut });
-        let (mut series, mut flight) = (vec![], vec![]);
-        collect(&before, &mut series, &mut flight);
-        let after = Obs::new();
-        let mut resumed = Cluster::restore(&cluster.checkpoint()).unwrap();
-        resumed.attach_obs(&after, "one-cycle");
-        resumed.enable_timeseries(c);
-        resumed.enable_flight(4096);
-        let error = resumed.run(1_000_000).expect_err("core 0 hangs");
-        let cut_leg = ending(&resumed, error, &after, series, flight);
-        assert_eq!(run, cut_leg, "cut at {cut}");
-    }
-}
-
-// ---------------------------------------------------------------------
-// Stored reference values. The per-tick step kernel these were recorded
-// on (commit 0af2bcc, the last one that had it) is deleted; it stays on
-// as the numbers below, which the engine must still reproduce.
-// ---------------------------------------------------------------------
-
-/// A zoo-geometry cluster with default parameters.
-fn zoo_cluster() -> Cluster {
-    Cluster::new(zoo_config(), SimParams::default())
-}
-
-fn one_line(text: &str) -> String {
-    text.split_whitespace().collect::<Vec<_>>().join(" ")
 }
 
 /// Every core outside tile 1 reads one word of tile 1 a dozen times, so
@@ -853,7 +643,7 @@ fn pinned_run(name: &str) -> Cluster {
         cluster
     };
     let traffic = |external| {
-        let mut cluster = bare(&quantum_traffic(40, external));
+        let mut cluster = loaded(None, traffic(40, external));
         cluster.run(1_000_000).unwrap();
         cluster
     };
@@ -933,10 +723,76 @@ fn an_unbounded_budget_on_a_resumed_cluster_does_not_overflow() {
     // The step loop computed `cycle + max_cycles` unchecked: past cycle 0
     // `run(u64::MAX)` panicked in debug builds and timed out at once in
     // release builds.
-    let mut cluster = bare(&quantum_traffic(4, false));
+    let mut cluster = loaded(None, traffic(4, false));
     let first = cluster.run(u64::MAX).expect("first phase completes");
     assert!(first > 0);
     cluster.resume_all(0).unwrap();
     let second = cluster.run(u64::MAX).expect("resumed phase completes");
     assert!(second > first);
+}
+
+// The off-chip port booked past the clock, read from the checkpoint itself,
+// which no comparison above looks into.
+
+fn small_config() -> ClusterConfig {
+    geometry(4, 4, 4, 64)
+}
+
+/// Every core loops on loads from external memory, so each load books
+/// the one off-chip port behind the others' and the port stays busy past
+/// the clock for most of the run.
+fn offchip_loader() -> Program {
+    Program::assemble(
+        r#"
+            li   t0, 0x80000000
+            li   t1, 6
+        loop:
+            lw   a0, 0(t0)
+            add  a1, a1, a0
+            addi t1, t1, -1
+            bnez t1, loop
+            wfi
+        "#,
+    )
+    .expect("assembles")
+}
+
+/// The off-chip port's `busy_until` as a checkpoint records it: the first
+/// 16-digit hex word of its `offchip` section.
+fn checkpointed_busy_until(doc: &mempool_obs::Json) -> u64 {
+    let section = doc.str_field("offchip").expect("offchip section");
+    u64::from_str_radix(&section[..16], 16).expect("hex word")
+}
+
+#[test]
+fn mid_dma_snapshot_preserves_the_offchip_port_state() {
+    let start = || {
+        let mut cluster = Cluster::new(small_config(), SimParams::default());
+        cluster.storage_mut().write_external_word(0, 3);
+        cluster.load_program(offchip_loader());
+        cluster.preload_icaches();
+        cluster
+    };
+    let mut unbroken = start();
+    let end = unbroken.run(BUDGET).expect("unbroken run finishes");
+    for cut in [40, 300, 1000, 2000] {
+        let mut broken = start();
+        match broken.run(cut) {
+            Err(SimError::Timeout { .. }) => {}
+            other => panic!("expected a timeout at cycle {cut}, got {other:?}"),
+        }
+        let doc = broken.checkpoint();
+        let busy_until = checkpointed_busy_until(&doc);
+        assert!(
+            busy_until > broken.cycle(),
+            "cut {cut}: the port must still be booked (busy until {busy_until})"
+        );
+        let mut resumed = Cluster::restore(&doc).expect("restore");
+        assert_eq!(resumed.run(BUDGET).expect("resumed run finishes"), end);
+        assert_eq!(
+            resumed.stats().digest(),
+            unbroken.stats().digest(),
+            "cut {cut}: a busy off-chip port survives restore"
+        );
+    }
 }
