@@ -2,15 +2,18 @@
 //! and checkpoint/restore cuts must not show. The property
 //! `every_cut_of_a_run_is_invisible` draws a shape and a schedule of cuts
 //! and checks that the run driven through them equals one uninterrupted
-//! `run()` in every observable way (`Observed`); named scenarios are fixed
-//! inputs of the same comparison. The `PINNED_*` tables further down hold
+//! `run()` in every observable way (`Observed`, in `cuts`); named scenarios
+//! are fixed inputs of the same comparison, as are the checkpoint and ring
+//! tests of `tests/checkpoint_roundtrip.rs` and `tests/arena_invariants.rs`,
+//! which share `cuts`. The `PINNED_*` tables further down hold
 //! what the deleted per-tick step kernel produced for the same scenarios.
 
-use std::collections::BTreeMap;
+mod cuts;
 
 use proptest::prelude::*;
 
-use mempool_arch::{BankId, BankLocation, ClusterConfig, GlobalCoreId, MemoryRegion, TileId};
+use cuts::*;
+use mempool_arch::{BankId, ClusterConfig, MemoryRegion, TileId};
 use mempool_fault::{DeadLinkPolicy, FaultConfig, FaultEvent, FaultPlan};
 use mempool_isa::Program;
 use mempool_kernels::axpy::Axpy;
@@ -18,384 +21,11 @@ use mempool_kernels::dotprod::DotProduct;
 use mempool_kernels::matmul::ComputePhase;
 use mempool_kernels::transpose::Transpose;
 use mempool_kernels::Kernel;
-use mempool_obs::{chrome_trace_with_counters, FlightEvent, Json, Obs};
-use mempool_sim::{Cluster, ClusterStats, SimError, SimParams};
-
-/// The pinned fault seed, matching the committed baseline scenario.
-const FAULT_SEED: u64 = 42;
-
-/// Cycle budget of every uninterrupted run: far beyond any shape's end.
-const BUDGET: u64 = 10_000_000;
-
-/// Flight ring capacity: small enough that most runs overflow it.
-const FLIGHT: usize = 128;
+use mempool_obs::Json;
+use mempool_sim::{Cluster, SimError, SimParams};
 
 /// Generated cases of the property; a debug build simulates ~30x slower.
 const CASES: u32 = if cfg!(debug_assertions) { 16 } else { 128 };
-
-/// One group of `tiles` tiles of `cores` cores and `banks` banks each.
-fn geometry(tiles: u32, cores: u32, banks: u32, bank_words: u32) -> ClusterConfig {
-    ClusterConfig::builder()
-        .groups(1)
-        .tiles_per_group(tiles)
-        .cores_per_tile(cores)
-        .banks_per_tile(banks)
-        .bank_words(bank_words)
-        .build()
-        .unwrap()
-}
-
-fn zoo_config() -> ClusterConfig {
-    geometry(4, 4, 16, 256)
-}
-
-fn traffic_config() -> ClusterConfig {
-    geometry(16, 2, 4, 64)
-}
-
-fn zoo_kernel(index: usize) -> Box<dyn Kernel> {
-    match index {
-        0 => Box::new(Axpy::new(1024, 3)),
-        1 => Box::new(DotProduct::new(1024)),
-        2 => Box::new(ComputePhase::new(32)),
-        _ => Box::new(Transpose::new(64)),
-    }
-}
-
-/// Every core: a contended AMO on a shared word, a hart-spread load/store
-/// pair striding across tiles through the interleaved region, optionally
-/// an off-chip load and store, `trips` times; then halt.
-fn traffic(trips: u32, external: bool) -> Program {
-    let offchip = external.then_some("lw x12, 0(x2)\n sw x31, 4(x2)");
-    Program::assemble(&format!(
-        r#"
-            csrr x1, mhartid
-            slli x1, x1, 2
-            lui  x2, 0x80000
-            add  x2, x2, x1
-            addi x31, x0, {trips}
-        loop:
-            amoadd.w x10, x31, (x0)
-            lw   x11, 64(x1)
-            sw   x11, 256(x1)
-            {}
-            addi x31, x31, -1
-            bne  x31, x0, loop
-            wfi
-        "#,
-        offchip.unwrap_or_default()
-    ))
-    .unwrap()
-}
-
-/// A traffic-geometry cluster with `program` loaded, and an off-chip
-/// latency of `slow` cycles if given.
-fn loaded(slow: Option<u32>, program: Program) -> Cluster {
-    let mut params = SimParams::default();
-    params.offchip_latency = slow.unwrap_or(params.offchip_latency);
-    let mut cluster = Cluster::new(traffic_config(), params);
-    cluster.load_program(program);
-    cluster.preload_icaches();
-    cluster
-}
-
-/// Core 0 loads an off-chip word and uses it; the other cores halt.
-fn offchip_waiter() -> Program {
-    Program::assemble(
-        r#"
-            csrr t1, mhartid
-            bnez t1, done
-            li   t0, 0x80000000
-            lw   a0, 0(t0)
-            add  a1, a0, a0
-            sw   a1, 4(t0)
-        done:
-            wfi
-        "#,
-    )
-    .unwrap()
-}
-
-/// Off-chip latency of the one-cycle scenario's late response.
-const SLOW_OFFCHIP: u32 = 200;
-
-/// What a case runs, and how it is armed.
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum Shape {
-    /// A zoo kernel on the zoo geometry, optionally under the fault plan
-    /// generated from a seed (and then with the watchdog armed).
-    Zoo { kernel: usize, faults: Option<u64> },
-    /// The traffic loop on the 16x2-core geometry.
-    Traffic { trips: u32, external: bool },
-    /// Every core runs off the end of its program: `PcOutOfRange`.
-    RunsOffItsEnd,
-    /// Core 0 waits on an off-chip response far beyond the watchdog's
-    /// window: `Deadlock`.
-    Waiter,
-    /// No program loaded: `NoProgram`.
-    NoProgram,
-    /// A flip, a hang, an epoch end, a watchdog window and an off-chip
-    /// response, all due on `cycle`.
-    OneCycle { cycle: u64, last_retire: u64 },
-}
-
-impl Shape {
-    /// Arms fresh obs hooks on `cluster`, as a restored one is re-armed.
-    fn arm(self, cluster: &mut Cluster, obs: &Obs) {
-        let window = if let Shape::OneCycle { cycle, .. } = self {
-            cycle
-        } else {
-            64
-        };
-        cluster.attach_obs(obs, "cut");
-        cluster.enable_timeseries(window);
-        cluster.enable_flight(FLIGHT);
-    }
-
-    /// A new cluster at cycle 0, armed on `obs` and ready to run.
-    fn build(self, obs: &Obs, trace: bool) -> Cluster {
-        let mut cluster = match self {
-            Shape::Zoo { .. } => Cluster::new(zoo_config(), SimParams::default()),
-            Shape::Traffic { trips, external } => loaded(None, traffic(trips, external)),
-            Shape::RunsOffItsEnd => loaded(
-                None,
-                Program::assemble("addi x5, x0, 7\nlw x6, 128(x0)").unwrap(),
-            ),
-            Shape::Waiter => loaded(Some(10_000), offchip_waiter()),
-            Shape::NoProgram => Cluster::new(traffic_config(), SimParams::default()),
-            Shape::OneCycle { .. } => loaded(Some(SLOW_OFFCHIP), offchip_waiter()),
-        };
-        self.arm(&mut cluster, obs);
-        if trace {
-            cluster.enable_trace(128);
-        }
-        match self {
-            Shape::Zoo { kernel, faults } => {
-                if let Some(seed) = faults {
-                    let fault_cfg = FaultConfig::new(seed, 1e-4).with_horizon(50_000);
-                    let plan = FaultPlan::generate(&fault_cfg, &zoo_config());
-                    cluster.inject_faults(&plan).unwrap();
-                    cluster.set_watchdog(20_000);
-                }
-                zoo_kernel(kernel).load(&mut cluster).unwrap();
-            }
-            Shape::Waiter => cluster.set_watchdog(100),
-            Shape::OneCycle { cycle, last_retire } => {
-                let (mut plan, core, mask) = (FaultPlan::new(3), GlobalCoreId::new(0), 1 << 3);
-                let loc = BankLocation {
-                    tile: TileId(5),
-                    bank: BankId(1),
-                    word: 3,
-                };
-                plan.push(FaultEvent::TransientFlip { cycle, loc, mask });
-                plan.push(FaultEvent::CoreHang { cycle, core });
-                cluster.inject_faults(&plan).unwrap();
-                cluster.set_watchdog(cycle - last_retire);
-            }
-            _ => {}
-        }
-        cluster
-    }
-
-    /// Whether `end` is how this shape must end.
-    fn ends_as_it_should(self, end: &End) -> bool {
-        match self {
-            Shape::Zoo { faults, .. } => faults.is_some() || end.is_ok(),
-            Shape::Traffic { .. } => end.is_ok(),
-            Shape::RunsOffItsEnd => matches!(end, Err(SimError::PcOutOfRange { .. })),
-            Shape::Waiter | Shape::OneCycle { .. } => matches!(end, Err(SimError::Deadlock { .. })),
-            Shape::NoProgram => end == &Err(SimError::NoProgram),
-        }
-    }
-}
-
-/// How a cut reaches its cycle, and what happens there.
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum Cut {
-    /// One `run(k)` call that ends on the cut's cycle.
-    Slice,
-    /// One `step()` call per cycle up to the cut.
-    Steps,
-    /// A slice, then a checkpoint restored with fresh obs hooks.
-    Restore,
-}
-
-/// Time-series samples by track name.
-type Series = BTreeMap<String, Vec<(u64, f64)>>;
-
-/// How a run ended: its final cycle, or the error.
-type End = Result<u64, SimError>;
-
-/// One flight event, comparable.
-type Event = (u64, String, Option<u32>, String);
-
-/// Everything a run shows, gathered over all its legs.
-#[derive(Debug, PartialEq)]
-struct Observed {
-    end: End,
-    stats: ClusterStats,
-    digest: u64,
-    attribution: Option<String>,
-    fault_report: Option<String>,
-    touches: u64,
-    series: Series,
-    /// Events recorded over all legs, and the newest ring-full of them.
-    flight: (u64, Vec<Event>),
-    /// The Chrome trace and the instruction trace of an unrestored run.
-    traces: Option<(String, String)>,
-}
-
-/// What the recorders of a run's legs saw, concatenated.
-#[derive(Default)]
-struct Legs {
-    series: Series,
-    recorded: u64,
-    flight: Vec<Event>,
-}
-
-impl Legs {
-    fn collect(&mut self, obs: &Obs) {
-        for name in obs.series.names() {
-            let samples = obs.series.samples(&name);
-            let samples = samples.iter().map(|s| (s.cycle, s.value));
-            self.series.entry(name).or_default().extend(samples);
-        }
-        let events = obs.flight.events();
-        self.recorded += events.len() as u64 + obs.flight.dropped();
-        let event = |e: FlightEvent| (e.cycle, e.category, e.core, e.message);
-        self.flight.extend(events.into_iter().map(event));
-    }
-
-    /// What `cluster`, ended with `end`, shows after these legs and the
-    /// last one, recorded into `obs`.
-    fn finish(mut self, shape: Shape, cluster: &mut Cluster, end: End, obs: &Obs) -> Observed {
-        self.collect(obs);
-        let newest = self.flight.len().saturating_sub(FLIGHT);
-        let stats = cluster.stats();
-        // An error leaves the clock on the tick that raised it, which the
-        // cores have already accounted: only a completed run attributes.
-        let cfg = cluster.config();
-        let attribution = end.is_ok().then(|| {
-            let report = stats.attribution(cfg.cores_per_tile(), cfg.banks_per_tile());
-            assert!(
-                report.cores.iter().all(|c| c.total() == report.cycles),
-                "{shape:?}: each core's buckets sum to the cycles"
-            );
-            report.to_json().to_pretty()
-        });
-        let instructions = cluster.trace().map(|t| t.to_string());
-        // Close still-open spans so the exported trace is balanced.
-        cluster.detach_obs();
-        let observed = Observed {
-            end,
-            digest: stats.digest(),
-            attribution,
-            fault_report: cluster.fault_report().map(|r| r.to_json().to_pretty()),
-            touches: cluster.storage().spm_word_touches(),
-            series: self.series,
-            flight: (self.recorded, self.flight.split_off(newest)),
-            traces: instructions.map(|instructions| {
-                let spans = chrome_trace_with_counters(&obs.spans, Some(&obs.series));
-                (spans.to_pretty(), instructions)
-            }),
-            stats,
-        };
-        // Last, for the reads count as SPM touches.
-        if let (Ok(_), Shape::Zoo { kernel, .. }) = (&observed.end, shape) {
-            zoo_kernel(kernel).verify(cluster).unwrap();
-        }
-        observed
-    }
-}
-
-/// Steps `cluster` until it is quiescent, with `Cluster::run`'s budget and
-/// error contract.
-fn steps(cluster: &mut Cluster, budget: u64) -> End {
-    let deadline = cluster.cycle() + budget;
-    while !cluster.quiescent() {
-        if cluster.cycle() >= deadline {
-            return Err(SimError::Timeout { cycles: budget });
-        }
-        cluster.step()?;
-    }
-    Ok(cluster.cycle())
-}
-
-/// `shape` driven by one `run()`, its instruction trace armed if `traced`
-/// (as for a schedule without a restore cut); asserts what holds of every
-/// run on its own.
-fn reference(shape: Shape, traced: bool) -> Observed {
-    let obs = Obs::new();
-    let mut cluster = shape.build(&obs, traced);
-    let end = cluster.run(BUDGET);
-    let observed = Legs::default().finish(shape, &mut cluster, end, &obs);
-    assert!(
-        shape.ends_as_it_should(&observed.end),
-        "{shape:?} ended with {:?}",
-        observed.end
-    );
-    let report = observed.fault_report.as_deref();
-    if observed.end.is_ok() && report.is_none_or(|r| r.contains("\"blackholed_requests\": 0")) {
-        let issued: u64 = observed.stats.accesses_by_class().iter().sum();
-        let served: u64 = observed.stats.banks.iter().map(|b| b.served).sum();
-        assert_eq!(issued, served, "{shape:?}: every SPM request is served");
-    }
-    observed
-}
-
-/// Drives `shape` through `cuts` (ascending cycles), then one `run()` to
-/// the end, and compares what it shows with `expected`, its reference.
-fn check_cuts(shape: Shape, cuts: &[(u64, Cut)], expected: &Observed) -> Result<(), TestCaseError> {
-    let traced = !cuts.iter().any(|&(_, cut)| cut == Cut::Restore);
-    // Whether the reference had ended by the time a leg reaches `at`.
-    let ended_by = |at: u64| match expected.end {
-        Ok(end) => end <= at,
-        Err(_) => expected.stats.cycles < at,
-    };
-    let mut obs = Obs::new();
-    let mut cluster = shape.build(&obs, traced);
-    let mut legs = Legs::default();
-    let mut end = None;
-    for &(at, cut) in cuts {
-        let budget = at - cluster.cycle();
-        let leg = match cut {
-            Cut::Steps => steps(&mut cluster, budget),
-            Cut::Slice | Cut::Restore => cluster.run(budget),
-        };
-        if leg != Err(SimError::Timeout { cycles: budget }) {
-            prop_assert!(ended_by(at), "{cut:?} to {at} ended early: {leg:?}");
-            end = Some(leg);
-            break;
-        }
-        prop_assert!(!ended_by(at), "{cut:?} to {at} timed out");
-        prop_assert_eq!(cluster.cycle(), at, "{:?} stopped off its cycle", cut);
-        if cut == Cut::Restore {
-            legs.collect(&obs);
-            let text = cluster.checkpoint().to_pretty();
-            cluster = Cluster::restore(&Json::parse(&text).unwrap()).unwrap();
-            obs = Obs::new();
-            shape.arm(&mut cluster, &obs);
-        }
-    }
-    let end = end.unwrap_or_else(|| cluster.run(BUDGET));
-    let got = legs.finish(shape, &mut cluster, end, &obs);
-    // Field by field, so that a failure names what differs.
-    let fields: [(&str, bool); 9] = [
-        ("end", got.end == expected.end),
-        ("stats", got.stats == expected.stats),
-        ("digest", got.digest == expected.digest),
-        ("attribution", got.attribution == expected.attribution),
-        ("fault report", got.fault_report == expected.fault_report),
-        ("spm touches", got.touches == expected.touches),
-        ("time series", got.series == expected.series),
-        ("flight events", got.flight == expected.flight),
-        ("traces", got.traces == expected.traces),
-    ];
-    for (field, same) in fields {
-        prop_assert!(same, "{field} differs");
-    }
-    Ok(())
-}
 
 fn shapes() -> impl Strategy<Value = Shape> {
     prop_oneof![
@@ -423,8 +53,7 @@ proptest! {
 
     #[test]
     fn every_cut_of_a_run_is_invisible(shape in shapes(), schedule in schedules()) {
-        let traced = !schedule.iter().any(|&(_, cut)| cut == Cut::Restore);
-        let expected = reference(shape, traced);
+        let expected = reference(shape, traced(&schedule));
         let mut cuts: Vec<(u64, Cut)> = schedule
             .iter()
             .map(|&(permille, cut)| (expected.stats.cycles * permille / 1000, cut))
@@ -434,37 +63,115 @@ proptest! {
     }
 }
 
-/// Steps a bare run of the waiter: the cycle `c` core 0 retires again
-/// (its off-chip response arrived), and the last cycle before it on
-/// which anything retired.
-fn response_cycle() -> (u64, u64) {
-    let mut cluster = loaded(Some(SLOW_OFFCHIP), offchip_waiter());
-    let (mut last_retire, mut core0_idle) = (0, false);
-    loop {
-        let (tick, before) = (cluster.cycle(), cluster.stats());
-        cluster.step().unwrap();
-        let after = cluster.stats();
-        let core0 = after.cores[0].retired > before.cores[0].retired;
-        if core0 && core0_idle {
-            return (tick, last_retire);
-        }
-        core0_idle |= !core0;
-        if after.total_retired() > before.total_retired() {
-            last_retire = tick;
-        }
+// Named scenarios: fixed inputs of the same comparison.
+
+#[test]
+fn every_zoo_kernel_stepped_to_the_end_equals_its_run() {
+    for kernel in 0..4 {
+        let shape = Shape::Zoo {
+            kernel,
+            faults: None,
+        };
+        fixed_cuts(shape, &[&[(BUDGET, Cut::Steps)]]);
     }
 }
 
 #[test]
-fn named_scenarios_are_fixed_cuts() {
-    let cases = |shape: Shape, traced: bool, schedules: &[&[(u64, Cut)]]| {
-        let expected = reference(shape, traced);
-        for cuts in schedules {
-            check_cuts(shape, cuts, &expected)
-                .unwrap_or_else(|e| panic!("{shape:?} {cuts:?}: {e}"));
-        }
-        expected
+fn seed42_fault_injected_run_stepped_to_the_end_equals_its_run() {
+    let shape = Shape::Zoo {
+        kernel: 2,
+        faults: Some(FAULT_SEED),
     };
+    let run = fixed_cuts(shape, &[&[(BUDGET, Cut::Steps)]]);
+    assert!(run.end.is_ok(), "{:?}", run.end);
+    assert!(run.fault_report.unwrap().contains("\"injected\""));
+}
+
+#[test]
+fn fault_plans_and_spare_remaps_run_sharded() {
+    // The seed-42 plan degrades links, remaps stuck banks onto spares and
+    // lands bit flips mid-run, so the slices cut across them.
+    let shape = Shape::Zoo {
+        kernel: 2,
+        faults: Some(FAULT_SEED),
+    };
+    let slices = [(999, Cut::Slice), (1000, Cut::Steps), (17_003, Cut::Slice)];
+    let run = fixed_cuts(shape, &[&slices]);
+    let report = run.fault_report.unwrap();
+    assert!(!report.contains("\"remapped_banks\": []"), "{report}");
+    assert!(!report.contains("\"ecc_corrected\": 0,"), "{report}");
+}
+
+#[test]
+fn quantum_engine_matches_the_step_loop_bit_exactly() {
+    // Off-chip accesses stretch each trip ~50-fold.
+    for (trips, external) in [(40, false), (10, true)] {
+        let shape = Shape::Traffic { trips, external };
+        fixed_cuts(shape, &[&[(BUDGET, Cut::Steps)]]);
+    }
+}
+
+#[test]
+fn quantum_timeout_lands_on_the_exact_cycle_and_resumes_bit_exactly() {
+    // Budgets that end the call mid-run: after the first tick, and at an
+    // odd cycle with traffic in flight.
+    let shape = Shape::Traffic {
+        trips: 10,
+        external: true,
+    };
+    let (slice_first, step_first) = (
+        [(1, Cut::Slice), (778, Cut::Steps)],
+        [(1, Cut::Steps), (778, Cut::Slice)],
+    );
+    fixed_cuts(shape, &[&slice_first, &step_first]);
+}
+
+#[test]
+fn quantum_errors_match_the_step_loop() {
+    let schedules: [&[(u64, Cut)]; 3] = [
+        &[(BUDGET, Cut::Steps)],
+        &[(BUDGET, Cut::Slice)],
+        &[(2, Cut::Slice), (3, Cut::Steps)],
+    ];
+    let run = fixed_cuts(Shape::RunsOffItsEnd, &schedules);
+    assert!(matches!(run.end, Err(SimError::PcOutOfRange { .. })));
+}
+
+#[test]
+fn quantum_reports_no_program_like_the_step_loop() {
+    let schedules: [&[(u64, Cut)]; 2] = [&[(BUDGET, Cut::Steps)], &[(BUDGET, Cut::Slice)]];
+    let run = fixed_cuts(Shape::NoProgram, &schedules);
+    assert_eq!(run.end, Err(SimError::NoProgram));
+}
+
+#[test]
+fn instrumented_quantum_runs_produce_byte_identical_artifacts() {
+    for (trips, external) in [(40, false), (10, true)] {
+        let shape = Shape::Traffic { trips, external };
+        let cuts = [(500, Cut::Slice), (640, Cut::Steps), (1201, Cut::Slice)];
+        let run = fixed_cuts(shape, &[&cuts]);
+        assert!(run.flight.0 > 0, "served requests land in the flight ring");
+        assert!(!run.series.is_empty(), "epoch sampling produces tracks");
+        assert!(run.traces.is_some(), "the instruction trace is compared");
+    }
+}
+
+#[test]
+fn watchdog_deadlock_on_the_quantum_engine_is_bit_identical() {
+    // Core 0's off-chip response takes far longer than the watchdog's
+    // window: the watchdog trips mid-call on the same cycle, with the same
+    // flight event, however the run is cut.
+    let schedules: [&[(u64, Cut)]; 2] = [
+        &[(BUDGET, Cut::Steps)],
+        &[(50, Cut::Slice), (90, Cut::Steps), (BUDGET, Cut::Slice)],
+    ];
+    let run = fixed_cuts(Shape::Waiter, &schedules);
+    assert!(matches!(run.end, Err(SimError::Deadlock { .. })));
+    assert!(run.flight.1.iter().any(|e| e.1 == "watchdog"));
+}
+
+#[test]
+fn former_quantum_caps_due_on_one_cycle_agree_across_run_step_and_cuts() {
     // Every event a tick can end on, due on one cycle `c`: `run()`,
     // `step()` and restore cuts at `c - 1`, `c` and `c + 1`.
     let (c, last_retire) = response_cycle();
@@ -473,9 +180,9 @@ fn named_scenarios_are_fixed_cuts() {
         cycle: c,
         last_retire,
     };
-    cases(one_cycle, true, &[&[(BUDGET, Cut::Steps)]]);
+    fixed_cuts(one_cycle, &[&[(BUDGET, Cut::Steps)]]);
     let restores = [c - 1, c, c + 1].map(|at| [(at, Cut::Restore)]);
-    let run = cases(one_cycle, false, &restores.each_ref().map(|r| &r[..]));
+    let run = fixed_cuts(one_cycle, &restores.each_ref().map(|r| &r[..]));
     // The response lands on `c` and counts as progress there, so the hung
     // core trips the watchdog one full window later.
     assert_eq!(run.stats.cycles, c + (c - last_retire), "{:?}", run.end);
@@ -483,12 +190,6 @@ fn named_scenarios_are_fixed_cuts() {
     assert!(run.series.values().all(|s| s[0].0 == c));
     let hung = |e: &Event| e.0 == c && e.3.contains("hung");
     assert!(run.flight.1.iter().any(hung));
-    // Budgets that end the call mid-run: after the first tick, and at an
-    // odd cycle with traffic in flight.
-    let (trips, external) = (40, true);
-    let offchip = Shape::Traffic { trips, external };
-    cases(offchip, true, &[&[(1, Cut::Slice)], &[(777, Cut::Slice)]]);
-    cases(Shape::NoProgram, true, &[&[(BUDGET, Cut::Steps)]]);
 }
 
 #[test]
