@@ -23,7 +23,8 @@
 //! the same command are `cmp`-identical.
 //!
 //! `repro check --baseline PATH` regenerates the pinned summary and fails
-//! (exit 1) unless it equals the committed baseline leaf for leaf.
+//! (exit 1) unless it equals the committed baseline leaf for leaf; with
+//! `--candidate PATH` it compares that JSON file instead.
 //! `repro serve` runs the experiment-service daemon, which serves the
 //! catalogue's JSON documents; `repro submit` asks one for them, and for
 //! `dse` as a batch of `dse_point` requests (one-shot `repro dse` explores
@@ -80,7 +81,7 @@ fn usage() -> u8 {
          \x20            [--timeseries WINDOW] [--flight N]\n\
          \x20            [--checkpoint-dir DIR] [--checkpoint-every N] [--resume PATH]\n\
          \x20            [all|{}]...\n\
-         \x20      repro check --baseline PATH [--bless]\n\
+         \x20      repro check --baseline PATH [--bless | --candidate PATH]\n\
          \x20      repro serve [--listen HOST:PORT] [--workers N] [--cache-dir DIR]\n\
          \x20      repro submit --connect HOST:PORT [--artifacts DIR]\n\
          \x20                  [{}|dse|sweep:BW|kernel:P|stats|shutdown]...\n\
@@ -112,11 +113,11 @@ fn usage() -> u8 {
                               and finish it; the resumed artifacts are\n\
                               bit-identical to an uninterrupted run\n\
          \n\
-         check                regenerate the pinned summary and require it to\n\
-                              equal --baseline PATH leaf for leaf; exit 1 and\n\
-                              name every differing leaf otherwise, 2 on\n\
-                              usage/parse errors; --bless rewrites the baseline\n\
-                              instead (compare any two artifacts with cmp)\n\
+         check                require the regenerated pinned summary (or the\n\
+                              JSON file --candidate PATH) to equal --baseline\n\
+                              PATH leaf for leaf; exit 1 naming every differing\n\
+                              leaf, 2 on usage/parse errors; --bless rewrites\n\
+                              the baseline instead\n\
          serve                run the experiment service daemon: a bounded\n\
                               worker pool behind a newline-delimited JSON TCP\n\
                               protocol with request coalescing and a\n\
@@ -152,16 +153,18 @@ struct Options {
 }
 
 /// Parses `SEED[:RATE]`. Both parts are validated strictly: a non-numeric
-/// seed or rate is a usage error, not a panic or a silent default. A zero
-/// rate would "inject faults" that never fire — almost certainly a typo
-/// for a real rate, so it is rejected rather than silently measuring a
-/// clean run as degraded.
+/// seed or rate is a usage error, not a panic or a silent default. So is a
+/// seed above `i64::MAX`, which `fault_report.json` would write negative.
+/// A zero rate would "inject faults" that never fire — almost certainly a
+/// typo for a real rate, so it is rejected rather than silently measuring
+/// a clean run as degraded.
 fn parse_faults(value: &str) -> Result<(u64, f64), String> {
     let (seed_text, rate_text) = match value.split_once(':') {
         Some((seed, rate)) => (seed, Some(rate)),
         None => (value, None),
     };
     let seed = args::parse_u64("--faults", "seed", seed_text)?;
+    i64::try_from(seed).map_err(|_| format!("--faults: seed must be at most {}", i64::MAX))?;
     let rate = match rate_text {
         Some(text) => args::parse_positive_f64("--faults", "rate", text)?,
         None => DEFAULT_FAULT_RATE,
@@ -252,18 +255,20 @@ fn load_json(path: &str) -> Result<Json, String> {
     Json::parse(&text).map_err(|e| format!("{path}: invalid JSON: {e}"))
 }
 
-/// `repro check --baseline PATH [--bless]` — regenerates the pinned
-/// summary and gates it against (or rewrites) the committed baseline.
+/// `repro check --baseline PATH [--bless | --candidate PATH]` — gates the
+/// regenerated pinned summary, or the candidate file, against the
+/// baseline; `--bless` rewrites the baseline instead.
 fn cmd_check(args: &[String]) -> Result<(), Failure> {
-    let mut baseline_path = None;
-    let mut bless = false;
+    let (mut baseline_path, mut candidate_path, mut bless) = (None, None, false);
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
-            "--baseline" => {
-                let path =
-                    args::flag_value(&mut it, "--baseline", "a file").map_err(Failure::Usage)?;
-                baseline_path = Some(path.to_string());
+            flag @ ("--baseline" | "--candidate") => {
+                let path = args::flag_value(&mut it, flag, "a file").map_err(Failure::Usage)?;
+                match flag {
+                    "--baseline" => baseline_path = Some(path.to_string()),
+                    _ => candidate_path = Some(path.to_string()),
+                }
             }
             "--bless" => bless = true,
             other => return Err(Failure::Usage(format!("unexpected argument {other:?}"))),
@@ -272,12 +277,19 @@ fn cmd_check(args: &[String]) -> Result<(), Failure> {
     let baseline_path =
         baseline_path.ok_or_else(|| Failure::Usage("--baseline PATH is required".to_string()))?;
 
-    eprintln!(
-        "regenerating pinned summary (seed {}, rate {:.1e}) ...",
-        mempool_bench::BASELINE_FAULT_SEED,
-        mempool_bench::BASELINE_FAULT_RATE
-    );
-    let current = mempool_bench::bench_summary();
+    let current = match (&candidate_path, bless) {
+        (Some(_), true) => return Err(Failure::Usage("--bless takes no --candidate".to_string())),
+        (Some(path), false) => load_json(path).map_err(error)?,
+        (None, _) => {
+            eprintln!(
+                "regenerating pinned summary (seed {}, rate {:.1e}) ...",
+                mempool_bench::BASELINE_FAULT_SEED,
+                mempool_bench::BASELINE_FAULT_RATE
+            );
+            mempool_bench::bench_summary()
+        }
+    };
+    let current_name = candidate_path.as_deref().unwrap_or("the summary");
     if bless {
         std::fs::write(&baseline_path, current.to_pretty())
             .map_err(|e| error(format!("cannot write {baseline_path}: {e}")))?;
@@ -291,12 +303,12 @@ fn cmd_check(args: &[String]) -> Result<(), Failure> {
     }
     if !differences.is_empty() {
         let message = format!(
-            "{} leaf(s) differ from {baseline_path} (bless intentional changes with --bless)",
+            "{} leaf(s) of {current_name} differ from {baseline_path}",
             differences.len()
         );
         return Err(Failure::Failed(EXIT_FAILURE, message));
     }
-    println!("check passed: the summary equals {baseline_path}");
+    println!("check passed: {current_name} equals {baseline_path}");
     Ok(())
 }
 
@@ -704,7 +716,6 @@ fn write_summary_artifacts(
             Json::Arr(opts.targets.iter().map(Json::str).collect()),
         ),
         ("measured", Json::Bool(opts.measure)),
-        ("engine", mempool_sim::ENGINE.to_json()),
         ("model", mempool_serve::ModelConfig::from(*model).to_json()),
         ("cycles_per_mac", Json::Float(model.cycles_per_mac)),
         (
@@ -718,14 +729,11 @@ fn write_summary_artifacts(
     if let Some(r) = resilience {
         pairs.push(("resilience", r.summary_json()));
     }
-    // The instrumented clean run's cycle count and engine record.
+    // The instrumented clean run's cycle count.
     if let Some(o) = observed {
         pairs.push((
             "observed",
-            Json::obj([
-                ("phase_cycles", Json::Int(o.cycles as i64)),
-                ("engine", o.engine.to_json()),
-            ]),
+            Json::obj([("phase_cycles", Json::Int(o.cycles as i64))]),
         ));
     }
     pairs.push((
@@ -825,6 +833,56 @@ mod tests {
     fn non_numeric_seed_is_a_usage_error_not_a_panic() {
         let err = parse_args(&argv(&["--faults", "abc"])).unwrap_err();
         assert!(err.contains("seed must be an unsigned integer"), "{err}");
+    }
+
+    /// `fault_report.json` writes the seed as a JSON integer: a seed that
+    /// would read back negative is refused before anything runs.
+    #[test]
+    fn a_seed_above_i64_max_is_a_usage_error() {
+        let max = i64::MAX as u64;
+        let opts = parse_args(&argv(&["fig6", "--faults", &format!("{max}:1e-6")])).unwrap();
+        assert_eq!(opts.faults, Some((max, 1e-6)));
+        let over = format!("{}", max + 1);
+        let err = parse_args(&argv(&["fig6", "--faults", &over])).unwrap_err();
+        assert!(err.contains("at most 9223372036854775807"), "{err}");
+        assert_eq!(run(&argv(&["fig6", "--faults", &over])), EXIT_ERROR);
+    }
+
+    #[test]
+    fn check_compares_a_candidate_file_with_the_baseline() {
+        let dir = std::env::temp_dir().join(format!("repro-candidate-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let file = |name: &str, text: &str| {
+            let path = dir.join(name);
+            std::fs::write(&path, text).unwrap();
+            path.to_str().unwrap().to_string()
+        };
+        let old = file("old.json", r#"{"schema": "v2", "cycles": 7}"#);
+        let same = file("same.json", r#"{"schema": "v2", "cycles": 7}"#);
+        let new = file("new.json", r#"{"schema": "v3", "cycles": 7}"#);
+        let check = |baseline: &str, candidate: &str| {
+            run(&argv(&[
+                "check",
+                "--baseline",
+                baseline,
+                "--candidate",
+                candidate,
+            ]))
+        };
+        assert_eq!(check(&old, &same), EXIT_OK);
+        assert_eq!(check(&old, &new), EXIT_FAILURE);
+        assert_eq!(
+            regress::diff(&load_json(&old).unwrap(), &load_json(&new).unwrap()),
+            ["schema: \"v2\" -> \"v3\""]
+        );
+        assert_eq!(
+            check(&old, &dir.join("none.json").to_string_lossy()),
+            EXIT_ERROR
+        );
+        assert_eq!(run(&argv(&["check", "--candidate", &new])), EXIT_ERROR);
+        let bless = ["check", "--baseline", &old, "--candidate", &new, "--bless"];
+        assert_eq!(run(&argv(&bless)), EXIT_ERROR);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

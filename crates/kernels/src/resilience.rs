@@ -119,29 +119,22 @@ pub struct DegradedObs {
 pub struct ObservedRun {
     /// Cycles the instrumented phase took.
     pub cycles: u64,
-    /// The engine record of the run.
-    pub engine: mempool_sim::EngineSelection,
     /// Exact cycle attribution of the instrumented run.
     pub attribution: AttributionReport,
 }
 
 impl ObservedRun {
-    /// Serializes the run summary (cycle count, engine record,
-    /// attribution).
+    /// Serializes the run summary (cycle count, attribution).
     pub fn to_json(&self) -> Json {
         Json::obj([
             ("cycles", Json::Int(self.cycles as i64)),
-            ("engine", self.engine.to_json()),
             ("attribution", self.attribution.to_json()),
         ])
     }
 
     /// One-line text form for the repro CLI.
     pub fn to_text(&self) -> String {
-        format!(
-            "observed clean run: {} cycles on the {} engine ({})",
-            self.cycles, self.engine.engine, self.engine.reason
-        )
+        format!("observed clean run: {} cycles", self.cycles)
     }
 }
 
@@ -161,7 +154,6 @@ pub fn observed_compute_run(hooks: &DegradedObs) -> Result<ObservedRun, Box<Degr
         observed_phase(&mut cluster, "observed", &phase, Some(hooks), |_| Ok(()))?;
     Ok(ObservedRun {
         cycles,
-        engine: cluster.engine_selection(),
         attribution,
     })
 }
@@ -395,17 +387,19 @@ mod tests {
         };
         let run = observed_compute_run(&hooks).unwrap();
         assert!(run.cycles > 0);
-        assert_eq!(run.engine, mempool_sim::ENGINE);
         assert!(!hooks.obs.series.is_empty(), "sampling must produce tracks");
         assert!(!hooks.obs.flight.is_empty(), "mem events must land");
         // Attribution stays exact under instrumentation.
         for core in &run.attribution.cores {
             assert_eq!(core.total(), run.attribution.cycles);
         }
+        // `observed.json` carries no engine record.
         let json = run.to_json();
+        assert!(json.get("cycles").is_some());
+        assert_eq!(json.get("engine"), None);
         assert_eq!(
-            json.get("engine").and_then(|e| e.get("name")),
-            Some(&Json::str("quantum"))
+            run.to_text(),
+            format!("observed clean run: {} cycles", run.cycles)
         );
     }
 

@@ -143,7 +143,7 @@ mod tests {
     }
 
     #[test]
-    fn transpose_is_correct() {
+    fn the_transpose_kernel_is_correct() {
         let mut c = cluster();
         Transpose::new(32)
             .run(&mut c, 10_000_000)

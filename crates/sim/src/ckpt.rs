@@ -1,6 +1,6 @@
 //! Versioned checkpoint/restore of a running [`Cluster`].
 //!
-//! A checkpoint is a single `mempool-checkpoint/v2` JSON document (same
+//! A checkpoint is a single `mempool-checkpoint/v3` JSON document (same
 //! plumbing as `crashdump.json`) capturing *everything* that influences
 //! simulated behavior: per-core architectural and scoreboard state, the
 //! program, all SPM/spare/external memory with its spare-bank remaps and
@@ -22,9 +22,8 @@
 //! tests and [`CheckpointError::Mismatch`] name those fields. Everything
 //! else is a **section**: one string of fixed-width hex words under a
 //! top-level key. `program`, `spm` and `spare` are memory images of
-//! 8-digit (`u32`) words — `spm` bank-major (`global_bank * bank_words +
-//! word`), transposed from and to the address order `Storage` keeps;
-//! `clock`, `cores`, `icaches`, `banks`, `responses`, `offchip`,
+//! 8-digit (`u32`) words — `spm` in `Storage`'s own address order, as it
+//! is; `clock`, `cores`, `icaches`, `banks`, `responses`, `offchip`,
 //! `storage`, `faults`, `watchdog` and `sampler` are the 16-digit
 //! (`u64`) words `Words::pack` produces. The fault report keeps its own
 //! JSON form under `fault_report`.
@@ -37,9 +36,9 @@
 //!
 //! [`Cluster::restore`] **decodes, checks, then builds** (its docs list
 //! the checks), so a hostile file is a typed error before anything is
-//! sized by it. A `mempool-checkpoint/v1` file is refused with
-//! [`CheckpointError::Mismatch`] on `schema`; there is no v1 reader — a
-//! snapshot protects a run of seconds and nothing keeps old ones.
+//! sized by it. A v1 or v2 file is refused with
+//! [`CheckpointError::Mismatch`] on `schema`; there is no reader for old
+//! versions — a snapshot protects a run of seconds and nothing keeps them.
 //!
 //! Deliberately **excluded** (and why it is sound to do so):
 //!
@@ -84,7 +83,7 @@ use crate::offchip::OffchipPort;
 use crate::params::{SimParams, ENGINE_VERSION};
 
 /// Schema tag of the checkpoint document.
-pub const CHECKPOINT_SCHEMA: &str = "mempool-checkpoint/v2";
+pub const CHECKPOINT_SCHEMA: &str = "mempool-checkpoint/v3";
 
 /// Error raised by checkpoint save/restore.
 #[derive(Debug)]
@@ -583,7 +582,7 @@ fn fault_parts(ctrl: &FaultController, storage: &Storage) -> FaultParts {
 // ---------------------------------------------------------------------------
 
 impl Cluster {
-    /// Serializes the full simulated state as a `mempool-checkpoint/v2`
+    /// Serializes the full simulated state as a `mempool-checkpoint/v3`
     /// document. See the [module docs](self) for the layout and for what
     /// is (and is deliberately not) captured.
     pub fn checkpoint(&self) -> Json {
@@ -643,7 +642,7 @@ impl Cluster {
                 )),
             ),
             ("storage", section_of(&storage)),
-            ("spm", to_hex(&m.storage.spm_bank_major())),
+            ("spm", to_hex(m.storage.spm_words())),
             ("spare", to_hex(m.storage.spare_words())),
             ("faults", section_of(&faults)),
             (
@@ -805,7 +804,7 @@ impl Cluster {
         }
         let masks = faults.as_ref().map(|((.., masks), _)| masks.clone());
         storage
-            .restore_contents(&spm, spare, external, touches, masks.unwrap_or_default())
+            .restore_contents(spm, spare, external, touches, masks.unwrap_or_default())
             .map_err(bad)?;
         let mut machine = Machine::new(config, params, storage, program, cores, banks, responses);
         for (icache, state) in machine.icaches.iter_mut().zip(icaches) {
@@ -1109,9 +1108,10 @@ mod tests {
     }
 
     #[test]
-    fn spm_section_is_bank_major_whatever_the_storage_order() {
+    fn spm_section_is_the_storage_address_order() {
         let config = small_config();
         let (banks_per_tile, depth) = (config.banks_per_tile(), config.bank_words());
+        let num_banks = config.num_banks();
         let loc = |tile, bank, word| BankLocation {
             tile: TileId(tile),
             bank: BankId(bank),
@@ -1142,8 +1142,10 @@ mod tests {
         let doc = cluster.checkpoint();
         let spm = from_hex::<u32>(&doc, "spm").unwrap();
         assert_eq!(spm.len(), (config.num_banks() * depth) as usize);
+        // Word `w` of every bank before word `w + 1` of any: the index
+        // `Storage` keeps the word at.
         for loc in places {
-            let at = (loc.tile.0 * banks_per_tile + loc.bank.0) * depth + loc.word;
+            let at = loc.word * num_banks + loc.tile.0 * banks_per_tile + loc.bank.0;
             assert_eq!(spm[at as usize], value(loc), "{loc} at hex word {at}");
         }
         assert_eq!(spm.iter().filter(|&&word| word != 0).count(), places.len());
@@ -1458,15 +1460,17 @@ mod tests {
 
     #[test]
     fn a_v1_document_is_a_schema_mismatch() {
-        let mut doc = eventful_snapshot();
-        set(&mut doc, &["schema"], Json::str("mempool-checkpoint/v1"));
-        assert!(matches!(
-            Cluster::restore(&doc).unwrap_err(),
-            CheckpointError::Mismatch {
-                field: "schema",
-                ..
-            }
-        ));
+        let saved = eventful_snapshot();
+        for version in ["mempool-checkpoint/v1", "mempool-checkpoint/v2"] {
+            let mut doc = saved.clone();
+            set(&mut doc, &["schema"], Json::str(version));
+            let err = Cluster::restore(&doc).unwrap_err();
+            assert!(
+                matches!(&err, CheckpointError::Mismatch { field: "schema", found, .. } if found == version),
+                "{err}"
+            );
+            assert!(err.to_string().contains(version), "{err}");
+        }
     }
 
     /// Every section, damaged every way a file gets damaged: `restore`
@@ -1530,7 +1534,7 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
         fs::create_dir_all(&dir).unwrap();
         let path = dir.join("ckpt-000000000001.json");
-        fs::write(&path, "{\"schema\": \"mempool-checkpoint/v2\", trunc").unwrap();
+        fs::write(&path, "{\"schema\": \"mempool-checkpoint/v3\", trunc").unwrap();
         let err = Cluster::restore_from_file(&path).unwrap_err();
         assert!(matches!(err, CheckpointError::Malformed(_)));
         assert!(!path.exists(), "corrupt file renamed away");

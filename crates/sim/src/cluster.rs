@@ -933,11 +933,11 @@ impl Cluster {
         engine::run(&mut self.machine, &mut self.attach, max_cycles)
     }
 
-    /// The engine record written into `BENCH_repro.json`, `observed.json`
-    /// and `crashdump.json`: there is one engine, so this is [`ENGINE`]
-    /// for every cluster.
+    /// The name the benchmark crate reports as `sim.engine`: always
+    /// `"quantum"`. Kept only because `benchmark/` still reads it; no
+    /// artifact carries it.
     pub fn engine_selection(&self) -> EngineSelection {
-        ENGINE
+        EngineSelection { engine: "quantum" }
     }
 
     /// Collects a snapshot of all statistics.
@@ -1036,7 +1036,6 @@ impl Cluster {
                 ]),
             ),
             ("cycle", Json::Int(self.machine.cycle as i64)),
-            ("engine", self.engine_selection().to_json()),
             (
                 "liveness",
                 Json::Arr(
@@ -1064,35 +1063,12 @@ impl Cluster {
     }
 }
 
-/// The execution-engine record carried by artifacts — see
-/// [`Cluster::engine_selection`]. Both fields are short stable strings.
+/// What [`Cluster::engine_selection`] returns to the benchmark crate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EngineSelection {
     /// Engine name.
     pub engine: &'static str,
-    /// What that engine is.
-    pub reason: &'static str,
 }
-
-impl EngineSelection {
-    /// `{"name": ..., "reason": ...}` — string-valued on purpose, so the
-    /// regression comparator (which diffs numeric leaves only) skips it.
-    pub fn to_json(&self) -> Json {
-        Json::obj([
-            ("name", Json::str(self.engine)),
-            ("reason", Json::str(self.reason)),
-        ])
-    }
-}
-
-/// The one execution engine every run uses. Its text is frozen: the
-/// record is written into `BENCH_repro.json`, `observed.json` and
-/// `crashdump.json`, which are compared byte for byte across commits, so
-/// it keeps naming the quantum engine the cycle loop replaced.
-pub const ENGINE: EngineSelection = EngineSelection {
-    engine: "quantum",
-    reason: "tile shards in lockstep quanta with shard-local observation lanes",
-};
 
 /// How many of a core's most recent retired instructions a
 /// [`CoreDiagnostic`] carries (when tracing is enabled).
@@ -2531,6 +2507,7 @@ mod tests {
         );
         let error = doc.get("error").unwrap();
         assert_eq!(error.get("kind").and_then(Json::as_str), Some("deadlock"));
+        assert_eq!(doc.get("engine"), None, "the dump carries no engine record");
         let liveness = doc.get("liveness").and_then(Json::as_arr).unwrap();
         assert_eq!(liveness.len(), 4);
         assert_eq!(

@@ -65,7 +65,7 @@ pub(crate) mod stats;
 pub(crate) mod trace;
 
 pub use ckpt::{run_with_checkpoints, CheckpointError, Checkpointer};
-pub use cluster::{Cluster, EngineSelection, SimError, ENGINE};
+pub use cluster::{Cluster, EngineSelection, SimError};
 pub use offchip::OffchipPort;
 pub use params::{fnv1a, SimParams, ENGINE_VERSION, FNV_OFFSET};
 pub use profile::engine_profile_json;

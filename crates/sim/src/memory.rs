@@ -649,13 +649,10 @@ impl Storage {
         Ok(())
     }
 
-    /// Checkpoint accessor: the main SPM array in bank-major order
-    /// (`global_bank * bank_words + word`), the order checkpoint files
-    /// keep.
-    pub(crate) fn spm_bank_major(&self) -> Vec<u32> {
-        let mut saved = vec![0; self.spm.len()];
-        transpose(&self.spm, self.bank_words as usize, &mut saved);
-        saved
+    /// Checkpoint accessor: the main SPM array, in the storage's own
+    /// address order.
+    pub(crate) fn spm_words(&self) -> &[u32] {
+        &self.spm
     }
 
     /// Checkpoint accessor: the flat spare-bank array.
@@ -707,8 +704,8 @@ impl Storage {
     }
 
     /// Restores the mutable storage contents from a checkpoint, `spm` in
-    /// the bank-major order of [`Self::spm_bank_major`], with the pending
-    /// SEC-DED masks as `(location, mask)`. The remap table must already have been
+    /// the order of [`Self::spm_words`], with the pending SEC-DED masks as
+    /// `(location, mask)`. The remap table must already have been
     /// re-established (via [`Self::provision_spares`] /
     /// [`Self::remap_bank`]) so the spare array has its final size;
     /// contents are then overwritten wholesale.
@@ -719,7 +716,7 @@ impl Storage {
     /// storage's geometry.
     pub(crate) fn restore_contents(
         &mut self,
-        spm: &[u32],
+        spm: Vec<u32>,
         spare: Vec<u32>,
         external: Vec<(u64, u32)>,
         touches: u64,
@@ -739,7 +736,7 @@ impl Storage {
                 self.spare.len()
             ));
         }
-        transpose(spm, self.num_banks as usize, &mut self.spm);
+        self.spm = spm;
         self.spare = spare;
         self.external = external
             .into_iter()
@@ -769,24 +766,6 @@ impl Storage {
     /// Number of words of external memory currently holding nonzero data.
     pub fn external_footprint_words(&self) -> usize {
         self.external.len()
-    }
-}
-
-/// Writes the transpose of the row-major matrix `from`, `rows` rows of
-/// `from.len() / rows` words, into `to`: one band of a cache line's worth
-/// of rows at a time, so that every line written is written whole.
-fn transpose(from: &[u32], rows: usize, to: &mut [u32]) {
-    const BAND: usize = 16;
-    let cols = from.len() / rows;
-    for first in (0..rows).step_by(BAND) {
-        let band = BAND.min(rows - first);
-        let block = &from[first * cols..(first + band) * cols];
-        for col in 0..cols {
-            let column = block[col..].iter().step_by(cols);
-            for (slot, &word) in to[col * rows + first..][..band].iter_mut().zip(column) {
-                *slot = word;
-            }
-        }
     }
 }
 

@@ -5,9 +5,9 @@ use mempool_arch::LatencyModel;
 /// Version tag of the simulation engine, mixed into every content-addressed
 /// cache key (`mempool-serve`): bump it whenever a change alters simulated
 /// timing or artifact contents, so stale cached results are invalidated
-/// instead of replayed. The cycle loop that replaced the quantum engine
-/// simulates identically, so the tag still names the quantum engine.
-pub const ENGINE_VERSION: &str = "mempool-sim/v2-quantum";
+/// instead of replayed. Checkpoint headers carry it too, so a snapshot of
+/// another version is refused.
+pub const ENGINE_VERSION: &str = "mempool-sim/v3";
 
 /// The 64-bit FNV-1a offset basis: the `hash` a fresh digest starts from.
 pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
