@@ -89,14 +89,6 @@ impl ClusterConfig {
         ClusterConfigBuilder::new()
     }
 
-    /// The SPM capacity preset this configuration corresponds to, if its
-    /// total SPM size matches one of the paper's four capacities exactly.
-    pub fn capacity_preset(&self) -> Option<SpmCapacity> {
-        SpmCapacity::ALL
-            .into_iter()
-            .find(|cap| cap.bytes() == self.spm_bytes())
-    }
-
     /// Number of groups.
     pub fn groups(&self) -> u32 {
         self.groups
@@ -366,7 +358,6 @@ mod tests {
         assert_eq!(cfg.spm_bytes(), 1 << 20);
         assert_eq!(cfg.bank_bytes(), 1024);
         assert_eq!(cfg.icache_bytes_per_tile(), 2048);
-        assert_eq!(cfg.capacity_preset(), Some(SpmCapacity::MiB1));
     }
 
     #[test]
@@ -376,7 +367,6 @@ mod tests {
         assert_eq!(base.num_banks(), big.num_banks());
         assert_eq!(big.bank_words(), 8 * base.bank_words());
         assert_eq!(big.spm_bytes(), 8 << 20);
-        assert_eq!(big.capacity_preset(), Some(SpmCapacity::MiB8));
     }
 
     #[test]
@@ -421,7 +411,6 @@ mod tests {
             .unwrap();
         assert_eq!(cfg.num_cores(), 16);
         assert_eq!(cfg.spm_bytes(), 2 * 4 * 8 * 128 * 4);
-        assert_eq!(cfg.capacity_preset(), None);
     }
 
     #[test]

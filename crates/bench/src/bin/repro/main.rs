@@ -716,7 +716,7 @@ fn write_summary_artifacts(
             Json::Arr(opts.targets.iter().map(Json::str).collect()),
         ),
         ("measured", Json::Bool(opts.measure)),
-        ("model", mempool_serve::ModelConfig::from(*model).to_json()),
+        ("model", model.to_json()),
         ("cycles_per_mac", Json::Float(model.cycles_per_mac)),
         (
             "matmul_cycles_at_16B_per_cycle",

@@ -3,8 +3,10 @@
 //! The paper's Figures 7-9 describe a performance/efficiency trade; this
 //! module makes the decision support explicit: multi-objective scoring
 //! and the Pareto frontier. One of the
-//! paper's implicit results falls out as a theorem of the model: *every*
-//! Pareto-optimal design is a 3D design.
+//! paper's implicit results falls out as a theorem of the model: on the
+//! three PPA objectives (performance, efficiency, EDP), every
+//! Pareto-optimal design is a 3D design. Adding silicon cost (combined die
+//! area) puts the 2D 1, 2 and 4 MiB designs on the four-objective front.
 
 use crate::design::DesignPoint;
 use crate::experiments::{Evaluation, SECTION_VI_B_BANDWIDTH};

@@ -16,20 +16,10 @@
 //!   against wire delay exactly as the 75 %-buffers observation suggests.
 
 use mempool_arch::{ClusterConfig, SpmCapacity};
-use mempool_phys::netlist::GateInventory;
 use mempool_phys::tile::PartitionCandidate;
 use mempool_phys::{Flow, GroupImplementation, Technology, TileImplementation};
 
 use crate::table::TextTable;
-
-fn implement(capacity: SpmCapacity, flow: Flow, tech: Technology) -> GroupImplementation {
-    GroupImplementation::implement_with(
-        &ClusterConfig::with_capacity(capacity),
-        flow,
-        tech,
-        GateInventory::mempool(),
-    )
-}
 
 /// One point of the wire-delay ablation.
 #[derive(Debug, Clone, Copy)]
@@ -61,8 +51,10 @@ impl WireDelaySweep {
             .map(|&scale| {
                 let mut tech = Technology::n28();
                 tech.wire_delay_ps_per_mm *= scale;
-                let f2 = implement(capacity, Flow::TwoD, tech.clone()).frequency_ghz();
-                let f3 = implement(capacity, Flow::ThreeD, tech).frequency_ghz();
+                let f2 = GroupImplementation::implement_with(capacity, Flow::TwoD, &tech)
+                    .frequency_ghz();
+                let f3 = GroupImplementation::implement_with(capacity, Flow::ThreeD, &tech)
+                    .frequency_ghz();
                 WireDelayPoint {
                     scale,
                     freq_2d_ghz: f2,
@@ -129,14 +121,8 @@ impl F2fPitchSweep {
                 tech.f2f_pitch_um = pitch_um;
                 tech.f2f_power_bump_density =
                     tech.f2f_power_bump_density.min(1.0 / (pitch_um * pitch_um));
-                let config = ClusterConfig::with_capacity(capacity);
-                let tile = TileImplementation::implement_with(
-                    &config,
-                    Flow::ThreeD,
-                    tech.clone(),
-                    GateInventory::mempool(),
-                );
-                let group = implement(capacity, Flow::ThreeD, tech.clone());
+                let tile = TileImplementation::implement_with(capacity, Flow::ThreeD, &tech);
+                let group = GroupImplementation::implement_with(capacity, Flow::ThreeD, &tech);
                 let bumps = group.f2f_bumps().unwrap_or(0);
                 let per_tile = bumps as f64 / 16.0;
                 let pad_area_fraction = per_tile * pitch_um * pitch_um / tile.footprint_um2();
@@ -237,7 +223,8 @@ impl RepeaterSweep {
                 // superlinearly with segment length; first order, scale
                 // per-mm delay with the spacing ratio.
                 tech.wire_delay_ps_per_mm *= (spacing_mm / 0.20).sqrt();
-                let group = implement(SpmCapacity::MiB1, Flow::TwoD, tech);
+                let group =
+                    GroupImplementation::implement_with(SpmCapacity::MiB1, Flow::TwoD, &tech);
                 RepeaterPoint {
                     spacing_mm,
                     buffers: group.buffers(),

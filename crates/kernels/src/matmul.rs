@@ -5,6 +5,7 @@ use std::fmt::{self, Write};
 
 use mempool_arch::SpmCapacity;
 use mempool_isa::Program;
+use mempool_obs::Json;
 use mempool_sim::Cluster;
 
 use crate::workload::{Kernel, KernelError};
@@ -590,6 +591,16 @@ impl PhaseModel {
     ) -> f64 {
         self.total_cycles(ref_capacity, ref_bytes_per_cycle)
             / self.total_cycles(capacity, bytes_per_cycle)
+    }
+
+    /// Canonical JSON form (fixed field order).
+    pub fn to_json(&self) -> Json {
+        Json::obj([
+            ("m", Json::Int(self.m as i64)),
+            ("num_cores", Json::Int(self.num_cores as i64)),
+            ("cycles_per_mac", Json::Float(self.cycles_per_mac)),
+            ("phase_overhead", Json::Float(self.phase_overhead)),
+        ])
     }
 }
 

@@ -6,12 +6,11 @@
 
 use std::fmt;
 
-use mempool_arch::{ClusterConfig, SpmCapacity};
+use mempool_arch::SpmCapacity;
 
 use crate::flow::Flow;
-use crate::group::GroupImplementation;
-use crate::netlist::GateInventory;
-use crate::tech::Technology;
+use crate::group::{GroupImplementation, BUFFER_AREA_UM2};
+use crate::netlist::{GROUP_INTERCONNECT_GE, SNITCH_CORE_GE, TILE_OTHER_GE};
 
 /// One line of the area report.
 #[derive(Debug, Clone, PartialEq)]
@@ -36,19 +35,17 @@ pub struct AreaReport {
 impl AreaReport {
     /// Builds the report from an implemented group.
     pub fn from_group(group: &GroupImplementation) -> Self {
-        let tech = Technology::n28();
-        let inventory = GateInventory::mempool();
-        let config = ClusterConfig::with_capacity(group.capacity());
-        let tiles = config.tiles_per_group();
         let tile = group.tile();
+        let ge_area_um2 = tile.tech().ge_area_um2;
+        let tiles = group.tiles();
+        let cores = tile.num_cores() * tiles;
 
-        let cores_area =
-            inventory.snitch_core_ge * tech.ge_area_um2 * (config.cores_per_tile() * tiles) as f64;
-        let tile_ic_area = inventory.tile_other_ge * tech.ge_area_um2 * tiles as f64;
+        let cores_area = SNITCH_CORE_GE * ge_area_um2 * cores as f64;
+        let tile_ic_area = TILE_OTHER_GE * ge_area_um2 * tiles as f64;
         let spm_area = tile.bank_macro().area_um2() * (tile.num_banks() * tiles) as f64;
         let icache_area = tile.icache_macro().area_um2() * (tile.num_icache_banks() * tiles) as f64;
-        let group_ic_area = inventory.group_interconnect_ge * tech.ge_area_um2;
-        let buffer_area = group.buffers() * 1.8;
+        let group_ic_area = GROUP_INTERCONNECT_GE * ge_area_um2;
+        let buffer_area = group.buffers() * BUFFER_AREA_UM2;
         let total_silicon = group.combined_die_area_um2();
         let used = cores_area + tile_ic_area + spm_area + icache_area + group_ic_area + buffer_area;
 
@@ -56,7 +53,7 @@ impl AreaReport {
             AreaLine {
                 name: "snitch cores",
                 area_um2: cores_area,
-                instances: config.cores_per_tile() * tiles,
+                instances: cores,
             },
             AreaLine {
                 name: "tile interconnect",
@@ -124,6 +121,7 @@ impl fmt::Display for AreaReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tech::Technology;
 
     fn report(cap: SpmCapacity, flow: Flow) -> AreaReport {
         AreaReport::from_group(&GroupImplementation::implement(cap, flow))
@@ -167,6 +165,19 @@ mod tests {
         let w2 = block(&report(SpmCapacity::MiB1, Flow::TwoD), "white space");
         let w3 = block(&report(SpmCapacity::MiB1, Flow::ThreeD), "white space");
         assert!(w3 > w2);
+    }
+
+    #[test]
+    fn the_report_uses_the_group_technology() {
+        let mut tech = Technology::n28();
+        tech.ge_area_um2 *= 1.1;
+        let group = GroupImplementation::implement_with(SpmCapacity::MiB4, Flow::ThreeD, &tech);
+        let cores = block(&AreaReport::from_group(&group), "snitch cores");
+        let nominal = block(&report(SpmCapacity::MiB4, Flow::ThreeD), "snitch cores");
+        assert!(
+            (cores / nominal - 1.1).abs() < 1e-12,
+            "{cores} vs {nominal}"
+        );
     }
 
     #[test]

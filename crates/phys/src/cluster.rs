@@ -13,9 +13,8 @@ use mempool_arch::{ClusterConfig, SpmCapacity};
 
 use crate::flow::Flow;
 use crate::group::GroupImplementation;
-use crate::netlist::{GateInventory, GroupNetlist, NetEndpoint};
+use crate::netlist::{GroupNetlist, NetEndpoint};
 use crate::route;
-use crate::tech::Technology;
 
 /// A fully implemented MemPool cluster (2x2 groups).
 #[derive(Debug, Clone)]
@@ -28,22 +27,9 @@ pub struct ClusterImplementation {
 impl ClusterImplementation {
     /// Implements the cluster of a full-size MemPool configuration.
     pub fn implement(capacity: SpmCapacity, flow: Flow) -> Self {
-        Self::implement_with(
-            &ClusterConfig::with_capacity(capacity),
-            flow,
-            Technology::n28(),
-            GateInventory::mempool(),
-        )
-    }
-
-    /// Implements a cluster for an arbitrary configuration.
-    pub(crate) fn implement_with(
-        config: &ClusterConfig,
-        flow: Flow,
-        tech: Technology,
-        inventory: GateInventory,
-    ) -> Self {
-        let group = GroupImplementation::implement_with(config, flow, tech.clone(), inventory);
+        let group = GroupImplementation::implement(capacity, flow);
+        let tech = group.tile().tech();
+        let config = ClusterConfig::with_capacity(capacity);
 
         // Inter-group demand: every group's three remote networks
         // terminate in boundary buses; each of the six group pairs carries
@@ -61,7 +47,7 @@ impl ClusterImplementation {
         // directions; each bundle carries one group's boundary wires for
         // one network (a third of `boundary_bits`).
         let crossing_wires = 2.0 * 4.0 * boundary_bits / 3.0;
-        let channel_um = route::channel_width_um(&tech, flow, crossing_wires, 3);
+        let channel_um = route::channel_width_um(tech, flow, crossing_wires, 3);
 
         let side_um = 2.0 * group.side_um() + 3.0 * channel_um;
         let pitch = group.side_um() + channel_um;

@@ -17,15 +17,16 @@ use mempool_arch::{ClusterConfig, SpmCapacity};
 
 use crate::f2f::F2fReport;
 use crate::flow::Flow;
-use crate::netlist::{GateInventory, GroupNetlist, NetEndpoint};
-use crate::power::PowerReport;
+use crate::netlist::{GroupNetlist, NetEndpoint, GROUP_INTERCONNECT_GE};
+use crate::power::{ActivityProfile, PowerReport};
 use crate::route;
 use crate::tech::Technology;
 use crate::tile::TileImplementation;
 use crate::timing::{self, TimingReport};
 
-/// Area of one repeater in µm² (used for the channel density metric).
-const BUFFER_AREA_UM2: f64 = 1.8;
+/// Area of one repeater in µm² (used for the channel density metric and
+/// the area report).
+pub(crate) const BUFFER_AREA_UM2: f64 = 1.8;
 /// Interconnect placement utilization inside the channels.
 const CHANNEL_CELL_UTIL: f64 = 0.70;
 /// Clock wiring per mm of group side (spine plus tile spokes), in mm.
@@ -121,8 +122,6 @@ fn hpwl(a: (f64, f64), b: (f64, f64)) -> f64 {
 /// See the [crate-level example](crate) for typical use.
 #[derive(Debug, Clone)]
 pub struct GroupImplementation {
-    capacity: SpmCapacity,
-    flow: Flow,
     tile: TileImplementation,
     grid: u32,
     channel_width_um: f64,
@@ -139,22 +138,14 @@ pub struct GroupImplementation {
 impl GroupImplementation {
     /// Implements the group of a full-size MemPool configuration.
     pub fn implement(capacity: SpmCapacity, flow: Flow) -> Self {
-        Self::implement_with(
-            &ClusterConfig::with_capacity(capacity),
-            flow,
-            Technology::n28(),
-            GateInventory::mempool(),
-        )
+        Self::implement_with(capacity, flow, &Technology::n28())
     }
 
-    /// Implements a group for an arbitrary configuration.
-    pub fn implement_with(
-        config: &ClusterConfig,
-        flow: Flow,
-        tech: Technology,
-        inventory: GateInventory,
-    ) -> Self {
-        let tile = TileImplementation::implement_with(config, flow, tech.clone(), inventory);
+    /// Implements the group of a full-size MemPool configuration in
+    /// another technology.
+    pub fn implement_with(capacity: SpmCapacity, flow: Flow, tech: &Technology) -> Self {
+        let config = ClusterConfig::with_capacity(capacity);
+        let tile = TileImplementation::implement_with(capacity, flow, tech);
         let grid = (config.tiles_per_group() as f64).sqrt() as u32;
         let addr_bits = (config.spm_bytes() as f64).log2().ceil() as u32;
         let netlist = GroupNetlist::build(config.tiles_per_group(), addr_bits);
@@ -169,7 +160,7 @@ impl GroupImplementation {
         };
         for _ in 0..4 {
             let worst = worst_cut_demand(&geom, &netlist, radix);
-            let target = route::channel_width_um(&tech, flow, worst, grid + 1);
+            let target = route::channel_width_um(tech, flow, worst, grid + 1);
             geom.channel_um = 0.5 * (geom.channel_um + target);
         }
 
@@ -184,7 +175,7 @@ impl GroupImplementation {
             / 1000.0;
         let side_mm = geom.side_um() / 1000.0;
         let clock_wire_mm = CLOCK_WIRE_MM_PER_MM_SIDE * side_mm;
-        let buffers = route::buffer_count(&tech, signal_wire_mm, side_mm);
+        let buffers = route::buffer_count(tech, signal_wire_mm, side_mm);
 
         // Placement density over the whole group: utilized silicon (tile
         // cells and macros, group interconnect, repeaters) over the total
@@ -192,7 +183,7 @@ impl GroupImplementation {
         // board.
         let tiles_count = (grid * grid) as f64;
         let utilized = tiles_count * (tile.logic_cell_area_um2() + tile.macro_area_um2())
-            + inventory.group_interconnect_ge * tech.ge_area_um2 / CHANNEL_CELL_UTIL
+            + GROUP_INTERCONNECT_GE * tech.ge_area_um2 / CHANNEL_CELL_UTIL
             + buffers * BUFFER_AREA_UM2;
         let total_silicon = geom.side_um() * geom.side_um() * flow.dies() as f64;
         let density = (utilized / total_silicon).min(1.0);
@@ -228,25 +219,22 @@ impl GroupImplementation {
                 routes.push(length_um / 1000.0);
             }
         }
-        let timing = timing::analyze(&tech, flow, &routes, tile.bank_macro());
+        let timing = timing::analyze(tech, flow, &routes, tile.bank_macro());
 
         let power = PowerReport::analyze(
-            &tech,
             &tile,
             tiles,
-            inventory.group_interconnect_ge,
             buffers,
             signal_wire_mm,
+            ActivityProfile::matmul(),
         );
 
         let f2f = match flow {
             Flow::TwoD => None,
-            Flow::ThreeD => Some(F2fReport::count(&tech, &tile)),
+            Flow::ThreeD => Some(F2fReport::count(tech, &tile)),
         };
 
         GroupImplementation {
-            capacity: tile.capacity(),
-            flow,
             tile,
             grid,
             channel_width_um: geom.channel_um,
@@ -263,17 +251,22 @@ impl GroupImplementation {
 
     /// The SPM capacity preset.
     pub(crate) fn capacity(&self) -> SpmCapacity {
-        self.capacity
+        self.tile.capacity()
     }
 
     /// The implementation flow.
     pub(crate) fn flow(&self) -> Flow {
-        self.flow
+        self.tile.flow()
     }
 
     /// The implemented tile this group instantiates 16 times.
     pub(crate) fn tile(&self) -> &TileImplementation {
         &self.tile
+    }
+
+    /// Number of tiles in the group.
+    pub(crate) fn tiles(&self) -> u32 {
+        self.grid * self.grid
     }
 
     /// Group footprint in µm² (one die).
@@ -288,7 +281,7 @@ impl GroupImplementation {
 
     /// Combined silicon area across dies in µm².
     pub(crate) fn combined_die_area_um2(&self) -> f64 {
-        self.footprint_um2() * self.flow.dies() as f64
+        self.footprint_um2() * self.flow().dies() as f64
     }
 
     /// Inter-tile channel width in µm.
@@ -333,9 +326,7 @@ impl GroupImplementation {
 
     /// F2F bumps for the whole group (3D only).
     pub fn f2f_bumps(&self) -> Option<u64> {
-        self.f2f
-            .as_ref()
-            .map(|f| f.per_group(self.grid * self.grid))
+        self.f2f.as_ref().map(|f| f.per_group(self.tiles()))
     }
 }
 

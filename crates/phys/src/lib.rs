@@ -16,6 +16,15 @@
 //! die is 51 % utilized; ~183k buffers in the baseline group) and
 //! everything else emerges from the model.
 //!
+//! The model has two fixed inputs: the MemPool gate inventory (the
+//! published design's gate-equivalent counts) and the matmul workload's
+//! activity, under which every group reports its power. The one input a
+//! caller may vary is the technology: `implement(capacity, flow)` uses the
+//! calibrated [`Technology::n28`], and the tile's and group's
+//! `implement_with(capacity, flow, &tech)` take any other (the ablations
+//! perturb it one constant at a time). Every report of a group, its area
+//! breakdown included, reads the technology the group was implemented in.
+//!
 //! ## Example
 //!
 //! ```
@@ -39,7 +48,7 @@ pub(crate) mod cluster;
 pub(crate) mod f2f;
 pub(crate) mod flow;
 pub(crate) mod group;
-pub mod netlist;
+pub(crate) mod netlist;
 pub(crate) mod power;
 pub mod report;
 pub(crate) mod route;

@@ -2,48 +2,23 @@
 //!
 //! The physical model needs two kinds of structural information:
 //!
-//! * **cell inventories** — how many gate equivalents each block
-//!   synthesizes to (the paper gives 60 kGE per Snitch core; the rest are
-//!   representative of the published MemPool implementation);
+//! * **the cell inventory** — how many gate equivalents each block of the
+//!   published MemPool design synthesizes to (the paper gives 60 kGE per
+//!   Snitch core; the rest are representative of that implementation);
 //! * **the group-level netlist** — the buses of the four 16x16 radix-4
 //!   butterfly networks, with their logical endpoints, from which wire
 //!   length, channel routing demand, buffer counts, and critical paths are
 //!   all derived geometrically.
 
-/// Gate-equivalent counts of MemPool's building blocks.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct GateInventory {
-    /// One Snitch core (the paper states 60 kGE).
-    pub snitch_core_ge: f64,
-    /// Per-tile logic besides the cores: the fully connected logarithmic
-    /// crossbar, remote-port demultiplexers and arbiters, AXI plumbing,
-    /// and the I$ controller.
-    pub tile_other_ge: f64,
-    /// The four group-level butterfly networks plus glue, per group.
-    pub group_interconnect_ge: f64,
-}
-
-impl GateInventory {
-    /// The published MemPool inventory.
-    pub fn mempool() -> Self {
-        GateInventory {
-            snitch_core_ge: 60_000.0,
-            tile_other_ge: 225_000.0,
-            group_interconnect_ge: 450_000.0,
-        }
-    }
-
-    /// Total tile standard-cell GE (4 cores + everything else).
-    pub(crate) fn tile_logic_ge(&self, cores_per_tile: u32) -> f64 {
-        self.snitch_core_ge * cores_per_tile as f64 + self.tile_other_ge
-    }
-}
-
-impl Default for GateInventory {
-    fn default() -> Self {
-        Self::mempool()
-    }
-}
+/// Gate equivalents of one Snitch core (the paper states 60 kGE).
+pub(crate) const SNITCH_CORE_GE: f64 = 60_000.0;
+/// Gate equivalents of the per-tile logic besides the cores: the fully
+/// connected logarithmic crossbar, remote-port demultiplexers and
+/// arbiters, AXI plumbing, and the I$ controller.
+pub(crate) const TILE_OTHER_GE: f64 = 225_000.0;
+/// Gate equivalents of the four group-level butterfly networks plus glue,
+/// per group.
+pub(crate) const GROUP_INTERCONNECT_GE: f64 = 450_000.0;
 
 /// Logical endpoint of a group-level bus.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -185,13 +160,6 @@ impl GroupNetlist {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn paper_inventory_values() {
-        let inv = GateInventory::mempool();
-        assert_eq!(inv.snitch_core_ge, 60_000.0, "paper: 60 kGE per Snitch");
-        assert_eq!(inv.tile_logic_ge(4), 465_000.0);
-    }
 
     #[test]
     fn netlist_has_expected_bus_count() {

@@ -16,7 +16,7 @@
 //! issuing nearly every cycle, roughly 40 % of instructions touching the
 //! SPM.
 
-use crate::tech::Technology;
+use crate::netlist::GROUP_INTERCONNECT_GE;
 use crate::tile::TileImplementation;
 
 /// Gate equivalents of one repeater (buffer/inverter pair).
@@ -24,8 +24,8 @@ const BUFFER_GE: f64 = 2.0;
 
 /// Workload activity factors feeding the dynamic-power terms.
 ///
-/// The reporting default models the matrix-multiplication workload the
-/// paper evaluates.
+/// The group reports power under [`ActivityProfile::matmul`], the
+/// matrix-multiplication workload the paper evaluates.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) struct ActivityProfile {
     /// Toggle activity of logic cells (0.135 at full issue rate).
@@ -50,12 +50,6 @@ impl ActivityProfile {
     }
 }
 
-impl Default for ActivityProfile {
-    fn default() -> Self {
-        Self::matmul()
-    }
-}
-
 /// Power breakdown of a group, in mW at the 1 GHz reporting clock.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) struct PowerReport {
@@ -75,45 +69,22 @@ impl PowerReport {
         self.cell_dynamic_mw + self.wire_dynamic_mw + self.sram_mw + self.leakage_mw
     }
 
-    /// Computes the group power report.
+    /// Computes the group power report under a workload's activity, in the
+    /// tile's technology.
     ///
-    /// `tiles` is the number of tiles in the group, `group_interconnect_ge`
-    /// the GE count of the central networks, `buffers` the repeater count,
-    /// and `signal_wire_mm` the total signal wiring.
+    /// `tiles` is the number of tiles in the group, `buffers` the repeater
+    /// count, and `signal_wire_mm` the total signal wiring.
     pub(crate) fn analyze(
-        tech: &Technology,
         tile: &TileImplementation,
         tiles: u32,
-        group_interconnect_ge: f64,
-        buffers: f64,
-        signal_wire_mm: f64,
-    ) -> Self {
-        Self::analyze_with(
-            tech,
-            tile,
-            tiles,
-            group_interconnect_ge,
-            buffers,
-            signal_wire_mm,
-            ActivityProfile::matmul(),
-        )
-    }
-
-    /// Computes the power report under an explicit workload activity
-    /// profile (e.g. one measured on the cycle-accurate simulator).
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn analyze_with(
-        tech: &Technology,
-        tile: &TileImplementation,
-        tiles: u32,
-        group_interconnect_ge: f64,
         buffers: f64,
         signal_wire_mm: f64,
         activity: ActivityProfile,
     ) -> Self {
+        let tech = tile.tech();
         let ghz = 1.0; // reporting clock: the 1 GHz target
         let tile_ge = tile.logic_cell_area_um2() / tech.ge_area_um2;
-        let total_ge = tile_ge * tiles as f64 + group_interconnect_ge + buffers * BUFFER_GE;
+        let total_ge = tile_ge * tiles as f64 + GROUP_INTERCONNECT_GE + buffers * BUFFER_GE;
         // fJ * GHz = µW; / 1000 -> mW.
         let cell_dynamic_mw =
             total_ge * tech.cell_energy_fj_per_ge * activity.cell_activity * ghz / 1000.0;
@@ -129,7 +100,7 @@ impl PowerReport {
             * ghz;
 
         let cell_area = tile.logic_cell_area_um2() * tiles as f64
-            + (group_interconnect_ge + buffers * BUFFER_GE) * tech.ge_area_um2;
+            + (GROUP_INTERCONNECT_GE + buffers * BUFFER_GE) * tech.ge_area_um2;
         let sram_area = tile.macro_area_um2() * tiles as f64;
         let leakage_mw = (cell_area * tech.cell_leakage_uw_per_um2
             + sram_area * tech.sram_leakage_uw_per_um2)
@@ -151,9 +122,8 @@ mod tests {
     use mempool_arch::SpmCapacity;
 
     fn report(cap: SpmCapacity, flow: Flow, buffers: f64, wire_mm: f64) -> PowerReport {
-        let tech = Technology::n28();
         let tile = TileImplementation::implement(cap, flow);
-        PowerReport::analyze(&tech, &tile, 16, 450_000.0, buffers, wire_mm)
+        PowerReport::analyze(&tile, 16, buffers, wire_mm, ActivityProfile::matmul())
     }
 
     #[test]
@@ -193,24 +163,15 @@ mod tests {
 
     #[test]
     fn lighter_workloads_draw_less_dynamic_power() {
-        let tech = Technology::n28();
         let tile = TileImplementation::implement(SpmCapacity::MiB1, Flow::TwoD);
-        let busy = PowerReport::analyze(&tech, &tile, 16, 450_000.0, 180_000.0, 22_000.0);
-        let idle_profile = ActivityProfile {
+        let analyze = |activity| PowerReport::analyze(&tile, 16, 180_000.0, 22_000.0, activity);
+        let busy = analyze(ActivityProfile::matmul());
+        let idle = analyze(ActivityProfile {
             cell_activity: 0.054,
             wire_activity: 0.1,
             spm_accesses_per_tile_per_cycle: 0.5,
             icache_accesses_per_tile_per_cycle: 0.4,
-        };
-        let idle = PowerReport::analyze_with(
-            &tech,
-            &tile,
-            16,
-            450_000.0,
-            180_000.0,
-            22_000.0,
-            idle_profile,
-        );
+        });
         assert!(idle.cell_dynamic_mw < busy.cell_dynamic_mw);
         assert!(idle.wire_dynamic_mw < busy.wire_dynamic_mw);
         assert!(idle.sram_mw < busy.sram_mw);

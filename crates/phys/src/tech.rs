@@ -110,12 +110,6 @@ impl Technology {
     }
 }
 
-impl Default for Technology {
-    fn default() -> Self {
-        Self::n28()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -141,10 +135,5 @@ mod tests {
         let t = Technology::n28();
         assert!((t.cell_area_um2(1000.0) - 490.0).abs() < 1e-9);
         assert_eq!(t.cell_area_um2(0.0), 0.0);
-    }
-
-    #[test]
-    fn default_is_the_calibrated_node() {
-        assert_eq!(Technology::default(), Technology::n28());
     }
 }

@@ -11,7 +11,7 @@
 use mempool_arch::{ClusterConfig, SpmCapacity};
 
 use crate::flow::Flow;
-use crate::netlist::GateInventory;
+use crate::netlist::{SNITCH_CORE_GE, TILE_OTHER_GE};
 use crate::sram::SramMacro;
 use crate::tech::Technology;
 
@@ -55,6 +55,7 @@ pub struct TileImplementation {
     tech: Technology,
     bank_macro: SramMacro,
     icache_macro: SramMacro,
+    num_cores: u32,
     num_banks: u32,
     num_icache_banks: u32,
     logic_cell_area_um2: f64,
@@ -67,38 +68,30 @@ pub struct TileImplementation {
 impl TileImplementation {
     /// Implements the tile of a full-size MemPool configuration.
     pub fn implement(capacity: SpmCapacity, flow: Flow) -> Self {
-        Self::implement_with(
-            &ClusterConfig::with_capacity(capacity),
-            flow,
-            Technology::n28(),
-            GateInventory::mempool(),
-        )
+        Self::implement_with(capacity, flow, &Technology::n28())
     }
 
-    /// Implements a tile for an arbitrary configuration, technology, and
-    /// inventory.
-    pub fn implement_with(
-        config: &ClusterConfig,
-        flow: Flow,
-        tech: Technology,
-        inventory: GateInventory,
-    ) -> Self {
-        let capacity = config.capacity_preset().unwrap_or(SpmCapacity::MiB1);
+    /// Implements the tile of a full-size MemPool configuration in another
+    /// technology.
+    pub fn implement_with(capacity: SpmCapacity, flow: Flow, tech: &Technology) -> Self {
+        let config = ClusterConfig::with_capacity(capacity);
+        let num_cores = config.cores_per_tile();
         let num_banks = config.banks_per_tile();
         let num_icache_banks = config.icache_banks_per_tile();
         let bank_macro = SramMacro::with_capacity_bytes(config.bank_bytes());
         let icache_macro = SramMacro::with_capacity_bytes(
             (config.icache_bytes_per_tile() / num_icache_banks.max(1)) as u64,
         );
-        let logic_cell_area_um2 =
-            tech.cell_area_um2(inventory.tile_logic_ge(config.cores_per_tile()));
+        let logic_ge = SNITCH_CORE_GE * num_cores as f64 + TILE_OTHER_GE;
+        let logic_cell_area_um2 = tech.cell_area_um2(logic_ge);
 
         let mut tile = TileImplementation {
             capacity,
             flow,
-            tech,
+            tech: tech.clone(),
             bank_macro,
             icache_macro,
+            num_cores,
             num_banks,
             num_icache_banks,
             logic_cell_area_um2,
@@ -221,6 +214,11 @@ impl TileImplementation {
         self.flow
     }
 
+    /// The technology the tile is implemented in.
+    pub(crate) fn tech(&self) -> &Technology {
+        &self.tech
+    }
+
     /// Tile footprint (silicon outline of one die) in µm².
     pub fn footprint_um2(&self) -> f64 {
         self.footprint_um2
@@ -254,6 +252,11 @@ impl TileImplementation {
     /// The I$ bank macro.
     pub(crate) fn icache_macro(&self) -> SramMacro {
         self.icache_macro
+    }
+
+    /// Number of Snitch cores in the tile.
+    pub(crate) fn num_cores(&self) -> u32 {
+        self.num_cores
     }
 
     /// Number of SPM banks in the tile.

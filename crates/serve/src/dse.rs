@@ -67,7 +67,7 @@ pub fn explore_via(
         .map(|point| {
             let outcome = request(&ExperimentRequest {
                 kind: ExperimentKind::DsePoint { point },
-                model: (*model).into(),
+                model: *model,
             })?;
             parse_scored(point, &outcome.artifact)
         })

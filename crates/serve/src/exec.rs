@@ -24,17 +24,18 @@ pub struct ExperimentRunner;
 
 impl Runner for ExperimentRunner {
     fn run(&self, req: &ExperimentRequest) -> Result<Json, String> {
-        let model = req.model.to_phase_model();
         match req.kind {
-            ExperimentKind::Sweep { bytes_per_cycle } => Ok(sweep_point(&model, bytes_per_cycle)),
+            ExperimentKind::Sweep { bytes_per_cycle } => {
+                Ok(sweep_point(&req.model, bytes_per_cycle))
+            }
             ExperimentKind::DsePoint { point } => {
-                let eval = Evaluation::with_model(model);
+                let eval = Evaluation::with_model(req.model);
                 Ok(dse_point_json(&ScoredPoint::score_all(&eval, point)))
             }
             ExperimentKind::Kernel { p } => kernel_run(p),
             // Every parameterless kind is the catalogue row of its tag.
             plain => catalogue::find(plain.tag())
-                .and_then(|row| (row.build)(&Context::new(model)).to_json())
+                .and_then(|row| (row.build)(&Context::new(req.model)).to_json())
                 .ok_or_else(|| format!("the catalogue has no {} document", plain.tag())),
         }
     }
@@ -133,13 +134,12 @@ mod tests {
 
     #[test]
     fn sweep_point_matches_the_full_figure() {
-        let model = ModelConfig::default().to_phase_model();
         let artifact = ExperimentRunner
             .run(&ExperimentRequest::new(ExperimentKind::Sweep {
                 bytes_per_cycle: 16,
             }))
             .unwrap();
-        let fig = Fig6::with_model(model);
+        let fig = Fig6::with_model(ModelConfig::default());
         let points = artifact.get("points").and_then(Json::as_arr).unwrap();
         for (json, capacity) in points.iter().zip(SpmCapacity::ALL) {
             let expected = fig.point(capacity, 16).unwrap();

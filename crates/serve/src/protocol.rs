@@ -29,98 +29,51 @@ use mempool_obs::{Json, JsonError};
 use mempool_phys::Flow;
 use mempool_sim::{fnv1a, SimParams};
 
-/// The workload-model constants a request may override. Defaults mirror
-/// [`PhaseModel::with_measured_defaults`], so an empty `"model"` object
-/// (or none at all) reproduces the one-shot `repro` numbers exactly.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ModelConfig {
-    /// Matrix dimension (the paper: 326400).
-    pub m: u64,
-    /// Cores sharing a compute phase (the paper: 256).
-    pub num_cores: u64,
-    /// Issue-slot cost of one multiply-accumulate.
-    pub cycles_per_mac: f64,
-    /// Static per-phase overhead in cycles.
-    pub phase_overhead: f64,
-}
+/// The workload-model constants a request may override. Omitted fields
+/// take [`PhaseModel::with_measured_defaults`]'s values, so an empty
+/// `"model"` object (or none at all) reproduces the one-shot `repro`
+/// numbers exactly.
+pub type ModelConfig = PhaseModel;
 
-impl Default for ModelConfig {
-    fn default() -> Self {
-        PhaseModel::with_measured_defaults().into()
-    }
-}
-
-impl From<PhaseModel> for ModelConfig {
-    fn from(model: PhaseModel) -> Self {
-        ModelConfig {
-            m: model.m,
-            num_cores: model.num_cores,
-            cycles_per_mac: model.cycles_per_mac,
-            phase_overhead: model.phase_overhead,
-        }
-    }
-}
-
-impl ModelConfig {
-    /// The kernel-side phase model these constants describe.
-    pub(crate) fn to_phase_model(self) -> PhaseModel {
-        PhaseModel {
-            m: self.m,
-            num_cores: self.num_cores,
-            cycles_per_mac: self.cycles_per_mac,
-            phase_overhead: self.phase_overhead,
-        }
-    }
-
-    /// Canonical JSON form (fixed field order).
-    pub fn to_json(self) -> Json {
-        Json::obj([
-            ("m", Json::Int(self.m as i64)),
-            ("num_cores", Json::Int(self.num_cores as i64)),
-            ("cycles_per_mac", Json::Float(self.cycles_per_mac)),
-            ("phase_overhead", Json::Float(self.phase_overhead)),
-        ])
-    }
-
-    fn from_json(doc: &Json) -> Result<Self, JsonError> {
-        let Json::Obj(pairs) = doc else {
-            return Err(JsonError::shape("model must be an object"));
-        };
-        let mut model = ModelConfig::default();
-        for (key, value) in pairs {
-            match key.as_str() {
-                "m" => model.m = value.try_u64("model.m")?,
-                "num_cores" => model.num_cores = value.try_u64("model.num_cores")?,
-                "cycles_per_mac" => {
-                    model.cycles_per_mac = value.try_f64("model.cycles_per_mac")?;
-                }
-                "phase_overhead" => {
-                    model.phase_overhead = value.try_f64("model.phase_overhead")?;
-                }
-                other => return Err(JsonError::shape(format!("model: unknown field {other:?}"))),
+/// Parses a request's `"model"` object over the measured defaults.
+fn parse_model(doc: &Json) -> Result<ModelConfig, JsonError> {
+    let Json::Obj(pairs) = doc else {
+        return Err(JsonError::shape("model must be an object"));
+    };
+    let mut model = ModelConfig::default();
+    for (key, value) in pairs {
+        match key.as_str() {
+            "m" => model.m = value.try_u64("model.m")?,
+            "num_cores" => model.num_cores = value.try_u64("model.num_cores")?,
+            "cycles_per_mac" => {
+                model.cycles_per_mac = value.try_f64("model.cycles_per_mac")?;
             }
+            "phase_overhead" => {
+                model.phase_overhead = value.try_f64("model.phase_overhead")?;
+            }
+            other => return Err(JsonError::shape(format!("model: unknown field {other:?}"))),
         }
-        // The constants every artifact can be computed from: a smaller
-        // matrix than the largest tile, no cores, or a free MAC or a
-        // negative overhead yield non-finite numbers.
-        let largest_tile = SpmCapacity::MiB8.matmul_tile_dim();
-        if model.m < largest_tile {
-            let message = format!("model.m must be at least {largest_tile}");
-            return Err(JsonError::shape(message));
-        }
-        if model.num_cores == 0 {
-            return Err(JsonError::shape("model.num_cores must be positive"));
-        }
-        if model.cycles_per_mac <= 0.0 {
-            return Err(JsonError::shape("model.cycles_per_mac must be positive"));
-        }
-        if model.phase_overhead < 0.0 {
-            return Err(JsonError::shape(
-                "model.phase_overhead must not be negative",
-            ));
-        }
-        Ok(model)
     }
+    // The constants every artifact can be computed from: a smaller
+    // matrix than the largest tile, no cores, or a free MAC or a
+    // negative overhead yield non-finite numbers.
+    let largest_tile = SpmCapacity::MiB8.matmul_tile_dim();
+    if model.m < largest_tile {
+        let message = format!("model.m must be at least {largest_tile}");
+        return Err(JsonError::shape(message));
+    }
+    if model.num_cores == 0 {
+        return Err(JsonError::shape("model.num_cores must be positive"));
+    }
+    if model.cycles_per_mac <= 0.0 {
+        return Err(JsonError::shape("model.cycles_per_mac must be positive"));
+    }
+    if model.phase_overhead < 0.0 {
+        return Err(JsonError::shape(
+            "model.phase_overhead must not be negative",
+        ));
+    }
+    Ok(model)
 }
 
 /// What the request asks the service to produce.
@@ -257,7 +210,7 @@ impl ExperimentRequest {
                 "kind" => {
                     kind_tag = Some(value.try_str("kind")?);
                 }
-                "model" => model = ModelConfig::from_json(value)?,
+                "model" => model = parse_model(value)?,
                 "bytes_per_cycle" => {
                     let bw = value.try_u64("bytes_per_cycle")?;
                     if bw == 0 || bw > u64::from(u32::MAX) {
