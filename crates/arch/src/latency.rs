@@ -19,50 +19,23 @@ pub enum AccessClass {
     Remote,
 }
 
-/// Zero-load round-trip latency (request to load-data-valid) for each access
-/// class, in cycles.
-///
-/// The defaults match the paper: 1 / 3 / 5 cycles. The values are
-/// configurable so that sensitivity studies (e.g. a hypothetical deeper
-/// pipeline) can reuse the simulator.
+/// MemPool's zero-load latency model: which distance class an access
+/// falls in. The cycles each class costs are fixed by the paper (1 / 3 / 5,
+/// request to load-data-valid) and are constants of the simulator.
 ///
 /// # Example
 ///
 /// ```
-/// use mempool_arch::{AccessClass, LatencyModel};
+/// use mempool_arch::{AccessClass, ClusterConfig, LatencyModel, TileId};
 ///
-/// let lat = LatencyModel::default();
-/// assert_eq!(lat.cycles(AccessClass::TileLocal), 1);
-/// assert_eq!(lat.cycles(AccessClass::GroupLocal), 3);
-/// assert_eq!(lat.cycles(AccessClass::Remote), 5);
+/// let cfg = ClusterConfig::default();
+/// let class = LatencyModel::classify(&cfg, TileId(0), TileId(16));
+/// assert_eq!(class, AccessClass::Remote);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct LatencyModel {
-    /// Cycles for a tile-local access.
-    pub tile_local: u32,
-    /// Cycles for a same-group access.
-    pub group_local: u32,
-    /// Cycles for a remote-group access.
-    pub remote: u32,
-}
+pub struct LatencyModel;
 
 impl LatencyModel {
-    /// Latency model from the paper (1 / 3 / 5 cycles).
-    pub const PAPER: LatencyModel = LatencyModel {
-        tile_local: 1,
-        group_local: 3,
-        remote: 5,
-    };
-
-    /// Returns the zero-load latency of the given access class in cycles.
-    pub const fn cycles(&self, class: AccessClass) -> u32 {
-        match class {
-            AccessClass::TileLocal => self.tile_local,
-            AccessClass::GroupLocal => self.group_local,
-            AccessClass::Remote => self.remote,
-        }
-    }
-
     /// Classifies an access from a core in `src_tile` to a bank in
     /// `dst_tile`.
     pub fn classify(cfg: &ClusterConfig, src_tile: TileId, dst_tile: TileId) -> AccessClass {
@@ -80,23 +53,9 @@ impl LatencyModel {
     }
 }
 
-impl Default for LatencyModel {
-    fn default() -> Self {
-        Self::PAPER
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn paper_latencies() {
-        let lat = LatencyModel::PAPER;
-        assert_eq!(lat.cycles(AccessClass::TileLocal), 1);
-        assert_eq!(lat.cycles(AccessClass::GroupLocal), 3);
-        assert_eq!(lat.cycles(AccessClass::Remote), 5);
-    }
 
     #[test]
     fn classify_same_tile() {
@@ -125,19 +84,5 @@ mod tests {
             LatencyModel::classify(&cfg, TileId(0), TileId(16)),
             AccessClass::Remote
         );
-    }
-
-    #[test]
-    fn latency_is_monotone_in_distance() {
-        let lat = LatencyModel::default();
-        let mut prev = 0;
-        for class in [
-            AccessClass::TileLocal,
-            AccessClass::GroupLocal,
-            AccessClass::Remote,
-        ] {
-            assert!(lat.cycles(class) > prev);
-            prev = lat.cycles(class);
-        }
     }
 }

@@ -82,25 +82,17 @@ pub struct FaultConfig {
     /// Per-element fault probability scale (per F2F bump for links, per
     /// bit for SRAM faults). `0` disables generation entirely.
     pub rate: f64,
-    /// Cycle horizon within which timed faults (flips, hangs) land.
+    /// Cycle horizon within which transient flips land.
     pub horizon: u64,
-    /// Upper bound on generated transient flips.
-    pub max_transients: u32,
-    /// Number of core-hang events to schedule (default 0: hangs are
-    /// opt-in, since they unavoidably deadlock barrier workloads).
-    pub core_hangs: u32,
 }
 
 impl FaultConfig {
-    /// A configuration with the default horizon (1M cycles), transient
-    /// cap (64), and no core hangs.
+    /// A configuration with the default horizon (1M cycles).
     pub fn new(seed: u64, rate: f64) -> Self {
         FaultConfig {
             seed,
             rate,
             horizon: 1_000_000,
-            max_transients: 64,
-            core_hangs: 0,
         }
     }
 
@@ -110,6 +102,9 @@ impl FaultConfig {
         self
     }
 }
+
+/// Upper bound on the transient flips one generated plan schedules.
+const MAX_TRANSIENTS: u64 = 64;
 
 /// Estimated F2F bumps per tile (Table II reports hundreds of thousands
 /// per 16-tile group; one tile's share of vias is on this order).
@@ -145,9 +140,10 @@ impl FaultPlan {
     ///   bank per tile backs the remap policy);
     /// * **transient flips** — `rate x total-bits` single-bit upsets at
     ///   uniform cycles within the horizon (multi-bit upsets are far
-    ///   rarer and only scriptable explicitly);
-    /// * **core hangs** — only when requested via
-    ///   [`FaultConfig::core_hangs`].
+    ///   rarer and only scriptable explicitly), at most `MAX_TRANSIENTS`
+    ///   (64);
+    /// * **core hangs** — never generated, since they unavoidably deadlock
+    ///   barrier workloads (script [`FaultEvent::CoreHang`] explicitly).
     ///
     /// When `rate > 0` the plan is floored at one degraded link and one
     /// stuck bank, so even tiny rates produce a measurable degraded run.
@@ -202,7 +198,7 @@ impl FaultPlan {
         }
 
         let total_bits = tiles as f64 * banks_per_tile as f64 * bits_per_bank;
-        let flips = ((cfg.rate * total_bits).round() as u64).clamp(1, cfg.max_transients as u64);
+        let flips = ((cfg.rate * total_bits).round() as u64).clamp(1, MAX_TRANSIENTS);
         for _ in 0..flips {
             plan.push(FaultEvent::TransientFlip {
                 cycle: rng.below(cfg.horizon.max(1)),
@@ -212,13 +208,6 @@ impl FaultPlan {
                     word: rng.below(cluster.bank_words() as u64) as u32,
                 },
                 mask: 1 << rng.below(32),
-            });
-        }
-
-        for _ in 0..cfg.core_hangs {
-            plan.push(FaultEvent::CoreHang {
-                cycle: rng.below(cfg.horizon.max(1)),
-                core: GlobalCoreId::new(rng.below(cluster.num_cores() as u64) as u32),
             });
         }
         plan
@@ -334,25 +323,12 @@ mod tests {
     }
 
     #[test]
-    fn generator_emits_no_dead_links_or_hangs_by_default() {
+    fn generator_emits_no_dead_links_or_hangs() {
         let plan = FaultPlan::generate(&FaultConfig::new(3, 1e-4), &small_cluster());
         assert!(!plan
             .events()
             .iter()
             .any(|e| matches!(e, FaultEvent::LinkDead { .. } | FaultEvent::CoreHang { .. })));
-        let with_hangs = FaultPlan::generate(
-            &FaultConfig {
-                core_hangs: 2,
-                ..FaultConfig::new(3, 1e-4)
-            },
-            &small_cluster(),
-        );
-        let hangs = with_hangs
-            .events()
-            .iter()
-            .filter(|e| matches!(e, FaultEvent::CoreHang { .. }))
-            .count();
-        assert_eq!(hangs, 2);
     }
 
     #[test]

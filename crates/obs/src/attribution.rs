@@ -18,7 +18,9 @@
 //! * `halted` — parked at `wfi` (barrier wait, end of kernel, or a core
 //!   hung by an injected fault);
 //! * `offchip` — cycles the whole cluster spent in synchronous DMA
-//!   transfers / waits, during which cores do not step.
+//!   transfers / waits, during which cores do not step (and, in a run
+//!   that ended in an error, the erroring cycle of a core the error kept
+//!   from stepping).
 //!
 //! The report aggregates per core, per tile, and cluster-wide, and carries
 //! a bank-conflict heatmap (tiles × banks). The simulator-facing glue that
@@ -48,7 +50,9 @@ pub struct CycleBuckets {
     pub ecc: u64,
     /// Cycles parked at `wfi`.
     pub halted: u64,
-    /// Cycles the cluster spent in synchronous off-chip transfers.
+    /// Cycles the cluster clock advanced without stepping the core:
+    /// synchronous off-chip transfers, and an erroring cycle the core was
+    /// not stepped in.
     pub offchip: u64,
 }
 
@@ -184,8 +188,9 @@ pub struct AttributionReport {
 impl AttributionReport {
     /// Builds the report. Each core's `offchip` bucket is derived as
     /// `cycles - (all other buckets)`: the cycles the cluster clock
-    /// advanced without stepping the cores, i.e. synchronous DMA time. A
-    /// supplied `offchip` value is ignored.
+    /// advanced without stepping the cores: synchronous DMA time, and the
+    /// erroring cycle of the cores an error kept from stepping. A supplied
+    /// `offchip` value is ignored.
     ///
     /// # Panics
     ///

@@ -1,6 +1,6 @@
 //! Versioned checkpoint/restore of a running [`Cluster`].
 //!
-//! A checkpoint is a single `mempool-checkpoint/v3` JSON document (same
+//! A checkpoint is a single `mempool-checkpoint/v4` JSON document (same
 //! plumbing as `crashdump.json`) capturing *everything* that influences
 //! simulated behavior: per-core architectural and scoreboard state, the
 //! program, all SPM/spare/external memory with its spare-bank remaps and
@@ -18,15 +18,17 @@
 //! # Layout
 //!
 //! The header is named JSON — `schema`, `engine_version`,
-//! `params_digest`, `config` (8 fields), `params` (11 fields) — because
-//! tests and [`CheckpointError::Mismatch`] name those fields. Everything
-//! else is a **section**: one string of fixed-width hex words under a
-//! top-level key. `program`, `spm` and `spare` are memory images of
+//! `params_digest`, `config` (8 fields), `params` (4 fields: the I$
+//! geometry and the off-chip port; the fixed timing is constant and so not
+//! saved) — because tests and [`CheckpointError::Mismatch`] name those
+//! fields. Everything else is a **section**: one string of fixed-width hex
+//! words under a top-level key. `program`, `spm` and `spare` are memory images of
 //! 8-digit (`u32`) words — `spm` in `Storage`'s own address order, as it
 //! is; `clock`, `cores`, `icaches`, `banks`, `responses`, `offchip`,
 //! `storage`, `faults`, `watchdog` and `sampler` are the 16-digit
-//! (`u64`) words `Words::pack` produces. The fault report keeps its own
-//! JSON form under `fault_report`.
+//! (`u64`) words `Words::pack` produces — `icaches` holds each tile's
+//! tags, LRU stamps and LRU clock. The fault report keeps its own JSON
+//! form under `fault_report`.
 //!
 //! Every saved record has **one** spelling: a `Words` impl whose `pack`
 //! and `unpack` walk the same field list (`words_struct!` next to each
@@ -36,7 +38,7 @@
 //!
 //! [`Cluster::restore`] **decodes, checks, then builds** (its docs list
 //! the checks), so a hostile file is a typed error before anything is
-//! sized by it. A v1 or v2 file is refused with
+//! sized by it. A v1, v2 or v3 file is refused with
 //! [`CheckpointError::Mismatch`] on `schema`; there is no reader for old
 //! versions — a snapshot protects a run of seconds and nothing keeps them.
 //!
@@ -83,7 +85,7 @@ use crate::offchip::OffchipPort;
 use crate::params::{SimParams, ENGINE_VERSION};
 
 /// Schema tag of the checkpoint document.
-pub const CHECKPOINT_SCHEMA: &str = "mempool-checkpoint/v3";
+pub const CHECKPOINT_SCHEMA: &str = "mempool-checkpoint/v4";
 
 /// Error raised by checkpoint save/restore.
 #[derive(Debug)]
@@ -582,7 +584,7 @@ fn fault_parts(ctrl: &FaultController, storage: &Storage) -> FaultParts {
 // ---------------------------------------------------------------------------
 
 impl Cluster {
-    /// Serializes the full simulated state as a `mempool-checkpoint/v3`
+    /// Serializes the full simulated state as a `mempool-checkpoint/v4`
     /// document. See the [module docs](self) for the layout and for what
     /// is (and is deliberately not) captured.
     pub fn checkpoint(&self) -> Json {
@@ -1461,7 +1463,11 @@ mod tests {
     #[test]
     fn a_v1_document_is_a_schema_mismatch() {
         let saved = eventful_snapshot();
-        for version in ["mempool-checkpoint/v1", "mempool-checkpoint/v2"] {
+        for version in [
+            "mempool-checkpoint/v1",
+            "mempool-checkpoint/v2",
+            "mempool-checkpoint/v3",
+        ] {
             let mut doc = saved.clone();
             set(&mut doc, &["schema"], Json::str(version));
             let err = Cluster::restore(&doc).unwrap_err();
@@ -1534,7 +1540,7 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
         fs::create_dir_all(&dir).unwrap();
         let path = dir.join("ckpt-000000000001.json");
-        fs::write(&path, "{\"schema\": \"mempool-checkpoint/v3\", trunc").unwrap();
+        fs::write(&path, "{\"schema\": \"mempool-checkpoint/v4\", trunc").unwrap();
         let err = Cluster::restore_from_file(&path).unwrap_err();
         assert!(matches!(err, CheckpointError::Malformed(_)));
         assert!(!path.exists(), "corrupt file renamed away");

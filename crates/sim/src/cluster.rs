@@ -20,9 +20,7 @@
 
 use std::fmt;
 
-use mempool_arch::{
-    AccessClass, BankId, BankLocation, ClusterConfig, GlobalCoreId, LatencyModel, TileId,
-};
+use mempool_arch::{AccessClass, BankId, BankLocation, ClusterConfig, GlobalCoreId, TileId};
 use mempool_fault::{
     CoreDiagnostic, FaultController, FaultPlan, FaultReport, RemappedBank, Watchdog,
 };
@@ -34,7 +32,7 @@ use crate::ckpt::{words_struct, Words};
 use crate::core::Core;
 use crate::engine::{self, Attachments, Machine};
 use crate::memory::{MemoryError, RemapError, Storage};
-use crate::params::SimParams;
+use crate::params::{SimParams, GROUP_LOCAL_LATENCY, REMOTE_LATENCY, TILE_LOCAL_LATENCY};
 use crate::stats::{BankStats, ClusterStats};
 use crate::trace::{Trace, TraceEntry};
 
@@ -970,7 +968,8 @@ impl Cluster {
     /// died with `err`: the error (message + stable kind), per-core
     /// liveness snapshots (with recent instructions when tracing was on),
     /// the final approach to the failure as a cycle-ordered event window
-    /// (flight ring merged with trace retires), and — when an [`Obs`]
+    /// (flight ring merged with trace retires), the cycle attribution up
+    /// to the failure, and — when an [`Obs`]
     /// handle is attached — the metrics snapshot, the time-series, and a
     /// Chrome Trace document (spans plus counter tracks) loadable in
     /// Perfetto. Spans still open at crash time are closed at the current
@@ -1014,6 +1013,11 @@ impl Cluster {
         // epoch boundary) is dropped by `close_epoch` itself.
         self.attach.close_epoch(&self.machine);
 
+        let config = &self.machine.config;
+        let attribution = self
+            .stats()
+            .attribution(config.cores_per_tile(), config.banks_per_tile())
+            .to_json();
         let (metrics, timeseries, chrome) = match &self.attach.obs {
             Some(hooks) => {
                 hooks.obs.spans.close_all(self.machine.cycle);
@@ -1056,6 +1060,7 @@ impl Cluster {
                 self.fault_report()
                     .map_or(Json::Null, |report| report.to_json()),
             ),
+            ("attribution", attribution),
             ("metrics", metrics),
             ("timeseries", timeseries),
             ("trace", chrome),
@@ -1074,10 +1079,14 @@ pub struct EngineSelection {
 /// [`CoreDiagnostic`] carries (when tracing is enabled).
 const DIAGNOSTIC_RECENT_WINDOW: usize = 8;
 
-/// Splits a zero-load latency into request and response halves around the
-/// single bank-service cycle.
-pub(crate) fn latency_split(latency: &LatencyModel, class: AccessClass) -> (u32, u32) {
-    let total = latency.cycles(class);
+/// Splits the zero-load latency of `class` into request and response
+/// halves around the single bank-service cycle.
+pub(crate) fn latency_split(class: AccessClass) -> (u32, u32) {
+    let total = match class {
+        AccessClass::TileLocal => TILE_LOCAL_LATENCY,
+        AccessClass::GroupLocal => GROUP_LOCAL_LATENCY,
+        AccessClass::Remote => REMOTE_LATENCY,
+    };
     let request = (total - 1) / 2;
     (request, total - 1 - request)
 }
@@ -1334,8 +1343,8 @@ mod tests {
     #[test]
     fn external_accesses_go_through_the_offchip_port() {
         let base = mempool_arch::AddressMap::EXTERNAL_BASE;
-        let cfg = tiny_config();
-        let mut cluster = Cluster::new(cfg, SimParams::default());
+        let (cfg, params) = (tiny_config(), SimParams::default());
+        let mut cluster = Cluster::new(cfg, params);
         cluster.storage_mut().write_external_word(0, 1234);
         cluster
             .load_program(Program::assemble(&format!("li t0, {base}\nlw a0, 0(t0)\nwfi")).unwrap());
@@ -1346,22 +1355,22 @@ mod tests {
             1234
         );
         assert!(
-            cycles > SimParams::default().offchip_latency as u64,
+            cycles > params.offchip_latency as u64,
             "external load must pay off-chip latency"
         );
     }
 
     #[test]
     fn dma_costs_match_bandwidth_model() {
-        let cfg = tiny_config();
-        let mut cluster = Cluster::new(cfg, SimParams::default());
+        let (cfg, params) = (tiny_config(), SimParams::default());
+        let mut cluster = Cluster::new(cfg, params);
         for i in 0..64u64 {
             cluster.storage_mut().write_external_word(i * 4, i as u32);
         }
         let bytes = 256;
         let elapsed = cluster.dma_tile(0, 0, 0, 1, bytes as u32, true).unwrap();
-        let expected = SimParams::default().offchip_latency as u64
-            + bytes / SimParams::default().offchip_bytes_per_cycle as u64;
+        let expected =
+            params.offchip_latency as u64 + bytes / params.offchip_bytes_per_cycle as u64;
         assert_eq!(elapsed, expected);
         assert_eq!(cluster.read_spm_word(4 * 10).unwrap(), 10);
         // Round trip back out.
@@ -1714,6 +1723,68 @@ mod tests {
         assert_eq!(report.cores[0].total(), report.cycles);
     }
 
+    /// A run that ends in an error or a timeout is attributed like one
+    /// that completed: the tick that raised the error counts, and a
+    /// bubble's cycles are charged as they elapse, so no core's buckets
+    /// run ahead of the clock.
+    #[test]
+    fn errored_and_timed_out_runs_are_attributed() {
+        let cfg = ClusterConfig::builder()
+            .groups(1)
+            .tiles_per_group(4)
+            .cores_per_tile(4)
+            .banks_per_tile(16)
+            .bank_words(64)
+            .build()
+            .unwrap();
+        let loaded = |offchip_latency: u32, src: &str| {
+            let params = SimParams {
+                offchip_latency,
+                ..SimParams::default()
+            };
+            let mut cluster = Cluster::new(cfg.clone(), params);
+            cluster.load_program(Program::assemble(src).unwrap());
+            cluster.preload_icaches();
+            cluster
+        };
+        // Core 0 runs off the end of the program after the other cores
+        // halted: the erroring tick steps every core of tiles 1 to 3, and
+        // none of tile 0 after core 0.
+        let mut off_the_end = loaded(
+            30,
+            "csrr t1, mhartid\nbeqz t1, last\nwfi\nlast:\naddi a0, a0, 1",
+        );
+        let end = off_the_end.run(100);
+        assert!(matches!(end, Err(SimError::PcOutOfRange { .. })), "{end:?}");
+        // Core 0 waits on an off-chip load far beyond the watchdog's window.
+        let mut waiter = loaded(
+            10_000,
+            "csrr t1, mhartid\nbnez t1, done\nli t0, 0x80000000\nlw a0, 0(t0)\n\
+             add a1, a0, a0\ndone:\nwfi",
+        );
+        waiter.set_watchdog(100);
+        let end = waiter.run(100_000);
+        assert!(matches!(end, Err(SimError::Deadlock { .. })), "{end:?}");
+        // Out of budget on the cycle after a taken branch, its bubble still
+        // ahead.
+        let mut looping = loaded(30, "li t0, 100\nloop:\naddi t0, t0, -1\nbnez t0, loop\nwfi");
+        assert_eq!(looping.run(3), Err(SimError::Timeout { cycles: 3 }));
+        // (cycles, cluster-wide issue and off-chip buckets)
+        let expected = [(5, 48, 4), (104, 49, 0), (3, 48, 0)];
+        for (cluster, (cycles, issue, offchip)) in
+            [off_the_end, waiter, looping].iter().zip(expected)
+        {
+            let stats = cluster.stats();
+            let report = stats.attribution(4, 16);
+            assert_eq!(report.cycles, cycles);
+            assert!(report.cores.iter().all(|c| c.total() == cycles));
+            assert_eq!(
+                (report.cluster.issue, report.cluster.offchip),
+                (issue, offchip)
+            );
+        }
+    }
+
     #[test]
     fn obs_hooks_record_dma_and_wfi_spans_and_conflict_metrics() {
         use mempool_obs::Obs;
@@ -1808,6 +1879,7 @@ mod tests {
 
     // ----- fault injection, watchdog, and graceful degradation -----
 
+    use crate::params::ECC_CORRECTION_PENALTY;
     use mempool_arch::BankId;
     use mempool_fault::{FaultConfig, FaultEvent};
 
@@ -1973,10 +2045,7 @@ mod tests {
         // The scrub repaired storage in place.
         assert_eq!(cluster.read_spm_word(0).unwrap(), 123);
         let stats = cluster.stats();
-        assert_eq!(
-            stats.cores[0].stall_ecc,
-            SimParams::default().ecc_correction_penalty as u64
-        );
+        assert_eq!(stats.cores[0].stall_ecc, ECC_CORRECTION_PENALTY as u64);
         let report = cluster.fault_report().unwrap();
         assert_eq!(report.ecc_corrected, 1);
         assert_eq!(report.ecc_pending, 0, "scrubbed: no latent errors remain");

@@ -21,6 +21,21 @@ pub enum Stall {
     Structural,
 }
 
+/// What a pipeline bubble waits out. Each kind's cycles are charged to its
+/// own stall counter one at a time, on the tick that waits it out, so a
+/// core's counters never run ahead of the clock.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Bubble {
+    /// An I$ refill (`stall_icache`).
+    ICache,
+    /// A taken branch's fetch redirect (`stall_branch`).
+    Branch,
+    /// A retry through a degraded F2F link (`stall_fault_retry`).
+    FaultRetry,
+    /// A SEC-DED correction (`stall_ecc`).
+    Ecc,
+}
+
 /// What the scoreboard needs to know about an instruction, decoded once
 /// when its program is installed (see `Cluster::load_program`) instead of
 /// on every issue attempt.
@@ -62,8 +77,9 @@ pub struct Core {
     /// Bitmask of registers with outstanding responses.
     busy: u32,
     outstanding: u32,
-    /// Remaining bubble cycles from a taken branch or I$ miss.
-    bubble: u32,
+    /// Remaining bubble cycles by kind (`Bubble as usize`), waited out in
+    /// that order.
+    bubbles: [u32; 4],
     /// Execution statistics.
     pub stats: CoreStats,
 }
@@ -75,7 +91,7 @@ words_struct!(Core {
     hung,
     busy,
     outstanding,
-    bubble,
+    bubbles,
     stats,
 });
 
@@ -89,7 +105,7 @@ impl Core {
             hung: false,
             busy: 0,
             outstanding: 0,
-            bubble: 0,
+            bubbles: [0; 4],
             stats: CoreStats::default(),
         }
     }
@@ -115,7 +131,7 @@ impl Core {
         self.pc = pc;
         self.halted = false;
         self.busy = 0;
-        self.bubble = 0;
+        self.bubbles = [0; 4];
     }
 
     /// Marks the core halted.
@@ -139,29 +155,35 @@ impl Core {
         self.outstanding
     }
 
-    /// Whether the core is idle this cycle due to a bubble; decrements the
-    /// bubble counter.
+    /// Whether the core is idle this cycle due to a bubble; waits out one
+    /// of its cycles and charges it to the bubble's stall counter.
     #[inline]
-    pub fn consume_bubble(&mut self) -> bool {
-        if self.bubble > 0 {
-            self.bubble -= 1;
-            true
-        } else {
-            false
-        }
+    pub(crate) fn consume_bubble(&mut self) -> bool {
+        let Some(kind) = self.bubbles.iter().position(|&left| left > 0) else {
+            return false;
+        };
+        self.bubbles[kind] -= 1;
+        let stats = &mut self.stats;
+        let counter = match kind {
+            0 => &mut stats.stall_icache,
+            1 => &mut stats.stall_branch,
+            2 => &mut stats.stall_fault_retry,
+            _ => &mut stats.stall_ecc,
+        };
+        *counter += 1;
+        true
     }
 
-    /// Inserts `cycles` of pipeline bubble (taken branch, I$ miss).
-    pub fn insert_bubble(&mut self, cycles: u32) {
-        self.bubble += cycles;
+    /// Inserts `cycles` of pipeline bubble of `kind`.
+    pub(crate) fn insert_bubble(&mut self, kind: Bubble, cycles: u32) {
+        self.bubbles[kind as usize] += cycles;
     }
 
-    /// Charges `cycles` of pipeline stall for an ECC-corrected response
-    /// (a halted core has no pipeline to stall).
+    /// Stalls the pipeline `cycles` for an ECC-corrected response (a
+    /// halted core has no pipeline to stall).
     pub(crate) fn stall_ecc(&mut self, cycles: u32) {
         if !self.halted {
-            self.bubble += cycles;
-            self.stats.stall_ecc += cycles as u64;
+            self.insert_bubble(Bubble::Ecc, cycles);
         }
     }
 
@@ -290,11 +312,15 @@ mod tests {
     }
 
     #[test]
-    fn bubbles_consume_cycles() {
+    fn bubbles_are_charged_as_they_elapse() {
         let mut core = Core::new();
-        core.insert_bubble(2);
+        core.insert_bubble(Bubble::Branch, 2);
+        core.stall_ecc(1);
+        assert!(core.consume_bubble());
+        assert_eq!((core.stats.stall_branch, core.stats.stall_ecc), (1, 0));
         assert!(core.consume_bubble());
         assert!(core.consume_bubble());
+        assert_eq!((core.stats.stall_branch, core.stats.stall_ecc), (2, 1));
         assert!(!core.consume_bubble());
     }
 

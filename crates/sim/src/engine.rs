@@ -27,11 +27,13 @@ use mempool_obs::{Deferred, FlightRecorder};
 use crate::cluster::{
     latency_split, sign_adjust, Bank, ClusterObs, PendingAccess, Response, Sampler, SimError,
 };
-use crate::core::{Core, IssueRecord, Stall};
+use crate::core::{Bubble, Core, IssueRecord, Stall};
 use crate::icache::ICache;
 use crate::memory::{check_region, Storage};
 use crate::offchip::OffchipPort;
-use crate::params::SimParams;
+use crate::params::{
+    SimParams, ECC_CORRECTION_PENALTY, ICACHE_MISS_PENALTY, MAX_OUTSTANDING, TAKEN_BRANCH_PENALTY,
+};
 use crate::profile::{CallTally, PHASE_SAMPLE_PERIOD};
 use crate::trace::{Trace, TraceEntry};
 
@@ -410,7 +412,7 @@ impl Tick<'_> {
             // tick on.
             let mut extra_resp = 0u32;
             if corrected {
-                extra_resp = m.params.ecc_correction_penalty;
+                extra_resp = ECC_CORRECTION_PENALTY;
                 m.cores[access.core as usize].stall_ecc(extra_resp);
                 self.a.note_fault(now, FaultNote::Corrected { loc });
             }
@@ -479,9 +481,7 @@ impl Tick<'_> {
             }
             let pc = core.pc;
             if !icache.access(pc) {
-                let penalty = m.params.icache_miss_penalty;
-                core.insert_bubble(penalty);
-                core.stats.stall_icache += penalty as u64;
+                core.insert_bubble(Bubble::ICache, ICACHE_MISS_PENALTY);
                 core.stats.icache_misses += 1;
                 if let Some(hooks) = &self.a.obs {
                     hooks.icache_misses.inc();
@@ -494,7 +494,7 @@ impl Tick<'_> {
                 break 'issue;
             };
             let record = m.records[(pc / 4) as usize];
-            match core.check_record(record, m.params.max_outstanding) {
+            match core.check_record(record, MAX_OUTSTANDING) {
                 Err(Stall::Scoreboard) => {
                     core.stats.stall_scoreboard += 1;
                     continue;
@@ -531,9 +531,8 @@ impl Tick<'_> {
             }
             let req = match exec::issue(instr, pc, &mut core.regs, index as u32) {
                 Issue::Next { pc: next } => {
-                    if next != pc.wrapping_add(4) && m.params.taken_branch_penalty > 0 {
-                        core.insert_bubble(m.params.taken_branch_penalty);
-                        core.stats.stall_branch += m.params.taken_branch_penalty as u64;
+                    if next != pc.wrapping_add(4) {
+                        core.insert_bubble(Bubble::Branch, TAKEN_BRANCH_PENALTY);
                     }
                     core.pc = next;
                     continue;
@@ -578,8 +577,7 @@ impl Tick<'_> {
                                 extra,
                             };
                             self.a.note_fault(now, note);
-                            core.insert_bubble(extra);
-                            core.stats.stall_fault_retry += extra as u64;
+                            core.insert_bubble(Bubble::FaultRetry, extra);
                             extra_req = extra;
                         }
                         LinkState::Dead => match policy {
@@ -604,7 +602,7 @@ impl Tick<'_> {
                     let route = m.topo.route(tile_id, loc.tile);
                     core.stats.record_access(route.class, route.network);
                     core.mark_pending(reg);
-                    let (req_lat, resp_latency) = latency_split(&m.params.latency, route.class);
+                    let (req_lat, resp_latency) = latency_split(route.class);
                     let access = PendingAccess {
                         arrival: now + u64::from(req_lat + extra_req),
                         core: index as u32,
@@ -649,8 +647,10 @@ fn lap(clock: &mut Option<Instant>, tally: &mut u64) {
 }
 
 /// One cycle. Returns whether every tile ended it inert — the machine is
-/// quiescent. On an error the clock stays on the tick that raised it, and
-/// that tick's progress is not noted for the watchdog.
+/// quiescent. A tick that raises an error still counts: the clock advances
+/// past it (the cores the error stopped before they were stepped are the
+/// ones whose accounting falls short of the clock), but its progress is
+/// not noted for the watchdog.
 fn tick(m: &mut Machine, a: &mut Attachments, prof: &mut CallTally) -> Result<bool, SimError> {
     a.apply_due_faults(m);
     if m.program.is_empty() {
@@ -682,19 +682,16 @@ fn tick(m: &mut Machine, a: &mut Attachments, prof: &mut CallTally) -> Result<bo
     let Tick {
         m,
         a,
-        error,
+        mut error,
         progress,
         ..
     } = sweep;
-    if let Some(error) = error {
-        return Err(error);
-    }
-    if let Some(wd) = a.watchdog.as_mut() {
+    if let (None, Some(wd)) = (&error, a.watchdog.as_mut()) {
         if progress {
             wd.note_progress(now);
         } else if !quiescent && wd.expired(now) {
             let stalled_for = wd.stalled_for(now);
-            return Err(a.deadlock(m, stalled_for));
+            error = Some(a.deadlock(m, stalled_for));
         }
     }
     m.cycle = now + 1;
@@ -704,7 +701,7 @@ fn tick(m: &mut Machine, a: &mut Attachments, prof: &mut CallTally) -> Result<bo
             sampler.rebaseline(totals, m.cycle);
         }
     }
-    Ok(quiescent)
+    error.map_or(Ok(quiescent), Err)
 }
 
 /// Runs `body` as one profiled call: its host time lands in the

@@ -23,15 +23,13 @@ pub struct ICache {
     ways: usize,
     line_words: u32,
     clock: u64,
-    hits: u64,
-    misses: u64,
 }
 
 const INVALID: u32 = u32::MAX;
 
-/// The mutable state a checkpoint keeps of a cache: tags, LRU stamps, the
-/// LRU clock, hits and misses.
-pub(crate) type ICacheState = (Vec<u32>, Vec<u64>, u64, u64, u64);
+/// The mutable state a checkpoint keeps of a cache: tags, LRU stamps and
+/// the LRU clock.
+pub(crate) type ICacheState = (Vec<u32>, Vec<u64>, u64);
 
 impl ICache {
     /// Creates a cold direct-mapped cache with capacity for
@@ -101,8 +99,6 @@ impl ICache {
             ways: ways as usize,
             line_words,
             clock: 0,
-            hits: 0,
-            misses: 0,
         }
     }
 
@@ -132,12 +128,10 @@ impl ICache {
         for way in 0..self.ways {
             if self.tags[base + way] == tag {
                 self.stamps[base + way] = self.clock;
-                self.hits += 1;
                 return true;
             }
         }
         self.install(set, tag);
-        self.misses += 1;
         false
     }
 
@@ -168,20 +162,14 @@ impl ICache {
     /// (`sets`, `ways`, `line_words`) is rebuilt from configuration on
     /// restore.
     pub(crate) fn state_snapshot(&self) -> ICacheState {
-        (
-            self.tags.clone(),
-            self.stamps.clone(),
-            self.clock,
-            self.hits,
-            self.misses,
-        )
+        (self.tags.clone(), self.stamps.clone(), self.clock)
     }
 
     /// Restores the mutable cache state from a checkpoint. Fails (with a
     /// description) if the saved arrays do not match this cache's geometry.
     pub(crate) fn restore_state(
         &mut self,
-        (tags, stamps, clock, hits, misses): ICacheState,
+        (tags, stamps, clock): ICacheState,
     ) -> Result<(), String> {
         if tags.len() != self.tags.len() || stamps.len() != self.stamps.len() {
             return Err(format!(
@@ -194,19 +182,7 @@ impl ICache {
         self.tags = tags;
         self.stamps = stamps;
         self.clock = clock;
-        self.hits = hits;
-        self.misses = misses;
         Ok(())
-    }
-
-    /// Hit count so far.
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
-
-    /// Miss count so far.
-    pub fn misses(&self) -> u64 {
-        self.misses
     }
 }
 
@@ -217,12 +193,9 @@ mod tests {
     #[test]
     fn cold_cache_misses_then_hits() {
         let mut c = ICache::new(2048, 8);
-        assert!(!c.access(0));
-        assert!(c.access(0));
-        assert!(c.access(28)); // same 32-byte line
-        assert!(!c.access(32)); // next line
-        assert_eq!(c.misses(), 2);
-        assert_eq!(c.hits(), 2);
+        // 0 and 28 share a 32-byte line; 32 starts the next one.
+        let hits = [0, 0, 28, 32].map(|pc| c.access(pc));
+        assert_eq!(hits, [false, true, true, false]);
     }
 
     #[test]
@@ -232,7 +205,6 @@ mod tests {
         for pc in (0..512).step_by(4) {
             assert!(c.access(pc), "pc {pc} should hit after preload");
         }
-        assert_eq!(c.misses(), 0);
     }
 
     #[test]
@@ -277,14 +249,15 @@ mod tests {
         // coexist in a 2-way one.
         let mut direct = ICache::new(2048, 8);
         let mut assoc = ICache::with_ways(2048, 8, 2);
+        let (mut direct_misses, mut assoc_misses) = (0, 0);
         for _ in 0..8 {
-            direct.access(0);
-            direct.access(2048);
-            assoc.access(0);
-            assoc.access(2048);
+            for pc in [0, 2048] {
+                direct_misses += u32::from(!direct.access(pc));
+                assoc_misses += u32::from(!assoc.access(pc));
+            }
         }
-        assert!(direct.misses() >= 16, "direct-mapped must thrash");
-        assert_eq!(assoc.misses(), 2, "2-way keeps both lines resident");
+        assert_eq!(direct_misses, 16, "direct-mapped must thrash");
+        assert_eq!(assoc_misses, 2, "2-way keeps both lines resident");
     }
 
     #[test]

@@ -1,7 +1,5 @@
 //! Simulation timing parameters.
 
-use mempool_arch::LatencyModel;
-
 /// Version tag of the simulation engine, mixed into every content-addressed
 /// cache key (`mempool-serve`): bump it whenever a change alters simulated
 /// timing or artifact contents, so stale cached results are invalidated
@@ -23,13 +21,34 @@ pub fn fnv1a(hash: u64, bytes: &[u8]) -> u64 {
     })
 }
 
-/// Timing parameters of the cluster simulator.
+/// Zero-load round trip (request to load-data-valid) of a tile-local
+/// access, in cycles: MemPool's 1/3/5-cycle interconnect.
+pub(crate) const TILE_LOCAL_LATENCY: u32 = 1;
+/// Zero-load round trip of an access to another tile of the same group.
+pub(crate) const GROUP_LOCAL_LATENCY: u32 = 3;
+/// Zero-load round trip of an access to another group.
+pub(crate) const REMOTE_LATENCY: u32 = 5;
+/// Maximum outstanding memory transactions per core (Snitch scoreboard
+/// depth).
+pub(crate) const MAX_OUTSTANDING: u32 = 8;
+/// Extra cycles lost on a taken branch or jump (fetch redirect bubble of
+/// the short in-order pipeline).
+pub(crate) const TAKEN_BRANCH_PENALTY: u32 = 1;
+/// Cycles to refill one I$ line on a miss.
+pub(crate) const ICACHE_MISS_PENALTY: u32 = 25;
+/// Extra response cycles when the SEC-DED logic corrects (and scrubs) a
+/// single-bit error on a bank read — only observable in fault-injection
+/// runs.
+pub(crate) const ECC_CORRECTION_PENALTY: u32 = 3;
+
+/// The settable parameters of the cluster simulator. The paper sweeps the
+/// off-chip bandwidth; the micro-architectural timing it fixes (the
+/// interconnect latencies, the scoreboard depth and the pipeline
+/// penalties) is constant, stated once above.
 ///
-/// The defaults model the paper's setup: MemPool's 1/3/5-cycle interconnect,
-/// Snitch's scoreboard with a handful of outstanding loads, a one-cycle
-/// taken-branch bubble in the short in-order pipeline, and an off-chip port
-/// delivering 16 bytes per cycle (one DDR channel clocked at the core
-/// frequency) with idealized latency.
+/// The defaults model the paper's setup: a direct-mapped I$ of 8-word
+/// lines and an off-chip port delivering 16 bytes per cycle (one DDR
+/// channel clocked at the core frequency) with idealized latency.
 ///
 /// # Example
 ///
@@ -40,19 +59,10 @@ pub fn fnv1a(hash: u64, bytes: &[u8]) -> u64 {
 ///     offchip_bytes_per_cycle: 64,
 ///     ..SimParams::default()
 /// };
-/// assert_eq!(fast_dram.max_outstanding, 8);
+/// assert_eq!(fast_dram.offchip_latency, 30);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SimParams {
-    /// Zero-load interconnect latencies.
-    pub latency: LatencyModel,
-    /// Maximum outstanding memory transactions per core (Snitch scoreboard
-    /// depth).
-    pub max_outstanding: u32,
-    /// Extra cycles lost on a taken branch or jump (fetch redirect bubble).
-    pub taken_branch_penalty: u32,
-    /// Cycles to refill one I$ line on a miss.
-    pub icache_miss_penalty: u32,
     /// I$ line size in instruction words.
     pub icache_line_words: u32,
     /// I$ associativity (MemPool's lightweight shared I$ is direct-mapped).
@@ -63,10 +73,6 @@ pub struct SimParams {
     /// Idealized off-chip access latency in cycles, added once per DMA
     /// transfer (the paper idealizes this to a constant).
     pub offchip_latency: u32,
-    /// Extra response cycles when the SEC-DED logic corrects (and scrubs)
-    /// a single-bit error on a bank read — only observable in
-    /// fault-injection runs.
-    pub ecc_correction_penalty: u32,
     /// Ignored: every simulation runs on the calling thread. Kept only
     /// because the benchmark crate still spells it; read nowhere and
     /// outside [`SimParams::digest_with_version`].
@@ -108,23 +114,15 @@ impl SimParams {
 
     /// Every timing-relevant field, named as the checkpoint header names
     /// it, in the canonical order of [`SimParams::digest_with_version`]
-    /// and the header: latency triplet first, then the scoreboard/pipeline
-    /// knobs, then the memory system. Appending a field is a semantic
-    /// change and belongs at the end (with an ENGINE_VERSION bump if it
-    /// alters existing behavior).
-    pub(crate) fn timing_fields_mut(&mut self) -> [(&'static str, &mut u32); 11] {
+    /// and the header: the I$ geometry, then the off-chip port. Appending
+    /// a field is a semantic change and belongs at the end (with an
+    /// ENGINE_VERSION bump if it alters existing behavior).
+    pub(crate) fn timing_fields_mut(&mut self) -> [(&'static str, &mut u32); 4] {
         [
-            ("tile_local", &mut self.latency.tile_local),
-            ("group_local", &mut self.latency.group_local),
-            ("remote", &mut self.latency.remote),
-            ("max_outstanding", &mut self.max_outstanding),
-            ("taken_branch_penalty", &mut self.taken_branch_penalty),
-            ("icache_miss_penalty", &mut self.icache_miss_penalty),
             ("icache_line_words", &mut self.icache_line_words),
             ("icache_ways", &mut self.icache_ways),
             ("offchip_bytes_per_cycle", &mut self.offchip_bytes_per_cycle),
             ("offchip_latency", &mut self.offchip_latency),
-            ("ecc_correction_penalty", &mut self.ecc_correction_penalty),
         ]
     }
 }
@@ -132,15 +130,10 @@ impl SimParams {
 impl Default for SimParams {
     fn default() -> Self {
         SimParams {
-            latency: LatencyModel::PAPER,
-            max_outstanding: 8,
-            taken_branch_penalty: 1,
-            icache_miss_penalty: 25,
             icache_line_words: 8,
             icache_ways: 1,
             offchip_bytes_per_cycle: 16,
             offchip_latency: 30,
-            ecc_correction_penalty: 3,
             threads: 1,
         }
     }
@@ -153,7 +146,7 @@ mod tests {
     #[test]
     fn defaults_match_paper_setup() {
         let p = SimParams::default();
-        assert_eq!(p.latency, LatencyModel::PAPER);
+        assert_eq!((p.icache_line_words, p.icache_ways), (8, 1));
         assert_eq!(p.offchip_bytes_per_cycle, 16);
     }
 
@@ -174,7 +167,7 @@ mod tests {
         // A config spelled through a different construction path but
         // semantically equal must land on the same key.
         let b = SimParams {
-            latency: LatencyModel::PAPER,
+            offchip_latency: 30,
             ..SimParams::default()
         };
         assert_eq!(a.digest(), b.digest());
@@ -191,18 +184,6 @@ mod tests {
         let base = SimParams::default();
         let variants = [
             SimParams {
-                max_outstanding: 9,
-                ..base
-            },
-            SimParams {
-                taken_branch_penalty: 2,
-                ..base
-            },
-            SimParams {
-                icache_miss_penalty: 26,
-                ..base
-            },
-            SimParams {
                 icache_line_words: 16,
                 ..base
             },
@@ -216,10 +197,6 @@ mod tests {
             },
             SimParams {
                 offchip_latency: 31,
-                ..base
-            },
-            SimParams {
-                ecc_correction_penalty: 4,
                 ..base
             },
             base.with_offchip_bandwidth(4),
@@ -243,9 +220,6 @@ mod tests {
     fn bandwidth_override_keeps_other_fields() {
         let p = SimParams::default().with_offchip_bandwidth(4);
         assert_eq!(p.offchip_bytes_per_cycle, 4);
-        assert_eq!(
-            p.icache_miss_penalty,
-            SimParams::default().icache_miss_penalty
-        );
+        assert_eq!(p.offchip_latency, SimParams::default().offchip_latency);
     }
 }

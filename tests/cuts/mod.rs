@@ -236,7 +236,7 @@ pub struct Observed {
     pub end: End,
     pub stats: ClusterStats,
     pub digest: u64,
-    pub attribution: Option<String>,
+    pub attribution: String,
     pub fault_report: Option<String>,
     pub touches: u64,
     pub series: Series,
@@ -277,17 +277,15 @@ impl Legs {
         self.collect(obs);
         let newest = self.flight.len().saturating_sub(FLIGHT);
         let stats = cluster.stats();
-        // An error leaves the clock on the tick that raised it, which the
-        // cores have already accounted: only a completed run attributes.
+        // Every run attributes, an errored one included: the tick that
+        // raised the error counts.
         let cfg = cluster.config();
-        let attribution = end.is_ok().then(|| {
-            let report = stats.attribution(cfg.cores_per_tile(), cfg.banks_per_tile());
-            assert!(
-                report.cores.iter().all(|c| c.total() == report.cycles),
-                "{shape:?}: each core's buckets sum to the cycles"
-            );
-            report.to_json().to_pretty()
-        });
+        let report = stats.attribution(cfg.cores_per_tile(), cfg.banks_per_tile());
+        assert!(
+            report.cores.iter().all(|c| c.total() == report.cycles),
+            "{shape:?}: each core's buckets sum to the cycles"
+        );
+        let attribution = report.to_json().to_pretty();
         let instructions = cluster.trace().map(|t| t.to_string());
         // Close still-open spans so the exported trace is balanced.
         cluster.detach_obs();
@@ -355,11 +353,9 @@ pub fn check_cuts(
     cuts: &[(u64, Cut)],
     expected: &Observed,
 ) -> Result<(), TestCaseError> {
-    // Whether the reference had ended by the time a leg reaches `at`.
-    let ended_by = |at: u64| match expected.end {
-        Ok(end) => end <= at,
-        Err(_) => expected.stats.cycles < at,
-    };
+    // Whether the reference had ended by the time a leg reaches `at`: its
+    // last tick (the one that raised an error counts) lies before `at`.
+    let ended_by = |at: u64| expected.stats.cycles <= at;
     let mut obs = Obs::new();
     let mut cluster = shape.build(&obs, traced(cuts));
     let mut legs = Legs::default();

@@ -184,8 +184,8 @@ fn former_quantum_caps_due_on_one_cycle_agree_across_run_step_and_cuts() {
     let restores = [c - 1, c, c + 1].map(|at| [(at, Cut::Restore)]);
     let run = fixed_cuts(one_cycle, &restores.each_ref().map(|r| &r[..]));
     // The response lands on `c` and counts as progress there, so the hung
-    // core trips the watchdog one full window later.
-    assert_eq!(run.stats.cycles, c + (c - last_retire), "{:?}", run.end);
+    // core trips the watchdog one full window later, on a tick that counts.
+    assert_eq!(run.stats.cycles, c + (c - last_retire) + 1, "{:?}", run.end);
     assert!(run.fault_report.unwrap().contains("\"ecc_pending\": 1"));
     assert!(run.series.values().all(|s| s[0].0 == c));
     let hung = |e: &Event| e.0 == c && e.3.contains("hung");
@@ -327,9 +327,9 @@ const PINNED_RUNS: [(&str, u64, u64, u64, &str); 9] = [
 /// abandoned the tick mid-sweep, the engine finishes it on the other
 /// tiles (DESIGN.md § "Execution engine").
 const PINNED_ERRORS: [(&str, u64, &str); 3] = [
-    ("watchdog_deadlock", 67, "deadlock: no forward progress for 64 cycles core 0: waiting-on-memory pc=0x00000010 outstanding=1 retired=4 core 1: halted pc=0x00000014 outstanding=0 retired=3 core 2: halted pc=0x00000014 outstanding=0 retired=3 core 3: halted pc=0x00000014 outstanding=0 retired=3 core 4: halted pc=0x00000014 outstanding=0 retired=3 core 5: halted pc=0x00000014 outstanding=0 retired=3 core 6: halted pc=0x00000014 outstanding=0 retired=3 core 7: halted pc=0x00000014 outstanding=0 retired=3 core 8: halted pc=0x00000014 outstanding=0 retired=3 core 9: halted pc=0x00000014 outstanding=0 retired=3 core 10: halted pc=0x00000014 outstanding=0 retired=3 core 11: halted pc=0x00000014 outstanding=0 retired=3 core 12: halted pc=0x00000014 outstanding=0 retired=3 core 13: halted pc=0x00000014 outstanding=0 retired=3 core 14: halted pc=0x00000014 outstanding=0 retired=3 core 15: halted pc=0x00000014 outstanding=0 retired=3"),
-    ("ecc_uncorrectable", 8, "uncorrectable multi-bit error at T1:b0[0] (mask 0x00100200)"),
-    ("link_dead", 6, "access through dead F2F link of tile T1"),
+    ("watchdog_deadlock", 68, "deadlock: no forward progress for 64 cycles core 0: waiting-on-memory pc=0x00000010 outstanding=1 retired=4 core 1: halted pc=0x00000014 outstanding=0 retired=3 core 2: halted pc=0x00000014 outstanding=0 retired=3 core 3: halted pc=0x00000014 outstanding=0 retired=3 core 4: halted pc=0x00000014 outstanding=0 retired=3 core 5: halted pc=0x00000014 outstanding=0 retired=3 core 6: halted pc=0x00000014 outstanding=0 retired=3 core 7: halted pc=0x00000014 outstanding=0 retired=3 core 8: halted pc=0x00000014 outstanding=0 retired=3 core 9: halted pc=0x00000014 outstanding=0 retired=3 core 10: halted pc=0x00000014 outstanding=0 retired=3 core 11: halted pc=0x00000014 outstanding=0 retired=3 core 12: halted pc=0x00000014 outstanding=0 retired=3 core 13: halted pc=0x00000014 outstanding=0 retired=3 core 14: halted pc=0x00000014 outstanding=0 retired=3 core 15: halted pc=0x00000014 outstanding=0 retired=3"),
+    ("ecc_uncorrectable", 9, "uncorrectable multi-bit error at T1:b0[0] (mask 0x00100200)"),
+    ("link_dead", 7, "access through dead F2F link of tile T1"),
 ];
 
 /// Runs the named `PINNED_RUNS` scenario to completion.
