@@ -8,10 +8,14 @@ use crate::ids::TileId;
 /// Complete architectural configuration of a MemPool cluster.
 ///
 /// The default configuration matches the paper: 4 groups x 16 tiles x 4
-/// cores = 256 cores, 16 SPM banks per tile = 1024 banks, 2 KiB of L1
-/// instruction cache per tile, and 1 MiB of total SPM. The builder allows
-/// scaled-down instances (fewer groups/tiles/cores) for fast simulation in
-/// tests, and scaled-up SPM capacities for the paper's design-space sweep.
+/// cores = 256 cores, 16 SPM banks per tile = 1024 banks, and 1 MiB of
+/// total SPM. The builder allows scaled-down instances (fewer
+/// groups/tiles/cores) for fast simulation in tests, and scaled-up SPM
+/// capacities for the paper's design-space sweep. What every tile has
+/// whatever the geometry, its 2 KiB I$ in 4 banks and its 4 remote request
+/// ports, is constant ([`ClusterConfig::ICACHE_BYTES_PER_TILE`],
+/// [`ClusterConfig::ICACHE_BANKS_PER_TILE`],
+/// [`ClusterConfig::REMOTE_PORTS_PER_TILE`]).
 ///
 /// # Example
 ///
@@ -41,12 +45,6 @@ pub struct ClusterConfig {
     banks_per_tile: u32,
     /// Depth of each SPM bank in 32-bit words.
     bank_words: u32,
-    /// L1 instruction-cache capacity per tile, in bytes.
-    icache_bytes_per_tile: u32,
-    /// Number of I$ banks per tile.
-    icache_banks_per_tile: u32,
-    /// Number of remote request ports per tile.
-    remote_ports_per_tile: u32,
 }
 
 impl ClusterConfig {
@@ -58,8 +56,13 @@ impl ClusterConfig {
     pub(crate) const DEFAULT_CORES_PER_TILE: u32 = 4;
     /// Number of SPM banks per tile.
     pub(crate) const DEFAULT_BANKS_PER_TILE: u32 = 16;
-    /// L1 instruction cache per tile (2 KiB).
-    pub(crate) const DEFAULT_ICACHE_BYTES: u32 = 2048;
+    /// L1 instruction-cache capacity of every tile, in bytes (2 KiB).
+    pub const ICACHE_BYTES_PER_TILE: u32 = 2048;
+    /// Number of I$ banks in every tile.
+    pub const ICACHE_BANKS_PER_TILE: u32 = 4;
+    /// Remote request ports of every tile: how many of its cores may issue
+    /// an access to another tile's banks in one cycle.
+    pub const REMOTE_PORTS_PER_TILE: u32 = 4;
 
     /// Returns the full-size MemPool configuration with the given total SPM
     /// capacity.
@@ -78,9 +81,6 @@ impl ClusterConfig {
             cores_per_tile: Self::DEFAULT_CORES_PER_TILE,
             banks_per_tile: Self::DEFAULT_BANKS_PER_TILE,
             bank_words,
-            icache_bytes_per_tile: Self::DEFAULT_ICACHE_BYTES,
-            icache_banks_per_tile: 4,
-            remote_ports_per_tile: 4,
         }
     }
 
@@ -119,19 +119,11 @@ impl ClusterConfig {
         self.bank_words as u64 * 4
     }
 
-    /// L1 instruction cache per tile, in bytes.
+    /// [`ClusterConfig::ICACHE_BYTES_PER_TILE`]. A method only because the
+    /// benchmark package's probes still read it; new code reads the
+    /// constant.
     pub fn icache_bytes_per_tile(&self) -> u32 {
-        self.icache_bytes_per_tile
-    }
-
-    /// Number of I$ banks per tile.
-    pub fn icache_banks_per_tile(&self) -> u32 {
-        self.icache_banks_per_tile
-    }
-
-    /// Number of remote request ports per tile.
-    pub fn remote_ports_per_tile(&self) -> u32 {
-        self.remote_ports_per_tile
+        Self::ICACHE_BYTES_PER_TILE
     }
 
     /// Total number of tiles in the cluster.
@@ -273,24 +265,6 @@ impl ClusterConfigBuilder {
         self
     }
 
-    /// Sets the per-tile L1 instruction cache size in bytes.
-    pub fn icache_bytes_per_tile(mut self, bytes: u32) -> Self {
-        self.config.icache_bytes_per_tile = bytes;
-        self
-    }
-
-    /// Sets the number of I$ banks per tile.
-    pub fn icache_banks_per_tile(mut self, banks: u32) -> Self {
-        self.config.icache_banks_per_tile = banks;
-        self
-    }
-
-    /// Sets the number of remote request ports per tile.
-    pub fn remote_ports_per_tile(mut self, ports: u32) -> Self {
-        self.config.remote_ports_per_tile = ports;
-        self
-    }
-
     /// Validates the configuration and builds it.
     ///
     /// # Errors
@@ -307,7 +281,6 @@ impl ClusterConfigBuilder {
             ("cores_per_tile", c.cores_per_tile),
             ("banks_per_tile", c.banks_per_tile),
             ("bank_words", c.bank_words),
-            ("remote_ports_per_tile", c.remote_ports_per_tile),
         ] {
             if value == 0 {
                 return Err(ConfigError::ZeroParameter(name));
@@ -336,12 +309,6 @@ impl ClusterConfigBuilder {
             }
         }
         Ok(self.config)
-    }
-}
-
-impl Default for ClusterConfigBuilder {
-    fn default() -> Self {
-        Self::new()
     }
 }
 

@@ -18,7 +18,7 @@
 //! snapshot, a Perfetto-loadable `trace.json` of the measurement phase
 //! spans, a `perf_profile.json` engine self-profile (host time and ticks
 //! per `run`/`step` call, a per-phase tick split), and a
-//! `BENCH_repro.json` summary (cycle counts, cycles/MAC, engine record).
+//! `BENCH_repro.json` summary (the phase model, cycles/MAC, cycle counts).
 //! Every artifact except `perf_profile.json` is deterministic: two runs of
 //! the same command are `cmp`-identical.
 //!
@@ -41,6 +41,8 @@
 
 mod args;
 
+use std::fmt::Display;
+use std::io::{self, Write};
 use std::process::ExitCode;
 
 use mempool::experiments::{catalogue, Context, Experiment, Resilience, CATALOGUE};
@@ -71,6 +73,38 @@ enum Failure {
 /// An I/O, parse or connection failure (exit 2).
 fn error(message: String) -> Failure {
     Failure::Failed(EXIT_ERROR, message)
+}
+
+/// Standard output, as every command writes it. A reader that closes the
+/// pipe early (`repro all | head -1`) ends the output, not the command:
+/// the lines after it are dropped, so the command finishes its work and
+/// exits as it would unpiped.
+struct Out {
+    sink: Box<dyn Write>,
+    closed: bool,
+}
+
+impl Out {
+    fn new(sink: impl Write + 'static) -> Self {
+        Out {
+            sink: Box::new(sink),
+            closed: false,
+        }
+    }
+
+    /// Writes `text` and a newline.
+    fn line(&mut self, text: impl Display) -> Result<(), String> {
+        if self.closed {
+            return Ok(());
+        }
+        match writeln!(self.sink, "{text}") {
+            Err(e) if e.kind() == io::ErrorKind::BrokenPipe => {
+                self.closed = true;
+                Ok(())
+            }
+            written => written.map_err(|e| format!("writing to stdout: {e}")),
+        }
+    }
 }
 
 fn usage() -> u8 {
@@ -258,7 +292,7 @@ fn load_json(path: &str) -> Result<Json, String> {
 /// `repro check --baseline PATH [--bless | --candidate PATH]` — gates the
 /// regenerated pinned summary, or the candidate file, against the
 /// baseline; `--bless` rewrites the baseline instead.
-fn cmd_check(args: &[String]) -> Result<(), Failure> {
+fn cmd_check(args: &[String], out: &mut Out) -> Result<(), Failure> {
     let (mut baseline_path, mut candidate_path, mut bless) = (None, None, false);
     let mut it = args.iter();
     while let Some(arg) = it.next() {
@@ -293,13 +327,13 @@ fn cmd_check(args: &[String]) -> Result<(), Failure> {
     if bless {
         std::fs::write(&baseline_path, current.to_pretty())
             .map_err(|e| error(format!("cannot write {baseline_path}: {e}")))?;
-        println!("blessed: wrote current summary to {baseline_path}");
-        return Ok(());
+        let blessed = format!("blessed: wrote current summary to {baseline_path}");
+        return out.line(blessed).map_err(error);
     }
     let baseline = load_json(&baseline_path).map_err(error)?;
     let differences = regress::diff(&baseline, &current);
     for line in &differences {
-        println!("DIFFERS  {line}");
+        out.line(format_args!("DIFFERS  {line}")).map_err(error)?;
     }
     if !differences.is_empty() {
         let message = format!(
@@ -308,8 +342,8 @@ fn cmd_check(args: &[String]) -> Result<(), Failure> {
         );
         return Err(Failure::Failed(EXIT_FAILURE, message));
     }
-    println!("check passed: {current_name} equals {baseline_path}");
-    Ok(())
+    let passed = format!("check passed: {current_name} equals {baseline_path}");
+    out.line(passed).map_err(error)
 }
 
 fn parse_serve_args(argv: &[String]) -> Result<(String, mempool_serve::ServiceConfig), String> {
@@ -338,7 +372,7 @@ fn parse_serve_args(argv: &[String]) -> Result<(String, mempool_serve::ServiceCo
 
 /// `repro serve ...` — runs the experiment-service daemon until a client
 /// sends a shutdown request, then prints the final stats document.
-fn cmd_serve(argv: &[String]) -> Result<(), Failure> {
+fn cmd_serve(argv: &[String], out: &mut Out) -> Result<(), Failure> {
     let (listen, config) = parse_serve_args(argv).map_err(Failure::Usage)?;
     let served = mempool_serve::TcpServer::bind(&listen, config).and_then(|server| {
         let addr = server.local_addr()?;
@@ -346,8 +380,7 @@ fn cmd_serve(argv: &[String]) -> Result<(), Failure> {
         server.run()
     });
     let stats = served.map_err(|e| error(e.to_string()))?;
-    println!("{}", stats.to_pretty());
-    Ok(())
+    out.line(stats.to_pretty()).map_err(error)
 }
 
 /// One parsed `repro submit` work item.
@@ -423,12 +456,12 @@ fn parse_submit_args(argv: &[String]) -> Result<SubmitOptions, String> {
 
 /// `repro submit --connect HOST:PORT TARGET...` — issues requests to a
 /// running daemon and prints each artifact.
-fn cmd_submit(argv: &[String]) -> Result<(), Failure> {
+fn cmd_submit(argv: &[String], out: &mut Out) -> Result<(), Failure> {
     let opts = parse_submit_args(argv).map_err(Failure::Usage)?;
-    submit(opts).map_err(error)
+    submit(opts, out).map_err(error)
 }
 
-fn submit(opts: SubmitOptions) -> Result<(), String> {
+fn submit(opts: SubmitOptions, out: &mut Out) -> Result<(), String> {
     use mempool_serve::{dse, ExperimentRequest, RetryPolicy, TcpClient};
 
     // Bounded retries with backoff: a daemon restarting mid-sweep (crash
@@ -445,7 +478,7 @@ fn submit(opts: SubmitOptions) -> Result<(), String> {
                     .request(&ExperimentRequest::new(kind))
                     .map_err(failed)?;
                 eprintln!("repro submit: {token}: {}", outcome.cache);
-                println!("{}", outcome.artifact.to_pretty());
+                out.line(outcome.artifact.to_pretty())?;
                 if let Some(art) = artifacts.as_mut() {
                     art.write_json(&format!("{}.json", kind.tag()), &outcome.artifact)
                         .map_err(|e| format!("{token}: writing artifact: {e}"))?;
@@ -454,9 +487,9 @@ fn submit(opts: SubmitOptions) -> Result<(), String> {
             SubmitItem::Dse => {
                 let model = PhaseModel::with_measured_defaults();
                 let space = dse::explore_via(|req| client.request(req), &model).map_err(failed)?;
-                println!("{}", space.to_text());
+                out.line(space.to_text())?;
             }
-            SubmitItem::Stats => println!("{}", client.stats().map_err(failed)?.to_pretty()),
+            SubmitItem::Stats => out.line(client.stats().map_err(failed)?.to_pretty())?,
             SubmitItem::Shutdown => {
                 client.shutdown().map_err(failed)?;
                 eprintln!("repro submit: daemon is draining");
@@ -503,17 +536,18 @@ fn write_crash_dump(artifacts: Option<&mut ArtifactDir>, dump: &Json) {
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    ExitCode::from(run(&args))
+    ExitCode::from(run(&args, &mut Out::new(io::stdout())))
 }
 
-/// Dispatches one command line and returns its exit code.
-fn run(args: &[String]) -> u8 {
+/// Dispatches one command line, writing its output to `out`, and returns
+/// its exit code.
+fn run(args: &[String], out: &mut Out) -> u8 {
     let subcommand = args.split_first().map(|(name, rest)| (name.as_str(), rest));
     let (command, result) = match subcommand {
-        Some(("check", rest)) => ("repro check", cmd_check(rest)),
-        Some(("serve", rest)) => ("repro serve", cmd_serve(rest)),
-        Some(("submit", rest)) => ("repro submit", cmd_submit(rest)),
-        _ => ("repro", cmd_repro(args)),
+        Some(("check", rest)) => ("repro check", cmd_check(rest, out)),
+        Some(("serve", rest)) => ("repro serve", cmd_serve(rest, out)),
+        Some(("submit", rest)) => ("repro submit", cmd_submit(rest, out)),
+        _ => ("repro", cmd_repro(args, out)),
     };
     match result {
         Ok(()) => EXIT_OK,
@@ -528,14 +562,14 @@ fn run(args: &[String]) -> u8 {
     }
 }
 
-fn cmd_repro(args: &[String]) -> Result<(), Failure> {
+fn cmd_repro(args: &[String], out: &mut Out) -> Result<(), Failure> {
     let opts = parse_args(args).map_err(Failure::Usage)?;
-    reproduce(&opts).map_err(|message| Failure::Failed(EXIT_FAILURE, message))
+    reproduce(&opts, out).map_err(|message| Failure::Failed(EXIT_FAILURE, message))
 }
 
 /// Produces the selected targets, then the optional degraded or
 /// instrumented run, then the run-wide artifacts.
-fn reproduce(opts: &Options) -> Result<(), String> {
+fn reproduce(opts: &Options, out: &mut Out) -> Result<(), String> {
     let mut artifacts = create_artifact_dir(opts.artifacts.as_deref())?;
     let obs = Obs::new();
 
@@ -556,7 +590,7 @@ fn reproduce(opts: &Options) -> Result<(), String> {
     // Each produced experiment prints its text form and, with
     // `--artifacts`, lands as a JSON document of the same numbers.
     let mut emit = |name: &str, experiment: &dyn Experiment| -> Result<(), String> {
-        println!("{}", experiment.to_text());
+        out.line(experiment.to_text())?;
         let Some(art) = artifacts.as_mut() else {
             return Ok(());
         };
@@ -648,7 +682,7 @@ fn reproduce(opts: &Options) -> Result<(), String> {
             }
             format!("instrumented clean run failed: {failure}")
         })?;
-        println!("{}", run.to_text());
+        out.line(run.to_text())?;
         if let Some(art) = artifacts.as_mut() {
             art.write_json("observed.json", &run.to_json())
                 .map_err(|e| format!("writing observed.json: {e}"))?;
@@ -703,10 +737,10 @@ fn write_summary_artifacts(
     if !obs.flight.is_empty() {
         art.write_json("flight.json", &obs.flight.to_json())?;
     }
-    // The engine's host-side self-profile: ticking vs boundary time, the
-    // per-phase tick split, and the embedded Perfetto counter-track
-    // document. The one artifact with host-time content, so CI byte-diffs
-    // skip it.
+    // The engine's host-side self-profile: host time and ticks per
+    // `run`/`step` call, the per-phase tick split, and the embedded Perfetto
+    // counter-track document. The one artifact with host-time content, so
+    // CI byte-diffs skip it.
     art.write_json("perf_profile.json", &mempool_sim::engine_profile_json())?;
 
     let mut pairs = vec![
@@ -747,10 +781,18 @@ fn write_summary_artifacts(
 
 #[cfg(test)]
 mod tests {
+    use std::cell::Cell;
+    use std::rc::Rc;
+
     use super::*;
 
     fn argv(args: &[&str]) -> Vec<String> {
         args.iter().map(|a| a.to_string()).collect()
+    }
+
+    /// Runs a command line with its output discarded; returns the exit code.
+    fn repro(args: &[&str]) -> u8 {
+        run(&argv(args), &mut Out::new(io::sink()))
     }
 
     /// The roadmap's audit as a test: one catalogue, and every front end
@@ -792,9 +834,9 @@ mod tests {
         for stranger in ["sweep", "kernel", "dse_point", "stats", "perf", "diff"] {
             let err = parse_args(&argv(&[stranger, "a.json"])).unwrap_err();
             assert_eq!(err, format!("unknown target: {stranger}"));
-            assert_eq!(run(&argv(&[stranger])), EXIT_ERROR);
+            assert_eq!(repro(&[stranger]), EXIT_ERROR);
         }
-        assert_eq!(run(&argv(&["fig6", "--frobnicate"])), EXIT_ERROR);
+        assert_eq!(repro(&["fig6", "--frobnicate"]), EXIT_ERROR);
     }
 
     /// `check --bless` writes the document `check` compares against: on an
@@ -806,7 +848,7 @@ mod tests {
         let path = dir.join("baseline.json");
         let path_arg = path.to_str().unwrap();
         assert_eq!(
-            run(&argv(&["check", "--baseline", path_arg, "--bless"])),
+            repro(&["check", "--baseline", path_arg, "--bless"]),
             EXIT_OK
         );
         let committed = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_baseline.json");
@@ -845,7 +887,7 @@ mod tests {
         let over = format!("{}", max + 1);
         let err = parse_args(&argv(&["fig6", "--faults", &over])).unwrap_err();
         assert!(err.contains("at most 9223372036854775807"), "{err}");
-        assert_eq!(run(&argv(&["fig6", "--faults", &over])), EXIT_ERROR);
+        assert_eq!(repro(&["fig6", "--faults", &over]), EXIT_ERROR);
     }
 
     #[test]
@@ -861,13 +903,7 @@ mod tests {
         let same = file("same.json", r#"{"schema": "v2", "cycles": 7}"#);
         let new = file("new.json", r#"{"schema": "v3", "cycles": 7}"#);
         let check = |baseline: &str, candidate: &str| {
-            run(&argv(&[
-                "check",
-                "--baseline",
-                baseline,
-                "--candidate",
-                candidate,
-            ]))
+            repro(&["check", "--baseline", baseline, "--candidate", candidate])
         };
         assert_eq!(check(&old, &same), EXIT_OK);
         assert_eq!(check(&old, &new), EXIT_FAILURE);
@@ -879,9 +915,51 @@ mod tests {
             check(&old, &dir.join("none.json").to_string_lossy()),
             EXIT_ERROR
         );
-        assert_eq!(run(&argv(&["check", "--candidate", &new])), EXIT_ERROR);
+        assert_eq!(repro(&["check", "--candidate", &new]), EXIT_ERROR);
         let bless = ["check", "--baseline", &old, "--candidate", &new, "--bless"];
-        assert_eq!(run(&argv(&bless)), EXIT_ERROR);
+        assert_eq!(repro(&bless), EXIT_ERROR);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Standard output whose reader has gone, as `repro ... | head -1`
+    /// leaves it once `head` exits. Counts the writes tried.
+    struct ClosedPipe(Rc<Cell<usize>>);
+
+    impl Write for ClosedPipe {
+        fn write(&mut self, _: &[u8]) -> io::Result<usize> {
+            self.0.set(self.0.get() + 1);
+            Err(io::ErrorKind::BrokenPipe.into())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// A closed pipe is no failure: the command stops writing, finishes,
+    /// and exits with the code it has unpiped.
+    #[test]
+    fn a_closed_pipe_ends_the_output_not_the_exit_code() {
+        let dir = std::env::temp_dir().join(format!("repro-pipe-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let file = |name: &str, value: i64| {
+            let leaves = (0..100).map(|i| (format!("leaf{i}"), Json::Int(value)));
+            let path = dir.join(name);
+            std::fs::write(&path, Json::Obj(leaves.collect()).to_pretty()).unwrap();
+            path.to_str().unwrap().to_string()
+        };
+        let (old, new) = (file("old.json", 1), file("new.json", 2));
+        let piped = |args: &[&str]| {
+            let tries = Rc::new(Cell::new(0));
+            let code = run(&argv(args), &mut Out::new(ClosedPipe(tries.clone())));
+            (code, tries.get())
+        };
+        let check =
+            |candidate: &str| piped(&["check", "--baseline", &old, "--candidate", candidate]);
+        // 100 differing leaves, one write tried.
+        assert_eq!(check(&new), (EXIT_FAILURE, 1));
+        assert_eq!(check(&old), (EXIT_OK, 1));
+        assert_eq!(piped(&["table1", "area"]), (EXIT_OK, 1));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -26,10 +26,6 @@ use crate::workload::{Kernel, KernelError};
 /// in tens of thousands of cycles).
 const BUDGET: u64 = 100_000_000;
 
-/// Checkpoint files retained per degraded run (newest first; older
-/// snapshots are deleted as new ones land).
-const CHECKPOINT_KEEP: usize = 3;
-
 /// Default snapshot interval (cycles) when a checkpoint directory is set
 /// but no explicit interval is.
 pub(crate) const DEFAULT_CHECKPOINT_EVERY: u64 = 10_000;
@@ -225,7 +221,7 @@ fn observed_phase(
             let every = hooks
                 .and_then(|h| h.checkpoint_every)
                 .unwrap_or(DEFAULT_CHECKPOINT_EVERY);
-            Some(Checkpointer::new(dir, every, CHECKPOINT_KEEP).map_err(|e| {
+            Some(Checkpointer::new(dir, every).map_err(|e| {
                 plain(KernelError::Checkpoint {
                     detail: e.to_string(),
                 })
@@ -464,8 +460,9 @@ mod tests {
             .filter(|p| p.extension().is_some_and(|x| x == "json"))
             .collect();
         snapshots.sort();
+        // The checkpointer retains the newest three.
         assert!(
-            (1..=CHECKPOINT_KEEP).contains(&snapshots.len()),
+            (1..=3).contains(&snapshots.len()),
             "retention bounds snapshots: {snapshots:?}"
         );
 

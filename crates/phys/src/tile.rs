@@ -77,10 +77,10 @@ impl TileImplementation {
         let config = ClusterConfig::with_capacity(capacity);
         let num_cores = config.cores_per_tile();
         let num_banks = config.banks_per_tile();
-        let num_icache_banks = config.icache_banks_per_tile();
+        let num_icache_banks = ClusterConfig::ICACHE_BANKS_PER_TILE;
         let bank_macro = SramMacro::with_capacity_bytes(config.bank_bytes());
         let icache_macro = SramMacro::with_capacity_bytes(
-            (config.icache_bytes_per_tile() / num_icache_banks.max(1)) as u64,
+            (ClusterConfig::ICACHE_BYTES_PER_TILE / num_icache_banks) as u64,
         );
         let logic_ge = SNITCH_CORE_GE * num_cores as f64 + TILE_OTHER_GE;
         let logic_cell_area_um2 = tech.cell_area_um2(logic_ge);

@@ -1,6 +1,6 @@
 //! Versioned checkpoint/restore of a running [`Cluster`].
 //!
-//! A checkpoint is a single `mempool-checkpoint/v4` JSON document (same
+//! A checkpoint is a single `mempool-checkpoint/v5` JSON document (same
 //! plumbing as `crashdump.json`) capturing *everything* that influences
 //! simulated behavior: per-core architectural and scoreboard state, the
 //! program, all SPM/spare/external memory with its spare-bank remaps and
@@ -18,17 +18,19 @@
 //! # Layout
 //!
 //! The header is named JSON — `schema`, `engine_version`,
-//! `params_digest`, `config` (8 fields), `params` (4 fields: the I$
-//! geometry and the off-chip port; the fixed timing is constant and so not
-//! saved) — because tests and [`CheckpointError::Mismatch`] name those
-//! fields. Everything else is a **section**: one string of fixed-width hex
-//! words under a top-level key. `program`, `spm` and `spare` are memory images of
-//! 8-digit (`u32`) words — `spm` in `Storage`'s own address order, as it
-//! is; `clock`, `cores`, `icaches`, `banks`, `responses`, `offchip`,
-//! `storage`, `faults`, `watchdog` and `sampler` are the 16-digit
-//! (`u64`) words `Words::pack` produces — `icaches` holds each tile's
-//! tags, LRU stamps and LRU clock. The fault report keeps its own JSON
-//! form under `fault_report`.
+//! `params_digest`, `config` (5 fields: the cluster's shape and bank
+//! depth; the tile's I$ and remote ports are constant and so not saved),
+//! `params` (4 fields: the I$ line and ways and the off-chip port; the
+//! fixed timing is constant and so not saved) — because tests and
+//! [`CheckpointError::Mismatch`] name those fields. Everything else is a
+//! **section**: one string of fixed-width hex words under a top-level key.
+//! `program`, `spm` and `spare` are memory images of 8-digit (`u32`)
+//! words — `spm` in `Storage`'s own address order, as it is; `clock`,
+//! `cores`, `icaches`, `banks`, `responses`, `offchip`, `storage`,
+//! `faults`, `watchdog` and `sampler` are the 16-digit (`u64`) words
+//! `Words::pack` produces — `icaches` holds each tile's tags, LRU stamps
+//! and LRU clock. The fault report keeps its own JSON form under
+//! `fault_report`.
 //!
 //! Every saved record has **one** spelling: a `Words` impl whose `pack`
 //! and `unpack` walk the same field list (`words_struct!` next to each
@@ -38,7 +40,7 @@
 //!
 //! [`Cluster::restore`] **decodes, checks, then builds** (its docs list
 //! the checks), so a hostile file is a typed error before anything is
-//! sized by it. A v1, v2 or v3 file is refused with
+//! sized by it. A v1, v2, v3 or v4 file is refused with
 //! [`CheckpointError::Mismatch`] on `schema`; there is no reader for old
 //! versions — a snapshot protects a run of seconds and nothing keeps them.
 //!
@@ -85,7 +87,7 @@ use crate::offchip::OffchipPort;
 use crate::params::{SimParams, ENGINE_VERSION};
 
 /// Schema tag of the checkpoint document.
-pub const CHECKPOINT_SCHEMA: &str = "mempool-checkpoint/v4";
+pub const CHECKPOINT_SCHEMA: &str = "mempool-checkpoint/v5";
 
 /// Error raised by checkpoint save/restore.
 #[derive(Debug)]
@@ -584,7 +586,7 @@ fn fault_parts(ctrl: &FaultController, storage: &Storage) -> FaultParts {
 // ---------------------------------------------------------------------------
 
 impl Cluster {
-    /// Serializes the full simulated state as a `mempool-checkpoint/v4`
+    /// Serializes the full simulated state as a `mempool-checkpoint/v5`
     /// document. See the [module docs](self) for the layout and for what
     /// is (and is deliberately not) captured.
     pub fn checkpoint(&self) -> Json {
@@ -616,9 +618,6 @@ impl Cluster {
                     ("cores_per_tile", config.cores_per_tile()),
                     ("banks_per_tile", config.banks_per_tile()),
                     ("bank_words", config.bank_words()),
-                    ("icache_bytes_per_tile", config.icache_bytes_per_tile()),
-                    ("icache_banks_per_tile", config.icache_banks_per_tile()),
-                    ("remote_ports_per_tile", config.remote_ports_per_tile()),
                 ]),
             ),
             (
@@ -694,9 +693,6 @@ impl Cluster {
             .cores_per_tile(cfg.u32_field("cores_per_tile")?)
             .banks_per_tile(cfg.u32_field("banks_per_tile")?)
             .bank_words(cfg.u32_field("bank_words")?)
-            .icache_bytes_per_tile(cfg.u32_field("icache_bytes_per_tile")?)
-            .icache_banks_per_tile(cfg.u32_field("icache_banks_per_tile")?)
-            .remote_ports_per_tile(cfg.u32_field("remote_ports_per_tile")?)
             .build()
             .map_err(|e| bad(format!("invalid config: {e}")))?;
 
@@ -708,7 +704,7 @@ impl Cluster {
         expect_field(doc, "params_digest", &format!("{:016x}", params.digest()))?;
 
         ICache::check_geometry(
-            config.icache_bytes_per_tile(),
+            ClusterConfig::ICACHE_BYTES_PER_TILE,
             params.icache_line_words,
             params.icache_ways,
         )
@@ -863,26 +859,28 @@ impl Cluster {
 // Checkpointer: periodic atomic snapshot files with bounded retention
 // ---------------------------------------------------------------------------
 
+/// Checkpoint files a [`Checkpointer`] retains: the newest three.
+const CHECKPOINT_KEEP: usize = 3;
+
 /// Writes periodic checkpoint files into a directory: atomic temp+rename
 /// writes, `ckpt-<cycle>.json` names, and bounded retention (the oldest
-/// file is deleted once more than `keep` exist).
+/// file is deleted once more than three exist).
 #[derive(Debug)]
 pub struct Checkpointer {
     dir: PathBuf,
     every: u64,
-    keep: usize,
     written: VecDeque<PathBuf>,
 }
 
 impl Checkpointer {
     /// Creates the directory (if needed) and a checkpointer snapshotting
-    /// every `every` cycles, retaining the newest `keep` files. Zero
-    /// `every`/`keep` are clamped to 1.
+    /// every `every` cycles, retaining the newest three files. A zero
+    /// `every` is clamped to 1.
     ///
     /// # Errors
     ///
     /// [`CheckpointError::Io`] if the directory cannot be created.
-    pub fn new(dir: impl Into<PathBuf>, every: u64, keep: usize) -> Result<Self, CheckpointError> {
+    pub fn new(dir: impl Into<PathBuf>, every: u64) -> Result<Self, CheckpointError> {
         let dir = dir.into();
         fs::create_dir_all(&dir).map_err(|e| CheckpointError::Io {
             path: dir.display().to_string(),
@@ -891,7 +889,6 @@ impl Checkpointer {
         Ok(Checkpointer {
             dir,
             every: every.max(1),
-            keep: keep.max(1),
             written: VecDeque::new(),
         })
     }
@@ -925,7 +922,7 @@ impl Checkpointer {
         if self.written.back() != Some(&path) {
             self.written.push_back(path.clone());
         }
-        while self.written.len() > self.keep {
+        while self.written.len() > CHECKPOINT_KEEP {
             if let Some(old) = self.written.pop_front() {
                 let _ = fs::remove_file(old);
             }
@@ -1185,29 +1182,13 @@ mod tests {
 
     #[test]
     fn impossible_icache_geometry_is_malformed_not_a_panic() {
-        let saved = fresh_cluster().checkpoint();
-        // The config section is outside `params_digest`: no lines at all,
-        // then a line count that is not a power of two.
-        for bytes in [0, 3072] {
-            let mut doc = saved.clone();
-            set(
-                &mut doc,
-                &["config", "icache_bytes_per_tile"],
-                Json::Int(bytes),
-            );
-            let err = Cluster::restore(&doc).unwrap_err();
-            assert!(
-                matches!(&err, CheckpointError::Malformed(msg) if msg.contains("icache")),
-                "{bytes} bytes: {err}"
-            );
-        }
-        // The line size is inside it, so a file that means it carries the
-        // digest to match.
+        // The line size is inside `params_digest`, so a file that means it
+        // carries the digest to match.
         let params = SimParams {
             icache_line_words: 3,
             ..SimParams::default()
         };
-        let mut doc = saved.clone();
+        let mut doc = fresh_cluster().checkpoint();
         set(&mut doc, &["params", "icache_line_words"], Json::Int(3));
         set(
             &mut doc,
@@ -1467,6 +1448,7 @@ mod tests {
             "mempool-checkpoint/v1",
             "mempool-checkpoint/v2",
             "mempool-checkpoint/v3",
+            "mempool-checkpoint/v4",
         ] {
             let mut doc = saved.clone();
             set(&mut doc, &["schema"], Json::str(version));
@@ -1540,7 +1522,7 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
         fs::create_dir_all(&dir).unwrap();
         let path = dir.join("ckpt-000000000001.json");
-        fs::write(&path, "{\"schema\": \"mempool-checkpoint/v4\", trunc").unwrap();
+        fs::write(&path, "{\"schema\": \"mempool-checkpoint/v5\", trunc").unwrap();
         let err = Cluster::restore_from_file(&path).unwrap_err();
         assert!(matches!(err, CheckpointError::Malformed(_)));
         assert!(!path.exists(), "corrupt file renamed away");
@@ -1557,7 +1539,7 @@ mod tests {
     fn checkpointer_writes_atomically_and_bounds_retention() {
         let dir = std::env::temp_dir().join(format!("mempool-ckpt-keep-{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
-        let mut ckpt = Checkpointer::new(&dir, 25, 2).unwrap();
+        let mut ckpt = Checkpointer::new(&dir, 25).unwrap();
         let mut cluster = fresh_cluster();
         let err = run_with_checkpoints(&mut cluster, 100, &mut ckpt).unwrap_err();
         assert!(matches!(
@@ -1568,7 +1550,7 @@ mod tests {
             .unwrap()
             .map(|e| e.unwrap().file_name().into_string().unwrap())
             .collect();
-        assert_eq!(files.len(), 2, "retention must keep exactly 2: {files:?}");
+        assert_eq!(files.len(), 3, "retention must keep exactly 3: {files:?}");
         assert!(files.iter().all(|f| f.starts_with("ckpt-")));
         assert!(files.iter().all(|f| !f.contains("tmp")));
         let last = ckpt.last_good().unwrap().to_path_buf();
@@ -1597,7 +1579,7 @@ mod tests {
             sliced.step().unwrap();
         }
         let end = plain.run(u64::MAX).unwrap();
-        let mut ckpt = Checkpointer::new(&dir, 100, 2).unwrap();
+        let mut ckpt = Checkpointer::new(&dir, 100).unwrap();
         assert_eq!(
             run_with_checkpoints(&mut sliced, u64::MAX, &mut ckpt).unwrap(),
             end
@@ -1613,7 +1595,7 @@ mod tests {
         let mut plain = fresh_cluster();
         let end = plain.run(100_000).unwrap();
 
-        let mut ckpt = Checkpointer::new(&dir, 50, 3).unwrap();
+        let mut ckpt = Checkpointer::new(&dir, 50).unwrap();
         let mut sliced = fresh_cluster();
         let sliced_end = run_with_checkpoints(&mut sliced, 100_000, &mut ckpt).unwrap();
         assert_eq!(sliced_end, end);

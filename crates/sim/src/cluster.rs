@@ -1558,62 +1558,63 @@ mod tests {
 
     #[test]
     fn remote_ports_throttle_off_tile_traffic() {
-        // Four cores of tile 0 hammer tile 1's banks every cycle. With
-        // four remote ports they proceed in parallel; with one port they
-        // serialize at issue.
-        let run_with_ports = |ports: u32| {
-            let cfg = ClusterConfig::builder()
-                .groups(1)
-                .tiles_per_group(4)
-                .cores_per_tile(4)
-                .banks_per_tile(4)
-                .bank_words(64)
-                .remote_ports_per_tile(ports)
-                .build()
-                .unwrap();
-            let remote_base = {
-                let probe = Cluster::new(cfg.clone(), SimParams::default());
-                probe.storage().map().seq_addr(mempool_arch::TileId(1), 0)
-            };
+        // Tile 0's eight cores stream independent loads from eight distinct
+        // banks, once in tile 1 and once in their own tile. The tile's four
+        // remote ports let at most four of them issue off-tile in one
+        // cycle, so the remote run stalls structurally at issue; the local
+        // run takes no port. With a port per core the two runs would be the
+        // same.
+        let cfg = ClusterConfig::builder()
+            .groups(1)
+            .tiles_per_group(4)
+            .cores_per_tile(8)
+            .banks_per_tile(16)
+            .bank_words(64)
+            .build()
+            .unwrap();
+        let run_against = |tile: u32| {
+            let base = Cluster::new(cfg.clone(), SimParams::default())
+                .storage()
+                .map()
+                .seq_addr(mempool_arch::TileId(tile), 0);
             let src = format!(
                 r#"
                     csrr t1, mhartid
-                    li   t2, 4
+                    li   t2, 8
                     bge  t1, t2, done      # only tile 0's cores participate
-                    li   t0, {remote_base}
+                    li   t0, {base}
                     slli t3, t1, 2
                     add  t0, t0, t3        # distinct banks: no bank conflicts
                     li   t4, 32
                 loop:
                     lw   a0, 0(t0)
-                    add  a1, a0, a0        # force the latency to be visible
+                    lw   a1, 0(t0)
+                    lw   a2, 0(t0)
+                    lw   a3, 0(t0)
                     addi t4, t4, -1
                     bnez t4, loop
                 done:
                     wfi
                 "#
             );
-            let mut cluster = Cluster::new(cfg, SimParams::default());
-            cluster.load_program(Program::assemble(&src).unwrap());
-            cluster.preload_icaches();
-            let cycles = cluster.run(1_000_000).unwrap();
+            let cluster = run_program(cfg.clone(), &src);
             let stalls: u64 = cluster
                 .stats()
                 .cores
                 .iter()
                 .map(|c| c.stall_structural)
                 .sum();
-            (cycles, stalls)
+            (cluster.cycle(), stalls)
         };
-        let (wide_cycles, wide_stalls) = run_with_ports(4);
-        let (narrow_cycles, narrow_stalls) = run_with_ports(1);
-        assert!(
-            narrow_stalls > wide_stalls,
-            "1 port must stall more ({narrow_stalls} vs {wide_stalls})"
+        assert_eq!(
+            run_against(1),
+            (344, 452),
+            "remote: (cycles, structural stalls)"
         );
-        assert!(
-            narrow_cycles > wide_cycles,
-            "1 port must be slower ({narrow_cycles} vs {wide_cycles})"
+        assert_eq!(
+            run_against(0),
+            (231, 0),
+            "local: (cycles, structural stalls)"
         );
     }
 

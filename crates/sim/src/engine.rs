@@ -154,7 +154,7 @@ impl Machine {
         responses: Vec<Vec<Response>>,
     ) -> Self {
         let (bytes, line, ways) = (
-            config.icache_bytes_per_tile(),
+            ClusterConfig::ICACHE_BYTES_PER_TILE,
             params.icache_line_words,
             params.icache_ways,
         );
@@ -512,7 +512,7 @@ impl Tick<'_> {
                 exec::mem_addr(instr, &core.regs).map(|addr| m.storage.map().locate(addr & !3));
             if let Some(MemoryRegion::Spm(loc)) = region {
                 if loc.tile != tile_id {
-                    if remote_issued >= m.config.remote_ports_per_tile() {
+                    if remote_issued >= ClusterConfig::REMOTE_PORTS_PER_TILE {
                         core.stats.stall_structural += 1;
                         continue;
                     }
