@@ -113,7 +113,6 @@ fn usage() -> u8 {
     eprintln!(
         "usage: repro [--measure] [--artifacts DIR] [--faults SEED[:RATE]] [--watchdog N]\n\
          \x20            [--timeseries WINDOW] [--flight N]\n\
-         \x20            [--checkpoint-dir DIR] [--checkpoint-every N] [--resume PATH]\n\
          \x20            [all|{}]...\n\
          \x20      repro check --baseline PATH [--bless | --candidate PATH]\n\
          \x20      repro serve [--listen HOST:PORT] [--workers N] [--cache-dir DIR]\n\
@@ -137,15 +136,6 @@ fn usage() -> u8 {
                               measured (degraded or clean) run; exports\n\
                               flight.json, and a simulator fault dumps it as\n\
                               crashdump.json\n\
-         --checkpoint-dir DIR snapshot the degraded run into DIR as atomic\n\
-                              ckpt-<cycle>.json files with bounded retention;\n\
-                              on a simulator fault the last good snapshot is\n\
-                              copied next to crashdump.json\n\
-         --checkpoint-every N snapshot interval in simulated cycles (default\n\
-                              10000; requires --checkpoint-dir)\n\
-         --resume PATH        restore the degraded run from a checkpoint file\n\
-                              and finish it; the resumed artifacts are\n\
-                              bit-identical to an uninterrupted run\n\
          \n\
          check                require the regenerated pinned summary (or the\n\
                               JSON file --candidate PATH) to equal --baseline\n\
@@ -181,9 +171,6 @@ struct Options {
     watchdog: Option<u64>,
     timeseries: Option<u64>,
     flight: Option<usize>,
-    checkpoint_dir: Option<String>,
-    checkpoint_every: Option<u64>,
-    resume: Option<String>,
 }
 
 /// Parses `SEED[:RATE]`. Both parts are validated strictly: a non-numeric
@@ -241,22 +228,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
                 let value = args::flag_value(&mut it, "--flight", "an event-count")?;
                 opts.flight = Some(args::parse_nonzero_usize("--flight", "capacity", value)?);
             }
-            "--checkpoint-dir" => {
-                opts.checkpoint_dir =
-                    Some(args::flag_value(&mut it, "--checkpoint-dir", "a directory")?.to_string());
-            }
-            "--checkpoint-every" => {
-                let value = args::flag_value(&mut it, "--checkpoint-every", "a cycle-count")?;
-                opts.checkpoint_every = Some(args::parse_nonzero_u64(
-                    "--checkpoint-every",
-                    "interval",
-                    value,
-                )?);
-            }
-            "--resume" => {
-                opts.resume =
-                    Some(args::flag_value(&mut it, "--resume", "a checkpoint file")?.to_string());
-            }
             flag if flag.starts_with("--") => {
                 return Err(format!("unknown flag: {flag}"));
             }
@@ -270,14 +241,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
     }
     if opts.targets.is_empty() {
         opts.targets.push("all".to_string());
-    }
-    if opts.checkpoint_every.is_some() && opts.checkpoint_dir.is_none() {
-        return Err("--checkpoint-every requires --checkpoint-dir".to_string());
-    }
-    if (opts.checkpoint_dir.is_some() || opts.resume.is_some()) && opts.faults.is_none() {
-        return Err(
-            "--checkpoint-dir/--resume apply to the degraded run; add --faults".to_string(),
-        );
     }
     Ok(opts)
 }
@@ -613,16 +576,10 @@ fn reproduce(opts: &Options, out: &mut Out) -> Result<(), String> {
     let resilience = match opts.faults {
         Some((seed, rate)) => {
             eprintln!("measuring degraded run (seed {seed}, rate {rate:.1e}) ...");
-            if let Some(path) = &opts.resume {
-                eprintln!("resuming degraded run from {path} ...");
-            }
             let hooks = DegradedObs {
                 obs: obs.clone(),
                 timeseries_window: opts.timeseries,
                 flight_capacity: opts.flight,
-                checkpoint_dir: opts.checkpoint_dir.clone().map(Into::into),
-                checkpoint_every: opts.checkpoint_every,
-                resume: opts.resume.clone().map(Into::into),
             };
             match Resilience::with_model_observed(model, seed, rate, opts.watchdog, Some(&hooks)) {
                 Ok(r) => {
@@ -632,27 +589,6 @@ fn reproduce(opts: &Options, out: &mut Out) -> Result<(), String> {
                 Err(failure) => {
                     if let Some(dump) = &failure.crash_dump {
                         write_crash_dump(artifacts.as_mut(), dump);
-                    }
-                    // When checkpointing was on, park the newest surviving
-                    // snapshot next to the dump and say how to resume.
-                    if let Some(last) = &failure.last_checkpoint {
-                        let dest = match artifacts.as_ref() {
-                            Some(art) => art.root().join("checkpoint-last-good.json"),
-                            None => std::path::PathBuf::from("checkpoint-last-good.json"),
-                        };
-                        match std::fs::copy(last, &dest) {
-                            Ok(_) => eprintln!(
-                                "repro: last good checkpoint copied to {}\n\
-                                 repro: resume with: repro --faults {seed}:{rate:e} --resume {}",
-                                dest.display(),
-                                dest.display()
-                            ),
-                            Err(e) => eprintln!(
-                                "repro: copying {} to {}: {e}",
-                                last.display(),
-                                dest.display()
-                            ),
-                        }
                     }
                     return Err(format!("degraded run failed: {failure}"));
                 }
@@ -674,7 +610,6 @@ fn reproduce(opts: &Options, out: &mut Out) -> Result<(), String> {
             obs: obs.clone(),
             timeseries_window: opts.timeseries,
             flight_capacity: opts.flight,
-            ..DegradedObs::default()
         };
         let run = observed_compute_run(&hooks).map_err(|failure| {
             if let Some(dump) = &failure.crash_dump {
@@ -983,6 +918,15 @@ mod tests {
     fn threads_flag_is_an_unknown_flag() {
         let err = parse_args(&argv(&["fig6", "--threads", "4"])).unwrap_err();
         assert_eq!(err, "unknown flag: --threads");
+        // The three checkpoint-file flags are gone as well, with or without
+        // the `--faults` run they applied to.
+        let removed = ["dir", "every"].map(|what| format!("--checkpoint-{what}"));
+        for flag in removed.iter().map(String::as_str).chain(["--resume"]) {
+            let err = parse_args(&argv(&["fig6", "--faults", "42:1e-6", flag, "x"])).unwrap_err();
+            assert_eq!(err, format!("unknown flag: {flag}"));
+            let err = parse_args(&argv(&["fig6", flag, "5000"])).unwrap_err();
+            assert_eq!(err, format!("unknown flag: {flag}"));
+        }
     }
 
     #[test]

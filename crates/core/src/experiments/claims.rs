@@ -11,6 +11,7 @@ use mempool_phys::Flow;
 
 use crate::design::DesignPoint;
 use crate::experiments::{Evaluation, SECTION_VI_B_BANDWIDTH};
+use crate::paper;
 use crate::table::TextTable;
 
 /// One checked claim.
@@ -73,7 +74,7 @@ impl Claims {
             Claim {
                 source: "abstract",
                 statement: "3D vs 2D matmul performance at 4 MiB",
-                paper: 1.091,
+                paper: paper::FIG7_3D_VS_2D_4MIB,
                 measured: eval.performance(point(Flow::ThreeD, SpmCapacity::MiB4), bw)
                     / eval.performance(point(Flow::TwoD, SpmCapacity::MiB4), bw),
                 tolerance: 0.04,
@@ -110,14 +111,14 @@ impl Claims {
             Claim {
                 source: "conclusions",
                 statement: "3D 8 MiB performance vs baseline",
-                paper: 1.084,
+                paper: paper::FIG7_3D_8MIB_VS_BASELINE,
                 measured: eval.performance(point(Flow::ThreeD, SpmCapacity::MiB8), bw),
                 tolerance: 0.04,
             },
             Claim {
                 source: "conclusions",
                 statement: "best 3D efficiency gain over 2D",
-                paper: 1.184,
+                paper: paper::FIG8_3D_VS_2D_4MIB,
                 measured: best_eff_gain,
                 tolerance: 0.06,
             },
@@ -131,14 +132,14 @@ impl Claims {
             Claim {
                 source: "Fig. 8",
                 statement: "3D 1 MiB efficiency vs baseline",
-                paper: 1.14,
+                paper: paper::FIG8_3D_1MIB_VS_BASELINE,
                 measured: eval.efficiency(point(Flow::ThreeD, SpmCapacity::MiB1), bw),
                 tolerance: 0.05,
             },
             Claim {
                 source: "Fig. 9",
                 statement: "3D 1 MiB EDP vs baseline",
-                paper: 0.844,
+                paper: paper::FIG9_3D_1MIB_VS_BASELINE,
                 measured: eval.edp(point(Flow::ThreeD, SpmCapacity::MiB1), bw),
                 tolerance: 0.04,
             },

@@ -41,7 +41,7 @@ impl Resilience {
     /// the given workload model. `watchdog`, when set, arms the
     /// forward-progress watchdog for the degraded run; `hooks` attach
     /// observability to it (shared span/metric recording, time-series
-    /// sampling, flight recording, checkpoints — see [`DegradedObs`]).
+    /// sampling, flight recording — see [`DegradedObs`]).
     ///
     /// # Errors
     ///

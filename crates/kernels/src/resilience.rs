@@ -12,11 +12,9 @@
 //! performance, never correctness (uncorrectable errors and deadlocks are
 //! typed simulator errors, not wrong numbers).
 
-use std::path::{Path, PathBuf};
-
 use mempool_fault::{FaultConfig, FaultPlan, FaultReport};
 use mempool_obs::{AttributionReport, Json, Obs};
-use mempool_sim::{run_with_checkpoints, CheckpointError, Checkpointer, Cluster};
+use mempool_sim::Cluster;
 
 use crate::matmul::ComputePhase;
 use crate::measure::probe_cluster;
@@ -25,10 +23,6 @@ use crate::workload::{Kernel, KernelError};
 /// Cycle budget for one resilience phase (generous: the phase itself runs
 /// in tens of thousands of cycles).
 const BUDGET: u64 = 100_000_000;
-
-/// Default snapshot interval (cycles) when a checkpoint directory is set
-/// but no explicit interval is.
-pub(crate) const DEFAULT_CHECKPOINT_EVERY: u64 = 10_000;
 
 /// Result of a clean-vs-degraded pair of compute-phase runs.
 #[derive(Debug, Clone)]
@@ -85,7 +79,7 @@ impl DegradedRun {
 /// degraded cluster attaches to, plus optional time-series sampling and
 /// flight recording. The flight recorder implies instruction tracing so a
 /// crash dump carries each core's recent-instruction window.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct DegradedObs {
     /// Shared observability bundle (clones share state).
     pub obs: Obs,
@@ -93,19 +87,6 @@ pub struct DegradedObs {
     pub timeseries_window: Option<u64>,
     /// Flight-recorder ring capacity, when wanted.
     pub flight_capacity: Option<usize>,
-    /// Directory for periodic degraded-run checkpoints, when wanted.
-    /// Snapshots are atomic (`ckpt-<cycle>.json`, temp + rename) with
-    /// bounded retention; a crashed run's last good snapshot is reported
-    /// through [`DegradedFailure::last_checkpoint`].
-    pub checkpoint_dir: Option<PathBuf>,
-    /// Snapshot interval in cycles (`DEFAULT_CHECKPOINT_EVERY` when
-    /// unset). Ignored without `checkpoint_dir`.
-    pub checkpoint_every: Option<u64>,
-    /// Resume the degraded run from this checkpoint file instead of
-    /// starting it at cycle zero. The snapshot carries the program, fault
-    /// controller, and watchdog, so the resumed run is bit-identical to
-    /// an unbroken one.
-    pub resume: Option<PathBuf>,
 }
 
 /// An instrumented *clean* run: the compute phase with the full
@@ -165,9 +146,6 @@ pub struct DegradedFailure {
     /// shape/assembly/verification failures, which have no cluster state
     /// worth dumping).
     pub crash_dump: Option<Json>,
-    /// The newest checkpoint that survived the crash, when checkpointing
-    /// was on — resume from it via [`DegradedObs::resume`].
-    pub last_checkpoint: Option<PathBuf>,
 }
 
 impl std::fmt::Display for DegradedFailure {
@@ -181,16 +159,14 @@ fn plain(error: KernelError) -> Box<DegradedFailure> {
     Box::new(DegradedFailure {
         error,
         crash_dump: None,
-        last_checkpoint: None,
     })
 }
 
 /// The instrumented part of a probe run, shared by the clean and the
-/// degraded run. Arms `hooks` on `cluster` as the process `name`; on a
-/// fresh start lets `inject` add its faults and loads `phase`; runs what
-/// is left of the budget, checkpointing when the hooks ask for it; then
-/// verifies, takes the exact attribution and detaches. A simulator fault
-/// comes back with the crash dump and the newest surviving checkpoint.
+/// degraded run. Arms `hooks` on `cluster` as the process `name`; lets
+/// `inject` add its faults and loads `phase`; runs it within the budget;
+/// then verifies, takes the exact attribution and detaches. A simulator
+/// fault comes back with the crash dump.
 fn observed_phase(
     cluster: &mut Cluster,
     name: &str,
@@ -198,7 +174,6 @@ fn observed_phase(
     hooks: Option<&DegradedObs>,
     inject: impl FnOnce(&mut Cluster) -> Result<(), KernelError>,
 ) -> Result<(u64, AttributionReport), Box<DegradedFailure>> {
-    let resumed = hooks.is_some_and(|h| h.resume.is_some());
     if let Some(hooks) = hooks {
         cluster.attach_obs(&hooks.obs, name);
         if let Some(window) = hooks.timeseries_window {
@@ -209,55 +184,14 @@ fn observed_phase(
             cluster.enable_trace(capacity);
         }
     }
-    // A resumed cluster restored program, PCs, fault controller and
-    // watchdog from its snapshot.
-    if !resumed {
-        inject(cluster).map_err(plain)?;
-        phase.load(cluster).map_err(plain)?;
-    }
-
-    let mut checkpointer = match hooks.and_then(|h| h.checkpoint_dir.as_ref()) {
-        Some(dir) => {
-            let every = hooks
-                .and_then(|h| h.checkpoint_every)
-                .unwrap_or(DEFAULT_CHECKPOINT_EVERY);
-            Some(Checkpointer::new(dir, every).map_err(|e| {
-                plain(KernelError::Checkpoint {
-                    detail: e.to_string(),
-                })
-            })?)
-        }
-        None => None,
-    };
-    // The phase deadline is absolute (the kernel starts at cycle zero),
-    // so a resumed run only gets the budget's remainder.
-    let remaining = BUDGET.saturating_sub(cluster.cycle());
-    let run_result = match &mut checkpointer {
-        Some(ckpt) => run_with_checkpoints(cluster, remaining, ckpt).map_err(|e| match e {
-            CheckpointError::Sim(sim) => KernelError::Sim(sim),
-            other => KernelError::Checkpoint {
-                detail: other.to_string(),
-            },
-        }),
-        None => cluster.run(remaining).map_err(KernelError::Sim),
-    };
-    let cycles = match run_result {
-        Ok(end) => end,
-        Err(error) => {
-            let crash_dump = match &error {
-                KernelError::Sim(sim) => Some(cluster.crash_dump(sim)),
-                _ => None,
-            };
-            let last_checkpoint = checkpointer
-                .as_ref()
-                .and_then(|c| c.last_good().map(Path::to_path_buf));
-            return Err(Box::new(DegradedFailure {
-                error,
-                crash_dump,
-                last_checkpoint,
-            }));
-        }
-    };
+    inject(cluster).map_err(plain)?;
+    phase.load(cluster).map_err(plain)?;
+    let cycles = cluster.run(BUDGET).map_err(|sim| {
+        Box::new(DegradedFailure {
+            crash_dump: Some(cluster.crash_dump(&sim)),
+            error: KernelError::Sim(sim),
+        })
+    })?;
     phase.verify(cluster).map_err(plain)?;
     let attribution = cluster.stats().attribution(
         cluster.config().cores_per_tile(),
@@ -276,7 +210,7 @@ fn observed_phase(
 ///
 /// When `hooks` is given, the degraded cluster records spans/metrics into
 /// the shared [`Obs`] and optionally samples time series, keeps a
-/// flight-recorder ring, checkpoints, or resumes. On a simulator fault the
+/// flight-recorder ring. On a simulator fault the
 /// returned [`DegradedFailure`] carries a full crash dump (flight events,
 /// per-core liveness, metrics, and counter-track trace) regardless of
 /// whether hooks were attached — without hooks the dump simply degrades to
@@ -295,16 +229,7 @@ pub fn degraded_compute_run_observed(
     let phase = ComputePhase::new(32);
     let clean_cycles = phase.run(&mut probe_cluster(), BUDGET).map_err(plain)?;
 
-    let mut degraded = match hooks.and_then(|h| h.resume.as_deref()) {
-        Some(path) => Cluster::restore_from_file(path).map_err(|e| {
-            plain(KernelError::Checkpoint {
-                detail: format!("resume from {}: {e}", path.display()),
-            })
-        })?,
-        None => probe_cluster(),
-    };
-    // The plan is regenerated on resume too: injection state lives in
-    // the checkpoint, but the event count reported below does not.
+    let mut degraded = probe_cluster();
     let fault_cfg = FaultConfig::new(seed, rate).with_horizon(clean_cycles.max(1));
     let plan = FaultPlan::generate(&fault_cfg, degraded.config());
     let (degraded_cycles, attribution) =
@@ -359,7 +284,6 @@ mod tests {
             obs: Obs::new(),
             timeseries_window: Some(256),
             flight_capacity: Some(128),
-            ..DegradedObs::default()
         };
         let run = degraded_compute_run_observed(42, 1e-6, Some(2_000_000), Some(&hooks)).unwrap();
         assert!(run.degraded_cycles > run.clean_cycles);
@@ -379,7 +303,6 @@ mod tests {
             obs: Obs::new(),
             timeseries_window: Some(256),
             flight_capacity: Some(128),
-            ..DegradedObs::default()
         };
         let run = observed_compute_run(&hooks).unwrap();
         assert!(run.cycles > 0);
@@ -407,7 +330,6 @@ mod tests {
             obs: Obs::new(),
             timeseries_window: Some(64),
             flight_capacity: Some(64),
-            ..DegradedObs::default()
         };
         let failure = degraded_compute_run_observed(42, 1e-6, Some(1), Some(&hooks)).unwrap_err();
         assert!(matches!(failure.error, KernelError::Sim(_)));
@@ -430,86 +352,6 @@ mod tests {
             .and_then(Json::as_arr)
             .unwrap();
         assert!(!series.is_empty(), "partial epoch must be flushed");
-    }
-
-    #[test]
-    fn a_checkpointed_degraded_run_resumes_bit_exactly() {
-        let dir =
-            std::env::temp_dir().join(format!("mempool-resilience-ckpt-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-
-        // Reference: the unbroken degraded run.
-        let unbroken = degraded_compute_run_observed(42, 1e-6, Some(2_000_000), None).unwrap();
-
-        // The same run with periodic checkpoints. The artifacts must be
-        // unchanged by the slicing, and snapshots must exist afterwards.
-        let hooks = DegradedObs {
-            obs: Obs::new(),
-            checkpoint_dir: Some(dir.clone()),
-            checkpoint_every: Some(5_000),
-            ..DegradedObs::default()
-        };
-        let ckpted =
-            degraded_compute_run_observed(42, 1e-6, Some(2_000_000), Some(&hooks)).unwrap();
-        assert_eq!(ckpted.degraded_cycles, unbroken.degraded_cycles);
-        assert_eq!(ckpted.report, unbroken.report);
-        let mut snapshots: Vec<_> = std::fs::read_dir(&dir)
-            .unwrap()
-            .filter_map(|e| e.ok())
-            .map(|e| e.path())
-            .filter(|p| p.extension().is_some_and(|x| x == "json"))
-            .collect();
-        snapshots.sort();
-        // The checkpointer retains the newest three.
-        assert!(
-            (1..=3).contains(&snapshots.len()),
-            "retention bounds snapshots: {snapshots:?}"
-        );
-
-        // Resume from a genuinely mid-run snapshot (the oldest retained
-        // one) and finish: bit-exact against the unbroken run.
-        let resume_hooks = DegradedObs {
-            obs: Obs::new(),
-            resume: Some(snapshots[0].clone()),
-            ..DegradedObs::default()
-        };
-        let resumed =
-            degraded_compute_run_observed(42, 1e-6, Some(2_000_000), Some(&resume_hooks)).unwrap();
-        assert_eq!(resumed.degraded_cycles, unbroken.degraded_cycles);
-        assert_eq!(resumed.report, unbroken.report);
-        assert_eq!(
-            resumed.attribution.to_json().to_pretty(),
-            unbroken.attribution.to_json().to_pretty(),
-            "resume must not disturb cycle attribution"
-        );
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn a_crashed_checkpointed_run_reports_its_last_good_snapshot() {
-        let dir =
-            std::env::temp_dir().join(format!("mempool-resilience-crash-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let hooks = DegradedObs {
-            obs: Obs::new(),
-            flight_capacity: Some(64),
-            checkpoint_dir: Some(dir.clone()),
-            // The hair-trigger watchdog below deadlocks within the first
-            // few cycles; per-cycle slicing guarantees a snapshot lands
-            // before it trips.
-            checkpoint_every: Some(1),
-            ..DegradedObs::default()
-        };
-        // A hair-trigger watchdog kills the run after the snapshots start.
-        let failure = degraded_compute_run_observed(42, 1e-6, Some(1), Some(&hooks)).unwrap_err();
-        assert!(matches!(failure.error, KernelError::Sim(_)));
-        assert!(failure.crash_dump.is_some());
-        let last = failure.last_checkpoint.expect("snapshots were written");
-        assert!(last.exists(), "{}", last.display());
-        // The reported snapshot restores cleanly.
-        let restored = Cluster::restore_from_file(&last).unwrap();
-        assert!(restored.cycle() > 0);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -23,12 +23,6 @@ pub enum KernelError {
         /// What was wrong.
         detail: String,
     },
-    /// Checkpointing or resuming the run failed (unwritable checkpoint
-    /// directory, corrupt or mismatched snapshot).
-    Checkpoint {
-        /// What went wrong with the snapshot machinery.
-        detail: String,
-    },
 }
 
 impl fmt::Display for KernelError {
@@ -38,7 +32,6 @@ impl fmt::Display for KernelError {
             KernelError::Sim(e) => write!(f, "simulation failed: {e}"),
             KernelError::Mismatch { detail } => write!(f, "output mismatch: {detail}"),
             KernelError::BadShape { detail } => write!(f, "invalid kernel shape: {detail}"),
-            KernelError::Checkpoint { detail } => write!(f, "checkpointing failed: {detail}"),
         }
     }
 }

@@ -24,7 +24,7 @@
 //!   serialization dependency);
 //! * quarantine-aware JSON file loading ([`load_json_file`]) and the
 //!   atomic (temp file + rename) write ([`write_atomic`]), shared by the
-//!   serve result cache, its job journal, and the checkpoint files;
+//!   serve result cache and its job journal;
 //! * [`ArtifactDir`] — the artifact-directory writer used by
 //!   `repro --artifacts DIR`.
 //!

@@ -2,13 +2,12 @@
 //! quarantines rare.
 //!
 //! Artifact stores that survive process restarts — the serve result
-//! cache, its job journal, and simulator checkpoints — must never panic
-//! (or silently loop) on a file a crashed writer left truncated or a
-//! stray process corrupted. [`load_json_file`] centralizes the policy:
-//! a file that exists but does not parse is *quarantined* by renaming it
-//! with a `.corrupt` suffix and reported as such, so the caller can treat
-//! it as a miss, emit a flight-recorder event, and never trip over the
-//! same bytes twice.
+//! cache and its job journal — must never panic (or silently loop) on a
+//! file a crashed writer left truncated or a stray process corrupted.
+//! [`load_json_file`] centralizes the policy: a file that exists but does
+//! not parse is *quarantined* by renaming it with a `.corrupt` suffix and
+//! reported as such, so the caller can treat it as a miss, emit a
+//! flight-recorder event, and never trip over the same bytes twice.
 
 use std::fs;
 use std::io::{self, ErrorKind};

@@ -16,7 +16,8 @@
 //!   response, and [`TcpServer::run`] returns the final stats document.
 
 use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -30,9 +31,29 @@ use crate::service::{Service, ServiceConfig, Shared};
 const IDLE_POLL: Duration = Duration::from_millis(100);
 
 /// Most connection handlers alive at once. A connection accepted beyond
-/// them is answered with one `backpressure` status line and closed, so
-/// idle peers cannot exhaust the daemon's threads.
+/// them closes an idle one (between requests, no partial line) and takes
+/// its place; only when every handler is in the middle of a request is it
+/// answered with one `backpressure` status line and closed. So idle peers
+/// can exhaust neither the daemon's threads nor its slots.
 pub const MAX_CONNECTIONS: usize = 64;
+
+/// A handler's [`Handler::state`]: waiting for a request with nothing
+/// buffered, so the accept loop may close it for a newcomer...
+const IDLE: u8 = 0;
+/// ...reading or serving a request, so it is left alone...
+const BUSY: u8 = 1;
+/// ...or closed by the accept loop, so it ends.
+const EVICTED: u8 = 2;
+
+/// A live connection handler, as the accept loop keeps it.
+struct Handler {
+    thread: JoinHandle<()>,
+    /// [`IDLE`], [`BUSY`] or [`EVICTED`]; only the accept loop evicts.
+    state: Arc<AtomicU8>,
+    /// The connection, which the accept loop shuts to wake an evicted
+    /// handler out of its poll.
+    stream: TcpStream,
+}
 
 /// Longest request line (newline included) a connection may send. The
 /// largest legitimate request is a few hundred bytes; without a bound one
@@ -71,10 +92,10 @@ impl TcpServer {
 
     /// Serves until a client sends `{"kind": "shutdown"}`, then drains
     /// gracefully and returns the final stats document. At most
-    /// [`MAX_CONNECTIONS`] connections are served at once; one more is
-    /// refused with a `backpressure` status line, and one whose handler
-    /// thread cannot be started is closed. Either way only that connection
-    /// is lost.
+    /// [`MAX_CONNECTIONS`] connections are served at once; one more
+    /// replaces an idle one, or is refused with a `backpressure` status
+    /// line when none is idle. One whose handler thread cannot be started
+    /// is closed. Either way only one connection is lost.
     ///
     /// # Errors
     ///
@@ -90,21 +111,29 @@ impl TcpServer {
             match stream {
                 Ok(mut stream) => {
                     reap_finished(&mut handlers);
-                    if handlers.len() >= MAX_CONNECTIONS {
+                    if handlers.len() >= MAX_CONNECTIONS && !evict_idle(&mut handlers) {
                         let busy = ServeError::Backpressure {
                             max_queue: MAX_CONNECTIONS,
                         };
                         let _ = write_line(&mut stream, &Status::Error(busy).to_json(0));
                         continue;
                     }
-                    let shared = Arc::clone(&shared);
+                    let Ok(kept) = stream.try_clone() else {
+                        continue;
+                    };
+                    let state = Arc::new(AtomicU8::new(BUSY));
+                    let (shared, theirs) = (Arc::clone(&shared), Arc::clone(&state));
                     // A failed spawn drops the closure, and the stream with
                     // it: that connection is closed, the daemon serves on.
-                    if let Ok(handler) = std::thread::Builder::new()
+                    if let Ok(thread) = std::thread::Builder::new()
                         .name("mempool-serve-conn".to_string())
-                        .spawn(move || handle_connection(&shared, stream, local))
+                        .spawn(move || handle_connection(&shared, stream, local, &theirs))
                     {
-                        handlers.push(handler);
+                        handlers.push(Handler {
+                            thread,
+                            state,
+                            stream: kept,
+                        });
                     }
                 }
                 // A failed accept (e.g. the peer vanished mid-handshake)
@@ -113,7 +142,7 @@ impl TcpServer {
             }
         }
         for handler in handlers {
-            let _ = handler.join();
+            let _ = handler.thread.join();
         }
         Ok(self.service.shutdown())
     }
@@ -122,8 +151,27 @@ impl TcpServer {
 /// Drops the handles of handlers whose connection has ended (nothing
 /// reads their result), so a long-lived daemon holds one handle per open
 /// connection, not one per connection it ever accepted.
-fn reap_finished(handlers: &mut Vec<JoinHandle<()>>) {
-    handlers.retain(|handler| !handler.is_finished());
+fn reap_finished(handlers: &mut Vec<Handler>) {
+    handlers.retain(|handler| !handler.thread.is_finished());
+}
+
+/// Closes the oldest idle handler's connection and waits for its thread
+/// to end, freeing its slot; `false` when every handler is busy. The wait
+/// is short: the shut connection wakes the handler's poll at once, and an
+/// evicted handler writes nothing.
+fn evict_idle(handlers: &mut Vec<Handler>) -> bool {
+    let Some(at) = handlers.iter().position(|handler| {
+        let state = &handler.state;
+        state
+            .compare_exchange(IDLE, EVICTED, Ordering::AcqRel, Ordering::Acquire)
+            .is_ok()
+    }) else {
+        return false;
+    };
+    let handler = handlers.remove(at);
+    let _ = handler.stream.shutdown(Shutdown::Both);
+    let _ = handler.thread.join();
+    true
 }
 
 fn write_line(stream: &mut TcpStream, doc: &Json) -> std::io::Result<()> {
@@ -136,46 +184,86 @@ fn write_line(stream: &mut TcpStream, doc: &Json) -> std::io::Result<()> {
 /// Sequentially serves one connection. Returns (closing the connection)
 /// on EOF, an unwritable socket, a request line longer than
 /// [`MAX_REQUEST_BYTES`] (answered with a typed `bad_request` first), or
-/// service shutdown while idle; a request already admitted always streams
-/// to completion first (shutdown drains the pool, so its terminal status
-/// is guaranteed to arrive).
-fn handle_connection(shared: &Arc<Shared>, stream: TcpStream, local: SocketAddr) {
+/// service shutdown or eviction while idle; a request already admitted
+/// always streams to completion first (shutdown drains the pool, so its
+/// terminal status is guaranteed to arrive). `state` tells the accept
+/// loop when the handler is idle (see [`await_request`]).
+fn handle_connection(shared: &Arc<Shared>, stream: TcpStream, local: SocketAddr, state: &AtomicU8) {
     let _ = stream.set_read_timeout(Some(IDLE_POLL));
-    let mut writer = match stream.try_clone() {
-        Ok(writer) => writer,
-        Err(_) => return,
+    let Ok(mut writer) = stream.try_clone() else {
+        let _ = stream.shutdown(Shutdown::Both);
+        return;
     };
     let mut reader = BufReader::new(stream);
     let mut line = Vec::new();
     loop {
+        if line.is_empty()
+            && reader.buffer().is_empty()
+            && !await_request(shared, &mut reader, state)
+        {
+            break;
+        }
         let room = (MAX_REQUEST_BYTES + 1 - line.len()) as u64;
         match (&mut reader).take(room).read_until(b'\n', &mut line) {
-            Ok(0) => return,
+            Ok(0) => break,
             Ok(_) if line.len() > MAX_REQUEST_BYTES => {
                 let status = Status::Error(ServeError::BadRequest(format!(
                     "request line exceeds {MAX_REQUEST_BYTES} bytes"
                 )));
                 let _ = write_line(&mut writer, &status.to_json(0));
-                return;
+                break;
             }
             Ok(_) => {
                 let text = String::from_utf8_lossy(&line);
                 let keep_going = serve_line(shared, &mut writer, text.trim(), local);
                 line.clear();
                 if !keep_going {
-                    return;
+                    break;
                 }
             }
             // Idle poll: `line` keeps any partial read, and the next
             // read_until continues appending to it.
-            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
+            Err(e) if is_poll(&e) => {
                 if shared.is_shutting_down() {
-                    return;
+                    break;
                 }
             }
-            Err(_) => return,
+            Err(_) => break,
         }
     }
+    // The accept loop holds a clone of the connection, so dropping this
+    // handler's ends would leave it open.
+    let _ = writer.shutdown(Shutdown::Both);
+}
+
+/// Waits between requests, idle (so the accept loop may evict the
+/// handler), for the first byte of the next one. `false` ends the
+/// connection: EOF, a broken socket, service shutdown, or eviction — a
+/// request that arrives just as the accept loop evicts the handler finds
+/// the connection closed, unanswered.
+fn await_request(shared: &Shared, reader: &mut BufReader<TcpStream>, state: &AtomicU8) -> bool {
+    // Busy until now, so the accept loop has not touched the state.
+    state.store(IDLE, Ordering::Release);
+    loop {
+        match reader.fill_buf() {
+            Ok([]) => return false,
+            Ok(_) => {
+                let start = state.compare_exchange(IDLE, BUSY, Ordering::AcqRel, Ordering::Acquire);
+                return start.is_ok();
+            }
+            Err(e) if is_poll(&e) => {
+                if shared.is_shutting_down() {
+                    return false;
+                }
+            }
+            Err(_) => return false,
+        }
+    }
+}
+
+/// Whether a read ended on the handler's idle poll, not on a failure.
+fn is_poll(e: &std::io::Error) -> bool {
+    matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut)
 }
 
 /// Handles one request line; `false` ends the connection.
@@ -255,10 +343,22 @@ fn serve_line(shared: &Arc<Shared>, writer: &mut TcpStream, text: &str, local: S
 mod tests {
     use super::*;
 
+    /// A handler in `state` whose thread runs `body`, holding one end of a
+    /// loopback connection.
+    fn handler(state: u8, body: impl FnOnce() + Send + 'static) -> Handler {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let stream = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        Handler {
+            thread: std::thread::spawn(body),
+            state: Arc::new(AtomicU8::new(state)),
+            stream,
+        }
+    }
+
     #[test]
     fn finished_handlers_are_reaped_and_running_ones_kept() {
-        let mut handlers: Vec<_> = (0..8).map(|_| std::thread::spawn(|| ())).collect();
-        while !handlers.iter().all(JoinHandle::is_finished) {
+        let mut handlers: Vec<_> = (0..8).map(|_| handler(IDLE, || ())).collect();
+        while !handlers.iter().all(|handler| handler.thread.is_finished()) {
             std::thread::yield_now();
         }
         reap_finished(&mut handlers);
@@ -266,12 +366,28 @@ mod tests {
 
         // A handler parked on its connection (here: a channel) is kept.
         let (release, parked) = std::sync::mpsc::channel::<()>();
-        handlers.push(std::thread::spawn(move || {
+        handlers.push(handler(IDLE, move || {
             let _ = parked.recv();
         }));
         reap_finished(&mut handlers);
         assert_eq!(handlers.len(), 1, "a live handler keeps its handle");
         drop(release);
-        handlers.pop().unwrap().join().unwrap();
+        handlers.pop().unwrap().thread.join().unwrap();
+    }
+
+    #[test]
+    fn only_an_idle_handler_is_evicted() {
+        let mut handlers = vec![handler(BUSY, || ()), handler(BUSY, || ())];
+        assert!(!evict_idle(&mut handlers), "busy handlers keep their slots");
+        assert_eq!(handlers.len(), 2);
+
+        handlers.push(handler(IDLE, || ()));
+        let idle = Arc::clone(&handlers[2].state);
+        assert!(evict_idle(&mut handlers));
+        assert_eq!(idle.load(Ordering::Acquire), EVICTED);
+        assert_eq!(handlers.len(), 2);
+        assert!(handlers
+            .iter()
+            .all(|handler| handler.state.load(Ordering::Acquire) == BUSY));
     }
 }

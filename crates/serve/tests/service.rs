@@ -327,8 +327,9 @@ fn tcp_round_trip_serves_byte_identical_artifacts_and_coalesced_stats() {
 }
 
 #[test]
-fn idle_connections_beyond_the_cap_get_backpressure_not_a_thread() {
-    use std::io::{BufRead, BufReader, Read};
+fn idle_connections_at_the_cap_give_way_to_a_new_client() {
+    use std::io::Read;
+    let started = std::time::Instant::now();
     let server = TcpServer::bind("127.0.0.1:0", ServiceConfig::default()).unwrap();
     let addr = server.local_addr().unwrap();
     let daemon = std::thread::spawn(move || server.run().unwrap());
@@ -337,47 +338,87 @@ fn idle_connections_beyond_the_cap_get_backpressure_not_a_thread() {
     let mut idle: Vec<_> = (0..MAX_CONNECTIONS)
         .map(|_| std::net::TcpStream::connect(addr).unwrap())
         .collect();
-    // The daemon accepts in order, so by the time it answers the next
-    // connection every idle one holds a handler: it is refused, typed.
-    let extra = std::net::TcpStream::connect(addr).unwrap();
-    extra
-        .set_read_timeout(Some(Duration::from_secs(10)))
+    // One more client is served: the oldest idle peer gives up its slot.
+    let mut client = TcpClient::connect(addr).unwrap();
+    let served = client.request(&ExperimentRequest::new(ExperimentKind::Fig6));
+    assert!(served.is_ok(), "{served:?}");
+    idle[0]
+        .set_read_timeout(Some(Duration::from_secs(5)))
         .unwrap();
-    let mut reader = BufReader::new(extra);
-    let mut reply = String::new();
-    reader
-        .read_line(&mut reply)
-        .expect("the connection over the cap is answered, not left hanging");
-    let doc = Json::parse(reply.trim()).unwrap();
-    assert_eq!(doc.get("status").and_then(Json::as_str), Some("error"));
-    assert_eq!(doc.get("code").and_then(Json::as_str), Some("backpressure"));
-    assert_eq!(reader.read(&mut [0u8; 1]).unwrap(), 0, "then closed");
+    assert_eq!(
+        idle[0].read(&mut [0u8; 1]).unwrap(),
+        0,
+        "evicted and closed"
+    );
+    // The other idle peers keep their connections.
+    idle[1]
+        .set_read_timeout(Some(Duration::from_millis(50)))
+        .unwrap();
+    assert!(idle[1].read(&mut [0u8; 1]).is_err(), "still open, no data");
 
-    // One idle peer leaves; its handler ends, and the next connection is
-    // served (retried while the daemon has not yet seen the handler end).
-    drop(idle.pop());
+    client.shutdown().unwrap();
+    daemon.join().unwrap();
+    drop(idle);
+    assert!(
+        started.elapsed() <= Duration::from_secs(5),
+        "took {:?}",
+        started.elapsed()
+    );
+}
+
+#[test]
+fn connections_in_the_middle_of_requests_get_backpressure() {
+    use std::io::{BufRead, BufReader, Write};
+    let server = TcpServer::bind("127.0.0.1:0", ServiceConfig::default()).unwrap();
+    let addr = server.local_addr().unwrap();
+    let daemon = std::thread::spawn(move || server.run().unwrap());
+
+    // The cap's worth of peers, each holding half a request line. Each
+    // sends it right behind a whole `stats` request, in one write, and
+    // reads the answer: by then its handler holds the partial line.
+    let mut busy: Vec<_> = (0..MAX_CONNECTIONS)
+        .map(|_| {
+            let mut peer = std::net::TcpStream::connect(addr).unwrap();
+            peer.write_all(b"{\"id\": 1, \"kind\": \"stats\"}\n{\"id\": 2, \"kind\": \"stats\"")
+                .unwrap();
+            let mut reader = BufReader::new(peer.try_clone().unwrap());
+            let mut reply = String::new();
+            reader.read_line(&mut reply).unwrap();
+            assert!(reply.contains("mempool-serve-stats/v1"), "{reply}");
+            (peer, reader)
+        })
+        .collect();
+    // No handler is idle, so the connection over the cap is refused, typed.
+    let mut extra = TcpClient::connect(addr).unwrap();
+    let refused = extra.stats().unwrap_err();
+    assert_eq!(refused.code(), "backpressure", "{refused}");
+
+    // One peer finishes its request and is answered; its handler is idle
+    // again, so the next client takes its place (retried while the
+    // handler has written its answer but not yet gone idle).
+    let (peer, reader) = &mut busy[0];
+    peer.write_all(b"}\n").unwrap();
+    let mut reply = String::new();
+    reader.read_line(&mut reply).unwrap();
+    assert!(reply.contains("\"id\":2"), "{reply}");
     let mut client = None;
     for _ in 0..500 {
         let mut candidate = TcpClient::connect(addr).unwrap();
         match candidate.stats() {
-            Ok(stats) => {
-                assert_eq!(
-                    stats.get("schema").and_then(Json::as_str),
-                    Some("mempool-serve-stats/v1")
-                );
+            Ok(_) => {
                 client = Some(candidate);
                 break;
             }
             Err(ServeError::Backpressure { .. }) => {
-                std::thread::sleep(Duration::from_millis(20));
+                std::thread::sleep(Duration::from_millis(2));
             }
             Err(e) => panic!("stats failed: {e}"),
         }
     }
-    let mut client = client.expect("a freed slot serves a stats request");
+    let mut client = client.expect("an idle handler gives way");
     client.shutdown().unwrap();
     daemon.join().unwrap();
-    drop(idle);
+    drop(busy);
 }
 
 #[test]

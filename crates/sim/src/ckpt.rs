@@ -7,7 +7,7 @@
 //! latent ECC masks, in-flight bank requests and response queues, the
 //! off-chip port, the fault controller (link health, undelivered timed
 //! events, the accumulated report), the watchdog, and the time-series
-//! sampler's epoch cursors. The masks are storage state, but the file
+//! sampler's epoch cursors. The masks are storage state, but the document
 //! keeps them in the `faults` section, which only a fault-injection run
 //! writes and only such a run can have masks for.
 //!
@@ -36,13 +36,13 @@
 //! and `unpack` walk the same field list (`words_struct!` next to each
 //! struct). [`crate::ClusterStats::digest`] hashes the words that same
 //! list packs, so a counter added to a record can miss neither the digest
-//! nor the file.
+//! nor the document.
 //!
 //! [`Cluster::restore`] **decodes, checks, then builds** (its docs list
-//! the checks), so a hostile file is a typed error before anything is
-//! sized by it. A v1, v2, v3 or v4 file is refused with
+//! the checks), so a hostile document is a typed error before anything is
+//! sized by it. A v1, v2, v3 or v4 document is refused with
 //! [`CheckpointError::Mismatch`] on `schema`; there is no reader for old
-//! versions — a snapshot protects a run of seconds and nothing keeps them.
+//! versions, because nothing keeps a document past the process that wrote it.
 //!
 //! Deliberately **excluded** (and why it is sound to do so):
 //!
@@ -57,17 +57,13 @@
 //!   [`Cluster::enable_timeseries`] keeps them, so re-armed series stay
 //!   aligned).
 //!
-//! [`Checkpointer`] adds the operational side: periodic atomic
-//! (temp+rename) snapshot files with bounded retention, and
-//! [`run_with_checkpoints`] drives a run in checkpoint-sized slices.
-//! Loading goes through the quarantine-aware
-//! [`mempool_obs::load_json_file`], so a truncated or corrupted snapshot
-//! is renamed `.corrupt` and reported as an error — never a panic.
+//! The document stays in memory: nothing here reads or writes a file. No
+//! run this simulator makes is long enough to need a snapshot (the
+//! longest, a degraded compute phase, takes tens of milliseconds), so the
+//! document serves the cut property — a restored cluster runs on exactly
+//! as the unbroken one — and the benchmark's save/restore probes.
 
-use std::collections::VecDeque;
 use std::fmt;
-use std::fs;
-use std::path::{Path, PathBuf};
 
 use mempool_arch::{BankId, BankLocation, ClusterConfig, TileId};
 use mempool_fault::{
@@ -76,9 +72,9 @@ use mempool_fault::{
 use mempool_isa::exec::{MemAccessKind, MemWidth};
 use mempool_isa::instr::AmoOp;
 use mempool_isa::{Program, Reg, RegFile};
-use mempool_obs::{load_json_file, write_atomic, Json, JsonError, LoadOutcome};
+use mempool_obs::{Json, JsonError};
 
-use crate::cluster::{Bank, Cluster, PendingAccess, Response, Sampler, SimError};
+use crate::cluster::{Bank, Cluster, PendingAccess, Response, Sampler};
 use crate::core::Core;
 use crate::engine::{Attachments, Machine};
 use crate::icache::{ICache, ICacheState};
@@ -92,19 +88,9 @@ pub const CHECKPOINT_SCHEMA: &str = "mempool-checkpoint/v5";
 /// Error raised by checkpoint save/restore.
 #[derive(Debug)]
 pub enum CheckpointError {
-    /// The simulator failed while running between checkpoints.
-    Sim(SimError),
-    /// A filesystem operation failed.
-    Io {
-        /// Path the operation targeted.
-        path: String,
-        /// The underlying failure.
-        message: String,
-    },
     /// The document is not a well-formed checkpoint (missing fields, bad
     /// types, sections that do not decode, state that does not fit the
-    /// geometry) — includes checkpoints quarantined by the corrupt-file
-    /// policy.
+    /// geometry).
     Malformed(String),
     /// The checkpoint is well-formed but belongs to a different world:
     /// another schema or engine version, or another parameter set.
@@ -121,8 +107,6 @@ pub enum CheckpointError {
 impl fmt::Display for CheckpointError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            CheckpointError::Sim(e) => write!(f, "simulation error: {e}"),
-            CheckpointError::Io { path, message } => write!(f, "io error on {path}: {message}"),
             CheckpointError::Malformed(msg) => write!(f, "malformed checkpoint: {msg}"),
             CheckpointError::Mismatch {
                 field,
@@ -137,12 +121,6 @@ impl fmt::Display for CheckpointError {
 }
 
 impl std::error::Error for CheckpointError {}
-
-impl From<SimError> for CheckpointError {
-    fn from(e: SimError) -> Self {
-        CheckpointError::Sim(e)
-    }
-}
 
 impl From<JsonError> for CheckpointError {
     fn from(e: JsonError) -> Self {
@@ -829,150 +807,12 @@ impl Cluster {
         };
         Ok(Cluster { machine, attach })
     }
-
-    /// Loads and restores a checkpoint file. A file that exists but does
-    /// not parse is quarantined (renamed `.corrupt`) and reported as
-    /// [`CheckpointError::Malformed`] — never a panic.
-    ///
-    /// # Errors
-    ///
-    /// [`CheckpointError::Io`] for a missing/unreadable file, plus
-    /// everything [`Cluster::restore`] can raise.
-    pub fn restore_from_file(path: &Path) -> Result<Cluster, CheckpointError> {
-        match load_json_file(path) {
-            LoadOutcome::Loaded(doc) => Cluster::restore(&doc),
-            LoadOutcome::Missing => Err(CheckpointError::Io {
-                path: path.display().to_string(),
-                message: "checkpoint file missing or unreadable".to_string(),
-            }),
-            LoadOutcome::Quarantined { renamed_to, error } => {
-                Err(CheckpointError::Malformed(format!(
-                    "corrupt checkpoint quarantined to {}: {error}",
-                    renamed_to.display()
-                )))
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Checkpointer: periodic atomic snapshot files with bounded retention
-// ---------------------------------------------------------------------------
-
-/// Checkpoint files a [`Checkpointer`] retains: the newest three.
-const CHECKPOINT_KEEP: usize = 3;
-
-/// Writes periodic checkpoint files into a directory: atomic temp+rename
-/// writes, `ckpt-<cycle>.json` names, and bounded retention (the oldest
-/// file is deleted once more than three exist).
-#[derive(Debug)]
-pub struct Checkpointer {
-    dir: PathBuf,
-    every: u64,
-    written: VecDeque<PathBuf>,
-}
-
-impl Checkpointer {
-    /// Creates the directory (if needed) and a checkpointer snapshotting
-    /// every `every` cycles, retaining the newest three files. A zero
-    /// `every` is clamped to 1.
-    ///
-    /// # Errors
-    ///
-    /// [`CheckpointError::Io`] if the directory cannot be created.
-    pub fn new(dir: impl Into<PathBuf>, every: u64) -> Result<Self, CheckpointError> {
-        let dir = dir.into();
-        fs::create_dir_all(&dir).map_err(|e| CheckpointError::Io {
-            path: dir.display().to_string(),
-            message: e.to_string(),
-        })?;
-        Ok(Checkpointer {
-            dir,
-            every: every.max(1),
-            written: VecDeque::new(),
-        })
-    }
-
-    /// The snapshot interval in cycles.
-    pub(crate) fn every(&self) -> u64 {
-        self.every
-    }
-
-    /// The newest checkpoint written by this checkpointer, if any.
-    pub fn last_good(&self) -> Option<&Path> {
-        self.written.back().map(PathBuf::as_path)
-    }
-
-    /// Snapshots `cluster` into `ckpt-<cycle>.json` atomically (temp
-    /// file then rename, so a crash mid-write never leaves a
-    /// half-written file under the final name) and enforces the
-    /// retention bound.
-    ///
-    /// # Errors
-    ///
-    /// [`CheckpointError::Io`] on any filesystem failure.
-    pub(crate) fn save(&mut self, cluster: &Cluster) -> Result<PathBuf, CheckpointError> {
-        let path = self.dir.join(format!("ckpt-{:012}.json", cluster.cycle()));
-        write_atomic(&path, &cluster.checkpoint().to_pretty()).map_err(|e| {
-            CheckpointError::Io {
-                path: path.display().to_string(),
-                message: e.to_string(),
-            }
-        })?;
-        if self.written.back() != Some(&path) {
-            self.written.push_back(path.clone());
-        }
-        while self.written.len() > CHECKPOINT_KEEP {
-            if let Some(old) = self.written.pop_front() {
-                let _ = fs::remove_file(old);
-            }
-        }
-        Ok(path)
-    }
-}
-
-/// Runs `cluster` to quiescence within `budget` cycles, snapshotting into
-/// `ckpt` every `Checkpointer::every` cycles of simulated progress.
-/// Returns the final cycle, exactly like [`Cluster::run`] — the
-/// checkpointing slices never change simulated behavior, because
-/// [`Cluster::run`]'s budget is the only thing being subdivided.
-///
-/// # Errors
-///
-/// [`CheckpointError::Sim`] with [`SimError::Timeout`] when the budget is
-/// exhausted (a last checkpoint is saved first, so the run is resumable),
-/// any other simulation error as-is (the caller decides whether to keep
-/// the last-good checkpoint next to the crash dump), and
-/// [`CheckpointError::Io`] if a snapshot cannot be written.
-pub fn run_with_checkpoints(
-    cluster: &mut Cluster,
-    budget: u64,
-    ckpt: &mut Checkpointer,
-) -> Result<u64, CheckpointError> {
-    let deadline = cluster.cycle().saturating_add(budget);
-    loop {
-        let remaining = deadline.saturating_sub(cluster.cycle());
-        if remaining == 0 {
-            ckpt.save(cluster)?;
-            return Err(CheckpointError::Sim(SimError::Timeout { cycles: budget }));
-        }
-        let slice = remaining.min(ckpt.every());
-        match cluster.run(slice) {
-            Ok(end) => return Ok(end),
-            Err(SimError::Timeout { .. }) => {
-                // The slice expired, not the budget: snapshot and keep
-                // going. (Synchronous DMA can overshoot the slice deadline;
-                // the loop re-checks against the real budget.)
-                ckpt.save(cluster)?;
-            }
-            Err(e) => return Err(CheckpointError::Sim(e)),
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cluster::SimError;
     use mempool_arch::GlobalCoreId;
     use mempool_fault::{FaultEvent, FaultPlan, XorShift64};
     use mempool_obs::Obs;
@@ -1501,10 +1341,7 @@ mod tests {
                 let mut doc = saved.clone();
                 set(&mut doc, &[name], Json::Str(text.clone()));
                 match Cluster::restore(&doc) {
-                    Err(CheckpointError::Malformed(_) | CheckpointError::Mismatch { .. }) => {
-                        refused += 1;
-                    }
-                    Err(other) => panic!("{name} = {text:?}: {other}"),
+                    Err(_) => refused += 1,
                     Ok(mut cluster) => {
                         // `Ok` or a typed `SimError`: both are answers.
                         let _ = cluster.run(20_000);
@@ -1514,93 +1351,5 @@ mod tests {
             }
         }
         assert!(refused > 100 && ran > 20, "{refused} refused, {ran} ran");
-    }
-
-    #[test]
-    fn truncated_checkpoint_file_is_quarantined_not_a_panic() {
-        let dir = std::env::temp_dir().join(format!("mempool-ckpt-corrupt-{}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
-        fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("ckpt-000000000001.json");
-        fs::write(&path, "{\"schema\": \"mempool-checkpoint/v5\", trunc").unwrap();
-        let err = Cluster::restore_from_file(&path).unwrap_err();
-        assert!(matches!(err, CheckpointError::Malformed(_)));
-        assert!(!path.exists(), "corrupt file renamed away");
-        assert!(dir.join("ckpt-000000000001.json.corrupt").exists());
-        // A second attempt is a clean miss, not a repeat parse failure.
-        assert!(matches!(
-            Cluster::restore_from_file(&path).unwrap_err(),
-            CheckpointError::Io { .. }
-        ));
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn checkpointer_writes_atomically_and_bounds_retention() {
-        let dir = std::env::temp_dir().join(format!("mempool-ckpt-keep-{}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
-        let mut ckpt = Checkpointer::new(&dir, 25).unwrap();
-        let mut cluster = fresh_cluster();
-        let err = run_with_checkpoints(&mut cluster, 100, &mut ckpt).unwrap_err();
-        assert!(matches!(
-            err,
-            CheckpointError::Sim(SimError::Timeout { cycles: 100 })
-        ));
-        let files: Vec<_> = fs::read_dir(&dir)
-            .unwrap()
-            .map(|e| e.unwrap().file_name().into_string().unwrap())
-            .collect();
-        assert_eq!(files.len(), 3, "retention must keep exactly 3: {files:?}");
-        assert!(files.iter().all(|f| f.starts_with("ckpt-")));
-        assert!(files.iter().all(|f| !f.contains("tmp")));
-        let last = ckpt.last_good().unwrap().to_path_buf();
-        assert!(last.exists());
-
-        // The interrupted run resumes from the last checkpoint and matches
-        // an unbroken run bit-for-bit.
-        let mut unbroken = fresh_cluster();
-        let end = unbroken.run(100_000).unwrap();
-        let mut resumed = Cluster::restore_from_file(&last).unwrap();
-        assert_eq!(resumed.cycle(), 100);
-        assert_eq!(resumed.run(100_000).unwrap(), end);
-        assert_eq!(resumed.stats().digest(), unbroken.stats().digest());
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    /// A budget of `u64::MAX` from a clock past 0 is no budget at all: the
-    /// deadline saturates instead of wrapping below the clock.
-    #[test]
-    fn an_unbounded_budget_runs_to_the_end_from_any_cycle() {
-        let dir = std::env::temp_dir().join(format!("mempool-ckpt-max-{}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
-        let (mut plain, mut sliced) = (fresh_cluster(), fresh_cluster());
-        for _ in 0..10 {
-            plain.step().unwrap();
-            sliced.step().unwrap();
-        }
-        let end = plain.run(u64::MAX).unwrap();
-        let mut ckpt = Checkpointer::new(&dir, 100).unwrap();
-        assert_eq!(
-            run_with_checkpoints(&mut sliced, u64::MAX, &mut ckpt).unwrap(),
-            end
-        );
-        assert_eq!(sliced.stats().digest(), plain.stats().digest());
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn run_with_checkpoints_returns_the_same_result_as_plain_run() {
-        let dir = std::env::temp_dir().join(format!("mempool-ckpt-same-{}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
-        let mut plain = fresh_cluster();
-        let end = plain.run(100_000).unwrap();
-
-        let mut ckpt = Checkpointer::new(&dir, 50).unwrap();
-        let mut sliced = fresh_cluster();
-        let sliced_end = run_with_checkpoints(&mut sliced, 100_000, &mut ckpt).unwrap();
-        assert_eq!(sliced_end, end);
-        assert_eq!(sliced.stats().digest(), plain.stats().digest());
-        assert!(ckpt.last_good().is_some());
-        let _ = fs::remove_dir_all(&dir);
     }
 }

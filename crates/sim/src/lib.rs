@@ -64,7 +64,7 @@ pub(crate) mod profile;
 pub(crate) mod stats;
 pub(crate) mod trace;
 
-pub use ckpt::{run_with_checkpoints, CheckpointError, Checkpointer};
+pub use ckpt::CheckpointError;
 pub use cluster::{Cluster, EngineSelection, SimError};
 pub use offchip::OffchipPort;
 pub use params::{fnv1a, SimParams, ENGINE_VERSION, FNV_OFFSET};
