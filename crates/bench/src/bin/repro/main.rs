@@ -107,10 +107,12 @@ impl Out {
     }
 }
 
-fn usage() -> u8 {
+/// The usage text: the synopsis, then each flag and subcommand with its
+/// description in one column.
+fn usage_text() -> String {
     let targets: Vec<&str> = CATALOGUE.iter().map(|row| row.name).collect();
     let kinds = ExperimentKind::PARAMETERLESS.map(|(tag, _)| tag);
-    eprintln!(
+    format!(
         "usage: repro [--measure] [--artifacts DIR] [--faults SEED[:RATE]] [--watchdog N]\n\
          \x20            [--timeseries WINDOW] [--flight N]\n\
          \x20            [all|{}]...\n\
@@ -121,40 +123,44 @@ fn usage() -> u8 {
          \n\
          --measure            re-measure workload constants on the simulator\n\
          --artifacts DIR      write JSON/CSV artifacts (figure data, metrics,\n\
-                              Perfetto trace, BENCH_repro.json summary) to DIR\n\
+         \x20                    Perfetto trace, BENCH_repro.json summary) to DIR\n\
          --faults SEED[:RATE] measure a degraded run under the deterministic\n\
-                              fault plan from SEED (rate default 1e-6) and\n\
-                              propagate it into the Figure 6 headline point\n\
+         \x20                    fault plan from SEED (rate default 1e-6) and\n\
+         \x20                    propagate it into the Figure 6 headline point\n\
          --watchdog N         arm the deadlock watchdog (N cycles without\n\
-                              forward progress) for the degraded run\n\
+         \x20                    forward progress) for the degraded run\n\
          --timeseries WINDOW  sample per-epoch time series (IPC, request and\n\
-                              conflict rates, off-chip occupancy) every WINDOW\n\
-                              cycles; exports timeseries.json/.csv and Perfetto\n\
-                              counter tracks. Applies to the degraded run with\n\
-                              --faults, otherwise to an instrumented clean run\n\
+         \x20                    conflict rates, off-chip occupancy) every WINDOW\n\
+         \x20                    cycles; exports timeseries.json/.csv and Perfetto\n\
+         \x20                    counter tracks. Applies to the degraded run with\n\
+         \x20                    --faults, otherwise to an instrumented clean run\n\
          --flight N           keep an N-event flight-recorder ring on the\n\
-                              measured (degraded or clean) run; exports\n\
-                              flight.json, and a simulator fault dumps it as\n\
-                              crashdump.json\n\
+         \x20                    measured (degraded or clean) run; exports\n\
+         \x20                    flight.json, and a simulator fault dumps it as\n\
+         \x20                    crashdump.json\n\
          \n\
          check                require the regenerated pinned summary (or the\n\
-                              JSON file --candidate PATH) to equal --baseline\n\
-                              PATH leaf for leaf; exit 1 naming every differing\n\
-                              leaf, 2 on usage/parse errors; --bless rewrites\n\
-                              the baseline instead\n\
+         \x20                    JSON file --candidate PATH) to equal --baseline\n\
+         \x20                    PATH leaf for leaf; exit 1 naming every differing\n\
+         \x20                    leaf, 2 on usage/parse errors; --bless rewrites\n\
+         \x20                    the baseline instead\n\
          serve                run the experiment service daemon: a bounded\n\
-                              worker pool behind a newline-delimited JSON TCP\n\
-                              protocol with request coalescing and a\n\
-                              content-addressed result cache (send\n\
-                              {{\"kind\": \"shutdown\"}} to drain and stop)\n\
+         \x20                    worker pool behind a newline-delimited JSON TCP\n\
+         \x20                    protocol with request coalescing and a\n\
+         \x20                    content-addressed result cache (send\n\
+         \x20                    {{\"kind\": \"shutdown\"}} to drain and stop)\n\
          submit               issue experiment requests to a running daemon;\n\
-                              artifacts are byte-identical to the one-shot\n\
-                              documents, `dse` runs the exploration as a batch\n\
-                              of cached service requests, and stats/shutdown\n\
-                              are admin requests",
+         \x20                    artifacts are byte-identical to the one-shot\n\
+         \x20                    documents, `dse` runs the exploration as a batch\n\
+         \x20                    of cached service requests, and stats/shutdown\n\
+         \x20                    are admin requests",
         targets.join("|"),
         kinds.join("|")
-    );
+    )
+}
+
+fn usage() -> u8 {
+    eprintln!("{}", usage_text());
     EXIT_ERROR
 }
 
@@ -728,6 +734,26 @@ mod tests {
     /// Runs a command line with its output discarded; returns the exit code.
     fn repro(args: &[&str]) -> u8 {
         run(&argv(args), &mut Out::new(io::sink()))
+    }
+
+    /// Every description, continuation lines included, starts in the
+    /// column the first flag's description starts in (a `\` line
+    /// continuation strips a line's leading spaces, so an indent that is
+    /// not written as `\x20` prints flush left).
+    #[test]
+    fn usage_descriptions_line_up_in_one_column() {
+        let text = usage_text();
+        let (_, options) = text.split_once("\n\n").unwrap();
+        let column = options.find("re-measure").unwrap();
+        assert_eq!(column, 21);
+        let mut continuations = 0;
+        for line in options.lines().filter(|line| !line.is_empty()) {
+            let (head, description) = line.split_at(column);
+            assert!(head.ends_with(' '), "{line:?}");
+            assert!(!description.starts_with(' '), "{line:?}");
+            continuations += usize::from(head.trim().is_empty());
+        }
+        assert_eq!(continuations, 23);
     }
 
     /// The roadmap's audit as a test: one catalogue, and every front end

@@ -3,7 +3,7 @@
 //! A [`FaultController`] is compiled from a [`FaultPlan`] when faults are
 //! injected into a cluster. It splits the plan into *static* state (link
 //! health per tile, the stuck banks the cluster must remap before the run)
-//! and *timed* events (flips, hangs) delivered in cycle order, and
+//! and *timed* events (flips) delivered in cycle order, and
 //! accumulates the [`FaultReport`]. It holds the plan, its events and its
 //! report only: the damage a delivered fault does to stored words — a
 //! remapped bank, a flip's SEC-DED mask ([`crate::EccState`]) — is state
@@ -12,7 +12,7 @@
 use mempool_arch::{BankId, BankLocation, TileId};
 use mempool_obs::Deferred;
 
-use crate::plan::{DeadLinkPolicy, FaultEvent, FaultPlan};
+use crate::plan::{FaultEvent, FaultPlan};
 use crate::report::FaultReport;
 
 /// Health of one tile's F2F link to its memory die.
@@ -23,8 +23,6 @@ pub enum LinkState {
     Healthy,
     /// Accesses succeed after a retry costing the carried extra cycles.
     Degraded(u32),
-    /// Accesses fail (see [`DeadLinkPolicy`]).
-    Dead,
 }
 
 /// A timed fault due for application this cycle.
@@ -37,32 +35,20 @@ pub enum TimedFault {
         /// XOR mask to apply.
         mask: u32,
     },
-    /// Hang the given core (it stops fetching forever).
-    Hang {
-        /// Global core index.
-        core: u32,
-    },
 }
 
 impl TimedFault {
-    /// The flight-ring event of this fault's delivery: category, core,
-    /// and a message worded only when the ring is read.
-    pub fn flight_event(self) -> (&'static str, Option<u32>, Deferred) {
-        let (core, render, args): (_, fn([u32; 4]) -> String, _) = match self {
-            TimedFault::Flip { loc, mask } => (
-                None,
-                |[mask, tile, bank, word]| {
-                    format!("transient flip mask {mask:#x} at tile {tile} bank {bank} word {word}")
-                },
-                [mask, loc.tile.0, loc.bank.0, loc.word],
-            ),
-            TimedFault::Hang { core } => (
-                Some(core),
-                |[core, ..]| format!("core {core} hung"),
-                [core, 0, 0, 0],
-            ),
+    /// The flight-ring event of this fault's delivery: category and a
+    /// message worded only when the ring is read.
+    pub fn flight_event(self) -> (&'static str, Deferred) {
+        let TimedFault::Flip { loc, mask } = self;
+        let message = Deferred {
+            render: |[mask, tile, bank, word]| {
+                format!("transient flip mask {mask:#x} at tile {tile} bank {bank} word {word}")
+            },
+            args: [mask, loc.tile.0, loc.bank.0, loc.word],
         };
-        ("fault", core, Deferred { render, args })
+        ("fault", message)
     }
 }
 
@@ -77,13 +63,6 @@ pub enum FaultNote {
         tile: TileId,
         /// Extra cycles the retry cost.
         extra: u32,
-    },
-    /// The request from `core` was dropped by `tile`'s dead link.
-    BlackHole {
-        /// Destination tile whose link is open.
-        tile: TileId,
-        /// Global index of the issuing core.
-        core: u32,
     },
     /// SEC-DED corrected (and scrubbed) a single-bit error at `loc`.
     Corrected {
@@ -100,28 +79,20 @@ pub enum FaultNote {
 }
 
 impl FaultNote {
-    /// The flight-ring event of this outcome: category, core, and a
-    /// message worded only when the ring is read.
-    pub fn flight_event(self) -> (&'static str, Option<u32>, Deferred) {
+    /// The flight-ring event of this outcome: category and a message
+    /// worded only when the ring is read.
+    pub fn flight_event(self) -> (&'static str, Deferred) {
         let at = |loc: BankLocation, mask| [loc.tile.0, loc.bank.0, loc.word, mask];
-        let (category, core, render, args): (_, _, fn([u32; 4]) -> String, _) = match self {
+        let (category, render, args): (_, fn([u32; 4]) -> String, _) = match self {
             FaultNote::Retry { tile, extra } => (
                 "fault",
-                None,
                 |[tile, extra, ..]| {
                     format!("retry through degraded link of tile {tile} (+{extra} cycles)")
                 },
                 [tile.0, extra, 0, 0],
             ),
-            FaultNote::BlackHole { tile, core } => (
-                "fault",
-                Some(core),
-                |[tile, ..]| format!("request black-holed by dead link of tile {tile}"),
-                [tile.0, 0, 0, 0],
-            ),
             FaultNote::Corrected { loc } => (
                 "ecc",
-                None,
                 |[tile, bank, word, _]| {
                     format!("corrected single-bit flip at tile {tile} bank {bank} word {word}")
                 },
@@ -129,14 +100,13 @@ impl FaultNote {
             ),
             FaultNote::Uncorrectable { loc, mask } => (
                 "ecc",
-                None,
                 |[tile, bank, word, mask]| {
                     format!("uncorrectable mask {mask:#x} at tile {tile} bank {bank} word {word}")
                 },
                 at(loc, mask),
             ),
         };
-        (category, core, Deferred { render, args })
+        (category, Deferred { render, args })
     }
 }
 
@@ -149,13 +119,12 @@ pub struct FaultController {
     timed: Vec<(u64, TimedFault)>,
     cursor: usize,
     stuck: Vec<(TileId, BankId)>,
-    dead_link_policy: DeadLinkPolicy,
     report: FaultReport,
 }
 
 impl FaultController {
     /// Compiles a plan for a cluster with `num_tiles` tiles. Events whose
-    /// tile/core lies outside the geometry are counted but inert.
+    /// tile lies outside the geometry are counted but inert.
     pub fn new(plan: &FaultPlan, num_tiles: u32) -> Self {
         let mut links = vec![LinkState::Healthy; num_tiles as usize];
         let mut timed = Vec::new();
@@ -172,16 +141,7 @@ impl FaultController {
                 } => {
                     report.links_degraded += 1;
                     if let Some(slot) = links.get_mut(tile.index()) {
-                        // A dead link stays dead even if also degraded.
-                        if *slot != LinkState::Dead {
-                            *slot = LinkState::Degraded(extra_latency.max(1));
-                        }
-                    }
-                }
-                FaultEvent::LinkDead { tile } => {
-                    report.links_dead += 1;
-                    if let Some(slot) = links.get_mut(tile.index()) {
-                        *slot = LinkState::Dead;
+                        *slot = LinkState::Degraded(extra_latency.max(1));
                     }
                 }
                 FaultEvent::StuckBank { tile, bank } => {
@@ -192,10 +152,6 @@ impl FaultController {
                     report.transient_flips += 1;
                     timed.push((cycle, TimedFault::Flip { loc, mask }));
                 }
-                FaultEvent::CoreHang { cycle, core } => {
-                    report.core_hangs += 1;
-                    timed.push((cycle, TimedFault::Hang { core: core.0 }));
-                }
             }
         }
         timed.sort_by_key(|&(cycle, _)| cycle);
@@ -204,7 +160,6 @@ impl FaultController {
             timed,
             cursor: 0,
             stuck,
-            dead_link_policy: plan.dead_link_policy(),
             report,
         }
     }
@@ -212,11 +167,6 @@ impl FaultController {
     /// The stuck banks the cluster must remap before the run starts.
     pub fn stuck_banks(&self) -> &[(TileId, BankId)] {
         &self.stuck
-    }
-
-    /// What happens to accesses through dead links.
-    pub fn dead_link_policy(&self) -> DeadLinkPolicy {
-        self.dead_link_policy
     }
 
     /// Drains the timed events due at or before `cycle`, in cycle order.
@@ -240,7 +190,6 @@ impl FaultController {
                 report.retried_accesses += 1;
                 report.retry_cycles += u64::from(extra);
             }
-            FaultNote::BlackHole { .. } => report.blackholed_requests += 1,
             FaultNote::Corrected { .. } => report.ecc_corrected += 1,
             FaultNote::Uncorrectable { .. } => {}
         }
@@ -274,7 +223,6 @@ impl FaultController {
         links: Vec<LinkState>,
         remaining_timed: Vec<(u64, TimedFault)>,
         stuck: Vec<(TileId, BankId)>,
-        dead_link_policy: DeadLinkPolicy,
         report: FaultReport,
     ) -> Self {
         FaultController {
@@ -282,7 +230,6 @@ impl FaultController {
             timed: remaining_timed,
             cursor: 0,
             stuck,
-            dead_link_policy,
             report: FaultReport {
                 remapped: Vec::new(),
                 ecc_pending: 0,
@@ -295,7 +242,6 @@ impl FaultController {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mempool_arch::GlobalCoreId;
 
     use crate::report::RemappedBank;
 
@@ -313,7 +259,6 @@ mod tests {
             tile: TileId(1),
             extra_latency: 6,
         });
-        plan.push(FaultEvent::LinkDead { tile: TileId(2) });
         plan.push(FaultEvent::StuckBank {
             tile: TileId(0),
             bank: BankId(3),
@@ -328,10 +273,6 @@ mod tests {
             loc: loc(0, 1, 2),
             mask: 2,
         });
-        plan.push(FaultEvent::CoreHang {
-            cycle: 20,
-            core: GlobalCoreId::new(3),
-        });
         plan
     }
 
@@ -343,13 +284,13 @@ mod tests {
             [
                 LinkState::Healthy,
                 LinkState::Degraded(6),
-                LinkState::Dead,
+                LinkState::Healthy,
                 LinkState::Healthy
             ]
         );
         assert_eq!(ctrl.stuck_banks(), &[(TileId(0), BankId(3))]);
         let report = ctrl.report();
-        assert_eq!(report.total_injected(), 6);
+        assert_eq!(report.total_injected(), 4);
         assert_eq!(report.seed, 99);
     }
 
@@ -360,24 +301,11 @@ mod tests {
         let at5 = ctrl.take_due(5);
         assert_eq!(at5.len(), 1);
         assert!(matches!(at5[0], TimedFault::Flip { mask: 2, .. }));
-        // Jumping the clock past both remaining events delivers both.
+        // Jumping the clock past the remaining event delivers it.
         let rest = ctrl.take_due(100);
-        assert_eq!(rest.len(), 2);
+        assert_eq!(rest.len(), 1);
         assert!(matches!(rest[0], TimedFault::Flip { mask: 1, .. }));
-        assert!(matches!(rest[1], TimedFault::Hang { core: 3 }));
         assert!(ctrl.take_due(1_000_000).is_empty());
-    }
-
-    #[test]
-    fn dead_link_survives_degradation_order() {
-        let mut plan = FaultPlan::new(1);
-        plan.push(FaultEvent::LinkDead { tile: TileId(0) });
-        plan.push(FaultEvent::LinkDegraded {
-            tile: TileId(0),
-            extra_latency: 3,
-        });
-        let ctrl = FaultController::new(&plan, 1);
-        assert_eq!(ctrl.links(), [LinkState::Dead]);
     }
 
     #[test]
@@ -389,10 +317,6 @@ mod tests {
         };
         ctrl.count(retry);
         ctrl.count(retry);
-        ctrl.count(FaultNote::BlackHole {
-            tile: TileId(0),
-            core: 0,
-        });
         ctrl.count(FaultNote::Corrected { loc: loc(0, 0, 0) });
         ctrl.count(FaultNote::Uncorrectable {
             loc: loc(0, 0, 1),
@@ -401,7 +325,6 @@ mod tests {
         let report = ctrl.report();
         assert_eq!(report.retried_accesses, 2);
         assert_eq!(report.retry_cycles, 10);
-        assert_eq!(report.blackholed_requests, 1);
         assert_eq!(report.ecc_corrected, 1);
         assert!(report.remapped.is_empty(), "the storage holds remaps");
         assert_eq!(report.ecc_pending, 0, "the storage counts latent errors");
@@ -412,24 +335,20 @@ mod tests {
         let flight = mempool_obs::FlightRecorder::new();
         let mut ctrl = FaultController::new(&plan_with_everything(), 4);
         for fault in ctrl.take_due(100) {
-            let (category, core, message) = fault.flight_event();
-            flight.record_deferred(100, category, core, message);
+            let (category, message) = fault.flight_event();
+            flight.record_deferred(100, category, None, message);
         }
         let remap = RemappedBank {
             tile: 0,
             from_bank: 3,
             to_bank: 16,
         };
-        let (category, core, message) = remap.flight_event();
-        flight.record_deferred(0, category, core, message);
+        let (category, message) = remap.flight_event();
+        flight.record_deferred(0, category, None, message);
         let notes = [
             FaultNote::Retry {
                 tile: TileId(1),
                 extra: 6,
-            },
-            FaultNote::BlackHole {
-                tile: TileId(2),
-                core: 9,
             },
             FaultNote::Corrected { loc: loc(0, 0, 7) },
             FaultNote::Uncorrectable {
@@ -438,8 +357,8 @@ mod tests {
             },
         ];
         for (cycle, note) in (101..).zip(notes) {
-            let (category, core, message) = note.flight_event();
-            flight.record_deferred(cycle, category, core, message);
+            let (category, message) = note.flight_event();
+            flight.record_deferred(cycle, category, None, message);
         }
 
         let events: Vec<String> = flight
@@ -452,12 +371,10 @@ mod tests {
             [
                 "100 fault None transient flip mask 0x2 at tile 0 bank 1 word 2",
                 "100 fault None transient flip mask 0x1 at tile 0 bank 0 word 7",
-                "100 fault Some(3) core 3 hung",
                 "0 fault None stuck bank 3 on tile 0 remapped to spare 16",
                 "101 fault None retry through degraded link of tile 1 (+6 cycles)",
-                "102 fault Some(9) request black-holed by dead link of tile 2",
-                "103 ecc None corrected single-bit flip at tile 0 bank 0 word 7",
-                "104 ecc None uncorrectable mask 0x30 at tile 1 bank 2 word 3",
+                "102 ecc None corrected single-bit flip at tile 0 bank 0 word 7",
+                "103 ecc None uncorrectable mask 0x30 at tile 1 bank 2 word 3",
             ]
         );
         // Wording never counts.

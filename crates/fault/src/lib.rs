@@ -8,8 +8,8 @@
 //! and the corresponding resilience machinery:
 //!
 //! * [`FaultPlan`] / [`FaultConfig`] — a deterministic, seeded schedule of
-//!   faults ([`FaultEvent`]): degraded or dead F2F links, stuck banks,
-//!   transient bit flips, core hangs. The same `(seed, rate, geometry)`
+//!   faults ([`FaultEvent`]): degraded F2F links, stuck banks and
+//!   transient bit flips. The same `(seed, rate, geometry)`
 //!   triple always yields the identical plan.
 //! * [`FaultController`] — runtime state the simulator consults each
 //!   cycle: per-tile [`LinkState`], timed events, and the accumulating
@@ -38,7 +38,7 @@ pub(crate) mod watchdog;
 
 pub use controller::{FaultController, FaultNote, LinkState, TimedFault};
 pub use ecc::{EccOutcome, EccState};
-pub use plan::{DeadLinkPolicy, FaultConfig, FaultEvent, FaultPlan};
+pub use plan::{FaultConfig, FaultEvent, FaultPlan};
 pub use report::{FaultReport, RemappedBank};
 pub use rng::XorShift64;
 pub use watchdog::{CoreDiagnostic, Watchdog};

@@ -1,14 +1,13 @@
 //! Deterministic fault plans.
 //!
 //! A [`FaultPlan`] is the full, reproducible schedule of faults injected
-//! into one simulation: which tile↔memory-die F2F links are open or
-//! degraded, which SRAM banks are stuck, when transient bit flips land,
-//! and when cores hang. Plans are either built by hand (tests, targeted
+//! into one simulation: which tile↔memory-die F2F links are degraded,
+//! which SRAM banks are stuck, and when transient bit flips land. Plans are either built by hand (tests, targeted
 //! experiments) or generated from a seed and a fault rate with
 //! [`FaultPlan::generate`] — the same `(seed, rate, geometry)` triple
 //! always yields the identical plan.
 
-use mempool_arch::{BankId, BankLocation, ClusterConfig, GlobalCoreId, TileId};
+use mempool_arch::{BankId, BankLocation, ClusterConfig, TileId};
 
 use crate::rng::XorShift64;
 
@@ -23,13 +22,6 @@ pub enum FaultEvent {
         tile: TileId,
         /// Extra cycles per access through the retry path.
         extra_latency: u32,
-    },
-    /// The tile's F2F via bundle is fully open: accesses to the tile's
-    /// banks fail (typed error) or vanish (black hole), depending on the
-    /// plan's [`DeadLinkPolicy`].
-    LinkDead {
-        /// Tile whose vertical link is open.
-        tile: TileId,
     },
     /// An SRAM bank is stuck (hard fault) from cycle 0 and must be
     /// remapped to a spare bank before the run starts.
@@ -50,28 +42,6 @@ pub enum FaultEvent {
         /// XOR mask applied to the stored word.
         mask: u32,
     },
-    /// A core stops fetching forever at the given cycle (e.g. a latched-up
-    /// core on the logic die). Detected by the forward-progress watchdog
-    /// when the rest of the cluster blocks on it.
-    CoreHang {
-        /// Cycle at which the core hangs.
-        cycle: u64,
-        /// The hanging core.
-        core: GlobalCoreId,
-    },
-}
-
-/// What happens to an access that targets a tile behind a dead F2F link.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum DeadLinkPolicy {
-    /// The access raises a typed simulator error (fail fast). Default.
-    #[default]
-    Error,
-    /// The request is silently dropped — it never arrives and never
-    /// responds, modeling an open via. The issuing core's transaction
-    /// stays outstanding forever; only the watchdog can diagnose the
-    /// resulting deadlock.
-    BlackHole,
 }
 
 /// Parameters for [`FaultPlan::generate`].
@@ -115,7 +85,6 @@ const BUMPS_PER_TILE: f64 = 20_000.0;
 pub struct FaultPlan {
     seed: u64,
     events: Vec<FaultEvent>,
-    dead_link_policy: DeadLinkPolicy,
 }
 
 impl FaultPlan {
@@ -124,7 +93,6 @@ impl FaultPlan {
         FaultPlan {
             seed,
             events: Vec::new(),
-            dead_link_policy: DeadLinkPolicy::default(),
         }
     }
 
@@ -133,17 +101,15 @@ impl FaultPlan {
     /// The generator models the defect exposure of the 3D stack:
     ///
     /// * **F2F-via opens** — each tile's vertical bundle degrades to the
-    ///   retry path with probability `rate x BUMPS_PER_TILE` (capped);
-    ///   fully dead links are never generated (script them explicitly);
+    ///   retry path with probability `rate x BUMPS_PER_TILE` (capped); an
+    ///   open via costs retries, never a lost access;
     /// * **stuck banks** — each bank is stuck with probability
     ///   `rate x bits-per-bank` (capped), at most one per tile (one spare
     ///   bank per tile backs the remap policy);
     /// * **transient flips** — `rate x total-bits` single-bit upsets at
     ///   uniform cycles within the horizon (multi-bit upsets are far
     ///   rarer and only scriptable explicitly), at most `MAX_TRANSIENTS`
-    ///   (64);
-    /// * **core hangs** — never generated, since they unavoidably deadlock
-    ///   barrier workloads (script [`FaultEvent::CoreHang`] explicitly).
+    ///   (64).
     ///
     /// When `rate > 0` the plan is floored at one degraded link and one
     /// stuck bank, so even tiny rates produce a measurable degraded run.
@@ -218,12 +184,6 @@ impl FaultPlan {
         self.events.push(event);
     }
 
-    /// Replaces the dead-link policy.
-    pub fn with_dead_link_policy(mut self, policy: DeadLinkPolicy) -> Self {
-        self.dead_link_policy = policy;
-        self
-    }
-
     /// The seed the plan was built from.
     pub(crate) fn seed(&self) -> u64 {
         self.seed
@@ -242,11 +202,6 @@ impl FaultPlan {
     /// Whether the plan schedules no faults.
     pub fn is_empty(&self) -> bool {
         self.events.is_empty()
-    }
-
-    /// What happens to accesses through a dead link.
-    pub(crate) fn dead_link_policy(&self) -> DeadLinkPolicy {
-        self.dead_link_policy
     }
 }
 
@@ -323,21 +278,12 @@ mod tests {
     }
 
     #[test]
-    fn generator_emits_no_dead_links_or_hangs() {
-        let plan = FaultPlan::generate(&FaultConfig::new(3, 1e-4), &small_cluster());
-        assert!(!plan
-            .events()
-            .iter()
-            .any(|e| matches!(e, FaultEvent::LinkDead { .. } | FaultEvent::CoreHang { .. })));
-    }
-
-    #[test]
     fn generated_events_lie_within_geometry_and_horizon() {
         let cluster = small_cluster();
         let cfg = FaultConfig::new(11, 1e-5).with_horizon(5000);
         for event in FaultPlan::generate(&cfg, &cluster).events() {
             match *event {
-                FaultEvent::LinkDegraded { tile, .. } | FaultEvent::LinkDead { tile } => {
+                FaultEvent::LinkDegraded { tile, .. } => {
                     assert!(tile.0 < cluster.num_tiles());
                 }
                 FaultEvent::StuckBank { tile, bank } => {
@@ -350,10 +296,6 @@ mod tests {
                     assert!(loc.bank.0 < cluster.banks_per_tile());
                     assert!(loc.word < cluster.bank_words());
                     assert_eq!(mask.count_ones(), 1, "generated flips are single-bit");
-                }
-                FaultEvent::CoreHang { cycle, core } => {
-                    assert!(cycle < 5000);
-                    assert!(core.0 < cluster.num_cores());
                 }
             }
         }

@@ -1,8 +1,6 @@
 //! The fault report: what was injected and what the resilience machinery
 //! did about it.
 
-use std::fmt;
-
 use mempool_obs::{Deferred, Json, JsonError};
 
 /// One spare-bank substitution performed by the remap policy.
@@ -17,16 +15,16 @@ pub struct RemappedBank {
 }
 
 impl RemappedBank {
-    /// The flight-ring event of this substitution: category, core, and a
-    /// message worded only when the ring is read.
-    pub fn flight_event(self) -> (&'static str, Option<u32>, Deferred) {
+    /// The flight-ring event of this substitution: category and a message
+    /// worded only when the ring is read.
+    pub fn flight_event(self) -> (&'static str, Deferred) {
         let message = Deferred {
             render: |[from, tile, to, _]| {
                 format!("stuck bank {from} on tile {tile} remapped to spare {to}")
             },
             args: [self.from_bank, self.tile, self.to_bank, 0],
         };
-        ("fault", None, message)
+        ("fault", message)
     }
 }
 
@@ -37,14 +35,10 @@ pub struct FaultReport {
     pub seed: u64,
     /// Injected degraded (retry-path) F2F links.
     pub links_degraded: u64,
-    /// Injected dead (open) F2F links.
-    pub links_dead: u64,
     /// Injected stuck banks.
     pub stuck_banks: u64,
     /// Injected transient bit flips.
     pub transient_flips: u64,
-    /// Injected core hangs.
-    pub core_hangs: u64,
     /// Spare-bank substitutions the storage holds, in the order made.
     pub remapped: Vec<RemappedBank>,
     /// Accesses that went through a degraded link's retry path.
@@ -56,18 +50,12 @@ pub struct FaultReport {
     /// Flipped words never read before the run ended (errors still
     /// latent in storage).
     pub ecc_pending: u64,
-    /// Requests dropped by dead links under the black-hole policy.
-    pub blackholed_requests: u64,
 }
 
 impl FaultReport {
     /// Total injected fault events.
     pub fn total_injected(&self) -> u64 {
-        self.links_degraded
-            + self.links_dead
-            + self.stuck_banks
-            + self.transient_flips
-            + self.core_hangs
+        self.links_degraded + self.stuck_banks + self.transient_flips
     }
 
     /// Serializes the report.
@@ -78,10 +66,8 @@ impl FaultReport {
                 "injected",
                 Json::obj([
                     ("links_degraded", Json::Int(self.links_degraded as i64)),
-                    ("links_dead", Json::Int(self.links_dead as i64)),
                     ("stuck_banks", Json::Int(self.stuck_banks as i64)),
                     ("transient_flips", Json::Int(self.transient_flips as i64)),
-                    ("core_hangs", Json::Int(self.core_hangs as i64)),
                     ("total", Json::Int(self.total_injected() as i64)),
                 ]),
             ),
@@ -104,10 +90,6 @@ impl FaultReport {
             ("retry_cycles", Json::Int(self.retry_cycles as i64)),
             ("ecc_corrected", Json::Int(self.ecc_corrected as i64)),
             ("ecc_pending", Json::Int(self.ecc_pending as i64)),
-            (
-                "blackholed_requests",
-                Json::Int(self.blackholed_requests as i64),
-            ),
         ])
     }
 
@@ -137,44 +119,14 @@ impl FaultReport {
         Ok(FaultReport {
             seed: seed as u64,
             links_degraded: injected.u64_field("links_degraded")?,
-            links_dead: injected.u64_field("links_dead")?,
             stuck_banks: injected.u64_field("stuck_banks")?,
             transient_flips: injected.u64_field("transient_flips")?,
-            core_hangs: injected.u64_field("core_hangs")?,
             remapped,
             retried_accesses: doc.u64_field("retried_accesses")?,
             retry_cycles: doc.u64_field("retry_cycles")?,
             ecc_corrected: doc.u64_field("ecc_corrected")?,
             ecc_pending: doc.u64_field("ecc_pending")?,
-            blackholed_requests: doc.u64_field("blackholed_requests")?,
         })
-    }
-}
-
-impl fmt::Display for FaultReport {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(f, "fault report (seed {})", self.seed)?;
-        writeln!(
-            f,
-            "  injected: {} degraded links, {} dead links, {} stuck banks, \
-             {} transient flips, {} core hangs",
-            self.links_degraded,
-            self.links_dead,
-            self.stuck_banks,
-            self.transient_flips,
-            self.core_hangs
-        )?;
-        writeln!(f, "  banks remapped to spares: {}", self.remapped.len())?;
-        writeln!(
-            f,
-            "  retries: {} accesses, {} extra cycles",
-            self.retried_accesses, self.retry_cycles
-        )?;
-        write!(
-            f,
-            "  ecc: {} corrected, {} latent; black-holed requests: {}",
-            self.ecc_corrected, self.ecc_pending, self.blackholed_requests
-        )
     }
 }
 
@@ -183,7 +135,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn json_and_display_carry_all_counters() {
+    fn json_carries_all_counters() {
         let report = FaultReport {
             seed: 42,
             links_degraded: 2,
@@ -198,7 +150,6 @@ mod tests {
             retry_cycles: 40,
             ecc_corrected: 1,
             ecc_pending: 2,
-            ..Default::default()
         };
         assert_eq!(report.total_injected(), 6);
         let json = report.to_json();
@@ -219,24 +170,20 @@ mod tests {
             };
             assert_eq!(FaultReport::from_json(&report.to_json()).unwrap(), report);
         }
-        let text = report.to_string();
-        assert!(text.contains("seed 42"));
-        assert!(text.contains("1 stuck banks"));
-        assert!(text.contains("40 extra cycles"));
     }
 
     #[test]
     fn json_round_trips_through_from_json() {
         let report = FaultReport {
             seed: 7,
-            links_dead: 1,
-            core_hangs: 2,
+            links_degraded: 1,
+            transient_flips: 2,
             remapped: vec![RemappedBank {
                 tile: 3,
                 from_bank: 1,
                 to_bank: 16,
             }],
-            blackholed_requests: 9,
+            ecc_corrected: 9,
             ..Default::default()
         };
         let doc = Json::parse(&report.to_json().to_pretty()).unwrap();

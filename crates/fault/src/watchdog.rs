@@ -4,9 +4,9 @@
 //! retired an instruction or received a memory response this cycle. When
 //! nothing happens for the configured number of cycles, the simulator
 //! raises a typed deadlock error carrying a [`CoreDiagnostic`] snapshot —
-//! so a hung run explains itself (everyone parked in `wfi` waiting on a
-//! black-holed request, a hung core the barrier waits on, ...) instead of
-//! spinning until the cycle budget dies.
+//! so a stalled run explains itself (everyone parked in `wfi` waiting on a
+//! slow response, a core the barrier waits on, ...) instead of spinning
+//! until the cycle budget dies.
 
 use std::fmt;
 
@@ -67,8 +67,6 @@ pub struct CoreDiagnostic {
     pub pc: u32,
     /// Whether the core executed `wfi`.
     pub halted: bool,
-    /// Whether the core was hung by an injected fault.
-    pub hung: bool,
     /// Outstanding memory transactions (never completing ones pin this
     /// above zero).
     pub outstanding: u32,
@@ -82,9 +80,7 @@ pub struct CoreDiagnostic {
 impl CoreDiagnostic {
     /// One-word summary of the core's condition.
     pub fn condition(&self) -> &'static str {
-        if self.hung {
-            "hung"
-        } else if self.halted && self.outstanding > 0 {
+        if self.halted && self.outstanding > 0 {
             "wfi-with-outstanding"
         } else if self.halted {
             "halted"
@@ -102,7 +98,6 @@ impl CoreDiagnostic {
             ("condition", Json::str(self.condition())),
             ("pc", Json::Int(i64::from(self.pc))),
             ("halted", Json::Bool(self.halted)),
-            ("hung", Json::Bool(self.hung)),
             ("outstanding", Json::Int(i64::from(self.outstanding))),
             ("retired", Json::Int(self.retired as i64)),
             (
@@ -160,7 +155,6 @@ mod tests {
             core: 3,
             pc: 0x40,
             halted: true,
-            hung: false,
             outstanding: 1,
             retired: 17,
             recent: Vec::new(),
@@ -170,11 +164,6 @@ mod tests {
         assert!(text.contains("core   3"));
         assert!(text.contains("outstanding=1"));
 
-        let hung = CoreDiagnostic {
-            hung: true,
-            ..d.clone()
-        };
-        assert_eq!(hung.condition(), "hung");
         let halted = CoreDiagnostic {
             outstanding: 0,
             ..d.clone()
@@ -211,13 +200,13 @@ mod tests {
         let d = CoreDiagnostic {
             core: 2,
             pc: 0x80,
-            hung: true,
+            halted: true,
             retired: 42,
             recent: vec!["a".to_string(), "b".to_string()],
             ..CoreDiagnostic::default()
         };
         let doc = Json::parse(&d.to_json().to_pretty()).unwrap();
-        assert_eq!(doc.get("condition").and_then(Json::as_str), Some("hung"));
+        assert_eq!(doc.get("condition").and_then(Json::as_str), Some("halted"));
         assert_eq!(doc.get("retired").and_then(Json::as_int), Some(42));
         assert_eq!(
             doc.get("recent").and_then(Json::as_arr).map(<[Json]>::len),

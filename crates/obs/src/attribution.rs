@@ -15,8 +15,7 @@
 //!   degraded F2F links (fault-injection runs only);
 //! * `ecc` — SEC-DED single-bit correction penalties (fault-injection
 //!   runs only);
-//! * `halted` — parked at `wfi` (barrier wait, end of kernel, or a core
-//!   hung by an injected fault);
+//! * `halted` — parked at `wfi` (barrier wait or end of kernel);
 //! * `offchip` — cycles the whole cluster spent in synchronous DMA
 //!   transfers / waits, during which cores do not step (and, in a run
 //!   that ended in an error, the erroring cycle of a core the error kept

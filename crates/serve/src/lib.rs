@@ -44,8 +44,8 @@ pub use cache::ResultCache;
 pub(crate) use client::Client;
 pub use client::{RetryPolicy, TcpClient};
 pub use exec::ExperimentRunner;
-pub use net::{TcpServer, MAX_CONNECTIONS};
+pub use net::{TcpServer, MAX_CONNECTIONS, PARTIAL_LINE_DEADLINE};
 pub use protocol::{
     CacheOutcome, ExperimentKind, ExperimentRequest, ModelConfig, ServeError, Status,
 };
-pub use service::{Runner, Service, ServiceConfig};
+pub use service::{Runner, Service, ServiceConfig, MAX_QUEUE};

@@ -20,7 +20,7 @@ use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use mempool_obs::Json;
 
@@ -31,14 +31,22 @@ use crate::service::{Service, ServiceConfig, Shared};
 const IDLE_POLL: Duration = Duration::from_millis(100);
 
 /// Most connection handlers alive at once. A connection accepted beyond
-/// them closes an idle one (between requests, no partial line) and takes
-/// its place; only when every handler is in the middle of a request is it
-/// answered with one `backpressure` status line and closed. So idle peers
-/// can exhaust neither the daemon's threads nor its slots.
+/// them closes an idle one (between requests, or holding a partial line
+/// older than [`PARTIAL_LINE_DEADLINE`]) and takes its place; only when
+/// every handler is in the middle of a request is it answered with one
+/// `backpressure` status line and closed. So neither idle peers nor peers
+/// that stop halfway through a line can exhaust the daemon's threads or
+/// its slots.
 pub const MAX_CONNECTIONS: usize = 64;
 
+/// How long a handler may hold a partial request line before it counts
+/// as idle, so that at [`MAX_CONNECTIONS`] the accept loop may close it
+/// for a newcomer. Below the cap a partial line waits as long as it takes.
+pub const PARTIAL_LINE_DEADLINE: Duration = Duration::from_secs(1);
+
 /// A handler's [`Handler::state`]: waiting for a request with nothing
-/// buffered, so the accept loop may close it for a newcomer...
+/// buffered, or on a partial line past [`PARTIAL_LINE_DEADLINE`], so the
+/// accept loop may close it for a newcomer...
 const IDLE: u8 = 0;
 /// ...reading or serving a request, so it is left alone...
 const BUSY: u8 = 1;
@@ -93,8 +101,9 @@ impl TcpServer {
     /// Serves until a client sends `{"kind": "shutdown"}`, then drains
     /// gracefully and returns the final stats document. At most
     /// [`MAX_CONNECTIONS`] connections are served at once; one more
-    /// replaces an idle one, or is refused with a `backpressure` status
-    /// line when none is idle. One whose handler thread cannot be started
+    /// replaces an idle one (a partial line past [`PARTIAL_LINE_DEADLINE`]
+    /// counts as idle), or is refused with a `backpressure` status line
+    /// when none is idle. One whose handler thread cannot be started
     /// is closed. Either way only one connection is lost.
     ///
     /// # Errors
@@ -187,7 +196,8 @@ fn write_line(stream: &mut TcpStream, doc: &Json) -> std::io::Result<()> {
 /// service shutdown or eviction while idle; a request already admitted
 /// always streams to completion first (shutdown drains the pool, so its
 /// terminal status is guaranteed to arrive). `state` tells the accept
-/// loop when the handler is idle (see [`await_request`]).
+/// loop when the handler is idle (see [`await_request`]) or has held a
+/// partial line past [`PARTIAL_LINE_DEADLINE`].
 fn handle_connection(shared: &Arc<Shared>, stream: TcpStream, local: SocketAddr, state: &AtomicU8) {
     let _ = stream.set_read_timeout(Some(IDLE_POLL));
     let Ok(mut writer) = stream.try_clone() else {
@@ -196,16 +206,19 @@ fn handle_connection(shared: &Arc<Shared>, stream: TcpStream, local: SocketAddr,
     };
     let mut reader = BufReader::new(stream);
     let mut line = Vec::new();
+    // When the first byte of `line` arrived.
+    let mut began = Instant::now();
     loop {
-        if line.is_empty()
-            && reader.buffer().is_empty()
-            && !await_request(shared, &mut reader, state)
-        {
-            break;
+        if line.is_empty() {
+            if reader.buffer().is_empty() && !await_request(shared, &mut reader, state) {
+                break;
+            }
+            began = Instant::now();
         }
         let room = (MAX_REQUEST_BYTES + 1 - line.len()) as u64;
         match (&mut reader).take(room).read_until(b'\n', &mut line) {
             Ok(0) => break,
+            Ok(_) if !reclaim(state) => break,
             Ok(_) if line.len() > MAX_REQUEST_BYTES => {
                 let status = Status::Error(ServeError::BadRequest(format!(
                     "request line exceeds {MAX_REQUEST_BYTES} bytes"
@@ -222,10 +235,14 @@ fn handle_connection(shared: &Arc<Shared>, stream: TcpStream, local: SocketAddr,
                 }
             }
             // Idle poll: `line` keeps any partial read, and the next
-            // read_until continues appending to it.
+            // read_until continues appending to it. Past the deadline the
+            // partial line no longer holds the handler's slot.
             Err(e) if is_poll(&e) => {
                 if shared.is_shutting_down() {
                     break;
+                }
+                if began.elapsed() >= PARTIAL_LINE_DEADLINE {
+                    let _ = state.compare_exchange(BUSY, IDLE, Ordering::AcqRel, Ordering::Acquire);
                 }
             }
             Err(_) => break,
@@ -259,6 +276,13 @@ fn await_request(shared: &Shared, reader: &mut BufReader<TcpStream>, state: &Ato
             Err(_) => return false,
         }
     }
+}
+
+/// Takes a handler whose partial line went stale back from the accept
+/// loop now that the line is read; `false` when the accept loop evicted
+/// it meanwhile, so the line ends unanswered.
+fn reclaim(state: &AtomicU8) -> bool {
+    state.compare_exchange(IDLE, BUSY, Ordering::AcqRel, Ordering::Acquire) != Err(EVICTED)
 }
 
 /// Whether a read ended on the handler's idle poll, not on a failure.

@@ -56,14 +56,15 @@ where
     }
 }
 
+/// Bound on queued (not yet started) jobs; submissions beyond it are
+/// rejected with [`ServeError::Backpressure`].
+pub const MAX_QUEUE: usize = 64;
+
 /// Service sizing and persistence knobs.
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
     /// Worker threads computing experiments.
     pub workers: usize,
-    /// Bound on queued (not yet started) jobs; submissions beyond it are
-    /// rejected with [`ServeError::Backpressure`].
-    pub max_queue: usize,
     /// Optional on-disk cache directory shared across daemon runs.
     pub cache_dir: Option<PathBuf>,
 }
@@ -72,7 +73,6 @@ impl Default for ServiceConfig {
     fn default() -> Self {
         ServiceConfig {
             workers: 2,
-            max_queue: 64,
             cache_dir: None,
         }
     }
@@ -163,7 +163,6 @@ pub(crate) struct Shared {
     /// When the pool started — the utilization denominator.
     started_at: Instant,
     shutdown_requested: AtomicBool,
-    max_queue: usize,
     workers: usize,
 }
 
@@ -265,7 +264,6 @@ impl Service {
                 .collect(),
             started_at: Instant::now(),
             shutdown_requested: AtomicBool::new(false),
-            max_queue: config.max_queue,
             workers: config.workers,
         });
         let workers = (0..config.workers)
@@ -415,7 +413,7 @@ pub(crate) fn submit(
         shared.record("hit", None, format!("{} key={key:016x}", req.kind.tag()));
         return Ok(());
     }
-    if state.queue.len() >= shared.max_queue {
+    if state.queue.len() >= MAX_QUEUE {
         shared.stats.rejected.fetch_add(1, Ordering::Relaxed);
         shared.record(
             "backpressure",
@@ -427,7 +425,7 @@ pub(crate) fn submit(
             ),
         );
         return Err(ServeError::Backpressure {
-            max_queue: shared.max_queue,
+            max_queue: MAX_QUEUE,
         });
     }
     shared.stats.requests.fetch_add(1, Ordering::Relaxed);
@@ -651,7 +649,7 @@ pub(crate) fn stats_json(shared: &Shared) -> Json {
         ("schema", Json::str("mempool-serve-stats/v1")),
         ("engine_version", Json::str(mempool_sim::ENGINE_VERSION)),
         ("workers", Json::Int(shared.workers as i64)),
-        ("max_queue", Json::Int(shared.max_queue as i64)),
+        ("max_queue", Json::Int(MAX_QUEUE as i64)),
         (
             "requests_total",
             Json::Int(stats.requests.load(Ordering::Relaxed) as i64),

@@ -12,7 +12,7 @@ use mempool_kernels::matmul::PhaseModel;
 use mempool_obs::Json;
 use mempool_serve::{
     CacheOutcome, ExperimentKind, ExperimentRequest, ResultCache, ServeError, Service,
-    ServiceConfig, TcpClient, TcpServer, MAX_CONNECTIONS,
+    ServiceConfig, TcpClient, TcpServer, MAX_CONNECTIONS, MAX_QUEUE, PARTIAL_LINE_DEADLINE,
 };
 
 /// A runner gate: holds every run until released, counting invocations.
@@ -103,36 +103,36 @@ fn full_queue_rejects_with_typed_backpressure() {
     let service = Service::start_with_runner(
         ServiceConfig {
             workers: 1,
-            max_queue: 1,
             ..ServiceConfig::default()
         },
         gate.runner(),
     )
     .unwrap();
     let client = service.client();
-    let reqs: Vec<_> = [4u32, 8, 16]
-        .iter()
-        .map(|&bw| {
-            ExperimentRequest::new(ExperimentKind::Sweep {
-                bytes_per_cycle: bw,
-            })
+    let sweep = |bw| {
+        ExperimentRequest::new(ExperimentKind::Sweep {
+            bytes_per_cycle: bw,
         })
-        .collect();
-    // First request occupies the single worker...
-    let first = client.submit(reqs[0]).unwrap();
+    };
+    // The first request occupies the single worker...
+    let first = client.submit(sweep(1)).unwrap();
     wait_until("the worker to start", || {
         gate.runs.load(Ordering::SeqCst) > 0
     });
-    // ...second fills the queue (bound 1)...
-    let second = client.submit(reqs[1]).unwrap();
-    // ...third must be rejected, typed, with the configured bound.
-    let rejection = client.submit(reqs[2]).unwrap_err();
-    assert_eq!(rejection, ServeError::Backpressure { max_queue: 1 });
+    // ...the next MAX_QUEUE distinct ones fill the queue...
+    let queued: Vec<_> = (2..)
+        .take(MAX_QUEUE)
+        .map(|bw| client.submit(sweep(bw)).unwrap())
+        .collect();
+    // ...and one more is rejected, typed, with the bound.
+    let bw = 2 + MAX_QUEUE as u32;
+    let rejection = client.submit(sweep(bw)).unwrap_err();
+    assert_eq!(rejection, ServeError::Backpressure { max_queue: 64 });
     assert_eq!(rejection.code(), "backpressure");
     assert_eq!(service.stats().rejected.load(Ordering::SeqCst), 1);
     gate.release();
     assert!(first.wait().is_ok());
-    assert!(second.wait().is_ok());
+    assert!(queued.into_iter().all(|pending| pending.wait().is_ok()));
 }
 
 #[test]
@@ -144,7 +144,6 @@ fn graceful_shutdown_drains_queued_work_and_keeps_the_cache_sound() {
         ServiceConfig {
             workers: 1,
             cache_dir: Some(dir.clone()),
-            ..ServiceConfig::default()
         },
         gate.runner(),
     )
@@ -419,6 +418,46 @@ fn connections_in_the_middle_of_requests_get_backpressure() {
     client.shutdown().unwrap();
     daemon.join().unwrap();
     drop(busy);
+}
+
+#[test]
+fn half_lines_older_than_the_deadline_give_way_to_a_new_client() {
+    use std::io::Write;
+    let started = std::time::Instant::now();
+    let server = TcpServer::bind("127.0.0.1:0", ServiceConfig::default()).unwrap();
+    let addr = server.local_addr().unwrap();
+    let daemon = std::thread::spawn(move || server.run().unwrap());
+
+    // The cap's worth of peers that each send half a request line and
+    // then nothing.
+    let halves: Vec<_> = (0..MAX_CONNECTIONS)
+        .map(|_| {
+            let mut peer = std::net::TcpStream::connect(addr).unwrap();
+            peer.write_all(b"{\"id\": 1, \"kind\": \"stats\"").unwrap();
+            peer
+        })
+        .collect();
+    // Once the deadline has passed, a stale half line holds its slot no
+    // longer: a new client is served in its place.
+    std::thread::sleep(PARTIAL_LINE_DEADLINE);
+    let served = loop {
+        let mut client = TcpClient::connect(addr).unwrap();
+        match client.request(&ExperimentRequest::new(ExperimentKind::Fig6)) {
+            Err(ServeError::Backpressure { .. }) if started.elapsed() < Duration::from_secs(4) => {
+                std::thread::sleep(Duration::from_millis(20));
+            }
+            result => break result.map(|_| client),
+        }
+    };
+    let mut client = served.expect("a stale half line gives way");
+    client.shutdown().unwrap();
+    daemon.join().unwrap();
+    drop(halves);
+    assert!(
+        started.elapsed() <= Duration::from_secs(5),
+        "took {:?}",
+        started.elapsed()
+    );
 }
 
 #[test]

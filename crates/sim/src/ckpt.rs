@@ -1,6 +1,6 @@
 //! Versioned checkpoint/restore of a running [`Cluster`].
 //!
-//! A checkpoint is a single `mempool-checkpoint/v5` JSON document (same
+//! A checkpoint is a single `mempool-checkpoint/v6` JSON document (same
 //! plumbing as `crashdump.json`) capturing *everything* that influences
 //! simulated behavior: per-core architectural and scoreboard state, the
 //! program, all SPM/spare/external memory with its spare-bank remaps and
@@ -40,7 +40,7 @@
 //!
 //! [`Cluster::restore`] **decodes, checks, then builds** (its docs list
 //! the checks), so a hostile document is a typed error before anything is
-//! sized by it. A v1, v2, v3 or v4 document is refused with
+//! sized by it. A v1 to v5 document is refused with
 //! [`CheckpointError::Mismatch`] on `schema`; there is no reader for old
 //! versions, because nothing keeps a document past the process that wrote it.
 //!
@@ -66,9 +66,7 @@
 use std::fmt;
 
 use mempool_arch::{BankId, BankLocation, ClusterConfig, TileId};
-use mempool_fault::{
-    DeadLinkPolicy, FaultController, FaultReport, LinkState, TimedFault, Watchdog,
-};
+use mempool_fault::{FaultController, FaultReport, LinkState, TimedFault, Watchdog};
 use mempool_isa::exec::{MemAccessKind, MemWidth};
 use mempool_isa::instr::AmoOp;
 use mempool_isa::{Program, Reg, RegFile};
@@ -83,7 +81,7 @@ use crate::offchip::OffchipPort;
 use crate::params::{SimParams, ENGINE_VERSION};
 
 /// Schema tag of the checkpoint document.
-pub const CHECKPOINT_SCHEMA: &str = "mempool-checkpoint/v5";
+pub const CHECKPOINT_SCHEMA: &str = "mempool-checkpoint/v6";
 
 /// Error raised by checkpoint save/restore.
 #[derive(Debug)]
@@ -236,7 +234,6 @@ word_enum!(
     "an atomic operation",
     { Add = 0, Swap = 1, And = 2, Or = 3, Xor = 4, Max = 5, Min = 6 }
 );
-word_enum!(DeadLinkPolicy, "a dead-link policy", { Error = 0, BlackHole = 1 });
 
 impl<T: Words> Words for Option<T> {
     fn pack(&self, out: &mut impl FnMut(u64)) {
@@ -388,7 +385,6 @@ impl Words for LinkState {
         match *self {
             LinkState::Healthy => 0u64.pack(out),
             LinkState::Degraded(extra) => (1u64, extra).pack(out),
-            LinkState::Dead => 2u64.pack(out),
         }
     }
 
@@ -396,7 +392,6 @@ impl Words for LinkState {
         match cur.word()? {
             0 => Ok(LinkState::Healthy),
             1 => Ok(LinkState::Degraded(u32::unpack(cur)?)),
-            2 => Ok(LinkState::Dead),
             tag => Err(cur.bad(format!("{tag:#x} is not a link state"))),
         }
     }
@@ -404,10 +399,8 @@ impl Words for LinkState {
 
 impl Words for TimedFault {
     fn pack(&self, out: &mut impl FnMut(u64)) {
-        match *self {
-            TimedFault::Flip { loc, mask } => (0u64, loc, mask).pack(out),
-            TimedFault::Hang { core } => (1u64, core).pack(out),
-        }
+        let TimedFault::Flip { loc, mask } = *self;
+        (0u64, loc, mask).pack(out);
     }
 
     fn unpack(cur: &mut Cursor<'_>) -> Result<Self, CheckpointError> {
@@ -416,9 +409,6 @@ impl Words for TimedFault {
                 let (loc, mask) = Words::unpack(cur)?;
                 Ok(TimedFault::Flip { loc, mask })
             }
-            1 => Ok(TimedFault::Hang {
-                core: u32::unpack(cur)?,
-            }),
             tag => Err(cur.bad(format!("{tag:#x} is not a timed fault"))),
         }
     }
@@ -536,13 +526,12 @@ fn named<const N: usize>(fields: [(&'static str, u32); N]) -> Json {
 type StorageParts = (u32, Vec<(u64, u32)>, u64, Vec<(TileId, BankId, BankId)>);
 
 /// The `faults` section of a fault-injection run: link health per tile,
-/// the undelivered timed events, the stuck banks, the dead-link policy
-/// and the latent ECC masks (the storage's, in location order).
+/// the undelivered timed events, the stuck banks and the latent ECC masks
+/// (the storage's, in location order).
 type FaultParts = (
     Vec<LinkState>,
     Vec<(u64, TimedFault)>,
     Vec<(TileId, BankId)>,
-    DeadLinkPolicy,
     Vec<(BankLocation, u32)>,
 );
 
@@ -554,7 +543,6 @@ fn fault_parts(ctrl: &FaultController, storage: &Storage) -> FaultParts {
         ctrl.links().to_vec(),
         ctrl.remaining_timed().to_vec(),
         ctrl.stuck_banks().to_vec(),
-        ctrl.dead_link_policy(),
         storage.ecc().entries().collect(),
     )
 }
@@ -564,7 +552,7 @@ fn fault_parts(ctrl: &FaultController, storage: &Storage) -> FaultParts {
 // ---------------------------------------------------------------------------
 
 impl Cluster {
-    /// Serializes the full simulated state as a `mempool-checkpoint/v5`
+    /// Serializes the full simulated state as a `mempool-checkpoint/v6`
     /// document. See the [module docs](self) for the layout and for what
     /// is (and is deliberately not) captured.
     pub fn checkpoint(&self) -> Json {
@@ -795,8 +783,8 @@ impl Cluster {
         }
 
         let attach = Attachments {
-            faults: faults.map(|((links, timed, stuck, policy, _), report)| {
-                FaultController::from_snapshot(links, timed, stuck, policy, report)
+            faults: faults.map(|((links, timed, stuck, _), report)| {
+                FaultController::from_snapshot(links, timed, stuck, report)
             }),
             // `Watchdog::new(threshold, now)` arms at `now`; feeding the
             // saved last-progress cycle reproduces the exact stall window.
@@ -813,7 +801,6 @@ impl Cluster {
 mod tests {
     use super::*;
     use crate::cluster::SimError;
-    use mempool_arch::GlobalCoreId;
     use mempool_fault::{FaultEvent, FaultPlan, XorShift64};
     use mempool_obs::Obs;
 
@@ -1045,8 +1032,7 @@ mod tests {
     /// A cluster with everything a file can carry in it: requests queued
     /// at banks, responses on their way, external memory, a fault plan
     /// part-delivered (a degraded link, a remapped bank, latent ECC masks
-    /// in two tiles, a flip and a hang still to come), a watchdog and a
-    /// sampler.
+    /// in two tiles, two flips still to come), a watchdog and a sampler.
     fn eventful_cluster() -> Cluster {
         let mut cluster = fresh_cluster();
         cluster.attach_obs(&Obs::new(), "eventful");
@@ -1088,9 +1074,10 @@ mod tests {
                 loc: far(62),
                 mask: 4,
             },
-            FaultEvent::CoreHang {
+            FaultEvent::TransientFlip {
                 cycle: 120,
-                core: GlobalCoreId(5),
+                loc: far(60),
+                mask: 8,
             },
         ] {
             plan.push(event);
@@ -1119,9 +1106,9 @@ mod tests {
         Json::parse(&eventful_cluster().checkpoint().to_pretty()).unwrap()
     }
 
-    /// Cut at cycles around the flip (90) and the hang (120) still to
-    /// come, the eventful cluster restores to an equal machine — live
-    /// sets included, which no file holds — and to equal checkpointed
+    /// Cut at cycles around the two flips (90 and 120) still to come, the
+    /// eventful cluster restores to an equal machine — live sets
+    /// included, which no file holds — and to equal checkpointed
     /// attachments.
     #[test]
     fn the_whole_machine_and_its_carried_attachments_survive_a_cut() {
@@ -1289,6 +1276,7 @@ mod tests {
             "mempool-checkpoint/v2",
             "mempool-checkpoint/v3",
             "mempool-checkpoint/v4",
+            "mempool-checkpoint/v5",
         ] {
             let mut doc = saved.clone();
             set(&mut doc, &["schema"], Json::str(version));
@@ -1337,6 +1325,9 @@ mod tests {
                 let flipped = char::from_digit(digit ^ (1 + rng.below(15) as u32), 16).unwrap();
                 damaged.push(format!("{}{flipped}{}", &text[..at], &text[at + 1..]));
             }
+            if name == "faults" {
+                damaged.extend(removed_fault_tags(&saved));
+            }
             for text in damaged {
                 let mut doc = saved.clone();
                 set(&mut doc, &[name], Json::Str(text.clone()));
@@ -1351,5 +1342,31 @@ mod tests {
             }
         }
         assert!(refused > 100 && ran > 20, "{refused} refused, {ran} ran");
+    }
+
+    /// The `faults` section of `saved` with tile 0's link state and then
+    /// the first undelivered timed fault rewritten to the tags a v5 file
+    /// gave a dead link (2) and a core hang (1): neither exists any more,
+    /// so `restore` must refuse both.
+    fn removed_fault_tags(saved: &Json) -> Vec<String> {
+        let words = from_hex::<u64>(saved, "faults").unwrap();
+        let (links, ..): FaultParts = section(saved, "faults").map(Option::unwrap).unwrap();
+        let mut prefix = Vec::new();
+        (true, links).pack(&mut |word| prefix.push(word));
+        // Word 2 is tile 0's link tag (after the `Some` and the link
+        // count); the first timed fault's tag follows the timed-event
+        // count and its cycle.
+        let damaged: Vec<String> = [(2, 2), (prefix.len() + 2, 1)]
+            .into_iter()
+            .map(|(at, tag)| {
+                let mut words = words.clone();
+                words[at] = tag;
+                let doc = Json::obj([("faults", to_hex(&words))]);
+                let err = section::<Option<FaultParts>>(&doc, "faults").unwrap_err();
+                assert!(err.to_string().contains("is not a"), "{err}");
+                doc.str_field("faults").unwrap().to_string()
+            })
+            .collect();
+        damaged
     }
 }

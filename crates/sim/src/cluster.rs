@@ -56,18 +56,12 @@ pub enum SimError {
     /// No program is loaded.
     NoProgram,
     /// A core was resumed while it still had outstanding transactions
-    /// (e.g. a request black-holed by a dead F2F link).
+    /// (e.g. a load still in flight when a run timed out).
     ResumeWithOutstanding {
         /// The offending core.
         core: GlobalCoreId,
         /// Its outstanding-transaction count.
         outstanding: u32,
-    },
-    /// An access targeted a tile behind a dead (open) F2F link, under the
-    /// fail-fast [`mempool_fault::DeadLinkPolicy::Error`] policy.
-    LinkDead {
-        /// Tile whose vertical link is open.
-        tile: TileId,
     },
     /// The SEC-DED logic detected a multi-bit, uncorrectable error.
     EccUncorrectable {
@@ -100,7 +94,6 @@ impl SimError {
             SimError::Timeout { .. } => "timeout",
             SimError::NoProgram => "no-program",
             SimError::ResumeWithOutstanding { .. } => "resume-with-outstanding",
-            SimError::LinkDead { .. } => "link-dead",
             SimError::EccUncorrectable { .. } => "ecc-uncorrectable",
             SimError::Deadlock { .. } => "deadlock",
             SimError::Remap(_) => "remap",
@@ -123,9 +116,6 @@ impl fmt::Display for SimError {
                 f,
                 "core {core} resumed with {outstanding} outstanding transaction(s)"
             ),
-            SimError::LinkDead { tile } => {
-                write!(f, "access through dead F2F link of tile {tile}")
-            }
             SimError::EccUncorrectable { loc, mask } => {
                 write!(
                     f,
@@ -291,7 +281,6 @@ impl Machine {
                 core: i as u32,
                 pc: core.pc,
                 halted: core.halted(),
-                hung: core.hung(),
                 outstanding: core.outstanding(),
                 retired: core.stats.retired,
                 recent: recent(i),
@@ -616,17 +605,16 @@ impl Cluster {
 
     /// Restarts all cores at `pc`, clearing the halted state. Register
     /// files and memory contents are preserved, so multi-phase kernels can
-    /// pass state between phases. Cores hung by an injected fault stay
-    /// parked.
+    /// pass state between phases.
     ///
     /// # Errors
     ///
     /// Returns [`SimError::ResumeWithOutstanding`] if a core still has
-    /// in-flight transactions (e.g. a request black-holed by a dead F2F
-    /// link) — restarting it would corrupt the scoreboard.
+    /// in-flight transactions (e.g. a load still in flight when a run
+    /// timed out) — restarting it would corrupt the scoreboard.
     pub fn resume_all(&mut self, pc: u32) -> Result<(), SimError> {
         for (i, core) in self.machine.cores.iter().enumerate() {
-            if !core.hung() && core.outstanding() > 0 {
+            if core.outstanding() > 0 {
                 return Err(SimError::ResumeWithOutstanding {
                     core: GlobalCoreId::new(i as u32),
                     outstanding: core.outstanding(),
@@ -641,9 +629,7 @@ impl Cluster {
             }
         }
         for core in &mut self.machine.cores {
-            if !core.hung() {
-                core.reset_at(pc);
-            }
+            core.reset_at(pc);
         }
         self.note_external_progress();
         Ok(())
@@ -651,8 +637,8 @@ impl Cluster {
 
     /// Injects the faults of `plan` into this cluster: stuck banks are
     /// taken out of service by remapping them onto per-tile spares (their
-    /// contents migrate), link health and timed events (bit flips, core
-    /// hangs) are armed for delivery as the clock reaches them.
+    /// contents migrate), link health and timed bit flips are armed for
+    /// delivery as the clock reaches them.
     ///
     /// Injecting replaces any previously injected plan, not the damage
     /// the storage already holds: remapped banks stay remapped (a stuck
@@ -700,8 +686,8 @@ impl Cluster {
         for (tile, bank) in stuck {
             let spare = storage.remap_bank(tile, bank)?;
             if let Some(flight) = self.attach.flight() {
-                let (category, core, message) = remapped_bank((tile, bank, spare)).flight_event();
-                flight.record_deferred(0, category, core, message);
+                let (category, message) = remapped_bank((tile, bank, spare)).flight_event();
+                flight.record_deferred(0, category, None, message);
             }
         }
         self.attach.faults = Some(ctrl);
@@ -907,8 +893,7 @@ impl Cluster {
     /// # Errors
     ///
     /// Returns an error on fetch or data-access faults, an uncorrectable
-    /// ECC error, a dead-link access (under the fail-fast policy), or a
-    /// watchdog-detected deadlock.
+    /// ECC error, or a watchdog-detected deadlock.
     #[must_use = "a step can fail with a SimError that must not be ignored"]
     pub fn step(&mut self) -> Result<(), SimError> {
         engine::step(&mut self.machine, &mut self.attach)
@@ -1120,7 +1105,6 @@ pub(crate) fn sign_adjust(kind: MemAccessKind, raw: u32) -> u32 {
 mod tests {
     use super::*;
     use mempool_arch::{MemoryRegion, SpmCapacity};
-    use mempool_fault::DeadLinkPolicy;
 
     fn tiny_config() -> ClusterConfig {
         ClusterConfig::builder()
@@ -2179,121 +2163,15 @@ mod tests {
     }
 
     #[test]
-    fn dead_link_fails_fast_under_the_error_policy() {
+    fn resuming_a_core_with_a_transaction_in_flight_is_a_typed_error() {
         let cfg = four_tile_config();
         let remote = {
             let probe = Cluster::new(cfg.clone(), SimParams::default());
             probe.storage().map().seq_addr(TileId(1), 0)
         };
         let mut cluster = Cluster::new(cfg, SimParams::default());
-        let mut plan = FaultPlan::new(4);
-        plan.push(FaultEvent::LinkDead { tile: TileId(1) });
-        cluster.inject_faults(&plan).unwrap();
-        cluster.load_program(
-            Program::assemble(&format!(
-                r#"
-                    csrr t1, mhartid
-                    bnez t1, done
-                    li   t0, {remote}
-                    lw   a0, 0(t0)
-                done:
-                    wfi
-                "#
-            ))
-            .unwrap(),
-        );
-        cluster.preload_icaches();
-        assert_eq!(
-            cluster.run(10_000).unwrap_err(),
-            SimError::LinkDead { tile: TileId(1) }
-        );
-    }
-
-    #[test]
-    fn black_holed_request_is_caught_by_the_watchdog() {
-        let cfg = four_tile_config();
-        let remote = {
-            let probe = Cluster::new(cfg.clone(), SimParams::default());
-            probe.storage().map().seq_addr(TileId(1), 0)
-        };
-        let mut cluster = Cluster::new(cfg, SimParams::default());
-        let mut plan = FaultPlan::new(5).with_dead_link_policy(DeadLinkPolicy::BlackHole);
-        plan.push(FaultEvent::LinkDead { tile: TileId(1) });
-        cluster.inject_faults(&plan).unwrap();
-        cluster.set_watchdog(50);
-        // Core 0 waits forever on a load its dead link swallowed.
-        cluster.load_program(
-            Program::assemble(&format!(
-                r#"
-                    csrr t1, mhartid
-                    bnez t1, done
-                    li   t0, {remote}
-                    lw   a0, 0(t0)
-                    add  a1, a0, a0
-                done:
-                    wfi
-                "#
-            ))
-            .unwrap(),
-        );
-        cluster.preload_icaches();
-        let err = cluster.run(100_000).unwrap_err();
-        let SimError::Deadlock {
-            stalled_for,
-            diagnostics,
-        } = err
-        else {
-            panic!("expected a deadlock, got {err}");
-        };
-        assert!(stalled_for >= 50);
-        assert_eq!(diagnostics.len(), 4);
-        let victim = &diagnostics[0];
-        assert_eq!(victim.condition(), "waiting-on-memory");
-        assert!(victim.outstanding > 0);
-        assert_eq!(cluster.fault_report().unwrap().blackholed_requests, 1);
-        // The error renders with one line per core.
-        let text = SimError::Deadlock {
-            stalled_for,
-            diagnostics,
-        }
-        .to_string();
-        assert!(text.contains("waiting-on-memory"));
-        assert!(text.contains("core   3"));
-    }
-
-    #[test]
-    fn hung_core_is_diagnosed_by_the_watchdog() {
-        let mut cluster = Cluster::new(tiny_config(), SimParams::default());
-        let mut plan = FaultPlan::new(6);
-        plan.push(FaultEvent::CoreHang {
-            cycle: 0,
-            core: GlobalCoreId::new(0),
-        });
-        cluster.inject_faults(&plan).unwrap();
-        cluster.set_watchdog(40);
-        cluster.load_program(Program::assemble("li a0, 1\nwfi").unwrap());
-        cluster.preload_icaches();
-        let err = cluster.run(100_000).unwrap_err();
-        let SimError::Deadlock { diagnostics, .. } = err else {
-            panic!("expected a deadlock, got {err}");
-        };
-        assert_eq!(diagnostics[0].condition(), "hung");
-        assert_eq!(diagnostics[0].retired, 0, "the core hung before issuing");
-    }
-
-    #[test]
-    fn resuming_a_core_with_a_pinned_transaction_is_a_typed_error() {
-        let cfg = four_tile_config();
-        let remote = {
-            let probe = Cluster::new(cfg.clone(), SimParams::default());
-            probe.storage().map().seq_addr(TileId(1), 0)
-        };
-        let mut cluster = Cluster::new(cfg, SimParams::default());
-        let mut plan = FaultPlan::new(7).with_dead_link_policy(DeadLinkPolicy::BlackHole);
-        plan.push(FaultEvent::LinkDead { tile: TileId(1) });
-        cluster.inject_faults(&plan).unwrap();
-        // Core 0 fires a store into the dead link and parks; stores do not
-        // block `wfi`, so every core halts — but the transaction is pinned.
+        // Core 0 fires a remote store and parks; stores do not block
+        // `wfi`, so every core halts before the store's round trip ends.
         cluster.load_program(
             Program::assemble(&format!(
                 r#"
@@ -2315,7 +2193,7 @@ mod tests {
             }
         }
         assert!(cluster.machine.cores.iter().all(Core::halted));
-        assert!(!cluster.quiescent(), "the black-holed store never drains");
+        assert!(!cluster.quiescent(), "the store is still in flight");
         assert_eq!(
             cluster.resume_all(0).unwrap_err(),
             SimError::ResumeWithOutstanding {
@@ -2323,6 +2201,8 @@ mod tests {
                 outstanding: 1,
             }
         );
+        cluster.run(100).unwrap();
+        cluster.resume_all(0).unwrap();
     }
 
     #[test]
@@ -2535,34 +2415,27 @@ mod tests {
 
     #[test]
     fn crash_dump_on_deadlock_reparses_with_liveness_and_events() {
-        let cfg = four_tile_config();
-        let remote = {
-            let probe = Cluster::new(cfg.clone(), SimParams::default());
-            probe.storage().map().seq_addr(TileId(1), 0)
-        };
         let obs = mempool_obs::Obs::new();
-        let mut cluster = Cluster::new(cfg, SimParams::default());
+        let mut cluster = Cluster::new(four_tile_config(), slow_offchip());
         cluster.attach_obs(&obs, "crash-run");
         cluster.enable_timeseries(32);
         cluster.enable_flight(64);
         cluster.enable_trace(32);
-        let mut plan = FaultPlan::new(5).with_dead_link_policy(DeadLinkPolicy::BlackHole);
-        plan.push(FaultEvent::LinkDead { tile: TileId(1) });
-        cluster.inject_faults(&plan).unwrap();
         cluster.set_watchdog(50);
+        // Core 0 waits on an off-chip load far beyond the watchdog's window.
         cluster.load_program(
-            Program::assemble(&format!(
+            Program::assemble(
                 r#"
                     csrr t1, mhartid
                     bnez t1, done
                     lw   a2, 0(zero)
-                    li   t0, {remote}
+                    li   t0, 0x80000000
                     lw   a0, 0(t0)
                     add  a1, a0, a0
                 done:
                     wfi
-                "#
-            ))
+                "#,
+            )
             .unwrap(),
         );
         cluster.preload_icaches();
@@ -2590,7 +2463,7 @@ mod tests {
             "tracing was on, so the victim carries its last instructions"
         );
 
-        // The merged event log holds the watchdog verdict, the swallowed
+        // The merged event log holds the watchdog verdict, the served
         // memory traffic, and trace retires — sorted by cycle.
         let events = doc.get("events").and_then(Json::as_arr).unwrap();
         let category = |e: &Json| e.get("category").and_then(Json::as_str).map(String::from);
@@ -2632,22 +2505,27 @@ mod tests {
         assert_eq!(restored.attach.sampler, cluster.attach.sampler);
     }
 
+    /// Default timing but an off-chip port so slow that any off-chip
+    /// load outlasts every watchdog window these tests arm.
+    fn slow_offchip() -> SimParams {
+        SimParams {
+            offchip_latency: 10_000,
+            ..SimParams::default()
+        }
+    }
+
     #[test]
     fn crash_dump_flushes_the_partial_sampling_epoch() {
         let obs = mempool_obs::Obs::new();
-        let mut cluster = Cluster::new(tiny_config(), SimParams::default());
+        let mut cluster = Cluster::new(tiny_config(), slow_offchip());
         cluster.attach_obs(&obs, "flush-run");
         // Window far beyond the crash point: only the dump-time flush can
         // produce samples.
         cluster.enable_timeseries(1_000_000);
-        let mut plan = FaultPlan::new(6);
-        plan.push(FaultEvent::CoreHang {
-            cycle: 0,
-            core: GlobalCoreId::new(0),
-        });
-        cluster.inject_faults(&plan).unwrap();
         cluster.set_watchdog(20);
-        cluster.load_program(Program::assemble("li a0, 1\nwfi").unwrap());
+        cluster.load_program(
+            Program::assemble("li t0, 0x80000000\nlw a0, 0(t0)\nadd a1, a0, a0\nwfi").unwrap(),
+        );
         cluster.preload_icaches();
         let err = cluster.run(100_000).unwrap_err();
         assert!(obs.series.is_empty(), "no epoch boundary was reached");
@@ -2717,10 +2595,6 @@ mod tests {
             loc,
             mask: 1 << 7,
         });
-        plan.push(FaultEvent::CoreHang {
-            cycle: 9,
-            core: GlobalCoreId::new(5),
-        });
         cluster.inject_faults(&plan).unwrap();
         // Core 0 waits for the flip, reads the flipped word, then reads
         // through tile 1's degraded link.
@@ -2750,7 +2624,6 @@ mod tests {
             [
                 "0 fault None stuck bank 1 on tile 0 remapped to spare 4",
                 "5 fault None transient flip mask 0x80 at tile 0 bank 0 word 0",
-                "9 fault Some(5) core 5 hung",
                 "63 ecc None corrected single-bit flip at tile 0 bank 0 word 0",
                 "67 fault None retry through degraded link of tile 1 (+3 cycles)",
             ]
@@ -2773,10 +2646,6 @@ mod tests {
             },
             mask: 1,
         });
-        plan.push(FaultEvent::CoreHang {
-            cycle: 40,
-            core: GlobalCoreId::new(5),
-        });
         cluster.inject_faults(&plan).unwrap();
         cluster.load_program(
             Program::assemble("li t2, 60\nspin:\naddi t2, t2, -1\nbnez t2, spin\nwfi").unwrap(),
@@ -2787,8 +2656,7 @@ mod tests {
         }
         cluster.detach_obs();
         let before = obs.flight.events();
-        let error = cluster.run(10_000).unwrap_err();
-        assert_eq!(error, SimError::Timeout { cycles: 10_000 });
+        cluster.run(10_000).unwrap();
         assert_eq!(
             obs.flight.events(),
             before,

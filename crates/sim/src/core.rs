@@ -72,8 +72,6 @@ pub struct Core {
     /// Program counter.
     pub pc: u32,
     halted: bool,
-    /// Latched up by an injected fault: the core never fetches again.
-    hung: bool,
     /// Bitmask of registers with outstanding responses.
     busy: u32,
     outstanding: u32,
@@ -88,7 +86,6 @@ words_struct!(Core {
     regs,
     pc,
     halted,
-    hung,
     busy,
     outstanding,
     bubbles,
@@ -102,7 +99,6 @@ impl Core {
             regs: RegFile::new(),
             pc: 0,
             halted: false,
-            hung: false,
             busy: 0,
             outstanding: 0,
             bubbles: [0; 4],
@@ -137,17 +133,6 @@ impl Core {
     /// Marks the core halted.
     pub fn halt(&mut self) {
         self.halted = true;
-    }
-
-    /// Whether the core was latched up by an injected fault.
-    pub fn hung(&self) -> bool {
-        self.hung
-    }
-
-    /// Latches the core up: it never fetches again (not even after a
-    /// `resume_all`), modeling a hard fault on the logic die.
-    pub fn hang(&mut self) {
-        self.hung = true;
     }
 
     /// Number of outstanding memory transactions.
@@ -322,16 +307,6 @@ mod tests {
         assert!(core.consume_bubble());
         assert_eq!((core.stats.stall_branch, core.stats.stall_ecc), (2, 1));
         assert!(!core.consume_bubble());
-    }
-
-    #[test]
-    fn hang_survives_reset() {
-        let mut core = Core::new();
-        core.hang();
-        core.halt();
-        core.reset_at(0x100);
-        assert!(core.hung(), "a latched-up core stays hung across phases");
-        assert!(!core.halted());
     }
 
     #[test]

@@ -19,7 +19,7 @@
 use std::time::Instant;
 
 use mempool_arch::{ClusterConfig, GlobalCoreId, MemoryRegion, TileId, Topology};
-use mempool_fault::{DeadLinkPolicy, FaultController, FaultNote, LinkState, TimedFault, Watchdog};
+use mempool_fault::{FaultController, FaultNote, LinkState, TimedFault, Watchdog};
 use mempool_isa::exec::{self, Issue, MemAccessKind, MemWidth};
 use mempool_isa::Program;
 use mempool_obs::{Deferred, FlightRecorder};
@@ -245,16 +245,16 @@ impl Attachments {
         match note {
             FaultNote::Retry { .. } => hooks.fault_retries.inc(),
             FaultNote::Corrected { .. } => hooks.ecc_corrected.inc(),
-            FaultNote::BlackHole { .. } | FaultNote::Uncorrectable { .. } => {}
+            FaultNote::Uncorrectable { .. } => {}
         }
         if let Some(flight) = &hooks.flight {
-            let (category, core, message) = note.flight_event();
-            flight.record_deferred(now, category, core, message);
+            let (category, message) = note.flight_event();
+            flight.record_deferred(now, category, None, message);
         }
     }
 
     /// Applies the timed faults due at `m`'s clock: bit flips land in
-    /// storage ([`Storage::flip`]), hangs latch cores up. Each is recorded
+    /// storage ([`Storage::flip`]). Each is recorded
     /// in the flight ring while flight recording is on.
     fn apply_due_faults(&mut self, m: &mut Machine) {
         let Some(faults) = self.faults.as_mut() else {
@@ -263,17 +263,11 @@ impl Attachments {
         let flight = self.obs.as_ref().and_then(|hooks| hooks.flight.as_ref());
         for fault in faults.take_due(m.cycle) {
             if let Some(flight) = flight {
-                let (category, core, message) = fault.flight_event();
-                flight.record_deferred(m.cycle, category, core, message);
+                let (category, message) = fault.flight_event();
+                flight.record_deferred(m.cycle, category, None, message);
             }
-            match fault {
-                TimedFault::Flip { loc, mask } => m.storage.flip(loc, mask),
-                TimedFault::Hang { core } => {
-                    if let Some(core) = m.cores.get_mut(core as usize) {
-                        core.hang();
-                    }
-                }
-            }
+            let TimedFault::Flip { loc, mask } = fault;
+            m.storage.flip(loc, mask);
         }
     }
 
@@ -471,8 +465,7 @@ impl Tick<'_> {
         'issue: for (local, core) in cores.iter_mut().enumerate() {
             let index = base + local;
             let core_id = GlobalCoreId::new(index as u32);
-            // A core latched up by an injected fault burns cycles forever.
-            if core.hung() || core.halted() {
+            if core.halted() {
                 core.stats.halted_cycles += 1;
                 continue;
             }
@@ -563,41 +556,17 @@ impl Tick<'_> {
                 Ok(MemoryRegion::Spm(loc)) => {
                     // The destination tile's F2F via carries every access
                     // to that tile's banks on the memory die.
-                    let (link, policy) =
-                        self.a.faults.as_ref().map_or_else(Default::default, |f| {
-                            let link = f.links().get(loc.tile.index()).copied();
-                            (link.unwrap_or_default(), f.dead_link_policy())
-                        });
+                    let faults = self.a.faults.as_ref();
+                    let link = faults.and_then(|f| f.links().get(loc.tile.index()));
                     let mut extra_req = 0u32;
-                    match link {
-                        LinkState::Healthy => {}
-                        LinkState::Degraded(extra) => {
-                            let note = FaultNote::Retry {
-                                tile: loc.tile,
-                                extra,
-                            };
-                            self.a.note_fault(now, note);
-                            core.insert_bubble(Bubble::FaultRetry, extra);
-                            extra_req = extra;
-                        }
-                        LinkState::Dead => match policy {
-                            DeadLinkPolicy::Error => {
-                                self.error
-                                    .get_or_insert(SimError::LinkDead { tile: loc.tile });
-                                break 'issue;
-                            }
-                            DeadLinkPolicy::BlackHole => {
-                                // The request vanishes into the open via;
-                                // the scoreboard entry is pinned forever.
-                                let note = FaultNote::BlackHole {
-                                    tile: loc.tile,
-                                    core: index as u32,
-                                };
-                                self.a.note_fault(now, note);
-                                core.mark_pending(reg);
-                                continue;
-                            }
-                        },
+                    if let Some(&LinkState::Degraded(extra)) = link {
+                        let note = FaultNote::Retry {
+                            tile: loc.tile,
+                            extra,
+                        };
+                        self.a.note_fault(now, note);
+                        core.insert_bubble(Bubble::FaultRetry, extra);
+                        extra_req = extra;
                     }
                     let route = m.topo.route(tile_id, loc.tile);
                     core.stats.record_access(route.class, route.network);

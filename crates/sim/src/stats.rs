@@ -31,8 +31,7 @@ pub struct CoreStats {
     /// Cycles lost to SEC-DED single-bit correction penalties
     /// (fault-injection runs only).
     pub stall_ecc: u64,
-    /// Cycles after the core halted (idle at a barrier's end or `wfi`),
-    /// including cycles a fault-hung core sat latched up.
+    /// Cycles after the core halted (idle at a barrier's end or `wfi`).
     pub halted_cycles: u64,
     /// Memory accesses by distance class, indexed by
     /// `AccessClass as usize` (tile-local, group-local, remote).

@@ -14,7 +14,7 @@ use proptest::prelude::*;
 
 use cuts::*;
 use mempool_arch::{BankId, ClusterConfig, MemoryRegion, TileId};
-use mempool_fault::{DeadLinkPolicy, FaultConfig, FaultEvent, FaultPlan};
+use mempool_fault::{FaultConfig, FaultEvent, FaultPlan};
 use mempool_isa::Program;
 use mempool_kernels::axpy::Axpy;
 use mempool_kernels::dotprod::DotProduct;
@@ -183,13 +183,17 @@ fn former_quantum_caps_due_on_one_cycle_agree_across_run_step_and_cuts() {
     fixed_cuts(one_cycle, &[&[(BUDGET, Cut::Steps)]]);
     let restores = [c - 1, c, c + 1].map(|at| [(at, Cut::Restore)]);
     let run = fixed_cuts(one_cycle, &restores.each_ref().map(|r| &r[..]));
-    // The response lands on `c` and counts as progress there, so the hung
-    // core trips the watchdog one full window later, on a tick that counts.
-    assert_eq!(run.stats.cycles, c + (c - last_retire) + 1, "{:?}", run.end);
+    // The response lands on `c` and counts as progress there, so the
+    // watchdog stays quiet. Core 0's off-chip store issues on the next tick
+    // and takes the load's round trip (`c - last_retire`); the run ends on
+    // the tick after its response lands.
+    let end = c + 1 + (c - last_retire) + 1;
+    assert_eq!(run.end, Ok(end));
+    assert_eq!(run.stats.cycles, end);
     assert!(run.fault_report.unwrap().contains("\"ecc_pending\": 1"));
     assert!(run.series.values().all(|s| s[0].0 == c));
-    let hung = |e: &Event| e.0 == c && e.3.contains("hung");
-    assert!(run.flight.1.iter().any(hung));
+    let flip = |e: &Event| e.0 == c && e.3.contains("transient flip");
+    assert!(run.flight.1.iter().any(flip));
 }
 
 #[test]
@@ -224,15 +228,13 @@ fn one_line(text: &str) -> String {
     text.split_whitespace().collect::<Vec<_>>().join(" ")
 }
 
-/// Core 0 waits forever on a load swallowed by a black-holing dead link;
-/// returns the watchdog's error and the cycle it fired on.
-fn deadlock_on_a_black_holed_load() -> (SimError, u64) {
+/// Core 0 waits on a load from another tile with a watchdog window
+/// shorter than the load's round trip; returns the watchdog's error and
+/// the cycle it fired on.
+fn deadlock_on_a_remote_load() -> (SimError, u64) {
     let mut cluster = Cluster::new(zoo_config(), SimParams::default());
     let remote = cluster.storage().map().seq_addr(TileId(1), 0);
-    let mut plan = FaultPlan::new(5).with_dead_link_policy(DeadLinkPolicy::BlackHole);
-    plan.push(FaultEvent::LinkDead { tile: TileId(1) });
-    cluster.inject_faults(&plan).unwrap();
-    cluster.set_watchdog(64);
+    cluster.set_watchdog(2);
     cluster.load_program(
         Program::assemble(&format!(
             r#"
@@ -254,8 +256,8 @@ fn deadlock_on_a_black_holed_load() -> (SimError, u64) {
 
 /// Every core outside tile 1 reads one word of tile 1 a dozen times, so
 /// each reader is remote; run under bit flips on that word (plus one on a
-/// word nobody reads, which stays latent) and optionally a dead link.
-fn remote_readers(flips: &[(u64, u32)], dead: bool) -> (Cluster, Result<u64, SimError>) {
+/// word nobody reads, which stays latent).
+fn remote_readers(flips: &[(u64, u32)]) -> (Cluster, Result<u64, SimError>) {
     let mut cluster = zoo_cluster();
     let word = cluster.storage().map().seq_addr(TileId(1), 0);
     let unread = cluster.storage().map().seq_addr(TileId(2), 1);
@@ -276,9 +278,6 @@ fn remote_readers(flips: &[(u64, u32)], dead: bool) -> (Cluster, Result<u64, Sim
         loc: loc_of(unread),
         mask: 2,
     });
-    if dead {
-        plan.push(FaultEvent::LinkDead { tile: TileId(1) });
-    }
     cluster.write_spm_word(word, 0x1234).unwrap();
     cluster.inject_faults(&plan).unwrap();
     cluster.load_program(
@@ -315,21 +314,20 @@ const PINNED_RUNS: [(&str, u64, u64, u64, &str); 9] = [
     ("dotprod", 581, 0x9b9ebb5975fd6c27, 6179, ""),
     ("matmul", 9004, 0xc8a3e2b21cb7d6d9, 59392, ""),
     ("transpose", 1753, 0x3625892ff818ab4b, 32768, ""),
-    ("seed42", 31413, 0xaa8d5c36b147d302, 59473, "{ \"seed\": 42, \"injected\": { \"links_degraded\": 2, \"links_dead\": 0, \"stuck_banks\": 4, \"transient_flips\": 52, \"core_hangs\": 0, \"total\": 58 }, \"remapped_banks\": [ { \"tile\": 0, \"from_bank\": 4, \"to_bank\": 16 }, { \"tile\": 1, \"from_bank\": 9, \"to_bank\": 16 }, { \"tile\": 2, \"from_bank\": 6, \"to_bank\": 16 }, { \"tile\": 3, \"from_bank\": 1, \"to_bank\": 16 } ], \"retried_accesses\": 25600, \"retry_cycles\": 371200, \"ecc_corrected\": 3, \"ecc_pending\": 36, \"blackholed_requests\": 0 }"),
+    ("seed42", 31413, 0xaa8d5c36b147d302, 59473, "{ \"seed\": 42, \"injected\": { \"links_degraded\": 2, \"stuck_banks\": 4, \"transient_flips\": 52, \"total\": 58 }, \"remapped_banks\": [ { \"tile\": 0, \"from_bank\": 4, \"to_bank\": 16 }, { \"tile\": 1, \"from_bank\": 9, \"to_bank\": 16 }, { \"tile\": 2, \"from_bank\": 6, \"to_bank\": 16 }, { \"tile\": 3, \"from_bank\": 1, \"to_bank\": 16 } ], \"retried_accesses\": 25600, \"retry_cycles\": 371200, \"ecc_corrected\": 3, \"ecc_pending\": 36 }"),
     ("traffic", 1610, 0x1ab60ab8bb42639a, 6400, ""),
     ("traffic_external", 79369, 0x2bc06391d2a0b25c, 6400, ""),
-    ("stuck_banks", 1753, 0x3625892ff818ab4b, 32768, "{ \"seed\": 7, \"injected\": { \"links_degraded\": 0, \"links_dead\": 0, \"stuck_banks\": 2, \"transient_flips\": 0, \"core_hangs\": 0, \"total\": 2 }, \"remapped_banks\": [ { \"tile\": 1, \"from_bank\": 3, \"to_bank\": 16 }, { \"tile\": 2, \"from_bank\": 0, \"to_bank\": 16 } ], \"retried_accesses\": 0, \"retry_cycles\": 0, \"ecc_corrected\": 0, \"ecc_pending\": 0, \"blackholed_requests\": 0 }"),
-    ("ecc_flips", 159, 0xf7209770f545ce60, 178, "{ \"seed\": 9, \"injected\": { \"links_degraded\": 0, \"links_dead\": 0, \"stuck_banks\": 0, \"transient_flips\": 3, \"core_hangs\": 0, \"total\": 3 }, \"remapped_banks\": [], \"retried_accesses\": 0, \"retry_cycles\": 0, \"ecc_corrected\": 2, \"ecc_pending\": 1, \"blackholed_requests\": 0 }"),
+    ("stuck_banks", 1753, 0x3625892ff818ab4b, 32768, "{ \"seed\": 7, \"injected\": { \"links_degraded\": 0, \"stuck_banks\": 2, \"transient_flips\": 0, \"total\": 2 }, \"remapped_banks\": [ { \"tile\": 1, \"from_bank\": 3, \"to_bank\": 16 }, { \"tile\": 2, \"from_bank\": 0, \"to_bank\": 16 } ], \"retried_accesses\": 0, \"retry_cycles\": 0, \"ecc_corrected\": 0, \"ecc_pending\": 0 }"),
+    ("ecc_flips", 159, 0xf7209770f545ce60, 178, "{ \"seed\": 9, \"injected\": { \"links_degraded\": 0, \"stuck_banks\": 0, \"transient_flips\": 3, \"total\": 3 }, \"remapped_banks\": [], \"retried_accesses\": 0, \"retry_cycles\": 0, \"ecc_corrected\": 2, \"ecc_pending\": 1 }"),
 ];
 
 /// `(scenario, cycle the clock stopped on, error text)` of runs that fail.
 /// State *after* `ecc_uncorrectable` is not pinned: the step kernel
 /// abandoned the tick mid-sweep, the engine finishes it on the other
 /// tiles (DESIGN.md § "Execution engine").
-const PINNED_ERRORS: [(&str, u64, &str); 3] = [
-    ("watchdog_deadlock", 68, "deadlock: no forward progress for 64 cycles core 0: waiting-on-memory pc=0x00000010 outstanding=1 retired=4 core 1: halted pc=0x00000014 outstanding=0 retired=3 core 2: halted pc=0x00000014 outstanding=0 retired=3 core 3: halted pc=0x00000014 outstanding=0 retired=3 core 4: halted pc=0x00000014 outstanding=0 retired=3 core 5: halted pc=0x00000014 outstanding=0 retired=3 core 6: halted pc=0x00000014 outstanding=0 retired=3 core 7: halted pc=0x00000014 outstanding=0 retired=3 core 8: halted pc=0x00000014 outstanding=0 retired=3 core 9: halted pc=0x00000014 outstanding=0 retired=3 core 10: halted pc=0x00000014 outstanding=0 retired=3 core 11: halted pc=0x00000014 outstanding=0 retired=3 core 12: halted pc=0x00000014 outstanding=0 retired=3 core 13: halted pc=0x00000014 outstanding=0 retired=3 core 14: halted pc=0x00000014 outstanding=0 retired=3 core 15: halted pc=0x00000014 outstanding=0 retired=3"),
+const PINNED_ERRORS: [(&str, u64, &str); 2] = [
+    ("watchdog_deadlock", 6, "deadlock: no forward progress for 2 cycles core 0: waiting-on-memory pc=0x00000010 outstanding=1 retired=4 core 1: halted pc=0x00000014 outstanding=0 retired=3 core 2: halted pc=0x00000014 outstanding=0 retired=3 core 3: halted pc=0x00000014 outstanding=0 retired=3 core 4: halted pc=0x00000014 outstanding=0 retired=3 core 5: halted pc=0x00000014 outstanding=0 retired=3 core 6: halted pc=0x00000014 outstanding=0 retired=3 core 7: halted pc=0x00000014 outstanding=0 retired=3 core 8: halted pc=0x00000014 outstanding=0 retired=3 core 9: halted pc=0x00000014 outstanding=0 retired=3 core 10: halted pc=0x00000014 outstanding=0 retired=3 core 11: halted pc=0x00000014 outstanding=0 retired=3 core 12: halted pc=0x00000014 outstanding=0 retired=3 core 13: halted pc=0x00000014 outstanding=0 retired=3 core 14: halted pc=0x00000014 outstanding=0 retired=3 core 15: halted pc=0x00000014 outstanding=0 retired=3"),
     ("ecc_uncorrectable", 9, "uncorrectable multi-bit error at T1:b0[0] (mask 0x00100200)"),
-    ("link_dead", 7, "access through dead F2F link of tile T1"),
 ];
 
 /// Runs the named `PINNED_RUNS` scenario to completion.
@@ -371,7 +369,7 @@ fn pinned_run(name: &str) -> Cluster {
             zoo_run(&Transpose::new(64), Some(plan))
         }
         "ecc_flips" => {
-            let (cluster, result) = remote_readers(&[(0, 1 << 9), (40, 1 << 3)], false);
+            let (cluster, result) = remote_readers(&[(0, 1 << 9), (40, 1 << 3)]);
             result.unwrap();
             cluster
         }
@@ -400,13 +398,9 @@ fn stored_step_kernel_results_are_reproduced() {
     }
     for (name, cycle, message) in PINNED_ERRORS {
         let (err, stopped_at) = match name {
-            "watchdog_deadlock" => deadlock_on_a_black_holed_load(),
+            "watchdog_deadlock" => deadlock_on_a_remote_load(),
             "ecc_uncorrectable" => {
-                let (cluster, result) = remote_readers(&[(0, 1 << 9), (0, 1 << 20)], false);
-                (result.unwrap_err(), cluster.cycle())
-            }
-            "link_dead" => {
-                let (cluster, result) = remote_readers(&[], true);
+                let (cluster, result) = remote_readers(&[(0, 1 << 9), (0, 1 << 20)]);
                 (result.unwrap_err(), cluster.cycle())
             }
             other => panic!("unknown pinned error {other}"),

@@ -222,10 +222,7 @@ fn access_kind_strategy() -> impl Strategy<Value = MemAccessKind> {
 }
 
 fn timed_fault_strategy() -> impl Strategy<Value = TimedFault> {
-    prop_oneof![
-        (loc_strategy(), any::<u32>()).prop_map(|(loc, mask)| TimedFault::Flip { loc, mask }),
-        any::<u32>().prop_map(|core| TimedFault::Hang { core }),
-    ]
+    (loc_strategy(), any::<u32>()).prop_map(|(loc, mask)| TimedFault::Flip { loc, mask })
 }
 
 /// A core whose scoreboard holds exactly the registers of `busy` (bit per
