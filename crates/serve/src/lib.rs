@@ -44,7 +44,7 @@ pub use cache::ResultCache;
 pub(crate) use client::Client;
 pub use client::{RetryPolicy, TcpClient};
 pub use exec::ExperimentRunner;
-pub use net::{TcpServer, MAX_CONNECTIONS, PARTIAL_LINE_DEADLINE};
+pub use net::{TcpServer, MAX_CONNECTIONS, PARTIAL_LINE_DEADLINE, WRITE_DEADLINE};
 pub use protocol::{
     CacheOutcome, ExperimentKind, ExperimentRequest, ModelConfig, ServeError, Status,
 };

@@ -15,7 +15,7 @@
 //!   service: queued jobs finish, every accepted waiter gets its
 //!   response, and [`TcpServer::run`] returns the final stats document.
 
-use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
+use std::io::{BufRead, BufReader, ErrorKind, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::Arc;
@@ -43,6 +43,12 @@ pub const MAX_CONNECTIONS: usize = 64;
 /// as idle, so that at [`MAX_CONNECTIONS`] the accept loop may close it
 /// for a newcomer. Below the cap a partial line waits as long as it takes.
 pub const PARTIAL_LINE_DEADLINE: Duration = Duration::from_secs(1);
+
+/// How long writing one reply line may take before the handler gives up
+/// on its peer and closes the connection: a peer that sends requests but
+/// never reads the replies fills the socket buffers, and would otherwise
+/// hold its handler, and its slot, for as long as it stays.
+pub const WRITE_DEADLINE: Duration = Duration::from_secs(1);
 
 /// A handler's [`Handler::state`]: waiting for a request with nothing
 /// buffered, or on a partial line past [`PARTIAL_LINE_DEADLINE`], so the
@@ -183,21 +189,41 @@ fn evict_idle(handlers: &mut Vec<Handler>) -> bool {
     true
 }
 
+/// Writes `doc` as one line, all of it within [`WRITE_DEADLINE`]: each
+/// write may block only for the time left, so a peer that takes the bytes
+/// slower than that, or not at all, fails the write.
 fn write_line(stream: &mut TcpStream, doc: &Json) -> std::io::Result<()> {
     let mut line = String::new();
     doc.write_compact(&mut line);
     line.push('\n');
-    stream.write_all(line.as_bytes())
+    let deadline = Instant::now() + WRITE_DEADLINE;
+    let mut rest = line.as_bytes();
+    while !rest.is_empty() {
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            return Err(ErrorKind::TimedOut.into());
+        }
+        stream.set_write_timeout(Some(left))?;
+        match stream.write(rest) {
+            Ok(0) => return Err(ErrorKind::WriteZero.into()),
+            Ok(written) => rest = &rest[written..],
+            Err(e) if e.kind() == ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(())
 }
 
 /// Sequentially serves one connection. Returns (closing the connection)
-/// on EOF, an unwritable socket, a request line longer than
-/// [`MAX_REQUEST_BYTES`] (answered with a typed `bad_request` first), or
-/// service shutdown or eviction while idle; a request already admitted
-/// always streams to completion first (shutdown drains the pool, so its
+/// on EOF, a broken socket or a reply line not written within
+/// [`WRITE_DEADLINE`], a request line longer than [`MAX_REQUEST_BYTES`]
+/// (answered with a typed `bad_request` first), or service shutdown or
+/// eviction while idle; a request already admitted streams to completion
+/// first unless its peer stops reading (shutdown drains the pool, so its
 /// terminal status is guaranteed to arrive). `state` tells the accept
 /// loop when the handler is idle (see [`await_request`]) or has held a
-/// partial line past [`PARTIAL_LINE_DEADLINE`].
+/// partial line past [`PARTIAL_LINE_DEADLINE`], however its bytes trickle
+/// in.
 fn handle_connection(shared: &Arc<Shared>, stream: TcpStream, local: SocketAddr, state: &AtomicU8) {
     let _ = stream.set_read_timeout(Some(IDLE_POLL));
     let Ok(mut writer) = stream.try_clone() else {
@@ -208,6 +234,12 @@ fn handle_connection(shared: &Arc<Shared>, stream: TcpStream, local: SocketAddr,
     let mut line = Vec::new();
     // When the first byte of `line` arrived.
     let mut began = Instant::now();
+    // Past the deadline a partial line no longer holds the handler's slot.
+    let stale = |began: Instant| {
+        if began.elapsed() >= PARTIAL_LINE_DEADLINE {
+            let _ = state.compare_exchange(BUSY, IDLE, Ordering::AcqRel, Ordering::Acquire);
+        }
+    };
     loop {
         if line.is_empty() {
             if reader.buffer().is_empty() && !await_request(shared, &mut reader, state) {
@@ -215,9 +247,10 @@ fn handle_connection(shared: &Arc<Shared>, stream: TcpStream, local: SocketAddr,
             }
             began = Instant::now();
         }
-        let room = (MAX_REQUEST_BYTES + 1 - line.len()) as u64;
-        match (&mut reader).take(room).read_until(b'\n', &mut line) {
+        let room = MAX_REQUEST_BYTES + 1 - line.len();
+        match read_part(&mut reader, &mut line, room) {
             Ok(0) => break,
+            Ok(_) if line.len() <= MAX_REQUEST_BYTES && !line.ends_with(b"\n") => stale(began),
             Ok(_) if !reclaim(state) => break,
             Ok(_) if line.len() > MAX_REQUEST_BYTES => {
                 let status = Status::Error(ServeError::BadRequest(format!(
@@ -235,15 +268,12 @@ fn handle_connection(shared: &Arc<Shared>, stream: TcpStream, local: SocketAddr,
                 }
             }
             // Idle poll: `line` keeps any partial read, and the next
-            // read_until continues appending to it. Past the deadline the
-            // partial line no longer holds the handler's slot.
+            // read_part continues appending to it.
             Err(e) if is_poll(&e) => {
                 if shared.is_shutting_down() {
                     break;
                 }
-                if began.elapsed() >= PARTIAL_LINE_DEADLINE {
-                    let _ = state.compare_exchange(BUSY, IDLE, Ordering::AcqRel, Ordering::Acquire);
-                }
+                stale(began);
             }
             Err(_) => break,
         }
@@ -251,6 +281,26 @@ fn handle_connection(shared: &Arc<Shared>, stream: TcpStream, local: SocketAddr,
     // The accept loop holds a clone of the connection, so dropping this
     // handler's ends would leave it open.
     let _ = writer.shutdown(Shutdown::Both);
+}
+
+/// Moves the buffered bytes up to the first newline, at most `room` of
+/// them, into `line`, reading once first when none are buffered; 0 at
+/// EOF. Unlike `read_until` it returns after every read, so a partial
+/// line that trickles in is checked against its deadline all the same.
+fn read_part(
+    reader: &mut BufReader<TcpStream>,
+    line: &mut Vec<u8>,
+    room: usize,
+) -> std::io::Result<usize> {
+    let buf = reader.fill_buf()?;
+    let end = buf
+        .iter()
+        .position(|&b| b == b'\n')
+        .map_or(buf.len(), |at| at + 1);
+    let end = end.min(room);
+    line.extend_from_slice(&buf[..end]);
+    reader.consume(end);
+    Ok(end)
 }
 
 /// Waits between requests, idle (so the accept loop may evict the

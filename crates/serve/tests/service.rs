@@ -2,9 +2,9 @@
 //! backpressure, graceful shutdown, the TCP protocol, and the DSE batch
 //! client's equivalence with the in-process exploration.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use mempool::dse::DesignSpace;
 use mempool::experiments::{Evaluation, Fig6};
@@ -13,6 +13,7 @@ use mempool_obs::Json;
 use mempool_serve::{
     CacheOutcome, ExperimentKind, ExperimentRequest, ResultCache, ServeError, Service,
     ServiceConfig, TcpClient, TcpServer, MAX_CONNECTIONS, MAX_QUEUE, PARTIAL_LINE_DEADLINE,
+    WRITE_DEADLINE,
 };
 
 /// A runner gate: holds every run until released, counting invocations.
@@ -422,14 +423,23 @@ fn connections_in_the_middle_of_requests_get_backpressure() {
 
 #[test]
 fn half_lines_older_than_the_deadline_give_way_to_a_new_client() {
+    // Peers that send half a request line and then nothing, and peers that
+    // trickle it on by one byte about every 50 ms, within every one of
+    // their handler's 100 ms read polls.
+    for trickle in [false, true] {
+        stale_half_lines_give_way(trickle);
+    }
+}
+
+fn stale_half_lines_give_way(trickle: bool) {
     use std::io::Write;
-    let started = std::time::Instant::now();
+    let started = Instant::now();
     let server = TcpServer::bind("127.0.0.1:0", ServiceConfig::default()).unwrap();
     let addr = server.local_addr().unwrap();
     let daemon = std::thread::spawn(move || server.run().unwrap());
 
     // The cap's worth of peers that each send half a request line and
-    // then nothing.
+    // then no newline.
     let halves: Vec<_> = (0..MAX_CONNECTIONS)
         .map(|_| {
             let mut peer = std::net::TcpStream::connect(addr).unwrap();
@@ -437,6 +447,20 @@ fn half_lines_older_than_the_deadline_give_way_to_a_new_client() {
             peer
         })
         .collect();
+    let stop = Arc::new(AtomicBool::new(false));
+    let trickler = trickle.then(|| {
+        let mut peers: Vec<_> = halves.iter().map(|p| p.try_clone().unwrap()).collect();
+        let stop = Arc::clone(&stop);
+        std::thread::spawn(move || {
+            while !stop.load(Ordering::SeqCst) {
+                for peer in &mut peers {
+                    // An evicted peer's connection is closed.
+                    let _ = peer.write_all(b" ");
+                }
+                std::thread::sleep(Duration::from_millis(50));
+            }
+        })
+    });
     // Once the deadline has passed, a stale half line holds its slot no
     // longer: a new client is served in its place.
     std::thread::sleep(PARTIAL_LINE_DEADLINE);
@@ -449,10 +473,61 @@ fn half_lines_older_than_the_deadline_give_way_to_a_new_client() {
             result => break result.map(|_| client),
         }
     };
-    let mut client = served.expect("a stale half line gives way");
+    stop.store(true, Ordering::SeqCst);
+    if let Some(trickler) = trickler {
+        trickler.join().unwrap();
+    }
+    let mut client = served.unwrap_or_else(|e| panic!("trickle {trickle}: {e}"));
     client.shutdown().unwrap();
     daemon.join().unwrap();
     drop(halves);
+    assert!(
+        started.elapsed() <= Duration::from_secs(5),
+        "trickle {trickle}: took {:?}",
+        started.elapsed()
+    );
+}
+
+#[test]
+fn peers_that_never_read_their_replies_are_closed_after_the_write_deadline() {
+    use std::io::{BufRead, BufReader, Write};
+    let started = Instant::now();
+    let server = TcpServer::bind("127.0.0.1:0", ServiceConfig::default()).unwrap();
+    let addr = server.local_addr().unwrap();
+    let daemon = std::thread::spawn(move || server.run().unwrap());
+
+    // Pipelined `stats` requests whose replies (about 500 bytes each) are
+    // some 16 MiB, several times what the two socket buffers hold, from a
+    // peer that reads nothing for three deadlines: the handler fills the
+    // buffers within the first, with room to spare on a loaded host.
+    const REQUESTS: usize = 32_768;
+    let mut peer = std::net::TcpStream::connect(addr).unwrap();
+    let requests = b"{\"id\": 1, \"kind\": \"stats\"}\n".repeat(REQUESTS);
+    peer.set_write_timeout(Some(WRITE_DEADLINE)).unwrap();
+    // Requests that do not fit the buffers once the handler stops reading
+    // are not sent: the peer gives up, as the handler does.
+    let _ = peer.write_all(&requests);
+    std::thread::sleep(WRITE_DEADLINE * 3);
+
+    // The handler has given up on the peer and closed the connection: the
+    // replies the buffers held arrive, then EOF.
+    peer.set_read_timeout(Some(Duration::from_secs(1))).unwrap();
+    let mut reader = BufReader::new(peer);
+    let (mut replies, mut line) = (0, Vec::new());
+    loop {
+        line.clear();
+        match reader.read_until(b'\n', &mut line) {
+            Ok(0) => break,
+            Ok(_) => replies += usize::from(line.ends_with(b"\n")),
+            Err(e) => panic!("no EOF after {replies} replies: {e}"),
+        }
+    }
+    assert!(replies < REQUESTS, "{replies} replies");
+    // The daemon serves on.
+    let mut client = TcpClient::connect(addr).unwrap();
+    client.stats().unwrap();
+    client.shutdown().unwrap();
+    daemon.join().unwrap();
     assert!(
         started.elapsed() <= Duration::from_secs(5),
         "took {:?}",

@@ -199,7 +199,7 @@ words_struct!(Response { due, reg, value });
 
 /// Observability attachment: shared handle plus the tracks and counters
 /// this cluster records into (see [`Cluster::attach_obs`]). The engine
-/// records into it in place, tick by tick.
+/// records spans and flight events into it in place, tick by tick.
 #[derive(Debug)]
 pub(crate) struct ClusterObs {
     pub(crate) obs: Obs,
@@ -207,12 +207,10 @@ pub(crate) struct ClusterObs {
     dma_track: TrackId,
     /// One timeline per core, for `wfi`/resume (barrier) spans.
     pub(crate) core_tracks: Vec<TrackId>,
-    dma_bytes: Counter,
     dma_transfers: Counter,
-    pub(crate) bank_conflicts: Counter,
-    pub(crate) icache_misses: Counter,
-    pub(crate) fault_retries: Counter,
-    pub(crate) ecc_corrected: Counter,
+    /// The counters that publish `engine::counts`, and what they last did.
+    pub(crate) published: [Counter; 5],
+    pub(crate) baseline: [u64; 5],
     /// The flight ring cluster events are recorded into, armed by
     /// [`Cluster::enable_flight`].
     pub(crate) flight: Option<FlightRecorder>,
@@ -458,10 +456,11 @@ impl Cluster {
     }
 
     /// Attaches an observability handle. The cluster records DMA transfers
-    /// and waits as spans on a `dma` track, each core's `wfi`-to-resume
-    /// (barrier) intervals as spans on per-core tracks, and DMA bytes /
-    /// transfer and bank-conflict counts as labeled metrics — all grouped
-    /// under a trace process named `run`.
+    /// and waits as spans on a `dma` track and each core's `wfi`-to-resume
+    /// (barrier) intervals as spans on per-core tracks, all grouped under a
+    /// trace process named `run`. Of six labeled counters one counts DMA
+    /// transfers; five publish what the simulator counts itself since
+    /// attaching, whenever a `run`, `step` or `dma_tile` call ends.
     ///
     /// Recording costs nothing until attached; re-attaching replaces the
     /// previous attachment (closing its open spans).
@@ -476,14 +475,16 @@ impl Cluster {
         self.attach.obs = Some(ClusterObs {
             dma_track,
             core_tracks,
-            dma_bytes: obs.metrics.counter("sim_dma_bytes_total", &labels),
             dma_transfers: obs.metrics.counter("sim_dma_transfers_total", &labels),
-            bank_conflicts: obs
-                .metrics
-                .counter("sim_bank_conflict_cycles_total", &labels),
-            icache_misses: obs.metrics.counter("sim_icache_misses_total", &labels),
-            fault_retries: obs.metrics.counter("sim_fault_retries_total", &labels),
-            ecc_corrected: obs.metrics.counter("sim_ecc_corrected_total", &labels),
+            published: [
+                "sim_bank_conflict_cycles_total",
+                "sim_icache_misses_total",
+                "sim_dma_bytes_total",
+                "sim_fault_retries_total",
+                "sim_ecc_corrected_total",
+            ]
+            .map(|name| obs.metrics.counter(name, &labels)),
+            baseline: engine::counts(&self.machine, self.attach.faults.as_ref()),
             flight: None,
             obs: obs.clone(),
         });
@@ -686,11 +687,15 @@ impl Cluster {
         for (tile, bank) in stuck {
             let spare = storage.remap_bank(tile, bank)?;
             if let Some(flight) = self.attach.flight() {
-                let (category, message) = remapped_bank((tile, bank, spare)).flight_event();
+                let (category, message) = remapped_bank(&(tile, bank, spare)).flight_event();
                 flight.record_deferred(0, category, None, message);
             }
         }
         self.attach.faults = Some(ctrl);
+        // The new controller's report starts at zero.
+        if let Some(hooks) = self.attach.obs.as_mut() {
+            hooks.baseline[3..].fill(0);
+        }
         Ok(())
     }
 
@@ -707,12 +712,7 @@ impl Cluster {
     pub fn fault_report(&self) -> Option<FaultReport> {
         let mut report = self.attach.faults.as_ref()?.report();
         let storage = &self.machine.storage;
-        report.remapped = storage
-            .remaps()
-            .iter()
-            .copied()
-            .map(remapped_bank)
-            .collect();
+        report.remapped = storage.remaps().iter().map(remapped_bank).collect();
         report.ecc_pending = storage.ecc().pending_words() as u64;
         Some(report)
     }
@@ -877,9 +877,9 @@ impl Cluster {
                 .obs
                 .spans
                 .complete(hooks.dma_track, "dma_tile", issued, done, args);
-            hooks.dma_bytes.add(bytes);
             hooks.dma_transfers.inc();
         }
+        self.attach.publish(&self.machine);
         if let Some(flight) = self.attach.flight() {
             let message = format!("dma_tile {bytes} B {dir} over {} cycles", done - issued);
             flight.record(issued, "dma", None, message);
@@ -1077,7 +1077,7 @@ pub(crate) fn latency_split(class: AccessClass) -> (u32, u32) {
 }
 
 /// A storage remap `(tile, stuck bank, spare)` as the fault report lists it.
-fn remapped_bank((tile, from, to): (TileId, BankId, BankId)) -> RemappedBank {
+fn remapped_bank(&(tile, from, to): &(TileId, BankId, BankId)) -> RemappedBank {
     RemappedBank {
         tile: tile.0,
         from_bank: from.0,
@@ -2271,6 +2271,67 @@ mod tests {
         };
         assert_eq!(value("sim_fault_retries_total"), 16);
         assert_eq!(value("sim_ecc_corrected_total"), 1);
+    }
+
+    /// A plan injected in the middle of a run replaces the controller, and
+    /// with it the report the fault counters publish from: the counters
+    /// keep what the first plan counted and add what the second one does.
+    #[test]
+    fn a_plan_injected_mid_run_adds_to_the_fault_counters() {
+        let mut cluster = Cluster::new(tiny_config(), SimParams::default());
+        let MemoryRegion::Spm(loc) = cluster.storage().map().locate(0) else {
+            panic!("address 0 must be SPM");
+        };
+        let obs = mempool_obs::Obs::new();
+        cluster.attach_obs(&obs, "replan");
+        let degraded = |extra_latency| {
+            let mut plan = FaultPlan::new(8);
+            plan.push(FaultEvent::LinkDegraded {
+                tile: TileId(0),
+                extra_latency,
+            });
+            plan
+        };
+        cluster.inject_faults(&degraded(5)).unwrap();
+        cluster.load_program(
+            Program::assemble(
+                r#"
+                    li   t0, 0
+                    li   t1, 16
+                loop:
+                    lw   a0, 0(t0)
+                    add  a1, a0, a0
+                    addi t1, t1, -1
+                    bnez t1, loop
+                    wfi
+                "#,
+            )
+            .unwrap(),
+        );
+        cluster.preload_icaches();
+        assert_eq!(cluster.run(60), Err(SimError::Timeout { cycles: 60 }));
+        let first = cluster.fault_report().unwrap().retried_accesses;
+        assert!((1..16).contains(&first), "{first} of the 16 loads retried");
+
+        let mut second = degraded(3);
+        second.push(FaultEvent::TransientFlip {
+            cycle: cluster.cycle(),
+            loc,
+            mask: 1 << 30,
+        });
+        cluster.inject_faults(&second).unwrap();
+        cluster.run(100_000).unwrap();
+        let report = cluster.fault_report().unwrap();
+        assert_eq!(first + report.retried_accesses, 16, "one retry per load");
+        assert_eq!(report.ecc_corrected, 1);
+
+        let snapshot = obs.metrics.snapshot();
+        let value = |name: &str| {
+            let counter = snapshot.counters.iter().find(|c| c.name == name);
+            counter.map(|c| c.value)
+        };
+        assert_eq!(value("sim_fault_retries_total"), Some(16));
+        assert_eq!(value("sim_ecc_corrected_total"), Some(1));
     }
 
     #[test]

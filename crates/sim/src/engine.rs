@@ -11,10 +11,10 @@
 //! due. Everything a tick produces goes straight to where it belongs, in
 //! the order the sweep meets it: requests into their bank queue,
 //! responses into their core's queue, off-chip accesses through the port,
-//! and trace entries, flight events, spans, counters and fault outcomes
-//! into their recorders. DESIGN.md § "Execution engine" is the reference
-//! for the tick and its error ordering; the comments here cover what the
-//! code alone does not show.
+//! and trace entries, flight events, spans and fault outcomes into their
+//! recorders. DESIGN.md § "Execution engine" is the reference for the
+//! tick and its error ordering; the comments here cover what the code
+//! alone does not show.
 
 use std::time::Instant;
 
@@ -234,22 +234,27 @@ impl Attachments {
     }
 
     /// Counts a fault outcome into the controller's report, and into the
-    /// obs counters and flight ring when they are attached.
+    /// flight ring while flight recording is on.
     fn note_fault(&mut self, now: u64, note: FaultNote) {
         if let Some(faults) = self.faults.as_mut() {
             faults.count(note);
         }
-        let Some(hooks) = &self.obs else {
-            return;
-        };
-        match note {
-            FaultNote::Retry { .. } => hooks.fault_retries.inc(),
-            FaultNote::Corrected { .. } => hooks.ecc_corrected.inc(),
-            FaultNote::Uncorrectable { .. } => {}
-        }
-        if let Some(flight) = &hooks.flight {
+        if let Some(flight) = self.flight() {
             let (category, message) = note.flight_event();
             flight.record_deferred(now, category, None, message);
+        }
+    }
+
+    /// Adds to each published obs counter what its count gained since the
+    /// last publish, and moves the baseline there: the one place those
+    /// counters change.
+    pub(crate) fn publish(&mut self, m: &Machine) {
+        if let Some(hooks) = self.obs.as_mut() {
+            let counts = counts(m, self.faults.as_ref());
+            for (i, counter) in hooks.published.iter().enumerate() {
+                counter.add(counts[i] - hooks.baseline[i]);
+            }
+            hooks.baseline = counts;
         }
     }
 
@@ -260,9 +265,8 @@ impl Attachments {
         let Some(faults) = self.faults.as_mut() else {
             return;
         };
-        let flight = self.obs.as_ref().and_then(|hooks| hooks.flight.as_ref());
         for fault in faults.take_due(m.cycle) {
-            if let Some(flight) = flight {
+            if let Some(flight) = self.flight() {
                 let (category, message) = fault.flight_event();
                 flight.record_deferred(m.cycle, category, None, message);
             }
@@ -288,6 +292,19 @@ impl Attachments {
             diagnostics: m.core_diagnostics(self.trace.as_ref()),
         }
     }
+}
+
+/// The simulator's own counts the obs counters publish, in the order
+/// `Cluster::attach_obs` names them: `m`'s, then the fault report's.
+pub(crate) fn counts(m: &Machine, faults: Option<&FaultController>) -> [u64; 5] {
+    let report = faults.map(FaultController::report).unwrap_or_default();
+    [
+        m.banks.iter().map(|b| b.stats.conflicts).sum(),
+        m.cores.iter().map(|c| c.stats.icache_misses).sum(),
+        m.dma_bytes,
+        report.retried_accesses,
+        report.ecc_corrected,
+    ]
 }
 
 /// The first bank at or after `from` whose live bit is set in a tile's
@@ -368,9 +385,6 @@ impl Tick<'_> {
                 live[local / 64] &= !(1 << (local % 64));
             }
             bank.stats.served += 1;
-            if let (Some(hooks), true) = (&self.a.obs, contenders > 1) {
-                hooks.bank_conflicts.add(contenders - 1);
-            }
             let (loc, kind) = (access.loc, access.kind);
             debug_assert_eq!(loc.tile.index(), tile, "banks are tile-owned");
             if let Some(flight) = self.a.flight() {
@@ -476,9 +490,6 @@ impl Tick<'_> {
             if !icache.access(pc) {
                 core.insert_bubble(Bubble::ICache, ICACHE_MISS_PENALTY);
                 core.stats.icache_misses += 1;
-                if let Some(hooks) = &self.a.obs {
-                    hooks.icache_misses.inc();
-                }
                 continue;
             }
             let Some(instr) = m.program.fetch(pc) else {
@@ -674,8 +685,8 @@ fn tick(m: &mut Machine, a: &mut Attachments, prof: &mut CallTally) -> Result<bo
 }
 
 /// Runs `body` as one profiled call: its host time lands in the
-/// process-wide profile, and debug builds check the live sets against
-/// the queues afterwards.
+/// process-wide profile, the obs counters publish its counts (an errored
+/// call's too), and debug builds check the live sets against the queues.
 fn profiled<T>(
     m: &mut Machine,
     a: &mut Attachments,
@@ -684,6 +695,7 @@ fn profiled<T>(
     let start = Instant::now();
     let mut prof = CallTally::default();
     let result = body(m, a, &mut prof);
+    a.publish(m);
     prof.busy_ns = start.elapsed().as_nanos() as u64;
     debug_assert!(
         m.live == LiveSets::of(&m.banks, &m.responses, m.live.banks_per_tile),

@@ -156,25 +156,13 @@ impl ClusterStats {
 
     /// Total accesses by distance class (tile-local, group-local, remote).
     pub fn accesses_by_class(&self) -> [u64; 3] {
-        let mut total = [0u64; 3];
-        for core in &self.cores {
-            for (slot, count) in total.iter_mut().zip(core.accesses) {
-                *slot += count;
-            }
-        }
-        total
+        std::array::from_fn(|i| self.cores.iter().map(|c| c.accesses[i]).sum())
     }
 
     /// Off-tile traffic per group network (local, north, northeast, east)
     /// — the load on each of the four butterfly networks.
     pub fn accesses_by_network(&self) -> [u64; 4] {
-        let mut total = [0u64; 4];
-        for core in &self.cores {
-            for (slot, count) in total.iter_mut().zip(core.network_accesses) {
-                *slot += count;
-            }
-        }
-        total
+        std::array::from_fn(|i| self.cores.iter().map(|c| c.network_accesses[i]).sum())
     }
 
     /// Builds the normalized cycle-attribution report: per core, per tile,

@@ -241,6 +241,8 @@ pub struct Observed {
     pub series: Series,
     /// Events recorded over all legs, and the newest ring-full of them.
     pub flight: (u64, Vec<Event>),
+    /// Each `sim_*` counter, summed over all legs.
+    pub metrics: BTreeMap<String, u64>,
     /// The Chrome trace and the instruction trace of an unrestored run.
     pub traces: Option<(String, String)>,
 }
@@ -251,10 +253,16 @@ struct Legs {
     series: Series,
     recorded: u64,
     flight: Vec<Event>,
+    metrics: BTreeMap<String, u64>,
 }
 
 impl Legs {
     fn collect(&mut self, obs: &Obs) {
+        for counter in obs.metrics.snapshot().counters {
+            if counter.name.starts_with("sim_") {
+                *self.metrics.entry(counter.name).or_default() += counter.value;
+            }
+        }
         for name in obs.series.names() {
             let samples = obs.series.samples(&name);
             let samples = samples.iter().map(|s| (s.cycle, s.value));
@@ -285,6 +293,19 @@ impl Legs {
             "{shape:?}: each core's buckets sum to the cycles"
         );
         let attribution = report.to_json().to_pretty();
+        // Five counters publish a count the simulator keeps itself.
+        let faults = cluster.fault_report().unwrap_or_default();
+        let icache_misses = stats.cores.iter().map(|c| c.icache_misses).sum();
+        let twins = [
+            ("sim_bank_conflict_cycles_total", stats.total_conflicts()),
+            ("sim_icache_misses_total", icache_misses),
+            ("sim_dma_bytes_total", stats.dma_bytes),
+            ("sim_fault_retries_total", faults.retried_accesses),
+            ("sim_ecc_corrected_total", faults.ecc_corrected),
+        ];
+        for (name, twin) in twins {
+            assert_eq!(self.metrics.get(name), Some(&twin), "{shape:?}: {name}");
+        }
         let instructions = cluster.trace().map(|t| t.to_string());
         // Close still-open spans so the exported trace is balanced.
         cluster.detach_obs();
@@ -296,6 +317,7 @@ impl Legs {
             touches: cluster.storage().spm_word_touches(),
             series: self.series,
             flight: (self.recorded, self.flight.split_off(newest)),
+            metrics: self.metrics,
             traces: instructions.map(|instructions| {
                 let spans = chrome_trace_with_counters(&obs.spans, Some(&obs.series));
                 (spans.to_pretty(), instructions)
@@ -382,7 +404,7 @@ pub fn check_cuts(
     let end = end.unwrap_or_else(|| cluster.run(BUDGET));
     let got = legs.finish(shape, &mut cluster, end, &obs);
     // Field by field, so that a failure names what differs.
-    let fields: [(&str, bool); 9] = [
+    let fields: [(&str, bool); 10] = [
         ("end", got.end == expected.end),
         ("stats", got.stats == expected.stats),
         ("digest", got.digest == expected.digest),
@@ -391,6 +413,7 @@ pub fn check_cuts(
         ("spm touches", got.touches == expected.touches),
         ("time series", got.series == expected.series),
         ("flight events", got.flight == expected.flight),
+        ("metrics", got.metrics == expected.metrics),
         ("traces", got.traces == expected.traces),
     ];
     for (field, same) in fields {
