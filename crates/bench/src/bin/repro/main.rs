@@ -431,12 +431,9 @@ fn cmd_submit(argv: &[String], out: &mut Out) -> Result<(), Failure> {
 }
 
 fn submit(opts: SubmitOptions, out: &mut Out) -> Result<(), String> {
-    use mempool_serve::{dse, ExperimentRequest, RetryPolicy, TcpClient};
+    use mempool_serve::{dse, ExperimentRequest, TcpClient};
 
-    // Bounded retries with backoff: a daemon restarting mid-sweep (crash
-    // recovery, rolling restart) comes back within the retry window and
-    // the submission resumes instead of failing.
-    let mut client = TcpClient::connect_with(&opts.connect, &RetryPolicy::default())
+    let mut client = TcpClient::connect(&opts.connect)
         .map_err(|e| format!("cannot connect to {}: {e}", opts.connect))?;
     let mut artifacts = create_artifact_dir(opts.artifacts_dir.as_deref())?;
     for (token, item) in opts.items {

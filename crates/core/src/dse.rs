@@ -42,7 +42,7 @@ impl Objective {
             Objective::Performance => eval.performance(point, bw),
             Objective::Efficiency => eval.efficiency(point, bw),
             Objective::Edp => -eval.edp(point, bw),
-            Objective::CombinedArea => -eval.group(point).combined_die_area_um2,
+            Objective::CombinedArea => -eval.group(point).combined_die_area_um2(),
         }
     }
 }

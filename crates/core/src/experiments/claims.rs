@@ -65,10 +65,10 @@ impl Claims {
         let fp8_saving = 1.0
             - eval
                 .group(point(Flow::ThreeD, SpmCapacity::MiB8))
-                .footprint_um2
+                .footprint_um2()
                 / eval
                     .group(point(Flow::TwoD, SpmCapacity::MiB8))
-                    .footprint_um2;
+                    .footprint_um2();
 
         let claims = vec![
             Claim {

@@ -29,33 +29,50 @@ pub struct Fig6Point {
     pub speedup_vs_half: Option<f64>,
 }
 
+impl Fig6Point {
+    /// The point of `capacity` at `bytes_per_cycle` under `model`.
+    pub fn new(model: &PhaseModel, capacity: SpmCapacity, bytes_per_cycle: u32) -> Self {
+        Fig6Point {
+            capacity,
+            bytes_per_cycle,
+            speedup_vs_reference: model.speedup(capacity, bytes_per_cycle, SpmCapacity::MiB1, 4),
+            speedup_vs_half: capacity
+                .half()
+                .map(|half| model.speedup(capacity, bytes_per_cycle, half, bytes_per_cycle)),
+        }
+    }
+}
+
 /// The reproduced Figure 6.
 #[derive(Debug, Clone)]
 pub struct Fig6 {
     points: Vec<Fig6Point>,
+    /// The paper's headline comparisons, 8 MiB over 1 MiB at the same
+    /// bandwidth: `(bytes_per_cycle, measured, paper)`.
+    headlines: Vec<(u32, f64, f64)>,
     model: PhaseModel,
 }
 
 impl Fig6 {
     /// Computes the figure with the given workload model.
     pub fn with_model(model: PhaseModel) -> Self {
-        let mut points = Vec::new();
-        for capacity in SpmCapacity::ALL {
-            for bytes_per_cycle in BANDWIDTHS {
-                let speedup_vs_reference =
-                    model.speedup(capacity, bytes_per_cycle, SpmCapacity::MiB1, 4);
-                let speedup_vs_half = capacity
-                    .half()
-                    .map(|half| model.speedup(capacity, bytes_per_cycle, half, bytes_per_cycle));
-                points.push(Fig6Point {
-                    capacity,
-                    bytes_per_cycle,
-                    speedup_vs_reference,
-                    speedup_vs_half,
-                });
-            }
+        let points = SpmCapacity::ALL
+            .into_iter()
+            .flat_map(|capacity| BANDWIDTHS.map(|bw| Fig6Point::new(&model, capacity, bw)))
+            .collect();
+        let headlines = [4u32, 16, 64]
+            .into_iter()
+            .filter_map(|bw| {
+                let paper = paper::fig6_speedup_8mib_over_1mib(bw)?;
+                let measured = model.speedup(SpmCapacity::MiB8, bw, SpmCapacity::MiB1, bw);
+                Some((bw, measured, paper))
+            })
+            .collect();
+        Fig6 {
+            points,
+            headlines,
+            model,
         }
-        Fig6 { points, model }
     }
 
     /// Computes the figure with the recorded measured constants.
@@ -90,18 +107,12 @@ impl Fig6 {
             t.row_vec(cells);
         }
         out.push_str(&t.to_string());
-        // The paper's headline comparisons.
-        for bw in [4u32, 16, 64] {
-            let measured = self
-                .model
-                .speedup(SpmCapacity::MiB8, bw, SpmCapacity::MiB1, bw);
-            if let Some(expected) = paper::fig6_speedup_8mib_over_1mib(bw) {
-                out.push_str(&format!(
-                    "8 MiB vs 1 MiB at {bw:>2} B/cycle: {:.1} % (paper: {:.0} %)\n",
-                    (measured - 1.0) * 100.0,
-                    (expected - 1.0) * 100.0
-                ));
-            }
+        for &(bw, measured, expected) in &self.headlines {
+            out.push_str(&format!(
+                "8 MiB vs 1 MiB at {bw:>2} B/cycle: {:.1} % (paper: {:.0} %)\n",
+                (measured - 1.0) * 100.0,
+                (expected - 1.0) * 100.0
+            ));
         }
         out
     }
@@ -126,18 +137,15 @@ impl Fig6 {
                 ])
             })
             .collect();
-        let headlines = [4u32, 16, 64]
+        let headlines = self
+            .headlines
             .iter()
-            .filter_map(|&bw| {
-                let expected = paper::fig6_speedup_8mib_over_1mib(bw)?;
-                let measured = self
-                    .model
-                    .speedup(SpmCapacity::MiB8, bw, SpmCapacity::MiB1, bw);
-                Some(Json::obj([
+            .map(|&(bw, measured, expected)| {
+                Json::obj([
                     ("bytes_per_cycle", Json::Int(bw as i64)),
                     ("speedup_8mib_over_1mib", Json::Float(measured)),
                     ("paper", Json::Float(expected)),
-                ]))
+                ])
             })
             .collect();
         Json::obj([
@@ -147,15 +155,7 @@ impl Fig6 {
                 Json::str("matmul cycle-count speedup vs off-chip bandwidth"),
             ),
             ("reference", Json::str("1 MiB at 4 B/cycle")),
-            (
-                "model",
-                Json::obj([
-                    ("m", Json::Int(self.model.m as i64)),
-                    ("num_cores", Json::Int(self.model.num_cores as i64)),
-                    ("cycles_per_mac", Json::Float(self.model.cycles_per_mac)),
-                    ("phase_overhead", Json::Float(self.model.phase_overhead)),
-                ]),
-            ),
+            ("model", self.model.to_json()),
             ("points", Json::Arr(points)),
             ("headlines", Json::Arr(headlines)),
         ])
@@ -198,10 +198,10 @@ mod tests {
     #[test]
     fn headline_speedups_near_paper() {
         let fig = Fig6::generate();
-        let m = &fig.model;
-        for (bw, lo, hi) in [(4u32, 1.30, 1.55), (16, 1.10, 1.25), (64, 1.04, 1.13)] {
-            let s = m.speedup(SpmCapacity::MiB8, bw, SpmCapacity::MiB1, bw);
-            let expected = paper::fig6_speedup_8mib_over_1mib(bw).unwrap();
+        let ranges = [(4u32, 1.30, 1.55), (16, 1.10, 1.25), (64, 1.04, 1.13)];
+        assert_eq!(fig.headlines.len(), ranges.len());
+        for ((bw, lo, hi), &(at, s, expected)) in ranges.into_iter().zip(&fig.headlines) {
+            assert_eq!(at, bw);
             assert!(
                 (lo..hi).contains(&s),
                 "at {bw} B/c: measured {s:.3}, paper {expected:.2}"

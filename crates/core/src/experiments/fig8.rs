@@ -6,6 +6,7 @@ use mempool_phys::Flow;
 
 use crate::experiments::capacity_bars::{self, CapacityBar};
 use crate::experiments::Evaluation;
+use crate::paper;
 
 const TITLE: &str = "energy efficiency vs SPM capacity";
 
@@ -43,9 +44,11 @@ impl Fig8 {
             format!("+{percent:.1} %")
         });
         format!(
-            "{table}3D 1MiB vs baseline: {:+.1} % (paper: +14 %)\n3D vs 2D at 4 MiB: {:+.1} % (paper: +18.4 %)\n",
+            "{table}3D 1MiB vs baseline: {:+.1} % (paper: {:+.0} %)\n3D vs 2D at 4 MiB: {:+.1} % (paper: {:+.1} %)\n",
             (self.bar(Flow::ThreeD, SpmCapacity::MiB1).value - 1.0) * 100.0,
+            (paper::FIG8_3D_1MIB_VS_BASELINE - 1.0) * 100.0,
             (self.bar(Flow::ThreeD, SpmCapacity::MiB4).vs_2d.unwrap() - 1.0) * 100.0,
+            (paper::FIG8_3D_VS_2D_4MIB - 1.0) * 100.0,
         )
     }
 
@@ -59,7 +62,6 @@ impl Fig8 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::paper;
 
     fn fig() -> Fig8 {
         Fig8::generate()

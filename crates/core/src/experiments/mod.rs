@@ -22,7 +22,7 @@ pub(crate) mod table2;
 pub use catalogue::{Context, Experiment, CATALOGUE};
 pub(crate) use claims::Claims;
 pub(crate) use cluster_level::ClusterLevel;
-pub use fig6::Fig6;
+pub use fig6::{Fig6, Fig6Point};
 pub use fig7::Fig7;
 pub use fig8::Fig8;
 pub use fig9::Fig9;
@@ -32,8 +32,7 @@ pub use table2::Table2;
 
 use mempool_arch::SpmCapacity;
 use mempool_kernels::matmul::PhaseModel;
-use mempool_phys::report::GroupReport;
-use mempool_phys::Flow;
+use mempool_phys::{Flow, GroupImplementation};
 
 use crate::design::DesignPoint;
 
@@ -45,7 +44,7 @@ pub(crate) const SECTION_VI_B_BANDWIDTH: u32 = 16;
 /// shared substrate of Figures 7-9 and Table II.
 #[derive(Debug, Clone)]
 pub struct Evaluation {
-    groups: Vec<(DesignPoint, GroupReport)>,
+    groups: Vec<(DesignPoint, GroupImplementation)>,
     model: PhaseModel,
 }
 
@@ -60,21 +59,18 @@ impl Evaluation {
     /// model (e.g. freshly measured constants).
     pub fn with_model(model: PhaseModel) -> Self {
         let groups = DesignPoint::all_capacity_major()
-            .map(|p| {
-                let group = p.implement_group();
-                (p, GroupReport::from(&group))
-            })
+            .map(|p| (p, p.implement_group()))
             .collect();
         Evaluation { groups, model }
     }
 
-    /// The group report of one design point.
+    /// The implemented group of one design point.
     ///
     /// # Panics
     ///
     /// Panics if the point is not one of the eight (cannot happen for
     /// points built from [`Flow`] x [`SpmCapacity`]).
-    pub(crate) fn group(&self, point: DesignPoint) -> &GroupReport {
+    pub(crate) fn group(&self, point: DesignPoint) -> &GroupImplementation {
         &self
             .groups
             .iter()
@@ -85,12 +81,12 @@ impl Evaluation {
 
     /// Clock frequency normalized to the baseline.
     pub fn frequency_norm(&self, point: DesignPoint) -> f64 {
-        self.group(point).frequency_ghz / self.group(DesignPoint::baseline()).frequency_ghz
+        self.group(point).frequency_ghz() / self.group(DesignPoint::baseline()).frequency_ghz()
     }
 
     /// Power normalized to the baseline.
     pub(crate) fn power_norm(&self, point: DesignPoint) -> f64 {
-        self.group(point).total_power_mw / self.group(DesignPoint::baseline()).total_power_mw
+        self.group(point).total_power_mw() / self.group(DesignPoint::baseline()).total_power_mw()
     }
 
     /// Matmul cycle count normalized to the baseline capacity at the same

@@ -35,36 +35,36 @@ impl Table2 {
         let rows = vec![
             MetricRow {
                 name: "Footprint",
-                measured: collect(&|p| eval.group(p).footprint_um2 / base.footprint_um2),
+                measured: collect(&|p| eval.group(p).footprint_um2() / base.footprint_um2()),
                 paper: collect(&|p| paper::group_footprint(p.flow, p.capacity)),
             },
             MetricRow {
                 name: "Combined die area",
                 measured: collect(&|p| {
-                    eval.group(p).combined_die_area_um2 / base.combined_die_area_um2
+                    eval.group(p).combined_die_area_um2() / base.combined_die_area_um2()
                 }),
                 paper: collect(&|p| paper::group_combined_area(p.flow, p.capacity)),
             },
             MetricRow {
                 name: "Wire length",
-                measured: collect(&|p| eval.group(p).wire_length_mm / base.wire_length_mm),
+                measured: collect(&|p| eval.group(p).wire_length_mm() / base.wire_length_mm()),
                 paper: collect(&|p| paper::group_wire_length(p.flow, p.capacity)),
             },
             MetricRow {
                 name: "Density [%]",
-                measured: collect(&|p| eval.group(p).density * 100.0),
+                measured: collect(&|p| eval.group(p).density() * 100.0),
                 paper: vec![53.0, 54.5, 54.0, 54.8, 53.4, 53.2, 56.9, 54.4],
             },
             MetricRow {
                 name: "#Buffers [k]",
-                measured: collect(&|p| eval.group(p).buffers / 1000.0),
+                measured: collect(&|p| eval.group(p).buffers() / 1000.0),
                 paper: collect(&|p| paper::group_buffers(p.flow, p.capacity) / 1000.0),
             },
             MetricRow {
                 name: "#F2F bumps [k]",
                 measured: collect(&|p| {
                     eval.group(p)
-                        .f2f_bumps
+                        .f2f_bumps()
                         .map_or(f64::NAN, |b| b as f64 / 1000.0)
                 }),
                 paper: points
@@ -83,13 +83,13 @@ impl Table2 {
             MetricRow {
                 name: "Total neg. slack",
                 measured: collect(&|p| {
-                    eval.group(p).total_negative_slack_ns / base.total_negative_slack_ns.abs()
+                    eval.group(p).total_negative_slack_ns() / base.total_negative_slack_ns().abs()
                 }),
                 paper: collect(&|p| paper::group_tns(p.flow, p.capacity)),
             },
             MetricRow {
                 name: "#Failing paths",
-                measured: collect(&|p| eval.group(p).failing_paths as f64),
+                measured: collect(&|p| eval.group(p).failing_paths() as f64),
                 paper: collect(&|p| paper::group_failing_paths(p.flow, p.capacity)),
             },
             MetricRow {
@@ -100,7 +100,7 @@ impl Table2 {
             MetricRow {
                 name: "Power-delay product",
                 measured: collect(&|p| {
-                    eval.group(p).power_delay_product / base.power_delay_product
+                    eval.group(p).power_delay_product() / base.power_delay_product()
                 }),
                 paper: collect(&|p| paper::group_pdp(p.flow, p.capacity)),
             },

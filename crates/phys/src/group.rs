@@ -280,7 +280,7 @@ impl GroupImplementation {
     }
 
     /// Combined silicon area across dies in µm².
-    pub(crate) fn combined_die_area_um2(&self) -> f64 {
+    pub fn combined_die_area_um2(&self) -> f64 {
         self.footprint_um2() * self.flow().dies() as f64
     }
 
@@ -300,13 +300,18 @@ impl GroupImplementation {
     }
 
     /// Standard-cell density in the channel area.
-    pub(crate) fn density(&self) -> f64 {
+    pub fn density(&self) -> f64 {
         self.density
     }
 
-    /// The timing report.
-    pub(crate) fn timing(&self) -> &TimingReport {
-        &self.timing
+    /// Total negative slack at 1 GHz, in ns.
+    pub fn total_negative_slack_ns(&self) -> f64 {
+        self.timing.total_negative_slack_ns
+    }
+
+    /// Failing endpoints at 1 GHz.
+    pub fn failing_paths(&self) -> u64 {
+        self.timing.failing_paths
     }
 
     /// Achieved clock frequency in GHz.
@@ -320,7 +325,7 @@ impl GroupImplementation {
     }
 
     /// Power-delay product in mW·ns (power / frequency).
-    pub(crate) fn power_delay_product(&self) -> f64 {
+    pub fn power_delay_product(&self) -> f64 {
         self.total_power_mw() / (self.frequency_ghz() * 1000.0)
     }
 
@@ -382,7 +387,7 @@ mod tests {
     fn wire_fraction_anchor_on_baseline() {
         // Paper: ~37 % of the baseline 2D critical path is wire delay.
         let g = group(SpmCapacity::MiB1, Flow::TwoD);
-        let frac = g.timing().wire_delay_fraction;
+        let frac = g.timing.wire_delay_fraction;
         assert!(
             (0.30..=0.44).contains(&frac),
             "baseline wire fraction {frac:.3}, expected near 0.37"
@@ -397,8 +402,8 @@ mod tests {
             (0.80..1.0).contains(&f),
             "baseline must have negative slack at 1 GHz (got {f:.3} GHz)"
         );
-        assert!(g.timing().total_negative_slack_ns < 0.0);
-        assert!(g.timing().failing_paths > 0);
+        assert!(g.total_negative_slack_ns() < 0.0);
+        assert!(g.failing_paths() > 0);
     }
 
     #[test]

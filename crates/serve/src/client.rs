@@ -22,6 +22,16 @@ use crate::service::{submit, Shared};
 /// sends a newline grows the client's buffer until the OS kills it.
 const MAX_RESPONSE_BYTES: usize = 16 << 20;
 
+/// Connection attempts [`TcpClient::connect`] makes before it gives up.
+const CONNECT_ATTEMPTS: u32 = 5;
+
+/// Sleep after the first failed attempt; attempt *n* sleeps `n - 1` times
+/// this before it starts.
+const CONNECT_BACKOFF: Duration = Duration::from_millis(200);
+
+/// Deadline of one connection attempt.
+const CONNECT_TIMEOUT: Duration = Duration::from_secs(5);
+
 /// A completed request: the artifact plus how it was satisfied.
 #[derive(Debug, Clone)]
 pub struct Outcome {
@@ -101,33 +111,6 @@ impl Client {
     }
 }
 
-/// Connection robustness knobs for [`TcpClient::connect_with`]: bounded
-/// retries with linear backoff plus connect/read deadlines.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RetryPolicy {
-    /// Total connection attempts (clamped to at least 1).
-    pub attempts: u32,
-    /// Sleep after the first failed attempt; each later failure backs off
-    /// by one more multiple of this (attempt *n* sleeps `n * backoff`).
-    pub backoff: Duration,
-    /// Per-attempt connect deadline.
-    pub connect_timeout: Duration,
-    /// Read deadline applied to the established stream; `None` blocks
-    /// forever (long experiments are computed inline on first request).
-    pub read_timeout: Option<Duration>,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy {
-            attempts: 5,
-            backoff: Duration::from_millis(200),
-            connect_timeout: Duration::from_secs(5),
-            read_timeout: None,
-        }
-    }
-}
-
 /// A TCP client for a `repro serve` daemon. Requests are issued
 /// sequentially per connection; concurrency comes from multiple
 /// connections (or the in-process `Client`).
@@ -139,30 +122,18 @@ pub struct TcpClient {
 }
 
 impl TcpClient {
-    /// Connects to a daemon in one attempt with no deadlines (the
-    /// original behavior; [`TcpClient::connect_with`] adds robustness).
+    /// Connects to a daemon with bounded retries: up to 5 attempts, 5 s
+    /// each, with a linear backoff of 200 ms more after each failure. A
+    /// daemon restarting mid-sweep comes back within that window and the
+    /// caller carries on. The established stream has no read deadline: a
+    /// long experiment is computed inline on its first request.
     ///
     /// # Errors
     ///
-    /// Propagates connection failures.
-    pub fn connect(addr: impl ToSocketAddrs) -> std::io::Result<Self> {
-        let stream = TcpStream::connect(addr)?;
-        Self::from_stream(stream)
-    }
-
-    /// Connects with bounded retries, backoff, and timeouts — the right
-    /// call for anything unattended (CI, the DSE batch driver, resumed
-    /// sweeps racing a restarting daemon).
-    ///
-    /// # Errors
-    ///
-    /// [`ServeError::Timeout`] when every attempt timed out,
-    /// [`ServeError::Transport`] when the final attempt failed another
-    /// way (refused, unreachable, resolution failure).
-    pub fn connect_with(
-        addr: impl ToSocketAddrs,
-        policy: &RetryPolicy,
-    ) -> Result<Self, ServeError> {
+    /// [`ServeError::Timeout`] when the final attempt timed out,
+    /// [`ServeError::Transport`] when it failed another way (refused,
+    /// unreachable, resolution failure).
+    pub fn connect(addr: impl ToSocketAddrs) -> Result<Self, ServeError> {
         let addrs: Vec<SocketAddr> = addr
             .to_socket_addrs()
             .map_err(|e| ServeError::Transport(format!("address resolution failed: {e}")))?
@@ -172,44 +143,34 @@ impl TcpClient {
                 "address resolved to nothing".to_string(),
             ));
         }
-        let attempts = policy.attempts.max(1);
         let mut last_err = None;
-        for attempt in 1..=attempts {
+        for attempt in 1..=CONNECT_ATTEMPTS {
             if attempt > 1 {
-                std::thread::sleep(policy.backoff * (attempt - 1));
+                std::thread::sleep(CONNECT_BACKOFF * (attempt - 1));
             }
             for target in &addrs {
-                match TcpStream::connect_timeout(target, policy.connect_timeout) {
-                    Ok(stream) => {
-                        stream
-                            .set_read_timeout(policy.read_timeout)
+                match TcpStream::connect_timeout(target, CONNECT_TIMEOUT) {
+                    Ok(writer) => {
+                        let reader = writer
+                            .try_clone()
                             .map_err(|e| ServeError::Transport(e.to_string()))?;
-                        return Self::from_stream(stream)
-                            .map_err(|e| ServeError::Transport(e.to_string()));
+                        return Ok(TcpClient {
+                            reader: BufReader::new(reader),
+                            writer,
+                            next_id: 1,
+                        });
                     }
                     Err(e) => last_err = Some(e),
                 }
             }
         }
         let last = last_err.expect("at least one attempt ran");
-        if io_is_timeout(&last) {
-            Err(ServeError::Timeout(format!(
-                "no connection within {attempts} attempts: {last}"
-            )))
+        let message = format!("no connection within {CONNECT_ATTEMPTS} attempts: {last}");
+        if last.kind() == ErrorKind::TimedOut {
+            Err(ServeError::Timeout(message))
         } else {
-            Err(ServeError::Transport(format!(
-                "no connection within {attempts} attempts: {last}"
-            )))
+            Err(ServeError::Transport(message))
         }
-    }
-
-    fn from_stream(stream: TcpStream) -> std::io::Result<Self> {
-        let reader = BufReader::new(stream.try_clone()?);
-        Ok(TcpClient {
-            reader,
-            writer: stream,
-            next_id: 1,
-        })
     }
 
     fn send_line(&mut self, doc: &Json) -> Result<(), ServeError> {
@@ -228,13 +189,7 @@ impl TcpClient {
             let n = (&mut self.reader)
                 .take(MAX_RESPONSE_BYTES as u64 + 1)
                 .read_until(b'\n', &mut line)
-                .map_err(|e| {
-                    if io_is_timeout(&e) {
-                        ServeError::Timeout(format!("no response within the read deadline: {e}"))
-                    } else {
-                        ServeError::Transport(e.to_string())
-                    }
-                })?;
+                .map_err(|e| ServeError::Transport(e.to_string()))?;
             if n == 0 {
                 return Err(ServeError::Transport(
                     "connection closed mid-response".to_string(),
@@ -327,58 +282,25 @@ impl TcpClient {
     }
 }
 
-/// Whether an I/O error is a deadline expiry. Unix reports a socket
-/// read deadline as `WouldBlock`, Windows as `TimedOut`.
-fn io_is_timeout(e: &std::io::Error) -> bool {
-    matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn connect_with_gives_up_after_bounded_attempts() {
+    fn connect_gives_up_after_bounded_attempts() {
         // A listener that is immediately dropped yields a port nothing
         // accepts on — every attempt fails fast with refused.
         let port = {
             let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
             listener.local_addr().unwrap().port()
         };
-        let policy = RetryPolicy {
-            attempts: 3,
-            backoff: Duration::from_millis(1),
-            connect_timeout: Duration::from_millis(200),
-            read_timeout: None,
-        };
-        let err = TcpClient::connect_with(("127.0.0.1", port), &policy).unwrap_err();
+        let err = TcpClient::connect(("127.0.0.1", port)).unwrap_err();
         match err {
             ServeError::Transport(msg) | ServeError::Timeout(msg) => {
-                assert!(msg.contains("3 attempts"), "{msg}");
+                assert!(msg.contains("5 attempts"), "{msg}");
             }
             other => panic!("unexpected error: {other:?}"),
         }
-    }
-
-    #[test]
-    fn read_deadline_surfaces_as_typed_timeout() {
-        // A listener that accepts but never responds trips the read
-        // deadline, not a transport error.
-        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let silent = std::thread::spawn(move || listener.accept().map(|(s, _)| s));
-        let policy = RetryPolicy {
-            read_timeout: Some(Duration::from_millis(50)),
-            ..RetryPolicy::default()
-        };
-        let mut client = TcpClient::connect_with(addr, &policy).unwrap();
-        let req = ExperimentRequest::new(crate::protocol::ExperimentKind::Table1);
-        match client.request(&req) {
-            Err(ServeError::Timeout(_)) => {}
-            other => panic!("expected timeout, got {other:?}"),
-        }
-        drop(client);
-        let _ = silent.join();
     }
 
     #[test]
@@ -408,12 +330,5 @@ mod tests {
         }
         drop(client);
         flood.join().unwrap().unwrap();
-    }
-
-    #[test]
-    fn retry_policy_defaults_are_bounded() {
-        let policy = RetryPolicy::default();
-        assert!(policy.attempts >= 1);
-        assert!(policy.connect_timeout > Duration::ZERO);
     }
 }

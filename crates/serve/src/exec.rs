@@ -8,9 +8,9 @@
 //! journal is simply computed again (see [`crate::service`]).
 
 use mempool::dse::{Objective, ScoredPoint};
-use mempool::experiments::{catalogue, Context, Evaluation};
+use mempool::experiments::{catalogue, Context, Evaluation, Fig6Point};
 use mempool_arch::SpmCapacity;
-use mempool_kernels::matmul::ComputePhase;
+use mempool_kernels::matmul::{ComputePhase, PhaseModel};
 use mempool_kernels::measure::probe_cluster;
 use mempool_kernels::Kernel;
 use mempool_obs::Json;
@@ -41,22 +41,23 @@ impl Runner for ExperimentRunner {
     }
 }
 
-/// One bandwidth point of the Figure 6 sweep: every capacity's speedup
-/// versus the paper's reference (1 MiB at 4 B/cycle) and versus half the
-/// SPM, at a single off-chip bandwidth. Numbers come from the same
-/// [`mempool_kernels::matmul::PhaseModel`] the full figure uses.
-fn sweep_point(model: &mempool_kernels::matmul::PhaseModel, bytes_per_cycle: u32) -> Json {
+/// One bandwidth column of Figure 6: every capacity's [`Fig6Point`] at a
+/// single off-chip bandwidth.
+fn sweep_point(model: &PhaseModel, bytes_per_cycle: u32) -> Json {
     let points = SpmCapacity::ALL
         .iter()
         .map(|&capacity| {
-            let vs_reference = model.speedup(capacity, bytes_per_cycle, SpmCapacity::MiB1, 4);
-            let vs_half = capacity
-                .half()
-                .map(|half| model.speedup(capacity, bytes_per_cycle, half, bytes_per_cycle));
+            let point = Fig6Point::new(model, capacity, bytes_per_cycle);
             Json::obj([
                 ("capacity", Json::str(capacity.to_string())),
-                ("speedup_vs_reference", Json::Float(vs_reference)),
-                ("speedup_vs_half", vs_half.map_or(Json::Null, Json::Float)),
+                (
+                    "speedup_vs_reference",
+                    Json::Float(point.speedup_vs_reference),
+                ),
+                (
+                    "speedup_vs_half",
+                    point.speedup_vs_half.map_or(Json::Null, Json::Float),
+                ),
             ])
         })
         .collect();

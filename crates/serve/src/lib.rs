@@ -42,7 +42,7 @@ pub(crate) mod service;
 
 pub use cache::ResultCache;
 pub(crate) use client::Client;
-pub use client::{RetryPolicy, TcpClient};
+pub use client::TcpClient;
 pub use exec::ExperimentRunner;
 pub use net::{TcpServer, MAX_CONNECTIONS, PARTIAL_LINE_DEADLINE, WRITE_DEADLINE};
 pub use protocol::{

@@ -127,9 +127,9 @@ impl TcpServer {
                 Ok(mut stream) => {
                     reap_finished(&mut handlers);
                     if handlers.len() >= MAX_CONNECTIONS && !evict_idle(&mut handlers) {
-                        let busy = ServeError::Backpressure {
-                            max_queue: MAX_CONNECTIONS,
-                        };
+                        let busy = ServeError::Backpressure(format!(
+                            "all {MAX_CONNECTIONS} connections are in the middle of a request"
+                        ));
                         let _ = write_line(&mut stream, &Status::Error(busy).to_json(0));
                         continue;
                     }

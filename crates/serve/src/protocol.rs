@@ -370,11 +370,10 @@ impl fmt::Display for CacheOutcome {
 /// Typed service errors, each with a stable wire code.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ServeError {
-    /// The bounded job queue is full — backpressure; retry later.
-    Backpressure {
-        /// The configured queue bound that was hit.
-        max_queue: usize,
-    },
+    /// A bound of the service refused the request — the job queue is
+    /// full, or every connection is in the middle of a request; retry
+    /// later. The detail names the bound.
+    Backpressure(String),
     /// The service is draining for shutdown and accepts no new work.
     ShuttingDown,
     /// The request was malformed (unknown kind/field, bad value).
@@ -383,8 +382,8 @@ pub enum ServeError {
     Experiment(String),
     /// Client-side transport failure (connection, I/O).
     Transport(String),
-    /// A connect or read deadline expired (retryable; see
-    /// [`crate::RetryPolicy`]).
+    /// Every connection attempt of [`crate::TcpClient::connect`] ran into
+    /// its deadline (retryable).
     Timeout(String),
     /// The peer sent a response the client cannot interpret.
     Protocol(String),
@@ -394,7 +393,7 @@ impl ServeError {
     /// The stable wire code (`"backpressure"`, `"bad_request"`, ...).
     pub fn code(&self) -> &'static str {
         match self {
-            ServeError::Backpressure { .. } => "backpressure",
+            ServeError::Backpressure(_) => "backpressure",
             ServeError::ShuttingDown => "shutting_down",
             ServeError::BadRequest(_) => "bad_request",
             ServeError::Experiment(_) => "experiment",
@@ -403,15 +402,27 @@ impl ServeError {
             ServeError::Protocol(_) => "protocol",
         }
     }
+
+    /// What the error carries besides its code: the `message` of its wire
+    /// line, which [`Status::from_json`] puts back in the same variant.
+    fn detail(&self) -> &str {
+        match self {
+            ServeError::ShuttingDown => "service is shutting down",
+            ServeError::Backpressure(msg)
+            | ServeError::BadRequest(msg)
+            | ServeError::Experiment(msg)
+            | ServeError::Transport(msg)
+            | ServeError::Timeout(msg)
+            | ServeError::Protocol(msg) => msg,
+        }
+    }
 }
 
 impl fmt::Display for ServeError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            ServeError::Backpressure { max_queue } => {
-                write!(f, "queue full (bounded at {max_queue}); retry later")
-            }
-            ServeError::ShuttingDown => write!(f, "service is shutting down"),
+            ServeError::Backpressure(msg) => write!(f, "{msg}; retry later"),
+            ServeError::ShuttingDown => write!(f, "{}", self.detail()),
             ServeError::BadRequest(msg) => write!(f, "bad request: {msg}"),
             ServeError::Experiment(msg) => write!(f, "experiment failed: {msg}"),
             ServeError::Transport(msg) => write!(f, "transport error: {msg}"),
@@ -464,7 +475,7 @@ impl Status {
             Status::Error(error) => {
                 pairs.push(("status", Json::str("error")));
                 pairs.push(("code", Json::str(error.code())));
-                pairs.push(("message", Json::str(error.to_string())));
+                pairs.push(("message", Json::str(error.detail())));
             }
         }
         Json::obj(pairs)
@@ -498,7 +509,7 @@ impl Status {
                     .unwrap_or("")
                     .to_string();
                 let error = match doc.get("code").and_then(Json::as_str) {
-                    Some("backpressure") => ServeError::Backpressure { max_queue: 0 },
+                    Some("backpressure") => ServeError::Backpressure(message),
                     Some("shutting_down") => ServeError::ShuttingDown,
                     Some("bad_request") => ServeError::BadRequest(message),
                     Some("experiment") => ServeError::Experiment(message),
@@ -686,15 +697,25 @@ mod tests {
                 cache: CacheOutcome::Coalesced,
                 artifact: Arc::new(Json::obj([("x", Json::Int(1))])),
             },
-            Status::Error(ServeError::Backpressure { max_queue: 8 }),
         ];
-        for status in statuses {
+        // Every error a daemon sends reads the same on both ends.
+        let errors = [
+            ServeError::Backpressure("queue full (bounded at 8 jobs)".to_string()),
+            ServeError::ShuttingDown,
+            ServeError::BadRequest("unknown field \"threads\"".to_string()),
+            ServeError::Experiment("compute phase p=5: invalid kernel shape".to_string()),
+            ServeError::Timeout("no connection within 5 attempts".to_string()),
+        ];
+        for status in statuses.into_iter().chain(errors.map(Status::Error)) {
             let line = status.to_json(7);
             let (id, parsed) = Status::from_json(&line).unwrap();
             assert_eq!(id, 7);
             // Compare via the wire form (Status holds an Arc).
             match (&status, &parsed) {
-                (Status::Error(a), Status::Error(b)) => assert_eq!(a.code(), b.code()),
+                (Status::Error(a), Status::Error(b)) => {
+                    assert_eq!(a.code(), b.code());
+                    assert_eq!(a.to_string(), b.to_string());
+                }
                 _ => assert_eq!(line.to_pretty(), parsed.to_json(7).to_pretty()),
             }
         }

@@ -424,9 +424,9 @@ pub(crate) fn submit(
                 state.queue.len()
             ),
         );
-        return Err(ServeError::Backpressure {
-            max_queue: MAX_QUEUE,
-        });
+        return Err(ServeError::Backpressure(format!(
+            "queue full (bounded at {MAX_QUEUE} jobs)"
+        )));
     }
     shared.stats.requests.fetch_add(1, Ordering::Relaxed);
     let _ = tx.send(Status::Accepted {

@@ -128,7 +128,10 @@ fn full_queue_rejects_with_typed_backpressure() {
     // ...and one more is rejected, typed, with the bound.
     let bw = 2 + MAX_QUEUE as u32;
     let rejection = client.submit(sweep(bw)).unwrap_err();
-    assert_eq!(rejection, ServeError::Backpressure { max_queue: 64 });
+    assert_eq!(
+        rejection,
+        ServeError::Backpressure("queue full (bounded at 64 jobs)".to_string())
+    );
     assert_eq!(rejection.code(), "backpressure");
     assert_eq!(service.stats().rejected.load(Ordering::SeqCst), 1);
     gate.release();
@@ -392,6 +395,10 @@ fn connections_in_the_middle_of_requests_get_backpressure() {
     let mut extra = TcpClient::connect(addr).unwrap();
     let refused = extra.stats().unwrap_err();
     assert_eq!(refused.code(), "backpressure", "{refused}");
+    assert_eq!(
+        refused.to_string(),
+        "all 64 connections are in the middle of a request; retry later"
+    );
 
     // One peer finishes its request and is answered; its handler is idle
     // again, so the next client takes its place (retried while the
@@ -409,7 +416,7 @@ fn connections_in_the_middle_of_requests_get_backpressure() {
                 client = Some(candidate);
                 break;
             }
-            Err(ServeError::Backpressure { .. }) => {
+            Err(ServeError::Backpressure(_)) => {
                 std::thread::sleep(Duration::from_millis(2));
             }
             Err(e) => panic!("stats failed: {e}"),
@@ -467,7 +474,7 @@ fn stale_half_lines_give_way(trickle: bool) {
     let served = loop {
         let mut client = TcpClient::connect(addr).unwrap();
         match client.request(&ExperimentRequest::new(ExperimentKind::Fig6)) {
-            Err(ServeError::Backpressure { .. }) if started.elapsed() < Duration::from_secs(4) => {
+            Err(ServeError::Backpressure(_)) if started.elapsed() < Duration::from_secs(4) => {
                 std::thread::sleep(Duration::from_millis(20));
             }
             result => break result.map(|_| client),

@@ -1,11 +1,8 @@
-//! The cut comparison the engine-equivalence, checkpoint and ring tests
-//! share: a `Shape` built and armed at cycle 0, driven through a schedule
+//! The cut comparison of the engine-equivalence, checkpoint and ring
+//! tests: a `Shape` built and armed at cycle 0, driven through a schedule
 //! of `Cut`s (`run(k)` slices, `step()` stretches, checkpoint restores) and
 //! then one `run()`, must show exactly what the same shape shows after one
 //! uninterrupted `run()` (`Observed`).
-
-// Each test file that includes this module uses a different part of it.
-#![allow(dead_code)]
 
 use std::collections::BTreeMap;
 

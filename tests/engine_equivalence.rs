@@ -4,9 +4,8 @@
 //! and checks that the run driven through them equals one uninterrupted
 //! `run()` in every observable way (`Observed`, in `cuts`); named scenarios
 //! are fixed inputs of the same comparison, as are the checkpoint and ring
-//! tests of `tests/checkpoint_roundtrip.rs` and `tests/arena_invariants.rs`,
-//! which share `cuts`. The `PINNED_*` tables further down hold
-//! what the deleted per-tick step kernel produced for the same scenarios.
+//! tests below. The `PINNED_*` tables further down hold what the deleted
+//! per-tick step kernel produced for the same scenarios.
 
 mod cuts;
 
@@ -194,6 +193,72 @@ fn former_quantum_caps_due_on_one_cycle_agree_across_run_step_and_cuts() {
     assert!(run.series.values().all(|s| s[0].0 == c));
     let flip = |e: &Event| e.0 == c && e.3.contains("transient flip");
     assert!(run.flight.1.iter().any(flip));
+}
+
+// Checkpoint/restore cuts: snapshotting a run at any cycle, through the
+// textual format, and resuming from the restored state must not show.
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    #[test]
+    fn snapshot_at_an_arbitrary_cycle_is_invisible(trips in 2u32..40, snap in 1u64..400) {
+        let shape = Shape::Traffic { trips, external: false };
+        check_cuts(shape, &[(snap, Cut::Restore)], &reference(shape, false))?;
+    }
+
+    /// A restored run stepped up to a second cut and restored again,
+    /// with cross-tile requests and contended AMOs in flight at both.
+    #[test]
+    fn a_restored_run_stepped_and_restored_again_is_invisible(
+        trips in 8u32..40,
+        snap in 1u64..900,
+        steps in 1u64..200,
+    ) {
+        let shape = Shape::Traffic { trips, external: false };
+        let cuts = [
+            (snap, Cut::Restore),
+            (snap + steps, Cut::Steps),
+            (snap + steps, Cut::Restore),
+        ];
+        check_cuts(shape, &cuts, &reference(shape, false))?;
+    }
+}
+
+#[test]
+fn mid_fault_plan_resume_is_bit_exact() {
+    // Halfway through, timed flips are still pending and retries and ECC
+    // state are in flight; the fault report and the kernel's results must
+    // survive the snapshot.
+    let shape = Shape::Zoo {
+        kernel: 2,
+        faults: Some(FAULT_SEED),
+    };
+    let expected = reference(shape, false);
+    assert!(expected.end.is_ok(), "{:?}", expected.end);
+    let half = expected.stats.cycles / 2;
+    check_cuts(shape, &[(half, Cut::Restore)], &expected).unwrap();
+}
+
+#[test]
+fn lanes_are_ring_bounded() {
+    // The recorders an instrumented run feeds are rings: 32 cores retire
+    // and banks serve on most ticks of a run that records far more than
+    // the rings keep; however it is cut, the flight recorder and the
+    // instruction trace keep their newest entries and count the rest as
+    // dropped.
+    let shape = Shape::Traffic {
+        trips: 80,
+        external: false,
+    };
+    let cuts = [(700, Cut::Slice), (900, Cut::Steps)];
+    let run = fixed_cuts(shape, &[&cuts]);
+    let (recorded, newest) = &run.flight;
+    assert!(*recorded > FLIGHT as u64, "the flight ring overflows");
+    assert_eq!(newest.len(), FLIGHT);
+    let (_, instructions) = run.traces.expect("the run is traced");
+    assert!(instructions.starts_with("... "), "the trace overflows");
+    assert_eq!(instructions.lines().count(), 1 + TRACE);
 }
 
 #[test]
