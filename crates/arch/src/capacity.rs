@@ -1,7 +1,6 @@
 //! SPM capacity presets explored by the MemPool-3D paper.
 
 use std::fmt;
-use std::str::FromStr;
 
 /// Total shared-L1 SPM capacity of the MemPool cluster.
 ///
@@ -93,45 +92,6 @@ impl fmt::Display for SpmCapacity {
     }
 }
 
-/// Error returned when parsing an [`SpmCapacity`] from a string fails.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ParseCapacityError {
-    input: String,
-}
-
-impl fmt::Display for ParseCapacityError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "invalid SPM capacity `{}`, expected one of 1, 2, 4, 8 (MiB)",
-            self.input
-        )
-    }
-}
-
-impl std::error::Error for ParseCapacityError {}
-
-impl FromStr for SpmCapacity {
-    type Err = ParseCapacityError;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        let trimmed = s
-            .trim()
-            .trim_end_matches("MiB")
-            .trim_end_matches("mib")
-            .trim();
-        match trimmed {
-            "1" => Ok(SpmCapacity::MiB1),
-            "2" => Ok(SpmCapacity::MiB2),
-            "4" => Ok(SpmCapacity::MiB4),
-            "8" => Ok(SpmCapacity::MiB8),
-            _ => Err(ParseCapacityError {
-                input: s.to_owned(),
-            }),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -179,16 +139,6 @@ mod tests {
         assert_eq!(SpmCapacity::MiB4.half(), Some(SpmCapacity::MiB2));
         assert_eq!(SpmCapacity::MiB2.half(), Some(SpmCapacity::MiB1));
         assert_eq!(SpmCapacity::MiB1.half(), None);
-    }
-
-    #[test]
-    fn parses_common_spellings() {
-        assert_eq!("1".parse::<SpmCapacity>().unwrap(), SpmCapacity::MiB1);
-        assert_eq!("4 MiB".parse::<SpmCapacity>().unwrap(), SpmCapacity::MiB4);
-        assert_eq!("8MiB".parse::<SpmCapacity>().unwrap(), SpmCapacity::MiB8);
-        assert!("3".parse::<SpmCapacity>().is_err());
-        let err = "3".parse::<SpmCapacity>().unwrap_err();
-        assert!(err.to_string().contains("invalid SPM capacity"));
     }
 
     #[test]

@@ -446,7 +446,9 @@ fn submit(opts: SubmitOptions, out: &mut Out) -> Result<(), String> {
                 eprintln!("repro submit: {token}: {}", outcome.cache);
                 out.line(outcome.artifact.to_pretty())?;
                 if let Some(art) = artifacts.as_mut() {
-                    art.write_json(&format!("{}.json", kind.tag()), &outcome.artifact)
+                    // Named after the token, so `sweep:4 sweep:16` keep both.
+                    let name = format!("{}.json", token.replace(':', "-"));
+                    art.write_json(&name, &outcome.artifact)
                         .map_err(|e| format!("{token}: writing artifact: {e}"))?;
                 }
             }
@@ -876,6 +878,44 @@ mod tests {
         assert_eq!(repro(&["check", "--candidate", &new]), EXIT_ERROR);
         let bless = ["check", "--baseline", &old, "--candidate", &new, "--bless"];
         assert_eq!(repro(&bless), EXIT_ERROR);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// `submit --artifacts` names each file after its target token, so
+    /// two sweeps leave two documents rather than one `sweep.json`.
+    #[test]
+    fn submitted_sweeps_keep_one_artifact_each() {
+        use mempool_serve::{ServiceConfig, TcpClient, TcpServer};
+
+        let server = TcpServer::bind("127.0.0.1:0", ServiceConfig::default()).unwrap();
+        let addr = server.local_addr().unwrap();
+        let daemon = std::thread::spawn(move || server.run().unwrap());
+        let dir = std::env::temp_dir().join(format!("repro-submit-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let (addr_text, dir_text) = (addr.to_string(), dir.to_string_lossy().into_owned());
+        let submit = ["submit", "--connect", &addr_text, "--artifacts", &dir_text];
+        assert_eq!(
+            repro(&[&submit[..], &["sweep:4", "sweep:16"]].concat()),
+            EXIT_OK
+        );
+        let mut names: Vec<String> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|entry| entry.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        names.sort();
+        assert_eq!(names, ["sweep-16.json", "sweep-4.json"]);
+        for bytes_per_cycle in [4, 16] {
+            let doc = load_json(
+                &dir.join(format!("sweep-{bytes_per_cycle}.json"))
+                    .to_string_lossy(),
+            );
+            assert_eq!(
+                doc.unwrap().get("bytes_per_cycle").and_then(Json::as_int),
+                Some(bytes_per_cycle)
+            );
+        }
+        TcpClient::connect(addr).unwrap().shutdown().unwrap();
+        daemon.join().unwrap();
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -38,7 +38,7 @@ impl ArtifactDir {
         &self.root
     }
 
-    /// Files written so far, in order.
+    /// Files written so far, in order of their first write.
     pub fn written(&self) -> &[String] {
         &self.written
     }
@@ -52,7 +52,8 @@ impl ArtifactDir {
         self.write_text(name, &value.to_pretty())
     }
 
-    /// Writes plain text (CSV, tables) to `name`.
+    /// Writes plain text (CSV, tables) to `name`, replacing an earlier
+    /// write of the same name (listed once).
     ///
     /// # Errors
     ///
@@ -60,7 +61,9 @@ impl ArtifactDir {
     pub fn write_text(&mut self, name: &str, text: &str) -> io::Result<PathBuf> {
         let path = self.root.join(name);
         fs::write(&path, text)?;
-        self.written.push(name.to_string());
+        if !self.written.iter().any(|written| written == name) {
+            self.written.push(name.to_string());
+        }
         Ok(path)
     }
 }
@@ -81,8 +84,9 @@ mod tests {
         let mut art = ArtifactDir::create(&dir).unwrap();
         art.write_json("a.json", &Json::Int(1)).unwrap();
         art.write_text("b.csv", "x,y\n").unwrap();
+        art.write_json("a.json", &Json::Int(2)).unwrap();
         assert_eq!(art.written(), ["a.json", "b.csv"]);
-        assert_eq!(fs::read_to_string(dir.join("a.json")).unwrap(), "1\n");
+        assert_eq!(fs::read_to_string(dir.join("a.json")).unwrap(), "2\n");
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -1,7 +1,6 @@
 //! Implementation flows.
 
 use std::fmt;
-use std::str::FromStr;
 
 /// The implementation flow: conventional 2D or Macro-3D face-to-face 3D.
 ///
@@ -69,34 +68,6 @@ impl fmt::Display for Flow {
     }
 }
 
-/// Error returned when parsing a [`Flow`] fails.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ParseFlowError {
-    input: String,
-}
-
-impl fmt::Display for ParseFlowError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "invalid flow `{}`, expected `2D` or `3D`", self.input)
-    }
-}
-
-impl std::error::Error for ParseFlowError {}
-
-impl FromStr for Flow {
-    type Err = ParseFlowError;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s.trim().to_ascii_lowercase().as_str() {
-            "2d" => Ok(Flow::TwoD),
-            "3d" => Ok(Flow::ThreeD),
-            _ => Err(ParseFlowError {
-                input: s.to_owned(),
-            }),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -104,13 +75,6 @@ mod tests {
     #[test]
     fn three_d_has_more_channel_layers() {
         assert!(Flow::ThreeD.channel_routing_layers() > Flow::TwoD.channel_routing_layers());
-    }
-
-    #[test]
-    fn parsing_accepts_both_cases() {
-        assert_eq!("2D".parse::<Flow>().unwrap(), Flow::TwoD);
-        assert_eq!("3d".parse::<Flow>().unwrap(), Flow::ThreeD);
-        assert!("4d".parse::<Flow>().is_err());
     }
 
     #[test]

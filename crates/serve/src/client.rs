@@ -62,17 +62,22 @@ impl Pending {
     /// Returns the service's typed error, or [`ServeError::Transport`]
     /// if the service dropped the stream without a terminal status.
     pub fn wait(self) -> Result<Outcome, ServeError> {
-        loop {
-            match self.rx.recv() {
-                Ok(Status::Done { cache, artifact }) => return Ok(Outcome { artifact, cache }),
-                Ok(Status::Error(error)) => return Err(error),
-                Ok(Status::Accepted { .. } | Status::Started) => continue,
-                Err(_) => {
-                    return Err(ServeError::Transport(
-                        "service dropped the response stream".to_string(),
-                    ))
-                }
-            }
+        outcome(|| {
+            self.rx.recv().map_err(|_| {
+                ServeError::Transport("service dropped the response stream".to_string())
+            })
+        })
+    }
+}
+
+/// Reads a status stream from `next` to its terminal status, skipping
+/// the progress lines (`accepted`, `started`).
+fn outcome(mut next: impl FnMut() -> Result<Status, ServeError>) -> Result<Outcome, ServeError> {
+    loop {
+        match next()? {
+            Status::Done { cache, artifact } => return Ok(Outcome { artifact, cache }),
+            Status::Error(error) => return Err(error),
+            Status::Accepted { .. } | Status::Started => continue,
         }
     }
 }
@@ -236,13 +241,7 @@ impl TcpClient {
             pairs.insert(0, ("id".to_string(), Json::Int(id as i64)));
         }
         self.send_line(&doc)?;
-        loop {
-            match self.read_status(id)? {
-                Status::Done { cache, artifact } => return Ok(Outcome { artifact, cache }),
-                Status::Error(error) => return Err(error),
-                Status::Accepted { .. } | Status::Started => continue,
-            }
-        }
+        outcome(|| self.read_status(id))
     }
 
     fn admin(&mut self, kind: &str) -> Result<Arc<Json>, ServeError> {
@@ -252,13 +251,7 @@ impl TcpClient {
             ("id", Json::Int(id as i64)),
             ("kind", Json::str(kind)),
         ]))?;
-        loop {
-            match self.read_status(id)? {
-                Status::Done { artifact, .. } => return Ok(artifact),
-                Status::Error(error) => return Err(error),
-                Status::Accepted { .. } | Status::Started => continue,
-            }
-        }
+        outcome(|| self.read_status(id)).map(|done| done.artifact)
     }
 
     /// Fetches the service stats document

@@ -7,7 +7,7 @@
 //!
 //! - **Content-addressed caching** — every request canonicalizes into an
 //!   [`ExperimentRequest`] whose [`ExperimentRequest::cache_key`] is an
-//!   FNV-1a digest over the parsed config, seeded with the simulator's
+//!   FNV-1a digest over its canonical line, seeded with the simulator's
 //!   timing parameters and [`mempool_sim::ENGINE_VERSION`]. Semantically
 //!   equal configs (field order, defaulted fields) share one entry; an
 //!   engine bump invalidates all of them.

@@ -4,11 +4,12 @@
 //! document per line) over a [`std::net::TcpStream`]; the same types back
 //! the in-process [`crate::Client`]. Every request canonicalizes into an
 //! [`ExperimentRequest`] whose [`ExperimentRequest::cache_key`] is a
-//! 64-bit FNV-1a digest over the *parsed* fields in a fixed order, seeded
-//! with the simulator's [`mempool_sim::ENGINE_VERSION`] — so two requests
-//! that are semantically equal (different JSON field order, defaulted
-//! fields spelled out or omitted) always address the same cache entry,
-//! and an engine bump invalidates every stale one.
+//! 64-bit FNV-1a digest over its canonical line (the compact
+//! [`ExperimentRequest::to_json`]: fixed field order, every field
+//! explicit), seeded with the simulator's [`mempool_sim::ENGINE_VERSION`]
+//! — so two requests that are semantically equal (different JSON field
+//! order, defaulted fields spelled out or omitted) always address the
+//! same cache entry, and an engine bump invalidates every stale one.
 //!
 //! ## Wire example
 //!
@@ -19,6 +20,7 @@
 //! <- {"id": 1, "status": "done", "cache": "miss", "artifact": {...}}
 //! ```
 
+use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
 
@@ -194,12 +196,9 @@ impl ExperimentRequest {
         let Json::Obj(pairs) = doc else {
             return Err(JsonError::shape("request must be a JSON object"));
         };
-        let mut kind_tag: Option<&str> = None;
+        let mut tag = None;
         let mut model = ModelConfig::default();
-        let mut bytes_per_cycle: Option<u32> = None;
-        let mut flow: Option<Flow> = None;
-        let mut capacity: Option<SpmCapacity> = None;
-        let mut p: Option<u32> = None;
+        let mut params = BTreeMap::new();
         for (key, value) in pairs {
             match key.as_str() {
                 "id" => {
@@ -207,97 +206,56 @@ impl ExperimentRequest {
                     // connection layer, ignored for canonicalization.
                     value.try_u64("id")?;
                 }
-                "kind" => {
-                    kind_tag = Some(value.try_str("kind")?);
-                }
+                "kind" => tag = Some(value.try_str("kind")?),
                 "model" => model = parse_model(value)?,
-                "bytes_per_cycle" => {
-                    let bw = value.try_u64("bytes_per_cycle")?;
-                    if bw == 0 || bw > u64::from(u32::MAX) {
-                        return Err(JsonError::shape(format!(
-                            "bytes_per_cycle out of range: {bw}"
-                        )));
-                    }
-                    bytes_per_cycle = Some(bw as u32);
-                }
-                "flow" => {
-                    flow = Some(match value.as_str() {
-                        Some("2D") => Flow::TwoD,
-                        Some("3D") => Flow::ThreeD,
-                        _ => return Err(JsonError::shape("flow must be \"2D\" or \"3D\"")),
-                    });
-                }
-                "capacity_mib" => {
-                    let mib = value.try_u64("capacity_mib")?;
-                    capacity = Some(match mib {
-                        1 => SpmCapacity::MiB1,
-                        2 => SpmCapacity::MiB2,
-                        4 => SpmCapacity::MiB4,
-                        8 => SpmCapacity::MiB8,
-                        other => {
-                            return Err(JsonError::shape(format!(
-                                "capacity_mib must be one of 1, 2, 4, 8; got {other}"
-                            )))
-                        }
-                    });
-                }
-                "p" => {
-                    let dim = value.try_u64("p")?;
-                    if dim == 0 || dim > u64::from(u32::MAX) {
-                        return Err(JsonError::shape(format!("p out of range: {dim}")));
-                    }
-                    p = Some(dim as u32);
+                "bytes_per_cycle" | "flow" | "capacity_mib" | "p" => {
+                    params.insert(key.as_str(), value);
                 }
                 other => return Err(JsonError::shape(format!("unknown field {other:?}"))),
             }
         }
-        let tag = kind_tag.ok_or_else(|| JsonError::shape("missing required field \"kind\""))?;
-        let reject_extras =
-            |wants_bw: bool, wants_point: bool, wants_p: bool| -> Result<(), JsonError> {
-                if bytes_per_cycle.is_some() && !wants_bw {
-                    return Err(JsonError::shape(format!(
-                        "kind {tag:?} takes no bytes_per_cycle"
-                    )));
-                }
-                if (flow.is_some() || capacity.is_some()) && !wants_point {
-                    return Err(JsonError::shape(format!(
-                        "kind {tag:?} takes no flow/capacity_mib"
-                    )));
-                }
-                if p.is_some() && !wants_p {
-                    return Err(JsonError::shape(format!("kind {tag:?} takes no p")));
-                }
-                Ok(())
-            };
+        let tag = tag.ok_or_else(|| JsonError::shape("missing required field \"kind\""))?;
+        let mut take = |name: &str| {
+            let missing = || JsonError::shape(format!("{tag} requires {name}"));
+            params.remove(name).ok_or_else(missing)
+        };
         let kind = match tag {
             "sweep" => ExperimentKind::Sweep {
-                bytes_per_cycle: bytes_per_cycle
-                    .ok_or_else(|| JsonError::shape("sweep requires bytes_per_cycle"))?,
+                bytes_per_cycle: positive_u32(take("bytes_per_cycle")?, "bytes_per_cycle")?,
             },
-            "dse_point" => ExperimentKind::DsePoint {
-                point: DesignPoint::new(
-                    flow.ok_or_else(|| JsonError::shape("dse_point requires flow"))?,
-                    capacity.ok_or_else(|| JsonError::shape("dse_point requires capacity_mib"))?,
-                ),
-            },
+            "dse_point" => {
+                let flow = take("flow")?.as_str();
+                let flow = Flow::ALL
+                    .into_iter()
+                    .find(|known| flow == Some(known.to_string().as_str()))
+                    .ok_or_else(|| JsonError::shape("flow must be \"2D\" or \"3D\""))?;
+                let mib = take("capacity_mib")?.try_u64("capacity_mib")?;
+                let capacity = SpmCapacity::ALL
+                    .into_iter()
+                    .find(|known| known.mebibytes() == mib)
+                    .ok_or_else(|| {
+                        let message = format!("capacity_mib must be one of 1, 2, 4, 8; got {mib}");
+                        JsonError::shape(message)
+                    })?;
+                ExperimentKind::DsePoint {
+                    point: DesignPoint::new(flow, capacity),
+                }
+            }
             "kernel" => ExperimentKind::Kernel {
-                p: p.ok_or_else(|| JsonError::shape("kernel requires p"))?,
+                p: positive_u32(take("p")?, "p")?,
             },
             other => ExperimentKind::parameterless(other)
                 .ok_or_else(|| JsonError::shape(format!("unknown kind {other:?}")))?,
         };
-        match kind {
-            ExperimentKind::Sweep { .. } => reject_extras(true, false, false)?,
-            ExperimentKind::DsePoint { .. } => reject_extras(false, true, false)?,
-            ExperimentKind::Kernel { .. } => reject_extras(false, false, true)?,
-            _ => reject_extras(false, false, false)?,
+        if let Some(name) = params.keys().next() {
+            return Err(JsonError::shape(format!("kind {tag:?} takes no {name}")));
         }
         Ok(ExperimentRequest { kind, model })
     }
 
     /// The content-addressed cache key: an FNV-1a digest over the
-    /// canonical field order, seeded with the simulator's timing
-    /// parameters and [`mempool_sim::ENGINE_VERSION`].
+    /// canonical line ([`Self::to_json`], compact), seeded with the
+    /// simulator's timing parameters and [`mempool_sim::ENGINE_VERSION`].
     pub fn cache_key(&self) -> u64 {
         self.cache_key_with_version(mempool_sim::ENGINE_VERSION)
     }
@@ -307,24 +265,19 @@ impl ExperimentRequest {
     pub(crate) fn cache_key_with_version(&self, version: &str) -> u64 {
         // Seed with the full simulator parameter digest (which itself
         // mixes the engine version): a timing-parameter change is as
-        // cache-invalidating as a code change.
-        let mut hash = SimParams::default().digest_with_version(version);
-        let mut mix = |bytes: &[u8]| hash = fnv1a(hash, bytes);
-        mix(self.kind.tag().as_bytes());
-        match self.kind {
-            ExperimentKind::Sweep { bytes_per_cycle } => mix(&bytes_per_cycle.to_le_bytes()),
-            ExperimentKind::DsePoint { point } => {
-                mix(&[matches!(point.flow, Flow::ThreeD) as u8]);
-                mix(&point.capacity.mebibytes().to_le_bytes());
-            }
-            ExperimentKind::Kernel { p } => mix(&p.to_le_bytes()),
-            _ => {}
-        }
-        mix(&self.model.m.to_le_bytes());
-        mix(&self.model.num_cores.to_le_bytes());
-        mix(&self.model.cycles_per_mac.to_bits().to_le_bytes());
-        mix(&self.model.phase_overhead.to_bits().to_le_bytes());
-        hash
+        // cache-invalidating as a code change. The canonical line holds
+        // every field, so no field can be left out of the key.
+        let seed = SimParams::default().digest_with_version(version);
+        fnv1a(seed, self.to_json().to_string().as_bytes())
+    }
+}
+
+/// A kind's numeric parameter: a positive `u32`.
+fn positive_u32(value: &Json, name: &str) -> Result<u32, JsonError> {
+    let n = value.try_u64(name)?;
+    match u32::try_from(n) {
+        Ok(positive) if positive > 0 => Ok(positive),
+        _ => Err(JsonError::shape(format!("{name} out of range: {n}"))),
     }
 }
 
@@ -341,7 +294,7 @@ pub enum CacheOutcome {
 }
 
 impl CacheOutcome {
-    /// Wire spelling.
+    /// Wire spelling — the one table of the vocabulary.
     pub(crate) fn as_str(self) -> &'static str {
         match self {
             CacheOutcome::Hit => "hit",
@@ -352,12 +305,13 @@ impl CacheOutcome {
 
     /// Parses the wire spelling.
     pub(crate) fn from_tag(s: &str) -> Option<Self> {
-        match s {
-            "hit" => Some(CacheOutcome::Hit),
-            "miss" => Some(CacheOutcome::Miss),
-            "coalesced" => Some(CacheOutcome::Coalesced),
-            _ => None,
-        }
+        [
+            CacheOutcome::Hit,
+            CacheOutcome::Miss,
+            CacheOutcome::Coalesced,
+        ]
+        .into_iter()
+        .find(|outcome| outcome.as_str() == s)
     }
 }
 
@@ -643,6 +597,9 @@ mod tests {
         assert!(parse(r#"{"kind": "fig6", "p": 32}"#)
             .unwrap_err()
             .contains("takes no p"));
+        assert!(parse(r#"{"kind": "kernel", "p": 32, "flow": "3D"}"#)
+            .unwrap_err()
+            .contains("takes no flow"));
         assert!(parse(r#"{"kind": "kernel"}"#)
             .unwrap_err()
             .contains("requires p"));

@@ -36,6 +36,7 @@ use mempool_obs::{
 };
 
 use crate::cache::ResultCache;
+use crate::net::MAX_REQUEST_BYTES;
 use crate::protocol::{CacheOutcome, ExperimentRequest, ServeError, Status};
 
 /// Executes one experiment request into its artifact document. The
@@ -557,8 +558,8 @@ fn journal_name(key: u64) -> String {
 /// disk by a previous daemon run — a crashed or killed daemon finishes
 /// its accepted work after restart. The re-submitted jobs have no waiter
 /// (the original clients are gone); they are computed again from the
-/// start and simply warm the cache. Corrupt journals are quarantined and
-/// reported, never fatal.
+/// start and simply warm the cache. Corrupt journals, and journals longer
+/// than a request line may be, are quarantined and reported, never fatal.
 fn recover_journaled_jobs(shared: &Arc<Shared>) {
     let Some(dir) = shared.cache.dir().map(PathBuf::from) else {
         return;
@@ -580,49 +581,58 @@ fn recover_journaled_jobs(shared: &Arc<Shared>) {
             .file_name()
             .map(|n| n.to_string_lossy().into_owned())
             .unwrap_or_default();
-        match load_json_file(&path) {
-            LoadOutcome::Loaded(doc) => match ExperimentRequest::from_json(&doc) {
-                Ok(req) => {
-                    let canonical = shared.journal_path(req.cache_key());
-                    // No one is waiting on the channel; the job's value is
-                    // the cache entry it leaves behind.
-                    let (tx, _rx) = std::sync::mpsc::channel();
-                    match submit(shared, req, tx) {
-                        Ok(()) => {
-                            // submit re-journals queued jobs under the
-                            // canonical name; a file whose name does not
-                            // match its own cache key would otherwise be
-                            // resubmitted on every restart.
-                            if canonical.as_deref() != Some(path.as_path()) {
-                                let _ = fs::remove_file(&path);
-                            }
-                            shared.record("recover", None, format!("resubmitted {name}"));
-                        }
-                        Err(e) => {
-                            shared.record("recover", None, format!("dropped {name}: {e}"));
-                            let _ = fs::remove_file(&path);
-                        }
-                    }
-                }
-                Err(e) => {
-                    let renamed = quarantine_path(&path);
-                    let _ = fs::rename(&path, &renamed);
+        // A journal holds one request, which the wire bounds at
+        // `MAX_REQUEST_BYTES`: a longer file is quarantined unread.
+        let oversized = fs::metadata(&path).is_ok_and(|meta| meta.len() > MAX_REQUEST_BYTES as u64);
+        let request = if oversized {
+            Err(format!("longer than {MAX_REQUEST_BYTES} bytes"))
+        } else {
+            match load_json_file(&path) {
+                LoadOutcome::Loaded(doc) => ExperimentRequest::from_json(&doc),
+                LoadOutcome::Missing => continue,
+                LoadOutcome::Quarantined { renamed_to, error } => {
                     shared.record(
                         "corrupt",
                         None,
-                        format!("journal {name} unreadable ({e}); quarantined"),
+                        format!(
+                            "journal {name} corrupt ({error}); quarantined to {}",
+                            renamed_to.display()
+                        ),
                     );
+                    continue;
                 }
-            },
-            LoadOutcome::Missing => {}
-            LoadOutcome::Quarantined { renamed_to, error } => {
+            }
+        };
+        match request {
+            Ok(req) => {
+                let canonical = shared.journal_path(req.cache_key());
+                // No one is waiting on the channel; the job's value is
+                // the cache entry it leaves behind.
+                let (tx, _rx) = std::sync::mpsc::channel();
+                match submit(shared, req, tx) {
+                    Ok(()) => {
+                        // submit re-journals queued jobs under the
+                        // canonical name; a file whose name does not
+                        // match its own cache key would otherwise be
+                        // resubmitted on every restart.
+                        if canonical.as_deref() != Some(path.as_path()) {
+                            let _ = fs::remove_file(&path);
+                        }
+                        shared.record("recover", None, format!("resubmitted {name}"));
+                    }
+                    Err(e) => {
+                        shared.record("recover", None, format!("dropped {name}: {e}"));
+                        let _ = fs::remove_file(&path);
+                    }
+                }
+            }
+            Err(e) => {
+                let renamed = quarantine_path(&path);
+                let _ = fs::rename(&path, &renamed);
                 shared.record(
                     "corrupt",
                     None,
-                    format!(
-                        "journal {name} corrupt ({error}); quarantined to {}",
-                        renamed_to.display()
-                    ),
+                    format!("journal {name} unreadable ({e}); quarantined"),
                 );
             }
         }

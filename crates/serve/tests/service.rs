@@ -767,3 +767,41 @@ fn non_utf8_journals_and_cache_entries_are_quarantined_with_flight_events() {
     service.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// A journal longer than a request line may be is quarantined before it
+/// is read — a valid request padded past the bound included — so a huge
+/// `job-*` file costs neither the memory to load it nor a resubmission.
+#[test]
+fn oversized_journals_are_quarantined_unread() {
+    let dir = std::env::temp_dir().join(format!("mempool-serve-oversized-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let journal = "job-00000000000000bb.json";
+    let padded = format!("{{\"kind\": \"fig7\"}}{}", " ".repeat(1 << 20));
+    std::fs::write(dir.join(journal), padded).unwrap();
+
+    let service = Service::start(ServiceConfig {
+        cache_dir: Some(dir.clone()),
+        ..ServiceConfig::default()
+    })
+    .unwrap();
+    service.quiesce();
+    assert_eq!(service.stats().computed.load(Ordering::SeqCst), 0);
+    assert!(dir.join(format!("{journal}.corrupt")).exists());
+    assert!(!dir.join(journal).exists());
+    let stats = service.stats_json();
+    let events = stats.get("flight").unwrap().get("events").unwrap();
+    let named = events.as_arr().unwrap().iter().any(|e| {
+        e.get("category").and_then(Json::as_str) == Some("corrupt")
+            && e.get("message")
+                .and_then(Json::as_str)
+                .is_some_and(|message| message.contains(journal))
+    });
+    assert!(
+        named,
+        "no corrupt event names {journal}: {}",
+        events.to_pretty()
+    );
+    service.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -102,7 +102,7 @@ fn fault_plans_and_spare_remaps_run_sharded() {
 }
 
 #[test]
-fn quantum_engine_matches_the_step_loop_bit_exactly() {
+fn traffic_loops_stepped_to_the_end_equal_their_run() {
     // Off-chip accesses stretch each trip ~50-fold.
     for (trips, external) in [(40, false), (10, true)] {
         let shape = Shape::Traffic { trips, external };
@@ -111,7 +111,7 @@ fn quantum_engine_matches_the_step_loop_bit_exactly() {
 }
 
 #[test]
-fn quantum_timeout_lands_on_the_exact_cycle_and_resumes_bit_exactly() {
+fn budgets_ending_mid_run_land_on_their_cycle_and_resume_alike() {
     // Budgets that end the call mid-run: after the first tick, and at an
     // odd cycle with traffic in flight.
     let shape = Shape::Traffic {
@@ -126,7 +126,7 @@ fn quantum_timeout_lands_on_the_exact_cycle_and_resumes_bit_exactly() {
 }
 
 #[test]
-fn quantum_errors_match_the_step_loop() {
+fn running_off_the_program_errors_alike_however_cut() {
     let schedules: [&[(u64, Cut)]; 3] = [
         &[(BUDGET, Cut::Steps)],
         &[(BUDGET, Cut::Slice)],
@@ -137,14 +137,14 @@ fn quantum_errors_match_the_step_loop() {
 }
 
 #[test]
-fn quantum_reports_no_program_like_the_step_loop() {
+fn no_program_errors_alike_however_cut() {
     let schedules: [&[(u64, Cut)]; 2] = [&[(BUDGET, Cut::Steps)], &[(BUDGET, Cut::Slice)]];
     let run = fixed_cuts(Shape::NoProgram, &schedules);
     assert_eq!(run.end, Err(SimError::NoProgram));
 }
 
 #[test]
-fn instrumented_quantum_runs_produce_byte_identical_artifacts() {
+fn instrumented_traffic_loops_give_identical_artifacts_however_cut() {
     for (trips, external) in [(40, false), (10, true)] {
         let shape = Shape::Traffic { trips, external };
         let cuts = [(500, Cut::Slice), (640, Cut::Steps), (1201, Cut::Slice)];
@@ -156,7 +156,7 @@ fn instrumented_quantum_runs_produce_byte_identical_artifacts() {
 }
 
 #[test]
-fn watchdog_deadlock_on_the_quantum_engine_is_bit_identical() {
+fn a_watchdog_deadlock_trips_on_the_same_cycle_however_cut() {
     // Core 0's off-chip response takes far longer than the watchdog's
     // window: the watchdog trips mid-call on the same cycle, with the same
     // flight event, however the run is cut.
@@ -170,7 +170,7 @@ fn watchdog_deadlock_on_the_quantum_engine_is_bit_identical() {
 }
 
 #[test]
-fn former_quantum_caps_due_on_one_cycle_agree_across_run_step_and_cuts() {
+fn every_event_due_on_one_cycle_agrees_across_run_step_and_cuts() {
     // Every event a tick can end on, due on one cycle `c`: `run()`,
     // `step()` and restore cuts at `c - 1`, `c` and `c + 1`.
     let (c, last_retire) = response_cycle();
