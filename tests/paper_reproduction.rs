@@ -1,9 +1,10 @@
 //! End-to-end reproduction checks: the claims the paper's abstract and
 //! conclusions make must hold for the regenerated tables and figures.
 
-use mempool_3d::mempool::experiments::{Evaluation, Fig6, Fig7, Fig8, Fig9, Table1, Table2};
+use mempool_3d::mempool::experiments::{catalogue, Context, Evaluation, Fig7, Fig8, Table1};
 use mempool_3d::mempool::DesignPoint;
 use mempool_3d::mempool_arch::SpmCapacity;
+use mempool_3d::mempool_kernels::matmul::PhaseModel;
 use mempool_3d::mempool_phys::Flow;
 
 #[test]
@@ -90,21 +91,90 @@ fn conclusion_claim_efficiency_up_to_18_percent() {
     );
 }
 
+/// The experiments whose text EXPERIMENTS.md must quote: the paper's
+/// tables and figures, then the claims scoreboard.
+const QUOTED: [&str; 7] = ["table1", "table2", "fig6", "fig7", "fig8", "fig9", "claims"];
+
+/// A fenced ```` ```repro <target> ```` block of a markdown document.
+struct ReproBlock<'a> {
+    target: &'a str,
+    /// 1-based line number of the opening fence.
+    fence_line: usize,
+    lines: Vec<&'a str>,
+}
+
+fn repro_blocks(doc: &str) -> Vec<ReproBlock<'_>> {
+    let mut blocks = Vec::new();
+    let mut lines = doc.lines().enumerate();
+    while let Some((index, line)) = lines.next() {
+        let Some(target) = line.strip_prefix("```repro ") else {
+            continue;
+        };
+        let target = target.trim();
+        let body: Vec<&str> = lines
+            .by_ref()
+            .map(|(_, line)| line)
+            .take_while(|line| *line != "```")
+            .collect();
+        blocks.push(ReproBlock {
+            target,
+            fence_line: index + 1,
+            lines: body,
+        });
+    }
+    blocks
+}
+
 #[test]
 fn every_experiment_renders_against_paper_values() {
-    // Smoke-test the whole reporting path.
-    let eval = Evaluation::new();
-    let texts = [
-        Table1::generate().to_text(),
-        Table2::from_evaluation(&eval).to_text(),
-        Fig6::generate().to_text(),
-        Fig7::from_evaluation(&eval).to_text(),
-        Fig8::from_evaluation(&eval).to_text(),
-        Fig9::from_evaluation(&eval).to_text(),
-    ];
-    for text in &texts {
+    // Render each target the way `repro` prints it: the catalogue row
+    // built over the recorded workload model.
+    let ctx = Context::new(PhaseModel::with_measured_defaults());
+    let render = |target: &str| catalogue::find(target).map(|row| (row.build)(&ctx).to_text());
+    for target in QUOTED {
+        let text = render(target).expect("catalogue row");
         assert!(text.contains("paper"), "missing paper comparison:\n{text}");
         assert!(text.len() > 100);
+    }
+
+    // The docs quote what `repro` prints: every ```repro <target>``` block
+    // is that target's text, line for line.
+    let docs = [
+        ("EXPERIMENTS.md", include_str!("../EXPERIMENTS.md")),
+        ("README.md", include_str!("../README.md")),
+    ];
+    let mut quoted = Vec::new();
+    for (file, doc) in docs {
+        for block in repro_blocks(doc) {
+            let target = block.target;
+            let text = render(target).unwrap_or_else(|| {
+                panic!(
+                    "{file}:{}: a ```repro block names {target:?}, which is no catalogue target",
+                    block.fence_line
+                )
+            });
+            let printed: Vec<&str> = text.lines().collect();
+            for i in 0..printed.len().max(block.lines.len()) {
+                let (doc_line, repro_line) = (block.lines.get(i), printed.get(i));
+                assert!(
+                    doc_line == repro_line,
+                    "{file}:{}: the ```repro {target}``` block differs from `repro {target}`\n  \
+                     doc:   {}\n  repro: {}",
+                    block.fence_line + 1 + i,
+                    doc_line.unwrap_or(&"(block ended)"),
+                    repro_line.unwrap_or(&"(output ended)"),
+                );
+            }
+            if file == "EXPERIMENTS.md" {
+                quoted.push(target);
+            }
+        }
+    }
+    for target in QUOTED {
+        assert!(
+            quoted.contains(&target),
+            "EXPERIMENTS.md has no ```repro {target}``` block"
+        );
     }
 }
 
