@@ -26,9 +26,7 @@
 //! (exit 1) unless it equals the committed baseline leaf for leaf; with
 //! `--candidate PATH` it compares that JSON file instead.
 //! `repro serve` runs the experiment-service daemon, which serves the
-//! catalogue's JSON documents; `repro submit` asks one for them, and for
-//! `dse` as a batch of `dse_point` requests (one-shot `repro dse` explores
-//! in-process).
+//! catalogue's JSON documents; `repro submit` asks one for them.
 //!
 //! With `--faults SEED[:RATE]`, a degraded run is measured on top of the
 //! selected targets: the deterministic fault plan generated from the seed
@@ -119,7 +117,7 @@ fn usage_text() -> String {
          \x20      repro check --baseline PATH [--bless | --candidate PATH]\n\
          \x20      repro serve [--listen HOST:PORT] [--workers N] [--cache-dir DIR]\n\
          \x20      repro submit --connect HOST:PORT [--artifacts DIR]\n\
-         \x20                  [{}|dse|sweep:BW|kernel:P|stats|shutdown]...\n\
+         \x20                  [{}|sweep:BW|kernel:P|stats|shutdown]...\n\
          \n\
          --measure            re-measure workload constants on the simulator\n\
          --artifacts DIR      write JSON/CSV artifacts (figure data, metrics,\n\
@@ -151,9 +149,7 @@ fn usage_text() -> String {
          \x20                    {{\"kind\": \"shutdown\"}} to drain and stop)\n\
          submit               issue experiment requests to a running daemon;\n\
          \x20                    artifacts are byte-identical to the one-shot\n\
-         \x20                    documents, `dse` runs the exploration as a batch\n\
-         \x20                    of cached service requests, and stats/shutdown\n\
-         \x20                    are admin requests",
+         \x20                    documents, and stats/shutdown are admin requests",
         targets.join("|"),
         kinds.join("|")
     )
@@ -355,7 +351,6 @@ fn cmd_serve(argv: &[String], out: &mut Out) -> Result<(), Failure> {
 /// One parsed `repro submit` work item.
 enum SubmitItem {
     Experiment(ExperimentKind),
-    Dse,
     Stats,
     Shutdown,
 }
@@ -368,7 +363,6 @@ fn parse_submit_item(token: &str) -> Result<SubmitItem, String> {
             .map_err(|_| format!("{name}: {what} out of range: {text}"))
     };
     Ok(match (token, token.split_once(':')) {
-        ("dse", _) => SubmitItem::Dse,
         ("stats", _) => SubmitItem::Stats,
         ("shutdown", _) => SubmitItem::Shutdown,
         (_, Some(("sweep", bw))) => SubmitItem::Experiment(ExperimentKind::Sweep {
@@ -431,7 +425,7 @@ fn cmd_submit(argv: &[String], out: &mut Out) -> Result<(), Failure> {
 }
 
 fn submit(opts: SubmitOptions, out: &mut Out) -> Result<(), String> {
-    use mempool_serve::{dse, ExperimentRequest, TcpClient};
+    use mempool_serve::{ExperimentRequest, TcpClient};
 
     let mut client = TcpClient::connect(&opts.connect)
         .map_err(|e| format!("cannot connect to {}: {e}", opts.connect))?;
@@ -451,11 +445,6 @@ fn submit(opts: SubmitOptions, out: &mut Out) -> Result<(), String> {
                     art.write_json(&name, &outcome.artifact)
                         .map_err(|e| format!("{token}: writing artifact: {e}"))?;
                 }
-            }
-            SubmitItem::Dse => {
-                let model = PhaseModel::with_measured_defaults();
-                let space = dse::explore_via(|req| client.request(req), &model).map_err(failed)?;
-                out.line(space.to_text())?;
             }
             SubmitItem::Stats => out.line(client.stats().map_err(failed)?.to_pretty())?,
             SubmitItem::Shutdown => {
@@ -752,41 +741,27 @@ mod tests {
             assert!(!description.starts_with(' '), "{line:?}");
             continuations += usize::from(head.trim().is_empty());
         }
-        assert_eq!(continuations, 23);
+        assert_eq!(continuations, 21);
     }
 
-    /// The roadmap's audit as a test: one catalogue, and every front end
-    /// agrees with it.
+    /// The roadmap's audit as a test: one catalogue, and `repro` agrees
+    /// with it (the service's half is `mempool-serve`'s
+    /// `the_service_serves_exactly_the_catalogue_documents`).
     #[test]
     fn every_front_end_walks_the_one_catalogue() {
-        use mempool_serve::{ExperimentRequest, ExperimentRunner, Runner};
-
         let names: Vec<&str> = CATALOGUE.iter().map(|row| row.name).collect();
         let stdout_order =
             "table1 table2 fig6 ablations cluster layout fig7 fig8 fig9 claims dse area";
         assert_eq!(names.join(" "), stdout_order);
 
         let ctx = Context::new(PhaseModel::with_measured_defaults());
-        let mut served = Vec::new();
         for row in &CATALOGUE {
             let name = row.name;
-            let experiment = (row.build)(&ctx);
-            assert!(!experiment.to_text().trim().is_empty(), "{name}");
-            // `repro` accepts the row as a target, the daemon serves its
-            // document under the same name, byte for byte.
+            let text = (row.build)(&ctx).to_text();
+            assert!(!text.trim().is_empty(), "{name}");
+            assert!(text.lines().all(|l| !l.ends_with(' ')), "{name}: {text}");
             assert_eq!(parse_args(&argv(&[name])).unwrap().targets, [name]);
-            let Some(json) = experiment.to_json() else {
-                continue;
-            };
-            let kind = ExperimentKind::parameterless(name)
-                .unwrap_or_else(|| panic!("{name} has JSON but no request kind"));
-            assert_eq!(kind.tag(), name);
-            let artifact = ExperimentRunner.run(&ExperimentRequest::new(kind)).unwrap();
-            assert_eq!(artifact.to_pretty(), json.to_pretty(), "{name}");
-            served.push(name);
         }
-        let kinds = ExperimentKind::PARAMETERLESS.map(|(tag, _)| tag);
-        assert_eq!(served, kinds, "parameterless kinds = the rows with JSON");
 
         // `all` and nothing else joins the catalogue names: not the other
         // request kinds, not the removed `perf` and `diff` subcommands.

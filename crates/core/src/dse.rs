@@ -8,6 +8,8 @@
 //! Pareto-optimal design is a 3D design. Adding silicon cost (combined die
 //! area) puts the 2D 1, 2 and 4 MiB designs on the four-objective front.
 
+use mempool_obs::Json;
+
 use crate::design::DesignPoint;
 use crate::experiments::{Evaluation, SECTION_VI_B_BANDWIDTH};
 use crate::table::TextTable;
@@ -58,9 +60,8 @@ pub struct ScoredPoint {
 
 impl ScoredPoint {
     /// Scores one design point under all objectives — the single scoring
-    /// path shared by the in-process [`DesignSpace::explore`] and the
-    /// experiment service's per-point requests, so a sweep routed through
-    /// the service reproduces the one-shot numbers bit-for-bit.
+    /// path behind [`DesignSpace::explore`] and the experiment service's
+    /// `dse_point` requests.
     pub fn score_all(eval: &Evaluation, point: DesignPoint) -> Self {
         let mut scores = [0.0; 4];
         for (slot, objective) in scores.iter_mut().zip(Objective::ALL) {
@@ -105,14 +106,6 @@ impl DesignSpace {
         }
     }
 
-    /// Assembles a design space from externally computed scores — the
-    /// entry point for batch clients (`mempool-serve`) that fetch each
-    /// point's scores through the experiment service and its cache
-    /// instead of scoring in-process. Point order is preserved.
-    pub fn from_scored(points: Vec<ScoredPoint>) -> Self {
-        DesignSpace { points }
-    }
-
     /// All scored points.
     pub fn points(&self) -> &[ScoredPoint] {
         &self.points
@@ -153,6 +146,34 @@ impl DesignSpace {
             ]);
         }
         format!("Design-space exploration (16 B/cycle)\n{t}")
+    }
+
+    /// The exploration as a document: each point's oriented scores
+    /// (indexed as [`Objective::ALL`]) and the four-objective front.
+    pub fn to_json(&self) -> Json {
+        let points = self
+            .points
+            .iter()
+            .map(|sp| {
+                Json::obj([
+                    ("design", Json::str(sp.point.name())),
+                    (
+                        "scores",
+                        Json::Arr(sp.scores.iter().map(|&s| Json::Float(s)).collect()),
+                    ),
+                ])
+            })
+            .collect();
+        let front = self
+            .pareto_front()
+            .iter()
+            .map(|p| Json::str(p.name()))
+            .collect();
+        Json::obj([
+            ("experiment", Json::str("dse")),
+            ("points", Json::Arr(points)),
+            ("pareto_front", Json::Arr(front)),
+        ])
     }
 }
 
@@ -225,26 +246,26 @@ mod tests {
         }
     }
 
-    #[test]
-    fn from_scored_reproduces_explore_exactly() {
-        let eval = Evaluation::new();
-        let direct = DesignSpace::explore(&eval);
-        let assembled = DesignSpace::from_scored(
-            DesignPoint::all()
-                .map(|p| ScoredPoint::score_all(&eval, p))
-                .collect(),
-        );
-        assert_eq!(direct.to_text(), assembled.to_text());
-        for (a, b) in direct.points().iter().zip(assembled.points()) {
-            assert_eq!(a.point, b.point);
-            assert_eq!(a.scores, b.scores);
-        }
-    }
-
+    /// The text marks the rows the document names as the front.
     #[test]
     fn rendering_marks_the_front() {
-        let text = space().to_text();
-        assert!(text.contains('*'));
+        let s = space();
+        let doc = s.to_json();
+        let names = |key: &str| -> Vec<String> {
+            let items = doc.get(key).and_then(Json::as_arr).unwrap();
+            let name = |j: &Json| j.get("design").unwrap_or(j).as_str().unwrap().to_string();
+            items.iter().map(name).collect()
+        };
+        let all: Vec<String> = s.points().iter().map(|p| p.point.name()).collect();
+        assert_eq!(names("points"), all);
+        let text = s.to_text();
         assert!(text.contains("pareto"));
+        let marked: Vec<String> = text
+            .lines()
+            .filter(|line| line.ends_with('*'))
+            .map(|line| line.split_whitespace().next().unwrap().to_string())
+            .collect();
+        assert!(!marked.is_empty());
+        assert_eq!(names("pareto_front"), marked);
     }
 }

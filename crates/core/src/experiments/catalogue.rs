@@ -75,7 +75,16 @@ macro_rules! documented {
         }
     )*};
 }
-documented!(Table1, Table2, Fig6, Fig7, Fig8, Fig9, Resilience);
+documented!(
+    Table1,
+    Table2,
+    Fig6,
+    Fig7,
+    Fig8,
+    Fig9,
+    DesignSpace,
+    Resilience
+);
 
 /// A text-only experiment is its text, rendered when built.
 impl Experiment for String {
@@ -137,7 +146,7 @@ pub static CATALOGUE: [Entry; 12] = [
     },
     Entry {
         name: "dse",
-        build: |ctx| Box::new(DesignSpace::explore(ctx.evaluation()).to_text()),
+        build: |ctx| Box::new(DesignSpace::explore(ctx.evaluation())),
     },
     Entry {
         name: "area",

@@ -1,6 +1,6 @@
 //! Minimal fixed-width text table formatter for the experiment reports.
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// A simple right-aligned text table.
 #[derive(Debug, Clone)]
@@ -50,15 +50,17 @@ impl fmt::Display for TextTable {
                 *w = (*w).max(cell.len());
             }
         }
+        // Empty trailing cells pad nothing: a line never ends in a space.
         let write_row = |f: &mut fmt::Formatter<'_>, cells: &[String]| -> fmt::Result {
+            let mut line = String::new();
             for (i, (cell, width)) in cells.iter().zip(&widths).enumerate() {
                 if i == 0 {
-                    write!(f, "{cell:<width$}")?;
+                    write!(line, "{cell:<width$}")?;
                 } else {
-                    write!(f, "  {cell:>width$}")?;
+                    write!(line, "  {cell:>width$}")?;
                 }
             }
-            writeln!(f)
+            writeln!(f, "{}", line.trim_end())
         };
         write_row(f, &self.headers)?;
         let total: usize = widths.iter().sum::<usize>() + 2 * (cols - 1);
@@ -86,6 +88,16 @@ mod tests {
         assert!(lines[1].chars().all(|c| c == '-'));
         // All lines equal width (right-aligned last column).
         assert_eq!(lines[2].len(), lines[3].len());
+    }
+
+    #[test]
+    fn empty_trailing_cells_leave_no_trailing_spaces() {
+        let mut t = TextTable::new(["name", "mark"]);
+        t.row(["a".into(), "*".into()]);
+        t.row(["b".into(), String::new()]);
+        let text = t.to_string();
+        assert!(text.lines().all(|line| !line.ends_with(' ')), "{text:?}");
+        assert!(text.ends_with("\nb\n"), "{text:?}");
     }
 
     #[test]

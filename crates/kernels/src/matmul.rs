@@ -539,10 +539,11 @@ pub struct PhaseModel {
 impl PhaseModel {
     /// The model with the constants measured on this repository's
     /// simulator (16-core instance, barrier cost extrapolated linearly to
-    /// 256 cores; see `EXPERIMENTS.md`). The 3.2 cycles/MAC figure is
-    /// additionally validated at full 256-core scale by the
-    /// bank-conflict-free [`Blocking::Staggered`] kernel, which measures
-    /// 3.23 cycles/MAC (`tests/full_scale.rs`).
+    /// 256 cores): the body holds the recorded values.
+    /// `deep_blocking_hides_remote_latency_at_full_scale`
+    /// (`tests/full_scale.rs`) measures the bank-conflict-free
+    /// [`Blocking::Staggered`] kernel at full 256-core scale and bounds
+    /// its cycles/MAC around `cycles_per_mac`.
     pub fn with_measured_defaults() -> Self {
         PhaseModel {
             m: SpmCapacity::MATMUL_MATRIX_DIM,

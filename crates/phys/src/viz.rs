@@ -232,7 +232,9 @@ pub fn group_floorplan(g2d: &GroupImplementation, g3d: &GroupImplementation) -> 
     for i in 0..left.len().max(right.len()) {
         let l = left.get(i).map_or("", String::as_str);
         let r = right.get(i).map_or("", String::as_str);
-        out.push_str(&format!("{l:<left_width$}   {r}\n"));
+        let line = format!("{l:<left_width$}   {r}");
+        out.push_str(line.trim_end());
+        out.push('\n');
     }
     out
 }
@@ -339,5 +341,8 @@ mod tests {
             "drawn ratio {drawn_ratio:.2} vs real {ratio:.2}\n{art}"
         );
         assert!(art.contains('T'), "tiles must be drawn");
+        // The 3D group is the shorter drawing: past its end, no line
+        // pads the empty right-hand side.
+        assert!(art.lines().all(|l| !l.ends_with(' ')), "{art}");
     }
 }

@@ -1,7 +1,7 @@
 //! Clients of the experiment service.
 //!
 //! [`Client`] is the in-process handle: thread-safe, cheap to clone, and
-//! the substrate of the DSE batch client and the throughput benchmark.
+//! the substrate of the throughput benchmark.
 //! [`TcpClient`] speaks the newline-delimited JSON protocol to a
 //! `repro serve` daemon over [`std::net::TcpStream`].
 

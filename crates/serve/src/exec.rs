@@ -69,9 +69,8 @@ fn sweep_point(model: &PhaseModel, bytes_per_cycle: u32) -> Json {
     ])
 }
 
-/// Serializes one scored design point; [`crate::dse::explore_via`] parses
-/// this back into a [`ScoredPoint`].
-pub(crate) fn dse_point_json(scored: &ScoredPoint) -> Json {
+/// Serializes one scored design point.
+fn dse_point_json(scored: &ScoredPoint) -> Json {
     let objectives = Objective::ALL
         .iter()
         .map(|o| Json::str(format!("{o:?}")))
@@ -122,15 +121,29 @@ fn kernel_run(p: u32) -> Result<Json, String> {
 mod tests {
     use super::*;
     use crate::protocol::ModelConfig;
-    use mempool::experiments::Fig6;
+    use mempool::experiments::{Fig6, CATALOGUE};
 
+    /// A catalogue row has a document exactly when a parameterless kind
+    /// names it, and the service serves that document byte for byte, so
+    /// a newly documented row cannot be missed by the service.
     #[test]
-    fn fig6_artifact_matches_the_one_shot_pipeline_exactly() {
-        let artifact = ExperimentRunner
-            .run(&ExperimentRequest::new(ExperimentKind::Fig6))
-            .unwrap();
-        let one_shot = Fig6::generate().to_json();
-        assert_eq!(artifact.to_pretty(), one_shot.to_pretty());
+    fn the_service_serves_exactly_the_catalogue_documents() {
+        let ctx = Context::new(ModelConfig::default());
+        let mut served = Vec::new();
+        for row in &CATALOGUE {
+            let (name, document) = (row.name, (row.build)(&ctx).to_json());
+            let kind = ExperimentKind::parameterless(name);
+            assert_eq!(document.is_some(), kind.is_some(), "{name}");
+            let (Some(document), Some(kind)) = (document, kind) else {
+                continue;
+            };
+            assert_eq!(kind.tag(), name);
+            let artifact = ExperimentRunner.run(&ExperimentRequest::new(kind)).unwrap();
+            assert_eq!(artifact.to_pretty(), document.to_pretty(), "{name}");
+            served.push(name);
+        }
+        let kinds = ExperimentKind::PARAMETERLESS.map(|(tag, _)| tag);
+        assert_eq!(served, kinds, "parameterless kinds = the rows with JSON");
     }
 
     #[test]

@@ -21,8 +21,7 @@
 //!
 //! Entry points: [`Service::start`] + [`Service::client`] in-process,
 //! [`TcpServer`]/[`TcpClient`] for the `repro serve` daemon and its
-//! newline-delimited JSON protocol, and [`dse::explore_via`] to run the
-//! design-space exploration as a batch of cached requests over either.
+//! newline-delimited JSON protocol.
 //!
 //! Served artifacts are byte-identical to the documents one-shot `repro`
 //! writes for the same config: [`ExperimentRunner`] resolves the tables
@@ -34,7 +33,6 @@
 
 pub(crate) mod cache;
 pub(crate) mod client;
-pub mod dse;
 pub(crate) mod exec;
 pub(crate) mod net;
 pub(crate) mod protocol;

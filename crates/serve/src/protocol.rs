@@ -93,14 +93,17 @@ pub enum ExperimentKind {
     Fig8,
     /// Figure 9 (energy-delay product).
     Fig9,
+    /// The design-space exploration: all eight points scored and the
+    /// Pareto front.
+    Dse,
     /// One bandwidth point of the Figure 6 sweep: per-capacity speedups
     /// at a single off-chip bandwidth.
     Sweep {
         /// Off-chip bandwidth in bytes per cycle.
         bytes_per_cycle: u32,
     },
-    /// Multi-objective scores of one design point (the DSE batch client
-    /// issues eight of these per exploration).
+    /// Multi-objective scores of one design point: one row of the
+    /// [`ExperimentKind::Dse`] document.
     DsePoint {
         /// The design point to score.
         point: DesignPoint,
@@ -118,13 +121,14 @@ impl ExperimentKind {
     /// The kinds that take no parameter, each with its wire tag — the one
     /// table both directions read. Every tag names the row of
     /// [`mempool::experiments::CATALOGUE`] that produces the artifact.
-    pub const PARAMETERLESS: [(&'static str, ExperimentKind); 6] = [
+    pub const PARAMETERLESS: [(&'static str, ExperimentKind); 7] = [
         ("table1", ExperimentKind::Table1),
         ("table2", ExperimentKind::Table2),
         ("fig6", ExperimentKind::Fig6),
         ("fig7", ExperimentKind::Fig7),
         ("fig8", ExperimentKind::Fig8),
         ("fig9", ExperimentKind::Fig9),
+        ("dse", ExperimentKind::Dse),
     ];
 
     /// The wire tag (`"fig6"`, `"dse_point"`, ...).

@@ -1,6 +1,6 @@
 //! Integration tests for the experiment service: coalescing, bounded
-//! backpressure, graceful shutdown, the TCP protocol, and the DSE batch
-//! client's equivalence with the in-process exploration.
+//! backpressure, graceful shutdown, the TCP protocol, and the served DSE
+//! document's equivalence with the in-process exploration.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -8,7 +8,6 @@ use std::time::{Duration, Instant};
 
 use mempool::dse::DesignSpace;
 use mempool::experiments::{Evaluation, Fig6};
-use mempool_kernels::matmul::PhaseModel;
 use mempool_obs::Json;
 use mempool_serve::{
     CacheOutcome, ExperimentKind, ExperimentRequest, ResultCache, ServeError, Service,
@@ -544,27 +543,18 @@ fn peers_that_never_read_their_replies_are_closed_after_the_write_deadline() {
 
 #[test]
 fn dse_through_the_service_reproduces_the_in_process_exploration() {
-    let service = Service::start(ServiceConfig {
-        workers: 4,
-        ..ServiceConfig::default()
-    })
-    .unwrap();
+    let service = Service::start(ServiceConfig::default()).unwrap();
     let client = service.client();
-    let model = PhaseModel::with_measured_defaults();
-    let via_service = mempool_serve::dse::explore_via(|req| client.run(*req), &model).unwrap();
-    let direct = DesignSpace::explore(&Evaluation::with_model(model));
-    assert_eq!(via_service.to_text(), direct.to_text());
-    for (a, b) in via_service.points().iter().zip(direct.points()) {
-        assert_eq!(a.point, b.point);
-        assert_eq!(a.scores, b.scores, "{}", a.point);
-    }
-    assert_eq!(service.stats().computed.load(Ordering::SeqCst), 8);
-    // A second exploration costs zero computations: eight cache hits.
-    let again = mempool_serve::dse::explore_via(|req| client.run(*req), &model).unwrap();
-    assert_eq!(again.to_text(), direct.to_text());
-    assert_eq!(service.stats().computed.load(Ordering::SeqCst), 8);
-    assert_eq!(service.stats().cache_hits.load(Ordering::SeqCst), 8);
-    assert!(service.stats().cache_hit_rate() >= 0.5 - 1e-12);
+    let req = ExperimentRequest::new(ExperimentKind::Dse);
+    let first = client.run(req).unwrap();
+    let direct = DesignSpace::explore(&Evaluation::with_model(req.model));
+    assert_eq!(first.artifact.to_pretty(), direct.to_json().to_pretty());
+    assert_eq!(first.cache, CacheOutcome::Miss);
+    // A second exploration is one cache hit.
+    let again = client.run(req).unwrap();
+    assert_eq!(again.cache, CacheOutcome::Hit);
+    assert_eq!(again.artifact, first.artifact);
+    assert_eq!(service.stats().computed.load(Ordering::SeqCst), 1);
 }
 
 #[test]
