@@ -22,9 +22,6 @@
 //! * [`Json`] — the self-contained JSON document model the exporters
 //!   emit and every loader reads through (the workspace has no
 //!   serialization dependency);
-//! * quarantine-aware JSON file loading ([`load_json_file`]) and the
-//!   atomic (temp file + rename) write ([`write_atomic`]), shared by the
-//!   serve result cache and its job journal;
 //! * [`ArtifactDir`] — the artifact-directory writer used by
 //!   `repro --artifacts DIR`.
 //!
@@ -57,7 +54,6 @@ pub(crate) mod attribution;
 pub(crate) mod chrome;
 pub(crate) mod flight;
 pub(crate) mod json;
-pub(crate) mod load;
 pub(crate) mod metrics;
 pub(crate) mod ring;
 pub(crate) mod span;
@@ -68,7 +64,6 @@ pub use attribution::{AttributionReport, BankConflictInput, CycleBuckets};
 pub use chrome::{chrome_trace, chrome_trace_with_counters};
 pub use flight::{flight_json, Deferred, FlightEvent, FlightRecorder};
 pub use json::{Json, JsonError};
-pub use load::{load_json_file, quarantine_path, write_atomic, LoadOutcome};
 pub use metrics::{Counter, Registry};
 pub use ring::Ring;
 pub use span::{SpanRecorder, TrackId};

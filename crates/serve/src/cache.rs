@@ -3,22 +3,24 @@
 //! Completed experiment artifacts are stored under their canonical
 //! [`crate::ExperimentRequest::cache_key`] — an FNV-1a digest of the
 //! parsed config seeded with the engine version — in memory and,
-//! optionally, on disk (`--cache-dir`). Disk entries are written
-//! atomically (temp file + rename), so a crash or shutdown mid-write
-//! never leaves a corrupt entry: a reader sees either the complete
-//! artifact or nothing. Should one appear anyway (external tampering,
-//! disk corruption), it is **quarantined**: renamed `<name>.corrupt`,
-//! treated as a miss, and surfaced through
-//! [`ResultCache::drain_quarantined`] so the service can log a flight
-//! event — a corrupt entry never panics and is never re-parsed.
+//! optionally, on disk (`--cache-dir`) as one `cas-<key>.json` file per
+//! finished result. This module is the only code that reads or writes
+//! that directory. Disk entries are written atomically (temp file +
+//! rename), so a crash or shutdown mid-write never leaves a corrupt
+//! entry: a reader sees either the complete artifact or nothing. Should
+//! one appear anyway (external tampering, disk corruption), it is
+//! **quarantined**: renamed `<name>.corrupt`, treated as a miss, and
+//! surfaced through [`ResultCache::drain_quarantined`] so the service can
+//! log a flight event — a corrupt entry never panics and is never
+//! re-parsed.
 
 use std::collections::HashMap;
 use std::fs;
-use std::io;
+use std::io::{self, ErrorKind};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 
-use mempool_obs::{load_json_file, write_atomic, Json, LoadOutcome};
+use mempool_obs::Json;
 
 /// A thread-safe result cache: an in-memory map, optionally backed by an
 /// on-disk directory of `cas-<key>.json` files shared across daemon
@@ -61,30 +63,37 @@ impl ResultCache {
     }
 
     /// Looks up a key: memory first, then disk (promoting a disk hit into
-    /// memory). A disk entry that is not UTF-8 or fails to parse is
-    /// quarantined (renamed `.corrupt`, recorded for `drain_quarantined`)
-    /// and treated as a miss — the rename also guarantees the broken file
-    /// is never parsed twice.
+    /// memory). A missing or unreadable file is a miss. A disk entry that
+    /// is not UTF-8 or fails to parse is quarantined (renamed `.corrupt`,
+    /// recorded for `drain_quarantined`) and treated as a miss — the
+    /// rename also guarantees the broken file is never parsed twice.
     pub fn get(&self, key: u64) -> Option<Arc<Json>> {
         let mut memory = self.memory.lock().expect("cache mutex poisoned");
         if let Some(hit) = memory.get(&key) {
             return Some(Arc::clone(hit));
         }
-        let dir = self.dir.as_ref()?;
-        match load_json_file(&dir.join(Self::entry_name(key))) {
-            LoadOutcome::Loaded(doc) => {
+        let name = Self::entry_name(key);
+        let path = self.dir.as_ref()?.join(&name);
+        let parsed = match fs::read_to_string(&path) {
+            Ok(text) => Json::parse(&text).map_err(|e| e.to_string()),
+            Err(e) if e.kind() == ErrorKind::InvalidData => Err(e.to_string()),
+            Err(_) => return None,
+        };
+        match parsed {
+            Ok(doc) => {
                 let entry = Arc::new(doc);
                 memory.insert(key, Arc::clone(&entry));
                 Some(entry)
             }
-            LoadOutcome::Missing => None,
-            LoadOutcome::Quarantined { renamed_to, error } => {
+            Err(error) => {
+                // Best effort: if the rename fails the bytes stay put.
+                let renamed_to = path.with_file_name(format!("{name}.corrupt"));
+                let _ = fs::rename(&path, &renamed_to);
                 self.quarantined
                     .lock()
                     .expect("quarantine mutex poisoned")
                     .push(format!(
-                        "cache entry {} corrupt ({error}); quarantined to {}",
-                        Self::entry_name(key),
+                        "cache entry {name} corrupt ({error}); quarantined to {}",
                         renamed_to.display()
                     ));
                 None
@@ -99,12 +108,17 @@ impl ResultCache {
     }
 
     /// Inserts an artifact, returning the shared handle. The disk write
-    /// is atomic ([`write_atomic`]); a persist failure degrades to
+    /// is atomic: the bytes go to a sibling `<name>.tmp-<pid>` file that
+    /// is then renamed into place, so a reader (or a crash mid-write) sees
+    /// no entry or the complete one. A persist failure degrades to
     /// memory-only caching rather than failing the request.
     pub fn put(&self, key: u64, value: Json) -> Arc<Json> {
         let entry = Arc::new(value);
         if let Some(dir) = &self.dir {
-            let _ = write_atomic(&dir.join(Self::entry_name(key)), &entry.to_pretty());
+            let name = Self::entry_name(key);
+            let tmp = dir.join(format!("{name}.tmp-{}", std::process::id()));
+            let _ =
+                fs::write(&tmp, entry.to_pretty()).and_then(|()| fs::rename(&tmp, dir.join(name)));
         }
         self.memory
             .lock()
@@ -116,11 +130,6 @@ impl ResultCache {
     /// Number of entries resident in memory.
     pub(crate) fn len(&self) -> usize {
         self.memory.lock().expect("cache mutex poisoned").len()
-    }
-
-    /// The backing directory, if persistent.
-    pub(crate) fn dir(&self) -> Option<&Path> {
-        self.dir.as_deref()
     }
 }
 
@@ -198,5 +207,33 @@ mod tests {
         assert!(cache.get(9).is_none());
         assert!(cache.drain_quarantined().is_empty());
         let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// Writes `bytes` as the disk entry of `key`, reads it through a cold
+    /// cache, and returns the one quarantine message it produced.
+    fn quarantine_message(tag: &str, key: u64, bytes: &[u8]) -> String {
+        let dir = temp_dir(tag);
+        let cache = ResultCache::with_dir(&dir).unwrap();
+        let name = ResultCache::entry_name(key);
+        fs::write(dir.join(&name), bytes).unwrap();
+        assert!(cache.get(key).is_none(), "a damaged entry reads as a miss");
+        assert!(dir.join(format!("{name}.corrupt")).exists(), "bytes kept");
+        assert!(!dir.join(&name).exists(), "original renamed away");
+        let mut events = cache.drain_quarantined();
+        assert_eq!(events.len(), 1, "{events:?}");
+        let _ = fs::remove_dir_all(&dir);
+        events.remove(0)
+    }
+
+    #[test]
+    fn non_utf8_disk_entries_are_quarantined_not_missing() {
+        let message = quarantine_message("utf8", 10, b"{\"x\": \"\xff\"}");
+        assert!(message.contains("UTF-8"), "{message}");
+    }
+
+    #[test]
+    fn deeply_nested_disk_entries_are_quarantined_not_a_stack_overflow() {
+        let message = quarantine_message("deep", 11, "[".repeat(200_000).as_bytes());
+        assert!(message.contains("nesting deeper than"), "{message}");
     }
 }

@@ -3,9 +3,9 @@
 //! artifact is byte-identical to the CLI's output for the same config.
 //!
 //! A run is never resumed: the longest request the daemon accepts (the
-//! `kernel` phase at `p = 80` on the 16-core probe) is ~120 k simulated
-//! cycles, a fraction of a second, so a job a dead daemon left in its
-//! journal is simply computed again (see [`crate::service`]).
+//! `kernel` phase at `p = 80` on the 16-core probe) takes a fraction of a
+//! second, so only finished results persist ([`crate::ResultCache`]) and
+//! a request a dead daemon was computing is simply asked again.
 
 use mempool::dse::{Objective, ScoredPoint};
 use mempool::experiments::{catalogue, Context, Evaluation, Fig6Point};

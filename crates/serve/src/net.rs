@@ -72,7 +72,6 @@ struct Handler {
 /// Longest request line (newline included) a connection may send. The
 /// largest legitimate request is a few hundred bytes; without a bound one
 /// peer that never sends a newline grows the handler's buffer forever.
-/// A journal holds one request, so recovery bounds `job-*` files by it too.
 pub(crate) const MAX_REQUEST_BYTES: usize = 1 << 20;
 
 /// A TCP daemon wrapping a [`Service`].

@@ -21,7 +21,6 @@
 //! flight-recorder document shape ([`mempool_obs::flight_json`]).
 
 use std::collections::{HashMap, VecDeque};
-use std::fs;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -30,13 +29,9 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-use mempool_obs::{
-    flight_json, load_json_file, quarantine_path, write_atomic, FlightEvent, Json, LoadOutcome,
-    Ring,
-};
+use mempool_obs::{flight_json, FlightEvent, Json, Ring};
 
 use crate::cache::ResultCache;
-use crate::net::MAX_REQUEST_BYTES;
 use crate::protocol::{CacheOutcome, ExperimentRequest, ServeError, Status};
 
 /// Executes one experiment request into its artifact document. The
@@ -180,26 +175,6 @@ impl Shared {
         }
     }
 
-    /// On-disk journal of a not-yet-completed job, when persistent.
-    fn journal_path(&self, key: u64) -> Option<PathBuf> {
-        self.cache.dir().map(|dir| dir.join(journal_name(key)))
-    }
-
-    /// Persists an accepted job so a restarted daemon re-runs it
-    /// (atomic write; failures degrade to no recovery, never an error).
-    fn write_journal(&self, key: u64, req: &ExperimentRequest) {
-        if let Some(path) = self.journal_path(key) {
-            let _ = write_atomic(&path, &req.to_json().to_pretty());
-        }
-    }
-
-    /// Retires a job's journal once every waiter has its answer.
-    fn remove_journal(&self, key: u64) {
-        if let Some(path) = self.journal_path(key) {
-            let _ = fs::remove_file(path);
-        }
-    }
-
     fn record(&self, category: &'static str, worker: Option<u32>, message: String) {
         let mut flight = self.flight.lock().expect("flight ring poisoned");
         // Every event pushed so far is held or was dropped.
@@ -281,7 +256,6 @@ impl Service {
             None,
             format!("started {} worker(s)", config.workers),
         );
-        recover_journaled_jobs(&shared);
         Ok(Service { shared, workers })
     }
 
@@ -361,7 +335,7 @@ pub(crate) fn begin_shutdown(shared: &Shared) {
 /// The submission path shared by every client handle. Returns the
 /// receiver only on admission; rejections are typed errors.
 pub(crate) fn submit(
-    shared: &Arc<Shared>,
+    shared: &Shared,
     req: ExperimentRequest,
     tx: Sender<Status>,
 ) -> Result<(), ServeError> {
@@ -401,9 +375,6 @@ pub(crate) fn submit(
         shared.stats.requests.fetch_add(1, Ordering::Relaxed);
         shared.stats.cache_hits.fetch_add(1, Ordering::Relaxed);
         shared.stats.completed.fetch_add(1, Ordering::Relaxed);
-        // A journal can outlive its job only when a crash hit between the
-        // cache publish and journal removal; a hit proves it is stale.
-        shared.remove_journal(key);
         let _ = tx.send(Status::Accepted {
             queue_depth: state.queue.len(),
         });
@@ -450,9 +421,6 @@ pub(crate) fn submit(
         None,
         format!("{} key={key:016x}", req.kind.tag()),
     );
-    // Journal while still holding the state lock: no worker can complete
-    // (and retire) the job before its journal exists on disk.
-    shared.write_journal(key, &req);
     drop(state);
     shared.work.notify_one();
     Ok(())
@@ -518,7 +486,6 @@ fn worker_loop(shared: &Shared, index: u32) {
                         artifact: Arc::clone(&artifact),
                     });
                 }
-                shared.remove_journal(key);
                 shared.record(
                     "done",
                     Some(index),
@@ -535,8 +502,6 @@ fn worker_loop(shared: &Shared, index: u32) {
                         .tx
                         .send(Status::Error(ServeError::Experiment(message.clone())));
                 }
-                // Every waiter got its (error) answer; nothing to recover.
-                shared.remove_journal(key);
                 shared.record("fail", Some(index), format!("key={key:016x}: {message}"));
             }
         }
@@ -545,96 +510,6 @@ fn worker_loop(shared: &Shared, index: u32) {
         shared.busy_workers.fetch_sub(1, Ordering::Relaxed);
         if now_idle {
             shared.idle.notify_all();
-        }
-    }
-}
-
-/// The on-disk journal name of a job key.
-fn journal_name(key: u64) -> String {
-    format!("job-{key:016x}.json")
-}
-
-/// Re-submits every journaled (accepted but never completed) job left on
-/// disk by a previous daemon run — a crashed or killed daemon finishes
-/// its accepted work after restart. The re-submitted jobs have no waiter
-/// (the original clients are gone); they are computed again from the
-/// start and simply warm the cache. Corrupt journals, and journals longer
-/// than a request line may be, are quarantined and reported, never fatal.
-fn recover_journaled_jobs(shared: &Arc<Shared>) {
-    let Some(dir) = shared.cache.dir().map(PathBuf::from) else {
-        return;
-    };
-    let Ok(entries) = fs::read_dir(&dir) else {
-        return;
-    };
-    let mut journals: Vec<PathBuf> = entries
-        .filter_map(|entry| entry.ok().map(|e| e.path()))
-        .filter(|path| {
-            path.file_name()
-                .and_then(|name| name.to_str())
-                .is_some_and(|name| name.starts_with("job-") && name.ends_with(".json"))
-        })
-        .collect();
-    journals.sort();
-    for path in journals {
-        let name = path
-            .file_name()
-            .map(|n| n.to_string_lossy().into_owned())
-            .unwrap_or_default();
-        // A journal holds one request, which the wire bounds at
-        // `MAX_REQUEST_BYTES`: a longer file is quarantined unread.
-        let oversized = fs::metadata(&path).is_ok_and(|meta| meta.len() > MAX_REQUEST_BYTES as u64);
-        let request = if oversized {
-            Err(format!("longer than {MAX_REQUEST_BYTES} bytes"))
-        } else {
-            match load_json_file(&path) {
-                LoadOutcome::Loaded(doc) => ExperimentRequest::from_json(&doc),
-                LoadOutcome::Missing => continue,
-                LoadOutcome::Quarantined { renamed_to, error } => {
-                    shared.record(
-                        "corrupt",
-                        None,
-                        format!(
-                            "journal {name} corrupt ({error}); quarantined to {}",
-                            renamed_to.display()
-                        ),
-                    );
-                    continue;
-                }
-            }
-        };
-        match request {
-            Ok(req) => {
-                let canonical = shared.journal_path(req.cache_key());
-                // No one is waiting on the channel; the job's value is
-                // the cache entry it leaves behind.
-                let (tx, _rx) = std::sync::mpsc::channel();
-                match submit(shared, req, tx) {
-                    Ok(()) => {
-                        // submit re-journals queued jobs under the
-                        // canonical name; a file whose name does not
-                        // match its own cache key would otherwise be
-                        // resubmitted on every restart.
-                        if canonical.as_deref() != Some(path.as_path()) {
-                            let _ = fs::remove_file(&path);
-                        }
-                        shared.record("recover", None, format!("resubmitted {name}"));
-                    }
-                    Err(e) => {
-                        shared.record("recover", None, format!("dropped {name}: {e}"));
-                        let _ = fs::remove_file(&path);
-                    }
-                }
-            }
-            Err(e) => {
-                let renamed = quarantine_path(&path);
-                let _ = fs::rename(&path, &renamed);
-                shared.record(
-                    "corrupt",
-                    None,
-                    format!("journal {name} unreadable ({e}); quarantined"),
-                );
-            }
         }
     }
 }

@@ -627,66 +627,76 @@ fn stats_flight_ring_counts_the_events_it_evicted() {
     assert_eq!(newest, Some(dropped + 255));
 }
 
-/// A journaled job left behind by a dead daemon is re-run on startup,
-/// warming the cache without any client asking again.
+/// With a cache directory the daemon writes one file per finished result
+/// and nothing else: no file while a job runs, one `cas-<key>.json` once it
+/// finishes, and none for a hit, a coalesced request or a failure.
 #[test]
-fn journaled_jobs_from_a_dead_daemon_are_recomputed_on_restart() {
-    let dir = std::env::temp_dir().join(format!("mempool-serve-recover-{}", std::process::id()));
+fn the_cache_directory_holds_finished_results_only() {
+    let dir = std::env::temp_dir().join(format!("mempool-serve-results-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
+    let gate = Gate::new();
+    let gated = gate.runner();
+    let runner = move |req: &ExperimentRequest| match req.kind {
+        ExperimentKind::Table2 => Err("injected failure".to_string()),
+        _ => gated.run(req),
+    };
+    let service = Service::start_with_runner(
+        ServiceConfig {
+            workers: 2,
+            cache_dir: Some(dir.clone()),
+        },
+        Box::new(runner),
+    )
+    .unwrap();
+    let files = || {
+        let mut names: Vec<String> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|entry| entry.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        names.sort();
+        names
+    };
+    let client = service.client();
     let req = ExperimentRequest::new(ExperimentKind::Table1);
-    let key = req.cache_key();
-    // Forge the journal a crashed daemon would have left: the job was
-    // accepted (journal written) but never completed (no cache entry).
-    std::fs::write(
-        dir.join(format!("job-{key:016x}.json")),
-        req.to_json().to_pretty(),
-    )
-    .unwrap();
-    // A journal whose name does not match its own cache key (renamed by
-    // hand, or written by an older build) must still be retired — workers
-    // only remove the canonical name, so recovery has to clean this up.
-    std::fs::write(
-        dir.join("job-00000000deadbeef.json"),
-        req.to_json().to_pretty(),
-    )
-    .unwrap();
-
-    let service = Service::start(ServiceConfig {
-        cache_dir: Some(dir.clone()),
-        ..ServiceConfig::default()
-    })
-    .unwrap();
-    wait_until("the recovered job to compute", || {
-        service.stats().computed.load(Ordering::SeqCst) == 1
+    let first = client.submit(req).unwrap();
+    wait_until("the gated job to start", || {
+        gate.runs.load(Ordering::SeqCst) > 0
     });
-    service.quiesce();
-    // The journal retired with the job; the artifact is now cached, so a
-    // client asking again gets a hit without recomputation. The misnamed
-    // duplicate coalesced with it and was removed at recovery time.
-    assert!(!dir.join(format!("job-{key:016x}.json")).exists());
-    assert!(!dir.join("job-00000000deadbeef.json").exists());
-    assert!(dir.join(ResultCache::entry_name(key)).exists());
-    let outcome = service.client().run(req).unwrap();
-    assert_eq!(outcome.cache, CacheOutcome::Hit);
-    assert_eq!(service.stats().computed.load(Ordering::SeqCst), 1);
-    let flight = service.stats_json().get("flight").unwrap().to_pretty();
-    assert!(flight.contains("recover"), "{flight}");
+    let second = client.submit(req).unwrap();
+    // Release before asserting, so a failure cannot leave the worker
+    // blocked on the gate and the test hung in the service's drop.
+    let while_running = files();
+    gate.release();
+    assert!(
+        while_running.is_empty(),
+        "a running job leaves a file: {while_running:?}"
+    );
+    assert_eq!(first.wait().unwrap().cache, CacheOutcome::Miss);
+    assert_eq!(second.wait().unwrap().cache, CacheOutcome::Coalesced);
+    let finished = vec![ResultCache::entry_name(req.cache_key())];
+    assert_eq!(files(), finished);
+    assert_eq!(client.run(req).unwrap().cache, CacheOutcome::Hit);
+    let failing = ExperimentRequest::new(ExperimentKind::Table2);
+    assert!(matches!(
+        client.run(failing),
+        Err(ServeError::Experiment(_))
+    ));
+    assert_eq!(files(), finished, "a hit and a failure add no file");
     service.shutdown();
+    assert_eq!(files(), finished);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Corrupt journals and cache entries are quarantined and reported as
-/// flight events — never a panic, never parsed twice.
+/// A corrupt cache entry is quarantined and reported as a flight event —
+/// never a panic, never parsed twice — and reads as a miss.
 #[test]
-fn corrupt_journals_and_cache_entries_are_quarantined_with_flight_events() {
+fn corrupt_cache_entries_are_quarantined_with_flight_events() {
     let dir = std::env::temp_dir().join(format!("mempool-serve-quarantine-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
-    std::fs::write(dir.join("job-00000000000000aa.json"), "{truncated").unwrap();
     let req = ExperimentRequest::new(ExperimentKind::Table1);
-    let key = req.cache_key();
-    std::fs::write(dir.join(ResultCache::entry_name(key)), "also {not json").unwrap();
+    let entry = ResultCache::entry_name(req.cache_key());
+    std::fs::write(dir.join(&entry), "also {not json").unwrap();
 
     let service = Service::start(ServiceConfig {
         cache_dir: Some(dir.clone()),
@@ -696,34 +706,27 @@ fn corrupt_journals_and_cache_entries_are_quarantined_with_flight_events() {
     // The corrupt cache entry reads as a miss: the request computes.
     let outcome = service.client().run(req).unwrap();
     assert_eq!(outcome.cache, CacheOutcome::Miss);
-    assert!(dir.join("job-00000000000000aa.json.corrupt").exists());
-    assert!(!dir.join("job-00000000000000aa.json").exists());
+    assert!(dir.join(format!("{entry}.corrupt")).exists());
     let flight = service.stats_json().get("flight").unwrap().to_pretty();
     assert!(flight.contains("corrupt"), "{flight}");
     service.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// A journal or cache entry with one byte flipped out of UTF-8 is as
-/// corrupt as one that does not parse: quarantined with a flight event,
-/// not skipped as if it were absent (and then re-read on every restart).
+/// A cache entry with one byte flipped out of UTF-8 is as corrupt as one
+/// that does not parse: quarantined with a flight event, not skipped as if
+/// it were absent (and then re-read on every restart).
 #[test]
-fn non_utf8_journals_and_cache_entries_are_quarantined_with_flight_events() {
+fn non_utf8_cache_entries_are_quarantined_with_flight_events() {
     let dir = std::env::temp_dir().join(format!("mempool-serve-utf8-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
-    let flipped = |doc: &Json| {
-        let mut bytes = doc.to_pretty().into_bytes();
-        let at = bytes.len() / 2;
-        bytes[at] = 0xff;
-        bytes
-    };
-    let journaled = ExperimentRequest::new(ExperimentKind::Table2);
-    let journal = format!("job-{:016x}.json", journaled.cache_key());
-    std::fs::write(dir.join(&journal), flipped(&journaled.to_json())).unwrap();
     let req = ExperimentRequest::new(ExperimentKind::Table1);
     let entry = ResultCache::entry_name(req.cache_key());
-    std::fs::write(dir.join(&entry), flipped(&req.to_json())).unwrap();
+    let mut bytes = req.to_json().to_pretty().into_bytes();
+    let at = bytes.len() / 2;
+    bytes[at] = 0xff;
+    std::fs::write(dir.join(&entry), bytes).unwrap();
 
     let service = Service::start(ServiceConfig {
         cache_dir: Some(dir.clone()),
@@ -733,63 +736,18 @@ fn non_utf8_journals_and_cache_entries_are_quarantined_with_flight_events() {
     // The damaged cache entry reads as a miss: the request computes.
     let outcome = service.client().run(req).unwrap();
     assert_eq!(outcome.cache, CacheOutcome::Miss);
-    for name in [&journal, &entry] {
-        assert!(dir.join(format!("{name}.corrupt")).exists(), "{name}");
-    }
-    assert!(!dir.join(&journal).exists());
-    let stats = service.stats_json();
-    let events = stats.get("flight").unwrap().get("events").unwrap();
-    let corrupt: Vec<&str> = events
-        .as_arr()
-        .unwrap()
-        .iter()
-        .filter(|e| e.get("category").and_then(Json::as_str) == Some("corrupt"))
-        .filter_map(|e| e.get("message").and_then(Json::as_str))
-        .collect();
-    for name in [&journal, &entry] {
-        assert!(
-            corrupt
-                .iter()
-                .any(|message| message.contains(name.as_str())),
-            "no corrupt event names {name}: {corrupt:?}"
-        );
-    }
-    service.shutdown();
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-/// A journal longer than a request line may be is quarantined before it
-/// is read — a valid request padded past the bound included — so a huge
-/// `job-*` file costs neither the memory to load it nor a resubmission.
-#[test]
-fn oversized_journals_are_quarantined_unread() {
-    let dir = std::env::temp_dir().join(format!("mempool-serve-oversized-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    let journal = "job-00000000000000bb.json";
-    let padded = format!("{{\"kind\": \"fig7\"}}{}", " ".repeat(1 << 20));
-    std::fs::write(dir.join(journal), padded).unwrap();
-
-    let service = Service::start(ServiceConfig {
-        cache_dir: Some(dir.clone()),
-        ..ServiceConfig::default()
-    })
-    .unwrap();
-    service.quiesce();
-    assert_eq!(service.stats().computed.load(Ordering::SeqCst), 0);
-    assert!(dir.join(format!("{journal}.corrupt")).exists());
-    assert!(!dir.join(journal).exists());
+    assert!(dir.join(format!("{entry}.corrupt")).exists(), "{entry}");
     let stats = service.stats_json();
     let events = stats.get("flight").unwrap().get("events").unwrap();
     let named = events.as_arr().unwrap().iter().any(|e| {
         e.get("category").and_then(Json::as_str) == Some("corrupt")
             && e.get("message")
                 .and_then(Json::as_str)
-                .is_some_and(|message| message.contains(journal))
+                .is_some_and(|message| message.contains(entry.as_str()))
     });
     assert!(
         named,
-        "no corrupt event names {journal}: {}",
+        "no corrupt event names {entry}: {}",
         events.to_pretty()
     );
     service.shutdown();
