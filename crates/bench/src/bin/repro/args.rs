@@ -117,12 +117,12 @@ mod tests {
 
     #[test]
     fn u64_parsers_name_the_flag_in_every_error() {
-        assert_eq!(parse_u64("--watchdog", "threshold", "42"), Ok(42));
-        let err = parse_u64("--watchdog", "threshold", "many").unwrap_err();
-        assert!(err.contains("--watchdog"), "{err}");
+        assert_eq!(parse_u64("--faults", "seed", "42"), Ok(42));
+        let err = parse_u64("--faults", "seed", "many").unwrap_err();
+        assert!(err.contains("--faults"), "{err}");
         assert!(err.contains("unsigned integer"), "{err}");
-        let err = parse_nonzero_u64("--timeseries", "window", "0").unwrap_err();
-        assert!(err.contains("--timeseries"), "{err}");
+        let err = parse_nonzero_u64("--workers", "count", "0").unwrap_err();
+        assert!(err.contains("--workers"), "{err}");
         assert!(err.contains("nonzero"), "{err}");
         assert_eq!(parse_nonzero_usize("--workers", "count", "4"), Ok(4));
         assert!(parse_nonzero_usize("--workers", "count", "-1").is_err());

@@ -32,10 +32,13 @@
 //! selected targets: the deterministic fault plan generated from the seed
 //! (and optional rate, default 1e-6) is injected into a compute-phase
 //! cluster, and the measured slowdown is propagated into the Figure 6
-//! 8 MiB / 16 B-per-cycle point. `--watchdog N` arms the forward-progress
-//! watchdog (deadlock detection) for that degraded run. With
-//! `--artifacts`, the run additionally exports `resilience.json` and the
-//! raw `fault_report.json`.
+//! 8 MiB / 16 B-per-cycle point. The degraded run is always instrumented:
+//! a forward-progress watchdog (2 000 000 cycles), a time series sampled
+//! every 512 cycles and a 512-event flight ring. With `--artifacts`, it
+//! additionally exports `resilience.json`, the raw `fault_report.json`,
+//! `timeseries.json`/`timeseries.csv` (also merged into `trace.json` as
+//! counter tracks) and `flight.json`; a simulator fault writes
+//! `crashdump.json` instead.
 
 mod args;
 
@@ -48,7 +51,6 @@ use mempool_arch::SpmCapacity;
 use mempool_bench::regress;
 use mempool_kernels::matmul::PhaseModel;
 use mempool_kernels::measure;
-use mempool_kernels::resilience::{observed_compute_run, DegradedObs, ObservedRun};
 use mempool_obs::{chrome_trace_with_counters, ArtifactDir, Json, Obs};
 use mempool_serve::ExperimentKind;
 
@@ -111,8 +113,7 @@ fn usage_text() -> String {
     let targets: Vec<&str> = CATALOGUE.iter().map(|row| row.name).collect();
     let kinds = ExperimentKind::PARAMETERLESS.map(|(tag, _)| tag);
     format!(
-        "usage: repro [--measure] [--artifacts DIR] [--faults SEED[:RATE]] [--watchdog N]\n\
-         \x20            [--timeseries WINDOW] [--flight N]\n\
+        "usage: repro [--measure] [--artifacts DIR] [--faults SEED[:RATE]]\n\
          \x20            [all|{}]...\n\
          \x20      repro check --baseline PATH [--bless | --candidate PATH]\n\
          \x20      repro serve [--listen HOST:PORT] [--workers N] [--cache-dir DIR]\n\
@@ -125,17 +126,6 @@ fn usage_text() -> String {
          --faults SEED[:RATE] measure a degraded run under the deterministic\n\
          \x20                    fault plan from SEED (rate default 1e-6) and\n\
          \x20                    propagate it into the Figure 6 headline point\n\
-         --watchdog N         arm the deadlock watchdog (N cycles without\n\
-         \x20                    forward progress) for the degraded run\n\
-         --timeseries WINDOW  sample per-epoch time series (IPC, request and\n\
-         \x20                    conflict rates, off-chip occupancy) every WINDOW\n\
-         \x20                    cycles; exports timeseries.json/.csv and Perfetto\n\
-         \x20                    counter tracks. Applies to the degraded run with\n\
-         \x20                    --faults, otherwise to an instrumented clean run\n\
-         --flight N           keep an N-event flight-recorder ring on the\n\
-         \x20                    measured (degraded or clean) run; exports\n\
-         \x20                    flight.json, and a simulator fault dumps it as\n\
-         \x20                    crashdump.json\n\
          \n\
          check                require the regenerated pinned summary (or the\n\
          \x20                    JSON file --candidate PATH) to equal --baseline\n\
@@ -170,9 +160,6 @@ struct Options {
     measure: bool,
     artifacts: Option<String>,
     faults: Option<(u64, f64)>,
-    watchdog: Option<u64>,
-    timeseries: Option<u64>,
-    flight: Option<usize>,
 }
 
 /// Parses `SEED[:RATE]`. Both parts are validated strictly: a non-numeric
@@ -217,18 +204,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
                     "--faults",
                     "a SEED[:RATE]",
                 )?)?);
-            }
-            "--watchdog" => {
-                let value = args::flag_value(&mut it, "--watchdog", "a cycle-count")?;
-                opts.watchdog = Some(args::parse_u64("--watchdog", "threshold", value)?);
-            }
-            "--timeseries" => {
-                let value = args::flag_value(&mut it, "--timeseries", "a cycle-window")?;
-                opts.timeseries = Some(args::parse_nonzero_u64("--timeseries", "window", value)?);
-            }
-            "--flight" => {
-                let value = args::flag_value(&mut it, "--flight", "an event-count")?;
-                opts.flight = Some(args::parse_nonzero_usize("--flight", "capacity", value)?);
             }
             flag if flag.starts_with("--") => {
                 return Err(format!("unknown flag: {flag}"));
@@ -524,8 +499,8 @@ fn cmd_repro(args: &[String], out: &mut Out) -> Result<(), Failure> {
     reproduce(&opts, out).map_err(|message| Failure::Failed(EXIT_FAILURE, message))
 }
 
-/// Produces the selected targets, then the optional degraded or
-/// instrumented run, then the run-wide artifacts.
+/// Produces the selected targets, then the optional degraded run, then the
+/// run-wide artifacts.
 fn reproduce(opts: &Options, out: &mut Out) -> Result<(), String> {
     let mut artifacts = create_artifact_dir(opts.artifacts.as_deref())?;
     let obs = Obs::new();
@@ -570,12 +545,7 @@ fn reproduce(opts: &Options, out: &mut Out) -> Result<(), String> {
     let resilience = match opts.faults {
         Some((seed, rate)) => {
             eprintln!("measuring degraded run (seed {seed}, rate {rate:.1e}) ...");
-            let hooks = DegradedObs {
-                obs: obs.clone(),
-                timeseries_window: opts.timeseries,
-                flight_capacity: opts.flight,
-            };
-            match Resilience::with_model_observed(model, seed, rate, opts.watchdog, Some(&hooks)) {
+            match Resilience::with_model_observed(model, seed, rate, Some(&obs)) {
                 Ok(r) => {
                     emit("resilience", &r)?;
                     Some(r)
@@ -595,42 +565,9 @@ fn reproduce(opts: &Options, out: &mut Out) -> Result<(), String> {
             .map_err(|e| format!("writing fault_report.json: {e}"))?;
     }
 
-    // `--timeseries`/`--flight` without `--faults` instrument a *clean*
-    // compute phase.
-    let observed = if opts.faults.is_none() && (opts.timeseries.is_some() || opts.flight.is_some())
-    {
-        eprintln!("measuring instrumented clean run ...");
-        let hooks = DegradedObs {
-            obs: obs.clone(),
-            timeseries_window: opts.timeseries,
-            flight_capacity: opts.flight,
-        };
-        let run = observed_compute_run(&hooks).map_err(|failure| {
-            if let Some(dump) = &failure.crash_dump {
-                write_crash_dump(artifacts.as_mut(), dump);
-            }
-            format!("instrumented clean run failed: {failure}")
-        })?;
-        out.line(run.to_text())?;
-        if let Some(art) = artifacts.as_mut() {
-            art.write_json("observed.json", &run.to_json())
-                .map_err(|e| format!("writing observed.json: {e}"))?;
-        }
-        Some(run)
-    } else {
-        None
-    };
-
     if let Some(art) = artifacts.as_mut() {
-        write_summary_artifacts(
-            art,
-            &obs,
-            &model,
-            opts,
-            resilience.as_ref(),
-            observed.as_ref(),
-        )
-        .map_err(|e| format!("writing artifacts: {e}"))?;
+        write_summary_artifacts(art, &obs, &model, opts, resilience.as_ref())
+            .map_err(|e| format!("writing artifacts: {e}"))?;
         report_written(art);
     }
     Ok(())
@@ -645,7 +582,6 @@ fn write_summary_artifacts(
     model: &PhaseModel,
     opts: &Options,
     resilience: Option<&Resilience>,
-    observed: Option<&ObservedRun>,
 ) -> std::io::Result<()> {
     let snapshot = obs.metrics.snapshot();
     art.write_json("metrics.json", &snapshot.to_json())?;
@@ -661,8 +597,8 @@ fn write_summary_artifacts(
         art.write_json("timeseries.json", &series.to_json())?;
         art.write_text("timeseries.csv", &series.to_csv())?;
     }
-    // Flight events land as their own artifact so the instrumented
-    // byte-diff can compare the ring without provoking a crash dump.
+    // Flight events land as their own artifact so a byte-diff of the
+    // degraded run can compare the ring without provoking a crash dump.
     if !obs.flight.is_empty() {
         art.write_json("flight.json", &obs.flight.to_json())?;
     }
@@ -691,13 +627,6 @@ fn write_summary_artifacts(
     // `BENCH_baseline.json` pins for the baseline seed.
     if let Some(r) = resilience {
         pairs.push(("resilience", r.summary_json()));
-    }
-    // The instrumented clean run's cycle count.
-    if let Some(o) = observed {
-        pairs.push((
-            "observed",
-            Json::obj([("phase_cycles", Json::Int(o.cycles as i64))]),
-        ));
     }
     pairs.push((
         "artifacts",
@@ -741,7 +670,7 @@ mod tests {
             assert!(!description.starts_with(' '), "{line:?}");
             continuations += usize::from(head.trim().is_empty());
         }
-        assert_eq!(continuations, 21);
+        assert_eq!(continuations, 13);
     }
 
     /// The roadmap's audit as a test: one catalogue, and `repro` agrees
@@ -956,10 +885,12 @@ mod tests {
     fn threads_flag_is_an_unknown_flag() {
         let err = parse_args(&argv(&["fig6", "--threads", "4"])).unwrap_err();
         assert_eq!(err, "unknown flag: --threads");
-        // The three checkpoint-file flags are gone as well, with or without
+        // The three checkpoint-file flags and the three that armed the
+        // degraded run's instrumentation are gone as well, with or without
         // the `--faults` run they applied to.
         let removed = ["dir", "every"].map(|what| format!("--checkpoint-{what}"));
-        for flag in removed.iter().map(String::as_str).chain(["--resume"]) {
+        let instrumentation = ["--resume", "--watchdog", "--timeseries", "--flight"];
+        for flag in removed.iter().map(String::as_str).chain(instrumentation) {
             let err = parse_args(&argv(&["fig6", "--faults", "42:1e-6", flag, "x"])).unwrap_err();
             assert_eq!(err, format!("unknown flag: {flag}"));
             let err = parse_args(&argv(&["fig6", flag, "5000"])).unwrap_err();
@@ -968,41 +899,33 @@ mod tests {
     }
 
     #[test]
-    fn non_numeric_watchdog_is_a_usage_error_not_a_panic() {
-        let err = parse_args(&argv(&["--watchdog", "many"])).unwrap_err();
-        assert!(
-            err.contains("threshold must be an unsigned integer"),
-            "{err}"
-        );
-        let opts = parse_args(&argv(&["--watchdog", "2000000"])).unwrap();
-        assert_eq!(opts.watchdog, Some(2_000_000));
-    }
-
-    #[test]
     fn a_following_flag_is_a_missing_argument() {
         assert!(parse_args(&argv(&["--faults", "--measure"])).is_err());
-        assert!(parse_args(&argv(&["--watchdog", "--measure"])).is_err());
         assert!(parse_args(&argv(&["--artifacts", "--measure"])).is_err());
-        assert!(parse_args(&argv(&["--timeseries", "--measure"])).is_err());
-        assert!(parse_args(&argv(&["--flight", "--measure"])).is_err());
     }
 
+    /// `--faults` alone arms the degraded run's instrumentation: its time
+    /// series and flight ring land next to the fault report.
     #[test]
-    fn timeseries_and_flight_flags_parse_and_reject_zero() {
-        let opts = parse_args(&argv(&[
-            "fig6",
-            "--faults",
-            "42",
-            "--timeseries",
-            "1024",
-            "--flight",
-            "256",
-        ]))
-        .unwrap();
-        assert_eq!(opts.timeseries, Some(1024));
-        assert_eq!(opts.flight, Some(256));
-        assert!(parse_args(&argv(&["--timeseries", "0"])).is_err());
-        assert!(parse_args(&argv(&["--flight", "0"])).is_err());
-        assert!(parse_args(&argv(&["--timeseries", "soon"])).is_err());
+    fn a_fault_run_writes_its_time_series_and_flight_ring() {
+        let dir = std::env::temp_dir().join(format!("repro-faults-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let dir_text = dir.to_string_lossy().into_owned();
+        let args = ["fig6", "--faults", "42:1e-6", "--artifacts", &dir_text];
+        assert_eq!(repro(&args), EXIT_OK);
+        let file = |name: &str| dir.join(name).to_string_lossy().into_owned();
+        let series = load_json(&file("timeseries.json")).unwrap();
+        let tracks = series.get("series").and_then(Json::as_arr).unwrap();
+        assert_eq!(tracks.len(), 11);
+        let csv = std::fs::read_to_string(file("timeseries.csv")).unwrap();
+        assert!(csv.starts_with("cycle,series,value\n"), "{csv}");
+        assert!(csv.lines().count() > 1, "{csv}");
+        let flight = load_json(&file("flight.json")).unwrap();
+        assert!(!flight
+            .get("events")
+            .and_then(Json::as_arr)
+            .unwrap()
+            .is_empty());
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -13,8 +13,6 @@ pub mod regress;
 pub const BASELINE_FAULT_SEED: u64 = 42;
 /// The pinned fault rate of the baseline degraded run.
 pub const BASELINE_FAULT_RATE: f64 = 1e-6;
-/// Watchdog threshold armed for the baseline degraded run.
-pub(crate) const BASELINE_WATCHDOG: u64 = 2_000_000;
 
 /// Cycle counts of the modeled matmul at the Section VI-B bandwidth
 /// (16 B/cycle), one per SPM capacity — the
@@ -53,14 +51,9 @@ pub fn bench_summary() -> mempool_obs::Json {
     use mempool_obs::Json;
 
     let model = PhaseModel::with_measured_defaults();
-    let resilience = Resilience::with_model_observed(
-        model,
-        BASELINE_FAULT_SEED,
-        BASELINE_FAULT_RATE,
-        Some(BASELINE_WATCHDOG),
-        None,
-    )
-    .expect("the pinned-seed degraded run must complete");
+    let resilience =
+        Resilience::with_model_observed(model, BASELINE_FAULT_SEED, BASELINE_FAULT_RATE, None)
+            .expect("the pinned-seed degraded run must complete");
     Json::obj([
         ("schema", Json::str("mempool-bench-summary/v2")),
         ("cycles_per_mac", Json::Float(model.cycles_per_mac)),

@@ -10,10 +10,8 @@
 
 use mempool_arch::SpmCapacity;
 use mempool_kernels::matmul::PhaseModel;
-use mempool_kernels::resilience::{
-    degraded_compute_run_observed, DegradedFailure, DegradedObs, DegradedRun,
-};
-use mempool_obs::Json;
+use mempool_kernels::resilience::{degraded_compute_run_observed, DegradedFailure, DegradedRun};
+use mempool_obs::{Json, Obs};
 
 use crate::table::TextTable;
 
@@ -38,10 +36,9 @@ pub struct Resilience {
 
 impl Resilience {
     /// Measures the degradation for `(seed, rate)` and propagates it with
-    /// the given workload model. `watchdog`, when set, arms the
-    /// forward-progress watchdog for the degraded run; `hooks` attach
-    /// observability to it (shared span/metric recording, time-series
-    /// sampling, flight recording — see [`DegradedObs`]).
+    /// the given workload model. `obs`, when given, observes the degraded
+    /// run (spans, metrics, time series and flight ring — see
+    /// [`degraded_compute_run_observed`]).
     ///
     /// # Errors
     ///
@@ -53,10 +50,9 @@ impl Resilience {
         model: PhaseModel,
         seed: u64,
         rate: f64,
-        watchdog: Option<u64>,
-        hooks: Option<&DegradedObs>,
+        obs: Option<&Obs>,
     ) -> Result<Self, Box<DegradedFailure>> {
-        let run = degraded_compute_run_observed(seed, rate, watchdog, hooks)?;
+        let run = degraded_compute_run_observed(seed, rate, obs)?;
         let scale = 1.0 + run.overhead();
         let degraded_model = PhaseModel {
             cycles_per_mac: model.cycles_per_mac * scale,
@@ -187,14 +183,14 @@ impl Resilience {
 mod tests {
     use super::*;
 
-    fn measure(seed: u64, watchdog: Option<u64>) -> Resilience {
+    fn measure(seed: u64) -> Resilience {
         let model = PhaseModel::with_measured_defaults();
-        Resilience::with_model_observed(model, seed, 1e-6, watchdog, None).unwrap()
+        Resilience::with_model_observed(model, seed, 1e-6, None).unwrap()
     }
 
     #[test]
     fn degradation_propagates_into_the_figure() {
-        let r = measure(42, Some(2_000_000));
+        let r = measure(42);
         assert!(r.run().overhead() > 0.0);
         assert!(r.degraded_speedup() < r.clean_speedup());
         assert!(r.fig6_delta_cycles() > 0.0);
@@ -219,7 +215,7 @@ mod tests {
 
     #[test]
     fn determinism_across_generations() {
-        let (a, b) = (measure(9, None), measure(9, None));
+        let (a, b) = (measure(9), measure(9));
         assert_eq!(a.run().degraded_cycles, b.run().degraded_cycles);
         assert_eq!(a.run().clean_cycles, b.run().clean_cycles);
     }

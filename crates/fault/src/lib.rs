@@ -23,8 +23,8 @@
 //!   stopped making progress.
 //!
 //! The simulator (`mempool-sim`) wires these into its cycle loop; the
-//! `repro` binary exposes them via `--faults SEED[:RATE]` and
-//! `--watchdog N`.
+//! `repro` binary exposes them via `--faults SEED[:RATE]`, whose degraded
+//! run always arms the watchdog.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

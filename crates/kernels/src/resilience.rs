@@ -24,6 +24,18 @@ use crate::workload::{Kernel, KernelError};
 /// in tens of thousands of cycles).
 const BUDGET: u64 = 100_000_000;
 
+/// Forward-progress watchdog threshold armed on every degraded run: a
+/// genuine deadlock ends in a typed error instead of the cycle budget.
+const WATCHDOG_CYCLES: u64 = 2_000_000;
+
+/// Epoch length, in cycles, of an observed degraded run's time series.
+const TIMESERIES_WINDOW: u64 = 512;
+
+/// Events an observed degraded run keeps in its flight ring, and
+/// instructions in its trace, so a crash dump carries each core's recent
+/// window.
+const FLIGHT_CAPACITY: usize = 512;
+
 /// Result of a clean-vs-degraded pair of compute-phase runs.
 #[derive(Debug, Clone)]
 pub struct DegradedRun {
@@ -75,66 +87,6 @@ impl DegradedRun {
     }
 }
 
-/// Observability hooks for the degraded run: an [`Obs`] bundle the
-/// degraded cluster attaches to, plus optional time-series sampling and
-/// flight recording. The flight recorder implies instruction tracing so a
-/// crash dump carries each core's recent-instruction window.
-#[derive(Debug, Clone)]
-pub struct DegradedObs {
-    /// Shared observability bundle (clones share state).
-    pub obs: Obs,
-    /// Epoch length in cycles for time-series sampling, when wanted.
-    pub timeseries_window: Option<u64>,
-    /// Flight-recorder ring capacity, when wanted.
-    pub flight_capacity: Option<usize>,
-}
-
-/// An instrumented *clean* run: the compute phase with the full
-/// observability stack attached but no fault plan. This is the run behind
-/// `repro --timeseries/--flight` without `--faults`.
-#[derive(Debug, Clone)]
-pub struct ObservedRun {
-    /// Cycles the instrumented phase took.
-    pub cycles: u64,
-    /// Exact cycle attribution of the instrumented run.
-    pub attribution: AttributionReport,
-}
-
-impl ObservedRun {
-    /// Serializes the run summary (cycle count, attribution).
-    pub fn to_json(&self) -> Json {
-        Json::obj([
-            ("cycles", Json::Int(self.cycles as i64)),
-            ("attribution", self.attribution.to_json()),
-        ])
-    }
-
-    /// One-line text form for the repro CLI.
-    pub fn to_text(&self) -> String {
-        format!("observed clean run: {} cycles", self.cycles)
-    }
-}
-
-/// Runs one *clean* compute phase with observability attached: spans and
-/// metrics into the shared [`Obs`], plus optional time-series sampling
-/// and a flight-recorder ring (which implies instruction tracing, as in
-/// the degraded path).
-///
-/// # Errors
-///
-/// Propagates simulation and verification errors; simulator faults carry
-/// a full crash dump, as in [`degraded_compute_run_observed`].
-pub fn observed_compute_run(hooks: &DegradedObs) -> Result<ObservedRun, Box<DegradedFailure>> {
-    let mut cluster = probe_cluster();
-    let phase = ComputePhase::new(32);
-    let (cycles, attribution) =
-        observed_phase(&mut cluster, "observed", &phase, Some(hooks), |_| Ok(()))?;
-    Ok(ObservedRun {
-        cycles,
-        attribution,
-    })
-}
-
 /// A failed degraded run: the error, plus — when the simulator itself
 /// faulted — a self-contained crash dump ready to write as
 /// `crashdump.json`.
@@ -162,27 +114,22 @@ fn plain(error: KernelError) -> Box<DegradedFailure> {
     })
 }
 
-/// The instrumented part of a probe run, shared by the clean and the
-/// degraded run. Arms `hooks` on `cluster` as the process `name`; lets
-/// `inject` add its faults and loads `phase`; runs it within the budget;
-/// then verifies, takes the exact attribution and detaches. A simulator
-/// fault comes back with the crash dump.
+/// The instrumented part of the degraded run. With `obs`, attaches it to
+/// `cluster` and arms the time series, the flight ring and the
+/// instruction trace; lets `inject` add its faults and loads `phase`; runs
+/// it within the budget; then verifies, takes the exact attribution and
+/// detaches. A simulator fault comes back with the crash dump.
 fn observed_phase(
     cluster: &mut Cluster,
-    name: &str,
     phase: &ComputePhase,
-    hooks: Option<&DegradedObs>,
+    obs: Option<&Obs>,
     inject: impl FnOnce(&mut Cluster) -> Result<(), KernelError>,
 ) -> Result<(u64, AttributionReport), Box<DegradedFailure>> {
-    if let Some(hooks) = hooks {
-        cluster.attach_obs(&hooks.obs, name);
-        if let Some(window) = hooks.timeseries_window {
-            cluster.enable_timeseries(window);
-        }
-        if let Some(capacity) = hooks.flight_capacity {
-            cluster.enable_flight(capacity);
-            cluster.enable_trace(capacity);
-        }
+    if let Some(obs) = obs {
+        cluster.attach_obs(obs, "degraded");
+        cluster.enable_timeseries(TIMESERIES_WINDOW);
+        cluster.enable_flight(FLIGHT_CAPACITY);
+        cluster.enable_trace(FLIGHT_CAPACITY);
     }
     inject(cluster).map_err(plain)?;
     phase.load(cluster).map_err(plain)?;
@@ -203,18 +150,17 @@ fn observed_phase(
 }
 
 /// Runs one compute phase clean, then again under the deterministic fault
-/// plan generated from `(seed, rate)`, and returns the comparison. The
-/// timed-fault horizon is set to the clean run's length so transient flips
-/// actually land inside the degraded run; `watchdog`, when given, arms the
-/// forward-progress watchdog for the degraded run.
+/// plan generated from `(seed, rate)` with the forward-progress watchdog
+/// armed, and returns the comparison. The timed-fault horizon is set to
+/// the clean run's length so transient flips actually land inside the
+/// degraded run.
 ///
-/// When `hooks` is given, the degraded cluster records spans/metrics into
-/// the shared [`Obs`] and optionally samples time series, keeps a
-/// flight-recorder ring. On a simulator fault the
-/// returned [`DegradedFailure`] carries a full crash dump (flight events,
-/// per-core liveness, metrics, and counter-track trace) regardless of
-/// whether hooks were attached — without hooks the dump simply degrades to
-/// its obs-free sections.
+/// When `obs` is given, the degraded cluster records spans/metrics into
+/// it, samples its time series and keeps a flight-recorder ring. On a
+/// simulator fault the returned [`DegradedFailure`] carries a full crash
+/// dump (flight events, per-core liveness, metrics, and counter-track
+/// trace) regardless of whether `obs` was given — without it the dump
+/// simply degrades to its obs-free sections.
 ///
 /// # Errors
 ///
@@ -223,8 +169,7 @@ fn observed_phase(
 pub fn degraded_compute_run_observed(
     seed: u64,
     rate: f64,
-    watchdog: Option<u64>,
-    hooks: Option<&DegradedObs>,
+    obs: Option<&Obs>,
 ) -> Result<DegradedRun, Box<DegradedFailure>> {
     let phase = ComputePhase::new(32);
     let clean_cycles = phase.run(&mut probe_cluster(), BUDGET).map_err(plain)?;
@@ -232,14 +177,11 @@ pub fn degraded_compute_run_observed(
     let mut degraded = probe_cluster();
     let fault_cfg = FaultConfig::new(seed, rate).with_horizon(clean_cycles.max(1));
     let plan = FaultPlan::generate(&fault_cfg, degraded.config());
-    let (degraded_cycles, attribution) =
-        observed_phase(&mut degraded, "degraded", &phase, hooks, |cluster| {
-            cluster.inject_faults(&plan)?;
-            if let Some(threshold) = watchdog {
-                cluster.set_watchdog(threshold);
-            }
-            Ok(())
-        })?;
+    let (degraded_cycles, attribution) = observed_phase(&mut degraded, &phase, obs, |cluster| {
+        cluster.inject_faults(&plan)?;
+        cluster.set_watchdog(WATCHDOG_CYCLES);
+        Ok(())
+    })?;
     let report = degraded
         .fault_report()
         .expect("a plan was injected, so a report exists");
@@ -258,9 +200,27 @@ pub fn degraded_compute_run_observed(
 mod tests {
     use super::*;
 
+    /// The seed-42 degraded phase through [`observed_phase`] with `obs`
+    /// attached; `arm` adjusts the armed cluster once the plan is in.
+    fn seed_42_phase(
+        obs: &Obs,
+        arm: impl FnOnce(&mut Cluster),
+    ) -> Result<(u64, AttributionReport), Box<DegradedFailure>> {
+        let phase = ComputePhase::new(32);
+        let clean_cycles = phase.run(&mut probe_cluster(), BUDGET).unwrap();
+        let mut cluster = probe_cluster();
+        let fault_cfg = FaultConfig::new(42, 1e-6).with_horizon(clean_cycles);
+        let plan = FaultPlan::generate(&fault_cfg, cluster.config());
+        observed_phase(&mut cluster, &phase, Some(obs), |cluster| {
+            cluster.inject_faults(&plan)?;
+            arm(cluster);
+            Ok(())
+        })
+    }
+
     #[test]
     fn degraded_run_is_slower_but_correct_and_exactly_attributed() {
-        let run = degraded_compute_run_observed(42, 1e-6, Some(2_000_000), None).unwrap();
+        let run = degraded_compute_run_observed(42, 1e-6, None).unwrap();
         assert!(run.events >= 2, "generation floors guarantee faults");
         assert!(
             run.degraded_cycles > run.clean_cycles,
@@ -280,45 +240,50 @@ mod tests {
 
     #[test]
     fn observed_run_fills_the_shared_series_and_flight_ring() {
-        let hooks = DegradedObs {
-            obs: Obs::new(),
-            timeseries_window: Some(256),
-            flight_capacity: Some(128),
-        };
-        let run = degraded_compute_run_observed(42, 1e-6, Some(2_000_000), Some(&hooks)).unwrap();
+        let obs = Obs::new();
+        let run = degraded_compute_run_observed(42, 1e-6, Some(&obs)).unwrap();
         assert!(run.degraded_cycles > run.clean_cycles);
+        assert!(!obs.series.is_empty(), "epoch sampling must produce tracks");
         assert!(
-            !hooks.obs.series.is_empty(),
-            "epoch sampling must produce tracks"
-        );
-        assert!(
-            !hooks.obs.flight.is_empty(),
+            !obs.flight.is_empty(),
             "served requests must land in the flight ring"
         );
-    }
-
-    #[test]
-    fn observed_clean_run_records_engine_and_fills_instrumentation() {
-        let hooks = DegradedObs {
-            obs: Obs::new(),
-            timeseries_window: Some(256),
-            flight_capacity: Some(128),
-        };
-        let run = observed_compute_run(&hooks).unwrap();
-        assert!(run.cycles > 0);
-        assert!(!hooks.obs.series.is_empty(), "sampling must produce tracks");
-        assert!(!hooks.obs.flight.is_empty(), "mem events must land");
         // Attribution stays exact under instrumentation.
         for core in &run.attribution.cores {
             assert_eq!(core.total(), run.attribution.cycles);
         }
-        // `observed.json` carries no engine record.
-        let json = run.to_json();
-        assert!(json.get("cycles").is_some());
-        assert_eq!(json.get("engine"), None);
+    }
+
+    /// A ring large enough to keep every event of the seed-42 run holds
+    /// each fault event of its plan: the cycle-0 remap, 12 800 retries
+    /// through the degraded link and the one flip.
+    #[test]
+    fn a_full_ring_holds_every_fault_event_of_the_seed_42_plan() {
+        let obs = Obs::new();
+        seed_42_phase(&obs, |cluster| cluster.enable_flight(1 << 16)).unwrap();
+        assert_eq!(obs.flight.dropped(), 0);
+        let faults: Vec<_> = obs
+            .flight
+            .events()
+            .into_iter()
+            .filter(|event| event.category == "fault")
+            .collect();
+        assert_eq!(faults.len(), 12_802);
+        let retry = "retry through degraded link of tile 0 (+7 cycles)";
+        let others: Vec<(u64, &str)> = faults
+            .iter()
+            .filter(|event| event.message != retry)
+            .map(|event| (event.cycle, event.message.as_str()))
+            .collect();
         assert_eq!(
-            run.to_text(),
-            format!("observed clean run: {} cycles", run.cycles)
+            others,
+            [
+                (0, "stuck bank 0 on tile 2 remapped to spare 16"),
+                (
+                    4540,
+                    "transient flip mask 0x800000 at tile 2 bank 5 word 381"
+                ),
+            ]
         );
     }
 
@@ -326,12 +291,8 @@ mod tests {
     fn a_hair_trigger_watchdog_fails_with_a_crash_dump() {
         // Threshold 1 deadlocks the degraded run on its first stall
         // cycle; the failure must carry a parseable dump.
-        let hooks = DegradedObs {
-            obs: Obs::new(),
-            timeseries_window: Some(64),
-            flight_capacity: Some(64),
-        };
-        let failure = degraded_compute_run_observed(42, 1e-6, Some(1), Some(&hooks)).unwrap_err();
+        let obs = Obs::new();
+        let failure = seed_42_phase(&obs, |cluster| cluster.set_watchdog(1)).unwrap_err();
         assert!(matches!(failure.error, KernelError::Sim(_)));
         let dump = failure.crash_dump.expect("sim faults carry a dump");
         let doc = Json::parse(&dump.to_pretty()).unwrap();
@@ -344,8 +305,13 @@ mod tests {
             .and_then(Json::as_arr)
             .unwrap()
             .is_empty());
-        // Even though no 64-cycle epoch boundary was reached, the dump
-        // flushes the partial epoch so counter tracks are present.
+        assert!(!doc.get("events").and_then(Json::as_arr).unwrap().is_empty());
+        // The attribution runs up to the failure: the erroring tick counts.
+        let cycle = doc.get("cycle").and_then(Json::as_int).unwrap();
+        let attributed = doc.get("attribution").and_then(|a| a.get("cycles"));
+        assert_eq!(attributed.and_then(Json::as_int), Some(cycle));
+        // Even though no epoch boundary was reached, the dump flushes the
+        // partial epoch so counter tracks are present.
         let series = doc
             .get("timeseries")
             .and_then(|t| t.get("series"))
@@ -356,7 +322,7 @@ mod tests {
 
     #[test]
     fn json_summary_carries_the_comparison() {
-        let run = degraded_compute_run_observed(7, 1e-6, None, None).unwrap();
+        let run = degraded_compute_run_observed(7, 1e-6, None).unwrap();
         let json = run.to_json();
         assert_eq!(json.get("seed").unwrap().as_int(), Some(7));
         assert!(json.get("fault_report").is_some());

@@ -36,6 +36,14 @@ impl Gate {
         self.cv.notify_all();
     }
 
+    /// A guard that releases the gate when it drops. Declared after the
+    /// `Service`, it drops first, so an assert that fires before
+    /// `release()` frees the worker the service's drop joins: the test
+    /// fails instead of hanging.
+    fn release_on_drop(self: &Arc<Self>) -> ReleaseOnDrop {
+        ReleaseOnDrop(Arc::clone(self))
+    }
+
     fn runner(self: &Arc<Self>) -> Box<dyn mempool_serve::Runner> {
         let gate = Arc::clone(self);
         Box::new(move |req: &ExperimentRequest| {
@@ -50,6 +58,14 @@ impl Gate {
                 ("key", Json::str(format!("{:016x}", req.cache_key()))),
             ]))
         })
+    }
+}
+
+struct ReleaseOnDrop(Arc<Gate>);
+
+impl Drop for ReleaseOnDrop {
+    fn drop(&mut self) {
+        self.0.release();
     }
 }
 
@@ -74,6 +90,7 @@ fn identical_inflight_requests_coalesce_onto_one_computation() {
         gate.runner(),
     )
     .unwrap();
+    let _release = gate.release_on_drop();
     let client = service.client();
     let req = ExperimentRequest::new(ExperimentKind::Fig6);
     let first = client.submit(req).unwrap();
@@ -108,6 +125,7 @@ fn full_queue_rejects_with_typed_backpressure() {
         gate.runner(),
     )
     .unwrap();
+    let _release = gate.release_on_drop();
     let client = service.client();
     let sweep = |bw| {
         ExperimentRequest::new(ExperimentKind::Sweep {
@@ -151,6 +169,7 @@ fn graceful_shutdown_drains_queued_work_and_keeps_the_cache_sound() {
         gate.runner(),
     )
     .unwrap();
+    let _release = gate.release_on_drop();
     let client = service.client();
     let reqs: Vec<_> = [4u32, 8, 16, 32]
         .iter()
@@ -648,6 +667,7 @@ fn the_cache_directory_holds_finished_results_only() {
         Box::new(runner),
     )
     .unwrap();
+    let _release = gate.release_on_drop();
     let files = || {
         let mut names: Vec<String> = std::fs::read_dir(&dir)
             .unwrap()
@@ -663,14 +683,12 @@ fn the_cache_directory_holds_finished_results_only() {
         gate.runs.load(Ordering::SeqCst) > 0
     });
     let second = client.submit(req).unwrap();
-    // Release before asserting, so a failure cannot leave the worker
-    // blocked on the gate and the test hung in the service's drop.
     let while_running = files();
-    gate.release();
     assert!(
         while_running.is_empty(),
         "a running job leaves a file: {while_running:?}"
     );
+    gate.release();
     assert_eq!(first.wait().unwrap().cache, CacheOutcome::Miss);
     assert_eq!(second.wait().unwrap().cache, CacheOutcome::Coalesced);
     let finished = vec![ResultCache::entry_name(req.cache_key())];
