@@ -13,8 +13,12 @@
 //! surfaced through [`ResultCache::drain_quarantined`] so the service can
 //! log a flight event — a corrupt entry never panics and is never
 //! re-parsed.
+//!
+//! Memory holds at most [`MAX_RESIDENT`] results: a put past the bound
+//! evicts the least recently used one. A disk entry outlives its eviction,
+//! and a later `get` promotes it back into memory.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::fs;
 use std::io::{self, ErrorKind};
 use std::path::{Path, PathBuf};
@@ -22,12 +26,52 @@ use std::sync::{Arc, Mutex};
 
 use mempool_obs::Json;
 
-/// A thread-safe result cache: an in-memory map, optionally backed by an
-/// on-disk directory of `cas-<key>.json` files shared across daemon
-/// restarts.
+/// Most results held in memory at once, so that a long-lived daemon's
+/// memory stays bounded whatever it is asked.
+pub(crate) const MAX_RESIDENT: usize = 256;
+
+/// The results held in memory, each with the tick of its last use, and
+/// the keys by that tick: the least recently used one is the first.
+#[derive(Debug, Default)]
+struct Resident {
+    entries: HashMap<u64, (Arc<Json>, u64)>,
+    by_use: BTreeMap<u64, u64>,
+    clock: u64,
+}
+
+impl Resident {
+    /// The result of `key`, now the most recently used.
+    fn get(&mut self, key: u64) -> Option<Arc<Json>> {
+        let (value, used) = self.entries.get_mut(&key)?;
+        self.by_use.remove(used);
+        self.clock += 1;
+        *used = self.clock;
+        self.by_use.insert(self.clock, key);
+        Some(Arc::clone(value))
+    }
+
+    /// Holds `value` as the most recently used result, evicting the least
+    /// recently used one past [`MAX_RESIDENT`].
+    fn insert(&mut self, key: u64, value: Arc<Json>) {
+        self.clock += 1;
+        if let Some((_, used)) = self.entries.insert(key, (value, self.clock)) {
+            self.by_use.remove(&used);
+        }
+        self.by_use.insert(self.clock, key);
+        if self.entries.len() > MAX_RESIDENT {
+            if let Some((_, oldest)) = self.by_use.pop_first() {
+                self.entries.remove(&oldest);
+            }
+        }
+    }
+}
+
+/// A thread-safe result cache: a bounded in-memory map, optionally
+/// backed by an on-disk directory of `cas-<key>.json` files shared across
+/// daemon restarts.
 #[derive(Debug)]
 pub struct ResultCache {
-    memory: Mutex<HashMap<u64, Arc<Json>>>,
+    memory: Mutex<Resident>,
     dir: Option<PathBuf>,
     quarantined: Mutex<Vec<String>>,
 }
@@ -36,7 +80,7 @@ impl ResultCache {
     /// A purely in-memory cache.
     pub fn in_memory() -> Self {
         ResultCache {
-            memory: Mutex::new(HashMap::new()),
+            memory: Mutex::default(),
             dir: None,
             quarantined: Mutex::new(Vec::new()),
         }
@@ -51,7 +95,7 @@ impl ResultCache {
     pub fn with_dir(dir: impl AsRef<Path>) -> io::Result<Self> {
         fs::create_dir_all(dir.as_ref())?;
         Ok(ResultCache {
-            memory: Mutex::new(HashMap::new()),
+            memory: Mutex::default(),
             dir: Some(dir.as_ref().to_path_buf()),
             quarantined: Mutex::new(Vec::new()),
         })
@@ -69,8 +113,8 @@ impl ResultCache {
     /// rename also guarantees the broken file is never parsed twice.
     pub fn get(&self, key: u64) -> Option<Arc<Json>> {
         let mut memory = self.memory.lock().expect("cache mutex poisoned");
-        if let Some(hit) = memory.get(&key) {
-            return Some(Arc::clone(hit));
+        if let Some(hit) = memory.get(key) {
+            return Some(hit);
         }
         let name = Self::entry_name(key);
         let path = self.dir.as_ref()?.join(&name);
@@ -129,7 +173,11 @@ impl ResultCache {
 
     /// Number of entries resident in memory.
     pub(crate) fn len(&self) -> usize {
-        self.memory.lock().expect("cache mutex poisoned").len()
+        self.memory
+            .lock()
+            .expect("cache mutex poisoned")
+            .entries
+            .len()
     }
 }
 
@@ -206,6 +254,33 @@ mod tests {
         // Re-reading the now-quarantined key is a clean miss.
         assert!(cache.get(9).is_none());
         assert!(cache.drain_quarantined().is_empty());
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// `MAX_RESIDENT + 1` puts, the first key read again after the second
+    /// put: the second key, the least recently used, leaves memory, and a
+    /// disk entry brings it back as a hit.
+    #[test]
+    fn memory_keeps_the_most_recently_used_results() {
+        let dir = temp_dir("bounded");
+        for cache in [
+            ResultCache::in_memory(),
+            ResultCache::with_dir(&dir).unwrap(),
+        ] {
+            let keys = 0..=MAX_RESIDENT as u64;
+            for key in keys.clone() {
+                cache.put(key, Json::Int(key as i64));
+                if key == 1 {
+                    assert_eq!(*cache.get(0).unwrap(), Json::Int(0));
+                }
+            }
+            assert_eq!(cache.len(), MAX_RESIDENT);
+            let resident = |key| cache.memory.lock().unwrap().entries.contains_key(&key);
+            let evicted: Vec<u64> = keys.filter(|&key| !resident(key)).collect();
+            assert_eq!(evicted, [1]);
+            assert_eq!(cache.get(1).is_some(), cache.dir.is_some());
+            assert_eq!(cache.len(), MAX_RESIDENT);
+        }
         let _ = fs::remove_dir_all(&dir);
     }
 

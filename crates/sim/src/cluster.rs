@@ -735,8 +735,10 @@ impl Cluster {
         self.machine.cores[core.index()].regs.read(reg)
     }
 
-    /// Reads an SPM or external word directly (no timing): the one-word
-    /// [`Self::read_spm_words`].
+    /// Reads an SPM or external word directly (no timing), as the
+    /// one-word [`Self::read_spm_words`] would: an aligned SPM word is
+    /// located once and loaded in place, inlined into the caller; any
+    /// other address takes the slice walk.
     ///
     /// # Errors
     ///
@@ -744,20 +746,20 @@ impl Cluster {
     /// uncorrectable multi-bit error under fault injection.
     #[inline]
     pub fn read_spm_word(&self, addr: u32) -> Result<u32, SimError> {
-        let mut word = [0];
-        self.read_spm_words(addr, &mut word)?;
-        Ok(word[0])
+        Ok(self.machine.storage.read_word(addr)?)
     }
 
-    /// Writes an SPM or external word directly (no timing): the one-word
-    /// [`Self::write_spm_words`].
+    /// Writes an SPM or external word directly (no timing), as the
+    /// one-word [`Self::write_spm_words`] would: an aligned SPM word is
+    /// located once and stored in place, inlined into the caller; any
+    /// other address takes the slice walk.
     ///
     /// # Errors
     ///
     /// Returns an error for unmapped or misaligned addresses.
     #[inline]
     pub fn write_spm_word(&mut self, addr: u32, value: u32) -> Result<(), SimError> {
-        self.write_spm_words(addr, &[value])
+        Ok(self.machine.storage.write_word(addr, value)?)
     }
 
     /// Reads the consecutive SPM or external words from `addr` on into
@@ -785,9 +787,7 @@ impl Cluster {
     ///
     /// Returns the first error a word-by-word loop would meet: a
     /// misaligned `addr` or an unmapped word.
-    // Always inlined, with the storage write it wraps: a one-word write
-    // then costs no more calls than the store it is.
-    #[inline(always)]
+    #[inline]
     pub fn write_spm_words(&mut self, addr: u32, values: &[u32]) -> Result<(), SimError> {
         Ok(self.machine.storage.write_words(addr, values)?)
     }
@@ -3016,9 +3016,22 @@ mod tests {
                 map.spm_end() as u32,
                 AddressMap::EXTERNAL_BASE,
             ];
-            for case in 0..120 {
-                // Up to 64 words either side of a region boundary, one
-                // start in eight misaligned, up to 96 words long.
+            let remapped = map.seq_addr(TileId(1), 2);
+            // One word each where the one-word calls leave the slice walk
+            // or come back to it: a pending single-bit mask, a pending
+            // multi-bit mask, a remapped bank, the hole after the SPM, a
+            // misaligned address and an external word.
+            let one_word = [
+                (16, 1),
+                (map.interleaved_base() - 8, 1),
+                (remapped, 1),
+                (map.spm_end() as u32, 1),
+                (2, 1),
+                (AddressMap::EXTERNAL_BASE + 8, 1),
+            ];
+            // Then up to 64 words either side of a region boundary, one
+            // start in eight misaligned, up to 96 words long.
+            let random = (0..120).map(|_| {
                 let anchor = i64::from(anchors[rng.below(4) as usize]);
                 let start = (anchor + 4 * (rng.below(128) as i64 - 64)).max(0) as u32;
                 let misalign = if rng.below(8) == 0 {
@@ -3026,8 +3039,10 @@ mod tests {
                 } else {
                     0
                 };
-                let addr = start + misalign as u32;
-                let len = rng.below(97) as usize;
+                (start + misalign as u32, rng.below(97) as usize)
+            });
+            let ranges: Vec<(u32, usize)> = one_word.into_iter().chain(random).collect();
+            for (case, (addr, len)) in ranges.into_iter().enumerate() {
                 let at = |i: usize| addr + 4 * i as u32;
                 let what = format!("{faults:?} case {case}: {len} words at {addr:#x}");
 

@@ -7,7 +7,10 @@
 //! interleaved region is then one contiguous slice, and a tile's
 //! sequential words come in runs of `banks_per_tile`, so the host's slice
 //! path ([`crate::Cluster::write_spm_words`],
-//! [`crate::Cluster::read_spm_words`]) moves them with `copy_from_slice`.
+//! [`crate::Cluster::read_spm_words`]) moves them with `copy_from_slice`,
+//! and its one-word path ([`crate::Cluster::write_spm_word`],
+//! [`crate::Cluster::read_spm_word`]) locates a word once and stores or
+//! loads it in place.
 //!
 //! The memory die's damage is storage state too: a stuck bank remapped
 //! onto a spare ([`Storage::remap_bank`]) resolves through a dense spare
@@ -311,6 +314,7 @@ impl Storage {
 
     /// Index of `bank` of `tile` among all the cluster's banks: the bank's
     /// column in the main array.
+    #[inline]
     fn global_bank(&self, tile: TileId, bank: u32) -> usize {
         tile.index() * self.banks_per_tile as usize + bank as usize
     }
@@ -325,15 +329,22 @@ impl Storage {
         {
             return Err(MemoryError::BadLocation);
         }
+        Ok(self.located_slot(loc))
+    }
+
+    /// [`Self::slot`] of a location the address map handed out, which
+    /// lies inside the geometry by construction.
+    #[inline]
+    fn located_slot(&self, loc: BankLocation) -> Slot {
         let global_bank = self.global_bank(loc.tile, loc.bank.0);
-        Ok(match self.spare_slot[global_bank] {
+        match self.spare_slot[global_bank] {
             None => Slot::Main(loc.word as usize * self.num_banks as usize + global_bank),
             Some(slot) => Slot::Spare(
                 (loc.tile.index() * self.spares_per_tile as usize + slot as usize)
                     * self.bank_words as usize
                     + loc.word as usize,
             ),
-        })
+        }
     }
 
     /// Lands a transient flip: XORs `mask` into the word at `loc` — into
@@ -418,8 +429,8 @@ impl Storage {
 
     /// Reads a naturally aligned value of the given width at `addr`
     /// (SPM or external), as the host sees it: the containing word read
-    /// as the host's slice path reads it (a single-bit error corrected,
-    /// without a scrub), then the value's lanes.
+    /// as [`crate::Cluster::read_spm_word`] reads it (a single-bit error
+    /// corrected, without a scrub), then the value's lanes.
     ///
     /// # Errors
     ///
@@ -428,14 +439,13 @@ impl Storage {
     /// (the read counts its touch).
     pub fn read(&self, addr: u32, width: MemWidth) -> Result<u32, MemoryError> {
         self.decode(addr, width)?;
-        let mut word = [0];
-        self.read_words(addr & !3, &mut word)?;
+        let mut word = self.read_word(addr & !3)?;
         let load = MemAccessKind::Load {
             width,
             signed: false,
             rd: Reg::ZERO,
         };
-        Ok(access_word(load, addr, &mut word[0]))
+        Ok(access_word(load, addr, &mut word))
     }
 
     /// Writes a naturally aligned value of the given width at `addr`
@@ -462,6 +472,78 @@ impl Storage {
             MemoryRegion::Unmapped => unreachable!(),
         }
         Ok(())
+    }
+
+    /// The logical location and array slot of the SPM word at `addr`, or
+    /// `None` for a misaligned, unmapped or external address: the one
+    /// locate of the host's one-word path.
+    #[inline(always)]
+    fn locate_word(&self, addr: u32) -> Option<(BankLocation, Slot)> {
+        if !addr.is_multiple_of(4) {
+            return None;
+        }
+        let MemoryRegion::Spm(loc) = self.map.locate(addr) else {
+            return None;
+        };
+        Some((loc, self.located_slot(loc)))
+    }
+
+    /// Writes the word at `addr` as [`Self::write_words`] writes a
+    /// one-word slice: an SPM word is stored in place, two touches and
+    /// its pending SEC-DED mask cleared; any other address takes the
+    /// slice walk, errors included. Always inlined, into callers in other
+    /// crates too, so that a host word costs one locate and one store.
+    ///
+    /// # Errors
+    ///
+    /// A misaligned or unmapped `addr`, as [`Self::write_words`] reports
+    /// it.
+    #[inline(always)]
+    pub(crate) fn write_word(&mut self, addr: u32, value: u32) -> Result<(), MemoryError> {
+        let Some((loc, slot)) = self.locate_word(addr) else {
+            return self.write_words(addr, &[value]);
+        };
+        match slot {
+            Slot::Main(index) => self.spm[index] = value,
+            Slot::Spare(index) => self.spare[index] = value,
+        }
+        self.add_touches(2);
+        if self.ecc.pending_words() > 0 {
+            self.ecc.clear(loc);
+        }
+        Ok(())
+    }
+
+    /// Reads the word at `addr` as [`Self::read_words`] reads a one-word
+    /// slice: an SPM word is loaded in place, one touch, a single-bit
+    /// error corrected without a scrub; any other address takes the slice
+    /// walk, errors included. Always inlined, as [`Self::write_word`] is.
+    ///
+    /// # Errors
+    ///
+    /// A misaligned or unmapped `addr`, as [`Self::read_words`] reports
+    /// it, or [`MemoryError::Uncorrectable`] for a word with a multi-bit
+    /// error (the read counts its touch).
+    #[inline(always)]
+    pub(crate) fn read_word(&self, addr: u32) -> Result<u32, MemoryError> {
+        let Some((loc, slot)) = self.locate_word(addr) else {
+            let mut word = [0];
+            self.read_words(addr, &mut word)?;
+            return Ok(word[0]);
+        };
+        let word = match slot {
+            Slot::Main(index) => self.spm[index],
+            Slot::Spare(index) => self.spare[index],
+        };
+        self.add_touches(1);
+        if self.ecc.pending_words() == 0 {
+            return Ok(word);
+        }
+        match self.ecc.check(loc, word) {
+            EccOutcome::Clean => Ok(word),
+            EccOutcome::Corrected { value } => Ok(value),
+            EccOutcome::Uncorrectable { mask } => Err(MemoryError::Uncorrectable { loc, mask }),
+        }
     }
 
     /// The first error a word-by-word loop over the `len` words from
@@ -492,9 +574,8 @@ impl Storage {
     /// on that one copy can move: the one word of a remapped bank, else
     /// the main words up to the next remapped bank, within the word's tile
     /// row in the sequential region and the rest of the interleaved
-    /// region in it. Always inlined, so that a one-word access pays no
-    /// call for it.
-    #[inline(always)]
+    /// region in it.
+    #[inline]
     fn run(&self, addr: u32, max: usize) -> (Target, usize) {
         let loc = match self.map.locate(addr) {
             MemoryRegion::Spm(loc) => loc,
@@ -551,7 +632,7 @@ impl Storage {
     ///
     /// The first error the word-by-word loop would meet: a misaligned
     /// `addr`, or the first unmapped word.
-    #[inline(always)]
+    #[inline]
     pub(crate) fn write_words(&mut self, addr: u32, values: &[u32]) -> Result<(), MemoryError> {
         self.check_words(addr, values.len())?;
         let (mut done, mut spm_words) = (0, 0);
@@ -559,11 +640,7 @@ impl Storage {
             let (target, len) = self.run(addr + 4 * done as u32, values.len() - done);
             let src = &values[done..done + len];
             match target {
-                // One word is a store, not a `memcpy` call.
-                Target::Main(index) => match src {
-                    [value] => self.spm[index] = *value,
-                    _ => self.spm[index..index + len].copy_from_slice(src),
-                },
+                Target::Main(index) => self.spm[index..index + len].copy_from_slice(src),
                 Target::Spare(index) => self.spare[index] = src[0],
                 Target::External(offset) => {
                     for (at, &value) in (offset..).step_by(4).zip(src) {
@@ -629,10 +706,7 @@ impl Storage {
             let (target, len) = self.run(addr + 4 * done as u32, out.len() - done);
             let dst = &mut out[done..done + len];
             match target {
-                Target::Main(index) => match dst {
-                    [value] => *value = self.spm[index],
-                    _ => dst.copy_from_slice(&self.spm[index..index + len]),
-                },
+                Target::Main(index) => dst.copy_from_slice(&self.spm[index..index + len]),
                 Target::Spare(index) => dst[0] = self.spare[index],
                 Target::External(offset) => {
                     for (at, value) in (offset..).step_by(4).zip(dst) {
@@ -699,6 +773,7 @@ impl Storage {
     }
 
     /// Adds `touches` SPM word reads and writes to the counter.
+    #[inline]
     fn add_touches(&self, touches: u64) {
         self.touches.set(self.touches.get() + touches);
     }
@@ -1033,7 +1108,9 @@ mod tests {
     /// Three remapped banks, two in tile 1 and one in tile 3, under a
     /// 4-tile, 8-bank geometry: whole-range slice accesses equal a
     /// word-by-word loop of the per-word calls, array for array, value
-    /// for value and touch for touch.
+    /// for value and touch for touch; and the one-word calls equal
+    /// one-word slices, with pending masks and on every path that leaves
+    /// the SPM.
     #[test]
     fn the_slice_path_follows_remapped_banks_like_the_word_loop() {
         let config = ClusterConfig::builder()
@@ -1083,6 +1160,65 @@ mod tests {
             assert_eq!(out, read, "{len} words at {addr:#x}");
             assert_eq!(out, values);
             assert_eq!(sliced.spm_word_touches(), looped.spm_word_touches());
+        }
+
+        let at = |tile, bank, word| {
+            let loc = BankLocation {
+                tile: TileId(tile),
+                bank: BankId(bank),
+                word,
+            };
+            (loc, map.encode(loc).unwrap())
+        };
+        let ((single_loc, single), (multi_loc, multi)) = (at(0, 1, 4), at(2, 3, 60));
+        let flipped = || {
+            let mut s = remapped();
+            s.flip(single_loc, 1 << 7);
+            s.flip(multi_loc, 0b110);
+            s
+        };
+        let hole = map.spm_end() as u32;
+        let read_errors = [
+            (single, None),
+            (
+                multi,
+                Some(MemoryError::Uncorrectable {
+                    loc: multi_loc,
+                    mask: 0b110,
+                }),
+            ),
+            (at(1, 5, 3).1, None),
+            (hole, Some(MemoryError::Unmapped { addr: hole })),
+            (
+                single + 2,
+                Some(MemoryError::Misaligned { addr: single + 2 }),
+            ),
+            (AddressMap::EXTERNAL_BASE + 4, None),
+        ];
+        // Everything a host access can change.
+        let state = |s: &Storage| {
+            let masks: Vec<_> = s.ecc().entries().collect();
+            let arrays = (s.spm.clone(), s.spare.clone(), s.external.clone());
+            (arrays, s.spm_word_touches(), masks)
+        };
+        for (addr, error) in read_errors {
+            let (mut one, mut sliced) = (flipped(), flipped());
+            assert_eq!(one.ecc().pending_words(), 2);
+            let mut out = [0];
+            let read = one.read_word(addr);
+            assert_eq!(read.err(), error, "read {addr:#x}");
+            assert_eq!(read, sliced.read_words(addr, &mut out).map(|()| out[0]));
+            assert!(state(&one) == state(&sliced), "read {addr:#x}");
+            // A write never observes the word: only the address can fail.
+            let value = addr ^ 0x5a5a_5a5a;
+            let written = one.write_word(addr, value);
+            let address_error = error.filter(|e| !matches!(e, MemoryError::Uncorrectable { .. }));
+            assert_eq!(written.err(), address_error, "write {addr:#x}");
+            assert_eq!(written, sliced.write_words(addr, &[value]), "{addr:#x}");
+            assert!(state(&one) == state(&sliced), "write {addr:#x}");
+            let read = one.read_word(addr);
+            assert_eq!(read, sliced.read_words(addr, &mut out).map(|()| out[0]));
+            assert_eq!(read.ok(), address_error.is_none().then_some(value));
         }
     }
 }
